@@ -100,6 +100,43 @@ func TestApplyBlockAllocations(t *testing.T) {
 	}
 }
 
+// TestApplyBlockIngestAllocations pins the tolerant stable fold on a deep
+// set (100k+ UTXOs, skewed buckets, a third of the inputs missing). By
+// design a fold allocates: the merge's pending list (1); the list of
+// touched scripts, doubling to its final size (about 10); per script that
+// keeps an output of the block, its sorted height group and — when the
+// bucket's group slice is full, so amortized far less than once — that
+// slice's growth; and the outpoint map's growth (a few, amortized). Nothing
+// per input and nothing per output: 396 measured here for 347 scripts, where
+// the staged fold this replaces spent 2 207 on a block of this shape (five
+// scratch maps, a regroup map, per-bucket lists grown by append).
+func TestApplyBlockIngestAllocations(t *testing.T) {
+	d := newDeepFold(t, 160)
+	const runs = 20
+	blocks := make([]*btc.Block, runs+1) // AllocsPerRun warms up with one call
+	scripts := 0
+	for i := range blocks {
+		blocks[i] = d.next(t)
+		seen := make(map[string]bool)
+		for _, tx := range blocks[i].Transactions {
+			for _, out := range tx.Outputs {
+				seen[string(out.PkScript)] = true
+			}
+		}
+		scripts += len(seen)
+	}
+	perBlock := float64(scripts) / float64(len(blocks))
+	n := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		d.fold(t, blocks[n])
+		n++
+	})
+	t.Logf("%.0f allocations per fold, %.0f scripts per block", avg, perBlock)
+	if budget := 2*perBlock + 40; avg > budget {
+		t.Fatalf("fold of a 1001-output block paying %.0f scripts allocates %.0f times, budget is %.0f", perBlock, avg, budget)
+	}
+}
+
 // TestBalanceAllocations pins the indexed get_balance path: the stable part
 // is an O(1) running total, so a cold query against a deep stable bucket
 // must stay within a handful of allocations.

@@ -12,6 +12,7 @@ package icbtc_test
 import (
 	"crypto/sha256"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -480,43 +481,92 @@ func BenchmarkUTXOSetApplyBlock(b *testing.B) {
 	b.ReportMetric(float64(set.Len()), "utxos-final")
 }
 
-// BenchmarkUTXOSetApplyBlockBatched stresses the staged batched apply the
-// way real blocks do: many transactions paying a handful of addresses, so
-// each address bucket receives a batch of same-height entries with
-// scattered txids — one ordered merge per bucket instead of a binary
-// insert (plus memmove) per entry. Gated by cmd/benchgate.
-func BenchmarkUTXOSetApplyBlockBatched(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	scripts := make([][]byte, 4)
-	for i := range scripts {
-		var h [20]byte
-		rng.Read(h[:])
-		scripts[i] = btc.PayToPubKeyHashScript(h)
+// deepFold is the stable fold's workload at depth: blocks of 500
+// transactions x 2 outputs paying the paper's Fig 7 address population (1000
+// addresses, 211 of them holding most of the UTXOs), two of every three
+// transactions spending one output of an earlier block, the third a missing
+// one. newDeepFold folds
+// preload of them into a fresh set — 160 leave it above 100k live UTXOs.
+type deepFold struct {
+	set     *utxo.Set
+	height  int64
+	pop     *experiments.AddressPopulation
+	cum     []int
+	rng     *rand.Rand
+	builder *experiments.BlockBuilder
+}
+
+func newDeepFold(tb testing.TB, preload int) *deepFold {
+	d := &deepFold{
+		set:     utxo.New(btc.Regtest),
+		pop:     experiments.NewAddressPopulation(btc.Regtest, 8, 1),
+		rng:     rand.New(rand.NewSource(8)),
+		builder: experiments.NewBlockBuilder(btc.RegtestParams(), 8),
 	}
-	blocks := make([]*btc.Block, 0, b.N)
-	for i := 0; i < b.N; i++ {
-		blk := &btc.Block{}
-		for t := 0; t < 50; t++ {
-			tx := &btc.Transaction{Version: 2, Inputs: []btc.TxIn{{
-				PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff},
-				SignatureScript:  []byte{byte(i), byte(i >> 8), byte(i >> 16), byte(t), byte(rng.Intn(256))},
-			}}}
-			for o := 0; o < 4; o++ {
-				tx.Outputs = append(tx.Outputs, btc.TxOut{Value: 546, PkScript: scripts[(t+o)%len(scripts)]})
-			}
-			blk.Transactions = append(blk.Transactions, tx)
+	total := 0
+	for _, a := range d.pop.Addresses {
+		total += a.Count
+		d.cum = append(d.cum, total)
+	}
+	for i := 0; i < preload; i++ {
+		d.fold(tb, d.next(tb))
+	}
+	return d
+}
+
+// next builds the next block, transaction IDs memoized.
+func (d *deepFold) next(tb testing.TB) *btc.Block {
+	specs := make([]experiments.TxSpec, 500)
+	for t := range specs {
+		outs := make([]btc.TxOut, 2)
+		for o := range outs {
+			a := sort.SearchInts(d.cum, d.rng.Intn(d.cum[len(d.cum)-1])+1)
+			outs[o] = btc.TxOut{Value: 600 + d.rng.Int63n(3000), PkScript: d.pop.Addresses[a].Script}
 		}
-		blocks = append(blocks, blk)
+		specs[t] = experiments.TxSpec{Outputs: outs}
+		if t%3 != 0 {
+			specs[t].Inputs = 1
+		}
 	}
-	set := utxo.New(btc.Regtest)
+	block, err := d.builder.NextBlock(specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	block.TxIDs()
+	return block
+}
+
+// fold applies a block the way the canister does. The builder gives every
+// transaction without an input a fabricated one (value entering the tracked
+// addresses), so a third of a block's transactions — all of the first
+// block's — take the fold's missing-input path, and nothing else may.
+func (d *deepFold) fold(tb testing.TB, block *btc.Block) {
+	d.height++
+	want := (len(block.Transactions) + 1) / 3
+	if d.height == 1 {
+		want = len(block.Transactions) - 1
+	}
+	if st := d.set.ApplyBlockIngest(block, d.height); st.Errors != want {
+		tb.Fatalf("height %d: %d tolerated errors, want %d missing inputs", d.height, st.Errors, want)
+	}
+}
+
+// BenchmarkUTXOSetFoldDeep times the function the canister folds stable
+// blocks with — the tolerant ApplyBlockIngest — where it is expensive: into
+// a set of 100k+ UTXOs whose outpoint map no longer fits a cache, with
+// removals out of deep, skewed buckets. Gated by cmd/benchgate.
+func BenchmarkUTXOSetFoldDeep(b *testing.B) {
+	d := newDeepFold(b, 160)
+	blocks := make([]*btc.Block, b.N)
+	for i := range blocks {
+		blocks[i] = d.next(b)
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := set.ApplyBlock(blocks[i], int64(i+1)); err != nil {
-			b.Fatal(err)
-		}
+	for _, block := range blocks {
+		d.fold(b, block)
 	}
-	b.ReportMetric(float64(set.Len()), "utxos-final")
+	b.ReportMetric(float64(d.set.Len()), "utxos-final")
 }
 
 func experimentsPayN(script []byte, n int) []btc.TxOut {

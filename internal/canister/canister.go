@@ -448,30 +448,38 @@ func (c *BitcoinCanister) acceptBlock(ctx *ic.CallContext, bw adapter.BlockWithH
 // competing branch) yields no owners — the spend is a no-op for every view,
 // exactly as the naive replay's unconditional delete would be.
 func (c *BitcoinCanister) resolveOwner(node *chain.Node) utxo.OwnerResolver {
-	return func(op btc.OutPoint) []utxo.OwnedOutput {
-		var owners []utxo.OwnedOutput
-		seen := make(map[string]bool, 2)
+	return func(op btc.OutPoint, owners []utxo.OwnedOutput) []utxo.OwnedOutput {
+		// Keys are deduplicated by comparing against the owners found so far:
+		// there are at most a couple, and a per-spend set would cost an
+		// allocation for each input of the block.
 		for anc := node.Parent(); anc != nil; anc = anc.Parent() {
 			d, _ := anc.Aux().(*utxo.BlockDelta)
 			if d == nil {
 				continue
 			}
 			if u, ok := d.CreatedOutput(op); ok {
-				key := c.scriptIDs.ID(u.PkScript)
-				if !seen[key] {
-					seen[key] = true
+				if key := c.scriptIDs.ID(u.PkScript); !ownedBy(owners, key) {
 					owners = append(owners, utxo.OwnedOutput{AddressKey: key, Value: u.Value})
 				}
 			}
 		}
 		if u, ok := c.stable.Get(op); ok {
 			// The stable set stores each entry's derived key; no re-derive.
-			if key, ok := c.stable.AddressKeyOf(op); ok && !seen[key] {
+			if key, ok := c.stable.AddressKeyOf(op); ok && !ownedBy(owners, key) {
 				owners = append(owners, utxo.OwnedOutput{AddressKey: key, Value: u.Value})
 			}
 		}
 		return owners
 	}
+}
+
+func ownedBy(owners []utxo.OwnedOutput, key string) bool {
+	for i := range owners {
+		if owners[i].AddressKey == key {
+			return true
+		}
+	}
+	return false
 }
 
 // advanceAnchor implements the while-loop of Algorithm 2 (lines 5-13): as
@@ -547,13 +555,13 @@ func (c *BitcoinCanister) dropSubtreeBlocks(n *chain.Node) {
 }
 
 // ingestStableBlock folds a stable block's transactions into U through the
-// batched tolerant apply (one staged replay, removals then one ordered
-// merge per touched address bucket) and meters the work from its stats —
-// charge for charge what the per-entry loop charged (the Fig 6 cost
-// breakdown): every removal attempt, and every output priced by whether
-// its script was interned at the moment that output was processed. Missing
-// inputs and duplicate outputs are tolerated — the canister trusts proof
-// of work, not transaction validity.
+// tolerant apply (one pass in block order straight against the set, bucket
+// inserts deferred to one ordered merge per touched address) and meters the
+// work from its stats — charge for charge what the per-entry loop charged
+// (the Fig 6 cost breakdown): every removal attempt, and every output priced
+// by whether its script was interned at the moment that output was
+// processed. Missing inputs and duplicate outputs are tolerated — the
+// canister trusts proof of work, not transaction validity.
 func (c *BitcoinCanister) ingestStableBlock(ctx *ic.CallContext, block *btc.Block, height int64) {
 	ctx.Meter.Charge(ic.CostBlockOverhead, "block_overhead")
 	ctx.Meter.Charge(uint64(len(block.Transactions))*ic.CostPerTxOverhead, "block_overhead")

@@ -3,6 +3,7 @@ package utxo
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"icbtc/internal/btc"
@@ -351,69 +352,219 @@ func TestApplyBlockInBlockSpendChain(t *testing.T) {
 	}
 }
 
-// TestBucketInsertBatch drives the one-pass merge against per-entry
-// insertion across random batch shapes (appends, interleavings, single
-// heights, mixed heights).
-func TestBucketInsertBatch(t *testing.T) {
+// Opcodes of the FuzzTolerantFold program: a byte string is read as blocks
+// of transactions over four scripts. Every operand is one byte, taken modulo
+// what it selects from; a program that runs out of bytes ends there.
+const (
+	foldOpTx        = iota // nIn, nIn x source, nOut, nOut x (script, value): a new transaction
+	foldOpRepeat           // k: the block's k-th transaction again (same txid)
+	foldOpReplay           // k: the k-th transaction of all earlier ones again, now in this block
+	foldOpEndBlock         // fold the block; the next one is one height up
+	foldOpSameBlock        // fold the block; the next one is folded at the same height
+	foldOps
+)
+
+// foldSourceMissing as an input source spends an outpoint nothing created;
+// any other source byte picks an output created so far, this block's
+// included, so in-block chains and double spends come up by themselves.
+const foldSourceMissing = 0xff
+
+// foldProgram decodes data into blocks with the heights to fold them at.
+func foldProgram(data []byte) (blocks []*btc.Block, heights []int64) {
+	scripts := make([][]byte, 4)
+	for i := range scripts {
+		scripts[i] = btc.PayToPubKeyHashScript([20]byte{byte(i + 1)})
+	}
+	next := func() (byte, bool) {
+		if len(data) == 0 {
+			return 0, false
+		}
+		b := data[0]
+		data = data[1:]
+		return b, true
+	}
+	var (
+		earlier []*btc.Transaction // transactions of closed blocks
+		pool    []btc.OutPoint     // every output created so far
+		serial  uint32
+		height  = int64(1)
+	)
+	newBlock := func() *btc.Block {
+		serial++
+		return &btc.Block{Transactions: []*btc.Transaction{{Version: 2, LockTime: serial,
+			Inputs:  []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff}}},
+			Outputs: []btc.TxOut{{Value: 50, PkScript: scripts[0]}}}}}
+	}
+	blk := newBlock()
+	closeBlock := func(step int64) {
+		blocks, heights = append(blocks, blk), append(heights, height)
+		earlier = append(earlier, blk.Transactions...)
+		height += step
+		blk = newBlock()
+	}
+	for len(blocks) < 16 {
+		op, ok := next()
+		if !ok {
+			break
+		}
+		switch op % foldOps {
+		case foldOpTx:
+			serial++
+			tx := &btc.Transaction{Version: 2, LockTime: serial}
+			nIn, _ := next()
+			for i := byte(0); i <= nIn%3; i++ {
+				src, _ := next()
+				in := btc.OutPoint{TxID: btc.Hash{0xee, src, byte(i)}, Vout: 7}
+				if src != foldSourceMissing && len(pool) > 0 {
+					in = pool[int(src)%len(pool)]
+				}
+				tx.Inputs = append(tx.Inputs, btc.TxIn{PreviousOutPoint: in})
+			}
+			nOut, _ := next()
+			for i := byte(0); i <= nOut%3; i++ {
+				sc, _ := next()
+				v, _ := next()
+				tx.Outputs = append(tx.Outputs, btc.TxOut{Value: 1 + int64(v), PkScript: scripts[int(sc)%len(scripts)]})
+			}
+			blk.Transactions = append(blk.Transactions, tx)
+			for v := range tx.Outputs {
+				pool = append(pool, btc.OutPoint{TxID: tx.TxID(), Vout: uint32(v)})
+			}
+		case foldOpRepeat:
+			k, _ := next()
+			blk.Transactions = append(blk.Transactions, blk.Transactions[int(k)%len(blk.Transactions)])
+		case foldOpReplay:
+			if k, _ := next(); len(earlier) > 0 {
+				blk.Transactions = append(blk.Transactions, earlier[int(k)%len(earlier)])
+			}
+		case foldOpEndBlock:
+			closeBlock(1)
+		case foldOpSameBlock:
+			closeBlock(0)
+		}
+	}
+	closeBlock(1)
+	return blocks, heights
+}
+
+// FuzzTolerantFold is the differential net under the single-pass fold: any
+// program of blocks must leave the set and the metering stats exactly as the
+// per-entry ingestNaive loop does, block after block.
+func FuzzTolerantFold(f *testing.F) {
+	// tx(nIn-1, sources..., nOut-1, (script, value)...) in the program's bytes.
+	tx := func(sources []byte, outs ...byte) []byte {
+		p := append([]byte{foldOpTx, byte(len(sources) - 1)}, sources...)
+		return append(append(p, byte(len(outs)/2-1)), outs...)
+	}
+	seq := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	end := []byte{foldOpEndBlock}
+	// In-block spend chain: each transaction spends the one before it.
+	f.Add(seq(tx([]byte{foldSourceMissing}, 1, 10, 2, 20), tx([]byte{0}, 1, 30), tx([]byte{2}, 3, 40), end))
+	// A transaction duplicated inside a block: its second copy's outputs are
+	// duplicates.
+	f.Add(seq(tx([]byte{foldSourceMissing}, 1, 10, 1, 11), []byte{foldOpRepeat, 1}, end))
+	// Spend-then-recreate of one outpoint, with its only script un-interned
+	// in between: create, spend, repeat the creator.
+	f.Add(seq(tx([]byte{foldSourceMissing}, 3, 10), tx([]byte{0}, 1, 5), []byte{foldOpRepeat, 1}, end))
+	// The same across blocks: the creator folded, then spent and replayed.
+	f.Add(seq(tx([]byte{foldSourceMissing}, 3, 10, 3, 11), end, tx([]byte{0}, 1, 5), []byte{foldOpReplay, 1}, end))
+	// Missing inputs, one of them spent twice.
+	f.Add(seq(tx([]byte{foldSourceMissing, foldSourceMissing, foldSourceMissing}, 2, 9), end))
+	// An output whose outpoint already sits in the set: a stable transaction
+	// replayed in a later block.
+	f.Add(seq(tx([]byte{foldSourceMissing}, 1, 10, 2, 20), end, []byte{foldOpReplay, 1}, end))
+	// Two folds at one height, the second spending into and adding to the
+	// first one's height groups.
+	f.Add(seq(tx([]byte{foldSourceMissing}, 1, 10, 1, 11, 1, 12), []byte{foldOpSameBlock}, tx([]byte{1}, 1, 13, 1, 14), end))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		blocks, heights := foldProgram(data)
+		fold, naive := New(btc.Regtest), New(btc.Regtest)
+		for i, blk := range blocks {
+			got := fold.ApplyBlockIngest(blk, heights[i])
+			want := ingestNaive(naive, blk, heights[i])
+			if got != want {
+				t.Fatalf("block %d: stats %+v, per-entry loop %+v", i, got, want)
+			}
+			if !bytes.Equal(encodeSet(fold), encodeSet(naive)) {
+				t.Fatalf("block %d: encoded set differs from the per-entry loop's", i)
+			}
+		}
+		checkIndexInvariants(t, fold)
+		for sc := range fold.interned {
+			if fold.interned[sc].pend != 0 {
+				t.Fatalf("script %x left with fold scratch set", sc)
+			}
+		}
+	})
+}
+
+// flatten lists a bucket's entries in storage order, each with its height.
+func (b *bucket) flatten() []UTXO {
+	var out []UTXO
+	for _, g := range b.groups {
+		for _, e := range g.entries {
+			out = append(out, UTXO{OutPoint: e.op, Value: e.value, Height: g.height})
+		}
+	}
+	return out
+}
+
+// TestBucketInsertGroup drives insertGroup — single entries, then one
+// block-sized sorted batch — across random shapes (a height above every
+// group, which is the fold's append; one between groups; one the bucket
+// already holds) and checks the bucket against a plain sorted list.
+func TestBucketInsertGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 300; iter++ {
-		var a, b bucket
-		n := rng.Intn(30)
-		for i := 0; i < n; i++ {
-			u := UTXO{Height: int64(rng.Intn(6)), Value: int64(i)}
-			rng.Read(u.OutPoint.TxID[:])
-			u.OutPoint.Vout = uint32(rng.Intn(3))
-			a.insert(u)
-			b.insert(u)
-		}
-		m := 1 + rng.Intn(20)
-		batch := make([]UTXO, 0, m)
-		h := int64(rng.Intn(8)) // often above existing heights, sometimes interleaved
-		for i := 0; i < m; i++ {
-			u := UTXO{Height: h, Value: int64(100 + i)}
-			if rng.Intn(4) == 0 {
-				u.Height = int64(rng.Intn(8))
-			}
-			rng.Read(u.OutPoint.TxID[:])
-			u.OutPoint.Vout = uint32(rng.Intn(3))
-			// Skip accidental duplicates against existing or batch entries.
-			dup := false
-			for k := range a.asc {
-				if a.asc[k].OutPoint == u.OutPoint && a.asc[k].Height == u.Height {
-					dup = true
+		var b bucket
+		var want []UTXO
+		var balance int64
+		seen := make(map[btc.OutPoint]bool)
+		randEntry := func(height, value int64) bucketEntry {
+			for {
+				e := bucketEntry{value: value}
+				rng.Read(e.op.TxID[:2]) // short txids collide on purpose: vout breaks ties
+				e.op.Vout = uint32(rng.Intn(3))
+				if !seen[e.op] {
+					seen[e.op] = true
+					want = append(want, UTXO{OutPoint: e.op, Value: value, Height: height})
+					balance += value
+					return e
 				}
 			}
-			for k := range batch {
-				if batch[k].OutPoint == u.OutPoint && batch[k].Height == u.Height {
-					dup = true
-				}
-			}
-			if dup {
-				continue
-			}
-			batch = append(batch, u)
 		}
-		if len(batch) == 0 {
-			continue
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			h := int64(rng.Intn(6))
+			b.insertGroup(h, []bucketEntry{randEntry(h, int64(i))})
 		}
-		// insertBatch wants storage order (height ascending).
-		sorted := append([]UTXO(nil), batch...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && storageLess(&sorted[j], &sorted[j-1]); j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
+		h := int64(rng.Intn(8)) // often above existing heights, sometimes inside
+		batch := make([]bucketEntry, 1+rng.Intn(20))
+		for i := range batch {
+			batch[i] = randEntry(h, int64(100+i))
 		}
-		a.insertBatch(sorted)
-		for _, u := range batch {
-			b.insert(u)
+		sortEntries(batch)
+		b.insertGroup(h, batch)
+
+		sort.Slice(want, func(i, j int) bool { return storageBefore(&want[i], &want[j]) })
+		got := b.flatten()
+		if len(got) != len(want) || b.count != len(want) || b.balance != balance {
+			t.Fatalf("iter %d: %d entries (count %d, balance %d), want %d (balance %d)",
+				iter, len(got), b.count, b.balance, len(want), balance)
 		}
-		if len(a.asc) != len(b.asc) {
-			t.Fatalf("iter %d: lengths %d vs %d", iter, len(a.asc), len(b.asc))
-		}
-		for i := range a.asc {
-			if a.asc[i].OutPoint != b.asc[i].OutPoint || a.asc[i].Height != b.asc[i].Height || a.asc[i].Value != b.asc[i].Value {
-				t.Fatalf("iter %d: entry %d diverged", iter, i)
+		for i := range got {
+			if got[i].OutPoint != want[i].OutPoint || got[i].Height != want[i].Height || got[i].Value != want[i].Value {
+				t.Fatalf("iter %d: entry %d is %+v, want %+v", iter, i, got[i], want[i])
 			}
 		}
 	}
+}
+
+// storageBefore is the bucket's storage order spelled out over flattened
+// entries: height ascending, then txid, then vout.
+func storageBefore(a, b *UTXO) bool {
+	if a.Height != b.Height {
+		return a.Height < b.Height
+	}
+	return cmpOutPoint(&a.OutPoint, &b.OutPoint) < 0
 }

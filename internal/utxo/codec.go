@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"icbtc/internal/btc"
@@ -89,60 +90,51 @@ func (s *Set) EncodeTo(e *statecodec.Encoder) {
 	for _, k := range keys {
 		b := s.byAddress[k]
 		e.String(k)
-		e.Uvarint(uint64(len(b.asc)))
-		for i := range b.asc {
-			u := &b.asc[i]
-			e.Raw(u.OutPoint.TxID[:])
-			e.U32(u.OutPoint.Vout)
-			e.I64(u.Value)
-			e.I64(u.Height)
-			e.Uvarint(index[s.byOutPoint[u.OutPoint].script])
+		e.Uvarint(uint64(b.count))
+		for gi := range b.groups {
+			g := &b.groups[gi]
+			for i := range g.entries {
+				u := &g.entries[i]
+				e.Raw(u.op.TxID[:])
+				e.U32(u.op.Vout)
+				e.I64(u.value)
+				e.I64(g.height)
+				e.Uvarint(index[u.script])
+			}
 		}
 	}
 }
 
 // DecodeSet reads a set encoded by EncodeTo. Restore cost is linear in the
 // snapshot bytes: scripts are interned straight from the stored table (keys
-// included), bucket slices are appended in stored order, and the outpoint
-// map, reference counts, running balances, and byte estimate are rebuilt in
-// the same single pass.
+// included), bucket groups are cut from the stored order, and the outpoint
+// map, reference counts, running balances, and byte estimate are rebuilt
+// bucket by bucket as each is read.
 func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	network := btc.Network(d.U8())
 	total := d.CountFor(maxSnapshotEntries, setEntryBytes)
 
 	nScripts := d.CountFor(maxSnapshotEntries, lengthPrefixedMin2)
+	scripts, interned, err := decodeScriptTable(d, nScripts)
+	if err != nil {
+		return nil, err
+	}
 	// Pre-size every map from the stored counts — incremental growth would
 	// re-hash the whole table log(n) times and dominate restore.
 	s := &Set{
 		network:    network,
 		byOutPoint: make(map[btc.OutPoint]entry, total),
 		byAddress:  make(map[string]*bucket, nScripts),
-		interned:   make(map[string]*internedScript, nScripts),
-	}
-	scripts := make([]*internedScript, 0, nScripts)
-	for i := 0; i < nScripts; i++ {
-		raw := d.Bytes(maxSnapshotScriptLen)
-		key := d.String(maxSnapshotKeyLen)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		cp := make([]byte, len(raw))
-		copy(cp, raw)
-		sc := &internedScript{bytes: cp, key: key}
-		before := len(s.interned)
-		s.interned[string(cp)] = sc
-		if len(s.interned) == before {
-			return nil, fmt.Errorf("utxo: snapshot script %d duplicated", i)
-		}
-		scripts = append(scripts, sc)
+		interned:   interned,
 	}
 
 	nBuckets := d.CountFor(maxSnapshotEntries, lengthPrefixedMin2)
-	// One arena backs every bucket's entry slice: a single allocation and
-	// one contiguous zeroing instead of per-bucket garbage. Buckets take
+	// One arena backs every bucket's entries: a single allocation and one
+	// contiguous zeroing instead of per-group garbage. Groups take
 	// capacity-limited sub-slices, so a post-restore insert that outgrows
-	// its bucket reallocates that bucket normally.
-	arena := make([]UTXO, 0, total)
+	// its group reallocates that group normally.
+	arena := make([]bucketEntry, total)
+	bd := bucketDecoder{scripts: scripts}
 	decoded := 0
 	for i := 0; i < nBuckets; i++ {
 		key := d.String(maxSnapshotKeyLen)
@@ -156,62 +148,133 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 		if decoded+n > total {
 			return nil, fmt.Errorf("utxo: snapshot bucket %q overflows declared entry count %d", key, total)
 		}
-		b := &bucket{asc: arena[decoded : decoded : decoded+n]}
-		for j := 0; j < n; j++ {
-			// One bounds-checked read covers the entry's fixed-width fields
-			// (txid, vout, value, height); only the script index varints.
-			fields := d.Raw(btc.HashSize + 4 + 8 + 8)
-			si := d.Uvarint()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			var op btc.OutPoint
-			copy(op.TxID[:], fields[:btc.HashSize])
-			op.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
-			value := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
-			height := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+12:]))
-			if si >= uint64(len(scripts)) {
-				return nil, fmt.Errorf("utxo: snapshot script index %d out of range", si)
-			}
-			sc := scripts[si]
-			u := UTXO{OutPoint: op, Value: value, PkScript: sc.bytes, Height: height}
-			if j > 0 && !storageLess(&b.asc[j-1], &u) {
-				return nil, fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", key, j)
-			}
-			before := len(s.byOutPoint)
-			s.byOutPoint[op] = entry{value: value, height: height, script: sc}
-			if len(s.byOutPoint) == before {
-				return nil, fmt.Errorf("utxo: snapshot outpoint %s duplicated", op)
-			}
-			sc.refs++
-			b.asc = append(b.asc, u)
-			b.balance += value
-			s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
+		b, err := bd.decode(d, key, arena[decoded:decoded+n])
+		if err != nil {
+			return nil, err
 		}
-		decoded += len(b.asc)
-		if len(b.asc) > 0 {
-			s.byAddress[key] = b
+		if err := s.indexBucket(key, b); err != nil {
+			return nil, err
 		}
+		decoded += n
 	}
 	if decoded != total {
 		return nil, fmt.Errorf("utxo: snapshot declared %d entries, decoded %d", total, decoded)
 	}
-	for i, sc := range scripts {
-		if sc.refs == 0 {
-			return nil, fmt.Errorf("utxo: snapshot script %d referenced by no entry", i)
-		}
+	if err := checkScriptsReferenced(scripts); err != nil {
+		return nil, err
 	}
 	return s, d.Err()
 }
 
-// --- Sharded parallel decode (fast-sync hydration) ---
-
-// scriptSpan / bucketSpan record the byte windows a scan pass found, so
-// shard workers can decode them independently.
-type scriptSpan struct {
-	start, end int
+// decodeScriptTable reads the interned-script table: each script with its
+// memoized address key, in stored order (the order entries index it by).
+func decodeScriptTable(d *statecodec.Decoder, n int) ([]*internedScript, map[string]*internedScript, error) {
+	list := make([]*internedScript, 0, n)
+	interned := make(map[string]*internedScript, n)
+	for i := 0; i < n; i++ {
+		raw := d.Bytes(maxSnapshotScriptLen)
+		key := d.String(maxSnapshotKeyLen)
+		if d.Err() != nil {
+			return nil, nil, d.Err()
+		}
+		sc := &internedScript{bytes: bytes.Clone(raw), key: key}
+		before := len(interned)
+		interned[string(sc.bytes)] = sc
+		if len(interned) == before {
+			return nil, nil, fmt.Errorf("utxo: snapshot script %d duplicated", i)
+		}
+		list = append(list, sc)
+	}
+	return list, interned, nil
 }
 
+func checkScriptsReferenced(scripts []*internedScript) error {
+	for i, sc := range scripts {
+		if sc.refs == 0 {
+			return fmt.Errorf("utxo: snapshot script %d referenced by no entry", i)
+		}
+	}
+	return nil
+}
+
+// bucketDecoder reads bucket entries against a decoded script table. It is
+// not safe for concurrent use: groups is scratch reused from bucket to bucket.
+type bucketDecoder struct {
+	scripts []*internedScript
+	groups  []heightGroup
+}
+
+// decode reads len(dst) stored entries into dst — the bucket's window of the
+// shared arena — cutting a height group at every height change and verifying
+// the storage order on the way. The outpoint map is not touched (see
+// Set.indexBucket), so shard workers can decode buckets concurrently.
+func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketEntry) (*bucket, error) {
+	b := &bucket{count: len(dst)}
+	bd.groups = bd.groups[:0]
+	start, height := 0, int64(0)
+	for j := range dst {
+		// One bounds-checked read covers the entry's fixed-width fields
+		// (txid, vout, value, height); only the script index varints.
+		fields := d.Raw(btc.HashSize + 4 + 8 + 8)
+		si := d.Uvarint()
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		e := &dst[j]
+		copy(e.op.TxID[:], fields[:btc.HashSize])
+		e.op.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
+		e.value = int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
+		h := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+12:]))
+		if si >= uint64(len(bd.scripts)) {
+			return nil, fmt.Errorf("utxo: snapshot script index %d out of range", si)
+		}
+		e.script = bd.scripts[si]
+		if j > 0 {
+			if h < height || (h == height && cmpOutPoint(&dst[j-1].op, &e.op) >= 0) {
+				return nil, fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", key, j)
+			}
+			if h > height {
+				bd.groups = append(bd.groups, heightGroup{height: height, entries: dst[start:j:j]})
+				start = j
+			}
+		}
+		height = h
+		b.balance += e.value
+	}
+	if len(dst) > 0 {
+		bd.groups = append(bd.groups, heightGroup{height: height, entries: dst[start:len(dst):len(dst)]})
+	}
+	b.groups = slices.Clone(bd.groups)
+	return b, nil
+}
+
+// indexBucket installs a decoded bucket: its entries join the outpoint map,
+// with the reference counts and the byte estimate they imply. An empty
+// stored bucket is read and dropped, as the set never holds one.
+func (s *Set) indexBucket(key string, b *bucket) error {
+	for gi := range b.groups {
+		g := &b.groups[gi]
+		for i := range g.entries {
+			e := &g.entries[i]
+			before := len(s.byOutPoint)
+			s.byOutPoint[e.op] = entry{value: e.value, height: g.height, script: e.script}
+			if len(s.byOutPoint) == before {
+				return fmt.Errorf("utxo: snapshot outpoint %s duplicated", e.op)
+			}
+			e.script.refs++
+			s.approxBytes += int64(perUTXOOverhead + len(e.script.bytes))
+		}
+	}
+	if b.count > 0 {
+		s.byAddress[key] = b
+	}
+	return nil
+}
+
+// --- Sharded parallel decode (fast-sync hydration) ---
+
+// bucketSpan records the byte window a scan pass found for one bucket, so
+// shard workers can decode buckets independently.
 type bucketSpan struct {
 	key        string
 	n          int
@@ -219,12 +282,11 @@ type bucketSpan struct {
 	arenaOff   int // the bucket's slot in the shared entry arena
 }
 
-// shardResult is one shard's decoded buckets: the bucket structs (entries
-// appended into disjoint arena sub-slices, balances accumulated, order
-// verified) plus each entry's script index for the sequential merge.
+// shardResult is one shard's decoded buckets (entries written into disjoint
+// arena windows, groups cut, balances accumulated, order verified), ready
+// for the sequential merge.
 type shardResult struct {
 	buckets []*bucket
-	scIdx   [][]uint32
 	err     error
 }
 
@@ -236,10 +298,11 @@ type shardResult struct {
 // The format is unchanged (same bytes DecodeSet reads) and the resulting
 // set is identical to DecodeSet's; with workers <= 1 it IS DecodeSet.
 //
-// The merge preserves every structural check the serial decoder performs
-// (duplicate scripts/buckets/outpoints, storage-order violations, script
-// index bounds, entry-count accounting, unreferenced scripts), so a
-// hostile snapshot is rejected either way.
+// Both decoders read buckets with bucketDecoder.decode and install them with
+// Set.indexBucket, so every structural check (duplicate
+// scripts/buckets/outpoints, storage-order violations, script index bounds,
+// entry-count accounting, unreferenced scripts) is the same code either way
+// and a hostile snapshot is rejected either way.
 func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 	if workers <= 1 {
 		return DecodeSet(d)
@@ -252,7 +315,7 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 	}
 
 	// Scan the script table: skip length-prefixed fields, record the window.
-	scripts := scriptSpan{start: d.Offset()}
+	scriptsStart := d.Offset()
 	for i := 0; i < nScripts; i++ {
 		d.Skip(d.Count(maxSnapshotScriptLen))
 		d.Skip(d.Count(maxSnapshotKeyLen))
@@ -260,7 +323,6 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	scripts.end = d.Offset()
 
 	// Decode the script table concurrently with the bucket scan below.
 	type scriptTable struct {
@@ -269,33 +331,13 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 		err      error
 	}
 	scriptCh := make(chan scriptTable, 1)
-	sw, err := d.Window(scripts.start, scripts.end)
+	sw, err := d.Window(scriptsStart, d.Offset())
 	if err != nil {
 		return nil, err
 	}
 	go func() {
-		t := scriptTable{
-			list:     make([]*internedScript, 0, nScripts),
-			interned: make(map[string]*internedScript, nScripts),
-		}
-		for i := 0; i < nScripts; i++ {
-			raw := sw.Bytes(maxSnapshotScriptLen)
-			key := sw.String(maxSnapshotKeyLen)
-			if sw.Err() != nil {
-				t.err = sw.Err()
-				break
-			}
-			cp := make([]byte, len(raw))
-			copy(cp, raw)
-			sc := &internedScript{bytes: cp, key: key}
-			before := len(t.interned)
-			t.interned[string(cp)] = sc
-			if len(t.interned) == before {
-				t.err = fmt.Errorf("utxo: snapshot script %d duplicated", i)
-				break
-			}
-			t.list = append(t.list, sc)
-		}
+		var t scriptTable
+		t.list, t.interned, t.err = decodeScriptTable(sw, nScripts)
 		scriptCh <- t
 	}()
 
@@ -365,60 +407,31 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 		byAddress:  make(map[string]*bucket, nScripts),
 		interned:   st.interned,
 	}
-	// One arena backs every bucket's entry slice, as in the serial decoder;
-	// shards fill disjoint sub-slices.
-	arena := make([]UTXO, 0, total)
+	// One arena backs every bucket's entries, as in the serial decoder;
+	// shards fill disjoint windows.
+	arena := make([]bucketEntry, total)
 
 	results := make([]chan shardResult, len(shards))
 	for si := range shards {
 		results[si] = make(chan shardResult, 1)
-		go func(si int, part []bucketSpan) {
-			res := shardResult{
-				buckets: make([]*bucket, 0, len(part)),
-				scIdx:   make([][]uint32, 0, len(part)),
-			}
+		go func(part []bucketSpan, out chan<- shardResult) {
+			res := shardResult{buckets: make([]*bucket, 0, len(part))}
+			bd := bucketDecoder{scripts: st.list}
 			for _, sp := range part {
 				w, err := d.Window(sp.start, sp.end)
 				if err != nil {
 					res.err = err
 					break
 				}
-				b := &bucket{asc: arena[sp.arenaOff : sp.arenaOff : sp.arenaOff+sp.n]}
-				idx := make([]uint32, 0, sp.n)
-				for j := 0; j < sp.n; j++ {
-					fields := w.Raw(btc.HashSize + 4 + 8 + 8)
-					si64 := w.Uvarint()
-					if w.Err() != nil {
-						res.err = w.Err()
-						break
-					}
-					var op btc.OutPoint
-					copy(op.TxID[:], fields[:btc.HashSize])
-					op.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
-					value := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
-					height := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+12:]))
-					if si64 >= uint64(len(st.list)) {
-						res.err = fmt.Errorf("utxo: snapshot script index %d out of range", si64)
-						break
-					}
-					sc := st.list[si64]
-					u := UTXO{OutPoint: op, Value: value, PkScript: sc.bytes, Height: height}
-					if j > 0 && !storageLess(&b.asc[j-1], &u) {
-						res.err = fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", sp.key, j)
-						break
-					}
-					b.asc = append(b.asc, u)
-					b.balance += value
-					idx = append(idx, uint32(si64))
-				}
-				if res.err != nil {
+				b, err := bd.decode(w, sp.key, arena[sp.arenaOff:sp.arenaOff+sp.n])
+				if err != nil {
+					res.err = err
 					break
 				}
 				res.buckets = append(res.buckets, b)
-				res.scIdx = append(res.scIdx, idx)
 			}
-			results[si] <- res
-		}(si, shards[si])
+			out <- res
+		}(shards[si], results[si])
 	}
 
 	// Merge shards in order as they complete: the outpoint map, reference
@@ -427,44 +440,23 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 	var firstErr error
 	for si := range shards {
 		res := <-results[si]
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			continue
+		if firstErr == nil {
+			firstErr = res.err
 		}
 		if firstErr != nil {
 			continue
 		}
 		for bi, sp := range shards[si] {
-			b := res.buckets[bi]
-			for j := range b.asc {
-				u := &b.asc[j]
-				sc := st.list[res.scIdx[bi][j]]
-				before := len(s.byOutPoint)
-				s.byOutPoint[u.OutPoint] = entry{value: u.Value, height: u.Height, script: sc}
-				if len(s.byOutPoint) == before {
-					firstErr = fmt.Errorf("utxo: snapshot outpoint %s duplicated", u.OutPoint)
-					break
-				}
-				sc.refs++
-				s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
-			}
-			if firstErr != nil {
+			if firstErr = s.indexBucket(sp.key, res.buckets[bi]); firstErr != nil {
 				break
-			}
-			if sp.n > 0 {
-				s.byAddress[sp.key] = b
 			}
 		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	for i, sc := range st.list {
-		if sc.refs == 0 {
-			return nil, fmt.Errorf("utxo: snapshot script %d referenced by no entry", i)
-		}
+	if err := checkScriptsReferenced(st.list); err != nil {
+		return nil, err
 	}
 	return s, d.Err()
 }

@@ -265,11 +265,11 @@ func deltaTestBlock(t *testing.T) (*btc.Block, OwnerResolver, map[btc.OutPoint]O
 		Outputs: []btc.TxOut{{Value: 3_500, PkScript: scriptB}},
 	}
 	block := &btc.Block{Transactions: []*btc.Transaction{coinbase, spendExt, inBlock}}
-	resolve := func(op btc.OutPoint) []OwnedOutput {
+	resolve := func(op btc.OutPoint, buf []OwnedOutput) []OwnedOutput {
 		if o, ok := external[op]; ok {
-			return []OwnedOutput{o}
+			buf = append(buf, o)
 		}
-		return nil
+		return buf
 	}
 	return block, resolve, external
 }

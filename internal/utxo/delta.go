@@ -77,11 +77,12 @@ func (d *BlockDelta) CreatedOutput(op btc.OutPoint) (UTXO, bool) {
 
 // OwnerResolver attributes a spent outpoint to the address keys whose views
 // may contain it at the time the delta's block is processed: the stable
-// set's owner and/or an unstable ancestor block that created it. Returning
-// no owners means the spend is a no-op for every address view (an alien or
-// already-folded input), exactly as the naive replay's unconditional map
-// delete would be.
-type OwnerResolver func(op btc.OutPoint) []OwnedOutput
+// set's owner and/or an unstable ancestor block that created it. It appends
+// the owners to buf and returns the result, so a caller that reuses buf
+// resolves without allocating. Appending nothing means the spend is a no-op
+// for every address view (an alien or already-folded input), exactly as the
+// naive replay's unconditional map delete would be.
+type OwnerResolver func(op btc.OutPoint, buf []OwnedOutput) []OwnedOutput
 
 // OwnedOutput is one resolution result: the address key owning the outpoint
 // and the output's value (for balance deltas).
@@ -186,11 +187,15 @@ func (p *PreparedDelta) Finish(resolve OwnerResolver) *BlockDelta {
 		spentByAddr:   make(map[string][]SpentOutPoint),
 		createdByOp:   p.createdByOp,
 	}
+	// An outpoint has an owner among the unstable ancestors, one in the
+	// stable set, both or neither: two slots serve every spend of the block.
+	owners := make([]OwnedOutput, 0, 2)
 	for _, op := range p.spends {
 		// Attribute the spend to every owner whose merged view could
 		// currently contain the outpoint. Deletion is idempotent at merge
 		// time, so over-attribution cannot skew the view.
-		for _, owner := range resolve(op) {
+		owners = resolve(op, owners[:0])
+		for _, owner := range owners {
 			d.spentByAddr[owner.AddressKey] = append(d.spentByAddr[owner.AddressKey],
 				SpentOutPoint{OutPoint: op, Value: owner.Value})
 		}

@@ -32,7 +32,7 @@ func TestBuildBlockDeltaNetsOutInBlockSpends(t *testing.T) {
 	}
 	block := &btc.Block{Transactions: []*btc.Transaction{coinbase, tx1, tx2}}
 
-	noOwners := func(op btc.OutPoint) []OwnedOutput { return nil }
+	noOwners := func(op btc.OutPoint, buf []OwnedOutput) []OwnedOutput { return buf }
 	d := BuildBlockDelta(block, 9, btc.NewScriptIDCache(btc.Regtest), noOwners)
 
 	// Only tx1's second output survives for A: the first was netted out.
@@ -74,11 +74,11 @@ func TestBuildBlockDeltaAttributesExternalSpends(t *testing.T) {
 		Outputs: []btc.TxOut{{Value: 50, PkScript: deltaScript(0x06)}},
 	}
 	block := &btc.Block{Transactions: []*btc.Transaction{coinbase, tx}}
-	d := BuildBlockDelta(block, 3, btc.NewScriptIDCache(btc.Regtest), func(op btc.OutPoint) []OwnedOutput {
+	d := BuildBlockDelta(block, 3, btc.NewScriptIDCache(btc.Regtest), func(op btc.OutPoint, buf []OwnedOutput) []OwnedOutput {
 		if op == ext {
-			return []OwnedOutput{{AddressKey: addrA, Value: 77}}
+			buf = append(buf, OwnedOutput{AddressKey: addrA, Value: 77})
 		}
-		return nil
+		return buf
 	})
 	spent := d.SpentFor(addrA)
 	if len(spent) != 1 || spent[0].OutPoint != ext || spent[0].Value != 77 {

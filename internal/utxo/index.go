@@ -1,130 +1,205 @@
 package utxo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"icbtc/internal/btc"
 )
 
-// Ordered address index. Each address bucket keeps its UTXOs in a slice
-// sorted ascending by (height, txid, vout). Ingestion order matches this
-// order almost everywhere — heights ascend block over block and a
-// transaction's outputs arrive vout-ascending — so inserts are appends (or
-// short moves within one height group), never head-of-slice shifts. The
-// canonical get_utxos order (height *descending*, txid/vout ascending) is
-// streamed by walking the height groups back-to-front while emitting each
-// group forward; a running balance total makes the stable part of
+// Ordered address index. Each address bucket is a height-ascending slice of
+// per-height groups; a group holds the bucket's UTXOs created at one height
+// in canonical txid/vout order, and a group that empties is dropped. The
+// height lives once in the group and the script is a pointer to the interned
+// copy, so an entry is 56 bytes.
+//
+//   - A fold appends: heights ascend block over block, so a block's outputs
+//     for an address become one new group at the end of its bucket, handed
+//     over as an already sorted slice.
+//   - Removing one UTXO shifts only the tail of its own height group (or, when
+//     it was the group's last entry, the group headers after it) — never the
+//     rest of the bucket.
+//   - The canonical get_utxos order (height *descending*, txid/vout
+//     ascending) is streamed by walking the groups back to front and each
+//     group forward; a cursor is located by one search over the group heights
+//     and one inside the group.
+//
+// A running count and balance make AddressUTXOCount and the stable part of
 // get_balance O(1).
 
-// bucket is the per-address ordered container plus its running balance.
+// bucketEntry is one UTXO inside a height group.
+type bucketEntry struct {
+	op     btc.OutPoint
+	value  int64
+	script *internedScript
+}
+
+// heightGroup holds one bucket's entries of one height, sorted by
+// cmpOutPoint. A stored group is never empty.
+type heightGroup struct {
+	height  int64
+	entries []bucketEntry
+}
+
+// bucket is the per-address ordered container.
 type bucket struct {
-	// asc is sorted by storageLess.
-	asc     []UTXO
+	// groups is sorted by height ascending.
+	groups  []heightGroup
+	count   int
 	balance int64
 }
 
-// storageLess is the bucket's storage order: height ascending with the
-// canonical txid/vout tie-break. Within one height group the storage order
-// IS the canonical order.
-func storageLess(a, b *UTXO) bool {
-	if a.Height != b.Height {
-		return a.Height < b.Height
+// cmpOutPoint is the canonical tie-break inside one height: txid, then vout.
+func cmpOutPoint(a, b *btc.OutPoint) int {
+	if a.TxID != b.TxID {
+		if lessHash(a.TxID, b.TxID) {
+			return -1
+		}
+		return 1
 	}
-	if a.OutPoint.TxID != b.OutPoint.TxID {
-		return lessHash(a.OutPoint.TxID, b.OutPoint.TxID)
-	}
-	return a.OutPoint.Vout < b.OutPoint.Vout
+	return cmp.Compare(a.Vout, b.Vout)
 }
 
-// insert places u at its ordered position. Outputs arrive overwhelmingly in
-// storage order (ascending heights, ascending vouts), so the append fast
-// path is checked before the binary search.
-func (b *bucket) insert(u UTXO) {
-	n := len(b.asc)
-	if n == 0 || storageLess(&b.asc[n-1], &u) {
-		b.asc = append(b.asc, u)
-		return
+func sortEntries(list []bucketEntry) {
+	if len(list) > 1 {
+		slices.SortFunc(list, func(a, b bucketEntry) int { return cmpOutPoint(&a.op, &b.op) })
 	}
-	i := sort.Search(n, func(i int) bool { return storageLess(&u, &b.asc[i]) })
-	b.asc = append(b.asc, UTXO{})
-	copy(b.asc[i+1:], b.asc[i:])
-	b.asc[i] = u
 }
 
-// insertBatch merges a batch of new entries, sorted by storageLess, into
-// the bucket in one pass: one grow, one backward merge — instead of a
-// binary search plus memmove per entry, which made deep buckets quadratic
-// in the batch size. Batches from a block fold share one height, but the
-// merge handles arbitrary sorted input.
-func (b *bucket) insertBatch(us []UTXO) {
-	old := len(b.asc)
-	if old == 0 || storageLess(&b.asc[old-1], &us[0]) {
-		// Everything lands after the existing entries — the common case:
-		// block heights ascend, so a fold appends.
-		b.asc = append(b.asc, us...)
-		return
+// findGroup returns the index of the group at height, or — when there is
+// none — the index it would be inserted at, which is also the number of
+// groups below height. Writes and tip reads aim past or at the last group,
+// so that is checked before the binary search.
+func (b *bucket) findGroup(height int64) (int, bool) {
+	lo, hi := 0, len(b.groups)
+	if hi == 0 || b.groups[hi-1].height < height {
+		return hi, false
 	}
-	b.asc = append(b.asc, us...)
-	// Backward in-place merge: keys are unique (outpoints), so stability is
-	// moot and strict less suffices.
-	i, j := old-1, len(us)-1
-	for k := len(b.asc) - 1; j >= 0; k-- {
-		if i >= 0 && storageLess(&us[j], &b.asc[i]) {
-			b.asc[k] = b.asc[i]
-			i--
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.groups[mid].height < height {
+			lo = mid + 1
 		} else {
-			b.asc[k] = us[j]
-			j--
+			hi = mid
 		}
 	}
+	return lo, b.groups[lo].height == height
 }
 
-// remove deletes the element with the given outpoint and height, reporting
-// whether it was present.
-func (b *bucket) remove(op btc.OutPoint, height int64) bool {
-	probe := UTXO{OutPoint: op, Height: height}
-	n := len(b.asc)
-	i := sort.Search(n, func(i int) bool { return !storageLess(&b.asc[i], &probe) })
-	if i >= n || b.asc[i].OutPoint != op || b.asc[i].Height != height {
+// searchEntries returns where op sits (or would be inserted) in a group. The
+// loop is spelled out because a comparison closure would move every
+// caller's outpoint to the heap.
+func searchEntries(entries []bucketEntry, op *btc.OutPoint) (int, bool) {
+	lo, hi := 0, len(entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cmpOutPoint(&entries[mid].op, op) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(entries) && entries[lo].op == *op
+}
+
+// insertGroup adds entries of one height, sorted by cmpOutPoint: a block's
+// outputs for this bucket, or a single restored one. Normally the height is
+// new and list becomes the group as it is (the bucket takes ownership); only
+// a height the bucket already holds needs a merge.
+func (b *bucket) insertGroup(height int64, list []bucketEntry) {
+	gi, ok := b.findGroup(height)
+	if !ok {
+		b.groups = slices.Insert(b.groups, gi, heightGroup{height: height, entries: list})
+	} else {
+		g := &b.groups[gi]
+		g.entries = append(g.entries, list...)
+		sortEntries(g.entries)
+	}
+	b.count += len(list)
+	for i := range list {
+		b.balance += list[i].value
+	}
+}
+
+// remove deletes the entry with the given outpoint from the group at height,
+// reporting whether it was there.
+func (b *bucket) remove(op *btc.OutPoint, height int64) bool {
+	gi, ok := b.findGroup(height)
+	if !ok {
 		return false
 	}
-	copy(b.asc[i:], b.asc[i+1:])
-	b.asc[n-1] = UTXO{}
-	b.asc = b.asc[:n-1]
+	g := &b.groups[gi]
+	i, ok := searchEntries(g.entries, op)
+	if !ok {
+		return false
+	}
+	b.count--
+	b.balance -= g.entries[i].value
+	if len(g.entries) == 1 {
+		b.groups = slices.Delete(b.groups, gi, gi+1)
+	} else {
+		g.entries = slices.Delete(g.entries, i, i+1)
+	}
 	return true
 }
 
 // AddressIter streams one address's stable UTXOs in canonical
-// (height-descending) order: height groups are visited from the top of the
-// storage slice downwards, each group emitted forward (its storage order is
-// already canonical). The zero value is an exhausted iterator.
+// (height-descending) order: groups from the highest down, each group
+// forward. The zero value is an exhausted iterator.
 type AddressIter struct {
-	asc []UTXO
-	// cur indexes the next element of the current group [groupStart,
-	// groupEnd); when the group is exhausted the iterator advances to the
-	// group ending at groupStart.
-	cur, groupEnd, groupStart int
+	// cur is what is left of the group being emitted, at height; below are
+	// the groups still to come, the highest last.
+	cur    []bucketEntry
+	height int64
+	below  []heightGroup
+}
+
+// settle moves the stream onto its next entry whose outpoint is not in
+// suppress, stepping down a group whenever one is used up, and reports
+// whether there is such an entry. After true, cur[0] is that entry.
+func (it *AddressIter) settle(suppress map[btc.OutPoint]bool) bool {
+	for {
+		for len(it.cur) == 0 {
+			n := len(it.below)
+			if n == 0 {
+				return false
+			}
+			it.cur, it.height = it.below[n-1].entries, it.below[n-1].height
+			it.below = it.below[:n-1]
+		}
+		if len(suppress) == 0 || !suppress[it.cur[0].op] {
+			return true
+		}
+		it.cur = it.cur[1:]
+	}
+}
+
+// head materializes the entry a successful settle left the stream on.
+func (it *AddressIter) head() UTXO {
+	e := &it.cur[0]
+	return UTXO{OutPoint: e.op, Value: e.value, PkScript: e.script.bytes, Height: it.height}
+}
+
+// headBefore reports whether that entry strictly precedes u in canonical
+// order.
+func (it *AddressIter) headBefore(u *UTXO) bool {
+	if it.height != u.Height {
+		return it.height > u.Height
+	}
+	return cmpOutPoint(&it.cur[0].op, &u.OutPoint) < 0
 }
 
 // Next returns the next UTXO in canonical order.
 func (it *AddressIter) Next() (UTXO, bool) {
-	if it.cur >= it.groupEnd {
-		if it.groupStart == 0 {
-			return UTXO{}, false
-		}
-		it.groupEnd = it.groupStart
-		h := it.asc[it.groupEnd-1].Height
-		it.groupStart = sort.Search(it.groupEnd, func(i int) bool { return it.asc[i].Height >= h })
-		it.cur = it.groupStart
+	if !it.settle(nil) {
+		return UTXO{}, false
 	}
-	u := it.asc[it.cur]
-	it.cur++
+	u := it.head()
+	it.cur = it.cur[1:]
 	return u, true
 }
-
-// Remaining returns the number of entries left in the stream.
-func (it *AddressIter) Remaining() int { return (it.groupEnd - it.cur) + it.groupStart }
 
 // AddressIter returns an iterator over an address's UTXOs from the top of
 // the canonical order.
@@ -133,44 +208,29 @@ func (s *Set) AddressIter(addressKey string) AddressIter {
 	if b == nil {
 		return AddressIter{}
 	}
-	n := len(b.asc)
-	return AddressIter{asc: b.asc, cur: n, groupEnd: n, groupStart: n}
-}
-
-// cursorStorageAfter reports whether u sits strictly after the cursor
-// position in *storage* order; monotone along a bucket slice.
-func cursorStorageAfter(c pageCursor, u *UTXO) bool {
-	if u.Height != c.height {
-		return u.Height > c.height
-	}
-	if u.OutPoint.TxID != c.op.TxID {
-		return lessHash(c.op.TxID, u.OutPoint.TxID)
-	}
-	return u.OutPoint.Vout > c.op.Vout
+	return AddressIter{below: b.groups}
 }
 
 // addressIterAfter returns an iterator resuming strictly after the cursor
 // in canonical order: the rest of the cursor's height group first, then
-// every lower height group. Positioning is a pair of binary searches.
+// every lower group.
 func (s *Set) addressIterAfter(addressKey string, c pageCursor) AddressIter {
 	b := s.byAddress[addressKey]
 	if b == nil {
 		return AddressIter{}
 	}
-	asc := b.asc
-	n := len(asc)
-	q := sort.Search(n, func(i int) bool { return cursorStorageAfter(c, &asc[i]) })
-	if q < n && asc[q].Height == c.height {
-		// Resume mid-group: emit [q, groupEnd), then continue below the
-		// group's start.
-		groupEnd := q + sort.Search(n-q, func(j int) bool { return asc[q+j].Height > c.height })
-		groupStart := sort.Search(q, func(i int) bool { return asc[i].Height >= c.height })
-		return AddressIter{asc: asc, cur: q, groupEnd: groupEnd, groupStart: groupStart}
+	gi, ok := b.findGroup(c.height)
+	if !ok {
+		// The cursor's height group is gone: what remains is the gi groups
+		// below it.
+		return AddressIter{below: b.groups[:gi]}
 	}
-	// The cursor's height group is exhausted (or absent): everything that
-	// remains sits strictly below it.
-	p := sort.Search(n, func(i int) bool { return asc[i].Height >= c.height })
-	return AddressIter{asc: asc, cur: p, groupEnd: p, groupStart: p}
+	entries := b.groups[gi].entries
+	q, found := searchEntries(entries, &c.op)
+	if found {
+		q++
+	}
+	return AddressIter{cur: entries[q:], height: c.height, below: b.groups[:gi]}
 }
 
 // AddressUTXOCount returns how many stable UTXOs an address holds.
@@ -179,7 +239,7 @@ func (s *Set) AddressUTXOCount(addressKey string) int {
 	if b == nil {
 		return 0
 	}
-	return len(b.asc)
+	return b.count
 }
 
 // MergedPage streams one get_utxos page for an address directly off the
@@ -213,18 +273,20 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress map[btc.Out
 		stable = s.AddressIter(addressKey)
 	}
 
-	capHint := stable.Remaining() + (len(created) - ci)
+	// The whole bucket bounds what the stable stream can still yield.
+	capHint := s.AddressUTXOCount(addressKey) + (len(created) - ci)
 	if capHint > limit {
 		capHint = limit
 	}
 	page = make([]UTXO, 0, capHint)
 
-	su, sok := nextUnsuppressed(&stable, suppress)
+	sok := stable.settle(suppress)
 	for len(page) < limit {
 		switch {
-		case sok && (ci >= len(created) || utxoBefore(&su, &created[ci])):
-			page = append(page, su)
-			su, sok = nextUnsuppressed(&stable, suppress)
+		case sok && (ci >= len(created) || stable.headBefore(&created[ci])):
+			page = append(page, stable.head())
+			stable.cur = stable.cur[1:]
+			sok = stable.settle(suppress)
 		case ci < len(created):
 			page = append(page, created[ci])
 			unstable++
@@ -238,14 +300,4 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress map[btc.Out
 	}
 	last := page[len(page)-1]
 	return page, unstable, encodeCursor(pageCursor{height: last.Height, op: last.OutPoint}), nil
-}
-
-// nextUnsuppressed advances the stable stream past suppressed outpoints.
-func nextUnsuppressed(it *AddressIter, suppress map[btc.OutPoint]bool) (UTXO, bool) {
-	for {
-		u, ok := it.Next()
-		if !ok || !suppress[u.OutPoint] {
-			return u, ok
-		}
-	}
 }

@@ -2,6 +2,7 @@ package utxo
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"icbtc/internal/btc"
@@ -57,6 +58,80 @@ func (o *mapOracle) forAddress(key string) []UTXO {
 	return out
 }
 
+// checkIndexInvariants verifies the bucket layout itself, which the
+// observable checks cannot see: group heights strictly ascending, no group
+// left empty, entries in canonical txid/vout order, count and balance equal
+// to what the groups hold, and no bucket kept once it is drained.
+func checkIndexInvariants(t *testing.T, set *Set) {
+	t.Helper()
+	total := 0
+	for key, b := range set.byAddress {
+		count, balance := 0, int64(0)
+		for gi, g := range b.groups {
+			if len(g.entries) == 0 {
+				t.Fatalf("bucket %s: empty group kept at height %d", key, g.height)
+			}
+			if gi > 0 && b.groups[gi-1].height >= g.height {
+				t.Fatalf("bucket %s: group heights not ascending at %d", key, gi)
+			}
+			for i, e := range g.entries {
+				if i > 0 && cmpOutPoint(&g.entries[i-1].op, &e.op) >= 0 {
+					t.Fatalf("bucket %s height %d: entries out of order at %d", key, g.height, i)
+				}
+				if e.script.key != key {
+					t.Fatalf("bucket %s holds an entry of %s", key, e.script.key)
+				}
+				count++
+				balance += e.value
+			}
+		}
+		if count == 0 {
+			t.Fatalf("bucket %s: drained bucket kept", key)
+		}
+		if b.count != count || b.balance != balance {
+			t.Fatalf("bucket %s: count %d balance %d, groups hold %d / %d", key, b.count, b.balance, count, balance)
+		}
+		total += count
+	}
+	if total != set.Len() {
+		t.Fatalf("buckets hold %d entries, outpoint map %d", total, set.Len())
+	}
+}
+
+// checkResumeEverywhere resumes MergedPage from a cursor on every entry of
+// want (the address's canonical view) — so from the middle, the last and the
+// first position of every height group — and from each extra cursor, which
+// name positions the bucket no longer holds; every page must be the slice of
+// want that follows the cursor.
+func checkResumeEverywhere(t *testing.T, set *Set, key string, want []UTXO, extra []pageCursor) {
+	t.Helper()
+	cursors := append([]pageCursor(nil), extra...)
+	for _, u := range want {
+		cursors = append(cursors, pageCursor{height: u.Height, op: u.OutPoint})
+	}
+	for _, c := range cursors {
+		rest := want[sort.Search(len(want), func(i int) bool { return cursorBefore(c, want[i]) }):]
+		for _, limit := range []int{1, 3, len(want) + 1} {
+			page, _, next, err := set.MergedPage(key, nil, nil, encodeCursor(c), limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := min(limit, len(rest))
+			if len(page) != n {
+				t.Fatalf("cursor %d/%s limit %d: %d entries, want %d", c.height, c.op, limit, len(page), n)
+			}
+			for i := range page {
+				if page[i].OutPoint != rest[i].OutPoint || page[i].Height != rest[i].Height || page[i].Value != rest[i].Value {
+					t.Fatalf("cursor %d/%s limit %d: entry %d is %+v, want %+v", c.height, c.op, limit, i, page[i], rest[i])
+				}
+			}
+			if (next == nil) != (n == len(rest)) {
+				t.Fatalf("cursor %d/%s limit %d: next token %x with %d of %d served", c.height, c.op, limit, next, n, len(rest))
+			}
+		}
+	}
+}
+
 // TestOrderedIndexAgainstMapOracle drives the ordered address index through
 // long random interleavings of ApplyBlock/UnapplyBlock (and direct
 // Add/Remove) and cross-checks every observable — balances, canonical
@@ -84,6 +159,9 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 		// unapply would try to delete an already-gone output (a sequence no
 		// real caller produces).
 		stacked := make(map[btc.OutPoint]bool)
+		// gone remembers where removed entries sat: a page token handed out
+		// before the removal still names that position.
+		var gone []pageCursor
 		height := int64(1)
 		opCounter := uint32(0)
 
@@ -128,7 +206,9 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 				if _, ok := it.Next(); ok {
 					t.Fatalf("seed %d step %d: iter[%d] overran", seed, step, i)
 				}
+				checkResumeEverywhere(t, set, key, want, gone)
 			}
+			checkIndexInvariants(t, set)
 		}
 
 		for step := 0; step < 120; step++ {
@@ -222,8 +302,11 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 						}
 					}
 				}
-				_, errSet := set.Remove(op)
+				removed, errSet := set.Remove(op)
 				okOracle := oracle.remove(op)
+				if errSet == nil {
+					gone = append(gone[max(0, len(gone)-7):], pageCursor{height: removed.Height, op: op})
+				}
 				if (errSet == nil) != okOracle {
 					t.Fatalf("seed %d step %d: remove divergence: %v vs %v", seed, step, errSet, okOracle)
 				}
@@ -363,6 +446,56 @@ func TestBucketInsertRemoveOrder(t *testing.T) {
 			t.Fatalf("canonical order violated after removals at %d", i)
 		}
 	}
+	checkIndexInvariants(t, set)
+	checkResumeEverywhere(t, set, key, view, nil)
+
+	// Removing the last entry of a height drops that group, and only it.
+	b := set.byAddress[key]
+	for len(view) > 0 {
+		u := view[0]
+		gi, ok := b.findGroup(u.Height)
+		if !ok {
+			t.Fatalf("no group at height %d", u.Height)
+		}
+		groups, size := len(b.groups), len(b.groups[gi].entries)
+		if _, err := set.Remove(u.OutPoint); err != nil {
+			t.Fatal(err)
+		}
+		view = view[1:]
+		if len(view) == 0 {
+			break
+		}
+		if size == 1 {
+			if _, still := b.findGroup(u.Height); still || len(b.groups) != groups-1 {
+				t.Fatalf("height %d: emptied group kept (%d groups, had %d)", u.Height, len(b.groups), groups)
+			}
+		} else if len(b.groups) != groups || len(b.groups[gi].entries) != size-1 {
+			t.Fatalf("height %d: removal from a group of %d left %d groups (had %d)", u.Height, size, len(b.groups), groups)
+		}
+		checkIndexInvariants(t, set)
+		checkResumeEverywhere(t, set, key, view, []pageCursor{{height: u.Height, op: u.OutPoint}})
+	}
+
+	// Drained to zero, the bucket is gone — its groups with it, not kept for
+	// reuse — and a refill starts a bucket of its own.
+	if set.byAddress[key] != nil || set.AddressUTXOCount(key) != 0 || set.Balance(key) != 0 || set.ScriptInterned(script) {
+		t.Fatalf("drained bucket retained: %+v", set.byAddress[key])
+	}
+	it := set.AddressIter(key)
+	if _, ok := it.Next(); ok {
+		t.Fatal("drained address still iterates")
+	}
+	for i := 0; i < 3; i++ {
+		if err := set.Add(btc.OutPoint{Vout: uint32(i)}, btc.TxOut{Value: 7, PkScript: script}, int64(10+i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refilled := set.byAddress[key]
+	if refilled == nil || refilled == b || len(refilled.groups) != 2 || cap(refilled.groups) > 4 || set.Balance(key) != 21 {
+		t.Fatalf("refilled bucket: %+v", refilled)
+	}
+	checkIndexInvariants(t, set)
+	checkResumeEverywhere(t, set, key, set.UTXOsForAddress(key), nil)
 }
 
 // TestScriptInterning pins the interning contract: one stored copy per

@@ -17,6 +17,7 @@
 package utxo
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -40,6 +41,9 @@ type internedScript struct {
 	bytes []byte
 	key   string
 	refs  int
+	// pend is scratch of the block apply in progress: the script's most
+	// recent pending insert (see blockMerge), 0 between applies.
+	pend int32
 }
 
 // entry is the stored form; script carries both the script bytes and the
@@ -97,20 +101,8 @@ func (s *Set) intern(script []byte) *internedScript {
 	if sc, ok := s.interned[string(script)]; ok {
 		return sc
 	}
-	return s.internWithKey(script, btc.ScriptID(script, s.network))
-}
-
-// internWithKey interns a script whose address key the caller has already
-// derived (the batched apply derives keys once per distinct script during
-// staging), skipping the re-derivation intern would pay on a miss.
-func (s *Set) internWithKey(script []byte, key string) *internedScript {
-	if sc, ok := s.interned[string(script)]; ok {
-		return sc
-	}
-	cp := make([]byte, len(script))
-	copy(cp, script)
-	sc := &internedScript{bytes: cp, key: key}
-	s.interned[string(cp)] = sc
+	sc := &internedScript{bytes: bytes.Clone(script), key: btc.ScriptID(script, s.network)}
+	s.interned[string(sc.bytes)] = sc
 	return sc
 }
 
@@ -145,15 +137,19 @@ func (s *Set) Add(op btc.OutPoint, out btc.TxOut, height int64) error {
 	sc := s.intern(out.PkScript)
 	sc.refs++
 	s.byOutPoint[op] = entry{value: out.Value, height: height, script: sc}
-	b := s.byAddress[sc.key]
+	s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
+	s.bucketFor(sc.key).insertGroup(height, []bucketEntry{{op: op, value: out.Value, script: sc}})
+	return nil
+}
+
+// bucketFor returns the address's bucket, creating it when absent.
+func (s *Set) bucketFor(key string) *bucket {
+	b := s.byAddress[key]
 	if b == nil {
 		b = &bucket{}
-		s.byAddress[sc.key] = b
+		s.byAddress[key] = b
 	}
-	b.insert(UTXO{OutPoint: op, Value: out.Value, PkScript: sc.bytes, Height: height})
-	b.balance += out.Value
-	s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
-	return nil
+	return b
 }
 
 // ErrMissingOutput is returned when spending an output not in the set.
@@ -162,22 +158,40 @@ var ErrMissingOutput = errors.New("utxo: output not in set")
 // Remove spends an output, returning the removed UTXO so callers can build
 // undo data. The stored address key is reused — no script decoding.
 func (s *Set) Remove(op btc.OutPoint) (UTXO, error) {
-	e, ok := s.byOutPoint[op]
+	e, ok := s.take(op)
 	if !ok {
 		return UTXO{}, fmt.Errorf("%w: %s", ErrMissingOutput, op)
 	}
-	delete(s.byOutPoint, op)
-	if b := s.byAddress[e.script.key]; b != nil {
-		b.remove(op, e.height)
-		b.balance -= e.value
-		if len(b.asc) == 0 {
-			delete(s.byAddress, e.script.key)
-		}
+	s.unbucket(&op, e)
+	return UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height}, nil
+}
+
+// take deletes op from the outpoint map and gives up its script reference
+// and byte estimate; its bucket entry is the caller's to remove.
+func (s *Set) take(op btc.OutPoint) (entry, bool) {
+	e, ok := s.byOutPoint[op]
+	if !ok {
+		return entry{}, false
 	}
+	delete(s.byOutPoint, op)
 	s.approxBytes -= int64(perUTXOOverhead + len(e.script.bytes))
-	u := UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height}
 	s.release(e.script)
-	return u, nil
+	return e, true
+}
+
+// unbucket removes a taken entry from its address bucket, dropping a bucket
+// it drains so the bucket's storage is released. It reports false when the
+// bucket holds no such entry — an output of the block being applied, whose
+// bucket merge is still pending (see blockMerge).
+func (s *Set) unbucket(op *btc.OutPoint, e entry) bool {
+	b := s.byAddress[e.script.key]
+	if b == nil || !b.remove(op, e.height) {
+		return false
+	}
+	if b.count == 0 {
+		delete(s.byAddress, e.script.key)
+	}
+	return true
 }
 
 // Get returns the UTXO for an outpoint if present.
@@ -196,6 +210,103 @@ func (s *Set) AddressKeyOf(op btc.OutPoint) (string, bool) {
 		return "", false
 	}
 	return e.script.key, true
+}
+
+// pendingInsert is one output a block apply has entered into the outpoint
+// map (script interned and referenced, bytes counted) but not yet into its
+// address bucket.
+type pendingInsert struct {
+	entry bucketEntry
+	// prev is the script's previous pending insert of this block, as index+1
+	// into blockMerge.pending; 0 ends the chain.
+	prev int32
+	// spent marks an output a later transaction of the same block consumed.
+	spent bool
+}
+
+// blockMerge defers a block's bucket inserts to one ordered merge per
+// script: outputs go into the outpoint map at once — so later inputs and
+// duplicate checks see them — and are chained per interned script through
+// internedScript.pend; flush then hands every touched bucket its entries as
+// one sorted height group.
+type blockMerge struct {
+	s       *Set
+	height  int64
+	pending []pendingInsert
+	touched []*internedScript
+	// byOp finds a pending insert by outpoint. Only an in-block spend needs
+	// it, so it is built at the block's first one and kept up from there.
+	byOp map[btc.OutPoint]int32
+}
+
+func (s *Set) newBlockMerge(height int64, outputs int) blockMerge {
+	return blockMerge{s: s, height: height, pending: make([]pendingInsert, 0, outputs)}
+}
+
+// insert enters an output whose outpoint the set does not hold.
+func (m *blockMerge) insert(op btc.OutPoint, value int64, sc *internedScript) {
+	s := m.s
+	sc.refs++
+	s.byOutPoint[op] = entry{value: value, height: m.height, script: sc}
+	s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
+	if sc.pend == 0 {
+		m.touched = append(m.touched, sc)
+	}
+	m.pending = append(m.pending, pendingInsert{entry: bucketEntry{op: op, value: value, script: sc}, prev: sc.pend})
+	sc.pend = int32(len(m.pending))
+	if m.byOp != nil {
+		m.byOp[op] = sc.pend
+	}
+}
+
+// spend removes op from the set, wherever this block's apply has left it: in
+// its bucket, or still pending when an earlier transaction of the block
+// created it. It reports false when the set does not hold op.
+func (m *blockMerge) spend(op btc.OutPoint) bool {
+	e, ok := m.s.take(op)
+	if !ok {
+		return false
+	}
+	if m.s.unbucket(&op, e) {
+		return true
+	}
+	if m.byOp == nil {
+		m.byOp = make(map[btc.OutPoint]int32, len(m.pending))
+		for i := range m.pending {
+			// A re-created outpoint overwrites its spent predecessor.
+			m.byOp[m.pending[i].entry.op] = int32(i + 1)
+		}
+	}
+	if i := m.byOp[op]; i > 0 {
+		m.pending[i-1].spent = true
+	}
+	return true
+}
+
+// flush merges the surviving pending inserts into their buckets.
+func (m *blockMerge) flush() {
+	for _, sc := range m.touched {
+		head := sc.pend
+		sc.pend = 0
+		n := 0
+		for i := head; i > 0; i = m.pending[i-1].prev {
+			if !m.pending[i-1].spent {
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		list := make([]bucketEntry, n)
+		for i := head; i > 0; i = m.pending[i-1].prev {
+			if p := &m.pending[i-1]; !p.spent {
+				n--
+				list[n] = p.entry
+			}
+		}
+		sortEntries(list)
+		m.s.bucketFor(sc.key).insertGroup(m.height, list)
+	}
 }
 
 // BlockUndo records everything needed to unapply a block. Outputs both
@@ -227,34 +338,38 @@ type ApplyStats struct {
 // they are computed once per block, not re-serialized per call site. It
 // returns undo data and work statistics.
 //
-// The apply is batched: the block is first replayed against a staged view
-// (no set mutation), then committed — spends as ordered removals,
-// insertions grouped per address bucket so each bucket does one ordered
-// merge instead of per-entry binary insertion, and undo entries carved from
-// presized arenas. On error nothing was committed, so the set is left
+// The apply is all-or-nothing, which is why — unlike the tolerant fold — it
+// keeps a stage: the block is first replayed against a staged view (no set
+// mutation), then committed — spends as ordered removals, insertions through
+// the same one-merge-per-bucket path the fold uses, and undo entries carved
+// from presized arenas. On error nothing was committed, so the set is left
 // untouched (there is no rollback path to re-derive ScriptIDs on), and the
-// first error in block order is reported exactly as the per-entry apply
-// would have.
+// first error in block order is reported exactly as a per-entry apply would
+// have.
 func (s *Set) ApplyBlock(block *btc.Block, height int64) (*BlockUndo, ApplyStats, error) {
-	st := s.stageBlock(block, height, true)
-	if st.err != nil {
-		return nil, ApplyStats{}, fmt.Errorf("utxo: applying block at height %d: %w", height, st.err)
+	st, err := s.stageBlock(block)
+	if err != nil {
+		return nil, ApplyStats{}, fmt.Errorf("utxo: applying block at height %d: %w", height, err)
 	}
-	s.commitStage(st, height)
+	// Undo holds the net effect only: pre-existing spends and surviving
+	// creations; in-block created-and-spent pairs cancel.
+	undo := &BlockUndo{Spent: st.spentBase, Created: make([]btc.OutPoint, 0, len(st.liveIdx))}
+	for i := range undo.Spent {
+		_, _ = s.Remove(undo.Spent[i].OutPoint)
+	}
+	m := s.newBlockMerge(height, len(st.liveIdx))
+	for i := range st.inserts {
+		if ins := &st.inserts[i]; ins.live {
+			m.insert(ins.op, ins.out.Value, s.intern(ins.out.PkScript))
+			undo.Created = append(undo.Created, ins.op)
+		}
+	}
+	m.flush()
 	stats := ApplyStats{
 		OutputsInserted: len(st.inserts),
 		InputsRemoved:   st.removed,
 		BytesInserted:   st.bytesInserted,
 	}
-	// Undo holds the net effect only: pre-existing spends and surviving
-	// creations; in-block created-and-spent pairs cancel.
-	created := make([]btc.OutPoint, 0, len(st.liveIdx))
-	for i := range st.inserts {
-		if st.inserts[i].live {
-			created = append(created, st.inserts[i].op)
-		}
-	}
-	undo := &BlockUndo{Spent: st.spentBase, Created: created}
 	return undo, stats, nil
 }
 
@@ -280,94 +395,85 @@ type IngestStats struct {
 // ApplyBlockIngest folds a block into the set tolerantly — the canister's
 // stable-ingestion semantics: a missing input or duplicate output is
 // counted and skipped rather than failing the block ("the canister trusts
-// proof of work, not transaction validity"). The final state is identical
-// to a per-entry Remove/Add loop that ignores individual errors, but
-// insertions land in one ordered merge per address bucket. No undo data is
-// built; the canister never rolls back below the anchor.
+// proof of work, not transaction validity"). It is one pass in block order
+// straight against the set — each input removed, each output inserted, the
+// outpoint map probed once per entry — so the final state is that of a
+// per-entry Remove/Add loop that ignores individual errors, and an output's
+// metering class is simply whether its script is interned when the pass
+// reaches it. Only the bucket inserts wait, for one ordered merge per
+// touched address. No undo data is built; the canister never rolls back
+// below the anchor.
 func (s *Set) ApplyBlockIngest(block *btc.Block, height int64) IngestStats {
-	st := s.stageBlock(block, height, false)
-	s.commitStage(st, height)
-	return IngestStats{
-		InputsRemoved:   st.inputsAttempted,
-		OutputsInterned: st.outputsInterned,
-		OutputsFresh:    st.outputsFresh,
-		Errors:          st.errors,
+	var st IngestStats
+	outputs := 0
+	for _, tx := range block.Transactions {
+		outputs += len(tx.Outputs)
 	}
+	m := s.newBlockMerge(height, outputs)
+	txids := block.TxIDs()
+	for ti, tx := range block.Transactions {
+		if !tx.IsCoinbase() {
+			for i := range tx.Inputs {
+				st.InputsRemoved++
+				if !m.spend(tx.Inputs[i].PreviousOutPoint) {
+					st.Errors++
+				}
+			}
+		}
+		op := btc.OutPoint{TxID: txids[ti]}
+		for vout := range tx.Outputs {
+			out := &tx.Outputs[vout]
+			sc, interned := s.interned[string(out.PkScript)]
+			if interned {
+				st.OutputsInterned++
+			} else {
+				st.OutputsFresh++
+			}
+			op.Vout = uint32(vout)
+			if _, dup := s.byOutPoint[op]; dup {
+				st.Errors++
+				continue
+			}
+			if !interned {
+				sc = s.intern(out.PkScript)
+			}
+			m.insert(op, out.Value, sc)
+		}
+	}
+	m.flush()
+	return st
 }
 
 // stagedInsert is one successfully staged output creation.
 type stagedInsert struct {
 	op  btc.OutPoint
 	out btc.TxOut
-	// key is the derived address key (from the interned table when the
-	// script is known, derived once per distinct script otherwise).
-	key string
 	// live is cleared when a later transaction in the same block spends the
 	// output; only live inserts are committed.
 	live bool
 }
 
-// blockStage is the virtual view a block is replayed against before any
-// mutation touches the set.
+// blockStage is the virtual view the strict ApplyBlock replays a block
+// against before any mutation touches the set.
 type blockStage struct {
-	// err is the first error in block order (strict mode only).
-	err error
-
 	// spentBase collects consumed pre-existing UTXOs in consumption order
-	// (undo.Spent); removed counts every successful removal, staged spends
-	// included (the stats figure).
-	spentBase []UTXO
-	removed   int
+	// (undo.Spent, and the removals to commit); removedSet is its membership
+	// view. removed counts every successful removal, staged spends included
+	// (the stats figure).
+	spentBase  []UTXO
+	removedSet map[btc.OutPoint]bool
+	removed    int
 	// inserts collects every successful staged insertion, in order.
 	inserts []stagedInsert
 	// liveIdx maps a live staged outpoint to its index in inserts.
 	liveIdx map[btc.OutPoint]int
-	// removedBase lists base-set outpoints staged for removal, in order;
-	// removedSet is its membership view.
-	removedBase []btc.OutPoint
-	removedSet  map[btc.OutPoint]bool
-	// refDelta tracks the net interned-reference change per script so the
-	// at-the-time interned classification matches the live-mutation loop.
-	refDelta map[string]int
-	// keys memoizes address-key derivations for scripts not interned yet.
-	keys map[string]string
 
-	bytesInserted   int
-	inputsAttempted int
-	outputsInterned int
-	outputsFresh    int
-	errors          int
-}
-
-// keyOf derives (memoized) the address key of a script during staging,
-// reusing the interned table's stored key whenever the script is known.
-func (st *blockStage) keyOf(s *Set, script []byte) string {
-	if sc, ok := s.interned[string(script)]; ok {
-		return sc.key
-	}
-	if key, ok := st.keys[string(script)]; ok {
-		return key
-	}
-	key := btc.ScriptID(script, s.network)
-	st.keys[string(script)] = key
-	return key
-}
-
-// internedNow reports whether script is interned in the staged view: base
-// references plus the staged delta.
-func (st *blockStage) internedNow(s *Set, script []byte) bool {
-	refs := st.refDelta[string(script)]
-	if sc, ok := s.interned[string(script)]; ok {
-		refs += sc.refs
-	}
-	return refs > 0
+	bytesInserted int
 }
 
 // stageBlock replays the block's transactions in order against the staged
-// view. In strict mode the first failure stops the stage with err set; in
-// tolerant mode failures are counted and skipped. The set itself is never
-// touched.
-func (s *Set) stageBlock(block *btc.Block, height int64, strict bool) *blockStage {
+// view, stopping at the first failure. The set itself is never touched.
+func (s *Set) stageBlock(block *btc.Block) (*blockStage, error) {
 	nIn, nOut := 0, 0
 	for _, tx := range block.Transactions {
 		if !tx.IsCoinbase() {
@@ -377,120 +483,47 @@ func (s *Set) stageBlock(block *btc.Block, height int64, strict bool) *blockStag
 	}
 	st := &blockStage{
 		spentBase:  make([]UTXO, 0, nIn),
+		removedSet: make(map[btc.OutPoint]bool, nIn),
 		inserts:    make([]stagedInsert, 0, nOut),
 		liveIdx:    make(map[btc.OutPoint]int, nOut),
-		removedSet: make(map[btc.OutPoint]bool, nIn),
-		refDelta:   make(map[string]int, 8),
-		keys:       make(map[string]string, 8),
 	}
 	txids := block.TxIDs()
 	for ti, tx := range block.Transactions {
 		if !tx.IsCoinbase() {
 			for i := range tx.Inputs {
 				op := tx.Inputs[i].PreviousOutPoint
-				st.inputsAttempted++
 				if idx, ok := st.liveIdx[op]; ok {
 					// Spends an output created earlier in this block: the
 					// pair nets out and never reaches the undo data.
-					ins := &st.inserts[idx]
-					ins.live = false
+					st.inserts[idx].live = false
 					delete(st.liveIdx, op)
 					st.removed++
-					st.refDelta[string(ins.out.PkScript)]--
 					continue
 				}
 				if e, ok := s.byOutPoint[op]; ok && !st.removedSet[op] {
 					st.removedSet[op] = true
-					st.removedBase = append(st.removedBase, op)
 					st.spentBase = append(st.spentBase, UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height})
 					st.removed++
-					st.refDelta[string(e.script.bytes)]--
 					continue
 				}
-				if strict {
-					st.err = fmt.Errorf("%w: %s", ErrMissingOutput, op)
-					return st
-				}
-				st.errors++
+				return nil, fmt.Errorf("%w: %s", ErrMissingOutput, op)
 			}
 		}
 		txid := txids[ti]
 		for vout := range tx.Outputs {
 			op := btc.OutPoint{TxID: txid, Vout: uint32(vout)}
 			out := tx.Outputs[vout]
-			if !strict {
-				// Metering classification happens before the insert attempt,
-				// as the per-entry loop's ScriptInterned probe did.
-				if st.internedNow(s, out.PkScript) {
-					st.outputsInterned++
-				} else {
-					st.outputsFresh++
-				}
-			}
 			_, inBase := s.byOutPoint[op]
 			_, inStaged := st.liveIdx[op]
 			if (inBase && !st.removedSet[op]) || inStaged {
-				if strict {
-					st.err = fmt.Errorf("utxo: duplicate outpoint %s", op)
-					return st
-				}
-				st.errors++
-				continue
+				return nil, fmt.Errorf("utxo: duplicate outpoint %s", op)
 			}
 			st.liveIdx[op] = len(st.inserts)
-			st.inserts = append(st.inserts, stagedInsert{op: op, out: out, key: st.keyOf(s, out.PkScript), live: true})
+			st.inserts = append(st.inserts, stagedInsert{op: op, out: out, live: true})
 			st.bytesInserted += len(out.PkScript) + 8
-			st.refDelta[string(out.PkScript)]++
 		}
 	}
-	return st
-}
-
-// commitStage applies a completed stage to the set: ordered base removals
-// first, then the surviving insertions grouped per address bucket, each
-// bucket merged in one pass. The resulting set — outpoint map, interned
-// table and reference counts, bucket contents and balances, byte estimate —
-// is identical to what the per-entry loop would have produced.
-func (s *Set) commitStage(st *blockStage, height int64) {
-	for _, op := range st.removedBase {
-		// Remove reuses the stored address key; no script re-derivation.
-		_, _ = s.Remove(op)
-	}
-	if len(st.liveIdx) == 0 {
-		return
-	}
-	// Group surviving inserts by address key in first-insertion order.
-	groups := make(map[string][]UTXO, len(st.keys)+len(st.liveIdx)/4+1)
-	var order []string
-	for i := range st.inserts {
-		ins := &st.inserts[i]
-		if !ins.live {
-			continue
-		}
-		sc := s.internWithKey(ins.out.PkScript, ins.key)
-		sc.refs++
-		s.byOutPoint[ins.op] = entry{value: ins.out.Value, height: height, script: sc}
-		s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
-		if _, ok := groups[ins.key]; !ok {
-			order = append(order, ins.key)
-		}
-		groups[ins.key] = append(groups[ins.key], UTXO{OutPoint: ins.op, Value: ins.out.Value, PkScript: sc.bytes, Height: height})
-	}
-	for _, key := range order {
-		list := groups[key]
-		// All entries share the block's height, so the canonical sort is
-		// the storage order within the height group.
-		SortUTXOs(list)
-		b := s.byAddress[key]
-		if b == nil {
-			b = &bucket{}
-			s.byAddress[key] = b
-		}
-		b.insertBatch(list)
-		for i := range list {
-			b.balance += list[i].Value
-		}
-	}
+	return st, nil
 }
 
 // UnapplyBlock reverses a previous ApplyBlock using its undo data: the
@@ -530,10 +563,10 @@ func (s *Set) Balance(addressKey string) int64 {
 // order in one pass — no sort.
 func (s *Set) UTXOsForAddress(addressKey string) []UTXO {
 	b := s.byAddress[addressKey]
-	if b == nil || len(b.asc) == 0 {
+	if b == nil {
 		return nil
 	}
-	out := make([]UTXO, 0, len(b.asc))
+	out := make([]UTXO, 0, b.count)
 	it := s.AddressIter(addressKey)
 	for u, ok := it.Next(); ok; u, ok = it.Next() {
 		out = append(out, u)
