@@ -327,41 +327,44 @@ func BenchmarkIngestPipeline(b *testing.B) {
 }
 
 // BenchmarkGetBalanceOverlayVsReplay microbenches one get_balance against a
-// mainnet-deep unstable chain on each read path.
+// mainnet-deep unstable chain: the canister's overlay read path, and the
+// replay oracle over the same canister.
 func BenchmarkGetBalanceOverlayVsReplay(b *testing.B) {
+	cfg := canister.DefaultConfig(btc.Regtest)
+	cfg.StabilityThreshold = 144
+	can := canister.New(cfg)
+	builder := experiments.NewBlockBuilder(btc.RegtestParams(), 11)
+	var h [20]byte
+	h[0] = 0x77
+	addr := btc.NewP2PKHAddress(h, btc.Regtest)
+	script := btc.PayToAddrScript(addr)
+	now := time.Unix(1_700_000_000, 0).UTC()
+	for i := 0; i < 150; i++ {
+		blk, err := builder.NextBlock([]experiments.TxSpec{{Outputs: experiments.PayN(script, 2, 546)}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		now = now.Add(time.Minute)
+		ctx := &ic.CallContext{Meter: ic.NewMeter(), Time: now, Kind: ic.KindUpdate}
+		if err := can.ProcessPayload(ctx, adapterResponse(blk)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	args := canister.GetBalanceArgs{Address: addr.String()}
 	for _, rp := range []struct {
-		name string
-		path canister.ReadPath
-	}{{"overlay", canister.ReadPathOverlay}, {"replay", canister.ReadPathReplay}} {
+		name    string
+		balance func(*ic.CallContext) (int64, error)
+	}{
+		{"overlay", func(ctx *ic.CallContext) (int64, error) { return can.GetBalance(ctx, args) }},
+		{"replay", func(ctx *ic.CallContext) (int64, error) { return canister.ReplayBalance(can, ctx, args) }},
+	} {
 		b.Run(rp.name, func(b *testing.B) {
-			cfg := canister.DefaultConfig(btc.Regtest)
-			cfg.StabilityThreshold = 144
-			cfg.ReadPath = rp.path
-			can := canister.New(cfg)
-			builder := experiments.NewBlockBuilder(btc.RegtestParams(), 11)
-			var h [20]byte
-			h[0] = 0x77
-			addr := btc.NewP2PKHAddress(h, btc.Regtest)
-			script := btc.PayToAddrScript(addr)
-			now := time.Unix(1_700_000_000, 0).UTC()
-			for i := 0; i < 150; i++ {
-				blk, err := builder.NextBlock([]experiments.TxSpec{{Outputs: experiments.PayN(script, 2, 546)}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				now = now.Add(time.Minute)
-				ctx := &ic.CallContext{Meter: ic.NewMeter(), Time: now, Kind: ic.KindUpdate}
-				if err := can.ProcessPayload(ctx, adapterResponse(blk)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				// An update context bypasses the balance cache, so each
 				// iteration measures the full view merge (or replay).
 				ctx := &ic.CallContext{Meter: ic.NewMeter(), Time: now, Kind: ic.KindUpdate}
-				if _, err := can.GetBalance(ctx, canister.GetBalanceArgs{Address: addr.String()}); err != nil {
+				if _, err := rp.balance(ctx); err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {

@@ -11,7 +11,7 @@
 //	bench -fig cost         # §IV-B requests-per-dollar arithmetic
 //	bench -fig eclipse      # Lemma IV.1 Monte Carlo
 //	bench -fig downtime     # Lemma IV.3 Monte Carlo
-//	bench -fig readpath     # overlay vs naive-replay read path at δ=144
+//	bench -fig readpath     # overlay vs the replay oracle over one canister, δ=144
 //	bench -fig snapshot     # snapshot codec: size, encode/decode, fast-sync
 //	bench -fig ingest       # serial vs pipelined block ingest + sharded hydration
 //	bench -fig queryfleet   # read-replica fleet QPS/latency scaling 1→8
@@ -264,7 +264,7 @@ func run(fig string, seed int64, scale, trials int, metrics, obstrace string) er
 		res.Print(out)
 	}
 	if all || fig == "readpath" {
-		section("Read path: overlay vs naive replay (δ=144)")
+		section("Read path: overlay vs the replay oracle, one canister (δ=144)")
 		cfg := experiments.DefaultReadPathConfig()
 		cfg.Seed = seed
 		res, err := experiments.RunReadPath(cfg)

@@ -162,25 +162,18 @@ func (c *BitcoinCanister) consideredChain(minConf int64) ([]*chain.Node, error) 
 // GetUTXOs serves the get_utxos endpoint: the union of the stable set and
 // the unstable blocks of the considered chain, height-descending, paginated.
 //
-// On the default (indexed) read path the page streams directly off the
-// ordered address index merged with the unstable deltas: the cursor is
-// located by binary search and only the page is copied — no per-request
-// sort, no full-bucket copy. The replay oracle retains the naive §III-C
-// materialize-and-sort flow; the differential harness asserts both produce
-// byte-identical responses.
+// The page streams directly off the ordered address index merged with the
+// unstable deltas: the cursor is located by binary search and only the page
+// is copied — no per-request sort, no full-bucket copy. ReplayUTXOs
+// (replay.go) retains the naive §III-C materialize-and-sort flow as the
+// reference; the differential harness asserts both produce byte-identical
+// responses.
 func (c *BitcoinCanister) GetUTXOs(ctx *ic.CallContext, args GetUTXOsArgs) (*GetUTXOsResult, error) {
 	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
 	if err := c.checkServable(args.Network); err != nil {
 		return nil, err
 	}
-	limit := args.Limit
-	if limit <= 0 || limit > c.cfg.PageLimit {
-		limit = c.cfg.PageLimit
-	}
-	if c.cfg.ReadPath == ReadPathReplay {
-		return c.getUTXOsReplay(ctx, args, limit)
-	}
-
+	limit := c.pageLimit(args.Limit)
 	nodes, err := c.consideredChain(args.MinConfirmations)
 	if err != nil {
 		return nil, err
@@ -213,33 +206,12 @@ func (c *BitcoinCanister) GetUTXOs(ctx *ic.CallContext, args GetUTXOsArgs) (*Get
 	}, nil
 }
 
-// getUTXOsReplay is the naive read path retained as the differential
-// oracle: materialize the full merged view, sort it, page into it.
-func (c *BitcoinCanister) getUTXOsReplay(ctx *ic.CallContext, args GetUTXOsArgs, limit int) (*GetUTXOsResult, error) {
-	view, tip, err := c.addressViewReplay(ctx, args.Address, args.MinConfirmations)
-	if err != nil {
-		return nil, err
+// pageLimit clamps a requested page size to the canister's maximum.
+func (c *BitcoinCanister) pageLimit(requested int) int {
+	if requested <= 0 || requested > c.cfg.PageLimit {
+		return c.cfg.PageLimit
 	}
-	page, next, err := utxo.Page(view.utxos, args.Page, limit)
-	if err != nil {
-		return nil, err
-	}
-	result := &GetUTXOsResult{
-		UTXOs:     page,
-		TipHash:   tip.Hash,
-		TipHeight: tip.Height,
-		NextPage:  next,
-	}
-	for i := range page {
-		if view.unstable[page[i].OutPoint] {
-			ctx.Meter.Charge(ic.CostPerUTXOUnstable, "fetch_unstable")
-			result.UnstableCount++
-		} else {
-			ctx.Meter.Charge(ic.CostPerUTXOStable, "fetch_stable")
-			result.StableCount++
-		}
-	}
-	return result, nil
+	return requested
 }
 
 // balanceKey identifies one memoizable get_balance computation: the merged
@@ -271,9 +243,9 @@ func (c *BitcoinCanister) BalanceCacheSize() int {
 	return len(c.balanceCache)
 }
 
-// GetBalance serves the get_balance convenience endpoint. On the overlay
-// read path results are memoized per (address, tip, minConfirmations); the
-// cache is kept coherent by invalidation on every tree mutation.
+// GetBalance serves the get_balance convenience endpoint. Results are
+// memoized per (address, tip, minConfirmations); the cache is kept coherent
+// by invalidation on every tree mutation.
 func (c *BitcoinCanister) GetBalance(ctx *ic.CallContext, args GetBalanceArgs) (int64, error) {
 	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
 	if err := c.checkServable(args.Network); err != nil {
@@ -283,7 +255,7 @@ func (c *BitcoinCanister) GetBalance(ctx *ic.CallContext, args GetBalanceArgs) (
 	// query cannot persist canister state, but a per-replica read cache is
 	// fair game — and it keeps replicated execution deterministic no matter
 	// what queries ran before it.
-	useCache := c.cfg.ReadPath == ReadPathOverlay && ctx.Kind == ic.KindQuery
+	useCache := ctx.Kind == ic.KindQuery
 	var key balanceKey
 	if useCache {
 		key = balanceKey{address: args.Address, tip: c.tipNode().Hash, minConf: args.MinConfirmations}
@@ -295,21 +267,9 @@ func (c *BitcoinCanister) GetBalance(ctx *ic.CallContext, args GetBalanceArgs) (
 			return total, nil
 		}
 	}
-	var total int64
-	if c.cfg.ReadPath == ReadPathReplay {
-		view, _, err := c.addressViewReplay(ctx, args.Address, args.MinConfirmations)
-		if err != nil {
-			return 0, err
-		}
-		for _, u := range view.utxos {
-			ctx.Meter.Charge(ic.CostPerBalanceUTXO, "sum_balance")
-			total += u.Value
-		}
-	} else {
-		var err error
-		if total, err = c.balanceIndexed(ctx, args.Address, args.MinConfirmations); err != nil {
-			return 0, err
-		}
+	total, err := c.balanceIndexed(ctx, args.Address, args.MinConfirmations)
+	if err != nil {
+		return 0, err
 	}
 	if useCache {
 		c.queryMu.Lock()
@@ -418,70 +378,6 @@ func (c *BitcoinCanister) unstableEffectFor(ctx *ic.CallContext, address string,
 	}
 	utxo.SortUTXOs(created)
 	return unstableEffect{created: created, suppress: suppress}
-}
-
-// addressUTXOView is the merged stable+unstable view of one address.
-type addressUTXOView struct {
-	utxos []utxo.UTXO
-	// unstable marks outpoints that came from unstable blocks.
-	unstable map[btc.OutPoint]bool
-}
-
-// addressViewReplay merges the stable UTXO set with the unstable chain's
-// effects for one address by rescanning blocks. Scanning the unstable
-// blocks costs work proportional to δ ("the computational complexity ...
-// grows linearly with the parameter δ", §III-C), charged here per block
-// scanned. Retained as the oracle for the differential harness and the
-// read-path benchmark.
-func (c *BitcoinCanister) addressViewReplay(ctx *ic.CallContext, address string, minConf int64) (*addressUTXOView, *chain.Node, error) {
-	nodes, err := c.consideredChain(minConf)
-	if err != nil {
-		return nil, nil, err
-	}
-	tip := c.consideredTip(nodes)
-
-	view := &addressUTXOView{unstable: make(map[btc.OutPoint]bool)}
-	present := make(map[btc.OutPoint]utxo.UTXO)
-	for _, u := range c.stable.UTXOsForAddress(address) {
-		present[u.OutPoint] = u
-	}
-	// Replay unstable blocks on the considered chain.
-	for _, node := range nodes {
-		ctx.Meter.Charge(ic.CostPerUnstableBlockScan, "scan_unstable")
-		block := c.blocks[node.Hash]
-		if block == nil {
-			continue
-		}
-		txids := block.TxIDs()
-		for ti, tx := range block.Transactions {
-			if !tx.IsCoinbase() {
-				for i := range tx.Inputs {
-					delete(present, tx.Inputs[i].PreviousOutPoint)
-				}
-			}
-			txid := txids[ti]
-			for vout := range tx.Outputs {
-				out := tx.Outputs[vout]
-				if btc.ScriptID(out.PkScript, c.cfg.Network) != address {
-					continue
-				}
-				op := btc.OutPoint{TxID: txid, Vout: uint32(vout)}
-				present[op] = utxo.UTXO{
-					OutPoint: op,
-					Value:    out.Value,
-					PkScript: out.PkScript,
-					Height:   node.Height,
-				}
-				view.unstable[op] = true
-			}
-		}
-	}
-	view.utxos = make([]utxo.UTXO, 0, len(present))
-	for _, u := range present {
-		view.utxos = append(view.utxos, u)
-	}
-	utxo.SortUTXOs(view.utxos)
-	return view, tip, nil
 }
 
 // SendTransaction serves send_transaction: syntax-check the bytes and queue

@@ -19,7 +19,6 @@ package canister
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -28,21 +27,6 @@ import (
 	"icbtc/internal/chain"
 	"icbtc/internal/ic"
 	"icbtc/internal/utxo"
-)
-
-// ReadPath selects the implementation behind get_utxos/get_balance.
-type ReadPath int
-
-const (
-	// ReadPathOverlay (the default) merges the stable set with per-block
-	// address-indexed deltas computed once at block acceptance, so request
-	// cost no longer grows linearly with δ.
-	ReadPathOverlay ReadPath = iota
-	// ReadPathReplay is the naive §III-C behavior: rescan every unstable
-	// block of the considered chain on every request. Retained as the
-	// oracle the differential test harness (internal/difftest) and the
-	// read-path benchmark compare the overlay against.
-	ReadPathReplay
 )
 
 // Config parameterizes the canister.
@@ -61,8 +45,6 @@ type Config struct {
 	// TxRebroadcastRounds is how many adapter request rounds an outbound
 	// transaction stays in the forwarding queue.
 	TxRebroadcastRounds int
-	// ReadPath selects the read-path implementation (overlay by default).
-	ReadPath ReadPath
 }
 
 // DefaultConfig returns production-flavored parameters for a network
@@ -309,54 +291,6 @@ func (c *BitcoinCanister) tipNode() *chain.Node {
 	return cc[len(cc)-1]
 }
 
-// ProcessPayload implements ic.PayloadProcessor: it applies Algorithm 2 to
-// an adapter response contained in a finalized IC block.
-func (c *BitcoinCanister) ProcessPayload(ctx *ic.CallContext, payload any) error {
-	resp, ok := payload.(adapter.Response)
-	if !ok {
-		return fmt.Errorf("canister: unexpected payload type %T", payload)
-	}
-	start := c.met.reg.Now()
-	defer func() {
-		c.met.payloads.Inc()
-		d := c.met.reg.Now().Sub(start)
-		c.met.payloadDuration.ObserveDuration(d)
-		c.met.reg.Trace("canister.payload", d.String())
-	}()
-	c.ageOutgoing()
-	c.adapterHealth = resp.Health
-	// Anything in the payload can change the considered chain (new blocks,
-	// upcoming headers shifting the tip, an anchor advance), so drop the
-	// memoized balances and fee percentiles up front; they are cheap to
-	// rebuild from deltas.
-	if len(resp.Blocks) > 0 || len(resp.Next) > 0 {
-		c.invalidateReadCaches()
-	}
-
-	// Lines 1-15: validate and attach each (b, β), then advance the anchor
-	// while the next block is δ-stable.
-	for _, bw := range resp.Blocks {
-		if err := c.acceptBlock(ctx, bw, nil); err != nil {
-			c.rejectedBlocks++
-			c.met.blocksRejected.Inc()
-			continue
-		}
-		c.advanceAnchor(ctx)
-	}
-	// Lines 16-20: append validated upcoming headers.
-	for i := range resp.Next {
-		h := resp.Next[i]
-		if err := c.acceptHeader(ctx, h); err != nil {
-			c.rejectedHeaders++
-			c.met.headersRejected.Inc()
-		}
-	}
-	// Lines 21-22: recompute the synced flag.
-	c.updateSynced()
-	c.flushFrame()
-	return nil
-}
-
 // acceptHeader validates a header against the tree (the same §III-B checks
 // the adapter performs) and inserts it.
 func (c *BitcoinCanister) acceptHeader(ctx *ic.CallContext, h btc.BlockHeader) error {
@@ -387,8 +321,8 @@ func (c *BitcoinCanister) acceptHeader(ctx *ic.CallContext, h btc.BlockHeader) e
 // pre, when non-nil and built at the node's actual height, is the
 // pipeline's prebuilt state-independent delta half: Finish binds it to the
 // live state, producing exactly what BuildBlockDelta would. A nil or
-// mispredicted pre falls back to the full serial build, so the resulting
-// state is identical either way.
+// mispredicted pre falls back to the full build, so the resulting state is
+// identical either way.
 func (c *BitcoinCanister) acceptBlock(ctx *ic.CallContext, bw adapter.BlockWithHeader, pre *utxo.PreparedDelta) error {
 	if bw.Block == nil {
 		return errors.New("canister: nil block")

@@ -34,17 +34,17 @@ type feeCacheEntry struct {
 // against the canister's view (alien inputs the canister never tracked)
 // are skipped, mirroring the production canister's best-effort fee index.
 //
-// On the overlay read path the result is memoized per (tip, anchor) for
-// query executions and invalidated on every tree change, so repeated fee
-// quotes between blocks stop rescanning every unstable block and
-// re-resolving every input. The replay path always recomputes — it is the
-// oracle the differential harness checks the cached path against.
+// The result is memoized per (tip, anchor) for query executions and
+// invalidated on every tree change, so repeated fee quotes between blocks
+// stop rescanning every unstable block and re-resolving every input. An
+// update execution always recomputes — which also makes it the uncached
+// reference the differential harness checks the cached answers against.
 func (c *BitcoinCanister) GetCurrentFeePercentiles(ctx *ic.CallContext) ([]int64, error) {
 	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
 	if !c.synced {
 		return nil, ErrNotSynced
 	}
-	useCache := c.cfg.ReadPath == ReadPathOverlay && ctx.Kind == ic.KindQuery
+	useCache := ctx.Kind == ic.KindQuery
 	tip := c.tipNode().Hash
 	anchor := c.tree.Root().Height
 	if useCache {

@@ -87,14 +87,12 @@ type feeRig struct {
 	tip   btc.Hash
 }
 
-func newFeeRig(t *testing.T, readPath ReadPath) *feeRig {
+func newFeeRig(t *testing.T) *feeRig {
 	params := btc.RegtestParams()
-	cfg := DefaultConfig(btc.Regtest)
-	cfg.ReadPath = readPath
 	return &feeRig{
 		t:     t,
 		miner: newFeeMiner(params),
-		can:   New(cfg),
+		can:   New(DefaultConfig(btc.Regtest)),
 		now:   time.Unix(int64(params.GenesisHeader.Timestamp), 0).Add(time.Hour),
 		tip:   params.GenesisHeader.BlockHash(),
 	}
@@ -150,7 +148,7 @@ func rateOf(tx *btc.Transaction, fee int64) int64 {
 // hand-built fees: one priced transaction yields a flat vector at its rate;
 // a second, cheaper one splits the distribution.
 func TestFeePercentilesKnownRates(t *testing.T) {
-	r := newFeeRig(t, ReadPathOverlay)
+	r := newFeeRig(t)
 	b1 := r.extend() // coinbase to spend
 	tx1 := spendOf(b1.Transactions[0], 0, r.miner.params.BlockSubsidy-9_000)
 	r.extend(tx1)
@@ -181,7 +179,7 @@ func TestFeePercentilesKnownRates(t *testing.T) {
 // the canister never tracked cannot be priced and must be skipped, leaving
 // the distribution to the resolvable traffic only.
 func TestFeePercentilesAlienInputSkipped(t *testing.T) {
-	r := newFeeRig(t, ReadPathOverlay)
+	r := newFeeRig(t)
 	b1 := r.extend()
 	alien := &btc.Transaction{
 		Version: 2,
@@ -217,7 +215,7 @@ func TestFeePercentilesAlienInputSkipped(t *testing.T) {
 // chain, the distribution must reflect the new current chain's
 // transactions only.
 func TestFeePercentilesAcrossReorg(t *testing.T) {
-	r := newFeeRig(t, ReadPathOverlay)
+	r := newFeeRig(t)
 	b1 := r.extend()
 	forkPoint := r.tip
 	tx1 := spendOf(b1.Transactions[0], 0, r.miner.params.BlockSubsidy-9_000)
@@ -245,25 +243,17 @@ func TestFeePercentilesAcrossReorg(t *testing.T) {
 	}
 }
 
-// TestFeePercentilesCacheCoherence: the overlay path must serve repeat fee
-// queries from the per-tip cache (cheaper, identical values), recompute
-// after every tree change, and stay equal to the uncached replay oracle
+// TestFeePercentilesCacheCoherence: query executions must serve repeat fee
+// quotes from the per-tip cache (cheaper, identical values), recompute
+// after every tree change, and stay equal to the uncached computation
 // throughout. Update executions never touch the cache — replicated
-// execution stays deterministic regardless of query history.
+// execution stays deterministic regardless of query history — which makes
+// an update-kind call the uncached oracle.
 func TestFeePercentilesCacheCoherence(t *testing.T) {
-	overlay := newFeeRig(t, ReadPathOverlay)
-	replay := newFeeRig(t, ReadPathReplay)
-	// Drive both canisters with the identical chain: mine on the overlay
-	// rig and replicate delivery to the replay rig.
-	mirror := func(blocks ...*btc.Block) {
-		replay.deliver(blocks...)
-	}
-
+	overlay := newFeeRig(t)
 	b1 := overlay.extend()
-	mirror(b1)
 	tx := spendOf(b1.Transactions[0], 0, overlay.miner.params.BlockSubsidy-5_000)
-	b2 := overlay.extend(tx)
-	mirror(b2)
+	overlay.extend(tx)
 
 	cold, coldCtx := overlay.percentiles(ic.KindQuery)
 	if coldCtx.Meter.Category("fee_cache_hit") != 0 {
@@ -276,7 +266,7 @@ func TestFeePercentilesCacheCoherence(t *testing.T) {
 	if warmCtx.Meter.Total() >= coldCtx.Meter.Total() {
 		t.Fatalf("cache hit cost %d >= cold cost %d", warmCtx.Meter.Total(), coldCtx.Meter.Total())
 	}
-	oracle, _ := replay.percentiles(ic.KindQuery)
+	oracle, _ := overlay.percentiles(ic.KindUpdate)
 	for i := range cold {
 		if cold[i] != warm[i] || cold[i] != oracle[i] {
 			t.Fatalf("p%d: cold %d warm %d oracle %d", i, cold[i], warm[i], oracle[i])
@@ -290,13 +280,12 @@ func TestFeePercentilesCacheCoherence(t *testing.T) {
 	}
 
 	// A new block moves the tip: the cache must invalidate.
-	b3 := overlay.extend(spendOf(tx, 0, tx.Outputs[0].Value-1_500))
-	mirror(b3)
+	overlay.extend(spendOf(tx, 0, tx.Outputs[0].Value-1_500))
 	fresh, freshCtx := overlay.percentiles(ic.KindQuery)
 	if freshCtx.Meter.Category("fee_cache_hit") != 0 {
 		t.Fatal("query after a tree change was served from the stale cache")
 	}
-	oracle, _ = replay.percentiles(ic.KindQuery)
+	oracle, _ = overlay.percentiles(ic.KindUpdate)
 	for i := range fresh {
 		if fresh[i] != oracle[i] {
 			t.Fatalf("post-invalidation p%d: overlay %d oracle %d", i, fresh[i], oracle[i])
@@ -313,7 +302,7 @@ func TestFeePercentilesCacheCoherence(t *testing.T) {
 // rejections for inverted and beyond-tip ranges, clamping, and the
 // stable/unstable join at the anchor boundary.
 func TestGetBlockHeadersRangeValidation(t *testing.T) {
-	r := newFeeRig(t, ReadPathOverlay)
+	r := newFeeRig(t)
 	headers := []btc.BlockHeader{r.miner.params.GenesisHeader}
 	for i := 0; i < 10; i++ {
 		headers = append(headers, r.extend().Header)

@@ -2,7 +2,6 @@ package canister_test
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,6 +33,7 @@ func FuzzStatecodecDecode(f *testing.F) {
 	flipped := append([]byte(nil), golden...)
 	flipped[len(flipped)/3] ^= 0x10 // bit-flip
 	f.Add(flipped)
+	f.Add(withReservedByte(golden, 1)) // checksum-valid, reserved byte set
 	f.Add([]byte{})
 	f.Add([]byte("icbtc/snapshot\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -94,36 +94,4 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("frame decoder silently accepted a non-canonical frame (%d bytes)", len(data))
 		}
 	})
-}
-
-// TestRestoreSnapshotCrashing pins the crash-injection hook the torn-upgrade
-// chaos scenario drives: every stage boundary kills the restore with
-// ErrRestoreCrash and no canister, and the same bytes restore fine without
-// the hook.
-func TestRestoreSnapshotCrashing(t *testing.T) {
-	c, _ := buildSnapshotState(t)
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := []canister.RestoreStage{
-		canister.RestoreStageConfig,
-		canister.RestoreStageHeaders,
-		canister.RestoreStageStableSet,
-		canister.RestoreStageTree,
-		canister.RestoreStageBlocks,
-		canister.RestoreStageOutgoing,
-	}
-	for _, stage := range stages {
-		got, err := canister.RestoreSnapshotCrashing(snap, stage)
-		if !errors.Is(err, canister.ErrRestoreCrash) {
-			t.Fatalf("stage %d: err %v, want ErrRestoreCrash", stage, err)
-		}
-		if got != nil {
-			t.Fatalf("stage %d: crash returned a canister", stage)
-		}
-	}
-	if _, err := canister.RestoreSnapshot(snap); err != nil {
-		t.Fatalf("same bytes failed an uninjected restore: %v", err)
-	}
 }

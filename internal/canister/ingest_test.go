@@ -7,6 +7,7 @@ import (
 	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
 	"icbtc/internal/ingest"
+	"icbtc/internal/obs"
 )
 
 // chainWire mines a transaction-bearing chain on the rig's node and
@@ -235,5 +236,64 @@ func TestFramePrepareEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(snapshotOf(t, plain), snapshotOf(t, authority)) {
 		t.Fatal("replica did not converge to the authority")
+	}
+}
+
+// TestIngestEntryPointsRecordSameMetrics: every write-path entry point runs
+// the one ingest skeleton, so the same batch — three valid blocks, one with
+// a tampered merkle root, one orphan, one unattachable upcoming header —
+// must leave the same payload, ingest and reject metrics whichever way it
+// came in (SyncWire carries blocks only, so it sees no header to reject).
+func TestIngestEntryPointsRecordSameMetrics(t *testing.T) {
+	r := newRig(t, 9)
+	_, blocks := chainWire(t, r, 6, 3)
+	tampered := &btc.Block{Header: blocks[3].Header, Transactions: blocks[3].Transactions}
+	tampered.Header.MerkleRoot = btc.DoubleSHA256([]byte("wrong"))
+	batch := []*btc.Block{blocks[0], blocks[1], blocks[2], tampered, blocks[5]} // 5's parent never arrives
+	badNext := blocks[5].Header
+	badNext.PrevBlock = btc.DoubleSHA256([]byte("nowhere"))
+
+	resp := adapter.Response{Next: []btc.BlockHeader{badNext}}
+	var wire [][]byte
+	for _, b := range batch {
+		resp.Blocks = append(resp.Blocks, adapter.BlockWithHeader{Block: b, Header: b.Header})
+		wire = append(wire, b.Bytes())
+	}
+
+	for _, ep := range []struct {
+		name            string
+		headersRejected uint64
+		run             func(c *BitcoinCanister) error
+	}{
+		{"ProcessPayload", 1, func(c *BitcoinCanister) error { return c.ProcessPayload(r.ctx(), resp) }},
+		{"ProcessPayloadPipelined", 1, func(c *BitcoinCanister) error {
+			return c.ProcessPayloadPipelined(r.ctx(), resp, ingest.Config{Workers: 3})
+		}},
+		{"SyncWire", 0, func(c *BitcoinCanister) error {
+			_, err := c.SyncWire(r.ctx(), wire, ingest.Config{Workers: 3})
+			return err
+		}},
+	} {
+		c := New(DefaultConfig(btc.Regtest))
+		if err := ep.run(c); err != nil {
+			t.Fatalf("%s: %v", ep.name, err)
+		}
+		reg := c.Metrics()
+		for _, want := range []struct {
+			metric string
+			value  uint64
+		}{
+			{"canister_payloads_total", 1},
+			{"canister_blocks_ingested_total", 3},
+			{"canister_blocks_rejected_total", 2},
+			{"canister_headers_rejected_total", ep.headersRejected},
+		} {
+			if got := reg.Counter(want.metric).Value(); got != want.value {
+				t.Errorf("%s: %s = %d, want %d", ep.name, want.metric, got, want.value)
+			}
+		}
+		if got := reg.Histogram("canister_payload_duration_ns", obs.DurationBuckets).Count(); got != 1 {
+			t.Errorf("%s: %d canister_payload_duration_ns observations, want 1", ep.name, got)
+		}
 	}
 }

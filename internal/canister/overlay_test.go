@@ -1,6 +1,7 @@
 package canister
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -72,34 +73,28 @@ func (f *forge) block(parent btc.Hash, height int64, payout []byte, txs ...*btc.
 	return blk
 }
 
-// overlayPair builds one canister per read path plus a payload pump that
-// feeds both identically.
-type overlayPair struct {
-	t               *testing.T
-	overlay, replay *BitcoinCanister
-	now             time.Time
+// overlayRig is one canister answered by both read paths — its own overlay
+// and the replay oracle rescanning the same state — plus a payload pump.
+type overlayRig struct {
+	t       *testing.T
+	overlay *BitcoinCanister
+	now     time.Time
 }
 
-func newOverlayPair(t *testing.T) *overlayPair {
-	mk := func(rp ReadPath) *BitcoinCanister {
-		cfg := DefaultConfig(btc.Regtest) // δ = 6
-		cfg.ReadPath = rp
-		return New(cfg)
-	}
+func newOverlayRig(t *testing.T) *overlayRig {
 	g := btc.RegtestParams().GenesisHeader
-	return &overlayPair{
+	return &overlayRig{
 		t:       t,
-		overlay: mk(ReadPathOverlay),
-		replay:  mk(ReadPathReplay),
+		overlay: New(DefaultConfig(btc.Regtest)), // δ = 6
 		now:     time.Unix(int64(g.Timestamp), 0).Add(time.Hour),
 	}
 }
 
-func (p *overlayPair) ctx(kind ic.CallKind) *ic.CallContext {
+func (p *overlayRig) ctx(kind ic.CallKind) *ic.CallContext {
 	return &ic.CallContext{Meter: ic.NewMeter(), Time: p.now, Kind: kind}
 }
 
-func (p *overlayPair) deliver(blocks ...*btc.Block) {
+func (p *overlayRig) deliver(blocks ...*btc.Block) {
 	p.t.Helper()
 	p.now = p.now.Add(time.Duration(len(blocks)) * time.Minute)
 	resp := adapter.Response{}
@@ -110,19 +105,36 @@ func (p *overlayPair) deliver(blocks ...*btc.Block) {
 	if err := p.overlay.ProcessPayload(p.ctx(ic.KindUpdate), resp); err != nil {
 		p.t.Fatal(err)
 	}
-	if err := p.replay.ProcessPayload(p.ctx(ic.KindUpdate), resp); err != nil {
-		p.t.Fatal(err)
-	}
 	if got := p.overlay.IngestedBlocks() - before; got != len(blocks) {
 		p.t.Fatalf("ingested %d of %d delivered blocks", got, len(blocks))
 	}
 }
 
-// balances asserts both read paths agree and match the expected value.
-func (p *overlayPair) balance(addr string, minConf int64) int64 {
+// replayBalance asks the oracle, asserting its isolation on the way: it
+// reads the canister the overlay serves from, so the call must leave that
+// canister's snapshot bytes and balance cache untouched.
+func (p *overlayRig) replayBalance(args GetBalanceArgs) (int64, error) {
 	p.t.Helper()
-	a, errA := p.overlay.GetBalance(p.ctx(ic.KindQuery), GetBalanceArgs{Address: addr, MinConfirmations: minConf})
-	b, errB := p.replay.GetBalance(p.ctx(ic.KindQuery), GetBalanceArgs{Address: addr, MinConfirmations: minConf})
+	before, cached := snapshotOf(p.t, p.overlay), p.overlay.BalanceCacheSize()
+	total, err := ReplayBalance(p.overlay, p.ctx(ic.KindQuery), args)
+	if _, uerr := ReplayUTXOs(p.overlay, p.ctx(ic.KindQuery), GetUTXOsArgs{Address: args.Address, MinConfirmations: args.MinConfirmations}); (uerr == nil) != (err == nil) {
+		p.t.Fatalf("replay get_utxos err %v, replay get_balance err %v", uerr, err)
+	}
+	if !bytes.Equal(before, snapshotOf(p.t, p.overlay)) {
+		p.t.Fatal("replay oracle mutated the canister it read")
+	}
+	if got := p.overlay.BalanceCacheSize(); got != cached {
+		p.t.Fatalf("replay oracle touched the balance cache: %d -> %d entries", cached, got)
+	}
+	return total, err
+}
+
+// balances asserts both read paths agree and match the expected value.
+func (p *overlayRig) balance(addr string, minConf int64) int64 {
+	p.t.Helper()
+	args := GetBalanceArgs{Address: addr, MinConfirmations: minConf}
+	a, errA := p.overlay.GetBalance(p.ctx(ic.KindQuery), args)
+	b, errB := p.replayBalance(args)
 	if errA != nil || errB != nil {
 		p.t.Fatalf("balance(%s, c=%d): overlay err %v, replay err %v", addr, minConf, errA, errB)
 	}
@@ -146,7 +158,7 @@ func testAddr(b byte) (string, []byte) {
 // view on the new chain — on both read paths.
 func TestReorgSpendOfLosingBranchOutput(t *testing.T) {
 	f := newForge(t)
-	p := newOverlayPair(t)
+	p := newOverlayRig(t)
 	genesis := f.params.GenesisHeader.BlockHash()
 	_, minerScript := testAddr(0xAA)
 	addrP, scriptP := testAddr(0xBB)
@@ -215,7 +227,7 @@ func TestReorgSpendOfLosingBranchOutput(t *testing.T) {
 // stable set alone — while δ+1 is rejected outright.
 func TestGetBalanceAtExactlyDeltaConfirmations(t *testing.T) {
 	f := newForge(t)
-	p := newOverlayPair(t)
+	p := newOverlayRig(t)
 	addrM, scriptM := testAddr(0xCC)
 	const delta = 6 // regtest default
 
@@ -244,10 +256,12 @@ func TestGetBalanceAtExactlyDeltaConfirmations(t *testing.T) {
 		t.Fatalf("balance at c=1: %d, want %d", got, 12*subsidy)
 	}
 	// c = δ+1 must be rejected by both paths.
-	for _, can := range []*BitcoinCanister{p.overlay, p.replay} {
-		if _, err := can.GetBalance(p.ctx(ic.KindQuery), GetBalanceArgs{Address: addrM, MinConfirmations: delta + 1}); !errors.Is(err, ErrTooManyConfirmations) {
-			t.Fatalf("c=δ+1: got %v, want ErrTooManyConfirmations", err)
-		}
+	tooMany := GetBalanceArgs{Address: addrM, MinConfirmations: delta + 1}
+	if _, err := p.overlay.GetBalance(p.ctx(ic.KindQuery), tooMany); !errors.Is(err, ErrTooManyConfirmations) {
+		t.Fatalf("c=δ+1: overlay got %v, want ErrTooManyConfirmations", err)
+	}
+	if _, err := p.replayBalance(tooMany); !errors.Is(err, ErrTooManyConfirmations) {
+		t.Fatalf("c=δ+1: replay got %v, want ErrTooManyConfirmations", err)
 	}
 }
 
@@ -255,7 +269,7 @@ func TestGetBalanceAtExactlyDeltaConfirmations(t *testing.T) {
 // invalidated by every tree mutation and cleared deltas on anchor advance.
 func TestBalanceCacheCoherence(t *testing.T) {
 	f := newForge(t)
-	p := newOverlayPair(t)
+	p := newOverlayRig(t)
 	addrM, scriptM := testAddr(0xDD)
 
 	parent := f.params.GenesisHeader.BlockHash()

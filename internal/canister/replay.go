@@ -1,0 +1,129 @@
+package canister
+
+import (
+	"icbtc/internal/btc"
+	"icbtc/internal/chain"
+	"icbtc/internal/ic"
+	"icbtc/internal/utxo"
+)
+
+// The naive §III-C read path, kept as the reference the overlay is checked
+// against: rescan every unstable block of the considered chain on every
+// request ("the computational complexity ... grows linearly with the
+// parameter δ"). ReplayUTXOs and ReplayBalance answer from the very canister
+// the overlay serves from — read-only, no cache filled — with the results,
+// errors and metering the canister's own naive endpoints would have. They
+// are free functions on purpose: no Config field, registry method, dispatch
+// path or snapshot byte can reach them; only the differential harness, the
+// in-package tests and the read-path experiment call them.
+
+// ReplayUTXOs is get_utxos by replay: materialize the full merged view of
+// the address, sort it, page into it.
+func ReplayUTXOs(c *BitcoinCanister, ctx *ic.CallContext, args GetUTXOsArgs) (*GetUTXOsResult, error) {
+	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
+	if err := c.checkServable(args.Network); err != nil {
+		return nil, err
+	}
+	view, tip, err := c.addressViewReplay(ctx, args.Address, args.MinConfirmations)
+	if err != nil {
+		return nil, err
+	}
+	page, next, err := utxo.Page(view.utxos, args.Page, c.pageLimit(args.Limit))
+	if err != nil {
+		return nil, err
+	}
+	result := &GetUTXOsResult{
+		UTXOs:     page,
+		TipHash:   tip.Hash,
+		TipHeight: tip.Height,
+		NextPage:  next,
+	}
+	for i := range page {
+		if view.unstable[page[i].OutPoint] {
+			ctx.Meter.Charge(ic.CostPerUTXOUnstable, "fetch_unstable")
+			result.UnstableCount++
+		} else {
+			ctx.Meter.Charge(ic.CostPerUTXOStable, "fetch_stable")
+			result.StableCount++
+		}
+	}
+	return result, nil
+}
+
+// ReplayBalance is get_balance by replay: sum the materialized view.
+func ReplayBalance(c *BitcoinCanister, ctx *ic.CallContext, args GetBalanceArgs) (int64, error) {
+	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
+	if err := c.checkServable(args.Network); err != nil {
+		return 0, err
+	}
+	view, _, err := c.addressViewReplay(ctx, args.Address, args.MinConfirmations)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, u := range view.utxos {
+		ctx.Meter.Charge(ic.CostPerBalanceUTXO, "sum_balance")
+		total += u.Value
+	}
+	return total, nil
+}
+
+// addressUTXOView is the merged stable+unstable view of one address.
+type addressUTXOView struct {
+	utxos []utxo.UTXO
+	// unstable marks outpoints that came from unstable blocks.
+	unstable map[btc.OutPoint]bool
+}
+
+// addressViewReplay merges the stable UTXO set with the unstable chain's
+// effects for one address by rescanning blocks, charged per block scanned.
+func (c *BitcoinCanister) addressViewReplay(ctx *ic.CallContext, address string, minConf int64) (*addressUTXOView, *chain.Node, error) {
+	nodes, err := c.consideredChain(minConf)
+	if err != nil {
+		return nil, nil, err
+	}
+	tip := c.consideredTip(nodes)
+
+	view := &addressUTXOView{unstable: make(map[btc.OutPoint]bool)}
+	present := make(map[btc.OutPoint]utxo.UTXO)
+	for _, u := range c.stable.UTXOsForAddress(address) {
+		present[u.OutPoint] = u
+	}
+	// Replay unstable blocks on the considered chain.
+	for _, node := range nodes {
+		ctx.Meter.Charge(ic.CostPerUnstableBlockScan, "scan_unstable")
+		block := c.blocks[node.Hash]
+		if block == nil {
+			continue
+		}
+		txids := block.TxIDs()
+		for ti, tx := range block.Transactions {
+			if !tx.IsCoinbase() {
+				for i := range tx.Inputs {
+					delete(present, tx.Inputs[i].PreviousOutPoint)
+				}
+			}
+			txid := txids[ti]
+			for vout := range tx.Outputs {
+				out := tx.Outputs[vout]
+				if btc.ScriptID(out.PkScript, c.cfg.Network) != address {
+					continue
+				}
+				op := btc.OutPoint{TxID: txid, Vout: uint32(vout)}
+				present[op] = utxo.UTXO{
+					OutPoint: op,
+					Value:    out.Value,
+					PkScript: out.PkScript,
+					Height:   node.Height,
+				}
+				view.unstable[op] = true
+			}
+		}
+	}
+	view.utxos = make([]utxo.UTXO, 0, len(present))
+	for _, u := range present {
+		view.utxos = append(view.utxos, u)
+	}
+	utxo.SortUTXOs(view.utxos)
+	return view, tip, nil
+}

@@ -81,13 +81,14 @@ func (c *BitcoinCanister) Snapshot() ([]byte, error) {
 	e := statecodec.NewEncoder(snapshotMagic, SnapshotVersion, hint)
 
 	// Configuration: a restored canister must run the identical state
-	// machine (δ, τ, page limit) and read path.
+	// machine (δ, τ, page limit). The byte after it is reserved (it once
+	// selected a read path): always written 0, rejected on restore otherwise.
 	e.U8(uint8(c.cfg.Network))
 	e.I64(c.cfg.StabilityThreshold)
 	e.I64(c.cfg.SyncSlack)
 	e.I64(int64(c.cfg.PageLimit))
 	e.I64(int64(c.cfg.TxRebroadcastRounds))
-	e.U8(uint8(c.cfg.ReadPath))
+	e.U8(0)
 
 	// Counters (observability must survive an upgrade, and serializing them
 	// keeps a restored canister's snapshot byte-identical to the original's).
@@ -165,50 +166,12 @@ func (c *BitcoinCanister) Snapshot() ([]byte, error) {
 	return out, nil
 }
 
-// RestoreStage names the section boundaries of a snapshot restore, in
-// order. Crash injection (RestoreSnapshotCrashing) kills the restore at one
-// of these boundaries, modeling a process death partway through an install.
-type RestoreStage int
-
-const (
-	// restoreStageNone disables crash injection (the normal path).
-	restoreStageNone RestoreStage = iota
-	// RestoreStageConfig: configuration and counters decoded.
-	RestoreStageConfig
-	// RestoreStageHeaders: anchor history decoded.
-	RestoreStageHeaders
-	// RestoreStageStableSet: stable UTXO set decoded.
-	RestoreStageStableSet
-	// RestoreStageTree: header tree and per-node deltas decoded.
-	RestoreStageTree
-	// RestoreStageBlocks: unstable blocks decoded and attached.
-	RestoreStageBlocks
-	// RestoreStageOutgoing: pending outbound transactions decoded — the
-	// last boundary before the decoder's Close (checksum/trailing check)
-	// would complete the restore.
-	RestoreStageOutgoing
-)
-
-// ErrRestoreCrash is returned by RestoreSnapshotCrashing at the armed stage
-// boundary: the injected process death. The partially built canister is
-// discarded — exactly what a real crash leaves behind (nothing but the
-// on-disk image and its missing completion marker).
-var ErrRestoreCrash = fmt.Errorf("canister: restore: injected crash")
-
 // RestoreSnapshot reconstructs a canister from a snapshot produced by
 // Snapshot. The restored canister is byte-for-byte equivalent: it answers
 // every request identically to the canister the snapshot was taken from,
 // and re-snapshotting it reproduces the input bytes.
 func RestoreSnapshot(data []byte) (*BitcoinCanister, error) {
-	return restoreSnapshot(data, 1, restoreStageNone)
-}
-
-// RestoreSnapshotCrashing is RestoreSnapshot with a crash armed at a stage
-// boundary: the restore proceeds normally until the named section has been
-// decoded, then dies with ErrRestoreCrash. Chaos scenarios use it as the
-// reinstall step of a CrashMidRestore upgrade.
-func RestoreSnapshotCrashing(data []byte, stage RestoreStage) (*BitcoinCanister, error) {
-	return restoreSnapshot(data, 1, stage)
+	return restoreSnapshot(data, 1)
 }
 
 // RestoreSnapshotParallel is RestoreSnapshot with the two decode-dominant
@@ -220,11 +183,10 @@ func RestoreSnapshotCrashing(data []byte, stage RestoreStage) (*BitcoinCanister,
 // re-snapshot bytes. Replica fast-sync hydration uses this. The restored
 // blocks alias data, which must stay immutable.
 func RestoreSnapshotParallel(data []byte, cfg ingest.Config) (*BitcoinCanister, error) {
-	workers := cfg.NormalizedWorkers()
-	return restoreSnapshot(data, workers, restoreStageNone)
+	return restoreSnapshot(data, cfg.NormalizedWorkers())
 }
 
-func restoreSnapshot(data []byte, workers int, crashAt RestoreStage) (*BitcoinCanister, error) {
+func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 	d, err := statecodec.NewDecoder(data, snapshotMagic, SnapshotVersion)
 	if err != nil {
 		return nil, fmt.Errorf("canister: restore: %w", err)
@@ -236,7 +198,11 @@ func restoreSnapshot(data []byte, workers int, crashAt RestoreStage) (*BitcoinCa
 		SyncSlack:           d.I64(),
 		PageLimit:           int(d.I64()),
 		TxRebroadcastRounds: int(d.I64()),
-		ReadPath:            ReadPath(d.U8()),
+	}
+	// Ignoring a nonzero reserved byte would accept bytes Snapshot cannot
+	// reproduce.
+	if reserved := d.U8(); reserved != 0 {
+		return nil, fmt.Errorf("canister: restore: reserved config byte is %#x, want 0", reserved)
 	}
 	c := &BitcoinCanister{
 		cfg:          cfg,
@@ -251,9 +217,6 @@ func restoreSnapshot(data []byte, workers int, crashAt RestoreStage) (*BitcoinCa
 	c.rejectedHeaders = int(d.I64())
 	c.anchorHeight = d.I64()
 	c.applyErrors = int(d.I64())
-	if crashAt == RestoreStageConfig {
-		return nil, ErrRestoreCrash
-	}
 
 	nHeaders := d.CountFor(maxSnapshotHeaders, headerWireBytes)
 	c.stableHeaders = make([]btc.BlockHeader, 0, nHeaders)
@@ -263,9 +226,6 @@ func restoreSnapshot(data []byte, workers int, crashAt RestoreStage) (*BitcoinCa
 	if d.Err() != nil {
 		return nil, fmt.Errorf("canister: restore: %w", d.Err())
 	}
-	if crashAt == RestoreStageHeaders {
-		return nil, ErrRestoreCrash
-	}
 
 	if c.stable, err = utxo.DecodeSetParallel(d, workers); err != nil {
 		return nil, fmt.Errorf("canister: restore: %w", err)
@@ -273,9 +233,6 @@ func restoreSnapshot(data []byte, workers int, crashAt RestoreStage) (*BitcoinCa
 	if c.stable.Network() != cfg.Network {
 		return nil, fmt.Errorf("canister: restore: UTXO set network %v does not match config %v",
 			c.stable.Network(), cfg.Network)
-	}
-	if crashAt == RestoreStageStableSet {
-		return nil, ErrRestoreCrash
 	}
 
 	// Header tree. Parents precede children in the stored order, so every
@@ -320,9 +277,6 @@ func restoreSnapshot(data []byte, workers int, crashAt RestoreStage) (*BitcoinCa
 			}
 			node.SetAux(delta)
 		}
-	}
-	if crashAt == RestoreStageTree {
-		return nil, ErrRestoreCrash
 	}
 
 	// Unstable blocks arrive in have order; appending keeps the list sorted.
@@ -384,9 +338,6 @@ func restoreSnapshot(data []byte, workers int, crashAt RestoreStage) (*BitcoinCa
 			return nil, err
 		}
 	}
-	if crashAt == RestoreStageBlocks {
-		return nil, ErrRestoreCrash
-	}
 
 	nTxs := d.CountFor(maxSnapshotTxs, minOutgoingTxBytes)
 	for i := 0; i < nTxs; i++ {
@@ -408,9 +359,6 @@ func restoreSnapshot(data []byte, workers int, crashAt RestoreStage) (*BitcoinCa
 		cp := make([]byte, len(raw))
 		copy(cp, raw)
 		c.outgoing = append(c.outgoing, outgoingTx{raw: cp, txid: txid, rounds: rounds})
-	}
-	if crashAt == RestoreStageOutgoing {
-		return nil, ErrRestoreCrash
 	}
 
 	if err := d.Close(); err != nil {

@@ -2,8 +2,10 @@ package canister_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -330,6 +332,27 @@ func TestRestoreRejectsCorruptedSnapshot(t *testing.T) {
 	if _, err := canister.RestoreSnapshot([]byte("not a snapshot")); err == nil {
 		t.Fatal("restore accepted garbage")
 	}
+	// The reserved config byte is covered by the checksum like any other, so
+	// only the decoder's own check stands between a resealed nonzero value
+	// and a restore whose re-snapshot would differ from its input.
+	if _, err := canister.RestoreSnapshot(withReservedByte(snap, 1)); err == nil {
+		t.Fatal("restore accepted a snapshot whose reserved byte is set")
+	}
+	if _, err := canister.RestoreSnapshot(withReservedByte(snap, 0)); err != nil {
+		t.Fatalf("resealing an unchanged snapshot broke it: %v", err)
+	}
+}
+
+// withReservedByte returns a copy of a snapshot with the reserved config
+// byte (after magic, version, network and the four int64 parameters) set to
+// v and the CRC-32C trailer recomputed, so the result is checksum-valid.
+func withReservedByte(snap []byte, v byte) []byte {
+	const offset = len("icbtc/canister-snapshot\n") + 2 + 1 + 4*8
+	out := append([]byte(nil), snap...)
+	out[offset] = v
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return out
 }
 
 // TestGoldenSnapshotCompatibility is the CI compatibility gate: the

@@ -183,22 +183,15 @@ func (w *World) UpgradeCanister() error {
 }
 
 // CrashUpgrade runs a snapshot-reinstall upgrade with a crash armed at the
-// given point (and, for CrashMidRestore, the restore stage the install dies
-// inside). The subnet's journal recovery runs in the same call; the world is
-// rewired to whatever instance recovery installed. A checkpoint rollback
+// given point. The subnet's journal recovery runs in the same call; the
+// world is rewired to whatever instance recovery installed. A checkpoint rollback
 // (RecoveredFrom == RecoveryCheckpoint) puts the harness into recovering
 // mode — the canister replays wire history toward the oracle — and
 // re-hydrates every fleet replica, whose states are ahead of the rolled-back
 // authority.
-func (w *World) CrashUpgrade(crash ic.UpgradeCrash, stage canister.RestoreStage) (ic.UpgradeReport, error) {
+func (w *World) CrashUpgrade(crash ic.UpgradeCrash) (ic.UpgradeReport, error) {
 	w.Subnet.ArmUpgradeCrash(crash)
-	first := true
 	err := w.Subnet.UpgradeCanister(CanisterID, func(snapshot []byte) (ic.Canister, error) {
-		if crash.Stage == ic.CrashMidRestore && first {
-			first = false
-			return canister.RestoreSnapshotCrashing(snapshot, stage)
-		}
-		first = false
 		return canister.RestoreSnapshot(snapshot)
 	})
 	rep := w.Subnet.LastUpgrade()
@@ -420,7 +413,7 @@ func Run(s Scenario, cfg Config) (Result, error) {
 		return fail(cfg.Rounds-1, err)
 	}
 	identical := bytes.Equal(chaosSnap, oracleSnap)
-	if !identical && !s.DivergentByDesign {
+	if !identical {
 		return fail(cfg.Rounds-1, fmt.Errorf("final state diverged from the oracle: %d vs %d snapshot bytes",
 			len(chaosSnap), len(oracleSnap)))
 	}
@@ -477,8 +470,8 @@ const payloadsPerRound = 3
 
 // deliverPayload runs Algorithm 1 against the chaos canister's current
 // request and feeds the resulting payload to BOTH canisters with identical
-// contexts — the oracle serially, the chaos canister through the randomized
-// pipelined path (worker counts 1–4, byte-identical by construction).
+// contexts — the oracle on one worker, the chaos canister at a randomized
+// worker count (1–4, byte-identical by construction).
 // Virtual time advances between payloads so blocks requested by one
 // HandleRequest can arrive before the next.
 func (w *World) deliverPayload() error {
@@ -490,12 +483,7 @@ func (w *World) deliverPayload() error {
 			return fmt.Errorf("oracle payload: %w", err)
 		}
 		workers := 1 + w.Rng.Intn(4)
-		ctx := ic.NewCallContext(ic.KindUpdate, now)
-		if workers == 1 {
-			if err := can.ProcessPayload(ctx, payload); err != nil {
-				return fmt.Errorf("chaos payload: %w", err)
-			}
-		} else if err := can.ProcessPayloadPipelined(ctx, payload, ingest.Config{Workers: workers}); err != nil {
+		if err := can.ProcessPayloadPipelined(ic.NewCallContext(ic.KindUpdate, now), payload, ingest.Config{Workers: workers}); err != nil {
 			return fmt.Errorf("chaos payload (%d workers): %w", workers, err)
 		}
 		w.Sched.RunFor(500 * time.Millisecond)

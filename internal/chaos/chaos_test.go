@@ -52,8 +52,7 @@ func TestChaosScenarios(t *testing.T) {
 			if res.ConvergedRound < 0 {
 				t.Fatalf("scenario did not reconverge: %+v", res)
 			}
-			s, _ := Lookup(name)
-			if !res.OracleIdentical && !s.DivergentByDesign {
+			if !res.OracleIdentical {
 				t.Fatalf("final state not byte-identical to the oracle: %+v", res)
 			}
 			if res.RecoveryRounds < 0 {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"icbtc/internal/canister"
 	"icbtc/internal/ic"
 	"icbtc/internal/queryfleet"
 	"icbtc/internal/simnet"
@@ -17,12 +16,7 @@ import (
 type Scenario struct {
 	Name        string
 	Description string
-	// DivergentByDesign marks scenarios whose final state is allowed to
-	// differ from the oracle's. Every current scenario must end
-	// byte-identical; the flag exists so a future scenario that
-	// intentionally forks (e.g. a >f-faulty subnet) can document it.
-	DivergentByDesign bool
-	Step              func(w *World, round int) error
+	Step        func(w *World, round int) error
 }
 
 var registry = map[string]Scenario{}
@@ -370,7 +364,7 @@ func init() {
 					return fmt.Errorf("checkpoint: %w", err)
 				}
 			case 6:
-				rep, err := w.CrashUpgrade(ic.UpgradeCrash{Stage: ic.CrashTornWrite, Offset: 1 + w.Rng.Intn(1<<20)}, 0)
+				rep, err := w.CrashUpgrade(ic.UpgradeCrash{Stage: ic.CrashTornWrite, Offset: 1 + w.Rng.Intn(1<<20)})
 				if err != nil {
 					return fmt.Errorf("torn-write upgrade: %w", err)
 				}
@@ -378,7 +372,7 @@ func init() {
 					return fmt.Errorf("torn write not detected and recovered from checkpoint: %+v", rep)
 				}
 			case 13:
-				rep, err := w.CrashUpgrade(ic.UpgradeCrash{Stage: ic.CrashBitFlip, Offset: w.Rng.Intn(1 << 24)}, 0)
+				rep, err := w.CrashUpgrade(ic.UpgradeCrash{Stage: ic.CrashBitFlip, Offset: w.Rng.Intn(1 << 24)})
 				if err != nil {
 					return fmt.Errorf("bit-flip upgrade: %w", err)
 				}
@@ -389,7 +383,7 @@ func init() {
 				// The image landed intact; only the install died. Recovery must
 				// replay the pending image, NOT fall back (that would silently
 				// discard the blocks folded since the last checkpoint).
-				rep, err := w.CrashUpgrade(ic.UpgradeCrash{Stage: ic.CrashMidRestore}, canister.RestoreStageTree)
+				rep, err := w.CrashUpgrade(ic.UpgradeCrash{Stage: ic.CrashMidRestore})
 				if err != nil {
 					return fmt.Errorf("mid-restore upgrade: %w", err)
 				}

@@ -4,16 +4,19 @@
 // randomized workloads — mines, reorgs up to δ−1 deep, sends (including
 // double spends and spends of outputs created on losing branches, which the
 // canister deliberately does not validate away), and paginated queries at
-// varying minConfirmations — through two canisters fed byte-identical
-// payloads: one on ReadPathOverlay, one on ReadPathReplay (the oracle). All
-// request results must be byte-identical.
+// varying minConfirmations — through one canister and answers every request
+// twice: by the canister's own read path, and by the replay oracle
+// (canister.ReplayUTXOs / ReplayBalance) rescanning the same canister's
+// unstable blocks. All request results must be byte-identical, and the
+// oracle must leave the canister exactly as it found it.
 //
 // The harness additionally exercises the snapshot subsystem: at random
-// points mid-run the overlay canister is serialized, decoded into a fresh
-// instance, and replaced (Config.SnapshotEvery). The oracle is never
-// restarted, so the restored canister's answers are checked against a
-// replica that lived through the entire history in process memory — the
-// upgrade and crash-recovery scenarios, differentially verified.
+// points mid-run the canister is serialized, decoded into a fresh instance,
+// and replaced (Config.SnapshotEvery). The oracle derives its answers from
+// the restored blocks and stable set alone, never from the restored deltas
+// or caches, and with Config.Pipelined a second canister that is not
+// restarted at the same points must stay byte-identical — the upgrade and
+// crash-recovery scenarios, differentially verified.
 //
 // With Config.FleetReplicas > 0 the harness also stands up a read-replica
 // query fleet fed by the overlay canister's delta stream, and verifies
@@ -58,9 +61,8 @@ type Config struct {
 	// probability 1/SnapshotEvery per step: the canister is serialized,
 	// decoded into a fresh instance that replaces it mid-run, and
 	// re-encoding the restored instance must reproduce the snapshot bytes.
-	// The replay oracle is never restarted, so every later query also
-	// cross-checks the restore against a canister that lived through the
-	// whole history in memory.
+	// Every later query cross-checks the restored deltas against the replay
+	// oracle's rescan of the restored blocks.
 	SnapshotEvery int
 	// FleetReplicas, when > 0, runs a read-replica query fleet against the
 	// overlay canister's delta stream and differentially verifies replicas
@@ -100,7 +102,7 @@ type Config struct {
 	// byte-identical either way (TestDifferentialLossyLink checks exactly
 	// that).
 	LossyLink bool
-	// Pipelined, when true, runs a third canister fed the same payloads
+	// Pipelined, when true, runs a second canister fed the same payloads
 	// through ProcessPayloadPipelined with per-step randomized worker
 	// counts (1..8, degenerating to the serial loop at 1) and prefetch
 	// windows (1..8). After every step its full snapshot and its probe
@@ -172,14 +174,15 @@ type Stats struct {
 	FleetCoalesced     uint64 // fleet-reported coalesced followers over the run
 }
 
-// Harness drives the two canisters.
+// Harness drives the canister under test.
 type Harness struct {
 	cfg    Config
 	rng    *rand.Rand
 	params *btc.Params
 
+	// overlay is the canister under test: it serves every request by its
+	// own read path and is the state the replay oracle rescans.
 	overlay *canister.BitcoinCanister
-	replay  *canister.BitcoinCanister
 	// pipelined receives identical payloads through the parallel ingest
 	// pipeline at randomized worker counts; nil when Config.Pipelined is
 	// off. The serial overlay is its oracle.
@@ -242,13 +245,12 @@ type poolEntry struct {
 	value int64
 }
 
-// New creates a harness with both canisters at genesis.
+// New creates a harness with its canisters at genesis.
 func New(cfg Config) *Harness {
 	params := btc.RegtestParams()
-	mk := func(rp canister.ReadPath) *canister.BitcoinCanister {
+	mk := func() *canister.BitcoinCanister {
 		c := canister.DefaultConfig(btc.Regtest)
 		c.StabilityThreshold = cfg.Delta
-		c.ReadPath = rp
 		return canister.New(c)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -256,13 +258,12 @@ func New(cfg Config) *Harness {
 		cfg:     cfg,
 		rng:     rng,
 		params:  params,
-		overlay: mk(canister.ReadPathOverlay),
-		replay:  mk(canister.ReadPathReplay),
+		overlay: mk(),
 		miner:   newForkMiner(params),
 		now:     time.Unix(int64(params.GenesisHeader.Timestamp), 0).Add(time.Hour),
 	}
 	if cfg.Pipelined {
-		h.pipelined = mk(canister.ReadPathOverlay)
+		h.pipelined = mk()
 	}
 	if cfg.LossyLink {
 		// An offset seed: the transport's RNG must not mirror the workload's.
@@ -417,9 +418,6 @@ func (h *Harness) Step() error {
 		}
 	}
 
-	if err := h.checkStateAgreement(); err != nil {
-		return err
-	}
 	if err := h.checkPipelined(); err != nil {
 		return err
 	}
@@ -585,9 +583,7 @@ func (h *Harness) mineOnTip() (*btc.Block, error) {
 	return block, nil
 }
 
-// tipHash asks the canister for its current tip (both canisters run the
-// same state machine, so either would do; state agreement is checked after
-// every step).
+// tipHash asks the canister for its current tip.
 func (h *Harness) tipHash() btc.Hash {
 	v, err := h.overlay.Update(h.ctx(ic.KindUpdate), "get_tip", nil)
 	if err != nil {
@@ -662,7 +658,7 @@ func (h *Harness) recordOutputs(block *btc.Block) {
 	}
 }
 
-// deliverBlocks ships blocks (parent-first) to both canisters.
+// deliverBlocks ships blocks (parent-first) to every canister.
 func (h *Harness) deliverBlocks(blocks ...*btc.Block) error {
 	resp := adapter.Response{}
 	for _, b := range blocks {
@@ -689,9 +685,6 @@ func (h *Harness) deliver(resp adapter.Response) error {
 	if err := h.overlay.ProcessPayload(h.ctx(ic.KindUpdate), resp); err != nil {
 		return fmt.Errorf("overlay payload: %w", err)
 	}
-	if err := h.replay.ProcessPayload(h.ctx(ic.KindUpdate), resp); err != nil {
-		return fmt.Errorf("replay payload: %w", err)
-	}
 	if h.pipelined != nil {
 		cfg := ingest.Config{Workers: 1 + h.rng.Intn(8), Window: 1 + h.rng.Intn(8)}
 		h.stats.PipelinedWorkerSum += cfg.Workers
@@ -715,26 +708,6 @@ func (h *Harness) ctx(kind ic.CallKind) *ic.CallContext {
 	return &ic.CallContext{Meter: ic.NewMeter(), Time: h.now, Kind: kind}
 }
 
-// checkStateAgreement asserts the two state machines stayed identical (the
-// read path must not influence consensus state).
-func (h *Harness) checkStateAgreement() error {
-	type probe struct {
-		name string
-		a, b int64
-	}
-	for _, p := range []probe{
-		{"tip height", h.overlay.TipHeight(), h.replay.TipHeight()},
-		{"anchor height", h.overlay.AnchorHeight(), h.replay.AnchorHeight()},
-		{"stable UTXOs", int64(h.overlay.StableUTXOCount()), int64(h.replay.StableUTXOCount())},
-		{"unstable blocks", int64(h.overlay.UnstableBlockCount()), int64(h.replay.UnstableBlockCount())},
-	} {
-		if p.a != p.b {
-			return fmt.Errorf("state divergence: %s overlay=%d replay=%d", p.name, p.a, p.b)
-		}
-	}
-	return nil
-}
-
 // checkQueries cross-checks a batch of balance and paginated UTXO queries,
 // including a deliberately out-of-range confirmations filter.
 func (h *Harness) checkQueries() error {
@@ -755,18 +728,43 @@ func (h *Harness) checkQueries() error {
 	if err := h.compareFeePercentiles(); err != nil {
 		return err
 	}
-	return h.compareHeaders()
+	return h.checkOracleReadOnly()
+}
+
+// checkOracleReadOnly pins the oracle's isolation: it reads the canister
+// the overlay serves from, so a replay call must leave that canister's
+// snapshot bytes and its balance cache exactly as they were.
+func (h *Harness) checkOracleReadOnly() error {
+	before, err := h.overlay.Snapshot()
+	if err != nil {
+		return fmt.Errorf("snapshot before replay: %w", err)
+	}
+	cached := h.overlay.BalanceCacheSize()
+	addr := h.addrs[0].address
+	_, _ = canister.ReplayBalance(h.overlay, h.ctx(ic.KindQuery), canister.GetBalanceArgs{Address: addr})
+	_, _ = canister.ReplayUTXOs(h.overlay, h.ctx(ic.KindQuery), canister.GetUTXOsArgs{Address: addr})
+	after, err := h.overlay.Snapshot()
+	if err != nil {
+		return fmt.Errorf("snapshot after replay: %w", err)
+	}
+	if !bytes.Equal(before, after) {
+		return fmt.Errorf("replay oracle mutated the canister it read: snapshot %d -> %d bytes", len(before), len(after))
+	}
+	if got := h.overlay.BalanceCacheSize(); got != cached {
+		return fmt.Errorf("replay oracle touched the balance cache: %d -> %d entries", cached, got)
+	}
+	return nil
 }
 
 // compareFeePercentiles cross-checks get_current_fee_percentiles: the
-// overlay's per-tip cached path against the replay oracle that rescans
-// every unstable block on every call — twice, so the second overlay answer
-// comes from the cache.
+// per-tip cached query path against an update-kind execution, which bypasses
+// the cache and rescans every unstable block on every call — twice, so the
+// second query answer comes from the cache.
 func (h *Harness) compareFeePercentiles() error {
 	for round := 0; round < 2; round++ {
 		h.stats.Queries++
 		a, errA := h.overlay.GetCurrentFeePercentiles(h.ctx(ic.KindQuery))
-		b, errB := h.replay.GetCurrentFeePercentiles(h.ctx(ic.KindQuery))
+		b, errB := h.overlay.GetCurrentFeePercentiles(h.ctx(ic.KindUpdate))
 		if err := sameError(errA, errB); err != nil {
 			return fmt.Errorf("get_current_fee_percentiles round %d: %w", round, err)
 		}
@@ -774,35 +772,7 @@ func (h *Harness) compareFeePercentiles() error {
 			return nil
 		}
 		if ic.ResponseDigest(a, nil) != ic.ResponseDigest(b, nil) {
-			return fmt.Errorf("get_current_fee_percentiles round %d: overlay %v != replay %v", round, a, b)
-		}
-	}
-	return nil
-}
-
-// compareHeaders cross-checks get_block_headers over the full range and a
-// random sub-range spanning the anchor boundary.
-func (h *Harness) compareHeaders() error {
-	ranges := []canister.GetBlockHeadersArgs{{}}
-	if tip := h.overlay.TipHeight(); tip > 1 {
-		start := h.rng.Int63n(tip)
-		ranges = append(ranges, canister.GetBlockHeadersArgs{
-			StartHeight: start,
-			EndHeight:   start + h.rng.Int63n(tip-start+1),
-		})
-	}
-	for _, args := range ranges {
-		h.stats.Queries++
-		a, errA := h.overlay.GetBlockHeaders(h.ctx(ic.KindQuery), args)
-		b, errB := h.replay.GetBlockHeaders(h.ctx(ic.KindQuery), args)
-		if err := sameError(errA, errB); err != nil {
-			return fmt.Errorf("get_block_headers(%+v): %w", args, err)
-		}
-		if errA != nil {
-			continue
-		}
-		if ic.ResponseDigest(a, nil) != ic.ResponseDigest(b, nil) {
-			return fmt.Errorf("get_block_headers(%+v): overlay and replay diverged", args)
+			return fmt.Errorf("get_current_fee_percentiles round %d: cached %v != uncached %v", round, a, b)
 		}
 	}
 	return nil
@@ -812,7 +782,7 @@ func (h *Harness) compareBalance(addr string, minConf int64) error {
 	h.stats.Queries++
 	args := canister.GetBalanceArgs{Address: addr, MinConfirmations: minConf}
 	a, errA := h.overlay.GetBalance(h.ctx(ic.KindQuery), args)
-	b, errB := h.replay.GetBalance(h.ctx(ic.KindQuery), args)
+	b, errB := canister.ReplayBalance(h.overlay, h.ctx(ic.KindQuery), args)
 	if err := sameError(errA, errB); err != nil {
 		return fmt.Errorf("get_balance(%s, c=%d): %w", addr, minConf, err)
 	}
@@ -838,7 +808,7 @@ func (h *Harness) compareUTXOPages(addr string, minConf int64, limit int) error 
 		resA, errA := h.overlay.GetUTXOs(h.ctx(ic.KindQuery), canister.GetUTXOsArgs{
 			Address: addr, MinConfirmations: minConf, Page: tokA, Limit: limit,
 		})
-		resB, errB := h.replay.GetUTXOs(h.ctx(ic.KindQuery), canister.GetUTXOsArgs{
+		resB, errB := canister.ReplayUTXOs(h.overlay, h.ctx(ic.KindQuery), canister.GetUTXOsArgs{
 			Address: addr, MinConfirmations: minConf, Page: tokB, Limit: limit,
 		})
 		if err := sameError(errA, errB); err != nil {

@@ -15,11 +15,12 @@ import (
 // Read-path scenario: the paper's §III-C read path replays every unstable
 // block per request, so get_utxos/get_balance cost grows linearly with δ
 // (144 on mainnet ≈ one day of blocks). This experiment builds a mainnet-
-// deep unstable chain over a skewed address workload, feeds the identical
-// blocks to two canisters — the incremental overlay read path and the
-// retained naive-replay oracle — and measures both instruction cost and
-// wall time per request as the considered depth shrinks with the
-// minConfirmations filter (depth = δ − c + 1 at the tip).
+// deep unstable chain over a skewed address workload on one canister and
+// answers every request twice — by the canister's incremental overlay read
+// path and by the retained naive-replay oracle (canister.Replay*) over the
+// same state — measuring both instruction cost and wall time per request as
+// the considered depth shrinks with the minConfirmations filter
+// (depth = δ − c + 1 at the tip).
 
 // ReadPathConfig parameterizes the scenario.
 type ReadPathConfig struct {
@@ -128,17 +129,12 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 		return pop[rng.Intn(n)]
 	}
 
-	mkCan := func(rp canister.ReadPath) *canister.BitcoinCanister {
-		c := canister.DefaultConfig(btc.Regtest)
-		c.StabilityThreshold = cfg.Delta
-		c.ReadPath = rp
-		return canister.New(c)
-	}
-	overlay := mkCan(canister.ReadPathOverlay)
-	oracle := mkCan(canister.ReadPathReplay)
+	ccfg := canister.DefaultConfig(btc.Regtest)
+	ccfg.StabilityThreshold = cfg.Delta
+	overlay := canister.New(ccfg)
 
-	// Feed identical blocks to both canisters, metering ingestion so the
-	// delta-build overhead can be reported.
+	// Feed the blocks, metering ingestion so the delta-build overhead can be
+	// reported.
 	builder := NewBlockBuilder(params, cfg.Seed)
 	now := time.Unix(1_700_000_000, 0).UTC()
 	overlayIngest := ic.NewMeter()
@@ -149,10 +145,7 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 		}
 		now = now.Add(time.Minute)
 		payload := adapter.Response{Blocks: []adapter.BlockWithHeader{{Block: block, Header: block.Header}}}
-		if err := overlay.ProcessPayload(&ic.CallContext{Meter: overlayIngest, Time: now, Kind: ic.KindUpdate}, payload); err != nil {
-			return err
-		}
-		return oracle.ProcessPayload(&ic.CallContext{Meter: ic.NewMeter(), Time: now, Kind: ic.KindUpdate}, payload)
+		return overlay.ProcessPayload(&ic.CallContext{Meter: overlayIngest, Time: now, Kind: ic.KindUpdate}, payload)
 	}
 
 	blockSpecs := func() []TxSpec {
@@ -214,7 +207,7 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 
 			m := ic.NewMeter()
 			start := time.Now()
-			if _, err := oracle.GetBalance(&ic.CallContext{Meter: m, Time: now, Kind: ic.KindQuery}, balArgs); err != nil {
+			if _, err := canister.ReplayBalance(overlay, &ic.CallContext{Meter: m, Time: now, Kind: ic.KindQuery}, balArgs); err != nil {
 				return nil, err
 			}
 			row.BalanceOracleNs += time.Since(start)
@@ -230,7 +223,7 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 
 			m = ic.NewMeter()
 			start = time.Now()
-			if _, err := oracle.GetUTXOs(&ic.CallContext{Meter: m, Time: now, Kind: ic.KindQuery}, utxoArgs); err != nil {
+			if _, err := canister.ReplayUTXOs(overlay, &ic.CallContext{Meter: m, Time: now, Kind: ic.KindQuery}, utxoArgs); err != nil {
 				return nil, err
 			}
 			row.UTXOsOracleNs += time.Since(start)

@@ -25,22 +25,27 @@ type PreparedBlock struct {
 	Err error
 }
 
-// Preparer owns the worker-local state block preparation needs — one
-// script-ID cache per worker, so workers never contend and the derivation
-// stays a pure function (identical results whichever worker runs a block).
+// Preparer owns the script-ID caches block preparation derives address
+// keys through — one per worker, so workers never contend and the
+// derivation stays a pure function (identical results whichever worker runs
+// a block).
 type Preparer struct {
 	caches []*btc.ScriptIDCache
 }
 
-// NewPreparer creates worker-local caches for a pipeline of the given
-// worker count (Config.normalized's count, i.e. at least 1).
-func NewPreparer(network btc.Network, workers int) *Preparer {
-	if workers < 1 {
-		workers = 1
+// NewPreparer sizes a preparer for a pipeline of the given worker count
+// (Config.NormalizedWorkers, i.e. at least 1). With one worker Map runs
+// produce on the calling goroutine, so the preparer derives through own —
+// the caller's long-lived cache, already warm with the scripts earlier
+// batches saw. With more, the caller's consume is using own concurrently, so
+// every worker gets a fresh cache of its own for own's network.
+func NewPreparer(own *btc.ScriptIDCache, workers int) *Preparer {
+	if workers <= 1 {
+		return &Preparer{caches: []*btc.ScriptIDCache{own}}
 	}
 	p := &Preparer{caches: make([]*btc.ScriptIDCache, workers)}
 	for i := range p.caches {
-		p.caches[i] = btc.NewScriptIDCache(network)
+		p.caches[i] = btc.NewScriptIDCache(own.Network())
 	}
 	return p
 }
