@@ -106,10 +106,11 @@ func TestApplyBlockAllocations(t *testing.T) {
 // touched scripts, doubling to its final size (about 10); per script that
 // keeps an output of the block, its sorted height group and — when the
 // bucket's group slice is full, so amortized far less than once — that
-// slice's growth; and the outpoint map's growth (a few, amortized). Nothing
-// per input and nothing per output: 396 measured here for 347 scripts, where
-// the staged fold this replaces spent 2 207 on a block of this shape (five
-// scratch maps, a regroup map, per-bucket lists grown by append).
+// slice's growth; and the outpoint table's growth (an arena chunk per 1024
+// net new entries, an index doubling far less often). Nothing per input and
+// nothing per output: 373 measured here for 347 scripts, where the staged
+// fold this replaces spent 2 207 on a block of this shape (five scratch
+// maps, a regroup map, per-bucket lists grown by append).
 func TestApplyBlockIngestAllocations(t *testing.T) {
 	d := newDeepFold(t, 160)
 	const runs = 20

@@ -397,11 +397,9 @@ func (c *BitcoinCanister) resolveOwner(node *chain.Node) utxo.OwnerResolver {
 				}
 			}
 		}
-		if u, ok := c.stable.Get(op); ok {
-			// The stable set stores each entry's derived key; no re-derive.
-			if key, ok := c.stable.AddressKeyOf(op); ok && !ownedBy(owners, key) {
-				owners = append(owners, utxo.OwnedOutput{AddressKey: key, Value: u.Value})
-			}
+		// The stable set stores each entry's derived key; no re-derive.
+		if u, key, ok := c.stable.Lookup(op); ok && !ownedBy(owners, key) {
+			owners = append(owners, utxo.OwnedOutput{AddressKey: key, Value: u.Value})
 		}
 		return owners
 	}

@@ -22,6 +22,7 @@ package ingest
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"icbtc/internal/obs"
@@ -115,10 +116,12 @@ func instrumented[T any](r *obs.Registry, window int,
 // Map runs produce(i) for every i in [0, n) on cfg.Workers goroutines with
 // at most cfg.Window items in flight, and feeds the results to consume in
 // strict index order on the calling goroutine. It returns the first
-// consume error; remaining produce calls are abandoned (workers drain and
-// exit). produce must not touch shared mutable state: every structural
-// guarantee of the pipeline (byte-identical results at any worker count)
-// rests on produce being pure and consume being the only mutator.
+// consume error: no further produce call starts, and Map waits for the ones
+// in flight, so on every return path — error or not — no produce call is
+// running and none will run. produce must not touch shared mutable state:
+// every structural guarantee of the pipeline (byte-identical results at any
+// worker count) rests on produce being pure and consume being the only
+// mutator.
 //
 // produce receives a stable worker index in [0, workers) so callers can
 // maintain worker-local caches (e.g. script-ID memos) without locking.
@@ -147,12 +150,18 @@ func Map[T any](n int, cfg Config, produce func(worker, i int) T, consume func(i
 
 	// Tickets bound the in-flight window: a worker takes one before
 	// claiming an index, the consumer returns it after consuming. quit
-	// unblocks workers waiting on a ticket after a consume error.
+	// unblocks workers waiting on a ticket after a consume error; stop also
+	// joins them, so a caller's produce never outlives the call.
 	tickets := make(chan struct{}, window)
 	for i := 0; i < window; i++ {
 		tickets <- struct{}{}
 	}
 	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	stop := func() {
+		close(quit)
+		wg.Wait()
+	}
 
 	results := make([]T, n)
 	ready := make([]chan struct{}, n)
@@ -161,12 +170,20 @@ func Map[T any](n int, cfg Config, produce func(worker, i int) T, consume func(i
 	}
 	var next atomic.Int64
 	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func(worker int) {
+			defer wg.Done()
 			for {
 				select {
 				case <-tickets:
 				case <-quit:
 					return
+				}
+				// A ticket and quit may both be ready; quit wins.
+				select {
+				case <-quit:
+					return
+				default:
 				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -183,11 +200,11 @@ func Map[T any](n int, cfg Config, produce func(worker, i int) T, consume func(i
 		var zero T
 		results[i] = zero // release the prepared item as soon as it is consumed
 		if err != nil {
-			close(quit)
+			stop()
 			return fmt.Errorf("ingest: item %d: %w", i, err)
 		}
 		tickets <- struct{}{}
 	}
-	close(quit)
+	stop()
 	return nil
 }

@@ -79,6 +79,60 @@ func TestMapConsumeError(t *testing.T) {
 	}
 }
 
+// TestMapJoinsWorkersOnConsumeError: consume fails at item k while slow
+// produce calls for later items are in flight. Map must wait for them: no
+// produce call may start or finish once Map has returned, or a caller's
+// produce would go on reading state the caller has moved on from.
+func TestMapJoinsWorkersOnConsumeError(t *testing.T) {
+	const k = 3
+	boom := errors.New("boom")
+	var started, finished, late atomic.Int64
+	var returned atomic.Bool
+	inFlight := make(chan struct{}, 64) // one send per produce call past k; n is 64
+	failed := make(chan struct{})
+	err := Map(64, Config{Workers: 4, Window: 8},
+		func(_, i int) int {
+			if returned.Load() {
+				late.Add(1)
+			}
+			started.Add(1)
+			if i > k {
+				// The slow producer: still running when consume fails, and
+				// for a while after.
+				inFlight <- struct{}{}
+				<-failed
+				time.Sleep(20 * time.Millisecond)
+			}
+			if returned.Load() {
+				late.Add(1)
+			}
+			finished.Add(1)
+			return i
+		},
+		func(i, _ int) error {
+			if i < k {
+				return nil
+			}
+			<-inFlight
+			close(failed)
+			return boom
+		})
+	returned.Store(true)
+	if !errors.Is(err, boom) {
+		t.Fatalf("got %v, want wrapped boom", err)
+	}
+	if s, f := started.Load(), finished.Load(); s != f {
+		t.Errorf("Map returned with %d produce calls still running", s-f)
+	}
+	// Let anything Map abandoned run to its end before counting.
+	for deadline := time.Now().Add(5 * time.Second); started.Load() != finished.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d produce calls started or finished after Map returned", n)
+	}
+}
+
 // TestMapWorkerLocality: the worker index passed to produce must stay
 // within [0, workers), so worker-local caches are safe.
 func TestMapWorkerLocality(t *testing.T) {

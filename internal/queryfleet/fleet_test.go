@@ -344,6 +344,10 @@ func TestFleetConcurrentQueriesAndFrames(t *testing.T) {
 	if err := r.fleet.Err(); err != nil {
 		t.Fatal(err)
 	}
+	// Join the auto-apply workers before draining by hand: ApplyPending is
+	// one caller's at a time, and a worker still holding frame n while this
+	// goroutine dequeues n+1 reads as a sequence gap.
+	r.fleet.Close()
 	if err := r.fleet.CatchUpAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -491,9 +491,9 @@ func FuzzTolerantFold(f *testing.F) {
 			}
 		}
 		checkIndexInvariants(t, fold)
-		for sc := range fold.interned {
-			if fold.interned[sc].pend != 0 {
-				t.Fatalf("script %x left with fold scratch set", sc)
+		for id := range fold.scripts {
+			if fold.scripts[id].pend != 0 {
+				t.Fatalf("script %x left with fold scratch set", fold.scripts[id].bytes)
 			}
 		}
 	})

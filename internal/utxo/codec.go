@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sort"
 
@@ -56,26 +57,26 @@ const (
 // EncodeTo appends the set's deterministic encoding to e.
 func (s *Set) EncodeTo(e *statecodec.Encoder) {
 	e.U8(uint8(s.network))
-	// Total entry count up front so decode can pre-size the outpoint map:
-	// growing a 100k-entry map incrementally re-hashes every entry several
-	// times and dominated restore time before this hint existed.
-	e.Uvarint(uint64(len(s.byOutPoint)))
+	// Total entry count up front so decode can pre-size the outpoint table
+	// and never rehash it.
+	e.Uvarint(uint64(s.Len()))
 
 	// Interned-script table, sorted by script bytes. Each script carries its
-	// memoized address key so restore never re-derives a ScriptID.
-	scripts := make([]*internedScript, 0, len(s.interned))
-	for _, sc := range s.interned {
-		scripts = append(scripts, sc)
+	// memoized address key so restore never re-derives a ScriptID. Entries
+	// name a script by its position in this table, not by its id.
+	ids := make([]uint32, 0, len(s.interned))
+	for _, id := range s.interned {
+		ids = append(ids, id)
 	}
-	sort.Slice(scripts, func(i, j int) bool {
-		return bytes.Compare(scripts[i].bytes, scripts[j].bytes) < 0
+	slices.SortFunc(ids, func(a, b uint32) int {
+		return bytes.Compare(s.scripts[a].bytes, s.scripts[b].bytes)
 	})
-	index := make(map[*internedScript]uint64, len(scripts))
-	e.Uvarint(uint64(len(scripts)))
-	for i, sc := range scripts {
-		index[sc] = uint64(i)
-		e.Bytes(sc.bytes)
-		e.String(sc.key)
+	index := make([]uint64, len(s.scripts))
+	e.Uvarint(uint64(len(ids)))
+	for i, id := range ids {
+		index[id] = uint64(i)
+		e.Bytes(s.scripts[id].bytes)
+		e.String(s.scripts[id].key)
 	}
 
 	// Address buckets, sorted by key; entries in maintained storage order
@@ -107,9 +108,9 @@ func (s *Set) EncodeTo(e *statecodec.Encoder) {
 
 // DecodeSet reads a set encoded by EncodeTo. Restore cost is linear in the
 // snapshot bytes: scripts are interned straight from the stored table (keys
-// included), bucket groups are cut from the stored order, and the outpoint
-// map, reference counts, running balances, and byte estimate are rebuilt
-// bucket by bucket as each is read.
+// included, a script's id being its stored position), bucket groups are cut
+// from the stored order, and the outpoint table, reference counts, running
+// balances, and byte estimate are rebuilt bucket by bucket as each is read.
 func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	network := btc.Network(d.U8())
 	total := d.CountFor(maxSnapshotEntries, setEntryBytes)
@@ -119,13 +120,14 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Pre-size every map from the stored counts — incremental growth would
-	// re-hash the whole table log(n) times and dominate restore.
+	// Pre-size the table and every map from the stored counts — incremental
+	// growth would re-hash the whole table log(n) times and dominate restore.
 	s := &Set{
-		network:    network,
-		byOutPoint: make(map[btc.OutPoint]entry, total),
-		byAddress:  make(map[string]*bucket, nScripts),
-		interned:   interned,
+		network:   network,
+		table:     newOutpointTable(rand.Uint64(), total),
+		byAddress: make(map[string]*bucket, nScripts),
+		scripts:   scripts,
+		interned:  interned,
 	}
 
 	nBuckets := d.CountFor(maxSnapshotEntries, lengthPrefixedMin2)
@@ -134,7 +136,7 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	// capacity-limited sub-slices, so a post-restore insert that outgrows
 	// its group reallocates that group normally.
 	arena := make([]bucketEntry, total)
-	bd := bucketDecoder{scripts: scripts}
+	bd := bucketDecoder{nScripts: nScripts}
 	decoded := 0
 	for i := 0; i < nBuckets; i++ {
 		key := d.String(maxSnapshotKeyLen)
@@ -160,7 +162,7 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	if decoded != total {
 		return nil, fmt.Errorf("utxo: snapshot declared %d entries, decoded %d", total, decoded)
 	}
-	if err := checkScriptsReferenced(scripts); err != nil {
+	if err := checkScriptsReferenced(s.scripts); err != nil {
 		return nil, err
 	}
 	return s, d.Err()
@@ -168,45 +170,44 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 
 // decodeScriptTable reads the interned-script table: each script with its
 // memoized address key, in stored order (the order entries index it by).
-func decodeScriptTable(d *statecodec.Decoder, n int) ([]*internedScript, map[string]*internedScript, error) {
-	list := make([]*internedScript, 0, n)
-	interned := make(map[string]*internedScript, n)
+func decodeScriptTable(d *statecodec.Decoder, n int) ([]internedScript, map[string]uint32, error) {
+	list := make([]internedScript, 0, n)
+	interned := make(map[string]uint32, n)
 	for i := 0; i < n; i++ {
 		raw := d.Bytes(maxSnapshotScriptLen)
 		key := d.String(maxSnapshotKeyLen)
 		if d.Err() != nil {
 			return nil, nil, d.Err()
 		}
-		sc := &internedScript{bytes: bytes.Clone(raw), key: key}
-		before := len(interned)
-		interned[string(sc.bytes)] = sc
-		if len(interned) == before {
+		if _, dup := interned[string(raw)]; dup {
 			return nil, nil, fmt.Errorf("utxo: snapshot script %d duplicated", i)
 		}
-		list = append(list, sc)
+		interned[string(raw)] = uint32(i)
+		list = append(list, internedScript{bytes: bytes.Clone(raw), key: key})
 	}
 	return list, interned, nil
 }
 
-func checkScriptsReferenced(scripts []*internedScript) error {
-	for i, sc := range scripts {
-		if sc.refs == 0 {
+func checkScriptsReferenced(scripts []internedScript) error {
+	for i := range scripts {
+		if scripts[i].refs == 0 {
 			return fmt.Errorf("utxo: snapshot script %d referenced by no entry", i)
 		}
 	}
 	return nil
 }
 
-// bucketDecoder reads bucket entries against a decoded script table. It is
-// not safe for concurrent use: groups is scratch reused from bucket to bucket.
+// bucketDecoder reads bucket entries against a script table of nScripts
+// records. It is not safe for concurrent use: groups is scratch reused from
+// bucket to bucket.
 type bucketDecoder struct {
-	scripts []*internedScript
-	groups  []heightGroup
+	nScripts int
+	groups   []heightGroup
 }
 
 // decode reads len(dst) stored entries into dst — the bucket's window of the
 // shared arena — cutting a height group at every height change and verifying
-// the storage order on the way. The outpoint map is not touched (see
+// the storage order on the way. The outpoint table is not touched (see
 // Set.indexBucket), so shard workers can decode buckets concurrently.
 func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketEntry) (*bucket, error) {
 	b := &bucket{count: len(dst)}
@@ -225,10 +226,10 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketE
 		e.op.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
 		e.value = int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
 		h := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+12:]))
-		if si >= uint64(len(bd.scripts)) {
+		if si >= uint64(bd.nScripts) {
 			return nil, fmt.Errorf("utxo: snapshot script index %d out of range", si)
 		}
-		e.script = bd.scripts[si]
+		e.script = uint32(si)
 		if j > 0 {
 			if h < height || (h == height && cmpOutPoint(&dst[j-1].op, &e.op) >= 0) {
 				return nil, fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", key, j)
@@ -248,7 +249,7 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketE
 	return b, nil
 }
 
-// indexBucket installs a decoded bucket: its entries join the outpoint map,
+// indexBucket installs a decoded bucket: its entries join the outpoint table,
 // with the reference counts and the byte estimate they imply. An empty
 // stored bucket is read and dropped, as the set never holds one.
 func (s *Set) indexBucket(key string, b *bucket) error {
@@ -256,13 +257,11 @@ func (s *Set) indexBucket(key string, b *bucket) error {
 		g := &b.groups[gi]
 		for i := range g.entries {
 			e := &g.entries[i]
-			before := len(s.byOutPoint)
-			s.byOutPoint[e.op] = entry{value: e.value, height: g.height, script: e.script}
-			if len(s.byOutPoint) == before {
+			te, fresh := s.table.put(&e.op)
+			if !fresh {
 				return fmt.Errorf("utxo: snapshot outpoint %s duplicated", e.op)
 			}
-			e.script.refs++
-			s.approxBytes += int64(perUTXOOverhead + len(e.script.bytes))
+			s.enter(te, e.value, g.height, e.script)
 		}
 	}
 	if b.count > 0 {
@@ -294,7 +293,7 @@ type shardResult struct {
 // goroutines: a cheap scan pass records the script-table and bucket byte
 // windows, the script table and bucket shards decode concurrently, and a
 // sequential merge — running as shards complete, in deterministic shard
-// order — rebuilds the outpoint map, reference counts, and byte estimate.
+// order — rebuilds the outpoint table, reference counts, and byte estimate.
 // The format is unchanged (same bytes DecodeSet reads) and the resulting
 // set is identical to DecodeSet's; with workers <= 1 it IS DecodeSet.
 //
@@ -326,8 +325,8 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 
 	// Decode the script table concurrently with the bucket scan below.
 	type scriptTable struct {
-		list     []*internedScript
-		interned map[string]*internedScript
+		list     []internedScript
+		interned map[string]uint32
 		err      error
 	}
 	scriptCh := make(chan scriptTable, 1)
@@ -402,10 +401,11 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 	}
 
 	s := &Set{
-		network:    network,
-		byOutPoint: make(map[btc.OutPoint]entry, total),
-		byAddress:  make(map[string]*bucket, nScripts),
-		interned:   st.interned,
+		network:   network,
+		table:     newOutpointTable(rand.Uint64(), total),
+		byAddress: make(map[string]*bucket, nScripts),
+		scripts:   st.list,
+		interned:  st.interned,
 	}
 	// One arena backs every bucket's entries, as in the serial decoder;
 	// shards fill disjoint windows.
@@ -416,7 +416,7 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 		results[si] = make(chan shardResult, 1)
 		go func(part []bucketSpan, out chan<- shardResult) {
 			res := shardResult{buckets: make([]*bucket, 0, len(part))}
-			bd := bucketDecoder{scripts: st.list}
+			bd := bucketDecoder{nScripts: nScripts}
 			for _, sp := range part {
 				w, err := d.Window(sp.start, sp.end)
 				if err != nil {
@@ -434,7 +434,7 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 		}(shards[si], results[si])
 	}
 
-	// Merge shards in order as they complete: the outpoint map, reference
+	// Merge shards in order as they complete: the outpoint table, reference
 	// counts, and byte estimate are sequential state, so this loop is the
 	// only writer. A failed shard still drains the others before returning.
 	var firstErr error
@@ -455,7 +455,7 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if err := checkScriptsReferenced(st.list); err != nil {
+	if err := checkScriptsReferenced(s.scripts); err != nil {
 		return nil, err
 	}
 	return s, d.Err()

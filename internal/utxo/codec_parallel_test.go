@@ -106,3 +106,30 @@ func TestDecodeSetParallelRejectsCorruption(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeSetParallelDiff holds the sharded decoder to the serial one on
+// mutated snapshots: the fuzzer mutates the payload, which is re-framed so
+// the checksum passes and the decoders' own structural checks do the
+// judging. Both must reject, or both accept and re-encode to the same bytes.
+func FuzzDecodeSetParallelDiff(f *testing.F) {
+	payloadOf := func(snap []byte) []byte { return snap[len(codecTestMagic)+2 : len(snap)-4] }
+	f.Add(payloadOf(encodeSet(New(btc.Regtest))))
+	f.Add(payloadOf(encodeSet(buildRandomSet(3, 40))))
+	f.Add(payloadOf(encodeSet(buildRandomSet(9, 300))))
+	f.Add(payloadOf(duplicateOutpointSnapshot()))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, len(payload))
+		e.Raw(payload)
+		snap := e.Finish()
+		serial, errSerial := decodeSetParallel(t, snap, 1)
+		for _, workers := range []int{2, 5} {
+			parallel, errParallel := decodeSetParallel(t, snap, workers)
+			if (errSerial == nil) != (errParallel == nil) {
+				t.Fatalf("workers=%d: accept/reject divergence: serial=%v parallel=%v", workers, errSerial, errParallel)
+			}
+			if errSerial == nil && !bytes.Equal(encodeSet(serial), encodeSet(parallel)) {
+				t.Fatalf("workers=%d: both accept, re-encodings differ", workers)
+			}
+		}
+	})
+}

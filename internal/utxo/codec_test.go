@@ -101,16 +101,14 @@ func assertSetsEqual(t *testing.T, want, got *Set) {
 		}
 	}
 	want.ForEach(func(u UTXO) bool {
-		g, ok := got.Get(u.OutPoint)
+		g, gk, ok := got.Lookup(u.OutPoint)
 		if !ok {
 			t.Fatalf("outpoint %s missing after decode", u.OutPoint)
 		}
 		if g.Value != u.Value || g.Height != u.Height || !bytes.Equal(g.PkScript, u.PkScript) {
 			t.Fatalf("outpoint %s: got %+v, want %+v", u.OutPoint, g, u)
 		}
-		wk, _ := want.AddressKeyOf(u.OutPoint)
-		gk, _ := got.AddressKeyOf(u.OutPoint)
-		if wk != gk {
+		if _, wk, _ := want.Lookup(u.OutPoint); wk != gk {
 			t.Fatalf("outpoint %s: key %q, want %q", u.OutPoint, gk, wk)
 		}
 		return true
@@ -174,7 +172,7 @@ func TestSetDecodeUsesStoredKeys(t *testing.T) {
 	if got := s.Balance(storedKey); got != 777 {
 		t.Fatalf("balance under stored key = %d, want 777", got)
 	}
-	if key, _ := s.AddressKeyOf(op); key != storedKey {
+	if _, key, _ := s.Lookup(op); key != storedKey {
 		t.Fatalf("entry key = %q, want the stored key", key)
 	}
 	if got := s.Balance(btc.ScriptID(script, btc.Regtest)); got != 0 {
@@ -212,6 +210,82 @@ func TestSetDecodeRejectsMisorderedBucket(t *testing.T) {
 	}
 	if _, err := DecodeSet(d); err == nil {
 		t.Fatal("decode accepted a misordered bucket")
+	}
+}
+
+// TestSetDecodeRejectsDuplicateOutpoint: one outpoint stored under two
+// addresses passes every per-bucket check; only the outpoint table sees it.
+func TestSetDecodeRejectsDuplicateOutpoint(t *testing.T) {
+	snap := duplicateOutpointSnapshot()
+	var dup btc.OutPoint
+	dup.TxID[0] = 9
+	want := fmt.Sprintf("utxo: snapshot outpoint %s duplicated", dup)
+	for _, workers := range []int{1, 3} {
+		d, err := statecodec.NewDecoder(snap, codecTestMagic, codecTestVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSetParallel(d, workers); err == nil || err.Error() != want {
+			t.Fatalf("workers=%d: got %v, want %q", workers, err, want)
+		}
+	}
+}
+
+// duplicateOutpointSnapshot encodes two single-entry buckets holding the
+// same outpoint.
+func duplicateOutpointSnapshot() []byte {
+	scripts := [][]byte{btc.PayToPubKeyHashScript([20]byte{1}), btc.PayToPubKeyHashScript([20]byte{2})}
+	if bytes.Compare(scripts[0], scripts[1]) > 0 {
+		scripts[0], scripts[1] = scripts[1], scripts[0]
+	}
+	e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
+	e.U8(uint8(btc.Regtest))
+	e.Uvarint(2) // total entries
+	e.Uvarint(2)
+	for _, script := range scripts {
+		e.Bytes(script)
+		e.String(btc.ScriptID(script, btc.Regtest))
+	}
+	e.Uvarint(2)
+	for i, script := range scripts {
+		e.String(btc.ScriptID(script, btc.Regtest))
+		e.Uvarint(1)
+		var op btc.OutPoint
+		op.TxID[0] = 9
+		e.Raw(op.TxID[:])
+		e.U32(op.Vout)
+		e.I64(1000)
+		e.I64(10)
+		e.Uvarint(uint64(i))
+	}
+	return e.Finish()
+}
+
+// TestSetDecodePresizesTable: the stored entry count sizes the outpoint
+// table before the first entry goes in, so a restore never rehashes — the
+// index it ends with is the one it was given, at no more than half load.
+func TestSetDecodePresizesTable(t *testing.T) {
+	s := buildRandomSet(11, 9000)
+	snap := encodeSet(s)
+	n := s.Len()
+	for _, workers := range []int{1, 4} {
+		got, err := decodeSetParallel(t, snap, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != n {
+			t.Fatalf("workers=%d: decoded %d entries, want %d", workers, got.Len(), n)
+		}
+		if slots := len(got.table.index); slots != indexSlotsFor(n) || slots < 2*n {
+			t.Fatalf("workers=%d: %d entries ended in an index of %d slots, presized to %d", workers, n, slots, indexSlotsFor(n))
+		}
+		if chunks := (n + chunkSize - 1) / chunkSize; len(got.table.chunks) != chunks || cap(got.table.chunks) != chunks {
+			t.Fatalf("workers=%d: arena holds %d chunks (cap %d), want %d", workers, len(got.table.chunks), cap(got.table.chunks), chunks)
+		}
+	}
+	// The set it was built from grew its index from the minimum.
+	if len(s.table.index) <= minIndexSlots {
+		t.Fatal("source set never grew its index; the test does not cover presizing")
 	}
 }
 

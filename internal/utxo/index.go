@@ -12,8 +12,11 @@ import (
 // Ordered address index. Each address bucket is a height-ascending slice of
 // per-height groups; a group holds the bucket's UTXOs created at one height
 // in canonical txid/vout order, and a group that empties is dropped. The
-// height lives once in the group and the script is a pointer to the interned
-// copy, so an entry is 56 bytes.
+// height lives once in the group and the script is the 4-byte id of the
+// interned copy (Set.scripts), so an entry is 48 bytes and holds no pointer:
+// a group's entries are memory the collector never scans. Entries are stored
+// inline, not as references into the outpoint table's arena, so a page walk
+// reads a group front to back without a second lookup.
 //
 //   - A fold appends: heights ascend block over block, so a block's outputs
 //     for an address become one new group at the end of its bucket, handed
@@ -29,11 +32,12 @@ import (
 // A running count and balance make AddressUTXOCount and the stable part of
 // get_balance O(1).
 
-// bucketEntry is one UTXO inside a height group.
+// bucketEntry is one UTXO inside a height group; script is the id of its
+// interned script (see Set.scripts).
 type bucketEntry struct {
 	op     btc.OutPoint
+	script uint32
 	value  int64
-	script *internedScript
 }
 
 // heightGroup holds one bucket's entries of one height, sorted by
@@ -149,6 +153,8 @@ func (b *bucket) remove(op *btc.OutPoint, height int64) bool {
 // (height-descending) order: groups from the highest down, each group
 // forward. The zero value is an exhausted iterator.
 type AddressIter struct {
+	// set resolves an entry's script id.
+	set *Set
 	// cur is what is left of the group being emitted, at height; below are
 	// the groups still to come, the highest last.
 	cur    []bucketEntry
@@ -179,7 +185,7 @@ func (it *AddressIter) settle(suppress map[btc.OutPoint]bool) bool {
 // head materializes the entry a successful settle left the stream on.
 func (it *AddressIter) head() UTXO {
 	e := &it.cur[0]
-	return UTXO{OutPoint: e.op, Value: e.value, PkScript: e.script.bytes, Height: it.height}
+	return UTXO{OutPoint: e.op, Value: e.value, PkScript: it.set.scripts[e.script].bytes, Height: it.height}
 }
 
 // headBefore reports whether that entry strictly precedes u in canonical
@@ -208,7 +214,7 @@ func (s *Set) AddressIter(addressKey string) AddressIter {
 	if b == nil {
 		return AddressIter{}
 	}
-	return AddressIter{below: b.groups}
+	return AddressIter{set: s, below: b.groups}
 }
 
 // addressIterAfter returns an iterator resuming strictly after the cursor
@@ -223,14 +229,14 @@ func (s *Set) addressIterAfter(addressKey string, c pageCursor) AddressIter {
 	if !ok {
 		// The cursor's height group is gone: what remains is the gi groups
 		// below it.
-		return AddressIter{below: b.groups[:gi]}
+		return AddressIter{set: s, below: b.groups[:gi]}
 	}
 	entries := b.groups[gi].entries
 	q, found := searchEntries(entries, &c.op)
 	if found {
 		q++
 	}
-	return AddressIter{cur: entries[q:], height: c.height, below: b.groups[:gi]}
+	return AddressIter{set: s, cur: entries[q:], height: c.height, below: b.groups[:gi]}
 }
 
 // AddressUTXOCount returns how many stable UTXOs an address holds.

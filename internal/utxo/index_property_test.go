@@ -61,10 +61,15 @@ func (o *mapOracle) forAddress(key string) []UTXO {
 // checkIndexInvariants verifies the bucket layout itself, which the
 // observable checks cannot see: group heights strictly ascending, no group
 // left empty, entries in canonical txid/vout order, count and balance equal
-// to what the groups hold, and no bucket kept once it is drained.
+// to what the groups hold, and no bucket kept once it is drained. It then
+// holds the outpoint table and the script records to the buckets: every
+// bucket entry is in the table with the same value, height and script id and
+// nothing else is, a script's reference count is the number of entries that
+// name its id, and an id on the free list is a cleared record no entry names.
 func checkIndexInvariants(t *testing.T, set *Set) {
 	t.Helper()
 	total := 0
+	refs := make([]int32, len(set.scripts))
 	for key, b := range set.byAddress {
 		count, balance := 0, int64(0)
 		for gi, g := range b.groups {
@@ -78,9 +83,13 @@ func checkIndexInvariants(t *testing.T, set *Set) {
 				if i > 0 && cmpOutPoint(&g.entries[i-1].op, &e.op) >= 0 {
 					t.Fatalf("bucket %s height %d: entries out of order at %d", key, g.height, i)
 				}
-				if e.script.key != key {
-					t.Fatalf("bucket %s holds an entry of %s", key, e.script.key)
+				if k := set.scripts[e.script].key; k != key {
+					t.Fatalf("bucket %s holds an entry of %s", key, k)
 				}
+				if te := set.table.get(&e.op); te == nil || te.bucketEntry != e || te.height != g.height {
+					t.Fatalf("bucket %s height %d: entry %+v is %+v in the table", key, g.height, e, te)
+				}
+				refs[e.script]++
 				count++
 				balance += e.value
 			}
@@ -94,7 +103,33 @@ func checkIndexInvariants(t *testing.T, set *Set) {
 		total += count
 	}
 	if total != set.Len() {
-		t.Fatalf("buckets hold %d entries, outpoint map %d", total, set.Len())
+		t.Fatalf("buckets hold %d entries, outpoint table %d", total, set.Len())
+	}
+	free := make(map[uint32]bool, len(set.freeScripts))
+	for _, id := range set.freeScripts {
+		if free[id] {
+			t.Fatalf("script id %d is on the free list twice", id)
+		}
+		free[id] = true
+	}
+	for id := range set.scripts {
+		sc := &set.scripts[id]
+		if sc.refs != refs[id] {
+			t.Fatalf("script id %d counts %d references, %d entries name it", id, sc.refs, refs[id])
+		}
+		switch got, ok := set.interned[string(sc.bytes)]; {
+		case free[uint32(id)]:
+			if sc.refs != 0 || sc.bytes != nil || sc.key != "" {
+				t.Fatalf("freed script id %d still holds %+v", id, *sc)
+			}
+		case sc.refs == 0:
+			t.Fatalf("script id %d has no references and is not on the free list", id)
+		case !ok || got != uint32(id):
+			t.Fatalf("script id %d is interned as %d (%v)", id, got, ok)
+		}
+	}
+	if len(set.interned)+len(set.freeScripts) != len(set.scripts) {
+		t.Fatalf("%d interned + %d free script ids, %d records", len(set.interned), len(set.freeScripts), len(set.scripts))
 	}
 }
 

@@ -8,7 +8,23 @@
 // stream pages in O(log n + page) and balances are O(1) running totals. On
 // the write path locking scripts are interned — each distinct script is
 // address-decoded/hashed once and its bytes stored once — and every entry
-// remembers its derived address key, so Remove never recomputes a ScriptID.
+// names its script by a dense id, so Remove never recomputes a ScriptID.
+//
+// An outpoint is found through one open-addressed table, not a Go map
+// (table.go has the layout and why it is two-level). What the rest of the
+// package relies on:
+//
+//   - A lookup is a pure read — it probes and writes nothing — so replicas
+//     serve Get, Lookup and the page walks under a read lock.
+//   - Slot placement comes from a hash seeded per Set; nothing observable
+//     (snapshot bytes, page order, ForEach order) depends on the seed.
+//   - A script id indexes Set.scripts. An id is recycled once its reference
+//     count reaches zero, so nothing may hold an id across the release of
+//     its last entry.
+//   - The table's index words, its arena chunks and every height group's
+//     entries hold no pointer: the collector skips them. Pointers remain
+//     only in the script records, the two string-keyed maps and the group
+//     headers.
 //
 // The set supports applying and unapplying whole blocks (the latter is used
 // by the simulated Bitcoin nodes during reorgs; the canister itself never
@@ -20,6 +36,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 
 	"icbtc/internal/btc"
 )
@@ -40,30 +57,25 @@ type UTXO struct {
 type internedScript struct {
 	bytes []byte
 	key   string
-	refs  int
+	refs  int32
 	// pend is scratch of the block apply in progress: the script's most
 	// recent pending insert (see blockMerge), 0 between applies.
 	pend int32
 }
 
-// entry is the stored form; script carries both the script bytes and the
-// derived address key, so spends never re-derive either.
-type entry struct {
-	value  int64
-	height int64
-	script *internedScript
-}
-
 // Set is an address-indexed UTXO set. The zero value is not usable; use New.
 type Set struct {
 	network btc.Network
-	// byOutPoint is the authoritative map of unspent outputs.
-	byOutPoint map[btc.OutPoint]entry
+	// table is the authoritative store of unspent outputs.
+	table outpointTable
 	// byAddress indexes ordered buckets by the ScriptID of their locking
 	// script (see index.go).
 	byAddress map[string]*bucket
-	// interned deduplicates locking scripts, keyed by the script bytes.
-	interned map[string]*internedScript
+	// scripts holds the interned scripts by id, the zero record at an id in
+	// freeScripts; interned finds a script's id by its bytes.
+	scripts     []internedScript
+	freeScripts []uint32
+	interned    map[string]uint32
 	// approxBytes tracks an estimate of resident memory, reported by Fig 5.
 	approxBytes int64
 }
@@ -71,15 +83,15 @@ type Set struct {
 // New creates an empty UTXO set for a network.
 func New(network btc.Network) *Set {
 	return &Set{
-		network:    network,
-		byOutPoint: make(map[btc.OutPoint]entry),
-		byAddress:  make(map[string]*bucket),
-		interned:   make(map[string]*internedScript),
+		network:   network,
+		table:     newOutpointTable(rand.Uint64(), 0),
+		byAddress: make(map[string]*bucket),
+		interned:  make(map[string]uint32),
 	}
 }
 
 // Len returns the number of unspent outputs.
-func (s *Set) Len() int { return len(s.byOutPoint) }
+func (s *Set) Len() int { return s.table.n }
 
 // ApproxBytes returns an estimate of the set's resident size in bytes
 // (outpoint + entry overhead + script bytes), used by the Fig 5 experiment.
@@ -95,23 +107,35 @@ func (s *Set) Network() btc.Network { return s.network }
 // script itself.
 const perUTXOOverhead = 580
 
-// intern returns the single stored copy of script, creating it (one copy,
-// one ScriptID derivation) on first sight.
-func (s *Set) intern(script []byte) *internedScript {
-	if sc, ok := s.interned[string(script)]; ok {
-		return sc
+// intern returns the id of the single stored copy of script, creating it
+// (one copy, one ScriptID derivation) on first sight.
+func (s *Set) intern(script []byte) uint32 {
+	if id, ok := s.interned[string(script)]; ok {
+		return id
 	}
-	sc := &internedScript{bytes: bytes.Clone(script), key: btc.ScriptID(script, s.network)}
-	s.interned[string(sc.bytes)] = sc
-	return sc
+	sc := internedScript{bytes: bytes.Clone(script), key: btc.ScriptID(script, s.network)}
+	var id uint32
+	if n := len(s.freeScripts); n > 0 {
+		id, s.freeScripts = s.freeScripts[n-1], s.freeScripts[:n-1]
+		s.scripts[id] = sc
+	} else {
+		id = uint32(len(s.scripts))
+		s.scripts = append(s.scripts, sc)
+	}
+	s.interned[string(sc.bytes)] = id
+	return id
 }
 
-// release drops one reference to an interned script, un-interning it when
-// the last UTXO carrying it is spent so the table cannot grow unboundedly.
-func (s *Set) release(sc *internedScript) {
+// release drops one reference to an interned script. When the last UTXO
+// carrying it is spent the script is un-interned and its id freed for reuse,
+// so neither the map nor the record slice can grow unboundedly.
+func (s *Set) release(id uint32) {
+	sc := &s.scripts[id]
 	sc.refs--
 	if sc.refs == 0 {
 		delete(s.interned, string(sc.bytes))
+		*sc = internedScript{}
+		s.freeScripts = append(s.freeScripts, id)
 	}
 }
 
@@ -131,15 +155,22 @@ func (s *Set) InternedScripts() int { return len(s.interned) }
 // Add inserts an unspent output. Adding a duplicate outpoint is an error
 // (it would indicate a consensus bug upstream).
 func (s *Set) Add(op btc.OutPoint, out btc.TxOut, height int64) error {
-	if _, dup := s.byOutPoint[op]; dup {
+	e, fresh := s.table.put(&op)
+	if !fresh {
 		return fmt.Errorf("utxo: duplicate outpoint %s", op)
 	}
-	sc := s.intern(out.PkScript)
-	sc.refs++
-	s.byOutPoint[op] = entry{value: out.Value, height: height, script: sc}
-	s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
-	s.bucketFor(sc.key).insertGroup(height, []bucketEntry{{op: op, value: out.Value, script: sc}})
+	s.enter(e, out.Value, height, s.intern(out.PkScript))
+	s.bucketFor(s.scripts[e.script].key).insertGroup(height, []bucketEntry{e.bucketEntry})
 	return nil
+}
+
+// enter fills the entry table.put just created and counts it against its
+// script and the byte estimate; its bucket entry is the caller's to insert.
+func (s *Set) enter(e *tableEntry, value, height int64, script uint32) {
+	e.value, e.height, e.script = value, height, script
+	sc := &s.scripts[script]
+	sc.refs++
+	s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
 }
 
 // bucketFor returns the address's bucket, creating it when absent.
@@ -158,62 +189,56 @@ var ErrMissingOutput = errors.New("utxo: output not in set")
 // Remove spends an output, returning the removed UTXO so callers can build
 // undo data. The stored address key is reused — no script decoding.
 func (s *Set) Remove(op btc.OutPoint) (UTXO, error) {
-	e, ok := s.take(op)
+	e, ok := s.table.take(&op)
 	if !ok {
 		return UTXO{}, fmt.Errorf("%w: %s", ErrMissingOutput, op)
 	}
-	s.unbucket(&op, e)
-	return UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height}, nil
+	u := s.utxoOf(&e)
+	s.forget(&e)
+	return u, nil
 }
 
-// take deletes op from the outpoint map and gives up its script reference
-// and byte estimate; its bucket entry is the caller's to remove.
-func (s *Set) take(op btc.OutPoint) (entry, bool) {
-	e, ok := s.byOutPoint[op]
-	if !ok {
-		return entry{}, false
+// utxoOf materializes a stored entry.
+func (s *Set) utxoOf(e *tableEntry) UTXO {
+	return UTXO{OutPoint: e.op, Value: e.value, PkScript: s.scripts[e.script].bytes, Height: e.height}
+}
+
+// forget gives up what an entry taken from the table still holds: its byte
+// estimate, its bucket entry — a bucket it drains is dropped, so the bucket's
+// storage is released — and, last, because the bucket is found through the
+// script's key, its script reference. It reports false when the bucket held
+// no such entry — an output of the block being applied, whose bucket merge
+// is still pending (see blockMerge).
+func (s *Set) forget(e *tableEntry) bool {
+	sc := &s.scripts[e.script]
+	s.approxBytes -= int64(perUTXOOverhead + len(sc.bytes))
+	b := s.byAddress[sc.key]
+	found := b != nil && b.remove(&e.op, e.height)
+	if found && b.count == 0 {
+		delete(s.byAddress, sc.key)
 	}
-	delete(s.byOutPoint, op)
-	s.approxBytes -= int64(perUTXOOverhead + len(e.script.bytes))
 	s.release(e.script)
-	return e, true
-}
-
-// unbucket removes a taken entry from its address bucket, dropping a bucket
-// it drains so the bucket's storage is released. It reports false when the
-// bucket holds no such entry — an output of the block being applied, whose
-// bucket merge is still pending (see blockMerge).
-func (s *Set) unbucket(op *btc.OutPoint, e entry) bool {
-	b := s.byAddress[e.script.key]
-	if b == nil || !b.remove(op, e.height) {
-		return false
-	}
-	if b.count == 0 {
-		delete(s.byAddress, e.script.key)
-	}
-	return true
+	return found
 }
 
 // Get returns the UTXO for an outpoint if present.
 func (s *Set) Get(op btc.OutPoint) (UTXO, bool) {
-	e, ok := s.byOutPoint[op]
-	if !ok {
-		return UTXO{}, false
-	}
-	return UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height}, true
+	u, _, ok := s.Lookup(op)
+	return u, ok
 }
 
-// AddressKeyOf returns the memoized address key of an unspent outpoint.
-func (s *Set) AddressKeyOf(op btc.OutPoint) (string, bool) {
-	e, ok := s.byOutPoint[op]
-	if !ok {
-		return "", false
+// Lookup returns the UTXO for an outpoint together with its memoized address
+// key, in one probe.
+func (s *Set) Lookup(op btc.OutPoint) (UTXO, string, bool) {
+	e := s.table.get(&op)
+	if e == nil {
+		return UTXO{}, "", false
 	}
-	return e.script.key, true
+	return s.utxoOf(e), s.scripts[e.script].key, true
 }
 
 // pendingInsert is one output a block apply has entered into the outpoint
-// map (script interned and referenced, bytes counted) but not yet into its
+// table (script interned and referenced, bytes counted) but not yet into its
 // address bucket.
 type pendingInsert struct {
 	entry bucketEntry
@@ -225,15 +250,16 @@ type pendingInsert struct {
 }
 
 // blockMerge defers a block's bucket inserts to one ordered merge per
-// script: outputs go into the outpoint map at once — so later inputs and
+// script: outputs go into the outpoint table at once — so later inputs and
 // duplicate checks see them — and are chained per interned script through
 // internedScript.pend; flush then hands every touched bucket its entries as
-// one sorted height group.
+// one sorted height group. A script whose outputs the block all spends again
+// gives up its id with the chain; whatever reuses the id starts a new one.
 type blockMerge struct {
 	s       *Set
 	height  int64
 	pending []pendingInsert
-	touched []*internedScript
+	touched []uint32
 	// byOp finds a pending insert by outpoint. Only an in-block spend needs
 	// it, so it is built at the block's first one and kept up from there.
 	byOp map[btc.OutPoint]int32
@@ -243,19 +269,17 @@ func (s *Set) newBlockMerge(height int64, outputs int) blockMerge {
 	return blockMerge{s: s, height: height, pending: make([]pendingInsert, 0, outputs)}
 }
 
-// insert enters an output whose outpoint the set does not hold.
-func (m *blockMerge) insert(op btc.OutPoint, value int64, sc *internedScript) {
-	s := m.s
-	sc.refs++
-	s.byOutPoint[op] = entry{value: value, height: m.height, script: sc}
-	s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
+// insert enters an output under the entry table.put just created for it.
+func (m *blockMerge) insert(e *tableEntry, value int64, script uint32) {
+	m.s.enter(e, value, m.height, script)
+	sc := &m.s.scripts[script]
 	if sc.pend == 0 {
-		m.touched = append(m.touched, sc)
+		m.touched = append(m.touched, script)
 	}
-	m.pending = append(m.pending, pendingInsert{entry: bucketEntry{op: op, value: value, script: sc}, prev: sc.pend})
+	m.pending = append(m.pending, pendingInsert{entry: e.bucketEntry, prev: sc.pend})
 	sc.pend = int32(len(m.pending))
 	if m.byOp != nil {
-		m.byOp[op] = sc.pend
+		m.byOp[e.op] = sc.pend
 	}
 }
 
@@ -263,11 +287,11 @@ func (m *blockMerge) insert(op btc.OutPoint, value int64, sc *internedScript) {
 // its bucket, or still pending when an earlier transaction of the block
 // created it. It reports false when the set does not hold op.
 func (m *blockMerge) spend(op btc.OutPoint) bool {
-	e, ok := m.s.take(op)
+	e, ok := m.s.table.take(&op)
 	if !ok {
 		return false
 	}
-	if m.s.unbucket(&op, e) {
+	if m.s.forget(&e) {
 		return true
 	}
 	if m.byOp == nil {
@@ -285,7 +309,8 @@ func (m *blockMerge) spend(op btc.OutPoint) bool {
 
 // flush merges the surviving pending inserts into their buckets.
 func (m *blockMerge) flush() {
-	for _, sc := range m.touched {
+	for _, id := range m.touched {
+		sc := &m.s.scripts[id]
 		head := sc.pend
 		sc.pend = 0
 		n := 0
@@ -360,7 +385,8 @@ func (s *Set) ApplyBlock(block *btc.Block, height int64) (*BlockUndo, ApplyStats
 	m := s.newBlockMerge(height, len(st.liveIdx))
 	for i := range st.inserts {
 		if ins := &st.inserts[i]; ins.live {
-			m.insert(ins.op, ins.out.Value, s.intern(ins.out.PkScript))
+			e, _ := s.table.put(&ins.op)
+			m.insert(e, ins.out.Value, s.intern(ins.out.PkScript))
 			undo.Created = append(undo.Created, ins.op)
 		}
 	}
@@ -397,7 +423,7 @@ type IngestStats struct {
 // counted and skipped rather than failing the block ("the canister trusts
 // proof of work, not transaction validity"). It is one pass in block order
 // straight against the set — each input removed, each output inserted, the
-// outpoint map probed once per entry — so the final state is that of a
+// outpoint table probed once per entry — so the final state is that of a
 // per-entry Remove/Add loop that ignores individual errors, and an output's
 // metering class is simply whether its script is interned when the pass
 // reaches it. Only the bucket inserts wait, for one ordered merge per
@@ -423,21 +449,22 @@ func (s *Set) ApplyBlockIngest(block *btc.Block, height int64) IngestStats {
 		op := btc.OutPoint{TxID: txids[ti]}
 		for vout := range tx.Outputs {
 			out := &tx.Outputs[vout]
-			sc, interned := s.interned[string(out.PkScript)]
+			script, interned := s.interned[string(out.PkScript)]
 			if interned {
 				st.OutputsInterned++
 			} else {
 				st.OutputsFresh++
 			}
 			op.Vout = uint32(vout)
-			if _, dup := s.byOutPoint[op]; dup {
+			e, fresh := s.table.put(&op)
+			if !fresh {
 				st.Errors++
 				continue
 			}
 			if !interned {
-				sc = s.intern(out.PkScript)
+				script = s.intern(out.PkScript)
 			}
-			m.insert(op, out.Value, sc)
+			m.insert(e, out.Value, script)
 		}
 	}
 	m.flush()
@@ -500,9 +527,9 @@ func (s *Set) stageBlock(block *btc.Block) (*blockStage, error) {
 					st.removed++
 					continue
 				}
-				if e, ok := s.byOutPoint[op]; ok && !st.removedSet[op] {
+				if e := s.table.get(&op); e != nil && !st.removedSet[op] {
 					st.removedSet[op] = true
-					st.spentBase = append(st.spentBase, UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height})
+					st.spentBase = append(st.spentBase, s.utxoOf(e))
 					st.removed++
 					continue
 				}
@@ -513,7 +540,7 @@ func (s *Set) stageBlock(block *btc.Block) (*blockStage, error) {
 		for vout := range tx.Outputs {
 			op := btc.OutPoint{TxID: txid, Vout: uint32(vout)}
 			out := tx.Outputs[vout]
-			_, inBase := s.byOutPoint[op]
+			inBase := s.table.get(&op) != nil
 			_, inStaged := st.liveIdx[op]
 			if (inBase && !st.removedSet[op]) || inStaged {
 				return nil, fmt.Errorf("utxo: duplicate outpoint %s", op)
@@ -580,9 +607,5 @@ func (s *Set) AddressCount() int { return len(s.byAddress) }
 // ForEach visits every UTXO in unspecified order; visit returning false
 // stops the walk.
 func (s *Set) ForEach(visit func(UTXO) bool) {
-	for op, e := range s.byOutPoint {
-		if !visit(UTXO{OutPoint: op, Value: e.value, PkScript: e.script.bytes, Height: e.height}) {
-			return
-		}
-	}
+	s.table.each(func(e *tableEntry) bool { return visit(s.utxoOf(e)) })
 }

@@ -59,6 +59,51 @@ func TestAddRemoveBalance(t *testing.T) {
 	}
 }
 
+// TestScriptIDRecycling: the id of a script whose last output is spent goes
+// to the next new script, with nothing of the old one left behind, and a
+// snapshot taken in between — which names scripts by sorted position, not by
+// id — restores the same set.
+func TestScriptIDRecycling(t *testing.T) {
+	s := New(btc.Regtest)
+	keyA, scriptA := addrKey(1)
+	keyB, scriptB := addrKey(2)
+	keyC, scriptC := addrKey(3)
+	mustAdd(t, s, op(1, 0), 100, scriptA, 5)
+	mustAdd(t, s, op(1, 1), 200, scriptA, 6)
+	mustAdd(t, s, op(2, 0), 300, scriptB, 6)
+	idA := s.interned[string(scriptA)]
+	if u, err := s.Remove(op(1, 0)); err != nil || string(u.PkScript) != string(scriptA) {
+		t.Fatalf("Remove = %+v, %v", u, err)
+	}
+	checkIndexInvariants(t, s)
+	if len(s.freeScripts) != 0 {
+		t.Fatal("script id freed while an output still carries the script")
+	}
+	// The removed UTXO keeps its script bytes after the record is cleared.
+	u, err := s.Remove(op(1, 1))
+	if err != nil || string(u.PkScript) != string(scriptA) || u.Value != 200 || u.Height != 6 {
+		t.Fatalf("Remove = %+v, %v", u, err)
+	}
+	checkIndexInvariants(t, s)
+	if len(s.freeScripts) != 1 || s.freeScripts[0] != idA || s.ScriptInterned(scriptA) || s.Balance(keyA) != 0 {
+		t.Fatalf("script A not released: free list %v", s.freeScripts)
+	}
+	assertSetsEqual(t, s, decodeSet(t, encodeSet(s)))
+
+	mustAdd(t, s, op(3, 0), 400, scriptC, 7)
+	checkIndexInvariants(t, s)
+	if got := s.interned[string(scriptC)]; got != idA || len(s.scripts) != 2 {
+		t.Fatalf("script C got id %d of %d records, want the freed id %d", got, len(s.scripts), idA)
+	}
+	if u, key, ok := s.Lookup(op(3, 0)); !ok || key != keyC || string(u.PkScript) != string(scriptC) {
+		t.Fatalf("Lookup under the recycled id = %+v, %q, %v", u, key, ok)
+	}
+	if u, key, ok := s.Lookup(op(2, 0)); !ok || key != keyB || string(u.PkScript) != string(scriptB) {
+		t.Fatalf("Lookup beside the recycled id = %+v, %q, %v", u, key, ok)
+	}
+	assertSetsEqual(t, s, decodeSet(t, encodeSet(s)))
+}
+
 func TestApproxBytesTracksContents(t *testing.T) {
 	s := New(btc.Regtest)
 	_, script := addrKey(2)
