@@ -8,6 +8,7 @@ import (
 	"icbtc/internal/canister"
 	"icbtc/internal/experiments"
 	"icbtc/internal/ic"
+	"icbtc/internal/statecodec"
 	"icbtc/internal/utxo"
 )
 
@@ -163,5 +164,90 @@ func TestBalanceAllocations(t *testing.T) {
 	})
 	if avg > 4 {
 		t.Fatalf("get_balance allocates %.1f times per request, budget is 4", avg)
+	}
+}
+
+// TestBlockDeltaAllocations pins the flat delta on the fold's own workload (a
+// 1001-output, 333-spend block over the Fig 7 population, spends resolved
+// against a deep set). Building allocates the columns, the key map and the
+// passes' scratch — nothing per output, per spend or per key: 25 measured
+// where the three-map delta spent 1 174. Decoding appends into the columns
+// from a capacity hint and copies scripts into a few chunks, so what grows with
+// the block is one string per distinct key: 386 for 367 keys, where the
+// map-based decoder spent 2 159 (a list per key, a slice per script).
+func TestBlockDeltaAllocations(t *testing.T) {
+	d := newDeepFold(t, 40)
+	block := d.next(t)
+	ids := btc.NewScriptIDCache(btc.Regtest)
+	keys := make(map[string]bool)
+	resolve := func(op btc.OutPoint, buf []utxo.OwnedOutput) []utxo.OwnedOutput {
+		if u, key, ok := d.set.Lookup(op); ok {
+			keys[key] = true
+			buf = append(buf, utxo.OwnedOutput{AddressKey: key, Value: u.Value})
+		}
+		return buf
+	}
+	var delta *utxo.BlockDelta
+	build := testing.AllocsPerRun(20, func() {
+		delta = utxo.BuildBlockDelta(block, d.height+1, ids, resolve)
+	})
+	if build > 64 {
+		t.Errorf("building a 1001-output delta allocates %.0f times, budget is 64", build)
+	}
+
+	for _, tx := range block.Transactions {
+		for _, out := range tx.Outputs {
+			keys[ids.ID(out.PkScript)] = true
+		}
+	}
+	e := statecodec.NewEncoder("alloc-test\n", 1, 0)
+	utxo.EncodeBlockDelta(e, delta)
+	wire := e.Finish()
+	decode := testing.AllocsPerRun(20, func() {
+		dec, err := statecodec.NewDecoder(wire, "alloc-test\n", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := utxo.DecodeBlockDelta(dec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("build %.0f allocations, decode %.0f for %d keys", build, decode, len(keys))
+	if budget := float64(len(keys) + 32); decode > budget {
+		t.Fatalf("decoding a delta of %d keys allocates %.0f times, budget is %.0f", len(keys), decode, budget)
+	}
+}
+
+// TestBlockDeltaAllocationsIndependentOfOutputs: at a fixed key count a
+// delta's allocation count does not follow its output count. Blocks of 501
+// and 2 001 outputs over the same 200 keys build in the same number of
+// allocations, give or take the few tables the key map starts with — its size
+// hint is the transaction count.
+func TestBlockDeltaAllocationsIndependentOfOutputs(t *testing.T) {
+	scripts := make([][]byte, 200)
+	for i := range scripts {
+		scripts[i] = btc.PayToPubKeyHashScript([20]byte{byte(i), byte(i >> 8), 0x17})
+	}
+	ids := btc.NewScriptIDCache(btc.Regtest)
+	noOwner := func(op btc.OutPoint, buf []utxo.OwnedOutput) []utxo.OwnedOutput { return buf }
+	allocs := func(txs int) float64 {
+		block := &btc.Block{Transactions: []*btc.Transaction{{Version: 2,
+			Inputs:  []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff}}},
+			Outputs: []btc.TxOut{{Value: 50, PkScript: scripts[0]}}}}}
+		for i := 0; i < txs; i++ {
+			block.Transactions = append(block.Transactions, &btc.Transaction{Version: 2, LockTime: uint32(i),
+				Inputs: []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.Hash{0xee}, Vout: uint32(i)}}},
+				Outputs: []btc.TxOut{
+					{Value: 600, PkScript: scripts[2*i%len(scripts)]},
+					{Value: 700, PkScript: scripts[(2*i+1)%len(scripts)]},
+				}})
+		}
+		block.TxIDs()
+		return testing.AllocsPerRun(20, func() { utxo.BuildBlockDelta(block, 7, ids, noOwner) })
+	}
+	small, large := allocs(250), allocs(1000)
+	t.Logf("%.0f allocations for 501 outputs, %.0f for 2001", small, large)
+	if large > small+4 {
+		t.Fatalf("a 2001-output delta allocates %.0f times, a 501-output one over the same 200 keys %.0f", large, small)
 	}
 }

@@ -382,16 +382,22 @@ func (c *BitcoinCanister) acceptBlock(ctx *ic.CallContext, bw adapter.BlockWithH
 // competing branch) yields no owners — the spend is a no-op for every view,
 // exactly as the naive replay's unconditional delete would be.
 func (c *BitcoinCanister) resolveOwner(node *chain.Node) utxo.OwnerResolver {
+	// The ancestors' deltas are the same for every spend of the block.
+	ancestors := make([]*utxo.BlockDelta, 0, 8)
+	for anc := node.Parent(); anc != nil; anc = anc.Parent() {
+		if d, _ := anc.Aux().(*utxo.BlockDelta); d != nil {
+			ancestors = append(ancestors, d)
+		}
+	}
 	return func(op btc.OutPoint, owners []utxo.OwnedOutput) []utxo.OwnedOutput {
-		// Keys are deduplicated by comparing against the owners found so far:
-		// there are at most a couple, and a per-spend set would cost an
-		// allocation for each input of the block.
-		for anc := node.Parent(); anc != nil; anc = anc.Parent() {
-			d, _ := anc.Aux().(*utxo.BlockDelta)
-			if d == nil {
-				continue
-			}
-			if u, ok := d.CreatedOutput(op); ok {
+		// The outpoint is hashed once — every delta indexes under one seed —
+		// and an ancestor that did not create it costs one word load. Keys are
+		// deduplicated by comparing against the owners found so far: there are
+		// at most a couple, and a per-spend set would cost an allocation for
+		// each input of the block.
+		tag := utxo.TagOutPoint(&op)
+		for _, d := range ancestors {
+			if u := d.CreatedTagged(&op, tag); u != nil {
 				if key := c.scriptIDs.ID(u.PkScript); !ownedBy(owners, key) {
 					owners = append(owners, utxo.OwnedOutput{AddressKey: key, Value: u.Value})
 				}

@@ -165,7 +165,7 @@ func EncodeFrame(f *Frame) []byte {
 
 // DecodeFrame parses a frame produced by EncodeFrame. The returned frame
 // shares nothing with the producer's state: blocks arrive as wire bytes
-// (parsed by the consumer) and deltas are decoded into fresh maps.
+// (parsed by the consumer) and deltas are decoded into columns of their own.
 func DecodeFrame(data []byte) (*Frame, error) {
 	d, err := statecodec.NewDecoder(data, frameMagic, FrameVersion)
 	if err != nil {

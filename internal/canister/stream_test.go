@@ -2,9 +2,12 @@ package canister
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"icbtc/internal/btc"
 	"icbtc/internal/ic"
+	"icbtc/internal/statecodec"
 )
 
 // collectFrames installs a sink that wire-encodes every frame (asserting
@@ -156,5 +159,86 @@ func TestStreamNoSinkNoOverhead(t *testing.T) {
 	r.feedChain()
 	if len(r.can.events) != 0 {
 		t.Fatalf("events buffered without a sink: %d", len(r.can.events))
+	}
+}
+
+// frameWithDelta hand-writes a one-event frame around delta, the bytes of the
+// attached block's delta after its height — what no encoder does but anyone
+// able to compute a CRC can.
+func frameWithDelta(delta func(e *statecodec.Encoder)) []byte {
+	e := statecodec.NewEncoder(frameMagic, FrameVersion, 0)
+	e.U64(1)     // seq
+	e.I64(1)     // tip
+	e.I64(0)     // anchor
+	e.U8(0)      // health state
+	e.I64(0)     // health height
+	e.Uvarint(0) // pending blocks
+	e.Uvarint(0) // peers
+	e.Uvarint(1) // events
+	e.U8(uint8(EventBlockAttached))
+	encodeHeader(e, &btc.BlockHeader{})
+	e.Bytes([]byte{0})
+	e.I64(1) // delta height
+	delta(e)
+	return e.Finish()
+}
+
+// deltaCreation writes one created entry of a hand-built delta, up to its
+// script.
+func deltaCreation(e *statecodec.Encoder, txid0 byte) {
+	e.Raw(append([]byte{txid0}, make([]byte, btc.HashSize-1)...))
+	e.U32(0)
+	e.I64(5)
+}
+
+// TestDecodeFrameRejectsNonCanonicalDelta: a checksum-valid frame whose delta
+// lists its address keys out of order decoded, and re-encoded sorted — other
+// bytes than were accepted, which no fuzzer mutating a real frame reaches
+// through the CRC. The frame decoder must refuse what no encoder writes.
+func TestDecodeFrameRejectsNonCanonicalDelta(t *testing.T) {
+	frame := func(keys ...string) []byte {
+		return frameWithDelta(func(e *statecodec.Encoder) {
+			e.Uvarint(uint64(len(keys)))
+			for i, key := range keys {
+				e.String(key)
+				e.Uvarint(1)
+				deltaCreation(e, byte(i))
+				e.Bytes([]byte{0x51})
+			}
+			e.Uvarint(0) // spent lists
+		})
+	}
+	canonical := frame("aaa", "zzz")
+	fr, err := DecodeFrame(canonical)
+	if err != nil {
+		t.Fatalf("hand-built canonical frame: %v", err)
+	}
+	if !bytes.Equal(EncodeFrame(fr), canonical) {
+		t.Fatal("hand-built canonical frame re-encodes differently")
+	}
+	_, err = DecodeFrame(frame("zzz", "aaa"))
+	if err == nil || !strings.Contains(err.Error(), `created key "aaa" out of order`) {
+		t.Fatalf("frame with descending delta keys: %v", err)
+	}
+}
+
+// TestDecodeFrameMalformedDeltaEntryAfterValidOnes: a frame is untrusted
+// input, and nothing between DecodeFrame and a replica's worker recovers from
+// a panic. A delta list that goes wrong at its sixth entry, after five the
+// decoder has already taken, must come back as statecodec's error.
+func TestDecodeFrameMalformedDeltaEntryAfterValidOnes(t *testing.T) {
+	_, err := DecodeFrame(frameWithDelta(func(e *statecodec.Encoder) {
+		e.Uvarint(1) // one created list
+		e.String("aaa")
+		e.Uvarint(6)
+		for i := byte(1); i <= 5; i++ {
+			deltaCreation(e, i)
+			e.Bytes([]byte{0x51})
+		}
+		deltaCreation(e, 6)
+		e.Uvarint(70000) // a script length over the limit
+	}))
+	if err == nil || !strings.Contains(err.Error(), "statecodec: count 70000 exceeds limit 65536") {
+		t.Fatalf("frame with an oversized script in its delta's sixth entry: %v", err)
 	}
 }

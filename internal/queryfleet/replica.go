@@ -61,6 +61,11 @@ type Replica struct {
 	staleMu   sync.Mutex
 	staleEnvs map[string]ic.RoutedQuery
 
+	// applyMu makes ApplyPending one caller's at a time, dequeue through
+	// apply, so dequeue order is apply order. It is the outermost lock: taken
+	// with no fleet or replica lock held, and a resync takes the fleet's
+	// authMu → feedMu under it.
+	applyMu sync.Mutex
 	// inbox holds encoded frames not yet applied, in stream order.
 	inboxMu sync.Mutex
 	inbox   []pendingFrame
@@ -198,7 +203,14 @@ func (r *Replica) TipHeight() int64 { return r.tip.Load() }
 // Config.AutoResync the re-hydration happens right here: the replica jumps
 // to a fresh authority snapshot, the damaged backlog is discarded, and
 // serving resumes without operator action.
+//
+// Callers are serialized per replica: a second one waits for the first to
+// finish its batches instead of dequeuing frame n+1 while frame n is still in
+// flight — which it would read as a sequence gap, quarantining a healthy
+// replica (Fleet.CatchUpAll beside live auto-apply workers did).
 func (r *Replica) ApplyPending(max int) (int, error) {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	applied := 0
 	for max < 0 || applied < max {
 		if r.needsResync.Load() && r.fleet.cfg.AutoResync {
@@ -318,7 +330,7 @@ func (r *Replica) ApplyPending(max int) (int, error) {
 
 // resync re-hydrates this replica through the fleet (authMu → feedMu → a
 // fresh snapshot), clearing the broken and needsResync flags. Called with no
-// replica locks held.
+// replica lock but applyMu held.
 func (r *Replica) resync(cause string) error {
 	r.needsResync.Store(false)
 	if err := r.fleet.resyncReplica(r.index); err != nil {

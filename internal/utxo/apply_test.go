@@ -447,36 +447,48 @@ func foldProgram(data []byte) (blocks []*btc.Block, heights []int64) {
 	return blocks, heights
 }
 
+// foldTx writes one foldOpTx in a program's bytes: its input sources, then a
+// (script, value) pair per output.
+func foldTx(sources []byte, outs ...byte) []byte {
+	p := append([]byte{foldOpTx, byte(len(sources) - 1)}, sources...)
+	return append(append(p, byte(len(outs)/2-1)), outs...)
+}
+
+// foldSeeds is the seed corpus of the fuzz targets that run foldProgram's
+// blocks: one program per way a block can name an outpoint twice.
+func foldSeeds() [][]byte {
+	tx := foldTx
+	seq := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	end := []byte{foldOpEndBlock}
+	return [][]byte{
+		// In-block spend chain: each transaction spends the one before it.
+		seq(tx([]byte{foldSourceMissing}, 1, 10, 2, 20), tx([]byte{0}, 1, 30), tx([]byte{2}, 3, 40), end),
+		// A transaction duplicated inside a block: its second copy's outputs
+		// are duplicates.
+		seq(tx([]byte{foldSourceMissing}, 1, 10, 1, 11), []byte{foldOpRepeat, 1}, end),
+		// Spend-then-recreate of one outpoint, with its only script
+		// un-interned in between: create, spend, repeat the creator.
+		seq(tx([]byte{foldSourceMissing}, 3, 10), tx([]byte{0}, 1, 5), []byte{foldOpRepeat, 1}, end),
+		// The same across blocks: the creator folded, then spent and replayed.
+		seq(tx([]byte{foldSourceMissing}, 3, 10, 3, 11), end, tx([]byte{0}, 1, 5), []byte{foldOpReplay, 1}, end),
+		// Missing inputs, one of them spent twice.
+		seq(tx([]byte{foldSourceMissing, foldSourceMissing, foldSourceMissing}, 2, 9), end),
+		// An output whose outpoint already sits in the set: a stable
+		// transaction replayed in a later block.
+		seq(tx([]byte{foldSourceMissing}, 1, 10, 2, 20), end, []byte{foldOpReplay, 1}, end),
+		// Two folds at one height, the second spending into and adding to the
+		// first one's height groups.
+		seq(tx([]byte{foldSourceMissing}, 1, 10, 1, 11, 1, 12), []byte{foldOpSameBlock}, tx([]byte{1}, 1, 13, 1, 14), end),
+	}
+}
+
 // FuzzTolerantFold is the differential net under the single-pass fold: any
 // program of blocks must leave the set and the metering stats exactly as the
 // per-entry ingestNaive loop does, block after block.
 func FuzzTolerantFold(f *testing.F) {
-	// tx(nIn-1, sources..., nOut-1, (script, value)...) in the program's bytes.
-	tx := func(sources []byte, outs ...byte) []byte {
-		p := append([]byte{foldOpTx, byte(len(sources) - 1)}, sources...)
-		return append(append(p, byte(len(outs)/2-1)), outs...)
+	for _, seed := range foldSeeds() {
+		f.Add(seed)
 	}
-	seq := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	end := []byte{foldOpEndBlock}
-	// In-block spend chain: each transaction spends the one before it.
-	f.Add(seq(tx([]byte{foldSourceMissing}, 1, 10, 2, 20), tx([]byte{0}, 1, 30), tx([]byte{2}, 3, 40), end))
-	// A transaction duplicated inside a block: its second copy's outputs are
-	// duplicates.
-	f.Add(seq(tx([]byte{foldSourceMissing}, 1, 10, 1, 11), []byte{foldOpRepeat, 1}, end))
-	// Spend-then-recreate of one outpoint, with its only script un-interned
-	// in between: create, spend, repeat the creator.
-	f.Add(seq(tx([]byte{foldSourceMissing}, 3, 10), tx([]byte{0}, 1, 5), []byte{foldOpRepeat, 1}, end))
-	// The same across blocks: the creator folded, then spent and replayed.
-	f.Add(seq(tx([]byte{foldSourceMissing}, 3, 10, 3, 11), end, tx([]byte{0}, 1, 5), []byte{foldOpReplay, 1}, end))
-	// Missing inputs, one of them spent twice.
-	f.Add(seq(tx([]byte{foldSourceMissing, foldSourceMissing, foldSourceMissing}, 2, 9), end))
-	// An output whose outpoint already sits in the set: a stable transaction
-	// replayed in a later block.
-	f.Add(seq(tx([]byte{foldSourceMissing}, 1, 10, 2, 20), end, []byte{foldOpReplay, 1}, end))
-	// Two folds at one height, the second spending into and adding to the
-	// first one's height groups.
-	f.Add(seq(tx([]byte{foldSourceMissing}, 1, 10, 1, 11, 1, 12), []byte{foldOpSameBlock}, tx([]byte{1}, 1, 13, 1, 14), end))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blocks, heights := foldProgram(data)
 		fold, naive := New(btc.Regtest), New(btc.Regtest)

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sort"
+	"strings"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/statecodec"
@@ -32,7 +33,8 @@ import (
 // framing bug or version skew, not silent corruption. Ordering invariants
 // are still verified during decode — the check is a linear comparison pass,
 // not a sort — because a restored set with a misordered bucket would serve
-// wrong pages long after the restore.
+// wrong pages long after the restore, and a delta whose keys are out of order
+// would re-encode to other bytes than were accepted.
 
 // Decode guards: upper bounds on element counts and lengths so a hostile
 // length prefix cannot drive allocation (fast-sync restores a snapshot
@@ -462,113 +464,206 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 }
 
 // EncodeBlockDelta appends a block delta's deterministic encoding: created
-// outputs per address (sorted by key, lists in block order) followed by
+// outputs per address (keys ascending, lists in block order) followed by
 // spent outpoints per address. Created outputs all sit at the delta's own
 // height, so only the outpoint, value, and script are stored per entry; the
-// outpoint index and entry counts are rebuilt on decode.
+// groups, the key ids and the outpoint index are rebuilt on decode. A delta
+// keeps its groups in first-appearance order, so the canonical key order is
+// made here; DecodeBlockDelta checks it.
 func EncodeBlockDelta(e *statecodec.Encoder, bd *BlockDelta) {
 	e.I64(bd.height)
 
-	created := make([]string, 0, len(bd.createdByAddr))
-	for k := range bd.createdByAddr {
-		created = append(created, k)
+	order := make([]uint32, len(bd.groups))
+	nCreated, nSpent := 0, 0
+	for i := range bd.groups {
+		order[i] = uint32(i)
+		g := &bd.groups[i]
+		if g.cLo < g.cHi {
+			nCreated++
+		}
+		if g.sLo < g.sHi {
+			nSpent++
+		}
 	}
-	sort.Strings(created)
-	e.Uvarint(uint64(len(created)))
-	for _, k := range created {
-		list := bd.createdByAddr[k]
-		e.String(k)
+	slices.SortFunc(order, func(a, b uint32) int {
+		return strings.Compare(bd.groups[a].key, bd.groups[b].key)
+	})
+
+	e.Uvarint(uint64(nCreated))
+	for _, id := range order {
+		g := &bd.groups[id]
+		if g.cLo == g.cHi {
+			continue
+		}
+		list := bd.created[g.cLo:g.cHi]
+		e.String(g.key)
 		e.Uvarint(uint64(len(list)))
 		for i := range list {
-			e.Raw(list[i].OutPoint.TxID[:])
-			e.U32(list[i].OutPoint.Vout)
-			e.I64(list[i].Value)
-			e.Bytes(list[i].PkScript)
+			u := &list[i]
+			e.Raw(u.OutPoint.TxID[:])
+			e.U32(u.OutPoint.Vout)
+			e.I64(u.Value)
+			e.Bytes(u.PkScript)
 		}
 	}
 
-	spent := make([]string, 0, len(bd.spentByAddr))
-	for k := range bd.spentByAddr {
-		spent = append(spent, k)
-	}
-	sort.Strings(spent)
-	e.Uvarint(uint64(len(spent)))
-	for _, k := range spent {
-		list := bd.spentByAddr[k]
-		e.String(k)
+	e.Uvarint(uint64(nSpent))
+	for _, id := range order {
+		g := &bd.groups[id]
+		if g.sLo == g.sHi {
+			continue
+		}
+		list := bd.spent[g.sLo:g.sHi]
+		e.String(g.key)
 		e.Uvarint(uint64(len(list)))
 		for i := range list {
-			e.Raw(list[i].OutPoint.TxID[:])
-			e.U32(list[i].OutPoint.Vout)
-			e.I64(list[i].Value)
+			sp := &list[i]
+			e.Raw(sp.OutPoint.TxID[:])
+			e.U32(sp.OutPoint.Vout)
+			e.I64(sp.Value)
 		}
 	}
 }
 
-// DecodeBlockDelta reads a delta encoded by EncodeBlockDelta, rebuilding
-// the by-outpoint index and the entry count without re-deriving any address
-// key (keys were stored alongside the lists).
-func DecodeBlockDelta(d *statecodec.Decoder) (*BlockDelta, error) {
-	bd := &BlockDelta{
-		height:        d.I64(),
-		createdByAddr: make(map[string][]UTXO),
-		spentByAddr:   make(map[string][]SpentOutPoint),
-		createdByOp:   make(map[btc.OutPoint]UTXO),
+// checkDeltaList rejects the list headers no encoder writes: a section's keys
+// ascend strictly — an equal key would merge two lists, a descending one
+// would re-encode elsewhere — and a key that is listed has entries.
+func checkDeltaList(section string, i int, prev, key []byte, n int) error {
+	if i > 0 {
+		switch c := bytes.Compare(key, prev); {
+		case c == 0:
+			return fmt.Errorf("utxo: delta snapshot %s key %q duplicated", section, key)
+		case c < 0:
+			return fmt.Errorf("utxo: delta snapshot %s key %q out of order", section, key)
+		}
 	}
+	if n == 0 {
+		return fmt.Errorf("utxo: delta snapshot %s key %q has no entries", section, key)
+	}
+	return nil
+}
+
+// listsHint is how many lists of a section to make room for: the declared
+// count, or as many lists of one entry as the bytes left could hold if that is
+// fewer. Only capacity hangs on it — the columns are filled by append — so a
+// hostile count buys no allocation and a low one costs a reallocation.
+func listsHint(d *statecodec.Decoder, declared, entryBytes int) int {
+	return min(declared, d.Remaining()/(lengthPrefixedMin2+entryBytes))
+}
+
+// scriptArena copies a delta's scripts into chunks of its own, so a decoded
+// delta neither pins the bytes it was decoded from nor allocates per script. A
+// chunk that cannot take the next script is left as it is — the scripts cut
+// from it keep it alive — and a new one started, twice the size up to
+// scriptChunkMax: a one-transaction delta holds a kilobyte, a full block's a
+// handful of chunks, and no script is ever moved. An empty script gets a place
+// like any other: a decoded script is never nil.
+type scriptArena []byte
+
+const (
+	scriptChunkMin = 1 << 10
+	scriptChunkMax = 1 << 16
+)
+
+func (a *scriptArena) add(raw []byte) []byte {
+	if *a == nil || len(raw) > cap(*a)-len(*a) {
+		*a = make([]byte, 0, max(len(raw), min(max(2*cap(*a), scriptChunkMin), scriptChunkMax)))
+	}
+	lo := len(*a)
+	*a = append(*a, raw...)
+	return (*a)[lo:len(*a):len(*a)]
+}
+
+// DecodeBlockDelta reads a delta encoded by EncodeBlockDelta straight into
+// its columns, in one pass and by appending: a declared count gives a capacity
+// at most, scripts are copied into a chunked arena, and no address key is
+// re-derived (keys were stored alongside the lists). The stored order does the
+// checking a map did: keys must ascend strictly within a section, and the
+// outpoint index — built over the created column once the section is in, at
+// the size the column turned out to have — reports an outpoint it already
+// holds as a duplicate. Both sections being sorted, a spent key finds its
+// created group by merge, and the key map is filled once, at its final size.
+func DecodeBlockDelta(d *statecodec.Decoder) (*BlockDelta, error) {
+	bd := &BlockDelta{height: d.I64()}
 
 	nCreated := d.CountFor(maxSnapshotEntries, lengthPrefixedMin2)
+	hint := listsHint(d, nCreated, deltaCreatedBytes)
+	bd.groups = make([]addrGroup, 0, hint)
+	bd.created = make([]UTXO, 0, hint)
+	var scripts scriptArena
+	var prev []byte
 	for i := 0; i < nCreated; i++ {
-		key := d.String(maxSnapshotKeyLen)
+		key := d.Bytes(maxSnapshotKeyLen)
 		n := d.CountFor(maxSnapshotEntries, deltaCreatedBytes)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		if _, dup := bd.createdByAddr[key]; dup {
-			return nil, fmt.Errorf("utxo: delta snapshot created key %q duplicated", key)
+		if err := checkDeltaList("created", i, prev, key, n); err != nil {
+			return nil, err
 		}
-		list := make([]UTXO, 0, n)
+		prev = key
+		lo := uint32(len(bd.created))
 		for j := 0; j < n; j++ {
-			var op btc.OutPoint
-			copy(op.TxID[:], d.Raw(btc.HashSize))
-			op.Vout = d.U32()
-			value := d.I64()
+			u := UTXO{Height: bd.height}
+			copy(u.OutPoint.TxID[:], d.Raw(btc.HashSize))
+			u.OutPoint.Vout = d.U32()
+			u.Value = d.I64()
 			raw := d.Bytes(maxSnapshotScriptLen)
 			if d.Err() != nil {
 				return nil, d.Err()
 			}
-			script := make([]byte, len(raw))
-			copy(script, raw)
-			u := UTXO{OutPoint: op, Value: value, PkScript: script, Height: bd.height}
-			list = append(list, u)
-			if _, dup := bd.createdByOp[op]; dup {
-				return nil, fmt.Errorf("utxo: delta snapshot created outpoint %s duplicated", op)
-			}
-			bd.createdByOp[op] = u
+			u.PkScript = scripts.add(raw)
+			bd.created = append(bd.created, u)
 		}
-		bd.createdByAddr[key] = list
-		bd.entries += len(list)
+		bd.groups = append(bd.groups, addrGroup{key: string(key), cLo: lo, cHi: uint32(len(bd.created))})
+	}
+	bd.index = newCreatedIndex(len(bd.created))
+	for pos := range bd.created {
+		op := &bd.created[pos].OutPoint
+		tag := outpointTag(deltaSeed, op)
+		slot, dup := bd.index.find(bd.created, op, tag)
+		if dup >= 0 {
+			return nil, fmt.Errorf("utxo: delta snapshot created outpoint %s duplicated", *op)
+		}
+		bd.index.put(slot, tag, pos)
 	}
 
 	nSpent := d.CountFor(maxSnapshotEntries, lengthPrefixedMin2)
+	bd.spent = make([]SpentOutPoint, 0, listsHint(d, nSpent, deltaSpentBytes))
+	// Groups [c, nCreated) are the created keys this section has yet to reach.
+	c := 0
 	for i := 0; i < nSpent; i++ {
-		key := d.String(maxSnapshotKeyLen)
+		key := d.Bytes(maxSnapshotKeyLen)
 		n := d.CountFor(maxSnapshotEntries, deltaSpentBytes)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		if _, dup := bd.spentByAddr[key]; dup {
-			return nil, fmt.Errorf("utxo: delta snapshot spent key %q duplicated", key)
+		if err := checkDeltaList("spent", i, prev, key, n); err != nil {
+			return nil, err
 		}
-		list := make([]SpentOutPoint, 0, n)
+		prev = key
+		for c < nCreated && bd.groups[c].key < string(key) {
+			c++
+		}
+		id := c
+		if c == nCreated || bd.groups[c].key != string(key) {
+			id = len(bd.groups)
+			bd.groups = append(bd.groups, addrGroup{key: string(key)})
+		}
+		lo := uint32(len(bd.spent))
 		for j := 0; j < n; j++ {
 			var sp SpentOutPoint
 			copy(sp.OutPoint.TxID[:], d.Raw(btc.HashSize))
 			sp.OutPoint.Vout = d.U32()
 			sp.Value = d.I64()
-			list = append(list, sp)
+			bd.spent = append(bd.spent, sp)
 		}
-		bd.spentByAddr[key] = list
-		bd.entries += len(list)
+		bd.groups[id].sLo, bd.groups[id].sHi = lo, uint32(len(bd.spent))
+	}
+
+	bd.ids = make(map[string]uint32, len(bd.groups))
+	for i := range bd.groups {
+		bd.ids[bd.groups[i].key] = uint32(i)
 	}
 	return bd, d.Err()
 }

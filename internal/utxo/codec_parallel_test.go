@@ -112,7 +112,6 @@ func TestDecodeSetParallelRejectsCorruption(t *testing.T) {
 // the checksum passes and the decoders' own structural checks do the
 // judging. Both must reject, or both accept and re-encode to the same bytes.
 func FuzzDecodeSetParallelDiff(f *testing.F) {
-	payloadOf := func(snap []byte) []byte { return snap[len(codecTestMagic)+2 : len(snap)-4] }
 	f.Add(payloadOf(encodeSet(New(btc.Regtest))))
 	f.Add(payloadOf(encodeSet(buildRandomSet(3, 40))))
 	f.Add(payloadOf(encodeSet(buildRandomSet(9, 300))))

@@ -313,7 +313,7 @@ func TestSetDecodeRejectsBadScriptIndex(t *testing.T) {
 
 // deltaTestBlock builds a block with in-block nets, external spends, and
 // repeated scripts, plus the resolver the canister would supply.
-func deltaTestBlock(t *testing.T) (*btc.Block, OwnerResolver, map[btc.OutPoint]OwnedOutput) {
+func deltaTestBlock(t testing.TB) (*btc.Block, OwnerResolver, map[btc.OutPoint]OwnedOutput) {
 	t.Helper()
 	scriptA := btc.PayToPubKeyHashScript([20]byte{0xaa})
 	scriptB := btc.PayToPubKeyHashScript([20]byte{0xbb})
@@ -352,10 +352,7 @@ func TestBlockDeltaCodecRoundTrip(t *testing.T) {
 	block, resolve, _ := deltaTestBlock(t)
 	delta := BuildBlockDelta(block, 42, btc.NewScriptIDCache(btc.Regtest), resolve)
 
-	e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
-	EncodeBlockDelta(e, delta)
-	snap := e.Finish()
-
+	snap := encodeDelta(delta)
 	d, err := statecodec.NewDecoder(snap, codecTestMagic, codecTestVersion)
 	if err != nil {
 		t.Fatal(err)
@@ -368,34 +365,25 @@ func TestBlockDeltaCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if restored.Height() != delta.Height() || restored.Entries() != delta.Entries() ||
-		restored.Addresses() != delta.Addresses() {
-		t.Fatalf("delta scalars diverged: got (%d,%d,%d), want (%d,%d,%d)",
-			restored.Height(), restored.Entries(), restored.Addresses(),
-			delta.Height(), delta.Entries(), delta.Addresses())
+	if restored.Height() != delta.Height() {
+		t.Fatalf("delta height diverged: got %d, want %d", restored.Height(), delta.Height())
 	}
-	for key := range delta.createdByAddr {
-		w, g := delta.CreatedFor(key), restored.CreatedFor(key)
-		if fmt.Sprint(w) != fmt.Sprint(g) {
-			t.Fatalf("CreatedFor(%s): got %v, want %v", key, g, w)
+	for _, grp := range delta.groups {
+		if w, g := delta.CreatedFor(grp.key), restored.CreatedFor(grp.key); fmt.Sprint(w) != fmt.Sprint(g) {
+			t.Fatalf("CreatedFor(%s): got %v, want %v", grp.key, g, w)
+		}
+		if w, g := delta.SpentFor(grp.key), restored.SpentFor(grp.key); fmt.Sprint(w) != fmt.Sprint(g) {
+			t.Fatalf("SpentFor(%s): got %v, want %v", grp.key, g, w)
 		}
 	}
-	for key := range delta.spentByAddr {
-		w, g := delta.SpentFor(key), restored.SpentFor(key)
-		if fmt.Sprint(w) != fmt.Sprint(g) {
-			t.Fatalf("SpentFor(%s): got %v, want %v", key, g, w)
-		}
-	}
-	for op := range delta.createdByOp {
-		if _, ok := restored.CreatedOutput(op); !ok {
-			t.Fatalf("CreatedOutput(%s) missing after decode", op)
+	for _, u := range delta.created {
+		if _, ok := restored.CreatedOutput(u.OutPoint); !ok {
+			t.Fatalf("CreatedOutput(%s) missing after decode", u.OutPoint)
 		}
 	}
 
 	// Re-encoding the restored delta reproduces the bytes.
-	e2 := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
-	EncodeBlockDelta(e2, restored)
-	if !bytes.Equal(snap, e2.Finish()) {
+	if !bytes.Equal(snap, encodeDelta(restored)) {
 		t.Fatal("re-encoding a restored delta changed bytes")
 	}
 }
@@ -476,7 +464,194 @@ func TestBlockDeltaDecodeRejectsDuplicateKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBlockDelta(d); err == nil {
-		t.Fatal("decode accepted a delta with a duplicated address key")
+	if _, err := DecodeBlockDelta(d); err == nil || err.Error() != `utxo: delta snapshot spent key "dup-key" duplicated` {
+		t.Fatalf("decode of a delta with a duplicated address key returned %v", err)
 	}
+}
+
+// deltaList is one hand-written list of a delta section.
+type deltaList struct {
+	key string
+	ops []byte // one entry per byte: the first byte of its txid
+}
+
+// craftedDelta writes a delta's bytes by hand, lists in the order given —
+// what no encoder does but anyone able to compute a CRC can.
+func craftedDelta(e *statecodec.Encoder, created, spent []deltaList) {
+	e.I64(9) // height
+	for s, section := range [][]deltaList{created, spent} {
+		e.Uvarint(uint64(len(section)))
+		for _, l := range section {
+			e.String(l.key)
+			e.Uvarint(uint64(len(l.ops)))
+			for _, b := range l.ops {
+				e.Raw(append([]byte{b}, make([]byte, btc.HashSize-1)...))
+				e.U32(0)
+				e.I64(5)
+				if s == 0 {
+					e.Bytes([]byte{0x51})
+				}
+			}
+		}
+	}
+}
+
+// TestBlockDeltaDecodeRejectsNonCanonicalLists: beyond a repeated spent key
+// (above), a crafted delta must fail loudly when it repeats a created key,
+// writes keys out of order or lists a key with no entries — the flat delta re-encodes either to other bytes, so
+// accepting them would vouch for bytes no encoder wrote — and when it names
+// one created outpoint twice. Every rejection keeps its text.
+func TestBlockDeltaDecodeRejectsNonCanonicalLists(t *testing.T) {
+	cases := []struct {
+		name           string
+		created, spent []deltaList
+		want           string
+	}{
+		{"canonical", []deltaList{{"aaa", []byte{1}}, {"zzz", []byte{2}}}, []deltaList{{"aaa", []byte{3}}, {"mmm", []byte{4, 4}}}, ""},
+		{"created key repeated", []deltaList{{"dup-key", []byte{1}}, {"dup-key", []byte{2}}}, nil,
+			`utxo: delta snapshot created key "dup-key" duplicated`},
+		{"created keys descending", []deltaList{{"zzz", []byte{1}}, {"aaa", []byte{2}}}, nil,
+			`utxo: delta snapshot created key "aaa" out of order`},
+		{"spent keys descending", []deltaList{{"aaa", []byte{1}}}, []deltaList{{"zzz", []byte{1}}, {"aaa", []byte{2}}},
+			`utxo: delta snapshot spent key "aaa" out of order`},
+		{"created list empty", []deltaList{{"aaa", nil}}, nil,
+			`utxo: delta snapshot created key "aaa" has no entries`},
+		{"spent list empty", nil, []deltaList{{"aaa", nil}},
+			`utxo: delta snapshot spent key "aaa" has no entries`},
+		{"created outpoint repeated", []deltaList{{"aaa", []byte{1}}, {"bbb", []byte{1}}}, nil,
+			"utxo: delta snapshot created outpoint " + (btc.OutPoint{TxID: btc.Hash{1}}).String() + " duplicated"},
+	}
+	for _, tc := range cases {
+		e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
+		craftedDelta(e, tc.created, tc.spent)
+		snap := e.Finish()
+		d, err := statecodec.NewDecoder(snap, codecTestMagic, codecTestVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd, err := DecodeBlockDelta(d)
+		if tc.want != "" {
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s: decode returned %v, want %q", tc.name, err, tc.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(encodeDelta(bd), snap) {
+			t.Errorf("%s: accepted bytes re-encode differently", tc.name)
+		}
+	}
+}
+
+// malformedTailDelta writes a delta whose one created list declares six
+// entries: five well formed, then one whose script field is script — a length
+// prefix the decoder must refuse, or fewer bytes than the prefix promises. The
+// list's count passes CountFor either way, so the decoder is five entries into
+// the list when it meets the bad byte.
+func malformedTailDelta(e *statecodec.Encoder, script func(e *statecodec.Encoder)) {
+	e.I64(9)     // height
+	e.Uvarint(1) // one created list
+	e.String("aaa")
+	e.Uvarint(6)
+	for i := byte(1); i <= 6; i++ {
+		e.Raw(append([]byte{i}, make([]byte, btc.HashSize-1)...))
+		e.U32(0)
+		e.I64(5)
+		if i < 6 {
+			e.Bytes([]byte{0x51})
+		}
+	}
+	script(e)
+}
+
+// malformedTails are the bad sixth entries and statecodec's text for each —
+// the text the map-based decoder returned for the same bytes.
+var malformedTails = []struct {
+	name   string
+	script func(e *statecodec.Encoder)
+	want   string
+}{
+	{"script over the length limit", func(e *statecodec.Encoder) { e.Uvarint(70000) },
+		"statecodec: count 70000 exceeds limit 65536"},
+	{"script runs past the end", func(e *statecodec.Encoder) { e.Uvarint(40); e.Raw(make([]byte, 10)) },
+		"statecodec: truncated snapshot: need 40 bytes at offset 289 of 299"},
+}
+
+// TestBlockDeltaDecodeMalformedEntryAfterValidOnes: a checksum-valid delta
+// that goes wrong in the middle of a list fails with the decoder's error at
+// the bad byte, whatever it already holds of the list — it must not depend on
+// the list having been sized, scanned or indexed as a whole.
+func TestBlockDeltaDecodeMalformedEntryAfterValidOnes(t *testing.T) {
+	for _, tc := range malformedTails {
+		e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
+		malformedTailDelta(e, tc.script)
+		d, err := statecodec.NewDecoder(e.Finish(), codecTestMagic, codecTestVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeBlockDelta(d); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: decode returned %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// payloadOf strips a sealed encoding down to the bytes between header and
+// checksum: the part a fuzzer mutates and re-frames, so that the checksum
+// passes and the decoder's own checks do the judging.
+func payloadOf(sealed []byte) []byte {
+	return sealed[len(codecTestMagic)+2 : len(sealed)-4]
+}
+
+// FuzzBlockDeltaDecode hands the delta decoder arbitrary bytes behind a valid
+// checksum: what a peer can send, and what a fuzzer mutating a sealed frame or
+// snapshot never gets past the CRC to try. The decoder must return rather
+// than panic, and a delta it accepts must be whole — its index finds every
+// created output where it lies, and its encoding is a fixed point of
+// decode-then-encode.
+func FuzzBlockDeltaDecode(f *testing.F) {
+	block, resolve, _ := deltaTestBlock(f)
+	f.Add(payloadOf(encodeDelta(BuildBlockDelta(block, 42, btc.NewScriptIDCache(btc.Regtest), resolve))))
+	for _, tc := range malformedTails {
+		e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
+		malformedTailDelta(e, tc.script)
+		f.Add(payloadOf(e.Finish()))
+	}
+	// The same list well formed, and a delta wrong in every other way at once.
+	e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
+	malformedTailDelta(e, func(e *statecodec.Encoder) { e.Bytes([]byte{0x51}); e.Uvarint(0) })
+	f.Add(payloadOf(e.Finish()))
+	e = statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
+	craftedDelta(e, []deltaList{{"aaa", []byte{1}}, {"bbb", []byte{1}}}, []deltaList{{"zzz", []byte{2}}, {"aaa", nil}})
+	f.Add(payloadOf(e.Finish()))
+
+	decode := func(t *testing.T, payload []byte) (*BlockDelta, error) {
+		e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, len(payload))
+		e.Raw(payload)
+		d, err := statecodec.NewDecoder(e.Finish(), codecTestMagic, codecTestVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return DecodeBlockDelta(d)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		bd, err := decode(t, payload)
+		if err != nil {
+			return
+		}
+		for pos := range bd.created {
+			if u := bd.CreatedTagged(&bd.created[pos].OutPoint, TagOutPoint(&bd.created[pos].OutPoint)); u != &bd.created[pos] {
+				t.Fatalf("created output %d of an accepted delta is not where its index says", pos)
+			}
+		}
+		sealed := encodeDelta(bd)
+		again, err := decode(t, payloadOf(sealed))
+		if err != nil {
+			t.Fatalf("an accepted delta's encoding does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeDelta(again), sealed) {
+			t.Fatal("an accepted delta's encoding is not a fixed point")
+		}
+	})
 }

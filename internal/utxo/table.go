@@ -76,12 +76,14 @@ func newOutpointTable(seed uint64, n int) outpointTable {
 	}
 }
 
-// tag hashes an outpoint to the high half of an index word. A txid is
-// already a uniform hash, so its leading bytes and the vout are all that is
-// mixed; the seed goes in ahead of the (public, bijective) finalizer, so
-// which outpoints share a slot cannot be worked out without it.
-func (t *outpointTable) tag(op *btc.OutPoint) uint32 {
-	x := (binary.LittleEndian.Uint64(op.TxID[:8]) ^ t.seed) + uint64(op.Vout)*0x9E3779B97F4A7C15
+// outpointTag hashes an outpoint to the high half of an index word — the
+// set's table and every delta's created-output index share the word format
+// and this function. A txid is already a uniform hash, so its leading bytes
+// and the vout are all that is mixed; the seed goes in ahead of the (public,
+// bijective) finalizer, so which outpoints share a slot cannot be worked out
+// without it.
+func outpointTag(seed uint64, op *btc.OutPoint) uint32 {
+	x := (binary.LittleEndian.Uint64(op.TxID[:8]) ^ seed) + uint64(op.Vout)*0x9E3779B97F4A7C15
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -89,6 +91,8 @@ func (t *outpointTable) tag(op *btc.OutPoint) uint32 {
 	x ^= x >> 31
 	return uint32(x >> 32)
 }
+
+func (t *outpointTable) tag(op *btc.OutPoint) uint32 { return outpointTag(t.seed, op) }
 
 func (t *outpointTable) at(ref uint32) *tableEntry {
 	return &t.chunks[ref>>chunkBits][ref&(chunkSize-1)]
