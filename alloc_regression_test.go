@@ -2,6 +2,7 @@ package icbtc_test
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"icbtc/internal/btc"
@@ -249,5 +250,75 @@ func TestBlockDeltaAllocationsIndependentOfOutputs(t *testing.T) {
 	t.Logf("%.0f allocations for 501 outputs, %.0f for 2001", small, large)
 	if large > small+4 {
 		t.Fatalf("a 2001-output delta allocates %.0f times, a 501-output one over the same 200 keys %.0f", large, small)
+	}
+}
+
+// deepFold is the stable fold's workload at depth: blocks of 500
+// transactions x 2 outputs paying the paper's Fig 7 address population (1000
+// addresses, 211 of them holding most of the UTXOs), two of every three
+// transactions spending one output of an earlier block, the third a missing
+// one. newDeepFold folds preload of them into a fresh set — 160 leave it above
+// 100k live UTXOs.
+type deepFold struct {
+	set     *utxo.Set
+	height  int64
+	pop     *experiments.AddressPopulation
+	cum     []int
+	rng     *rand.Rand
+	builder *experiments.BlockBuilder
+}
+
+func newDeepFold(tb testing.TB, preload int) *deepFold {
+	d := &deepFold{
+		set:     utxo.New(btc.Regtest),
+		pop:     experiments.NewAddressPopulation(btc.Regtest, 8, 1),
+		rng:     rand.New(rand.NewSource(8)),
+		builder: experiments.NewBlockBuilder(btc.RegtestParams(), 8),
+	}
+	total := 0
+	for _, a := range d.pop.Addresses {
+		total += a.Count
+		d.cum = append(d.cum, total)
+	}
+	for i := 0; i < preload; i++ {
+		d.fold(tb, d.next(tb))
+	}
+	return d
+}
+
+// next builds the next block, transaction IDs memoized.
+func (d *deepFold) next(tb testing.TB) *btc.Block {
+	specs := make([]experiments.TxSpec, 500)
+	for t := range specs {
+		outs := make([]btc.TxOut, 2)
+		for o := range outs {
+			a := sort.SearchInts(d.cum, d.rng.Intn(d.cum[len(d.cum)-1])+1)
+			outs[o] = btc.TxOut{Value: 600 + d.rng.Int63n(3000), PkScript: d.pop.Addresses[a].Script}
+		}
+		specs[t] = experiments.TxSpec{Outputs: outs}
+		if t%3 != 0 {
+			specs[t].Inputs = 1
+		}
+	}
+	block, err := d.builder.NextBlock(specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	block.TxIDs()
+	return block
+}
+
+// fold applies a block the way the canister does. The builder gives every
+// transaction without an input a fabricated one (value entering the tracked
+// addresses), so a third of a block's transactions — all of the first
+// block's — take the fold's missing-input path, and nothing else may.
+func (d *deepFold) fold(tb testing.TB, block *btc.Block) {
+	d.height++
+	want := (len(block.Transactions) + 1) / 3
+	if d.height == 1 {
+		want = len(block.Transactions) - 1
+	}
+	if st := d.set.ApplyBlockIngest(block, d.height); st.Errors != want {
+		tb.Fatalf("height %d: %d tolerated errors, want %d missing inputs", d.height, st.Errors, want)
 	}
 }

@@ -1,311 +1,202 @@
-// Command bench regenerates the paper's figures and in-text measurements.
+// Command bench regenerates the paper's figures and in-text measurements:
+// metered instructions and simulated latency on the virtual clock, so the
+// same flags print the same bytes on every run (testdata/figures.golden).
+// Wall-clock measurement lives in benchmark/ and nowhere else.
 //
 // Usage:
 //
-//	bench -fig all          # everything (default)
-//	bench -fig 3            # Figure 3 block-tree stability annotations
-//	bench -fig 5            # Figure 5 UTXO/storage growth
-//	bench -fig 6            # Figure 6 block ingestion cost
-//	bench -fig 7            # Figure 7 latency + instructions vs #UTXOs
-//	bench -fig latency      # §IV-B latency distribution
-//	bench -fig cost         # §IV-B requests-per-dollar arithmetic
-//	bench -fig eclipse      # Lemma IV.1 Monte Carlo
-//	bench -fig downtime     # Lemma IV.3 Monte Carlo
-//	bench -fig readpath     # overlay vs the replay oracle over one canister, δ=144
-//	bench -fig snapshot     # snapshot codec: size, encode/decode, fast-sync
-//	bench -fig ingest       # serial vs pipelined block ingest + sharded hydration
-//	bench -fig queryfleet   # read-replica fleet QPS/latency scaling 1→8
-//	bench -fig fleetload    # open-loop Zipf load vs the serving layers (coalesce/cache/admission)
-//	bench -fig chaos        # fault-scenario recovery (rounds to reconverge)
-//	bench -fig degrade      # recovery vs adapter-link loss rate sweep
-//	bench -fig ablations    # δ / τ / sync-mode ablations
+//	bench -fig all      # every figure below, in this order (default)
+//	bench -fig <name>   # one of them; an unknown name lists the valid ones
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime/pprof"
+	"strings"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/chain"
 	"icbtc/internal/experiments"
-	"icbtc/internal/obs"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (3, 5, 6, 7, latency, cost, eclipse, downtime, readpath, snapshot, ingest, queryfleet, fleetload, chaos, degrade, ablations, scaling, all)")
-	seed := flag.Int64("seed", 7, "simulation seed")
-	scale := flag.Int("scale", 10, "population scale divisor for Fig 7 / latency (1 = paper's full 1000 addresses)")
-	trials := flag.Int("trials", 50_000, "Monte Carlo trials for the security lemmas")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	metrics := flag.String("metrics", "", "write the run's obs metrics (Prometheus text) to this file ('-' for stdout)")
-	obstrace := flag.String("obstrace", "", "write the fleetload passes' obs event traces to this file (enables tracing)")
-	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if err := run(*fig, *seed, *scale, *trials, *metrics, *obstrace); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
+// opts are the knobs the figures share; each figure reads the ones it has.
+type opts struct {
+	seed   int64
+	scale  int
+	trials int
 }
 
-// obsDump accumulates observability output across the figures that expose
-// it: metric snapshots are merged into one Prometheus-text dump, event
-// traces and pre-rendered texts are appended as labeled sections.
-type obsDump struct {
-	snaps  []*obs.Snapshot
-	texts  []string // pre-rendered Prometheus sections (e.g. chaos runs)
-	traces []string
+// figure is one -fig value. The flag help, the "all" loop, the unknown-name
+// error and the golden test all iterate the figures table.
+type figure struct {
+	name  string
+	title string
+	run   func(io.Writer, opts) error
 }
 
-func (d *obsDump) writeMetrics(path string) error {
-	if path == "" || (len(d.snaps) == 0 && len(d.texts) == 0) {
+var figures = []figure{
+	{"3", "Figure 3", func(w io.Writer, _ opts) error {
+		printFigure3(w)
 		return nil
-	}
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if len(d.snaps) > 0 {
-		merged, err := obs.Merge(d.snaps...)
-		if err != nil {
-			return err
-		}
-		if err := merged.WriteProm(w); err != nil {
-			return err
-		}
-	}
-	for _, t := range d.texts {
-		if _, err := fmt.Fprint(w, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *obsDump) writeTraces(path string) error {
-	if path == "" || len(d.traces) == 0 {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for _, t := range d.traces {
-		if _, err := fmt.Fprint(f, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func run(fig string, seed int64, scale, trials int, metrics, obstrace string) error {
-	all := fig == "all"
-	out := os.Stdout
-	section := func(name string) { fmt.Fprintf(out, "\n===== %s =====\n", name) }
-	var dump obsDump
-
-	if all || fig == "3" {
-		section("Figure 3")
-		printFigure3(seed)
-	}
-	if all || fig == "5" {
-		section("Figure 5")
+	}},
+	{"5", "Figure 5", func(w io.Writer, o opts) error {
 		cfg := experiments.DefaultFig5Config()
-		cfg.Seed = seed
+		cfg.Seed = o.seed
 		res, err := experiments.RunFig5(cfg)
 		if err != nil {
 			return err
 		}
-		res.Print(out)
-	}
-	if all || fig == "6" {
-		section("Figure 6")
+		res.Print(w)
+		return nil
+	}},
+	{"6", "Figure 6", func(w io.Writer, o opts) error {
 		cfg := experiments.DefaultFig6Config()
-		cfg.Seed = seed
+		cfg.Seed = o.seed
 		res, err := experiments.RunFig6(cfg)
 		if err != nil {
 			return err
 		}
-		res.Print(out)
-	}
-	if all || fig == "7" {
-		section("Figure 7")
+		res.Print(w)
+		return nil
+	}},
+	{"7", "Figure 7", func(w io.Writer, o opts) error {
 		cfg := experiments.DefaultFig7Config()
-		cfg.Seed = seed
-		cfg.Scale = scale
+		cfg.Seed = o.seed
+		cfg.Scale = o.scale
 		res, err := experiments.RunFig7(cfg)
 		if err != nil {
 			return err
 		}
-		res.Print(out)
-	}
-	if all || fig == "latency" {
-		section("Latency distribution (§IV-B)")
+		res.Print(w)
+		return nil
+	}},
+	{"latency", "Latency distribution (§IV-B)", func(w io.Writer, o opts) error {
 		cfg := experiments.DefaultLatencyConfig()
-		cfg.Seed = seed
-		cfg.Scale = scale
+		cfg.Seed = o.seed
+		cfg.Scale = o.scale
 		res, err := experiments.RunLatency(cfg)
 		if err != nil {
 			return err
 		}
-		res.Print(out)
-	}
-	if all || fig == "cost" {
-		section("Request cost (§IV-B)")
-		res, err := experiments.RunCost(seed)
+		res.Print(w)
+		return nil
+	}},
+	{"cost", "Request cost (§IV-B)", func(w io.Writer, o opts) error {
+		res, err := experiments.RunCost(o.seed)
 		if err != nil {
 			return err
 		}
-		res.Print(out)
-	}
-	if all || fig == "eclipse" {
-		section("Lemma IV.1 (eclipse)")
-		experiments.RunEclipse(trials, seed).Print(out)
-	}
-	if all || fig == "downtime" {
-		section("Lemma IV.3 (downtime)")
-		experiments.RunDowntime(trials, seed, 13).Print(out)
-	}
-	if all || fig == "scaling" {
-		section("Extension: throughput scaling")
-		sc, err := experiments.RunScaling(seed)
+		res.Print(w)
+		return nil
+	}},
+	{"eclipse", "Lemma IV.1 (eclipse)", func(w io.Writer, o opts) error {
+		experiments.RunEclipse(o.trials, o.seed).Print(w)
+		return nil
+	}},
+	{"downtime", "Lemma IV.3 (downtime)", func(w io.Writer, o opts) error {
+		experiments.RunDowntime(o.trials, o.seed, 13).Print(w)
+		return nil
+	}},
+	{"scaling", "Extension: throughput scaling", func(w io.Writer, o opts) error {
+		res, err := experiments.RunScaling(o.seed)
 		if err != nil {
 			return err
 		}
-		sc.Print(out)
-	}
-	if all || fig == "queryfleet" {
-		section("Query fleet: certified read replicas")
-		cfg := experiments.DefaultQueryFleetConfig()
-		cfg.Seed = seed
-		res, err := experiments.RunQueryFleet(cfg)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-	}
-	if all || fig == "fleetload" {
-		section("Fleet load: serving layers under open-loop overload")
-		cfg := experiments.DefaultFleetLoadConfig()
-		cfg.Seed = seed
-		cfg.TraceEvents = obstrace != ""
-		res, err := experiments.RunFleetLoad(cfg)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		dump.snaps = append(dump.snaps, res.Baseline.Obs, res.Layered.Obs)
-		for _, p := range []experiments.FleetLoadPass{res.Baseline, res.Layered} {
-			if p.TraceText != "" {
-				dump.traces = append(dump.traces, fmt.Sprintf("# pass %s\n%s", p.Name, p.TraceText))
-			}
-		}
-	}
-	if all || fig == "chaos" {
-		section("Chaos: fault-scenario recovery")
-		cfg := experiments.DefaultChaosConfig()
-		cfg.Seed = seed
-		res, err := experiments.RunChaos(cfg)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		if res.LastMetricsText != "" {
-			dump.texts = append(dump.texts, "# chaos (last scenario)\n"+res.LastMetricsText)
-		}
-	}
-	if all || fig == "degrade" {
-		section("Degradation: recovery vs adapter-link loss rate")
+		res.Print(w)
+		return nil
+	}},
+	{"degrade", "Degradation: recovery vs adapter-link loss rate", func(w io.Writer, o opts) error {
 		cfg := experiments.DefaultDegradeConfig()
-		cfg.Seed = seed
+		cfg.Seed = o.seed
 		res, err := experiments.RunDegrade(cfg)
 		if err != nil {
 			return err
 		}
-		res.Print(out)
-	}
-	if all || fig == "snapshot" {
-		section("Snapshot: upgrade & fast-sync")
-		cfg := experiments.DefaultSnapshotConfig()
-		cfg.Seed = seed
-		res, err := experiments.RunSnapshot(cfg)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-	}
-	if all || fig == "ingest" {
-		section("Ingest: serial vs parallel pipeline")
-		cfg := experiments.DefaultIngestConfig()
-		cfg.Seed = seed
-		res, err := experiments.RunIngest(cfg)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-	}
-	if all || fig == "readpath" {
-		section("Read path: overlay vs the replay oracle, one canister (δ=144)")
+		res.Print(w)
+		return nil
+	}},
+	{"readpath", "Read path: overlay vs the replay oracle, one canister (δ=144)", func(w io.Writer, o opts) error {
 		cfg := experiments.DefaultReadPathConfig()
-		cfg.Seed = seed
+		cfg.Seed = o.seed
 		res, err := experiments.RunReadPath(cfg)
 		if err != nil {
 			return err
 		}
-		res.Print(out)
-	}
-	if all || fig == "ablations" {
-		section("Ablation: δ sweep")
-		d, err := experiments.RunDeltaSweep(seed)
+		res.Print(w)
+		return nil
+	}},
+	{"ablations", "Ablation: δ sweep", func(w io.Writer, o opts) error {
+		d, err := experiments.RunDeltaSweep(o.seed)
 		if err != nil {
 			return err
 		}
-		d.Print(out)
-		section("Ablation: Algorithm 1 sync modes")
-		s, err := experiments.RunSyncModes(seed)
+		d.Print(w)
+		section(w, "Ablation: Algorithm 1 sync modes")
+		s, err := experiments.RunSyncModes(o.seed)
 		if err != nil {
 			return err
 		}
-		s.Print(out)
-		section("Ablation: τ sweep")
-		tres, err := experiments.RunTauSweep(seed)
+		s.Print(w)
+		section(w, "Ablation: τ sweep")
+		t, err := experiments.RunTauSweep(o.seed)
 		if err != nil {
 			return err
 		}
-		tres.Print(out)
+		t.Print(w)
+		return nil
+	}},
+}
+
+func section(w io.Writer, title string) { fmt.Fprintf(w, "\n===== %s =====\n", title) }
+
+func figureNames() string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
 	}
-	if err := dump.writeMetrics(metrics); err != nil {
-		return fmt.Errorf("writing metrics dump: %w", err)
+	return strings.Join(names, ", ")
+}
+
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main without the process: it returns the exit status — 0, 1 when a
+// figure fails, 2 for a bad flag or an unknown -fig value.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to regenerate: "+figureNames()+", or all")
+	var o opts
+	fs.Int64Var(&o.seed, "seed", 7, "simulation seed")
+	fs.IntVar(&o.scale, "scale", 10, "population scale divisor for Fig 7 / latency (1 = paper's full 1000 addresses)")
+	fs.IntVar(&o.trials, "trials", 50_000, "Monte Carlo trials for the security lemmas")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if err := dump.writeTraces(obstrace); err != nil {
-		return fmt.Errorf("writing obs trace: %w", err)
+	ran := false
+	for _, f := range figures {
+		if *fig != "all" && *fig != f.name {
+			continue
+		}
+		ran = true
+		section(stdout, f.title)
+		if err := f.run(stdout, o); err != nil {
+			fmt.Fprintf(stderr, "bench: -fig %s: %v\n", f.name, err)
+			return 1
+		}
 	}
-	return nil
+	if !ran {
+		fmt.Fprintf(stderr, "bench: unknown -fig %q (valid: %s, all)\n", *fig, figureNames())
+		return 2
+	}
+	return 0
 }
 
 // printFigure3 rebuilds the Figure 3 block tree and prints each block's
 // confirmation-based stability (see internal/chain's TestFigure3 for the
 // topology reconstruction notes).
-func printFigure3(seed int64) {
+func printFigure3(w io.Writer) {
 	params := btc.RegtestParams()
 	tree := chain.NewTree(params.GenesisHeader, 0)
 	bits := params.GenesisHeader.Bits
@@ -342,19 +233,18 @@ func printFigure3(seed int64) {
 		forkB[i] = mk(prev.Hash, uint32(3000+i))
 		prev = forkB[i]
 	}
-	fmt.Println("Figure 3: confirmation-based stability per block (heights h..h+6)")
-	fmt.Print("main chain:  ")
+	fmt.Fprintln(w, "Figure 3: confirmation-based stability per block (heights h..h+6)")
+	fmt.Fprint(w, "main chain:  ")
 	for _, n := range main {
-		fmt.Printf("%3d ", tree.StabilityByCount(n))
+		fmt.Fprintf(w, "%3d ", tree.StabilityByCount(n))
 	}
-	fmt.Print("\nfork A:          ")
+	fmt.Fprint(w, "\nfork A:          ")
 	for _, n := range forkA {
-		fmt.Printf("%3d ", tree.StabilityByCount(n))
+		fmt.Fprintf(w, "%3d ", tree.StabilityByCount(n))
 	}
-	fmt.Print("\nfork B:                  ")
+	fmt.Fprint(w, "\nfork B:                  ")
 	for _, n := range forkB {
-		fmt.Printf("%3d ", tree.StabilityByCount(n))
+		fmt.Fprintf(w, "%3d ", tree.StabilityByCount(n))
 	}
-	fmt.Println("\n(paper prints the fork rows as -2 -2 -2 and -1 -1; see EXPERIMENTS.md for the main-row note)")
-	_ = seed
+	fmt.Fprintln(w, "\n(paper prints the fork rows as -2 -2 -2 and -1 -1; see internal/chain's TestFigure3 for the main-row note)")
 }

@@ -280,9 +280,9 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 	}
 
 	// Unstable blocks arrive in have order; appending keeps the list sorted.
-	// With workers, the wire slices are collected in one scan and parsed on
-	// the pipeline (zero-copy, txid memos sealed from the spans) while this
-	// goroutine attaches them in order.
+	// The wire slices are collected in one scan and parsed on the pipeline
+	// (above one worker zero-copy, txid memos sealed from the spans) while
+	// this goroutine attaches them in order.
 	nBlocks := d.CountFor(maxSnapshotBlocks, headerWireBytes+1)
 	c.have = make([]haveEntry, 0, nBlocks)
 	attach := func(i int, block *btc.Block, err error) error {
@@ -305,38 +305,30 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 		c.have = append(c.have, entry)
 		return nil
 	}
+	raws := make([][]byte, 0, nBlocks)
+	for i := 0; i < nBlocks; i++ {
+		raws = append(raws, d.Bytes(maxBlockWireBytes))
+		if d.Err() != nil {
+			return nil, fmt.Errorf("canister: restore: %w", d.Err())
+		}
+	}
+	// One worker is RestoreSnapshot, whose blocks must not alias data.
+	parse := btc.ParseBlockFast
 	if workers <= 1 {
-		for i := 0; i < nBlocks; i++ {
-			raw := d.Bytes(maxBlockWireBytes)
-			if d.Err() != nil {
-				return nil, fmt.Errorf("canister: restore: %w", d.Err())
-			}
-			block, err := btc.ParseBlock(raw)
-			if err := attach(i, block, err); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		raws := make([][]byte, 0, nBlocks)
-		for i := 0; i < nBlocks; i++ {
-			raws = append(raws, d.Bytes(maxBlockWireBytes))
-			if d.Err() != nil {
-				return nil, fmt.Errorf("canister: restore: %w", d.Err())
-			}
-		}
-		type parsed struct {
-			block *btc.Block
-			err   error
-		}
-		if err := ingest.Map(nBlocks, ingest.Config{Workers: workers},
-			func(_, i int) parsed {
-				b, err := btc.ParseBlockFast(raws[i])
-				return parsed{block: b, err: err}
-			},
-			func(i int, p parsed) error { return attach(i, p.block, p.err) },
-		); err != nil {
-			return nil, err
-		}
+		parse = btc.ParseBlock
+	}
+	type parsed struct {
+		block *btc.Block
+		err   error
+	}
+	if err := ingest.Map(nBlocks, ingest.Config{Workers: workers},
+		func(_, i int) parsed {
+			b, err := parse(raws[i])
+			return parsed{block: b, err: err}
+		},
+		func(i int, p parsed) error { return attach(i, p.block, p.err) },
+	); err != nil {
+		return nil, err
 	}
 
 	nTxs := d.CountFor(maxSnapshotTxs, minOutgoingTxBytes)

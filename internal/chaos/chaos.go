@@ -19,7 +19,8 @@
 //
 // Scenarios end healed: the harness requires reconvergence with the honest
 // chain and reports rounds-to-reconverge, the recovery metric
-// `bench -fig chaos` prints. Every failure message carries the scenario
+// TestChaosScenarios logs per scenario under -v and `bench -fig degrade`
+// sweeps against loss rate. Every failure message carries the scenario
 // name, seed, and round plus a one-line reproduction command.
 package chaos
 

@@ -555,77 +555,3 @@ func TestScalingLinear(t *testing.T) {
 		t.Fatal("no output")
 	}
 }
-
-func TestSnapshotScenario(t *testing.T) {
-	// Scaled-down state; the bench runs the full ≥100k-UTXO configuration.
-	cfg := SnapshotConfig{
-		Seed:         3,
-		Blocks:       20,
-		TxsPerBlock:  40,
-		OutputsPerTx: 3,
-		SpendEvery:   5,
-		Addresses:    16,
-		Delta:        6,
-	}
-	res, err := RunSnapshot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Deterministic {
-		t.Fatal("round trip not deterministic")
-	}
-	if res.StableUTXOs == 0 || res.UnstableBlocks != int(cfg.Delta)-1 {
-		t.Fatalf("unexpected state shape: %d stable UTXOs, %d unstable blocks",
-			res.StableUTXOs, res.UnstableBlocks)
-	}
-	if res.SnapshotBytes == 0 || res.BytesPerUTXO <= 0 {
-		t.Fatalf("degenerate snapshot: %d bytes", res.SnapshotBytes)
-	}
-	// Restore must beat replay even at this small scale; the ≥10× criterion
-	// is asserted by the full-scale bench, not here (CI wall clocks vary).
-	if res.FastSyncSpeedup < 1 {
-		t.Fatalf("fast-sync slower than replay: %.2fx", res.FastSyncSpeedup)
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("no output")
-	}
-}
-
-func TestIngestScenario(t *testing.T) {
-	// Scaled down for CI; the full mainnet-shaped run is `bench -fig
-	// ingest`. The scenario itself asserts byte-identical state across
-	// every leg before reporting a single number; wall-clock speedups are
-	// NOT asserted here — CI machines (and this container) may have any
-	// core count.
-	cfg := IngestConfig{
-		Seed:         3,
-		Blocks:       15,
-		TxsPerBlock:  60,
-		OutputsPerTx: 2,
-		SpendEvery:   5,
-		Addresses:    16,
-		Delta:        6,
-		Workers:      []int{1, 2, 4},
-		Rounds:       1,
-	}
-	res, err := RunIngest(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Fatal("pipelined legs diverged from serial")
-	}
-	if len(res.Rows) != 1+len(cfg.Workers) || len(res.HydrateRows) != len(cfg.Workers) {
-		t.Fatalf("unexpected table shape: %d ingest rows, %d hydrate rows", len(res.Rows), len(res.HydrateRows))
-	}
-	if res.StableUTXOs == 0 || res.Rows[0].BlocksSec <= 0 {
-		t.Fatalf("degenerate run: %+v", res.Rows[0])
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("no output")
-	}
-}

@@ -18,8 +18,8 @@ import (
 // deep unstable chain over a skewed address workload on one canister and
 // answers every request twice — by the canister's incremental overlay read
 // path and by the retained naive-replay oracle (canister.Replay*) over the
-// same state — measuring both instruction cost and wall time per request as
-// the considered depth shrinks with the minConfirmations filter
+// same state — measuring the metered instruction cost per request as the
+// considered depth shrinks with the minConfirmations filter
 // (depth = δ − c + 1 at the tip).
 
 // ReadPathConfig parameterizes the scenario.
@@ -58,9 +58,6 @@ type ReadPathRow struct {
 	// Instruction averages per request.
 	BalanceOracle, BalanceOverlay uint64
 	UTXOsOracle, UTXOsOverlay     uint64
-	// Wall-clock averages per request.
-	BalanceOracleNs, BalanceOverlayNs time.Duration
-	UTXOsOracleNs, UTXOsOverlayNs     time.Duration
 }
 
 // ReadPathResult carries the depth sweep plus ingestion-side accounting.
@@ -82,11 +79,10 @@ func (r *ReadPathResult) BalanceSpeedupAtFullDepth() float64 {
 	return float64(row.BalanceOracle) / float64(row.BalanceOverlay)
 }
 
-// UTXOsWallSpeedupAtFullDepth returns the oracle/overlay wall-clock ratio
-// for get_utxos at the deepest point.
-func (r *ReadPathResult) UTXOsWallSpeedupAtFullDepth() float64 {
+// UTXOsSpeedupAtFullDepth is the same ratio for get_utxos.
+func (r *ReadPathResult) UTXOsSpeedupAtFullDepth() float64 {
 	row := r.Rows[0]
-	return float64(row.UTXOsOracleNs) / float64(row.UTXOsOverlayNs)
+	return float64(row.UTXOsOracle) / float64(row.UTXOsOverlay)
 }
 
 // OverlayDepthScaling returns overlay get_balance cost at full depth over
@@ -206,35 +202,27 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 			utxoArgs := canister.GetUTXOsArgs{Address: e.address, MinConfirmations: minConf}
 
 			m := ic.NewMeter()
-			start := time.Now()
 			if _, err := canister.ReplayBalance(overlay, &ic.CallContext{Meter: m, Time: now, Kind: ic.KindQuery}, balArgs); err != nil {
 				return nil, err
 			}
-			row.BalanceOracleNs += time.Since(start)
 			row.BalanceOracle += m.Total()
 
 			m = ic.NewMeter()
-			start = time.Now()
 			if _, err := overlay.GetBalance(&ic.CallContext{Meter: m, Time: now, Kind: ic.KindQuery}, balArgs); err != nil {
 				return nil, err
 			}
-			row.BalanceOverlayNs += time.Since(start)
 			row.BalanceOverlay += m.Total()
 
 			m = ic.NewMeter()
-			start = time.Now()
 			if _, err := canister.ReplayUTXOs(overlay, &ic.CallContext{Meter: m, Time: now, Kind: ic.KindQuery}, utxoArgs); err != nil {
 				return nil, err
 			}
-			row.UTXOsOracleNs += time.Since(start)
 			row.UTXOsOracle += m.Total()
 
 			m = ic.NewMeter()
-			start = time.Now()
 			if _, err := overlay.GetUTXOs(&ic.CallContext{Meter: m, Time: now, Kind: ic.KindQuery}, utxoArgs); err != nil {
 				return nil, err
 			}
-			row.UTXOsOverlayNs += time.Since(start)
 			row.UTXOsOverlay += m.Total()
 		}
 		n := uint64(len(sample))
@@ -242,11 +230,6 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 		row.BalanceOverlay /= n
 		row.UTXOsOracle /= n
 		row.UTXOsOverlay /= n
-		d := time.Duration(len(sample))
-		row.BalanceOracleNs /= d
-		row.BalanceOverlayNs /= d
-		row.UTXOsOracleNs /= d
-		row.UTXOsOverlayNs /= d
 		res.Rows = append(res.Rows, row)
 	}
 
@@ -262,7 +245,7 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 
 // Print renders the depth sweep.
 func (r *ReadPathResult) Print(w io.Writer) {
-	fmt.Fprintln(w, "Read path: instructions [M] and wall time per request vs unstable depth")
+	fmt.Fprintln(w, "Read path: instructions [M] per request vs unstable depth")
 	fmt.Fprintf(w, "%-6s %-6s | %10s %10s %7s | %10s %10s %7s\n",
 		"c", "depth", "bal-oracle", "bal-ovl", "x", "utxo-oracle", "utxo-ovl", "x")
 	for _, row := range r.Rows {
@@ -272,15 +255,6 @@ func (r *ReadPathResult) Print(w io.Writer) {
 			float64(row.BalanceOracle)/float64(row.BalanceOverlay),
 			float64(row.UTXOsOracle)/1e6, float64(row.UTXOsOverlay)/1e6,
 			float64(row.UTXOsOracle)/float64(row.UTXOsOverlay))
-	}
-	fmt.Fprintf(w, "%-6s %-6s | %10s %10s %7s | %10s %10s %7s\n", "", "", "wall[µs]:", "", "", "", "", "")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6d %-6d | %10.1f %10.1f %6.1fx | %10.1f %10.1f %6.1fx\n",
-			row.MinConfirmations, row.Depth,
-			float64(row.BalanceOracleNs.Microseconds()), float64(row.BalanceOverlayNs.Microseconds()),
-			float64(row.BalanceOracleNs)/float64(row.BalanceOverlayNs),
-			float64(row.UTXOsOracleNs.Microseconds()), float64(row.UTXOsOverlayNs.Microseconds()),
-			float64(row.UTXOsOracleNs)/float64(row.UTXOsOverlayNs))
 	}
 	fmt.Fprintf(w, "balance cache hit: %.2f M instructions\n", float64(r.BalanceCacheHitInstr)/1e6)
 	fmt.Fprintf(w, "delta build share of overlay ingestion: %.1f%%\n", r.DeltaBuildShare*100)

@@ -374,3 +374,32 @@ func TestWriteProm(t *testing.T) {
 		}
 	}
 }
+
+// TestInstrumentsAllocationFree: the instruments sit on every ingest stage
+// and every routed query, and a tracer that is off (the default) must cost a
+// branch. Exactly zero allocations each — an equality, not a ceiling.
+func TestInstrumentsAllocationFree(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("c_total")
+	g := reg.Gauge("g")
+	h := reg.Histogram("h_ns", DurationBuckets)
+	tr := reg.Tracer()
+	if tr.Enabled() {
+		t.Fatal("tracer enabled by default")
+	}
+	var i int64
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Counter.Add", func() { c.Add(1) }},
+		{"Gauge.Set", func() { i++; g.Set(i) }},
+		{"Histogram.Observe", func() { i++; h.Observe(i % 1_000_000 * 1000) }},
+		{"disabled Tracer.Emit", func() { tr.Emit("event", "detail") }},
+		{"disabled Tracer.Span", func() { tr.Span("span")() }},
+	} {
+		if avg := testing.AllocsPerRun(1000, tc.fn); avg != 0 {
+			t.Errorf("%s allocates %.2f times per call, want 0", tc.name, avg)
+		}
+	}
+}

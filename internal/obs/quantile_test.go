@@ -9,9 +9,8 @@ import (
 
 // TestSummarizeDurationsMatchesLegacyFormulas pins SummarizeDurations to the
 // exact integer-index percentile formulas the experiment reports used before
-// deduplicating onto this helper (latency.go stats(), fleetload.go and the
-// queryfleet experiment's percentile blocks, fig7.go medianDur). If this
-// test fails, reported figure values have moved.
+// deduplicating onto this helper (latency.go stats(), fig7.go medianDur). If
+// this test fails, reported figure values have moved.
 func TestSummarizeDurationsMatchesLegacyFormulas(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, n := range []int{1, 2, 7, 100, 1234, 5000} {

@@ -9,8 +9,8 @@
 //     re-validate blocks or rebuild deltas.
 //   - Each replica serves get_utxos / get_balance /
 //     get_current_fee_percentiles / get_block_headers concurrently under an
-//     epoch-counted RWMutex; execution capacity is modeled per replica, so
-//     aggregate throughput scales with the fleet size.
+//     epoch-counted RWMutex; each replica owns a bounded set of execution
+//     slots, so execution capacity grows with the fleet size.
 //   - A bounded-staleness policy caps how far (in blocks) a serving replica
 //     may lag the authoritative canister; beyond the bound the query is
 //     rejected or forwarded to the authoritative canister, per
@@ -122,11 +122,6 @@ type Config struct {
 	// replica; <= 0 means 1 (the IC executes canister queries sequentially
 	// per replica).
 	QueryConcurrency int
-	// ExecRate, when > 0, models each replica's execution speed in
-	// instructions per second: a query holds its execution slot for its
-	// metered instruction count divided by this rate. Zero disables the
-	// model (slots are held only for the native execution time).
-	ExecRate float64
 	// Sign, when set, certifies every response (replica-served and
 	// forwarded alike).
 	Sign SignFunc

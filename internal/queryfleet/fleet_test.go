@@ -284,15 +284,35 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 // stale round-robin picks hit the forward path while the producer mutates
 // the authority — which is why the producer wraps every payload in
 // GuardAuthority, and mid-run re-hydrations snapshot the authority under
-// the same guard.
+// the same guard. The second input runs the same body through the serving
+// layers — coalescing, the hot cache every frame invalidates, and admission
+// with a scan budget no client exhausts (the clients' timestamp is fixed, so
+// it never refills) — the stack's only run under many goroutines and frames.
 func TestFleetConcurrentQueriesAndFrames(t *testing.T) {
-	cfg := queryfleet.Config{
+	bare := queryfleet.Config{
 		Replicas:         3,
 		MaxLagBlocks:     0, // any lag forwards: exercises forward-under-feed
 		StalePolicy:      queryfleet.StaleForward,
 		QueryConcurrency: 4,
 		AutoApply:        true,
 	}
+	layered := bare
+	layered.Coalesce = true
+	layered.CacheEntries = 64
+	layered.Budgets = map[canister.CostClass]queryfleet.Budget{canister.CostScan: {Burst: 1 << 40}}
+	t.Run("bare", func(t *testing.T) {
+		if st := concurrentQueriesAndFrames(t, bare); st.CacheHits+st.Coalesced+st.Shed != 0 {
+			t.Fatalf("a fleet without serving layers touched them: %+v", st)
+		}
+	})
+	t.Run("layered", func(t *testing.T) {
+		if st := concurrentQueriesAndFrames(t, layered); st.CacheHits == 0 {
+			t.Fatalf("no query was served from the hot cache: %+v", st)
+		}
+	})
+}
+
+func concurrentQueriesAndFrames(t *testing.T, cfg queryfleet.Config) queryfleet.Stats {
 	r := newRig(t, cfg, 10)
 
 	var wg sync.WaitGroup
@@ -342,6 +362,7 @@ func TestFleetConcurrentQueriesAndFrames(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	st := r.fleet.Stats() // what the clients saw, before the probe below
 	if err := r.fleet.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -355,6 +376,7 @@ func TestFleetConcurrentQueriesAndFrames(t *testing.T) {
 	if rq.Err != nil || rq.Value.(int64) != want {
 		t.Fatalf("final balance %v (%v), want %d", rq.Value, rq.Err, want)
 	}
+	return st
 }
 
 // TestApplyPendingConcurrentCallers: two goroutines drain one replica while

@@ -17,13 +17,10 @@ import (
 // per-block delta stream. Queries execute concurrently under the state's
 // read lock; frame application and re-hydration take the write lock.
 //
-// Execution concurrency is modeled separately from state safety: on the IC
+// Execution concurrency is bounded separately from state safety: on the IC
 // a canister executes queries sequentially per replica, so each Replica
 // owns a bounded set of execution slots (Config.QueryConcurrency, default
-// 1) and, when Config.ExecRate is set, holds a slot for the metered
-// execution time of each query — which is what makes aggregate fleet
-// throughput scale with the replica count rather than with the host's
-// cores.
+// 1) and a query holds one for as long as it executes.
 type Replica struct {
 	index int
 	fleet *Fleet
@@ -423,15 +420,12 @@ func (r *Replica) runWorker(closed <-chan struct{}) {
 }
 
 // serve executes one query on this replica: acquire an execution slot,
-// read-lock the state, execute, then hold the slot for the metered
-// execution time (ExecRate) before releasing it. The returned chain
+// read-lock the state, execute, release the slot. The returned chain
 // position is the one the response was computed at — what its
 // certification binds; seq is that state's stream position, read under the
 // same lock, which the cache layer compares against the fleet generation.
 func (r *Replica) serve(method string, arg any, now time.Time) (value any, err error, instructions uint64, tip, anchor int64, seq uint64) {
 	<-r.execSlots
-	start := time.Now()
-
 	ctx := ic.NewCallContext(ic.KindQuery, now)
 	r.mu.RLock()
 	value, err = r.can.Query(ctx, method, arg)
@@ -440,13 +434,6 @@ func (r *Replica) serve(method string, arg any, now time.Time) (value any, err e
 	r.mu.RUnlock()
 	instructions = ctx.Meter.Total()
 	r.served.Add(1)
-
-	if rate := r.fleet.cfg.ExecRate; rate > 0 {
-		need := time.Duration(float64(instructions) / rate * float64(time.Second))
-		if elapsed := time.Since(start); need > elapsed {
-			time.Sleep(need - elapsed)
-		}
-	}
 	r.execSlots <- struct{}{}
 	return value, err, instructions, tip, anchor, seq
 }
