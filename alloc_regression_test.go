@@ -49,6 +49,71 @@ func TestGetUTXOsPageAllocations(t *testing.T) {
 	}
 }
 
+// TestOverlayReadAllocations pins the read path of an address the unstable
+// suffix does touch: one created to and spent from in each unstable block.
+// The overlay is sized from the deltas' entry counts before it is built, so
+// it is a column and an index whatever it holds — get_utxos adds them (and
+// the next-page token) to its context, page and result, get_balance to its
+// context — and the counts at ten overlay entries (one spend and one
+// creation in each of five unstable blocks) and at five hundred are the same.
+// The two maps this replaced grew with their entries.
+func TestOverlayReadAllocations(t *testing.T) {
+	measure := func(perBlock int) (utxos, balance float64, unstable int) {
+		f := experiments.NewFeeder(btc.Regtest, 6, 13)
+		addr := btc.NewP2PKHAddress([20]byte{0x44}, btc.Regtest)
+		script := btc.PayToAddrScript(addr)
+		// A stable stock to spend from, then the unstable blocks: each spends
+		// perBlock outputs of the address (the builder draws them from all it
+		// ever created, so now and then a coinbase) and pays it as many.
+		if _, err := f.FeedBlock([]experiments.TxSpec{{Outputs: experiments.PayN(script, 1500, 546)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.FeedEmpty(8); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			spec := experiments.TxSpec{Inputs: perBlock, Outputs: experiments.PayN(script, perBlock, 700)}
+			if _, err := f.FeedBlock([]experiments.TxSpec{spec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		utxos = testing.AllocsPerRun(100, func() {
+			res, err := f.Canister.GetUTXOs(f.QueryCtx(), canister.GetUTXOsArgs{Address: addr.String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.UTXOs) != 1000 || res.NextPage == nil {
+				t.Fatalf("got %d UTXOs, next page %x", len(res.UTXOs), res.NextPage)
+			}
+			unstable = res.UnstableCount
+		})
+		balance = testing.AllocsPerRun(100, func() {
+			ctx := f.QueryCtx()
+			ctx.Kind = ic.KindUpdate // bypass the balance cache, measure the merge
+			if _, err := f.Canister.GetBalance(ctx, canister.GetBalanceArgs{Address: addr.String()}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return utxos, balance, unstable
+	}
+	smallUTXOs, smallBalance, smallUnstable := measure(1)
+	largeUTXOs, largeBalance, largeUnstable := measure(50)
+	t.Logf("get_utxos %.0f allocations, get_balance %.0f, at %d surviving creations; %.0f and %.0f at %d",
+		smallUTXOs, smallBalance, smallUnstable, largeUTXOs, largeBalance, largeUnstable)
+	if smallUnstable == 0 || largeUnstable < 200 {
+		t.Fatalf("%d and %d surviving unstable creations: the overlays are not the sizes meant", smallUnstable, largeUnstable)
+	}
+	if smallUTXOs != largeUTXOs || smallBalance != largeBalance {
+		t.Fatalf("allocations follow the overlay's size: get_utxos %.0f -> %.0f, get_balance %.0f -> %.0f",
+			smallUTXOs, largeUTXOs, smallBalance, largeBalance)
+	}
+	// get_utxos: context, page, result, token, overlay column and index.
+	// get_balance: context, overlay column and index.
+	if largeUTXOs > 6 || largeBalance > 3 {
+		t.Fatalf("get_utxos allocates %.0f times over an overlay, get_balance %.0f; budgets are 6 and 3", largeUTXOs, largeBalance)
+	}
+}
+
 // TestApplyBlockAllocations pins the batched staged apply: one staging pass
 // (presized arenas and maps) plus one ordered merge per touched bucket,
 // followed by a full unapply. A regression toward per-entry allocation

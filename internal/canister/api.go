@@ -179,9 +179,9 @@ func (c *BitcoinCanister) GetUTXOs(ctx *ic.CallContext, args GetUTXOsArgs) (*Get
 		return nil, err
 	}
 	tip := c.consideredTip(nodes)
-	eff := c.unstableEffectFor(ctx, args.Address, nodes)
+	ov := c.unstableOverlayFor(ctx, args.Address, nodes)
 	ctx.Meter.Charge(ic.CostPerIndexSeek, "page_seek")
-	page, unstable, next, err := c.stable.MergedPage(args.Address, eff.created, eff.suppress, args.Page, limit)
+	page, unstable, next, err := c.stable.MergedPage(args.Address, ov.Created(), &ov, args.Page, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -244,8 +244,8 @@ func (c *BitcoinCanister) BalanceCacheSize() int {
 }
 
 // GetBalance serves the get_balance convenience endpoint. Results are
-// memoized per (address, tip, minConfirmations); the cache is kept coherent
-// by invalidation on every tree mutation.
+// memoized per (address, tip, minConfirmations), up to maxBalanceCache of
+// them; the cache is kept coherent by invalidation on every tree mutation.
 func (c *BitcoinCanister) GetBalance(ctx *ic.CallContext, args GetBalanceArgs) (int64, error) {
 	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
 	if err := c.checkServable(args.Network); err != nil {
@@ -273,11 +273,22 @@ func (c *BitcoinCanister) GetBalance(ctx *ic.CallContext, args GetBalanceArgs) (
 	}
 	if useCache {
 		c.queryMu.Lock()
-		c.balanceCache[key] = total
+		if len(c.balanceCache) < maxBalanceCache {
+			c.balanceCache[key] = total
+		}
 		c.queryMu.Unlock()
 	}
 	return total, nil
 }
+
+// maxBalanceCache bounds the memo between two tree mutations: anyone may ask
+// for the balance of any string at any confirmation count, and each distinct
+// question is an entry until the next block clears them — ten minutes of
+// flood on mainnet. The first to fill stay, as in the fleet's response cache;
+// a question past the bound is answered off the index each time. The bound is
+// far above any population the benchmark or the figures query (1000
+// addresses) and costs a few megabytes when reached.
+const maxBalanceCache = 1 << 16
 
 // balanceIndexed computes a balance off the ordered index without
 // materializing the merged view: the bucket's O(1) running total, minus the
@@ -289,23 +300,8 @@ func (c *BitcoinCanister) balanceIndexed(ctx *ic.CallContext, address string, mi
 	if err != nil {
 		return 0, err
 	}
-	eff := c.unstableEffectFor(ctx, address, nodes)
-	total := c.stable.Balance(address)
-	count := c.stable.AddressUTXOCount(address)
-	for op := range eff.suppress {
-		// Only outpoints actually present in the stable set affect the
-		// merged view (the replay's map delete of an absent key is a no-op);
-		// a suppressed outpoint that is present always belongs to this
-		// address, since spends are attributed by script.
-		if u, ok := c.stable.Get(op); ok {
-			total -= u.Value
-			count--
-		}
-	}
-	for i := range eff.created {
-		total += eff.created[i].Value
-		count++
-	}
+	ov := c.unstableOverlayFor(ctx, address, nodes)
+	total, count := c.stable.MergedBalance(address, &ov)
 	if count > 0 {
 		ctx.Meter.Charge(uint64(count)*ic.CostPerBalanceUTXO, "sum_balance")
 	}
@@ -323,25 +319,16 @@ func (c *BitcoinCanister) consideredTip(nodes []*chain.Node) *chain.Node {
 	return c.tree.Root()
 }
 
-// unstableEffect is the net effect of the considered chain's unstable
-// blocks on one address: the surviving creations in canonical order, and
-// the set of outpoints to suppress from the stable stream (everything the
-// chain spent, plus every created outpoint — a creation overrides a
-// same-outpoint stable entry exactly as the replay's map overwrite does).
-type unstableEffect struct {
-	created  []utxo.UTXO
-	suppress map[btc.OutPoint]bool
-}
-
-// unstableEffectFor folds the per-block deltas along the considered chain,
-// in chain order, into one address's unstable effect. Per block the work is
-// a delta lookup plus the handful of entries touching the queried address —
-// the linear-in-δ full-block rescans of §III-C are gone; metering charges
-// per delta lookup and entry accordingly. An address untouched by the
-// unstable suffix allocates nothing.
-func (c *BitcoinCanister) unstableEffectFor(ctx *ic.CallContext, address string, nodes []*chain.Node) unstableEffect {
-	var createdSet map[btc.OutPoint]utxo.UTXO
-	var suppress map[btc.OutPoint]bool
+// unstableOverlayFor folds the per-block deltas along the considered chain,
+// in chain order, into one address's overlay (utxo.AddressOverlay): the
+// surviving creations in canonical order and the outpoints to drop from the
+// stable stream. Per block the work is a delta lookup plus the handful of
+// entries touching the queried address — the linear-in-δ full-block rescans
+// of §III-C are gone; metering charges per delta lookup and entry
+// accordingly. The first pass sizes the overlay, so it is allocated once, and
+// not at all for an address the unstable suffix never touched.
+func (c *BitcoinCanister) unstableOverlayFor(ctx *ic.CallContext, address string, nodes []*chain.Node) utxo.AddressOverlay {
+	entries := 0
 	for _, node := range nodes {
 		ctx.Meter.Charge(ic.CostPerDeltaLookup, "delta_lookup")
 		delta, _ := node.Aux().(*utxo.BlockDelta)
@@ -350,34 +337,20 @@ func (c *BitcoinCanister) unstableEffectFor(ctx *ic.CallContext, address string,
 		}
 		if n := delta.EntriesFor(address); n > 0 {
 			ctx.Meter.Charge(uint64(n)*ic.CostPerDeltaEntry, "delta_apply")
-		}
-		for _, sp := range delta.SpentFor(address) {
-			delete(createdSet, sp.OutPoint)
-			if suppress == nil {
-				suppress = make(map[btc.OutPoint]bool, 8)
-			}
-			suppress[sp.OutPoint] = true
-		}
-		for _, u := range delta.CreatedFor(address) {
-			if createdSet == nil {
-				createdSet = make(map[btc.OutPoint]utxo.UTXO, 8)
-			}
-			createdSet[u.OutPoint] = u
+			entries += n
 		}
 	}
-	if len(createdSet) == 0 {
-		return unstableEffect{suppress: suppress}
+	if entries == 0 {
+		return utxo.AddressOverlay{}
 	}
-	created := make([]utxo.UTXO, 0, len(createdSet))
-	if suppress == nil {
-		suppress = make(map[btc.OutPoint]bool, len(createdSet))
+	ov := utxo.NewAddressOverlay(entries)
+	for _, node := range nodes {
+		if delta, _ := node.Aux().(*utxo.BlockDelta); delta != nil {
+			ov.Apply(delta, address)
+		}
 	}
-	for _, u := range createdSet {
-		created = append(created, u)
-		suppress[u.OutPoint] = true
-	}
-	utxo.SortUTXOs(created)
-	return unstableEffect{created: created, suppress: suppress}
+	ov.Seal()
+	return ov
 }
 
 // SendTransaction serves send_transaction: syntax-check the bytes and queue

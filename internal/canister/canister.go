@@ -121,6 +121,7 @@ type BitcoinCanister struct {
 	// keyed by (address, tip, minConfirmations). Any tree mutation — a new
 	// block or header, an anchor advance, a reorg — clears it; within one
 	// tree state the merged view is immutable, so entries stay coherent.
+	// Between two mutations it holds at most maxBalanceCache entries.
 	balanceCache map[balanceKey]int64
 	// feeCache memoizes get_current_fee_percentiles for the overlay read
 	// path, keyed by (tip, anchor height): the percentiles are a function of

@@ -3,6 +3,7 @@ package canister
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -317,5 +318,43 @@ func TestBalanceCacheCoherence(t *testing.T) {
 	}
 	if got := p.balance(addrM, 0); got != 9*f.params.BlockSubsidy {
 		t.Fatalf("post-advance balance %d", got)
+	}
+}
+
+// TestBalanceCacheBounded floods get_balance with distinct questions between
+// two blocks — addresses that hold nothing, and one that does at every
+// confirmation count. The memo stops at its bound, the questions past it are
+// still answered right, and the next block empties it as before.
+func TestBalanceCacheBounded(t *testing.T) {
+	f := newForge(t)
+	p := newOverlayRig(t)
+	addrM, scriptM := testAddr(0xDD)
+	b1 := f.block(f.params.GenesisHeader.BlockHash(), 1, scriptM)
+	p.deliver(b1)
+
+	for i := 0; i < maxBalanceCache+100; i++ {
+		args := GetBalanceArgs{Address: fmt.Sprintf("nobody-%d", i)}
+		if got, err := p.overlay.GetBalance(p.ctx(ic.KindQuery), args); got != 0 || err != nil {
+			t.Fatalf("an address nobody paid holds %d (%v)", got, err)
+		}
+	}
+	if got := p.overlay.BalanceCacheSize(); got != maxBalanceCache {
+		t.Fatalf("%d memoized balances after %d distinct questions, bound is %d", got, maxBalanceCache+100, maxBalanceCache)
+	}
+	for minConf := int64(0); minConf <= 1; minConf++ {
+		if got := p.balance(addrM, minConf); got != f.params.BlockSubsidy {
+			t.Fatalf("balance %d at %d confirmations past the bound", got, minConf)
+		}
+	}
+	if got := p.overlay.BalanceCacheSize(); got != maxBalanceCache {
+		t.Fatalf("the full memo grew to %d", got)
+	}
+
+	p.deliver(f.block(b1.BlockHash(), 2, scriptM))
+	if p.overlay.BalanceCacheSize() != 0 {
+		t.Fatal("cache survived a tree mutation")
+	}
+	if got := p.balance(addrM, 0); got != 2*f.params.BlockSubsidy || p.overlay.BalanceCacheSize() != 1 {
+		t.Fatalf("balance %d, %d memoized after the flood was dropped", got, p.overlay.BalanceCacheSize())
 	}
 }

@@ -285,9 +285,11 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 // the authority — which is why the producer wraps every payload in
 // GuardAuthority, and mid-run re-hydrations snapshot the authority under
 // the same guard. The second input runs the same body through the serving
-// layers — coalescing, the hot cache every frame invalidates, and admission
-// with a scan budget no client exhausts (the clients' timestamp is fixed, so
-// it never refills) — the stack's only run under many goroutines and frames.
+// layers — coalescing, a hot cache every frame invalidates and that holds two
+// of the clients' four keys, so fills are refused and stale entries swept
+// beside the frames, and admission with a scan budget no client exhausts (the
+// clients' timestamp is fixed, so it never refills) — the stack's only run
+// under many goroutines and frames.
 func TestFleetConcurrentQueriesAndFrames(t *testing.T) {
 	bare := queryfleet.Config{
 		Replicas:         3,
@@ -298,21 +300,28 @@ func TestFleetConcurrentQueriesAndFrames(t *testing.T) {
 	}
 	layered := bare
 	layered.Coalesce = true
-	layered.CacheEntries = 64
+	layered.CacheEntries = 2
 	layered.Budgets = map[canister.CostClass]queryfleet.Budget{canister.CostScan: {Burst: 1 << 40}}
 	t.Run("bare", func(t *testing.T) {
-		if st := concurrentQueriesAndFrames(t, bare); st.CacheHits+st.Coalesced+st.Shed != 0 {
+		if _, st := concurrentQueriesAndFrames(t, bare); st.CacheHits+st.Coalesced+st.Shed != 0 {
 			t.Fatalf("a fleet without serving layers touched them: %+v", st)
 		}
 	})
 	t.Run("layered", func(t *testing.T) {
-		if st := concurrentQueriesAndFrames(t, layered); st.CacheHits == 0 {
+		fleet, st := concurrentQueriesAndFrames(t, layered)
+		if st.CacheHits == 0 {
 			t.Fatalf("no query was served from the hot cache: %+v", st)
+		}
+		// Thousands of refusals and two sweeps a frame in practice.
+		refused := fleet.Metrics().Counter("fleet_cache_refused_total").Value()
+		sweeps := fleet.Metrics().Counter("fleet_cache_sweeps_total").Value()
+		if refused == 0 || sweeps == 0 {
+			t.Fatalf("a cache of half the key set refused %d fills and swept %d times", refused, sweeps)
 		}
 	})
 }
 
-func concurrentQueriesAndFrames(t *testing.T, cfg queryfleet.Config) queryfleet.Stats {
+func concurrentQueriesAndFrames(t *testing.T, cfg queryfleet.Config) (*queryfleet.Fleet, queryfleet.Stats) {
 	r := newRig(t, cfg, 10)
 
 	var wg sync.WaitGroup
@@ -376,7 +385,7 @@ func concurrentQueriesAndFrames(t *testing.T, cfg queryfleet.Config) queryfleet.
 	if rq.Err != nil || rq.Value.(int64) != want {
 		t.Fatalf("final balance %v (%v), want %d", rq.Value, rq.Err, want)
 	}
-	return st
+	return r.fleet, st
 }
 
 // TestApplyPendingConcurrentCallers: two goroutines drain one replica while

@@ -9,8 +9,8 @@ import (
 // fleetMetrics is the fleet's obs instrumentation. The old ad-hoc atomic
 // counters live here as registry-backed counters (Fleet.Stats stays as the
 // compatibility view over them), plus the metrics the atomics never had:
-// cache misses and fills, per-cost-class sheds, and the frame publish→apply
-// lag.
+// cache misses, fills, refusals and sweeps, per-cost-class sheds, and the
+// frame publish→apply lag.
 //
 // statsMu fixes the snapshot tear Stats() used to have: counters that are
 // bumped together (served+certified, forwarded+certified) are incremented
@@ -46,6 +46,12 @@ type fleetMetrics struct {
 	cacheFills  *obs.Counter
 	shedByClass *obs.Family
 	applyLag    *obs.Histogram
+
+	// cacheRefused counts the fills a cache full of current-generation
+	// entries turned away, cacheSweeps the walks that looked for entries of
+	// older generations to drop.
+	cacheRefused *obs.Counter
+	cacheSweeps  *obs.Counter
 }
 
 func newFleetMetrics() *fleetMetrics {
@@ -71,6 +77,9 @@ func newFleetMetrics() *fleetMetrics {
 		cacheFills:  r.Counter("fleet_cache_fills_total"),
 		shedByClass: r.Family("fleet_shed_by_class_total", "class"),
 		applyLag:    r.Histogram("fleet_frame_apply_lag_ns", obs.DurationBuckets),
+
+		cacheRefused: r.Counter("fleet_cache_refused_total"),
+		cacheSweeps:  r.Counter("fleet_cache_sweeps_total"),
 	}
 }
 

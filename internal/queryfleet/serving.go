@@ -17,6 +17,14 @@ package queryfleet
 // method's cost-class token bucket and sheds the overflow with ErrBusy, so
 // a paginated-scan flood cannot starve cheap balance traffic.
 //
+// What the cache costs a query: a hit is one map probe; a miss that finds
+// room stores in one more; and a miss under capacity pressure — more keys
+// offered than CacheEntries, the first to fill stay — is refused in O(1).
+// The cache is walked only to sweep entries of older generations, and at
+// most once per generation: a sweep that leaves it full is remembered until
+// the generation moves, so a cold query pays for its execution and not for
+// the cache being full.
+//
 // All layer state is keyed or guarded such that a response served from any
 // layer is byte-identical to some fresh execution against the same stream
 // generation — the property the differential harness asserts.
@@ -85,6 +93,10 @@ type serving struct {
 
 	cacheMu sync.Mutex
 	cache   map[[32]byte]cacheEntry
+	// full says a sweep at generation fullGen left the cache at capacity,
+	// every entry of that generation (see cacheFill).
+	full    bool
+	fullGen uint64
 
 	flightMu sync.Mutex
 	flights  map[flightKey]*flight
@@ -133,29 +145,43 @@ func (s *serving) cacheGet(gen uint64, key [32]byte) (ic.RoutedQuery, bool) {
 }
 
 // cacheFill stores one certified response under the generation it was
-// computed at, reporting whether the entry landed. Under capacity pressure,
-// entries from older generations are swept first (they can never be served
-// again); if the cache is full of current-generation entries the fill is
-// skipped — deterministic, and the hot keys that filled first stay resident.
-func (s *serving) cacheFill(gen uint64, key [32]byte, rq ic.RoutedQuery) bool {
+// computed at, reporting whether the entry landed and whether the cache was
+// swept for it. Under capacity pressure, entries from older generations are
+// swept first (they can never be served again); if the cache is full of
+// current-generation entries the fill is skipped — deterministic, and the hot
+// keys that filled first stay resident. A sweep that leaves the cache full
+// proves every entry is of its generation, which stays true until an entry of
+// another generation is stored: fullGen remembers it, and until then every
+// further fill at that generation is refused without looking at an entry.
+func (s *serving) cacheFill(gen uint64, key [32]byte, rq ic.RoutedQuery) (stored, swept bool) {
 	if s.cache == nil {
-		return false
+		return false, false
 	}
 	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
 	if _, exists := s.cache[key]; !exists && len(s.cache) >= s.cacheCap {
+		if s.full && s.fullGen == gen {
+			return false, false
+		}
 		for k, e := range s.cache {
 			if e.gen != gen {
 				delete(s.cache, k)
 			}
 		}
 		if len(s.cache) >= s.cacheCap {
-			s.cacheMu.Unlock()
-			return false
+			s.full, s.fullGen = true, gen
+			return false, true
 		}
+		swept = true
 	}
 	s.cache[key] = cacheEntry{gen: gen, rq: rq}
-	s.cacheMu.Unlock()
-	return true
+	if gen != s.fullGen {
+		// A fill that raced a frame stores under a generation already
+		// past; forgetting the mark lets the next fill sweep that dead
+		// entry out instead of refusing around it.
+		s.full = false
+	}
+	return true, swept
 }
 
 // CacheSize returns the number of resident cache entries (observability).
@@ -312,8 +338,14 @@ func (f *Fleet) admitAndExecute(m *canister.MethodDesc, method string, arg any, 
 	// safe: the entry is stored under gen, and cacheGet never serves an
 	// entry whose generation is not current.
 	if cacheable && rq.Err == nil && (forwarded || servedSeq == gen) && f.gen.Load() == gen {
-		if f.serving.cacheFill(gen, key, rq) {
+		stored, swept := f.serving.cacheFill(gen, key, rq)
+		if swept {
+			f.met.cacheSweeps.Inc()
+		}
+		if stored {
 			f.met.cacheFills.Inc()
+		} else {
+			f.met.cacheRefused.Inc()
 		}
 	}
 	return rq

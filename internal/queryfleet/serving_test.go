@@ -2,7 +2,9 @@ package queryfleet_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,6 +131,90 @@ func TestCacheInvalidatedByFrames(t *testing.T) {
 	}
 	if third.Value.(int64) != second.Value.(int64) {
 		t.Fatal("cache hit served a stale value")
+	}
+}
+
+// TestCacheCapacityFirstFillWins offers a 4-entry cache more keys than it
+// holds. The first four to fill stay and keep hitting with the envelope they
+// filled with; every later key at that generation executes, is answered like
+// the authority answers, and is refused — the first refusal after one sweep
+// that finds nothing stale, the rest without another. One frame later the
+// four are stale: a single sweep drops them and the fifth key lands.
+func TestCacheCapacityFirstFillWins(t *testing.T) {
+	cfg := queryfleet.DefaultConfig()
+	cfg.Replicas = 1
+	cfg.CacheEntries = 4
+	// Every execution signs with the next serial number, so an envelope
+	// served twice is told from one computed twice.
+	var signed atomic.Uint64
+	cfg.Sign = func(digest []byte) ([]byte, error) {
+		return binary.BigEndian.AppendUint64(append([]byte(nil), digest...), signed.Add(1)), nil
+	}
+	r := newRig(t, cfg, 10)
+
+	count := func(name string) uint64 { return r.fleet.Metrics().Counter(name).Value() }
+	expect := func(when string, size int, fills, refused, sweeps uint64) {
+		t.Helper()
+		if r.fleet.CacheSize() != size || count("fleet_cache_fills_total") != fills ||
+			count("fleet_cache_refused_total") != refused || count("fleet_cache_sweeps_total") != sweeps {
+			t.Fatalf("%s: %d resident, %d fills, %d refused, %d sweeps; want %d, %d, %d, %d", when,
+				r.fleet.CacheSize(), count("fleet_cache_fills_total"), count("fleet_cache_refused_total"),
+				count("fleet_cache_sweeps_total"), size, fills, refused, sweeps)
+		}
+	}
+	query := func(limit int) ic.RoutedQuery {
+		t.Helper()
+		args := canister.GetUTXOsArgs{Address: r.addr.String(), Limit: limit}
+		rq := r.fleet.RouteQuery("get_utxos", args, "client", r.now)
+		if rq.Err != nil {
+			t.Fatal(rq.Err)
+		}
+		want, err := r.f.Canister.GetUTXOs(ic.NewCallContext(ic.KindQuery, r.now), args)
+		if ic.ResponseDigest(rq.Value, rq.Err) != ic.ResponseDigest(want, err) {
+			t.Fatalf("limit %d: routed response differs from the authority's", limit)
+		}
+		return rq
+	}
+
+	var resident [4]ic.RoutedQuery
+	for i := range resident {
+		resident[i] = query(i + 1)
+	}
+	expect("four keys", 4, 4, 0, 0)
+
+	query(5)
+	expect("fifth key", 4, 4, 1, 1)
+	executed := signed.Load()
+	query(5)
+	if signed.Load() != executed+1 || r.fleet.Stats().CacheHits != 0 {
+		t.Fatalf("the refused key was served from the cache (%d hits)", r.fleet.Stats().CacheHits)
+	}
+	const more = 20
+	for i := 0; i < more; i++ {
+		query(6 + i)
+	}
+	expect("a full generation", 4, 4, 2+more, 1)
+
+	executed = signed.Load()
+	for i, first := range resident {
+		hit := query(i + 1)
+		if !bytes.Equal(hit.Signature, first.Signature) || ic.ResponseDigest(hit.Value, hit.Err) != ic.ResponseDigest(first.Value, first.Err) {
+			t.Fatalf("resident key %d served another envelope than it filled with", i+1)
+		}
+	}
+	if hits := r.fleet.Stats().CacheHits; hits != 4 || signed.Load() != executed {
+		t.Fatalf("%d hits and %d executions on the four resident keys", hits, signed.Load()-executed)
+	}
+
+	r.feedBlock()
+	if err := r.fleet.CatchUpAll(); err != nil {
+		t.Fatal(err)
+	}
+	query(5)
+	expect("after a frame", 1, 5, 2+more, 2)
+	query(5)
+	if hits := r.fleet.Stats().CacheHits; hits != 5 {
+		t.Fatalf("%d hits: the fifth key did not land", hits)
 	}
 }
 

@@ -42,6 +42,10 @@ var (
 	ErrBadChecksum = errors.New("statecodec: snapshot checksum mismatch")
 	ErrTruncated   = errors.New("statecodec: truncated snapshot")
 	ErrTrailing    = errors.New("statecodec: trailing bytes after snapshot payload")
+	// ErrOverlongVarint rejects a varint padded with zero groups: it would
+	// decode to a value the encoder writes shorter, so accepting it makes
+	// bytes no encoder wrote re-encode to other bytes.
+	ErrOverlongVarint = errors.New("statecodec: over-long varint")
 )
 
 // checksumSize is the length of the CRC-32C trailer.
@@ -229,7 +233,8 @@ func (d *Decoder) U64() uint64 {
 // I64 reads a little-endian int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
-// Uvarint reads an unsigned LEB128 varint.
+// Uvarint reads an unsigned LEB128 varint in its shortest form, the only one
+// Encoder.Uvarint writes.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
@@ -237,6 +242,10 @@ func (d *Decoder) Uvarint() uint64 {
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
 		d.fail(fmt.Errorf("%w: bad uvarint at offset %d", ErrTruncated, d.off))
+		return 0
+	}
+	if n > 1 && d.buf[d.off+n-1] == 0 {
+		d.fail(fmt.Errorf("%w: %d bytes for %d at offset %d", ErrOverlongVarint, n, v, d.off))
 		return 0
 	}
 	d.off += n

@@ -221,3 +221,60 @@ func TestCountForBoundsAgainstRemainingBytes(t *testing.T) {
 		t.Fatal(d.Err())
 	}
 }
+
+// TestUvarintRejectsOverlongEncodings: a varint padded with zero groups names
+// a value the encoder writes shorter (0x80 0x00 is 0, written 0x00), so a
+// decoder taking it accepts bytes no encoder wrote. Every length's shortest
+// forms still decode, the padded ones fail with ErrOverlongVarint, and what
+// the encoder writes for the boundary values of each length reads back.
+func TestUvarintRejectsOverlongEncodings(t *testing.T) {
+	read := func(raw []byte) (uint64, error) {
+		e := NewEncoder(testMagic, testVersion, 0)
+		e.Raw(raw)
+		d, err := NewDecoder(e.Finish(), testMagic, testVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := d.Uvarint()
+		if d.Err() == nil && d.Remaining() != 0 {
+			t.Fatalf("% x: %d bytes left unread", raw, d.Remaining())
+		}
+		return v, d.Err()
+	}
+	for _, tc := range []struct {
+		raw  []byte
+		want uint64
+	}{
+		{[]byte{0x00}, 0},
+		{[]byte{0x7f}, 127},
+		{[]byte{0x80, 0x01}, 128},
+		{[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 1<<64 - 1},
+	} {
+		if got, err := read(tc.raw); err != nil || got != tc.want {
+			t.Errorf("% x: read %d, %v; want %d", tc.raw, got, err, tc.want)
+		}
+	}
+	for _, raw := range [][]byte{
+		{0x80, 0x00},             // 0 in two bytes
+		{0xff, 0x00},             // 127 in two
+		{0x81, 0x80, 0x00},       // 1 in three
+		{0x80, 0x80, 0x80, 0x00}, // 0 in four
+	} {
+		if got, err := read(raw); !errors.Is(err, ErrOverlongVarint) || got != 0 {
+			t.Errorf("% x: read %d, %v; want ErrOverlongVarint", raw, got, err)
+		}
+	}
+	for shift := 0; shift < 64; shift += 7 {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			e := NewEncoder(testMagic, testVersion, 0)
+			e.Uvarint(v)
+			d, err := NewDecoder(e.Finish(), testMagic, testVersion)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := d.Uvarint(); got != v || d.Err() != nil {
+				t.Errorf("%d reads back as %d (%v)", v, got, d.Err())
+			}
+		}
+	}
+}

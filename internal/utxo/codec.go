@@ -619,13 +619,9 @@ func DecodeBlockDelta(d *statecodec.Decoder) (*BlockDelta, error) {
 	}
 	bd.index = newCreatedIndex(len(bd.created))
 	for pos := range bd.created {
-		op := &bd.created[pos].OutPoint
-		tag := outpointTag(deltaSeed, op)
-		slot, dup := bd.index.find(bd.created, op, tag)
-		if dup >= 0 {
-			return nil, fmt.Errorf("utxo: delta snapshot created outpoint %s duplicated", *op)
+		if !bd.index.add(bd.created, pos) {
+			return nil, fmt.Errorf("utxo: delta snapshot created outpoint %s duplicated", bd.created[pos].OutPoint)
 		}
-		bd.index.put(slot, tag, pos)
 	}
 
 	nSpent := d.CountFor(maxSnapshotEntries, lengthPrefixedMin2)

@@ -115,6 +115,20 @@ func (ix createdIndex) put(slot, tag uint32, pos int) {
 	ix[slot] = uint64(tag)<<32 | uint64(pos+1)
 }
 
+// add names created[pos] — how an index is built over a column that is
+// already there. It reports false, naming nothing, when the index holds the
+// outpoint at another position.
+func (ix createdIndex) add(created []UTXO, pos int) bool {
+	op := &created[pos].OutPoint
+	tag := outpointTag(deltaSeed, op)
+	slot, dup := ix.find(created, op, tag)
+	if dup >= 0 {
+		return false
+	}
+	ix.put(slot, tag, pos)
+	return true
+}
+
 // SpentOutPoint is one spent pre-existing outpoint with its value, kept so
 // balance deltas can be derived without a second lookup.
 type SpentOutPoint struct {

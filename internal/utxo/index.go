@@ -162,10 +162,11 @@ type AddressIter struct {
 	below  []heightGroup
 }
 
-// settle moves the stream onto its next entry whose outpoint is not in
-// suppress, stepping down a group whenever one is used up, and reports
-// whether there is such an entry. After true, cur[0] is that entry.
-func (it *AddressIter) settle(suppress map[btc.OutPoint]bool) bool {
+// settle moves the stream onto its next entry whose outpoint ov does not
+// suppress (nil suppresses nothing), stepping down a group whenever one is
+// used up, and reports whether there is such an entry. After true, cur[0] is
+// that entry.
+func (it *AddressIter) settle(ov *AddressOverlay) bool {
 	for {
 		for len(it.cur) == 0 {
 			n := len(it.below)
@@ -175,17 +176,19 @@ func (it *AddressIter) settle(suppress map[btc.OutPoint]bool) bool {
 			it.cur, it.height = it.below[n-1].entries, it.below[n-1].height
 			it.below = it.below[:n-1]
 		}
-		if len(suppress) == 0 || !suppress[it.cur[0].op] {
+		if !ov.suppresses(&it.cur[0].op) {
 			return true
 		}
 		it.cur = it.cur[1:]
 	}
 }
 
-// head materializes the entry a successful settle left the stream on.
-func (it *AddressIter) head() UTXO {
+// headInto materializes into u the entry a successful settle left the stream
+// on — in place: a page is written where it lies, not built entry by entry
+// and copied.
+func (it *AddressIter) headInto(u *UTXO) {
 	e := &it.cur[0]
-	return UTXO{OutPoint: e.op, Value: e.value, PkScript: it.set.scripts[e.script].bytes, Height: it.height}
+	u.OutPoint, u.Value, u.PkScript, u.Height = e.op, e.value, it.set.scripts[e.script].bytes, it.height
 }
 
 // headBefore reports whether that entry strictly precedes u in canonical
@@ -198,11 +201,11 @@ func (it *AddressIter) headBefore(u *UTXO) bool {
 }
 
 // Next returns the next UTXO in canonical order.
-func (it *AddressIter) Next() (UTXO, bool) {
+func (it *AddressIter) Next() (u UTXO, ok bool) {
 	if !it.settle(nil) {
 		return UTXO{}, false
 	}
-	u := it.head()
+	it.headInto(&u)
 	it.cur = it.cur[1:]
 	return u, true
 }
@@ -210,18 +213,21 @@ func (it *AddressIter) Next() (UTXO, bool) {
 // AddressIter returns an iterator over an address's UTXOs from the top of
 // the canonical order.
 func (s *Set) AddressIter(addressKey string) AddressIter {
-	b := s.byAddress[addressKey]
+	return s.iterOver(s.byAddress[addressKey])
+}
+
+// iterOver is AddressIter over the address's bucket, nil when it has none.
+func (s *Set) iterOver(b *bucket) AddressIter {
 	if b == nil {
 		return AddressIter{}
 	}
 	return AddressIter{set: s, below: b.groups}
 }
 
-// addressIterAfter returns an iterator resuming strictly after the cursor
-// in canonical order: the rest of the cursor's height group first, then
-// every lower group.
-func (s *Set) addressIterAfter(addressKey string, c pageCursor) AddressIter {
-	b := s.byAddress[addressKey]
+// iterAfter returns an iterator resuming strictly after the cursor in
+// canonical order: the rest of the cursor's height group first, then every
+// lower group.
+func (s *Set) iterAfter(b *bucket, c pageCursor) AddressIter {
 	if b == nil {
 		return AddressIter{}
 	}
@@ -259,13 +265,16 @@ func (s *Set) AddressUTXOCount(addressKey string) int {
 // return, at O(log n + page) instead of O(n log n): the cursor is located
 // by binary search and only the page is copied.
 //
-// created must be sorted canonically; suppress holds the outpoints the
-// unstable chain spent plus every outpoint in created (creations override a
-// same-outpoint stable entry, as the replay's map overwrite does).
-func (s *Set) MergedPage(addressKey string, created []UTXO, suppress map[btc.OutPoint]bool, token PageToken, limit int) (page []UTXO, unstable int, next PageToken, err error) {
+// created and suppress are the two faces of one sealed AddressOverlay: its
+// Created list, sorted canonically, and the overlay itself, which drops from
+// the stable stream the outpoints the unstable chain spent and every outpoint
+// in created (a creation overrides a same-outpoint stable entry, as the
+// replay's map overwrite does). Nil for both pages the stable bucket alone.
+func (s *Set) MergedPage(addressKey string, created []UTXO, suppress *AddressOverlay, token PageToken, limit int) (page []UTXO, unstable int, next PageToken, err error) {
 	if limit <= 0 {
 		return nil, 0, nil, fmt.Errorf("utxo: page limit must be positive, got %d", limit)
 	}
+	b := s.byAddress[addressKey]
 	var stable AddressIter
 	ci := 0
 	if len(token) != 0 {
@@ -273,37 +282,43 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress map[btc.Out
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		stable = s.addressIterAfter(addressKey, cur)
+		stable = s.iterAfter(b, cur)
 		ci = sort.Search(len(created), func(i int) bool { return cursorBefore(cur, created[i]) })
 	} else {
-		stable = s.AddressIter(addressKey)
+		stable = s.iterOver(b)
 	}
 
-	// The whole bucket bounds what the stable stream can still yield.
-	capHint := s.AddressUTXOCount(addressKey) + (len(created) - ci)
-	if capHint > limit {
-		capHint = limit
+	// The whole bucket bounds what the stable stream can still yield, so the
+	// page is allocated at the most it can hold and filled where it lies.
+	room := len(created) - ci
+	if b != nil {
+		room += b.count
 	}
-	page = make([]UTXO, 0, capHint)
-
-	sok := stable.settle(suppress)
-	for len(page) < limit {
-		switch {
-		case sok && (ci >= len(created) || stable.headBefore(&created[ci])):
-			page = append(page, stable.head())
-			stable.cur = stable.cur[1:]
-			sok = stable.settle(suppress)
-		case ci < len(created):
-			page = append(page, created[ci])
+	if room > limit {
+		room = limit
+	}
+	page = make([]UTXO, room)
+	n := 0
+	for n < len(page) {
+		if !stable.settle(suppress) {
+			took := copy(page[n:], created[ci:])
+			n, ci, unstable = n+took, ci+took, unstable+took
+			break
+		}
+		if ci < len(created) && !stable.headBefore(&created[ci]) {
+			page[n] = created[ci]
 			unstable++
 			ci++
-		default:
-			return page, unstable, nil, nil // both streams exhausted
+		} else {
+			stable.headInto(&page[n])
+			stable.cur = stable.cur[1:]
 		}
+		n++
 	}
-	if !sok && ci >= len(created) {
-		return page, unstable, nil, nil
+	page = page[:n]
+	if ci >= len(created) && !stable.settle(suppress) {
+		return page, unstable, nil, nil // both streams exhausted
 	}
-	last := page[len(page)-1]
+	last := &page[n-1]
 	return page, unstable, encodeCursor(pageCursor{height: last.Height, op: last.OutPoint}), nil
 }

@@ -392,6 +392,17 @@ func TestMergedPageMatchesNaivePaging(t *testing.T) {
 		}
 		SortUTXOs(created)
 
+		// The maps are the reference; the flat overlay is built from them,
+		// suppressions in map order.
+		ov := NewAddressOverlay(len(suppress) + len(created))
+		for op := range suppress {
+			ov.spend(&op)
+		}
+		for i := range created {
+			ov.create(&created[i])
+		}
+		ov.Seal()
+
 		// Materialized merged view, the way the replay oracle builds it.
 		var merged []UTXO
 		for _, u := range stable {
@@ -412,7 +423,7 @@ func TestMergedPageMatchesNaivePaging(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotPage, unstable, gotNext, err := set.MergedPage(key, created, suppress, tokB, limit)
+			gotPage, unstable, gotNext, err := set.MergedPage(key, ov.Created(), &ov, tokB, limit)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package utxo
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,23 +25,22 @@ type pageCursor struct {
 	op     btc.OutPoint
 }
 
+// cursorLen is the length of every token: height, txid, vout.
+const cursorLen = 8 + btc.HashSize + 4
+
 func encodeCursor(c pageCursor) PageToken {
-	var buf bytes.Buffer
-	var h [8]byte
-	binary.BigEndian.PutUint64(h[:], uint64(c.height))
-	buf.Write(h[:])
-	buf.Write(c.op.TxID[:])
-	var v [4]byte
-	binary.BigEndian.PutUint32(v[:], c.op.Vout)
-	buf.Write(v[:])
-	return buf.Bytes()
+	tok := make(PageToken, cursorLen)
+	binary.BigEndian.PutUint64(tok, uint64(c.height))
+	copy(tok[8:], c.op.TxID[:])
+	binary.BigEndian.PutUint32(tok[8+btc.HashSize:], c.op.Vout)
+	return tok
 }
 
 // ErrBadPageToken is returned for malformed next-page references.
 var ErrBadPageToken = errors.New("utxo: malformed page token")
 
 func decodeCursor(tok PageToken) (pageCursor, error) {
-	if len(tok) != 8+btc.HashSize+4 {
+	if len(tok) != cursorLen {
 		return pageCursor{}, fmt.Errorf("%w: length %d", ErrBadPageToken, len(tok))
 	}
 	var c pageCursor
