@@ -2,7 +2,7 @@ package btc
 
 import (
 	"bytes"
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/big"
@@ -56,37 +56,20 @@ func (h *BlockHeader) BlockHash() Hash {
 	return DoubleSHA256(h.Bytes())
 }
 
-// DeserializeBlockHeader decodes a header from r.
-func DeserializeBlockHeader(r io.Reader) (*BlockHeader, error) {
-	var h BlockHeader
-	var err error
-	if h.Version, err = readUint32(r); err != nil {
-		return nil, fmt.Errorf("btc: header version: %w", err)
-	}
-	if h.PrevBlock, err = readHash(r); err != nil {
-		return nil, fmt.Errorf("btc: header prev: %w", err)
-	}
-	if h.MerkleRoot, err = readHash(r); err != nil {
-		return nil, fmt.Errorf("btc: header merkle: %w", err)
-	}
-	if h.Timestamp, err = readUint32(r); err != nil {
-		return nil, fmt.Errorf("btc: header time: %w", err)
-	}
-	if h.Bits, err = readUint32(r); err != nil {
-		return nil, fmt.Errorf("btc: header bits: %w", err)
-	}
-	if h.Nonce, err = readUint32(r); err != nil {
-		return nil, fmt.Errorf("btc: header nonce: %w", err)
-	}
-	return &h, nil
-}
-
 // ParseBlockHeader decodes a header from exactly 80 bytes.
 func ParseBlockHeader(data []byte) (*BlockHeader, error) {
 	if len(data) != BlockHeaderSize {
 		return nil, fmt.Errorf("btc: block header must be %d bytes, got %d", BlockHeaderSize, len(data))
 	}
-	return DeserializeBlockHeader(bytes.NewReader(data))
+	h := &BlockHeader{
+		Version:   binary.LittleEndian.Uint32(data[0:4]),
+		Timestamp: binary.LittleEndian.Uint32(data[68:72]),
+		Bits:      binary.LittleEndian.Uint32(data[72:76]),
+		Nonce:     binary.LittleEndian.Uint32(data[76:80]),
+	}
+	copy(h.PrevBlock[:], data[4:36])
+	copy(h.MerkleRoot[:], data[36:68])
+	return h, nil
 }
 
 // Block is a batch of transactions referencing a predecessor block.
@@ -175,41 +158,10 @@ func (b *Block) SerializedSize() int {
 // maxBlockTxs bounds decoder allocation.
 const maxBlockTxs = 1 << 20
 
-// DeserializeBlock decodes a block from r.
-func DeserializeBlock(r io.Reader) (*Block, error) {
-	hdr, err := DeserializeBlockHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	n, err := ReadVarInt(r)
-	if err != nil {
-		return nil, fmt.Errorf("btc: block tx count: %w", err)
-	}
-	if n > maxBlockTxs {
-		return nil, fmt.Errorf("btc: too many transactions: %d", n)
-	}
-	b := &Block{Header: *hdr, Transactions: make([]*Transaction, 0, min(n, maxAlloc))}
-	for i := uint64(0); i < n; i++ {
-		tx, err := DeserializeTransaction(r)
-		if err != nil {
-			return nil, fmt.Errorf("btc: block tx %d: %w", i, err)
-		}
-		b.Transactions = append(b.Transactions, tx)
-	}
-	return b, nil
-}
-
-// ParseBlock decodes a block from bytes, rejecting trailing data.
+// ParseBlock decodes a block from bytes, rejecting trailing data. It is
+// ParseBlockFast over a private copy: the result shares no memory with data.
 func ParseBlock(data []byte) (*Block, error) {
-	r := bytes.NewReader(data)
-	b, err := DeserializeBlock(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, errors.New("btc: trailing bytes after block")
-	}
-	return b, nil
+	return ParseBlockFast(bytes.Clone(data))
 }
 
 // MerkleRoot computes the Merkle tree root over the block's transaction IDs

@@ -6,20 +6,16 @@ import (
 	"fmt"
 )
 
-// Zero-copy block parsing for the ingest pipeline. DeserializeBlock reads
-// through an io.Reader and copies every script into a fresh allocation;
-// when a whole block is already in memory (wire bytes from the adapter, a
-// snapshot, or a stream frame) that indirection is pure overhead. The
-// parser below walks the byte slice with a cursor, aliases script fields
-// into the input buffer, and — the important part — computes every
-// transaction ID as DoubleSHA256 over the transaction's wire span, so the
-// txid table costs one hash per transaction and zero re-serialization.
+// The wire decoder: a cursor over a byte slice that is already in memory
+// (wire bytes from the adapter, a snapshot, a stream frame, a
+// send_transaction argument). Script fields alias the input buffer, and every
+// transaction ID of a block is DoubleSHA256 over the transaction's wire span,
+// so the txid table costs one hash per transaction and no re-serialization.
 //
-// ParseBlockFast accepts exactly the encodings ParseBlock accepts: the
-// wire varint reader enforces canonical CompactSize forms, so any input
-// that parses is byte-identical to the re-serialization of its parse, and
-// the span hashes equal the TxID() of the decoded transactions. The
-// equivalence is pinned by TestParseBlockFastEquivalence.
+// The varint reader enforces canonical CompactSize forms, so any input that
+// parses is byte-identical to the re-serialization of its parse, and the span
+// hashes equal the TxID() of the decoded transactions — the property
+// FuzzParseBlock holds the decoder to, with the serializer as its oracle.
 
 // cursor is a bounds-checked reader over a byte slice.
 type cursor struct {
@@ -64,8 +60,8 @@ func (c *cursor) hash() (Hash, error) {
 	return h, nil
 }
 
-// varint decodes a canonical CompactSize integer, mirroring ReadVarInt's
-// canonicality enforcement exactly.
+// varint decodes a CompactSize integer, enforcing canonical (minimal)
+// encoding as Bitcoin consensus does for transaction counts.
 func (c *cursor) varint() (uint64, error) {
 	b, err := c.take(1)
 	if err != nil {
@@ -107,7 +103,8 @@ func (c *cursor) varint() (uint64, error) {
 	}
 }
 
-// varbytes reads a length-prefixed byte slice aliasing the input buffer.
+// varbytes reads a length-prefixed byte slice aliasing the input buffer,
+// rejecting lengths above maxLen.
 func (c *cursor) varbytes(maxLen uint64) ([]byte, error) {
 	n, err := c.varint()
 	if err != nil {
@@ -185,9 +182,8 @@ func (c *cursor) parseTransaction() (*Transaction, int, int, error) {
 // ParseBlockFast decodes a block from wire bytes without copying script
 // fields (they alias data, which must stay immutable for the block's
 // lifetime) and seals the block's transaction-ID memo by double-hashing
-// each transaction's wire span. It accepts exactly the inputs ParseBlock
-// accepts and produces an equivalent block; the txid table and the blocks'
-// serializations are byte-identical.
+// each transaction's wire span. ParseBlock is the same decoder over a private
+// copy, for callers that cannot promise that.
 func ParseBlockFast(data []byte) (*Block, error) {
 	c := &cursor{data: data}
 	hdrBytes, err := c.take(BlockHeaderSize)

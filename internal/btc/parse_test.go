@@ -2,6 +2,7 @@ package btc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -39,61 +40,164 @@ func randomTestBlock(rng *rand.Rand) *Block {
 	return b
 }
 
-// TestParseBlockFastEquivalence pins the zero-copy parser to the reader
-// parser: identical blocks, identical txid tables (span hashes equal
-// re-serialization hashes), identical re-serialization, and identical
-// accept/reject decisions on truncations and trailing garbage.
-func TestParseBlockFastEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for iter := 0; iter < 200; iter++ {
-		blk := randomTestBlock(rng)
-		wire := blk.Bytes()
+// nonCanonicalVarints returns data with the canonical varint at off re-encoded
+// in every longer CompactSize form — same value, bytes no serializer writes.
+func nonCanonicalVarints(data []byte, off int) [][]byte {
+	c := &cursor{data: data, off: off}
+	v, err := c.varint()
+	if err != nil {
+		return nil
+	}
+	var out [][]byte
+	for _, form := range []struct {
+		prefix byte
+		size   int
+		max    uint64
+	}{{0xfd, 2, 0xfc}, {0xfe, 4, 0xffff}, {0xff, 8, 0xffffffff}} {
+		if v > form.max {
+			continue
+		}
+		var le [8]byte
+		binary.LittleEndian.PutUint64(le[:], v)
+		mut := append(bytes.Clone(data[:off]), form.prefix)
+		mut = append(mut, le[:form.size]...)
+		out = append(out, append(mut, data[c.off:]...))
+	}
+	return out
+}
 
-		slow, errSlow := ParseBlock(wire)
-		fast, errFast := ParseBlockFast(wire)
-		if errSlow != nil || errFast != nil {
-			t.Fatalf("iter %d: parse errors slow=%v fast=%v", iter, errSlow, errFast)
+// checkRejectsDamage asserts that no neighbour of an accepted encoding is
+// accepted: every truncation, a trailing byte, and every non-canonical form of
+// the count varint at varintOff.
+func checkRejectsDamage(t *testing.T, what string, data []byte, varintOff int, parse func([]byte) error) {
+	t.Helper()
+	for cut := 0; cut < len(data); cut += 1 + len(data)/512 {
+		if parse(data[:cut]) == nil {
+			t.Fatalf("%s: truncation to %d of %d bytes accepted", what, cut, len(data))
 		}
-		if !bytes.Equal(slow.Bytes(), fast.Bytes()) {
-			t.Fatalf("iter %d: serializations differ", iter)
-		}
-		slowIDs, fastIDs := slow.TxIDs(), fast.TxIDs()
-		if len(slowIDs) != len(fastIDs) {
-			t.Fatalf("iter %d: txid count %d != %d", iter, len(slowIDs), len(fastIDs))
-		}
-		for i := range slowIDs {
-			if slowIDs[i] != fastIDs[i] {
-				t.Fatalf("iter %d: txid %d differs: %s != %s", iter, i, slowIDs[i], fastIDs[i])
-			}
-		}
-		if slow.MerkleRoot() != fast.MerkleRoot() {
-			t.Fatalf("iter %d: merkle roots differ", iter)
-		}
-
-		// Truncations and trailing bytes must be rejected by both.
-		if len(wire) > 0 {
-			cut := wire[:rng.Intn(len(wire))]
-			if _, err := ParseBlock(cut); err == nil {
-				t.Fatalf("iter %d: reader parser accepted a truncation", iter)
-			}
-			if _, err := ParseBlockFast(cut); err == nil {
-				t.Fatalf("iter %d: fast parser accepted a truncation", iter)
-			}
-		}
-		trailing := append(append([]byte(nil), wire...), 0x00)
-		if _, err := ParseBlock(trailing); err == nil {
-			t.Fatalf("iter %d: reader parser accepted trailing bytes", iter)
-		}
-		if _, err := ParseBlockFast(trailing); err == nil {
-			t.Fatalf("iter %d: fast parser accepted trailing bytes", iter)
+	}
+	if parse(append(bytes.Clone(data), 0x00)) == nil {
+		t.Fatalf("%s: trailing byte accepted", what)
+	}
+	for i, mut := range nonCanonicalVarints(data, varintOff) {
+		if parse(mut) == nil {
+			t.Fatalf("%s: non-canonical count varint (form %d) accepted", what, i)
 		}
 	}
 }
 
-// TestParseBlockFastRejectsNonCanonicalVarint mirrors ReadVarInt's
-// canonical-form enforcement: a 0xfd-prefixed count below 0xfd must be
-// rejected by both parsers (span hashes would otherwise diverge from
-// re-serialization hashes).
+// checkTxDecode holds ParseTransaction to its oracle, the serializer: an
+// accepted input re-serializes to the bytes it was parsed from (so its TxID is
+// the hash of those bytes), the result does not alias the argument, and no
+// damaged neighbour is accepted. It reports whether data was accepted.
+func checkTxDecode(t *testing.T, data []byte) bool {
+	t.Helper()
+	arg := bytes.Clone(data)
+	tx, err := ParseTransaction(arg)
+	if err != nil {
+		return false
+	}
+	for i := range arg {
+		arg[i] ^= 0xff
+	}
+	if !bytes.Equal(tx.Bytes(), data) {
+		t.Fatalf("transaction re-serializes to different bytes (%d vs %d)", len(tx.Bytes()), len(data))
+	}
+	if tx.TxID() != DoubleSHA256(data) {
+		t.Fatal("TxID is not the hash of the parsed bytes")
+	}
+	checkRejectsDamage(t, "ParseTransaction", data, 4, func(b []byte) error {
+		_, err := ParseTransaction(b)
+		return err
+	})
+	return true
+}
+
+// checkBlockDecode is checkTxDecode for the block decoder, through both entry
+// points: ParseBlockFast (aliases its argument) and ParseBlock (must not). The
+// txid table sealed off the wire spans must equal DoubleSHA256 of each
+// transaction's re-serialization, and every transaction an accepted block
+// carries goes through checkTxDecode on its own.
+func checkBlockDecode(t *testing.T, data []byte) bool {
+	t.Helper()
+	fast, errFast := ParseBlockFast(data)
+	arg := bytes.Clone(data)
+	copied, errCopy := ParseBlock(arg)
+	if (errFast == nil) != (errCopy == nil) {
+		t.Fatalf("entry points disagree: ParseBlockFast=%v ParseBlock=%v", errFast, errCopy)
+	}
+	if errFast != nil {
+		return false
+	}
+	for i := range arg {
+		arg[i] ^= 0xff
+	}
+	for name, blk := range map[string]*Block{"ParseBlockFast": fast, "ParseBlock": copied} {
+		if !bytes.Equal(blk.Bytes(), data) {
+			t.Fatalf("%s: block re-serializes to different bytes", name)
+		}
+		ids := blk.TxIDs()
+		if len(ids) != len(blk.Transactions) {
+			t.Fatalf("%s: %d txids for %d transactions", name, len(ids), len(blk.Transactions))
+		}
+		for i, tx := range blk.Transactions {
+			if ids[i] != DoubleSHA256(tx.Bytes()) {
+				t.Fatalf("%s: sealed txid %d is not the hash of the transaction's serialization", name, i)
+			}
+		}
+	}
+	if fast.MerkleRoot() != copied.MerkleRoot() {
+		t.Fatal("merkle roots differ between entry points")
+	}
+	checkRejectsDamage(t, "ParseBlockFast", data, BlockHeaderSize, func(b []byte) error {
+		_, err := ParseBlockFast(b)
+		return err
+	})
+	for i, tx := range fast.Transactions {
+		if !checkTxDecode(t, tx.Bytes()) {
+			t.Fatalf("transaction %d of an accepted block rejected on its own", i)
+		}
+	}
+	return true
+}
+
+// TestParseBlockRoundTrip runs the decoder's oracle over 200 seeded blocks
+// (the unit-test half of FuzzParseBlock).
+func TestParseBlockRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for iter := 0; iter < 200; iter++ {
+		if !checkBlockDecode(t, randomTestBlock(rng).Bytes()) {
+			t.Fatalf("iter %d: serializer output rejected", iter)
+		}
+	}
+}
+
+// FuzzParseBlock lets the fuzzer look for an accepted input the serializer
+// would not have written, or a sealed txid that is not the transaction's hash
+// — through the block decoder and, for every transaction it finds, through
+// ParseTransaction (send_transaction's and the adapter's entry point).
+func FuzzParseBlock(f *testing.F) {
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 4; i++ {
+		wire := randomTestBlock(rng).Bytes()
+		f.Add(wire)
+		f.Add(wire[:len(wire)/2])
+		for _, mut := range nonCanonicalVarints(wire, BlockHeaderSize) {
+			f.Add(mut)
+		}
+	}
+	f.Add(append(randomTestBlock(rng).Bytes(), 0x00))
+	f.Add(randomTestBlock(rng).Transactions[0].Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkBlockDecode(t, data)
+		checkTxDecode(t, data)
+	})
+}
+
+// TestParseBlockFastRejectsNonCanonicalVarint pins the canonical-form
+// enforcement on a hand-built case: a 0xfd-prefixed count below 0xfd must be
+// rejected through both entry points (span hashes would otherwise diverge
+// from re-serialization hashes).
 func TestParseBlockFastRejectsNonCanonicalVarint(t *testing.T) {
 	blk := randomTestBlock(rand.New(rand.NewSource(7)))
 	wire := blk.Bytes()
@@ -104,10 +208,10 @@ func TestParseBlockFastRejectsNonCanonicalVarint(t *testing.T) {
 	mut = append(mut, 0xfd, n, 0x00)
 	mut = append(mut, wire[BlockHeaderSize+1:]...)
 	if _, err := ParseBlock(mut); err == nil {
-		t.Fatal("reader parser accepted a non-canonical varint")
+		t.Fatal("ParseBlock accepted a non-canonical varint")
 	}
 	if _, err := ParseBlockFast(mut); err == nil {
-		t.Fatal("fast parser accepted a non-canonical varint")
+		t.Fatal("ParseBlockFast accepted a non-canonical varint")
 	}
 }
 

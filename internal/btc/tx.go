@@ -132,71 +132,15 @@ const (
 	maxScriptLen = 10_000
 )
 
-// DeserializeTransaction decodes a transaction from r.
-func DeserializeTransaction(r io.Reader) (*Transaction, error) {
-	var t Transaction
-	var err error
-	if t.Version, err = readUint32(r); err != nil {
-		return nil, fmt.Errorf("btc: tx version: %w", err)
-	}
-	nIn, err := ReadVarInt(r)
-	if err != nil {
-		return nil, fmt.Errorf("btc: tx input count: %w", err)
-	}
-	if nIn > maxTxInputs {
-		return nil, fmt.Errorf("btc: too many inputs: %d", nIn)
-	}
-	t.Inputs = make([]TxIn, 0, min(nIn, maxAlloc))
-	for i := uint64(0); i < nIn; i++ {
-		var in TxIn
-		if in.PreviousOutPoint.TxID, err = readHash(r); err != nil {
-			return nil, fmt.Errorf("btc: tx input %d: %w", i, err)
-		}
-		if in.PreviousOutPoint.Vout, err = readUint32(r); err != nil {
-			return nil, fmt.Errorf("btc: tx input %d vout: %w", i, err)
-		}
-		if in.SignatureScript, err = ReadVarBytes(r, maxScriptLen); err != nil {
-			return nil, fmt.Errorf("btc: tx input %d script: %w", i, err)
-		}
-		if in.Sequence, err = readUint32(r); err != nil {
-			return nil, fmt.Errorf("btc: tx input %d sequence: %w", i, err)
-		}
-		t.Inputs = append(t.Inputs, in)
-	}
-	nOut, err := ReadVarInt(r)
-	if err != nil {
-		return nil, fmt.Errorf("btc: tx output count: %w", err)
-	}
-	if nOut > maxTxOutputs {
-		return nil, fmt.Errorf("btc: too many outputs: %d", nOut)
-	}
-	t.Outputs = make([]TxOut, 0, min(nOut, maxAlloc))
-	for i := uint64(0); i < nOut; i++ {
-		var out TxOut
-		v, err := readUint64(r)
-		if err != nil {
-			return nil, fmt.Errorf("btc: tx output %d value: %w", i, err)
-		}
-		out.Value = int64(v)
-		if out.PkScript, err = ReadVarBytes(r, maxScriptLen); err != nil {
-			return nil, fmt.Errorf("btc: tx output %d script: %w", i, err)
-		}
-		t.Outputs = append(t.Outputs, out)
-	}
-	if t.LockTime, err = readUint32(r); err != nil {
-		return nil, fmt.Errorf("btc: tx locktime: %w", err)
-	}
-	return &t, nil
-}
-
-// ParseTransaction decodes a transaction from bytes, rejecting trailing data.
+// ParseTransaction decodes a transaction from bytes, rejecting trailing
+// data. The result shares no memory with data.
 func ParseTransaction(data []byte) (*Transaction, error) {
-	r := bytes.NewReader(data)
-	t, err := DeserializeTransaction(r)
+	c := &cursor{data: bytes.Clone(data)}
+	t, _, _, err := c.parseTransaction()
 	if err != nil {
 		return nil, err
 	}
-	if r.Len() != 0 {
+	if c.remaining() != 0 {
 		return nil, errors.New("btc: trailing bytes after transaction")
 	}
 	return t, nil
@@ -233,11 +177,4 @@ func (t *Transaction) CheckSanity() error {
 		seen[op] = struct{}{}
 	}
 	return nil
-}
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

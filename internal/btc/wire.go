@@ -3,14 +3,13 @@ package btc
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 )
 
 // This file implements the Bitcoin wire encoding primitives: little-endian
 // fixed-width integers and the variable-length integer ("CompactSize")
 // encoding used throughout the P2P protocol and in transaction/block
-// serialization.
+// serialization. Decoding is parse.go's cursor.
 
 // ErrTruncated is returned when a decoder runs out of input.
 var ErrTruncated = errors.New("btc: truncated input")
@@ -45,49 +44,6 @@ func WriteVarInt(w io.Writer, v uint64) error {
 	}
 }
 
-// ReadVarInt decodes a CompactSize integer, enforcing canonical (minimal)
-// encoding as Bitcoin consensus does for transaction counts.
-func ReadVarInt(r io.Reader) (uint64, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		return 0, fmt.Errorf("%w: varint prefix", ErrTruncated)
-	}
-	switch first[0] {
-	case 0xfd:
-		var buf [2]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, fmt.Errorf("%w: varint16", ErrTruncated)
-		}
-		v := uint64(binary.LittleEndian.Uint16(buf[:]))
-		if v < 0xfd {
-			return 0, errors.New("btc: non-canonical varint")
-		}
-		return v, nil
-	case 0xfe:
-		var buf [4]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, fmt.Errorf("%w: varint32", ErrTruncated)
-		}
-		v := uint64(binary.LittleEndian.Uint32(buf[:]))
-		if v <= 0xffff {
-			return 0, errors.New("btc: non-canonical varint")
-		}
-		return v, nil
-	case 0xff:
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, fmt.Errorf("%w: varint64", ErrTruncated)
-		}
-		v := binary.LittleEndian.Uint64(buf[:])
-		if v <= 0xffffffff {
-			return 0, errors.New("btc: non-canonical varint")
-		}
-		return v, nil
-	default:
-		return uint64(first[0]), nil
-	}
-}
-
 // VarIntSize returns the encoded size of v in bytes.
 func VarIntSize(v uint64) int {
 	switch {
@@ -111,36 +67,11 @@ func WriteVarBytes(w io.Writer, b []byte) error {
 	return err
 }
 
-// ReadVarBytes reads a length-prefixed byte slice, rejecting lengths above
-// maxLen.
-func ReadVarBytes(r io.Reader, maxLen uint64) ([]byte, error) {
-	n, err := ReadVarInt(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxLen {
-		return nil, fmt.Errorf("btc: var bytes length %d exceeds limit %d", n, maxLen)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w: var bytes body", ErrTruncated)
-	}
-	return buf, nil
-}
-
 func writeUint32(w io.Writer, v uint32) error {
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], v)
 	_, err := w.Write(buf[:])
 	return err
-}
-
-func readUint32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("%w: uint32", ErrTruncated)
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
 }
 
 func writeUint64(w io.Writer, v uint64) error {
@@ -150,23 +81,7 @@ func writeUint64(w io.Writer, v uint64) error {
 	return err
 }
 
-func readUint64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("%w: uint64", ErrTruncated)
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
 func writeHash(w io.Writer, h Hash) error {
 	_, err := w.Write(h[:])
 	return err
-}
-
-func readHash(r io.Reader) (Hash, error) {
-	var h Hash
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return Hash{}, fmt.Errorf("%w: hash", ErrTruncated)
-	}
-	return h, nil
 }

@@ -16,7 +16,7 @@ func TestVarIntRoundTrip(t *testing.T) {
 		if buf.Len() != VarIntSize(v) {
 			t.Errorf("v=%d: encoded %d bytes, VarIntSize says %d", v, buf.Len(), VarIntSize(v))
 		}
-		got, err := ReadVarInt(&buf)
+		got, err := (&cursor{data: buf.Bytes()}).varint()
 		if err != nil {
 			t.Fatalf("read %d: %v", v, err)
 		}
@@ -34,7 +34,7 @@ func TestVarIntCanonical(t *testing.T) {
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00}, // 32-bit in 9
 	}
 	for i, c := range cases {
-		if _, err := ReadVarInt(bytes.NewReader(c)); err == nil {
+		if _, err := (&cursor{data: c}).varint(); err == nil {
 			t.Errorf("case %d: non-canonical varint accepted", i)
 		}
 	}
@@ -43,7 +43,7 @@ func TestVarIntCanonical(t *testing.T) {
 func TestVarIntTruncated(t *testing.T) {
 	cases := [][]byte{{}, {0xfd}, {0xfd, 0x01}, {0xfe, 1, 2, 3}, {0xff, 1, 2, 3, 4, 5, 6, 7}}
 	for i, c := range cases {
-		if _, err := ReadVarInt(bytes.NewReader(c)); err == nil {
+		if _, err := (&cursor{data: c}).varint(); err == nil {
 			t.Errorf("case %d: truncated varint accepted", i)
 		}
 	}
@@ -55,7 +55,7 @@ func TestQuickVarIntRoundTrip(t *testing.T) {
 		if err := WriteVarInt(&buf, v); err != nil {
 			return false
 		}
-		got, err := ReadVarInt(&buf)
+		got, err := (&cursor{data: buf.Bytes()}).varint()
 		return err == nil && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -68,10 +68,10 @@ func TestVarBytesLimit(t *testing.T) {
 	if err := WriteVarBytes(&buf, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadVarBytes(bytes.NewReader(buf.Bytes()), 99); err == nil {
+	if _, err := (&cursor{data: buf.Bytes()}).varbytes(99); err == nil {
 		t.Fatal("length above limit accepted")
 	}
-	got, err := ReadVarBytes(bytes.NewReader(buf.Bytes()), 100)
+	got, err := (&cursor{data: buf.Bytes()}).varbytes(100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,18 +261,6 @@ func (w *World) EclipseAdapter(peers []simnet.NodeID) {
 	}
 }
 
-// chaosAuthority routes the fleet's authority access through the subnet,
-// so canister upgrades that swap the installed instance are transparent to
-// the fleet (same proxy pattern as difftest's snapshot restarts).
-type chaosAuthority struct{ w *World }
-
-func (a chaosAuthority) Snapshot() ([]byte, error) { return a.w.Canister().Snapshot() }
-func (a chaosAuthority) Query(ctx *ic.CallContext, method string, arg any) (any, error) {
-	return a.w.Canister().Query(ctx, method, arg)
-}
-func (a chaosAuthority) TipHeight() int64    { return a.w.Canister().TipHeight() }
-func (a chaosAuthority) AnchorHeight() int64 { return a.w.Canister().AnchorHeight() }
-
 // newWorld builds the full stack for one scenario run.
 func newWorld(cfg Config) (*World, error) {
 	sched := simnet.NewScheduler(cfg.Seed)
@@ -321,7 +309,9 @@ func newWorld(cfg Config) (*World, error) {
 	w.Canister().Metrics().SetClock(sched.Now)
 	w.Oracle.Metrics().SetClock(sched.Now)
 	ad.Metrics().SetClock(sched.Now)
-	fleet, err := queryfleet.New(chaosAuthority{w}, queryfleet.Config{
+	// The fleet reaches its authority through the subnet (Authority proxy), so
+	// upgrades that swap the installed instance are transparent to it.
+	fleet, err := queryfleet.New(Authority(w.Canister), queryfleet.Config{
 		Replicas:     cfg.Replicas,
 		MaxLagBlocks: 3,
 		StalePolicy:  queryfleet.StaleForward,
@@ -603,22 +593,8 @@ func (w *World) checkCertification() error {
 		if c.rq.Err != nil {
 			return fmt.Errorf("certified %s: %w", c.method, c.rq.Err)
 		}
-		if c.rq.Signature == nil {
-			return fmt.Errorf("fleet returned an uncertified %s response with signing enabled", c.method)
-		}
-		env := ic.CertifiedQuery{
-			Method:       c.method,
-			Value:        c.rq.Value,
-			ErrText:      ic.ErrText(c.rq.Err),
-			AnchorHeight: c.rq.AnchorHeight,
-			TipHeight:    c.rq.TipHeight,
-		}
-		if !w.Subnet.VerifyCertified(env, nil, c.rq.Signature) {
-			return fmt.Errorf("certified %s did not verify under the subnet key", c.method)
-		}
-		env.TipHeight++
-		if w.Subnet.VerifyCertified(env, nil, c.rq.Signature) {
-			return fmt.Errorf("%s certification verified after tampering with the bound tip height", c.method)
+		if err := CheckCertified(w.Subnet, c.method, c.rq); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"icbtc/internal/ic"
-	"icbtc/internal/queryfleet"
 	"icbtc/internal/simnet"
 )
 
@@ -415,18 +414,7 @@ func init() {
 					if replica != int(seq%uint64(w.Cfg.Replicas)) || w.Rng.Float64() > 0.35 {
 						return [][]byte{raw}
 					}
-					switch w.Rng.Intn(4) {
-					case 0: // bit flip: checksum must catch it
-						cp := append([]byte(nil), raw...)
-						cp[w.Rng.Intn(len(cp))] ^= 1 << uint(w.Rng.Intn(8))
-						return [][]byte{cp}
-					case 1: // truncation: framing/checksum must catch it
-						return [][]byte{raw[:len(raw)/2]}
-					case 2: // duplication: strict sequencing must skip the copy
-						return [][]byte{raw, raw}
-					default: // drop: the next frame reveals the gap
-						return nil
-					}
+					return MutateFrame(w.Rng, raw)
 				})
 			case healRound:
 				w.SetFrameFault(nil)
@@ -458,9 +446,12 @@ func init() {
 				w.Fleet.SetVerifier(func(env ic.CertifiedQuery, sig []byte) bool {
 					return w.Subnet.VerifyCertified(env, nil, sig)
 				})
-				w.Fleet.Replica(0).SetEquivocation(queryfleet.EquivTamper)
+				w.Fleet.SetResponseFault(TamperLiar(0))
 			case 12:
-				w.Fleet.Replica(1).SetEquivocation(queryfleet.EquivStaleReplay)
+				tamper, replay := TamperLiar(0), StaleReplayLiar(1)
+				w.Fleet.SetResponseFault(func(i int, method string, rq ic.RoutedQuery) ic.RoutedQuery {
+					return replay(i, method, tamper(i, method, rq))
+				})
 			}
 			if round >= injectRound && round < healRound {
 				// Clients must get verifiable, bounded-fresh answers every
@@ -472,18 +463,8 @@ func init() {
 					if rq.Err != nil {
 						return fmt.Errorf("signed get_tip %d: %w", k, rq.Err)
 					}
-					if rq.Signature == nil {
-						return fmt.Errorf("signed get_tip %d came back uncertified", k)
-					}
-					env := ic.CertifiedQuery{
-						Method:       "get_tip",
-						Value:        rq.Value,
-						ErrText:      ic.ErrText(rq.Err),
-						AnchorHeight: rq.AnchorHeight,
-						TipHeight:    rq.TipHeight,
-					}
-					if !w.Subnet.VerifyCertified(env, nil, rq.Signature) {
-						return fmt.Errorf("served get_tip %d does not verify under the subnet key", k)
+					if err := CheckCertified(w.Subnet, "get_tip", rq); err != nil {
+						return fmt.Errorf("served get_tip %d: %w", k, err)
 					}
 					if lag := authTip - rq.TipHeight; lag > 3 {
 						return fmt.Errorf("served get_tip %d is %d blocks stale (bound 3)", k, lag)
@@ -501,8 +482,8 @@ func init() {
 						return fmt.Errorf("equivocating replica %d was never quarantined", i)
 					}
 				}
+				w.Fleet.SetResponseFault(nil)
 				for i := 0; i < w.Fleet.Replicas(); i++ {
-					w.Fleet.Replica(i).SetEquivocation(queryfleet.EquivNone)
 					if w.Fleet.Replica(i).Broken() {
 						if err := w.Fleet.HydrateReplica(i); err != nil {
 							return fmt.Errorf("readmit replica %d: %w", i, err)

@@ -40,6 +40,7 @@ import (
 	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
+	"icbtc/internal/chaos"
 	"icbtc/internal/ic"
 	"icbtc/internal/ingest"
 	"icbtc/internal/obs"
@@ -158,7 +159,6 @@ type Stats struct {
 	FleetHydrations    int    // mid-run snapshot re-hydrations
 	FleetForwardChecks int    // too-stale forwards verified against the authority
 	FleetCertified     int    // certified responses verified under the subnet key
-	// Serving-layer counters (zero when Config.ServeLayers is off).
 	// Frame-stream corruption counters (zero when Config.FrameFaults is
 	// off): detections by failure class, and the automatic re-hydrations
 	// those detections triggered.
@@ -318,7 +318,9 @@ func (h *Harness) setupFleet() {
 		h.subnet = subnet
 		h.signer = queryfleet.CommitteeSigner(subnet.Committee())
 	}
-	fleet, err := queryfleet.New(authorityProxy{h}, fcfg)
+	// The authority is a proxy through the harness, so snapshot restarts that
+	// swap the overlay canister instance mid-run are transparent to the fleet.
+	fleet, err := queryfleet.New(chaos.Authority(func() *canister.BitcoinCanister { return h.overlay }), fcfg)
 	if err != nil {
 		panic(fmt.Sprintf("difftest: fleet: %v", err))
 	}
@@ -330,18 +332,7 @@ func (h *Harness) setupFleet() {
 			if h.faultRng.Float64() >= 0.15 {
 				return [][]byte{raw}
 			}
-			switch h.faultRng.Intn(4) {
-			case 0: // bit-flip
-				cp := append([]byte(nil), raw...)
-				cp[h.faultRng.Intn(len(cp))] ^= 1 << uint(h.faultRng.Intn(8))
-				return [][]byte{cp}
-			case 1: // truncate
-				return [][]byte{raw[:len(raw)/2]}
-			case 2: // duplicate
-				return [][]byte{raw, raw}
-			default: // drop
-				return nil
-			}
+			return chaos.MutateFrame(h.faultRng, raw)
 		})
 	}
 	h.probeHistory = make(map[uint64][]probeDigest)
@@ -349,18 +340,6 @@ func (h *Harness) setupFleet() {
 	// Seed the history for the hydration state (frame 0 = genesis).
 	h.probeHistory[0] = h.probeDigests(h.overlay)
 }
-
-// authorityProxy routes the fleet's authority access through the harness,
-// so snapshot restarts that swap the overlay canister instance mid-run are
-// transparent to the fleet.
-type authorityProxy struct{ h *Harness }
-
-func (a authorityProxy) Snapshot() ([]byte, error) { return a.h.overlay.Snapshot() }
-func (a authorityProxy) Query(ctx *ic.CallContext, method string, arg any) (any, error) {
-	return a.h.overlay.Query(ctx, method, arg)
-}
-func (a authorityProxy) TipHeight() int64    { return a.h.overlay.TipHeight() }
-func (a authorityProxy) AnchorHeight() int64 { return a.h.overlay.AnchorHeight() }
 
 // Stats returns the run counters so far.
 func (h *Harness) Stats() Stats { return h.stats }
@@ -1133,22 +1112,8 @@ func (h *Harness) checkCertification() error {
 		}
 	}
 	rq := h.fleet.RouteQuery("get_utxos", args, "difftest", h.now)
-	if rq.Signature == nil {
-		return fmt.Errorf("fleet returned an uncertified response with signing enabled")
-	}
-	env := ic.CertifiedQuery{
-		Method:       "get_utxos",
-		Value:        rq.Value,
-		ErrText:      ic.ErrText(rq.Err),
-		AnchorHeight: rq.AnchorHeight,
-		TipHeight:    rq.TipHeight,
-	}
-	if !h.subnet.VerifyCertified(env, nil, rq.Signature) {
-		return fmt.Errorf("certified get_utxos(%s) did not verify under the subnet key", addr)
-	}
-	env.TipHeight++
-	if h.subnet.VerifyCertified(env, nil, rq.Signature) {
-		return fmt.Errorf("certification verified after tampering with the bound tip height")
+	if err := chaos.CheckCertified(h.subnet, "get_utxos", rq); err != nil {
+		return fmt.Errorf("get_utxos(%s): %w", addr, err)
 	}
 	h.stats.FleetCertified++
 	if !h.cfg.ServeLayers {
@@ -1165,15 +1130,8 @@ func (h *Harness) checkCertification() error {
 	if !bytes.Equal(hit.Signature, rq.Signature) {
 		return fmt.Errorf("cache-served get_utxos(%s) carries different signature bytes", addr)
 	}
-	henv := ic.CertifiedQuery{
-		Method:       "get_utxos",
-		Value:        hit.Value,
-		ErrText:      ic.ErrText(hit.Err),
-		AnchorHeight: hit.AnchorHeight,
-		TipHeight:    hit.TipHeight,
-	}
-	if !h.subnet.VerifyCertified(henv, nil, hit.Signature) {
-		return fmt.Errorf("cache-served certified get_utxos(%s) did not verify under the subnet key", addr)
+	if err := chaos.CheckCertified(h.subnet, "get_utxos", hit); err != nil {
+		return fmt.Errorf("cache-served get_utxos(%s): %w", addr, err)
 	}
 	h.stats.FleetCertifiedHits++
 	return nil

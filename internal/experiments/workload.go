@@ -46,9 +46,6 @@ func NewBlockBuilder(params *btc.Params, seed int64) *BlockBuilder {
 // Height returns the current tip height.
 func (b *BlockBuilder) Height() int64 { return b.height }
 
-// TipHeader returns the current tip header.
-func (b *BlockBuilder) TipHeader() btc.BlockHeader { return b.prev }
-
 // SpendableOutputs returns how many previously created outputs are
 // available for the generator to spend.
 func (b *BlockBuilder) SpendableOutputs() int { return len(b.spendable) }

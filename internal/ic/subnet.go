@@ -126,8 +126,8 @@ type RoutedQuery struct {
 	Value        any
 	Err          error
 	Instructions uint64
-	// Signature, when non-nil, certifies CertifiedQuery{Method, Value,
-	// ErrText, AnchorHeight, TipHeight} under the subnet key.
+	// Signature, when non-nil, certifies Envelope(method) under the subnet
+	// key.
 	Signature    []byte
 	AnchorHeight int64
 	TipHeight    int64
@@ -137,6 +137,19 @@ type RoutedQuery struct {
 	// Degraded annotates the response as served off a possibly stale view:
 	// the chain feed behind the authoritative canister is stalled.
 	Degraded bool
+}
+
+// Envelope rebuilds the CertifiedQuery a router signs for this response —
+// what the fleet certifies and audits, and what a client holding the response
+// and the subnet key verifies.
+func (rq RoutedQuery) Envelope(method string) CertifiedQuery {
+	return CertifiedQuery{
+		Method:       method,
+		Value:        rq.Value,
+		ErrText:      ErrText(rq.Err),
+		AnchorHeight: rq.AnchorHeight,
+		TipHeight:    rq.TipHeight,
+	}
 }
 
 // QueryRouter serves non-replicated queries for a canister in place of the
@@ -760,9 +773,6 @@ func (s *Subnet) Query(canister CanisterID, method string, arg any, caller strin
 // BlockMetricsLog returns the accumulated per-block execution metrics.
 func (s *Subnet) BlockMetricsLog() []BlockMetrics { return s.blockMetrics }
 
-// ResetBlockMetrics clears the metrics log (between experiment phases).
-func (s *Subnet) ResetBlockMetrics() { s.blockMetrics = nil }
-
 // VerifyCertifiedQuery rebuilds the CertifiedQuery envelope of a routed
 // query response and checks its fleet certification against the subnet's
 // public key — what a client holding only the response and the subnet key
@@ -771,14 +781,9 @@ func (s *Subnet) VerifyCertifiedQuery(method string, res Result) bool {
 	if !res.Certified {
 		return false
 	}
-	env := CertifiedQuery{
-		Method:       method,
-		Value:        res.Value,
-		ErrText:      ErrText(res.Err),
-		AnchorHeight: res.CertAnchorHeight,
-		TipHeight:    res.CertTipHeight,
-	}
-	return s.VerifyCertified(env, nil, res.Signature)
+	// Undo the copy Query made of the routed response.
+	rq := RoutedQuery{Value: res.Value, Err: res.Err, AnchorHeight: res.CertAnchorHeight, TipHeight: res.CertTipHeight}
+	return s.VerifyCertified(rq.Envelope(method), nil, res.Signature)
 }
 
 // VerifyCertified checks a certified response signature against the

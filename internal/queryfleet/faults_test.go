@@ -6,6 +6,7 @@ import (
 
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
+	"icbtc/internal/chaos"
 	"icbtc/internal/experiments"
 	"icbtc/internal/ic"
 	"icbtc/internal/queryfleet"
@@ -166,7 +167,6 @@ func TestCloseJoinsApplyWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Canister.SetStreamSink(fleet.Feed)
 	addr := btc.NewP2PKHAddress([20]byte{0xEF}, btc.Regtest)
 	script := btc.PayToAddrScript(addr)
 	for i := 0; i < 4; i++ {
@@ -207,11 +207,11 @@ func newCertRig(t *testing.T, replicas int, maxLag int64) (*rig, *ic.Subnet) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = replicas
 	cfg.MaxLagBlocks = maxLag
-	cfg.Sign = queryfleet.CommitteeSigner(subnet.Committee())
-	cfg.Verify = func(env ic.CertifiedQuery, sig []byte) bool {
-		return subnet.VerifyCertified(env, nil, sig)
-	}
 	r := newRig(t, cfg, 8)
+	r.fleet.SetSigner(queryfleet.CommitteeSigner(subnet.Committee()))
+	r.fleet.SetVerifier(func(env ic.CertifiedQuery, sig []byte) bool {
+		return subnet.VerifyCertified(env, nil, sig)
+	})
 	return r, subnet
 }
 
@@ -224,7 +224,7 @@ func TestByzantineTamperEjected(t *testing.T) {
 	if err := r.fleet.CatchUpAll(); err != nil {
 		t.Fatal(err)
 	}
-	r.fleet.Replica(0).SetEquivocation(queryfleet.EquivTamper)
+	r.fleet.SetResponseFault(chaos.TamperLiar(0))
 
 	want := r.authBalance()
 	args := canister.GetBalanceArgs{Address: r.addr.String()}
@@ -236,13 +236,8 @@ func TestByzantineTamperEjected(t *testing.T) {
 		if rq.Value.(int64) != want {
 			t.Fatalf("query %d served %d, authoritative %d", i, rq.Value, want)
 		}
-		if rq.Signature == nil {
-			t.Fatalf("query %d not certified", i)
-		}
-		env := ic.CertifiedQuery{Method: "get_balance", Value: rq.Value,
-			AnchorHeight: rq.AnchorHeight, TipHeight: rq.TipHeight}
-		if !subnet.VerifyCertified(env, nil, rq.Signature) {
-			t.Fatalf("query %d: served envelope does not verify", i)
+		if err := chaos.CheckCertified(subnet, "get_balance", rq); err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
 	}
 	if !r.fleet.Replica(0).Broken() {
@@ -255,7 +250,7 @@ func TestByzantineTamperEjected(t *testing.T) {
 		t.Fatal("ejection not counted")
 	}
 	// Recovery: re-hydration clears the quarantine once the fault is gone.
-	r.fleet.Replica(0).SetEquivocation(queryfleet.EquivNone)
+	r.fleet.SetResponseFault(nil)
 	if err := r.fleet.HydrateReplica(0); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +267,7 @@ func TestByzantineStaleReplayEjected(t *testing.T) {
 	if err := r.fleet.CatchUpAll(); err != nil {
 		t.Fatal(err)
 	}
-	r.fleet.Replica(0).SetEquivocation(queryfleet.EquivStaleReplay)
+	r.fleet.SetResponseFault(chaos.StaleReplayLiar(0))
 	args := canister.GetBalanceArgs{Address: r.addr.String()}
 	// Seed the replayed envelope while it is still fresh (passes the audit).
 	for i := 0; i < 2; i++ {

@@ -22,7 +22,11 @@
 //     trust gap plain queries have.
 //
 // The fleet implements ic.QueryRouter, so ic.Subnet.Query routes through it
-// once installed with Subnet.SetQueryRouter.
+// once installed with Subnet.SetQueryRouter. Its collaborators come in one way
+// each, after New: SetSigner, SetVerifier, and — for harnesses only — the two
+// fault seams SetFrameFault (the stream) and SetResponseFault (a served
+// response). The fleet holds no fault logic of its own; what a corrupted frame
+// or a lying replica looks like is the harness's code (internal/chaos/kit.go).
 package queryfleet
 
 import (
@@ -60,9 +64,8 @@ type SignFunc func(digest []byte) ([]byte, error)
 // against the subnet public key (ic.Subnet.VerifyCertified wrapped). When a
 // verifier is installed (SetVerifier), the fleet audits every certified
 // response a replica serves before returning it: a signature that does not
-// verify, or a bound tip height outside the staleness bound, exposes an
-// equivocating (byzantine) replica — it is ejected and the query retried on
-// an honest one.
+// verify, or a bound tip height outside the staleness bound, exposes a
+// byzantine replica — it is ejected and the query retried on an honest one.
 type VerifyFunc func(env ic.CertifiedQuery, signature []byte) bool
 
 // FrameFault is a stream-corruption injection hook (SetFrameFault): called
@@ -72,6 +75,13 @@ type VerifyFunc func(env ic.CertifiedQuery, signature []byte) bool
 // or truncation, and holding bytes to return with a later frame reorders the
 // stream. Test and chaos harness use only.
 type FrameFault func(replica int, seq uint64, raw []byte) [][]byte
+
+// ResponseFault is the byzantine-replica seam (SetResponseFault): called for
+// every replica-served response after certification and before the audit, it
+// returns what that replica hands to the router — the response unchanged, a
+// tampered one, a replayed older one. It runs on the query path, concurrently.
+// Test and chaos harness use only.
+type ResponseFault func(replica int, method string, rq ic.RoutedQuery) ic.RoutedQuery
 
 // CommitteeSigner adapts a tecdsa committee to SignFunc. The committee's
 // signing protocol is not safe for concurrent use, so the adapter
@@ -122,25 +132,10 @@ type Config struct {
 	// replica; <= 0 means 1 (the IC executes canister queries sequentially
 	// per replica).
 	QueryConcurrency int
-	// Sign, when set, certifies every response (replica-served and
-	// forwarded alike).
-	Sign SignFunc
 	// AutoApply starts one background worker per replica that applies
 	// frames as they arrive. Leave false to control application manually
 	// (ApplyPending / CatchUp) — the differential harness does.
 	AutoApply bool
-	// HydrateWorkers parallelizes snapshot decoding during replica
-	// (re)hydration — sharded script-table/bucket decode plus concurrent
-	// block parsing (canister.RestoreSnapshotParallel). 0 selects
-	// ingest.DefaultWorkers(); 1 forces the serial decoder. The hydrated
-	// state is identical either way.
-	HydrateWorkers int
-	// PrepareWorkers parallelizes decoding and block-parsing of queued
-	// stream frames ahead of their (strictly sequential) application — the
-	// catch-up accelerator for replicas that fell behind. 0 selects
-	// ingest.DefaultWorkers(); 1 forces serial. Applied state is identical
-	// either way.
-	PrepareWorkers int
 	// Coalesce collapses concurrent identical queries (same canonical
 	// request key from the canister's method registry) into one execution
 	// whose response — signature included — fans out to every waiter.
@@ -163,9 +158,6 @@ type Config struct {
 	// whose frame stream moves the tip backwards (state-loss recovery)
 	// likewise flags every replica for resync.
 	AutoResync bool
-	// Verify installs the certified-response audit at construction time
-	// (SetVerifier swaps it later). See VerifyFunc.
-	Verify VerifyFunc
 }
 
 // DefaultConfig returns a 4-replica fleet with a 2-block staleness bound
@@ -228,21 +220,20 @@ type Fleet struct {
 	// corruption injection; under feedMu).
 	frameFault FrameFault
 
-	// sign is the active certification signer (swap with SetSigner; key
-	// rotation, or a harness certifying selectively).
-	signMu sync.RWMutex
-	sign   SignFunc
-	// verify is the certified-response audit (swap with SetVerifier).
-	verifyMu sync.RWMutex
-	verify   VerifyFunc
+	// sign certifies every response, replica-served and forwarded alike
+	// (SetSigner); verify audits replica-served ones (SetVerifier);
+	// responseFault sits between the two (SetResponseFault). Each is nil until
+	// installed, swapped rarely and loaded once per executed query.
+	sign          atomic.Pointer[SignFunc]
+	verify        atomic.Pointer[VerifyFunc]
+	responseFault atomic.Pointer[ResponseFault]
 
-	// met holds the registry-backed counters the old ad-hoc atomics became
-	// (plus the stats lock that makes Stats() tear-free) and the fleet's obs
-	// registry.
+	// met holds the fleet's obs registry, its counters, and the lock that
+	// keeps the two counter pairs Stats() must not tear.
 	met *fleetMetrics
 
-	// serving holds the coalesce/cache/admission layer state; nil when
-	// every layer is disabled (the pre-existing zero-overhead path).
+	// serving holds the coalesce/cache/admission layer state; a layer that
+	// is off has a nil map and skips itself.
 	serving *serving
 
 	// lastApplyErr records the first background frame-application failure
@@ -273,8 +264,7 @@ func New(auth Authority, cfg Config) (*Fleet, error) {
 	if cfg.Replicas <= 0 {
 		return nil, fmt.Errorf("queryfleet: fleet needs at least one replica, got %d", cfg.Replicas)
 	}
-	f := &Fleet{cfg: cfg, auth: auth, sign: cfg.Sign, verify: cfg.Verify, closed: make(chan struct{}), met: newFleetMetrics()}
-	f.serving = newServing(cfg)
+	f := &Fleet{cfg: cfg, auth: auth, closed: make(chan struct{}), met: newFleetMetrics(), serving: newServing(cfg)}
 	f.authMu.Lock()
 	if src, ok := auth.(StreamSource); ok {
 		src.SetStreamSink(f.Feed)
@@ -323,12 +313,9 @@ func (f *Fleet) Replicas() int { return len(f.replicas) }
 // Replica returns one replica by index (test and harness access).
 func (f *Fleet) Replica(i int) *Replica { return f.replicas[i] }
 
-// Stats returns the current counters — now a compatibility view over the
-// obs registry, read under one lock so the snapshot is consistent: counter
-// groups bumped together on the serving path (served+certified,
-// forwarded+certified) appear together or not at all. The old
-// independently-read atomics could tear mid-burst, showing a Certified
-// count with no matching Served/Forwarded.
+// Stats returns the current counters, read so that the pairs bumped together
+// on the serving path (served+certified, forwarded+certified) appear together
+// or not at all: Certified never exceeds Served+Forwarded.
 func (f *Fleet) Stats() Stats { return f.met.snapshotStats() }
 
 // Err returns the first background frame-application error, if any.
@@ -352,9 +339,6 @@ func (f *Fleet) LastSeq() uint64 {
 	defer f.feedMu.Unlock()
 	return f.seq
 }
-
-// AuthTipHeight returns the authoritative tip height as of the last frame.
-func (f *Fleet) AuthTipHeight() int64 { return f.authTip.Load() }
 
 // Feed is the canister's stream sink: it stamps the frame with the next
 // sequence number, encodes it once, and enqueues the bytes on every
@@ -390,7 +374,7 @@ func (f *Fleet) Feed(frame *canister.Frame) {
 		}
 	}
 	f.feedMu.Unlock()
-	f.met.countGroup(f.met.frames.Inc)
+	f.met.frames.Inc()
 }
 
 // SetFrameFault installs (nil removes) the stream-corruption injection hook.
@@ -428,7 +412,7 @@ func (f *Fleet) resyncReplica(i int) error {
 	if err := f.HydrateReplica(i); err != nil {
 		return err
 	}
-	f.met.countGroup(f.met.resyncs.Inc)
+	f.met.resyncs.Inc()
 	return nil
 }
 
@@ -492,20 +476,53 @@ func (f *Fleet) CatchUpAll() error {
 	return nil
 }
 
-// RouteQuery implements ic.QueryRouter. With serving layers enabled the
-// query runs coalesce → cache → admit → execute (serving.go); otherwise it
-// goes straight to execution: pick a healthy replica round-robin, apply the
-// bounded-staleness policy, execute, certify.
+// RouteQuery implements ic.QueryRouter: coalesce → cache → admit → execute
+// (serving.go), each layer skipping itself when it is off. A fleet with
+// neither cache nor coalescing hashes no request key and takes no serving
+// lock on the way to executeQuery.
 func (f *Fleet) RouteQuery(method string, arg any, caller string, now time.Time) ic.RoutedQuery {
 	_ = caller // principals do not affect read-only routing
-	if f.serving != nil {
-		if m, ok := canister.MethodByName(method); ok {
-			return f.routeLayered(m, method, arg, now)
-		}
-		// Unregistered method: fall through so the replica reports the
-		// canonical dispatch error.
+	m, ok := canister.MethodByName(method)
+	if !ok {
+		// Unregistered method: the replica reports the canonical dispatch
+		// error.
+		rq, _, _ := f.executeQuery(method, arg, now)
+		return rq
 	}
-	rq, _, _ := f.executeQuery(method, arg, now)
+	s := f.serving
+	cacheable := m.Cacheable && s.cache != nil
+	if !cacheable && !s.coalesce {
+		return f.admitAndExecute(m, method, arg, now, 0, [32]byte{}, false)
+	}
+	key, err := m.RequestKey(arg)
+	if err != nil {
+		// Wrong-typed argument: skip the layers and let the canister
+		// report its canonical error.
+		rq, _, _ := f.executeQuery(method, arg, now)
+		return rq
+	}
+	gen := f.gen.Load()
+	if cacheable {
+		// The cache is probed ahead of flight registration — same
+		// semantics, no flight allocation on the hit path.
+		if rq, ok := s.cacheGet(gen, key); ok {
+			f.met.cacheHits.Inc()
+			return rq
+		}
+		f.met.cacheMisses.Inc()
+	}
+	if !s.coalesce {
+		return f.admitAndExecute(m, method, arg, now, gen, key, cacheable)
+	}
+	fk := flightKey{gen: gen, key: key}
+	fl, leader := s.join(fk)
+	if !leader {
+		<-fl.done
+		f.met.coalesced.Inc()
+		return fl.rq
+	}
+	rq := f.admitAndExecute(m, method, arg, now, gen, key, cacheable)
+	s.finish(fk, fl, rq)
 	return rq
 }
 
@@ -539,7 +556,7 @@ func (f *Fleet) executeQuery(method string, arg any, now time.Time) (rq ic.Route
 		if f.cfg.MaxLagBlocks >= 0 {
 			if lag := f.authTip.Load() - r.TipHeight(); lag > f.cfg.MaxLagBlocks {
 				if f.cfg.StalePolicy == StaleReject {
-					f.met.countGroup(f.met.rejected.Inc)
+					f.met.rejected.Inc()
 					return ic.RoutedQuery{Err: fmt.Errorf("%w: replica %d lags %d blocks (bound %d)",
 						ErrTooStale, r.index, lag, f.cfg.MaxLagBlocks)}, 0, false
 				}
@@ -558,22 +575,17 @@ func (f *Fleet) executeQuery(method string, arg any, now time.Time) (rq ic.Route
 			TipHeight:    tip,
 			Degraded:     f.degraded.Load(),
 		}, method)
-		// Equivocation fault hook: a byzantine replica corrupts its response
-		// after certification (tampered envelope or a stale signed replay).
-		rq = r.equivocate(method, rq)
-		f.met.countGroup(func() {
-			f.met.served.Inc()
-			if certified {
-				f.met.certified.Inc()
-			}
-		})
+		if fault := load(&f.responseFault); fault != nil {
+			rq = fault(r.index, method, rq)
+		}
+		f.met.countCertified(f.met.served, certified)
 		if !f.auditResponse(method, rq) {
 			// The replica served a response that fails verification under the
 			// subnet key or binds a tip outside the staleness bound while the
-			// replica itself reads as fresh — equivocation either way. Eject
+			// replica itself reads as fresh — a lying replica either way. Eject
 			// it and retry on an honest replica.
 			r.broken.Store(true)
-			f.met.countGroup(f.met.byzantine.Inc)
+			f.met.byzantine.Inc()
 			continue
 		}
 		return rq, seq, false
@@ -587,25 +599,16 @@ func (f *Fleet) executeQuery(method string, arg any, now time.Time) (rq ic.Route
 // authoritative tip. Responses without a signature (signing disabled) and
 // fleets without a verifier pass unaudited.
 func (f *Fleet) auditResponse(method string, rq ic.RoutedQuery) bool {
-	f.verifyMu.RLock()
-	verify := f.verify
-	f.verifyMu.RUnlock()
+	verify := load(&f.verify)
 	if verify == nil || rq.Signature == nil {
 		return true
 	}
-	env := ic.CertifiedQuery{
-		Method:       method,
-		Value:        rq.Value,
-		ErrText:      ic.ErrText(rq.Err),
-		AnchorHeight: rq.AnchorHeight,
-		TipHeight:    rq.TipHeight,
-	}
-	if !verify(env, rq.Signature) {
+	if !verify(rq.Envelope(method), rq.Signature) {
 		return false
 	}
 	// Generation bound: a correctly signed envelope from a long-dead tip is
-	// the stale-replay equivocation; the bound that limits replica lag also
-	// limits how old a served certification may be.
+	// a stale replay; the bound that limits replica lag also limits how old
+	// a served certification may be.
 	if f.cfg.MaxLagBlocks >= 0 && f.authTip.Load()-rq.TipHeight > f.cfg.MaxLagBlocks {
 		return false
 	}
@@ -614,10 +617,20 @@ func (f *Fleet) auditResponse(method string, rq ic.RoutedQuery) bool {
 
 // SetVerifier replaces the certified-response audit (nil disables it). Safe
 // for concurrent use with serving.
-func (f *Fleet) SetVerifier(v VerifyFunc) {
-	f.verifyMu.Lock()
-	f.verify = v
-	f.verifyMu.Unlock()
+func (f *Fleet) SetVerifier(v VerifyFunc) { f.verify.Store(&v) }
+
+// SetResponseFault installs (nil removes) the byzantine-replica seam. Not for
+// production paths — the chaos harness and the byzantine tests use it to prove
+// the audit ejects a replica that tampers with or replays what it signed.
+func (f *Fleet) SetResponseFault(h ResponseFault) { f.responseFault.Store(&h) }
+
+// load reads one of the fleet's swappable collaborators; nil when none was
+// ever installed or the last Set cleared it.
+func load[F any](p *atomic.Pointer[F]) (fn F) {
+	if v := p.Load(); v != nil {
+		fn = *v
+	}
+	return fn
 }
 
 // CacheSize returns the number of resident response-cache entries.
@@ -644,43 +657,25 @@ func (f *Fleet) forward(method string, arg any, now time.Time) ic.RoutedQuery {
 		Forwarded:    true,
 		Degraded:     f.degraded.Load(),
 	}, method)
-	f.met.countGroup(func() {
-		f.met.forwarded.Inc()
-		if certified {
-			f.met.certified.Inc()
-		}
-	})
+	f.met.countCertified(f.met.forwarded, certified)
 	return rq
 }
 
 // SetSigner replaces the certification signer (nil disables
 // certification). Safe for concurrent use with serving.
-func (f *Fleet) SetSigner(sign SignFunc) {
-	f.signMu.Lock()
-	f.sign = sign
-	f.signMu.Unlock()
-}
+func (f *Fleet) SetSigner(sign SignFunc) { f.sign.Store(&sign) }
 
 // certify threshold-signs the canonical digest of the response's
 // CertifiedQuery envelope, binding it to the anchor and tip heights it was
 // served at. It reports rather than counts success: the caller bumps the
-// certified counter inside the same counter group as its served/forwarded
-// bump, so a Stats snapshot can never observe one without the other.
+// certified counter together with its served/forwarded bump (countCertified),
+// so a Stats snapshot can never observe one without the other.
 func (f *Fleet) certify(rq ic.RoutedQuery, method string) (ic.RoutedQuery, bool) {
-	f.signMu.RLock()
-	sign := f.sign
-	f.signMu.RUnlock()
+	sign := load(&f.sign)
 	if sign == nil {
 		return rq, false
 	}
-	env := ic.CertifiedQuery{
-		Method:       method,
-		Value:        rq.Value,
-		ErrText:      ic.ErrText(rq.Err),
-		AnchorHeight: rq.AnchorHeight,
-		TipHeight:    rq.TipHeight,
-	}
-	digest := ic.ResponseDigest(env, nil)
+	digest := ic.ResponseDigest(rq.Envelope(method), nil)
 	sig, err := sign(digest[:])
 	if err != nil {
 		// A failed signing round leaves the response uncertified rather

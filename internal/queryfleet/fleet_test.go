@@ -40,9 +40,7 @@ func newRig(t *testing.T, cfg queryfleet.Config, preload int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.fleet = fleet
-	// Frames published from here on reach the fleet.
-	r.f.Canister.SetStreamSink(fleet.Feed)
+	r.fleet = fleet // New subscribed it to the canister's frame stream
 	t.Cleanup(fleet.Close)
 	return r
 }
@@ -229,13 +227,12 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 2
-	cfg.Sign = queryfleet.CommitteeSigner(subnet.Committee())
 	fleet, err := queryfleet.New(f.Canister, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	f.Canister.SetStreamSink(fleet.Feed)
+	fleet.SetSigner(queryfleet.CommitteeSigner(subnet.Committee()))
 	subnet.SetQueryRouter("bitcoin", fleet)
 
 	var res ic.Result

@@ -6,18 +6,17 @@ import (
 	"icbtc/internal/obs"
 )
 
-// fleetMetrics is the fleet's obs instrumentation. The old ad-hoc atomic
-// counters live here as registry-backed counters (Fleet.Stats stays as the
-// compatibility view over them), plus the metrics the atomics never had:
-// cache misses, fills, refusals and sweeps, per-cost-class sheds, and the
-// frame publish→apply lag.
+// fleetMetrics is the fleet's obs instrumentation: the counters Fleet.Stats
+// reports, plus cache misses, fills, refusals and sweeps, per-cost-class
+// sheds, and the frame publish→apply lag.
 //
-// statsMu fixes the snapshot tear Stats() used to have: counters that are
-// bumped together (served+certified, forwarded+certified) are incremented
-// under the READ side of the lock — shared, so concurrent queries never
-// serialize against each other — while Stats takes the WRITE side, which
-// excludes every in-flight group and yields a consistent snapshot (no
-// Certified count can exceed its Served+Forwarded).
+// statsMu exists for the two counter pairs that move together
+// (served+certified, forwarded+certified): they are incremented under the
+// READ side of the lock — shared, so concurrent queries never serialize
+// against each other — while Stats takes the WRITE side, which excludes every
+// in-flight pair, so no Certified count can exceed its Served+Forwarded.
+// Every other counter is a single increment, which cannot tear, and takes no
+// lock.
 type fleetMetrics struct {
 	reg *obs.Registry
 
@@ -88,17 +87,23 @@ func newFleetMetrics() *fleetMetrics {
 // measure virtual time.
 func (f *Fleet) Metrics() *obs.Registry { return f.met.reg }
 
-// countGroup runs fn under the shared side of the stats lock: every counter
-// bump inside it lands in the same Stats snapshot (or the next one) as one
-// unit. Concurrent groups proceed in parallel; only Stats excludes them.
-func (m *fleetMetrics) countGroup(fn func()) {
+// countCertified bumps a served or forwarded counter and, for a certified
+// response, the certified counter with it under the shared side of the stats
+// lock, so both land in the same Stats snapshot (or the next one). Concurrent
+// pairs proceed in parallel; only Stats excludes them.
+func (m *fleetMetrics) countCertified(c *obs.Counter, certified bool) {
+	if !certified {
+		c.Inc()
+		return
+	}
 	m.statsMu.RLock()
-	fn()
+	c.Inc()
+	m.certified.Inc()
 	m.statsMu.RUnlock()
 }
 
-// snapshotStats reads the compatibility counters under the exclusive side
-// of the stats lock, so no half-applied group can tear the view.
+// snapshotStats reads the counters under the exclusive side of the stats
+// lock, so no half-applied pair can tear the view.
 func (m *fleetMetrics) snapshotStats() Stats {
 	m.statsMu.Lock()
 	defer m.statsMu.Unlock()

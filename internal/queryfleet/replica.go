@@ -51,13 +51,6 @@ type Replica struct {
 	// further frames (AutoResync fleets only).
 	needsResync atomic.Bool
 
-	// equivMode is the byzantine fault hook (SetEquivocation): a nonzero
-	// mode corrupts served responses after certification. staleEnvs holds
-	// the per-method signed envelopes a stale-replay equivocator re-serves.
-	equivMode atomic.Int32
-	staleMu   sync.Mutex
-	staleEnvs map[string]ic.RoutedQuery
-
 	// applyMu makes ApplyPending one caller's at a time, dequeue through
 	// apply, so dequeue order is apply order. It is the outermost lock: taken
 	// with no fleet or replica lock held, and a resync takes the fleet's
@@ -105,29 +98,13 @@ func newReplica(index int, fleet *Fleet, snapshot []byte, seq uint64) (*Replica,
 	return r, nil
 }
 
-// hydrateWorkers resolves the fleet's hydration worker count.
-func (r *Replica) hydrateWorkers() int {
-	if w := r.fleet.cfg.HydrateWorkers; w > 0 {
-		return w
-	}
-	return ingest.DefaultWorkers()
-}
-
-// prepareWorkers resolves the fleet's frame-preparation worker count.
-func (r *Replica) prepareWorkers() int {
-	if w := r.fleet.cfg.PrepareWorkers; w > 0 {
-		return w
-	}
-	return ingest.DefaultWorkers()
-}
-
 // Hydrate (re)builds the replica's state from a canister snapshot taken
-// after stream frame seq: decode (sharded across the fleet's hydration
+// after stream frame seq: decode (sharded across ingest.DefaultWorkers()
 // workers — the fast-sync path), warm every lazily derived structure the
 // read path touches, and drop queued frames the snapshot already covers.
 // Serving continues from the new state on return.
 func (r *Replica) Hydrate(snapshot []byte, seq uint64) error {
-	can, err := canister.RestoreSnapshotParallel(snapshot, ingest.Config{Workers: r.hydrateWorkers()})
+	can, err := canister.RestoreSnapshotParallel(snapshot, ingest.Config{Workers: ingest.DefaultWorkers()})
 	if err != nil {
 		return fmt.Errorf("queryfleet: hydrate replica %d: %w", r.index, err)
 	}
@@ -184,8 +161,8 @@ func (r *Replica) TipHeight() int64 { return r.tip.Load() }
 
 // ApplyPending applies up to max queued frames (all of them when max < 0),
 // returning how many were applied. Queued frames are decoded and their
-// blocks parsed on the ingest pipeline (PrepareWorkers) while application
-// itself stays strictly sequential under the write lock, so a lagging
+// blocks parsed on the ingest pipeline (ingest.DefaultWorkers() wide) while
+// application stays strictly sequential under the write lock, so a lagging
 // replica catches up at pipeline speed without weakening any ordering
 // guarantee.
 //
@@ -238,7 +215,7 @@ func (r *Replica) ApplyPending(max int) (int, error) {
 			err   error
 		}
 		var failErr error
-		err := ingest.Map(len(batch), ingest.Config{Workers: r.prepareWorkers(), Obs: r.fleet.met.reg},
+		err := ingest.Map(len(batch), ingest.Config{Workers: ingest.DefaultWorkers(), Obs: r.fleet.met.reg},
 			func(_, i int) decoded {
 				frame, err := canister.DecodeFrame(batch[i].raw)
 				if err != nil {
@@ -337,65 +314,13 @@ func (r *Replica) resync(cause string) error {
 	return nil
 }
 
-// EquivocationMode selects how a byzantine fault hook corrupts this
-// replica's served responses (SetEquivocation). The corruption happens
-// after certification, modeling a replica that signs honestly but then
-// tampers with — or substitutes — what it hands to the router.
-type EquivocationMode int32
-
-const (
-	// EquivNone serves honestly.
-	EquivNone EquivocationMode = iota
-	// EquivTamper mutates the served value/binding after signing, so the
-	// signature no longer covers the envelope (detected by the response
-	// audit's signature check).
-	EquivTamper
-	// EquivStaleReplay re-serves the first signed envelope it saw for each
-	// method forever — valid signatures over an aging generation (detected
-	// by the audit's generation bound once the chain moves past MaxLagBlocks).
-	EquivStaleReplay
-)
-
-// SetEquivocation installs (or, with EquivNone, clears) the byzantine fault
-// hook on this replica.
-func (r *Replica) SetEquivocation(m EquivocationMode) { r.equivMode.Store(int32(m)) }
-
-// equivocate applies the replica's equivocation mode to a served response
-// just before it is returned to the router. Honest replicas return rq
-// unchanged.
-func (r *Replica) equivocate(method string, rq ic.RoutedQuery) ic.RoutedQuery {
-	switch EquivocationMode(r.equivMode.Load()) {
-	case EquivTamper:
-		if rq.Signature != nil {
-			// Claim a taller tip than the one the signature covers.
-			rq.TipHeight++
-		}
-		return rq
-	case EquivStaleReplay:
-		r.staleMu.Lock()
-		defer r.staleMu.Unlock()
-		if stored, ok := r.staleEnvs[method]; ok {
-			return stored
-		}
-		if rq.Signature != nil {
-			if r.staleEnvs == nil {
-				r.staleEnvs = make(map[string]ic.RoutedQuery)
-			}
-			r.staleEnvs[method] = rq
-		}
-		return rq
-	default:
-		return rq
-	}
-}
-
 // Broken reports whether the replica is quarantined after a failed frame
 // application. HydrateReplica clears it.
 func (r *Replica) Broken() bool { return r.broken.Load() }
 
-// Quarantine marks the replica broken without a frame failure — the fault
-// hook chaos scenarios use to model an operator (or watchdog) pulling a
-// replica out of rotation. Routing skips it until a re-hydration clears it.
+// Quarantine marks the replica broken without a frame failure: an operator
+// (or watchdog) pulling a replica out of rotation. Routing skips it until a
+// re-hydration clears it.
 func (r *Replica) Quarantine() { r.broken.Store(true) }
 
 // CatchUp applies every queued frame.

@@ -85,8 +85,8 @@ type bucket struct {
 	primed      bool
 }
 
-// serving holds the fleet's layer state. Nil on fleets with no layer
-// enabled — the zero-cost configuration every pre-existing caller gets.
+// serving holds the fleet's layer state. A layer that is off keeps a nil map
+// (cache, flights, buckets) and is skipped before its lock is touched.
 type serving struct {
 	coalesce bool
 	cacheCap int
@@ -105,12 +105,8 @@ type serving struct {
 	buckets  map[canister.CostClass]*bucket
 }
 
-// newServing builds the layer state for a config, or returns nil when every
-// layer is disabled.
+// newServing builds the layer state for a config.
 func newServing(cfg Config) *serving {
-	if !cfg.Coalesce && cfg.CacheEntries <= 0 && len(cfg.Budgets) == 0 {
-		return nil
-	}
 	s := &serving{coalesce: cfg.Coalesce, cacheCap: cfg.CacheEntries}
 	if cfg.CacheEntries > 0 {
 		s.cache = make(map[[32]byte]cacheEntry, cfg.CacheEntries)
@@ -132,9 +128,6 @@ func newServing(cfg Config) *serving {
 // generation bumps on every distributed frame, so a hit proves neither the
 // tip nor the anchor has moved since the fill.
 func (s *serving) cacheGet(gen uint64, key [32]byte) (ic.RoutedQuery, bool) {
-	if s.cache == nil {
-		return ic.RoutedQuery{}, false
-	}
 	s.cacheMu.Lock()
 	e, ok := s.cache[key]
 	s.cacheMu.Unlock()
@@ -154,9 +147,6 @@ func (s *serving) cacheGet(gen uint64, key [32]byte) (ic.RoutedQuery, bool) {
 // another generation is stored: fullGen remembers it, and until then every
 // further fill at that generation is refused without looking at an entry.
 func (s *serving) cacheFill(gen uint64, key [32]byte, rq ic.RoutedQuery) (stored, swept bool) {
-	if s.cache == nil {
-		return false, false
-	}
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	if _, exists := s.cache[key]; !exists && len(s.cache) >= s.cacheCap {
@@ -186,9 +176,6 @@ func (s *serving) cacheFill(gen uint64, key [32]byte, rq ic.RoutedQuery) (stored
 
 // CacheSize returns the number of resident cache entries (observability).
 func (s *serving) CacheSize() int {
-	if s == nil || s.cache == nil {
-		return 0
-	}
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	return len(s.cache)
@@ -268,7 +255,7 @@ func (s *serving) admit(class canister.CostClass, now time.Time) bool {
 // when none) — observability for tests and load drivers.
 func (f *Fleet) FlightWaiters(method string, arg any) int {
 	s := f.serving
-	if s == nil || !s.coalesce {
+	if !s.coalesce {
 		return 0
 	}
 	m, ok := canister.MethodByName(method)
@@ -282,49 +269,12 @@ func (f *Fleet) FlightWaiters(method string, arg any) int {
 	return s.flightWaiters(flightKey{gen: f.gen.Load(), key: key})
 }
 
-// routeLayered is RouteQuery's path on fleets with serving layers enabled:
-// coalesce → cache → admit → execute (with a lock-free-ish cache fast path
-// ahead of flight registration — same semantics, no flight allocation on
-// the hot hit path).
-func (f *Fleet) routeLayered(m *canister.MethodDesc, method string, arg any, now time.Time) ic.RoutedQuery {
-	s := f.serving
-	key, err := m.RequestKey(arg)
-	if err != nil {
-		// Wrong-typed argument: skip the layers and let the canister
-		// report its canonical error.
-		rq, _, _ := f.executeQuery(method, arg, now)
-		return rq
-	}
-	gen := f.gen.Load()
-	cacheable := m.Cacheable && s.cache != nil
-	if cacheable {
-		if rq, ok := s.cacheGet(gen, key); ok {
-			f.met.countGroup(f.met.cacheHits.Inc)
-			return rq
-		}
-		f.met.cacheMisses.Inc()
-	}
-	if s.coalesce {
-		fk := flightKey{gen: gen, key: key}
-		fl, leader := s.join(fk)
-		if !leader {
-			<-fl.done
-			f.met.countGroup(f.met.coalesced.Inc)
-			return fl.rq
-		}
-		rq := f.admitAndExecute(m, method, arg, now, gen, key, cacheable)
-		s.finish(fk, fl, rq)
-		return rq
-	}
-	return f.admitAndExecute(m, method, arg, now, gen, key, cacheable)
-}
-
-// admitAndExecute is the tail of the layered path: charge admission, run
-// the query, and fill the cache when the response provably belongs to the
+// admitAndExecute is the tail of RouteQuery: charge admission, run the
+// query, and fill the cache when the response provably belongs to the
 // generation the caller keyed on.
 func (f *Fleet) admitAndExecute(m *canister.MethodDesc, method string, arg any, now time.Time, gen uint64, key [32]byte, cacheable bool) ic.RoutedQuery {
 	if !f.serving.admit(m.Cost, now) {
-		f.met.countGroup(f.met.shed.Inc)
+		f.met.shed.Inc()
 		f.met.shedByClass.With(m.Cost.String()).Inc()
 		return ic.RoutedQuery{Err: fmt.Errorf("%w: %s (cost class %s)", ErrBusy, method, m.Cost)}
 	}

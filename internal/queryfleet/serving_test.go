@@ -10,6 +10,7 @@ import (
 
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
+	"icbtc/internal/chaos"
 	"icbtc/internal/ic"
 	"icbtc/internal/queryfleet"
 	"icbtc/internal/simnet"
@@ -32,8 +33,8 @@ func TestCacheServesIdenticalCertifiedEnvelope(t *testing.T) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 2
 	cfg.CacheEntries = 64
-	cfg.Sign = queryfleet.CommitteeSigner(subnet.Committee())
 	r := newRig(t, cfg, 10)
+	r.fleet.SetSigner(queryfleet.CommitteeSigner(subnet.Committee()))
 
 	args := canister.GetUTXOsArgs{Address: r.addr.String(), Limit: 5}
 	fresh := r.fleet.RouteQuery("get_utxos", args, "client", r.now)
@@ -66,15 +67,8 @@ func TestCacheServesIdenticalCertifiedEnvelope(t *testing.T) {
 	}
 	// The acceptance criterion: VerifyCertified passes on the cache-served
 	// envelope exactly as on a fresh one.
-	env := ic.CertifiedQuery{
-		Method:       "get_utxos",
-		Value:        hit.Value,
-		ErrText:      ic.ErrText(hit.Err),
-		AnchorHeight: hit.AnchorHeight,
-		TipHeight:    hit.TipHeight,
-	}
-	if !subnet.VerifyCertified(env, nil, hit.Signature) {
-		t.Fatal("cache-served envelope failed threshold verification")
+	if err := chaos.CheckCertified(subnet, "get_utxos", hit); err != nil {
+		t.Fatalf("cache-served envelope: %v", err)
 	}
 
 	// A differing argument field must miss (distinct canonical key).
@@ -147,10 +141,10 @@ func TestCacheCapacityFirstFillWins(t *testing.T) {
 	// Every execution signs with the next serial number, so an envelope
 	// served twice is told from one computed twice.
 	var signed atomic.Uint64
-	cfg.Sign = func(digest []byte) ([]byte, error) {
-		return binary.BigEndian.AppendUint64(append([]byte(nil), digest...), signed.Add(1)), nil
-	}
 	r := newRig(t, cfg, 10)
+	r.fleet.SetSigner(func(digest []byte) ([]byte, error) {
+		return binary.BigEndian.AppendUint64(append([]byte(nil), digest...), signed.Add(1)), nil
+	})
 
 	count := func(name string) uint64 { return r.fleet.Metrics().Counter(name).Value() }
 	expect := func(when string, size int, fills, refused, sweeps uint64) {
@@ -267,7 +261,8 @@ func TestCoalesceFansOutOneExecution(t *testing.T) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 2
 	cfg.Coalesce = true
-	cfg.Sign = func(digest []byte) ([]byte, error) {
+	r := newRig(t, cfg, 10)
+	r.fleet.SetSigner(func(digest []byte) ([]byte, error) {
 		select {
 		case entered <- struct{}{}:
 		default:
@@ -280,8 +275,7 @@ func TestCoalesceFansOutOneExecution(t *testing.T) {
 		copy(sig, digest)
 		copy(sig[32:], digest)
 		return sig, nil
-	}
-	r := newRig(t, cfg, 10)
+	})
 
 	args := canister.GetUTXOsArgs{Address: r.addr.String(), Limit: 5}
 	results := make(chan ic.RoutedQuery, followers+1)

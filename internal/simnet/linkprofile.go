@@ -86,11 +86,6 @@ func (n *Network) SetLinkProfile(from, to NodeID, p *LinkProfile) {
 	n.links[key] = l
 }
 
-// ClearLinkProfiles removes every installed link profile (heal).
-func (n *Network) ClearLinkProfiles() {
-	n.links = nil
-}
-
 // LinkProfileCount returns the number of installed link profiles.
 func (n *Network) LinkProfileCount() int { return len(n.links) }
 

@@ -92,11 +92,6 @@ func (n *Network) Register(id NodeID, ep Endpoint) {
 	n.endpoints[id] = ep
 }
 
-// Unregister detaches an endpoint.
-func (n *Network) Unregister(id NodeID) {
-	delete(n.endpoints, id)
-}
-
 // SetDown marks a node as crashed (true) or recovered (false).
 func (n *Network) SetDown(id NodeID, down bool) {
 	if down {
