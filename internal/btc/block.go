@@ -301,6 +301,25 @@ func HashMeetsTarget(h Hash, bits uint32) bool {
 	return val.Cmp(target) <= 0
 }
 
+// maxNonceAttempts bounds MineHeader. The simulation's targets admit a hash
+// within a handful of attempts, so running out indicates a bug.
+const maxNonceAttempts = 1 << 24
+
+// MineHeader is the proof-of-work search: it tries nonces ascending from 0
+// and leaves in h.Nonce the first whose block hash meets the target in
+// h.Bits. Every miner in the repository — simulated node, adversary,
+// workload generator, test forge — seals its headers here, so equal headers
+// get equal nonces.
+func MineHeader(h *BlockHeader) error {
+	for nonce := uint32(0); nonce < maxNonceAttempts; nonce++ {
+		h.Nonce = nonce
+		if HashMeetsTarget(h.BlockHash(), h.Bits) {
+			return nil
+		}
+	}
+	return fmt.Errorf("btc: proof-of-work search exhausted after %d nonces (bits %#x)", maxNonceAttempts, h.Bits)
+}
+
 // WorkForBits returns the expected hash work to find a block at the given
 // target: work = 2^256 / (target + 1). This is the w(b) function of §II-B.
 func WorkForBits(bits uint32) *big.Int {

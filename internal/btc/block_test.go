@@ -195,6 +195,29 @@ func TestHashMeetsTarget(t *testing.T) {
 	}
 }
 
+// TestMineHeaderFindsLowestNonce: the one proof-of-work search is ascending
+// from 0, so the nonce it leaves is the first that meets the target — what
+// keeps every fixture's block bytes where the eight hand-written loops it
+// replaced put them.
+func TestMineHeaderFindsLowestNonce(t *testing.T) {
+	h := BlockHeader{Version: 1, Timestamp: 1_600_000_000, Bits: simPowBits, Nonce: 12345}
+	if err := MineHeader(&h); err != nil {
+		t.Fatal(err)
+	}
+	if !HashMeetsTarget(h.BlockHash(), h.Bits) {
+		t.Fatalf("nonce %d does not meet the target", h.Nonce)
+	}
+	if h.Nonce == 0 {
+		t.Fatal("nonce 0 met simPowBits; pick a header that needs a search")
+	}
+	for probe := h; probe.Nonce > 0; {
+		probe.Nonce--
+		if HashMeetsTarget(probe.BlockHash(), probe.Bits) {
+			t.Fatalf("nonce %d already met the target, search returned %d", probe.Nonce, h.Nonce)
+		}
+	}
+}
+
 func TestMedianTimePast(t *testing.T) {
 	if MedianTimePast(nil) != 0 {
 		t.Fatal("empty MTP must be 0")

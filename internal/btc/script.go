@@ -116,15 +116,29 @@ func SignatureHash(tx *Transaction, idx int, prevPkScript []byte) (Hash, error) 
 // SignInput produces the unlocking script for input idx of tx spending a
 // P2PKH output locked to key's public key hash.
 func SignInput(tx *Transaction, idx int, prevPkScript []byte, key *secp256k1.PrivateKey) error {
+	return SignInputWith(tx, idx, prevPkScript, key.PubKey().SerializeCompressed(), func(digest []byte) ([]byte, error) {
+		sig, err := key.Sign(digest)
+		if err != nil {
+			return nil, err
+		}
+		return sig.SerializeDER(), nil
+	})
+}
+
+// SignInputWith is SignInput for a key the caller does not hold: sign
+// returns a DER signature over the input's SIGHASH_ALL digest that verifies
+// under pubKey (SEC compressed). A canister passes its call context's
+// SignWithECDSA and the subnet's threshold key.
+func SignInputWith(tx *Transaction, idx int, prevPkScript, pubKey []byte, sign func(digest []byte) ([]byte, error)) error {
 	digest, err := SignatureHash(tx, idx, prevPkScript)
 	if err != nil {
 		return err
 	}
-	sig, err := key.Sign(digest[:])
+	der, err := sign(digest[:])
 	if err != nil {
 		return fmt.Errorf("btc: signing input %d: %w", idx, err)
 	}
-	tx.Inputs[idx].SignatureScript = BuildP2PKHUnlockScript(sig.SerializeDER(), key.PubKey().SerializeCompressed())
+	tx.Inputs[idx].SignatureScript = BuildP2PKHUnlockScript(der, pubKey)
 	return nil
 }
 

@@ -115,7 +115,7 @@ func (a *Adversary) MinePrivateFork(from btc.Hash, length int, inject []*btc.Tra
 				Transactions: append(blk.Transactions[:len(blk.Transactions):len(blk.Transactions)], inject...),
 			}
 			blk.Header.MerkleRoot = blk.MerkleRoot()
-			if err := regrind(&blk.Header); err != nil {
+			if err := btc.MineHeader(&blk.Header); err != nil {
 				return err
 			}
 		}
@@ -129,16 +129,6 @@ func (a *Adversary) MinePrivateFork(from btc.Hash, length int, inject []*btc.Tra
 		parent = node
 	}
 	return nil
-}
-
-func regrind(h *btc.BlockHeader) error {
-	for nonce := uint32(0); nonce < maxNonceAttempts; nonce++ {
-		h.Nonce = nonce
-		if btc.HashMeetsTarget(h.BlockHash(), h.Bits) {
-			return nil
-		}
-	}
-	return fmt.Errorf("btcnode: regrind exhausted")
 }
 
 // corruptBlockCopy returns a copy of blk with a junk transaction appended

@@ -33,10 +33,6 @@ func NewMinerWithKey(node *Node, key *secp256k1.PrivateKey) *Miner {
 	return NewMiner(node, btc.PayToAddrScript(addr))
 }
 
-// maxNonceAttempts bounds PoW grinding; with simulation targets the expected
-// number of attempts is tiny, so hitting this indicates a bug.
-const maxNonceAttempts = 1 << 22
-
 // BuildBlockOn assembles a block on the given parent including up to maxTxs
 // transactions from the node's mempool (0 means no limit). The block is
 // mined (nonce ground) before being returned.
@@ -74,7 +70,7 @@ func (m *Miner) BuildBlockOn(parent *chain.Node, maxTxs int) (*btc.Block, error)
 		block.Header.Timestamp = mtp + 1
 	}
 	block.Header.MerkleRoot = block.MerkleRoot()
-	if err := grind(&block.Header); err != nil {
+	if err := btc.MineHeader(&block.Header); err != nil {
 		return nil, err
 	}
 	return block, nil
@@ -105,17 +101,6 @@ func (m *Miner) MineChain(count, maxTxsPerBlock int) ([]*btc.Block, error) {
 		out = append(out, b)
 	}
 	return out, nil
-}
-
-// grind searches a nonce satisfying the header's target.
-func grind(h *btc.BlockHeader) error {
-	for nonce := uint32(0); nonce < maxNonceAttempts; nonce++ {
-		h.Nonce = nonce
-		if btc.HashMeetsTarget(h.BlockHash(), h.Bits) {
-			return nil
-		}
-	}
-	return errors.New("btcnode: proof-of-work search exhausted")
 }
 
 // coinbaseScript encodes height and extra nonce (BIP34-flavored) so every

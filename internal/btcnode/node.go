@@ -15,12 +15,17 @@ import (
 // undo data for reorgs), and a mempool, and it gossips blocks and
 // transactions with its peers.
 type Node struct {
-	ID      simnet.NodeID
-	net     *simnet.Network
-	params  *btc.Params
-	tree    *chain.Tree
-	blocks  map[btc.Hash]*btc.Block
+	ID     simnet.NodeID
+	net    *simnet.Network
+	params *btc.Params
+	tree   *chain.Tree
+	blocks map[btc.Hash]*btc.Block
+	// mempool holds the transactions waiting to be mined; spends maps every
+	// outpoint one of them spends to its txid. No two of them spend the same
+	// outpoint (first seen wins) and none spends an outpoint the active chain
+	// has spent, so a block template built from the mempool always connects.
 	mempool map[btc.Hash]*btc.Transaction
+	spends  map[btc.OutPoint]btc.Hash
 
 	// utxoView tracks the UTXO set along the active chain; undoStack holds
 	// per-block undo data aligned with activeChain[1:].
@@ -56,6 +61,7 @@ func NewNode(id simnet.NodeID, net *simnet.Network, params *btc.Params) *Node {
 		tree:            chain.NewTree(params.GenesisHeader, 0),
 		blocks:          make(map[btc.Hash]*btc.Block),
 		mempool:         make(map[btc.Hash]*btc.Transaction),
+		spends:          make(map[btc.OutPoint]btc.Hash),
 		utxoView:        utxo.New(params.Network),
 		undoByBlock:     make(map[btc.Hash]*utxo.BlockUndo),
 		orphans:         make(map[btc.Hash][]*btc.Block),
@@ -367,10 +373,6 @@ func (n *Node) AcceptBlock(block *btc.Block) (bool, error) {
 			return false, fmt.Errorf("btcnode: reorg: %w", err)
 		}
 	}
-	// Drop mined transactions from the mempool.
-	for _, tx := range block.Transactions {
-		delete(n.mempool, tx.TxID())
-	}
 	return true, nil
 }
 
@@ -425,7 +427,7 @@ func (n *Node) reorganizeTo(newTip *chain.Node) error {
 		if blk := n.blocks[cur.Hash]; blk != nil {
 			for _, tx := range blk.Transactions {
 				if !tx.IsCoinbase() {
-					n.mempool[tx.TxID()] = tx
+					n.mempoolAdd(tx)
 				}
 			}
 		}
@@ -447,6 +449,16 @@ func (n *Node) reorganizeTo(newTip *chain.Node) error {
 			return fmt.Errorf("btcnode: connect %s: %w", node.Hash, err)
 		}
 		n.undoByBlock[node.Hash] = undo
+		// The chain has now spent these outpoints: whatever in the mempool
+		// spends one — the mined transaction itself or a conflicting spend
+		// — can never be mined on this branch.
+		for _, tx := range blk.Transactions {
+			for i := range tx.Inputs {
+				if spender, ok := n.spends[tx.Inputs[i].PreviousOutPoint]; ok {
+					n.mempoolRemove(spender)
+				}
+			}
+		}
 	}
 	if detached > 0 {
 		n.reorgs++
@@ -480,6 +492,9 @@ func (n *Node) AcceptTx(tx *btc.Transaction) bool {
 		if !ok {
 			return false
 		}
+		if _, taken := n.spends[tx.Inputs[i].PreviousOutPoint]; taken {
+			return false
+		}
 		// Coinbase maturity: outputs minted at height h spend only after
 		// CoinbaseMaturity confirmations. The view records creation height;
 		// coinbase outputs are identifiable as vout of a coinbase txid,
@@ -503,11 +518,27 @@ func (n *Node) AcceptTx(tx *btc.Transaction) bool {
 	if outValue > inValue {
 		return false
 	}
-	n.mempool[txid] = tx
+	n.mempoolAdd(tx)
 	for _, p := range n.peersSorted() {
 		n.net.Send(n.ID, p, MsgInvTx{TxID: txid})
 	}
 	return true
+}
+
+func (n *Node) mempoolAdd(tx *btc.Transaction) {
+	txid := tx.TxID()
+	n.mempool[txid] = tx
+	for i := range tx.Inputs {
+		n.spends[tx.Inputs[i].PreviousOutPoint] = txid
+	}
+}
+
+func (n *Node) mempoolRemove(txid btc.Hash) {
+	tx := n.mempool[txid]
+	delete(n.mempool, txid)
+	for i := range tx.Inputs {
+		delete(n.spends, tx.Inputs[i].PreviousOutPoint)
+	}
 }
 
 // isCoinbaseOutput reports whether an outpoint was created by a coinbase

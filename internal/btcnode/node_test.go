@@ -302,6 +302,73 @@ func TestReorgReturnsTxsToMempool(t *testing.T) {
 	}
 }
 
+// TestConflictingSpendsDoNotWedgeTheMiner: the mempool holds at most one
+// spend of an outpoint, and none of an outpoint the active chain has spent.
+// Without either rule a block template carries a double spend, strict
+// ApplyBlock rejects the miner's own block, and every later Mine fails the
+// same way ("own block rejected ... output not in set").
+func TestConflictingSpendsDoNotWedgeTheMiner(t *testing.T) {
+	_, net, params := newTestNet(t, 21)
+	a := NewNode("btc/0", net, params)
+	key := testKey(t, 21)
+	minerA := NewMinerWithKey(a, key)
+	blk1, err := minerA.Mine(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := btc.AddressFromPubKey(key.PubKey().SerializeCompressed(), params.Network)
+	coin := a.UTXOView().UTXOsForAddress(addr.String())[0]
+	spendTo := func(tag byte) *btc.Transaction {
+		tx := &btc.Transaction{
+			Version: 2,
+			Inputs:  []btc.TxIn{{PreviousOutPoint: coin.OutPoint, Sequence: 0xffffffff}},
+			Outputs: []btc.TxOut{{Value: coin.Value - 1000, PkScript: btc.PayToPubKeyHashScript([20]byte{tag})}},
+		}
+		if err := btc.SignInput(tx, 0, coin.PkScript, key); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	first, second := spendTo(1), spendTo(2)
+
+	// First seen wins.
+	if !a.AcceptTx(first) {
+		t.Fatal("first spend rejected")
+	}
+	if a.AcceptTx(second) || a.MempoolHas(second.TxID()) {
+		t.Fatal("a second spend of the same outpoint entered the mempool")
+	}
+	blk2, err := minerA.Mine(0)
+	if err != nil {
+		t.Fatalf("mining over a conflicting pair: %v", err)
+	}
+	if len(blk2.Transactions) != 2 || blk2.Transactions[1].TxID() != first.TxID() {
+		t.Fatalf("block holds %d transactions, want coinbase + the first spend", len(blk2.Transactions))
+	}
+
+	// A node that saw the other spend first drops it when the chain spends
+	// the outpoint, and keeps mining.
+	b := NewNode("btc/1", net, params)
+	if _, err := b.AcceptBlock(blk1); err != nil {
+		t.Fatal(err)
+	}
+	if !b.AcceptTx(second) {
+		t.Fatal("second spend rejected by a node that never saw the first")
+	}
+	if _, err := b.AcceptBlock(blk2); err != nil {
+		t.Fatal(err)
+	}
+	if b.MempoolSize() != 0 {
+		t.Fatal("a spend of an outpoint the chain has spent stayed in the mempool")
+	}
+	if _, err := NewMinerWithKey(b, testKey(t, 22)).Mine(0); err != nil {
+		t.Fatalf("mining after the conflict confirmed: %v", err)
+	}
+	if a.AcceptTx(second) {
+		t.Fatal("spend of a confirmed-spent outpoint accepted")
+	}
+}
+
 func TestBuildHonestNetworkConverges(t *testing.T) {
 	s, net, params := newTestNet(t, 12)
 	_ = s

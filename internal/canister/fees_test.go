@@ -60,14 +60,8 @@ func (m *feeMiner) mine(t *testing.T, parent btc.Hash, txs ...*btc.Transaction) 
 		Transactions: append([]*btc.Transaction{coinbase}, txs...),
 	}
 	block.Header.MerkleRoot = block.MerkleRoot()
-	for nonce := uint32(0); ; nonce++ {
-		block.Header.Nonce = nonce
-		if btc.HashMeetsTarget(block.BlockHash(), block.Header.Bits) {
-			break
-		}
-		if nonce == 1<<24 {
-			t.Fatal("proof-of-work search exhausted")
-		}
+	if err := btc.MineHeader(&block.Header); err != nil {
+		t.Fatal(err)
 	}
 	window := append([]uint32(nil), p.tsWindow...)
 	if len(window) >= 11 {

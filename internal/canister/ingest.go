@@ -90,7 +90,9 @@ func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b 
 		c.met.payloads.Inc()
 		d := c.met.reg.Now().Sub(start)
 		c.met.payloadDuration.ObserveDuration(d)
-		c.met.reg.Trace("canister.payload", d.String())
+		if tr := c.met.reg.Tracer(); tr.Enabled() {
+			tr.Emit("canister.payload", d.String())
+		}
 	}()
 	if cfg.Obs == nil {
 		cfg.Obs = c.met.reg // pipeline stages land in the canister registry

@@ -57,14 +57,8 @@ func (f *forge) block(parent btc.Hash, height int64, payout []byte, txs ...*btc.
 		Transactions: append([]*btc.Transaction{coinbase}, txs...),
 	}
 	blk.Header.MerkleRoot = blk.MerkleRoot()
-	for nonce := uint32(0); ; nonce++ {
-		blk.Header.Nonce = nonce
-		if btc.HashMeetsTarget(blk.BlockHash(), blk.Header.Bits) {
-			break
-		}
-		if nonce > 1<<24 {
-			f.t.Fatal("forge: PoW exhausted")
-		}
+	if err := btc.MineHeader(&blk.Header); err != nil {
+		f.t.Fatal(err)
 	}
 	w := append(append([]uint32{}, pw...), blk.Header.Timestamp)
 	if len(w) > 11 {

@@ -28,14 +28,8 @@ func mineChild(t *testing.T, tree *Tree, parent *Node, params *btc.Params, ts ui
 		Timestamp:  ts,
 		Bits:       ExpectedBits(parent, params),
 	}
-	for nonce := uint32(0); ; nonce++ {
-		h.Nonce = nonce
-		if btc.HashMeetsTarget(h.BlockHash(), h.Bits) {
-			break
-		}
-		if nonce > 1<<24 {
-			t.Fatal("PoW search exhausted")
-		}
+	if err := btc.MineHeader(&h); err != nil {
+		t.Fatal(err)
 	}
 	if err := ValidateHeader(&h, parent, params, time.Unix(int64(ts)+60, 0)); err != nil {
 		t.Fatalf("mined header invalid: %v", err)

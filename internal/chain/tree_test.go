@@ -407,10 +407,8 @@ func TestValidateHeader(t *testing.T) {
 
 	good := testHeader(tree.Root().Hash, 1, params.PowLimitBits)
 	good.Timestamp = 1_699_999_999
-	// Regtest bits admit nearly every hash, so PoW should pass as-is; if this
-	// particular nonce fails, grind a few.
-	for n := uint32(1); !btc.HashMeetsTarget(good.BlockHash(), good.Bits); n++ {
-		good.Nonce = n
+	if err := btc.MineHeader(&good); err != nil {
+		t.Fatal(err)
 	}
 	if err := ValidateHeader(&good, tree.Root(), params, now); err != nil {
 		t.Fatalf("valid header rejected: %v", err)

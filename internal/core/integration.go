@@ -191,8 +191,33 @@ func (in *Integration) MinerAddress() btc.Address {
 	return btc.AddressFromPubKey(in.minerKey.PubKey().SerializeCompressed(), in.Params.Network)
 }
 
-// MinerKey exposes the miner's key so examples and tests can spend rewards.
-func (in *Integration) MinerKey() *secp256k1.PrivateKey { return in.minerKey }
+// MinerSpend builds a transaction paying pays, and fee, out of the miner's
+// block rewards as node 0 sees them, signed with the miner's key: how
+// examples and tests put bitcoin somewhere before a canister takes over.
+func (in *Integration) MinerSpend(pays []Payment, fee int64) (*btc.Transaction, error) {
+	miner := in.MinerAddress()
+	coins := in.Bitcoin.Nodes[0].UTXOView().UTXOsForAddress(miner.String())
+	tx, _, err := buildSpend(coins, pays, fee, miner, func(tx *btc.Transaction, i int, pkScript []byte) error {
+		return btc.SignInput(tx, i, pkScript, in.minerKey)
+	})
+	return tx, err
+}
+
+// FundAddress sends amount from the miner's rewards to target and mines the
+// payment in.
+func FundAddress(in *Integration, target string, amount int64) (btc.Hash, error) {
+	tx, err := in.MinerSpend([]Payment{{To: target, Amount: amount}}, 1000)
+	if err != nil {
+		return btc.Hash{}, err
+	}
+	if !in.Bitcoin.Nodes[0].AcceptTx(tx) {
+		return btc.Hash{}, errors.New("core: funding tx rejected")
+	}
+	if _, err := in.MineBlocks(1); err != nil {
+		return btc.Hash{}, err
+	}
+	return tx.TxID(), nil
+}
 
 // MineBlocks mines n blocks on the Bitcoin network, letting gossip settle
 // between blocks, and returns the new chain height.
@@ -255,7 +280,7 @@ func (in *Integration) AwaitCanisterHeight(height int64, budget time.Duration) e
 // arrives and returns the balance plus the full result envelope.
 func (in *Integration) GetBalance(address string, minConfirmations int64, replicated bool) (int64, ic.Result, error) {
 	args := canister.GetBalanceArgs{Address: address, MinConfirmations: minConfirmations}
-	res, err := in.call("get_balance", args, replicated)
+	res, err := in.call(BitcoinCanisterID, "get_balance", args, replicated)
 	if err != nil {
 		return 0, res, err
 	}
@@ -268,7 +293,7 @@ func (in *Integration) GetBalance(address string, minConfirmations int64, replic
 
 // GetUTXOs fetches the UTXOs of an address (optionally filtered/paginated).
 func (in *Integration) GetUTXOs(args canister.GetUTXOsArgs, replicated bool) (*canister.GetUTXOsResult, ic.Result, error) {
-	res, err := in.call("get_utxos", args, replicated)
+	res, err := in.call(BitcoinCanisterID, "get_utxos", args, replicated)
 	if err != nil {
 		return nil, res, err
 	}
@@ -303,22 +328,21 @@ func (in *Integration) GetAllUTXOs(address string, minConfirmations int64) ([]ut
 // SendTransaction submits a raw transaction through the Bitcoin canister
 // (always replicated — it changes state).
 func (in *Integration) SendTransaction(rawTx []byte) (ic.Result, error) {
-	res, err := in.call("send_transaction", canister.SendTransactionArgs{RawTx: rawTx}, true)
-	return res, err
+	return in.call(BitcoinCanisterID, "send_transaction", canister.SendTransactionArgs{RawTx: rawTx}, true)
 }
 
-// call performs a replicated or query call against the Bitcoin canister and
-// runs the scheduler until the response lands.
-func (in *Integration) call(method string, arg any, replicated bool) (ic.Result, error) {
+// call submits a replicated or query call to a canister and runs the
+// scheduler until the response lands.
+func (in *Integration) call(id ic.CanisterID, method string, arg any, replicated bool) (ic.Result, error) {
 	if !in.started {
 		return ic.Result{}, errors.New("core: integration not started")
 	}
 	var out *ic.Result
 	deliver := func(r ic.Result) { out = &r }
 	if replicated {
-		in.Subnet.SubmitUpdate(BitcoinCanisterID, method, arg, "client", deliver)
+		in.Subnet.SubmitUpdate(id, method, arg, "client", deliver)
 	} else {
-		in.Subnet.Query(BitcoinCanisterID, method, arg, "client", deliver)
+		in.Subnet.Query(id, method, arg, "client", deliver)
 	}
 	// Run virtual time forward until the callback fires (bounded).
 	deadline := in.Sched.Now().Add(5 * time.Minute)
@@ -339,19 +363,7 @@ func (in *Integration) InstallCanister(id ic.CanisterID, c ic.Canister) {
 
 // CallCanister performs a replicated call against any installed canister.
 func (in *Integration) CallCanister(id ic.CanisterID, method string, arg any) (ic.Result, error) {
-	if !in.started {
-		return ic.Result{}, errors.New("core: integration not started")
-	}
-	var out *ic.Result
-	in.Subnet.SubmitUpdate(id, method, arg, "client", func(r ic.Result) { out = &r })
-	deadline := in.Sched.Now().Add(5 * time.Minute)
-	for out == nil && in.Sched.Now().Before(deadline) {
-		in.RunFor(100 * time.Millisecond)
-	}
-	if out == nil {
-		return ic.Result{}, fmt.Errorf("%w: no response to %s", ErrTimeout, method)
-	}
-	return *out, out.Err
+	return in.call(id, method, arg, true)
 }
 
 // AwaitTxInMempool runs until the transaction reaches the mining node's

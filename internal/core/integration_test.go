@@ -140,7 +140,7 @@ func TestEndToEndWritePath(t *testing.T) {
 		Inputs:  []btc.TxIn{{PreviousOutPoint: utxos[0].OutPoint, Sequence: 0xffffffff}},
 		Outputs: []btc.TxOut{{Value: utxos[0].Value - 1000, PkScript: btc.PayToAddrScript(dest)}},
 	}
-	if err := btc.SignInput(tx, 0, utxos[0].PkScript, in.MinerKey()); err != nil {
+	if err := btc.SignInput(tx, 0, utxos[0].PkScript, in.minerKey); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,6 +166,17 @@ func TestEndToEndWritePath(t *testing.T) {
 	}
 }
 
+// walletAddress asks the installed wallet canister where it holds its
+// bitcoin.
+func walletAddress(t *testing.T, in *Integration) string {
+	t.Helper()
+	res, err := in.CallCanister("wallet", "address", nil)
+	if err != nil {
+		t.Fatalf("wallet address: %v", err)
+	}
+	return res.Value.(string)
+}
+
 func TestEndToEndThresholdWallet(t *testing.T) {
 	// The headline capability: a canister holds bitcoin under the subnet
 	// threshold key and spends it with threshold signatures.
@@ -182,12 +193,9 @@ func TestEndToEndThresholdWallet(t *testing.T) {
 	if _, err := in.MineBlocks(2); err != nil {
 		t.Fatal(err)
 	}
-	walletAddr, err := WalletAddress(in, in.Params.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
+	walletAddr := walletAddress(t, in)
 	const fund = 30_000_000 // 0.3 BTC
-	if _, err := FundAddress(in, walletAddr.String(), fund); err != nil {
+	if _, err := FundAddress(in, walletAddr, fund); err != nil {
 		t.Fatal(err)
 	}
 	if err := in.AwaitCanisterHeight(3, 2*time.Minute); err != nil {
@@ -205,7 +213,7 @@ func TestEndToEndThresholdWallet(t *testing.T) {
 
 	// Spend: threshold-sign a payment to a fresh address.
 	dest := btc.NewP2PKHAddress([20]byte{0xCD}, in.Params.Network)
-	res, err = in.CallCanister("wallet", "send", SendArgs{To: dest.String(), Amount: 10_000_000})
+	res, err = in.CallCanister("wallet", "send", Payment{To: dest.String(), Amount: 10_000_000})
 	if err != nil {
 		t.Fatalf("wallet send: %v", err)
 	}
@@ -254,15 +262,15 @@ func TestWalletErrors(t *testing.T) {
 
 	// Insufficient funds.
 	dest := btc.NewP2PKHAddress([20]byte{1}, in.Params.Network)
-	if _, err := in.CallCanister("wallet", "send", SendArgs{To: dest.String(), Amount: 1}); err == nil {
+	if _, err := in.CallCanister("wallet", "send", Payment{To: dest.String(), Amount: 1}); err == nil {
 		t.Fatal("send with empty wallet succeeded")
 	}
 	// Bad destination.
-	if _, err := in.CallCanister("wallet", "send", SendArgs{To: "garbage", Amount: 1}); err == nil {
+	if _, err := in.CallCanister("wallet", "send", Payment{To: "garbage", Amount: 1}); err == nil {
 		t.Fatal("bad destination accepted")
 	}
 	// Non-positive amount.
-	if _, err := in.CallCanister("wallet", "send", SendArgs{To: dest.String(), Amount: 0}); err == nil {
+	if _, err := in.CallCanister("wallet", "send", Payment{To: dest.String(), Amount: 0}); err == nil {
 		t.Fatal("zero amount accepted")
 	}
 	// Bad method / bad arg type.
@@ -429,13 +437,10 @@ func TestWalletMultiInputSpend(t *testing.T) {
 	if _, err := in.MineBlocks(3); err != nil {
 		t.Fatal(err)
 	}
-	walletAddr, err := WalletAddress(in, in.Params.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
+	walletAddr := walletAddress(t, in)
 	// Two separate fundings → two UTXOs of 0.05 BTC each.
 	for i := 0; i < 2; i++ {
-		if _, err := FundAddress(in, walletAddr.String(), 5_000_000); err != nil {
+		if _, err := FundAddress(in, walletAddr, 5_000_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -444,7 +449,7 @@ func TestWalletMultiInputSpend(t *testing.T) {
 	}
 	dest := btc.NewP2PKHAddress([20]byte{0xEF}, in.Params.Network)
 	// 0.08 BTC needs both UTXOs.
-	res, err := in.CallCanister("wallet", "send", SendArgs{To: dest.String(), Amount: 8_000_000})
+	res, err := in.CallCanister("wallet", "send", Payment{To: dest.String(), Amount: 8_000_000})
 	if err != nil {
 		t.Fatalf("multi-input send: %v", err)
 	}
@@ -471,5 +476,77 @@ func TestWalletMultiInputSpend(t *testing.T) {
 	}
 	if bal != 8_000_000 {
 		t.Fatalf("dest got %d", bal)
+	}
+}
+
+func TestThresholdSpendReadsEveryPage(t *testing.T) {
+	// The kit follows get_utxos pagination: with two UTXOs per page and five
+	// deposits of 0.01 BTC, a 0.045 BTC payment needs coins from all three
+	// pages. A contract that read only the first page would see 0.02 BTC and
+	// refuse, or strand the rest on a sweep.
+	opts := fastOptions(12)
+	canCfg := canister.DefaultConfig(btc.Regtest)
+	canCfg.PageLimit = 2
+	opts.Canister = &canCfg
+	in, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.InstallCanister("wallet", &WalletCanister{BitcoinID: BitcoinCanisterID, Network: in.Params.Network})
+	in.Start()
+	in.RunFor(5 * time.Second)
+	if _, err := in.MineBlocks(2); err != nil {
+		t.Fatal(err)
+	}
+	walletAddr := walletAddress(t, in)
+	const deposits, each = 5, 1_000_000
+	for i := 0; i < deposits; i++ {
+		if _, err := FundAddress(in, walletAddr, each); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := in.AwaitCanisterHeight(2+deposits, 3*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	page, _, err := in.GetUTXOs(canister.GetUTXOsArgs{Address: walletAddr}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.UTXOs) != 2 || page.NextPage == nil {
+		t.Fatalf("first page holds %d UTXOs (next=%v), want 2 and a next page", len(page.UTXOs), page.NextPage)
+	}
+
+	dest := btc.NewP2PKHAddress([20]byte{0x9A}, in.Params.Network)
+	const amount = 4_500_000
+	res, err := in.CallCanister("wallet", "send", Payment{To: dest.String(), Amount: amount})
+	if err != nil {
+		t.Fatalf("send across pages: %v", err)
+	}
+	sent := res.Value.(*SendResult)
+	parsed, err := btc.ParseTransaction(sent.RawTx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parsed.Inputs) != deposits {
+		t.Fatalf("spend used %d inputs, want %d", len(parsed.Inputs), deposits)
+	}
+	if want := int64(deposits*each - amount - walletFee); sent.Change != want {
+		t.Fatalf("change %d, want %d", sent.Change, want)
+	}
+	if err := in.AwaitTxInMempool(sent.TxID, 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.MineBlocks(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.AwaitCanisterHeight(3+deposits, 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	bal, _, err := in.GetBalance(dest.String(), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bal != amount {
+		t.Fatalf("dest got %d, want %d", bal, amount)
 	}
 }

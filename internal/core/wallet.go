@@ -1,255 +1,54 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
 	"icbtc/internal/ic"
-	"icbtc/internal/utxo"
 )
 
-// WalletCanister is an application canister that holds bitcoin natively
-// under the subnet's threshold-ECDSA key — the capability that headlines
-// the paper ("Canisters can hold bitcoins natively and let node machines
-// sign Bitcoin transactions on their behalf", Fig 1).
-//
-// The wallet derives its Bitcoin address from the subnet public key, reads
-// its UTXOs through the Bitcoin canister, builds standard P2PKH spends,
-// signs every input via threshold ECDSA (no single node ever sees a private
-// key — there isn't one), and submits the result through send_transaction.
+// walletFee is the flat fee, in satoshi, the wallet attaches to a send.
+const walletFee = 1000
+
+// WalletCanister is the smallest application canister over the contract kit
+// (contract.go): it reports its threshold address and balance and pays out
+// of it on request.
 type WalletCanister struct {
 	// BitcoinID is the Bitcoin canister to talk to.
 	BitcoinID ic.CanisterID
 	// Network selects the address flavor.
 	Network btc.Network
-	// FeeSatoshi is the flat fee attached to sends.
-	FeeSatoshi int64
-
-	// sent counts successful sends (for tests/metrics).
-	sent int
-}
-
-// SendArgs instructs the wallet to transfer value.
-type SendArgs struct {
-	To     string
-	Amount int64
-}
-
-// SendResult reports the submitted transaction.
-type SendResult struct {
-	TxID   btc.Hash
-	RawTx  []byte
-	Change int64
 }
 
 // Update implements ic.Canister.
 func (w *WalletCanister) Update(ctx *ic.CallContext, method string, arg any) (any, error) {
-	switch method {
-	case "address":
-		return w.address(ctx)
-	case "balance":
-		return w.balance(ctx)
-	case "send":
-		args, ok := arg.(SendArgs)
+	if method == "send" {
+		pay, ok := arg.(Payment)
 		if !ok {
-			return nil, fmt.Errorf("wallet: send wants SendArgs, got %T", arg)
+			return nil, fmt.Errorf("wallet: send wants Payment, got %T", arg)
 		}
-		return w.send(ctx, args)
-	case "sent_count":
-		return w.sent, nil
-	default:
-		return nil, fmt.Errorf("wallet: no update method %q", method)
+		return ThresholdSpend(ctx, w.BitcoinID, w.Network, []Payment{pay}, walletFee)
 	}
+	return w.Query(ctx, method, arg)
 }
 
-// Query implements ic.Canister. Only address derivation is queryable; reads
-// of Bitcoin state go through the Bitcoin canister which enforces its own
-// rules.
+// Query implements ic.Canister. Reads of Bitcoin state go through the
+// Bitcoin canister, which enforces its own rules.
 func (w *WalletCanister) Query(ctx *ic.CallContext, method string, arg any) (any, error) {
-	switch method {
-	case "address":
-		return w.address(ctx)
-	case "balance":
-		return w.balance(ctx)
-	case "sent_count":
-		return w.sent, nil
-	default:
-		return nil, fmt.Errorf("wallet: no query method %q", method)
-	}
-}
-
-// address derives the wallet's P2PKH address from the subnet key.
-func (w *WalletCanister) address(ctx *ic.CallContext) (string, error) {
-	pub := ctx.ECDSAPublicKey()
-	if pub == nil {
-		return "", errors.New("wallet: subnet has no threshold key")
-	}
-	return btc.AddressFromPubKey(pub, w.Network).String(), nil
-}
-
-// balance reads the wallet's balance via the Bitcoin canister.
-func (w *WalletCanister) balance(ctx *ic.CallContext) (int64, error) {
-	addr, err := w.address(ctx)
-	if err != nil {
-		return 0, err
-	}
-	v, err := ctx.Call(w.BitcoinID, "get_balance", canister.GetBalanceArgs{Address: addr})
-	if err != nil {
-		return 0, err
-	}
-	return v.(int64), nil
-}
-
-// send builds, threshold-signs, and submits a payment.
-func (w *WalletCanister) send(ctx *ic.CallContext, args SendArgs) (*SendResult, error) {
-	if args.Amount <= 0 {
-		return nil, fmt.Errorf("wallet: amount must be positive, got %d", args.Amount)
-	}
-	dest, err := btc.ParseAddress(args.To, w.Network)
-	if err != nil {
-		return nil, fmt.Errorf("wallet: bad destination: %w", err)
-	}
-	ownAddr, err := w.address(ctx)
+	addr, err := ThresholdAddress(ctx, w.Network)
 	if err != nil {
 		return nil, err
 	}
-	fee := w.FeeSatoshi
-	if fee <= 0 {
-		fee = 1000
+	switch method {
+	case "address":
+		return addr.String(), nil
+	case "balance":
+		return ctx.Call(w.BitcoinID, "get_balance", canister.GetBalanceArgs{Address: addr.String()})
+	default:
+		return nil, fmt.Errorf("wallet: no method %q", method)
 	}
-
-	// 1. Collect spendable UTXOs through the Bitcoin canister.
-	var coins []utxo.UTXO
-	var page utxo.PageToken
-	for {
-		v, err := ctx.Call(w.BitcoinID, "get_utxos", canister.GetUTXOsArgs{Address: ownAddr, Page: page})
-		if err != nil {
-			return nil, fmt.Errorf("wallet: get_utxos: %w", err)
-		}
-		res := v.(*canister.GetUTXOsResult)
-		coins = append(coins, res.UTXOs...)
-		if res.NextPage == nil {
-			break
-		}
-		page = res.NextPage
-	}
-
-	// 2. Coin selection: greedy accumulation in canonical order.
-	need := args.Amount + fee
-	var selected []utxo.UTXO
-	var total int64
-	for _, c := range coins {
-		selected = append(selected, c)
-		total += c.Value
-		if total >= need {
-			break
-		}
-	}
-	if total < need {
-		return nil, fmt.Errorf("wallet: insufficient funds: have %d, need %d", total, need)
-	}
-
-	// 3. Build the transaction: payment output plus change back to self.
-	tx := &btc.Transaction{Version: 2}
-	for _, c := range selected {
-		tx.Inputs = append(tx.Inputs, btc.TxIn{PreviousOutPoint: c.OutPoint, Sequence: 0xffffffff})
-	}
-	tx.Outputs = append(tx.Outputs, btc.TxOut{Value: args.Amount, PkScript: btc.PayToAddrScript(dest)})
-	change := total - need
-	if change > 0 {
-		self, err := btc.ParseAddress(ownAddr, w.Network)
-		if err != nil {
-			return nil, err
-		}
-		tx.Outputs = append(tx.Outputs, btc.TxOut{Value: change, PkScript: btc.PayToAddrScript(self)})
-	}
-
-	// 4. Threshold-sign every input under the subnet key.
-	pub := ctx.ECDSAPublicKey()
-	for i := range tx.Inputs {
-		digest, err := btc.SignatureHash(tx, i, selected[i].PkScript)
-		if err != nil {
-			return nil, err
-		}
-		der, err := ctx.SignWithECDSA(digest[:])
-		if err != nil {
-			return nil, fmt.Errorf("wallet: threshold signing input %d: %w", i, err)
-		}
-		tx.Inputs[i].SignatureScript = btc.BuildP2PKHUnlockScript(der, pub)
-	}
-
-	// 5. Verify locally (the Bitcoin network will too) and submit.
-	for i := range tx.Inputs {
-		if err := btc.VerifyInput(tx, i, selected[i].PkScript); err != nil {
-			return nil, fmt.Errorf("wallet: built invalid spend: %w", err)
-		}
-	}
-	raw := tx.Bytes()
-	if _, err := ctx.Call(w.BitcoinID, "send_transaction", canister.SendTransactionArgs{RawTx: raw}); err != nil {
-		return nil, fmt.Errorf("wallet: send_transaction: %w", err)
-	}
-	w.sent++
-	return &SendResult{TxID: tx.TxID(), RawTx: raw, Change: change}, nil
 }
 
 // Verify interface compliance.
 var _ ic.Canister = (*WalletCanister)(nil)
-
-// WalletAddress derives the wallet address outside canister context (for
-// examples that need to fund the wallet before using it).
-func WalletAddress(in *Integration, network btc.Network) (btc.Address, error) {
-	committee := in.Subnet.Committee()
-	if committee == nil {
-		return btc.Address{}, errors.New("core: subnet has no threshold key")
-	}
-	pub := committee.PublicKey().SerializeCompressed()
-	return btc.AddressFromPubKey(pub, network), nil
-}
-
-// FundAddress mines a block paying the subsidy to a throwaway key, then
-// sends amount from the miner's rewards to the target address and mines it
-// in. It is a convenience for examples and tests.
-func FundAddress(in *Integration, target string, amount int64) (btc.Hash, error) {
-	dest, err := btc.ParseAddress(target, in.Params.Network)
-	if err != nil {
-		return btc.Hash{}, err
-	}
-	minerAddr := in.MinerAddress()
-	node := in.Bitcoin.Nodes[0]
-	utxos := node.UTXOView().UTXOsForAddress(minerAddr.String())
-	var sel []utxo.UTXO
-	var total int64
-	fee := int64(1000)
-	for _, u := range utxos {
-		sel = append(sel, u)
-		total += u.Value
-		if total >= amount+fee {
-			break
-		}
-	}
-	if total < amount+fee {
-		return btc.Hash{}, fmt.Errorf("core: miner has %d, need %d", total, amount+fee)
-	}
-	tx := &btc.Transaction{Version: 2}
-	for _, u := range sel {
-		tx.Inputs = append(tx.Inputs, btc.TxIn{PreviousOutPoint: u.OutPoint, Sequence: 0xffffffff})
-	}
-	tx.Outputs = append(tx.Outputs, btc.TxOut{Value: amount, PkScript: btc.PayToAddrScript(dest)})
-	if change := total - amount - fee; change > 0 {
-		tx.Outputs = append(tx.Outputs, btc.TxOut{Value: change, PkScript: btc.PayToAddrScript(minerAddr)})
-	}
-	for i := range tx.Inputs {
-		if err := btc.SignInput(tx, i, sel[i].PkScript, in.MinerKey()); err != nil {
-			return btc.Hash{}, err
-		}
-	}
-	if !node.AcceptTx(tx) {
-		return btc.Hash{}, errors.New("core: funding tx rejected")
-	}
-	if _, err := in.MineBlocks(1); err != nil {
-		return btc.Hash{}, err
-	}
-	return tx.TxID(), nil
-}

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"errors"
 	"fmt"
 
 	"icbtc/internal/btc"
@@ -76,16 +75,8 @@ func (m *forkMiner) mine(parent btc.Hash, txs []*btc.Transaction) (*btc.Block, e
 		Transactions: append([]*btc.Transaction{coinbase}, txs...),
 	}
 	block.Header.MerkleRoot = block.MerkleRoot()
-	found := false
-	for nonce := uint32(0); nonce < 1<<24; nonce++ {
-		block.Header.Nonce = nonce
-		if btc.HashMeetsTarget(block.BlockHash(), block.Header.Bits) {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, errors.New("difftest: proof-of-work search exhausted")
+	if err := btc.MineHeader(&block.Header); err != nil {
+		return nil, fmt.Errorf("difftest: %w", err)
 	}
 	window := make([]uint32, 0, 11)
 	if len(p.tsWindow) >= 11 {

@@ -129,14 +129,8 @@ func (b *BlockBuilder) NextBlock(specs []TxSpec) (*btc.Block, error) {
 	}
 	block := &btc.Block{Header: header, Transactions: txs}
 	block.Header.MerkleRoot = block.MerkleRoot()
-	for nonce := uint32(0); ; nonce++ {
-		block.Header.Nonce = nonce
-		if btc.HashMeetsTarget(block.BlockHash(), block.Header.Bits) {
-			break
-		}
-		if nonce == 1<<24 {
-			return nil, fmt.Errorf("experiments: PoW search exhausted at height %d", b.height+1)
-		}
+	if err := btc.MineHeader(&block.Header); err != nil {
+		return nil, fmt.Errorf("experiments: height %d: %w", b.height+1, err)
 	}
 	b.prev = block.Header
 	b.prevTS = append(b.prevTS, ts)

@@ -242,17 +242,11 @@ func NewSubnet(sched *simnet.Scheduler, cfg Config) (*Subnet, error) {
 	return s, nil
 }
 
-// F returns the fault tolerance f = (n-1)/3.
-func (s *Subnet) F() int { return (s.cfg.N - 1) / 3 }
-
 // Replicas returns the subnet's replicas.
 func (s *Subnet) Replicas() []*Replica { return s.replicas }
 
 // Committee exposes the threshold-signature committee (nil when disabled).
 func (s *Subnet) Committee() *tecdsa.Committee { return s.committee }
-
-// Round returns the current consensus round number.
-func (s *Subnet) Round() int64 { return s.round }
 
 // InstallCanister deploys a canister under an ID.
 func (s *Subnet) InstallCanister(id CanisterID, c Canister) {

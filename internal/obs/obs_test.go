@@ -397,9 +397,29 @@ func TestInstrumentsAllocationFree(t *testing.T) {
 		{"Histogram.Observe", func() { i++; h.Observe(i % 1_000_000 * 1000) }},
 		{"disabled Tracer.Emit", func() { tr.Emit("event", "detail") }},
 		{"disabled Tracer.Span", func() { tr.Span("span")() }},
+		{"disabled Registry.Trace", func() { reg.Trace("event", "detail") }},
 	} {
 		if avg := testing.AllocsPerRun(1000, tc.fn); avg != 0 {
 			t.Errorf("%s allocates %.2f times per call, want 0", tc.name, avg)
 		}
+	}
+
+	// Off also means lock-free: every executed query of every replica calls
+	// Trace, and a disabled tracer must not serialize them on its mutex.
+	// Hold the mutex and make the calls; one that locks never returns.
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tr.Emit("event", "detail")
+		tr.Span("span")()
+		reg.Trace("event", "detail")
+		_ = tr.Enabled()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a disabled tracer call waits for the tracer's mutex")
 	}
 }

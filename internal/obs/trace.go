@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,14 +21,15 @@ type Event struct {
 	Detail string
 }
 
-// Tracer is a lightweight event recorder. It is disabled by default — Emit
-// is a single atomic-free boolean check until SetEnabled(true) — so
-// instrumented hot paths pay nothing when tracing is off. Like the registry
-// it reads time through an injectable clock, so traces from seeded runs are
-// deterministic.
+// Tracer is a lightweight event recorder. It is disabled by default, and
+// while it is, Emit, Enabled and Span are one atomic load: they take no lock
+// and allocate nothing, so concurrent instrumented hot paths (every executed
+// query of every replica) do not serialize on a tracer nobody reads. Like
+// the registry it reads time through an injectable clock, so traces from
+// seeded runs are deterministic.
 type Tracer struct {
-	mu      sync.Mutex
-	enabled bool
+	enabled atomic.Bool
+	mu      sync.Mutex // guards the fields below
 	clock   func() time.Time
 	cap     int
 	events  []Event
@@ -62,20 +64,11 @@ func (t *Tracer) SetEnabled(on bool) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.enabled = on
-	t.mu.Unlock()
+	t.enabled.Store(on)
 }
 
 // Enabled reports whether the tracer records events.
-func (t *Tracer) Enabled() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.enabled
-}
+func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
 // Reset discards all recorded events and the dropped count.
 func (t *Tracer) Reset() {
@@ -91,14 +84,11 @@ func (t *Tracer) Reset() {
 // Emit records one event (no-op while disabled). Past the buffer cap the
 // event is dropped and counted.
 func (t *Tracer) Emit(name, detail string) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.enabled {
-		return
-	}
 	if len(t.events) >= t.cap {
 		t.dropped++
 		return
@@ -110,7 +100,7 @@ func (t *Tracer) Emit(name, detail string) {
 // event with the elapsed duration (per the tracer clock) in its detail.
 // The returned func is safe to call on a nil or disabled tracer.
 func (t *Tracer) Span(name string) func() {
-	if t == nil || !t.Enabled() {
+	if !t.Enabled() {
 		return func() {}
 	}
 	t.mu.Lock()
