@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
 	"icbtc/internal/experiments"
 	"icbtc/internal/ic"
+	"icbtc/internal/queryfleet"
 	"icbtc/internal/statecodec"
 	"icbtc/internal/utxo"
 )
@@ -230,6 +232,53 @@ func TestBalanceAllocations(t *testing.T) {
 	})
 	if avg > 4 {
 		t.Fatalf("get_balance allocates %.1f times per request, budget is 4", avg)
+	}
+}
+
+// TestRouteHitAllocations pins what a hot-response cache hit costs the heap:
+// nothing. The request's canonical encoding is built by value on RouteQuery's
+// stack and the cache is probed with those bytes in place; only a miss copies
+// them into a key to store. The digest key this replaced spent 2 allocations
+// per hit on get_balance and get_current_fee_percentiles and 3 on get_utxos.
+func TestRouteHitAllocations(t *testing.T) {
+	f := experiments.NewFeeder(btc.Regtest, 6, 17)
+	addr := btc.NewP2PKHAddress([20]byte{0x45}, btc.Regtest)
+	if _, err := f.FeedBlock([]experiments.TxSpec{{Outputs: experiments.PayN(btc.PayToAddrScript(addr), 20, 546)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.FeedEmpty(8); err != nil {
+		t.Fatal(err)
+	}
+	cfg := queryfleet.DefaultConfig()
+	cfg.Replicas = 1
+	cfg.Coalesce = true
+	cfg.CacheEntries = 16
+	fleet, err := queryfleet.New(f.Canister, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	now := time.Unix(1_700_000_000, 0).UTC()
+	for _, q := range []struct {
+		method string
+		arg    any // boxed once, as a caller holding a request has it
+	}{
+		{"get_balance", canister.GetBalanceArgs{Address: addr.String()}},
+		{"get_utxos", canister.GetUTXOsArgs{Address: addr.String(), Limit: 10}},
+		{"get_current_fee_percentiles", nil},
+	} {
+		if rq := fleet.RouteQuery(q.method, q.arg, "client", now); rq.Err != nil {
+			t.Fatalf("%s: %v", q.method, rq.Err)
+		}
+		const runs = 200
+		before := fleet.Stats().CacheHits
+		avg := testing.AllocsPerRun(runs, func() { fleet.RouteQuery(q.method, q.arg, "client", now) })
+		if hits := fleet.Stats().CacheHits - before; hits != runs+1 { // AllocsPerRun warms up with one call
+			t.Fatalf("%s: %d of %d routed queries hit the cache", q.method, hits, runs+1)
+		}
+		if avg > 0 {
+			t.Fatalf("%s: a cache hit allocates %.1f times, budget is 0", q.method, avg)
+		}
 	}
 }
 

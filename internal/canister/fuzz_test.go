@@ -2,13 +2,18 @@ package canister_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
 	"icbtc/internal/experiments"
+	"icbtc/internal/utxo"
 )
 
 // goldenSnapshotBytes loads the checked-in snapshot fixture as fuzz seed
@@ -92,6 +97,163 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if !bytes.Equal(canister.EncodeFrame(fr), data) {
 			t.Fatalf("frame decoder silently accepted a non-canonical frame (%d bytes)", len(data))
+		}
+	})
+}
+
+// keyRequest is one drawn request: a registry method and the union of every
+// argument field a method reads. Which fields count is the method's business
+// (arg and fields say); the rest of the tuple is noise the key must ignore.
+type keyRequest struct {
+	method        uint8
+	address       string
+	network, minC int64
+	page          []byte
+	limit         int64
+}
+
+func (r keyRequest) desc() *canister.MethodDesc {
+	methods := canister.Methods()
+	return methods[int(r.method)%len(methods)]
+}
+
+// arg builds the typed argument the method takes from the tuple.
+func (r keyRequest) arg() any {
+	switch r.desc().Name {
+	case "get_utxos":
+		return canister.GetUTXOsArgs{Address: r.address, Network: btc.Network(r.network), MinConfirmations: r.minC, Page: utxo.PageToken(r.page), Limit: int(r.limit)}
+	case "get_balance":
+		return canister.GetBalanceArgs{Address: r.address, Network: btc.Network(r.network), MinConfirmations: r.minC}
+	case "get_block_headers":
+		return canister.GetBlockHeadersArgs{StartHeight: r.minC, EndHeight: r.limit}
+	case "send_transaction":
+		return canister.SendTransactionArgs{RawTx: r.page, Network: btc.Network(r.network)}
+	default:
+		return nil
+	}
+}
+
+// fields is the test's own statement of the canonical encoding, written the
+// way a reader would decode it: the name, then what the method reads, a
+// string or byte field behind its length, an integer as eight bytes. It is a
+// list of fields, not bytes, so comparing two of them compares requests.
+func (r keyRequest) fields() []any {
+	name := r.desc().Name
+	switch name {
+	case "get_utxos":
+		return []any{name, r.address, r.network, r.minC, string(r.page), int64(int(r.limit))}
+	case "get_balance":
+		return []any{name, r.address, r.network, r.minC}
+	case "get_block_headers":
+		return []any{name, r.minC, r.limit}
+	case "send_transaction":
+		return []any{name, string(r.page), r.network}
+	default:
+		return []any{name}
+	}
+}
+
+// decodeKeyFields reads a key back into fields under the layout of want (the
+// layout is a function of the name, which is the first field): the encoding
+// is injective exactly if this returns want for every request.
+func decodeKeyFields(key []byte, want []any) (got []any, rest []byte) {
+	for _, f := range want {
+		switch f.(type) {
+		case string:
+			if len(key) < 1 || len(key) < 1+int(key[0]) {
+				return got, nil
+			}
+			got, key = append(got, string(key[1:1+int(key[0])])), key[1+int(key[0]):]
+		case int64:
+			if len(key) < 8 {
+				return got, nil
+			}
+			got, key = append(got, int64(binary.LittleEndian.Uint64(key))), key[8:]
+		}
+	}
+	return got, key
+}
+
+// FuzzRequestKey holds the request key to its one promise — two requests
+// share a key exactly if they are the same request (they would share a
+// certified cached answer) — three ways: on the drawn pair directly; by
+// decoding each key back into the request it was built from, which is
+// injectivity for every request rather than for the pairs the fuzzer happens
+// to draw; and at the bound, where a request either has a key of exactly its
+// encoded length or has ErrRequestKeyTooLong and the zero key.
+func FuzzRequestKey(f *testing.F) {
+	method := func(name string) uint8 {
+		i := slices.IndexFunc(canister.Methods(), func(m *canister.MethodDesc) bool { return m.Name == name })
+		if i < 0 {
+			f.Fatalf("no method %q in the registry", name)
+		}
+		return uint8(i)
+	}
+	utxos, balance, headers := method("get_utxos"), method("get_balance"), method("get_block_headers")
+	fees, tip := method("get_current_fee_percentiles"), method("get_tip")
+	add := func(a, b keyRequest) {
+		f.Add(a.method, a.address, a.network, a.minC, a.page, a.limit,
+			b.method, b.address, b.network, b.minC, b.page, b.limit)
+	}
+	// A field boundary shifted between address and page.
+	add(keyRequest{method: utxos, address: "ab", page: []byte("c")}, keyRequest{method: utxos, address: "a", page: []byte("bc")})
+	// An empty page against an absent one: the same request.
+	add(keyRequest{method: utxos, address: "a", page: []byte{}}, keyRequest{method: utxos, address: "a"})
+	// A nullary method against a typed one whose arguments are all zero.
+	add(keyRequest{method: tip}, keyRequest{method: headers})
+	add(keyRequest{method: fees}, keyRequest{method: tip})
+	// The same tuple under two methods that read the same fields of it.
+	add(keyRequest{method: utxos, address: "a", network: 3, minC: 2}, keyRequest{method: balance, address: "a", network: 3, minC: 2})
+	// Fields only one of the two reads: equal for get_balance, not for get_utxos.
+	add(keyRequest{method: balance, address: "a", limit: 1}, keyRequest{method: balance, address: "a", limit: 2})
+	// An integer whose bytes spell a length and a string.
+	add(keyRequest{method: headers, minC: 0x6101, limit: 7}, keyRequest{method: headers, minC: 7, limit: 0x6101})
+	// Exactly at the bound, and one byte over it (get_utxos spends 36 bytes
+	// besides the address).
+	add(keyRequest{method: utxos, address: strings.Repeat("a", canister.MaxRequestKeyLen-36)},
+		keyRequest{method: utxos, address: strings.Repeat("a", canister.MaxRequestKeyLen-35)})
+
+	f.Fuzz(func(t *testing.T,
+		m1 uint8, address1 string, network1, minC1 int64, page1 []byte, limit1 int64,
+		m2 uint8, address2 string, network2, minC2 int64, page2 []byte, limit2 int64) {
+		reqs := [2]keyRequest{
+			{m1, address1, network1, minC1, page1, limit1},
+			{m2, address2, network2, minC2, page2, limit2},
+		}
+		var keys [2]canister.RequestKey
+		var keyed [2]bool
+		for i, r := range reqs {
+			want := r.fields()
+			size := 0
+			for _, f := range want {
+				if s, ok := f.(string); ok {
+					size += 1 + len(s)
+				} else {
+					size += 8
+				}
+			}
+			key, err := r.desc().RequestKey(r.arg())
+			if size > canister.MaxRequestKeyLen {
+				if !errors.Is(err, canister.ErrRequestKeyTooLong) || key != (canister.RequestKey{}) {
+					t.Fatalf("%s: a %d-byte encoding got err=%v and key %x", r.desc().Name, size, err, key.Bytes())
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: a %d-byte encoding: %v", r.desc().Name, size, err)
+			}
+			if len(key.Bytes()) != size {
+				t.Fatalf("%s: key is %d bytes, its fields make %d", r.desc().Name, len(key.Bytes()), size)
+			}
+			if got, rest := decodeKeyFields(key.Bytes(), want); !slices.Equal(got, want) || len(rest) != 0 {
+				t.Fatalf("%s: key %x decodes to %v + %d bytes, built from %v", r.desc().Name, key.Bytes(), got, len(rest), want)
+			}
+			keys[i], keyed[i] = key, true
+		}
+		if keyed[0] && keyed[1] {
+			if same := slices.Equal(reqs[0].fields(), reqs[1].fields()); (keys[0] == keys[1]) != same {
+				t.Fatalf("same request: %v, same key: %v\n%v\n%v", same, keys[0] == keys[1], reqs[0].fields(), reqs[1].fields())
+			}
 		}
 	})
 }

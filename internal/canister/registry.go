@@ -1,24 +1,36 @@
 package canister
 
 import (
-	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"strings"
 
 	"icbtc/internal/ic"
-	"icbtc/internal/statecodec"
 )
 
 // The typed method registry is the single source of truth for the
 // canister's API surface. Every endpoint is one MethodDesc: its name, its
 // dispatch kind (read-only endpoints serve on both the replicated and the
 // query path; mutating ones on the replicated path only), its admission
-// cost class, a typed argument codec over statecodec (the canonical
-// request-key encoder the fleet's coalescer and hot-response cache key on),
-// and its handler. Update/Query dispatch, the query-method list, the
-// subnet's routing table (ic.MethodTable), the fleet's serving layers, and
-// the README API reference all derive from this table — the stringly-typed
-// switches it replaced could (and did) drift apart.
+// cost class, a typed argument codec (the canonical request encoding the
+// fleet's coalescer and hot-response cache key on), and its handler.
+// Update/Query dispatch, the query-method list, the subnet's routing table
+// (ic.MethodTable), the fleet's serving layers, and the README API reference
+// all derive from this table — the stringly-typed switches it replaced could
+// (and did) drift apart.
+//
+// A request's key is its canonical encoding, not a digest of it: the method
+// name, then every argument field in declaration order, a string or byte
+// field behind its one-byte length, an integer as eight little-endian bytes.
+// The name selects the field list and every field is self-delimiting, so the
+// encoding decodes back to exactly one request — two requests share a key
+// only if they are the same request, by construction rather than by collision
+// resistance. A key is a value (a fixed array and a length): building one
+// touches no heap, and it costs a copy of the bytes it holds, not a hash.
+// The array is MaxRequestKeyLen bytes, which every valid cacheable request
+// fits with room to spare; a request that does not fit has no key
+// (ErrRequestKeyTooLong), and the fleet serves it uncached and uncoalesced,
+// so nothing a caller sizes is ever retained.
 
 // MethodKind classifies how a method may be dispatched.
 type MethodKind uint8
@@ -90,39 +102,90 @@ type MethodDesc struct {
 	// generated API reference ("-" when none).
 	ArgsDoc, ResultDoc string
 
-	// encodeArgs appends the canonical statecodec encoding of a typed
-	// argument value — the request-key payload. It rejects wrong-typed
-	// arguments with the same error the handler would.
-	encodeArgs func(e *statecodec.Encoder, arg any) error
+	// encodeKey builds the request key of a typed argument value. It
+	// rejects wrong-typed arguments with the same error the handler would.
+	// The key travels by value on purpose: a pointer handed to a func value
+	// escapes, and the key would be a heap allocation per query.
+	encodeKey func(arg any) (RequestKey, error)
 	// handle executes the endpoint.
 	handle func(c *BitcoinCanister, ctx *ic.CallContext, arg any) (any, error)
 }
 
-// requestKeyMagic versions the canonical request-key encoding.
-const requestKeyMagic = "icbtc-reqkey"
+// MaxRequestKeyLen bounds a request key. The largest valid cacheable request
+// — get_utxos with a 90-character address and a 44-byte page cursor — encodes
+// to 170 bytes; get_current_fee_percentiles, the longest name, to 28.
+const MaxRequestKeyLen = 200
 
-// RequestKey computes the canonical key of one request: a SHA-256 over the
-// method name and the statecodec encoding of the typed arguments. Equal
-// requests always produce equal keys; any differing argument field (page
-// cursor, min_confirmations, address, ...) produces a different key — the
-// property the fleet's coalescer and response cache rely on. A wrong-typed
-// argument is rejected with the handler's own error.
-func (m *MethodDesc) RequestKey(arg any) ([32]byte, error) {
-	e := statecodec.NewEncoder(requestKeyMagic, 1, 64)
-	e.String(m.Name)
-	if err := m.encodeArgs(e, arg); err != nil {
-		return [32]byte{}, err
-	}
-	return sha256.Sum256(e.Finish()), nil
+// A field's length prefix is one byte, which a field inside the bound always
+// fits; this stops compiling if the bound outgrows it.
+const _ = uint8(MaxRequestKeyLen)
+
+// ErrRequestKeyTooLong reports a request whose canonical encoding exceeds
+// MaxRequestKeyLen. No valid request does.
+var ErrRequestKeyTooLong = fmt.Errorf("canister: request encoding exceeds the %d-byte key bound", MaxRequestKeyLen)
+
+// RequestKey is the canonical encoding of one request (see the header of
+// this file). Keys are comparable: equal requests produce equal keys, any
+// differing argument field or method produces a different one.
+type RequestKey struct {
+	buf [MaxRequestKeyLen]byte
+	// n is the encoded length; negative once a field did not fit.
+	n int
 }
+
+// Bytes returns the encoding, aliasing k. A map indexed by string(k.Bytes())
+// is probed in place; only storing under the key copies it.
+func (k *RequestKey) Bytes() []byte { return k.buf[:k.n] }
+
+// reserve claims the next n bytes of the key, nil when they do not fit (or an
+// earlier field did not).
+func (k *RequestKey) reserve(n int) []byte {
+	if k.n < 0 || n > len(k.buf)-k.n {
+		k.n = -1
+		return nil
+	}
+	k.n += n
+	return k.buf[k.n-n : k.n]
+}
+
+// str appends one length-prefixed string field.
+func (k *RequestKey) str(s string) {
+	if b := k.reserve(1 + len(s)); b != nil {
+		b[0] = byte(len(s))
+		copy(b[1:], s)
+	}
+}
+
+// bytes appends one length-prefixed byte field (nil and empty encode alike:
+// the canister reads both as "no cursor").
+func (k *RequestKey) bytes(p []byte) {
+	if b := k.reserve(1 + len(p)); b != nil {
+		b[0] = byte(len(p))
+		copy(b[1:], p)
+	}
+}
+
+// i64 appends one fixed-width integer field.
+func (k *RequestKey) i64(v int64) {
+	if b := k.reserve(8); b != nil {
+		binary.LittleEndian.PutUint64(b, uint64(v))
+	}
+}
+
+// RequestKey builds the canonical key of one request — what the fleet's
+// coalescer and response cache key on. A wrong-typed argument is rejected
+// with the handler's own error, an encoding past the bound with
+// ErrRequestKeyTooLong; either way the key returned is the zero key.
+func (m *MethodDesc) RequestKey(arg any) (RequestKey, error) { return m.encodeKey(arg) }
 
 // typedMethod builds a MethodDesc whose argument codec and handler share
 // one typed coercion, so the request-key encoder and the dispatch path can
-// never disagree about what arguments a method takes.
+// never disagree about what arguments a method takes. encode returns the key
+// of (method, args): the name first, then every field of A.
 func typedMethod[A any](
 	name string, kind MethodKind, cost CostClass, cacheable bool,
 	argsDoc, resultDoc string,
-	encode func(e *statecodec.Encoder, args A),
+	encode func(method string, args A) RequestKey,
 	handle func(c *BitcoinCanister, ctx *ic.CallContext, args A) (any, error),
 ) *MethodDesc {
 	coerce := func(arg any) (A, error) {
@@ -136,13 +199,15 @@ func typedMethod[A any](
 	return &MethodDesc{
 		Name: name, Kind: kind, Cost: cost, Cacheable: cacheable,
 		ArgsDoc: argsDoc, ResultDoc: resultDoc,
-		encodeArgs: func(e *statecodec.Encoder, arg any) error {
+		encodeKey: func(arg any) (k RequestKey, err error) {
 			args, err := coerce(arg)
 			if err != nil {
-				return err
+				return k, err
 			}
-			encode(e, args)
-			return nil
+			if k = encode(name, args); k.n < 0 {
+				return RequestKey{}, ErrRequestKeyTooLong
+			}
+			return k, nil
 		},
 		handle: func(c *BitcoinCanister, ctx *ic.CallContext, arg any) (any, error) {
 			args, err := coerce(arg)
@@ -164,7 +229,10 @@ func nullaryMethod(
 	return &MethodDesc{
 		Name: name, Kind: kind, Cost: cost, Cacheable: cacheable,
 		ArgsDoc: "-", ResultDoc: resultDoc,
-		encodeArgs: func(e *statecodec.Encoder, arg any) error { return nil },
+		encodeKey: func(arg any) (k RequestKey, err error) {
+			k.str(name)
+			return k, nil
+		},
 		handle: func(c *BitcoinCanister, ctx *ic.CallContext, arg any) (any, error) {
 			return handle(c, ctx)
 		},
@@ -175,31 +243,37 @@ func nullaryMethod(
 var methodTable = []*MethodDesc{
 	typedMethod("get_utxos", MethodReadOnly, CostScan, true,
 		"GetUTXOsArgs", "*GetUTXOsResult",
-		func(e *statecodec.Encoder, a GetUTXOsArgs) {
-			e.String(a.Address)
-			e.I64(int64(a.Network))
-			e.I64(a.MinConfirmations)
-			e.Bytes(a.Page)
-			e.I64(int64(a.Limit))
+		func(method string, a GetUTXOsArgs) (k RequestKey) {
+			k.str(method)
+			k.str(a.Address)
+			k.i64(int64(a.Network))
+			k.i64(a.MinConfirmations)
+			k.bytes(a.Page)
+			k.i64(int64(a.Limit))
+			return k
 		},
 		func(c *BitcoinCanister, ctx *ic.CallContext, a GetUTXOsArgs) (any, error) {
 			return c.GetUTXOs(ctx, a)
 		}),
 	typedMethod("get_balance", MethodReadOnly, CostCheap, true,
 		"GetBalanceArgs", "int64",
-		func(e *statecodec.Encoder, a GetBalanceArgs) {
-			e.String(a.Address)
-			e.I64(int64(a.Network))
-			e.I64(a.MinConfirmations)
+		func(method string, a GetBalanceArgs) (k RequestKey) {
+			k.str(method)
+			k.str(a.Address)
+			k.i64(int64(a.Network))
+			k.i64(a.MinConfirmations)
+			return k
 		},
 		func(c *BitcoinCanister, ctx *ic.CallContext, a GetBalanceArgs) (any, error) {
 			return c.GetBalance(ctx, a)
 		}),
 	typedMethod("get_block_headers", MethodReadOnly, CostScan, true,
 		"GetBlockHeadersArgs", "*GetBlockHeadersResult",
-		func(e *statecodec.Encoder, a GetBlockHeadersArgs) {
-			e.I64(a.StartHeight)
-			e.I64(a.EndHeight)
+		func(method string, a GetBlockHeadersArgs) (k RequestKey) {
+			k.str(method)
+			k.i64(a.StartHeight)
+			k.i64(a.EndHeight)
+			return k
 		},
 		func(c *BitcoinCanister, ctx *ic.CallContext, a GetBlockHeadersArgs) (any, error) {
 			return c.GetBlockHeaders(ctx, a)
@@ -226,9 +300,11 @@ var methodTable = []*MethodDesc{
 		}),
 	typedMethod("send_transaction", MethodUpdateOnly, CostWrite, false,
 		"SendTransactionArgs", "-",
-		func(e *statecodec.Encoder, a SendTransactionArgs) {
-			e.Bytes(a.RawTx)
-			e.I64(int64(a.Network))
+		func(method string, a SendTransactionArgs) (k RequestKey) {
+			k.str(method)
+			k.bytes(a.RawTx)
+			k.i64(int64(a.Network))
+			return k
 		},
 		func(c *BitcoinCanister, ctx *ic.CallContext, a SendTransactionArgs) (any, error) {
 			return nil, c.SendTransaction(ctx, a)

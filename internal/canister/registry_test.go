@@ -1,6 +1,7 @@
 package canister
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -108,9 +109,10 @@ func TestMethodSpecMatchesRegistry(t *testing.T) {
 }
 
 // TestRequestKeyProperties is the cache-key property test: equal requests
-// encode to equal keys, and any differing argument field — address, network,
+// encode to equal keys, any differing argument field — address, network,
 // min_confirmations, page cursor, limit — or a different method name changes
-// the key.
+// the key, and a request that cannot have a key gets an error and the zero
+// key, never a truncated one.
 func TestRequestKeyProperties(t *testing.T) {
 	utxos, _ := MethodByName("get_utxos")
 	balance, _ := MethodByName("get_balance")
@@ -121,7 +123,7 @@ func TestRequestKeyProperties(t *testing.T) {
 	base := GetUTXOsArgs{Address: "addr-a", Network: btc.Regtest, MinConfirmations: 2, Page: utxo.PageToken{0x01, 0x02}, Limit: 10}
 	equal := GetUTXOsArgs{Address: "addr-a", Network: btc.Regtest, MinConfirmations: 2, Page: utxo.PageToken{0x01, 0x02}, Limit: 10}
 
-	key := func(m *MethodDesc, arg any) [32]byte {
+	key := func(m *MethodDesc, arg any) RequestKey {
 		t.Helper()
 		k, err := m.RequestKey(arg)
 		if err != nil {
@@ -145,7 +147,7 @@ func TestRequestKeyProperties(t *testing.T) {
 		"page_empty":        GetUTXOsArgs{Address: "addr-a", Network: btc.Regtest, MinConfirmations: 2, Limit: 10},
 		"limit":             GetUTXOsArgs{Address: "addr-a", Network: btc.Regtest, MinConfirmations: 2, Page: utxo.PageToken{0x01, 0x02}, Limit: 11},
 	}
-	seen := map[[32]byte]string{baseKey: "base"}
+	seen := map[RequestKey]string{baseKey: "base"}
 	for name, arg := range variants {
 		k := key(utxos, arg)
 		if prev, dup := seen[k]; dup {
@@ -170,6 +172,25 @@ func TestRequestKeyProperties(t *testing.T) {
 	if _, err := utxos.RequestKey(GetBalanceArgs{}); err == nil ||
 		!strings.Contains(err.Error(), "wants") {
 		t.Errorf("RequestKey with wrong arg type = %v, want typed-arg error", err)
+	}
+
+	// The bound is exact: the longest address that fits has a key of
+	// MaxRequestKeyLen bytes, one more character (or a megabyte more) has
+	// none — a typed error and nothing a caller could store by mistake.
+	empty := key(utxos, GetUTXOsArgs{})
+	fits := MaxRequestKeyLen - len(empty.Bytes())
+	atBound := key(utxos, GetUTXOsArgs{Address: strings.Repeat("a", fits)})
+	if got := len(atBound.Bytes()); got != MaxRequestKeyLen {
+		t.Errorf("key at the bound is %d bytes, want %d", got, MaxRequestKeyLen)
+	}
+	for _, n := range []int{fits + 1, 1 << 20} {
+		k, err := utxos.RequestKey(GetUTXOsArgs{Address: strings.Repeat("a", n), Page: utxo.PageToken{0x01}})
+		if !errors.Is(err, ErrRequestKeyTooLong) {
+			t.Errorf("RequestKey with a %d-byte address = %v, want ErrRequestKeyTooLong", n, err)
+		}
+		if k != (RequestKey{}) {
+			t.Errorf("RequestKey with a %d-byte address returned a non-zero key", n)
+		}
 	}
 }
 

@@ -171,16 +171,24 @@ func (w *World) SetHealed(round int) {
 // and re-installs the fleet's stream sink on the new instance (the harness
 // authority is a proxy, so the fleet itself needs no rewiring).
 func (w *World) UpgradeCanister() error {
-	if err := w.Subnet.UpgradeCanister(CanisterID, func(snapshot []byte) (ic.Canister, error) {
-		return canister.RestoreSnapshot(snapshot)
-	}); err != nil {
+	if err := w.Subnet.UpgradeCanister(CanisterID, w.reinstall); err != nil {
 		return err
 	}
 	w.Canister().SetStreamSink(w.Fleet.Feed)
-	// The restored instance carries a fresh metrics registry; re-install the
-	// virtual clock so post-upgrade timings stay on scheduler time.
-	w.Canister().Metrics().SetClock(w.Sched.Now)
 	return nil
+}
+
+// reinstall is the upgrade's reinstall step. The restored instance carries a
+// fresh metrics registry, which starts on the wall clock; it is put on
+// scheduler time here, before the subnet gets it — journal recovery
+// re-snapshots the instance inside UpgradeCanister, and a snapshot is timed.
+func (w *World) reinstall(snapshot []byte) (ic.Canister, error) {
+	c, err := canister.RestoreSnapshot(snapshot)
+	if err != nil {
+		return nil, err
+	}
+	c.Metrics().SetClock(w.Sched.Now)
+	return c, nil
 }
 
 // CrashUpgrade runs a snapshot-reinstall upgrade with a crash armed at the
@@ -192,15 +200,12 @@ func (w *World) UpgradeCanister() error {
 // authority.
 func (w *World) CrashUpgrade(crash ic.UpgradeCrash) (ic.UpgradeReport, error) {
 	w.Subnet.ArmUpgradeCrash(crash)
-	err := w.Subnet.UpgradeCanister(CanisterID, func(snapshot []byte) (ic.Canister, error) {
-		return canister.RestoreSnapshot(snapshot)
-	})
+	err := w.Subnet.UpgradeCanister(CanisterID, w.reinstall)
 	rep := w.Subnet.LastUpgrade()
 	if err != nil {
 		return rep, err
 	}
 	w.Canister().SetStreamSink(w.Fleet.Feed)
-	w.Canister().Metrics().SetClock(w.Sched.Now)
 	if rep.RecoveredFrom == ic.RecoveryCheckpoint {
 		w.recovering = true
 		for i := 0; i < w.Fleet.Replicas(); i++ {

@@ -65,14 +65,18 @@ func TestChaosScenarios(t *testing.T) {
 }
 
 // TestChaosDeterminism pins the harness's "same seed, same run" promise: a
-// lossy-link scenario replayed under one seed must land on the identical
-// Result, round for round. The loss path is the sensitive probe — every
-// delivery consumes a seeded RNG draw, so any map-iteration-order leak in a
-// send loop (the bug this test regressed on: adapter and node broadcast
-// loops ranged over peer maps) shifts the draw sequence and with it the
-// recovery round.
+// scenario replayed under one seed must land on the identical Result, round
+// for round, and on the identical telemetry. Two probes, each sensitive to a
+// leak the other cannot see. The lossy-link scenario consumes a seeded RNG
+// draw per delivery, so any map-iteration-order leak in a send loop (the bug
+// this test regressed on: adapter and node broadcast loops ranged over peer
+// maps) shifts the draw sequence and with it the recovery round. crash-storm's
+// crashed upgrades go through journal recovery, which re-snapshots the
+// restored instance before the harness sees it: anything a fresh instance
+// reads from outside the seed (it regressed on the restored registry's wall
+// clock timing that snapshot) lands in the metrics digest.
 func TestChaosDeterminism(t *testing.T) {
-	s := Scenario{
+	lossy := Scenario{
 		Name: "determinism-probe",
 		Step: func(w *World, round int) error {
 			switch round {
@@ -85,33 +89,47 @@ func TestChaosDeterminism(t *testing.T) {
 			return nil
 		},
 	}
-	cfg := DefaultConfig(7)
-	cfg.Rounds = 32
-	first, err := Run(s, cfg)
-	if err != nil {
-		t.Fatal(err)
+	crashStorm, ok := Lookup("crash-storm")
+	if !ok {
+		t.Fatal("crash-storm is not registered")
 	}
-	if first.MetricsDigest == ([32]byte{}) {
-		t.Fatal("run produced an empty metrics digest")
-	}
-	for i := 0; i < 2; i++ {
-		again, err := Run(s, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The telemetry extension of the same-seed promise: the encoded obs
-		// snapshot (canister + adapter + fleet serving counters) must be
-		// bit-identical, compared by digest so a failure does not dump the
-		// full Prometheus text.
-		if again.MetricsDigest != first.MetricsDigest {
-			t.Fatalf("replay %d: metrics snapshot diverged: digest %x vs %x",
-				i+1, again.MetricsDigest, first.MetricsDigest)
-		}
-		a, f := again, first
-		a.MetricsText, f.MetricsText = "", ""
-		if a != f {
-			t.Fatalf("replay %d diverged:\nfirst %+v\nagain %+v", i+1, f, a)
-		}
+	short := DefaultConfig(7)
+	short.Rounds = 32
+	for _, probe := range []struct {
+		scenario Scenario
+		cfg      Config
+	}{
+		{lossy, short},
+		{crashStorm, DefaultConfig(7)},
+	} {
+		t.Run(probe.scenario.Name, func(t *testing.T) {
+			first, err := Run(probe.scenario, probe.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.MetricsDigest == ([32]byte{}) {
+				t.Fatal("run produced an empty metrics digest")
+			}
+			for i := 0; i < 2; i++ {
+				again, err := Run(probe.scenario, probe.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The telemetry extension of the same-seed promise: the encoded
+				// obs snapshot (canister + adapter + fleet serving counters) must
+				// be bit-identical, compared by digest so a failure does not dump
+				// the full Prometheus text.
+				if again.MetricsDigest != first.MetricsDigest {
+					t.Fatalf("replay %d: metrics snapshot diverged: digest %x vs %x",
+						i+1, again.MetricsDigest, first.MetricsDigest)
+				}
+				a, f := again, first
+				a.MetricsText, f.MetricsText = "", ""
+				if a != f {
+					t.Fatalf("replay %d diverged:\nfirst %+v\nagain %+v", i+1, f, a)
+				}
+			}
+		})
 	}
 }
 

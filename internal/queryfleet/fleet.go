@@ -478,7 +478,7 @@ func (f *Fleet) CatchUpAll() error {
 
 // RouteQuery implements ic.QueryRouter: coalesce → cache → admit → execute
 // (serving.go), each layer skipping itself when it is off. A fleet with
-// neither cache nor coalescing hashes no request key and takes no serving
+// neither cache nor coalescing builds no request key and takes no serving
 // lock on the way to executeQuery.
 func (f *Fleet) RouteQuery(method string, arg any, caller string, now time.Time) ic.RoutedQuery {
 	_ = caller // principals do not affect read-only routing
@@ -492,25 +492,26 @@ func (f *Fleet) RouteQuery(method string, arg any, caller string, now time.Time)
 	s := f.serving
 	cacheable := m.Cacheable && s.cache != nil
 	if !cacheable && !s.coalesce {
-		return f.admitAndExecute(m, method, arg, now, 0, [32]byte{}, false)
+		return f.admitAndExecute(m, method, arg, now, 0, "", false)
 	}
-	key, err := m.RequestKey(arg)
+	enc, err := m.RequestKey(arg)
 	if err != nil {
-		// Wrong-typed argument: skip the layers and let the canister
-		// report its canonical error.
-		rq, _, _ := f.executeQuery(method, arg, now)
-		return rq
+		// No key — a wrong-typed argument, or an encoding past the bound:
+		// served as a layer-less fleet serves it, and the canister answers
+		// it itself (the wrong type with its canonical error).
+		return f.admitAndExecute(m, method, arg, now, 0, "", false)
 	}
 	gen := f.gen.Load()
 	if cacheable {
 		// The cache is probed ahead of flight registration — same
 		// semantics, no flight allocation on the hit path.
-		if rq, ok := s.cacheGet(gen, key); ok {
+		if rq, ok := s.cacheGet(gen, enc.Bytes()); ok {
 			f.met.cacheHits.Inc()
 			return rq
 		}
 		f.met.cacheMisses.Inc()
 	}
+	key := string(enc.Bytes()) // a miss owns its key: the flight and the fill outlive enc
 	if !s.coalesce {
 		return f.admitAndExecute(m, method, arg, now, gen, key, cacheable)
 	}

@@ -6,7 +6,7 @@ package queryfleet
 //	coalesce → cache → admit → execute
 //
 // Coalescing collapses concurrent identical queries — same canonical
-// request key from the canister's method registry — into one execution
+// request encoding from the canister's method registry — into one execution
 // whose result (including its certification signature) fans out to every
 // waiter. The certified hot-response cache serves threshold-signed
 // envelopes without re-execution for as long as the fleet's stream
@@ -17,9 +17,21 @@ package queryfleet
 // method's cost-class token bucket and sheds the overflow with ErrBusy, so
 // a paginated-scan flood cannot starve cheap balance traffic.
 //
-// What the cache costs a query: a hit is one map probe; a miss that finds
-// room stores in one more; and a miss under capacity pressure — more keys
-// offered than CacheEntries, the first to fill stay — is refused in O(1).
+// The key of both maps is the request's canonical encoding itself
+// (canister.RequestKey: method name and argument fields, at most
+// canister.MaxRequestKeyLen bytes), so two requests meet in a layer only if
+// they are the same request. A request with no key — a wrong-typed argument,
+// or an encoding past the bound, which no valid request reaches — passes the
+// layers by: it is admitted and executed like any other, never cached or
+// coalesced, so nothing a caller sizes is retained and nothing skips
+// admission.
+//
+// What the cache costs a query: a hit builds the encoding on its stack and
+// probes the map with those bytes in place — no hash beyond the map's own, no
+// allocation; a miss copies the encoding into a string once, for the flight
+// and the fill, and if it finds room stores in one more probe; and a miss
+// under capacity pressure — more keys offered than CacheEntries, the first to
+// fill stay — is refused in O(1).
 // The cache is walked only to sweep entries of older generations, and at
 // most once per generation: a sweep that leaves it full is remembered until
 // the generation moves, so a cold query pays for its execution and not for
@@ -66,7 +78,7 @@ type cacheEntry struct {
 // already observed.
 type flightKey struct {
 	gen uint64
-	key [32]byte
+	key string
 }
 
 // flight is one coalesced execution: the leader executes, followers wait on
@@ -92,7 +104,7 @@ type serving struct {
 	cacheCap int
 
 	cacheMu sync.Mutex
-	cache   map[[32]byte]cacheEntry
+	cache   map[string]cacheEntry
 	// full says a sweep at generation fullGen left the cache at capacity,
 	// every entry of that generation (see cacheFill).
 	full    bool
@@ -109,7 +121,7 @@ type serving struct {
 func newServing(cfg Config) *serving {
 	s := &serving{coalesce: cfg.Coalesce, cacheCap: cfg.CacheEntries}
 	if cfg.CacheEntries > 0 {
-		s.cache = make(map[[32]byte]cacheEntry, cfg.CacheEntries)
+		s.cache = make(map[string]cacheEntry, cfg.CacheEntries)
 	}
 	if cfg.Coalesce {
 		s.flights = make(map[flightKey]*flight)
@@ -127,9 +139,9 @@ func newServing(cfg Config) *serving {
 // current stream generation. A stale-generation entry is never served: the
 // generation bumps on every distributed frame, so a hit proves neither the
 // tip nor the anchor has moved since the fill.
-func (s *serving) cacheGet(gen uint64, key [32]byte) (ic.RoutedQuery, bool) {
+func (s *serving) cacheGet(gen uint64, key []byte) (ic.RoutedQuery, bool) {
 	s.cacheMu.Lock()
-	e, ok := s.cache[key]
+	e, ok := s.cache[string(key)] // probed in place: the conversion does not allocate
 	s.cacheMu.Unlock()
 	if !ok || e.gen != gen {
 		return ic.RoutedQuery{}, false
@@ -146,7 +158,7 @@ func (s *serving) cacheGet(gen uint64, key [32]byte) (ic.RoutedQuery, bool) {
 // proves every entry is of its generation, which stays true until an entry of
 // another generation is stored: fullGen remembers it, and until then every
 // further fill at that generation is refused without looking at an entry.
-func (s *serving) cacheFill(gen uint64, key [32]byte, rq ic.RoutedQuery) (stored, swept bool) {
+func (s *serving) cacheFill(gen uint64, key string, rq ic.RoutedQuery) (stored, swept bool) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	if _, exists := s.cache[key]; !exists && len(s.cache) >= s.cacheCap {
@@ -266,13 +278,14 @@ func (f *Fleet) FlightWaiters(method string, arg any) int {
 	if err != nil {
 		return 0
 	}
-	return s.flightWaiters(flightKey{gen: f.gen.Load(), key: key})
+	return s.flightWaiters(flightKey{gen: f.gen.Load(), key: string(key.Bytes())})
 }
 
 // admitAndExecute is the tail of RouteQuery: charge admission, run the
 // query, and fill the cache when the response provably belongs to the
-// generation the caller keyed on.
-func (f *Fleet) admitAndExecute(m *canister.MethodDesc, method string, arg any, now time.Time, gen uint64, key [32]byte, cacheable bool) ic.RoutedQuery {
+// generation the caller keyed on. A caller without a key passes cacheable
+// false.
+func (f *Fleet) admitAndExecute(m *canister.MethodDesc, method string, arg any, now time.Time, gen uint64, key string, cacheable bool) ic.RoutedQuery {
 	if !f.serving.admit(m.Cost, now) {
 		f.met.shed.Inc()
 		f.met.shedByClass.With(m.Cost.String()).Inc()

@@ -3,6 +3,8 @@ package queryfleet_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -344,6 +346,48 @@ func TestLayeredUnknownMethodStillErrors(t *testing.T) {
 	}
 	if r.fleet.CacheSize() != 0 {
 		t.Fatal("error responses were cached")
+	}
+}
+
+// TestKeylessRequestPassesTheLayersBy: a request the registry gives no key —
+// here a get_utxos whose address is a megabyte, far past
+// canister.MaxRequestKeyLen, then one with a wrong-typed argument — is served
+// the way a layer-less fleet serves it. The canister's own answer comes back
+// (an address is an opaque index key to it: the megabyte owns nothing), no
+// byte of the request is retained in the cache or a flight, and it is charged
+// admission like any other execution, so it is shed once the bucket is empty
+// (a wrong-typed argument used to skip admission).
+func TestKeylessRequestPassesTheLayersBy(t *testing.T) {
+	cfg := queryfleet.DefaultConfig()
+	cfg.Replicas = 1
+	cfg.Coalesce = true
+	cfg.CacheEntries = 16
+	cfg.Budgets = map[canister.CostClass]queryfleet.Budget{
+		canister.CostScan: {Rate: 0, Burst: 2},
+	}
+	r := newRig(t, cfg, 5)
+
+	huge := canister.GetUTXOsArgs{Address: strings.Repeat("a", 1<<20)}
+	want := ic.ResponseDigest(r.f.Canister.GetUTXOs(ic.NewCallContext(ic.KindQuery, r.now), huge))
+	for i := 0; i < 2; i++ {
+		rq := r.fleet.RouteQuery("get_utxos", huge, "client", r.now)
+		if ic.ResponseDigest(rq.Value, rq.Err) != want {
+			t.Fatalf("query %d: (%v, %v) is not the canister's own answer", i, rq.Value, rq.Err)
+		}
+	}
+	for name, arg := range map[string]any{"over-long": huge, "wrong-typed": canister.GetBalanceArgs{}} {
+		if rq := r.fleet.RouteQuery("get_utxos", arg, "client", r.now); !errors.Is(rq.Err, queryfleet.ErrBusy) {
+			t.Fatalf("%s request against an empty scan bucket = %v, want ErrBusy", name, rq.Err)
+		}
+	}
+	if st := r.fleet.Stats(); st.Shed != 2 || st.Served != 2 || st.Coalesced != 0 || st.CacheHits != 0 {
+		t.Fatalf("Stats = shed %d, served %d, coalesced %d, hits %d; want 2, 2, 0, 0", st.Shed, st.Served, st.Coalesced, st.CacheHits)
+	}
+	if n := r.fleet.CacheSize(); n != 0 {
+		t.Fatalf("cache holds %d entries after keyless requests, want 0", n)
+	}
+	if n := r.fleet.FlightWaiters("get_utxos", huge); n != 0 {
+		t.Fatalf("FlightWaiters = %d for a keyless request, want 0", n)
 	}
 }
 
