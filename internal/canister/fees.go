@@ -183,7 +183,7 @@ func (c *BitcoinCanister) GetBlockHeaders(ctx *ic.CallContext, args GetBlockHead
 		}
 	}
 	// Unstable part: walk the current chain.
-	for _, n := range c.tree.CurrentChain() {
+	for _, n := range c.currentChain() {
 		if n.Height >= args.StartHeight && n.Height <= end {
 			ctx.Meter.Charge(ic.CostPerHeaderValidation, "serve_headers")
 			res.Headers = append(res.Headers, n.Header)

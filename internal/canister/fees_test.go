@@ -369,4 +369,41 @@ func TestGetBlockHeadersRangeValidation(t *testing.T) {
 	if len(res.Headers) != 1 || res.Headers[0].BlockHash() != headers[anchor].BlockHash() {
 		t.Fatalf("anchor-only range wrong: %d headers", len(res.Headers))
 	}
+
+	// Across a fork. A competing branch of lower work hangs off height tip-3
+	// and stops one short of the tip: the answer — read from the chain the
+	// queries above left cached — is still the main chain's. Two more blocks
+	// on the branch make it the heavier one, and the answer follows it.
+	branch := headers[: tip-2 : tip-2]
+	side := headers[tip-3].BlockHash()
+	growBranch := func(n int) {
+		for i := 0; i < n; i++ {
+			b := r.miner.mine(t, side)
+			side = b.BlockHash()
+			r.deliver(b)
+			branch = append(branch, b.Header)
+		}
+	}
+	growBranch(2)
+	sameHeaders := func(what string, start int64, want []btc.BlockHeader) {
+		t.Helper()
+		res, err := q(start, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Headers) != len(want) || res.TipHeight != start+int64(len(want))-1 {
+			t.Fatalf("%s: %d headers to tip %d, want %d", what, len(res.Headers), res.TipHeight, len(want))
+		}
+		for i, h := range res.Headers {
+			if h.BlockHash() != want[i].BlockHash() {
+				t.Fatalf("%s: header at height %d is not the current chain's", what, start+int64(i))
+			}
+		}
+	}
+	sameHeaders("lighter branch beside the chain", 0, headers)
+	sameHeaders("lighter branch beside the chain, from the fork point", tip-3, headers[tip-3:])
+	growBranch(2)
+	anchor = r.can.AnchorHeight()
+	sameHeaders("after the branch overtook", 0, branch)
+	sameHeaders("after the branch overtook, across the anchor", anchor-1, branch[anchor-1:])
 }

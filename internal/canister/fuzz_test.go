@@ -13,6 +13,7 @@ import (
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
 	"icbtc/internal/experiments"
+	"icbtc/internal/statecodec"
 	"icbtc/internal/utxo"
 )
 
@@ -98,6 +99,124 @@ func FuzzFrameDecode(f *testing.F) {
 		if !bytes.Equal(canister.EncodeFrame(fr), data) {
 			t.Fatalf("frame decoder silently accepted a non-canonical frame (%d bytes)", len(data))
 		}
+	})
+}
+
+// frameMagic is stream.go's, spelled again because only the bytes of a frame
+// leave the package; the reframed target checks it against a real frame.
+const frameMagic = "icbtc/delta-frame\n"
+
+// framePayload strips a sealed frame down to the bytes between header and
+// checksum, the part the reframed target mutates.
+func framePayload(sealed []byte) []byte {
+	return sealed[len(frameMagic)+2 : len(sealed)-4]
+}
+
+// reframe seals a payload the way a peer would: under the frame magic and
+// version, with the checksum it computes.
+func reframe(payload []byte) []byte {
+	e := statecodec.NewEncoder(frameMagic, canister.FrameVersion, len(payload))
+	e.Raw(payload)
+	return e.Finish()
+}
+
+// goldenNextFrame is the frame that follows the golden snapshot's state: one
+// more block on the chain the fixture was cut from, whose arrival stabilizes
+// another (block, delta and anchor events that all apply).
+func goldenNextFrame(f *testing.F) []byte {
+	f.Helper()
+	feeder, _ := buildSnapshotFeeder(f)
+	var raw []byte
+	feeder.Canister.SetStreamSink(func(fr *canister.Frame) {
+		fr.Seq = 1
+		raw = canister.EncodeFrame(fr)
+	})
+	script := btc.PayToAddrScript(btc.NewP2PKHAddress([20]byte{0x30}, btc.Regtest))
+	if _, err := feeder.FeedBlock([]experiments.TxSpec{{Inputs: 2, Outputs: experiments.PayN(script, 2, 800)}}); err != nil {
+		f.Fatal(err)
+	}
+	if raw == nil {
+		f.Fatal("feeder produced no frame")
+	}
+	return raw
+}
+
+// FuzzFrameDecodeReframed hands the frame decoder arbitrary bytes behind a
+// valid checksum — what a peer can send, and what FuzzFrameDecode, mutating
+// sealed bytes, almost never gets past the CRC to try. DecodeFrame must return
+// rather than panic; a frame it accepts is spelled the one way the encoder
+// spells it; and ApplyFrame of an accepted frame on a replica hydrated from
+// the golden snapshot returns, an error or nil, without panicking.
+func FuzzFrameDecodeReframed(f *testing.F) {
+	golden := goldenSnapshotBytes(f)
+	captured, next := capturedFrame(f), goldenNextFrame(f)
+	for _, sealed := range [][]byte{captured, next} {
+		if !bytes.Equal(reframe(framePayload(sealed)), sealed) {
+			f.Fatal("reframing a real frame's payload does not give the frame back: magic or framing moved")
+		}
+		f.Add(framePayload(sealed))
+	}
+	// The second seed is worth its name only while it applies cleanly.
+	if fr, err := canister.DecodeFrame(next); err != nil {
+		f.Fatal(err)
+	} else if replica, err := canister.RestoreSnapshot(golden); err != nil {
+		f.Fatal(err)
+	} else if err := replica.ApplyFrame(fr); err != nil {
+		f.Fatalf("the frame after the golden state does not apply to it: %v", err)
+	}
+	// The frame's fixed fields, then whatever the case writes for its events.
+	crafted := func(events func(e *statecodec.Encoder)) []byte {
+		e := statecodec.NewEncoder(frameMagic, canister.FrameVersion, 0)
+		e.U64(1) // seq
+		e.I64(15)
+		e.I64(9)
+		e.U8(0) // health
+		e.I64(15)
+		e.Uvarint(0)
+		e.Uvarint(0)
+		events(e)
+		return framePayload(e.Finish())
+	}
+	// An event count of one spelled in two varint bytes.
+	f.Add(crafted(func(e *statecodec.Encoder) {
+		e.Raw([]byte{0x81, 0x00})
+		e.U8(uint8(canister.EventAnchorAdvanced))
+		e.Raw(make([]byte, btc.HashSize))
+	}))
+	// A block event whose RawBlock length runs past the frame.
+	f.Add(crafted(func(e *statecodec.Encoder) {
+		e.Uvarint(1)
+		e.U8(uint8(canister.EventBlockAttached))
+		e.Raw(make([]byte, 80))
+		e.Uvarint(1 << 20)
+		e.Raw([]byte{1, 2, 3})
+	}))
+	// An unknown event kind.
+	f.Add(crafted(func(e *statecodec.Encoder) {
+		e.Uvarint(1)
+		e.U8(9)
+	}))
+	// An anchor event naming a hash the replica's tree does not hold.
+	f.Add(crafted(func(e *statecodec.Encoder) {
+		e.Uvarint(1)
+		e.U8(uint8(canister.EventAnchorAdvanced))
+		e.Raw(bytes.Repeat([]byte{0xab}, btc.HashSize))
+	}))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		data := reframe(payload)
+		fr, err := canister.DecodeFrame(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(canister.EncodeFrame(fr), data) {
+			t.Fatalf("frame decoder silently accepted a non-canonical frame (%d bytes)", len(data))
+		}
+		replica, err := canister.RestoreSnapshot(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = replica.ApplyFrame(fr) // refusing is fine; only a panic fails
 	})
 }
 

@@ -37,6 +37,14 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden sn
 // not change it without bumping the snapshot version and regenerating.
 func buildSnapshotState(t testing.TB) (*canister.BitcoinCanister, []string) {
 	t.Helper()
+	f, addrs := buildSnapshotFeeder(t)
+	return f.Canister, addrs
+}
+
+// buildSnapshotFeeder is buildSnapshotState with the feeder still attached,
+// for a caller that wants the chain to go on from the golden state.
+func buildSnapshotFeeder(t testing.TB) (*experiments.Feeder, []string) {
+	t.Helper()
 	f := experiments.NewFeeder(btc.Regtest, 6, 21)
 	addrs := make([]string, 4)
 	scripts := make([][]byte, 4)
@@ -81,7 +89,7 @@ func buildSnapshotState(t testing.TB) (*canister.BitcoinCanister, []string) {
 	if err := f.Canister.SendTransaction(ctx, canister.SendTransactionArgs{RawTx: raw}); err != nil {
 		t.Fatal(err)
 	}
-	return f.Canister, addrs
+	return f, addrs
 }
 
 // queryBytes serializes every read endpoint's answer for one address so two

@@ -183,6 +183,16 @@ func (it *AddressIter) settle(ov *AddressOverlay) bool {
 	}
 }
 
+// remaining counts the entries the stream still holds, suppressed or not,
+// giving up once there are at least limit of them.
+func (it *AddressIter) remaining(limit int) int {
+	n := len(it.cur)
+	for i := len(it.below) - 1; i >= 0 && n < limit; i-- {
+		n += len(it.below[i].entries)
+	}
+	return n
+}
+
 // headInto materializes into u the entry a successful settle left the stream
 // on — in place: a page is written where it lies, not built entry by entry
 // and copied.
@@ -288,10 +298,15 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress *AddressOve
 		stable = s.iterOver(b)
 	}
 
-	// The whole bucket bounds what the stable stream can still yield, so the
-	// page is allocated at the most it can hold and filled where it lies.
+	// What the two streams have left bounds the page, so it is allocated at
+	// the most it can hold and filled where it lies. A first page has the
+	// bucket's running count; a resumed one counts from its cursor, not from
+	// the top of the bucket: the slack would live as long as whoever keeps
+	// the page.
 	room := len(created) - ci
-	if b != nil {
+	if len(token) != 0 {
+		room += stable.remaining(limit - room)
+	} else if b != nil {
 		room += b.count
 	}
 	if room > limit {

@@ -1,6 +1,10 @@
 package utxo
 
-import "icbtc/internal/btc"
+import (
+	"encoding/binary"
+
+	"icbtc/internal/btc"
+)
 
 // AddressOverlay is the net effect of a chain of unstable block deltas on one
 // address: what a merged read lays over the address's stable bucket. It is
@@ -17,20 +21,44 @@ import "icbtc/internal/btc"
 //     place. alive keeps a bit per place until Seal moves the survivors to
 //     the front of col, in canonical order.
 //   - index is a createdIndex over col, the deltas' own word format and hash:
-//     a stable entry is tested with one hash of eight of its bytes and, nearly
-//     always, one word load; outpoints are compared only on a tag match.
+//     one hash of eight of an outpoint's bytes and, nearly always, one word
+//     load; outpoints are compared only on a tag match. It alone says
+//     "suppressed".
+//   - filter stands ahead of index on the read side: a bitset with one bit
+//     set per outpoint in col, chosen by the leading bytes of its txid
+//     (already a uniform hash, so nothing is mixed). A page streams hundreds
+//     of stable entries past an overlay of a handful, and nearly every one
+//     is turned away by a load from the entry it is about to copy and a bit
+//     test, with no hash. The filter cannot lie: bits are only ever set, and
+//     every outpoint that enters col sets its own, so a clear bit means
+//     "never in col" and a set bit only means "ask index" — Seal, which moves
+//     places and never outpoints, leaves it be. With eight bits or more to
+//     a sized entry, at most about one stranger in eight gets through; a
+//     saturated filter, or one whose txids were ground onto a single prefix,
+//     lets everything through and costs what the index alone costs, plus the
+//     bit test.
 //
-// Sizing from the deltas' entry counts bounds the column, so nothing grows:
-// an overlay is two allocations whatever it holds, and none when the chain
-// never touched the address. The zero value is that empty overlay.
+// Sizing from the deltas' entry counts bounds the column, the index and the
+// filter, so nothing grows: an overlay is two allocations whatever it holds,
+// and none when the chain never touched the address. The zero value is that
+// empty overlay.
 type AddressOverlay struct {
 	col   []UTXO
 	index createdIndex
-	// alive shares index's allocation: a bitset over col's places.
-	alive []uint64
+	// alive and filter share index's allocation: a bitset over col's places,
+	// and one over txid prefixes (a power of two of bits).
+	alive  []uint64
+	filter []uint64
 	// live counts the survivors, col[:live] once sealed.
 	live int
 }
+
+// The filter is 256 bits at least and a power of two giving every sized entry
+// eight or more, so a deep chain or a busy address thins it no further.
+const (
+	minFilterWords     = 4
+	filterBitsPerEntry = 8
+)
 
 // NewAddressOverlay returns an overlay that takes deltas holding entries
 // created and spent entries for the address between them (the sum of their
@@ -40,12 +68,23 @@ func NewAddressOverlay(entries int) AddressOverlay {
 		return AddressOverlay{}
 	}
 	slots := indexSlotsFor(entries)
-	words := make([]uint64, slots+(entries+63)/64)
-	return AddressOverlay{
-		col:   make([]UTXO, 0, entries),
-		index: words[:slots:slots],
-		alive: words[slots:],
+	fwords := minFilterWords
+	for fwords*64 < filterBitsPerEntry*entries {
+		fwords *= 2
 	}
+	words := make([]uint64, slots+fwords+(entries+63)/64)
+	return AddressOverlay{
+		col:    make([]UTXO, 0, entries),
+		index:  words[:slots:slots],
+		filter: words[slots : slots+fwords : slots+fwords],
+		alive:  words[slots+fwords:],
+	}
+}
+
+// filterBit returns the filter word and the bit in it that op's txid selects.
+func (ov *AddressOverlay) filterBit(op *btc.OutPoint) (word uint32, bit uint64) {
+	h := binary.LittleEndian.Uint32(op.TxID[:4]) & uint32(len(ov.filter)*64-1)
+	return h >> 6, 1 << (h & 63)
 }
 
 // Apply replays one delta's effect on the address over what earlier deltas
@@ -76,6 +115,8 @@ func (ov *AddressOverlay) spend(op *btc.OutPoint) {
 	}
 	ov.index.put(slot, tag, len(ov.col))
 	ov.col = append(ov.col, UTXO{OutPoint: *op})
+	w, bit := ov.filterBit(op)
+	ov.filter[w] |= bit
 }
 
 func (ov *AddressOverlay) create(u *UTXO) {
@@ -85,6 +126,8 @@ func (ov *AddressOverlay) create(u *UTXO) {
 		pos = len(ov.col)
 		ov.index.put(slot, tag, pos)
 		ov.col = append(ov.col, *u)
+		w, bit := ov.filterBit(&u.OutPoint)
+		ov.filter[w] |= bit
 	} else {
 		ov.col[pos] = *u
 	}
@@ -121,6 +164,9 @@ func (ov *AddressOverlay) Created() []UTXO { return ov.col[:ov.live:ov.live] }
 // overlay suppresses nothing.
 func (ov *AddressOverlay) suppresses(op *btc.OutPoint) bool {
 	if ov == nil || len(ov.col) == 0 {
+		return false
+	}
+	if w, bit := ov.filterBit(op); ov.filter[w]&bit == 0 {
 		return false
 	}
 	_, pos := ov.index.find(ov.col, op, outpointTag(deltaSeed, op))

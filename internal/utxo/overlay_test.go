@@ -3,6 +3,7 @@ package utxo
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -328,6 +329,29 @@ func overlaySeeds() [][]byte {
 			}
 			return p
 		}(),
+		// For the filter, which the txid's four leading bytes address. In the
+		// tag family every txid shares them, so every stable entry collides
+		// with whatever the chain touched: transaction 0's outputs spent,
+		// transaction 1's created over stable ones, and the six stable
+		// transactions beside them must all fall through to the index and
+		// stream on.
+		steps([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 20, 24, 28, 29, 30, 31},
+			overlayOpSpend, 0, overlayOpSpend, 1, overlayOpCreate, 4, overlayOpEndDelta, 0,
+			overlayOpSpend, 2, overlayOpCreate, 5, overlayOpSpend, 4, overlayOpEndDelta, 0,
+			overlayOpCreate, 4, overlayOpSpend, 3),
+		// A chain sized past the filter's minimum: eight deltas of a creation
+		// and sixteen spends, 136 entries where 32 fill the 256 bits.
+		func() []byte {
+			p := steps([]byte{0, 5, 10, 15, 20, 25, 30})
+			for d := byte(0); d < 8; d++ {
+				p = append(p, overlayOpCreate, d*5)
+				for i := byte(0); i < 16; i++ {
+					p = append(p, overlayOpSpend, d*3+i*2)
+				}
+				p = append(p, overlayOpEndDelta, 0)
+			}
+			return p
+		}(),
 	}
 }
 
@@ -343,9 +367,9 @@ func FuzzAddressOverlayDiff(f *testing.F) {
 	f.Fuzz(overlayProgram)
 }
 
-// TestAddressOverlaySizedOnce: the column and the index are what the entry
-// count bought, whatever the chain did with them, and applying past that
-// count is refused loudly rather than probed into a full index.
+// TestAddressOverlaySizedOnce: the column, the index and the filter are what
+// the entry count bought, whatever the chain did with them, and applying past
+// that count is refused loudly rather than probed into a full index.
 func TestAddressOverlaySizedOnce(t *testing.T) {
 	key, script := addrKey(0x31)
 	var created []UTXO
@@ -357,12 +381,16 @@ func TestAddressOverlaySizedOnce(t *testing.T) {
 	}
 	d := testDelta(9, key, created, spent, "other", nil, nil)
 	ov := NewAddressOverlay(d.EntriesFor(key))
-	col, index := &ov.col[:1][0], &ov.index[0]
+	col, index, filter := &ov.col[:1][0], &ov.index[0], &ov.filter[0]
 	ov.Apply(d, key)
 	ov.Seal()
 	if &ov.col[0] != col || &ov.index[0] != index || len(ov.col) != 200 || len(ov.Created()) != 100 {
 		t.Fatalf("overlay of 200 entries: column of %d (moved: %v), index moved: %v, %d created",
 			len(ov.col), &ov.col[0] != col, &ov.index[0] != index, len(ov.Created()))
+	}
+	if bits := len(ov.filter) * 64; &ov.filter[0] != filter || bits != 2048 {
+		t.Fatalf("overlay of 200 entries: filter of %d bits (moved: %v), want 2048: the power of two giving each entry eight",
+			bits, &ov.filter[0] != filter)
 	}
 	defer func() {
 		if recover() == nil {
@@ -370,4 +398,145 @@ func TestAddressOverlaySizedOnce(t *testing.T) {
 		}
 	}()
 	ov.Apply(d, key)
+}
+
+// randomOutPoint draws an outpoint whose txid is uniform, as a real one is.
+func randomOutPoint(rng *rand.Rand) btc.OutPoint {
+	var op btc.OutPoint
+	rng.Read(op.TxID[:])
+	op.Vout = uint32(rng.Intn(4))
+	return op
+}
+
+// TestOverlayFilterNeverHidesAnEntry: the filter ahead of the index may send
+// a stranger on to the exact probe but never turns away an outpoint the chain
+// touched — spent, created, spent and then re-created, created and then spent
+// — at the minimum size and past it; and it is worth having: of 10 000
+// outpoints the chain never saw, fewer than one in five reach the index.
+func TestOverlayFilterNeverHidesAnEntry(t *testing.T) {
+	key, script := addrKey(0x31)
+	for _, entries := range []int{1, 8, 64, 1200} {
+		rng := rand.New(rand.NewSource(int64(entries)))
+		// Three deltas: the first spends and creates, the second spends a
+		// quarter of what the first created and re-creates a quarter of what
+		// it spent, the third undoes half of that again.
+		var deltas []*BlockDelta
+		var created []UTXO
+		var spent []SpentOutPoint
+		for i := 0; i < entries; i++ {
+			if op := randomOutPoint(rng); i%2 == 0 {
+				created = append(created, UTXO{OutPoint: op, Value: int64(i), PkScript: script, Height: 7})
+			} else {
+				spent = append(spent, SpentOutPoint{OutPoint: op})
+			}
+		}
+		deltas = append(deltas, testDelta(7, key, created, spent, "other", nil, nil))
+		var respent []SpentOutPoint
+		var recreated []UTXO
+		for i := 0; i < len(created); i += 4 {
+			respent = append(respent, SpentOutPoint{OutPoint: created[i].OutPoint})
+		}
+		for i := 0; i < len(spent); i += 4 {
+			recreated = append(recreated, UTXO{OutPoint: spent[i].OutPoint, Value: 9, PkScript: script, Height: 8})
+		}
+		deltas = append(deltas, testDelta(8, key, recreated, respent, "other", nil, nil))
+		var again []UTXO
+		for i := 0; i < len(respent); i += 2 {
+			again = append(again, UTXO{OutPoint: respent[i].OutPoint, Value: 10, PkScript: script, Height: 9})
+		}
+		var gone []SpentOutPoint
+		for i := 0; i < len(recreated); i += 2 {
+			gone = append(gone, SpentOutPoint{OutPoint: recreated[i].OutPoint})
+		}
+		deltas = append(deltas, testDelta(9, key, again, gone, "other", nil, nil))
+
+		ov := overlayFor(deltas, key)
+		if len(ov.col) != entries {
+			t.Fatalf("%d entries: column of %d", entries, len(ov.col))
+		}
+		for i := range ov.col {
+			if !ov.suppresses(&ov.col[i].OutPoint) {
+				t.Fatalf("%d entries: outpoint %d of the column is not suppressed (live: %v)", entries, i, i < ov.live)
+			}
+		}
+		passed := 0
+		for i := 0; i < 10_000; i++ {
+			op := randomOutPoint(rng)
+			if ov.suppresses(&op) {
+				t.Fatalf("%d entries: an outpoint the chain never saw is suppressed", entries)
+			}
+			if w, bit := ov.filterBit(&op); ov.filter[w]&bit != 0 {
+				passed++
+			}
+		}
+		t.Logf("%d entries, %d filter bits: %d of 10000 strangers reach the index", entries, len(ov.filter)*64, passed)
+		if passed >= 2000 {
+			t.Fatalf("%d entries: %d of 10000 strangers pass a filter of %d bits; want fewer than 2000", entries, passed, len(ov.filter)*64)
+		}
+	}
+}
+
+// TestMergedPageSizedByWhatIsLeft: a page's backing array is bounded by what
+// the two streams hold past its cursor, not by the bucket — the last page of
+// a long walk used to be limit slots holding a handful of UTXOs, kept alive by
+// whoever kept the page — and the pages are the map-based reference's.
+func TestMergedPageSizedByWhatIsLeft(t *testing.T) {
+	key, script := addrKey(0x31)
+	rng := rand.New(rand.NewSource(23))
+	set := New(btc.Regtest)
+	for i := 0; i < 2500; i++ {
+		mustAdd(t, set, randomOutPoint(rng), int64(1000+i), script, int64(1+i/50))
+	}
+	var all []UTXO
+	for it := set.AddressIter(key); ; {
+		u, ok := it.Next()
+		if !ok {
+			break
+		}
+		all = append(all, u)
+	}
+	var spent []SpentOutPoint
+	for i := 0; i < len(all); i += 7 {
+		spent = append(spent, SpentOutPoint{OutPoint: all[i].OutPoint, Value: all[i].Value})
+	}
+	var created []UTXO
+	for i := 0; i < 5; i++ {
+		created = append(created, UTXO{OutPoint: randomOutPoint(rng), Value: int64(i), PkScript: script, Height: int64(20 * i)})
+	}
+	deltas := []*BlockDelta{testDelta(60, key, created, spent, "other", nil, nil)}
+	ov, want := overlayFor(deltas, key), mapOverlayFor(deltas, key)
+
+	for _, limit := range []int{1000, 3} {
+		var token PageToken
+		left := len(all) + len(want.created)
+		for pages := 0; ; pages++ {
+			wantPage, wantUnstable, wantNext, err := want.mergedPage(set, key, token, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page, unstable, next, err := set.MergedPage(key, ov.Created(), &ov, token, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameUTXOs(page, wantPage) || unstable != wantUnstable || !bytes.Equal(next, wantNext) {
+				t.Fatalf("limit %d page %d: %d UTXOs (%d unstable, token %x), map-based %d (%d, %x)",
+					limit, pages, len(page), unstable, next, len(wantPage), wantUnstable, wantNext)
+			}
+			if cap(page) > left || cap(page) > limit {
+				t.Fatalf("limit %d page %d: backing array of %d for %d UTXOs, with %d left in the streams", limit, pages, cap(page), len(page), left)
+			}
+			if next == nil {
+				break
+			}
+			cur, err := decodeCursor(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := func(list []UTXO) int {
+				return len(list) - sort.Search(len(list), func(i int) bool { return cursorBefore(cur, list[i]) })
+			}
+			left = after(all) + after(want.created)
+			token = next
+		}
+	}
 }
