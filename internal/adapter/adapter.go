@@ -40,19 +40,15 @@ type Config struct {
 	// many blocks per response (fast initial sync); at or above it, one
 	// block per response (the conservative tip behavior, see §IV-A).
 	MultiBlockSyncHeight int64
-	// TxCacheExpiry is the outbound transaction cache lifetime (10 min).
-	TxCacheExpiry time.Duration
 	// SyncInterval is how often the adapter polls peers for new headers.
 	SyncInterval time.Duration
 	// BlockRetryInterval is how long an in-flight getdata may go unanswered
 	// before it is re-issued to the current peer set; it is also the base of
 	// the exponential retry backoff (doubling per attempt up to
-	// RetryBackoffMax, jittered by RetryJitter). A peer that withholds a
+	// retryBackoffMax, jittered by RetryJitter). A peer that withholds a
 	// requested block (or a partition that swallowed the request) must not
 	// stall the fetch forever. Zero disables retries.
 	BlockRetryInterval time.Duration
-	// RetryBackoffMax caps the exponential retry backoff. Zero means no cap.
-	RetryBackoffMax time.Duration
 	// RetryJitter spreads each retry delay by ±(RetryJitter × delay), drawn
 	// from the seeded scheduler RNG, so retries from many requests do not
 	// synchronize into bursts.
@@ -74,6 +70,13 @@ type Config struct {
 	StallTimeout time.Duration
 }
 
+const (
+	// txCacheExpiry is the outbound transaction cache lifetime of §III-B.
+	txCacheExpiry = 10 * time.Minute
+	// retryBackoffMax caps the exponential retry backoff.
+	retryBackoffMax = 80 * time.Second
+)
+
 // ConfigForNetwork returns the production parameters of §III-B for a
 // network: t_l/t_u = 500/2000 mainnet, 100/1000 testnet, 1/1 regtest.
 func ConfigForNetwork(n btc.Network) Config {
@@ -81,10 +84,8 @@ func ConfigForNetwork(n btc.Network) Config {
 		Connections:        5,
 		MaxHeaders:         100,
 		MaxResponseBytes:   2 << 20,
-		TxCacheExpiry:      10 * time.Minute,
 		SyncInterval:       2 * time.Second,
 		BlockRetryInterval: 10 * time.Second,
-		RetryBackoffMax:    80 * time.Second,
 		RetryJitter:        0.2,
 		RequestTimeout:     5 * time.Second,
 		PeerBanScore:       6,
@@ -719,7 +720,7 @@ func (a *Adapter) bestPeer() simnet.NodeID {
 
 // scheduleRetry arms the retry/deadline timer for one in-flight block
 // request: exponential backoff off BlockRetryInterval, capped at
-// RetryBackoffMax, jittered by ±RetryJitter. The timer captures the sync
+// retryBackoffMax, jittered by ±RetryJitter. The timer captures the sync
 // generation and the request's issue counter, so it dies silently if the
 // adapter stopped or restarted (the PR 3 stale-request fix, extended to
 // retries) or if a newer issue of the same request superseded it.
@@ -738,8 +739,8 @@ func (a *Adapter) retryDelay(attempts int) time.Duration {
 	d := a.cfg.BlockRetryInterval
 	for i := 1; i < attempts && i < 12; i++ {
 		d *= 2
-		if a.cfg.RetryBackoffMax > 0 && d >= a.cfg.RetryBackoffMax {
-			d = a.cfg.RetryBackoffMax
+		if d >= retryBackoffMax {
+			d = retryBackoffMax
 			break
 		}
 	}
@@ -877,7 +878,7 @@ func (a *Adapter) cacheAndAdvertise(tx *btc.Transaction) {
 	if _, dup := a.txCache[txid]; !dup {
 		a.txCache[txid] = cachedTx{
 			tx:      tx,
-			expires: a.net.Scheduler().Now().Add(a.cfg.TxCacheExpiry),
+			expires: a.net.Scheduler().Now().Add(txCacheExpiry),
 		}
 	}
 	for _, peer := range a.ConnectedPeers() {

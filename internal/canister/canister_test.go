@@ -305,8 +305,8 @@ func TestForkResolutionAboveAnchor(t *testing.T) {
 		}
 	}
 	forkKey, _ := secp256k1.GeneratePrivateKey(rand.New(rand.NewSource(66)))
-	forkMiner := btcnode.NewMinerWithKey(fork, forkKey)
-	if _, err := forkMiner.MineChain(3, 0); err != nil { // fork is height 5 > 3
+	sideMiner := btcnode.NewMinerWithKey(fork, forkKey)
+	if _, err := sideMiner.MineChain(3, 0); err != nil { // fork is height 5 > 3
 		t.Fatal(err)
 	}
 
@@ -353,8 +353,8 @@ func TestAnchorAdvancePrunesCompetingBranch(t *testing.T) {
 	}
 	fork := btcnode.NewNode("btc/fork", r.net, r.params)
 	forkKey, _ := secp256k1.GeneratePrivateKey(rand.New(rand.NewSource(77)))
-	forkMiner := btcnode.NewMinerWithKey(fork, forkKey)
-	forkBlocks, err := forkMiner.MineChain(1, 0)
+	sideMiner := btcnode.NewMinerWithKey(fork, forkKey)
+	forkBlocks, err := sideMiner.MineChain(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,120 +2,12 @@ package canister
 
 import (
 	"testing"
-	"time"
 
-	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
 	"icbtc/internal/ic"
 )
 
-// feeMiner mines valid blocks (real PoW at regtest targets, correct Merkle
-// roots, MTP-respecting timestamps) containing arbitrary transactions — no
-// validation, so fee tests can include alien inputs and fork branches.
-type feeMiner struct {
-	params *btc.Params
-	byHash map[btc.Hash]*feeMinedHeader
-	extra  uint64
-}
-
-type feeMinedHeader struct {
-	height   int64
-	header   btc.BlockHeader
-	tsWindow []uint32
-}
-
-func newFeeMiner(params *btc.Params) *feeMiner {
-	g := params.GenesisHeader
-	m := &feeMiner{params: params, byHash: make(map[btc.Hash]*feeMinedHeader)}
-	m.byHash[g.BlockHash()] = &feeMinedHeader{header: g, tsWindow: []uint32{g.Timestamp}}
-	return m
-}
-
-func (m *feeMiner) mine(t *testing.T, parent btc.Hash, txs ...*btc.Transaction) *btc.Block {
-	t.Helper()
-	p := m.byHash[parent]
-	if p == nil {
-		t.Fatalf("mining on unknown parent %s", parent)
-	}
-	m.extra++
-	height := p.height + 1
-	coinbase := &btc.Transaction{
-		Version: 2,
-		Inputs: []btc.TxIn{{
-			PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff},
-			SignatureScript: []byte{
-				byte(height), byte(height >> 8), byte(height >> 16), byte(height >> 24),
-				byte(m.extra), byte(m.extra >> 8), byte(m.extra >> 16), byte(m.extra >> 24),
-			},
-		}},
-		Outputs: []btc.TxOut{{Value: m.params.BlockSubsidy, PkScript: btc.PayToPubKeyHashScript([20]byte{0xFE, 0xE5})}},
-	}
-	block := &btc.Block{
-		Header: btc.BlockHeader{
-			Version:   1,
-			PrevBlock: parent,
-			Timestamp: btc.MedianTimePast(p.tsWindow) + 30,
-			Bits:      p.header.Bits,
-		},
-		Transactions: append([]*btc.Transaction{coinbase}, txs...),
-	}
-	block.Header.MerkleRoot = block.MerkleRoot()
-	if err := btc.MineHeader(&block.Header); err != nil {
-		t.Fatal(err)
-	}
-	window := append([]uint32(nil), p.tsWindow...)
-	if len(window) >= 11 {
-		window = window[len(window)-10:]
-	}
-	window = append(window, block.Header.Timestamp)
-	m.byHash[block.BlockHash()] = &feeMinedHeader{height: height, header: block.Header, tsWindow: window}
-	return block
-}
-
-// feeRig pairs a canister with the permissive miner.
-type feeRig struct {
-	t     *testing.T
-	miner *feeMiner
-	can   *BitcoinCanister
-	now   time.Time
-	tip   btc.Hash
-}
-
-func newFeeRig(t *testing.T) *feeRig {
-	params := btc.RegtestParams()
-	return &feeRig{
-		t:     t,
-		miner: newFeeMiner(params),
-		can:   New(DefaultConfig(btc.Regtest)),
-		now:   time.Unix(int64(params.GenesisHeader.Timestamp), 0).Add(time.Hour),
-		tip:   params.GenesisHeader.BlockHash(),
-	}
-}
-
-func (r *feeRig) ctx(kind ic.CallKind) *ic.CallContext {
-	r.now = r.now.Add(time.Minute)
-	return ic.NewCallContext(kind, r.now)
-}
-
-// extend mines one block of txs on the rig's tip and delivers it.
-func (r *feeRig) extend(txs ...*btc.Transaction) *btc.Block {
-	b := r.miner.mine(r.t, r.tip, txs...)
-	r.tip = b.BlockHash()
-	r.deliver(b)
-	return b
-}
-
-func (r *feeRig) deliver(blocks ...*btc.Block) {
-	resp := adapter.Response{}
-	for _, b := range blocks {
-		resp.Blocks = append(resp.Blocks, adapter.BlockWithHeader{Block: b, Header: b.Header})
-	}
-	if err := r.can.ProcessPayload(r.ctx(ic.KindUpdate), resp); err != nil {
-		r.t.Fatal(err)
-	}
-}
-
-func (r *feeRig) percentiles(kind ic.CallKind) ([]int64, *ic.CallContext) {
+func (r *forgeRig) percentiles(kind ic.CallKind) ([]int64, *ic.CallContext) {
 	ctx := r.ctx(kind)
 	p, err := r.can.GetCurrentFeePercentiles(ctx)
 	if err != nil {
@@ -142,9 +34,9 @@ func rateOf(tx *btc.Transaction, fee int64) int64 {
 // hand-built fees: one priced transaction yields a flat vector at its rate;
 // a second, cheaper one splits the distribution.
 func TestFeePercentilesKnownRates(t *testing.T) {
-	r := newFeeRig(t)
+	r := newForgeRig(t)
 	b1 := r.extend() // coinbase to spend
-	tx1 := spendOf(b1.Transactions[0], 0, r.miner.params.BlockSubsidy-9_000)
+	tx1 := spendOf(b1.Transactions[0], 0, r.params.BlockSubsidy-9_000)
 	r.extend(tx1)
 	p, _ := r.percentiles(ic.KindQuery)
 	if len(p) != FeePercentilesCount {
@@ -173,7 +65,7 @@ func TestFeePercentilesKnownRates(t *testing.T) {
 // the canister never tracked cannot be priced and must be skipped, leaving
 // the distribution to the resolvable traffic only.
 func TestFeePercentilesAlienInputSkipped(t *testing.T) {
-	r := newFeeRig(t)
+	r := newForgeRig(t)
 	b1 := r.extend()
 	alien := &btc.Transaction{
 		Version: 2,
@@ -192,7 +84,7 @@ func TestFeePercentilesAlienInputSkipped(t *testing.T) {
 		}
 	}
 	// Alien + priceable in one block: only the priceable one counts.
-	tx := spendOf(b1.Transactions[0], 0, r.miner.params.BlockSubsidy-7_000)
+	tx := spendOf(b1.Transactions[0], 0, r.params.BlockSubsidy-7_000)
 	alien2 := *alien
 	alien2.Outputs = []btc.TxOut{{Value: 321, PkScript: btc.PayToPubKeyHashScript([20]byte{0x02})}}
 	r.extend(tx, &alien2)
@@ -209,10 +101,10 @@ func TestFeePercentilesAlienInputSkipped(t *testing.T) {
 // chain, the distribution must reflect the new current chain's
 // transactions only.
 func TestFeePercentilesAcrossReorg(t *testing.T) {
-	r := newFeeRig(t)
+	r := newForgeRig(t)
 	b1 := r.extend()
 	forkPoint := r.tip
-	tx1 := spendOf(b1.Transactions[0], 0, r.miner.params.BlockSubsidy-9_000)
+	tx1 := spendOf(b1.Transactions[0], 0, r.params.BlockSubsidy-9_000)
 	r.extend(tx1)
 	p, _ := r.percentiles(ic.KindQuery)
 	if want := rateOf(tx1, 9_000); p[50] != want {
@@ -220,9 +112,9 @@ func TestFeePercentilesAcrossReorg(t *testing.T) {
 	}
 
 	// Heavier branch from the fork point carrying a different fee.
-	tx2 := spendOf(b1.Transactions[0], 0, r.miner.params.BlockSubsidy-2_000)
-	c2 := r.miner.mine(t, forkPoint, tx2)
-	c3 := r.miner.mine(t, c2.BlockHash())
+	tx2 := spendOf(b1.Transactions[0], 0, r.params.BlockSubsidy-2_000)
+	c2 := r.mine(forkPoint, rigPayout, tx2)
+	c3 := r.mine(c2.BlockHash(), rigPayout)
 	r.deliver(c2, c3)
 	if r.can.TipHeight() != 3 {
 		t.Fatalf("tip height %d after reorg, want 3", r.can.TipHeight())
@@ -244,9 +136,9 @@ func TestFeePercentilesAcrossReorg(t *testing.T) {
 // execution stays deterministic regardless of query history — which makes
 // an update-kind call the uncached oracle.
 func TestFeePercentilesCacheCoherence(t *testing.T) {
-	overlay := newFeeRig(t)
+	overlay := newForgeRig(t)
 	b1 := overlay.extend()
-	tx := spendOf(b1.Transactions[0], 0, overlay.miner.params.BlockSubsidy-5_000)
+	tx := spendOf(b1.Transactions[0], 0, overlay.params.BlockSubsidy-5_000)
 	overlay.extend(tx)
 
 	cold, coldCtx := overlay.percentiles(ic.KindQuery)
@@ -296,8 +188,8 @@ func TestFeePercentilesCacheCoherence(t *testing.T) {
 // rejections for inverted and beyond-tip ranges, clamping, and the
 // stable/unstable join at the anchor boundary.
 func TestGetBlockHeadersRangeValidation(t *testing.T) {
-	r := newFeeRig(t)
-	headers := []btc.BlockHeader{r.miner.params.GenesisHeader}
+	r := newForgeRig(t)
+	headers := []btc.BlockHeader{r.params.GenesisHeader}
 	for i := 0; i < 10; i++ {
 		headers = append(headers, r.extend().Header)
 	}
@@ -378,7 +270,7 @@ func TestGetBlockHeadersRangeValidation(t *testing.T) {
 	side := headers[tip-3].BlockHash()
 	growBranch := func(n int) {
 		for i := 0; i < n; i++ {
-			b := r.miner.mine(t, side)
+			b := r.mine(side, rigPayout)
 			side = b.BlockHash()
 			r.deliver(b)
 			branch = append(branch, b.Header)

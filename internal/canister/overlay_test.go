@@ -9,126 +9,111 @@ import (
 
 	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
+	"icbtc/internal/btcnode"
 	"icbtc/internal/ic"
 )
 
-// forge mines valid blocks on arbitrary parents WITHOUT any transaction
-// validation, which btcnode's miner would enforce — needed to exercise the
-// canister's tolerance of spends referencing outputs from losing branches.
-type forge struct {
+// forgeRig is one canister fed forged blocks — valid by proof of work, Merkle
+// root and median time past, their transactions validated by nobody
+// (btcnode.Forge), so a test can hand it double spends, alien inputs and
+// spends of outputs from losing branches — and answered by both read paths:
+// its own overlay and the replay oracle rescanning the same state.
+type forgeRig struct {
 	t      *testing.T
 	params *btc.Params
-	window map[btc.Hash][]uint32
-	extra  uint64
+	forge  *btcnode.Forge
+	can    *BitcoinCanister
+	now    time.Time
+	// tip is the block extend mines on.
+	tip btc.Hash
 }
 
-func newForge(t *testing.T) *forge {
+// rigPayout receives the coinbase of every block extend mines.
+var rigPayout = btc.PayToPubKeyHashScript([20]byte{0xFE, 0xE5})
+
+func newForgeRig(t *testing.T) *forgeRig {
 	params := btc.RegtestParams()
-	g := params.GenesisHeader
-	return &forge{
+	return &forgeRig{
 		t:      t,
 		params: params,
-		window: map[btc.Hash][]uint32{g.BlockHash(): {g.Timestamp}},
+		forge:  btcnode.NewForge(params),
+		can:    New(DefaultConfig(btc.Regtest)), // δ = 6
+		now:    time.Unix(int64(params.GenesisHeader.Timestamp), 0).Add(time.Hour),
+		tip:    params.GenesisHeader.BlockHash(),
 	}
 }
 
-func (f *forge) block(parent btc.Hash, height int64, payout []byte, txs ...*btc.Transaction) *btc.Block {
-	f.t.Helper()
-	pw, ok := f.window[parent]
-	if !ok {
-		f.t.Fatalf("forge: unknown parent %s", parent)
-	}
-	f.extra++
-	coinbase := &btc.Transaction{
-		Version: 2,
-		Inputs: []btc.TxIn{{
-			PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff},
-			SignatureScript:  []byte{byte(height), byte(f.extra), byte(f.extra >> 8)},
-		}},
-		Outputs: []btc.TxOut{{Value: f.params.BlockSubsidy, PkScript: payout}},
-	}
-	blk := &btc.Block{
-		Header: btc.BlockHeader{
-			Version:   1,
-			PrevBlock: parent,
-			Timestamp: btc.MedianTimePast(pw) + 30,
-			Bits:      f.params.GenesisHeader.Bits,
-		},
-		Transactions: append([]*btc.Transaction{coinbase}, txs...),
-	}
-	blk.Header.MerkleRoot = blk.MerkleRoot()
-	if err := btc.MineHeader(&blk.Header); err != nil {
-		f.t.Fatal(err)
-	}
-	w := append(append([]uint32{}, pw...), blk.Header.Timestamp)
-	if len(w) > 11 {
-		w = w[len(w)-11:]
-	}
-	f.window[blk.BlockHash()] = w
-	return blk
+func (r *forgeRig) ctx(kind ic.CallKind) *ic.CallContext {
+	return ic.NewCallContext(kind, r.now)
 }
 
-// overlayRig is one canister answered by both read paths — its own overlay
-// and the replay oracle rescanning the same state — plus a payload pump.
-type overlayRig struct {
-	t       *testing.T
-	overlay *BitcoinCanister
-	now     time.Time
-}
-
-func newOverlayRig(t *testing.T) *overlayRig {
-	g := btc.RegtestParams().GenesisHeader
-	return &overlayRig{
-		t:       t,
-		overlay: New(DefaultConfig(btc.Regtest)), // δ = 6
-		now:     time.Unix(int64(g.Timestamp), 0).Add(time.Hour),
+// mine forges one block on any block this rig has mined, without delivering it.
+func (r *forgeRig) mine(parent btc.Hash, payout []byte, txs ...*btc.Transaction) *btc.Block {
+	r.t.Helper()
+	b, err := r.forge.Mine(parent, payout, txs...)
+	if err != nil {
+		r.t.Fatal(err)
 	}
+	return b
 }
 
-func (p *overlayRig) ctx(kind ic.CallKind) *ic.CallContext {
-	return &ic.CallContext{Meter: ic.NewMeter(), Time: p.now, Kind: kind}
+// extend mines one block of txs on the rig's tip and delivers it.
+func (r *forgeRig) extend(txs ...*btc.Transaction) *btc.Block {
+	r.t.Helper()
+	b := r.mine(r.tip, rigPayout, txs...)
+	r.tip = b.BlockHash()
+	r.deliver(b)
+	return b
 }
 
-func (p *overlayRig) deliver(blocks ...*btc.Block) {
-	p.t.Helper()
-	p.now = p.now.Add(time.Duration(len(blocks)) * time.Minute)
+// payload hands the canister one payload of blocks and returns how many of
+// them it ingested.
+func (r *forgeRig) payload(blocks ...*btc.Block) int {
+	r.t.Helper()
+	r.now = r.now.Add(time.Duration(len(blocks)) * time.Minute)
 	resp := adapter.Response{}
 	for _, b := range blocks {
 		resp.Blocks = append(resp.Blocks, adapter.BlockWithHeader{Block: b, Header: b.Header})
 	}
-	before := p.overlay.IngestedBlocks()
-	if err := p.overlay.ProcessPayload(p.ctx(ic.KindUpdate), resp); err != nil {
-		p.t.Fatal(err)
+	before := r.can.IngestedBlocks()
+	if err := r.can.ProcessPayload(r.ctx(ic.KindUpdate), resp); err != nil {
+		r.t.Fatal(err)
 	}
-	if got := p.overlay.IngestedBlocks() - before; got != len(blocks) {
-		p.t.Fatalf("ingested %d of %d delivered blocks", got, len(blocks))
+	return r.can.IngestedBlocks() - before
+}
+
+// deliver is payload for blocks the canister must accept.
+func (r *forgeRig) deliver(blocks ...*btc.Block) {
+	r.t.Helper()
+	if got := r.payload(blocks...); got != len(blocks) {
+		r.t.Fatalf("ingested %d of %d delivered blocks", got, len(blocks))
 	}
 }
 
 // replayBalance asks the oracle, asserting its isolation on the way: it
 // reads the canister the overlay serves from, so the call must leave that
 // canister's snapshot bytes and balance cache untouched.
-func (p *overlayRig) replayBalance(args GetBalanceArgs) (int64, error) {
+func (p *forgeRig) replayBalance(args GetBalanceArgs) (int64, error) {
 	p.t.Helper()
-	before, cached := snapshotOf(p.t, p.overlay), p.overlay.BalanceCacheSize()
-	total, err := ReplayBalance(p.overlay, p.ctx(ic.KindQuery), args)
-	if _, uerr := ReplayUTXOs(p.overlay, p.ctx(ic.KindQuery), GetUTXOsArgs{Address: args.Address, MinConfirmations: args.MinConfirmations}); (uerr == nil) != (err == nil) {
+	before, cached := snapshotOf(p.t, p.can), p.can.BalanceCacheSize()
+	total, err := ReplayBalance(p.can, p.ctx(ic.KindQuery), args)
+	if _, uerr := ReplayUTXOs(p.can, p.ctx(ic.KindQuery), GetUTXOsArgs{Address: args.Address, MinConfirmations: args.MinConfirmations}); (uerr == nil) != (err == nil) {
 		p.t.Fatalf("replay get_utxos err %v, replay get_balance err %v", uerr, err)
 	}
-	if !bytes.Equal(before, snapshotOf(p.t, p.overlay)) {
+	if !bytes.Equal(before, snapshotOf(p.t, p.can)) {
 		p.t.Fatal("replay oracle mutated the canister it read")
 	}
-	if got := p.overlay.BalanceCacheSize(); got != cached {
+	if got := p.can.BalanceCacheSize(); got != cached {
 		p.t.Fatalf("replay oracle touched the balance cache: %d -> %d entries", cached, got)
 	}
 	return total, err
 }
 
 // balances asserts both read paths agree and match the expected value.
-func (p *overlayRig) balance(addr string, minConf int64) int64 {
+func (p *forgeRig) balance(addr string, minConf int64) int64 {
 	p.t.Helper()
 	args := GetBalanceArgs{Address: addr, MinConfirmations: minConf}
-	a, errA := p.overlay.GetBalance(p.ctx(ic.KindQuery), args)
+	a, errA := p.can.GetBalance(p.ctx(ic.KindQuery), args)
 	b, errB := p.replayBalance(args)
 	if errA != nil || errB != nil {
 		p.t.Fatalf("balance(%s, c=%d): overlay err %v, replay err %v", addr, minConf, errA, errB)
@@ -152,20 +137,19 @@ func testAddr(b byte) (string, []byte) {
 // so the block is accepted; the spend must be a no-op for every address
 // view on the new chain — on both read paths.
 func TestReorgSpendOfLosingBranchOutput(t *testing.T) {
-	f := newForge(t)
-	p := newOverlayRig(t)
-	genesis := f.params.GenesisHeader.BlockHash()
+	p := newForgeRig(t)
+	genesis := p.params.GenesisHeader.BlockHash()
 	_, minerScript := testAddr(0xAA)
 	addrP, scriptP := testAddr(0xBB)
 
 	// Branch A: block 1, then block A2 creating output X for address P.
-	b1 := f.block(genesis, 1, minerScript)
+	b1 := p.mine(genesis, minerScript)
 	fund := &btc.Transaction{
 		Version: 2,
 		Inputs:  []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.DoubleSHA256([]byte("external")), Vout: 0}}},
 		Outputs: []btc.TxOut{{Value: 7_000, PkScript: scriptP}},
 	}
-	a2 := f.block(b1.BlockHash(), 2, minerScript, fund)
+	a2 := p.mine(b1.BlockHash(), minerScript, fund)
 	p.deliver(b1, a2)
 	if got := p.balance(addrP, 0); got != 7_000 {
 		t.Fatalf("pre-reorg balance %d, want 7000", got)
@@ -184,12 +168,12 @@ func TestReorgSpendOfLosingBranchOutput(t *testing.T) {
 		Inputs:  []btc.TxIn{{PreviousOutPoint: outX}},
 		Outputs: []btc.TxOut{{Value: 6_500, PkScript: minerScript}},
 	}
-	b2 := f.block(b1.BlockHash(), 2, minerScript, fundY)
-	b3 := f.block(b2.BlockHash(), 3, minerScript, spendX)
-	b4 := f.block(b3.BlockHash(), 4, minerScript)
+	b2 := p.mine(b1.BlockHash(), minerScript, fundY)
+	b3 := p.mine(b2.BlockHash(), minerScript, spendX)
+	b4 := p.mine(b3.BlockHash(), minerScript)
 	p.deliver(b2, b3, b4)
 
-	if got := p.overlay.TipHeight(); got != 4 {
+	if got := p.can.TipHeight(); got != 4 {
 		t.Fatalf("tip %d, want 4 (reorg to branch B)", got)
 	}
 	// On the current chain X never existed: the spend in B3 is a no-op and
@@ -197,7 +181,7 @@ func TestReorgSpendOfLosingBranchOutput(t *testing.T) {
 	if got := p.balance(addrP, 0); got != 1_100 {
 		t.Fatalf("post-reorg balance %d, want 1100 (Y only)", got)
 	}
-	res, err := p.overlay.GetUTXOs(p.ctx(ic.KindQuery), GetUTXOsArgs{Address: addrP})
+	res, err := p.can.GetUTXOs(p.ctx(ic.KindQuery), GetUTXOsArgs{Address: addrP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +191,9 @@ func TestReorgSpendOfLosingBranchOutput(t *testing.T) {
 
 	// Branch A overtakes again (A3..A5): X is visible once more, and the
 	// winning-branch-only spend of it is gone from the considered chain.
-	a3 := f.block(a2.BlockHash(), 3, minerScript)
-	a4 := f.block(a3.BlockHash(), 4, minerScript)
-	a5 := f.block(a4.BlockHash(), 5, minerScript)
+	a3 := p.mine(a2.BlockHash(), minerScript)
+	a4 := p.mine(a3.BlockHash(), minerScript)
+	a5 := p.mine(a4.BlockHash(), minerScript)
 	p.deliver(a3, a4, a5)
 	if got := p.balance(addrP, 0); got != 7_000 {
 		t.Fatalf("re-reorg balance %d, want 7000 (X restored, Y gone)", got)
@@ -221,21 +205,20 @@ func TestReorgSpendOfLosingBranchOutput(t *testing.T) {
 // with equal-work blocks is the empty set at the tip — the answer is the
 // stable set alone — while δ+1 is rejected outright.
 func TestGetBalanceAtExactlyDeltaConfirmations(t *testing.T) {
-	f := newForge(t)
-	p := newOverlayRig(t)
+	p := newForgeRig(t)
 	addrM, scriptM := testAddr(0xCC)
 	const delta = 6 // regtest default
 
-	parent := f.params.GenesisHeader.BlockHash()
+	parent := p.params.GenesisHeader.BlockHash()
 	for h := int64(1); h <= 12; h++ {
-		b := f.block(parent, h, scriptM)
+		b := p.mine(parent, scriptM)
 		p.deliver(b)
 		parent = b.BlockHash()
 	}
-	if got := p.overlay.AnchorHeight(); got != 7 {
+	if got := p.can.AnchorHeight(); got != 7 {
 		t.Fatalf("anchor %d, want 7", got)
 	}
-	subsidy := f.params.BlockSubsidy
+	subsidy := p.params.BlockSubsidy
 
 	// c = δ: no unstable block has δ confirmations yet (the deepest has
 	// δ−1), so exactly the 7 folded coinbases answer.
@@ -252,7 +235,7 @@ func TestGetBalanceAtExactlyDeltaConfirmations(t *testing.T) {
 	}
 	// c = δ+1 must be rejected by both paths.
 	tooMany := GetBalanceArgs{Address: addrM, MinConfirmations: delta + 1}
-	if _, err := p.overlay.GetBalance(p.ctx(ic.KindQuery), tooMany); !errors.Is(err, ErrTooManyConfirmations) {
+	if _, err := p.can.GetBalance(p.ctx(ic.KindQuery), tooMany); !errors.Is(err, ErrTooManyConfirmations) {
 		t.Fatalf("c=δ+1: overlay got %v, want ErrTooManyConfirmations", err)
 	}
 	if _, err := p.replayBalance(tooMany); !errors.Is(err, ErrTooManyConfirmations) {
@@ -263,23 +246,22 @@ func TestGetBalanceAtExactlyDeltaConfirmations(t *testing.T) {
 // TestBalanceCacheCoherence verifies the overlay's balance cache is
 // invalidated by every tree mutation and cleared deltas on anchor advance.
 func TestBalanceCacheCoherence(t *testing.T) {
-	f := newForge(t)
-	p := newOverlayRig(t)
+	p := newForgeRig(t)
 	addrM, scriptM := testAddr(0xDD)
 
-	parent := f.params.GenesisHeader.BlockHash()
-	b1 := f.block(parent, 1, scriptM)
+	parent := p.params.GenesisHeader.BlockHash()
+	b1 := p.mine(parent, scriptM)
 	p.deliver(b1)
 
 	// First query misses, second hits the cache.
-	if got := p.balance(addrM, 0); got != f.params.BlockSubsidy {
+	if got := p.balance(addrM, 0); got != p.params.BlockSubsidy {
 		t.Fatalf("balance %d", got)
 	}
-	if p.overlay.BalanceCacheSize() == 0 {
+	if p.can.BalanceCacheSize() == 0 {
 		t.Fatal("query did not populate the balance cache")
 	}
 	hit := p.ctx(ic.KindQuery)
-	if _, err := p.overlay.GetBalance(hit, GetBalanceArgs{Address: addrM}); err != nil {
+	if _, err := p.can.GetBalance(hit, GetBalanceArgs{Address: addrM}); err != nil {
 		t.Fatal(err)
 	}
 	if hit.Meter.Category("balance_cache_hit") == 0 {
@@ -287,12 +269,12 @@ func TestBalanceCacheCoherence(t *testing.T) {
 	}
 
 	// A new block must invalidate and the next answer must be fresh.
-	b2 := f.block(b1.BlockHash(), 2, scriptM)
+	b2 := p.mine(b1.BlockHash(), scriptM)
 	p.deliver(b2)
-	if p.overlay.BalanceCacheSize() != 0 {
+	if p.can.BalanceCacheSize() != 0 {
 		t.Fatal("cache survived a tree mutation")
 	}
-	if got := p.balance(addrM, 0); got != 2*f.params.BlockSubsidy {
+	if got := p.balance(addrM, 0); got != 2*p.params.BlockSubsidy {
 		t.Fatalf("post-mutation balance %d", got)
 	}
 
@@ -300,17 +282,17 @@ func TestBalanceCacheCoherence(t *testing.T) {
 	// cleared (its effects now live in the stable set).
 	parent = b2.BlockHash()
 	for h := int64(3); h <= 9; h++ {
-		b := f.block(parent, h, scriptM)
+		b := p.mine(parent, scriptM)
 		p.deliver(b)
 		parent = b.BlockHash()
 	}
-	if p.overlay.AnchorHeight() == 0 {
+	if p.can.AnchorHeight() == 0 {
 		t.Fatal("anchor did not advance")
 	}
-	if p.overlay.tree.Root().Aux() != nil {
+	if p.can.tree.Root().Aux() != nil {
 		t.Fatal("anchor node still carries a block delta")
 	}
-	if got := p.balance(addrM, 0); got != 9*f.params.BlockSubsidy {
+	if got := p.balance(addrM, 0); got != 9*p.params.BlockSubsidy {
 		t.Fatalf("post-advance balance %d", got)
 	}
 }
@@ -320,35 +302,34 @@ func TestBalanceCacheCoherence(t *testing.T) {
 // confirmation count. The memo stops at its bound, the questions past it are
 // still answered right, and the next block empties it as before.
 func TestBalanceCacheBounded(t *testing.T) {
-	f := newForge(t)
-	p := newOverlayRig(t)
+	p := newForgeRig(t)
 	addrM, scriptM := testAddr(0xDD)
-	b1 := f.block(f.params.GenesisHeader.BlockHash(), 1, scriptM)
+	b1 := p.mine(p.params.GenesisHeader.BlockHash(), scriptM)
 	p.deliver(b1)
 
 	for i := 0; i < maxBalanceCache+100; i++ {
 		args := GetBalanceArgs{Address: fmt.Sprintf("nobody-%d", i)}
-		if got, err := p.overlay.GetBalance(p.ctx(ic.KindQuery), args); got != 0 || err != nil {
+		if got, err := p.can.GetBalance(p.ctx(ic.KindQuery), args); got != 0 || err != nil {
 			t.Fatalf("an address nobody paid holds %d (%v)", got, err)
 		}
 	}
-	if got := p.overlay.BalanceCacheSize(); got != maxBalanceCache {
+	if got := p.can.BalanceCacheSize(); got != maxBalanceCache {
 		t.Fatalf("%d memoized balances after %d distinct questions, bound is %d", got, maxBalanceCache+100, maxBalanceCache)
 	}
 	for minConf := int64(0); minConf <= 1; minConf++ {
-		if got := p.balance(addrM, minConf); got != f.params.BlockSubsidy {
+		if got := p.balance(addrM, minConf); got != p.params.BlockSubsidy {
 			t.Fatalf("balance %d at %d confirmations past the bound", got, minConf)
 		}
 	}
-	if got := p.overlay.BalanceCacheSize(); got != maxBalanceCache {
+	if got := p.can.BalanceCacheSize(); got != maxBalanceCache {
 		t.Fatalf("the full memo grew to %d", got)
 	}
 
-	p.deliver(f.block(b1.BlockHash(), 2, scriptM))
-	if p.overlay.BalanceCacheSize() != 0 {
+	p.deliver(p.mine(b1.BlockHash(), scriptM))
+	if p.can.BalanceCacheSize() != 0 {
 		t.Fatal("cache survived a tree mutation")
 	}
-	if got := p.balance(addrM, 0); got != 2*f.params.BlockSubsidy || p.overlay.BalanceCacheSize() != 1 {
-		t.Fatalf("balance %d, %d memoized after the flood was dropped", got, p.overlay.BalanceCacheSize())
+	if got := p.balance(addrM, 0); got != 2*p.params.BlockSubsidy || p.can.BalanceCacheSize() != 1 {
+		t.Fatalf("balance %d, %d memoized after the flood was dropped", got, p.can.BalanceCacheSize())
 	}
 }

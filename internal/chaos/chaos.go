@@ -54,29 +54,24 @@ type Config struct {
 	// Rounds is the number of harness rounds (0 selects the scenario's
 	// default, 60).
 	Rounds int
-	// HonestNodes and Adversaries size the Bitcoin network.
-	HonestNodes int
-	Adversaries int
-	// Replicas is the initial query-fleet size.
-	Replicas int
 	// CertifyEvery verifies one threshold-signed fleet response every N
 	// rounds (0 disables — threshold signing costs tens of ms per round).
 	CertifyEvery int
 }
 
-// DefaultConfig returns the scenario battery's standard world: 8 honest
-// nodes, 3 adversaries, a 3-replica fleet, certification checked every 10
-// rounds.
+// DefaultConfig returns the scenario battery's standard run: 60 rounds,
+// certification checked every 10.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:         seed,
-		Rounds:       60,
-		HonestNodes:  8,
-		Adversaries:  3,
-		Replicas:     3,
-		CertifyEvery: 10,
-	}
+	return Config{Seed: seed, Rounds: 60, CertifyEvery: 10}
 }
+
+// The world every scenario runs in; scripts name adversaries and replicas by
+// index, so its size is not a per-run choice.
+const (
+	honestNodes = 8 // honest Bitcoin nodes
+	adversaries = 3 // adversarial Bitcoin nodes
+	replicas    = 3 // initial query-fleet size
+)
 
 // Result summarizes one scenario run.
 type Result struct {
@@ -134,6 +129,7 @@ type World struct {
 	Rng *rand.Rand
 
 	signer     queryfleet.SignFunc
+	verifier   queryfleet.VerifyFunc
 	lastAnchor int64
 	healRound  int
 	converged  int
@@ -271,16 +267,12 @@ func newWorld(cfg Config) (*World, error) {
 	sched := simnet.NewScheduler(cfg.Seed)
 	net := simnet.NewNetwork(sched)
 	params := btc.RegtestParams()
-	sim := btcnode.BuildHonestNetwork(net, params, cfg.HonestNodes)
-	sim.AddAdversaries(cfg.Adversaries)
+	sim := btcnode.BuildHonestNetwork(net, params, honestNodes)
+	sim.AddAdversaries(adversaries)
 
-	scfg := ic.DefaultConfig()
-	scfg.N = 4
-	scfg.Seed = cfg.Seed
-	scfg.DisableThresholdKeys = cfg.CertifyEvery <= 0
-	subnet, err := ic.NewSubnet(sched, scfg)
+	subnet, signer, verifier, err := Committee(sched, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("subnet: %w", err)
+		return nil, err
 	}
 	ccfg := canister.DefaultConfig(btc.Regtest)
 	subnet.InstallCanister(CanisterID, canister.New(ccfg))
@@ -288,7 +280,7 @@ func newWorld(cfg Config) (*World, error) {
 	acfg := adapter.ConfigForNetwork(btc.Regtest)
 	acfg.Connections = 3
 	acfg.AddrLowWater = 1
-	acfg.AddrHighWater = cfg.HonestNodes + cfg.Adversaries
+	acfg.AddrHighWater = honestNodes + adversaries
 	ad := adapter.New("adapter/chaos", net, params, sim.Directory, acfg)
 
 	w := &World{
@@ -301,11 +293,10 @@ func newWorld(cfg Config) (*World, error) {
 		Subnet:    subnet,
 		Oracle:    canister.New(ccfg),
 		Rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
+		signer:    signer,
+		verifier:  verifier,
 		healRound: -1,
 		converged: -1,
-	}
-	if cfg.CertifyEvery > 0 {
-		w.signer = queryfleet.CommitteeSigner(subnet.Committee())
 	}
 	// Every obs registry in the world runs on the scheduler's virtual clock:
 	// same seed, same timestamps, bit-identical metrics snapshots. Installed
@@ -317,7 +308,7 @@ func newWorld(cfg Config) (*World, error) {
 	// The fleet reaches its authority through the subnet (Authority proxy), so
 	// upgrades that swap the installed instance are transparent to it.
 	fleet, err := queryfleet.New(Authority(w.Canister), queryfleet.Config{
-		Replicas:     cfg.Replicas,
+		Replicas:     replicas,
 		MaxLagBlocks: 3,
 		StalePolicy:  queryfleet.StaleForward,
 		AutoResync:   true,

@@ -3,8 +3,9 @@ package chaos
 // kit.go holds what every fleet harness — this package, internal/difftest and
 // queryfleet's own tests — needs exactly one definition of: the authority
 // proxy, the frame mutator and the two lying replicas behind the fleet's fault
-// seams (SetFrameFault, SetResponseFault), and the client-side certification
-// probe. The fleet itself carries none of this.
+// seams (SetFrameFault, SetResponseFault), the committee a certifying fleet
+// signs and audits with, and the client-side certification probe. The fleet
+// itself carries none of this.
 
 import (
 	"bytes"
@@ -15,6 +16,7 @@ import (
 	"icbtc/internal/canister"
 	"icbtc/internal/ic"
 	"icbtc/internal/queryfleet"
+	"icbtc/internal/simnet"
 )
 
 // Authority is a queryfleet.Authority that resolves the authoritative canister
@@ -79,6 +81,22 @@ func StaleReplayLiar(replica int) queryfleet.ResponseFault {
 		}
 		return rq
 	}
+}
+
+// Committee builds what a certifying fleet is wired to: a 4-replica subnet
+// (f = 1) on sched with threshold keys dealt from seed, the signer over its
+// committee (Fleet.SetSigner) and the audit a client holding the subnet key
+// runs over an envelope (Fleet.SetVerifier).
+func Committee(sched *simnet.Scheduler, seed int64) (*ic.Subnet, queryfleet.SignFunc, queryfleet.VerifyFunc, error) {
+	cfg := ic.DefaultConfig()
+	cfg.N = 4
+	cfg.Seed = seed
+	subnet, err := ic.NewSubnet(sched, cfg)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("committee subnet: %w", err)
+	}
+	verify := func(env ic.CertifiedQuery, sig []byte) bool { return subnet.VerifyCertified(env, nil, sig) }
+	return subnet, queryfleet.CommitteeSigner(subnet.Committee()), verify, nil
 }
 
 // CheckCertified is the probe a client holding only a routed response and the

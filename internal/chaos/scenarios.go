@@ -411,7 +411,7 @@ func init() {
 					// One victim per frame (rotating), faulted about a third of
 					// the time; the RNG is only drawn for the victim so the
 					// fault schedule stays deterministic per seed.
-					if replica != int(seq%uint64(w.Cfg.Replicas)) || w.Rng.Float64() > 0.35 {
+					if replica != int(seq%replicas) || w.Rng.Float64() > 0.35 {
 						return [][]byte{raw}
 					}
 					return MutateFrame(w.Rng, raw)
@@ -438,14 +438,9 @@ func init() {
 			"another replays stale ones; the fleet's response audit ejects both while " +
 			"honest replicas keep every answer verifiable and fresh",
 		Step: func(w *World, round int) error {
-			if w.signer == nil {
-				return fmt.Errorf("byzantine-replica needs certification enabled (CertifyEvery > 0)")
-			}
 			switch round {
 			case injectRound:
-				w.Fleet.SetVerifier(func(env ic.CertifiedQuery, sig []byte) bool {
-					return w.Subnet.VerifyCertified(env, nil, sig)
-				})
+				w.Fleet.SetVerifier(w.verifier)
 				w.Fleet.SetResponseFault(TamperLiar(0))
 			case 12:
 				tamper, replay := TamperLiar(0), StaleReplayLiar(1)

@@ -14,13 +14,13 @@
 // points mid-run the canister is serialized, decoded into a fresh instance,
 // and replaced (Config.SnapshotEvery). The oracle derives its answers from
 // the restored blocks and stable set alone, never from the restored deltas
-// or caches, and with Config.Pipelined a second canister that is not
-// restarted at the same points must stay byte-identical — the upgrade and
-// crash-recovery scenarios, differentially verified.
+// or caches, and a second canister fed through the parallel ingest pipeline,
+// never restarted at the same points, must stay byte-identical — the upgrade
+// and crash-recovery scenarios, differentially verified.
 //
-// With Config.FleetReplicas > 0 the harness also stands up a read-replica
-// query fleet fed by the overlay canister's delta stream, and verifies
-// bounded-staleness serving *exactly*: after every published frame it
+// The harness also stands up a read-replica query fleet (fleetReplicas wide,
+// forwarding beyond fleetMaxLag) fed by the overlay canister's delta stream,
+// and verifies bounded-staleness serving *exactly*: after every published frame it
 // records the authoritative canister's answers to a fixed probe set, then
 // holds each replica at a random lag (including mid-reorg, when a reorg's
 // blocks arrive as separate frames, and immediately after a snapshot
@@ -39,6 +39,7 @@ import (
 
 	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
+	"icbtc/internal/btcnode"
 	"icbtc/internal/canister"
 	"icbtc/internal/chaos"
 	"icbtc/internal/ic"
@@ -56,8 +57,6 @@ type Config struct {
 	Steps int
 	// Delta is δ (the canisters' stability threshold).
 	Delta int64
-	// Addresses is the size of the synthetic address population.
-	Addresses int
 	// SnapshotEvery, when > 0, snapshot/restores the overlay canister with
 	// probability 1/SnapshotEvery per step: the canister is serialized,
 	// decoded into a fresh instance that replaces it mid-run, and
@@ -65,16 +64,6 @@ type Config struct {
 	// Every later query cross-checks the restored deltas against the replay
 	// oracle's rescan of the restored blocks.
 	SnapshotEvery int
-	// FleetReplicas, when > 0, runs a read-replica query fleet against the
-	// overlay canister's delta stream and differentially verifies replicas
-	// held at random lags against recorded authoritative responses.
-	FleetReplicas int
-	// FleetMaxLag is the fleet's bounded-staleness limit in blocks.
-	FleetMaxLag int64
-	// HydrateEvery, when > 0, re-hydrates a random fleet replica from a
-	// fresh snapshot with probability 1/HydrateEvery per step (fast-sync
-	// mid-workload).
-	HydrateEvery int
 	// CertifyEvery, when > 0, threshold-signs one routed query every
 	// CertifyEvery steps and verifies it via Subnet.VerifyCertified.
 	CertifyEvery int
@@ -103,26 +92,22 @@ type Config struct {
 	// byte-identical either way (TestDifferentialLossyLink checks exactly
 	// that).
 	LossyLink bool
-	// Pipelined, when true, runs a second canister fed the same payloads
-	// through ProcessPayloadPipelined with per-step randomized worker
-	// counts (1..8, degenerating to the serial loop at 1) and prefetch
-	// windows (1..8). After every step its full snapshot and its probe
-	// responses must be byte-identical to the serial overlay canister's —
-	// the pipeline-vs-serial-oracle guarantee, across reorgs, header
-	// delays, and mid-run re-hydrations (the pipelined canister is also
-	// restored from its own snapshot via RestoreSnapshotParallel at random
-	// worker counts).
-	Pipelined bool
 }
+
+// The same on every run.
+const (
+	addresses     = 10 // size of the synthetic address population
+	fleetReplicas = 3  // width of the read-replica fleet
+	fleetMaxLag   = 3  // its bounded-staleness limit, in blocks
+	hydrateEvery  = 9  // a replica fast-syncs from a fresh snapshot with probability 1/hydrateEvery per step
+)
 
 // DefaultConfig returns a workload mix that exercises forks, conflicting
 // spends, pagination, confirmation filters, mid-run snapshot/restores, and
 // a lag-randomized query fleet within a small δ.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Seed: seed, Steps: 100, Delta: 6, Addresses: 10, SnapshotEvery: 5,
-		FleetReplicas: 3, FleetMaxLag: 3, HydrateEvery: 9, CertifyEvery: 20,
-		Pipelined: true, ServeLayers: true,
+		Seed: seed, Steps: 100, Delta: 6, SnapshotEvery: 5, CertifyEvery: 20, ServeLayers: true,
 	}
 }
 
@@ -152,7 +137,7 @@ type Stats struct {
 	PipelinedRestores  int
 	PipelinedWorkerSum int
 	PipelinedSerial    int // steps run with 1 worker (serial degeneration)
-	// Fleet counters (zero when the fleet is disabled).
+	// Fleet counters.
 	FleetFrames        uint64 // frames published by the overlay canister
 	FleetReplicaChecks int    // lagged-replica probe batches verified
 	FleetLagSum        int64  // total frames of lag across verified checks
@@ -176,19 +161,22 @@ type Stats struct {
 
 // Harness drives the canister under test.
 type Harness struct {
-	cfg    Config
-	rng    *rand.Rand
-	params *btc.Params
+	cfg Config
+	rng *rand.Rand
 
 	// overlay is the canister under test: it serves every request by its
 	// own read path and is the state the replay oracle rescans.
 	overlay *canister.BitcoinCanister
-	// pipelined receives identical payloads through the parallel ingest
-	// pipeline at randomized worker counts; nil when Config.Pipelined is
-	// off. The serial overlay is its oracle.
+	// pipelined receives identical payloads through ProcessPayloadPipelined
+	// at per-payload randomized worker counts (1..8, degenerating to the
+	// serial loop at 1) and prefetch windows (1..8). After every step its
+	// full snapshot and its probe responses must be byte-identical to the
+	// serial overlay's, its oracle — across reorgs, header delays and its own
+	// mid-run RestoreSnapshotParallel re-hydrations.
 	pipelined *canister.BitcoinCanister
 
-	miner *forkMiner
+	// forge mines every block of the run, on any branch, validating nothing.
+	forge *btcnode.Forge
 	now   time.Time
 	// link degrades the payload transport when Config.LossyLink is set.
 	link *lossyLink
@@ -206,7 +194,7 @@ type Harness struct {
 	// before their blocks are delivered, exercising header-only tree nodes.
 	pending []*btc.Block
 
-	// Query-fleet verification state (nil/empty when disabled).
+	// Query-fleet verification state.
 	fleet *queryfleet.Fleet
 	// probeHistory records, per stream frame seq, the authoritative
 	// canister's canonical probe digests right after publishing that frame;
@@ -240,6 +228,9 @@ type popAddr struct {
 	script  []byte
 }
 
+// coinbasePayout receives every mined block's subsidy.
+var coinbasePayout = btc.PayToPubKeyHashScript([20]byte{0xD1, 0xFF})
+
 type poolEntry struct {
 	op    btc.OutPoint
 	value int64
@@ -255,15 +246,12 @@ func New(cfg Config) *Harness {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h := &Harness{
-		cfg:     cfg,
-		rng:     rng,
-		params:  params,
-		overlay: mk(),
-		miner:   newForkMiner(params),
-		now:     time.Unix(int64(params.GenesisHeader.Timestamp), 0).Add(time.Hour),
-	}
-	if cfg.Pipelined {
-		h.pipelined = mk()
+		cfg:       cfg,
+		rng:       rng,
+		overlay:   mk(),
+		pipelined: mk(),
+		forge:     btcnode.NewForge(params),
+		now:       time.Unix(int64(params.GenesisHeader.Timestamp), 0).Add(time.Hour),
 	}
 	if cfg.LossyLink {
 		// An offset seed: the transport's RNG must not mirror the workload's.
@@ -272,15 +260,13 @@ func New(cfg Config) *Harness {
 	if cfg.FrameFaults {
 		h.faultRng = rand.New(rand.NewSource(cfg.Seed ^ 0xf4a17))
 	}
-	for i := 0; i < cfg.Addresses; i++ {
+	for i := 0; i < addresses; i++ {
 		var hash [20]byte
 		rng.Read(hash[:])
 		a := btc.NewP2PKHAddress(hash, params.Network)
 		h.addrs = append(h.addrs, popAddr{address: a.String(), script: btc.PayToAddrScript(a)})
 	}
-	if cfg.FleetReplicas > 0 {
-		h.setupFleet()
-	}
+	h.setupFleet()
 	return h
 }
 
@@ -289,8 +275,8 @@ func New(cfg Config) *Harness {
 // apply mode so the harness controls each replica's lag deterministically.
 func (h *Harness) setupFleet() {
 	fcfg := queryfleet.Config{
-		Replicas:     h.cfg.FleetReplicas,
-		MaxLagBlocks: h.cfg.FleetMaxLag,
+		Replicas:     fleetReplicas,
+		MaxLagBlocks: fleetMaxLag,
 		StalePolicy:  queryfleet.StaleForward,
 		// Corrupted frames must heal by automatic re-hydration, not by the
 		// harness failing the run — the run fails only if a corruption goes
@@ -308,15 +294,11 @@ func (h *Harness) setupFleet() {
 	if h.cfg.CertifyEvery > 0 {
 		// A minimal committee-backed subnet supplies threshold signing and
 		// the client-side VerifyCertified check.
-		scfg := ic.DefaultConfig()
-		scfg.N = 4
-		scfg.Seed = h.cfg.Seed
-		subnet, err := ic.NewSubnet(simnet.NewScheduler(h.cfg.Seed), scfg)
+		var err error
+		h.subnet, h.signer, _, err = chaos.Committee(simnet.NewScheduler(h.cfg.Seed), h.cfg.Seed)
 		if err != nil {
-			panic(fmt.Sprintf("difftest: subnet for certification: %v", err))
+			panic(fmt.Sprintf("difftest: %v", err))
 		}
-		h.subnet = subnet
-		h.signer = queryfleet.CommitteeSigner(subnet.Committee())
 	}
 	// The authority is a proxy through the harness, so snapshot restarts that
 	// swap the overlay canister instance mid-run are transparent to the fleet.
@@ -403,10 +385,7 @@ func (h *Harness) Step() error {
 	if err := h.checkQueries(); err != nil {
 		return err
 	}
-	if h.fleet != nil {
-		return h.fleetStep()
-	}
-	return nil
+	return h.fleetStep()
 }
 
 // checkPipelined asserts the pipelined canister is byte-identical to the
@@ -416,9 +395,6 @@ func (h *Harness) Step() error {
 // worker count; re-encoding the restored instance must reproduce the
 // snapshot bytes.
 func (h *Harness) checkPipelined() error {
-	if h.pipelined == nil {
-		return nil
-	}
 	want, err := h.overlay.Snapshot()
 	if err != nil {
 		return fmt.Errorf("overlay snapshot: %w", err)
@@ -479,12 +455,10 @@ func (h *Harness) snapshotRestart() error {
 			len(snap), len(again))
 	}
 	h.overlay = restored
-	if h.fleet != nil {
-		// The restored instance must keep publishing the delta stream; its
-		// state is byte-identical, so replicas hydrated or fed from the old
-		// instance continue seamlessly.
-		h.overlay.SetStreamSink(h.fleet.Feed)
-	}
+	// The restored instance must keep publishing the delta stream; its state
+	// is byte-identical, so replicas hydrated or fed from the old instance
+	// continue seamlessly.
+	h.overlay.SetStreamSink(h.fleet.Feed)
 	h.stats.SnapshotRestores++
 	h.stats.SnapshotBytes = len(snap)
 	return nil
@@ -517,13 +491,13 @@ func (h *Harness) reorg() error {
 	depth := 1 + h.rng.Int63n(h.forkDepthBudget())
 	base := h.tipHash()
 	for i := int64(0); i < depth; i++ {
-		base = h.miner.parentOf(base)
+		base = h.forge.Parent(base)
 	}
 	// depth+1 blocks strictly outweigh the displaced suffix (equal bits).
 	blocks := make([]*btc.Block, 0, depth+1)
 	parent := base
 	for i := int64(0); i <= depth; i++ {
-		b, err := h.miner.mine(parent, h.randomTxs())
+		b, err := h.forge.Mine(parent, coinbasePayout, h.randomTxs()...)
 		if err != nil {
 			return err
 		}
@@ -533,12 +507,11 @@ func (h *Harness) reorg() error {
 		h.now = h.now.Add(time.Minute)
 	}
 	h.stats.BlocksMined += len(blocks)
-	// With a fleet attached, half the reorgs arrive one block per payload:
-	// each delivery publishes its own frame, so replicas can be held
-	// mid-reorg — on a state where the heavier branch is only partially
-	// known — and must still answer exactly as the authoritative canister
-	// did at that frame.
-	if h.fleet != nil && h.rng.Intn(2) == 0 {
+	// Half the reorgs arrive one block per payload: each delivery publishes
+	// its own frame, so replicas can be held mid-reorg — on a state where the
+	// heavier branch is only partially known — and must still answer exactly
+	// as the authoritative canister did at that frame.
+	if h.rng.Intn(2) == 0 {
 		h.stats.SplitReorgs++
 		for _, b := range blocks {
 			if err := h.deliverBlocks(b); err != nil {
@@ -552,7 +525,7 @@ func (h *Harness) reorg() error {
 
 // mineOnTip extends the current chain by one block of random transactions.
 func (h *Harness) mineOnTip() (*btc.Block, error) {
-	block, err := h.miner.mine(h.tipHash(), h.randomTxs())
+	block, err := h.forge.Mine(h.tipHash(), coinbasePayout, h.randomTxs()...)
 	if err != nil {
 		return nil, err
 	}
@@ -664,21 +637,17 @@ func (h *Harness) deliver(resp adapter.Response) error {
 	if err := h.overlay.ProcessPayload(h.ctx(ic.KindUpdate), resp); err != nil {
 		return fmt.Errorf("overlay payload: %w", err)
 	}
-	if h.pipelined != nil {
-		cfg := ingest.Config{Workers: 1 + h.rng.Intn(8), Window: 1 + h.rng.Intn(8)}
-		h.stats.PipelinedWorkerSum += cfg.Workers
-		if cfg.Workers == 1 {
-			h.stats.PipelinedSerial++
-		}
-		if err := h.pipelined.ProcessPayloadPipelined(h.ctx(ic.KindUpdate), resp, cfg); err != nil {
-			return fmt.Errorf("pipelined payload (workers=%d window=%d): %w", cfg.Workers, cfg.Window, err)
-		}
+	cfg := ingest.Config{Workers: 1 + h.rng.Intn(8), Window: 1 + h.rng.Intn(8)}
+	h.stats.PipelinedWorkerSum += cfg.Workers
+	if cfg.Workers == 1 {
+		h.stats.PipelinedSerial++
 	}
-	if h.fleet != nil {
-		if seq := h.fleet.LastSeq(); seq > h.lastRecorded {
-			h.probeHistory[seq] = h.probeDigests(h.overlay)
-			h.lastRecorded = seq
-		}
+	if err := h.pipelined.ProcessPayloadPipelined(h.ctx(ic.KindUpdate), resp, cfg); err != nil {
+		return fmt.Errorf("pipelined payload (workers=%d window=%d): %w", cfg.Workers, cfg.Window, err)
+	}
+	if seq := h.fleet.LastSeq(); seq > h.lastRecorded {
+		h.probeHistory[seq] = h.probeDigests(h.overlay)
+		h.lastRecorded = seq
 	}
 	return nil
 }
@@ -835,7 +804,7 @@ type probeSpec struct {
 // always-zero-in-this-harness self-report), and the exact tip hash.
 func (h *Harness) probeSpecs() []probeSpec {
 	a0 := h.addrs[0].address
-	a1 := h.addrs[1%len(h.addrs)].address
+	a1 := h.addrs[1].address
 	return []probeSpec{
 		{"get_balance", canister.GetBalanceArgs{Address: a0}},
 		{"get_balance", canister.GetBalanceArgs{Address: a1}},
@@ -912,7 +881,7 @@ func (h *Harness) fleetStep() error {
 	const maxPendingFrames = 10
 	for i := 0; i < h.fleet.Replicas(); i++ {
 		r := h.fleet.Replica(i)
-		if h.cfg.HydrateEvery > 0 && h.rng.Intn(h.cfg.HydrateEvery) == 0 {
+		if h.rng.Intn(hydrateEvery) == 0 {
 			// Fast-sync mid-workload: the replica jumps to the newest state
 			// without replaying its queued frames.
 			if err := h.fleet.HydrateReplica(i); err != nil {

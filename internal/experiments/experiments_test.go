@@ -55,6 +55,38 @@ func TestBlockBuilderSpendsTrackedOutputs(t *testing.T) {
 	}
 }
 
+// TestBlockBuilderBytes pins the builder's output to the bytes it produced at
+// 2f1488b, before its block assembly moved to btcnode.Forge (hashes computed
+// there and pasted): three empty blocks, then one whose two specs exercise the
+// pool draw and the fabricated input. The benchmark fixture, the golden v1
+// snapshot and figures.golden are all built from these bytes.
+func TestBlockBuilderBytes(t *testing.T) {
+	b := NewBlockBuilder(btc.RegtestParams(), 7)
+	script := btc.PayToPubKeyHashScript([20]byte{0x42})
+	blocks := []struct {
+		specs []TxSpec
+		want  string
+	}{
+		{nil, "591d40ef2845bd9b14ec5d5ffd3e6382e7fa01680357d67c01080ac057e766be"},
+		{nil, "5c4e9d4ef88e7ead23ebcdbc21ca791b72e4b0ad44f35546bb4c5100ada31a6b"},
+		{nil, "349efb9a29ffd0b4a569536fd40ee64e87b29369f3f854f731b73f90dc802117"},
+		{[]TxSpec{{Inputs: 2, Outputs: PayN(script, 3, 1000)}, {Outputs: PayN(script, 1, 7)}},
+			"07b954e791bc4accbc6db3cad10dca84cb21fc49282af65aa5621cb6673e997e"},
+	}
+	for i, bk := range blocks {
+		blk, err := b.NextBlock(bk.specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := blk.BlockHash().String(); got != bk.want {
+			t.Errorf("block %d: hash %s, want %s", i+1, got, bk.want)
+		}
+	}
+	if b.Height() != 4 || b.SpendableOutputs() != 6 {
+		t.Errorf("height %d with %d spendable outputs, want 4 and 6", b.Height(), b.SpendableOutputs())
+	}
+}
+
 func TestAddressPopulationSkew(t *testing.T) {
 	pop := NewAddressPopulation(btc.Regtest, 3, 1)
 	if len(pop.Addresses) != 1000 {
@@ -384,13 +416,7 @@ func TestDowntimeSystemLevel(t *testing.T) {
 	subnet.InstallCanister("bitcoin", can)
 
 	// Attacker fork from height 5 with a corrupting transaction.
-	forkBuilder := &BlockBuilder{
-		params: btc.RegtestParams(),
-		prev:   honest[4].Header,
-		prevTS: []uint32{honest[4].Header.Timestamp + 1},
-		height: 5,
-		rng:    builder.rng,
-	}
+	forkBuilder := &BlockBuilder{forge: builder.forge, tip: honest[4].BlockHash(), rng: builder.rng}
 	loot := btc.PayToPubKeyHashScript([20]byte{0x66})
 	var fork []*btc.Block
 	for i := 0; i < 3; i++ {

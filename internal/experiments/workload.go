@@ -16,35 +16,35 @@ import (
 	"math/rand"
 
 	"icbtc/internal/btc"
+	"icbtc/internal/btcnode"
 )
 
-// BlockBuilder manufactures valid blocks (real PoW at simulation targets,
-// correct Merkle roots and timestamps) on top of a growing chain without a
-// full Bitcoin network — the fast path for feeding the canister synthetic
-// history.
+// BlockBuilder feeds the canister synthetic history without a Bitcoin
+// network: a single chain forged block by block (btcnode.Forge: real PoW at
+// simulation targets, correct Merkle roots and timestamps, no transaction
+// validation), its transactions drawn from a seeded pool of the outputs the
+// chain has created so far.
 type BlockBuilder struct {
-	params *btc.Params
-	// prev tracks the chain tip header and the timestamp window for MTP.
-	prev      btc.BlockHeader
-	prevTS    []uint32
-	height    int64
-	extra     uint64
+	forge     *btcnode.Forge
+	tip       btc.Hash
 	spendable []btc.OutPoint
 	rng       *rand.Rand
 }
 
+// coinbasePayout receives every built block's subsidy.
+var coinbasePayout = btc.PayToPubKeyHashScript([20]byte{0xA1})
+
 // NewBlockBuilder starts a builder at the network genesis.
 func NewBlockBuilder(params *btc.Params, seed int64) *BlockBuilder {
 	return &BlockBuilder{
-		params: params,
-		prev:   params.GenesisHeader,
-		prevTS: []uint32{params.GenesisHeader.Timestamp},
-		rng:    rand.New(rand.NewSource(seed)),
+		forge: btcnode.NewForge(params),
+		tip:   params.GenesisHeader.BlockHash(),
+		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 
 // Height returns the current tip height.
-func (b *BlockBuilder) Height() int64 { return b.height }
+func (b *BlockBuilder) Height() int64 { return b.forge.Height(b.tip) }
 
 // SpendableOutputs returns how many previously created outputs are
 // available for the generator to spend.
@@ -72,23 +72,7 @@ func PayN(script []byte, n int, value int64) []btc.TxOut {
 // per spec. Spent inputs are drawn from (and removed from) the builder's
 // spendable pool; created outputs join the pool.
 func (b *BlockBuilder) NextBlock(specs []TxSpec) (*btc.Block, error) {
-	b.extra++
-	coinbase := &btc.Transaction{
-		Version: 2,
-		Inputs: []btc.TxIn{{
-			PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff},
-			SignatureScript: []byte{
-				byte(b.height + 1), byte((b.height + 1) >> 8), byte((b.height + 1) >> 16), byte((b.height + 1) >> 24),
-				byte(b.extra), byte(b.extra >> 8), byte(b.extra >> 16), byte(b.extra >> 24),
-			},
-		}},
-		Outputs: []btc.TxOut{{Value: b.params.BlockSubsidy, PkScript: btc.PayToPubKeyHashScript([20]byte{0xA1})}},
-	}
-	txs := []*btc.Transaction{coinbase}
-	var newOutputs []btc.OutPoint
-	cbID := coinbase.TxID()
-	newOutputs = append(newOutputs, btc.OutPoint{TxID: cbID, Vout: 0})
-
+	txs := make([]*btc.Transaction, 0, len(specs))
 	for _, spec := range specs {
 		tx := &btc.Transaction{Version: 2}
 		nIn := spec.Inputs
@@ -114,31 +98,20 @@ func (b *BlockBuilder) NextBlock(specs []TxSpec) (*btc.Block, error) {
 		}
 		tx.Outputs = spec.Outputs
 		txs = append(txs, tx)
-		txid := tx.TxID()
+	}
+	block, err := b.forge.Mine(b.tip, coinbasePayout, txs...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	b.tip = block.BlockHash()
+	// The coinbase output joins the pool ahead of the specs' outputs; the
+	// txids are the ones the forge hashed for the Merkle root.
+	txids := block.TxIDs()
+	for i, tx := range block.Transactions {
 		for v := range tx.Outputs {
-			newOutputs = append(newOutputs, btc.OutPoint{TxID: txid, Vout: uint32(v)})
+			b.spendable = append(b.spendable, btc.OutPoint{TxID: txids[i], Vout: uint32(v)})
 		}
 	}
-
-	ts := btc.MedianTimePast(b.prevTS) + 30
-	header := btc.BlockHeader{
-		Version:   1,
-		PrevBlock: b.prev.BlockHash(),
-		Timestamp: ts,
-		Bits:      b.prev.Bits,
-	}
-	block := &btc.Block{Header: header, Transactions: txs}
-	block.Header.MerkleRoot = block.MerkleRoot()
-	if err := btc.MineHeader(&block.Header); err != nil {
-		return nil, fmt.Errorf("experiments: height %d: %w", b.height+1, err)
-	}
-	b.prev = block.Header
-	b.prevTS = append(b.prevTS, ts)
-	if len(b.prevTS) > 11 {
-		b.prevTS = b.prevTS[len(b.prevTS)-11:]
-	}
-	b.height++
-	b.spendable = append(b.spendable, newOutputs...)
 	return block, nil
 }
 

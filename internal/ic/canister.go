@@ -76,23 +76,6 @@ func (c *CallContext) SignWithECDSA(digest []byte) ([]byte, error) {
 	return sig.SerializeDER(), nil
 }
 
-// SignWithSchnorr asks the committee for a BIP340 threshold Schnorr
-// signature (64 bytes) over a 32-byte message.
-func (c *CallContext) SignWithSchnorr(msg []byte) ([]byte, error) {
-	if c.Kind != KindUpdate {
-		return nil, fmt.Errorf("ic: sign_with_schnorr is not available in queries")
-	}
-	if c.subnet == nil || c.subnet.committee == nil {
-		return nil, fmt.Errorf("ic: subnet has no threshold key")
-	}
-	c.Meter.Charge(CostThresholdSignature, "sign_with_schnorr")
-	sig, err := c.subnet.committee.SignSchnorr(msg)
-	if err != nil {
-		return nil, fmt.Errorf("ic: threshold schnorr signing: %w", err)
-	}
-	return sig.Serialize(), nil
-}
-
 // ECDSAPublicKey returns the subnet's threshold-ECDSA public key in SEC
 // compressed form (the key canisters derive Bitcoin addresses from).
 func (c *CallContext) ECDSAPublicKey() []byte {

@@ -109,7 +109,7 @@ func TestCertifyMapValuedResultTwice(t *testing.T) {
 	s := &Subnet{committee: committee}
 
 	value := map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4}
-	d1 := responseDigest(value, nil)
+	d1 := ResponseDigest(value, nil)
 	sig, err := committee.SignSchnorr(d1[:])
 	if err != nil {
 		t.Fatal(err)

@@ -12,14 +12,13 @@ import (
 	"icbtc/internal/tecdsa"
 )
 
-// Config parameterizes a subnet. Defaults reproduce the latency envelope
-// the paper reports for IC mainnet (§IV-B): replicated requests answered in
-// 7–18 s (min ≈ 7 s, p90 ≈ 18 s), queries in a few hundred milliseconds.
+// Config parameterizes a subnet. Defaults, with the constants below,
+// reproduce the latency envelope the paper reports for IC mainnet (§IV-B):
+// replicated requests answered in 7–18 s (min ≈ 7 s, p90 ≈ 18 s), queries in
+// a few hundred milliseconds.
 type Config struct {
 	// N is the number of replicas (must be 3f+1 for some f ≥ 0).
 	N int
-	// RoundInterval is the target block time.
-	RoundInterval time.Duration
 	// FinalizeBase/FinalizeJitter bound the notarization+finalization delay
 	// after a block proposal.
 	FinalizeBase, FinalizeJitter time.Duration
@@ -29,41 +28,39 @@ type Config struct {
 	// calls arriving from (and returning to) canisters on other subnets.
 	XNetDelay time.Duration
 	// DegradedRoundProb is the probability a round degrades (block maker
-	// timeout, fallback to the next rank), adding RoundExtension delay.
+	// timeout, fallback to the next rank), adding roundExtension delay.
 	DegradedRoundProb float64
-	// RoundExtension is the extra delay of a degraded round.
-	RoundExtension time.Duration
-	// QueryRTTBase/QueryRTTJitter model the client↔replica network for
-	// non-replicated queries.
-	QueryRTTBase, QueryRTTJitter time.Duration
-	// QueryRate and UpdateRate convert instructions to execution seconds.
-	QueryRate, UpdateRate float64
-	// MaxIngressPerBlock bounds per-block ingress messages.
-	MaxIngressPerBlock int
 	// Seed seeds the beacon and the threshold-key DKG.
 	Seed int64
 	// DisableThresholdKeys skips DKG (faster tests that do not sign).
 	DisableThresholdKeys bool
 }
 
+// The rest of the §IV-B envelope, the same on every subnet.
+const (
+	roundInterval  = time.Second     // target block time
+	roundExtension = 9 * time.Second // extra delay of a degraded round
+	// The client↔replica round trip of a non-replicated query is
+	// queryRTTBase plus up to queryRTTJitter.
+	queryRTTBase   = 180 * time.Millisecond
+	queryRTTJitter = 80 * time.Millisecond
+	// Instructions executed per second, query and replicated.
+	queryRate          = 2e8
+	updateRate         = 2e9
+	maxIngressPerBlock = 64 // ingress messages drained into one block
+)
+
 // DefaultConfig returns the mainnet-flavored configuration: 13 replicas
-// (f = 4), 1 s rounds.
+// (f = 4).
 func DefaultConfig() Config {
 	return Config{
-		N:                  13,
-		RoundInterval:      time.Second,
-		FinalizeBase:       900 * time.Millisecond,
-		FinalizeJitter:     900 * time.Millisecond,
-		CertifyDelay:       1200 * time.Millisecond,
-		XNetDelay:          2300 * time.Millisecond,
-		DegradedRoundProb:  0.12,
-		RoundExtension:     9 * time.Second,
-		QueryRTTBase:       180 * time.Millisecond,
-		QueryRTTJitter:     80 * time.Millisecond,
-		QueryRate:          2e8,
-		UpdateRate:         2e9,
-		MaxIngressPerBlock: 64,
-		Seed:               1,
+		N:                 13,
+		FinalizeBase:      900 * time.Millisecond,
+		FinalizeJitter:    900 * time.Millisecond,
+		CertifyDelay:      1200 * time.Millisecond,
+		XNetDelay:         2300 * time.Millisecond,
+		DegradedRoundProb: 0.12,
+		Seed:              1,
 	}
 }
 
@@ -90,32 +87,18 @@ func (r *Replica) SetPayloadBuilder(id CanisterID, b PayloadBuilder) {
 	r.payloadBuilders[id] = b
 }
 
-// Result is the outcome of a canister call.
+// Result is the outcome of a canister call: the response as a router would
+// return it, plus what the subnet adds on the way back to the caller. For a
+// replicated call Signature certifies the digest of value and error alone,
+// and the heights and the Forwarded/Degraded marks stay zero.
 type Result struct {
-	Value any
-	Err   error
-	// Instructions charged during the execution.
-	Instructions uint64
+	RoutedQuery
 	// Latency is the end-to-end virtual time from submission to response.
 	Latency time.Duration
 	// Certified indicates the response carries a subnet threshold signature
 	// (replicated calls, and queries served by a certified read-replica
 	// fleet).
 	Certified bool
-	// Signature is the subnet's Schnorr certification over the response
-	// hash, when Certified.
-	Signature []byte
-	// CertAnchorHeight/CertTipHeight are the chain position a certified
-	// query response is bound to (see CertifiedQuery); zero for replicated
-	// calls, whose digest covers the value and error alone.
-	CertAnchorHeight, CertTipHeight int64
-	// Forwarded marks a query that exceeded the fleet's staleness bound and
-	// was served by the authoritative canister instead of a read replica.
-	Forwarded bool
-	// Degraded is the explicit staleness annotation: the Bitcoin adapter
-	// behind the authoritative canister reported a stalled chain feed, so
-	// the served data may trail the real network arbitrarily.
-	Degraded bool
 }
 
 // RoutedQuery is the outcome a QueryRouter returns for one query: the
@@ -123,19 +106,23 @@ type Result struct {
 // router certifies responses — the signature over the CertifiedQuery
 // envelope together with the chain position it binds.
 type RoutedQuery struct {
-	Value        any
-	Err          error
+	Value any
+	Err   error
+	// Instructions charged during the execution.
 	Instructions uint64
 	// Signature, when non-nil, certifies Envelope(method) under the subnet
 	// key.
-	Signature    []byte
+	Signature []byte
+	// AnchorHeight/TipHeight are the chain position the response was served
+	// at, and the one a certified response is bound to (see CertifiedQuery).
 	AnchorHeight int64
 	TipHeight    int64
 	// Forwarded reports that the staleness bound pushed the query to the
-	// authoritative canister.
+	// authoritative canister instead of a read replica.
 	Forwarded bool
 	// Degraded annotates the response as served off a possibly stale view:
-	// the chain feed behind the authoritative canister is stalled.
+	// the Bitcoin adapter behind the authoritative canister reported a
+	// stalled chain feed, so the data may trail the real network arbitrarily.
 	Degraded bool
 }
 
@@ -528,7 +515,7 @@ func (s *Subnet) Start() {
 		return
 	}
 	s.running = true
-	s.sched.After(s.cfg.RoundInterval, s.runRound)
+	s.sched.After(roundInterval, s.runRound)
 }
 
 // SetHalted pauses (true) or resumes (false) block production — the
@@ -564,7 +551,7 @@ func (s *Subnet) runRound() {
 	if !s.running {
 		return
 	}
-	defer s.sched.After(s.cfg.RoundInterval, s.runRound)
+	defer s.sched.After(roundInterval, s.runRound)
 	if s.halted {
 		return
 	}
@@ -601,10 +588,7 @@ func (s *Subnet) runRound() {
 	}
 
 	// Drain ingress up to the per-block limit.
-	take := len(s.ingress)
-	if s.cfg.MaxIngressPerBlock > 0 && take > s.cfg.MaxIngressPerBlock {
-		take = s.cfg.MaxIngressPerBlock
-	}
+	take := min(len(s.ingress), maxIngressPerBlock)
 	batch := s.ingress[:take]
 	s.ingress = append([]*pendingCall(nil), s.ingress[take:]...)
 
@@ -614,7 +598,7 @@ func (s *Subnet) runRound() {
 		delay += time.Duration(s.rng.Int63n(int64(s.cfg.FinalizeJitter)))
 	}
 	if s.cfg.DegradedRoundProb > 0 && s.rng.Float64() < s.cfg.DegradedRoundProb {
-		delay += s.cfg.RoundExtension
+		delay += roundExtension
 	}
 	s.sched.After(delay, func() {
 		if s.halted {
@@ -675,7 +659,7 @@ func (s *Subnet) executeUpdate(call *pendingCall, blockTime time.Time, metrics *
 	metrics.Ingress++
 
 	// Execution time + certification + XNet return hop.
-	execTime := time.Duration(float64(meter.Total()) / s.cfg.UpdateRate * float64(time.Second))
+	execTime := time.Duration(float64(meter.Total()) / updateRate * float64(time.Second))
 	respDelay := execTime + s.cfg.CertifyDelay + s.cfg.XNetDelay
 	submitted := call.submitted
 	cb := call.cb
@@ -685,7 +669,7 @@ func (s *Subnet) executeUpdate(call *pendingCall, blockTime time.Time, metrics *
 			// Certify the response with the subnet key so "any entity that
 			// knows the public key of the corresponding subnet" can verify
 			// it (§VI).
-			digest := responseDigest(res.Value, res.Err)
+			digest := ResponseDigest(res.Value, res.Err)
 			if sig, err := s.committee.SignSchnorr(digest[:]); err == nil {
 				res.Signature = sig.Serialize()
 			}
@@ -719,10 +703,7 @@ func (s *Subnet) SubmitUpdate(canister CanisterID, method string, arg any, calle
 // fully trusted", §IV-B).
 func (s *Subnet) Query(canister CanisterID, method string, arg any, caller string, cb func(Result)) {
 	submitted := s.sched.Now()
-	rtt := s.cfg.QueryRTTBase
-	if s.cfg.QueryRTTJitter > 0 {
-		rtt += time.Duration(s.rng.Int63n(int64(s.cfg.QueryRTTJitter)))
-	}
+	rtt := queryRTTBase + time.Duration(s.rng.Int63n(int64(queryRTTJitter)))
 	// Request travels half the RTT, executes, then returns.
 	s.sched.After(rtt/2, func() {
 		res := Result{}
@@ -730,17 +711,8 @@ func (s *Subnet) Query(canister CanisterID, method string, arg any, caller strin
 			// Read-replica fleet: the query is served (and certified) by a
 			// snapshot-hydrated, delta-fed replica instead of the single
 			// canister instance.
-			rq := router.RouteQuery(method, arg, caller, s.sched.Now())
-			res.Value, res.Err = rq.Value, rq.Err
-			res.Instructions = rq.Instructions
-			res.Forwarded = rq.Forwarded
-			res.Degraded = rq.Degraded
-			if rq.Signature != nil {
-				res.Certified = true
-				res.Signature = rq.Signature
-				res.CertAnchorHeight = rq.AnchorHeight
-				res.CertTipHeight = rq.TipHeight
-			}
+			res.RoutedQuery = router.RouteQuery(method, arg, caller, s.sched.Now())
+			res.Certified = res.Signature != nil
 		} else {
 			can := s.canisters[canister]
 			meter := NewMeter()
@@ -754,7 +726,7 @@ func (s *Subnet) Query(canister CanisterID, method string, arg any, caller strin
 			}
 			res.Instructions = meter.Total()
 		}
-		execTime := time.Duration(float64(res.Instructions) / s.cfg.QueryRate * float64(time.Second))
+		execTime := time.Duration(float64(res.Instructions) / queryRate * float64(time.Second))
 		s.sched.After(execTime+rtt/2, func() {
 			res.Latency = s.sched.Now().Sub(submitted)
 			if cb != nil {
@@ -772,12 +744,7 @@ func (s *Subnet) BlockMetricsLog() []BlockMetrics { return s.blockMetrics }
 // public key — what a client holding only the response and the subnet key
 // does.
 func (s *Subnet) VerifyCertifiedQuery(method string, res Result) bool {
-	if !res.Certified {
-		return false
-	}
-	// Undo the copy Query made of the routed response.
-	rq := RoutedQuery{Value: res.Value, Err: res.Err, AnchorHeight: res.CertAnchorHeight, TipHeight: res.CertTipHeight}
-	return s.VerifyCertified(rq.Envelope(method), nil, res.Signature)
+	return res.Certified && s.VerifyCertified(res.Envelope(method), nil, res.Signature)
 }
 
 // VerifyCertified checks a certified response signature against the
@@ -786,18 +753,11 @@ func (s *Subnet) VerifyCertified(value any, errVal error, signature []byte) bool
 	if s.committee == nil || len(signature) != 64 {
 		return false
 	}
-	digest := responseDigest(value, errVal)
+	digest := ResponseDigest(value, errVal)
 	sig, err := parseSchnorr(signature)
 	if err != nil {
 		return false
 	}
 	px := xOnly(s.committee.PublicKey().SerializeCompressed())
 	return verifySchnorr(sig, digest[:], px)
-}
-
-// responseDigest is the canonical response digest (see digest.go): a pure
-// function of the response value and error, stable across runs and replicas
-// even for map-valued results.
-func responseDigest(value any, err error) [32]byte {
-	return ResponseDigest(value, err)
 }

@@ -30,9 +30,9 @@ import (
 
 // Config parameterizes a pipeline run.
 type Config struct {
-	// Workers is the number of concurrent produce goroutines. Values <= 1
-	// select the serial path (produce and consume interleaved on the
-	// calling goroutine — no goroutines, no channels).
+	// Workers is the number of concurrent produce goroutines. Values <= 1,
+	// or a batch of one item, select the serial path (produce and consume
+	// interleaved on the calling goroutine — no goroutines, no channels).
 	Workers int
 	// Window bounds how many items may be in flight (produced or being
 	// produced but not yet consumed) at once; it is the prefetch depth K.
@@ -133,6 +133,10 @@ func Map[T any](n int, cfg Config, produce func(worker, i int) T, consume func(i
 	if cfg.Obs != nil {
 		produce, consume = instrumented(cfg.Obs, window, produce, consume)
 	}
+	// One item has nothing to overlap with: a tip frame is a batch of one.
+	if workers > n {
+		workers = n
+	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := consume(i, produce(0, i)); err != nil {
@@ -140,9 +144,6 @@ func Map[T any](n int, cfg Config, produce func(worker, i int) T, consume func(i
 			}
 		}
 		return nil
-	}
-	if workers > n {
-		workers = n
 	}
 	if window > n {
 		window = n

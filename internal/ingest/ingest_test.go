@@ -1,11 +1,15 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"icbtc/internal/obs"
 )
 
 // TestMapOrdering: consume must see every index exactly once, in order,
@@ -76,6 +80,34 @@ func TestMapConsumeError(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: got %v, want wrapped boom", workers, err)
 		}
+	}
+}
+
+// TestMapSingleItemRunsSerial: a batch of one has nothing to overlap with, so
+// whatever Workers says it runs on the calling goroutine — no pool, no
+// channels — and the obs gauge still reports the configured window.
+func TestMapSingleItemRunsSerial(t *testing.T) {
+	goroutine := func() string {
+		buf := make([]byte, 64)
+		buf = buf[:runtime.Stack(buf, false)]
+		return string(buf[:bytes.IndexByte(buf, '[')]) // "goroutine N "
+	}
+	caller := goroutine()
+	reg := obs.NewRegistry()
+	var consumed int
+	err := Map(1, Config{Workers: 8, Window: 16, Obs: reg},
+		func(worker, i int) int {
+			if g := goroutine(); g != caller || worker != 0 {
+				t.Errorf("produce ran as worker %d on %q, want worker 0 on the caller's %q", worker, g, caller)
+			}
+			return 41 + i
+		},
+		func(_, v int) error { consumed = v; return nil })
+	if err != nil || consumed != 41 {
+		t.Fatalf("consumed %d, err %v", consumed, err)
+	}
+	if got := reg.Gauge("ingest_window_depth").Value(); got != 16 {
+		t.Errorf("ingest_window_depth = %d, want the configured 16", got)
 	}
 }
 

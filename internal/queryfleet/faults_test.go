@@ -197,10 +197,7 @@ func TestCloseJoinsApplyWorkers(t *testing.T) {
 // committee and audits them against the subnet's public key.
 func newCertRig(t *testing.T, replicas int, maxLag int64) (*rig, *ic.Subnet) {
 	t.Helper()
-	scfg := ic.DefaultConfig()
-	scfg.N = 4
-	scfg.Seed = 17
-	subnet, err := ic.NewSubnet(simnet.NewScheduler(17), scfg)
+	subnet, sign, verify, err := chaos.Committee(simnet.NewScheduler(17), 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +205,8 @@ func newCertRig(t *testing.T, replicas int, maxLag int64) (*rig, *ic.Subnet) {
 	cfg.Replicas = replicas
 	cfg.MaxLagBlocks = maxLag
 	r := newRig(t, cfg, 8)
-	r.fleet.SetSigner(queryfleet.CommitteeSigner(subnet.Committee()))
-	r.fleet.SetVerifier(func(env ic.CertifiedQuery, sig []byte) bool {
-		return subnet.VerifyCertified(env, nil, sig)
-	})
+	r.fleet.SetSigner(sign)
+	r.fleet.SetVerifier(verify)
 	return r, subnet
 }
 

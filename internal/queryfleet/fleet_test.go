@@ -10,6 +10,7 @@ import (
 
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
+	"icbtc/internal/chaos"
 	"icbtc/internal/experiments"
 	"icbtc/internal/ic"
 	"icbtc/internal/queryfleet"
@@ -207,10 +208,7 @@ func TestFleetRehydration(t *testing.T) {
 // the VerifyCertifiedQuery envelope helper), and tampering breaks them.
 func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 	sched := simnet.NewScheduler(5)
-	scfg := ic.DefaultConfig()
-	scfg.N = 4
-	scfg.Seed = 5
-	subnet, err := ic.NewSubnet(sched, scfg)
+	subnet, sign, _, err := chaos.Committee(sched, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +230,7 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	fleet.SetSigner(queryfleet.CommitteeSigner(subnet.Committee()))
+	fleet.SetSigner(sign)
 	subnet.SetQueryRouter("bitcoin", fleet)
 
 	var res ic.Result
@@ -251,9 +249,9 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 	if !res.Certified || res.Signature == nil {
 		t.Fatal("routed query response is not certified")
 	}
-	if res.CertTipHeight != f.Canister.TipHeight() || res.CertAnchorHeight != f.Canister.AnchorHeight() {
+	if res.TipHeight != f.Canister.TipHeight() || res.AnchorHeight != f.Canister.AnchorHeight() {
 		t.Fatalf("certification bound to (%d,%d), canister at (%d,%d)",
-			res.CertAnchorHeight, res.CertTipHeight, f.Canister.AnchorHeight(), f.Canister.TipHeight())
+			res.AnchorHeight, res.TipHeight, f.Canister.AnchorHeight(), f.Canister.TipHeight())
 	}
 	if !subnet.VerifyCertifiedQuery("get_balance", res) {
 		t.Fatal("certified query response did not verify")
@@ -268,7 +266,7 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 		t.Fatal("signature replayed across methods verified")
 	}
 	tampered = res
-	tampered.CertTipHeight++
+	tampered.TipHeight++
 	if subnet.VerifyCertifiedQuery("get_balance", tampered) {
 		t.Fatal("tampered tip height verified")
 	}

@@ -23,11 +23,7 @@ import (
 // envelope — value digest and signature bytes — without re-execution, and
 // that the cache-served signature still verifies under the subnet key.
 func TestCacheServesIdenticalCertifiedEnvelope(t *testing.T) {
-	sched := simnet.NewScheduler(7)
-	scfg := ic.DefaultConfig()
-	scfg.N = 4
-	scfg.Seed = 7
-	subnet, err := ic.NewSubnet(sched, scfg)
+	subnet, sign, _, err := chaos.Committee(simnet.NewScheduler(7), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +32,7 @@ func TestCacheServesIdenticalCertifiedEnvelope(t *testing.T) {
 	cfg.Replicas = 2
 	cfg.CacheEntries = 64
 	r := newRig(t, cfg, 10)
-	r.fleet.SetSigner(queryfleet.CommitteeSigner(subnet.Committee()))
+	r.fleet.SetSigner(sign)
 
 	args := canister.GetUTXOsArgs{Address: r.addr.String(), Limit: 5}
 	fresh := r.fleet.RouteQuery("get_utxos", args, "client", r.now)
