@@ -17,10 +17,12 @@ import (
 // bounded prefetch window: on cfg.Workers goroutines, or at Workers <= 1
 // interleaved on the calling goroutine. Algorithm 2's state mutation (header
 // validation against the tree, attach, anchor advance, stable fold) is
-// strictly sequential on the calling goroutine either way, so accept/reject
-// decisions, counters, metrics, stream frames and the resulting state are
-// byte-identical at every worker count; internal/difftest randomizes workers
-// and windows against the one-worker run to enforce exactly that.
+// strictly sequential on the calling goroutine either way; only the stable
+// folds' bucket writes may trail, in block order, on one more goroutine
+// (utxo.Set.FoldSession). So accept/reject decisions, counters, metrics,
+// stream frames and the resulting state are byte-identical at every worker
+// count; internal/difftest randomizes workers and windows against the
+// one-worker run to enforce exactly that.
 
 // SyncStats summarizes one ingested batch.
 type SyncStats struct {
@@ -84,7 +86,7 @@ func (c *BitcoinCanister) predictHeights(b batch) ([]btc.BlockHeader, []int64) {
 // invalidate the read caches, count rejects (state field and obs counter
 // together), advance the anchor, publish the frame and record the payload
 // metrics the same way.
-func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b batch) (SyncStats, error) {
+func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b batch) SyncStats {
 	start := c.met.reg.Now()
 	defer func() {
 		c.met.payloads.Inc()
@@ -113,22 +115,31 @@ func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b 
 	if b.blocks > 0 {
 		headers, heights := c.predictHeights(b)
 		prep := ingest.NewPreparer(c.scriptIDs, cfg.NormalizedWorkers())
-		err := ingest.Map(b.blocks, cfg,
-			func(worker, i int) ingest.PreparedBlock { return b.prepare(prep, worker, i, heights[i]) },
-			func(i int, pb ingest.PreparedBlock) error {
-				bw := adapter.BlockWithHeader{Block: pb.Block, Header: headers[i]}
-				if err := c.acceptBlock(ctx, bw, pb.Delta); err != nil {
-					stats.Rejected++
-					c.rejectedBlocks++
-					c.met.blocksRejected.Inc()
+		run := func() {
+			// The consumer never errors, so neither does Map.
+			_ = ingest.Map(b.blocks, cfg,
+				func(worker, i int) ingest.PreparedBlock { return b.prepare(prep, worker, i, heights[i]) },
+				func(i int, pb ingest.PreparedBlock) error {
+					bw := adapter.BlockWithHeader{Block: pb.Block, Header: headers[i]}
+					if err := c.acceptBlock(ctx, bw, pb.Delta); err != nil {
+						stats.Rejected++
+						c.rejectedBlocks++
+						c.met.blocksRejected.Inc()
+						return nil
+					}
+					stats.Accepted++
+					c.advanceAnchor(ctx)
 					return nil
-				}
-				stats.Accepted++
-				c.advanceAnchor(ctx)
-				return nil
-			})
-		if err != nil {
-			return stats, err // unreachable: the consumer never errors
+				})
+		}
+		// Like Map, the stable folds overlap only given a second worker and
+		// more than one block: each fold's address-index half then trails on
+		// the session's goroutine. Nothing in the batch reads the index — the
+		// one stable-set read, resolveOwner's Lookup, is the table's.
+		if b.blocks > 1 && cfg.NormalizedWorkers() > 1 {
+			c.stable.FoldSession(run)
+		} else {
+			run()
 		}
 	}
 	// Lines 16-20: append validated upcoming headers.
@@ -141,7 +152,7 @@ func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b 
 	// Lines 21-22: recompute the synced flag.
 	c.updateSynced()
 	c.flushFrame()
-	return stats, nil
+	return stats
 }
 
 // ProcessPayload implements ic.PayloadProcessor: it applies Algorithm 2 to
@@ -160,7 +171,7 @@ func (c *BitcoinCanister) ProcessPayloadPipelined(ctx *ic.CallContext, payload a
 	if !ok {
 		return fmt.Errorf("canister: unexpected payload type %T", payload)
 	}
-	_, err := c.ingestBatch(ctx, cfg, batch{
+	c.ingestBatch(ctx, cfg, batch{
 		health: resp.Health,
 		blocks: len(resp.Blocks),
 		header: func(i int) (btc.BlockHeader, bool) { return resp.Blocks[i].Header, true },
@@ -172,7 +183,7 @@ func (c *BitcoinCanister) ProcessPayloadPipelined(ctx *ic.CallContext, payload a
 		},
 		next: resp.Next,
 	})
-	return err
+	return nil
 }
 
 // SyncWire ingests a batch of wire-encoded blocks — the catch-up path for a
@@ -185,7 +196,7 @@ func (c *BitcoinCanister) SyncWire(ctx *ic.CallContext, wire [][]byte, cfg inges
 	if len(wire) == 0 {
 		return SyncStats{}, nil
 	}
-	return c.ingestBatch(ctx, cfg, batch{
+	stats := c.ingestBatch(ctx, cfg, batch{
 		health: c.adapterHealth, // wire bytes carry no self-report
 		blocks: len(wire),
 		// Height prediction needs only the 80-byte header; parsing it up
@@ -204,4 +215,5 @@ func (c *BitcoinCanister) SyncWire(ctx *ic.CallContext, wire [][]byte, cfg inges
 			return prep.PrepareWire(worker, wire[i], height)
 		},
 	})
+	return stats, nil
 }

@@ -3,9 +3,12 @@ package canister
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
+	"icbtc/internal/btcnode"
+	"icbtc/internal/ic"
 	"icbtc/internal/ingest"
 	"icbtc/internal/obs"
 )
@@ -69,6 +72,111 @@ func TestSyncWireMatchesSerial(t *testing.T) {
 		}
 		if !bytes.Equal(snapshotOf(t, pipelined), want) {
 			t.Fatalf("workers=%d window=%d: pipelined state diverged from serial", cfg.Workers, cfg.Window)
+		}
+	}
+}
+
+// hostileChain forges n blocks whose transactions carry everything the
+// stable fold tolerates rather than rejects. From height 4 on, block h holds
+//
+//	a: spends the coinbase of h-3 into three outputs,
+//	b: spends a's first output (an in-block chain) and an alien outpoint,
+//	c: spends that coinbase again and b's second output (a double spend and
+//	   a chain two deep), a:1 of h-1, and a:1 of h-2, which c of h-1 spent,
+//
+// and every fifth block replays a of four blocks down: a spent input, a
+// re-creation of its spent first output, and two duplicates.
+func hostileChain(t *testing.T, n int) [][]byte {
+	t.Helper()
+	params := btc.RegtestParams()
+	forge := btcnode.NewForge(params)
+	scripts := make([][]byte, 4)
+	for i := range scripts {
+		_, scripts[i] = testAddr(byte(0x40 + i))
+	}
+	serial := uint32(0)
+	tx := func(ins []btc.OutPoint, outs int) *btc.Transaction {
+		serial++
+		x := &btc.Transaction{Version: 2, LockTime: serial}
+		for _, in := range ins {
+			x.Inputs = append(x.Inputs, btc.TxIn{PreviousOutPoint: in})
+		}
+		for k := 0; k < outs; k++ {
+			x.Outputs = append(x.Outputs, btc.TxOut{Value: int64(1000 + serial*10 + uint32(k)), PkScript: scripts[(int(serial)+k)%len(scripts)]})
+		}
+		return x
+	}
+	out := func(x *btc.Transaction, vout uint32) btc.OutPoint { return btc.OutPoint{TxID: x.TxID(), Vout: vout} }
+
+	tip := params.GenesisHeader.BlockHash()
+	var wire [][]byte
+	var coinbases []btc.OutPoint
+	as := map[int]*btc.Transaction{}
+	for h := 1; h <= n; h++ {
+		var txs []*btc.Transaction
+		if h >= 4 {
+			a := tx([]btc.OutPoint{coinbases[h-4]}, 3)
+			alien := btc.OutPoint{TxID: btc.DoubleSHA256([]byte{byte(h)}), Vout: 1}
+			b := tx([]btc.OutPoint{out(a, 0), alien}, 2)
+			cIns := []btc.OutPoint{coinbases[h-4], out(b, 1)}
+			for _, back := range []int{h - 1, h - 2} {
+				if prev := as[back]; prev != nil {
+					cIns = append(cIns, out(prev, 1))
+				}
+			}
+			as[h] = a
+			txs = append(txs, a, b, tx(cIns, 1))
+		}
+		if h%5 == 0 && as[h-4] != nil {
+			txs = append(txs, as[h-4])
+		}
+		blk, err := forge.Mine(tip, scripts[h%len(scripts)], txs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tip = blk.BlockHash()
+		coinbases = append(coinbases, out(blk.Transactions[0], 0))
+		wire = append(wire, blk.Bytes())
+	}
+	return wire
+}
+
+// TestSyncWireHostileChainMatchesPayloads: catching up through SyncWire on a
+// hostile chain — so through FoldSession at every worker count above one —
+// must leave the snapshot bytes and metered instructions that delivering it
+// one block per ProcessPayload leaves.
+func TestSyncWireHostileChainMatchesPayloads(t *testing.T) {
+	wire := hostileChain(t, 30)
+	now := time.Unix(int64(btc.RegtestParams().GenesisHeader.Timestamp), 0).Add(time.Hour)
+
+	serial := New(DefaultConfig(btc.Regtest))
+	ctx := ic.NewCallContext(ic.KindUpdate, now)
+	for i, w := range wire {
+		blk, err := btc.ParseBlock(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := serial.ProcessPayload(ctx, adapter.Response{Blocks: []adapter.BlockWithHeader{{Block: blk, Header: blk.Header}}}); err != nil {
+			t.Fatalf("block %d: %v", i+1, err)
+		}
+	}
+	if serial.IngestedBlocks() != len(wire) || serial.AnchorHeight() < 10 || serial.applyErrors == 0 {
+		t.Fatalf("ingested %d of %d, anchor %d, %d tolerated errors: the chain is not the hostile one asked for",
+			serial.IngestedBlocks(), len(wire), serial.AnchorHeight(), serial.applyErrors)
+	}
+	want, wantInstr := snapshotOf(t, serial), ctx.Meter.Total()
+
+	for _, workers := range []int{1, 2, 4, 8} {
+		can := New(DefaultConfig(btc.Regtest))
+		ctx := ic.NewCallContext(ic.KindUpdate, now)
+		if _, err := can.SyncWire(ctx, wire, ingest.Config{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snapshotOf(t, can), want) {
+			t.Fatalf("workers=%d: state diverged from one block per payload", workers)
+		}
+		if got := ctx.Meter.Total(); got != wantInstr {
+			t.Fatalf("workers=%d: metered %d instructions, one block per payload %d", workers, got, wantInstr)
 		}
 	}
 }

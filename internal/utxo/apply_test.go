@@ -2,6 +2,7 @@ package utxo
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -195,6 +196,37 @@ func TestApplyBlockBatchedEquivalence(t *testing.T) {
 	}
 }
 
+// foldBothWays folds blocks into two sets and holds both to the per-entry
+// ingestNaive loop: one folds inline, its bytes compared after every block;
+// the other folds them all inside one FoldSession, its stats compared block by
+// block and its bytes once the session has drained.
+func foldBothWays(t *testing.T, blocks []*btc.Block, heights []int64) (inline, session *Set) {
+	t.Helper()
+	inline, session, naive := New(btc.Regtest), New(btc.Regtest), New(btc.Regtest)
+	var sessionStats []IngestStats
+	session.FoldSession(func() {
+		for i, blk := range blocks {
+			sessionStats = append(sessionStats, session.ApplyBlockIngest(blk, heights[i]))
+		}
+	})
+	for i, blk := range blocks {
+		want := ingestNaive(naive, blk, heights[i])
+		if got := inline.ApplyBlockIngest(blk, heights[i]); got != want {
+			t.Fatalf("block %d: stats %+v, per-entry loop %+v", i, got, want)
+		}
+		if got := sessionStats[i]; got != want {
+			t.Fatalf("block %d: stats in a session %+v, per-entry loop %+v", i, got, want)
+		}
+		if !bytes.Equal(encodeSet(inline), encodeSet(naive)) {
+			t.Fatalf("block %d: encoded set differs from the per-entry loop's", i)
+		}
+	}
+	if !bytes.Equal(encodeSet(session), encodeSet(naive)) {
+		t.Fatal("encoded set folded in a session differs from the per-entry loop's")
+	}
+	return inline, session
+}
+
 // TestApplyBlockIngestEquivalence pins the tolerant batched fold against
 // the per-entry tolerant loop: identical final state and identical
 // metering classification (interned vs fresh at processing time), across
@@ -208,9 +240,9 @@ func TestApplyBlockIngestEquivalence(t *testing.T) {
 			rng.Read(h[:])
 			scripts[i] = btc.PayToAddrScript(btc.NewP2PKHAddress(h, btc.Regtest))
 		}
-		batched := New(btc.Regtest)
-		naive := New(btc.Regtest)
 		var pool []btc.OutPoint
+		var blocks []*btc.Block
+		var heights []int64
 		for height := int64(1); height <= 40; height++ {
 			blk := randomApplyBlock(rng, scripts, pool)
 			txids := blk.TxIDs()
@@ -219,15 +251,9 @@ func TestApplyBlockIngestEquivalence(t *testing.T) {
 					pool = append(pool, btc.OutPoint{TxID: txids[ti], Vout: uint32(v)})
 				}
 			}
-			stB := batched.ApplyBlockIngest(blk, height)
-			stN := ingestNaive(naive, blk, height)
-			if stB != stN {
-				t.Fatalf("seed %d height %d: ingest stats diverged: %+v vs %+v", seed, height, stB, stN)
-			}
-			if !bytes.Equal(encodeSet(batched), encodeSet(naive)) {
-				t.Fatalf("seed %d height %d: encoded state diverged", seed, height)
-			}
+			blocks, heights = append(blocks, blk), append(heights, height)
 		}
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { foldBothWays(t, blocks, heights) })
 	}
 }
 
@@ -479,33 +505,31 @@ func foldSeeds() [][]byte {
 		// Two folds at one height, the second spending into and adding to the
 		// first one's height groups.
 		seq(tx([]byte{foldSourceMissing}, 1, 10, 1, 11, 1, 12), []byte{foldOpSameBlock}, tx([]byte{1}, 1, 13, 1, 14), end),
+		// The same, the second fold's spending transaction also taking an
+		// output created earlier in its own block: one spend is a bucket
+		// removal, the other a pending insert, at one height.
+		seq(tx([]byte{foldSourceMissing}, 1, 10, 1, 11, 1, 12), []byte{foldOpSameBlock},
+			tx([]byte{foldSourceMissing}, 2, 13, 2, 14), tx([]byte{1, 3}, 3, 15), end),
 	}
 }
 
 // FuzzTolerantFold is the differential net under the single-pass fold: any
 // program of blocks must leave the set and the metering stats exactly as the
-// per-entry ingestNaive loop does, block after block.
+// per-entry ingestNaive loop does — folded inline, block after block, and
+// folded inside one FoldSession, once it has drained.
 func FuzzTolerantFold(f *testing.F) {
 	for _, seed := range foldSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blocks, heights := foldProgram(data)
-		fold, naive := New(btc.Regtest), New(btc.Regtest)
-		for i, blk := range blocks {
-			got := fold.ApplyBlockIngest(blk, heights[i])
-			want := ingestNaive(naive, blk, heights[i])
-			if got != want {
-				t.Fatalf("block %d: stats %+v, per-entry loop %+v", i, got, want)
-			}
-			if !bytes.Equal(encodeSet(fold), encodeSet(naive)) {
-				t.Fatalf("block %d: encoded set differs from the per-entry loop's", i)
-			}
-		}
-		checkIndexInvariants(t, fold)
-		for id := range fold.scripts {
-			if fold.scripts[id].pend != 0 {
-				t.Fatalf("script %x left with fold scratch set", fold.scripts[id].bytes)
+		inline, session := foldBothWays(t, blocks, heights)
+		for _, fold := range []*Set{inline, session} {
+			checkIndexInvariants(t, fold)
+			for id := range fold.scripts {
+				if fold.scripts[id].pend != 0 {
+					t.Fatalf("script %x left with fold scratch set", fold.scripts[id].bytes)
+				}
 			}
 		}
 	})

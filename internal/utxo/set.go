@@ -25,6 +25,10 @@
 //     entries hold no pointer: the collector skips them. Pointers remain
 //     only in the script records, the two string-keyed maps and the group
 //     headers.
+//   - A block fold has two halves: the table half (outpoint table, script
+//     records, byte estimate, metering stats) and the index half (buckets),
+//     which the table half records and applyIndex performs. The index may
+//     trail the table only inside a FoldSession, and nothing reads it there.
 //
 // The set supports applying and unapplying whole blocks (the latter is used
 // by the simulated Bitcoin nodes during reorgs; the canister itself never
@@ -78,6 +82,9 @@ type Set struct {
 	interned    map[string]uint32
 	// approxBytes tracks an estimate of resident memory, reported by Fig 5.
 	approxBytes int64
+	// handoff carries folds' index halves to the FoldSession goroutine; nil
+	// outside a session, where they run inline.
+	handoff chan indexWork
 }
 
 // New creates an empty UTXO set for a network.
@@ -194,7 +201,7 @@ func (s *Set) Remove(op btc.OutPoint) (UTXO, error) {
 		return UTXO{}, fmt.Errorf("%w: %s", ErrMissingOutput, op)
 	}
 	u := s.utxoOf(&e)
-	s.forget(&e)
+	s.unindex(&removal{key: s.drop(&e), op: op, height: e.height})
 	return u, nil
 }
 
@@ -203,22 +210,31 @@ func (s *Set) utxoOf(e *tableEntry) UTXO {
 	return UTXO{OutPoint: e.op, Value: e.value, PkScript: s.scripts[e.script].bytes, Height: e.height}
 }
 
-// forget gives up what an entry taken from the table still holds: its byte
-// estimate, its bucket entry — a bucket it drains is dropped, so the bucket's
-// storage is released — and, last, because the bucket is found through the
-// script's key, its script reference. It reports false when the bucket held
-// no such entry — an output of the block being applied, whose bucket merge
-// is still pending (see blockMerge).
-func (s *Set) forget(e *tableEntry) bool {
+// drop gives up what an entry taken from the table holds besides its bucket
+// entry — its byte estimate and its script reference — and returns its
+// address key, read first: the release may recycle the script's id.
+func (s *Set) drop(e *tableEntry) string {
 	sc := &s.scripts[e.script]
 	s.approxBytes -= int64(perUTXOOverhead + len(sc.bytes))
-	b := s.byAddress[sc.key]
-	found := b != nil && b.remove(&e.op, e.height)
-	if found && b.count == 0 {
-		delete(s.byAddress, sc.key)
-	}
+	key := sc.key
 	s.release(e.script)
-	return found
+	return key
+}
+
+// removal is a spent entry's bucket entry, named by what finds it: the
+// address key, the outpoint and the height group.
+type removal struct {
+	key    string
+	op     btc.OutPoint
+	height int64
+}
+
+// unindex deletes a spent entry from its bucket; a bucket it drains is
+// dropped, so the bucket's storage is released.
+func (s *Set) unindex(r *removal) {
+	if b := s.byAddress[r.key]; b.remove(&r.op, r.height) && b.count == 0 {
+		delete(s.byAddress, r.key)
+	}
 }
 
 // Get returns the UTXO for an outpoint if present.
@@ -249,24 +265,45 @@ type pendingInsert struct {
 	spent bool
 }
 
-// blockMerge defers a block's bucket inserts to one ordered merge per
-// script: outputs go into the outpoint table at once — so later inputs and
-// duplicate checks see them — and are chained per interned script through
-// internedScript.pend; flush then hands every touched bucket its entries as
-// one sorted height group. A script whose outputs the block all spends again
-// gives up its id with the chain; whatever reuses the id starts a new one.
+// scriptChain is one script's chain of a block's pending inserts: while the
+// block is applied only its id is known; flush reads its key and chain head.
+type scriptChain struct {
+	script uint32
+	head   int32
+	key    string
+}
+
+// indexWork is a block fold's index half, everything its table half left for
+// the buckets: spends of entries already in them, then each touched script's
+// surviving pending inserts as one new height group.
+type indexWork struct {
+	height   int64
+	removals []removal
+	chains   []scriptChain
+	pending  []pendingInsert
+}
+
+// blockMerge is a block fold's table half. Outputs go into the outpoint table
+// at once — so later inputs and duplicate checks see them — and are chained
+// per interned script through internedScript.pend; spends leave the table at
+// once too, and a spend of an entry already in its bucket is recorded as a
+// removal. The buckets are written by the index half alone (applyIndex),
+// after the block. A script whose outputs the block all spends again gives up
+// its id with the chain; whatever reuses the id starts a new one.
 type blockMerge struct {
-	s       *Set
-	height  int64
-	pending []pendingInsert
-	touched []uint32
-	// byOp finds a pending insert by outpoint. Only an in-block spend needs
-	// it, so it is built at the block's first one and kept up from there.
+	s *Set
+	indexWork
+	// byOp finds a pending insert by outpoint. It is built at the block's
+	// first spend of an entry of its own height and kept up from there.
 	byOp map[btc.OutPoint]int32
 }
 
-func (s *Set) newBlockMerge(height int64, outputs int) blockMerge {
-	return blockMerge{s: s, height: height, pending: make([]pendingInsert, 0, outputs)}
+func (s *Set) newBlockMerge(height int64, inputs, outputs int) blockMerge {
+	return blockMerge{s: s, indexWork: indexWork{
+		height:   height,
+		removals: make([]removal, 0, inputs),
+		pending:  make([]pendingInsert, 0, outputs),
+	}}
 }
 
 // insert enters an output under the entry table.put just created for it.
@@ -274,7 +311,7 @@ func (m *blockMerge) insert(e *tableEntry, value int64, script uint32) {
 	m.s.enter(e, value, m.height, script)
 	sc := &m.s.scripts[script]
 	if sc.pend == 0 {
-		m.touched = append(m.touched, script)
+		m.chains = append(m.chains, scriptChain{script: script})
 	}
 	m.pending = append(m.pending, pendingInsert{entry: e.bucketEntry, prev: sc.pend})
 	sc.pend = int32(len(m.pending))
@@ -283,16 +320,31 @@ func (m *blockMerge) insert(e *tableEntry, value int64, script uint32) {
 	}
 }
 
-// spend removes op from the set, wherever this block's apply has left it: in
-// its bucket, or still pending when an earlier transaction of the block
-// created it. It reports false when the set does not hold op.
+// spend takes op out of the table and, wherever this block's apply has left
+// its bucket entry, out of the index: a pending insert of an earlier
+// transaction of the block is marked spent, an entry in its bucket becomes a
+// removal. It reports false when the set does not hold op.
 func (m *blockMerge) spend(op btc.OutPoint) bool {
 	e, ok := m.s.table.take(&op)
 	if !ok {
 		return false
 	}
-	if m.s.forget(&e) {
-		return true
+	key := m.s.drop(&e)
+	if i := m.pendingIndex(&e); i > 0 {
+		m.pending[i-1].spent = true
+	} else {
+		m.removals = append(m.removals, removal{key: key, op: op, height: e.height})
+	}
+	return true
+}
+
+// pendingIndex returns, as index+1, the pending insert a spent entry came
+// from, 0 when it came from its bucket. Only an entry of this block's height
+// can be pending, but an earlier fold at the same height may have bucketed it,
+// so membership in byOp decides.
+func (m *blockMerge) pendingIndex(e *tableEntry) int32 {
+	if e.height != m.height {
+		return 0
 	}
 	if m.byOp == nil {
 		m.byOp = make(map[btc.OutPoint]int32, len(m.pending))
@@ -301,21 +353,42 @@ func (m *blockMerge) spend(op btc.OutPoint) bool {
 			m.byOp[m.pending[i].entry.op] = int32(i + 1)
 		}
 	}
-	if i := m.byOp[op]; i > 0 {
-		m.pending[i-1].spent = true
-	}
-	return true
+	return m.byOp[e.op]
 }
 
-// flush merges the surviving pending inserts into their buckets.
+// flush ends the table half: it reads each touched script's key and chain
+// head, clears the chain off the script record, and hands the block's index
+// half over — queued behind earlier blocks' inside a FoldSession, run at once
+// outside one. It walks no chain and sorts nothing. A script released in the
+// block whose id was reused is listed twice: the first entry reads the new
+// script's chain and clears it, the second reads an empty one.
 func (m *blockMerge) flush() {
-	for _, id := range m.touched {
-		sc := &m.s.scripts[id]
-		head := sc.pend
+	for i := range m.chains {
+		c := &m.chains[i]
+		sc := &m.s.scripts[c.script]
+		c.key, c.head = sc.key, sc.pend
 		sc.pend = 0
+	}
+	if m.s.handoff != nil {
+		m.s.handoff <- m.indexWork
+		return
+	}
+	m.s.applyIndex(&m.indexWork)
+}
+
+// applyIndex is the index half of a block fold and the fold path's one writer
+// of buckets: it performs the removals, then merges each chain's surviving
+// inserts into its bucket as one sorted height group. It reads neither the
+// table nor the script records, so it can trail the table half on a goroutine
+// of its own.
+func (s *Set) applyIndex(w *indexWork) {
+	for i := range w.removals {
+		s.unindex(&w.removals[i])
+	}
+	for _, c := range w.chains {
 		n := 0
-		for i := head; i > 0; i = m.pending[i-1].prev {
-			if !m.pending[i-1].spent {
+		for i := c.head; i > 0; i = w.pending[i-1].prev {
+			if !w.pending[i-1].spent {
 				n++
 			}
 		}
@@ -323,15 +396,46 @@ func (m *blockMerge) flush() {
 			continue
 		}
 		list := make([]bucketEntry, n)
-		for i := head; i > 0; i = m.pending[i-1].prev {
-			if p := &m.pending[i-1]; !p.spent {
+		for i := c.head; i > 0; i = w.pending[i-1].prev {
+			if p := &w.pending[i-1]; !p.spent {
 				n--
 				list[n] = p.entry
 			}
 		}
 		sortEntries(list)
-		m.s.bucketFor(sc.key).insertGroup(m.height, list)
+		s.bucketFor(c.key).insertGroup(w.height, list)
 	}
+}
+
+// foldHandoff is how many blocks' index halves a FoldSession queues before
+// the folding goroutine waits: enough to ride out a block whose index half
+// runs long (many touched addresses) without stalling the table half, few
+// enough that the queued blocks' records stay a small part of the heap.
+const foldHandoff = 4
+
+// FoldSession runs fn with the address index trailing the outpoint table:
+// the index half of every fold fn makes runs on the session's goroutine, in
+// block order, through a handoff of foldHandoff blocks, and the session
+// drains before FoldSession returns, on every path out of fn. Meanwhile fn
+// may change the set only by ApplyBlockIngest and ApplyBlock, and read only
+// the table (Get, Lookup, Len, ApproxBytes, ScriptInterned), never a bucket.
+// Sessions do not nest.
+func (s *Set) FoldSession(fn func()) {
+	work := make(chan indexWork, foldHandoff)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for w := range work {
+			s.applyIndex(&w)
+		}
+	}()
+	s.handoff = work
+	defer func() {
+		s.handoff = nil
+		close(work)
+		<-done
+	}()
+	fn()
 }
 
 // BlockUndo records everything needed to unapply a block. Outputs both
@@ -365,12 +469,11 @@ type ApplyStats struct {
 //
 // The apply is all-or-nothing, which is why — unlike the tolerant fold — it
 // keeps a stage: the block is first replayed against a staged view (no set
-// mutation), then committed — spends as ordered removals, insertions through
-// the same one-merge-per-bucket path the fold uses, and undo entries carved
-// from presized arenas. On error nothing was committed, so the set is left
-// untouched (there is no rollback path to re-derive ScriptIDs on), and the
-// first error in block order is reported exactly as a per-entry apply would
-// have.
+// mutation), then committed through the fold's two halves — spends, then
+// insertions, one merge per bucket — with undo entries carved from presized
+// arenas. On error nothing was committed, so the set is left untouched (there
+// is no rollback path to re-derive ScriptIDs on), and the first error in
+// block order is reported exactly as a per-entry apply would have.
 func (s *Set) ApplyBlock(block *btc.Block, height int64) (*BlockUndo, ApplyStats, error) {
 	st, err := s.stageBlock(block)
 	if err != nil {
@@ -379,10 +482,10 @@ func (s *Set) ApplyBlock(block *btc.Block, height int64) (*BlockUndo, ApplyStats
 	// Undo holds the net effect only: pre-existing spends and surviving
 	// creations; in-block created-and-spent pairs cancel.
 	undo := &BlockUndo{Spent: st.spentBase, Created: make([]btc.OutPoint, 0, len(st.liveIdx))}
+	m := s.newBlockMerge(height, len(undo.Spent), len(st.liveIdx))
 	for i := range undo.Spent {
-		_, _ = s.Remove(undo.Spent[i].OutPoint)
+		m.spend(undo.Spent[i].OutPoint)
 	}
-	m := s.newBlockMerge(height, len(st.liveIdx))
 	for i := range st.inserts {
 		if ins := &st.inserts[i]; ins.live {
 			e, _ := s.table.put(&ins.op)
@@ -426,16 +529,18 @@ type IngestStats struct {
 // outpoint table probed once per entry — so the final state is that of a
 // per-entry Remove/Add loop that ignores individual errors, and an output's
 // metering class is simply whether its script is interned when the pass
-// reaches it. Only the bucket inserts wait, for one ordered merge per
-// touched address. No undo data is built; the canister never rolls back
-// below the anchor.
+// reaches it. Only the buckets wait: the pass records their removals and
+// inserts, and the index half applies them after it — at once, or inside a
+// FoldSession on the session's goroutine. No undo data is built; the
+// canister never rolls back below the anchor.
 func (s *Set) ApplyBlockIngest(block *btc.Block, height int64) IngestStats {
 	var st IngestStats
-	outputs := 0
+	inputs, outputs := 0, 0
 	for _, tx := range block.Transactions {
+		inputs += len(tx.Inputs) // the coinbase's one too: a slot to spare
 		outputs += len(tx.Outputs)
 	}
-	m := s.newBlockMerge(height, outputs)
+	m := s.newBlockMerge(height, inputs, outputs)
 	txids := block.TxIDs()
 	for ti, tx := range block.Transactions {
 		if !tx.IsCoinbase() {
