@@ -257,7 +257,6 @@ func TestRouteHitAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Close()
 	now := time.Unix(1_700_000_000, 0).UTC()
 	for _, q := range []struct {
 		method string

@@ -11,9 +11,9 @@ import (
 // The typed method registry is the single source of truth for the
 // canister's API surface. Every endpoint is one MethodDesc: its name, its
 // dispatch kind (read-only endpoints serve on both the replicated and the
-// query path; mutating ones on the replicated path only), its admission
-// cost class, a typed argument codec (the canonical request encoding the
-// fleet's coalescer and hot-response cache key on), and its handler.
+// query path; mutating ones on the replicated path only), a typed argument
+// codec (the canonical request encoding the fleet's coalescer and
+// hot-response cache key on), and its handler.
 // Update/Query dispatch, the query-method list, the subnet's routing table
 // (ic.MethodTable), the fleet's serving layers, and the README API reference
 // all derive from this table — the stringly-typed switches it replaced could
@@ -56,43 +56,12 @@ func (k MethodKind) String() string {
 	}
 }
 
-// CostClass groups methods by execution cost for the fleet's admission
-// control: each class gets its own budget, so a flood in one class (e.g.
-// paginated get_utxos scans) cannot starve another (get_balance lookups).
-type CostClass uint8
-
-const (
-	// CostCheap: O(1)-ish lookups off maintained state.
-	CostCheap CostClass = iota
-	// CostScan: work proportional to a page, a range, or the unstable
-	// suffix.
-	CostScan
-	// CostWrite: state-mutating calls on the replicated path.
-	CostWrite
-)
-
-// String renders the cost class for budgets, errors, and the API reference.
-func (c CostClass) String() string {
-	switch c {
-	case CostCheap:
-		return "cheap"
-	case CostScan:
-		return "scan"
-	case CostWrite:
-		return "write"
-	default:
-		return fmt.Sprintf("CostClass(%d)", uint8(c))
-	}
-}
-
 // MethodDesc describes one canister endpoint.
 type MethodDesc struct {
 	// Name is the wire-level method name.
 	Name string
 	// Kind selects the dispatch paths the method serves on.
 	Kind MethodKind
-	// Cost is the admission-control cost class.
-	Cost CostClass
 	// Cacheable marks responses servable from the fleet's certified
 	// hot-response cache keyed by (method, canonical args, tip). Only pure
 	// functions of the chain state qualify; get_health is live telemetry
@@ -183,7 +152,7 @@ func (m *MethodDesc) RequestKey(arg any) (RequestKey, error) { return m.encodeKe
 // never disagree about what arguments a method takes. encode returns the key
 // of (method, args): the name first, then every field of A.
 func typedMethod[A any](
-	name string, kind MethodKind, cost CostClass, cacheable bool,
+	name string, kind MethodKind, cacheable bool,
 	argsDoc, resultDoc string,
 	encode func(method string, args A) RequestKey,
 	handle func(c *BitcoinCanister, ctx *ic.CallContext, args A) (any, error),
@@ -197,7 +166,7 @@ func typedMethod[A any](
 		return args, nil
 	}
 	return &MethodDesc{
-		Name: name, Kind: kind, Cost: cost, Cacheable: cacheable,
+		Name: name, Kind: kind, Cacheable: cacheable,
 		ArgsDoc: argsDoc, ResultDoc: resultDoc,
 		encodeKey: func(arg any) (k RequestKey, err error) {
 			args, err := coerce(arg)
@@ -223,11 +192,11 @@ func typedMethod[A any](
 // argument value is ignored (callers pass nil), and the request key is a
 // function of the method name alone.
 func nullaryMethod(
-	name string, kind MethodKind, cost CostClass, cacheable bool, resultDoc string,
+	name string, kind MethodKind, cacheable bool, resultDoc string,
 	handle func(c *BitcoinCanister, ctx *ic.CallContext) (any, error),
 ) *MethodDesc {
 	return &MethodDesc{
-		Name: name, Kind: kind, Cost: cost, Cacheable: cacheable,
+		Name: name, Kind: kind, Cacheable: cacheable,
 		ArgsDoc: "-", ResultDoc: resultDoc,
 		encodeKey: func(arg any) (k RequestKey, err error) {
 			k.str(name)
@@ -241,7 +210,7 @@ func nullaryMethod(
 
 // methodTable is the registry, in API-reference order.
 var methodTable = []*MethodDesc{
-	typedMethod("get_utxos", MethodReadOnly, CostScan, true,
+	typedMethod("get_utxos", MethodReadOnly, true,
 		"GetUTXOsArgs", "*GetUTXOsResult",
 		func(method string, a GetUTXOsArgs) (k RequestKey) {
 			k.str(method)
@@ -255,7 +224,7 @@ var methodTable = []*MethodDesc{
 		func(c *BitcoinCanister, ctx *ic.CallContext, a GetUTXOsArgs) (any, error) {
 			return c.GetUTXOs(ctx, a)
 		}),
-	typedMethod("get_balance", MethodReadOnly, CostCheap, true,
+	typedMethod("get_balance", MethodReadOnly, true,
 		"GetBalanceArgs", "int64",
 		func(method string, a GetBalanceArgs) (k RequestKey) {
 			k.str(method)
@@ -267,7 +236,7 @@ var methodTable = []*MethodDesc{
 		func(c *BitcoinCanister, ctx *ic.CallContext, a GetBalanceArgs) (any, error) {
 			return c.GetBalance(ctx, a)
 		}),
-	typedMethod("get_block_headers", MethodReadOnly, CostScan, true,
+	typedMethod("get_block_headers", MethodReadOnly, true,
 		"GetBlockHeadersArgs", "*GetBlockHeadersResult",
 		func(method string, a GetBlockHeadersArgs) (k RequestKey) {
 			k.str(method)
@@ -278,27 +247,27 @@ var methodTable = []*MethodDesc{
 		func(c *BitcoinCanister, ctx *ic.CallContext, a GetBlockHeadersArgs) (any, error) {
 			return c.GetBlockHeaders(ctx, a)
 		}),
-	nullaryMethod("get_current_fee_percentiles", MethodReadOnly, CostScan, true,
+	nullaryMethod("get_current_fee_percentiles", MethodReadOnly, true,
 		"[]int64",
 		func(c *BitcoinCanister, ctx *ic.CallContext) (any, error) {
 			return c.GetCurrentFeePercentiles(ctx)
 		}),
-	nullaryMethod("get_tip", MethodReadOnly, CostCheap, true,
+	nullaryMethod("get_tip", MethodReadOnly, true,
 		"btc.Hash",
 		func(c *BitcoinCanister, ctx *ic.CallContext) (any, error) {
 			return c.tipNode().Hash, nil
 		}),
-	nullaryMethod("get_health", MethodReadOnly, CostCheap, false,
+	nullaryMethod("get_health", MethodReadOnly, false,
 		"*HealthStatus",
 		func(c *BitcoinCanister, ctx *ic.CallContext) (any, error) {
 			return c.GetHealth(ctx)
 		}),
-	nullaryMethod("get_metrics", MethodReadOnly, CostCheap, false,
+	nullaryMethod("get_metrics", MethodReadOnly, false,
 		"*MetricsResult",
 		func(c *BitcoinCanister, ctx *ic.CallContext) (any, error) {
 			return c.GetMetrics(ctx)
 		}),
-	typedMethod("send_transaction", MethodUpdateOnly, CostWrite, false,
+	typedMethod("send_transaction", MethodUpdateOnly, false,
 		"SendTransactionArgs", "-",
 		func(method string, a SendTransactionArgs) (k RequestKey) {
 			k.str(method)
@@ -362,15 +331,15 @@ func (c *BitcoinCanister) MethodSpec(method string) (ic.MethodSpec, bool) {
 // this output so the docs cannot drift from the code).
 func APIReferenceMarkdown() string {
 	var b strings.Builder
-	b.WriteString("| method | kind | args | result | cost class | cacheable |\n")
-	b.WriteString("|---|---|---|---|---|---|\n")
+	b.WriteString("| method | kind | args | result | cacheable |\n")
+	b.WriteString("|---|---|---|---|---|\n")
 	for _, m := range methodTable {
 		cacheable := "no"
 		if m.Cacheable {
 			cacheable = "yes"
 		}
-		fmt.Fprintf(&b, "| `%s` | %s | `%s` | `%s` | %s | %s |\n",
-			m.Name, m.Kind, m.ArgsDoc, m.ResultDoc, m.Cost, cacheable)
+		fmt.Fprintf(&b, "| `%s` | %s | `%s` | `%s` | %s |\n",
+			m.Name, m.Kind, m.ArgsDoc, m.ResultDoc, cacheable)
 	}
 	return b.String()
 }

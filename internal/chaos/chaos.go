@@ -310,7 +310,6 @@ func newWorld(cfg Config) (*World, error) {
 	fleet, err := queryfleet.New(Authority(w.Canister), queryfleet.Config{
 		Replicas:     replicas,
 		MaxLagBlocks: 3,
-		StalePolicy:  queryfleet.StaleForward,
 		AutoResync:   true,
 	})
 	if err != nil {
@@ -348,7 +347,6 @@ func Run(s Scenario, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("chaos: scenario %q seed %d: %w", name, cfg.Seed, err)
 	}
-	defer w.Fleet.Close()
 
 	fail := func(round int, err error) (Result, error) {
 		return Result{}, fmt.Errorf("chaos: scenario %q seed %d round %d: %w\nreproduce: go test ./internal/chaos -run TestChaosScenarios -chaos.scenario=%s -chaos.seed=%d",
@@ -427,11 +425,10 @@ func Run(s Scenario, cfg Config) (Result, error) {
 // run's telemetry result: the full merged snapshot as Prometheus text, and
 // a SHA-256 digest of its canonical (statecodec) encoding.
 //
-// The digest covers EVERY metric, fleet apply-path histograms included: the
-// harness fleet has no auto-apply workers (frames apply on the driver
-// goroutine via CatchUp), Fleet.Close joins any workers a fleet does run,
-// and all durations are virtual-clock deltas — so the full snapshot
-// reproduces bit for bit per seed, with no carve-out.
+// The digest covers EVERY metric, fleet apply-path histograms included: no
+// fleet runs goroutines of its own (frames apply on the harness goroutine via
+// CatchUp), and all durations are virtual-clock deltas — so the full
+// snapshot reproduces bit for bit per seed, with no carve-out.
 func (w *World) metricsView() (string, [32]byte, error) {
 	canSnap := w.Canister().Metrics().Snapshot()
 	adSnap := w.Adapter.Metrics().Snapshot()

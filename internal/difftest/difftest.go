@@ -73,8 +73,7 @@ type Config struct {
 	// served from the cache byte-identical to a fresh execution, any
 	// generation change must invalidate (the cache never serves across a
 	// tip move), and a cache-served certified envelope must still verify
-	// under the subnet key. Admission control stays off — a shed query has
-	// no authoritative counterpart to differ against.
+	// under the subnet key.
 	ServeLayers bool
 	// FrameFaults, when true, corrupts the fleet's delta stream with seeded
 	// bit-flips, truncations, duplications, and drops (a private RNG, so the
@@ -271,13 +270,12 @@ func New(cfg Config) *Harness {
 }
 
 // setupFleet hydrates the read-replica fleet from the (genesis) overlay
-// canister and installs its delta-stream sink. The fleet runs in manual
-// apply mode so the harness controls each replica's lag deterministically.
+// canister and installs its delta-stream sink. The harness applies frames
+// itself, so it controls each replica's lag deterministically.
 func (h *Harness) setupFleet() {
 	fcfg := queryfleet.Config{
 		Replicas:     fleetReplicas,
 		MaxLagBlocks: fleetMaxLag,
-		StalePolicy:  queryfleet.StaleForward,
 		// Corrupted frames must heal by automatic re-hydration, not by the
 		// harness failing the run — the run fails only if a corruption goes
 		// UNdetected (the history check catches silently-applied garbage).
@@ -285,9 +283,7 @@ func (h *Harness) setupFleet() {
 	}
 	if h.cfg.ServeLayers {
 		// Coalescing and the hot-response cache sit in front of every routed
-		// query, so the whole randomized workload runs against them; no
-		// Budgets — admission shedding would replace answers the harness
-		// must compare byte-for-byte against the authority.
+		// query, so the whole randomized workload runs against them.
 		fcfg.Coalesce = true
 		fcfg.CacheEntries = 128
 	}

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"icbtc/internal/btc"
 	"icbtc/internal/canister"
 	"icbtc/internal/chaos"
-	"icbtc/internal/experiments"
 	"icbtc/internal/ic"
 	"icbtc/internal/queryfleet"
 	"icbtc/internal/simnet"
@@ -152,44 +150,6 @@ func TestFrameSwapDetected(t *testing.T) {
 	}
 	if got, want := replicaBalance(t, r, 0), r.authBalance(); got != want {
 		t.Fatalf("recovered replica balance %d, authoritative %d", got, want)
-	}
-}
-
-// TestCloseJoinsApplyWorkers pins the Close contract: after Close returns,
-// no auto-apply worker is left running (frames fed afterwards stay queued),
-// and a second Close is a harmless no-op.
-func TestCloseJoinsApplyWorkers(t *testing.T) {
-	cfg := queryfleet.DefaultConfig()
-	cfg.Replicas = 2
-	cfg.AutoApply = true
-	f := experiments.NewFeeder(btc.Regtest, 6, 913)
-	fleet, err := queryfleet.New(f.Canister, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := btc.NewP2PKHAddress([20]byte{0xEF}, btc.Regtest)
-	script := btc.PayToAddrScript(addr)
-	for i := 0; i < 4; i++ {
-		if _, err := f.FeedBlock([]experiments.TxSpec{{Outputs: experiments.PayN(script, 2, 800)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fleet.Close()
-	fleet.Close() // idempotent
-
-	// With the workers joined, nothing drains the inbox anymore: a frame fed
-	// after Close must still be pending on every replica. (Before Close
-	// joined its workers this was racy — a live worker could consume it.)
-	if _, err := f.FeedBlock([]experiments.TxSpec{{Outputs: experiments.PayN(script, 1, 800)}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < fleet.Replicas(); i++ {
-		if p := fleet.Replica(i).Pending(); p == 0 {
-			t.Fatalf("replica %d inbox drained after Close — a worker is still running", i)
-		}
-	}
-	if err := fleet.Err(); err != nil {
-		t.Fatal(err)
 	}
 }
 

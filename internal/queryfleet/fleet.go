@@ -11,10 +11,9 @@
 //     get_current_fee_percentiles / get_block_headers concurrently under an
 //     epoch-counted RWMutex; each replica owns a bounded set of execution
 //     slots, so execution capacity grows with the fleet size.
-//   - A bounded-staleness policy caps how far (in blocks) a serving replica
-//     may lag the authoritative canister; beyond the bound the query is
-//     rejected or forwarded to the authoritative canister, per
-//     configuration.
+//   - A staleness bound caps how far (in blocks) a serving replica may lag
+//     the authoritative canister; beyond the bound the query is forwarded to
+//     the authoritative canister.
 //   - Responses are certified: the fleet threshold-signs the canonical
 //     digest of an ic.CertifiedQuery envelope — the response bound to the
 //     serving anchor and tip heights — so any client holding the subnet
@@ -30,7 +29,6 @@
 package queryfleet
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -41,21 +39,6 @@ import (
 	"icbtc/internal/ic"
 	"icbtc/internal/tecdsa"
 )
-
-// StalePolicy selects what happens to a query whose chosen replica lags
-// beyond Config.MaxLagBlocks.
-type StalePolicy int
-
-const (
-	// StaleForward sends the query to the authoritative canister (default):
-	// the client pays authoritative-path latency instead of staleness.
-	StaleForward StalePolicy = iota
-	// StaleReject fails the query with ErrTooStale; the client retries.
-	StaleReject
-)
-
-// ErrTooStale reports a query rejected by the bounded-staleness policy.
-var ErrTooStale = errors.New("queryfleet: replica lags beyond the staleness bound")
 
 // SignFunc threshold-signs a 32-byte digest under the subnet key.
 type SignFunc func(digest []byte) ([]byte, error)
@@ -106,8 +89,8 @@ func CommitteeSigner(c *tecdsa.Committee) SignFunc {
 // The fleet serializes its own authority access (forwards, hydration
 // snapshots) internally, but it cannot see the producer that mutates the
 // authority between frames. A producer that runs on its own goroutine
-// while queries are being served concurrently (live deployments with
-// StaleForward or mid-run hydration) must wrap every authority mutation in
+// while queries are being served concurrently (stale forwarding or mid-run
+// hydration) must wrap every authority mutation in
 // Fleet.GuardAuthority, so forwards never observe a half-applied payload.
 // Single-threaded drivers — the ic.Subnet scheduler, the differential
 // harness, the benchmarks — need no guard: there, queries and payloads
@@ -124,18 +107,13 @@ type Config struct {
 	// Replicas is the fleet size.
 	Replicas int
 	// MaxLagBlocks bounds how many blocks a serving replica may lag the
-	// authoritative tip; a negative value disables the bound.
+	// authoritative tip; a query routed to a replica beyond it is forwarded
+	// to the authoritative canister.
 	MaxLagBlocks int64
-	// StalePolicy picks reject-or-forward beyond the bound.
-	StalePolicy StalePolicy
 	// QueryConcurrency is the number of concurrent query executions per
 	// replica; <= 0 means 1 (the IC executes canister queries sequentially
 	// per replica).
 	QueryConcurrency int
-	// AutoApply starts one background worker per replica that applies
-	// frames as they arrive. Leave false to control application manually
-	// (ApplyPending / CatchUp) — the differential harness does.
-	AutoApply bool
 	// Coalesce collapses concurrent identical queries (same canonical
 	// request key from the canister's method registry) into one execution
 	// whose response — signature included — fans out to every waiter.
@@ -144,12 +122,6 @@ type Config struct {
 	// responses to cacheable methods are served without re-execution until
 	// the next stream frame invalidates them (see serving.go).
 	CacheEntries int
-	// Budgets, when non-empty, enables cost-aware admission control:
-	// executions are charged against their method's cost-class token
-	// bucket; the overflow is shed with ErrBusy. Unlisted classes are
-	// never shed. Refill is driven by the virtual timestamps queries
-	// carry, so it must only be enabled by drivers that advance `now`.
-	Budgets map[canister.CostClass]Budget
 	// AutoResync turns a frame-integrity rejection (corrupt bytes, sequence
 	// gap, mismatched embedded sequence, failed application) into an
 	// automatic re-hydration from a fresh authority snapshot instead of a
@@ -163,19 +135,17 @@ type Config struct {
 // DefaultConfig returns a 4-replica fleet with a 2-block staleness bound
 // (the canister's own τ default) that forwards stale queries.
 func DefaultConfig() Config {
-	return Config{Replicas: 4, MaxLagBlocks: 2, StalePolicy: StaleForward}
+	return Config{Replicas: 4, MaxLagBlocks: 2}
 }
 
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
 	Served    uint64 // queries answered by replicas
 	Forwarded uint64 // queries sent to the authoritative canister
-	Rejected  uint64 // queries failed with ErrTooStale
 	Certified uint64 // responses that carry a certification
 	Frames    uint64 // stream frames distributed
 	Coalesced uint64 // queries served as followers of a coalesced flight
 	CacheHits uint64 // queries served from the certified response cache
-	Shed      uint64 // queries shed by admission control (ErrBusy)
 
 	FrameCorrupt     uint64 // frames rejected by checksum/decode or embedded-seq mismatch
 	FrameGaps        uint64 // frames rejected for a sequence gap (drop or reorder)
@@ -209,12 +179,6 @@ type Fleet struct {
 
 	replicas []*Replica
 	rr       atomic.Uint64
-	closed   chan struct{}
-	once     sync.Once
-	// wg joins the auto-apply workers so Close returns only after every
-	// worker has exited — no goroutine keeps mutating replica state or
-	// metrics behind a closed fleet.
-	wg sync.WaitGroup
 
 	// frameFault, when set, intercepts frame delivery per replica (stream
 	// corruption injection; under feedMu).
@@ -232,14 +196,9 @@ type Fleet struct {
 	// keeps the two counter pairs Stats() must not tear.
 	met *fleetMetrics
 
-	// serving holds the coalesce/cache/admission layer state; a layer that
-	// is off has a nil map and skips itself.
+	// serving holds the coalesce/cache layer state; a layer that is off has
+	// a nil map and skips itself.
 	serving *serving
-
-	// lastApplyErr records the first background frame-application failure
-	// (auto mode); surfaced via Err.
-	applyErrMu sync.Mutex
-	applyErr   error
 }
 
 // StreamSource is implemented by authorities that can publish the delta
@@ -259,12 +218,16 @@ type StreamSource interface {
 // payload is processed. A caller that replaces the authority instance
 // (canister upgrade, snapshot restore) must re-install the sink on the new
 // instance. Install the fleet as the subnet's query router
-// (SetQueryRouter) to serve traffic.
+// (SetQueryRouter) to serve traffic. The fleet starts no goroutines: frames
+// are applied by whoever calls ApplyPending, CatchUp or CatchUpAll.
 func New(auth Authority, cfg Config) (*Fleet, error) {
 	if cfg.Replicas <= 0 {
 		return nil, fmt.Errorf("queryfleet: fleet needs at least one replica, got %d", cfg.Replicas)
 	}
-	f := &Fleet{cfg: cfg, auth: auth, closed: make(chan struct{}), met: newFleetMetrics(), serving: newServing(cfg)}
+	if cfg.MaxLagBlocks < 0 {
+		return nil, fmt.Errorf("queryfleet: staleness bound must be non-negative, got %d", cfg.MaxLagBlocks)
+	}
+	f := &Fleet{cfg: cfg, auth: auth, met: newFleetMetrics(), serving: newServing(cfg)}
 	f.authMu.Lock()
 	if src, ok := auth.(StreamSource); ok {
 		src.SetStreamSink(f.Feed)
@@ -282,30 +245,13 @@ func New(auth Authority, cfg Config) (*Fleet, error) {
 			return nil, err
 		}
 		f.replicas = append(f.replicas, r)
-		if cfg.AutoApply {
-			f.startWorker(r)
-		}
 	}
 	return f, nil
 }
 
-// startWorker launches one replica's auto-apply worker under the fleet's
-// join group.
-func (f *Fleet) startWorker(r *Replica) {
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		r.runWorker(f.closed)
-	}()
-}
-
-// Close stops the auto-apply workers and joins them: on return no worker
-// goroutine is running, so every frame-application metric and state mutation
-// has landed. Queries already in flight complete.
-func (f *Fleet) Close() {
-	f.once.Do(func() { close(f.closed) })
-	f.wg.Wait()
-}
+// Close does nothing: the fleet starts no goroutines, so there is nothing to
+// stop or join.
+func (f *Fleet) Close() {}
 
 // Replicas returns the fleet size.
 func (f *Fleet) Replicas() int { return len(f.replicas) }
@@ -318,21 +264,6 @@ func (f *Fleet) Replica(i int) *Replica { return f.replicas[i] }
 // or not at all: Certified never exceeds Served+Forwarded.
 func (f *Fleet) Stats() Stats { return f.met.snapshotStats() }
 
-// Err returns the first background frame-application error, if any.
-func (f *Fleet) Err() error {
-	f.applyErrMu.Lock()
-	defer f.applyErrMu.Unlock()
-	return f.applyErr
-}
-
-func (f *Fleet) noteApplyError(err error) {
-	f.applyErrMu.Lock()
-	if f.applyErr == nil {
-		f.applyErr = err
-	}
-	f.applyErrMu.Unlock()
-}
-
 // LastSeq returns the sequence number of the last distributed frame.
 func (f *Fleet) LastSeq() uint64 {
 	f.feedMu.Lock()
@@ -342,9 +273,8 @@ func (f *Fleet) LastSeq() uint64 {
 
 // Feed is the canister's stream sink: it stamps the frame with the next
 // sequence number, encodes it once, and enqueues the bytes on every
-// replica. Apply happens on the replicas' side (workers in auto mode,
-// ApplyPending otherwise), so a slow replica lags instead of stalling the
-// authoritative canister.
+// replica. Apply happens on the replicas' side (ApplyPending), so a slow
+// replica lags instead of stalling the authoritative canister.
 func (f *Fleet) Feed(frame *canister.Frame) {
 	f.feedMu.Lock()
 	f.seq++
@@ -420,6 +350,9 @@ func (f *Fleet) resyncReplica(i int) error {
 // fast-sync for a replica that fell too far behind (or a new one), jumping
 // it to the current stream position without replaying frames.
 func (f *Fleet) HydrateReplica(i int) error {
+	if i < 0 || i >= len(f.replicas) {
+		return fmt.Errorf("queryfleet: no replica %d in a fleet of %d", i, len(f.replicas))
+	}
 	// Lock order is authMu → feedMu, matching GuardAuthority(fn)'s
 	// authMu → Feed's feedMu; taking them in the opposite order here would
 	// deadlock against a guarded producer. feedMu makes the snapshot
@@ -460,13 +393,10 @@ func (f *Fleet) AddReplica() (int, error) {
 		return 0, err
 	}
 	f.replicas = append(f.replicas, r)
-	if f.cfg.AutoApply {
-		f.startWorker(r)
-	}
 	return r.index, nil
 }
 
-// CatchUpAll applies every queued frame on every replica (manual mode).
+// CatchUpAll applies every queued frame on every replica.
 func (f *Fleet) CatchUpAll() error {
 	for _, r := range f.replicas {
 		if err := r.CatchUp(); err != nil {
@@ -476,7 +406,7 @@ func (f *Fleet) CatchUpAll() error {
 	return nil
 }
 
-// RouteQuery implements ic.QueryRouter: coalesce → cache → admit → execute
+// RouteQuery implements ic.QueryRouter: coalesce → cache → execute
 // (serving.go), each layer skipping itself when it is off. A fleet with
 // neither cache nor coalescing builds no request key and takes no serving
 // lock on the way to executeQuery.
@@ -486,20 +416,19 @@ func (f *Fleet) RouteQuery(method string, arg any, caller string, now time.Time)
 	if !ok {
 		// Unregistered method: the replica reports the canonical dispatch
 		// error.
-		rq, _, _ := f.executeQuery(method, arg, now)
-		return rq
+		return f.execute(method, arg, now, 0, "", false)
 	}
 	s := f.serving
 	cacheable := m.Cacheable && s.cache != nil
 	if !cacheable && !s.coalesce {
-		return f.admitAndExecute(m, method, arg, now, 0, "", false)
+		return f.execute(method, arg, now, 0, "", false)
 	}
 	enc, err := m.RequestKey(arg)
 	if err != nil {
 		// No key — a wrong-typed argument, or an encoding past the bound:
 		// served as a layer-less fleet serves it, and the canister answers
 		// it itself (the wrong type with its canonical error).
-		return f.admitAndExecute(m, method, arg, now, 0, "", false)
+		return f.execute(method, arg, now, 0, "", false)
 	}
 	gen := f.gen.Load()
 	if cacheable {
@@ -513,7 +442,7 @@ func (f *Fleet) RouteQuery(method string, arg any, caller string, now time.Time)
 	}
 	key := string(enc.Bytes()) // a miss owns its key: the flight and the fill outlive enc
 	if !s.coalesce {
-		return f.admitAndExecute(m, method, arg, now, gen, key, cacheable)
+		return f.execute(method, arg, now, gen, key, cacheable)
 	}
 	fk := flightKey{gen: gen, key: key}
 	fl, leader := s.join(fk)
@@ -522,17 +451,17 @@ func (f *Fleet) RouteQuery(method string, arg any, caller string, now time.Time)
 		f.met.coalesced.Inc()
 		return fl.rq
 	}
-	rq := f.admitAndExecute(m, method, arg, now, gen, key, cacheable)
+	rq := f.execute(method, arg, now, gen, key, cacheable)
 	s.finish(fk, fl, rq)
 	return rq
 }
 
 // executeQuery is the execution layer: pick a healthy replica round-robin,
-// apply the bounded-staleness policy, execute, certify. Quarantined
-// replicas (failed frame application) are skipped; if every replica is
-// quarantined the query goes to the authoritative canister. servedSeq is
-// the stream position of the replica state the response was computed at
-// (0 for forwarded and rejected queries — the forwarded flag disambiguates),
+// forward if it lags beyond the staleness bound, otherwise execute and
+// certify. Quarantined replicas (failed frame application) are skipped; if
+// every replica is quarantined the query goes to the authoritative canister.
+// servedSeq is the stream position of the replica state the response was
+// computed at (0 for forwarded queries — the forwarded flag disambiguates),
 // which is what lets the cache layer prove a response belongs to the
 // current generation.
 func (f *Fleet) executeQuery(method string, arg any, now time.Time) (rq ic.RoutedQuery, servedSeq uint64, forwarded bool) {
@@ -554,15 +483,8 @@ func (f *Fleet) executeQuery(method string, arg any, now time.Time) (rq ic.Route
 			return f.forward(method, arg, now), 0, true
 		}
 
-		if f.cfg.MaxLagBlocks >= 0 {
-			if lag := f.authTip.Load() - r.TipHeight(); lag > f.cfg.MaxLagBlocks {
-				if f.cfg.StalePolicy == StaleReject {
-					f.met.rejected.Inc()
-					return ic.RoutedQuery{Err: fmt.Errorf("%w: replica %d lags %d blocks (bound %d)",
-						ErrTooStale, r.index, lag, f.cfg.MaxLagBlocks)}, 0, false
-				}
-				return f.forward(method, arg, now), 0, true
-			}
+		if f.authTip.Load()-r.TipHeight() > f.cfg.MaxLagBlocks {
+			return f.forward(method, arg, now), 0, true
 		}
 
 		value, err, instructions, tip, anchor, seq := r.serve(method, arg, now)
@@ -610,10 +532,7 @@ func (f *Fleet) auditResponse(method string, rq ic.RoutedQuery) bool {
 	// Generation bound: a correctly signed envelope from a long-dead tip is
 	// a stale replay; the bound that limits replica lag also limits how old
 	// a served certification may be.
-	if f.cfg.MaxLagBlocks >= 0 && f.authTip.Load()-rq.TipHeight > f.cfg.MaxLagBlocks {
-		return false
-	}
-	return true
+	return f.authTip.Load()-rq.TipHeight <= f.cfg.MaxLagBlocks
 }
 
 // SetVerifier replaces the certified-response audit (nil disables it). Safe
@@ -641,8 +560,8 @@ func (f *Fleet) CacheSize() int { return f.serving.CacheSize() }
 // adapter health report.
 func (f *Fleet) Degraded() bool { return f.degraded.Load() }
 
-// forward serves a query from the authoritative canister (the
-// reject-or-forward escape hatch of the staleness policy).
+// forward serves a query from the authoritative canister: the staleness
+// bound's escape hatch, and the fallback when no replica is healthy.
 func (f *Fleet) forward(method string, arg any, now time.Time) ic.RoutedQuery {
 	ctx := ic.NewCallContext(ic.KindQuery, now)
 	f.authMu.Lock()

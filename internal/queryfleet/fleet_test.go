@@ -2,7 +2,6 @@ package queryfleet_test
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -42,7 +41,6 @@ func newRig(t *testing.T, cfg queryfleet.Config, preload int) *rig {
 		t.Fatal(err)
 	}
 	r.fleet = fleet // New subscribed it to the canister's frame stream
-	t.Cleanup(fleet.Close)
 	return r
 }
 
@@ -111,55 +109,52 @@ func TestFleetServesIdenticalResponses(t *testing.T) {
 	}
 }
 
-// TestFleetStalenessPolicy lets replicas lag beyond the bound and checks
-// both policies: rejection with ErrTooStale, and forwarding that serves
-// the authoritative state.
+// TestNewRejectsInvalidConfig: a fleet needs at least one replica and a
+// staleness bound that is not negative.
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	f := experiments.NewFeeder(btc.Regtest, 6, 914)
+	for _, cfg := range []queryfleet.Config{{Replicas: 0}, {Replicas: 1, MaxLagBlocks: -1}} {
+		if _, err := queryfleet.New(f.Canister, cfg); err == nil {
+			t.Fatalf("New(%+v) succeeded", cfg)
+		}
+	}
+}
+
+// TestFleetStalenessPolicy lets replicas lag beyond the bound and checks that
+// the query is forwarded and answered from the fresh authoritative state.
 func TestFleetStalenessPolicy(t *testing.T) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 2
 	cfg.MaxLagBlocks = 1
-	cfg.StalePolicy = queryfleet.StaleReject
 	r := newRig(t, cfg, 8)
+	staleWant := r.authBalance()
 	// Three new blocks, never applied by the replicas: lag 3 > bound 1.
 	for i := 0; i < 3; i++ {
 		r.feedBlock()
 	}
-	args := canister.GetBalanceArgs{Address: r.addr.String()}
-	rq := r.fleet.RouteQuery("get_balance", args, "client", r.now)
-	if !errors.Is(rq.Err, queryfleet.ErrTooStale) {
-		t.Fatalf("want ErrTooStale, got %v", rq.Err)
-	}
-	if r.fleet.Stats().Rejected == 0 {
-		t.Fatal("rejection not counted")
-	}
-
-	// Same lag, forwarding policy: the answer must be the *current*
-	// authoritative balance, not the stale replica view.
-	cfg.StalePolicy = queryfleet.StaleForward
-	r2 := newRig(t, cfg, 8)
-	staleWant := r2.authBalance()
-	for i := 0; i < 3; i++ {
-		r2.feedBlock()
-	}
-	freshWant := r2.authBalance()
+	freshWant := r.authBalance()
 	if freshWant == staleWant {
 		t.Fatal("workload did not change the balance; staleness is unobservable")
 	}
-	rq = r2.fleet.RouteQuery("get_balance", args, "client", r2.now)
+	args := canister.GetBalanceArgs{Address: r.addr.String()}
+	rq := r.fleet.RouteQuery("get_balance", args, "client", r.now)
 	if rq.Err != nil {
 		t.Fatal(rq.Err)
 	}
 	if !rq.Forwarded {
 		t.Fatal("stale query was not forwarded")
 	}
+	if got := r.fleet.Stats().Forwarded; got != 1 {
+		t.Fatalf("Stats.Forwarded = %d after one stale query, want 1", got)
+	}
 	if got := rq.Value.(int64); got != freshWant {
 		t.Fatalf("forwarded balance %d, want fresh authoritative %d", got, freshWant)
 	}
 	// Once replicas catch up, forwarding stops.
-	if err := r2.fleet.CatchUpAll(); err != nil {
+	if err := r.fleet.CatchUpAll(); err != nil {
 		t.Fatal(err)
 	}
-	rq = r2.fleet.RouteQuery("get_balance", args, "client", r2.now)
+	rq = r.fleet.RouteQuery("get_balance", args, "client", r.now)
 	if rq.Err != nil || rq.Forwarded {
 		t.Fatalf("caught-up query: err=%v forwarded=%v", rq.Err, rq.Forwarded)
 	}
@@ -171,13 +166,17 @@ func TestFleetRehydration(t *testing.T) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 1
 	cfg.MaxLagBlocks = 0
-	cfg.StalePolicy = queryfleet.StaleReject
 	r := newRig(t, cfg, 6)
 	for i := 0; i < 5; i++ {
 		r.feedBlock()
 	}
-	if rq := r.fleet.RouteQuery("get_balance", canister.GetBalanceArgs{Address: r.addr.String()}, "c", r.now); !errors.Is(rq.Err, queryfleet.ErrTooStale) {
-		t.Fatalf("want ErrTooStale before re-hydration, got %v", rq.Err)
+	if rq := r.fleet.RouteQuery("get_balance", canister.GetBalanceArgs{Address: r.addr.String()}, "c", r.now); !rq.Forwarded {
+		t.Fatalf("lagging replica served before re-hydration (err %v)", rq.Err)
+	}
+	for _, i := range []int{-1, r.fleet.Replicas()} {
+		if err := r.fleet.HydrateReplica(i); err == nil {
+			t.Fatalf("HydrateReplica(%d) on a %d-replica fleet succeeded", i, r.fleet.Replicas())
+		}
 	}
 	if err := r.fleet.HydrateReplica(0); err != nil {
 		t.Fatal(err)
@@ -229,7 +228,6 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Close()
 	fleet.SetSigner(sign)
 	subnet.SetQueryRouter("bitcoin", fleet)
 
@@ -274,31 +272,27 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 
 // TestFleetConcurrentQueriesAndFrames is the race-detector workout: many
 // client goroutines query the fleet (all endpoints) while the authoritative
-// canister keeps publishing frames that auto-apply workers consume
-// concurrently. The staleness bound is finite and the policy forwards, so
-// stale round-robin picks hit the forward path while the producer mutates
-// the authority — which is why the producer wraps every payload in
-// GuardAuthority, and mid-run re-hydrations snapshot the authority under
-// the same guard. The second input runs the same body through the serving
-// layers — coalescing, a hot cache every frame invalidates and that holds two
-// of the clients' four keys, so fills are refused and stale entries swept
-// beside the frames, and admission with a scan budget no client exhausts (the
-// clients' timestamp is fixed, so it never refills) — the stack's only run
+// canister keeps publishing frames that a drainer goroutine applies
+// concurrently — the producer applies while clients route. The staleness
+// bound is zero, so stale round-robin picks hit the forward path while the
+// producer mutates the authority — which is why the producer wraps every
+// payload in GuardAuthority, and mid-run re-hydrations snapshot the
+// authority under the same guard. The second input runs the same body
+// through the serving layers — coalescing, and a hot cache every frame
+// invalidates and that holds two of the clients' four keys, so fills are
+// refused and stale entries swept beside the frames — the stack's only run
 // under many goroutines and frames.
 func TestFleetConcurrentQueriesAndFrames(t *testing.T) {
 	bare := queryfleet.Config{
 		Replicas:         3,
 		MaxLagBlocks:     0, // any lag forwards: exercises forward-under-feed
-		StalePolicy:      queryfleet.StaleForward,
 		QueryConcurrency: 4,
-		AutoApply:        true,
 	}
 	layered := bare
 	layered.Coalesce = true
 	layered.CacheEntries = 2
-	layered.Budgets = map[canister.CostClass]queryfleet.Budget{canister.CostScan: {Burst: 1 << 40}}
 	t.Run("bare", func(t *testing.T) {
-		if _, st := concurrentQueriesAndFrames(t, bare); st.CacheHits+st.Coalesced+st.Shed != 0 {
+		if _, st := concurrentQueriesAndFrames(t, bare); st.CacheHits+st.Coalesced != 0 {
 			t.Fatalf("a fleet without serving layers touched them: %+v", st)
 		}
 	})
@@ -350,6 +344,22 @@ func concurrentQueriesAndFrames(t *testing.T, cfg queryfleet.Config) (*queryflee
 			}
 		}(g)
 	}
+	// The drainer: applies frames as the producer publishes them.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := r.fleet.CatchUpAll(); err != nil {
+				t.Errorf("drainer: %v", err)
+				return
+			}
+		}
+	}()
 	for i := 0; i < 30; i++ {
 		if err := r.fleet.GuardAuthority(func() error {
 			r.feedBlock()
@@ -367,11 +377,6 @@ func concurrentQueriesAndFrames(t *testing.T, cfg queryfleet.Config) (*queryflee
 	close(stop)
 	wg.Wait()
 	st := r.fleet.Stats() // what the clients saw, before the probe below
-	if err := r.fleet.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// The auto-apply workers are still live: ApplyPending serializes this
-	// drain behind whatever batch a worker holds.
 	if err := r.fleet.CatchUpAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // fleetMetrics is the fleet's obs instrumentation: the counters Fleet.Stats
-// reports, plus cache misses, fills, refusals and sweeps, per-cost-class
-// sheds, and the frame publish→apply lag.
+// reports, plus cache misses, fills, refusals and sweeps, and the frame
+// publish→apply lag.
 //
 // statsMu exists for the two counter pairs that move together
 // (served+certified, forwarded+certified): they are incremented under the
@@ -24,12 +24,10 @@ type fleetMetrics struct {
 
 	served    *obs.Counter
 	forwarded *obs.Counter
-	rejected  *obs.Counter
 	certified *obs.Counter
 	frames    *obs.Counter
 	coalesced *obs.Counter
 	cacheHits *obs.Counter
-	shed      *obs.Counter
 
 	// Frame-stream integrity counters: every rejected frame is accounted by
 	// failure class, and every automatic re-hydration the rejection triggered.
@@ -43,7 +41,6 @@ type fleetMetrics struct {
 
 	cacheMisses *obs.Counter
 	cacheFills  *obs.Counter
-	shedByClass *obs.Family
 	applyLag    *obs.Histogram
 
 	// cacheRefused counts the fills a cache full of current-generation
@@ -59,12 +56,10 @@ func newFleetMetrics() *fleetMetrics {
 		reg:       r,
 		served:    r.Counter("fleet_served_total"),
 		forwarded: r.Counter("fleet_forwarded_total"),
-		rejected:  r.Counter("fleet_rejected_total"),
 		certified: r.Counter("fleet_certified_total"),
 		frames:    r.Counter("fleet_frames_total"),
 		coalesced: r.Counter("fleet_coalesced_total"),
 		cacheHits: r.Counter("fleet_cache_hits_total"),
-		shed:      r.Counter("fleet_shed_total"),
 
 		frameCorrupt:    r.Counter("fleet_frame_corrupt_total"),
 		frameGaps:       r.Counter("fleet_frame_gap_total"),
@@ -74,7 +69,6 @@ func newFleetMetrics() *fleetMetrics {
 
 		cacheMisses: r.Counter("fleet_cache_misses_total"),
 		cacheFills:  r.Counter("fleet_cache_fills_total"),
-		shedByClass: r.Family("fleet_shed_by_class_total", "class"),
 		applyLag:    r.Histogram("fleet_frame_apply_lag_ns", obs.DurationBuckets),
 
 		cacheRefused: r.Counter("fleet_cache_refused_total"),
@@ -110,12 +104,10 @@ func (m *fleetMetrics) snapshotStats() Stats {
 	return Stats{
 		Served:           m.served.Value(),
 		Forwarded:        m.forwarded.Value(),
-		Rejected:         m.rejected.Value(),
 		Certified:        m.certified.Value(),
 		Frames:           m.frames.Value(),
 		Coalesced:        m.coalesced.Value(),
 		CacheHits:        m.cacheHits.Value(),
-		Shed:             m.shed.Value(),
 		FrameCorrupt:     m.frameCorrupt.Value(),
 		FrameGaps:        m.frameGaps.Value(),
 		FrameDuplicates:  m.frameDuplicates.Value(),

@@ -18,11 +18,10 @@ import (
 // and a snapshot re-hydration heals it.
 func TestReplicaQuarantineOnBadFrame(t *testing.T) {
 	auth := canister.New(canister.DefaultConfig(btc.Regtest))
-	fleet, err := New(auth, Config{Replicas: 1, MaxLagBlocks: -1})
+	fleet, err := New(auth, Config{Replicas: 1, MaxLagBlocks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Close()
 	now := time.Unix(1_700_000_000, 0).UTC()
 
 	// A healthy replica serves.
@@ -81,11 +80,10 @@ func TestQuarantineStormRecovery(t *testing.T) {
 	miner := btcnode.NewMiner(node, btc.PayToPubKeyHashScript([20]byte{0x01}))
 
 	auth := canister.New(canister.DefaultConfig(btc.Regtest))
-	fleet, err := New(auth, Config{Replicas: 3, MaxLagBlocks: 2, StalePolicy: StaleForward})
+	fleet, err := New(auth, Config{Replicas: 3, MaxLagBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Close()
 
 	now := sched.Now()
 	feed := func(n int) {

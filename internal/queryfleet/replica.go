@@ -59,8 +59,6 @@ type Replica struct {
 	// inbox holds encoded frames not yet applied, in stream order.
 	inboxMu sync.Mutex
 	inbox   []pendingFrame
-	// wake signals the auto-apply worker (capacity 1, best-effort).
-	wake chan struct{}
 
 	// execSlots bounds concurrent query executions on this replica.
 	execSlots chan struct{}
@@ -86,7 +84,6 @@ func newReplica(index int, fleet *Fleet, snapshot []byte, seq uint64) (*Replica,
 	r := &Replica{
 		index:     index,
 		fleet:     fleet,
-		wake:      make(chan struct{}, 1),
 		execSlots: make(chan struct{}, slots),
 	}
 	for i := 0; i < slots; i++ {
@@ -136,10 +133,6 @@ func (r *Replica) enqueue(raw []byte, seq uint64, at time.Time) {
 	r.inboxMu.Lock()
 	r.inbox = append(r.inbox, pendingFrame{raw: raw, seq: seq, at: at})
 	r.inboxMu.Unlock()
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
 }
 
 // Pending returns how many frames are queued but not yet applied.
@@ -181,7 +174,7 @@ func (r *Replica) TipHeight() int64 { return r.tip.Load() }
 // Callers are serialized per replica: a second one waits for the first to
 // finish its batches instead of dequeuing frame n+1 while frame n is still in
 // flight — which it would read as a sequence gap, quarantining a healthy
-// replica (Fleet.CatchUpAll beside live auto-apply workers did).
+// replica (two concurrent drainers on one replica did).
 func (r *Replica) ApplyPending(max int) (int, error) {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
@@ -327,21 +320,6 @@ func (r *Replica) Quarantine() { r.broken.Store(true) }
 func (r *Replica) CatchUp() error {
 	_, err := r.ApplyPending(-1)
 	return err
-}
-
-// runWorker is the auto-apply loop: drain the inbox whenever woken, until
-// the fleet closes.
-func (r *Replica) runWorker(closed <-chan struct{}) {
-	for {
-		select {
-		case <-closed:
-			return
-		case <-r.wake:
-			if err := r.CatchUp(); err != nil {
-				r.fleet.noteApplyError(err)
-			}
-		}
-	}
 }
 
 // serve executes one query on this replica: acquire an execution slot,

@@ -3,7 +3,7 @@ package queryfleet
 // serving.go implements the fleet's serving layers, the path one query
 // takes before (or instead of) reaching a replica:
 //
-//	coalesce → cache → admit → execute
+//	coalesce → cache → execute
 //
 // Coalescing collapses concurrent identical queries — same canonical
 // request encoding from the canister's method registry — into one execution
@@ -13,18 +13,15 @@ package queryfleet
 // generation (the last distributed frame) is unchanged; any frame — new
 // block, reorg, header advance — bumps the generation and implicitly
 // invalidates every entry, so the cache can never serve across a tip or
-// anchor move. Admission control charges each execution against its
-// method's cost-class token bucket and sheds the overflow with ErrBusy, so
-// a paginated-scan flood cannot starve cheap balance traffic.
+// anchor move.
 //
 // The key of both maps is the request's canonical encoding itself
 // (canister.RequestKey: method name and argument fields, at most
 // canister.MaxRequestKeyLen bytes), so two requests meet in a layer only if
 // they are the same request. A request with no key — a wrong-typed argument,
 // or an encoding past the bound, which no valid request reaches — passes the
-// layers by: it is admitted and executed like any other, never cached or
-// coalesced, so nothing a caller sizes is retained and nothing skips
-// admission.
+// layers by: it is executed like any other, never cached or coalesced, so
+// nothing a caller sizes is retained.
 //
 // What the cache costs a query: a hit builds the encoding on its stack and
 // probes the map with those bytes in place — no hash beyond the map's own, no
@@ -42,28 +39,12 @@ package queryfleet
 // generation — the property the differential harness asserts.
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"icbtc/internal/canister"
 	"icbtc/internal/ic"
 )
-
-// ErrBusy reports a query shed by admission control: the cost-class budget
-// is exhausted. Clients back off and retry; the error is explicit so they
-// can distinguish shedding from a failed execution.
-var ErrBusy = errors.New("queryfleet: shed by admission control")
-
-// Budget is one cost class's admission budget: a token bucket refilled at
-// Rate executions per second up to Burst. Refill is driven by the virtual
-// `now` each query carries, so shedding is deterministic under a seeded
-// scheduler.
-type Budget struct {
-	Rate  float64
-	Burst float64
-}
 
 // cacheEntry is one certified hot response, valid only while the fleet's
 // stream generation still equals gen.
@@ -89,16 +70,8 @@ type flight struct {
 	waiters int
 }
 
-// bucket is one cost class's token-bucket state.
-type bucket struct {
-	rate, burst float64
-	level       float64
-	last        time.Time
-	primed      bool
-}
-
 // serving holds the fleet's layer state. A layer that is off keeps a nil map
-// (cache, flights, buckets) and is skipped before its lock is touched.
+// (cache, flights) and is skipped before its lock is touched.
 type serving struct {
 	coalesce bool
 	cacheCap int
@@ -112,9 +85,6 @@ type serving struct {
 
 	flightMu sync.Mutex
 	flights  map[flightKey]*flight
-
-	budgetMu sync.Mutex
-	buckets  map[canister.CostClass]*bucket
 }
 
 // newServing builds the layer state for a config.
@@ -125,12 +95,6 @@ func newServing(cfg Config) *serving {
 	}
 	if cfg.Coalesce {
 		s.flights = make(map[flightKey]*flight)
-	}
-	if len(cfg.Budgets) > 0 {
-		s.buckets = make(map[canister.CostClass]*bucket, len(cfg.Budgets))
-		for class, b := range cfg.Budgets {
-			s.buckets[class] = &bucket{rate: b.Rate, burst: b.Burst}
-		}
 	}
 	return s
 }
@@ -229,39 +193,6 @@ func (s *serving) flightWaiters(fk flightKey) int {
 	return 0
 }
 
-// admit charges one execution against the method's cost-class bucket.
-// Unbudgeted classes always admit. The bucket primes to its full burst on
-// first use and refills from the virtual timestamps queries carry — no wall
-// clock, so a seeded scheduler replays the same shed decisions.
-func (s *serving) admit(class canister.CostClass, now time.Time) bool {
-	if s.buckets == nil {
-		return true
-	}
-	s.budgetMu.Lock()
-	defer s.budgetMu.Unlock()
-	b := s.buckets[class]
-	if b == nil {
-		return true
-	}
-	if !b.primed {
-		b.level = b.burst
-		b.last = now
-		b.primed = true
-	}
-	if dt := now.Sub(b.last); dt > 0 {
-		b.level += dt.Seconds() * b.rate
-		if b.level > b.burst {
-			b.level = b.burst
-		}
-		b.last = now
-	}
-	if b.level >= 1 {
-		b.level--
-		return true
-	}
-	return false
-}
-
 // FlightWaiters reports how many followers are parked on the open
 // coalesced flight for one request at the current stream generation (0
 // when none) — observability for tests and load drivers.
@@ -281,16 +212,10 @@ func (f *Fleet) FlightWaiters(method string, arg any) int {
 	return s.flightWaiters(flightKey{gen: f.gen.Load(), key: string(key.Bytes())})
 }
 
-// admitAndExecute is the tail of RouteQuery: charge admission, run the
-// query, and fill the cache when the response provably belongs to the
-// generation the caller keyed on. A caller without a key passes cacheable
-// false.
-func (f *Fleet) admitAndExecute(m *canister.MethodDesc, method string, arg any, now time.Time, gen uint64, key string, cacheable bool) ic.RoutedQuery {
-	if !f.serving.admit(m.Cost, now) {
-		f.met.shed.Inc()
-		f.met.shedByClass.With(m.Cost.String()).Inc()
-		return ic.RoutedQuery{Err: fmt.Errorf("%w: %s (cost class %s)", ErrBusy, method, m.Cost)}
-	}
+// execute is the tail of RouteQuery: run the query, and fill the cache when
+// the response provably belongs to the generation the caller keyed on. A
+// caller without a key passes cacheable false.
+func (f *Fleet) execute(method string, arg any, now time.Time, gen uint64, key string, cacheable bool) ic.RoutedQuery {
 	rq, servedSeq, forwarded := f.executeQuery(method, arg, now)
 	// Fill conditions: a clean response, computed either by the
 	// authoritative canister (forwarded) or by a replica that had applied
