@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
 	"icbtc/internal/experiments"
@@ -363,6 +364,59 @@ func TestBlockDeltaAllocationsIndependentOfOutputs(t *testing.T) {
 	t.Logf("%.0f allocations for 501 outputs, %.0f for 2001", small, large)
 	if large > small+4 {
 		t.Fatalf("a 2001-output delta allocates %.0f times, a 501-output one over the same 200 keys %.0f", large, small)
+	}
+}
+
+// TestEncodeFrameAllocations: the frame of a parsed 500-transaction block
+// carries the block's own wire bytes — the authority does not re-serialize
+// what it parsed — and is encoded into one buffer sized up front for those
+// bytes and the delta's encoded length, so the encode costs that buffer and
+// the delta encoder's key order: 2 allocations. Sized for the block alone,
+// the buffer regrew inside the delta, which outweighs the block.
+func TestEncodeFrameAllocations(t *testing.T) {
+	builder := experiments.NewBlockBuilder(btc.RegtestParams(), 21)
+	can := canister.New(canister.DefaultConfig(btc.Regtest))
+	var frame *canister.Frame
+	can.SetStreamSink(func(f *canister.Frame) { frame = f })
+	pop := experiments.NewAddressPopulation(btc.Regtest, 21, 8)
+	var parsed *btc.Block
+	for h := 0; h < 3; h++ {
+		specs := make([]experiments.TxSpec, 500)
+		for i := range specs {
+			specs[i] = experiments.TxSpec{Inputs: i % 2, Outputs: []btc.TxOut{
+				{Value: 700, PkScript: pop.Addresses[(2*i+h)%len(pop.Addresses)].Script},
+				{Value: 900, PkScript: pop.Addresses[(2*i+h+1)%len(pop.Addresses)].Script},
+			}}
+		}
+		built, err := builder.NextBlock(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parsed, err = btc.ParseBlock(built.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		payload := adapter.Response{Blocks: []adapter.BlockWithHeader{{Block: parsed, Header: parsed.Header}}}
+		if err := can.ProcessPayload(ic.NewCallContext(ic.KindUpdate, time.Unix(1_700_000_000, 0)), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var blockEvents []canister.StreamEvent
+	for _, ev := range frame.Events {
+		if ev.Kind == canister.EventBlockAttached {
+			blockEvents = append(blockEvents, ev)
+		}
+	}
+	if len(blockEvents) != 1 {
+		t.Fatalf("the last payload published %d block events, want 1", len(blockEvents))
+	}
+	if raw := blockEvents[0].RawBlock; &raw[0] != &parsed.Bytes()[0] {
+		t.Fatal("the frame carries a re-serialization of the block, not the bytes it was parsed from")
+	}
+	var raw []byte
+	avg := testing.AllocsPerRun(20, func() { raw = canister.EncodeFrame(frame) })
+	t.Logf("%.0f allocations for a %d-byte frame", avg, len(raw))
+	if avg > 2 {
+		t.Fatalf("encoding a one-block frame allocates %.0f times, budget is 2", avg)
 	}
 }
 

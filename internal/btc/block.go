@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sync"
 	"time"
 )
@@ -93,6 +94,13 @@ type Block struct {
 	// the tree hashing at most once per block.
 	merkleOnce sync.Once
 	merkle     Hash
+
+	// wire is the encoding a parsed block was decoded from and wireHeader
+	// the header it carries; both are unset on a block built in memory. The
+	// parser only accepts what the serializer writes, so while Header still
+	// equals wireHeader, wire is the block's serialization.
+	wire       []byte
+	wireHeader BlockHeader
 }
 
 // TxIDs returns the memoized transaction IDs, in block order. The first
@@ -139,8 +147,13 @@ func (b *Block) Serialize(w io.Writer) error {
 	return nil
 }
 
-// Bytes returns the wire encoding.
+// Bytes returns the wire encoding. A parsed block whose header is unchanged
+// returns the bytes it was parsed from, shared: the caller must not modify
+// them. Any other block is serialized afresh.
 func (b *Block) Bytes() []byte {
+	if b.wire != nil && b.Header == b.wireHeader {
+		return b.wire
+	}
 	var buf bytes.Buffer
 	_ = b.Serialize(&buf)
 	return buf.Bytes()
@@ -172,22 +185,20 @@ func (b *Block) MerkleRoot() Hash {
 	return b.merkle
 }
 
-// MerkleRootFromHashes computes the Merkle root of a hash list.
+// MerkleRootFromHashes computes the Merkle root of a hash list. Each level is
+// written over the front of the one below it — node i/2 is stored only after
+// nodes i and i+1 are hashed — so the copy of the leaves is the one
+// allocation.
 func MerkleRootFromHashes(hashes []Hash) Hash {
 	if len(hashes) == 0 {
 		return ZeroHash
 	}
-	level := make([]Hash, len(hashes))
-	copy(level, hashes)
-	for len(level) > 1 {
-		if len(level)%2 == 1 {
-			level = append(level, level[len(level)-1])
+	level := slices.Clone(hashes)
+	for n := len(level); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
+			j := min(i+1, n-1) // an odd level pairs its last node with itself
+			level[i/2] = hashPair(level[i], level[j])
 		}
-		next := make([]Hash, 0, len(level)/2)
-		for i := 0; i < len(level); i += 2 {
-			next = append(next, HashOf(level[i][:], level[i+1][:]))
-		}
-		level = next
 	}
 	return level[0]
 }
@@ -216,7 +227,7 @@ func BuildMerkleProof(hashes []Hash, index int) (*MerkleProof, error) {
 		proof.Siblings = append(proof.Siblings, level[sibling])
 		next := make([]Hash, 0, len(level)/2)
 		for i := 0; i < len(level); i += 2 {
-			next = append(next, HashOf(level[i][:], level[i+1][:]))
+			next = append(next, hashPair(level[i], level[i+1]))
 		}
 		level = next
 		pos /= 2
@@ -230,9 +241,9 @@ func (p *MerkleProof) Verify(leaf, root Hash) bool {
 	pos := p.Index
 	for _, sib := range p.Siblings {
 		if pos%2 == 0 {
-			acc = HashOf(acc[:], sib[:])
+			acc = hashPair(acc, sib)
 		} else {
-			acc = HashOf(sib[:], acc[:])
+			acc = hashPair(sib, acc)
 		}
 		pos /= 2
 	}

@@ -2,8 +2,10 @@ package btc
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -87,12 +89,77 @@ func TestMerkleRootOddDuplication(t *testing.T) {
 	h1 := DoubleSHA256([]byte("a"))
 	h2 := DoubleSHA256([]byte("b"))
 	h3 := DoubleSHA256([]byte("c"))
-	left := HashOf(h1[:], h2[:])
-	right := HashOf(h3[:], h3[:])
-	want := HashOf(left[:], right[:])
+	left := hashPair(h1, h2)
+	right := hashPair(h3, h3)
+	want := hashPair(left, right)
 	got := MerkleRootFromHashes([]Hash{h1, h2, h3})
 	if got != want {
 		t.Fatalf("got %s, want %s", got, want)
+	}
+}
+
+// referenceMerkleRoot is the textbook construction straight over crypto/sha256:
+// a fresh level per round, an odd level extended by its last node.
+func referenceMerkleRoot(level []Hash) Hash {
+	for len(level) > 1 {
+		if len(level)%2 == 1 {
+			level = append(level[:len(level):len(level)], level[len(level)-1])
+		}
+		var next []Hash
+		for i := 0; i < len(level); i += 2 {
+			first := sha256.Sum256(append(level[i][:], level[i+1][:]...))
+			next = append(next, sha256.Sum256(first[:]))
+		}
+		level = next
+	}
+	return level[0]
+}
+
+// TestMerkleRootInPlace holds the in-place level walk to the textbook
+// construction at every size up to 70 leaves and at 500 (a benchmark block),
+// leaving its argument untouched, and hashPair to SHA-256 over the joined
+// pair.
+func TestMerkleRootInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	sizes := []int{500}
+	for n := 1; n <= 70; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		hashes := make([]Hash, n)
+		for i := range hashes {
+			rng.Read(hashes[i][:])
+		}
+		kept := slices.Clone(hashes)
+		if got, want := MerkleRootFromHashes(hashes), referenceMerkleRoot(kept); got != want {
+			t.Fatalf("%d leaves: root %s, want %s", n, got, want)
+		}
+		if !slices.Equal(hashes, kept) {
+			t.Fatalf("%d leaves: MerkleRootFromHashes wrote into its argument", n)
+		}
+	}
+	var a, b Hash
+	rng.Read(a[:])
+	rng.Read(b[:])
+	first := sha256.Sum256(append(a[:], b[:]...))
+	if got, want := hashPair(a, b), Hash(sha256.Sum256(first[:])); got != want {
+		t.Fatalf("hashPair: %s, want %s", got, want)
+	}
+}
+
+// TestMerkleRootAllocations: a root costs the one copy of its leaves, and a
+// node hashed through hashPair costs nothing.
+func TestMerkleRootAllocations(t *testing.T) {
+	hashes := make([]Hash, 500)
+	for i := range hashes {
+		hashes[i][0], hashes[i][1] = byte(i), byte(i>>8)
+	}
+	if got := testing.AllocsPerRun(20, func() { MerkleRootFromHashes(hashes) }); got != 1 {
+		t.Fatalf("MerkleRootFromHashes over 500 leaves: %.1f allocations, want 1", got)
+	}
+	a, b := hashes[0], hashes[1]
+	if got := testing.AllocsPerRun(20, func() { hashPair(a, b) }); got != 0 {
+		t.Fatalf("hashPair: %.1f allocations, want 0", got)
 	}
 }
 

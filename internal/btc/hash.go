@@ -29,14 +29,13 @@ func DoubleSHA256(data []byte) Hash {
 	return Hash(sha256.Sum256(first[:]))
 }
 
-// HashOf is shorthand for DoubleSHA256 over the concatenation of parts.
-func HashOf(parts ...[]byte) Hash {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(p)
-	}
-	first := h.Sum(nil)
-	return Hash(sha256.Sum256(first))
+// hashPair is the Merkle node hash: DoubleSHA256 over a‖b, joined on the
+// stack.
+func hashPair(a, b Hash) Hash {
+	var buf [2 * HashSize]byte
+	copy(buf[:HashSize], a[:])
+	copy(buf[HashSize:], b[:])
+	return DoubleSHA256(buf[:])
 }
 
 // String renders the hash in display order (byte-reversed hex), matching

@@ -181,9 +181,9 @@ func (c *cursor) parseTransaction() (*Transaction, int, int, error) {
 
 // ParseBlockFast decodes a block from wire bytes without copying script
 // fields (they alias data, which must stay immutable for the block's
-// lifetime) and seals the block's transaction-ID memo by double-hashing
-// each transaction's wire span. ParseBlock is the same decoder over a private
-// copy, for callers that cannot promise that.
+// lifetime), seals the block's transaction-ID memo by double-hashing each
+// transaction's wire span, and keeps data as the block's Bytes. ParseBlock is
+// the same decoder over a private copy, for callers that cannot promise that.
 func ParseBlockFast(data []byte) (*Block, error) {
 	c := &cursor{data: data}
 	hdrBytes, err := c.take(BlockHeaderSize)
@@ -201,7 +201,8 @@ func ParseBlockFast(data []byte) (*Block, error) {
 	if n > maxBlockTxs {
 		return nil, fmt.Errorf("btc: too many transactions: %d", n)
 	}
-	b := &Block{Header: *hdr, Transactions: make([]*Transaction, 0, min(n, maxAlloc))}
+	b := &Block{Header: *hdr, Transactions: make([]*Transaction, 0, min(n, maxAlloc)),
+		wire: data[:len(data):len(data)], wireHeader: *hdr} // capped: an append must not write past the block
 	ids := make([]Hash, 0, min(n, maxAlloc))
 	for i := uint64(0); i < n; i++ {
 		tx, start, end, err := c.parseTransaction()

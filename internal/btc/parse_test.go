@@ -133,8 +133,11 @@ func checkBlockDecode(t *testing.T, data []byte) bool {
 		arg[i] ^= 0xff
 	}
 	for name, blk := range map[string]*Block{"ParseBlockFast": fast, "ParseBlock": copied} {
-		if !bytes.Equal(blk.Bytes(), data) {
+		if !bytes.Equal(serialized(blk), data) {
 			t.Fatalf("%s: block re-serializes to different bytes", name)
+		}
+		if !bytes.Equal(blk.Bytes(), data) {
+			t.Fatalf("%s: Bytes is not the encoding the block was parsed from", name)
 		}
 		ids := blk.TxIDs()
 		if len(ids) != len(blk.Transactions) {
@@ -159,6 +162,42 @@ func checkBlockDecode(t *testing.T, data []byte) bool {
 		}
 	}
 	return true
+}
+
+// serialized runs the serializer, never returning the bytes a block was
+// parsed from: the oracle the decoder is held to.
+func serialized(b *Block) []byte {
+	var buf bytes.Buffer
+	_ = b.Serialize(&buf)
+	return buf.Bytes()
+}
+
+// TestParsedBlockBytes: a parsed block hands back the bytes it was parsed
+// from — the same memory, capped so an append cannot write past the block —
+// until its header changes; from then on Bytes serializes what it holds.
+func TestParsedBlockBytes(t *testing.T) {
+	wire := randomTestBlock(rand.New(rand.NewSource(11))).Bytes()
+	buf := append(bytes.Clone(wire), 0xEE, 0xEE) // the block sits inside a longer buffer
+	blk, err := ParseBlockFast(buf[:len(wire)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := blk.Bytes()
+	if &got[0] != &buf[0] || len(got) != len(wire) {
+		t.Fatal("Bytes of an unchanged parsed block is not the parsed encoding")
+	}
+	_ = append(got, 0x00)
+	if buf[len(wire)] != 0xEE {
+		t.Fatal("an append to Bytes wrote into the buffer past the block")
+	}
+	blk.Header.Nonce++
+	if got := blk.Bytes(); !bytes.Equal(got, serialized(blk)) || bytes.Equal(got, wire) {
+		t.Fatal("Bytes after a header change is not the block's serialization")
+	}
+	blk.Header.Nonce--
+	if &blk.Bytes()[0] != &buf[0] {
+		t.Fatal("restoring the parsed header did not restore the parsed encoding")
+	}
 }
 
 // TestParseBlockRoundTrip runs the decoder's oracle over 200 seeded blocks

@@ -97,7 +97,7 @@ type BitcoinCanister struct {
 	// tree is T, rooted at the anchor β*.
 	tree *chain.Tree
 	// blocks holds b(β) for headers above the anchor.
-	blocks map[btc.Hash]*btc.Block
+	blocks map[btc.Hash]*storedBlock
 	// have mirrors blocks as a (height, hash)-sorted slice: the Have set of
 	// CurrentRequest and the source of availableHeight, both maintained
 	// incrementally as blocks are stored and pruned instead of BFS-walking
@@ -179,7 +179,7 @@ func New(cfg Config) *BitcoinCanister {
 		params:       params,
 		stable:       utxo.New(cfg.Network),
 		tree:         chain.NewTree(params.GenesisHeader, 0),
-		blocks:       make(map[btc.Hash]*btc.Block),
+		blocks:       make(map[btc.Hash]*storedBlock),
 		scriptIDs:    btc.NewScriptIDCache(cfg.Network),
 		balanceCache: make(map[balanceKey]int64),
 		met:          newCanisterMetrics(),
@@ -252,7 +252,7 @@ func haveLess(a, b haveEntry) bool {
 // storeBlock records a validated block for a tree node: the blocks map and
 // the sorted have list stay in lockstep.
 func (c *BitcoinCanister) storeBlock(node *chain.Node, block *btc.Block) {
-	c.blocks[node.Hash] = block
+	c.blocks[node.Hash] = &storedBlock{Block: block}
 	e := haveEntry{height: node.Height, hash: node.Hash}
 	i := sort.Search(len(c.have), func(i int) bool { return haveLess(e, c.have[i]) })
 	c.have = append(c.have, haveEntry{})
@@ -369,7 +369,7 @@ func (c *BitcoinCanister) acceptBlock(ctx *ic.CallContext, bw adapter.BlockWithH
 		c.emit(StreamEvent{
 			Kind:     EventBlockAttached,
 			Header:   bw.Header,
-			RawBlock: bw.Block.Bytes(),
+			RawBlock: bw.Block.Bytes(), // a parsed block's own wire bytes, not a re-serialization
 			Delta:    delta,
 		})
 	}
@@ -456,8 +456,7 @@ func (c *BitcoinCanister) advanceAnchor(ctx *ic.CallContext) {
 // (where a replica re-executes the authoritative canister's decision).
 func (c *BitcoinCanister) stabilizeNode(ctx *ic.CallContext, next *chain.Node) error {
 	root := c.tree.Root()
-	block := c.blocks[next.Hash]
-	c.ingestStableBlock(ctx, block, next.Height)
+	c.ingestStableBlock(ctx, c.blocks[next.Hash].Block, next.Height)
 	c.dropBlock(next)
 	// Prune competing branches (and their stored blocks) below the new
 	// anchor; "all but the single stable block header are removed".

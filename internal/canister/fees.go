@@ -2,10 +2,12 @@ package canister
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/ic"
+	"icbtc/internal/utxo"
 )
 
 // get_current_fee_percentiles: the production Bitcoin canister's companion
@@ -37,8 +39,8 @@ type feeCacheEntry struct {
 // The result is memoized per (tip, anchor) for query executions and
 // invalidated on every tree change, so repeated fee quotes between blocks
 // stop rescanning every unstable block and re-resolving every input. An
-// update execution always recomputes — which also makes it the uncached
-// reference the differential harness checks the cached answers against.
+// update execution always recomputes; ReplayFeePercentiles is the reference
+// the differential harness checks both against.
 func (c *BitcoinCanister) GetCurrentFeePercentiles(ctx *ic.CallContext) ([]int64, error) {
 	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
 	if !c.synced {
@@ -71,75 +73,164 @@ func (c *BitcoinCanister) GetCurrentFeePercentiles(ctx *ic.CallContext) ([]int64
 
 // computeFeePercentiles is the uncached percentile computation: rescan the
 // unstable blocks of the current chain, resolve every input, price every
-// transaction.
+// transaction. ReplayFeePercentiles is its oracle: same answer, same metering.
 func (c *BitcoinCanister) computeFeePercentiles(ctx *ic.CallContext) []int64 {
-	full := c.currentChain()
-	nodes := full[1:]
-
-	// Resolve input values from the stable set plus outputs created earlier
-	// in the unstable suffix.
-	type outInfo struct{ value int64 }
-	created := make(map[btc.OutPoint]outInfo)
-	var rates []int64
+	nodes := c.currentChain()[1:]
+	suffix := make([]*storedBlock, 0, len(nodes))
+	txs := 0
 	for _, node := range nodes {
 		ctx.Meter.Charge(ic.CostPerUnstableBlockScan, "scan_unstable")
-		block := c.blocks[node.Hash]
-		if block == nil {
-			continue
-		}
-		txids := block.TxIDs()
-		for ti, tx := range block.Transactions {
-			txid := txids[ti]
-			for vout := range tx.Outputs {
-				created[btc.OutPoint{TxID: txid, Vout: uint32(vout)}] = outInfo{value: tx.Outputs[vout].Value}
-			}
-			if tx.IsCoinbase() {
-				continue
-			}
-			var inValue int64
-			resolved := true
-			for i := range tx.Inputs {
-				op := tx.Inputs[i].PreviousOutPoint
-				if info, ok := created[op]; ok {
-					inValue += info.value
-					continue
-				}
-				if u, ok := c.stable.Get(op); ok {
-					inValue += u.Value
-					continue
-				}
-				resolved = false
-				break
-			}
-			if !resolved {
-				continue
-			}
-			var outValue int64
-			for i := range tx.Outputs {
-				outValue += tx.Outputs[i].Value
-			}
-			fee := inValue - outValue
-			if fee < 0 {
-				continue // unpriceable (canister does not validate spends)
-			}
-			size := tx.SerializedSize()
-			if size == 0 {
-				continue
-			}
-			rates = append(rates, fee*1000/int64(size))
-			ctx.Meter.Charge(ic.CostPerUTXOUnstable, "fee_index")
+		if b := c.blocks[node.Hash]; b != nil {
+			suffix = append(suffix, b)
+			txs += len(b.Transactions)
 		}
 	}
+	rates := feeRates(suffix, txs, c.stable)
+	ctx.Meter.Charge(uint64(len(rates))*ic.CostPerUTXOUnstable, "fee_index")
 	percentiles := make([]int64, FeePercentilesCount)
 	if len(rates) == 0 {
 		return percentiles
 	}
-	sort.Slice(rates, func(i, j int) bool { return rates[i] < rates[j] })
-	for p := 0; p < FeePercentilesCount; p++ {
-		idx := p * (len(rates) - 1) / 100
-		percentiles[p] = rates[idx]
+	slices.Sort(rates)
+	for p := range percentiles {
+		percentiles[p] = rates[p*(len(rates)-1)/100]
 	}
 	return percentiles
+}
+
+// storedBlock is one unstable block as the canister holds it: the block, and
+// what pricing its transactions needs beside their inputs — built by the
+// first fee rescan that reads the block and kept as long as the block is, so
+// a rescan after the next block prices only that block afresh.
+type storedBlock struct {
+	*btc.Block
+	pricesOnce sync.Once
+	priced     []txPrice
+}
+
+// txPrice is one transaction's output total and serialized size.
+type txPrice struct {
+	outValue, size int64
+}
+
+// prices returns the block's txPrice column, building it on first use. Safe
+// for the concurrent queries of a replica.
+func (b *storedBlock) prices() []txPrice {
+	b.pricesOnce.Do(func() {
+		prices := make([]txPrice, len(b.Transactions))
+		for i, tx := range b.Transactions {
+			for j := range tx.Outputs {
+				prices[i].outValue += tx.Outputs[j].Value
+			}
+			prices[i].size = int64(tx.SerializedSize())
+		}
+		b.priced = prices
+	})
+	return b.priced
+}
+
+// feeRates prices, in chain order, every transaction of the suffix's blocks
+// whose inputs all resolve and whose outputs do not exceed them, in
+// millisatoshi per byte. An input resolves to an output created earlier in the
+// suffix — or by the spending transaction itself — before the stable set; an
+// input neither knows (an alien input the canister never tracked) leaves its
+// transaction unpriced. txs is the blocks' transaction count.
+func feeRates(suffix []*storedBlock, txs int, stable *utxo.Set) []int64 {
+	ix := newTxIndex(txs)
+	rates := make([]int64, 0, txs)
+	for bi, b := range suffix {
+		ids, prices := b.TxIDs(), b.prices()
+		for ti, tx := range b.Transactions {
+			ix.add(&ids[ti], txRef{block: uint32(bi), tx: uint32(ti)})
+			if tx.IsCoinbase() {
+				continue
+			}
+			var in int64
+			resolved := true
+			for i := range tx.Inputs {
+				op := &tx.Inputs[i].PreviousOutPoint
+				v, ok := ix.output(suffix, op)
+				if !ok {
+					v, ok = stable.Value(*op)
+				}
+				if !ok {
+					resolved = false
+					break
+				}
+				in += v
+			}
+			// A negative fee is unpriceable: the canister does not validate
+			// spends.
+			if p := prices[ti]; resolved && in-p.outValue >= 0 && p.size > 0 {
+				rates = append(rates, (in-p.outValue)*1000/p.size)
+			}
+		}
+	}
+	return rates
+}
+
+// txIndex resolves a txid to the suffix transactions carrying it. It is
+// utxo's word format — tag<<32 | ref+1, zero when empty, linear probing at
+// no more than half load, the tag utxo.TagOutPoint's — over transactions
+// rather than outputs, presized for the suffix so it never grows, and never
+// deleted from. A txid added twice keeps both words, the later one further
+// along the probe run than the earlier, so a probe meets a txid's
+// transactions in chain order and only what was added before it.
+type txIndex struct {
+	words []uint64
+	refs  []txRef
+}
+
+// txRef names a transaction by its block's position in the suffix and its
+// own in the block.
+type txRef struct{ block, tx uint32 }
+
+func newTxIndex(n int) txIndex {
+	slots := 8
+	for slots < 2*n {
+		slots *= 2
+	}
+	return txIndex{words: make([]uint64, slots), refs: make([]txRef, 0, n)}
+}
+
+func txTag(id *btc.Hash) uint32 { return uint32(utxo.TagOutPoint(&btc.OutPoint{TxID: *id})) }
+
+// add indexes the transaction ref, whose txid is id.
+func (ix *txIndex) add(id *btc.Hash, ref txRef) {
+	tag := txTag(id)
+	mask := uint32(len(ix.words) - 1)
+	i := tag & mask
+	for ix.words[i] != 0 {
+		i = (i + 1) & mask
+	}
+	ix.refs = append(ix.refs, ref)
+	ix.words[i] = uint64(tag)<<32 | uint64(len(ix.refs))
+}
+
+// output returns the value of the output op names as the indexed suffix
+// created it: that of the latest indexed transaction with op's txid that has
+// an output op.Vout. A transaction repeated with fewer outputs overrides only
+// the ones it has.
+func (ix *txIndex) output(suffix []*storedBlock, op *btc.OutPoint) (value int64, ok bool) {
+	tag := txTag(&op.TxID)
+	mask := uint32(len(ix.words) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		w := ix.words[i]
+		if w == 0 {
+			return value, ok
+		}
+		if uint32(w>>32) != tag {
+			continue
+		}
+		r := ix.refs[uint32(w)-1]
+		b := suffix[r.block]
+		if b.TxIDs()[r.tx] != op.TxID {
+			continue
+		}
+		if outs := b.Transactions[r.tx].Outputs; op.Vout < uint32(len(outs)) {
+			value, ok = outs[op.Vout].Value, true
+		}
+	}
 }
 
 // GetBlockHeadersArgs selects a height range for get_block_headers (the

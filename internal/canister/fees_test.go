@@ -1,6 +1,7 @@
 package canister
 
 import (
+	"fmt"
 	"testing"
 
 	"icbtc/internal/btc"
@@ -28,6 +29,207 @@ func spendOf(prev *btc.Transaction, vout uint32, outValue int64) *btc.Transactio
 
 func rateOf(tx *btc.Transaction, fee int64) int64 {
 	return fee * 1000 / int64(tx.SerializedSize())
+}
+
+// feeCheck holds get_current_fee_percentiles to ReplayFeePercentiles: the
+// query answer twice (the second from the cache) and the update-kind
+// recompute must equal the oracle's answer, and the recompute must meter what
+// the oracle does. It returns the answer.
+func (r *forgeRig) feeCheck() []int64 {
+	r.t.Helper()
+	oracleCtx := r.ctx(ic.KindUpdate)
+	want, errW := ReplayFeePercentiles(r.can, oracleCtx)
+	for round := 0; round < 2; round++ {
+		got, err := r.can.GetCurrentFeePercentiles(r.ctx(ic.KindQuery))
+		if ic.ResponseDigest(got, err) != ic.ResponseDigest(want, errW) {
+			r.t.Fatalf("get_current_fee_percentiles query %d: %v (%v), replay %v (%v)", round, got, err, want, errW)
+		}
+	}
+	updCtx := r.ctx(ic.KindUpdate)
+	got, err := r.can.GetCurrentFeePercentiles(updCtx)
+	if ic.ResponseDigest(got, err) != ic.ResponseDigest(want, errW) {
+		r.t.Fatalf("get_current_fee_percentiles recomputed: %v (%v), replay %v (%v)", got, err, want, errW)
+	}
+	if u, o := updCtx.Meter.Total(), oracleCtx.Meter.Total(); u != o {
+		r.t.Fatalf("get_current_fee_percentiles recomputed: metered %d, replay %d", u, o)
+	}
+	return want
+}
+
+// payOut spends one output of prev into one output per value.
+func payOut(prev *btc.Transaction, vout uint32, values ...int64) *btc.Transaction {
+	tx := spendOf(prev, vout, 0)
+	tx.Outputs = tx.Outputs[:0]
+	for i, v := range values {
+		tx.Outputs = append(tx.Outputs, btc.TxOut{Value: v, PkScript: btc.PayToPubKeyHashScript([20]byte{0x78, byte(i)})})
+	}
+	return tx
+}
+
+// feeEnum runs one case of TestFeeRescanEnumeration: a rig whose first pre
+// blocks hold the coinbases the case spends.
+type feeEnum struct {
+	*forgeRig
+	chain     []*btc.Block // every block delivered on the tip, in order
+	coinbases []*btc.Transaction
+	forged    bool
+	priced    bool // some answer so far had a nonzero rate
+}
+
+// cb returns a coinbase to spend; i past the ones there are wraps around.
+func (e *feeEnum) cb(i int) *btc.Transaction { return e.coinbases[i%len(e.coinbases)] }
+
+// block mines txs on the tip, delivers the block and checks.
+func (e *feeEnum) block(txs ...*btc.Transaction) *btc.Block {
+	e.t.Helper()
+	b := e.extend(txs...)
+	e.chain = append(e.chain, b)
+	e.check()
+	return b
+}
+
+// forgedBlock is block with transaction i swapped for like after mining: the
+// block keeps the txid and Merkle root the original transaction gave it, so
+// like carries that txid with outputs of its own — a repeated txid whose
+// output count differs, which no hashed block can carry.
+func (e *feeEnum) forgedBlock(i int, like *btc.Transaction, txs ...*btc.Transaction) *btc.Block {
+	e.t.Helper()
+	b := e.mine(e.tip, rigPayout, txs...)
+	b.Transactions[i] = like
+	e.tip = b.BlockHash()
+	e.deliver(b)
+	e.chain = append(e.chain, b)
+	e.forged = true
+	e.check()
+	return b
+}
+
+// check is feeCheck on the rig and on its snapshot restored: the restored
+// canister must agree with its own oracle, and — where no block carries a
+// forged txid, whose restored bytes hash to their real one — with the rig.
+func (e *feeEnum) check() {
+	e.t.Helper()
+	got := e.feeCheck()
+	e.priced = e.priced || got[100] > 0
+	restored, err := RestoreSnapshot(snapshotOf(e.t, e.can))
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	twin := *e.forgeRig
+	twin.can = restored
+	if again := twin.feeCheck(); !e.forged && ic.ResponseDigest(again, nil) != ic.ResponseDigest(got, nil) {
+		e.t.Fatalf("restored canister answers %v, the one it was taken from %v", again, got)
+	}
+}
+
+// TestFeeRescanEnumeration holds the txid-index rescan to ReplayFeePercentiles,
+// the outpoint-map rescan it replaced, on every shape where the two could part:
+// a txid repeated inside a block and across blocks (with as many outputs, and
+// with fewer through a forged txid), spend chains inside one block in and out
+// of order, one output spent by two blocks, inputs nothing created (an unknown
+// txid, an output index past a known transaction's outputs) and outputs
+// exceeding inputs. Each case runs with 1, 4 and 8 coinbase blocks before it —
+// its inputs unstable, some stable, all stable by the time it spends them —
+// and each is then displaced by a reorg of depth 1 and 2 whose heavier branch
+// carries all it displaced in one block, and extended past δ until its blocks
+// have all folded. After every payload the answer is checked, and again on
+// the canister's snapshot restored.
+func TestFeeRescanEnumeration(t *testing.T) {
+	const sub = 5_000_000_000 // the regtest subsidy
+	cases := []struct {
+		name string
+		run  func(e *feeEnum)
+	}{
+		{"repeated in a block", func(e *feeEnum) {
+			tx := payOut(e.cb(0), 0, sub-4_000, 900)
+			e.block(tx, tx, spendOf(tx, 1, 700))
+			e.block(spendOf(tx, 0, sub-9_000))
+		}},
+		{"repeated across blocks", func(e *feeEnum) {
+			tx := payOut(e.cb(0), 0, sub-4_000, 900)
+			e.block(tx)
+			e.block(spendOf(e.cb(1), 0, sub-1_000), tx, spendOf(tx, 1, 600))
+			e.block(spendOf(tx, 0, sub-9_000), tx)
+		}},
+		{"repeated with fewer outputs", func(e *feeEnum) {
+			wide := payOut(e.cb(0), 0, sub-6_000, 1_000, 2_000)
+			narrow := payOut(e.cb(0), 0, sub-3_000) // carries wide's txid once forged
+			e.block(wide)
+			// Inside the forged block, wide:0 is narrow's, wide:2 still wide's.
+			e.forgedBlock(1, narrow, wide, spendOf(wide, 0, sub-8_000), spendOf(wide, 2, 1_500))
+			e.block(spendOf(wide, 1, 400), spendOf(wide, 2, 1_800))
+		}},
+		{"spend chain in a block", func(e *feeEnum) {
+			t1 := spendOf(e.cb(0), 0, sub-1_000)
+			t2 := spendOf(t1, 0, sub-3_000)
+			t3 := spendOf(t2, 0, sub-3_500)
+			// u2 comes before the u1 it spends: unresolved when it is priced.
+			u1 := spendOf(e.cb(1), 0, sub-2_000)
+			u2 := spendOf(u1, 0, sub-2_100)
+			e.block(t1, t2, t3, u2, u1)
+			e.block(spendOf(t3, 0, sub-4_000), spendOf(u2, 0, sub-2_500))
+		}},
+		{"double spend across blocks", func(e *feeEnum) {
+			e.block(spendOf(e.cb(0), 0, sub-1_000))
+			e.block(spendOf(e.cb(0), 0, sub-7_000), spendOf(e.cb(0), 0, sub-2_000))
+			e.block(spendOf(e.cb(0), 0, sub-500))
+		}},
+		{"alien inputs", func(e *feeEnum) {
+			known := payOut(e.cb(0), 0, sub-2_000, 300)
+			alien := spendOf(&btc.Transaction{Version: 9}, 0, 100)
+			e.block(known, alien, spendOf(known, 2, 50))
+			e.block(spendOf(known, 1, 100), spendOf(e.cb(1), 7, 10), spendOf(alien, 0, 10))
+		}},
+		{"negative and zero fees", func(e *feeEnum) {
+			e.block(spendOf(e.cb(0), 0, sub+1), spendOf(e.cb(1), 0, sub), spendOf(e.cb(2), 0, sub-1_200))
+			e.block(spendOf(e.cb(3), 0, sub+5_000), spendOf(e.cb(4), 0, sub-800))
+		}},
+	}
+	runs := 0
+	for _, c := range cases {
+		for _, pre := range []int{1, 4, 8} {
+			for _, depth := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/pre=%d/reorg=%d", c.name, pre, depth), func(t *testing.T) {
+					e := &feeEnum{forgeRig: newForgeRig(t)}
+					for i := 0; i < pre; i++ {
+						e.coinbases = append(e.coinbases, e.block().Transactions[0])
+					}
+					c.run(e)
+					if len(e.chain)-pre < depth {
+						t.Fatalf("the case mined %d blocks, fewer than the reorg displaces", len(e.chain)-pre)
+					}
+					// The heavier branch: every transaction the reorg displaces, in
+					// one block, then empty blocks.
+					old := e.chain[len(e.chain)-depth:]
+					var displaced []*btc.Transaction
+					for _, b := range old {
+						displaced = append(displaced, b.Transactions[1:]...)
+					}
+					branch := []*btc.Block{e.mine(old[0].Header.PrevBlock, rigPayout, displaced...)}
+					for len(branch) <= depth {
+						branch = append(branch, e.mine(branch[len(branch)-1].BlockHash(), rigPayout))
+					}
+					e.tip = branch[len(branch)-1].BlockHash()
+					e.deliver(branch...)
+					e.check()
+					end := e.can.TipHeight()
+					for i := 0; i < 8; i++ {
+						e.block()
+					}
+					if e.can.AnchorHeight() < end {
+						t.Fatalf("anchor at %d: the case's blocks, up to height %d, have not all folded", e.can.AnchorHeight(), end)
+					}
+					if !e.priced {
+						t.Fatal("no answer priced a transaction: the case is vacuous")
+					}
+				})
+				runs++
+			}
+		}
+	}
+	if runs != 42 {
+		t.Fatalf("enumerated %d runs, want 42", runs)
+	}
 }
 
 // TestFeePercentilesKnownRates pins the percentile arithmetic with

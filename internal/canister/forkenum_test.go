@@ -122,8 +122,8 @@ func forkCase(t *testing.T, delta, base, depth, length int) {
 
 // oracleCheck is the per-payload invariant set: the anchor has not moved
 // back; get_balance and every page of get_utxos at MinConfirmations 0, 1 and
-// δ answer exactly as the replay oracle does, and the cached
-// get_current_fee_percentiles exactly as the update-kind recompute; and
+// δ answer exactly as the replay oracle does, and get_current_fee_percentiles,
+// cached and recomputed, exactly as ReplayFeePercentiles; and
 // Snapshot → RestoreSnapshot → Snapshot is byte-stable. It returns the anchor.
 func (r *forgeRig) oracleCheck(delta int, lastAnchor int64, addrs []string) int64 {
 	r.t.Helper()
@@ -156,13 +156,7 @@ func (r *forgeRig) oracleCheck(delta int, lastAnchor int64, addrs []string) int6
 			}
 		}
 	}
-	for round := 0; round < 2; round++ { // the second query is a cache hit
-		cached, errC := r.can.GetCurrentFeePercentiles(r.ctx(ic.KindQuery))
-		fresh, errF := r.can.GetCurrentFeePercentiles(r.ctx(ic.KindUpdate))
-		if ic.ResponseDigest(cached, errC) != ic.ResponseDigest(fresh, errF) {
-			r.t.Fatalf("get_current_fee_percentiles: cached %v (%v), recomputed %v (%v)", cached, errC, fresh, errF)
-		}
-	}
+	r.feeCheck()
 	snap := snapshotOf(r.t, r.can)
 	restored, err := RestoreSnapshot(snap)
 	if err != nil {

@@ -1,6 +1,8 @@
 package canister
 
 import (
+	"sort"
+
 	"icbtc/internal/btc"
 	"icbtc/internal/chain"
 	"icbtc/internal/ic"
@@ -12,10 +14,12 @@ import (
 // request ("the computational complexity ... grows linearly with the
 // parameter δ"). ReplayUTXOs and ReplayBalance answer from the very canister
 // the overlay serves from — read-only, no cache filled — with the results,
-// errors and metering the canister's own naive endpoints would have. They
-// are free functions on purpose: no Config field, registry method, dispatch
-// path or snapshot byte can reach them; only the differential harness, the
-// in-package tests and the read-path experiment call them.
+// errors and metering the canister's own naive endpoints would have;
+// ReplayFeePercentiles does the same for the fee rescan's outpoint map, which
+// the txid index in fees.go replaced. They are free functions on purpose: no
+// Config field, registry method, dispatch path or snapshot byte can reach
+// them; only the differential harness, the in-package tests and the
+// read-path experiment call them.
 
 // ReplayUTXOs is get_utxos by replay: materialize the full merged view of
 // the address, sort it, page into it.
@@ -66,6 +70,84 @@ func ReplayBalance(c *BitcoinCanister, ctx *ic.CallContext, args GetBalanceArgs)
 		total += u.Value
 	}
 	return total, nil
+}
+
+// ReplayFeePercentiles is get_current_fee_percentiles by replay, uncached:
+// every output of the unstable suffix goes into one outpoint map in chain
+// order, each input is resolved against it before the stable set, and the
+// rates are sorted.
+func ReplayFeePercentiles(c *BitcoinCanister, ctx *ic.CallContext) ([]int64, error) {
+	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
+	if !c.synced {
+		return nil, ErrNotSynced
+	}
+	full := c.currentChain()
+	nodes := full[1:]
+
+	// Resolve input values from the stable set plus outputs created earlier
+	// in the unstable suffix.
+	type outInfo struct{ value int64 }
+	created := make(map[btc.OutPoint]outInfo)
+	var rates []int64
+	for _, node := range nodes {
+		ctx.Meter.Charge(ic.CostPerUnstableBlockScan, "scan_unstable")
+		block := c.blocks[node.Hash]
+		if block == nil {
+			continue
+		}
+		txids := block.TxIDs()
+		for ti, tx := range block.Transactions {
+			txid := txids[ti]
+			for vout := range tx.Outputs {
+				created[btc.OutPoint{TxID: txid, Vout: uint32(vout)}] = outInfo{value: tx.Outputs[vout].Value}
+			}
+			if tx.IsCoinbase() {
+				continue
+			}
+			var inValue int64
+			resolved := true
+			for i := range tx.Inputs {
+				op := tx.Inputs[i].PreviousOutPoint
+				if info, ok := created[op]; ok {
+					inValue += info.value
+					continue
+				}
+				if u, ok := c.stable.Get(op); ok {
+					inValue += u.Value
+					continue
+				}
+				resolved = false
+				break
+			}
+			if !resolved {
+				continue
+			}
+			var outValue int64
+			for i := range tx.Outputs {
+				outValue += tx.Outputs[i].Value
+			}
+			fee := inValue - outValue
+			if fee < 0 {
+				continue // unpriceable (canister does not validate spends)
+			}
+			size := tx.SerializedSize()
+			if size == 0 {
+				continue
+			}
+			rates = append(rates, fee*1000/int64(size))
+			ctx.Meter.Charge(ic.CostPerUTXOUnstable, "fee_index")
+		}
+	}
+	percentiles := make([]int64, FeePercentilesCount)
+	if len(rates) == 0 {
+		return percentiles, nil
+	}
+	sort.Slice(rates, func(i, j int) bool { return rates[i] < rates[j] })
+	for p := 0; p < FeePercentilesCount; p++ {
+		idx := p * (len(rates) - 1) / 100
+		percentiles[p] = rates[idx]
+	}
+	return percentiles, nil
 }
 
 // addressUTXOView is the merged stable+unstable view of one address.

@@ -142,7 +142,8 @@ func (c *BitcoinCanister) Snapshot() ([]byte, error) {
 	}
 
 	// Unstable blocks, written in the have list's (height, hash) order so
-	// restore rebuilds the sorted list by appending.
+	// restore rebuilds the sorted list by appending. A block that arrived as
+	// wire bytes is written from them, not re-serialized.
 	e.Uvarint(uint64(len(c.have)))
 	for i := range c.have {
 		block := c.blocks[c.have[i].hash]
@@ -207,7 +208,7 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 	c := &BitcoinCanister{
 		cfg:          cfg,
 		params:       btc.ParamsForNetwork(cfg.Network),
-		blocks:       make(map[btc.Hash]*btc.Block),
+		blocks:       make(map[btc.Hash]*storedBlock),
 		scriptIDs:    btc.NewScriptIDCache(cfg.Network),
 		balanceCache: make(map[balanceKey]int64),
 		met:          newCanisterMetrics(),
@@ -301,7 +302,7 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 		if i > 0 && !haveLess(c.have[i-1], entry) {
 			return fmt.Errorf("canister: restore: blocks not in have order at %d", i)
 		}
-		c.blocks[hash] = block
+		c.blocks[hash] = &storedBlock{Block: block}
 		c.have = append(c.have, entry)
 		return nil
 	}

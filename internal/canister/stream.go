@@ -1,6 +1,7 @@
 package canister
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -62,7 +63,9 @@ type StreamEvent struct {
 	Kind StreamEventKind
 	// Header is set for EventBlockAttached and EventHeaderAttached.
 	Header btc.BlockHeader
-	// RawBlock is the block's wire bytes (EventBlockAttached).
+	// RawBlock is the block's wire bytes (EventBlockAttached); on the
+	// producer's side they may be the stored block's own, so they are read,
+	// never written.
 	RawBlock []byte
 	// Delta is the block's address-indexed delta (EventBlockAttached),
 	// computed once by the authoritative canister so replicas skip the
@@ -131,11 +134,17 @@ func (c *BitcoinCanister) flushFrame() {
 	c.stream(f)
 }
 
-// EncodeFrame serializes a frame deterministically.
+// EncodeFrame serializes a frame deterministically, into a buffer sized up
+// front for every event — a block event's delta outweighs its wire bytes, so
+// sizing for the block alone regrew the buffer mid-delta.
 func EncodeFrame(f *Frame) []byte {
-	hint := 64
+	hint := 64 // sequence, chain position and health
 	for i := range f.Events {
-		hint += 128 + len(f.Events[i].RawBlock)
+		ev := &f.Events[i]
+		hint += 1 + headerWireBytes // kind, then a header or a hash
+		if ev.Kind == EventBlockAttached {
+			hint += binary.MaxVarintLen64 + len(ev.RawBlock) + utxo.EncodedBlockDeltaSize(ev.Delta)
+		}
 	}
 	e := statecodec.NewEncoder(frameMagic, FrameVersion, hint)
 	e.U64(f.Seq)
@@ -367,9 +376,11 @@ func (c *BitcoinCanister) applyAnchorEvent(ctx *ic.CallContext, ev *StreamEvent)
 // WarmQueryState materializes every lazily computed structure queries
 // touch — the cached current chain and the per-block txid memos — so that
 // concurrent read-only queries (the fleet replica's serving mode) perform
-// no writes outside the queryMu-guarded caches. Called automatically at the
-// end of ApplyFrame; call it once after RestoreSnapshot when hydrating a
-// replica.
+// no writes outside the queryMu-guarded caches and the per-block fee price
+// columns, which the first rescan to read a block builds under its
+// sync.Once: off the write lock, and only on a replica asked for fees.
+// Called automatically at the end of ApplyFrame; call it once after
+// RestoreSnapshot when hydrating a replica.
 func (c *BitcoinCanister) WarmQueryState() {
 	c.currentChain()
 	for _, b := range c.blocks {

@@ -701,22 +701,31 @@ func (h *Harness) checkOracleReadOnly() error {
 }
 
 // compareFeePercentiles cross-checks get_current_fee_percentiles: the
-// per-tip cached query path against an update-kind execution, which bypasses
-// the cache and rescans every unstable block on every call — twice, so the
-// second query answer comes from the cache.
+// per-tip cached query path and an update-kind execution, which bypasses the
+// cache and rescans every unstable block on every call, against the replay
+// oracle's outpoint-map rescan — answer and metering — twice, so the second
+// query answer comes from the cache.
 func (h *Harness) compareFeePercentiles() error {
 	for round := 0; round < 2; round++ {
 		h.stats.Queries++
 		a, errA := h.overlay.GetCurrentFeePercentiles(h.ctx(ic.KindQuery))
-		b, errB := h.overlay.GetCurrentFeePercentiles(h.ctx(ic.KindUpdate))
-		if err := sameError(errA, errB); err != nil {
-			return fmt.Errorf("get_current_fee_percentiles round %d: %w", round, err)
+		updCtx, oracleCtx := h.ctx(ic.KindUpdate), h.ctx(ic.KindUpdate)
+		b, errB := h.overlay.GetCurrentFeePercentiles(updCtx)
+		want, errW := canister.ReplayFeePercentiles(h.overlay, oracleCtx)
+		for _, got := range []struct {
+			what string
+			v    []int64
+			err  error
+		}{{"cached", a, errA}, {"uncached", b, errB}} {
+			if err := sameError(got.err, errW); err != nil {
+				return fmt.Errorf("get_current_fee_percentiles round %d, %s: %w", round, got.what, err)
+			}
+			if ic.ResponseDigest(got.v, got.err) != ic.ResponseDigest(want, errW) {
+				return fmt.Errorf("get_current_fee_percentiles round %d: %s %v != replay %v", round, got.what, got.v, want)
+			}
 		}
-		if errA != nil {
-			return nil
-		}
-		if ic.ResponseDigest(a, nil) != ic.ResponseDigest(b, nil) {
-			return fmt.Errorf("get_current_fee_percentiles round %d: cached %v != uncached %v", round, a, b)
+		if u, o := updCtx.Meter.Total(), oracleCtx.Meter.Total(); u != o {
+			return fmt.Errorf("get_current_fee_percentiles round %d: uncached metered %d, replay %d", round, u, o)
 		}
 	}
 	return nil

@@ -457,9 +457,10 @@ func (f *Fleet) RouteQuery(method string, arg any, caller string, now time.Time)
 }
 
 // executeQuery is the execution layer: pick a healthy replica round-robin,
-// forward if it lags beyond the staleness bound, otherwise execute and
-// certify. Quarantined replicas (failed frame application) are skipped; if
-// every replica is quarantined the query goes to the authoritative canister.
+// forward if it lags beyond the staleness bound, otherwise execute — on the
+// pick, or when the pick is busy on a free replica (claim) — and certify.
+// Quarantined replicas (failed frame application) are skipped; if every
+// replica is quarantined the query goes to the authoritative canister.
 // servedSeq is the stream position of the replica state the response was
 // computed at (0 for forwarded queries — the forwarded flag disambiguates),
 // which is what lets the cache layer prove a response belongs to the
@@ -483,11 +484,12 @@ func (f *Fleet) executeQuery(method string, arg any, now time.Time) (rq ic.Route
 			return f.forward(method, arg, now), 0, true
 		}
 
-		if f.authTip.Load()-r.TipHeight() > f.cfg.MaxLagBlocks {
+		if !f.inBound(r) {
 			return f.forward(method, arg, now), 0, true
 		}
 
-		value, err, instructions, tip, anchor, seq := r.serve(method, arg, now)
+		r = f.claim(r)
+		value, err, instructions, tip, anchor, seq := r.execute(method, arg, now)
 		f.met.reg.Trace("fleet.execute", method)
 		var certified bool
 		rq, certified = f.certify(ic.RoutedQuery{
@@ -514,6 +516,34 @@ func (f *Fleet) executeQuery(method string, arg any, now time.Time) (rq ic.Route
 		return rq, seq, false
 	}
 	return f.forward(method, arg, now), 0, true
+}
+
+// inBound reports whether a replica lags the authoritative tip by no more
+// than the staleness bound.
+func (f *Fleet) inBound(r *Replica) bool {
+	return f.authTip.Load()-r.TipHeight() <= f.cfg.MaxLagBlocks
+}
+
+// claim acquires the replica a query executes on. The round-robin pick
+// serves if it is free. While it is busy — its slots all executing, or a
+// frame application holding or awaiting its write lock — the next healthy
+// replica within the staleness bound that is free serves instead, so a query
+// does not wait behind a block it does not need. Only when every replica is
+// busy does the query wait for the pick. A caller on one goroutine never
+// finds a replica busy, so its serve order is the round-robin's.
+func (f *Fleet) claim(pick *Replica) *Replica {
+	if pick.tryAcquire() {
+		return pick
+	}
+	n := len(f.replicas)
+	for k := 1; k < n; k++ {
+		r := f.replicas[(pick.index+k)%n]
+		if !r.broken.Load() && f.inBound(r) && r.tryAcquire() {
+			return r
+		}
+	}
+	pick.acquire()
+	return pick
 }
 
 // auditResponse cross-checks a replica-served certified response: the

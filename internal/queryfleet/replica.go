@@ -322,15 +322,35 @@ func (r *Replica) CatchUp() error {
 	return err
 }
 
-// serve executes one query on this replica: acquire an execution slot,
-// read-lock the state, execute, release the slot. The returned chain
-// position is the one the response was computed at — what its
+// tryAcquire takes an execution slot and the state's read lock if it can
+// without waiting: false when every slot is executing, or when a frame
+// application holds the write lock or waits for it.
+func (r *Replica) tryAcquire() bool {
+	select {
+	case <-r.execSlots:
+	default:
+		return false
+	}
+	if !r.mu.TryRLock() {
+		r.execSlots <- struct{}{}
+		return false
+	}
+	return true
+}
+
+// acquire takes an execution slot and the state's read lock, waiting for
+// both.
+func (r *Replica) acquire() {
+	<-r.execSlots
+	r.mu.RLock()
+}
+
+// execute runs one query on a replica its caller acquired, releasing it. The
+// returned chain position is the one the response was computed at — what its
 // certification binds; seq is that state's stream position, read under the
 // same lock, which the cache layer compares against the fleet generation.
-func (r *Replica) serve(method string, arg any, now time.Time) (value any, err error, instructions uint64, tip, anchor int64, seq uint64) {
-	<-r.execSlots
+func (r *Replica) execute(method string, arg any, now time.Time) (value any, err error, instructions uint64, tip, anchor int64, seq uint64) {
 	ctx := ic.NewCallContext(ic.KindQuery, now)
-	r.mu.RLock()
 	value, err = r.can.Query(ctx, method, arg)
 	tip, anchor = r.can.StreamPosition()
 	seq = r.seq

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -524,6 +525,33 @@ func EncodeBlockDelta(e *statecodec.Encoder, bd *BlockDelta) {
 		}
 	}
 }
+
+// EncodedBlockDeltaSize returns the number of bytes EncodeBlockDelta appends
+// for bd, so an encoder can be sized before the delta is written.
+func EncodedBlockDeltaSize(bd *BlockDelta) int {
+	const outPointBytes = btc.HashSize + 4 + 8 // txid, vout, value
+	n := 8                                     // height
+	nCreated, nSpent := 0, 0
+	for i := range bd.groups {
+		g := &bd.groups[i]
+		key := uvarintLen(len(g.key)) + len(g.key)
+		if g.cLo < g.cHi {
+			nCreated++
+			n += key + uvarintLen(int(g.cHi-g.cLo))
+			for _, u := range bd.created[g.cLo:g.cHi] {
+				n += outPointBytes + uvarintLen(len(u.PkScript)) + len(u.PkScript)
+			}
+		}
+		if g.sLo < g.sHi {
+			nSpent++
+			n += key + uvarintLen(int(g.sHi-g.sLo)) + int(g.sHi-g.sLo)*outPointBytes
+		}
+	}
+	return n + uvarintLen(nCreated) + uvarintLen(nSpent)
+}
+
+// uvarintLen is the length of v's Uvarint encoding.
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // checkDeltaList rejects the list headers no encoder writes: a section's keys
 // ascend strictly — an equal key would merge two lists, a descending one

@@ -194,9 +194,15 @@ func (d *naiveDelta) encode() []byte {
 	return e.Finish()
 }
 
+// encodeDelta also holds EncodedBlockDeltaSize to the bytes EncodeBlockDelta
+// writes, on every delta a test or fuzz target encodes.
 func encodeDelta(d *BlockDelta) []byte {
 	e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
+	before := e.Len()
 	EncodeBlockDelta(e, d)
+	if wrote, sized := e.Len()-before, EncodedBlockDeltaSize(d); wrote != sized {
+		panic(fmt.Sprintf("EncodeBlockDelta wrote %d bytes, EncodedBlockDeltaSize says %d", wrote, sized))
+	}
 	return e.Finish()
 }
 

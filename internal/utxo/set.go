@@ -243,6 +243,15 @@ func (s *Set) Get(op btc.OutPoint) (UTXO, bool) {
 	return u, ok
 }
 
+// Value returns the value of an outpoint's UTXO: Get for a caller that
+// prices rather than lists, which reads no script.
+func (s *Set) Value(op btc.OutPoint) (int64, bool) {
+	if e := s.table.get(&op); e != nil {
+		return e.value, true
+	}
+	return 0, false
+}
+
 // Lookup returns the UTXO for an outpoint together with its memoized address
 // key, in one probe.
 func (s *Set) Lookup(op btc.OutPoint) (UTXO, string, bool) {
