@@ -2,9 +2,11 @@ package icbtc_test
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
@@ -21,7 +23,8 @@ import (
 // page slice, one result — the indexed read path must stay sort-free and
 // bucket-copy-free. The pre-index implementation spent 36 allocations per
 // request on this workload; a regression past the pinned budget means the
-// streaming path degraded.
+// streaming path degraded. The bytes are pinned too: a page of coins, 56
+// bytes an entry, where a page of UTXOs holding their scripts was 80.
 func TestGetUTXOsPageAllocations(t *testing.T) {
 	f := experiments.NewFeeder(btc.Regtest, 6, 9)
 	var h [20]byte
@@ -49,6 +52,28 @@ func TestGetUTXOsPageAllocations(t *testing.T) {
 	// plus one of slack for runtime noise.
 	if avg > 4 {
 		t.Fatalf("get_utxos page allocates %.1f times per request, budget is 4", avg)
+	}
+
+	// Bytes: the page is 1000 coins of 56 bytes (a 36-byte outpoint padded to
+	// 40, value, height), allocated as a large object in whole 8 KiB runtime
+	// pages, and 1 KiB covers the context and the result. The entry size is
+	// written out, not read off utxo.Coin, so a field added to the coin moves
+	// the page past the budget: a script slice makes it 81 920 bytes.
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := f.Canister.GetUTXOs(f.QueryCtx(), args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	const coinBytes, runtimePage = 56, 8 << 10
+	page := uint64(1000*coinBytes+runtimePage-1) / runtimePage * runtimePage
+	t.Logf("%d bytes per 1000-coin page of %d-byte coins", bytes, unsafe.Sizeof(utxo.Coin{}))
+	if budget := page + 1<<10; bytes > budget {
+		t.Fatalf("get_utxos page allocates %d bytes per request, budget is %d", bytes, budget)
 	}
 }
 

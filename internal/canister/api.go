@@ -27,8 +27,10 @@ type GetUTXOsArgs struct {
 
 // GetUTXOsResult is the get_utxos response: the UTXOs, the tip of the
 // considered chain, and a next-page reference when the response is partial.
+// Each UTXO is a coin, (outpoint, value, height) as in the IC API: the
+// queried address names the script.
 type GetUTXOsResult struct {
-	UTXOs     []utxo.UTXO
+	UTXOs     []utxo.Coin
 	TipHash   btc.Hash
 	TipHeight int64
 	NextPage  utxo.PageToken

@@ -16,13 +16,15 @@ import (
 // the overlay serves from — read-only, no cache filled — with the results,
 // errors and metering the canister's own naive endpoints would have;
 // ReplayFeePercentiles does the same for the fee rescan's outpoint map, which
-// the txid index in fees.go replaced. They are free functions on purpose: no
-// Config field, registry method, dispatch path or snapshot byte can reach
-// them; only the differential harness, the in-package tests and the
-// read-path experiment call them.
+// the txid index in fees.go replaced, and ReplayView hands out the merged
+// view itself. They are free functions on purpose: no Config field, registry
+// method, dispatch path or snapshot byte can reach them; only the
+// differential harness, the in-package tests and the read-path experiment
+// call them.
 
 // ReplayUTXOs is get_utxos by replay: materialize the full merged view of
-// the address, sort it, page into it.
+// the address, scripts included, sort it, page into it; only the page
+// becomes coins.
 func ReplayUTXOs(c *BitcoinCanister, ctx *ic.CallContext, args GetUTXOsArgs) (*GetUTXOsResult, error) {
 	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
 	if err := c.checkServable(args.Network); err != nil {
@@ -52,6 +54,16 @@ func ReplayUTXOs(c *BitcoinCanister, ctx *ic.CallContext, args GetUTXOsArgs) (*G
 		}
 	}
 	return result, nil
+}
+
+// ReplayView is the whole merged view ReplayUTXOs pages into, canonically
+// sorted and with every UTXO's script: what a coin page leaves out.
+func ReplayView(c *BitcoinCanister, ctx *ic.CallContext, address string, minConf int64) ([]utxo.UTXO, error) {
+	view, _, err := c.addressViewReplay(ctx, address, minConf)
+	if err != nil {
+		return nil, err
+	}
+	return view.utxos, nil
 }
 
 // ReplayBalance is get_balance by replay: sum the materialized view.

@@ -53,7 +53,7 @@ func ThresholdSpend(ctx *ic.CallContext, bitcoinID ic.CanisterID, network btc.Ne
 	if err != nil {
 		return nil, err
 	}
-	var coins []utxo.UTXO
+	var coins []utxo.Coin
 	var page utxo.PageToken
 	for {
 		v, err := ctx.Call(bitcoinID, "get_utxos", canister.GetUTXOsArgs{Address: self.String(), Page: page})
@@ -82,12 +82,14 @@ func ThresholdSpend(ctx *ic.CallContext, bitcoinID ic.CanisterID, network btc.Ne
 }
 
 // buildSpend is the part of a spend that does not depend on who holds the
-// key: one output per payment, coins taken in the order given until they
-// cover payments plus fee, change (if any) back to self, then signInput and
-// a local script check for every input. ThresholdSpend signs with the subnet
+// key: one output per payment, coins of self taken in the order given until
+// they cover payments plus fee, change (if any) back to self, then signInput
+// and a local script check for every input. Every coin is locked by self's
+// one script, so the coins carry none. ThresholdSpend signs with the subnet
 // key, Integration.MinerSpend with the miner's.
-func buildSpend(coins []utxo.UTXO, pays []Payment, fee int64, self btc.Address,
+func buildSpend(coins []utxo.Coin, pays []Payment, fee int64, self btc.Address,
 	signInput func(tx *btc.Transaction, i int, pkScript []byte) error) (*btc.Transaction, int64, error) {
+	selfScript := btc.PayToAddrScript(self)
 	tx := &btc.Transaction{Version: 2}
 	need := fee
 	for _, p := range pays {
@@ -114,13 +116,13 @@ func buildSpend(coins []utxo.UTXO, pays []Payment, fee int64, self btc.Address,
 	}
 	change := total - need
 	if change > 0 {
-		tx.Outputs = append(tx.Outputs, btc.TxOut{Value: change, PkScript: btc.PayToAddrScript(self)})
+		tx.Outputs = append(tx.Outputs, btc.TxOut{Value: change, PkScript: selfScript})
 	}
 	for i := range tx.Inputs {
-		if err := signInput(tx, i, coins[i].PkScript); err != nil {
+		if err := signInput(tx, i, selfScript); err != nil {
 			return nil, 0, err
 		}
-		if err := btc.VerifyInput(tx, i, coins[i].PkScript); err != nil {
+		if err := btc.VerifyInput(tx, i, selfScript); err != nil {
 			return nil, 0, fmt.Errorf("core: built invalid spend: %w", err)
 		}
 	}

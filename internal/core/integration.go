@@ -196,7 +196,7 @@ func (in *Integration) MinerAddress() btc.Address {
 // examples and tests put bitcoin somewhere before a canister takes over.
 func (in *Integration) MinerSpend(pays []Payment, fee int64) (*btc.Transaction, error) {
 	miner := in.MinerAddress()
-	coins := in.Bitcoin.Nodes[0].UTXOView().UTXOsForAddress(miner.String())
+	coins := utxo.CoinsOf(in.Bitcoin.Nodes[0].UTXOView().UTXOsForAddress(miner.String()))
 	tx, _, err := buildSpend(coins, pays, fee, miner, func(tx *btc.Transaction, i int, pkScript []byte) error {
 		return btc.SignInput(tx, i, pkScript, in.minerKey)
 	})
@@ -304,9 +304,10 @@ func (in *Integration) GetUTXOs(args canister.GetUTXOsArgs, replicated bool) (*c
 	return out, res, nil
 }
 
-// GetAllUTXOs follows pagination to collect every UTXO of an address.
-func (in *Integration) GetAllUTXOs(address string, minConfirmations int64) ([]utxo.UTXO, error) {
-	var all []utxo.UTXO
+// GetAllUTXOs follows pagination to collect every UTXO of an address, as
+// coins.
+func (in *Integration) GetAllUTXOs(address string, minConfirmations int64) ([]utxo.Coin, error) {
+	var all []utxo.Coin
 	var page utxo.PageToken
 	for {
 		res, _, err := in.GetUTXOs(canister.GetUTXOsArgs{

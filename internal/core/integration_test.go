@@ -140,7 +140,7 @@ func TestEndToEndWritePath(t *testing.T) {
 		Inputs:  []btc.TxIn{{PreviousOutPoint: utxos[0].OutPoint, Sequence: 0xffffffff}},
 		Outputs: []btc.TxOut{{Value: utxos[0].Value - 1000, PkScript: btc.PayToAddrScript(dest)}},
 	}
-	if err := btc.SignInput(tx, 0, utxos[0].PkScript, in.minerKey); err != nil {
+	if err := btc.SignInput(tx, 0, btc.PayToAddrScript(in.MinerAddress()), in.minerKey); err != nil {
 		t.Fatal(err)
 	}
 

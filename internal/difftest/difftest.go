@@ -118,6 +118,7 @@ type Stats struct {
 	SplitReorgs      int
 	Queries          int
 	PagesWalked      int
+	ScriptsDerived   int // oracle UTXOs whose script was checked to be the one the queried address derives
 	HeaderDelays     int
 	SnapshotRestores int
 	// SnapshotBytes is the size of the last snapshot taken.
@@ -770,6 +771,11 @@ func (h *Harness) compareUTXOPages(addr string, minConf int64, limit int) error 
 		if errA != nil {
 			return nil // both rejected identically (e.g. c > δ)
 		}
+		if page == 0 {
+			if err := h.checkScriptsDerivable(addr, minConf); err != nil {
+				return err
+			}
+		}
 		ba, bb := EncodeUTXOsResult(resA), EncodeUTXOsResult(resB)
 		if !bytes.Equal(ba, bb) {
 			return fmt.Errorf("get_utxos(%s, c=%d) page %d: overlay %x != replay %x", addr, minConf, page, ba, bb)
@@ -779,6 +785,29 @@ func (h *Harness) compareUTXOPages(addr string, minConf int64, limit int) error 
 		}
 		tokA, tokB = resA.NextPage, resB.NextPage
 	}
+}
+
+// checkScriptsDerivable is what lets a get_utxos page drop the script: every
+// UTXO in the oracle's whole view of a standard address is locked by exactly
+// the script a client derives from that address. A key that parses as no
+// address names a script its caller already holds.
+func (h *Harness) checkScriptsDerivable(addr string, minConf int64) error {
+	a, err := btc.ParseAddress(addr, btc.Regtest)
+	if err != nil {
+		return nil
+	}
+	want := btc.PayToAddrScript(a)
+	view, err := canister.ReplayView(h.overlay, h.ctx(ic.KindQuery), addr, minConf)
+	if err != nil {
+		return fmt.Errorf("get_utxos(%s, c=%d) full view: %w", addr, minConf, err)
+	}
+	for _, u := range view {
+		if !bytes.Equal(u.PkScript, want) {
+			return fmt.Errorf("get_utxos(%s, c=%d): %v is locked by %x, the address derives %x", addr, minConf, u.OutPoint, u.PkScript, want)
+		}
+	}
+	h.stats.ScriptsDerived += len(view)
+	return nil
 }
 
 func sameError(a, b error) error {
@@ -1112,7 +1141,8 @@ func (h *Harness) checkCertification() error {
 }
 
 // EncodeUTXOsResult serializes a get_utxos response deterministically so
-// responses can be compared byte for byte.
+// responses can be compared byte for byte. A page carries no script:
+// checkScriptsDerivable holds the dropped bytes to the queried address.
 func EncodeUTXOsResult(res *canister.GetUTXOsResult) []byte {
 	var buf bytes.Buffer
 	w := func(v any) { _ = binary.Write(&buf, binary.BigEndian, v) }
@@ -1128,8 +1158,6 @@ func EncodeUTXOsResult(res *canister.GetUTXOsResult) []byte {
 		w(u.OutPoint.Vout)
 		w(u.Value)
 		w(u.Height)
-		w(int64(len(u.PkScript)))
-		buf.Write(u.PkScript)
 	}
 	return buf.Bytes()
 }

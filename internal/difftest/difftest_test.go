@@ -33,6 +33,7 @@ func TestDifferentialOverlayVsReplay(t *testing.T) {
 		agg.Steps += stats.Steps
 		agg.SnapshotRestores += stats.SnapshotRestores
 		agg.SplitReorgs += stats.SplitReorgs
+		agg.ScriptsDerived += stats.ScriptsDerived
 		agg.FleetReplicaChecks += stats.FleetReplicaChecks
 		agg.FleetLagSum += stats.FleetLagSum
 		agg.FleetHydrations += stats.FleetHydrations
@@ -67,6 +68,11 @@ func TestDifferentialOverlayVsReplay(t *testing.T) {
 	}
 	if agg.SnapshotRestores < 100 {
 		t.Fatalf("only %d snapshot/restores across the battery, want >= 100", agg.SnapshotRestores)
+	}
+	// A page holds coins, not scripts; the address must have named every
+	// script the oracle saw, or the page lost something.
+	if agg.ScriptsDerived == 0 {
+		t.Fatal("no oracle UTXO's script was checked against its address")
 	}
 	// The fleet dimension must have real coverage: replicas verified at
 	// nonzero lags (mid-reorg states included via split reorgs), snapshot

@@ -49,52 +49,6 @@ func TestResponseDigestMapDeterminism(t *testing.T) {
 	}
 }
 
-// TestResponseDigestShapes pins the canonical encoder's handling of the
-// shapes canister responses actually use: nested structs, byte slices,
-// nil-vs-empty, and pointers.
-func TestResponseDigestShapes(t *testing.T) {
-	type inner struct {
-		N int64
-		B []byte
-	}
-	type outer struct {
-		Name  string
-		Inner inner
-		Ptr   *inner
-		List  []inner
-		M     map[int64][]byte
-	}
-	v1 := outer{
-		Name:  "x",
-		Inner: inner{N: 7, B: []byte{1, 2}},
-		Ptr:   &inner{N: 9},
-		List:  []inner{{N: 1}, {N: 2}},
-		M:     map[int64][]byte{3: {3}, 1: {1}, 2: {2}},
-	}
-	v2 := outer{
-		Name:  "x",
-		Inner: inner{N: 7, B: []byte{1, 2}},
-		Ptr:   &inner{N: 9},
-		List:  []inner{{N: 1}, {N: 2}},
-		M:     map[int64][]byte{2: {2}, 1: {1}, 3: {3}},
-	}
-	if ResponseDigest(v1, nil) != ResponseDigest(v2, nil) {
-		t.Fatal("equal values digested differently")
-	}
-	v2.List[1].N = 3
-	if ResponseDigest(v1, nil) == ResponseDigest(v2, nil) {
-		t.Fatal("nested change did not move the digest")
-	}
-	// nil and empty slices are distinct values and must not collide with
-	// each other via length alone.
-	if ResponseDigest([]byte(nil), nil) == ResponseDigest([]byte{}, nil) {
-		t.Fatal("nil slice collided with empty slice")
-	}
-	if ResponseDigest(nil, nil) == ResponseDigest(uint64(0), nil) {
-		t.Fatal("nil collided with zero")
-	}
-}
-
 // TestCertifyMapValuedResultTwice drives the full certification path twice
 // over the same map-valued result: the committee signature produced for one
 // rendering of the map must verify against an independently rebuilt (and

@@ -193,12 +193,12 @@ func (it *AddressIter) remaining(limit int) int {
 	return n
 }
 
-// headInto materializes into u the entry a successful settle left the stream
-// on — in place: a page is written where it lies, not built entry by entry
-// and copied.
-func (it *AddressIter) headInto(u *UTXO) {
+// headInto writes into c the entry a successful settle left the stream on —
+// in place: a page is written where it lies, not built entry by entry and
+// copied. A coin names no script, so the script table is not read.
+func (it *AddressIter) headInto(c *Coin) {
 	e := &it.cur[0]
-	u.OutPoint, u.Value, u.PkScript, u.Height = e.op, e.value, it.set.scripts[e.script].bytes, it.height
+	c.OutPoint, c.Value, c.Height = e.op, e.value, it.height
 }
 
 // headBefore reports whether that entry strictly precedes u in canonical
@@ -210,12 +210,13 @@ func (it *AddressIter) headBefore(u *UTXO) bool {
 	return cmpOutPoint(&it.cur[0].op, &u.OutPoint) < 0
 }
 
-// Next returns the next UTXO in canonical order.
+// Next returns the next UTXO in canonical order, script included.
 func (it *AddressIter) Next() (u UTXO, ok bool) {
 	if !it.settle(nil) {
 		return UTXO{}, false
 	}
-	it.headInto(&u)
+	e := &it.cur[0]
+	u = UTXO{OutPoint: e.op, Value: e.value, PkScript: it.set.scripts[e.script].bytes, Height: it.height}
 	it.cur = it.cur[1:]
 	return u, true
 }
@@ -267,20 +268,20 @@ func (s *Set) AddressUTXOCount(addressKey string) int {
 // MergedPage streams one get_utxos page for an address directly off the
 // ordered index: the union of the stable bucket (minus suppressed
 // outpoints) and a small pre-sorted list of unstable creations, in
-// canonical order, resuming strictly after token. It returns the page, how
-// many of its entries came from the unstable list, and the next-page token
-// (nil when the merged stream is exhausted).
+// canonical order, resuming strictly after token. It returns the page, as
+// coins, how many of its entries came from the unstable list, and the
+// next-page token (nil when the merged stream is exhausted).
 //
 // The page is byte-for-byte what Page(sortedMergedView, token, limit) would
 // return, at O(log n + page) instead of O(n log n): the cursor is located
-// by binary search and only the page is copied.
+// by binary search and only the page is written.
 //
 // created and suppress are the two faces of one sealed AddressOverlay: its
 // Created list, sorted canonically, and the overlay itself, which drops from
 // the stable stream the outpoints the unstable chain spent and every outpoint
 // in created (a creation overrides a same-outpoint stable entry, as the
 // replay's map overwrite does). Nil for both pages the stable bucket alone.
-func (s *Set) MergedPage(addressKey string, created []UTXO, suppress *AddressOverlay, token PageToken, limit int) (page []UTXO, unstable int, next PageToken, err error) {
+func (s *Set) MergedPage(addressKey string, created []UTXO, suppress *AddressOverlay, token PageToken, limit int) (page []Coin, unstable int, next PageToken, err error) {
 	if limit <= 0 {
 		return nil, 0, nil, fmt.Errorf("utxo: page limit must be positive, got %d", limit)
 	}
@@ -312,16 +313,19 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress *AddressOve
 	if room > limit {
 		room = limit
 	}
-	page = make([]UTXO, room)
+	page = make([]Coin, room)
 	n := 0
 	for n < len(page) {
 		if !stable.settle(suppress) {
-			took := copy(page[n:], created[ci:])
+			took := min(len(page)-n, len(created)-ci)
+			for k := range took {
+				page[n+k] = CoinOf(created[ci+k])
+			}
 			n, ci, unstable = n+took, ci+took, unstable+took
 			break
 		}
 		if ci < len(created) && !stable.headBefore(&created[ci]) {
-			page[n] = created[ci]
+			page[n] = CoinOf(created[ci])
 			unstable++
 			ci++
 		} else {

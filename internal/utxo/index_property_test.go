@@ -156,7 +156,7 @@ func checkResumeEverywhere(t *testing.T, set *Set, key string, want []UTXO, extr
 				t.Fatalf("cursor %d/%s limit %d: %d entries, want %d", c.height, c.op, limit, len(page), n)
 			}
 			for i := range page {
-				if page[i].OutPoint != rest[i].OutPoint || page[i].Height != rest[i].Height || page[i].Value != rest[i].Value {
+				if page[i] != CoinOf(rest[i]) {
 					t.Fatalf("cursor %d/%s limit %d: entry %d is %+v, want %+v", c.height, c.op, limit, i, page[i], rest[i])
 				}
 			}

@@ -142,7 +142,7 @@ func checkOverlayAgainstMaps(t *testing.T, what string, set *Set, addressKey str
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameUTXOs(page, wantPage) || unstable != wantUnstable {
+			if !sameCoins(page, wantPage) || unstable != wantUnstable {
 				t.Fatalf("%s limit %d page %d: %v (%d unstable), map-based %v (%d unstable)",
 					what, limit, pages, page, unstable, wantPage, wantUnstable)
 			}
@@ -170,6 +170,19 @@ func sameUTXOs(a, b []UTXO) bool {
 	}
 	for i := range a {
 		if a[i].OutPoint != b[i].OutPoint || a[i].Value != b[i].Value || a[i].Height != b[i].Height || !bytes.Equal(a[i].PkScript, b[i].PkScript) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameCoins reports whether a coin page is the reference's UTXOs as coins.
+func sameCoins(page []Coin, want []UTXO) bool {
+	if len(page) != len(want) {
+		return false
+	}
+	for i := range page {
+		if page[i] != CoinOf(want[i]) {
 			return false
 		}
 	}
@@ -518,7 +531,7 @@ func TestMergedPageSizedByWhatIsLeft(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameUTXOs(page, wantPage) || unstable != wantUnstable || !bytes.Equal(next, wantNext) {
+			if !sameCoins(page, wantPage) || unstable != wantUnstable || !bytes.Equal(next, wantNext) {
 				t.Fatalf("limit %d page %d: %d UTXOs (%d unstable, token %x), map-based %d (%d, %x)",
 					limit, pages, len(page), unstable, next, len(wantPage), wantUnstable, wantNext)
 			}

@@ -16,6 +16,32 @@ import (
 // cursor identifies a stable resumption point even while new blocks arrive
 // above the cursor height.
 
+// Coin is one entry of a get_utxos page: the IC Bitcoin API's utxo record,
+// (outpoint, value, height), with no script. The caller asked by address,
+// and the address names the script (btc.PayToAddrScript); a "script:<hash>"
+// key's caller already holds the script it hashed. So a page is 56 bytes
+// an entry and holds no pointer: the collector never scans it, fresh or
+// retained by the response cache.
+type Coin struct {
+	OutPoint btc.OutPoint
+	Value    int64
+	Height   int64
+}
+
+// CoinOf is the page entry of a UTXO.
+func CoinOf(u UTXO) Coin {
+	return Coin{OutPoint: u.OutPoint, Value: u.Value, Height: u.Height}
+}
+
+// CoinsOf maps a list of UTXOs to page entries, order kept.
+func CoinsOf(list []UTXO) []Coin {
+	coins := make([]Coin, len(list))
+	for i := range list {
+		coins[i] = CoinOf(list[i])
+	}
+	return coins
+}
+
 // PageToken is the opaque next-page reference.
 type PageToken []byte
 
@@ -52,8 +78,8 @@ func decodeCursor(tok PageToken) (pageCursor, error) {
 
 // Page selects up to limit UTXOs from the canonically sorted list, resuming
 // after the position encoded in token (nil for the first page). It returns
-// the page and the token for the next page (nil when exhausted).
-func Page(sorted []UTXO, token PageToken, limit int) ([]UTXO, PageToken, error) {
+// the page, as coins, and the token for the next page (nil when exhausted).
+func Page(sorted []UTXO, token PageToken, limit int) ([]Coin, PageToken, error) {
 	if limit <= 0 {
 		return nil, nil, fmt.Errorf("utxo: page limit must be positive, got %d", limit)
 	}
@@ -73,8 +99,7 @@ func Page(sorted []UTXO, token PageToken, limit int) ([]UTXO, PageToken, error) 
 	if end > len(sorted) {
 		end = len(sorted)
 	}
-	page := make([]UTXO, end-start)
-	copy(page, sorted[start:end])
+	page := CoinsOf(sorted[start:end])
 	if end == len(sorted) {
 		return page, nil, nil
 	}

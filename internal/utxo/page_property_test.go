@@ -3,7 +3,9 @@ package utxo
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"icbtc/internal/btc"
 )
@@ -67,7 +69,7 @@ func TestPageWalkNeverDuplicatesOrDrops(t *testing.T) {
 		sorted := randomSortedUTXOs(rng, n)
 		limit := 1 + rng.Intn(10)
 
-		var walked []UTXO
+		var walked []Coin
 		var token PageToken
 		for pages := 0; ; pages++ {
 			if pages > n+2 {
@@ -93,7 +95,7 @@ func TestPageWalkNeverDuplicatesOrDrops(t *testing.T) {
 			t.Fatalf("trial %d: walked %d of %d UTXOs", trial, len(walked), len(sorted))
 		}
 		for i := range walked {
-			if walked[i].OutPoint != sorted[i].OutPoint || walked[i].Height != sorted[i].Height {
+			if walked[i] != CoinOf(sorted[i]) {
 				t.Fatalf("trial %d: position %d diverged: %+v vs %+v", trial, i, walked[i], sorted[i])
 			}
 		}
@@ -136,6 +138,32 @@ func randomHigherUTXOs(rng *rand.Rand, n int, baseHeight int64) []UTXO {
 		out[i] = UTXO{OutPoint: op, Height: baseHeight + int64(i)}
 	}
 	return out
+}
+
+// TestCoinHoldsNoPointer: a page entry is memory the collector never scans,
+// in the page and in every cached answer. Any field that is or holds a
+// pointer — a script slice, a string, a map — fails the walk.
+func TestCoinHoldsNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		default:
+			t.Errorf("%s is a %s: a page entry holds no pointer", path, typ.Kind())
+		}
+	}
+	walk("Coin", reflect.TypeOf(Coin{}))
+	if size := unsafe.Sizeof(Coin{}); size != 56 {
+		t.Errorf("a coin is %d bytes, want 56: outpoint, value, height", size)
+	}
 }
 
 func TestMalformedPageTokensRejected(t *testing.T) {

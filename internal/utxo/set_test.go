@@ -306,7 +306,7 @@ func TestPagination(t *testing.T) {
 	sorted := s.UTXOsForAddress(key)
 
 	var token PageToken
-	var collected []UTXO
+	var collected []Coin
 	pages := 0
 	for {
 		page, next, err := Page(sorted, token, 10)
