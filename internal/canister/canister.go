@@ -136,6 +136,9 @@ type BitcoinCanister struct {
 	// events accumulates the current payload's stream events (only while a
 	// sink is installed).
 	events []StreamEvent
+	// pending lists, in attach order, the current payload's attached blocks
+	// whose deltas are not built yet (buildDeltas); nil between payloads.
+	pending []pendingDelta
 	// curChain caches tree.CurrentChain(); any tree mutation clears it.
 	// Queries between payloads share one chain walk instead of re-deriving
 	// the tip per request.
@@ -319,12 +322,12 @@ func (c *BitcoinCanister) acceptHeader(ctx *ic.CallContext, h btc.BlockHeader) e
 // well-formedness, predecessor availability, Merkle root — and stores it.
 // Transaction spending conditions are intentionally NOT validated.
 //
-// pre, when non-nil and built at the node's actual height, is the
-// pipeline's prebuilt state-independent delta half: Finish binds it to the
-// live state, producing exactly what BuildBlockDelta would. A nil or
-// mispredicted pre falls back to the full build, so the resulting state is
-// identical either way.
-func (c *BitcoinCanister) acceptBlock(ctx *ic.CallContext, bw adapter.BlockWithHeader, pre *utxo.PreparedDelta) error {
+// The block's delta is charged here but not built: during catch-up most
+// blocks of a payload are folded before it ends, and nothing reads a folded
+// block's delta. acceptBlock records the block as pending, with the stable
+// set's removal-log mark, and buildDeltas builds the delta once the
+// payload's folds are done, if the block is still above the anchor then.
+func (c *BitcoinCanister) acceptBlock(ctx *ic.CallContext, bw adapter.BlockWithHeader) error {
 	if bw.Block == nil {
 		return errors.New("canister: nil block")
 	}
@@ -353,36 +356,85 @@ func (c *BitcoinCanister) acceptBlock(ctx *ic.CallContext, bw adapter.BlockWithH
 	c.storeBlock(node, bw.Block)
 	c.ingestedBlocks++
 	c.met.blocksIngested.Inc()
-	// Compute the block's address-indexed delta once, now, and attach it to
-	// the tree node: the overlay read path merges these instead of
-	// rescanning blocks, and pruning (reorg, anchor advance) discards them
-	// together with their nodes.
+	// The block's address-indexed delta is metered at attach whether or not
+	// it is ever built, so metering does not depend on how a chain is split
+	// into payloads.
 	ctx.Meter.Charge(uint64(len(bw.Block.Transactions))*ic.CostPerDeltaBuildTx, "build_delta")
-	var delta *utxo.BlockDelta
-	if pre != nil && pre.Height() == node.Height {
-		delta = pre.Finish(c.resolveOwner(node))
-	} else {
-		delta = utxo.BuildBlockDelta(bw.Block, node.Height, c.scriptIDs, c.resolveOwner(node))
-	}
-	node.SetAux(delta)
+	p := pendingDelta{node: node, since: c.stable.RemovalMark(), event: -1}
 	if c.stream != nil {
+		p.block, p.event = bw.Block, len(c.events)
 		c.emit(StreamEvent{
 			Kind:     EventBlockAttached,
 			Header:   bw.Header,
 			RawBlock: bw.Block.Bytes(), // a parsed block's own wire bytes, not a re-serialization
-			Delta:    delta,
 		})
 	}
+	c.pending = append(c.pending, p)
 	return nil
 }
 
+// pendingDelta is a block the payload in progress attached, whose delta
+// buildDeltas has yet to build.
+type pendingDelta struct {
+	node *chain.Node
+	// since is the stable set's removal-log mark at attach: the folds logged
+	// from it on ran after the block attached.
+	since int
+	// event is the block's EventBlockAttached in c.events, and block the
+	// block itself, kept for a frame that needs a delta even if the payload
+	// drops the block; -1 and nil without a stream sink.
+	event int
+	block *btc.Block
+}
+
+// buildDeltas builds, in attach order, the delta of every block the payload
+// attached, once its folds are done. A block still above the anchor gets its
+// full delta on its tree node, where the overlay read path merges it
+// instead of rescanning the block and pruning (reorg, anchor advance)
+// discards it with the node. A block the payload folded or pruned gets
+// nothing — unless a stream sink is installed: its frame event still carries
+// a delta, which the replica drops in the same frame without reading, so it
+// is the created column alone, with no owner resolved.
+func (c *BitcoinCanister) buildDeltas() {
+	for _, p := range c.pending {
+		var delta *utxo.BlockDelta
+		if sb := c.blocks[p.node.Hash]; sb != nil {
+			delta = utxo.BuildBlockDelta(sb.Block, p.node.Height, c.scriptIDs, c.resolveOwner(p.node, p.since))
+			p.node.SetAux(delta)
+		} else if p.event >= 0 {
+			delta = utxo.PrepareBlockDelta(p.block, p.node.Height, c.scriptIDs).Finish(nil)
+		}
+		if p.event >= 0 {
+			c.events[p.event].Delta = delta
+		}
+	}
+	c.pending = nil
+}
+
+// unstable reports whether a block the payload attached is still above the
+// anchor. Neither a fold nor a prune is undone within a payload: the dropped
+// block's parent has left the tree, so the block cannot attach again.
+func (c *BitcoinCanister) unstable(node *chain.Node) bool { return c.blocks[node.Hash] != nil }
+
 // resolveOwner attributes an outpoint spent by a block attached at node to
-// the address keys whose merged views may contain it: creators among the
-// node's unstable ancestors plus the stable set's entry. An unresolvable
+// the address keys whose merged views may contain it: the outpoint's owner
+// if, when the block attached, it was in the stable set or created by one of
+// the node's unstable ancestors. The question is answered after the
+// payload's folds, which may since have moved some of those ancestors into
+// U. It is answered from three places:
+//   - the ancestors still above the anchor;
+//   - U as it is now;
+//   - the entries folds removed from U since the block attached (the stable
+//     set's removal log from since on).
+//
+// A fold moves an ancestor's surviving outputs into U and removes exactly
+// the entries it spends, so together the three hold what U and the unstable
+// ancestors held at attach. An outpoint names one transaction output, so
+// every place that knows it agrees on its key and value. An unresolvable
 // outpoint (an alien input the canister never tracked, or one created on a
 // competing branch) yields no owners — the spend is a no-op for every view,
 // exactly as the naive replay's unconditional delete would be.
-func (c *BitcoinCanister) resolveOwner(node *chain.Node) utxo.OwnerResolver {
+func (c *BitcoinCanister) resolveOwner(node *chain.Node, since int) utxo.OwnerResolver {
 	// The ancestors' deltas are the same for every spend of the block.
 	ancestors := make([]*utxo.BlockDelta, 0, 8)
 	for anc := node.Parent(); anc != nil; anc = anc.Parent() {
@@ -396,6 +448,7 @@ func (c *BitcoinCanister) resolveOwner(node *chain.Node) utxo.OwnerResolver {
 		// deduplicated by comparing against the owners found so far: there are
 		// at most a couple, and a per-spend set would cost an allocation for
 		// each input of the block.
+		found := len(owners)
 		tag := utxo.TagOutPoint(&op)
 		for _, d := range ancestors {
 			if u := d.CreatedTagged(&op, tag); u != nil {
@@ -407,6 +460,13 @@ func (c *BitcoinCanister) resolveOwner(node *chain.Node) utxo.OwnerResolver {
 		// The stable set stores each entry's derived key; no re-derive.
 		if u, key, ok := c.stable.Lookup(op); ok && !ownedBy(owners, key) {
 			owners = append(owners, utxo.OwnedOutput{AddressKey: key, Value: u.Value})
+		}
+		// The log is asked only when neither answered: an output it holds that
+		// U or an ancestor holds too is the same output, under the same key.
+		if len(owners) == found {
+			if key, value, ok := c.stable.RemovedSince(op, since); ok {
+				owners = append(owners, utxo.OwnedOutput{AddressKey: key, Value: value})
+			}
 		}
 		return owners
 	}

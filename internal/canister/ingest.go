@@ -12,17 +12,27 @@ import (
 // The canister's write path: one skeleton, ingestBatch, owns Algorithm 2
 // from payload timer to frame flush, and every entry point — ProcessPayload,
 // ProcessPayloadPipelined, SyncWire — is a thin source of blocks for it.
-// The CPU-bound per-block work (wire decode, txid/Merkle double-hashing,
-// script-ID derivation, delta prebuild) runs through internal/ingest over a
-// bounded prefetch window: on cfg.Workers goroutines, or at Workers <= 1
-// interleaved on the calling goroutine. Algorithm 2's state mutation (header
-// validation against the tree, attach, anchor advance, stable fold) is
-// strictly sequential on the calling goroutine either way; only the stable
-// folds' bucket writes may trail, in block order, on one more goroutine
-// (utxo.Set.FoldSession). So accept/reject decisions, counters, metrics,
-// stream frames and the resulting state are byte-identical at every worker
-// count; internal/difftest randomizes workers and windows against the
-// one-worker run to enforce exactly that.
+// The CPU-bound per-block work (wire decode, txid/Merkle double-hashing)
+// runs through internal/ingest over a bounded prefetch window: on
+// cfg.Workers goroutines, or at Workers <= 1 interleaved on the calling
+// goroutine. Algorithm 2's state mutation (header validation against the
+// tree, attach, anchor advance, stable fold) is strictly sequential on the
+// calling goroutine either way; only the stable folds' bucket writes may
+// trail, in block order, on one more goroutine (utxo.Set.FoldSession).
+//
+// Deltas come last. A block's delta is read only while the block is above
+// the anchor, and catch-up folds most of a payload's blocks before the
+// payload ends, so attaching a block builds nothing. When the folds are
+// done, buildDeltas builds the deltas of the blocks still unstable, on the
+// calling goroutine and in attach order. It resolves each spend against
+// what the stable set and the unstable ancestors held when the block
+// attached. The stable set's removal log, open for the payload, keeps what
+// the folds since then took out.
+//
+// So accept/reject decisions, counters, metrics, stream frames and the
+// resulting state are byte-identical at every worker count;
+// internal/difftest randomizes workers and windows against the one-worker
+// run to enforce exactly that.
 
 // SyncStats summarizes one ingested batch.
 type SyncStats struct {
@@ -40,45 +50,11 @@ type batch struct {
 	health adapter.Health
 	// blocks is the number of block entries.
 	blocks int
-	// header returns entry i's header; false when it does not decode, in
-	// which case prepare yields no block for the entry either.
-	header func(i int) (btc.BlockHeader, bool)
 	// prepare runs entry i's state-independent prework on a pipeline
-	// worker. A result without a Block is a reject.
-	prepare func(prep *ingest.Preparer, worker, i int, height int64) ingest.PreparedBlock
+	// worker. An entry without a Block is a reject.
+	prepare func(i int) adapter.BlockWithHeader
 	// next is the upcoming headers appended after the blocks.
 	next []btc.BlockHeader
-}
-
-// predictHeights reads every entry's header and computes the height its
-// block would attach at: parent already in the tree → parent height + 1,
-// parent earlier in the batch → its predicted height + 1, unknown parent or
-// undecodable header → -1 (the sequential applier rejects the entry before
-// needing a delta). Tree heights are immutable once a node is inserted, so
-// predictions made before the pipeline starts stay correct for every block
-// that is actually accepted.
-func (c *BitcoinCanister) predictHeights(b batch) ([]btc.BlockHeader, []int64) {
-	headers := make([]btc.BlockHeader, b.blocks)
-	heights := make([]int64, b.blocks)
-	inBatch := make(map[btc.Hash]int64, b.blocks)
-	for i := range headers {
-		heights[i] = -1
-		hdr, ok := b.header(i)
-		if !ok {
-			continue
-		}
-		headers[i] = hdr
-		if ph, ok := inBatch[hdr.PrevBlock]; ok && ph >= 0 {
-			heights[i] = ph + 1
-		} else if node := c.tree.Get(hdr.PrevBlock); node != nil {
-			heights[i] = node.Height + 1
-		}
-		hash := hdr.BlockHash()
-		if _, dup := inBatch[hash]; !dup {
-			inBatch[hash] = heights[i]
-		}
-	}
-	return headers, heights
 }
 
 // ingestBatch applies Algorithm 2 to one batch — the single body behind
@@ -113,15 +89,15 @@ func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b 
 	// while the next block is δ-stable.
 	var stats SyncStats
 	if b.blocks > 0 {
-		headers, heights := c.predictHeights(b)
-		prep := ingest.NewPreparer(c.scriptIDs, cfg.NormalizedWorkers())
+		c.stable.OpenRemovalLog()
+		// c.pending[oldest:] holds every pending block still above the anchor.
+		oldest := 0
 		run := func() {
 			// The consumer never errors, so neither does Map.
 			_ = ingest.Map(b.blocks, cfg,
-				func(worker, i int) ingest.PreparedBlock { return b.prepare(prep, worker, i, heights[i]) },
-				func(i int, pb ingest.PreparedBlock) error {
-					bw := adapter.BlockWithHeader{Block: pb.Block, Header: headers[i]}
-					if err := c.acceptBlock(ctx, bw, pb.Delta); err != nil {
+				func(_, i int) adapter.BlockWithHeader { return b.prepare(i) },
+				func(_ int, bw adapter.BlockWithHeader) error {
+					if err := c.acceptBlock(ctx, bw); err != nil {
 						stats.Rejected++
 						c.rejectedBlocks++
 						c.met.blocksRejected.Inc()
@@ -129,18 +105,32 @@ func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b 
 					}
 					stats.Accepted++
 					c.advanceAnchor(ctx)
+					// A pending block asks the log only about removals after its
+					// own attach, so what precedes the oldest block still above
+					// the anchor can go: catch-up keeps about δ blocks' worth.
+					for oldest < len(c.pending) && !c.unstable(c.pending[oldest].node) {
+						oldest++
+					}
+					mark := c.stable.RemovalMark()
+					if oldest < len(c.pending) {
+						mark = c.pending[oldest].since
+					}
+					c.stable.TrimRemovals(mark)
 					return nil
 				})
 		}
 		// Like Map, the stable folds overlap only given a second worker and
 		// more than one block: each fold's address-index half then trails on
-		// the session's goroutine. Nothing in the batch reads the index — the
-		// one stable-set read, resolveOwner's Lookup, is the table's.
+		// the session's goroutine. Nothing in the batch reads the stable set
+		// but the folds themselves; owner resolution waits for buildDeltas,
+		// after the session has drained.
 		if b.blocks > 1 && cfg.NormalizedWorkers() > 1 {
 			c.stable.FoldSession(run)
 		} else {
 			run()
 		}
+		c.buildDeltas()
+		c.stable.CloseRemovalLog()
 	}
 	// Lines 16-20: append validated upcoming headers.
 	for i := range b.next {
@@ -174,12 +164,12 @@ func (c *BitcoinCanister) ProcessPayloadPipelined(ctx *ic.CallContext, payload a
 	c.ingestBatch(ctx, cfg, batch{
 		health: resp.Health,
 		blocks: len(resp.Blocks),
-		header: func(i int) (btc.BlockHeader, bool) { return resp.Blocks[i].Header, true },
-		prepare: func(prep *ingest.Preparer, worker, i int, height int64) ingest.PreparedBlock {
-			if resp.Blocks[i].Block == nil {
-				return ingest.PreparedBlock{} // acceptBlock rejects it
+		prepare: func(i int) adapter.BlockWithHeader {
+			bw := resp.Blocks[i]
+			if bw.Block != nil { // a nil block is acceptBlock's to reject
+				ingest.Prepare(bw.Block)
 			}
-			return prep.Prepare(worker, resp.Blocks[i].Block, height)
+			return bw
 		},
 		next: resp.Next,
 	})
@@ -188,10 +178,11 @@ func (c *BitcoinCanister) ProcessPayloadPipelined(ctx *ic.CallContext, payload a
 
 // SyncWire ingests a batch of wire-encoded blocks — the catch-up path for a
 // canister (or a bootstrapping replica) that is many blocks behind: the
-// pipeline decodes, hashes, and prebuilds deltas over the prefetch window;
-// the applier attaches and folds sequentially. The final state is
-// byte-identical to parsing each block and feeding it through
-// ProcessPayload. Undecodable entries count as rejected blocks.
+// pipeline decodes and hashes over the prefetch window; the applier
+// attaches and folds sequentially, and builds deltas only for the blocks
+// still unstable at the end. The final state is byte-identical to parsing
+// each block and feeding it through ProcessPayload. Undecodable entries
+// count as rejected blocks.
 func (c *BitcoinCanister) SyncWire(ctx *ic.CallContext, wire [][]byte, cfg ingest.Config) (SyncStats, error) {
 	if len(wire) == 0 {
 		return SyncStats{}, nil
@@ -199,20 +190,12 @@ func (c *BitcoinCanister) SyncWire(ctx *ic.CallContext, wire [][]byte, cfg inges
 	stats := c.ingestBatch(ctx, cfg, batch{
 		health: c.adapterHealth, // wire bytes carry no self-report
 		blocks: len(wire),
-		// Height prediction needs only the 80-byte header; parsing it up
-		// front is cheap.
-		header: func(i int) (btc.BlockHeader, bool) {
-			if len(wire[i]) < btc.BlockHeaderSize {
-				return btc.BlockHeader{}, false
-			}
-			hdr, err := btc.ParseBlockHeader(wire[i][:btc.BlockHeaderSize])
+		prepare: func(i int) adapter.BlockWithHeader {
+			block, err := ingest.PrepareWire(wire[i])
 			if err != nil {
-				return btc.BlockHeader{}, false
+				return adapter.BlockWithHeader{} // acceptBlock rejects it
 			}
-			return *hdr, true
-		},
-		prepare: func(prep *ingest.Preparer, worker, i int, height int64) ingest.PreparedBlock {
-			return prep.PrepareWire(worker, wire[i], height)
+			return adapter.BlockWithHeader{Block: block, Header: block.Header}
 		},
 	})
 	return stats, nil

@@ -2,6 +2,9 @@ package canister
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -141,10 +144,21 @@ func hostileChain(t *testing.T, n int) [][]byte {
 	return wire
 }
 
+// hostileSnapshotSHA256 is the SHA-256 of the snapshot the 30-block hostile
+// chain leaves, recorded when every block's delta was built at attach, with
+// owners resolved against the state of that moment. Building deltas only at
+// the end of a payload must reproduce these bytes, however the chain is
+// split into payloads.
+const hostileSnapshotSHA256 = "7e47c8518ba133c0ae4e6a0778e78d8e73fabec5410b6ed1578a4cd89f9ea575"
+
 // TestSyncWireHostileChainMatchesPayloads: catching up through SyncWire on a
 // hostile chain — so through FoldSession at every worker count above one —
 // must leave the snapshot bytes and metered instructions that delivering it
-// one block per ProcessPayload leaves.
+// one block per ProcessPayload leaves, and both must be the pinned bytes.
+// Blocks 26–30 stay unstable to the end of the one SyncWire payload, and
+// block 26 spends an output of block 24 that block 25 spent too: the fold of
+// 25 removed it from U after 26 attached, and only the removal log still
+// knows it.
 func TestSyncWireHostileChainMatchesPayloads(t *testing.T) {
 	wire := hostileChain(t, 30)
 	now := time.Unix(int64(btc.RegtestParams().GenesisHeader.Timestamp), 0).Add(time.Hour)
@@ -165,6 +179,9 @@ func TestSyncWireHostileChainMatchesPayloads(t *testing.T) {
 			serial.IngestedBlocks(), len(wire), serial.AnchorHeight(), serial.applyErrors)
 	}
 	want, wantInstr := snapshotOf(t, serial), ctx.Meter.Total()
+	if got := fmt.Sprintf("%x", sha256.Sum256(want)); got != hostileSnapshotSHA256 {
+		t.Fatalf("one block per payload: snapshot SHA-256 %s, pinned %s", got, hostileSnapshotSHA256)
+	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		can := New(DefaultConfig(btc.Regtest))
@@ -178,6 +195,117 @@ func TestSyncWireHostileChainMatchesPayloads(t *testing.T) {
 		if got := ctx.Meter.Total(); got != wantInstr {
 			t.Fatalf("workers=%d: metered %d instructions, one block per payload %d", workers, got, wantInstr)
 		}
+	}
+}
+
+// TestSyncWireFramesConverge: a multi-block catch-up published to a stream
+// must bring a replica that applies its frames to the authority's exact
+// state. A block the same payload folds carries only its created column, no
+// spent run — nobody reads it — and the frame still encodes and decodes
+// round trip.
+func TestSyncWireFramesConverge(t *testing.T) {
+	wire := hostileChain(t, 30)
+	now := time.Unix(int64(btc.RegtestParams().GenesisHeader.Timestamp), 0).Add(time.Hour)
+	var keys []string
+	for i := 0; i < 4; i++ { // every script the hostile chain pays
+		_, script := testAddr(byte(0x40 + i))
+		keys = append(keys, btc.ScriptID(script, btc.Regtest))
+	}
+	spentEntries := func(ev *StreamEvent) int {
+		n := 0
+		for _, key := range keys {
+			n += len(ev.Delta.SpentFor(key))
+		}
+		return n
+	}
+
+	for _, workers := range []int{1, 4} {
+		authority := New(DefaultConfig(btc.Regtest))
+		var frames [][]byte
+		authority.SetStreamSink(func(f *Frame) { frames = append(frames, EncodeFrame(f)) })
+		replica := New(DefaultConfig(btc.Regtest))
+		foldedInFrame, keptWithSpends := 0, 0
+		for _, cut := range [][2]int{{0, 7}, {7, 20}, {20, 30}} {
+			ctx := ic.NewCallContext(ic.KindUpdate, now)
+			if _, err := authority.SyncWire(ctx, wire[cut[0]:cut[1]], ingest.Config{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			if len(frames) != 1 {
+				t.Fatalf("workers=%d blocks %v: %d frames, want 1", workers, cut, len(frames))
+			}
+			raw := frames[0]
+			frames = frames[:0]
+			f, err := DecodeFrame(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again := EncodeFrame(f); !bytes.Equal(again, raw) {
+				t.Fatalf("workers=%d blocks %v: the frame does not re-encode to its bytes", workers, cut)
+			}
+			folded := map[btc.Hash]bool{}
+			for i := range f.Events {
+				if f.Events[i].Kind == EventAnchorAdvanced {
+					folded[f.Events[i].Hash] = true
+				}
+			}
+			for i := range f.Events {
+				ev := &f.Events[i]
+				if ev.Kind != EventBlockAttached {
+					continue
+				}
+				switch n := spentEntries(ev); {
+				case folded[ev.Header.BlockHash()] && n != 0:
+					t.Fatalf("workers=%d: block %s folded in its own frame carries %d spent entries", workers, ev.Header.BlockHash(), n)
+				case folded[ev.Header.BlockHash()]:
+					foldedInFrame++
+				case n > 0:
+					keptWithSpends++
+				}
+			}
+			if err := replica.ApplyFrame(f); err != nil {
+				t.Fatalf("workers=%d blocks %v: %v", workers, cut, err)
+			}
+			if !bytes.Equal(snapshotOf(t, replica), snapshotOf(t, authority)) {
+				t.Fatalf("workers=%d blocks %v: replica diverged from the authority", workers, cut)
+			}
+		}
+		if foldedInFrame == 0 || keptWithSpends == 0 {
+			t.Fatalf("workers=%d: %d blocks folded in their own frame, %d kept with spends: the cuts test nothing",
+				workers, foldedInFrame, keptWithSpends)
+		}
+	}
+}
+
+// TestSyncWireLeavesNoPendingState: the removal log and the pending-delta
+// list live for one payload. A log that kept its backing array between
+// payloads would sit in the heap of every canister, replicas included.
+func TestSyncWireLeavesNoPendingState(t *testing.T) {
+	wire := hostileChain(t, 30)
+	now := time.Unix(int64(btc.RegtestParams().GenesisHeader.Timestamp), 0).Add(time.Hour)
+	c := New(DefaultConfig(btc.Regtest))
+	check := func(after string) {
+		t.Helper()
+		if c.pending != nil {
+			t.Fatalf("after %s: pending list holds %d/%d entries", after, len(c.pending), cap(c.pending))
+		}
+		if !reflect.ValueOf(c.stable).Elem().FieldByName("removed").IsNil() {
+			t.Fatalf("after %s: the stable set's removal log is still open", after)
+		}
+	}
+	ctx := ic.NewCallContext(ic.KindUpdate, now)
+	if _, err := c.SyncWire(ctx, wire[:20], ingest.Config{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	check("SyncWire")
+	for _, w := range wire[20:] {
+		blk, err := btc.ParseBlock(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ProcessPayload(ctx, adapter.Response{Blocks: []adapter.BlockWithHeader{{Block: blk, Header: blk.Header}}}); err != nil {
+			t.Fatal(err)
+		}
+		check("ProcessPayload")
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // A canister with a stream sink installed publishes one Frame per processed
 // payload, carrying exactly the mutations Algorithm 2 *accepted*, in
 // application order: blocks attached to the header tree (with their wire
-// bytes and the address-indexed BlockDelta already computed at acceptance),
+// bytes and the address-indexed BlockDelta the payload built for them),
 // upcoming headers, and anchor advances. Rejected blocks and headers never
 // appear — a consumer needs no validation logic, it replays decisions.
 //
@@ -69,7 +69,9 @@ type StreamEvent struct {
 	RawBlock []byte
 	// Delta is the block's address-indexed delta (EventBlockAttached),
 	// computed once by the authoritative canister so replicas skip the
-	// owner-resolution pass entirely.
+	// owner-resolution pass entirely. A block the same payload folds or
+	// prunes is never read, so its delta is the created column alone, with
+	// no spend resolved.
 	Delta *utxo.BlockDelta
 	// Hash identifies the stabilized block (EventAnchorAdvanced).
 	Hash btc.Hash

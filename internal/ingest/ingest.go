@@ -1,8 +1,7 @@
 // Package ingest is the deterministic parallel block-ingest pipeline: it
 // overlaps the CPU-bound per-block work — wire decode, txid and Merkle
-// double-hashing, script-ID derivation, block-delta prebuild — across a
-// bounded prefetch window of upcoming blocks, while state application
-// stays strictly sequential. The applied result is therefore byte-identical
+// double-hashing — across a bounded prefetch window of upcoming blocks,
+// while state application stays strictly sequential. The applied result is therefore byte-identical
 // to the serial path at every worker count (including one), which is what
 // lets the differential harness hold the serial path as the oracle and
 // randomize worker counts freely.
@@ -14,9 +13,11 @@
 //     runs on the calling goroutine in strict index order. Determinism
 //     falls out of the structure — produce must be a pure function of its
 //     input, and all state mutation happens in consume.
-//   - PrepareBlock / PrepareWire (block.go) are the produce functions for
-//     Bitcoin blocks, used by the canister's catch-up sync, payload
-//     processing, frame application, and snapshot hydration.
+//   - Prepare / PrepareWire (block.go) are the produce functions for
+//     Bitcoin blocks, used by the canister's payload processing and
+//     catch-up sync. A block's delta is not prework: it depends on the state
+//     the block attaches at, and the canister builds it only for blocks that
+//     are still unstable when their payload ends.
 package ingest
 
 import (
@@ -65,7 +66,7 @@ func DefaultWorkers() int {
 
 // NormalizedWorkers returns the worker count Map will run with (before
 // the per-call clamp to the item count) — what callers use to size
-// worker-local state such as Preparer caches.
+// worker-local state or to decide whether a run has a second core.
 func (c Config) NormalizedWorkers() int {
 	workers, _ := c.normalized()
 	return workers
@@ -124,7 +125,7 @@ func instrumented[T any](r *obs.Registry, window int,
 // mutator.
 //
 // produce receives a stable worker index in [0, workers) so callers can
-// maintain worker-local caches (e.g. script-ID memos) without locking.
+// maintain worker-local state without locking.
 func Map[T any](n int, cfg Config, produce func(worker, i int) T, consume func(i int, v T) error) error {
 	if n <= 0 {
 		return nil

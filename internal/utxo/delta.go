@@ -11,8 +11,8 @@ import (
 // get_utxos/get_balance implementation replays every unstable block for
 // every request, so query cost grows linearly with δ (§III-C notes exactly
 // this complexity). A BlockDelta is the address-indexed net effect of one
-// unstable block, computed once when the block is attached to the header
-// tree; the read path then merges the stable set with the chain of per-block
+// unstable block, computed once, at the end of the payload that attached the
+// block to the header tree; the read path then merges the stable set with the chain of per-block
 // deltas for just the queried address instead of rescanning full blocks.
 
 // BlockDelta is the address-indexed delta of one block: the outputs it
@@ -211,9 +211,12 @@ type OwnedOutput struct {
 // PreparedDelta is the state-independent half of a BlockDelta: everything
 // derivable from the block alone — the created column (netted against
 // in-block spends) with its groups and index, and the ordered list of inputs
-// still needing owner attribution against live state. The ingest pipeline
-// builds PreparedDeltas on worker goroutines ahead of sequential
-// application; Finish then binds one to the state it applies at.
+// still needing owner attribution. Finish binds it to the state the block
+// attached at. The canister prepares and finishes a block's delta in one go
+// (BuildBlockDelta), when a payload ends and only for blocks still above the
+// anchor: a block the payload folds is never read, so it pays for no delta.
+// The one delta that is prepared and not resolved is the created column a
+// stream frame carries for such a block (Finish with a nil resolver).
 //
 // A PreparedDelta is single-use: Finish completes its delta in place.
 type PreparedDelta struct {
@@ -222,9 +225,6 @@ type PreparedDelta struct {
 	// order the serial path would resolve them in.
 	spends []btc.OutPoint
 }
-
-// Height returns the block height the delta was prepared at.
-func (p *PreparedDelta) Height() int64 { return p.delta.height }
 
 // groupOf returns key's dense id, opening its group on first sight.
 func (d *BlockDelta) groupOf(key string) uint32 {
@@ -237,11 +237,8 @@ func (d *BlockDelta) groupOf(key string) uint32 {
 	return id
 }
 
-// PrepareBlockDelta computes the state-independent half of a block's delta.
-// It is a pure function of the block (plus the memoized address-key
-// derivation), so it can run on any goroutine: pipeline workers call it
-// with worker-local ScriptIDCaches and hand the result to the sequential
-// applier.
+// PrepareBlockDelta computes the state-independent half of a block's delta:
+// a pure function of the block, plus the memoized address-key derivation.
 func PrepareBlockDelta(block *btc.Block, height int64, ids *btc.ScriptIDCache) *PreparedDelta {
 	return prepareDelta(block.Transactions, block.TxIDs(), height, ids)
 }
@@ -340,9 +337,13 @@ func prepareDelta(txs []*btc.Transaction, txids []btc.Hash, height int64, ids *b
 // and returns the completed BlockDelta — byte-identical to what
 // BuildBlockDelta would produce on the same state, because resolve is
 // independent of the delta under construction and the spend order is
-// preserved. Must run on the applier goroutine (resolve reads live state).
+// preserved. A nil resolve attributes no spend: the delta holds its created
+// column and no spent run.
 func (p *PreparedDelta) Finish(resolve OwnerResolver) *BlockDelta {
 	d := p.delta
+	if resolve == nil {
+		return d
+	}
 	// An outpoint has an owner among the unstable ancestors, one in the
 	// stable set, both or neither: two slots serve every spend of the block.
 	owners := make([]OwnedOutput, 0, 2)
@@ -380,9 +381,8 @@ func (p *PreparedDelta) Finish(resolve OwnerResolver) *BlockDelta {
 // read path would — netting out outputs created and spent within the block,
 // and attributes external spends through resolve. Transaction IDs come from
 // the block's memoized table and address keys from the shared ScriptID
-// cache, so neither is re-derived per output. Equivalent to
-// PrepareBlockDelta followed by Finish — the serial path and the pipelined
-// path share this exact code.
+// cache, so neither is re-derived per output. It is PrepareBlockDelta
+// followed by Finish.
 func BuildBlockDelta(block *btc.Block, height int64, ids *btc.ScriptIDCache, resolve OwnerResolver) *BlockDelta {
 	return PrepareBlockDelta(block, height, ids).Finish(resolve)
 }

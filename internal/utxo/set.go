@@ -29,6 +29,9 @@
 //     records, byte estimate, metering stats) and the index half (buckets),
 //     which the table half records and applyIndex performs. The index may
 //     trail the table only inside a FoldSession, and nothing reads it there.
+//   - While a removal log is open, the table half also logs every entry it
+//     spends that was in the set before the block, so a caller can still ask
+//     what the set held before a run of folds (RemovedSince).
 //
 // The set supports applying and unapplying whole blocks (the latter is used
 // by the simulated Bitcoin nodes during reorgs; the canister itself never
@@ -85,6 +88,8 @@ type Set struct {
 	// handoff carries folds' index halves to the FoldSession goroutine; nil
 	// outside a session, where they run inline.
 	handoff chan indexWork
+	// removed is the open removal log (OpenRemovalLog); nil when none is.
+	removed *removalLog
 }
 
 // New creates an empty UTXO set for a network.
@@ -343,6 +348,9 @@ func (m *blockMerge) spend(op btc.OutPoint) bool {
 		m.pending[i-1].spent = true
 	} else {
 		m.removals = append(m.removals, removal{key: key, op: op, height: e.height})
+		if l := m.s.removed; l != nil {
+			l.add(removedEntry{op: op, key: key, value: e.value})
+		}
 	}
 	return true
 }
@@ -426,9 +434,9 @@ const foldHandoff = 4
 // the index half of every fold fn makes runs on the session's goroutine, in
 // block order, through a handoff of foldHandoff blocks, and the session
 // drains before FoldSession returns, on every path out of fn. Meanwhile fn
-// may change the set only by ApplyBlockIngest and ApplyBlock, and read only
-// the table (Get, Lookup, Len, ApproxBytes, ScriptInterned), never a bucket.
-// Sessions do not nest.
+// may change the set only by ApplyBlockIngest and ApplyBlock, read only the
+// table (Get, Lookup, Len, ApproxBytes, ScriptInterned), never a bucket, and
+// use the removal log, which the table half writes. Sessions do not nest.
 func (s *Set) FoldSession(fn func()) {
 	work := make(chan indexWork, foldHandoff)
 	done := make(chan struct{})
@@ -445,6 +453,83 @@ func (s *Set) FoldSession(fn func()) {
 		<-done
 	}()
 	fn()
+}
+
+// removalLog is what folds took out of the set while the log was open: every
+// entry a fold spent that was in the set before the fold's block (its bucket
+// entry became a removal), in the order the entries left. Outputs a block
+// both created and spent never were in the set, so they are not logged.
+type removalLog struct {
+	// entries[i] was logged at mark base+i; a trim drops a prefix.
+	entries []removedEntry
+	base    int
+	// latest maps an outpoint to the mark of its last entry. The first lookup
+	// after a change builds it.
+	latest map[btc.OutPoint]int
+}
+
+// removedEntry is one logged removal: the outpoint and the address key and
+// value it had in the set.
+type removedEntry struct {
+	op    btc.OutPoint
+	key   string
+	value int64
+}
+
+func (l *removalLog) add(e removedEntry) {
+	l.entries = append(l.entries, e)
+	l.latest = nil
+}
+
+// OpenRemovalLog starts logging removals: from here until CloseRemovalLog,
+// RemovedSince answers for every entry a fold takes that was in the set
+// before the fold's block. The canister opens one per payload, so that a
+// block's delta, finished once the payload's folds are done, still sees the
+// outputs those folds spent.
+func (s *Set) OpenRemovalLog() { s.removed = &removalLog{} }
+
+// CloseRemovalLog ends the log and drops everything in it.
+func (s *Set) CloseRemovalLog() { s.removed = nil }
+
+// RemovalMark names the current end of the open log: RemovedSince(op, mark)
+// sees exactly the removals logged after this call.
+func (s *Set) RemovalMark() int { return s.removed.base + len(s.removed.entries) }
+
+// TrimRemovals lets the open log forget the removals logged before mark; no
+// later RemovedSince may ask from an earlier mark. The log gives up the
+// forgotten prefix once it is at least half of what it holds, so a log
+// trimmed as it goes stays within twice what it must remember.
+func (s *Set) TrimRemovals(mark int) {
+	l := s.removed
+	drop := mark - l.base
+	if drop <= 0 || drop < len(l.entries)/2 {
+		return
+	}
+	n := copy(l.entries, l.entries[drop:])
+	clear(l.entries[n:])
+	l.entries = l.entries[:n]
+	l.base = mark
+	l.latest = nil
+}
+
+// RemovedSince reports whether a fold removed op at or after mark while the
+// log was open, and the address key and value op had. An outpoint logged
+// twice — removed, created again, removed again — names one transaction
+// output both times, so either entry answers.
+func (s *Set) RemovedSince(op btc.OutPoint, mark int) (key string, value int64, ok bool) {
+	l := s.removed
+	if l.latest == nil {
+		l.latest = make(map[btc.OutPoint]int, len(l.entries))
+		for i := range l.entries {
+			l.latest[l.entries[i].op] = l.base + i
+		}
+	}
+	at, found := l.latest[op]
+	if !found || at < mark {
+		return "", 0, false
+	}
+	e := &l.entries[at-l.base]
+	return e.key, e.value, true
 }
 
 // BlockUndo records everything needed to unapply a block. Outputs both

@@ -239,6 +239,77 @@ func TestApplySpendWithinBlock(t *testing.T) {
 	}
 }
 
+// TestRemovalLog: an open log answers for exactly the entries folds took that
+// were in the set before their block — not an output its own block created
+// and spent, not an input the set never held — from the mark asked for on,
+// and a trim forgets only what precedes its mark.
+func TestRemovalLog(t *testing.T) {
+	s := New(btc.Regtest)
+	keyA, scriptA := addrKey(9)
+	keyB, scriptB := addrKey(10)
+	fold := func(height int64, txs ...*btc.Transaction) {
+		t.Helper()
+		s.ApplyBlockIngest(&btc.Block{Transactions: txs}, height)
+	}
+	cb1, cb2 := coinbaseTx(50, scriptA, 1), coinbaseTx(40, scriptB, 2)
+	fold(1, cb1)
+	fold(2, cb2)
+	x, x2 := btc.OutPoint{TxID: cb1.TxID()}, btc.OutPoint{TxID: cb2.TxID()}
+
+	s.OpenRemovalLog()
+	mark0 := s.RemovalMark()
+	y := spendTx(x, 45, scriptB)
+	z := spendTx(btc.OutPoint{TxID: y.TxID()}, 44, scriptA)
+	alien := spendTx(op(77, 3), 1, scriptA)
+	fold(3, coinbaseTx(50, scriptA, 3), y, z, alien)
+	mark1 := s.RemovalMark()
+	fold(4, coinbaseTx(50, scriptA, 4), spendTx(x2, 39, scriptA))
+	mark2 := s.RemovalMark()
+	if mark1 != mark0+1 || mark2 != mark1+1 {
+		t.Fatalf("marks %d, %d, %d: want one logged removal per block", mark0, mark1, mark2)
+	}
+
+	type answer struct {
+		key   string
+		value int64
+		ok    bool
+	}
+	ask := func(o btc.OutPoint, mark int) answer {
+		key, value, ok := s.RemovedSince(o, mark)
+		return answer{key, value, ok}
+	}
+	for _, c := range []struct {
+		what string
+		got  answer
+		want answer
+	}{
+		{"x from the open", ask(x, mark0), answer{keyA, 50, true}},
+		{"x after its fold", ask(x, mark1), answer{}},
+		{"x2 from the open", ask(x2, mark0), answer{keyB, 40, true}},
+		{"an output its own block spent", ask(btc.OutPoint{TxID: y.TxID()}, mark0), answer{}},
+		{"an input the set never held", ask(op(77, 3), mark0), answer{}},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s: %+v, want %+v", c.what, c.got, c.want)
+		}
+	}
+
+	s.TrimRemovals(mark1)
+	if got := ask(x2, mark1); got != (answer{keyB, 40, true}) {
+		t.Fatalf("x2 after a trim to its own mark: %+v", got)
+	}
+	if got := ask(x, mark1); got.ok {
+		t.Fatalf("x after a trim past it: %+v", got)
+	}
+	if s.RemovalMark() != mark2 {
+		t.Fatalf("a trim moved the mark from %d to %d", mark2, s.RemovalMark())
+	}
+	s.CloseRemovalLog()
+	if s.removed != nil {
+		t.Fatal("a closed log is still held")
+	}
+}
+
 func TestQuickApplyUnapplyIsIdentity(t *testing.T) {
 	// Property: applying then unapplying a random block leaves the set
 	// exactly as before (same length, size, and balances).
