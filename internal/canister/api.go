@@ -82,7 +82,7 @@ type HealthStatus struct {
 // the typed method registry (registry.go) — every registered method is
 // servable on the replicated path.
 func (c *BitcoinCanister) Update(ctx *ic.CallContext, method string, arg any) (any, error) {
-	m, ok := methodByName[method]
+	m, ok := MethodByName(method)
 	if !ok {
 		return nil, fmt.Errorf("canister: no update method %q", method)
 	}
@@ -96,7 +96,7 @@ func (c *BitcoinCanister) Update(ctx *ic.CallContext, method string, arg any) (a
 // formerly a hand-maintained string list mirroring the Update switch — is
 // the registry's read-only methods.
 func (c *BitcoinCanister) Query(ctx *ic.CallContext, method string, arg any) (any, error) {
-	m, ok := methodByName[method]
+	m, ok := MethodByName(method)
 	if !ok || m.Kind != MethodReadOnly {
 		return nil, fmt.Errorf("canister: no query method %q", method)
 	}

@@ -25,8 +25,11 @@ import (
 // The name selects the field list and every field is self-delimiting, so the
 // encoding decodes back to exactly one request — two requests share a key
 // only if they are the same request, by construction rather than by collision
-// resistance. A key is a value (a fixed array and a length): building one
-// touches no heap, and it costs a copy of the bytes it holds, not a hash.
+// resistance. A key is a value (a fixed array and a length) that KeyInto
+// writes where the caller holds it, at the cost of its bytes: no heap, no
+// hash. KeyInto is a static switch on the argument type fixed when the
+// registry is built, so the key pointer stays on the stack; handed to a func
+// value it would escape (the compiler cannot see what the callee keeps).
 // The array is MaxRequestKeyLen bytes, which every valid cacheable request
 // fits with room to spare; a request that does not fit has no key
 // (ErrRequestKeyTooLong), and the fleet serves it uncached and uncoalesced,
@@ -71,13 +74,15 @@ type MethodDesc struct {
 	// generated API reference ("-" when none).
 	ArgsDoc, ResultDoc string
 
-	// encodeKey builds the request key of a typed argument value. It
-	// rejects wrong-typed arguments with the same error the handler would.
-	// The key travels by value on purpose: a pointer handed to a func value
-	// escapes, and the key would be a heap allocation per query.
-	encodeKey func(arg any) (RequestKey, error)
+	// zero is the argument's zero value (nil for none); KeyInto switches on its type.
+	zero any
 	// handle executes the endpoint.
 	handle func(c *BitcoinCanister, ctx *ic.CallContext, arg any) (any, error)
+}
+
+// wrongArg is the error the key writer and the handler return for an argument of another type.
+func (m *MethodDesc) wrongArg(arg any) error {
+	return fmt.Errorf("canister: %s wants %T, got %T", m.Name, m.zero, arg)
 }
 
 // MaxRequestKeyLen bounds a request key. The largest valid cacheable request
@@ -141,51 +146,86 @@ func (k *RequestKey) i64(v int64) {
 	}
 }
 
-// RequestKey builds the canonical key of one request — what the fleet's
+// KeyInto writes the canonical key of one request into k — what the fleet's
 // coalescer and response cache key on. A wrong-typed argument is rejected
 // with the handler's own error, an encoding past the bound with
-// ErrRequestKeyTooLong; either way the key returned is the zero key.
-func (m *MethodDesc) RequestKey(arg any) (RequestKey, error) { return m.encodeKey(arg) }
+// ErrRequestKeyTooLong; either way k is left the zero key. Keys written into
+// zero values compare with ==; over an earlier key only Bytes is defined.
+func (m *MethodDesc) KeyInto(k *RequestKey, arg any) error {
+	k.n = 0
+	k.str(m.Name)
+	ok := true
+	switch m.zero.(type) {
+	case GetUTXOsArgs:
+		var a GetUTXOsArgs
+		if a, ok = arg.(GetUTXOsArgs); ok {
+			k.str(a.Address)
+			k.i64(int64(a.Network))
+			k.i64(a.MinConfirmations)
+			k.bytes(a.Page)
+			k.i64(int64(a.Limit))
+		}
+	case GetBalanceArgs:
+		var a GetBalanceArgs
+		if a, ok = arg.(GetBalanceArgs); ok {
+			k.str(a.Address)
+			k.i64(int64(a.Network))
+			k.i64(a.MinConfirmations)
+		}
+	case GetBlockHeadersArgs:
+		var a GetBlockHeadersArgs
+		if a, ok = arg.(GetBlockHeadersArgs); ok {
+			k.i64(a.StartHeight)
+			k.i64(a.EndHeight)
+		}
+	case SendTransactionArgs:
+		var a SendTransactionArgs
+		if a, ok = arg.(SendTransactionArgs); ok {
+			k.bytes(a.RawTx)
+			k.i64(int64(a.Network))
+		}
+	default:
+		ok = m.zero == nil // nullary; any other type has no writer, and typedMethod panics
+	}
+	if ok && k.n >= 0 {
+		return nil
+	}
+	*k = RequestKey{}
+	if !ok {
+		return m.wrongArg(arg)
+	}
+	return ErrRequestKeyTooLong
+}
 
-// typedMethod builds a MethodDesc whose argument codec and handler share
-// one typed coercion, so the request-key encoder and the dispatch path can
-// never disagree about what arguments a method takes. encode returns the key
-// of (method, args): the name first, then every field of A.
+// RequestKey returns the key KeyInto writes, by value.
+func (m *MethodDesc) RequestKey(arg any) (k RequestKey, err error) {
+	err = m.KeyInto(&k, arg)
+	return k, err
+}
+
+// typedMethod builds a MethodDesc whose key writer and handler take the same
+// argument type A, so they never disagree about it; an A with no key writer
+// panics here, so no endpoint can quietly become keyless.
 func typedMethod[A any](
 	name string, kind MethodKind, cacheable bool,
 	argsDoc, resultDoc string,
-	encode func(method string, args A) RequestKey,
 	handle func(c *BitcoinCanister, ctx *ic.CallContext, args A) (any, error),
 ) *MethodDesc {
-	coerce := func(arg any) (A, error) {
+	m := &MethodDesc{
+		Name: name, Kind: kind, Cacheable: cacheable,
+		ArgsDoc: argsDoc, ResultDoc: resultDoc, zero: *new(A),
+	}
+	if _, err := m.RequestKey(m.zero); err != nil {
+		panic(fmt.Sprintf("canister: %s: no request-key writer for %T", name, m.zero))
+	}
+	m.handle = func(c *BitcoinCanister, ctx *ic.CallContext, arg any) (any, error) {
 		args, ok := arg.(A)
 		if !ok {
-			var zero A
-			return zero, fmt.Errorf("canister: %s wants %T, got %T", name, zero, arg)
+			return nil, m.wrongArg(arg)
 		}
-		return args, nil
+		return handle(c, ctx, args)
 	}
-	return &MethodDesc{
-		Name: name, Kind: kind, Cacheable: cacheable,
-		ArgsDoc: argsDoc, ResultDoc: resultDoc,
-		encodeKey: func(arg any) (k RequestKey, err error) {
-			args, err := coerce(arg)
-			if err != nil {
-				return k, err
-			}
-			if k = encode(name, args); k.n < 0 {
-				return RequestKey{}, ErrRequestKeyTooLong
-			}
-			return k, nil
-		},
-		handle: func(c *BitcoinCanister, ctx *ic.CallContext, arg any) (any, error) {
-			args, err := coerce(arg)
-			if err != nil {
-				return nil, err
-			}
-			return handle(c, ctx, args)
-		},
-	}
+	return m
 }
 
 // nullaryMethod builds a MethodDesc for an endpoint without arguments; the
@@ -198,10 +238,6 @@ func nullaryMethod(
 	return &MethodDesc{
 		Name: name, Kind: kind, Cacheable: cacheable,
 		ArgsDoc: "-", ResultDoc: resultDoc,
-		encodeKey: func(arg any) (k RequestKey, err error) {
-			k.str(name)
-			return k, nil
-		},
 		handle: func(c *BitcoinCanister, ctx *ic.CallContext, arg any) (any, error) {
 			return handle(c, ctx)
 		},
@@ -212,38 +248,16 @@ func nullaryMethod(
 var methodTable = []*MethodDesc{
 	typedMethod("get_utxos", MethodReadOnly, true,
 		"GetUTXOsArgs", "*GetUTXOsResult",
-		func(method string, a GetUTXOsArgs) (k RequestKey) {
-			k.str(method)
-			k.str(a.Address)
-			k.i64(int64(a.Network))
-			k.i64(a.MinConfirmations)
-			k.bytes(a.Page)
-			k.i64(int64(a.Limit))
-			return k
-		},
 		func(c *BitcoinCanister, ctx *ic.CallContext, a GetUTXOsArgs) (any, error) {
 			return c.GetUTXOs(ctx, a)
 		}),
 	typedMethod("get_balance", MethodReadOnly, true,
 		"GetBalanceArgs", "int64",
-		func(method string, a GetBalanceArgs) (k RequestKey) {
-			k.str(method)
-			k.str(a.Address)
-			k.i64(int64(a.Network))
-			k.i64(a.MinConfirmations)
-			return k
-		},
 		func(c *BitcoinCanister, ctx *ic.CallContext, a GetBalanceArgs) (any, error) {
 			return c.GetBalance(ctx, a)
 		}),
 	typedMethod("get_block_headers", MethodReadOnly, true,
 		"GetBlockHeadersArgs", "*GetBlockHeadersResult",
-		func(method string, a GetBlockHeadersArgs) (k RequestKey) {
-			k.str(method)
-			k.i64(a.StartHeight)
-			k.i64(a.EndHeight)
-			return k
-		},
 		func(c *BitcoinCanister, ctx *ic.CallContext, a GetBlockHeadersArgs) (any, error) {
 			return c.GetBlockHeaders(ctx, a)
 		}),
@@ -269,37 +283,23 @@ var methodTable = []*MethodDesc{
 		}),
 	typedMethod("send_transaction", MethodUpdateOnly, false,
 		"SendTransactionArgs", "-",
-		func(method string, a SendTransactionArgs) (k RequestKey) {
-			k.str(method)
-			k.bytes(a.RawTx)
-			k.i64(int64(a.Network))
-			return k
-		},
 		func(c *BitcoinCanister, ctx *ic.CallContext, a SendTransactionArgs) (any, error) {
 			return nil, c.SendTransaction(ctx, a)
 		}),
 }
 
-// methodByName indexes the registry.
-var methodByName = func() map[string]*MethodDesc {
-	idx := make(map[string]*MethodDesc, len(methodTable))
-	for _, m := range methodTable {
-		if _, dup := idx[m.Name]; dup {
-			panic("canister: duplicate method " + m.Name)
-		}
-		idx[m.Name] = m
-	}
-	return idx
-}()
-
 // Methods returns the registry in API-reference order. The returned slice
 // must not be mutated.
 func Methods() []*MethodDesc { return methodTable }
 
-// MethodByName looks one method up.
+// MethodByName walks the eight entries comparing names: cheaper than a hash.
 func MethodByName(name string) (*MethodDesc, bool) {
-	m, ok := methodByName[name]
-	return m, ok
+	for _, m := range methodTable {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return nil, false
 }
 
 // QueryMethodNames returns the names servable on the query path, derived
@@ -319,7 +319,7 @@ func QueryMethodNames() []string {
 // calls on a dispatch path the registry does not declare, before any
 // execution resources are spent.
 func (c *BitcoinCanister) MethodSpec(method string) (ic.MethodSpec, bool) {
-	m, ok := methodByName[method]
+	m, ok := MethodByName(method)
 	if !ok {
 		return ic.MethodSpec{}, false
 	}

@@ -1,8 +1,11 @@
 package canister
 
 import (
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,6 +195,113 @@ func TestRequestKeyProperties(t *testing.T) {
 			t.Errorf("RequestKey with a %d-byte address returned a non-zero key", n)
 		}
 	}
+}
+
+// TestRequestKeyBytes pins the key bytes of every registered method. The
+// coalescer and the response cache both key on these bytes, and
+// FuzzRequestKey proves keys injective, not unchanged: a writer that moved a
+// field, or widened one, would pass it and still split or merge what the
+// layers share. A diff here is a change of the key format, never a refactor.
+func TestRequestKeyBytes(t *testing.T) {
+	const addr = "mipcBbFg9gMiCh81Kj8tqqdgoZub1ZJRfn"
+	pinned := map[string]bool{}
+	var reused RequestKey // written over by every case: Bytes must not see the last one
+	for _, c := range []struct {
+		name, method string
+		arg          any
+		want         string
+	}{
+		{"get_utxos", "get_utxos", GetUTXOsArgs{Address: addr, Network: btc.Regtest},
+			"096765745f7574786f73226d6970634262466739674d69436838314b6a3874717164676f5a7562315a4a52666e03000000000000000000000000000000000000000000000000"},
+		{"get_utxos with a cursor", "get_utxos", GetUTXOsArgs{Address: addr, Network: btc.Regtest, Page: utxo.PageToken{0xde, 0xad, 0xbe, 0xef}},
+			"096765745f7574786f73226d6970634262466739674d69436838314b6a3874717164676f5a7562315a4a52666e0300000000000000000000000000000004deadbeef0000000000000000"},
+		{"get_utxos with a cursor, min_confirmations and limit", "get_utxos",
+			GetUTXOsArgs{Address: addr, Network: btc.Mainnet, MinConfirmations: 6, Page: utxo.PageToken{0x01, 0x02, 0x03}, Limit: 1000},
+			"096765745f7574786f73226d6970634262466739674d69436838314b6a3874717164676f5a7562315a4a52666e0100000000000000060000000000000003010203e803000000000000"},
+		{"get_balance", "get_balance", GetBalanceArgs{Address: addr, Network: btc.Regtest, MinConfirmations: 3},
+			"0b6765745f62616c616e6365226d6970634262466739674d69436838314b6a3874717164676f5a7562315a4a52666e03000000000000000300000000000000"},
+		{"get_block_headers", "get_block_headers", GetBlockHeadersArgs{StartHeight: 100, EndHeight: 244},
+			"116765745f626c6f636b5f686561646572736400000000000000f400000000000000"},
+		{"get_current_fee_percentiles", "get_current_fee_percentiles", nil,
+			"1b6765745f63757272656e745f6665655f70657263656e74696c6573"},
+		{"get_tip", "get_tip", nil, "076765745f746970"},
+		{"get_health", "get_health", nil, "0a6765745f6865616c7468"},
+		{"get_metrics", "get_metrics", nil, "0b6765745f6d657472696373"},
+		{"send_transaction", "send_transaction", SendTransactionArgs{RawTx: []byte{0x02, 0x00, 0x00, 0x00, 0x01}, Network: btc.Regtest},
+			"1073656e645f7472616e73616374696f6e0502000000010300000000000000"},
+	} {
+		m, ok := MethodByName(c.method)
+		if !ok {
+			t.Fatalf("%s: no method %q", c.name, c.method)
+		}
+		k, err := m.RequestKey(c.arg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := hex.EncodeToString(k.Bytes()); got != c.want {
+			t.Errorf("%s: key %s, pinned %s", c.name, got, c.want)
+		}
+		if err := m.KeyInto(&reused, c.arg); err != nil || hex.EncodeToString(reused.Bytes()) != c.want {
+			t.Errorf("%s: written over another key: %x, %v; pinned %s", c.name, reused.Bytes(), err, c.want)
+		}
+		pinned[c.method] = true
+	}
+	for _, m := range Methods() {
+		if !pinned[m.Name] {
+			t.Errorf("%s has no pinned key; add one", m.Name)
+		}
+	}
+}
+
+// TestKeyWriterCoversRegistry holds the key writers to the registry: names
+// are unique; a method with an argument accepts its own zero argument and
+// rejects every other registered argument type with the handler's own error
+// and the zero key; a nullary method, whose handler ignores its argument,
+// accepts them all; and an argument type without a key writer panics while
+// the registry is built.
+func TestKeyWriterCoversRegistry(t *testing.T) {
+	registered := []any{nil, GetUTXOsArgs{}, GetBalanceArgs{}, GetBlockHeadersArgs{}, SendTransactionArgs{}}
+	names := map[string]bool{}
+	for _, m := range Methods() {
+		if names[m.Name] {
+			t.Errorf("method %s is registered twice", m.Name)
+		}
+		names[m.Name] = true
+		var accepted []string
+		for _, arg := range registered {
+			var k RequestKey
+			err := m.KeyInto(&k, arg)
+			if err == nil {
+				accepted = append(accepted, fmt.Sprintf("%T", arg))
+				continue
+			}
+			_, handlerErr := m.handle(nil, nil, arg) // a wrong type is refused before the canister is touched
+			if handlerErr == nil || err.Error() != handlerErr.Error() || !strings.Contains(err.Error(), "wants") {
+				t.Errorf("%s with %T: key writer says %v, handler %v", m.Name, arg, err, handlerErr)
+			}
+			if k != (RequestKey{}) {
+				t.Errorf("%s with %T: a rejected argument left key %x", m.Name, arg, k.Bytes())
+			}
+		}
+		want := []string{fmt.Sprintf("%T", m.zero)}
+		if m.zero == nil {
+			want = want[:0]
+			for _, arg := range registered {
+				want = append(want, fmt.Sprintf("%T", arg))
+			}
+		}
+		if !slices.Equal(accepted, want) {
+			t.Errorf("%s: key writer accepts %v, want %v", m.Name, accepted, want)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a method whose argument type has no key writer was built")
+		}
+	}()
+	typedMethod("unkeyed", MethodReadOnly, true, "struct{X int}", "-",
+		func(*BitcoinCanister, *ic.CallContext, struct{ X int }) (any, error) { return nil, nil })
 }
 
 // TestAPIReferenceInREADME pins the README's API reference table to the

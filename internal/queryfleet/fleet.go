@@ -423,8 +423,8 @@ func (f *Fleet) RouteQuery(method string, arg any, caller string, now time.Time)
 	if !cacheable && !s.coalesce {
 		return f.execute(method, arg, now, 0, "", false)
 	}
-	enc, err := m.RequestKey(arg)
-	if err != nil {
+	var enc canister.RequestKey
+	if err := m.KeyInto(&enc, arg); err != nil {
 		// No key — a wrong-typed argument, or an encoding past the bound:
 		// served as a layer-less fleet serves it, and the canister answers
 		// it itself (the wrong type with its canonical error).
@@ -434,9 +434,9 @@ func (f *Fleet) RouteQuery(method string, arg any, caller string, now time.Time)
 	if cacheable {
 		// The cache is probed ahead of flight registration — same
 		// semantics, no flight allocation on the hit path.
-		if rq, ok := s.cacheGet(gen, enc.Bytes()); ok {
+		if e := s.cacheGet(gen, enc.Bytes()); e != nil {
 			f.met.cacheHits.Inc()
-			return rq
+			return e.rq
 		}
 		f.met.cacheMisses.Inc()
 	}

@@ -23,12 +23,13 @@ package queryfleet
 // layers by: it is executed like any other, never cached or coalesced, so
 // nothing a caller sizes is retained.
 //
-// What the cache costs a query: a hit builds the encoding on its stack and
-// probes the map with those bytes in place — no hash beyond the map's own, no
-// allocation; a miss copies the encoding into a string once, for the flight
-// and the fill, and if it finds room stores in one more probe; and a miss
-// under capacity pressure — more keys offered than CacheEntries, the first to
-// fill stay — is refused in O(1).
+// What the cache costs a query: a hit has the registry write the encoding
+// into a key on RouteQuery's stack, probes the map with those bytes in place
+// — no hash beyond the map's own, no allocation — and copies the stored
+// answer once; a miss copies the encoding into a string once, for the flight
+// and the fill, and if it finds room stores a new entry in one more probe;
+// and a miss under capacity pressure — more keys offered than CacheEntries,
+// the first to fill stay — is refused in O(1).
 // The cache is walked only to sweep entries of older generations, and at
 // most once per generation: a sweep that leaves it full is remembered until
 // the generation moves, so a cold query pays for its execution and not for
@@ -47,7 +48,8 @@ import (
 )
 
 // cacheEntry is one certified hot response, valid only while the fleet's
-// stream generation still equals gen.
+// stream generation still equals gen. It is immutable once stored (a refill
+// stores a new one), so a hit reads it after the cache lock is released.
 type cacheEntry struct {
 	gen uint64
 	rq  ic.RoutedQuery
@@ -77,7 +79,7 @@ type serving struct {
 	cacheCap int
 
 	cacheMu sync.Mutex
-	cache   map[string]cacheEntry
+	cache   map[string]*cacheEntry
 	// full says a sweep at generation fullGen left the cache at capacity,
 	// every entry of that generation (see cacheFill).
 	full    bool
@@ -91,7 +93,7 @@ type serving struct {
 func newServing(cfg Config) *serving {
 	s := &serving{coalesce: cfg.Coalesce, cacheCap: cfg.CacheEntries}
 	if cfg.CacheEntries > 0 {
-		s.cache = make(map[string]cacheEntry, cfg.CacheEntries)
+		s.cache = make(map[string]*cacheEntry, cfg.CacheEntries)
 	}
 	if cfg.Coalesce {
 		s.flights = make(map[flightKey]*flight)
@@ -99,18 +101,18 @@ func newServing(cfg Config) *serving {
 	return s
 }
 
-// cacheGet returns the cached response for key if it was filled at the
-// current stream generation. A stale-generation entry is never served: the
-// generation bumps on every distributed frame, so a hit proves neither the
-// tip nor the anchor has moved since the fill.
-func (s *serving) cacheGet(gen uint64, key []byte) (ic.RoutedQuery, bool) {
+// cacheGet returns the cache entry for key if it was filled at the current
+// stream generation, nil otherwise. A stale-generation entry is never served:
+// the generation bumps on every distributed frame, so a hit proves neither
+// the tip nor the anchor has moved since the fill.
+func (s *serving) cacheGet(gen uint64, key []byte) *cacheEntry {
 	s.cacheMu.Lock()
-	e, ok := s.cache[string(key)] // probed in place: the conversion does not allocate
+	e := s.cache[string(key)] // probed in place: the conversion does not allocate
 	s.cacheMu.Unlock()
-	if !ok || e.gen != gen {
-		return ic.RoutedQuery{}, false
+	if e == nil || e.gen != gen {
+		return nil
 	}
-	return e.rq, true
+	return e
 }
 
 // cacheFill stores one certified response under the generation it was
@@ -140,7 +142,7 @@ func (s *serving) cacheFill(gen uint64, key string, rq ic.RoutedQuery) (stored, 
 		}
 		swept = true
 	}
-	s.cache[key] = cacheEntry{gen: gen, rq: rq}
+	s.cache[key] = &cacheEntry{gen: gen, rq: rq}
 	if gen != s.fullGen {
 		// A fill that raced a frame stores under a generation already
 		// past; forgetting the mark lets the next fill sweep that dead
@@ -202,11 +204,8 @@ func (f *Fleet) FlightWaiters(method string, arg any) int {
 		return 0
 	}
 	m, ok := canister.MethodByName(method)
-	if !ok {
-		return 0
-	}
-	key, err := m.RequestKey(arg)
-	if err != nil {
+	var key canister.RequestKey
+	if !ok || m.KeyInto(&key, arg) != nil {
 		return 0
 	}
 	return s.flightWaiters(flightKey{gen: f.gen.Load(), key: string(key.Bytes())})

@@ -209,6 +209,80 @@ func TestCacheCapacityFirstFillWins(t *testing.T) {
 	}
 }
 
+// TestCacheEntryImmutableOnceStored holds a hit's answer while the entry it
+// came from goes stale, is swept, and its key is refilled with another
+// envelope — with a reader hitting the cache throughout, so the race detector
+// sees any write to a stored entry (a hit reads its entry after the cache
+// lock is released). The held answer keeps its value and
+// signature bytes: a hit hands out the entry's answer, and the cache only
+// ever replaces entries, never rewrites one.
+func TestCacheEntryImmutableOnceStored(t *testing.T) {
+	cfg := queryfleet.DefaultConfig()
+	cfg.Replicas = 1
+	cfg.CacheEntries = 1
+	var signed atomic.Uint64
+	r := newRig(t, cfg, 10)
+	r.fleet.SetSigner(func(digest []byte) ([]byte, error) {
+		return binary.BigEndian.AppendUint64(append([]byte(nil), digest...), signed.Add(1)), nil
+	})
+	route := func(limit int) ic.RoutedQuery {
+		t.Helper()
+		rq := r.fleet.RouteQuery("get_utxos", canister.GetUTXOsArgs{Address: r.addr.String(), Limit: limit}, "client", r.now)
+		if rq.Err != nil {
+			t.Fatal(rq.Err)
+		}
+		return rq
+	}
+	frame := func() {
+		t.Helper()
+		r.feedBlock()
+		if err := r.fleet.CatchUpAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	route(1)
+	held := route(1)
+	if r.fleet.Stats().CacheHits != 1 {
+		t.Fatal("the second query did not hit")
+	}
+	heldSig, heldDigest := bytes.Clone(held.Signature), ic.ResponseDigest(held.Value, held.Err)
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.fleet.RouteQuery("get_utxos", canister.GetUTXOsArgs{Address: r.addr.String(), Limit: 1}, "client", r.now)
+			}
+		}
+	}()
+	// Each frame leaves the one resident entry stale; the next fill — of the
+	// second key, of the held key, or the reader's — sweeps it or stores a
+	// new entry in its place.
+	for i := 0; i < 10; i++ {
+		frame()
+		route(2)
+		frame()
+		route(1)
+	}
+	close(stop)
+	reader.Wait()
+
+	refilled := route(1)
+	if bytes.Equal(refilled.Signature, heldSig) {
+		t.Fatal("the key was not refilled with a new envelope; the test is vacuous")
+	}
+	if !bytes.Equal(held.Signature, heldSig) || ic.ResponseDigest(held.Value, held.Err) != heldDigest {
+		t.Fatal("a held cache answer changed when its entry was swept and refilled")
+	}
+}
+
 // TestCacheNotFilledFromLaggingReplica feeds a frame the replicas have not
 // applied and asserts responses computed from the lagging state are not
 // cached: a fill is only sound when the serving state provably matches the
