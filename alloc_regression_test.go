@@ -142,59 +142,6 @@ func TestOverlayReadAllocations(t *testing.T) {
 	}
 }
 
-// TestApplyBlockAllocations pins the batched staged apply: one staging pass
-// (presized arenas and maps) plus one ordered merge per touched bucket,
-// followed by a full unapply. A regression toward per-entry allocation
-// patterns (bucket reallocations, unsized undo growth) blows the budget.
-func TestApplyBlockAllocations(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	scripts := make([][]byte, 4)
-	for i := range scripts {
-		var h [20]byte
-		rng.Read(h[:])
-		scripts[i] = btc.PayToPubKeyHashScript(h)
-	}
-	set := utxo.New(btc.Regtest)
-	mkBlock := func(n int) *btc.Block {
-		blk := &btc.Block{}
-		for tr := 0; tr < 50; tr++ {
-			tx := &btc.Transaction{Version: 2, Inputs: []btc.TxIn{{
-				PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff},
-				SignatureScript:  []byte{byte(n), byte(n >> 8), byte(tr), byte(rng.Intn(256))},
-			}}}
-			for o := 0; o < 4; o++ {
-				tx.Outputs = append(tx.Outputs, btc.TxOut{Value: 546, PkScript: scripts[(tr+o)%len(scripts)]})
-			}
-			blk.Transactions = append(blk.Transactions, tx)
-		}
-		blk.TxIDs() // seal outside the measured region
-		return blk
-	}
-	// Warm the buckets so merges land in occupied buckets, then measure
-	// apply+unapply round trips (distinct blocks each run, same shape).
-	if _, _, err := set.ApplyBlock(mkBlock(0), 1); err != nil {
-		t.Fatal(err)
-	}
-	n := 1
-	avg := testing.AllocsPerRun(100, func() {
-		n++
-		blk := mkBlock(n)
-		undo, _, err := set.ApplyBlock(blk, int64(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := set.UnapplyBlock(undo); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The block itself costs ~350 allocations to build; staging, commit,
-	// and unapply must stay within ~1.3k on top of that for 50 txs / 200
-	// outputs, plus slack for runtime noise.
-	if avg > 2200 {
-		t.Fatalf("apply+unapply of a 200-output block allocates %.0f times, budget is 2200", avg)
-	}
-}
-
 // TestApplyBlockIngestAllocations pins the tolerant stable fold on a deep
 // set (100k+ UTXOs, skewed buckets, a third of the inputs missing). By
 // design a fold allocates: the merge's pending list (1); the list of

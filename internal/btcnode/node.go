@@ -2,6 +2,7 @@ package btcnode
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"icbtc/internal/btc"
@@ -11,9 +12,8 @@ import (
 )
 
 // Node is a simulated Bitcoin full node. It maintains a header tree rooted
-// at genesis, a block store, a UTXO view of the current best chain (with
-// undo data for reorgs), and a mempool, and it gossips blocks and
-// transactions with its peers.
+// at genesis, a block store, a UTXO view of the current best chain, and a
+// mempool, and it gossips blocks and transactions with its peers.
 type Node struct {
 	ID     simnet.NodeID
 	net    *simnet.Network
@@ -27,11 +27,11 @@ type Node struct {
 	mempool map[btc.Hash]*btc.Transaction
 	spends  map[btc.OutPoint]btc.Hash
 
-	// utxoView tracks the UTXO set along the active chain; undoStack holds
-	// per-block undo data aligned with activeChain[1:].
-	utxoView    *utxo.Set
-	activeTip   *chain.Node
-	undoByBlock map[btc.Hash]*utxo.BlockUndo
+	// utxoView is the UTXO set of the active chain, folded block by block
+	// and refolded from genesis when the chain switches branches (see
+	// reorganizeTo).
+	utxoView  *utxo.Set
+	activeTip *chain.Node
 
 	// orphans holds blocks whose parent is not yet known, keyed by the
 	// missing parent hash; they are retried when the parent arrives.
@@ -63,7 +63,6 @@ func NewNode(id simnet.NodeID, net *simnet.Network, params *btc.Params) *Node {
 		mempool:         make(map[btc.Hash]*btc.Transaction),
 		spends:          make(map[btc.OutPoint]btc.Hash),
 		utxoView:        utxo.New(params.Network),
-		undoByBlock:     make(map[btc.Hash]*utxo.BlockUndo),
 		orphans:         make(map[btc.Hash][]*btc.Block),
 		peers:           make(map[simnet.NodeID]bool),
 		ValidateScripts: true,
@@ -400,10 +399,15 @@ func (n *Node) branchAvailable(tip *chain.Node) bool {
 	return true
 }
 
-// reorganizeTo switches the active chain to the branch ending at newTip,
-// unapplying blocks back to the fork point and applying the new branch.
+// reorganizeTo switches the active chain to the branch ending at newTip. The
+// view changes only as the canister's stable fold changes a set: a branch that
+// extends the active chain is folded onto it, any other is refolded from
+// genesis into a fresh set, so the node keeps no undo data. A block whose fold
+// counts an error (a missing input or a duplicate output) is rejected, and the
+// view, tip and mempool stay as they were; a fold is not atomic, so an
+// extension that failed part-way refolds the chain the view was on.
 func (n *Node) reorganizeTo(newTip *chain.Node) error {
-	// Find the fork point: walk both branches to equal height, then in step.
+	// Find the fork point: the first ancestor of newTip on the active chain.
 	oldBranch := map[btc.Hash]bool{}
 	for cur := n.activeTip; cur != nil; cur = cur.Parent() {
 		oldBranch[cur.Hash] = true
@@ -412,47 +416,35 @@ func (n *Node) reorganizeTo(newTip *chain.Node) error {
 	for !oldBranch[forkPoint.Hash] {
 		forkPoint = forkPoint.Parent()
 	}
-	// Unapply old blocks above the fork point (tip-first).
-	detached := 0
-	for cur := n.activeTip; cur != forkPoint; cur = cur.Parent() {
-		undo := n.undoByBlock[cur.Hash]
-		if undo == nil {
-			return fmt.Errorf("btcnode: missing undo data for %s", cur.Hash)
-		}
-		if err := n.utxoView.UnapplyBlock(undo); err != nil {
+	attach := pathTo(forkPoint, newTip)
+	if forkPoint == n.activeTip {
+		if err := n.fold(n.utxoView, attach); err != nil {
+			n.utxoView, _ = n.refold(n.activeTip) // it folded clean before
 			return err
 		}
-		delete(n.undoByBlock, cur.Hash)
-		// Return the block's non-coinbase transactions to the mempool.
-		if blk := n.blocks[cur.Hash]; blk != nil {
-			for _, tx := range blk.Transactions {
-				if !tx.IsCoinbase() {
-					n.mempoolAdd(tx)
-				}
+	} else {
+		view, err := n.refold(newTip)
+		if err != nil {
+			return err
+		}
+		n.utxoView = view
+	}
+	// Return the detached blocks' non-coinbase transactions to the mempool
+	// (tip first).
+	detached := 0
+	for cur := n.activeTip; cur != forkPoint; cur = cur.Parent() {
+		for _, tx := range n.blocks[cur.Hash].Transactions {
+			if !tx.IsCoinbase() {
+				n.mempoolAdd(tx)
 			}
 		}
 		detached++
 	}
-	// Apply new branch blocks (fork-point first).
-	var toApply []*chain.Node
-	for cur := newTip; cur != forkPoint; cur = cur.Parent() {
-		toApply = append(toApply, cur)
-	}
-	for i := len(toApply) - 1; i >= 0; i-- {
-		node := toApply[i]
-		blk := n.blocks[node.Hash]
-		if blk == nil {
-			return fmt.Errorf("btcnode: missing block %s during reorg", node.Hash)
-		}
-		undo, _, err := n.utxoView.ApplyBlock(blk, node.Height)
-		if err != nil {
-			return fmt.Errorf("btcnode: connect %s: %w", node.Hash, err)
-		}
-		n.undoByBlock[node.Hash] = undo
-		// The chain has now spent these outpoints: whatever in the mempool
-		// spends one — the mined transaction itself or a conflicting spend
-		// — can never be mined on this branch.
-		for _, tx := range blk.Transactions {
+	// The new branch has spent these outpoints (fork point first): whatever
+	// in the mempool spends one — the mined transaction itself or a
+	// conflicting spend — can never be mined on it.
+	for _, node := range attach {
+		for _, tx := range n.blocks[node.Hash].Transactions {
 			for i := range tx.Inputs {
 				if spender, ok := n.spends[tx.Inputs[i].PreviousOutPoint]; ok {
 					n.mempoolRemove(spender)
@@ -465,6 +457,33 @@ func (n *Node) reorganizeTo(newTip *chain.Node) error {
 	}
 	n.activeTip = newTip
 	return nil
+}
+
+// pathTo returns the chain from just above from up to tip, from's child first.
+func pathTo(from, tip *chain.Node) []*chain.Node {
+	var path []*chain.Node
+	for cur := tip; cur != from; cur = cur.Parent() {
+		path = append(path, cur)
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// fold folds the blocks of nodes into view in order, stopping at the first
+// whose fold counts an error.
+func (n *Node) fold(view *utxo.Set, nodes []*chain.Node) error {
+	for _, node := range nodes {
+		if st := view.ApplyBlockIngest(n.blocks[node.Hash], node.Height); st.Errors > 0 {
+			return fmt.Errorf("btcnode: connect %s: %d missing inputs or duplicate outputs", node.Hash, st.Errors)
+		}
+	}
+	return nil
+}
+
+// refold folds the chain from genesis up to tip into a fresh set.
+func (n *Node) refold(tip *chain.Node) (*utxo.Set, error) {
+	view := utxo.New(n.params.Network)
+	return view, n.fold(view, pathTo(n.tree.Root(), tip))
 }
 
 // AcceptTx validates a transaction against the node's UTXO view and adds it

@@ -1,12 +1,15 @@
 package btcnode
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/secp256k1"
 	"icbtc/internal/simnet"
+	"icbtc/internal/statecodec"
+	"icbtc/internal/utxo"
 )
 
 func newTestNet(t *testing.T, seed int64) (*simnet.Scheduler, *simnet.Network, *btc.Params) {
@@ -23,6 +26,29 @@ func testKey(t *testing.T, seed int64) *secp256k1.PrivateKey {
 		t.Fatal(err)
 	}
 	return key
+}
+
+// encodeView returns a UTXO set's snapshot bytes.
+func encodeView(s *utxo.Set) []byte {
+	e := statecodec.NewEncoder("btcnode-test\n", 1, 0)
+	s.EncodeTo(e)
+	return e.Finish()
+}
+
+// checkViewIsFold holds a node's UTXO view to a fresh fold of its active
+// chain: every block folds clean, and the two sets encode byte-identically.
+func checkViewIsFold(t *testing.T, n *Node) {
+	t.Helper()
+	fresh := utxo.New(n.Params().Network)
+	for _, node := range pathTo(n.Tree().Root(), n.BestTip()) {
+		blk, _ := n.GetBlock(node.Hash)
+		if st := fresh.ApplyBlockIngest(blk, node.Height); st.Errors > 0 {
+			t.Fatalf("block %s of the active chain folds with %d errors", node.Hash, st.Errors)
+		}
+	}
+	if !bytes.Equal(encodeView(n.UTXOView()), encodeView(fresh)) {
+		t.Fatalf("%s: the view differs from a fresh fold of its active chain", n.ID)
+	}
 }
 
 func TestMineAndAccept(t *testing.T) {
@@ -241,6 +267,7 @@ func TestReorgSwitchesToHeavierChain(t *testing.T) {
 	if a.UTXOView().Len() != 4 {
 		t.Fatalf("utxo count %d after reorg, want 4", a.UTXOView().Len())
 	}
+	checkViewIsFold(t, a)
 }
 
 func TestReorgReturnsTxsToMempool(t *testing.T) {
@@ -300,13 +327,135 @@ func TestReorgReturnsTxsToMempool(t *testing.T) {
 	if !a.MempoolHas(tx.TxID()) {
 		t.Fatal("displaced tx not restored to mempool")
 	}
+	checkViewIsFold(t, a)
+	// Mined again on the new branch, it extends the view that was refolded.
+	if _, err := minerA.Mine(0); err != nil {
+		t.Fatal(err)
+	}
+	if a.MempoolSize() != 0 {
+		t.Fatal("the returned spend was not mined again")
+	}
+	checkViewIsFold(t, a)
+}
+
+// TestFailedReorgKeepsActiveView: a heavier branch whose last block spends an
+// output nobody created is rejected, and the node stays on its chain — the
+// tip, the view (the miner's coins, not the branch's) and the mempool as they
+// were, with no half-switched view left behind.
+func TestFailedReorgKeepsActiveView(t *testing.T) {
+	_, net, params := newTestNet(t, 23)
+	a := NewNode("btc/0", net, params)
+	key := testKey(t, 23)
+	if _, err := NewMinerWithKey(a, key).MineChain(3, 0); err != nil {
+		t.Fatal(err)
+	}
+	addr := btc.AddressFromPubKey(key.PubKey().SerializeCompressed(), params.Network)
+	coins := a.UTXOView().UTXOsForAddress(addr.String())
+	pending := &btc.Transaction{
+		Version: 2,
+		Inputs:  []btc.TxIn{{PreviousOutPoint: coins[0].OutPoint, Sequence: 0xffffffff}},
+		Outputs: []btc.TxOut{{Value: coins[0].Value - 1000, PkScript: btc.PayToPubKeyHashScript([20]byte{0xA0})}},
+	}
+	if err := btc.SignInput(pending, 0, coins[0].PkScript, key); err != nil {
+		t.Fatal(err)
+	}
+	if !a.AcceptTx(pending) {
+		t.Fatal("pending spend rejected")
+	}
+	tip, view := a.BestTip(), encodeView(a.UTXOView())
+
+	// A four-block branch from genesis: three clean blocks, then one spending
+	// an output nobody created.
+	forge := NewForge(params)
+	payout := btc.PayToPubKeyHashScript([20]byte{0xF0})
+	parent := params.GenesisHeader.BlockHash()
+	var branch []*btc.Block
+	for i := 0; i < 4; i++ {
+		var txs []*btc.Transaction
+		if i == 3 {
+			txs = append(txs, &btc.Transaction{Version: 2,
+				Inputs:  []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.DoubleSHA256([]byte("nobody"))}}},
+				Outputs: []btc.TxOut{{Value: 1, PkScript: payout}}})
+		}
+		blk, err := forge.Mine(parent, payout, txs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		branch, parent = append(branch, blk), blk.BlockHash()
+	}
+	// The clean prefix arrives without a switch (it is lighter than the
+	// active chain), then the bad block makes the branch the heavier one.
+	for _, blk := range branch[:3] {
+		if _, err := a.tree.Insert(blk.Header); err != nil {
+			t.Fatal(err)
+		}
+		a.blocks[blk.BlockHash()] = blk
+	}
+	if _, err := a.AcceptBlock(branch[3]); err == nil {
+		t.Fatal("a branch spending an output nobody created was adopted")
+	}
+	if a.BestTip() != tip {
+		t.Fatalf("tip moved to height %d", a.Height())
+	}
+	if got := a.UTXOView().UTXOsForAddress(addr.String()); len(got) != 3 {
+		t.Fatalf("the view holds %d of the miner's 3 coins", len(got))
+	}
+	if !bytes.Equal(encodeView(a.UTXOView()), view) {
+		t.Fatal("the failed reorg changed the view")
+	}
+	if a.MempoolSize() != 1 || !a.MempoolHas(pending.TxID()) {
+		t.Fatal("the failed reorg changed the mempool")
+	}
+}
+
+// TestFailedExtensionKeepsActiveView: a block on the tip whose second
+// transaction spends a miner coin and whose third spends an output nobody
+// created is rejected after its fold has changed the view part-way, and the
+// view is refolded to the chain it was on.
+func TestFailedExtensionKeepsActiveView(t *testing.T) {
+	_, net, params := newTestNet(t, 24)
+	a := NewNode("btc/0", net, params)
+	key := testKey(t, 24)
+	miner := NewMinerWithKey(a, key)
+	if _, err := miner.MineChain(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	addr := btc.AddressFromPubKey(key.PubKey().SerializeCompressed(), params.Network)
+	coin := a.UTXOView().UTXOsForAddress(addr.String())[0]
+	tip, view := a.BestTip(), encodeView(a.UTXOView())
+
+	built, err := miner.BuildBlockOn(tip, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &btc.Block{Header: built.Header, Transactions: append(built.Transactions,
+		&btc.Transaction{Version: 2,
+			Inputs:  []btc.TxIn{{PreviousOutPoint: coin.OutPoint}},
+			Outputs: []btc.TxOut{{Value: coin.Value, PkScript: btc.PayToPubKeyHashScript([20]byte{0xB0})}}},
+		&btc.Transaction{Version: 2,
+			Inputs:  []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.DoubleSHA256([]byte("nobody"))}}},
+			Outputs: []btc.TxOut{{Value: 1, PkScript: btc.PayToPubKeyHashScript([20]byte{0xB1})}}})}
+	bad.Header.MerkleRoot = bad.MerkleRoot()
+	if err := btc.MineHeader(&bad.Header); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.AcceptBlock(bad); err == nil {
+		t.Fatal("a block spending an output nobody created was connected")
+	}
+	if a.BestTip() != tip {
+		t.Fatalf("tip moved to height %d", a.Height())
+	}
+	if !bytes.Equal(encodeView(a.UTXOView()), view) {
+		t.Fatal("the failed extension left the view changed")
+	}
+	checkViewIsFold(t, a)
 }
 
 // TestConflictingSpendsDoNotWedgeTheMiner: the mempool holds at most one
 // spend of an outpoint, and none of an outpoint the active chain has spent.
-// Without either rule a block template carries a double spend, strict
-// ApplyBlock rejects the miner's own block, and every later Mine fails the
-// same way ("own block rejected ... output not in set").
+// Without either rule a block template carries a double spend, its fold
+// counts a missing input, the node rejects the miner's own block, and every
+// later Mine fails the same way ("own block rejected ... missing inputs").
 func TestConflictingSpendsDoNotWedgeTheMiner(t *testing.T) {
 	_, net, params := newTestNet(t, 21)
 	a := NewNode("btc/0", net, params)

@@ -33,27 +33,19 @@ import (
 // BitcoinCanisterID is the well-known ID of the Bitcoin canister.
 const BitcoinCanisterID ic.CanisterID = "bitcoin"
 
-// Options configures an Integration. Zero values select the defaults noted
-// on each field.
+// Options configures an Integration on a regtest Bitcoin network of honest
+// nodes. Zero values select the defaults noted on each field.
 type Options struct {
-	// Network is the Bitcoin network flavor (default Regtest).
-	Network btc.Network
 	// BitcoinNodes is the number of honest Bitcoin nodes (default 8).
 	BitcoinNodes int
-	// AdversarialBitcoinNodes adds attacker-controlled Bitcoin nodes.
-	AdversarialBitcoinNodes int
 	// Subnet overrides the IC subnet configuration (default
 	// ic.DefaultConfig with threshold keys enabled).
 	Subnet *ic.Config
-	// Adapter overrides the adapter configuration (default per network,
-	// with discovery thresholds suitable for the simulated population).
-	Adapter *adapter.Config
 	// Canister overrides the Bitcoin canister configuration.
 	Canister *canister.Config
-	// Seed drives all randomness (default 1).
+	// Seed drives all randomness (default 1); the miner's payout key is
+	// drawn from Seed+1000.
 	Seed int64
-	// MinerSeed derives the miner's payout key (default Seed+1000).
-	MinerSeed int64
 }
 
 // Integration is a fully wired instance of the architecture.
@@ -74,27 +66,18 @@ type Integration struct {
 // New builds an Integration per the options. Call Start to begin consensus
 // and adapter syncing.
 func New(opts Options) (*Integration, error) {
-	if opts.Network == 0 {
-		opts.Network = btc.Regtest
-	}
 	if opts.BitcoinNodes == 0 {
 		opts.BitcoinNodes = 8
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.MinerSeed == 0 {
-		opts.MinerSeed = opts.Seed + 1000
-	}
 
 	sched := simnet.NewScheduler(opts.Seed)
 	net := simnet.NewNetwork(sched)
-	params := btc.ParamsForNetwork(opts.Network)
+	params := btc.RegtestParams()
 
 	sim := btcnode.BuildHonestNetwork(net, params, opts.BitcoinNodes)
-	if opts.AdversarialBitcoinNodes > 0 {
-		sim.AddAdversaries(opts.AdversarialBitcoinNodes)
-	}
 
 	subnetCfg := ic.DefaultConfig()
 	if opts.Subnet != nil {
@@ -106,25 +89,19 @@ func New(opts Options) (*Integration, error) {
 		return nil, fmt.Errorf("core: building subnet: %w", err)
 	}
 
-	canCfg := canister.DefaultConfig(opts.Network)
+	canCfg := canister.DefaultConfig(btc.Regtest)
 	if opts.Canister != nil {
 		canCfg = *opts.Canister
 	}
 	btcCan := canister.New(canCfg)
 	subnet.InstallCanister(BitcoinCanisterID, btcCan)
 
-	adCfg := adapter.ConfigForNetwork(opts.Network)
-	if opts.Adapter != nil {
-		adCfg = *opts.Adapter
-	} else {
-		// The simulated population is far smaller than mainnet's; scale the
-		// discovery thresholds so every adapter can fill its address book.
-		adCfg.AddrLowWater = 1
-		adCfg.AddrHighWater = opts.BitcoinNodes + opts.AdversarialBitcoinNodes
-		if adCfg.Connections > opts.BitcoinNodes {
-			adCfg.Connections = opts.BitcoinNodes
-		}
-	}
+	// The simulated population is far smaller than mainnet's; scale the
+	// discovery thresholds so every adapter can fill its address book.
+	adCfg := adapter.ConfigForNetwork(btc.Regtest)
+	adCfg.AddrLowWater = 1
+	adCfg.AddrHighWater = opts.BitcoinNodes
+	adCfg.Connections = min(adCfg.Connections, opts.BitcoinNodes)
 
 	integ := &Integration{
 		Sched:    sched,
@@ -157,7 +134,7 @@ func New(opts Options) (*Integration, error) {
 		}))
 	}
 
-	key, err := secp256k1.GeneratePrivateKey(rand.New(rand.NewSource(opts.MinerSeed)))
+	key, err := secp256k1.GeneratePrivateKey(rand.New(rand.NewSource(opts.Seed + 1000)))
 	if err != nil {
 		return nil, fmt.Errorf("core: miner key: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
 	"icbtc/internal/ic"
@@ -400,26 +399,6 @@ func TestTooManyConfirmationsSurfaced(t *testing.T) {
 	_, _, err = in.GetBalance(in.MinerAddress().String(), 999, false)
 	if err == nil || !errors.Is(err, canister.ErrTooManyConfirmations) {
 		t.Fatalf("want ErrTooManyConfirmations, got %v", err)
-	}
-}
-
-// Interface check: the integration must accept custom adapter configs.
-func TestCustomAdapterConfig(t *testing.T) {
-	cfg := adapter.ConfigForNetwork(btc.Regtest)
-	cfg.Connections = 2
-	cfg.AddrLowWater, cfg.AddrHighWater = 1, 10
-	opts := fastOptionsNoKeys(10)
-	opts.Adapter = &cfg
-	in, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Start()
-	in.RunFor(10 * time.Second)
-	for _, ad := range in.Adapters {
-		if got := len(ad.ConnectedPeers()); got != 2 {
-			t.Fatalf("adapter has %d peers, want 2", got)
-		}
 	}
 }
 

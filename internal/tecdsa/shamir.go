@@ -24,7 +24,6 @@
 package tecdsa
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -85,23 +84,6 @@ func (p *polynomial) eval(x int64) *big.Int {
 	return acc
 }
 
-// ShareSecret splits secret into n shares with reconstruction threshold
-// t+1 (degree-t polynomial).
-func ShareSecret(secret *big.Int, n, t int, rng io.Reader) ([]Share, error) {
-	if t < 0 || n < t+1 {
-		return nil, fmt.Errorf("tecdsa: invalid sharing parameters n=%d t=%d", n, t)
-	}
-	poly, err := newPolynomial(secret, t, rng)
-	if err != nil {
-		return nil, err
-	}
-	shares := make([]Share, n)
-	for i := 0; i < n; i++ {
-		shares[i] = Share{Index: i + 1, Value: poly.eval(int64(i + 1))}
-	}
-	return shares, nil
-}
-
 // lagrangeCoefficient computes the Lagrange basis value λ_i(0) for the set
 // of share indices, i.e. the weight of share idx when interpolating at 0.
 func lagrangeCoefficient(idx int, indices []int) *big.Int {
@@ -155,25 +137,6 @@ func Reconstruct(shares []Share, degree int) (*big.Int, error) {
 	return secret, nil
 }
 
-// InterpolatePoints interpolates P(0) "in the exponent": given points
-// V_i = p(i)·G for share indices i, it returns p(0)·G. Used to compute the
-// nonce point R = k·G without any party learning k.
-func InterpolatePoints(points map[int]secp256k1.Point) (secp256k1.Point, error) {
-	if len(points) == 0 {
-		return secp256k1.Point{}, errors.New("tecdsa: no points to interpolate")
-	}
-	indices := make([]int, 0, len(points))
-	for i := range points {
-		indices = append(indices, i)
-	}
-	acc := secp256k1.Point{}
-	for i, pt := range points {
-		lambda := lagrangeCoefficient(i, indices)
-		acc = secp256k1.Add(acc, secp256k1.ScalarMult(pt, lambda))
-	}
-	return acc, nil
-}
-
 // FeldmanCommitment is the public commitment to a sharing polynomial:
 // C_j = a_j·G for each coefficient. Any party can verify its share against
 // the commitment without learning the polynomial.
@@ -191,7 +154,9 @@ func commitPolynomial(p *polynomial) FeldmanCommitment {
 	return c
 }
 
-// ShareSecretVerifiable is ShareSecret plus a Feldman commitment.
+// ShareSecretVerifiable splits secret into n shares with reconstruction
+// threshold t+1 (a degree-t polynomial) and returns the Feldman commitment to
+// that polynomial.
 func ShareSecretVerifiable(secret *big.Int, n, t int, rng io.Reader) ([]Share, FeldmanCommitment, error) {
 	if t < 0 || n < t+1 {
 		return nil, FeldmanCommitment{}, fmt.Errorf("tecdsa: invalid sharing parameters n=%d t=%d", n, t)

@@ -18,7 +18,6 @@ type Committee struct {
 	n, t    int
 	parties []*party
 	pubKey  *secp256k1.PublicKey
-	keyCom  FeldmanCommitment
 	rng     io.Reader
 }
 
@@ -29,53 +28,25 @@ type party struct {
 }
 
 // NewCommittee runs dealerless distributed key generation among n parties
-// with threshold t (any t+1 can sign; up to t shares reveal nothing).
-// For an IC subnet with n = 3f+1 replicas, t = f.
+// with threshold t (any t+1 can sign; up to t shares reveal nothing): one
+// joint sharing, whose secret is the key. For an IC subnet with n = 3f+1
+// replicas, t = f.
 func NewCommittee(n, t int, rng io.Reader) (*Committee, error) {
 	if n <= 0 || t < 0 || n < 2*t+1 {
 		return nil, fmt.Errorf("tecdsa: committee needs n >= 2t+1, got n=%d t=%d", n, t)
 	}
 	c := &Committee{n: n, t: t, rng: rng}
-	// Each party deals a random sharing; the key is the sum of all dealt
-	// secrets, and each party's share is the sum of the shares it received.
-	sumShares := make([]*big.Int, n)
-	for i := range sumShares {
-		sumShares[i] = new(big.Int)
+	shares, pub, err := c.jointSharing()
+	if err != nil {
+		return nil, err
 	}
-	var sumCommit FeldmanCommitment
-	order := secp256k1.N()
-	for dealer := 0; dealer < n; dealer++ {
-		secret, err := randScalar(rng)
-		if err != nil {
-			return nil, err
-		}
-		shares, commit, err := ShareSecretVerifiable(secret, n, t, rng)
-		if err != nil {
-			return nil, err
-		}
-		// Every recipient verifies its share against the dealer's
-		// commitment before accepting it.
-		for i, s := range shares {
-			if !VerifyShare(s, commit) {
-				return nil, fmt.Errorf("tecdsa: dealer %d produced invalid share for party %d", dealer, i)
-			}
-			sumShares[i].Add(sumShares[i], s.Value)
-			sumShares[i].Mod(sumShares[i], order)
-		}
-		sumCommit = AddCommitments(sumCommit, commit)
-	}
-	c.keyCom = sumCommit
-	pub := sumCommit.PublicPoint()
 	if pub.Infinity() {
 		return nil, errors.New("tecdsa: degenerate aggregate key")
 	}
 	c.pubKey = &secp256k1.PublicKey{Point: pub}
 	c.parties = make([]*party, n)
-	for i := 0; i < n; i++ {
-		c.parties[i] = &party{
-			index:    i + 1,
-			keyShare: Share{Index: i + 1, Value: sumShares[i]},
-		}
+	for i, share := range shares {
+		c.parties[i] = &party{index: share.Index, keyShare: share}
 	}
 	return c, nil
 }
@@ -90,8 +61,10 @@ func (c *Committee) T() int { return c.t }
 func (c *Committee) PublicKey() *secp256k1.PublicKey { return c.pubKey }
 
 // jointSharing has every party deal a random value; the aggregate secret is
-// the sum. Returns each party's aggregate share and the aggregate public
-// point (secret·G) derived from the Feldman commitments.
+// the sum, and each party's aggregate share the sum of the shares dealt to it,
+// every one verified against its dealer's Feldman commitment first. Returns
+// the aggregate shares and the aggregate public point (secret·G) derived from
+// the commitments.
 func (c *Committee) jointSharing() ([]Share, secp256k1.Point, error) {
 	order := secp256k1.N()
 	sum := make([]*big.Int, c.n)

@@ -13,7 +13,7 @@ import (
 func TestShareReconstructRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	secret := big.NewInt(123456789)
-	shares, err := ShareSecret(secret, 7, 2, rng)
+	shares, _, err := ShareSecretVerifiable(secret, 7, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestShareReconstructRoundTrip(t *testing.T) {
 
 func TestReconstructErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	shares, _ := ShareSecret(big.NewInt(5), 4, 2, rng)
+	shares, _, _ := ShareSecretVerifiable(big.NewInt(5), 4, 2, rng)
 	if _, err := Reconstruct(shares[:2], 2); err == nil {
 		t.Fatal("too few shares accepted")
 	}
@@ -55,10 +55,10 @@ func TestReconstructErrors(t *testing.T) {
 
 func TestShareSecretParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	if _, err := ShareSecret(big.NewInt(1), 2, 2, rng); err == nil {
+	if _, _, err := ShareSecretVerifiable(big.NewInt(1), 2, 2, rng); err == nil {
 		t.Fatal("n < t+1 accepted")
 	}
-	if _, err := ShareSecret(big.NewInt(1), 1, -1, rng); err == nil {
+	if _, _, err := ShareSecretVerifiable(big.NewInt(1), 1, -1, rng); err == nil {
 		t.Fatal("negative t accepted")
 	}
 }
@@ -68,7 +68,7 @@ func TestQuickShareReconstruct(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		secret := new(big.Int).SetInt64(secretRaw)
 		secret.Mod(secret, secp256k1.N())
-		shares, err := ShareSecret(secret, 9, 3, rng)
+		shares, _, err := ShareSecretVerifiable(secret, 9, 3, rng)
 		if err != nil {
 			return false
 		}
@@ -111,29 +111,6 @@ func TestFeldmanVerification(t *testing.T) {
 	// Commitment's public point is secret·G.
 	if !commit.PublicPoint().Equal(secp256k1.ScalarBaseMult(secret)) {
 		t.Fatal("public point mismatch")
-	}
-}
-
-func TestInterpolatePoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	secret := big.NewInt(987654321)
-	shares, err := ShareSecret(secret, 5, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := map[int]secp256k1.Point{}
-	for _, s := range shares[:3] {
-		points[s.Index] = secp256k1.ScalarBaseMult(s.Value)
-	}
-	got, err := InterpolatePoints(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(secp256k1.ScalarBaseMult(secret)) {
-		t.Fatal("exponent interpolation mismatch")
-	}
-	if _, err := InterpolatePoints(nil); err == nil {
-		t.Fatal("empty interpolation accepted")
 	}
 }
 
@@ -264,80 +241,5 @@ func TestThresholdSignaturesAreIndependentAcrossMessages(t *testing.T) {
 	}
 	if s1.R.Cmp(s2.R) == 0 {
 		t.Fatal("nonce reuse across messages")
-	}
-}
-
-func TestReshareKeepsPublicKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	old, err := NewCommittee(7, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Grow the committee 7 → 13 (the paper's subnet size) at threshold 4.
-	grown, err := old.Reshare(13, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !grown.PublicKey().Point.Equal(old.PublicKey().Point) {
-		t.Fatal("public key changed")
-	}
-	// The new committee signs; the signature verifies under the OLD key.
-	digest := sha256.Sum256([]byte("post-reshare"))
-	sig, err := grown.Sign(digest[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sig.Verify(digest[:], old.PublicKey()) {
-		t.Fatal("post-reshare signature invalid under original key")
-	}
-	// Shrink back 13 → 4 at threshold 1.
-	shrunk, err := grown.Reshare(4, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig2, err := shrunk.SignSchnorr(digest[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	px := new(big.Int).SetBytes(old.PublicKey().XOnlyPubKey())
-	if !secp256k1.SchnorrVerify(sig2, digest[:], px) {
-		t.Fatal("post-shrink schnorr invalid")
-	}
-}
-
-func TestReshareNewSharesAreFresh(t *testing.T) {
-	// Resharing to the same (n, t) must produce different shares (the old
-	// shares become useless — proactive security).
-	rng := rand.New(rand.NewSource(21))
-	old, _ := NewCommittee(5, 2, rng)
-	renewed, err := old.Reshare(5, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := 0
-	for i := 0; i < 5; i++ {
-		if old.KeyShareOf(i).Value.Cmp(renewed.KeyShareOf(i).Value) == 0 {
-			same++
-		}
-	}
-	if same != 0 {
-		t.Fatalf("%d shares unchanged after resharing", same)
-	}
-	// And the reconstructed secret is identical.
-	oldKey, _ := Reconstruct([]Share{old.KeyShareOf(0), old.KeyShareOf(1), old.KeyShareOf(2)}, 2)
-	newKey, _ := Reconstruct([]Share{renewed.KeyShareOf(0), renewed.KeyShareOf(1), renewed.KeyShareOf(2)}, 2)
-	if oldKey.Cmp(newKey) != 0 {
-		t.Fatal("secret changed across resharing")
-	}
-}
-
-func TestReshareParamValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	c, _ := NewCommittee(4, 1, rng)
-	if _, err := c.Reshare(4, 2, rng); err == nil {
-		t.Fatal("n < 2t+1 accepted")
-	}
-	if _, err := c.Reshare(0, 0, rng); err == nil {
-		t.Fatal("empty committee accepted")
 	}
 }

@@ -10,20 +10,28 @@ import (
 	"icbtc/internal/btc"
 )
 
-// applyBlockNaive is the per-entry reference the batched ApplyBlock is
-// pinned against: the exact Remove/Add loop (with its Remove-then-re-Add
-// rollback) the set used before the staged rewrite.
-func applyBlockNaive(s *Set, block *btc.Block, height int64) (*BlockUndo, ApplyStats, error) {
-	undo := &BlockUndo{}
-	var stats ApplyStats
-	rollback := func() {
-		for i := len(undo.Created) - 1; i >= 0; i-- {
-			_, _ = s.Remove(undo.Created[i])
+// naiveUndo is what applyBlockNaive keeps to roll a failed block back: the
+// UTXOs it spent and the outpoints it created, in order.
+type naiveUndo struct {
+	spent   []UTXO
+	created []btc.OutPoint
+}
+
+// applyBlockNaive is the strict per-entry reference a Bitcoin node's view is
+// held to: a Remove/Add loop that, at the first missing input or duplicate
+// output, removes what it created and re-adds what it spent, leaving the set
+// as it was, and returns the error.
+func applyBlockNaive(s *Set, block *btc.Block, height int64) error {
+	var undo naiveUndo
+	rollback := func(err error) error {
+		for i := len(undo.created) - 1; i >= 0; i-- {
+			_, _ = s.Remove(undo.created[i])
 		}
-		for i := len(undo.Spent) - 1; i >= 0; i-- {
-			u := undo.Spent[i]
+		for i := len(undo.spent) - 1; i >= 0; i-- {
+			u := undo.spent[i]
 			_ = s.Add(u.OutPoint, btc.TxOut{Value: u.Value, PkScript: u.PkScript}, u.Height)
 		}
+		return err
 	}
 	txids := block.TxIDs()
 	for ti, tx := range block.Transactions {
@@ -31,26 +39,20 @@ func applyBlockNaive(s *Set, block *btc.Block, height int64) (*BlockUndo, ApplyS
 			for i := range tx.Inputs {
 				spent, err := s.Remove(tx.Inputs[i].PreviousOutPoint)
 				if err != nil {
-					rollback()
-					return nil, ApplyStats{}, err
+					return rollback(err)
 				}
-				undo.Spent = append(undo.Spent, spent)
-				stats.InputsRemoved++
+				undo.spent = append(undo.spent, spent)
 			}
 		}
-		txid := txids[ti]
 		for vout := range tx.Outputs {
-			op := btc.OutPoint{TxID: txid, Vout: uint32(vout)}
+			op := btc.OutPoint{TxID: txids[ti], Vout: uint32(vout)}
 			if err := s.Add(op, tx.Outputs[vout], height); err != nil {
-				rollback()
-				return nil, ApplyStats{}, err
+				return rollback(err)
 			}
-			undo.Created = append(undo.Created, op)
-			stats.OutputsInserted++
-			stats.BytesInserted += len(tx.Outputs[vout].PkScript) + 8
+			undo.created = append(undo.created, op)
 		}
 	}
-	return undo, stats, nil
+	return nil
 }
 
 // ingestNaive is the tolerant per-entry reference for ApplyBlockIngest: the
@@ -122,77 +124,38 @@ func randomApplyBlock(rng *rand.Rand, scripts [][]byte, pool []btc.OutPoint) *bt
 	return blk
 }
 
-// TestApplyBlockBatchedEquivalence drives the batched ApplyBlock and the
-// per-entry reference through an identical random workload (tolerant
-// ingest interleaved on separate sets) and requires byte-identical encoded
-// state, identical undo data, stats, and errors at every block.
+// randomBlocks draws 40 blocks with randomApplyBlock over nScripts scripts,
+// each spending from every output drawn before it, at heights 1 to 40.
+func randomBlocks(seed int64, nScripts int) (blocks []*btc.Block, heights []int64) {
+	rng := rand.New(rand.NewSource(seed))
+	scripts := make([][]byte, nScripts)
+	for i := range scripts {
+		var h [20]byte
+		rng.Read(h[:])
+		scripts[i] = btc.PayToAddrScript(btc.NewP2PKHAddress(h, btc.Regtest))
+	}
+	var pool []btc.OutPoint
+	for height := int64(1); height <= 40; height++ {
+		blk := randomApplyBlock(rng, scripts, pool)
+		txids := blk.TxIDs()
+		for ti, tx := range blk.Transactions {
+			for v := range tx.Outputs {
+				pool = append(pool, btc.OutPoint{TxID: txids[ti], Vout: uint32(v)})
+			}
+		}
+		blocks, heights = append(blocks, blk), append(heights, height)
+	}
+	return blocks, heights
+}
+
+// TestApplyBlockBatchedEquivalence holds the batched fold to the strict
+// per-entry reference over random workloads full of missing inputs and
+// double spends (checkStrictFold): most blocks are rejected, and the set
+// refolded from the accepted ones.
 func TestApplyBlockBatchedEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		scripts := make([][]byte, 6)
-		for i := range scripts {
-			var h [20]byte
-			rng.Read(h[:])
-			scripts[i] = btc.PayToAddrScript(btc.NewP2PKHAddress(h, btc.Regtest))
-		}
-		batched := New(btc.Regtest)
-		naive := New(btc.Regtest)
-		var pool []btc.OutPoint
-		for height := int64(1); height <= 40; height++ {
-			blk := randomApplyBlock(rng, scripts, pool)
-			txids := blk.TxIDs()
-			for ti, tx := range blk.Transactions {
-				for v := range tx.Outputs {
-					pool = append(pool, btc.OutPoint{TxID: txids[ti], Vout: uint32(v)})
-				}
-			}
-
-			undoB, statsB, errB := batched.ApplyBlock(blk, height)
-			undoN, statsN, errN := applyBlockNaive(naive, blk, height)
-			if (errB == nil) != (errN == nil) {
-				t.Fatalf("seed %d height %d: error divergence: batched=%v naive=%v", seed, height, errB, errN)
-			}
-			if errB == nil {
-				if statsB != statsN {
-					t.Fatalf("seed %d height %d: stats divergence: %+v vs %+v", seed, height, statsB, statsN)
-				}
-				if len(undoB.Spent) != len(undoN.Spent) || len(undoB.Created) != len(undoN.Created) {
-					t.Fatalf("seed %d height %d: undo shape divergence", seed, height)
-				}
-				for i := range undoB.Spent {
-					a, b := undoB.Spent[i], undoN.Spent[i]
-					if a.OutPoint != b.OutPoint || a.Value != b.Value || a.Height != b.Height || !bytes.Equal(a.PkScript, b.PkScript) {
-						t.Fatalf("seed %d height %d: undo.Spent[%d] diverged", seed, height, i)
-					}
-				}
-				for i := range undoB.Created {
-					if undoB.Created[i] != undoN.Created[i] {
-						t.Fatalf("seed %d height %d: undo.Created[%d] diverged", seed, height, i)
-					}
-				}
-			}
-			if !bytes.Equal(encodeSet(batched), encodeSet(naive)) {
-				t.Fatalf("seed %d height %d: encoded state diverged", seed, height)
-			}
-			// Unapply/reapply round trip keeps both in lockstep too.
-			if errB == nil && rng.Intn(4) == 0 {
-				if err := batched.UnapplyBlock(undoB); err != nil {
-					t.Fatalf("seed %d height %d: unapply batched: %v", seed, height, err)
-				}
-				if err := naive.UnapplyBlock(undoN); err != nil {
-					t.Fatalf("seed %d height %d: unapply naive: %v", seed, height, err)
-				}
-				if !bytes.Equal(encodeSet(batched), encodeSet(naive)) {
-					t.Fatalf("seed %d height %d: post-unapply state diverged", seed, height)
-				}
-				if _, _, err := batched.ApplyBlock(blk, height); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := applyBlockNaive(naive, blk, height); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+		blocks, heights := randomBlocks(seed, 6)
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { checkStrictFold(t, blocks, heights) })
 	}
 }
 
@@ -233,95 +196,15 @@ func foldBothWays(t *testing.T, blocks []*btc.Block, heights []int64) (inline, s
 // workloads full of missing inputs and duplicate outputs.
 func TestApplyBlockIngestEquivalence(t *testing.T) {
 	for seed := int64(100); seed < 106; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		scripts := make([][]byte, 5)
-		for i := range scripts {
-			var h [20]byte
-			rng.Read(h[:])
-			scripts[i] = btc.PayToAddrScript(btc.NewP2PKHAddress(h, btc.Regtest))
-		}
-		var pool []btc.OutPoint
-		var blocks []*btc.Block
-		var heights []int64
-		for height := int64(1); height <= 40; height++ {
-			blk := randomApplyBlock(rng, scripts, pool)
-			txids := blk.TxIDs()
-			for ti, tx := range blk.Transactions {
-				for v := range tx.Outputs {
-					pool = append(pool, btc.OutPoint{TxID: txids[ti], Vout: uint32(v)})
-				}
-			}
-			blocks, heights = append(blocks, blk), append(heights, height)
-		}
+		blocks, heights := randomBlocks(seed, 5)
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { foldBothWays(t, blocks, heights) })
 	}
 }
 
-// TestApplyBlockMidBlockFailure is the satellite regression: a block that
-// fails mid-way (earlier transactions already created outputs and spent
-// inputs) must leave the set — outpoint map, address index, interned
-// scripts, balances — byte-identical to the pre-apply state, with no
-// ScriptID re-derivation on any rollback path (there is none to take).
-func TestApplyBlockMidBlockFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var h1, h2 [20]byte
-	rng.Read(h1[:])
-	rng.Read(h2[:])
-	scriptA := btc.PayToAddrScript(btc.NewP2PKHAddress(h1, btc.Regtest))
-	scriptB := btc.PayToAddrScript(btc.NewP2PKHAddress(h2, btc.Regtest))
-
-	s := New(btc.Regtest)
-	var seedOps []btc.OutPoint
-	for i := 0; i < 10; i++ {
-		var op btc.OutPoint
-		rng.Read(op.TxID[:])
-		seedOps = append(seedOps, op)
-		if err := s.Add(op, btc.TxOut{Value: 1000 + int64(i), PkScript: scriptA}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := encodeSet(s)
-	beforeLen, beforeInterned := s.Len(), s.InternedScripts()
-
-	var missing btc.OutPoint
-	rng.Read(missing.TxID[:])
-	blk := &btc.Block{Transactions: []*btc.Transaction{
-		{Version: 2, Inputs: []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff}}},
-			Outputs: []btc.TxOut{{Value: 5000, PkScript: scriptB}}},
-		// Spends real outputs and creates new ones for a brand-new script.
-		{Version: 2, Inputs: []btc.TxIn{{PreviousOutPoint: seedOps[0]}, {PreviousOutPoint: seedOps[1]}},
-			Outputs: []btc.TxOut{{Value: 100, PkScript: scriptB}, {Value: 200, PkScript: scriptB}}},
-		// Fails: spends an outpoint the set never held.
-		{Version: 2, Inputs: []btc.TxIn{{PreviousOutPoint: missing}},
-			Outputs: []btc.TxOut{{Value: 300, PkScript: scriptA}}},
-	}}
-
-	undo, stats, err := s.ApplyBlock(blk, 2)
-	if err == nil {
-		t.Fatal("mid-block failure not reported")
-	}
-	if undo != nil || stats != (ApplyStats{}) {
-		t.Fatalf("failed apply returned undo=%v stats=%+v", undo, stats)
-	}
-	if got := encodeSet(s); !bytes.Equal(before, got) {
-		t.Fatal("failed apply left the set changed: encoded state differs from pre-apply state")
-	}
-	if s.Len() != beforeLen || s.InternedScripts() != beforeInterned {
-		t.Fatalf("failed apply leaked state: len %d->%d, interned %d->%d",
-			beforeLen, s.Len(), beforeInterned, s.InternedScripts())
-	}
-	// scriptB must not have been interned by the failed block.
-	if s.ScriptInterned(scriptB) {
-		t.Fatal("failed apply interned a script from an uncommitted block")
-	}
-}
-
-// TestApplyBlockInBlockSpendChain: a block whose later transaction spends
-// an output an earlier transaction in the same block created (routine in
-// real Bitcoin) must apply, and — the regression — unapply back to a
-// byte-identical pre-apply state. The old per-entry apply recorded such
-// pairs in both undo lists, which made UnapplyBlock fail on the Created
-// removal; netted undo excludes the pair entirely.
+// TestApplyBlockInBlockSpendChain: a block whose later transaction spends an
+// output an earlier transaction in the same block created (routine in real
+// Bitcoin) folds with no error; the chained output never reaches the set,
+// its siblings do.
 func TestApplyBlockInBlockSpendChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var h1, h2 [20]byte
@@ -336,7 +219,6 @@ func TestApplyBlockInBlockSpendChain(t *testing.T) {
 	if err := s.Add(base, btc.TxOut{Value: 7000, PkScript: scriptA}, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := encodeSet(s)
 
 	tx1 := &btc.Transaction{Version: 2,
 		Inputs:  []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff}}},
@@ -351,31 +233,20 @@ func TestApplyBlockInBlockSpendChain(t *testing.T) {
 		Outputs: []btc.TxOut{{Value: 4000, PkScript: scriptB}}}
 	blk := &btc.Block{Transactions: []*btc.Transaction{tx1, tx2}}
 
-	undo, stats, err := s.ApplyBlock(blk, 2)
-	if err != nil {
-		t.Fatal(err)
+	// tx2's output is fresh: spending tx1's output released script B.
+	if st := s.ApplyBlockIngest(blk, 2); st != (IngestStats{InputsRemoved: 2, OutputsInterned: 1, OutputsFresh: 2}) {
+		t.Fatalf("stats %+v, want 2 removes, 1 interned and 2 fresh outputs, no errors", st)
 	}
-	if stats.OutputsInserted != 3 || stats.InputsRemoved != 2 {
-		t.Fatalf("stats %+v, want 3 inserts / 2 removes", stats)
-	}
-	// Netted undo: the chained output never appears; the surviving two do.
-	if len(undo.Created) != 2 || len(undo.Spent) != 1 || undo.Spent[0].OutPoint != base {
-		t.Fatalf("undo shape: %d created, %d spent", len(undo.Created), len(undo.Spent))
-	}
-	// The chained output must be gone, its siblings present.
 	if _, ok := s.Get(btc.OutPoint{TxID: tx1.TxID(), Vout: 0}); ok {
 		t.Fatal("in-block-spent output still in set")
 	}
 	if _, ok := s.Get(btc.OutPoint{TxID: tx2.TxID(), Vout: 0}); !ok {
 		t.Fatal("chained transaction's output missing")
 	}
-
-	if err := s.UnapplyBlock(undo); err != nil {
-		t.Fatalf("unapply of in-block spend chain: %v", err)
+	if s.Len() != 2 || s.Balance(btc.ScriptID(scriptB, btc.Regtest)) != 4000 {
+		t.Fatalf("%d outputs, balance of B %d; want 2 and 4000", s.Len(), s.Balance(btc.ScriptID(scriptB, btc.Regtest)))
 	}
-	if got := encodeSet(s); !bytes.Equal(before, got) {
-		t.Fatal("unapply did not restore the pre-apply state byte-identically")
-	}
+	checkIndexInvariants(t, s)
 }
 
 // Opcodes of the FuzzTolerantFold program: a byte string is read as blocks
@@ -532,6 +403,49 @@ func FuzzTolerantFold(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// checkStrictFold folds blocks the way a Bitcoin node keeps its view of the
+// active chain: a block whose fold counts an error is rejected, and the set is
+// refolded from the blocks accepted before it. Block by block it holds that to
+// strict application: the fold counts no error exactly when the strict apply
+// succeeds (applyBlockNaive), and the two sets then encode identically — after
+// a rejection too, so the strict apply's rollback and the refold agree.
+func checkStrictFold(t *testing.T, blocks []*btc.Block, heights []int64) {
+	t.Helper()
+	fold, strict := New(btc.Regtest), New(btc.Regtest)
+	var accepted []int
+	for i, blk := range blocks {
+		st := fold.ApplyBlockIngest(blk, heights[i])
+		err := applyBlockNaive(strict, blk, heights[i])
+		if (st.Errors == 0) != (err == nil) {
+			t.Fatalf("block %d: the fold counts %d errors, the strict apply returns %v", i, st.Errors, err)
+		}
+		if err == nil {
+			accepted = append(accepted, i)
+		} else {
+			fold = New(btc.Regtest)
+			for _, j := range accepted {
+				fold.ApplyBlockIngest(blocks[j], heights[j])
+			}
+		}
+		if !bytes.Equal(encodeSet(fold), encodeSet(strict)) {
+			t.Fatalf("block %d (accepted: %v): the folded set differs from the strictly applied one", i, err == nil)
+		}
+	}
+}
+
+// FuzzStrictFold is the net under the Bitcoin node's fold-and-refold: on any
+// program of blocks, folding and rejecting a block with a counted error is
+// strict application (checkStrictFold).
+func FuzzStrictFold(f *testing.F) {
+	for _, seed := range foldSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		blocks, heights := foldProgram(data)
+		checkStrictFold(t, blocks, heights)
 	})
 }
 

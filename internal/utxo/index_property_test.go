@@ -168,8 +168,8 @@ func checkResumeEverywhere(t *testing.T, set *Set, key string, want []UTXO, extr
 }
 
 // TestOrderedIndexAgainstMapOracle drives the ordered address index through
-// long random interleavings of ApplyBlock/UnapplyBlock (and direct
-// Add/Remove) and cross-checks every observable — balances, canonical
+// long random interleavings of block folds and direct Add/Remove and
+// cross-checks every observable — balances, canonical
 // per-address views, pagination via both Page and MergedPage, counts, and
 // cursor-resumed iteration — against the map-based oracle.
 func TestOrderedIndexAgainstMapOracle(t *testing.T) {
@@ -186,14 +186,7 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 			keys[i], scripts[i] = addrKey(byte(0x40 + i))
 		}
 
-		type undoPair struct{ undo *BlockUndo }
-		var undos []undoPair
 		var live []btc.OutPoint // outpoints currently believed unspent
-		// stacked tracks outpoints created by blocks still on the undo
-		// stack: direct removes must not consume them, or a later LIFO
-		// unapply would try to delete an already-gone output (a sequence no
-		// real caller produces).
-		stacked := make(map[btc.OutPoint]bool)
 		// gone remembers where removed entries sat: a page token handed out
 		// before the removal still names that position.
 		var gone []pageCursor
@@ -248,7 +241,7 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 
 		for step := 0; step < 120; step++ {
 			switch r := rng.Intn(10); {
-			case r < 4: // apply a random block
+			case r < 5: // fold a random block
 				var txs []*btc.Transaction
 				for n := 1 + rng.Intn(3); n > 0; n-- {
 					tx := &btc.Transaction{Version: 2}
@@ -269,47 +262,21 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 					txs = append(txs, tx)
 				}
 				block := &btc.Block{Transactions: txs}
-				undo, _, err := set.ApplyBlock(block, height)
-				if err != nil {
-					t.Fatalf("seed %d step %d: apply: %v", seed, step, err)
-				}
-				for _, u := range undo.Spent {
-					if !oracle.remove(u.OutPoint) {
-						t.Fatalf("seed %d step %d: oracle missing spent %s", seed, step, u.OutPoint)
-					}
+				if st := set.ApplyBlockIngest(block, height); st.Errors != 0 {
+					t.Fatalf("seed %d step %d: %d errors folding a block of live inputs", seed, step, st.Errors)
 				}
 				txids := block.TxIDs()
 				for ti, tx := range block.Transactions {
+					if !tx.IsCoinbase() && !oracle.remove(tx.Inputs[0].PreviousOutPoint) {
+						t.Fatalf("seed %d step %d: oracle missing spent %s", seed, step, tx.Inputs[0].PreviousOutPoint)
+					}
 					for vout := range tx.Outputs {
 						op := btc.OutPoint{TxID: txids[ti], Vout: uint32(vout)}
 						oracle.add(op, tx.Outputs[vout], height)
 						live = append(live, op)
-						stacked[op] = true
 					}
 				}
-				undos = append(undos, undoPair{undo: undo})
 				height++
-			case r < 6 && len(undos) > 0: // unapply the most recent block
-				last := undos[len(undos)-1]
-				undos = undos[:len(undos)-1]
-				if err := set.UnapplyBlock(last.undo); err != nil {
-					t.Fatalf("seed %d step %d: unapply: %v", seed, step, err)
-				}
-				for _, op := range last.undo.Created {
-					oracle.remove(op)
-					delete(stacked, op)
-					for i := range live {
-						if live[i] == op {
-							live = append(live[:i], live[i+1:]...)
-							break
-						}
-					}
-				}
-				for _, u := range last.undo.Spent {
-					oracle.add(u.OutPoint, btc.TxOut{Value: u.Value, PkScript: u.PkScript}, u.Height)
-					live = append(live, u.OutPoint)
-				}
-				height--
 			case r < 8: // direct add
 				op := newOp()
 				a := rng.Intn(nAddrs)
@@ -326,16 +293,9 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 			default: // direct remove (sometimes of an absent outpoint)
 				op := newOp()
 				if len(live) > 0 && rng.Intn(4) > 0 {
-					// Pick a removable (non-stacked) live outpoint if a few
-					// random probes find one; otherwise keep the absent op.
-					for probe := 0; probe < 4; probe++ {
-						idx := rng.Intn(len(live))
-						if !stacked[live[idx]] {
-							op = live[idx]
-							live = append(live[:idx], live[idx+1:]...)
-							break
-						}
-					}
+					idx := rng.Intn(len(live))
+					op = live[idx]
+					live = append(live[:idx], live[idx+1:]...)
 				}
 				removed, errSet := set.Remove(op)
 				okOracle := oracle.remove(op)

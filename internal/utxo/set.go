@@ -8,7 +8,7 @@
 // stream pages in O(log n + page) and balances are O(1) running totals. On
 // the write path locking scripts are interned — each distinct script is
 // address-decoded/hashed once and its bytes stored once — and every entry
-// names its script by a dense id, so Remove never recomputes a ScriptID.
+// names its script by a dense id, so a spend never recomputes a ScriptID.
 //
 // An outpoint is found through one open-addressed table, not a Go map
 // (table.go has the layout and why it is two-level). What the rest of the
@@ -33,16 +33,16 @@
 //     spends that was in the set before the block, so a caller can still ask
 //     what the set held before a run of folds (RemovedSince).
 //
-// The set supports applying and unapplying whole blocks (the latter is used
-// by the simulated Bitcoin nodes during reorgs; the canister itself never
-// rolls back below the anchor), balance computation, and height-descending
-// paginated retrieval as required by the get_utxos endpoint.
+// A set changes one way: a whole block is folded into it (ApplyBlockIngest),
+// or it is decoded whole from a snapshot. Nothing is unapplied. The canister
+// folds δ-stable blocks and never rolls back below the anchor; a simulated
+// Bitcoin node folds its active chain and, to switch branches, refolds the
+// new chain from genesis into a fresh set. The set also answers balances and
+// the height-descending pages of the get_utxos endpoint.
 package utxo
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"math/rand/v2"
 
 	"icbtc/internal/btc"
@@ -164,18 +164,6 @@ func (s *Set) ScriptInterned(script []byte) bool {
 // interned (observability).
 func (s *Set) InternedScripts() int { return len(s.interned) }
 
-// Add inserts an unspent output. Adding a duplicate outpoint is an error
-// (it would indicate a consensus bug upstream).
-func (s *Set) Add(op btc.OutPoint, out btc.TxOut, height int64) error {
-	e, fresh := s.table.put(&op)
-	if !fresh {
-		return fmt.Errorf("utxo: duplicate outpoint %s", op)
-	}
-	s.enter(e, out.Value, height, s.intern(out.PkScript))
-	s.bucketFor(s.scripts[e.script].key).insertGroup(height, []bucketEntry{e.bucketEntry})
-	return nil
-}
-
 // enter fills the entry table.put just created and counts it against its
 // script and the byte estimate; its bucket entry is the caller's to insert.
 func (s *Set) enter(e *tableEntry, value, height int64, script uint32) {
@@ -193,21 +181,6 @@ func (s *Set) bucketFor(key string) *bucket {
 		s.byAddress[key] = b
 	}
 	return b
-}
-
-// ErrMissingOutput is returned when spending an output not in the set.
-var ErrMissingOutput = errors.New("utxo: output not in set")
-
-// Remove spends an output, returning the removed UTXO so callers can build
-// undo data. The stored address key is reused — no script decoding.
-func (s *Set) Remove(op btc.OutPoint) (UTXO, error) {
-	e, ok := s.table.take(&op)
-	if !ok {
-		return UTXO{}, fmt.Errorf("%w: %s", ErrMissingOutput, op)
-	}
-	u := s.utxoOf(&e)
-	s.unindex(&removal{key: s.drop(&e), op: op, height: e.height})
-	return u, nil
 }
 
 // utxoOf materializes a stored entry.
@@ -434,7 +407,7 @@ const foldHandoff = 4
 // the index half of every fold fn makes runs on the session's goroutine, in
 // block order, through a handoff of foldHandoff blocks, and the session
 // drains before FoldSession returns, on every path out of fn. Meanwhile fn
-// may change the set only by ApplyBlockIngest and ApplyBlock, read only the
+// may change the set only by ApplyBlockIngest, read only the
 // table (Get, Lookup, Len, ApproxBytes, ScriptInterned), never a bucket, and
 // use the removal log, which the table half writes. Sessions do not nest.
 func (s *Set) FoldSession(fn func()) {
@@ -532,70 +505,6 @@ func (s *Set) RemovedSince(op btc.OutPoint, mark int) (key string, value int64, 
 	return e.key, e.value, true
 }
 
-// BlockUndo records everything needed to unapply a block. Outputs both
-// created and spent within the same block (in-block spend chains, routine
-// in real Bitcoin) net to nothing and are excluded entirely: they are
-// invisible in the post-apply state, so undo has nothing to reverse. (The
-// old per-entry apply recorded such pairs in both lists, which made
-// UnapplyBlock fail on any block containing one.)
-type BlockUndo struct {
-	// Spent holds the pre-existing UTXOs the block consumed, in
-	// consumption order.
-	Spent []UTXO
-	// Created holds the outpoints of outputs the block added that were
-	// still unspent at the end of the block, in insertion order.
-	Created []btc.OutPoint
-}
-
-// ApplyStats reports the work done applying a block; the execution layer's
-// metering consumes these to price block ingestion (Fig 6).
-type ApplyStats struct {
-	OutputsInserted int
-	InputsRemoved   int
-	BytesInserted   int
-}
-
-// ApplyBlock applies all transactions of a block at the given height:
-// removes every spent input (except coinbase inputs) and inserts every
-// created output. Transaction IDs come from the block's memoized table —
-// they are computed once per block, not re-serialized per call site. It
-// returns undo data and work statistics.
-//
-// The apply is all-or-nothing, which is why — unlike the tolerant fold — it
-// keeps a stage: the block is first replayed against a staged view (no set
-// mutation), then committed through the fold's two halves — spends, then
-// insertions, one merge per bucket — with undo entries carved from presized
-// arenas. On error nothing was committed, so the set is left untouched (there
-// is no rollback path to re-derive ScriptIDs on), and the first error in
-// block order is reported exactly as a per-entry apply would have.
-func (s *Set) ApplyBlock(block *btc.Block, height int64) (*BlockUndo, ApplyStats, error) {
-	st, err := s.stageBlock(block)
-	if err != nil {
-		return nil, ApplyStats{}, fmt.Errorf("utxo: applying block at height %d: %w", height, err)
-	}
-	// Undo holds the net effect only: pre-existing spends and surviving
-	// creations; in-block created-and-spent pairs cancel.
-	undo := &BlockUndo{Spent: st.spentBase, Created: make([]btc.OutPoint, 0, len(st.liveIdx))}
-	m := s.newBlockMerge(height, len(undo.Spent), len(st.liveIdx))
-	for i := range undo.Spent {
-		m.spend(undo.Spent[i].OutPoint)
-	}
-	for i := range st.inserts {
-		if ins := &st.inserts[i]; ins.live {
-			e, _ := s.table.put(&ins.op)
-			m.insert(e, ins.out.Value, s.intern(ins.out.PkScript))
-			undo.Created = append(undo.Created, ins.op)
-		}
-	}
-	m.flush()
-	stats := ApplyStats{
-		OutputsInserted: len(st.inserts),
-		InputsRemoved:   st.removed,
-		BytesInserted:   st.bytesInserted,
-	}
-	return undo, stats, nil
-}
-
 // IngestStats reports the work of one tolerant block fold into the stable
 // set — the counts the execution layer's metering prices (Fig 6). Outputs
 // are classified by whether their locking script was interned at the moment
@@ -621,7 +530,7 @@ type IngestStats struct {
 // proof of work, not transaction validity"). It is one pass in block order
 // straight against the set — each input removed, each output inserted, the
 // outpoint table probed once per entry — so the final state is that of a
-// per-entry Remove/Add loop that ignores individual errors, and an output's
+// per-entry remove/add loop that ignores individual errors, and an output's
 // metering class is simply whether its script is interned when the pass
 // reaches it. Only the buckets wait: the pass records their removals and
 // inserts, and the index half applies them after it — at once, or inside a
@@ -670,109 +579,9 @@ func (s *Set) ApplyBlockIngest(block *btc.Block, height int64) IngestStats {
 	return st
 }
 
-// stagedInsert is one successfully staged output creation.
-type stagedInsert struct {
-	op  btc.OutPoint
-	out btc.TxOut
-	// live is cleared when a later transaction in the same block spends the
-	// output; only live inserts are committed.
-	live bool
-}
-
-// blockStage is the virtual view the strict ApplyBlock replays a block
-// against before any mutation touches the set.
-type blockStage struct {
-	// spentBase collects consumed pre-existing UTXOs in consumption order
-	// (undo.Spent, and the removals to commit); removedSet is its membership
-	// view. removed counts every successful removal, staged spends included
-	// (the stats figure).
-	spentBase  []UTXO
-	removedSet map[btc.OutPoint]bool
-	removed    int
-	// inserts collects every successful staged insertion, in order.
-	inserts []stagedInsert
-	// liveIdx maps a live staged outpoint to its index in inserts.
-	liveIdx map[btc.OutPoint]int
-
-	bytesInserted int
-}
-
-// stageBlock replays the block's transactions in order against the staged
-// view, stopping at the first failure. The set itself is never touched.
-func (s *Set) stageBlock(block *btc.Block) (*blockStage, error) {
-	nIn, nOut := 0, 0
-	for _, tx := range block.Transactions {
-		if !tx.IsCoinbase() {
-			nIn += len(tx.Inputs)
-		}
-		nOut += len(tx.Outputs)
-	}
-	st := &blockStage{
-		spentBase:  make([]UTXO, 0, nIn),
-		removedSet: make(map[btc.OutPoint]bool, nIn),
-		inserts:    make([]stagedInsert, 0, nOut),
-		liveIdx:    make(map[btc.OutPoint]int, nOut),
-	}
-	txids := block.TxIDs()
-	for ti, tx := range block.Transactions {
-		if !tx.IsCoinbase() {
-			for i := range tx.Inputs {
-				op := tx.Inputs[i].PreviousOutPoint
-				if idx, ok := st.liveIdx[op]; ok {
-					// Spends an output created earlier in this block: the
-					// pair nets out and never reaches the undo data.
-					st.inserts[idx].live = false
-					delete(st.liveIdx, op)
-					st.removed++
-					continue
-				}
-				if e := s.table.get(&op); e != nil && !st.removedSet[op] {
-					st.removedSet[op] = true
-					st.spentBase = append(st.spentBase, s.utxoOf(e))
-					st.removed++
-					continue
-				}
-				return nil, fmt.Errorf("%w: %s", ErrMissingOutput, op)
-			}
-		}
-		txid := txids[ti]
-		for vout := range tx.Outputs {
-			op := btc.OutPoint{TxID: txid, Vout: uint32(vout)}
-			out := tx.Outputs[vout]
-			inBase := s.table.get(&op) != nil
-			_, inStaged := st.liveIdx[op]
-			if (inBase && !st.removedSet[op]) || inStaged {
-				return nil, fmt.Errorf("utxo: duplicate outpoint %s", op)
-			}
-			st.liveIdx[op] = len(st.inserts)
-			st.inserts = append(st.inserts, stagedInsert{op: op, out: out, live: true})
-			st.bytesInserted += len(out.PkScript) + 8
-		}
-	}
-	return st, nil
-}
-
-// UnapplyBlock reverses a previous ApplyBlock using its undo data: the
-// surviving creations are removed, then the pre-existing spends restored.
-// In-block created-and-spent pairs were netted out of the undo, so every
-// Created outpoint is present and every Spent entry re-adds cleanly.
-func (s *Set) UnapplyBlock(undo *BlockUndo) error {
-	for i := len(undo.Created) - 1; i >= 0; i-- {
-		if _, err := s.Remove(undo.Created[i]); err != nil {
-			return fmt.Errorf("utxo: unapply remove: %w", err)
-		}
-	}
-	for i := len(undo.Spent) - 1; i >= 0; i-- {
-		u := undo.Spent[i]
-		if err := s.Add(u.OutPoint, btc.TxOut{Value: u.Value, PkScript: u.PkScript}, u.Height); err != nil {
-			return fmt.Errorf("utxo: unapply restore: %w", err)
-		}
-	}
-	return nil
-}
-
 // Balance returns the total unspent value locked to an address key: the
-// bucket's running total, maintained on Add/Remove — O(1), no bucket walk.
+// bucket's running total, maintained as entries enter and leave it — O(1),
+// no bucket walk.
 func (s *Set) Balance(addressKey string) int64 {
 	b := s.byAddress[addressKey]
 	if b == nil {
