@@ -283,6 +283,71 @@ func TestRemovalLog(t *testing.T) {
 	}
 }
 
+func TestQuickApplyUnapplyIsIdentity(t *testing.T) {
+	// Property: folding a random block and then reversing it entry by entry
+	// (remove what it created, re-add what it spent) leaves the set exactly
+	// as before: same length, size, interned scripts and per-address views.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := New(btc.Regtest)
+		keyA, scriptA := addrKey(9)
+		keys := []string{keyA}
+		// Seed the set with coinbases.
+		var ops []btc.OutPoint
+		for i := 0; i < 5; i++ {
+			cb := coinbaseTx(int64(10+i), scriptA, byte(i))
+			if st := s.ApplyBlockIngest(&btc.Block{Transactions: []*btc.Transaction{cb}}, int64(i+1)); st.Errors != 0 {
+				return false
+			}
+			ops = append(ops, btc.OutPoint{TxID: cb.TxID(), Vout: 0})
+		}
+		snapshot := func() string {
+			out := fmt.Sprint(s.Len(), s.ApproxBytes(), s.InternedScripts())
+			for _, key := range keys {
+				out += fmt.Sprint(s.Balance(key), s.UTXOsForAddress(key))
+			}
+			return out
+		}
+
+		// Random spending block.
+		txs := []*btc.Transaction{coinbaseTx(50, scriptA, 0xEE)}
+		var spent []UTXO
+		for _, i := range rng.Perm(len(ops))[:1+rng.Intn(len(ops)-1)] {
+			keyX, scriptX := addrKey(byte(100 + i))
+			keys = append(keys, keyX)
+			u, ok := s.Get(ops[i])
+			if !ok {
+				return false
+			}
+			spent = append(spent, u)
+			txs = append(txs, spendTx(ops[i], int64(1+rng.Intn(9)), scriptX))
+		}
+		before := snapshot()
+		block := &btc.Block{Transactions: txs}
+		if st := s.ApplyBlockIngest(block, 10); st.Errors != 0 {
+			return false
+		}
+		if snapshot() == before {
+			return false
+		}
+
+		for _, txid := range block.TxIDs() {
+			if _, err := s.Remove(btc.OutPoint{TxID: txid, Vout: 0}); err != nil {
+				return false
+			}
+		}
+		for _, u := range spent {
+			if err := s.Add(u.OutPoint, btc.TxOut{Value: u.Value, PkScript: u.PkScript}, u.Height); err != nil {
+				return false
+			}
+		}
+		return snapshot() == before
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestForEach(t *testing.T) {
 	s := New(btc.Regtest)
 	_, script := addrKey(10)
