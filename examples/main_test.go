@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"icbtc/internal/core"
 	"icbtc/internal/ic"
@@ -84,13 +83,11 @@ func TestUnknownContractIsAnError(t *testing.T) {
 // to flip a released escrow back to "funded" there, and the refund that
 // followed threshold-signed a second spend of the same deposit to the buyer.
 func TestEscrowSettlesOnce(t *testing.T) {
-	// A 4-replica subnet with short rounds: the state machine is what is
-	// under test, and the 13-replica key generation is most of a full run.
+	// A 4-replica subnet without degraded rounds: the state machine is what
+	// is under test, and the 13-replica key generation is most of a full run.
 	cfg := ic.DefaultConfig()
 	cfg.N = 4
 	cfg.DegradedRoundProb = 0
-	cfg.FinalizeBase = 300 * time.Millisecond
-	cfg.FinalizeJitter = 200 * time.Millisecond
 	integ, _, err := fundedEscrow(io.Discard, core.Options{Seed: 7, BitcoinNodes: 5, Subnet: &cfg})
 	if err != nil {
 		t.Fatal(err)

@@ -26,72 +26,59 @@ import (
 	"icbtc/internal/simnet"
 )
 
-// Config carries the §III-B parameters.
+// Config carries the §III-B parameters a deployment chooses.
 type Config struct {
 	// Connections is ℓ, the number of Bitcoin peers (5 on mainnet).
 	Connections int
 	// AddrLowWater / AddrHighWater are t_l and t_u.
 	AddrLowWater, AddrHighWater int
-	// MaxHeaders is MAX_HEADERS, the N-set bound of Algorithm 1 (100).
-	MaxHeaders int
-	// MaxResponseBytes is MAX_SIZE, the soft block-byte bound (2 MiB).
-	MaxResponseBytes int
 	// MultiBlockSyncHeight: below this anchor height Algorithm 1 may return
 	// many blocks per response (fast initial sync); at or above it, one
 	// block per response (the conservative tip behavior, see §IV-A).
 	MultiBlockSyncHeight int64
-	// SyncInterval is how often the adapter polls peers for new headers.
-	SyncInterval time.Duration
-	// BlockRetryInterval is how long an in-flight getdata may go unanswered
-	// before it is re-issued to the current peer set; it is also the base of
-	// the exponential retry backoff (doubling per attempt up to
-	// retryBackoffMax, jittered by RetryJitter). A peer that withholds a
-	// requested block (or a partition that swallowed the request) must not
-	// stall the fetch forever. Zero disables retries.
-	BlockRetryInterval time.Duration
-	// RetryJitter spreads each retry delay by ±(RetryJitter × delay), drawn
-	// from the seeded scheduler RNG, so retries from many requests do not
-	// synchronize into bursts.
-	RetryJitter float64
-	// RequestTimeout is the per-request deadline for getheaders round trips
-	// (and the deadline charged against a targeted getdata peer at its first
-	// retry). A peer missing the deadline takes a timeout strike. Zero
-	// disables deadline tracking.
-	RequestTimeout time.Duration
-	// PeerBanScore is the health-score threshold at which a peer is put on
-	// the cooldown list and rotated out (see peerHealth.score). Zero
-	// disables banning.
-	PeerBanScore float64
-	// PeerCooldown is how long a banned peer stays excluded from the
-	// connection draw.
-	PeerCooldown time.Duration
-	// StallTimeout flips the adapter into the Degraded state when no peer
-	// has produced any response for this long. Zero disables the detector.
-	StallTimeout time.Duration
 }
 
 const (
-	// txCacheExpiry is the outbound transaction cache lifetime of §III-B.
-	txCacheExpiry = 10 * time.Minute
+	// maxHeaders is MAX_HEADERS, the N-set bound of Algorithm 1.
+	maxHeaders = 100
+	// maxResponseBytes is MAX_SIZE, the soft block-byte bound.
+	maxResponseBytes = 2 << 20
+	// syncInterval is how often the adapter polls peers for new headers.
+	syncInterval = 2 * time.Second
+	// blockRetryInterval is how long an in-flight getdata may go unanswered
+	// before it is re-issued to the current peer set; it is also the base of
+	// the exponential retry backoff (doubling per attempt up to
+	// retryBackoffMax, jittered by retryJitter). A peer that withholds a
+	// requested block (or a partition that swallowed the request) must not
+	// stall the fetch forever.
+	blockRetryInterval = 10 * time.Second
 	// retryBackoffMax caps the exponential retry backoff.
 	retryBackoffMax = 80 * time.Second
+	// retryJitter spreads each retry delay by ±(retryJitter × delay), drawn
+	// from the seeded scheduler RNG, so retries from many requests do not
+	// synchronize into bursts.
+	retryJitter = 0.2
+	// requestTimeout is the per-request deadline for getheaders round trips
+	// (and the deadline charged against a targeted getdata peer at its first
+	// retry). A peer missing the deadline takes a timeout strike.
+	requestTimeout = 5 * time.Second
+	// peerBanScore is the health-score threshold at which a peer is put on
+	// the cooldown list and rotated out (see peerHealth.score).
+	peerBanScore = 6
+	// peerCooldown is how long a banned peer stays excluded from the
+	// connection draw.
+	peerCooldown = 60 * time.Second
+	// stallTimeout flips the adapter into the Degraded state when no peer
+	// has produced any response for this long.
+	stallTimeout = 6 * time.Second
+	// txCacheExpiry is the outbound transaction cache lifetime of §III-B.
+	txCacheExpiry = 10 * time.Minute
 )
 
 // ConfigForNetwork returns the production parameters of §III-B for a
 // network: t_l/t_u = 500/2000 mainnet, 100/1000 testnet, 1/1 regtest.
 func ConfigForNetwork(n btc.Network) Config {
-	cfg := Config{
-		Connections:        5,
-		MaxHeaders:         100,
-		MaxResponseBytes:   2 << 20,
-		SyncInterval:       2 * time.Second,
-		BlockRetryInterval: 10 * time.Second,
-		RetryJitter:        0.2,
-		RequestTimeout:     5 * time.Second,
-		PeerBanScore:       6,
-		PeerCooldown:       60 * time.Second,
-		StallTimeout:       6 * time.Second,
-	}
+	cfg := Config{Connections: 5}
 	switch n {
 	case btc.Mainnet:
 		cfg.AddrLowWater, cfg.AddrHighWater = 500, 2000
@@ -156,7 +143,7 @@ type Adapter struct {
 	// attempts, issue counter, last send time, and the targeted peer.
 	requestedBlocks map[btc.Hash]*blockRequest
 	// headersPending stamps the time of the oldest unanswered getheaders per
-	// peer; crossing RequestTimeout charges the peer a timeout strike.
+	// peer; crossing requestTimeout charges the peer a timeout strike.
 	headersPending map[simnet.NodeID]time.Time
 	// peerHealth scores every peer ever interacted with; it survives
 	// Stop/Start (knowledge about the network outlives the process restart).
@@ -165,7 +152,7 @@ type Adapter struct {
 	txCache map[btc.Hash]cachedTx
 
 	// lastResponse is the time any peer last produced a response; the stall
-	// detector flips degraded when it falls StallTimeout behind.
+	// detector flips degraded when it falls stallTimeout behind.
 	lastResponse time.Time
 	degraded     bool
 
@@ -435,33 +422,31 @@ func (a *Adapter) syncLoop(gen int) {
 		}
 	}
 	// Getheaders deadline: a peer whose oldest outstanding getheaders went
-	// unanswered for RequestTimeout takes a timeout strike. The entry is
+	// unanswered for requestTimeout takes a timeout strike. The entry is
 	// cleared so the strike is charged once per missed request, and the send
 	// below re-arms the deadline.
 	// Sweep in sorted order: a deadline strike can ban the peer, and the
 	// ban's connection refill draws from the seeded RNG — map order here
 	// would make the draw sequence differ run to run.
-	if a.cfg.RequestTimeout > 0 {
-		pending := make([]simnet.NodeID, 0, len(a.headersPending))
-		for peer := range a.headersPending {
-			pending = append(pending, peer)
+	pending := make([]simnet.NodeID, 0, len(a.headersPending))
+	for peer := range a.headersPending {
+		pending = append(pending, peer)
+	}
+	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
+	for _, peer := range pending {
+		if !a.connected[peer] {
+			delete(a.headersPending, peer)
+			continue
 		}
-		sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-		for _, peer := range pending {
-			if !a.connected[peer] {
-				delete(a.headersPending, peer)
-				continue
-			}
-			if now.Sub(a.headersPending[peer]) >= a.cfg.RequestTimeout {
-				delete(a.headersPending, peer)
-				a.chargeTimeout(peer)
-			}
+		if now.Sub(a.headersPending[peer]) >= requestTimeout {
+			delete(a.headersPending, peer)
+			a.chargeTimeout(peer)
 		}
 	}
-	// Stall detector: no response from ANY peer for StallTimeout means the
+	// Stall detector: no response from ANY peer for stallTimeout means the
 	// network (or our whole peer set) has gone dark — honest nodes always
 	// answer getheaders, even with an empty header list.
-	if a.cfg.StallTimeout > 0 && now.Sub(a.lastResponse) >= a.cfg.StallTimeout {
+	if now.Sub(a.lastResponse) >= stallTimeout {
 		if !a.degraded {
 			a.met.stateChanges.With(StateDegraded.String()).Inc()
 		}
@@ -474,7 +459,7 @@ func (a *Adapter) syncLoop(gen int) {
 		}
 		a.net.Send(a.ID, peer, btcnode.MsgGetHeaders{Locator: locator})
 	}
-	a.net.Scheduler().After(a.cfg.SyncInterval, func() { a.syncLoop(gen) })
+	a.net.Scheduler().After(syncInterval, func() { a.syncLoop(gen) })
 }
 
 // locator lists hashes of the adapter's best-known headers, newest first.
@@ -719,15 +704,12 @@ func (a *Adapter) bestPeer() simnet.NodeID {
 }
 
 // scheduleRetry arms the retry/deadline timer for one in-flight block
-// request: exponential backoff off BlockRetryInterval, capped at
-// retryBackoffMax, jittered by ±RetryJitter. The timer captures the sync
+// request: exponential backoff off blockRetryInterval, capped at
+// retryBackoffMax, jittered by ±retryJitter. The timer captures the sync
 // generation and the request's issue counter, so it dies silently if the
 // adapter stopped or restarted (the PR 3 stale-request fix, extended to
 // retries) or if a newer issue of the same request superseded it.
 func (a *Adapter) scheduleRetry(hash btc.Hash, req *blockRequest) {
-	if a.cfg.BlockRetryInterval <= 0 {
-		return
-	}
 	gen, issue := a.syncGen, req.issue
 	a.net.Scheduler().After(a.retryDelay(req.attempts), func() {
 		a.retryTick(gen, hash, issue)
@@ -736,7 +718,7 @@ func (a *Adapter) scheduleRetry(hash btc.Hash, req *blockRequest) {
 
 // retryDelay computes the backoff before retry number attempts+1.
 func (a *Adapter) retryDelay(attempts int) time.Duration {
-	d := a.cfg.BlockRetryInterval
+	d := blockRetryInterval
 	for i := 1; i < attempts && i < 12; i++ {
 		d *= 2
 		if d >= retryBackoffMax {
@@ -744,10 +726,8 @@ func (a *Adapter) retryDelay(attempts int) time.Duration {
 			break
 		}
 	}
-	if a.cfg.RetryJitter > 0 {
-		spread := (a.net.Scheduler().Rand().Float64()*2 - 1) * a.cfg.RetryJitter
-		d += time.Duration(spread * float64(d))
-	}
+	spread := (a.net.Scheduler().Rand().Float64()*2 - 1) * retryJitter
+	d += time.Duration(spread * float64(d))
 	return d
 }
 
@@ -840,7 +820,7 @@ func (a *Adapter) HandleRequest(req Request) Response {
 	maxBlocks := a.maxBlocksAtHeight(req.AnchorHeight)
 
 	a.tree.BFSFrom(start, func(node *chain.Node) bool {
-		if len(resp.Next) >= a.cfg.MaxHeaders {
+		if len(resp.Next) >= maxHeaders {
 			return false // |N| cap reached
 		}
 		cur := node.Hash
@@ -851,7 +831,7 @@ func (a *Adapter) HandleRequest(req Request) Response {
 		// predecessor is covered.
 		if !have[cur] && (have[node.Header.PrevBlock] || collected[node.Header.PrevBlock]) {
 			if b := a.getBlock(cur); b != nil &&
-				sizeBytes < a.cfg.MaxResponseBytes &&
+				sizeBytes < maxResponseBytes &&
 				len(resp.Blocks) < maxBlocks {
 				resp.Blocks = append(resp.Blocks, BlockWithHeader{Block: b, Header: node.Header})
 				collected[cur] = true

@@ -279,8 +279,7 @@ func TestAlgorithm1RespectsHaveSet(t *testing.T) {
 
 func TestAlgorithm1MaxHeadersCap(t *testing.T) {
 	h := newHarness(t, 8, 4)
-	h.ad.cfg.MaxHeaders = 10
-	if _, err := h.miner.MineChain(25, 0); err != nil {
+	if _, err := h.miner.MineChain(maxHeaders+10, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.sim.SyncAll(2_000_000); err != nil {
@@ -288,34 +287,39 @@ func TestAlgorithm1MaxHeadersCap(t *testing.T) {
 	}
 	h.ad.Start()
 	h.run(2 * time.Minute)
-	if h.ad.Tree().MaxHeight() != 25 {
+	if h.ad.Tree().MaxHeight() != maxHeaders+10 {
 		t.Fatalf("adapter height %d", h.ad.Tree().MaxHeight())
 	}
 	resp := h.ad.HandleRequest(Request{Anchor: h.params.GenesisHeader, AnchorHeight: 0})
-	if len(resp.Next) != 10 {
-		t.Fatalf("N size %d, want capped at 10", len(resp.Next))
+	if len(resp.Next) != maxHeaders {
+		t.Fatalf("N size %d, want capped at %d", len(resp.Next), maxHeaders)
 	}
 }
 
+// TestAlgorithm1SizeSoftLimit: MAX_SIZE is a soft bound. Three blocks of
+// just over half the budget each: the second crosses it and is still
+// returned, the third is not.
 func TestAlgorithm1SizeSoftLimit(t *testing.T) {
-	h := newHarness(t, 9, 4)
-	h.ad.cfg.MultiBlockSyncHeight = 1000
-	h.ad.cfg.MaxResponseBytes = 1 // everything exceeds this after one block
-	if _, err := h.miner.MineChain(3, 0); err != nil {
-		t.Fatal(err)
+	cfg := ConfigForNetwork(btc.Regtest)
+	cfg.MultiBlockSyncHeight = 1000
+	ad, _, _ := bareAdapter(9, cfg)
+	ad.Start()
+	forge := btcnode.NewForge(ad.params)
+	parent := ad.params.GenesisHeader.BlockHash()
+	for i := 0; i < 3; i++ {
+		b, err := forge.Mine(parent, make([]byte, maxResponseBytes/2+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ad.tree.Insert(b.Header); err != nil {
+			t.Fatal(err)
+		}
+		parent = b.BlockHash()
+		ad.blocks[parent] = b
 	}
-	if _, err := h.sim.SyncAll(500_000); err != nil {
-		t.Fatal(err)
-	}
-	h.ad.Start()
-	h.run(time.Minute)
-	h.ad.HandleRequest(Request{Anchor: h.params.GenesisHeader, AnchorHeight: 0})
-	h.run(time.Minute)
-	resp := h.ad.HandleRequest(Request{Anchor: h.params.GenesisHeader, AnchorHeight: 0})
-	// Soft limit: the first block is included even though it exceeds the
-	// budget; the rest are not.
-	if len(resp.Blocks) != 1 {
-		t.Fatalf("soft limit returned %d blocks, want 1", len(resp.Blocks))
+	resp := ad.HandleRequest(Request{Anchor: ad.params.GenesisHeader, AnchorHeight: 0})
+	if len(resp.Blocks) != 2 {
+		t.Fatalf("soft limit returned %d blocks, want 2", len(resp.Blocks))
 	}
 }
 

@@ -19,7 +19,7 @@ const (
 	// StateSyncing is normal operation: peers are responding.
 	StateSyncing
 	// StateDegraded means the stall detector fired: no peer has produced any
-	// response for at least Config.StallTimeout. Headers/blocks served from
+	// response for at least stallTimeout. Headers/blocks served from
 	// the adapter's tree may be arbitrarily stale.
 	StateDegraded
 	// StateStopped means the sandboxed adapter process is down.
@@ -175,11 +175,11 @@ func (a *Adapter) chargeInvalid(id simnet.NodeID) {
 // must not instantly re-ban a recovered peer), and rotates it out of the
 // connection set.
 func (a *Adapter) maybeBan(id simnet.NodeID, ph *peerHealth) {
-	if a.cfg.PeerBanScore <= 0 || ph.score() < a.cfg.PeerBanScore {
+	if ph.score() < peerBanScore {
 		return
 	}
 	a.met.bans.Inc()
-	ph.banUntil = a.net.Scheduler().Now().Add(a.cfg.PeerCooldown)
+	ph.banUntil = a.net.Scheduler().Now().Add(peerCooldown)
 	ph.timeouts, ph.invalid = 0, 0
 	ph.latencyEWMA, ph.hasLatency = 0, false
 	if a.connected[id] {

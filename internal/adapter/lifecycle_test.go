@@ -33,42 +33,45 @@ func bareAdapter(seed int64, cfg Config, peers ...string) (*Adapter, *simnet.Sch
 // restarted request's identical issue counter and double-retries it,
 // charging a spurious timeout and bumping attempts.
 func TestRetryTimerGenGatedAcrossRestart(t *testing.T) {
-	cfg := ConfigForNetwork(btc.Regtest)
-	cfg.BlockRetryInterval = 10 * time.Second
-	cfg.RetryJitter = 0
-	cfg.SyncInterval = time.Hour // keep sync ticks out of the timeline
-	cfg.StallTimeout = 0
-	cfg.RequestTimeout = 0
-	ad, sched, _ := bareAdapter(1, cfg)
+	// A retry falls due within blockRetryInterval ± retryJitter of its
+	// issue. Restarting halfway through the first window puts the stale
+	// timer's deadline strictly before the fresh one's earliest.
+	earliest := time.Duration(float64(blockRetryInterval) * (1 - retryJitter))
+	latest := time.Duration(float64(blockRetryInterval) * (1 + retryJitter))
+	restart := blockRetryInterval / 2
+	if restart+earliest <= latest {
+		t.Fatal("retry windows overlap: the stale timer may fire after the fresh one")
+	}
+	ad, sched, _ := bareAdapter(1, ConfigForNetwork(btc.Regtest))
 	ad.Start()
 	// A peer with no endpoint: requests vanish, replies never come.
 	ad.ConnectPeer("ghost")
 	hash := btc.DoubleSHA256([]byte("wanted-block"))
 
-	if b := ad.getBlock(hash); b != nil { // t=0: attempts=1, retry armed at t=10s
+	if b := ad.getBlock(hash); b != nil { // t=0: attempts=1, retry armed
 		t.Fatal("block cannot exist")
 	}
-	sched.RunFor(time.Second) // t=1s
+	sched.RunFor(restart)
 
 	ad.Stop()
 	ad.Start()
 	ad.ConnectPeer("ghost")
-	if b := ad.getBlock(hash); b != nil { // t=1s: fresh lifecycle, retry at t=11s
+	if b := ad.getBlock(hash); b != nil { // fresh lifecycle, issue 1 again
 		t.Fatal("block cannot exist")
 	}
 	if got := ad.BlockRequestAttempts(hash); got != 1 {
 		t.Fatalf("fresh request attempts=%d, want 1", got)
 	}
 
-	// t=10.5s: the pre-stop timer has fired (t=10s) — the generation gate
-	// must have killed it. The fresh request's own retry (t=11s) is pending.
-	sched.RunFor(9500 * time.Millisecond)
+	// Past the stale window: the pre-stop timer has fired — the generation
+	// gate must have killed it. The fresh request's own retry is pending.
+	sched.RunFor(latest - restart + time.Second/2)
 	if got := ad.BlockRequestAttempts(hash); got != 1 {
 		t.Fatalf("stale retry timer fired into restarted adapter: attempts=%d, want 1", got)
 	}
 
-	// t=12.5s: the fresh timer has fired and the retry went out.
-	sched.RunFor(2 * time.Second)
+	// Past the fresh window: the fresh timer has fired and the retry went out.
+	sched.RunFor(restart)
 	if got := ad.BlockRequestAttempts(hash); got != 2 {
 		t.Fatalf("live retry timer dead too: attempts=%d, want 2", got)
 	}
@@ -123,7 +126,6 @@ func TestAddressBookBoundedUnderGossipFlood(t *testing.T) {
 func TestFillConnectionsDeprioritizesTimeoutProne(t *testing.T) {
 	cfg := ConfigForNetwork(btc.Regtest)
 	cfg.Connections = 3
-	cfg.PeerBanScore = 0 // banning off: isolate the score ranking
 	ad, _, _ := bareAdapter(5, cfg, "btc/0", "btc/1", "btc/2", "btc/bad")
 	for i := 0; i < 4; i++ {
 		ad.chargeTimeout("btc/bad")
@@ -155,13 +157,11 @@ func TestFillConnectionsDeprioritizesTimeoutProne(t *testing.T) {
 func TestPeerBanAndCooldown(t *testing.T) {
 	cfg := ConfigForNetwork(btc.Regtest)
 	cfg.Connections = 2
-	cfg.SyncInterval = time.Hour
-	cfg.StallTimeout = 0
 	ad, sched, _ := bareAdapter(7, cfg, "btc/0", "btc/1", "btc/bad")
 	ad.Start()
 	ad.connected = map[simnet.NodeID]bool{"btc/bad": true, "btc/0": true}
 
-	for i := 0; i < int(cfg.PeerBanScore); i++ {
+	for i := 0; i < peerBanScore; i++ {
 		ad.chargeTimeout("btc/bad")
 	}
 	if !ad.PeerBanned("btc/bad") {
@@ -179,7 +179,7 @@ func TestPeerBanAndCooldown(t *testing.T) {
 		t.Fatalf("score after ban %v, want 0 (reset)", got)
 	}
 	// Cooldown expiry re-admits the peer.
-	sched.RunFor(cfg.PeerCooldown + time.Second)
+	sched.RunFor(peerCooldown + time.Second)
 	if ad.PeerBanned("btc/bad") {
 		t.Fatal("ban did not expire")
 	}
@@ -204,7 +204,7 @@ func TestStallDetectorFlipsDegraded(t *testing.T) {
 	// Total stall: every peer goes dark at once.
 	h.net.SetPartition(h.ad.ID, "dark")
 	stallStart := h.sched.Now()
-	h.run(h.ad.cfg.StallTimeout + 2*h.ad.cfg.SyncInterval)
+	h.run(stallTimeout + 2*syncInterval)
 	health := h.ad.Health()
 	if health.State != StateDegraded {
 		t.Fatalf("adapter not degraded %v after total stall", h.sched.Now().Sub(stallStart))
@@ -220,7 +220,7 @@ func TestStallDetectorFlipsDegraded(t *testing.T) {
 
 	// Heal: the first response flips the adapter back.
 	h.net.HealPartitions()
-	h.run(2*h.ad.cfg.SyncInterval + time.Second)
+	h.run(2*syncInterval + time.Second)
 	if st := h.ad.Health().State; st != StateSyncing {
 		t.Fatalf("adapter stuck degraded after heal: %v", st)
 	}
@@ -281,7 +281,7 @@ func TestDegradedRecoveryRekicksPendingBlocks(t *testing.T) {
 	h.net.HealPartitions()
 	// Recovery re-kick: the block must arrive within a couple of sync
 	// intervals, not after the grown (up to 80 s) backoff expires.
-	h.run(3*h.ad.cfg.SyncInterval + time.Second)
+	h.run(3*syncInterval + time.Second)
 	if !h.ad.HasBlock(wanted) {
 		t.Fatal("pending block not re-kicked after recovery")
 	}

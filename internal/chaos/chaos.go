@@ -310,7 +310,6 @@ func newWorld(cfg Config) (*World, error) {
 	fleet, err := queryfleet.New(Authority(w.Canister), queryfleet.Config{
 		Replicas:     replicas,
 		MaxLagBlocks: 3,
-		AutoResync:   true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)

@@ -11,15 +11,11 @@ import (
 )
 
 // fastOptions keeps end-to-end tests quick: a small subnet without the
-// degraded-round tail and short consensus delays.
+// degraded-round tail.
 func fastOptions(seed int64) Options {
 	cfg := ic.DefaultConfig()
 	cfg.N = 4
 	cfg.DegradedRoundProb = 0
-	cfg.FinalizeBase = 300 * time.Millisecond
-	cfg.FinalizeJitter = 200 * time.Millisecond
-	cfg.CertifyDelay = 300 * time.Millisecond
-	cfg.XNetDelay = 500 * time.Millisecond
 	return Options{
 		Seed:         seed,
 		BitcoinNodes: 5,

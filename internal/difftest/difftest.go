@@ -77,8 +77,9 @@ type Config struct {
 	ServeLayers bool
 	// FrameFaults, when true, corrupts the fleet's delta stream with seeded
 	// bit-flips, truncations, duplications, and drops (a private RNG, so the
-	// workload sequence is identical with faults on or off) and enables the
-	// fleet's auto-resync. Every corruption must be detected — the
+	// workload sequence is identical with faults on or off). Corrupted frames
+	// heal by the fleet's automatic re-hydration, not by failing the run.
+	// Every corruption must be detected — the
 	// per-failure-class counters in Stats are pinned nonzero by the test —
 	// and every replica must keep answering byte-identical to the recorded
 	// authoritative history at its frame, resyncs included.
@@ -274,14 +275,7 @@ func New(cfg Config) *Harness {
 // canister and installs its delta-stream sink. The harness applies frames
 // itself, so it controls each replica's lag deterministically.
 func (h *Harness) setupFleet() {
-	fcfg := queryfleet.Config{
-		Replicas:     fleetReplicas,
-		MaxLagBlocks: fleetMaxLag,
-		// Corrupted frames must heal by automatic re-hydration, not by the
-		// harness failing the run — the run fails only if a corruption goes
-		// UNdetected (the history check catches silently-applied garbage).
-		AutoResync: h.cfg.FrameFaults,
-	}
+	fcfg := queryfleet.Config{Replicas: fleetReplicas, MaxLagBlocks: fleetMaxLag}
 	if h.cfg.ServeLayers {
 		// Coalescing and the hot-response cache sit in front of every routed
 		// query, so the whole randomized workload runs against them.

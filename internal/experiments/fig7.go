@@ -111,7 +111,7 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 	// Install the preloaded canister on a measurement subnet.
 	sched := simnet.NewScheduler(cfg.Seed)
 	subCfg := ic.DefaultConfig()
-	subCfg.DisableThresholdKeys = true // certification latency is modeled by CertifyDelay
+	subCfg.DisableThresholdKeys = true // the subnet models certification latency as a fixed delay
 	subCfg.Seed = cfg.Seed
 	subnet, err := ic.NewSubnet(sched, subCfg)
 	if err != nil {

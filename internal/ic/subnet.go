@@ -19,14 +19,6 @@ import (
 type Config struct {
 	// N is the number of replicas (must be 3f+1 for some f ≥ 0).
 	N int
-	// FinalizeBase/FinalizeJitter bound the notarization+finalization delay
-	// after a block proposal.
-	FinalizeBase, FinalizeJitter time.Duration
-	// CertifyDelay is the response-certification (threshold signature) time.
-	CertifyDelay time.Duration
-	// XNetDelay is the one-way cross-subnet transfer time for replicated
-	// calls arriving from (and returning to) canisters on other subnets.
-	XNetDelay time.Duration
 	// DegradedRoundProb is the probability a round degrades (block maker
 	// timeout, fallback to the next rank), adding roundExtension delay.
 	DegradedRoundProb float64
@@ -36,10 +28,19 @@ type Config struct {
 	DisableThresholdKeys bool
 }
 
-// The rest of the §IV-B envelope, the same on every subnet.
+// The §IV-B latency envelope, the same on every subnet.
 const (
 	roundInterval  = time.Second     // target block time
 	roundExtension = 9 * time.Second // extra delay of a degraded round
+	// The notarization+finalization delay after a block proposal is
+	// finalizeBase plus up to finalizeJitter.
+	finalizeBase   = 900 * time.Millisecond
+	finalizeJitter = 900 * time.Millisecond
+	// certifyDelay is the response-certification (threshold signature) time.
+	certifyDelay = 1200 * time.Millisecond
+	// xnetDelay is the one-way cross-subnet transfer time for replicated
+	// calls arriving from (and returning to) canisters on other subnets.
+	xnetDelay = 2300 * time.Millisecond
 	// The client↔replica round trip of a non-replicated query is
 	// queryRTTBase plus up to queryRTTJitter.
 	queryRTTBase   = 180 * time.Millisecond
@@ -55,10 +56,6 @@ const (
 func DefaultConfig() Config {
 	return Config{
 		N:                 13,
-		FinalizeBase:      900 * time.Millisecond,
-		FinalizeJitter:    900 * time.Millisecond,
-		CertifyDelay:      1200 * time.Millisecond,
-		XNetDelay:         2300 * time.Millisecond,
 		DegradedRoundProb: 0.12,
 		Seed:              1,
 	}
@@ -593,10 +590,7 @@ func (s *Subnet) runRound() {
 	s.ingress = append([]*pendingCall(nil), s.ingress[take:]...)
 
 	// Finalization delay, possibly degraded (maker timeout → next rank).
-	delay := s.cfg.FinalizeBase
-	if s.cfg.FinalizeJitter > 0 {
-		delay += time.Duration(s.rng.Int63n(int64(s.cfg.FinalizeJitter)))
-	}
+	delay := finalizeBase + time.Duration(s.rng.Int63n(int64(finalizeJitter)))
 	if s.cfg.DegradedRoundProb > 0 && s.rng.Float64() < s.cfg.DegradedRoundProb {
 		delay += roundExtension
 	}
@@ -660,7 +654,7 @@ func (s *Subnet) executeUpdate(call *pendingCall, blockTime time.Time, metrics *
 
 	// Execution time + certification + XNet return hop.
 	execTime := time.Duration(float64(meter.Total()) / updateRate * float64(time.Second))
-	respDelay := execTime + s.cfg.CertifyDelay + s.cfg.XNetDelay
+	respDelay := execTime + certifyDelay + xnetDelay
 	submitted := call.submitted
 	cb := call.cb
 	s.sched.After(respDelay, func() {
@@ -686,7 +680,7 @@ func (s *Subnet) executeUpdate(call *pendingCall, blockTime time.Time, metrics *
 // the simulation goroutine when the response arrives.
 func (s *Subnet) SubmitUpdate(canister CanisterID, method string, arg any, caller string, cb func(Result)) {
 	submitted := s.sched.Now()
-	s.sched.After(s.cfg.XNetDelay, func() {
+	s.sched.After(xnetDelay, func() {
 		s.ingress = append(s.ingress, &pendingCall{
 			canister:  canister,
 			method:    method,

@@ -24,13 +24,11 @@ func replicaBalance(t *testing.T, r *rig, i int) int64 {
 }
 
 // TestFrameCorruptionAutoResync bit-flips a delivered frame: the statecodec
-// checksum must reject it, and with AutoResync on the replica must come back
-// by re-hydration, byte-identical to the authority — no quarantine, no
-// operator action.
+// checksum must reject it, and the replica must come back by re-hydration,
+// byte-identical to the authority — no quarantine, no operator action.
 func TestFrameCorruptionAutoResync(t *testing.T) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 1
-	cfg.AutoResync = true
 	r := newRig(t, cfg, 6)
 
 	r.fleet.SetFrameFault(func(replica int, seq uint64, raw []byte) [][]byte {
@@ -52,7 +50,7 @@ func TestFrameCorruptionAutoResync(t *testing.T) {
 		t.Fatalf("detection did not trigger a resync: %+v", st)
 	}
 	if r.fleet.Replica(0).Broken() {
-		t.Fatal("replica left quarantined despite auto-resync")
+		t.Fatal("replica left quarantined after its resync")
 	}
 	if got, want := replicaBalance(t, r, 0), r.authBalance(); got != want {
 		t.Fatalf("recovered replica balance %d, authoritative %d", got, want)
@@ -64,7 +62,6 @@ func TestFrameCorruptionAutoResync(t *testing.T) {
 func TestFrameGapAutoResync(t *testing.T) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 1
-	cfg.AutoResync = true
 	r := newRig(t, cfg, 6)
 
 	r.fleet.SetFrameFault(func(replica int, seq uint64, raw []byte) [][]byte { return nil })
@@ -92,7 +89,6 @@ func TestFrameGapAutoResync(t *testing.T) {
 func TestFrameDuplicateSkipped(t *testing.T) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 1
-	cfg.AutoResync = true
 	r := newRig(t, cfg, 6)
 
 	r.fleet.SetFrameFault(func(replica int, seq uint64, raw []byte) [][]byte {
@@ -122,7 +118,6 @@ func TestFrameDuplicateSkipped(t *testing.T) {
 func TestFrameSwapDetected(t *testing.T) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 1
-	cfg.AutoResync = true
 	r := newRig(t, cfg, 6)
 
 	var held []byte
@@ -263,7 +258,6 @@ func TestByzantineStaleReplayEjected(t *testing.T) {
 func TestFeedAuthorityRegressionFlagsResync(t *testing.T) {
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 2
-	cfg.AutoResync = true
 	r := newRig(t, cfg, 6)
 	for i := 0; i < 3; i++ {
 		r.feedBlock()
@@ -278,7 +272,7 @@ func TestFeedAuthorityRegressionFlagsResync(t *testing.T) {
 	if err := r.fleet.CatchUpAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.fleet.Stats().Resyncs; got < 2 {
+	if got := r.fleet.Stats().Resyncs; got != uint64(cfg.Replicas) {
 		t.Fatalf("authority tip regression resynced %d replicas, want all %d", got, cfg.Replicas)
 	}
 	// Replicas landed on the (current) authority snapshot.

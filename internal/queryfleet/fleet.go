@@ -122,14 +122,6 @@ type Config struct {
 	// responses to cacheable methods are served without re-execution until
 	// the next stream frame invalidates them (see serving.go).
 	CacheEntries int
-	// AutoResync turns a frame-integrity rejection (corrupt bytes, sequence
-	// gap, mismatched embedded sequence, failed application) into an
-	// automatic re-hydration from a fresh authority snapshot instead of a
-	// sticky quarantine: the replica jumps past the damage and resumes
-	// serving. Manual Quarantine() remains sticky either way. An authority
-	// whose frame stream moves the tip backwards (state-loss recovery)
-	// likewise flags every replica for resync.
-	AutoResync bool
 }
 
 // DefaultConfig returns a 4-replica fleet with a 2-block staleness bound
@@ -150,7 +142,7 @@ type Stats struct {
 	FrameCorrupt     uint64 // frames rejected by checksum/decode or embedded-seq mismatch
 	FrameGaps        uint64 // frames rejected for a sequence gap (drop or reorder)
 	FrameDuplicates  uint64 // re-delivered frames skipped as already applied
-	Resyncs          uint64 // automatic re-hydrations triggered by integrity failures
+	Resyncs          uint64 // automatic re-hydrations after integrity failures and authority regressions
 	ByzantineEjected uint64 // replicas ejected by the certified-response audit
 }
 
@@ -286,7 +278,7 @@ func (f *Fleet) Feed(frame *canister.Frame) {
 	// authority lost state and recovered from an older checkpoint. Replicas
 	// ahead of it would "apply" the replayed frames as no-ops while serving
 	// a future the authority no longer has; flag them all for resync.
-	if f.cfg.AutoResync && frame.TipHeight < f.authTip.Load() {
+	if frame.TipHeight < f.authTip.Load() {
 		for _, r := range f.replicas {
 			r.needsResync.Store(true)
 		}
@@ -336,7 +328,7 @@ func (f *Fleet) GuardAuthority(fn func() error) error {
 }
 
 // resyncReplica is the automatic-recovery path frame-integrity failures
-// take under Config.AutoResync: a plain re-hydration, counted. Called with
+// and authority regressions take: a plain re-hydration, counted. Called with
 // no fleet locks held (HydrateReplica takes authMu → feedMu itself).
 func (f *Fleet) resyncReplica(i int) error {
 	if err := f.HydrateReplica(i); err != nil {

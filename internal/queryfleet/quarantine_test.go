@@ -1,6 +1,7 @@
 package queryfleet
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -12,10 +13,11 @@ import (
 	"icbtc/internal/simnet"
 )
 
-// TestReplicaQuarantineOnBadFrame: a frame that fails to decode or apply
-// must quarantine the replica — routing skips it (falling back to the
-// authoritative canister) instead of certifying a possibly diverged state —
-// and a snapshot re-hydration heals it.
+// TestReplicaQuarantineOnBadFrame: a frame that fails to decode is counted
+// and healed by re-hydration on the spot — no error, no quarantine left
+// behind, local serving continues. A manual Quarantine is the sticky case:
+// application refuses and routing forwards to the authoritative canister
+// (instead of certifying a possibly diverged state) until a re-hydration.
 func TestReplicaQuarantineOnBadFrame(t *testing.T) {
 	auth := canister.New(canister.DefaultConfig(btc.Regtest))
 	fleet, err := New(auth, Config{Replicas: 1, MaxLagBlocks: 1})
@@ -30,18 +32,30 @@ func TestReplicaQuarantineOnBadFrame(t *testing.T) {
 		t.Fatalf("healthy replica: err=%v forwarded=%v", rq.Err, rq.Forwarded)
 	}
 
-	// Inject an undecodable frame: application fails and quarantines.
+	// Inject an undecodable frame: it is rejected and the replica resyncs.
 	r := fleet.Replica(0)
 	r.enqueue([]byte("not a frame"), 1, time.Time{})
-	if _, err := r.ApplyPending(-1); err == nil {
-		t.Fatal("garbage frame applied without error")
+	if _, err := r.ApplyPending(-1); err != nil {
+		t.Fatalf("bad frame not healed by resync: %v", err)
 	}
-	if !r.Broken() {
-		t.Fatal("replica not quarantined after a failed frame")
+	if st := fleet.Stats(); st.FrameCorrupt != 1 || st.Resyncs != 1 {
+		t.Fatalf("bad frame: corrupt=%d resyncs=%d, want 1 and 1", st.FrameCorrupt, st.Resyncs)
 	}
-	// Further application attempts refuse until re-hydration.
+	if r.Broken() {
+		t.Fatal("replica left quarantined after its resync")
+	}
+	rq = fleet.RouteQuery("get_tip", nil, "c", now)
+	if rq.Err != nil || rq.Forwarded {
+		t.Fatalf("resynced replica: err=%v forwarded=%v", rq.Err, rq.Forwarded)
+	}
+
+	// A manual quarantine sticks: application refuses until re-hydration.
+	r.Quarantine()
 	if _, err := r.ApplyPending(-1); err == nil {
 		t.Fatal("quarantined replica kept applying frames")
+	}
+	if !r.Broken() {
+		t.Fatal("ApplyPending lifted a manual quarantine")
 	}
 
 	// Routing skips the quarantined replica and forwards to the authority.
@@ -66,9 +80,62 @@ func TestReplicaQuarantineOnBadFrame(t *testing.T) {
 	}
 }
 
-// TestQuarantineStormRecovery: every replica is quarantined at once (a
-// correlated fault — bad frame on one, watchdog pulls on the rest), the
-// stream keeps flowing while the fleet is dark, and the replicas are
+// snapshotless is an authority whose Snapshot fails once fail is set.
+type snapshotless struct {
+	*canister.BitcoinCanister
+	fail bool
+}
+
+func (a *snapshotless) Snapshot() ([]byte, error) {
+	if a.fail {
+		return nil, errors.New("snapshot unavailable")
+	}
+	return a.BitcoinCanister.Snapshot()
+}
+
+// TestFailedResyncStaysQuarantined: when the resync after a bad frame cannot
+// get a snapshot, the replica stays Broken — ApplyPending reports the
+// failure and keeps refusing, routing forwards — until a re-hydration
+// succeeds.
+func TestFailedResyncStaysQuarantined(t *testing.T) {
+	auth := &snapshotless{BitcoinCanister: canister.New(canister.DefaultConfig(btc.Regtest))}
+	fleet, err := New(auth, Config{Replicas: 1, MaxLagBlocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1_700_000_000, 0).UTC()
+
+	auth.fail = true
+	r := fleet.Replica(0)
+	r.enqueue([]byte("not a frame"), 1, time.Time{})
+	if _, err := r.ApplyPending(-1); err == nil {
+		t.Fatal("resync without a snapshot reported success")
+	}
+	if !r.Broken() {
+		t.Fatal("replica not quarantined after a failed resync")
+	}
+	if st := fleet.Stats(); st.FrameCorrupt != 1 || st.Resyncs != 0 {
+		t.Fatalf("failed resync: corrupt=%d resyncs=%d, want 1 and 0", st.FrameCorrupt, st.Resyncs)
+	}
+	if _, err := r.ApplyPending(-1); err == nil {
+		t.Fatal("quarantined replica kept applying frames")
+	}
+	if rq := fleet.RouteQuery("get_tip", nil, "c", now); rq.Err != nil || !rq.Forwarded {
+		t.Fatalf("broken replica: err=%v forwarded=%v, want a forward", rq.Err, rq.Forwarded)
+	}
+
+	auth.fail = false
+	if err := fleet.HydrateReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	if rq := fleet.RouteQuery("get_tip", nil, "c", now); rq.Err != nil || rq.Forwarded {
+		t.Fatalf("healed replica: err=%v forwarded=%v", rq.Err, rq.Forwarded)
+	}
+}
+
+// TestQuarantineStormRecovery: a bad frame on one replica heals by resync,
+// then the watchdog quarantines every replica at once (a correlated fault),
+// the stream keeps flowing while the fleet is dark, and the replicas are
 // readmitted mid-stream. Throughout the storm the fleet must never serve a
 // stale answer from a quarantined state (all traffic forwards to the fresh
 // authority), and recovery must come from a current snapshot — not a frame
@@ -111,19 +178,22 @@ func TestQuarantineStormRecovery(t *testing.T) {
 		t.Fatalf("baseline: err=%v forwarded=%v", rq.Err, rq.Forwarded)
 	}
 
-	// The storm: replica 0 hits a real poison frame, the watchdog pulls the
-	// other two (both quarantine paths in one event).
+	// Replica 0 hits a real poison frame and resyncs on its own.
 	r0 := fleet.Replica(0)
 	r0.enqueue([]byte("poison"), r0.Seq()+1, time.Time{})
-	if _, err := r0.ApplyPending(-1); err == nil {
-		t.Fatal("poison frame applied without error")
+	if _, err := r0.ApplyPending(-1); err != nil {
+		t.Fatalf("poison frame not healed by resync: %v", err)
 	}
-	fleet.Replica(1).Quarantine()
-	fleet.Replica(2).Quarantine()
+	if st := fleet.Stats(); st.FrameCorrupt != 1 || st.Resyncs != 1 {
+		t.Fatalf("poison frame: corrupt=%d resyncs=%d, want 1 and 1", st.FrameCorrupt, st.Resyncs)
+	}
+	if r0.Broken() || r0.Seq() != fleet.LastSeq() {
+		t.Fatalf("resynced replica: broken=%v seq %d, want %d", r0.Broken(), r0.Seq(), fleet.LastSeq())
+	}
+
+	// The storm: the watchdog pulls all three.
 	for i := 0; i < fleet.Replicas(); i++ {
-		if !fleet.Replica(i).Broken() {
-			t.Fatalf("replica %d not quarantined", i)
-		}
+		fleet.Replica(i).Quarantine()
 	}
 
 	// The chain keeps growing while the fleet is dark. Every query must

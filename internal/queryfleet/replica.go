@@ -48,7 +48,7 @@ type Replica struct {
 	// needsResync flags a replica whose stream observed an authority
 	// regression (Feed saw the tip move backwards): its state may be AHEAD
 	// of the recovered authority. ApplyPending re-hydrates before touching
-	// further frames (AutoResync fleets only).
+	// further frames.
 	needsResync atomic.Bool
 
 	// applyMu makes ApplyPending one caller's at a time, dequeue through
@@ -164,12 +164,12 @@ func (r *Replica) TipHeight() int64 { return r.tip.Load() }
 // the stream slot the frame was delivered for, and the slot must be exactly
 // the replica's position + 1 — a gap, reordering, or swap is rejected, and a
 // re-delivered frame (slot ≤ position) is skipped as a duplicate. A rejection
-// quarantines the replica (Broken reports it; routing skips it) until a
-// re-hydration replaces its state — continuing past a lost frame would let
-// later frames advance the tip over a silently diverged state. Under
-// Config.AutoResync the re-hydration happens right here: the replica jumps
-// to a fresh authority snapshot, the damaged backlog is discarded, and
-// serving resumes without operator action.
+// quarantines the replica (Broken reports it; routing skips it) and
+// re-hydrates it right here — continuing past a lost frame would let later
+// frames advance the tip over a silently diverged state. The replica jumps to
+// a fresh authority snapshot, the damaged backlog is discarded, and serving
+// resumes without operator action. A replica whose re-hydration failed, or
+// that was pulled out by Quarantine, stays quarantined until HydrateReplica.
 //
 // Callers are serialized per replica: a second one waits for the first to
 // finish its batches instead of dequeuing frame n+1 while frame n is still in
@@ -180,7 +180,7 @@ func (r *Replica) ApplyPending(max int) (int, error) {
 	defer r.applyMu.Unlock()
 	applied := 0
 	for max < 0 || applied < max {
-		if r.needsResync.Load() && r.fleet.cfg.AutoResync {
+		if r.needsResync.Load() {
 			if err := r.resync("authority tip regressed"); err != nil {
 				return applied, err
 			}
@@ -280,16 +280,13 @@ func (r *Replica) ApplyPending(max int) (int, error) {
 			if failErr != nil {
 				err = failErr
 			}
-			if r.fleet.cfg.AutoResync {
-				// Jump past the damage: re-hydrate from a fresh authority
-				// snapshot. The rest of the dequeued batch is superseded by
-				// the snapshot (its frames are ≤ the hydration position).
-				if rerr := r.resync(err.Error()); rerr != nil {
-					return applied, rerr
-				}
-				continue
+			// Jump past the damage: re-hydrate from a fresh authority
+			// snapshot. The rest of the dequeued batch is superseded by the
+			// snapshot (its frames are ≤ the hydration position).
+			if rerr := r.resync(err.Error()); rerr != nil {
+				return applied, rerr
 			}
-			return applied, err
+			continue
 		}
 	}
 	return applied, nil
