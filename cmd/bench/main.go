@@ -99,14 +99,6 @@ var figures = []figure{
 		experiments.RunDowntime(o.trials, o.seed, 13).Print(w)
 		return nil
 	}},
-	{"scaling", "Extension: throughput scaling", func(w io.Writer, o opts) error {
-		res, err := experiments.RunScaling(o.seed)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-		return nil
-	}},
 	{"degrade", "Degradation: recovery vs adapter-link loss rate", func(w io.Writer, o opts) error {
 		cfg := experiments.DefaultDegradeConfig()
 		cfg.Seed = o.seed
@@ -139,12 +131,6 @@ var figures = []figure{
 			return err
 		}
 		s.Print(w)
-		section(w, "Ablation: τ sweep")
-		t, err := experiments.RunTauSweep(o.seed)
-		if err != nil {
-			return err
-		}
-		t.Print(w)
 		return nil
 	}},
 }

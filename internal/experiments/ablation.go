@@ -169,98 +169,3 @@ func (r *SyncModeResult) Print(w io.Writer) {
 	}
 	fmt.Fprintln(w, "single-block mode bounds a malicious block maker to one fork block per IC round (Lemma IV.3)")
 }
-
-// --- τ sweep: availability vs staleness tolerance ---
-
-// TauRow is one τ sample.
-type TauRow struct {
-	Tau int64
-	// AnsweredFraction of requests served while the canister lags the
-	// network by `Lag` blocks.
-	AnsweredFraction float64
-	Lag              int64
-}
-
-// TauSweepResult quantifies the τ availability/staleness trade-off of
-// Algorithm 2's synced flag.
-type TauSweepResult struct {
-	Rows []TauRow
-}
-
-// RunTauSweep measures, for each τ, whether requests are answered while
-// the canister knows about `lag` upcoming blocks it has not ingested.
-func RunTauSweep(seed int64) (*TauSweepResult, error) {
-	res := &TauSweepResult{}
-	for _, tau := range []int64{0, 1, 2, 4, 8} {
-		for _, lag := range []int64{0, 1, 2, 3, 6} {
-			cfg := canister.DefaultConfig(btc.Regtest)
-			cfg.SyncSlack = tau
-			f := &Feeder{
-				Canister: canister.New(cfg),
-				Builder:  NewBlockBuilder(btc.RegtestParams(), seed),
-				now:      time.Unix(1_700_000_000, 0).UTC(),
-			}
-			script := btc.PayToPubKeyHashScript([20]byte{0x7A})
-			// Ingest 5 blocks fully.
-			for i := 0; i < 5; i++ {
-				if _, err := f.FeedBlock([]TxSpec{{Outputs: PayN(script, 2, 546)}}); err != nil {
-					return nil, err
-				}
-			}
-			// Then the chain grows by `lag` blocks the canister only hears
-			// about as headers.
-			var headers []btc.BlockHeader
-			for i := int64(0); i < lag; i++ {
-				blk, err := f.Builder.NextBlock(nil)
-				if err != nil {
-					return nil, err
-				}
-				headers = append(headers, blk.Header)
-			}
-			if len(headers) > 0 {
-				ctx := f.ctx()
-				if err := f.Canister.ProcessPayload(ctx, adapterResponseHeaders(headers)); err != nil {
-					return nil, err
-				}
-			}
-			ctx := f.QueryCtx()
-			_, err := f.Canister.GetBalance(ctx, canister.GetBalanceArgs{Address: "any"})
-			answered := 1.0
-			if err != nil {
-				answered = 0.0
-			}
-			res.Rows = append(res.Rows, TauRow{Tau: tau, Lag: lag, AnsweredFraction: answered})
-		}
-	}
-	return res, nil
-}
-
-func adapterResponseHeaders(h []btc.BlockHeader) adapter.Response {
-	return adapter.Response{Next: h}
-}
-
-// Print renders the τ/lag matrix.
-func (r *TauSweepResult) Print(w io.Writer) {
-	fmt.Fprintln(w, "Ablation: τ sweep — requests answered (1) or refused (0) at a given block lag")
-	fmt.Fprintf(w, "%-6s", "τ\\lag")
-	lags := []int64{0, 1, 2, 3, 6}
-	for _, l := range lags {
-		fmt.Fprintf(w, "%6d", l)
-	}
-	fmt.Fprintln(w)
-	byTau := map[int64]map[int64]float64{}
-	for _, row := range r.Rows {
-		if byTau[row.Tau] == nil {
-			byTau[row.Tau] = map[int64]float64{}
-		}
-		byTau[row.Tau][row.Lag] = row.AnsweredFraction
-	}
-	for _, tau := range []int64{0, 1, 2, 4, 8} {
-		fmt.Fprintf(w, "%-6d", tau)
-		for _, l := range lags {
-			fmt.Fprintf(w, "%6.0f", byTau[tau][l])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w, "production τ=2 keeps availability through transient lag while refusing stale answers")
-}

@@ -519,65 +519,3 @@ func TestSyncModesAblation(t *testing.T) {
 		t.Fatal("no output")
 	}
 }
-
-func TestTauSweepMatrix(t *testing.T) {
-	res, err := RunTauSweep(31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(tau, lag int64) float64 {
-		for _, row := range res.Rows {
-			if row.Tau == tau && row.Lag == lag {
-				return row.AnsweredFraction
-			}
-		}
-		t.Fatalf("missing row τ=%d lag=%d", tau, lag)
-		return 0
-	}
-	// τ=0 refuses any lag; τ=2 (production) tolerates lag ≤ 2; larger τ
-	// tolerates more.
-	if get(0, 0) != 1 || get(0, 1) != 0 {
-		t.Fatal("τ=0 behavior wrong")
-	}
-	if get(2, 2) != 1 || get(2, 3) != 0 {
-		t.Fatal("τ=2 behavior wrong")
-	}
-	if get(8, 6) != 1 {
-		t.Fatal("τ=8 behavior wrong")
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("no output")
-	}
-}
-
-func TestScalingLinear(t *testing.T) {
-	res, err := RunScaling(61)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows %d", len(res.Rows))
-	}
-	base := res.Rows[0]
-	if base.CompletedCalls == 0 {
-		t.Fatal("no calls completed")
-	}
-	for _, row := range res.Rows[1:] {
-		ratio := float64(row.CompletedCalls) / float64(base.CompletedCalls)
-		want := float64(row.Subnets)
-		if ratio < want*0.8 || ratio > want*1.2 {
-			t.Fatalf("%d subnets: throughput ratio %.2f, want ~%.0f (linear)", row.Subnets, ratio, want)
-		}
-		// Latency must not degrade materially with more subnets.
-		if row.AvgLatency > base.AvgLatency*3/2 {
-			t.Fatalf("%d subnets: latency %v degraded vs %v", row.Subnets, row.AvgLatency, base.AvgLatency)
-		}
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("no output")
-	}
-}

@@ -141,15 +141,6 @@ func (m *Meter) Category(c string) uint64 {
 	return 0
 }
 
-// Categories returns a copy of the per-category breakdown.
-func (m *Meter) Categories() map[string]uint64 {
-	out := make(map[string]uint64, m.n)
-	for i := 0; i < m.n; i++ {
-		out[m.cats[i].name] = m.cats[i].n
-	}
-	return out
-}
-
 // Reset clears the meter for reuse.
 func (m *Meter) Reset() {
 	*m = Meter{}

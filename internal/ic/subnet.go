@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"icbtc/internal/simnet"
@@ -143,15 +144,6 @@ type QueryRouter interface {
 	RouteQuery(method string, arg any, caller string, now time.Time) RoutedQuery
 }
 
-// BlockMetrics records the execution cost of one finalized block.
-type BlockMetrics struct {
-	Round        int64
-	Instructions uint64
-	Categories   map[string]uint64
-	Ingress      int
-	Payloads     int
-}
-
 // Subnet is a replicated state machine hosting canisters.
 type Subnet struct {
 	cfg     Config
@@ -163,6 +155,9 @@ type Subnet struct {
 
 	replicas  []*Replica
 	canisters map[CanisterID]Canister
+	// order lists the installed canister IDs sorted, so a block processes
+	// payloads and runs timers in the same order on every run.
+	order     []CanisterID
 	routers   map[CanisterID]QueryRouter
 	committee *tecdsa.Committee
 
@@ -177,11 +172,6 @@ type Subnet struct {
 
 	round   int64
 	ingress []*pendingCall
-
-	// blockMetrics keeps per-block execution statistics for experiments.
-	blockMetrics []BlockMetrics
-	// onRound observers (tests hook round progression).
-	onRound []func(round int64, maker *Replica)
 }
 
 type pendingCall struct {
@@ -234,6 +224,9 @@ func (s *Subnet) Committee() *tecdsa.Committee { return s.committee }
 
 // InstallCanister deploys a canister under an ID.
 func (s *Subnet) InstallCanister(id CanisterID, c Canister) {
+	if i, found := slices.BinarySearch(s.order, id); !found {
+		s.order = slices.Insert(s.order, i, id)
+	}
 	s.canisters[id] = c
 }
 
@@ -379,10 +372,9 @@ func (s *Subnet) journal(id CanisterID) *upgradeJournal {
 // is stopped, its stable state is captured with Snapshot, reinstall builds
 // the upgraded instance from those bytes, and the result replaces the old
 // instance under the same ID. The upgrade is atomic with respect to rounds
-// — it must be invoked between block executions (e.g. from an OnRound
-// observer or from the driving test), mirroring how the real IC drains a
-// canister's queues before swapping its Wasm while stable memory carries
-// the state across.
+// — it must be invoked between block executions (e.g. from the driving
+// test), mirroring how the real IC drains a canister's queues before
+// swapping its Wasm while stable memory carries the state across.
 //
 // The upgrade is journaled: the snapshot is written to a pending slot, the
 // install runs, and only then is the restore-completion marker set and the
@@ -500,12 +492,6 @@ func (s *Subnet) recoverUpgrade(id CanisterID, j *upgradeJournal, reinstall func
 	return nil
 }
 
-// OnRound registers an observer invoked at each round start with the round
-// number and the selected block maker.
-func (s *Subnet) OnRound(fn func(round int64, maker *Replica)) {
-	s.onRound = append(s.onRound, fn)
-}
-
 // Start begins the consensus round loop.
 func (s *Subnet) Start() {
 	if s.running {
@@ -552,14 +538,10 @@ func (s *Subnet) runRound() {
 	if s.halted {
 		return
 	}
-	round := s.round
+	maker := s.blockMakerFor(s.round)
 	s.round++
-	maker := s.blockMakerFor(round)
 	if maker == nil {
 		return // all replicas down
-	}
-	for _, fn := range s.onRound {
-		fn(round, maker)
 	}
 
 	// Assemble payloads: the block maker queries its own builders; a
@@ -569,7 +551,7 @@ func (s *Subnet) runRound() {
 		payload  any
 	}
 	var payloads []payloadEntry
-	for id := range s.canisters {
+	for _, id := range s.order {
 		if _, ok := s.canisters[id].(PayloadProcessor); !ok {
 			continue
 		}
@@ -599,41 +581,30 @@ func (s *Subnet) runRound() {
 			return // halted while the block was in flight
 		}
 		blockTime := s.sched.Now()
-		metrics := BlockMetrics{Round: round, Categories: make(map[string]uint64)}
 		// 1. Payload processing (Bitcoin adapter responses etc.).
 		for _, pe := range payloads {
 			proc := s.canisters[pe.canister].(PayloadProcessor)
-			meter := NewMeter()
-			ctx := &CallContext{Meter: meter, Time: blockTime, Caller: "consensus", Kind: KindUpdate, subnet: s}
-			// Errors are intentionally swallowed after accounting: a bad
-			// payload must not halt the subnet.
+			ctx := &CallContext{Meter: NewMeter(), Time: blockTime, Caller: "consensus", Kind: KindUpdate, subnet: s}
+			// Errors are intentionally swallowed: a bad payload must not
+			// halt the subnet.
 			_ = proc.ProcessPayload(ctx, pe.payload)
-			metrics.Instructions += meter.Total()
-			for k, v := range meter.Categories() {
-				metrics.Categories[k] += v
-			}
-			metrics.Payloads++
 		}
 		// 2. Ingress execution in consensus order.
 		for _, call := range batch {
-			s.executeUpdate(call, blockTime, &metrics)
+			s.executeUpdate(call, blockTime)
 		}
 		// 3. Timers.
-		for _, can := range s.canisters {
-			if th, ok := can.(TimerHandler); ok {
-				meter := NewMeter()
-				ctx := &CallContext{Meter: meter, Time: blockTime, Caller: "timer", Kind: KindUpdate, subnet: s}
-				th.OnTimer(ctx)
-				metrics.Instructions += meter.Total()
+		for _, id := range s.order {
+			if th, ok := s.canisters[id].(TimerHandler); ok {
+				th.OnTimer(&CallContext{Meter: NewMeter(), Time: blockTime, Caller: "timer", Kind: KindUpdate, subnet: s})
 			}
 		}
-		s.blockMetrics = append(s.blockMetrics, metrics)
 	})
 }
 
 // executeUpdate runs one replicated call and schedules its certified
 // response delivery.
-func (s *Subnet) executeUpdate(call *pendingCall, blockTime time.Time, metrics *BlockMetrics) {
+func (s *Subnet) executeUpdate(call *pendingCall, blockTime time.Time) {
 	can := s.canisters[call.canister]
 	meter := NewMeter()
 	res := Result{Certified: true}
@@ -646,11 +617,6 @@ func (s *Subnet) executeUpdate(call *pendingCall, blockTime time.Time, metrics *
 		res.Value, res.Err = can.Update(ctx, call.method, call.arg)
 	}
 	res.Instructions = meter.Total()
-	metrics.Instructions += meter.Total()
-	for k, v := range meter.Categories() {
-		metrics.Categories[k] += v
-	}
-	metrics.Ingress++
 
 	// Execution time + certification + XNet return hop.
 	execTime := time.Duration(float64(meter.Total()) / updateRate * float64(time.Second))
@@ -729,9 +695,6 @@ func (s *Subnet) Query(canister CanisterID, method string, arg any, caller strin
 		})
 	})
 }
-
-// BlockMetricsLog returns the accumulated per-block execution metrics.
-func (s *Subnet) BlockMetricsLog() []BlockMetrics { return s.blockMetrics }
 
 // VerifyCertifiedQuery rebuilds the CertifiedQuery envelope of a routed
 // query response and checks its fleet certification against the subnet's
