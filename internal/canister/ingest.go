@@ -17,8 +17,11 @@ import (
 // cfg.Workers goroutines, or at Workers <= 1 interleaved on the calling
 // goroutine. Algorithm 2's state mutation (header validation against the
 // tree, attach, anchor advance, stable fold) is strictly sequential on the
-// calling goroutine either way; only the stable folds' bucket writes may
-// trail, in block order, on one more goroutine (utxo.Set.FoldSession).
+// calling goroutine either way. Only the stable folds' bucket writes trail,
+// in block order, on one more goroutine (utxo.Set.FoldSession): every payload
+// with blocks runs inside a session, a one-block payload at the tip too, and
+// the delta build, the upcoming headers and the frame publication run beside
+// the trailing index half, since none of them reads a bucket.
 //
 // Deltas come last. A block's delta is read only while the block is above
 // the anchor, and catch-up folds most of a payload's blocks before the
@@ -92,7 +95,10 @@ func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b 
 		c.stable.OpenRemovalLog()
 		// c.pending[oldest:] holds every pending block still above the anchor.
 		oldest := 0
-		run := func() {
+		// Each fold's address-index half trails on the session's goroutine.
+		// Nothing after the folds reads a bucket: owner resolution reads the
+		// table and the removal log, and the sink only encodes the frame.
+		c.stable.FoldSession(func() {
 			// The consumer never errors, so neither does Map.
 			_ = ingest.Map(b.blocks, cfg,
 				func(_, i int) adapter.BlockWithHeader { return b.prepare(i) },
@@ -118,31 +124,28 @@ func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b 
 					c.stable.TrimRemovals(mark)
 					return nil
 				})
-		}
-		// Like Map, the stable folds overlap only given a second worker and
-		// more than one block: each fold's address-index half then trails on
-		// the session's goroutine. Nothing in the batch reads the stable set
-		// but the folds themselves; owner resolution waits for buildDeltas,
-		// after the session has drained.
-		if b.blocks > 1 && cfg.NormalizedWorkers() > 1 {
-			c.stable.FoldSession(run)
-		} else {
-			run()
-		}
-		c.buildDeltas()
-		c.stable.CloseRemovalLog()
+			c.buildDeltas()
+			c.stable.CloseRemovalLog()
+			c.finishPayload(ctx, b.next)
+		})
+		return stats
 	}
-	// Lines 16-20: append validated upcoming headers.
-	for i := range b.next {
-		if err := c.acceptHeader(ctx, b.next[i]); err != nil {
+	c.finishPayload(ctx, b.next)
+	return stats
+}
+
+// finishPayload is Algorithm 2 after the blocks: lines 16-20 append the
+// validated upcoming headers, lines 21-22 recompute the synced flag, and the
+// payload's frame goes to the sink. None of it reads a bucket.
+func (c *BitcoinCanister) finishPayload(ctx *ic.CallContext, next []btc.BlockHeader) {
+	for i := range next {
+		if err := c.acceptHeader(ctx, next[i]); err != nil {
 			c.rejectedHeaders++
 			c.met.headersRejected.Inc()
 		}
 	}
-	// Lines 21-22: recompute the synced flag.
 	c.updateSynced()
 	c.flushFrame()
-	return stats
 }
 
 // ProcessPayload implements ic.PayloadProcessor: it applies Algorithm 2 to

@@ -198,6 +198,52 @@ func TestSyncWireHostileChainMatchesPayloads(t *testing.T) {
 	}
 }
 
+// The frame stream, and the metered total, that delivering the 30-block
+// hostile chain one block per ProcessPayload publishes, recorded while a
+// one-block payload still folded without a session.
+const (
+	hostileTipFramesSHA256 = "b10d5de98ede66a0af569db86788b0d08f05a16a59c77467a5ee584462f23e00"
+	hostileTipFrames       = 30
+	hostileTipInstructions = 1703760000
+)
+
+// TestTipPayloadFramesPinned: at the tip a payload carries one block, and
+// its delta build and frame publication run while the fold's index half may
+// still trail. The frames must come out byte for byte as when everything ran
+// in order: a delta, an event or a charge that moved would change the
+// stream's digest, the final snapshot or the meter.
+func TestTipPayloadFramesPinned(t *testing.T) {
+	wire := hostileChain(t, 30)
+	now := time.Unix(int64(btc.RegtestParams().GenesisHeader.Timestamp), 0).Add(time.Hour)
+
+	can := New(DefaultConfig(btc.Regtest))
+	stream, frames := sha256.New(), 0
+	can.SetStreamSink(func(f *Frame) {
+		frames++
+		f.Seq = uint64(frames)
+		stream.Write(EncodeFrame(f))
+	})
+	ctx := ic.NewCallContext(ic.KindUpdate, now)
+	for i, w := range wire {
+		blk, err := btc.ParseBlock(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := can.ProcessPayload(ctx, adapter.Response{Blocks: []adapter.BlockWithHeader{{Block: blk, Header: blk.Header}}}); err != nil {
+			t.Fatalf("block %d: %v", i+1, err)
+		}
+	}
+	if got := fmt.Sprintf("%x", stream.Sum(nil)); got != hostileTipFramesSHA256 || frames != hostileTipFrames {
+		t.Errorf("%d frames with SHA-256 %s, pinned %d with %s", frames, got, hostileTipFrames, hostileTipFramesSHA256)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotOf(t, can))); got != hostileSnapshotSHA256 {
+		t.Errorf("snapshot SHA-256 %s, pinned %s", got, hostileSnapshotSHA256)
+	}
+	if got := ctx.Meter.Total(); got != hostileTipInstructions {
+		t.Errorf("metered %d instructions, pinned %d", got, hostileTipInstructions)
+	}
+}
+
 // TestSyncWireFramesConverge: a multi-block catch-up published to a stream
 // must bring a replica that applies its frames to the authority's exact
 // state. A block the same payload folds carries only its created column, no

@@ -29,8 +29,11 @@ import (
 // harness in internal/difftest enforces this across random lags, reorgs,
 // and mid-workload re-hydrations). Frames are self-contained byte strings
 // (statecodec framing, versioned and checksummed), so they can cross a
-// process boundary; decoding shares nothing with the producer, which is
-// what lets every replica consume its own copy without synchronization.
+// process boundary, and decoding shares nothing with the producer. Replicas
+// of one fleet share one decode of each frame: nothing applying a frame
+// writes to it. The parsed block is sealed (its txid and Merkle memos sit
+// behind sync.Once), a decoded delta is only read, and each replica wraps
+// the block in a storedBlock of its own, so its fee price column is its own.
 
 const (
 	// frameMagic brands delta-stream frames.
@@ -101,7 +104,11 @@ type Frame struct {
 
 // SetStreamSink installs (or, with nil, removes) the frame consumer. The
 // sink is invoked synchronously at the end of every ProcessPayload that
-// accepted at least one mutation.
+// accepted at least one mutation. It runs inside the payload's
+// utxo.Set.FoldSession, while the index half of the payload's folds may
+// still trail: the sink must not read the canister's stable set (no balance,
+// no get_utxos page, no snapshot). Encoding the frame and enqueuing it, as
+// the fleet's Feed does, reads none of it.
 func (c *BitcoinCanister) SetStreamSink(fn func(*Frame)) { c.stream = fn }
 
 // emit buffers one event for the current payload's frame. No-op without a
@@ -177,6 +184,8 @@ func EncodeFrame(f *Frame) []byte {
 // DecodeFrame parses a frame produced by EncodeFrame. The returned frame
 // shares nothing with the producer's state: blocks arrive as wire bytes
 // (parsed by the consumer) and deltas are decoded into columns of their own.
+// Once prepared, the frame may be applied by any number of replicas, one
+// after another or at once: ApplyFrame reads it and writes nothing in it.
 func DecodeFrame(data []byte) (*Frame, error) {
 	d, err := statecodec.NewDecoder(data, frameMagic, FrameVersion)
 	if err != nil {

@@ -56,7 +56,10 @@ type VerifyFunc func(env ic.CertifiedQuery, signature []byte) bool
 // frames actually delivered to that replica's inbox — nil drops the frame (a
 // gap), the same bytes twice duplicates it, modified bytes model bit-flips
 // or truncation, and holding bytes to return with a later frame reorders the
-// stream. Test and chaos harness use only.
+// stream. The published slice handed back as it came shares the fleet's one
+// decode of the frame; any other slice is an alternate, decoded on its own.
+// The hook must not write into the slice it is handed. Test and chaos
+// harness use only.
 type FrameFault func(replica int, seq uint64, raw []byte) [][]byte
 
 // ResponseFault is the byzantine-replica seam (SetResponseFault): called for
@@ -264,15 +267,17 @@ func (f *Fleet) LastSeq() uint64 {
 }
 
 // Feed is the canister's stream sink: it stamps the frame with the next
-// sequence number, encodes it once, and enqueues the bytes on every
-// replica. Apply happens on the replicas' side (ApplyPending), so a slow
-// replica lags instead of stalling the authoritative canister.
+// sequence number, encodes it once, and enqueues the one wire frame on every
+// replica, which decode it once between them. Apply happens on the replicas'
+// side (ApplyPending), so a slow replica lags instead of stalling the
+// authoritative canister.
 func (f *Fleet) Feed(frame *canister.Frame) {
 	f.feedMu.Lock()
 	f.seq++
 	frame.Seq = f.seq
 	f.gen.Store(f.seq)
 	raw := canister.EncodeFrame(frame)
+	w := &wireFrame{raw: raw}
 	// A tip moving backwards on the authoritative stream is not a reorg
 	// (reorgs never lower the considered tip height) — it means the
 	// authority lost state and recovered from an older checkpoint. Replicas
@@ -287,12 +292,16 @@ func (f *Fleet) Feed(frame *canister.Frame) {
 	f.degraded.Store(frame.Health.State == adapter.StateDegraded)
 	at := f.met.reg.Now()
 	for _, r := range f.replicas {
-		if f.frameFault != nil {
-			for _, alt := range f.frameFault(r.index, frame.Seq, raw) {
-				r.enqueue(alt, frame.Seq, at)
+		if f.frameFault == nil {
+			r.enqueue(w, frame.Seq, at)
+			continue
+		}
+		for _, alt := range f.frameFault(r.index, frame.Seq, raw) {
+			if len(alt) == len(raw) && &alt[0] == &raw[0] {
+				r.enqueue(w, frame.Seq, at) // the published bytes, unchanged
+			} else {
+				r.enqueue(&wireFrame{raw: alt}, frame.Seq, at)
 			}
-		} else {
-			r.enqueue(raw, frame.Seq, at)
 		}
 	}
 	f.feedMu.Unlock()

@@ -442,3 +442,98 @@ func TestApplyPendingConcurrentCallers(t *testing.T) {
 		t.Fatal("replica not byte-identical to the authority after a two-caller drain")
 	}
 }
+
+// TestFleetDecodesEachFrameOnce: a three-replica fleet, drained by one
+// goroutine per replica while the authority publishes, decodes each frame
+// once between its replicas, and every replica ends byte-identical to the
+// authority. A frame fault that hands replica 1 alone a bit-flipped
+// alternate costs one decode more: only replica 1 rejects it and resyncs,
+// and replicas 0 and 2 apply the shared clean decode.
+func TestFleetDecodesEachFrameOnce(t *testing.T) {
+	const frames = 12
+	cfg := queryfleet.DefaultConfig()
+	cfg.Replicas = 3
+	for _, tc := range []struct {
+		name    string
+		fault   queryfleet.FrameFault
+		decodes uint64
+		resyncs uint64
+	}{
+		{name: "shared", decodes: frames},
+		{
+			name: "alternate",
+			fault: func(replica int, seq uint64, raw []byte) [][]byte {
+				if replica != 1 || seq != frames/2 {
+					return [][]byte{raw}
+				}
+				cp := bytes.Clone(raw)
+				cp[len(cp)/2] ^= 0x10
+				return [][]byte{cp}
+			},
+			decodes: frames + 1,
+			resyncs: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, cfg, 6)
+			if tc.fault != nil {
+				r.fleet.SetFrameFault(tc.fault)
+			}
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for i := 0; i < cfg.Replicas; i++ {
+				wg.Add(1)
+				go func(replica *queryfleet.Replica) {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := replica.ApplyPending(-1); err != nil {
+							t.Errorf("replica drain: %v", err)
+							return
+						}
+					}
+				}(r.fleet.Replica(i))
+			}
+			for i := 0; i < frames; i++ {
+				if err := r.fleet.GuardAuthority(func() error {
+					r.feedBlock()
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if err := r.fleet.CatchUpAll(); err != nil {
+				t.Fatal(err)
+			}
+
+			st := r.fleet.Stats()
+			decoded := r.fleet.Metrics().Counter("fleet_frames_decoded_total").Value()
+			if st.Frames != frames || decoded != tc.decodes {
+				t.Fatalf("%d frames published, %d decoded; want %d decoded", st.Frames, decoded, tc.decodes)
+			}
+			if st.Resyncs != tc.resyncs || st.FrameCorrupt != tc.resyncs {
+				t.Fatalf("%d resyncs, %d corrupt frames; want %d of each", st.Resyncs, st.FrameCorrupt, tc.resyncs)
+			}
+			want, err := r.f.Canister.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < cfg.Replicas; i++ {
+				replica := r.fleet.Replica(i)
+				got, err := replica.Canister().Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if replica.Broken() || !bytes.Equal(got, want) {
+					t.Fatalf("replica %d (broken %v) is not byte-identical to the authority", i, replica.Broken())
+				}
+			}
+		})
+	}
+}

@@ -27,7 +27,11 @@ type fleetMetrics struct {
 	certified *obs.Counter
 	frames    *obs.Counter
 	coalesced *obs.Counter
-	cacheHits *obs.Counter
+	// framesDecoded counts wire frames decoded: one per published frame,
+	// however many replicas apply it, plus one per alternate a frame fault
+	// delivered.
+	framesDecoded *obs.Counter
+	cacheHits     *obs.Counter
 
 	// Frame-stream integrity counters: every rejected frame is accounted by
 	// failure class, and every automatic re-hydration the rejection triggered.
@@ -53,13 +57,14 @@ type fleetMetrics struct {
 func newFleetMetrics() *fleetMetrics {
 	r := obs.NewRegistry()
 	return &fleetMetrics{
-		reg:       r,
-		served:    r.Counter("fleet_served_total"),
-		forwarded: r.Counter("fleet_forwarded_total"),
-		certified: r.Counter("fleet_certified_total"),
-		frames:    r.Counter("fleet_frames_total"),
-		coalesced: r.Counter("fleet_coalesced_total"),
-		cacheHits: r.Counter("fleet_cache_hits_total"),
+		reg:           r,
+		served:        r.Counter("fleet_served_total"),
+		forwarded:     r.Counter("fleet_forwarded_total"),
+		certified:     r.Counter("fleet_certified_total"),
+		frames:        r.Counter("fleet_frames_total"),
+		framesDecoded: r.Counter("fleet_frames_decoded_total"),
+		coalesced:     r.Counter("fleet_coalesced_total"),
+		cacheHits:     r.Counter("fleet_cache_hits_total"),
 
 		frameCorrupt:    r.Counter("fleet_frame_corrupt_total"),
 		frameGaps:       r.Counter("fleet_frame_gap_total"),

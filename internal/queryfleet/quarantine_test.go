@@ -34,7 +34,7 @@ func TestReplicaQuarantineOnBadFrame(t *testing.T) {
 
 	// Inject an undecodable frame: it is rejected and the replica resyncs.
 	r := fleet.Replica(0)
-	r.enqueue([]byte("not a frame"), 1, time.Time{})
+	r.enqueue(&wireFrame{raw: []byte("not a frame")}, 1, time.Time{})
 	if _, err := r.ApplyPending(-1); err != nil {
 		t.Fatalf("bad frame not healed by resync: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestFailedResyncStaysQuarantined(t *testing.T) {
 
 	auth.fail = true
 	r := fleet.Replica(0)
-	r.enqueue([]byte("not a frame"), 1, time.Time{})
+	r.enqueue(&wireFrame{raw: []byte("not a frame")}, 1, time.Time{})
 	if _, err := r.ApplyPending(-1); err == nil {
 		t.Fatal("resync without a snapshot reported success")
 	}
@@ -180,7 +180,7 @@ func TestQuarantineStormRecovery(t *testing.T) {
 
 	// Replica 0 hits a real poison frame and resyncs on its own.
 	r0 := fleet.Replica(0)
-	r0.enqueue([]byte("poison"), r0.Seq()+1, time.Time{})
+	r0.enqueue(&wireFrame{raw: []byte("poison")}, r0.Seq()+1, time.Time{})
 	if _, err := r0.ApplyPending(-1); err != nil {
 		t.Fatalf("poison frame not healed by resync: %v", err)
 	}

@@ -66,14 +66,42 @@ type Replica struct {
 	served atomic.Uint64
 }
 
-// pendingFrame is one enqueued stream frame in wire form. Replicas decode
-// their own copy so no mutable state is shared across the fleet. at is the
+// pendingFrame is one enqueued stream frame: the wire frame delivered for
+// stream slot seq, which every replica it was delivered to shares. at is the
 // publish timestamp (fleet registry clock) the apply-lag histogram measures
 // from.
 type pendingFrame struct {
-	raw []byte
+	raw *wireFrame
 	seq uint64
 	at  time.Time
+}
+
+// wireFrame is one published frame in wire form, decoded at most once for
+// the whole fleet: the first replica to reach it decodes the bytes and
+// parses its blocks, and every other replica applies that same decode.
+// Sharing is safe because applying a frame writes nothing in it (see
+// canister.DecodeFrame); what a replica must judge for itself — the embedded
+// sequence against its slot, gaps, duplicates — it judges per replica.
+type wireFrame struct {
+	raw   []byte
+	once  sync.Once
+	frame *canister.Frame
+	err   error
+}
+
+// decode returns the frame decoded and prepared, or the decode error; only
+// the first call does the work.
+func (w *wireFrame) decode(met *fleetMetrics) (*canister.Frame, error) {
+	w.once.Do(func() {
+		met.framesDecoded.Inc()
+		w.frame, w.err = canister.DecodeFrame(w.raw)
+		if w.err == nil {
+			// Blocks parse inside this produce call; frame-level parallelism
+			// already covers the batch.
+			w.frame.Prepare(ingest.Config{Workers: 1})
+		}
+	})
+	return w.frame, w.err
 }
 
 func newReplica(index int, fleet *Fleet, snapshot []byte, seq uint64) (*Replica, error) {
@@ -128,8 +156,8 @@ func (r *Replica) Hydrate(snapshot []byte, seq uint64) error {
 	return nil
 }
 
-// enqueue appends one encoded frame to the replica's inbox.
-func (r *Replica) enqueue(raw []byte, seq uint64, at time.Time) {
+// enqueue appends one wire frame to the replica's inbox.
+func (r *Replica) enqueue(raw *wireFrame, seq uint64, at time.Time) {
 	r.inboxMu.Lock()
 	r.inbox = append(r.inbox, pendingFrame{raw: raw, seq: seq, at: at})
 	r.inboxMu.Unlock()
@@ -157,7 +185,9 @@ func (r *Replica) TipHeight() int64 { return r.tip.Load() }
 // blocks parsed on the ingest pipeline (ingest.DefaultWorkers() wide) while
 // application stays strictly sequential under the write lock, so a lagging
 // replica catches up at pipeline speed without weakening any ordering
-// guarantee.
+// guarantee. A frame is decoded once for the fleet: a replica that reaches
+// it after another takes that decode (or waits for it) instead of decoding
+// the same bytes again.
 //
 // Every frame is integrity-checked before it touches state: the statecodec
 // checksum rejects corrupted bytes, the embedded sequence number must match
@@ -210,14 +240,8 @@ func (r *Replica) ApplyPending(max int) (int, error) {
 		var failErr error
 		err := ingest.Map(len(batch), ingest.Config{Workers: ingest.DefaultWorkers(), Obs: r.fleet.met.reg},
 			func(_, i int) decoded {
-				frame, err := canister.DecodeFrame(batch[i].raw)
-				if err != nil {
-					return decoded{err: err}
-				}
-				// Blocks parse inside this produce call; frame-level
-				// parallelism already covers the batch.
-				frame.Prepare(ingest.Config{Workers: 1})
-				return decoded{frame: frame}
+				frame, err := batch[i].raw.decode(r.fleet.met)
+				return decoded{frame: frame, err: err}
 			},
 			func(i int, dec decoded) error {
 				f := batch[i]

@@ -28,7 +28,9 @@
 //   - A block fold has two halves: the table half (outpoint table, script
 //     records, byte estimate, metering stats) and the index half (buckets),
 //     which the table half records and applyIndex performs. The index may
-//     trail the table only inside a FoldSession, and nothing reads it there.
+//     trail the table only inside a FoldSession. Nothing reads it there, so
+//     a caller can go on with work that reads only the table, such as
+//     resolving owners for deltas, while the index catches up.
 //   - While a removal log is open, the table half also logs every entry it
 //     spends that was in the set before the block, so a caller can still ask
 //     what the set held before a run of folds (RemovedSince).
@@ -409,7 +411,10 @@ const foldHandoff = 4
 // drains before FoldSession returns, on every path out of fn. Meanwhile fn
 // may change the set only by ApplyBlockIngest, read only the
 // table (Get, Lookup, Len, ApproxBytes, ScriptInterned), never a bucket, and
-// use the removal log, which the table half writes. Sessions do not nest.
+// use the removal log, which the table half writes. Whatever else fn does
+// after its folds, or hands off to code of its own, is bound by the same
+// rule, since the index half may still trail: it must not read a bucket, a
+// balance or a page of the set. Sessions do not nest.
 func (s *Set) FoldSession(fn func()) {
 	work := make(chan indexWork, foldHandoff)
 	done := make(chan struct{})
