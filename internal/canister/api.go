@@ -380,7 +380,7 @@ func (c *BitcoinCanister) SendTransaction(ctx *ic.CallContext, args SendTransact
 	c.outgoing = append(c.outgoing, outgoingTx{
 		raw:    raw,
 		txid:   txid,
-		rounds: c.cfg.TxRebroadcastRounds,
+		rounds: txRebroadcastRounds,
 	})
 	return nil
 }

@@ -42,20 +42,20 @@ type Config struct {
 	SyncSlack int64
 	// PageLimit is the maximum UTXOs per get_utxos page.
 	PageLimit int
-	// TxRebroadcastRounds is how many adapter request rounds an outbound
-	// transaction stays in the forwarding queue.
-	TxRebroadcastRounds int
 }
+
+// txRebroadcastRounds is how many adapter request rounds an outbound
+// transaction stays in the forwarding queue.
+const txRebroadcastRounds = 5
 
 // DefaultConfig returns production-flavored parameters for a network
 // (δ=144, τ=2), with a small δ for regtest so tests stabilize quickly.
 func DefaultConfig(network btc.Network) Config {
 	cfg := Config{
-		Network:             network,
-		StabilityThreshold:  144,
-		SyncSlack:           2,
-		PageLimit:           1000,
-		TxRebroadcastRounds: 5,
+		Network:            network,
+		StabilityThreshold: 144,
+		SyncSlack:          2,
+		PageLimit:          1000,
 	}
 	if network == btc.Regtest {
 		cfg.StabilityThreshold = 6

@@ -492,8 +492,8 @@ func TestSendTransactionQueue(t *testing.T) {
 	if len(req.Txs) != 1 {
 		t.Fatalf("request carries %d txs", len(req.Txs))
 	}
-	// After TxRebroadcastRounds payloads it ages out.
-	for i := 0; i < DefaultConfig(btc.Regtest).TxRebroadcastRounds; i++ {
+	// After txRebroadcastRounds payloads it ages out.
+	for i := 0; i < txRebroadcastRounds; i++ {
 		if err := r.can.ProcessPayload(r.ctx(), adapter.Response{}); err != nil {
 			t.Fatal(err)
 		}

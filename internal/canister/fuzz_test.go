@@ -19,11 +19,11 @@ import (
 
 // goldenSnapshotBytes loads the checked-in snapshot fixture as fuzz seed
 // material (the richest known-valid input).
-func goldenSnapshotBytes(f *testing.F) []byte {
-	f.Helper()
+func goldenSnapshotBytes(tb testing.TB) []byte {
+	tb.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "golden_snapshot_v1.bin"))
 	if err != nil {
-		f.Fatalf("reading golden snapshot fixture: %v", err)
+		tb.Fatalf("reading golden snapshot fixture: %v", err)
 	}
 	return data
 }
@@ -39,7 +39,8 @@ func FuzzStatecodecDecode(f *testing.F) {
 	flipped := append([]byte(nil), golden...)
 	flipped[len(flipped)/3] ^= 0x10 // bit-flip
 	f.Add(flipped)
-	f.Add(withReservedByte(golden, 1)) // checksum-valid, reserved byte set
+	f.Add(resealed(golden, reservedOffset, 1))    // checksum-valid, reserved byte set
+	f.Add(resealed(golden, rebroadcastOffset, 6)) // checksum-valid, rebroadcast window 6
 	f.Add([]byte{})
 	f.Add([]byte("icbtc/snapshot\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {

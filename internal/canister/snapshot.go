@@ -81,13 +81,15 @@ func (c *BitcoinCanister) Snapshot() ([]byte, error) {
 	e := statecodec.NewEncoder(snapshotMagic, SnapshotVersion, hint)
 
 	// Configuration: a restored canister must run the identical state
-	// machine (δ, τ, page limit). The byte after it is reserved (it once
-	// selected a read path): always written 0, rejected on restore otherwise.
+	// machine (δ, τ, page limit). The rebroadcast window after it was once
+	// a setting and is now always written as txRebroadcastRounds; the byte
+	// after that is reserved (it once selected a read path) and always
+	// written 0. Restore rejects any other stored value of either.
 	e.U8(uint8(c.cfg.Network))
 	e.I64(c.cfg.StabilityThreshold)
 	e.I64(c.cfg.SyncSlack)
 	e.I64(int64(c.cfg.PageLimit))
-	e.I64(int64(c.cfg.TxRebroadcastRounds))
+	e.I64(txRebroadcastRounds)
 	e.U8(0)
 
 	// Counters (observability must survive an upgrade, and serializing them
@@ -194,14 +196,16 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 	}
 
 	cfg := Config{
-		Network:             btc.Network(d.U8()),
-		StabilityThreshold:  d.I64(),
-		SyncSlack:           d.I64(),
-		PageLimit:           int(d.I64()),
-		TxRebroadcastRounds: int(d.I64()),
+		Network:            btc.Network(d.U8()),
+		StabilityThreshold: d.I64(),
+		SyncSlack:          d.I64(),
+		PageLimit:          int(d.I64()),
 	}
-	// Ignoring a nonzero reserved byte would accept bytes Snapshot cannot
-	// reproduce.
+	// Ignoring another rebroadcast window or a nonzero reserved byte would
+	// accept bytes Snapshot cannot reproduce.
+	if rounds := d.I64(); rounds != txRebroadcastRounds {
+		return nil, fmt.Errorf("canister: restore: rebroadcast window is %d rounds, want %d", rounds, txRebroadcastRounds)
+	}
 	if reserved := d.U8(); reserved != 0 {
 		return nil, fmt.Errorf("canister: restore: reserved config byte is %#x, want 0", reserved)
 	}

@@ -343,21 +343,49 @@ func TestRestoreRejectsCorruptedSnapshot(t *testing.T) {
 	// The reserved config byte is covered by the checksum like any other, so
 	// only the decoder's own check stands between a resealed nonzero value
 	// and a restore whose re-snapshot would differ from its input.
-	if _, err := canister.RestoreSnapshot(withReservedByte(snap, 1)); err == nil {
+	if _, err := canister.RestoreSnapshot(resealed(snap, reservedOffset, 1)); err == nil {
 		t.Fatal("restore accepted a snapshot whose reserved byte is set")
 	}
-	if _, err := canister.RestoreSnapshot(withReservedByte(snap, 0)); err != nil {
+	if _, err := canister.RestoreSnapshot(resealed(snap, reservedOffset, 0)); err != nil {
 		t.Fatalf("resealing an unchanged snapshot broke it: %v", err)
 	}
 }
 
-// withReservedByte returns a copy of a snapshot with the reserved config
-// byte (after magic, version, network and the four int64 parameters) set to
-// v and the CRC-32C trailer recomputed, so the result is checksum-valid.
-func withReservedByte(snap []byte, v byte) []byte {
-	const offset = len("icbtc/canister-snapshot\n") + 2 + 1 + 4*8
+// TestRestoreRejectsRebroadcastWindow pins the rebroadcast window's slot in
+// the config section: the golden fixture stores 5 there, and a resealed,
+// checksum-valid snapshot storing any other value is refused — it was once a
+// setting, and a restore that accepted it would re-snapshot different bytes.
+func TestRestoreRejectsRebroadcastWindow(t *testing.T) {
+	golden := goldenSnapshotBytes(t)
+	if got := int64(binary.LittleEndian.Uint64(golden[rebroadcastOffset:])); got != 5 {
+		t.Fatalf("golden fixture stores a rebroadcast window of %d rounds, want 5", got)
+	}
+	var window [8]byte
+	for _, rounds := range []int64{0, 4, 6, -5} {
+		binary.LittleEndian.PutUint64(window[:], uint64(rounds))
+		if _, err := canister.RestoreSnapshot(resealed(golden, rebroadcastOffset, window[:]...)); err == nil {
+			t.Fatalf("restore accepted a snapshot with a rebroadcast window of %d rounds", rounds)
+		}
+	}
+	binary.LittleEndian.PutUint64(window[:], 5)
+	if _, err := canister.RestoreSnapshot(resealed(golden, rebroadcastOffset, window[:]...)); err != nil {
+		t.Fatalf("resealing the golden fixture unchanged broke it: %v", err)
+	}
+}
+
+// Offsets in a snapshot's config section: after magic, version, the network
+// byte and three int64 parameters come the rebroadcast window (int64) and
+// the reserved byte.
+const (
+	rebroadcastOffset = len("icbtc/canister-snapshot\n") + 2 + 1 + 3*8 // 0x33
+	reservedOffset    = rebroadcastOffset + 8
+)
+
+// resealed returns a copy of a snapshot with patch written at offset and the
+// CRC-32C trailer recomputed, so the result is checksum-valid.
+func resealed(snap []byte, offset int, patch ...byte) []byte {
 	out := append([]byte(nil), snap...)
-	out[offset] = v
+	copy(out[offset:], patch)
 	body := out[:len(out)-4]
 	binary.LittleEndian.PutUint32(out[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	return out

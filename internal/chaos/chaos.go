@@ -176,8 +176,8 @@ func (w *World) UpgradeCanister() error {
 
 // reinstall is the upgrade's reinstall step. The restored instance carries a
 // fresh metrics registry, which starts on the wall clock; it is put on
-// scheduler time here, before the subnet gets it — journal recovery
-// re-snapshots the instance inside UpgradeCanister, and a snapshot is timed.
+// scheduler time here, before the subnet gets it — recovery re-snapshots the
+// instance inside RecoverUpgrade, and a snapshot is timed.
 func (w *World) reinstall(snapshot []byte) (ic.Canister, error) {
 	c, err := canister.RestoreSnapshot(snapshot)
 	if err != nil {
@@ -187,30 +187,33 @@ func (w *World) reinstall(snapshot []byte) (ic.Canister, error) {
 	return c, nil
 }
 
-// CrashUpgrade runs a snapshot-reinstall upgrade with a crash armed at the
-// given point. The subnet's journal recovery runs in the same call; the
-// world is rewired to whatever instance recovery installed. A checkpoint rollback
-// (RecoveredFrom == RecoveryCheckpoint) puts the harness into recovering
-// mode — the canister replays wire history toward the oracle — and
-// re-hydrates every fleet replica, whose states are ahead of the rolled-back
-// authority.
-func (w *World) CrashUpgrade(crash ic.UpgradeCrash) (ic.UpgradeReport, error) {
-	w.Subnet.ArmUpgradeCrash(crash)
-	err := w.Subnet.UpgradeCanister(CanisterID, w.reinstall)
-	rep := w.Subnet.LastUpgrade()
+// CrashUpgrade models an upgrade the replica died inside: the live
+// canister's snapshot, passed through damage (TornWrite, FlipBit, or the
+// identity for an image that landed intact), is what reached the pending
+// slot, and the restarted replica runs the subnet's recovery path on it. The
+// world is rewired to whatever instance recovery installed. A checkpoint
+// rollback puts the harness into recovering mode — the canister replays wire
+// history toward the oracle — and re-hydrates every fleet replica, whose
+// states are ahead of the rolled-back authority.
+func (w *World) CrashUpgrade(damage func(image []byte) []byte) (ic.RecoverySource, error) {
+	image, err := w.Canister().Snapshot()
 	if err != nil {
-		return rep, err
+		return 0, fmt.Errorf("snapshot before the crashed upgrade: %w", err)
+	}
+	src, err := w.Subnet.RecoverUpgrade(CanisterID, damage(image), w.reinstall)
+	if err != nil {
+		return src, err
 	}
 	w.Canister().SetStreamSink(w.Fleet.Feed)
-	if rep.RecoveredFrom == ic.RecoveryCheckpoint {
+	if src == ic.RecoveryCheckpoint {
 		w.recovering = true
 		for i := 0; i < w.Fleet.Replicas(); i++ {
 			if err := w.Fleet.HydrateReplica(i); err != nil {
-				return rep, fmt.Errorf("re-hydrate replica %d after rollback: %w", i, err)
+				return src, fmt.Errorf("re-hydrate replica %d after rollback: %w", i, err)
 			}
 		}
 	}
-	return rep, nil
+	return src, nil
 }
 
 // SetFrameFault installs (or with nil clears) a corruption hook on the

@@ -1,8 +1,11 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -71,8 +74,8 @@ func TestChaosScenarios(t *testing.T) {
 // draw per delivery, so any map-iteration-order leak in a send loop (the bug
 // this test regressed on: adapter and node broadcast loops ranged over peer
 // maps) shifts the draw sequence and with it the recovery round. crash-storm's
-// crashed upgrades go through journal recovery, which re-snapshots the
-// restored instance before the harness sees it: anything a fresh instance
+// crashed upgrades go through the subnet's recovery path, which re-snapshots
+// the restored instance before the harness sees it: anything a fresh instance
 // reads from outside the seed (it regressed on the restored registry's wall
 // clock timing that snapshot) lands in the metrics digest.
 func TestChaosDeterminism(t *testing.T) {
@@ -130,6 +133,46 @@ func TestChaosDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCrashStormPinned holds crash-storm's whole Result, metrics digest and
+// text included, at two seeds. Its crashed upgrades are the harness damaging
+// the live image and calling the subnet's recovery path. The pins predate
+// that split, when the subnet damaged the image itself, so they hold it to
+// the same fault-schedule draws, the same damaged bytes and the same
+// recovered state and telemetry. The fleet's ingest_window_depth gauge is
+// the window of its replicas' catch-up ingest, which ingest.DefaultWorkers
+// sizes from GOMAXPROCS, so the pins hold at the GOMAXPROCS they were taken
+// at, 2.
+func TestCrashStormPinned(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, pin := range []struct {
+		seed    int64
+		digest  string
+		textSum string
+	}{
+		{7, "47986439bbae519b964621d7ad3239e362775414f1b00c0417013fbaebaa401a", "d0b35885d9eb67ddd410cb76e7664afb08952808c81d02290f58d22c156c74ad"},
+		{11, "e8497947d09e07c902773c7e58cd32285f79594a44243a22561cc3c73618727e", "bf3201af240f436384c4a3cb3f660c88e54872e169a55a029eb3a1263d2d2dd0"},
+	} {
+		res, err := RunScenario("crash-storm", DefaultConfig(pin.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(res.MetricsDigest[:]); got != pin.digest {
+			t.Errorf("seed %d: metrics digest %s, want %s", pin.seed, got, pin.digest)
+		}
+		if sum := sha256.Sum256([]byte(res.MetricsText)); hex.EncodeToString(sum[:]) != pin.textSum {
+			t.Errorf("seed %d: metrics text SHA-256 %x, want %s", pin.seed, sum, pin.textSum)
+		}
+		want := Result{
+			Scenario: "crash-storm", Seed: pin.seed, Rounds: 60, HealRound: 25, ConvergedRound: 25,
+			OracleIdentical: true, FinalHeight: 60, SnapshotBytes: 9622,
+		}
+		res.MetricsText, res.MetricsDigest = "", [32]byte{}
+		if res != want {
+			t.Errorf("seed %d: result\n got %+v\nwant %+v", pin.seed, res, want)
+		}
 	}
 }
 

@@ -5,7 +5,8 @@ package chaos
 // proxy, the frame mutator and the two lying replicas behind the fleet's fault
 // seams (SetFrameFault, SetResponseFault), the committee a certifying fleet
 // signs and audits with, and the client-side certification probe. The fleet
-// itself carries none of this.
+// itself carries none of this; nor does the subnet carry the image damage a
+// crashed upgrade leaves behind (TornWrite, FlipBit).
 
 import (
 	"bytes"
@@ -47,6 +48,21 @@ func MutateFrame(rng *rand.Rand, raw []byte) [][]byte {
 		return [][]byte{raw, raw}
 	default: // drop: the next frame reveals the gap
 		return nil
+	}
+}
+
+// TornWrite is a crash mid-write: only a strict prefix of the image, cut at
+// offset modulo its length, reached the pending slot.
+func TornWrite(offset int) func(image []byte) []byte {
+	return func(image []byte) []byte { return image[:offset%len(image)] }
+}
+
+// FlipBit is a media fault on a fully written image: the byte at offset
+// modulo the image length has bit offset%8 flipped, in place.
+func FlipBit(offset int) func(image []byte) []byte {
+	return func(image []byte) []byte {
+		image[offset%len(image)] ^= 1 << (offset % 8)
+		return image
 	}
 }
 

@@ -353,7 +353,7 @@ func init() {
 	Register(Scenario{
 		Name: "crash-storm",
 		Description: "canister upgrades die mid-install — torn snapshot write, " +
-			"bit-flipped image, crash inside the restore; the journal detects every " +
+			"bit-flipped image, crash inside the restore; recovery detects every " +
 			"torn state and recovers from checkpoint (plus wire replay) or the " +
 			"intact pending image",
 		Step: func(w *World, round int) error {
@@ -363,31 +363,31 @@ func init() {
 					return fmt.Errorf("checkpoint: %w", err)
 				}
 			case 6:
-				rep, err := w.CrashUpgrade(ic.UpgradeCrash{Stage: ic.CrashTornWrite, Offset: 1 + w.Rng.Intn(1<<20)})
+				src, err := w.CrashUpgrade(TornWrite(1 + w.Rng.Intn(1<<20)))
 				if err != nil {
 					return fmt.Errorf("torn-write upgrade: %w", err)
 				}
-				if !rep.Crashed || !rep.TornDetected || rep.RecoveredFrom != ic.RecoveryCheckpoint {
-					return fmt.Errorf("torn write not detected and recovered from checkpoint: %+v", rep)
+				if src != ic.RecoveryCheckpoint {
+					return fmt.Errorf("torn write not detected: recovered from %v, want checkpoint", src)
 				}
 			case 13:
-				rep, err := w.CrashUpgrade(ic.UpgradeCrash{Stage: ic.CrashBitFlip, Offset: w.Rng.Intn(1 << 24)})
+				src, err := w.CrashUpgrade(FlipBit(w.Rng.Intn(1 << 24)))
 				if err != nil {
 					return fmt.Errorf("bit-flip upgrade: %w", err)
 				}
-				if !rep.Crashed || !rep.TornDetected || rep.RecoveredFrom != ic.RecoveryCheckpoint {
-					return fmt.Errorf("bit flip not detected and recovered from checkpoint: %+v", rep)
+				if src != ic.RecoveryCheckpoint {
+					return fmt.Errorf("bit flip not detected: recovered from %v, want checkpoint", src)
 				}
 			case 19:
 				// The image landed intact; only the install died. Recovery must
 				// replay the pending image, NOT fall back (that would silently
 				// discard the blocks folded since the last checkpoint).
-				rep, err := w.CrashUpgrade(ic.UpgradeCrash{Stage: ic.CrashMidRestore})
+				src, err := w.CrashUpgrade(func(image []byte) []byte { return image })
 				if err != nil {
 					return fmt.Errorf("mid-restore upgrade: %w", err)
 				}
-				if !rep.Crashed || rep.TornDetected || rep.RecoveredFrom != ic.RecoveryPending {
-					return fmt.Errorf("mid-restore crash should recover from the intact pending image: %+v", rep)
+				if src != ic.RecoveryPending {
+					return fmt.Errorf("mid-restore crash recovered from %v, want the intact pending image", src)
 				}
 			case healRound:
 				if w.Recovering() {

@@ -84,14 +84,6 @@ type Config struct {
 	// and every replica must keep answering byte-identical to the recorded
 	// authoritative history at its frame, resyncs included.
 	FrameFaults bool
-	// LossyLink, when true, routes every payload through a seeded simnet
-	// link with loss, duplication, and reordering (mildLossProfile) under a
-	// stop-and-wait at-least-once resend protocol before any canister sees
-	// it. The link's scheduler is private, so the payload sequence is
-	// identical with the link on or off — a run's final state must be
-	// byte-identical either way (TestDifferentialLossyLink checks exactly
-	// that).
-	LossyLink bool
 }
 
 // The same on every run.
@@ -124,11 +116,6 @@ type Stats struct {
 	SnapshotRestores int
 	// SnapshotBytes is the size of the last snapshot taken.
 	SnapshotBytes int
-	// Lossy-link transport counters (zero when LossyLink is off). The test
-	// asserts both are non-zero: a run whose degraded link never dropped or
-	// duplicated anything proves nothing.
-	LinkRetransmits int
-	LinkStaleDrops  int
 	// PipelinedChecks counts steps at which the pipelined canister's
 	// snapshot and probe responses were verified byte-identical to the
 	// serial overlay's; PipelinedRestores counts its mid-run parallel
@@ -179,8 +166,6 @@ type Harness struct {
 	// forge mines every block of the run, on any branch, validating nothing.
 	forge *btcnode.Forge
 	now   time.Time
-	// link degrades the payload transport when Config.LossyLink is set.
-	link *lossyLink
 	// faultRng drives frame-stream corruption when Config.FrameFaults is
 	// set; a private RNG so the workload draws are identical either way.
 	faultRng *rand.Rand
@@ -253,10 +238,6 @@ func New(cfg Config) *Harness {
 		pipelined: mk(),
 		forge:     btcnode.NewForge(params),
 		now:       time.Unix(int64(params.GenesisHeader.Timestamp), 0).Add(time.Hour),
-	}
-	if cfg.LossyLink {
-		// An offset seed: the transport's RNG must not mirror the workload's.
-		h.link = newLossyLink(cfg.Seed^0x10557, mildLossProfile())
 	}
 	if cfg.FrameFaults {
 		h.faultRng = rand.New(rand.NewSource(cfg.Seed ^ 0xf4a17))
@@ -616,15 +597,6 @@ func (h *Harness) deliverBlocks(blocks ...*btc.Block) error {
 // The pipelined canister receives the payload through the parallel ingest
 // pipeline at a per-payload randomized worker count and prefetch window.
 func (h *Harness) deliver(resp adapter.Response) error {
-	if h.link != nil {
-		got, err := h.link.transmit(resp)
-		if err != nil {
-			return err
-		}
-		resp = got
-		h.stats.LinkRetransmits = h.link.retransmits
-		h.stats.LinkStaleDrops = h.link.staleDrops
-	}
 	if err := h.overlay.ProcessPayload(h.ctx(ic.KindUpdate), resp); err != nil {
 		return fmt.Errorf("overlay payload: %w", err)
 	}
@@ -892,11 +864,6 @@ func deterministicMetricsView(v any) any {
 	}
 	return view
 }
-
-// OverlaySnapshot exposes the overlay canister's snapshot bytes, so tests
-// can compare final states across harness configurations (the lossy-link
-// byte-identity check).
-func (h *Harness) OverlaySnapshot() ([]byte, error) { return h.overlay.Snapshot() }
 
 // fleetStep advances each replica by a random number of frames (sometimes
 // none, sometimes a snapshot re-hydration) and verifies its answers against

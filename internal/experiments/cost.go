@@ -25,7 +25,7 @@ type CostResult struct {
 // RunCost measures the average request cost over the skewed population and
 // converts it to requests-per-dollar using the cycle price model.
 func RunCost(seed int64) (*CostResult, error) {
-	f, pop, _, err := loadPopulation(Fig7Config{Scale: 10, UnstableFraction: 0.3, Seed: seed})
+	f, pop, _, err := loadPopulation(Fig7Config{Scale: 10, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

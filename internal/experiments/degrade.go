@@ -22,8 +22,6 @@ type DegradeConfig struct {
 	// LossRates is the ladder of per-message loss probabilities applied to
 	// every adapter link (both directions). 0 is the healthy baseline.
 	LossRates []float64
-	// Rounds per run (0 selects the harness default, 60).
-	Rounds int
 }
 
 // DefaultDegradeConfig sweeps from healthy to a severely lossy uplink. 0.55
@@ -91,11 +89,7 @@ func RunDegrade(cfg DegradeConfig) (*DegradeResult, error) {
 		row := DegradeRow{LossRate: rate, OracleIdentical: true}
 		total := 0
 		for k := 0; k < cfg.Runs; k++ {
-			ccfg := chaos.DefaultConfig(cfg.Seed + int64(k))
-			if cfg.Rounds > 0 {
-				ccfg.Rounds = cfg.Rounds
-			}
-			r, err := chaos.Run(s, ccfg)
+			r, err := chaos.Run(s, chaos.DefaultConfig(cfg.Seed+int64(k)))
 			if err != nil {
 				return nil, err
 			}

@@ -434,7 +434,6 @@ func TestDowntimeSystemLevel(t *testing.T) {
 	// Byzantine replica 0 feeds fork blocks one per round with N = {};
 	// honest replicas reveal the real chain's remaining blocks.
 	forkIdx, honestIdx := 0, 5
-	subnet.Replicas()[0].Byzantine = true
 	subnet.Replicas()[0].MaliciousPayload = func(ic.CanisterID) any {
 		if forkIdx >= len(fork) {
 			return nil

@@ -27,28 +27,26 @@ type Fig5Result struct {
 type Fig5Config struct {
 	// Weeks of simulated history (the paper's figure spans ~104).
 	Weeks int
-	// BlocksPerWeek compresses a week's 1008 blocks into fewer, larger
-	// steps (total growth is what matters, not block cadence).
-	BlocksPerWeek int
-	// NetNewUTXOsPerBlock is the average growth per block: outputs created
-	// minus inputs spent. Mainnet's UTXO set grows on the order of 2-3 %
-	// per month, which this reproduces at scale.
-	NetNewUTXOsPerBlock int
-	// SpendFraction is the fraction of each block's transactions that
-	// consume existing outputs (churn without net growth).
-	SpendFraction float64
-	Seed          int64
+	Seed  int64
 }
+
+// The growth workload's shape, the same on every run.
+const (
+	// fig5BlocksPerWeek compresses a week's 1008 blocks into fewer, larger
+	// steps (total growth is what matters, not block cadence).
+	fig5BlocksPerWeek = 6
+	// fig5NetNewUTXOsPerBlock is the average growth per block: outputs
+	// created minus inputs spent. Mainnet's UTXO set grows on the order of
+	// 2-3 % per month, which this reproduces at scale.
+	fig5NetNewUTXOsPerBlock = 250
+	// fig5SpendFraction is the fraction of each block's transactions that
+	// consume existing outputs (churn without net growth).
+	fig5SpendFraction = 0.3
+)
 
 // DefaultFig5Config returns a laptop-scale two-year run (~1/1000 mainnet).
 func DefaultFig5Config() Fig5Config {
-	return Fig5Config{
-		Weeks:               104,
-		BlocksPerWeek:       6,
-		NetNewUTXOsPerBlock: 250,
-		SpendFraction:       0.3,
-		Seed:                5,
-	}
+	return Fig5Config{Weeks: 104, Seed: 5}
 }
 
 // RunFig5 regenerates Figure 5 by replaying two years of synthetic traffic
@@ -59,11 +57,11 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	script := btc.PayToPubKeyHashScript([20]byte{0x05})
 	res := &Fig5Result{ScaleDivisor: 1000}
 	for week := 1; week <= cfg.Weeks; week++ {
-		for b := 0; b < cfg.BlocksPerWeek; b++ {
-			spends := int(float64(cfg.NetNewUTXOsPerBlock) * cfg.SpendFraction)
+		for b := 0; b < fig5BlocksPerWeek; b++ {
+			spends := int(float64(fig5NetNewUTXOsPerBlock) * fig5SpendFraction)
 			specs := []TxSpec{
 				// Growth: one fat transaction creating the net-new outputs.
-				{Inputs: 0, Outputs: PayN(script, cfg.NetNewUTXOsPerBlock, 546)},
+				{Inputs: 0, Outputs: PayN(script, fig5NetNewUTXOsPerBlock, 546)},
 				// Churn: spend existing outputs, recreate the same number.
 				{Inputs: spends, Outputs: PayN(script, spends, 546)},
 			}

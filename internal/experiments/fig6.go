@@ -28,16 +28,20 @@ type Fig6Result struct {
 type Fig6Config struct {
 	// Days of daily block samples (the paper's window is ~180 days).
 	Days int
-	// MinOps/MaxOps bound the per-block input+output operation count; real
-	// blocks vary with demand, which produces the figure's vertical spread.
-	MinOps, MaxOps int
-	Seed           int64
+	Seed int64
 }
 
-// DefaultFig6Config reproduces the paper's window with block sizes chosen
-// so the average lands near 21.6 B instructions.
+// fig6MinOps/fig6MaxOps bound the per-block input+output operation count,
+// chosen so the average lands near 21.6 B instructions; real blocks vary
+// with demand, which produces the figure's vertical spread.
+const (
+	fig6MinOps = 2400
+	fig6MaxOps = 8400
+)
+
+// DefaultFig6Config reproduces the paper's window.
 func DefaultFig6Config() Fig6Config {
-	return Fig6Config{Days: 180, MinOps: 2400, MaxOps: 8400, Seed: 6}
+	return Fig6Config{Days: 180, Seed: 6}
 }
 
 // RunFig6 feeds six months of variable-size blocks and meters stable
@@ -50,7 +54,7 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	rng := f.Builder.rng
 
 	specsFor := func() []TxSpec {
-		ops := cfg.MinOps + rng.Intn(cfg.MaxOps-cfg.MinOps+1)
+		ops := fig6MinOps + rng.Intn(fig6MaxOps-fig6MinOps+1)
 		// Split ops roughly half outputs, half inputs: spend what exists,
 		// create the rest. Group into transactions of ~2 in / 2 out.
 		spend := ops / 2

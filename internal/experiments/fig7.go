@@ -39,15 +39,16 @@ type Fig7Config struct {
 	// keeping the paper's skew). Latency distributions are insensitive to
 	// the population size; the default keeps the experiment fast.
 	Scale int
-	// UnstableFraction of addresses get their UTXOs in recent (unstable)
-	// blocks, producing the Fig 7 (right) bifurcation.
-	UnstableFraction float64
-	Seed             int64
+	Seed  int64
 }
+
+// unstableFraction of addresses get their UTXOs in recent (unstable)
+// blocks, producing the Fig 7 (right) bifurcation.
+const unstableFraction = 0.3
 
 // DefaultFig7Config returns the laptop-scale configuration.
 func DefaultFig7Config() Fig7Config {
-	return Fig7Config{Scale: 10, UnstableFraction: 0.3, Seed: 7}
+	return Fig7Config{Scale: 10, Seed: 7}
 }
 
 // loadPopulation feeds the population into a fresh canister. Addresses
@@ -59,7 +60,7 @@ func loadPopulation(cfg Fig7Config) (*Feeder, *AddressPopulation, map[string]boo
 	pop := NewAddressPopulation(btc.Regtest, cfg.Seed, cfg.Scale)
 
 	unstable := make(map[string]bool)
-	nUnstable := int(float64(len(pop.Addresses)) * cfg.UnstableFraction)
+	nUnstable := int(float64(len(pop.Addresses)) * unstableFraction)
 	// The LAST nUnstable addresses are loaded late so their blocks stay
 	// above the anchor.
 	stableAddrs := pop.Addresses[:len(pop.Addresses)-nUnstable]

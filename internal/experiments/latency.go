@@ -38,7 +38,7 @@ func DefaultLatencyConfig() LatencyConfig { return LatencyConfig{Scale: 10, Seed
 // distribution of replicated and query requests under the default
 // (mainnet-flavored) subnet configuration.
 func RunLatency(cfg LatencyConfig) (*LatencyResult, error) {
-	f, pop, _, err := loadPopulation(Fig7Config{Scale: cfg.Scale, UnstableFraction: 0.3, Seed: cfg.Seed})
+	f, pop, _, err := loadPopulation(Fig7Config{Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -31,9 +31,6 @@ type ReadPathConfig struct {
 	StableBlocks int
 	// TxPerBlock is the number of transactions per unstable block.
 	TxPerBlock int
-	// Addresses is the population size; selection is skewed so a few hot
-	// addresses take most of the traffic (the Fig 7 population shape).
-	Addresses int
 	// SampleAddresses is how many addresses each depth point measures.
 	SampleAddresses int
 }
@@ -45,10 +42,13 @@ func DefaultReadPathConfig() ReadPathConfig {
 		Delta:           144,
 		StableBlocks:    12,
 		TxPerBlock:      12,
-		Addresses:       24,
 		SampleAddresses: 8,
 	}
 }
+
+// readPathAddresses is the population size; selection is skewed so a few
+// hot addresses take most of the traffic (the Fig 7 population shape).
+const readPathAddresses = 24
 
 // ReadPathRow is one depth point, averaged over the sampled addresses.
 type ReadPathRow struct {
@@ -109,7 +109,7 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 		address string
 		script  []byte
 	}
-	pop := make([]popEntry, cfg.Addresses)
+	pop := make([]popEntry, readPathAddresses)
 	for i := range pop {
 		var h [20]byte
 		rng.Read(h[:])
@@ -118,7 +118,7 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 	}
 	pick := func() popEntry {
 		// Harmonic-ish skew: repeatedly halve the candidate range.
-		n := cfg.Addresses
+		n := readPathAddresses
 		for n > 1 && rng.Intn(2) == 0 {
 			n = (n + 1) / 2
 		}

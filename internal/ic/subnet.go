@@ -63,18 +63,16 @@ func DefaultConfig() Config {
 }
 
 // Replica is one subnet node. Honest replicas build payloads from their own
-// Bitcoin adapter; Byzantine replicas may substitute arbitrary payloads when
-// they are the block maker.
+// Bitcoin adapter; a Byzantine replica substitutes arbitrary payloads when it
+// is the block maker.
 type Replica struct {
 	Index int
 	ID    simnet.NodeID
 	// payloadBuilders produce per-canister payloads when this replica makes
 	// a block.
 	payloadBuilders map[CanisterID]PayloadBuilder
-	// Byzantine marks the replica as attacker-controlled.
-	Byzantine bool
-	// MaliciousPayload, when set on a Byzantine replica, overrides the
-	// payload for a canister when this replica is the block maker.
+	// MaliciousPayload, when set, makes the replica Byzantine: it overrides
+	// the payload for a canister when this replica is the block maker.
 	MaliciousPayload func(CanisterID) any
 	// Down marks a crashed replica; it is skipped as block maker.
 	Down bool
@@ -161,14 +159,9 @@ type Subnet struct {
 	routers   map[CanisterID]QueryRouter
 	committee *tecdsa.Committee
 
-	// upgrades journals per-canister upgrade state so a crash mid-install is
-	// detectable and recoverable (see UpgradeCanister).
-	upgrades map[CanisterID]*upgradeJournal
-	// armedCrash, when set, makes the next UpgradeCanister crash at the
-	// configured point (chaos fault injection); consumed by that call.
-	armedCrash *UpgradeCrash
-	// lastUpgrade reports how the most recent UpgradeCanister call ended.
-	lastUpgrade UpgradeReport
+	// checkpoints journals each canister's last image known good: the
+	// image a crashed upgrade falls back to (see RecoverUpgrade).
+	checkpoints map[CanisterID][]byte
 
 	round   int64
 	ingress []*pendingCall
@@ -189,12 +182,12 @@ func NewSubnet(sched *simnet.Scheduler, cfg Config) (*Subnet, error) {
 		return nil, fmt.Errorf("ic: subnet size must be 3f+1, got %d", cfg.N)
 	}
 	s := &Subnet{
-		cfg:       cfg,
-		sched:     sched,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		canisters: make(map[CanisterID]Canister),
-		routers:   make(map[CanisterID]QueryRouter),
-		upgrades:  make(map[CanisterID]*upgradeJournal),
+		cfg:         cfg,
+		sched:       sched,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		canisters:   make(map[CanisterID]Canister),
+		routers:     make(map[CanisterID]QueryRouter),
+		checkpoints: make(map[CanisterID][]byte),
 	}
 	seed := sha256.Sum256([]byte(fmt.Sprintf("beacon-%d", cfg.Seed)))
 	s.beacon = seed[:]
@@ -244,61 +237,20 @@ func (s *Subnet) SetQueryRouter(id CanisterID, r QueryRouter) {
 	s.routers[id] = r
 }
 
-// CrashStage selects where an armed upgrade crash strikes the install.
-type CrashStage int
-
-const (
-	// CrashTornWrite kills the process mid-write: only a prefix of the
-	// pending snapshot reaches disk (a torn state image).
-	CrashTornWrite CrashStage = iota + 1
-	// CrashBitFlip corrupts one bit of the fully written pending image —
-	// the media-fault flavor of a torn state.
-	CrashBitFlip
-	// CrashMidRestore writes the pending image intact but kills the process
-	// during the restore/install step, before the completion marker is set.
-	CrashMidRestore
-)
-
-func (c CrashStage) String() string {
-	switch c {
-	case CrashTornWrite:
-		return "torn-write"
-	case CrashBitFlip:
-		return "bit-flip"
-	case CrashMidRestore:
-		return "mid-restore"
-	default:
-		return fmt.Sprintf("CrashStage(%d)", int(c))
-	}
-}
-
-// UpgradeCrash arms a crash for the next UpgradeCanister call. Offset seeds
-// where the damage lands (byte offset for torn writes, bit position for
-// flips); it is reduced modulo the image size.
-type UpgradeCrash struct {
-	Stage  CrashStage
-	Offset int
-}
-
-// RecoverySource says which image a recovered upgrade restarted from.
+// RecoverySource says which image RecoverUpgrade restarted a canister from.
 type RecoverySource int
 
 const (
-	// RecoveryNone: the upgrade completed without recovery.
-	RecoveryNone RecoverySource = iota
-	// RecoveryPending: the pending image survived intact (restore-completion
-	// marker was missing but the bytes verified), so recovery replayed it.
-	RecoveryPending
-	// RecoveryCheckpoint: the pending image was torn/corrupt; recovery fell
-	// back to the last good checkpoint (CommitCheckpoint / last completed
-	// upgrade).
+	// RecoveryPending: the pending image verified, so recovery installed it.
+	RecoveryPending RecoverySource = iota + 1
+	// RecoveryCheckpoint: the pending image was torn or corrupt; recovery
+	// fell back to the last good checkpoint (CommitCheckpoint / last
+	// completed upgrade).
 	RecoveryCheckpoint
 )
 
 func (r RecoverySource) String() string {
 	switch r {
-	case RecoveryNone:
-		return "none"
 	case RecoveryPending:
 		return "pending"
 	case RecoveryCheckpoint:
@@ -308,64 +260,35 @@ func (r RecoverySource) String() string {
 	}
 }
 
-// UpgradeReport describes how the most recent UpgradeCanister call ended:
-// whether an armed crash fired, whether the pending image was detected as
-// torn, and which image recovery restarted from.
-type UpgradeReport struct {
-	Crashed       bool
-	Stage         CrashStage
-	TornDetected  bool
-	RecoveredFrom RecoverySource
+// snapshot captures an installed canister's stable state; op names the
+// caller in errors.
+func (s *Subnet) snapshot(op string, id CanisterID) ([]byte, error) {
+	can := s.canisters[id]
+	if can == nil {
+		return nil, fmt.Errorf("ic: %s: canister %s not found", op, id)
+	}
+	sn, ok := can.(Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("ic: %s: canister %s has no stable state (does not implement Snapshotter)", op, id)
+	}
+	snapshot, err := sn.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("ic: %s: snapshot of %s: %w", op, id, err)
+	}
+	return snapshot, nil
 }
-
-// upgradeJournal is the per-canister durable upgrade record: the last image
-// known good (checkpoint), the image of the in-flight upgrade (pending), and
-// the restore-completion marker that distinguishes a finished install from
-// one the process died inside.
-type upgradeJournal struct {
-	checkpoint []byte
-	pending    []byte
-	complete   bool
-}
-
-// ArmUpgradeCrash makes the next UpgradeCanister call crash at the given
-// point. The arm is consumed by that call; recovery runs in the same call
-// (modeling the post-restart recovery path) and its outcome is readable via
-// LastUpgrade.
-func (s *Subnet) ArmUpgradeCrash(c UpgradeCrash) { s.armedCrash = &c }
-
-// LastUpgrade reports how the most recent UpgradeCanister call ended.
-func (s *Subnet) LastUpgrade() UpgradeReport { return s.lastUpgrade }
 
 // CommitCheckpoint snapshots the live canister into the upgrade journal's
 // last-known-good slot — the image a torn upgrade falls back to. Upgrades
 // that complete update the checkpoint themselves; call this to establish a
 // baseline before the first upgrade (or to tighten the fallback window).
 func (s *Subnet) CommitCheckpoint(id CanisterID) error {
-	can := s.canisters[id]
-	if can == nil {
-		return fmt.Errorf("ic: checkpoint: canister %s not found", id)
-	}
-	sn, ok := can.(Snapshotter)
-	if !ok {
-		return fmt.Errorf("ic: checkpoint: canister %s has no stable state (does not implement Snapshotter)", id)
-	}
-	snapshot, err := sn.Snapshot()
+	snapshot, err := s.snapshot("checkpoint", id)
 	if err != nil {
-		return fmt.Errorf("ic: checkpoint: snapshot of %s: %w", id, err)
+		return err
 	}
-	j := s.journal(id)
-	j.checkpoint = snapshot
+	s.checkpoints[id] = snapshot
 	return nil
-}
-
-func (s *Subnet) journal(id CanisterID) *upgradeJournal {
-	j := s.upgrades[id]
-	if j == nil {
-		j = &upgradeJournal{}
-		s.upgrades[id] = j
-	}
-	return j
 }
 
 // UpgradeCanister performs a canister upgrade round: the running canister
@@ -376,71 +299,20 @@ func (s *Subnet) journal(id CanisterID) *upgradeJournal {
 // test), mirroring how the real IC drains a canister's queues before
 // swapping its Wasm while stable memory carries the state across.
 //
-// The upgrade is journaled: the snapshot is written to a pending slot, the
-// install runs, and only then is the restore-completion marker set and the
-// pending image promoted to the checkpoint (last known good). A crash armed
-// via ArmUpgradeCrash interrupts that sequence at a chosen point — torn
-// write, bit flip, or mid-restore — and the same call then runs the
-// post-restart recovery path: the pending image is re-verified (statecodec
-// checksum on decode plus a byte-identical re-snapshot round-trip — the
-// completion marker being absent means it cannot be trusted blindly), and
-// either replayed (intact) or discarded in favor of the checkpoint (torn).
-// LastUpgrade reports which. A torn pending image with no checkpoint is an
-// explicit unrecoverable error, never a silent install.
+// The upgrade is journaled: the snapshot is the pending image, the install
+// runs, and only once the new instance is in place is the pending image
+// promoted to the checkpoint (last known good). A replica that dies inside
+// that sequence restarts into RecoverUpgrade.
 //
 // Payload builders and callers that captured the old canister pointer must
 // resolve the canister through Canister(id) per round instead; the old
 // instance is frozen at the snapshot point and no longer installed.
 func (s *Subnet) UpgradeCanister(id CanisterID, reinstall func(snapshot []byte) (Canister, error)) error {
-	can := s.canisters[id]
-	if can == nil {
-		return fmt.Errorf("ic: upgrade: canister %s not found", id)
-	}
-	sn, ok := can.(Snapshotter)
-	if !ok {
-		return fmt.Errorf("ic: upgrade: canister %s has no stable state (does not implement Snapshotter)", id)
-	}
-	snapshot, err := sn.Snapshot()
+	snapshot, err := s.snapshot("upgrade", id)
 	if err != nil {
-		return fmt.Errorf("ic: upgrade: snapshot of %s: %w", id, err)
+		return err
 	}
-	j := s.journal(id)
-	j.complete = false
-
-	if crash := s.armedCrash; crash != nil {
-		s.armedCrash = nil
-		s.lastUpgrade = UpgradeReport{Crashed: true, Stage: crash.Stage}
-		switch crash.Stage {
-		case CrashTornWrite:
-			// Only a strict prefix of the image reached the pending slot.
-			cut := 0
-			if len(snapshot) > 0 {
-				cut = crash.Offset % len(snapshot)
-			}
-			j.pending = append([]byte(nil), snapshot[:cut]...)
-		case CrashBitFlip:
-			cp := append([]byte(nil), snapshot...)
-			if len(cp) > 0 {
-				off := crash.Offset % len(cp)
-				cp[off] ^= 1 << (crash.Offset % 8)
-			}
-			j.pending = cp
-		case CrashMidRestore:
-			// The image landed intact; the process died inside the install,
-			// so whatever reinstall built is lost — only the journal (with
-			// its completion marker still unset) survives the restart.
-			j.pending = append([]byte(nil), snapshot...)
-			if next, err := reinstall(j.pending); err == nil && next != nil {
-				_ = next // died before the swap: discard
-			}
-		default:
-			return fmt.Errorf("ic: upgrade: unknown crash stage %v", crash.Stage)
-		}
-		return s.recoverUpgrade(id, j, reinstall)
-	}
-
-	j.pending = append([]byte(nil), snapshot...)
-	next, err := reinstall(j.pending)
+	next, err := reinstall(snapshot)
 	if err != nil {
 		return fmt.Errorf("ic: upgrade: reinstall of %s: %w", id, err)
 	}
@@ -448,48 +320,48 @@ func (s *Subnet) UpgradeCanister(id CanisterID, reinstall func(snapshot []byte) 
 		return fmt.Errorf("ic: upgrade: reinstall of %s returned no canister", id)
 	}
 	s.canisters[id] = next
-	j.complete = true
-	j.checkpoint = j.pending
-	s.lastUpgrade = UpgradeReport{}
+	s.checkpoints[id] = snapshot
 	return nil
 }
 
-// recoverUpgrade is the post-restart path after a crashed upgrade: the
-// completion marker is unset, so the pending image must prove itself before
-// it is trusted — reinstall must accept it AND the rebuilt canister must
-// re-snapshot byte-identical to it (no silent acceptance of a near-miss
-// decode). Anything less is a detected torn state, and recovery falls back
-// to the last good checkpoint.
-func (s *Subnet) recoverUpgrade(id CanisterID, j *upgradeJournal, reinstall func(snapshot []byte) (Canister, error)) error {
-	if len(j.pending) > 0 {
-		if next, err := reinstall(j.pending); err == nil && next != nil {
+// RecoverUpgrade is the path of a replica that restarts after dying inside
+// an upgrade of canister id: pending is the image that reached the pending
+// slot, possibly torn or corrupt. With no completion marker the image must
+// prove itself before it is trusted — reinstall must accept it AND the
+// rebuilt canister must re-snapshot byte-identical to it (no silent
+// acceptance of a near-miss decode). A verified image is installed and
+// becomes the checkpoint. Anything less is a detected torn state, and
+// recovery reinstalls the last good checkpoint instead. A torn image with no
+// checkpoint is an explicit error that leaves the installed instance alone,
+// never a silent install.
+func (s *Subnet) RecoverUpgrade(id CanisterID, pending []byte, reinstall func(snapshot []byte) (Canister, error)) (RecoverySource, error) {
+	if s.canisters[id] == nil {
+		return 0, fmt.Errorf("ic: recover: canister %s not found", id)
+	}
+	if len(pending) > 0 {
+		if next, err := reinstall(pending); err == nil && next != nil {
 			if rsn, ok := next.(Snapshotter); ok {
-				if again, err := rsn.Snapshot(); err == nil && bytes.Equal(again, j.pending) {
+				if again, err := rsn.Snapshot(); err == nil && bytes.Equal(again, pending) {
 					s.canisters[id] = next
-					j.complete = true
-					j.checkpoint = j.pending
-					s.lastUpgrade.RecoveredFrom = RecoveryPending
-					return nil
+					s.checkpoints[id] = pending
+					return RecoveryPending, nil
 				}
 			}
 		}
 	}
-	s.lastUpgrade.TornDetected = true
-	if j.checkpoint == nil {
-		return fmt.Errorf("ic: upgrade: %s crashed with a torn pending image and no checkpoint to recover from", id)
+	checkpoint := s.checkpoints[id]
+	if checkpoint == nil {
+		return 0, fmt.Errorf("ic: recover: %s has a torn pending image and no checkpoint to recover from", id)
 	}
-	next, err := reinstall(j.checkpoint)
+	next, err := reinstall(checkpoint)
 	if err != nil {
-		return fmt.Errorf("ic: upgrade: %s recovery from checkpoint: %w", id, err)
+		return 0, fmt.Errorf("ic: recover: %s from checkpoint: %w", id, err)
 	}
 	if next == nil {
-		return fmt.Errorf("ic: upgrade: %s recovery from checkpoint returned no canister", id)
+		return 0, fmt.Errorf("ic: recover: %s from checkpoint returned no canister", id)
 	}
 	s.canisters[id] = next
-	j.pending = nil
-	j.complete = true
-	s.lastUpgrade.RecoveredFrom = RecoveryCheckpoint
-	return nil
+	return RecoveryCheckpoint, nil
 }
 
 // Start begins the consensus round loop.
@@ -545,7 +417,7 @@ func (s *Subnet) runRound() {
 	}
 
 	// Assemble payloads: the block maker queries its own builders; a
-	// Byzantine maker may substitute arbitrary payloads.
+	// Byzantine maker substitutes arbitrary payloads.
 	type payloadEntry struct {
 		canister CanisterID
 		payload  any
@@ -556,7 +428,7 @@ func (s *Subnet) runRound() {
 			continue
 		}
 		var p any
-		if maker.Byzantine && maker.MaliciousPayload != nil {
+		if maker.MaliciousPayload != nil {
 			p = maker.MaliciousPayload(id)
 		} else if b := maker.payloadBuilders[id]; b != nil {
 			p = b.BuildPayload()

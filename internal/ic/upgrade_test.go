@@ -74,10 +74,17 @@ func newUpgradeSubnet(t *testing.T, value uint64) *Subnet {
 	return s
 }
 
+// pendingImage is the vault's live snapshot: the image a crashed upgrade
+// was writing to the pending slot, before any damage.
+func pendingImage(t *testing.T, s *Subnet) []byte {
+	t.Helper()
+	return encodeVault(vaultValue(t, s, "vault"))
+}
+
 // TestUpgradeCompletesAndPromotesCheckpoint pins the happy path: a clean
-// upgrade swaps the instance, reports no crash, and promotes the pending
-// image to the checkpoint — so a LATER torn upgrade falls back to the
-// post-upgrade state, not an older baseline.
+// upgrade swaps the instance and promotes the pending image to the
+// checkpoint — so a LATER torn upgrade falls back to the post-upgrade state,
+// not an older baseline.
 func TestUpgradeCompletesAndPromotesCheckpoint(t *testing.T) {
 	s := newUpgradeSubnet(t, 41)
 	old := s.Canister("vault")
@@ -87,9 +94,6 @@ func TestUpgradeCompletesAndPromotesCheckpoint(t *testing.T) {
 	if s.Canister("vault") == old {
 		t.Fatal("upgrade did not replace the instance")
 	}
-	if rep := s.LastUpgrade(); rep != (UpgradeReport{}) {
-		t.Fatalf("clean upgrade reported %+v", rep)
-	}
 	if got := vaultValue(t, s, "vault"); got != 41 {
 		t.Fatalf("state lost across upgrade: %d", got)
 	}
@@ -97,13 +101,12 @@ func TestUpgradeCompletesAndPromotesCheckpoint(t *testing.T) {
 	// Mutate, then crash the next upgrade torn: recovery must land on the
 	// checkpoint the completed upgrade promoted (41), not error out.
 	s.Canister("vault").(*vaultCanister).value = 99
-	s.ArmUpgradeCrash(UpgradeCrash{Stage: CrashTornWrite, Offset: 7})
-	if err := s.UpgradeCanister("vault", reinstallVault); err != nil {
+	src, err := s.RecoverUpgrade("vault", pendingImage(t, s)[:7], reinstallVault)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.LastUpgrade()
-	if !rep.Crashed || !rep.TornDetected || rep.RecoveredFrom != RecoveryCheckpoint {
-		t.Fatalf("torn upgrade after a clean one: %+v", rep)
+	if src != RecoveryCheckpoint {
+		t.Fatalf("torn upgrade after a clean one recovered from %v", src)
 	}
 	if got := vaultValue(t, s, "vault"); got != 41 {
 		t.Fatalf("recovered to %d, want the promoted checkpoint 41", got)
@@ -118,13 +121,12 @@ func TestUpgradeCrashTornWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Canister("vault").(*vaultCanister).value = 8 // uncheckpointed progress
-	s.ArmUpgradeCrash(UpgradeCrash{Stage: CrashTornWrite, Offset: 5})
-	if err := s.UpgradeCanister("vault", reinstallVault); err != nil {
+	src, err := s.RecoverUpgrade("vault", pendingImage(t, s)[:5], reinstallVault)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.LastUpgrade()
-	if !rep.Crashed || rep.Stage != CrashTornWrite || !rep.TornDetected || rep.RecoveredFrom != RecoveryCheckpoint {
-		t.Fatalf("report %+v", rep)
+	if src != RecoveryCheckpoint {
+		t.Fatalf("recovered from %v, want checkpoint", src)
 	}
 	if got := vaultValue(t, s, "vault"); got != 7 {
 		t.Fatalf("recovered to %d, want checkpoint state 7", got)
@@ -139,13 +141,14 @@ func TestUpgradeCrashBitFlip(t *testing.T) {
 	if err := s.CommitCheckpoint("vault"); err != nil {
 		t.Fatal(err)
 	}
-	s.ArmUpgradeCrash(UpgradeCrash{Stage: CrashBitFlip, Offset: 3})
-	if err := s.UpgradeCanister("vault", reinstallVault); err != nil {
+	pending := pendingImage(t, s)
+	pending[3] ^= 1 << 3
+	src, err := s.RecoverUpgrade("vault", pending, reinstallVault)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.LastUpgrade()
-	if !rep.Crashed || rep.Stage != CrashBitFlip || !rep.TornDetected || rep.RecoveredFrom != RecoveryCheckpoint {
-		t.Fatalf("report %+v", rep)
+	if src != RecoveryCheckpoint {
+		t.Fatalf("recovered from %v, want checkpoint", src)
 	}
 	if got := vaultValue(t, s, "vault"); got != 7 {
 		t.Fatalf("recovered to %d, want checkpoint state 7", got)
@@ -155,19 +158,25 @@ func TestUpgradeCrashBitFlip(t *testing.T) {
 // TestUpgradeCrashMidRestore kills the process after the image landed intact
 // but before the completion marker: recovery re-verifies the pending image
 // (reinstall + byte-identical re-snapshot) and replays it — no state loss,
-// no checkpoint needed.
+// no checkpoint needed — and the replayed image becomes the checkpoint.
 func TestUpgradeCrashMidRestore(t *testing.T) {
 	s := newUpgradeSubnet(t, 23)
-	s.ArmUpgradeCrash(UpgradeCrash{Stage: CrashMidRestore})
-	if err := s.UpgradeCanister("vault", reinstallVault); err != nil {
+	src, err := s.RecoverUpgrade("vault", pendingImage(t, s), reinstallVault)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.LastUpgrade()
-	if !rep.Crashed || rep.Stage != CrashMidRestore || rep.TornDetected || rep.RecoveredFrom != RecoveryPending {
-		t.Fatalf("report %+v", rep)
+	if src != RecoveryPending {
+		t.Fatalf("recovered from %v, want pending", src)
 	}
 	if got := vaultValue(t, s, "vault"); got != 23 {
 		t.Fatalf("recovered to %d, want intact pending state 23", got)
+	}
+	s.Canister("vault").(*vaultCanister).value = 24
+	if src, err := s.RecoverUpgrade("vault", nil, reinstallVault); err != nil || src != RecoveryCheckpoint {
+		t.Fatalf("empty pending image: recovered from %v, %v; want the checkpoint", src, err)
+	}
+	if got := vaultValue(t, s, "vault"); got != 23 {
+		t.Fatalf("recovered to %d, want the replayed image 23 as checkpoint", got)
 	}
 }
 
@@ -176,13 +185,17 @@ func TestUpgradeCrashMidRestore(t *testing.T) {
 // never an install of damaged bytes.
 func TestUpgradeTornWithoutCheckpointFails(t *testing.T) {
 	s := newUpgradeSubnet(t, 7)
-	s.ArmUpgradeCrash(UpgradeCrash{Stage: CrashBitFlip, Offset: 0})
-	err := s.UpgradeCanister("vault", reinstallVault)
+	live := s.Canister("vault")
+	pending := pendingImage(t, s)
+	pending[0] ^= 1
+	src, err := s.RecoverUpgrade("vault", pending, reinstallVault)
 	if err == nil {
 		t.Fatal("torn image with no checkpoint was silently accepted")
 	}
-	rep := s.LastUpgrade()
-	if !rep.Crashed || !rep.TornDetected || rep.RecoveredFrom != RecoveryNone {
-		t.Fatalf("report %+v", rep)
+	if src != 0 {
+		t.Fatalf("failed recovery reported source %v", src)
+	}
+	if s.Canister("vault") != live {
+		t.Fatal("failed recovery replaced the installed instance")
 	}
 }
