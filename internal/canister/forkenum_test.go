@@ -37,6 +37,7 @@ func TestForkEnumerationAroundAnchor(t *testing.T) {
 
 func forkCase(t *testing.T, delta, base, depth, length int) {
 	r := newForgeRig(t)
+	confs := []int64{0, 1, int64(delta)}
 	addrA, scriptA := testAddr(0xA0)
 	addrB, scriptB := testAddr(0xB0)
 	addrs := []string{addrA, addrB, "unknown-address"}
@@ -64,7 +65,7 @@ func forkCase(t *testing.T, delta, base, depth, length int) {
 			forkPoint = parent
 		}
 		r.deliver(chain[h])
-		lastAnchor = r.oracleCheck(delta, lastAnchor, addrs)
+		lastAnchor = r.oracleCheck(confs, lastAnchor, addrs)
 		if want := max(int64(h-delta+1), 0); lastAnchor != want {
 			t.Fatalf("anchor %d after %d blocks, want %d", lastAnchor, h, want)
 		}
@@ -98,7 +99,7 @@ func forkCase(t *testing.T, delta, base, depth, length int) {
 			if got := r.payload(b); got != 0 {
 				t.Fatalf("ingested a block of a fork rooted at height %d, below the anchor at %d", base-depth, lastAnchor)
 			}
-			r.oracleCheck(delta, lastAnchor, addrs)
+			r.oracleCheck(confs, lastAnchor, addrs)
 		}
 		twin, err := RestoreSnapshot(before)
 		if err != nil {
@@ -112,7 +113,7 @@ func forkCase(t *testing.T, delta, base, depth, length int) {
 	}
 	for _, b := range fork {
 		r.deliver(b)
-		lastAnchor = r.oracleCheck(delta, lastAnchor, addrs)
+		lastAnchor = r.oracleCheck(confs, lastAnchor, addrs)
 	}
 	// Equal work keeps the first-seen chain; one block more takes the tip.
 	if want := int64(base + length - depth); r.can.TipHeight() != want {
@@ -120,19 +121,84 @@ func forkCase(t *testing.T, delta, base, depth, length int) {
 	}
 }
 
+// TestForkAtPaperDelta runs the canister at the paper's δ = 144: a
+// 150-block chain, then a 20-block fork rooted at height 60 that stays
+// shorter. Definition II.1 decides by hand what each MinConfirmations c may
+// see. Block h of the chain has d_c = 151−h; its competitor on the fork has
+// d_c = 81−h, so the chain's blocks at 61…80 are 70-stable and no more. The
+// anchor sits at 150−δ+1 = 7, and block 8 is 143-stable. So c = 0 and 1 see
+// the tip at 150, and c = δ sees only the anchor. c = 72 sees up to height
+// 79 before the fork and up to height 60 after it. At each point get_balance
+// and get_utxos at every c must answer exactly as the replay oracle does.
+func TestForkAtPaperDelta(t *testing.T) {
+	const delta = 144
+	r := newForgeRig(t)
+	cfg := DefaultConfig(btc.Regtest)
+	cfg.StabilityThreshold = delta
+	r.can = New(cfg)
+	addrA, scriptA := testAddr(0xA0)
+	addrB, scriptB := testAddr(0xB0)
+	addrs := []string{addrA, addrB}
+	confs := []int64{0, 1, delta / 2, delta}
+	spend := func(b *btc.Block, tag int64) *btc.Transaction {
+		tx := spendOf(b.Transactions[0], 0, r.params.BlockSubsidy-1_000*tag)
+		tx.Outputs[0].PkScript = scriptB
+		tx.Outputs = append(tx.Outputs, btc.TxOut{Value: 400, PkScript: scriptA})
+		return tx
+	}
+	check := func(stage string, tips map[int64]int64) {
+		t.Helper()
+		if got := r.oracleCheck(confs, 0, addrs); got != 150-delta+1 {
+			t.Fatalf("%s: anchor at %d, want %d", stage, got, 150-delta+1)
+		}
+		for _, c := range confs {
+			res, err := r.can.GetUTXOs(r.ctx(ic.KindQuery), GetUTXOsArgs{Address: addrA, MinConfirmations: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TipHeight != tips[c] {
+				t.Fatalf("%s: c=%d sees the tip at %d, want %d", stage, c, res.TipHeight, tips[c])
+			}
+		}
+	}
+
+	chain := make([]*btc.Block, 151) // by height; genesis is not a forged block
+	parent := r.params.GenesisHeader.BlockHash()
+	for h := 1; h <= 150; h++ {
+		var txs []*btc.Transaction
+		if h > 1 {
+			txs = append(txs, spend(chain[h-1], 1))
+		}
+		chain[h] = r.mine(parent, scriptA, txs...)
+		parent = chain[h].BlockHash()
+		r.deliver(chain[h])
+	}
+	check("chain", map[int64]int64{0: 150, 1: 150, delta / 2: 79, delta: 7})
+
+	// The fork double-spends each coinbase the chain's next block spends and
+	// pays its own coinbases to B; none of it may ever be seen.
+	parent = chain[60].BlockHash()
+	for h := 61; h <= 80; h++ {
+		b := r.mine(parent, scriptB, spend(chain[h-1], 2))
+		parent = b.BlockHash()
+		r.deliver(b)
+	}
+	check("fork", map[int64]int64{0: 150, 1: 150, delta / 2: 60, delta: 7})
+}
+
 // oracleCheck is the per-payload invariant set: the anchor has not moved
-// back; get_balance and every page of get_utxos at MinConfirmations 0, 1 and
-// δ answer exactly as the replay oracle does, and get_current_fee_percentiles,
+// back; get_balance and every page of get_utxos at each of minConfs answer
+// exactly as the replay oracle does, and get_current_fee_percentiles,
 // cached and recomputed, exactly as ReplayFeePercentiles; and
 // Snapshot → RestoreSnapshot → Snapshot is byte-stable. It returns the anchor.
-func (r *forgeRig) oracleCheck(delta int, lastAnchor int64, addrs []string) int64 {
+func (r *forgeRig) oracleCheck(minConfs []int64, lastAnchor int64, addrs []string) int64 {
 	r.t.Helper()
 	anchor := r.can.AnchorHeight()
 	if anchor < lastAnchor {
 		r.t.Fatalf("anchor moved back: %d -> %d", lastAnchor, anchor)
 	}
 	for _, addr := range addrs {
-		for _, minConf := range []int64{0, 1, int64(delta)} {
+		for _, minConf := range minConfs {
 			args := GetBalanceArgs{Address: addr, MinConfirmations: minConf}
 			bal, errA := r.can.GetBalance(r.ctx(ic.KindQuery), args)
 			want, errB := r.replayBalance(args)

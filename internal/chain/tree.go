@@ -1,7 +1,9 @@
 // Package chain implements the block-tree machinery of §II-B and the novel
 // stability concepts of §II-C of the paper: heights, the two depth functions
 // d_c (confirmation counting) and d_w (cumulative hash work), δ-stability
-// (Definition II.1), and current-chain selection.
+// (Definition II.1), and current-chain selection. Each node carries its
+// subtree's heaviest leaf and greatest height, so both depths, stability and
+// the tip are reads of a few nodes rather than walks of a subtree.
 //
 // The package operates on block headers only; blocks themselves are handled
 // by the adapter and the Bitcoin canister, which both embed a *Tree.
@@ -40,6 +42,13 @@ type Node struct {
 	// (Reroot) discards stale deltas together with their headers.
 	aux any
 
+	// best is the heaviest leaf of the subtree rooted here (most cumulative
+	// work, ties to the lower hash, the Tip rule) and deepest the greatest
+	// height in it. Insert keeps both current; every depth, stability and
+	// tip question reads them instead of walking the subtree.
+	best    *Node
+	deepest int64
+
 	parent   *Node
 	children []*Node
 }
@@ -75,7 +84,6 @@ type Tree struct {
 	nodes map[btc.Hash]*Node
 	// byHeight indexes nodes by height for stability queries.
 	byHeight map[int64][]*Node
-	maxH     int64
 }
 
 // Well-known errors returned by Insert.
@@ -111,14 +119,14 @@ func NewTreeWithWindow(root btc.BlockHeader, height int64, window []uint32) *Tre
 		Work:           work,
 		CumulativeWork: new(big.Int).Set(work),
 		tsWindow:       ts,
+		deepest:        height,
 	}
-	t := &Tree{
+	rn.best = rn
+	return &Tree{
 		root:     rn,
 		nodes:    map[btc.Hash]*Node{rn.Hash: rn},
 		byHeight: map[int64][]*Node{height: {rn}},
-		maxH:     height,
 	}
-	return t
 }
 
 // Root returns the tree's root node.
@@ -128,7 +136,7 @@ func (t *Tree) Root() *Node { return t.root }
 func (t *Tree) Len() int { return len(t.nodes) }
 
 // MaxHeight returns the greatest height of any header in the tree.
-func (t *Tree) MaxHeight() int64 { return t.maxH }
+func (t *Tree) MaxHeight() int64 { return t.root.deepest }
 
 // Get returns the node for a header hash, or nil.
 func (t *Tree) Get(h btc.Hash) *Node { return t.nodes[h] }
@@ -164,46 +172,64 @@ func (t *Tree) Insert(header btc.BlockHeader) (*Node, error) {
 		Work:           work,
 		CumulativeWork: new(big.Int).Add(parent.CumulativeWork, work),
 		tsWindow:       window,
+		deepest:        parent.Height + 1,
 		parent:         parent,
 	}
+	n.best = n
 	parent.children = append(parent.children, n)
 	t.nodes[hash] = n
 	t.byHeight[n.Height] = append(t.byHeight[n.Height], n)
-	if n.Height > t.maxH {
-		t.maxH = n.Height
+	// Each ancestor's pair is recomputed from all its children, not compared
+	// with n alone: a parent that was a leaf is its own best until now, and a
+	// zero-work header ties its parent's cumulative work. An ancestor whose
+	// pair holds stops the walk, since nothing above it can change either.
+	for a := parent; a != nil; a = a.parent {
+		best, deepest := a.children[0].best, a.children[0].deepest
+		for _, c := range a.children[1:] {
+			if heavier(c.best, best) {
+				best = c.best
+			}
+			deepest = max(deepest, c.deepest)
+		}
+		if best == a.best && deepest == a.deepest {
+			break
+		}
+		a.best, a.deepest = best, deepest
 	}
 	return n, nil
 }
 
-// DepthByCount computes d_c(b): the maximum number of blocks (counting b
-// itself) on any path from b to a connected tip. This is the confirmation
-// depth: a transaction in b has d_c(b) confirmations when b is on the chain.
+// heavier reports whether leaf a beats leaf b under the Tip rule: more
+// cumulative work, ties broken by the lower hash.
+func heavier(a, b *Node) bool {
+	c := a.CumulativeWork.Cmp(b.CumulativeWork)
+	return c > 0 || c == 0 && lessHash(a.Hash, b.Hash)
+}
+
+// DepthByCount is d_c(b): the most blocks (counting b itself) on any path
+// from b to a connected tip. This is the confirmation depth: a transaction
+// in b has d_c(b) confirmations when b is on the chain.
 func (t *Tree) DepthByCount(n *Node) int64 {
 	if n == nil {
 		return 0
 	}
-	best := int64(0)
-	for _, c := range n.children {
-		if d := t.DepthByCount(c); d > best {
-			best = d
-		}
-	}
-	return best + 1
+	return n.deepest - n.Height + 1
 }
 
-// DepthByWork computes d_w(b): the maximum cumulative hash work on any path
-// from b to a connected tip, including b's own work.
+// DepthByWork is d_w(b): the most cumulative hash work on any path from b to
+// a connected tip, including b's own work. The returned value is fresh.
 func (t *Tree) DepthByWork(n *Node) *big.Int {
 	if n == nil {
 		return new(big.Int)
 	}
-	best := new(big.Int)
-	for _, c := range n.children {
-		if d := t.DepthByWork(c); d.Cmp(best) > 0 {
-			best = d
-		}
-	}
-	return best.Add(best, n.Work)
+	return depthByWork(new(big.Int), n)
+}
+
+// depthByWork sets z to d_w(n), the work from just below n to n's heaviest
+// leaf, and returns z.
+func depthByWork(z *big.Int, n *Node) *big.Int {
+	z.Sub(n.best.CumulativeWork, n.CumulativeWork)
+	return z.Add(z, n.Work)
 }
 
 // StabilityByCount returns the confirmation-based stability of node n: the
@@ -238,60 +264,38 @@ func (t *Tree) IsCountStable(n *Node, delta int64) bool {
 	return t.StabilityByCount(n) >= delta
 }
 
-// WorkStabilityRelativeTo returns the difficulty-based stability of n
-// expressed relative to the work of reference block ref, i.e. the largest δ
-// such that n is difficulty-based δ-stable with respect to ref:
-//
-//	min( d_w(n), min gap to same-height competitors ) / w(ref)
-//
-// following §II-C's normalization d_w(b)/w(b*). The result is a rational
-// value; the integer floor is returned along with the exact numerator for
-// callers that need precision.
-func (t *Tree) WorkStabilityRelativeTo(n *Node, refWork *big.Int) *big.Rat {
-	if n == nil || refWork == nil || refWork.Sign() <= 0 {
-		return new(big.Rat)
-	}
-	own := t.DepthByWork(n)
-	minVal := new(big.Int).Set(own)
-	for _, other := range t.byHeight[n.Height] {
-		if other == n {
-			continue
-		}
-		gap := new(big.Int).Sub(own, t.DepthByWork(other))
-		if gap.Cmp(minVal) < 0 {
-			minVal.Set(gap)
-		}
-	}
-	return new(big.Rat).SetFrac(minVal, refWork)
-}
-
 // IsWorkStable reports whether n is difficulty-based δ-stable with respect
-// to a reference work value: d_w(n)/w(ref) ≥ δ and the same-height dominance
-// condition holds with margin δ·w(ref).
+// to a reference work value, following §II-C's normalization d_w(b)/w(b*):
+// d_w(n) ≥ δ·w(ref), and d_w(n) exceeds d_w of every same-height competitor
+// by at least δ·w(ref). Without a positive reference the normalized depth
+// reads 0, so only δ ≤ 0 holds.
 func (t *Tree) IsWorkStable(n *Node, delta int64, refWork *big.Int) bool {
 	if n == nil {
 		return false
 	}
-	threshold := new(big.Rat).SetInt64(delta)
-	return t.WorkStabilityRelativeTo(n, refWork).Cmp(threshold) >= 0
+	if refWork == nil || refWork.Sign() <= 0 {
+		return delta <= 0
+	}
+	threshold := new(big.Int).Mul(big.NewInt(delta), refWork)
+	own := depthByWork(new(big.Int), n)
+	if own.Cmp(threshold) < 0 {
+		return false
+	}
+	// own − d_w(other) ≥ threshold  ⇔  own − threshold ≥ d_w(other).
+	bound := own.Sub(own, threshold)
+	var other big.Int
+	for _, o := range t.byHeight[n.Height] {
+		if o != n && depthByWork(&other, o).Cmp(bound) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Tip returns the tip of the current blockchain: the leaf that maximizes
 // cumulative work from the root (ties broken by lower hash for determinism,
 // which every replica computes identically).
-func (t *Tree) Tip() *Node {
-	var best *Node
-	for _, n := range t.nodes {
-		if len(n.children) != 0 {
-			continue
-		}
-		if best == nil || n.CumulativeWork.Cmp(best.CumulativeWork) > 0 ||
-			(n.CumulativeWork.Cmp(best.CumulativeWork) == 0 && lessHash(n.Hash, best.Hash)) {
-			best = n
-		}
-	}
-	return best
-}
+func (t *Tree) Tip() *Node { return t.root.best }
 
 // CurrentChain returns the node path from the root to Tip(), inclusive.
 func (t *Tree) CurrentChain() []*Node {
@@ -334,21 +338,18 @@ func (t *Tree) BFSFrom(start *Node, visit func(*Node) bool) {
 // Reroot rebases the tree at newRoot, discarding everything that is not a
 // descendant of newRoot. Used by the Bitcoin canister when the anchor
 // advances: competing headers below the new anchor are removed while the
-// stable chain's header is kept as the new root.
+// stable chain's header is kept as the new root. No surviving node's best or
+// deepest changes: both range over the node's descendants, which all survive.
 func (t *Tree) Reroot(newRoot *Node) error {
 	if t.nodes[newRoot.Hash] != newRoot {
 		return errors.New("chain: new root is not in the tree")
 	}
 	nodes := make(map[btc.Hash]*Node, len(t.nodes))
 	byHeight := make(map[int64][]*Node, len(t.byHeight))
-	maxH := newRoot.Height
 	var walk func(*Node)
 	walk = func(n *Node) {
 		nodes[n.Hash] = n
 		byHeight[n.Height] = append(byHeight[n.Height], n)
-		if n.Height > maxH {
-			maxH = n.Height
-		}
 		for _, c := range n.children {
 			walk(c)
 		}
@@ -358,20 +359,7 @@ func (t *Tree) Reroot(newRoot *Node) error {
 	t.root = newRoot
 	t.nodes = nodes
 	t.byHeight = byHeight
-	t.maxH = maxH
 	return nil
-}
-
-// Ancestors returns the chain of nodes from the root to n inclusive.
-func (t *Tree) Ancestors(n *Node) []*Node {
-	var rev []*Node
-	for cur := n; cur != nil; cur = cur.parent {
-		rev = append(rev, cur)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
 
 // Tips returns all leaves of the tree.

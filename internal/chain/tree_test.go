@@ -2,6 +2,7 @@ package chain
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -234,8 +235,7 @@ func TestDepthByWorkAndWorkStability(t *testing.T) {
 	tree, _ := newTestTree(t)
 	bits := tree.Root().Header.Bits
 	work := btc.WorkForBits(bits)
-	tip := extend(t, tree, tree.Root(), 4, 500)
-	_ = tip
+	extend(t, tree, tree.Root(), 4, 500)
 
 	// Root depth-by-work = 5 * per-block work (uniform difficulty).
 	want := new(big.Int).Mul(work, big.NewInt(5))
@@ -244,14 +244,10 @@ func TestDepthByWorkAndWorkStability(t *testing.T) {
 	}
 
 	// With uniform difficulty, work stability relative to the genesis block's
-	// own work equals confirmation stability.
+	// own work equals confirmation stability: 4 for the first child.
 	child := tree.AtHeight(1)[0]
-	rel := tree.WorkStabilityRelativeTo(child, work)
-	if rel.Cmp(new(big.Rat).SetInt64(4)) != 0 {
-		t.Fatalf("work stability %v, want 4", rel)
-	}
 	if !tree.IsWorkStable(child, 4, work) || tree.IsWorkStable(child, 5, work) {
-		t.Fatal("IsWorkStable threshold wrong")
+		t.Fatal("IsWorkStable threshold wrong: want stable at δ=4, not at δ=5")
 	}
 }
 
@@ -264,9 +260,8 @@ func TestWorkStabilityWithCompetingFork(t *testing.T) {
 	extend(t, tree, a, 5, 100) // a's branch: depth 6
 	extend(t, tree, b, 3, 200) // b's branch: depth 4
 	// Gap = 2 blocks of work -> stability 2 relative to per-block work.
-	rel := tree.WorkStabilityRelativeTo(a, work)
-	if rel.Cmp(new(big.Rat).SetInt64(2)) != 0 {
-		t.Fatalf("work stability %v, want 2", rel)
+	if !tree.IsWorkStable(a, 2, work) || tree.IsWorkStable(a, 3, work) {
+		t.Fatal("IsWorkStable threshold wrong: want stable at δ=2, not at δ=3")
 	}
 }
 
@@ -390,9 +385,9 @@ func TestReroot(t *testing.T) {
 func TestAncestorsAndTips(t *testing.T) {
 	tree, _ := newTestTree(t)
 	tip := extend(t, tree, tree.Root(), 3, 100)
-	anc := tree.Ancestors(tip)
+	anc := tree.CurrentChain()
 	if len(anc) != 4 || anc[0] != tree.Root() || anc[3] != tip {
-		t.Fatal("ancestors wrong")
+		t.Fatal("root-to-tip path wrong")
 	}
 	tips := tree.Tips()
 	if len(tips) != 1 || tips[0] != tip {
@@ -505,11 +500,16 @@ func TestQuickWorkAndCountStabilityAgree(t *testing.T) {
 			}
 			nodes = append(nodes, n)
 		}
+		// IsCountStable answers true for every δ ≤ 0, while a block whose
+		// competitor is deeper is not work-stable at δ = 0; the two agree
+		// from δ = 1 on, and IsWorkStable reads StabilityByCount throughout.
 		for _, n := range nodes {
 			count := tree.StabilityByCount(n)
-			rel := tree.WorkStabilityRelativeTo(n, perBlock)
-			if rel.Cmp(new(big.Rat).SetInt64(count)) != 0 {
-				return false
+			for delta := int64(-2); delta <= 21; delta++ {
+				work := tree.IsWorkStable(n, delta, perBlock)
+				if work != (count >= delta) || delta > 0 && work != tree.IsCountStable(n, delta) {
+					return false
+				}
 			}
 		}
 		return true
@@ -556,5 +556,165 @@ func TestQuickCurrentChainMaximal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refDepthByCount is d_c(b) by its definition: recurse over b's subtree.
+func refDepthByCount(n *Node) int64 {
+	best := int64(0)
+	for _, c := range n.children {
+		best = max(best, refDepthByCount(c))
+	}
+	return best + 1
+}
+
+// refDepthByWork is d_w(b) by its definition: recurse over b's subtree.
+func refDepthByWork(n *Node) *big.Int {
+	best := new(big.Int)
+	for _, c := range n.children {
+		if d := refDepthByWork(c); d.Cmp(best) > 0 {
+			best = d
+		}
+	}
+	return best.Add(best, n.Work)
+}
+
+// refTip scans every leaf for the most cumulative work, ties to the lower
+// hash.
+func refTip(t *Tree) *Node {
+	var best *Node
+	for _, n := range t.nodes {
+		if len(n.children) != 0 {
+			continue
+		}
+		if best == nil || n.CumulativeWork.Cmp(best.CumulativeWork) > 0 ||
+			(n.CumulativeWork.Cmp(best.CumulativeWork) == 0 && lessHash(n.Hash, best.Hash)) {
+			best = n
+		}
+	}
+	return best
+}
+
+// refStabilityByCount is Definition II.1 under d_c over the recursive depths.
+func refStabilityByCount(t *Tree, n *Node) int64 {
+	own := refDepthByCount(n)
+	stability := own
+	for _, o := range t.AtHeight(n.Height) {
+		if o != n {
+			stability = min(stability, own-refDepthByCount(o))
+		}
+	}
+	return stability
+}
+
+// refWorkStability is Definition II.1 under d_w as an exact ratio against
+// the reference work, min(d_w(n), gaps to same-height competitors) / w(ref),
+// reading 0 without a positive reference; n is δ-stable when it is ≥ δ.
+func refWorkStability(t *Tree, n *Node, refWork *big.Int) *big.Rat {
+	if refWork.Sign() <= 0 {
+		return new(big.Rat)
+	}
+	own := refDepthByWork(n)
+	minVal := new(big.Int).Set(own)
+	for _, o := range t.AtHeight(n.Height) {
+		if o == n {
+			continue
+		}
+		if gap := new(big.Int).Sub(own, refDepthByWork(o)); gap.Cmp(minVal) < 0 {
+			minVal = gap
+		}
+	}
+	return new(big.Rat).SetFrac(minVal, refWork)
+}
+
+// FuzzTreeAggregates holds the per-node aggregates Insert maintains to the
+// recursive definitions. Each byte pair of the input is one step: insert a
+// header under a live node (regtest bits, a harder target whose work is
+// 256 times regtest's, or bits 0, which carry no work), or now and then
+// re-root at one of the root's children. After every step, every live node
+// must answer d_c, d_w, StabilityByCount and IsWorkStable for δ ∈ [-3, 8]
+// as the recursion does, and Tip, MaxHeight and CurrentChain must match a
+// scan of the whole tree.
+func FuzzTreeAggregates(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 2})                    // a chain: the walk must reach the root
+	f.Add([]byte{2, 0, 2, 1, 0, 0, 1, 1})              // zero-work headers tie their parents
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 15, 0, 0, 2, 1, 3}) // a fork of mixed work, then a re-root
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		seed := make([]byte, 2*(1+rng.Intn(40)))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	regtest := btc.RegtestParams().GenesisHeader.Bits
+	bitsOf := [3]uint32{regtest, regtest - 0x01000000, 0}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tree := NewTree(btc.RegtestParams().GenesisHeader, 0)
+		live := []*Node{tree.Root()}
+		for i := 0; i+1 < len(data) && i < 128; i += 2 {
+			op, pick := data[i], int(data[i+1])
+			if kids := tree.Root().Children(); op%16 == 15 && len(kids) > 0 {
+				if err := tree.Reroot(kids[pick%len(kids)]); err != nil {
+					t.Fatal(err)
+				}
+				kept := live[:0]
+				for _, n := range live {
+					if tree.Get(n.Hash) == n {
+						kept = append(kept, n)
+					}
+				}
+				live = kept
+			} else {
+				parent := live[pick%len(live)]
+				n, err := tree.Insert(testHeader(parent.Hash, uint32(i), bitsOf[op%3]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, n)
+			}
+			checkAggregates(t, tree, live)
+		}
+	})
+}
+
+func checkAggregates(t *testing.T, tree *Tree, live []*Node) {
+	t.Helper()
+	if len(live) != tree.Len() {
+		t.Fatalf("%d live nodes, tree holds %d", len(live), tree.Len())
+	}
+	tip, maxH := refTip(tree), int64(0)
+	for _, n := range live {
+		maxH = max(maxH, n.Height)
+		if got, want := tree.DepthByCount(n), refDepthByCount(n); got != want {
+			t.Fatalf("height %d: d_c %d, want %d", n.Height, got, want)
+		}
+		if got, want := tree.DepthByWork(n), refDepthByWork(n); got.Cmp(want) != 0 {
+			t.Fatalf("height %d: d_w %v, want %v", n.Height, got, want)
+		}
+		if got, want := tree.StabilityByCount(n), refStabilityByCount(tree, n); got != want {
+			t.Fatalf("height %d: stability %d, want %d", n.Height, got, want)
+		}
+		ref := tree.Root().Work
+		stability := refWorkStability(tree, n, ref)
+		for delta := int64(-3); delta <= 8; delta++ {
+			want := stability.Cmp(new(big.Rat).SetInt64(delta)) >= 0
+			if got := tree.IsWorkStable(n, delta, ref); got != want {
+				t.Fatalf("height %d δ=%d: work-stable %v, want %v", n.Height, delta, got, want)
+			}
+		}
+	}
+	if got := tree.Tip(); got != tip {
+		t.Fatalf("tip at height %d, want height %d", got.Height, tip.Height)
+	}
+	if got := tree.MaxHeight(); got != maxH {
+		t.Fatalf("max height %d, want %d", got, maxH)
+	}
+	cur := tree.CurrentChain()
+	if cur[0] != tree.Root() || cur[len(cur)-1] != tip {
+		t.Fatal("current chain does not run from the root to the tip")
+	}
+	for i := 1; i < len(cur); i++ {
+		if cur[i].Parent() != cur[i-1] {
+			t.Fatal("current chain not parent-linked")
+		}
 	}
 }
