@@ -23,9 +23,8 @@ import (
 
 // opts are the knobs the figures share; each figure reads the ones it has.
 type opts struct {
-	seed   int64
-	scale  int
-	trials int
+	seed  int64
+	scale int
 }
 
 // figure is one -fig value. The flag help, the "all" loop, the unknown-name
@@ -91,14 +90,6 @@ var figures = []figure{
 		res.Print(w)
 		return nil
 	}},
-	{"eclipse", "Lemma IV.1 (eclipse)", func(w io.Writer, o opts) error {
-		experiments.RunEclipse(o.trials, o.seed).Print(w)
-		return nil
-	}},
-	{"downtime", "Lemma IV.3 (downtime)", func(w io.Writer, o opts) error {
-		experiments.RunDowntime(o.trials, o.seed, 13).Print(w)
-		return nil
-	}},
 	{"degrade", "Degradation: recovery vs adapter-link loss rate", func(w io.Writer, o opts) error {
 		cfg := experiments.DefaultDegradeConfig()
 		cfg.Seed = o.seed
@@ -156,7 +147,6 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	var o opts
 	fs.Int64Var(&o.seed, "seed", 7, "simulation seed")
 	fs.IntVar(&o.scale, "scale", 10, "population scale divisor for Fig 7 / latency (1 = paper's full 1000 addresses)")
-	fs.IntVar(&o.trials, "trials", 50_000, "Monte Carlo trials for the security lemmas")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

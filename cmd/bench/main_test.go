@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figures.g
 
 // TestFiguresGolden is the exact-equality gate on the paper's evaluation:
 // every figure is metered instructions or simulated latency on the virtual
-// clock, so at the default seed/scale/trials the output is the same bytes on
+// clock, so at the default seed/scale the output is the same bytes on
 // every run, at any GOMAXPROCS. A diff here means a change moved a number the
 // paper reports — intended or not, it has to be looked at.
 func TestFiguresGolden(t *testing.T) {

@@ -2,6 +2,7 @@ package adapter
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,9 +13,8 @@ import (
 	"icbtc/internal/simnet"
 )
 
-// Integration-level counterpart of the Lemma IV.1 Monte Carlo: adapters
-// running the REAL discovery process against a directory that mixes honest
-// and adversarial (silent) Bitcoin nodes.
+// Lemma IV.1 on the real adapter: the discovery process runs against a
+// directory that mixes honest and adversarial (silent) Bitcoin nodes.
 
 // buildMixedNetwork returns a network with honest and silent-adversarial
 // nodes all registered in one directory.
@@ -64,7 +64,7 @@ func TestAdapterSyncsDespiteSilentAdversaries(t *testing.T) {
 		}
 	}
 	if honestConns == 0 {
-		t.Skip("all connections adversarial for this seed (probability ϕ^ℓ); covered by the Monte Carlo")
+		t.Fatalf("all %d connections adversarial at the fixed seed: the test no longer exercises sync", len(ad.ConnectedPeers()))
 	}
 	if got := ad.Tree().MaxHeight(); got != 5 {
 		t.Fatalf("adapter synced to %d with %d honest connections", got, honestConns)
@@ -128,44 +128,49 @@ func TestDropConnectionFallsBackToSoleCandidate(t *testing.T) {
 
 func TestAdapterEclipseFrequencyMatchesPhiToTheL(t *testing.T) {
 	// Run the real discovery process across many seeds and compare the
-	// all-adversarial-connection frequency with ϕ^ℓ. Small ℓ keeps the
-	// probability measurable with few trials.
+	// all-adversarial-connection frequency with ϕ^ℓ for each ℓ, on the same
+	// seeds. Small ℓ keeps the probability measurable with few trials.
 	const (
 		honest      = 5
 		adversarial = 5 // ϕ = 0.5
-		l           = 2 // ϕ^ℓ = 0.25
+		phi         = 0.5
 		trials      = 120
 	)
-	eclipsed := 0
-	for trial := 0; trial < trials; trial++ {
-		sched, net, sim := buildMixedNetwork(t, int64(1000+trial), honest, adversarial)
-		cfg := ConfigForNetwork(btc.Regtest)
-		cfg.Connections = l
-		cfg.AddrLowWater, cfg.AddrHighWater = 1, 50
-		ad := New(simnet.NodeID(fmt.Sprintf("adapter/t%d", trial)), net, btc.RegtestParams(), sim.Directory, cfg)
-		ad.Start()
-		sched.RunFor(10 * time.Second)
-		advSet := map[simnet.NodeID]bool{}
-		for _, adv := range sim.Adversaries {
-			advSet[adv.Node.ID] = true
-		}
-		all := true
-		peers := ad.ConnectedPeers()
-		if len(peers) == 0 {
-			all = false
-		}
-		for _, p := range peers {
-			if !advSet[p] {
-				all = false
+	prev := 1.0
+	for l := 1; l <= 3; l++ {
+		eclipsed := 0
+		for trial := 0; trial < trials; trial++ {
+			sched, net, sim := buildMixedNetwork(t, int64(1000+trial), honest, adversarial)
+			cfg := ConfigForNetwork(btc.Regtest)
+			cfg.Connections = l
+			cfg.AddrLowWater, cfg.AddrHighWater = 1, 50
+			ad := New(simnet.NodeID(fmt.Sprintf("adapter/t%d", trial)), net, btc.RegtestParams(), sim.Directory, cfg)
+			ad.Start()
+			sched.RunFor(10 * time.Second)
+			advSet := map[simnet.NodeID]bool{}
+			for _, adv := range sim.Adversaries {
+				advSet[adv.Node.ID] = true
+			}
+			peers := ad.ConnectedPeers()
+			all := len(peers) > 0
+			for _, p := range peers {
+				if !advSet[p] {
+					all = false
+				}
+			}
+			if all {
+				eclipsed++
 			}
 		}
-		if all {
-			eclipsed++
+		freq := float64(eclipsed) / float64(trials)
+		want := math.Pow(phi, float64(l))
+		se := math.Sqrt(want * (1 - want) / trials)
+		if math.Abs(freq-want) > 3*se {
+			t.Errorf("ℓ=%d: eclipse frequency %.3f outside 3 standard errors (%.3f) of ϕ^ℓ = %.3f", l, freq, se, want)
 		}
-	}
-	freq := float64(eclipsed) / float64(trials)
-	// ϕ^ℓ = 0.25 ± wide MC band (sd ≈ 0.04 at 120 trials).
-	if freq < 0.10 || freq > 0.45 {
-		t.Fatalf("eclipse frequency %.3f far from ϕ^ℓ = 0.25", freq)
+		if freq >= prev {
+			t.Errorf("ℓ=%d: eclipse frequency %.3f did not fall below ℓ=%d's %.3f", l, freq, l-1, prev)
+		}
+		prev = freq
 	}
 }

@@ -73,7 +73,7 @@ func NewHashFromString(s string) (Hash, error) {
 // RIPEMD-160 is not in the Go standard library, so the outer hash here is the
 // first 20 bytes of a second SHA-256. The construction preserves everything
 // the architecture relies on — a 20-byte collision-resistant commitment to a
-// public key — and is documented in DESIGN.md.
+// public key.
 func Hash160(data []byte) [20]byte {
 	first := sha256.Sum256(data)
 	second := sha256.Sum256(first[:])

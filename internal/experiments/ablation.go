@@ -16,7 +16,7 @@ import (
 	"math/rand"
 )
 
-// Ablation benches for the design choices DESIGN.md calls out.
+// Ablation benches for the design choices the paper trades off.
 
 // --- δ sweep: request cost vs stability threshold (§III-C trade-off) ---
 

@@ -2,13 +2,13 @@
 // the paper's evaluation (§IV): UTXO-set and storage growth (Fig 5), block
 // ingestion cost and its insert/remove split (Fig 6), request latency and
 // instruction counts versus UTXO-set size (Fig 7), the latency and cost
-// summary numbers, and Monte-Carlo validations of the security lemmas
-// (IV.1–IV.3), plus ablations over the design parameters DESIGN.md calls
-// out (δ, τ, single- versus multi-block responses).
+// summary numbers, plus ablations over δ and single- versus multi-block
+// responses, the read path's cost against unstable depth, and recovery
+// under adapter-link loss.
 //
 // Experiments run against the same canister, adapter, and subnet code the
 // integration uses; the workload generators below replace the mainnet
-// traffic the paper measured (see the substitution table in DESIGN.md).
+// traffic the paper measured.
 package experiments
 
 import (

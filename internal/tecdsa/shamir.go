@@ -16,7 +16,7 @@
 //   - threshold Schnorr (BIP340-style), which is linear and therefore
 //     needs only degree-t interpolation.
 //
-// Substitution note (documented in DESIGN.md): the paper's production
+// Substitution note: the paper's production
 // protocol [Groth–Shoup 2022] is actively secure against f < n/3 Byzantine
 // signers under asynchrony; this reproduction provides the same interface
 // and signature artifacts with passive security, which suffices for every
