@@ -51,6 +51,19 @@ func (h Hash) String() string {
 // IsZero reports whether the hash is all zeros.
 func (h Hash) IsZero() bool { return h == ZeroHash }
 
+// Less reports whether h sorts before o in display order: the byte-reversed
+// hashes compared as big-endian numbers, so "the lower hash" means the
+// smaller number an explorer shows. Definition II.1's tip tie-break and the
+// canonical get_utxos order both use it.
+func (h Hash) Less(o Hash) bool {
+	for i := HashSize - 1; i >= 0; i-- {
+		if h[i] != o[i] {
+			return h[i] < o[i]
+		}
+	}
+	return false
+}
+
 // NewHashFromString parses a display-order hex string.
 func NewHashFromString(s string) (Hash, error) {
 	raw, err := hex.DecodeString(s)

@@ -66,7 +66,7 @@ func (m *Miner) BuildBlockOn(parent *chain.Node, maxTxs int) (*btc.Block, error)
 		Transactions: txs,
 	}
 	// The timestamp must be strictly after the parent's median time past.
-	if mtp := parentMTP(parent); block.Header.Timestamp <= mtp {
+	if mtp := btc.MedianTimePast(parent.TimestampWindow()); block.Header.Timestamp <= mtp {
 		block.Header.Timestamp = mtp + 1
 	}
 	block.Header.MerkleRoot = block.MerkleRoot()
@@ -111,15 +111,4 @@ func coinbaseScript(height int64, extra uint64) []byte {
 		byte(extra), byte(extra >> 8), byte(extra >> 16), byte(extra >> 24),
 		byte(extra >> 32), byte(extra >> 40), byte(extra >> 48), byte(extra >> 56),
 	}
-}
-
-func parentMTP(parent *chain.Node) uint32 {
-	var ts []uint32
-	for cur := parent; cur != nil && len(ts) < 11; cur = cur.Parent() {
-		ts = append(ts, cur.Header.Timestamp)
-	}
-	for i, j := 0, len(ts)-1; i < j; i, j = i+1, j-1 {
-		ts[i], ts[j] = ts[j], ts[i]
-	}
-	return btc.MedianTimePast(ts)
 }

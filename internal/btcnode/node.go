@@ -597,26 +597,9 @@ func (n *Node) MempoolTxs() []*btc.Transaction {
 	for id := range n.mempool {
 		ids = append(ids, id)
 	}
-	sortHashes(ids)
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	for _, id := range ids {
 		txs = append(txs, n.mempool[id])
 	}
 	return txs
-}
-
-func sortHashes(hs []btc.Hash) {
-	for i := 1; i < len(hs); i++ {
-		for j := i; j > 0 && lessHash(hs[j], hs[j-1]); j-- {
-			hs[j], hs[j-1] = hs[j-1], hs[j]
-		}
-	}
-}
-
-func lessHash(a, b btc.Hash) bool {
-	for i := btc.HashSize - 1; i >= 0; i-- {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

@@ -62,9 +62,7 @@ func TestSyncWireMatchesSerial(t *testing.T) {
 	}
 	want := snapshotOf(t, serial)
 
-	for _, cfg := range []ingest.Config{
-		{Workers: 1}, {Workers: 2, Window: 2}, {Workers: 4}, {Workers: 8, Window: 3}, {Workers: 8, Window: 32},
-	} {
+	for _, cfg := range []ingest.Config{{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 8}} {
 		pipelined := New(DefaultConfig(btc.Regtest))
 		stats, err := pipelined.SyncWire(r.ctx(), wire, cfg)
 		if err != nil {
@@ -74,7 +72,7 @@ func TestSyncWireMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: accepted %d rejected %d of %d", cfg.Workers, stats.Accepted, stats.Rejected, len(wire))
 		}
 		if !bytes.Equal(snapshotOf(t, pipelined), want) {
-			t.Fatalf("workers=%d window=%d: pipelined state diverged from serial", cfg.Workers, cfg.Window)
+			t.Fatalf("workers=%d: pipelined state diverged from serial", cfg.Workers)
 		}
 	}
 }

@@ -203,7 +203,7 @@ func (t *Tree) Insert(header btc.BlockHeader) (*Node, error) {
 // cumulative work, ties broken by the lower hash.
 func heavier(a, b *Node) bool {
 	c := a.CumulativeWork.Cmp(b.CumulativeWork)
-	return c > 0 || c == 0 && lessHash(a.Hash, b.Hash)
+	return c > 0 || c == 0 && a.Hash.Less(b.Hash)
 }
 
 // DepthByCount is d_c(b): the most blocks (counting b itself) on any path
@@ -330,7 +330,7 @@ func (t *Tree) BFSFrom(start *Node, visit func(*Node) bool) {
 		}
 		kids := make([]*Node, len(n.children))
 		copy(kids, n.children)
-		sort.Slice(kids, func(i, j int) bool { return lessHash(kids[i].Hash, kids[j].Hash) })
+		sort.Slice(kids, func(i, j int) bool { return kids[i].Hash.Less(kids[j].Hash) })
 		queue = append(queue, kids...)
 	}
 }
@@ -370,15 +370,6 @@ func (t *Tree) Tips() []*Node {
 			tips = append(tips, n)
 		}
 	}
-	sort.Slice(tips, func(i, j int) bool { return lessHash(tips[i].Hash, tips[j].Hash) })
+	sort.Slice(tips, func(i, j int) bool { return tips[i].Hash.Less(tips[j].Hash) })
 	return tips
-}
-
-func lessHash(a, b btc.Hash) bool {
-	for i := btc.HashSize - 1; i >= 0; i-- {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

@@ -588,7 +588,7 @@ func refTip(t *Tree) *Node {
 			continue
 		}
 		if best == nil || n.CumulativeWork.Cmp(best.CumulativeWork) > 0 ||
-			(n.CumulativeWork.Cmp(best.CumulativeWork) == 0 && lessHash(n.Hash, best.Hash)) {
+			(n.CumulativeWork.Cmp(best.CumulativeWork) == 0 && n.Hash.Less(best.Hash)) {
 			best = n
 		}
 	}

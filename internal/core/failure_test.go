@@ -15,7 +15,20 @@ func TestSurvivesMessageLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Net.SetLossRate(0.15)
+	var ids []simnet.NodeID
+	for _, n := range in.Bitcoin.Nodes {
+		ids = append(ids, n.ID)
+	}
+	for _, a := range in.Adapters {
+		ids = append(ids, a.ID)
+	}
+	for _, from := range ids {
+		for _, to := range ids {
+			if from != to {
+				in.Net.SetLinkProfile(from, to, &simnet.LinkProfile{LossRate: 0.15})
+			}
+		}
+	}
 	in.Start()
 	in.RunFor(10 * time.Second)
 	if _, err := in.MineBlocks(6); err != nil {
@@ -31,6 +44,9 @@ func TestSurvivesMessageLoss(t *testing.T) {
 	}
 	if bal != 6*in.Params.BlockSubsidy {
 		t.Fatalf("balance %d under loss", bal)
+	}
+	if _, _, dropped := in.Net.Stats(); dropped == 0 {
+		t.Fatal("no message was lost")
 	}
 }
 

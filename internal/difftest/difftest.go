@@ -157,8 +157,8 @@ type Harness struct {
 	overlay *canister.BitcoinCanister
 	// pipelined receives identical payloads through ProcessPayloadPipelined
 	// at per-payload randomized worker counts (1..8, degenerating to the
-	// serial loop at 1) and prefetch windows (1..8). After every step its
-	// full snapshot and its probe responses must be byte-identical to the
+	// serial loop at 1; the prefetch window is twice the count). After every
+	// step its full snapshot and its probe responses must be byte-identical to the
 	// serial overlay's, its oracle — across reorgs, header delays and its own
 	// mid-run RestoreSnapshotParallel re-hydrations.
 	pipelined *canister.BitcoinCanister
@@ -595,18 +595,18 @@ func (h *Harness) deliverBlocks(blocks ...*btc.Block) error {
 // then records the authoritative probe answers for any frame the payload
 // published — the per-frame history lagged replicas are verified against.
 // The pipelined canister receives the payload through the parallel ingest
-// pipeline at a per-payload randomized worker count and prefetch window.
+// pipeline at a per-payload randomized worker count.
 func (h *Harness) deliver(resp adapter.Response) error {
 	if err := h.overlay.ProcessPayload(h.ctx(ic.KindUpdate), resp); err != nil {
 		return fmt.Errorf("overlay payload: %w", err)
 	}
-	cfg := ingest.Config{Workers: 1 + h.rng.Intn(8), Window: 1 + h.rng.Intn(8)}
+	cfg := ingest.Config{Workers: 1 + h.rng.Intn(8)}
 	h.stats.PipelinedWorkerSum += cfg.Workers
 	if cfg.Workers == 1 {
 		h.stats.PipelinedSerial++
 	}
 	if err := h.pipelined.ProcessPayloadPipelined(h.ctx(ic.KindUpdate), resp, cfg); err != nil {
-		return fmt.Errorf("pipelined payload (workers=%d window=%d): %w", cfg.Workers, cfg.Window, err)
+		return fmt.Errorf("pipelined payload (workers=%d): %w", cfg.Workers, err)
 	}
 	if seq := h.fleet.LastSeq(); seq > h.lastRecorded {
 		h.probeHistory[seq] = h.probeDigests(h.overlay)

@@ -5,10 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"slices"
 	"time"
 
+	"icbtc/internal/secp256k1"
 	"icbtc/internal/simnet"
 	"icbtc/internal/tecdsa"
 )
@@ -583,10 +585,10 @@ func (s *Subnet) VerifyCertified(value any, errVal error, signature []byte) bool
 		return false
 	}
 	digest := ResponseDigest(value, errVal)
-	sig, err := parseSchnorr(signature)
+	sig, err := secp256k1.ParseSchnorrSignature(signature)
 	if err != nil {
 		return false
 	}
-	px := xOnly(s.committee.PublicKey().SerializeCompressed())
-	return verifySchnorr(sig, digest[:], px)
+	px := new(big.Int).SetBytes(s.committee.PublicKey().XOnlyPubKey())
+	return secp256k1.SchnorrVerify(sig, digest[:], px)
 }

@@ -34,18 +34,16 @@ type Config struct {
 	// Workers is the number of concurrent produce goroutines. Values <= 1,
 	// or a batch of one item, select the serial path (produce and consume
 	// interleaved on the calling goroutine — no goroutines, no channels).
+	// At most 2×Workers items are in flight (produced or being produced but
+	// not yet consumed) at once: the prefetch depth K.
 	Workers int
-	// Window bounds how many items may be in flight (produced or being
-	// produced but not yet consumed) at once; it is the prefetch depth K.
-	// <= 0 defaults to 2×Workers.
-	Window int
 	// Obs, when non-nil, receives pipeline instrumentation: items consumed,
 	// per-item produce/consume durations (measured on the registry clock,
-	// so seeded runs stay bit-identical), and the configured prefetch depth.
-	// The depth gauge reports the window the run was CONFIGURED with, never
-	// live channel occupancy — sampling goroutine-scheduling state would
-	// leak real-process nondeterminism into deterministic snapshots. Nil
-	// (the default) adds zero overhead.
+	// so seeded runs stay bit-identical), and the prefetch depth. The depth
+	// gauge reports the window, 2×Workers, never live channel occupancy —
+	// sampling goroutine-scheduling state would leak real-process
+	// nondeterminism into deterministic snapshots. Nil (the default) adds
+	// zero overhead.
 	Obs *obs.Registry
 }
 
@@ -67,26 +65,7 @@ func DefaultWorkers() int {
 // NormalizedWorkers returns the worker count Map will run with (before
 // the per-call clamp to the item count) — what callers use to size
 // worker-local state or to decide whether a run has a second core.
-func (c Config) NormalizedWorkers() int {
-	workers, _ := c.normalized()
-	return workers
-}
-
-// normalized returns the effective worker count and window.
-func (c Config) normalized() (workers, window int) {
-	workers = c.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	window = c.Window
-	if window <= 0 {
-		window = 2 * workers
-	}
-	if window < workers {
-		window = workers
-	}
-	return workers, window
-}
+func (c Config) NormalizedWorkers() int { return max(c.Workers, 1) }
 
 // instrumented wraps a run's produce and consume with obs recording on
 // registry r: ingest_produce_duration_ns is observed on worker goroutines
@@ -115,7 +94,7 @@ func instrumented[T any](r *obs.Registry, window int,
 }
 
 // Map runs produce(i) for every i in [0, n) on cfg.Workers goroutines with
-// at most cfg.Window items in flight, and feeds the results to consume in
+// at most 2×cfg.Workers items in flight, and feeds the results to consume in
 // strict index order on the calling goroutine. It returns the first
 // consume error: no further produce call starts, and Map waits for the ones
 // in flight, so on every return path — error or not — no produce call is
@@ -130,7 +109,8 @@ func Map[T any](n int, cfg Config, produce func(worker, i int) T, consume func(i
 	if n <= 0 {
 		return nil
 	}
-	workers, window := cfg.normalized()
+	workers := cfg.NormalizedWorkers()
+	window := 2 * workers
 	if cfg.Obs != nil {
 		produce, consume = instrumented(cfg.Obs, window, produce, consume)
 	}

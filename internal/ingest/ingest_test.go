@@ -13,40 +13,38 @@ import (
 )
 
 // TestMapOrdering: consume must see every index exactly once, in order,
-// with the produced value, at every worker/window combination.
+// with the produced value, at every worker count.
 func TestMapOrdering(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 8, 17} {
-		for _, window := range []int{0, 1, 2, 5, 64} {
-			n := 200
-			next := 0
-			err := Map(n, Config{Workers: workers, Window: window},
-				func(_, i int) int { return i * 3 },
-				func(i, v int) error {
-					if i != next {
-						t.Fatalf("workers=%d window=%d: consumed %d, want %d", workers, window, i, next)
-					}
-					if v != i*3 {
-						t.Fatalf("workers=%d window=%d: value %d for index %d", workers, window, v, i)
-					}
-					next++
-					return nil
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if next != n {
-				t.Fatalf("workers=%d window=%d: consumed %d of %d", workers, window, next, n)
-			}
+	for _, workers := range []int{0, 1, 2, 3, 8, 17, 150, 300} {
+		n := 200
+		next := 0
+		err := Map(n, Config{Workers: workers},
+			func(_, i int) int { return i * 3 },
+			func(i, v int) error {
+				if i != next {
+					t.Fatalf("workers=%d: consumed %d, want %d", workers, i, next)
+				}
+				if v != i*3 {
+					t.Fatalf("workers=%d: value %d for index %d", workers, v, i)
+				}
+				next++
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next != n {
+			t.Fatalf("workers=%d: consumed %d of %d", workers, next, n)
 		}
 	}
 }
 
-// TestMapWindowBound: no more than Window items may be produced beyond the
-// consume frontier.
+// TestMapWindowBound: no more than 2×Workers items may be produced beyond
+// the consume frontier.
 func TestMapWindowBound(t *testing.T) {
-	const n, window = 100, 4
+	const n, workers, window = 100, 3, 2 * 3
 	var produced, consumed atomic.Int64
-	err := Map(n, Config{Workers: 3, Window: window},
+	err := Map(n, Config{Workers: workers},
 		func(_, i int) int {
 			p := produced.Add(1)
 			if c := consumed.Load(); p-c > window+1 {
@@ -69,7 +67,7 @@ func TestMapWindowBound(t *testing.T) {
 func TestMapConsumeError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := Map(500, Config{Workers: workers, Window: 3},
+		err := Map(500, Config{Workers: workers},
 			func(_, i int) int { return i },
 			func(i, v int) error {
 				if i == 7 {
@@ -85,7 +83,7 @@ func TestMapConsumeError(t *testing.T) {
 
 // TestMapSingleItemRunsSerial: a batch of one has nothing to overlap with, so
 // whatever Workers says it runs on the calling goroutine — no pool, no
-// channels — and the obs gauge still reports the configured window.
+// channels — and the obs gauge still reports the window, 2×Workers.
 func TestMapSingleItemRunsSerial(t *testing.T) {
 	goroutine := func() string {
 		buf := make([]byte, 64)
@@ -95,7 +93,7 @@ func TestMapSingleItemRunsSerial(t *testing.T) {
 	caller := goroutine()
 	reg := obs.NewRegistry()
 	var consumed int
-	err := Map(1, Config{Workers: 8, Window: 16, Obs: reg},
+	err := Map(1, Config{Workers: 8, Obs: reg},
 		func(worker, i int) int {
 			if g := goroutine(); g != caller || worker != 0 {
 				t.Errorf("produce ran as worker %d on %q, want worker 0 on the caller's %q", worker, g, caller)
@@ -107,7 +105,7 @@ func TestMapSingleItemRunsSerial(t *testing.T) {
 		t.Fatalf("consumed %d, err %v", consumed, err)
 	}
 	if got := reg.Gauge("ingest_window_depth").Value(); got != 16 {
-		t.Errorf("ingest_window_depth = %d, want the configured 16", got)
+		t.Errorf("ingest_window_depth = %d, want 2×8", got)
 	}
 }
 
@@ -122,7 +120,7 @@ func TestMapJoinsWorkersOnConsumeError(t *testing.T) {
 	var returned atomic.Bool
 	inFlight := make(chan struct{}, 64) // one send per produce call past k; n is 64
 	failed := make(chan struct{})
-	err := Map(64, Config{Workers: 4, Window: 8},
+	err := Map(64, Config{Workers: 4},
 		func(_, i int) int {
 			if returned.Load() {
 				late.Add(1)
@@ -196,7 +194,7 @@ func TestMapDeterministicAggregation(t *testing.T) {
 	}
 	run := func(workers int) []int {
 		var out []int
-		err := Map(len(inputs), Config{Workers: workers, Window: 7},
+		err := Map(len(inputs), Config{Workers: workers},
 			func(_, i int) int {
 				if inputs[i]%3 == 0 {
 					time.Sleep(time.Duration(inputs[i]%5) * time.Microsecond)

@@ -8,13 +8,13 @@ import (
 
 // TestMapInstrumentation checks the optional obs wiring: item counts and
 // per-item durations land in the registry, the window-depth gauge reports
-// the CONFIGURED window, and both the serial and parallel paths record the
+// the window, 2×Workers, and both the serial and parallel paths record the
 // same totals.
 func TestMapInstrumentation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		const n = 37
-		err := Map(n, Config{Workers: workers, Window: 5, Obs: reg},
+		err := Map(n, Config{Workers: workers, Obs: reg},
 			func(_, i int) int { return i * i },
 			func(i, v int) error {
 				if v != i*i {
@@ -28,8 +28,8 @@ func TestMapInstrumentation(t *testing.T) {
 		if got := reg.Counter("ingest_items_total").Value(); got != n {
 			t.Errorf("workers=%d: items=%d, want %d", workers, got, n)
 		}
-		if got := reg.Gauge("ingest_window_depth").Value(); got != 5 {
-			t.Errorf("workers=%d: window_depth=%d, want 5", workers, got)
+		if got := reg.Gauge("ingest_window_depth").Value(); got != int64(2*workers) {
+			t.Errorf("workers=%d: window_depth=%d, want %d", workers, got, 2*workers)
 		}
 		if got := reg.Histogram("ingest_produce_duration_ns", obs.DurationBuckets).Count(); got != n {
 			t.Errorf("workers=%d: produce observations=%d, want %d", workers, got, n)

@@ -78,9 +78,10 @@ type Signature struct {
 	R, S *big.Int
 }
 
-// hashToScalar converts a message digest to a scalar per SEC1 §4.1.3
-// (truncate to the bit length of n, then reduce).
-func hashToScalar(digest []byte) *big.Int {
+// HashToScalar converts a message digest to a scalar per SEC1 §4.1.3
+// (truncate to the bit length of n, then reduce). The threshold ECDSA
+// protocol signs the same scalar.
+func HashToScalar(digest []byte) *big.Int {
 	z := new(big.Int).SetBytes(digest)
 	excess := len(digest)*8 - curveN.BitLen()
 	if excess > 0 {
@@ -95,7 +96,7 @@ func rfc6979Nonce(d *big.Int, digest []byte, extra byte) *big.Int {
 	x := make([]byte, 32)
 	d.FillBytes(x)
 	h1 := make([]byte, 32)
-	hashToScalar(digest).FillBytes(h1)
+	HashToScalar(digest).FillBytes(h1)
 
 	v := make([]byte, 32)
 	k := make([]byte, 32)
@@ -137,7 +138,7 @@ func (k *PrivateKey) Sign(digest []byte) (*Signature, error) {
 	if len(digest) != 32 {
 		return nil, fmt.Errorf("secp256k1: digest must be 32 bytes, got %d", len(digest))
 	}
-	z := hashToScalar(digest)
+	z := HashToScalar(digest)
 	for extra := byte(0); ; extra++ {
 		nonce := rfc6979Nonce(k.D, digest, extra)
 		sig, err := signWithNonce(k.D, z, nonce)
@@ -172,12 +173,12 @@ func signWithNonce(d, z, nonce *big.Int) (*Signature, error) {
 		return nil, errRetryNonce
 	}
 	sig := &Signature{R: r, S: s}
-	sig.normalizeS()
+	sig.NormalizeS()
 	return sig, nil
 }
 
-// normalizeS enforces the low-S rule in place.
-func (s *Signature) normalizeS() {
+// NormalizeS enforces the low-S rule in place.
+func (s *Signature) NormalizeS() {
 	if s.S.Cmp(halfN) > 0 {
 		s.S = new(big.Int).Sub(curveN, s.S)
 	}
@@ -191,7 +192,7 @@ func (s *Signature) Verify(digest []byte, pub *PublicKey) bool {
 	if s.R.Sign() <= 0 || s.R.Cmp(curveN) >= 0 || s.S.Sign() <= 0 || s.S.Cmp(curveN) >= 0 {
 		return false
 	}
-	z := hashToScalar(digest)
+	z := HashToScalar(digest)
 	w := new(big.Int).ModInverse(s.S, curveN)
 	u1 := new(big.Int).Mul(z, w)
 	u1.Mod(u1, curveN)

@@ -95,7 +95,7 @@ func (k *PrivateKey) SchnorrSign(msg []byte) (*SchnorrSignature, error) {
 	rx := make([]byte, 32)
 	rPt.X.FillBytes(rx)
 
-	e := schnorrChallenge(rPt.X, pub.X, msg)
+	e := SchnorrChallenge(rPt.X, pub.X, msg)
 	s := new(big.Int).Mul(e, d)
 	s.Add(s, kNonce)
 	s.Mod(s, curveN)
@@ -106,11 +106,6 @@ func (k *PrivateKey) SchnorrSign(msg []byte) (*SchnorrSignature, error) {
 // mod n. It is exported because the threshold Schnorr protocol must compute
 // the identical challenge when assembling signature shares.
 func SchnorrChallenge(rx, px *big.Int, msg []byte) *big.Int {
-	return schnorrChallenge(rx, px, msg)
-}
-
-// schnorrChallenge computes e = H_tag(R.x || P.x || m) mod n.
-func schnorrChallenge(rx, px *big.Int, msg []byte) *big.Int {
 	rb := make([]byte, 32)
 	rx.FillBytes(rb)
 	pb := make([]byte, 32)
@@ -137,7 +132,7 @@ func SchnorrVerify(sig *SchnorrSignature, msg []byte, px *big.Int) bool {
 		return false
 	}
 	pub := Point{X: new(big.Int).Set(px), Y: py}
-	e := schnorrChallenge(sig.RX, px, msg)
+	e := SchnorrChallenge(sig.RX, px, msg)
 	// R = s*G - e*P
 	sg := ScalarBaseMult(sig.S)
 	ep := ScalarMult(pub, e).Neg()

@@ -2,21 +2,20 @@ package simnet
 
 import "time"
 
-// LinkProfile describes the delivery behavior of one directed link,
-// overriding the network-wide defaults set with SetLatency/SetLossRate.
-// Profiles model *degraded* links — lossy, slow, bursty, flapping — as
-// opposed to the binary up/down faults of SetDown/SetPartition. Because a
+// LinkProfile describes the delivery behavior of one directed link. A link
+// without one behaves as the zero LinkProfile: lossless, at the default
+// latency. Profiles model *degraded* links — lossy, slow, bursty, flapping —
+// as opposed to the binary up/down faults of SetDown/SetPartition. Because a
 // profile is directed, asymmetric links (fast down, slow up) are expressed
 // by installing different profiles for the two directions.
 //
 // All random draws come from the scheduler's seeded RNG, so runs with a
 // profile installed stay fully deterministic.
 type LinkProfile struct {
-	// Latency overrides the network default when non-zero (Base or Jitter
-	// set). A zero LatencyModel falls through to the network default.
+	// Latency is the link's one-way delay. A zero LatencyModel means the
+	// default, 20ms base and 30ms jitter.
 	Latency LatencyModel
 	// LossRate is the per-message drop probability in [0,1) for this link.
-	// It replaces (not compounds with) the network-wide loss rate.
 	LossRate float64
 
 	// Latency-spike episodes: with probability SpikeRate per message, the
@@ -26,17 +25,6 @@ type LinkProfile struct {
 	SpikeRate     float64
 	SpikeFactor   float64
 	SpikeDuration time.Duration
-
-	// DuplicateRate is the probability a delivered message is delivered
-	// twice (the copy is independently delayed). Duplicates count as an
-	// extra sent+delivered pair in Stats so sent == delivered+dropped+inflight
-	// stays an invariant.
-	DuplicateRate float64
-
-	// ReorderRate is the probability a message is held back by an extra
-	// ReorderDelay, letting later sends overtake it.
-	ReorderRate  float64
-	ReorderDelay time.Duration
 
 	// Link flapping: when FlapPeriod > 0 the link is down for FlapDown out
 	// of every FlapPeriod, on a schedule offset drawn once (seeded) when the
@@ -50,7 +38,7 @@ type linkKey struct {
 	from, to NodeID
 }
 
-// link is the per-directed-link runtime state for an installed profile.
+// link is the per-directed-link runtime state of a profile.
 type link struct {
 	profile LinkProfile
 	// spikeUntil is the end of the current latency-spike episode.
@@ -61,7 +49,7 @@ type link struct {
 }
 
 // SetLinkProfile installs a profile on the directed link from→to. Passing
-// nil removes the profile, returning the link to the network defaults. The
+// nil removes the profile, returning the link to the zero profile. The
 // flap-schedule offset is drawn from the scheduler RNG at install time.
 func (n *Network) SetLinkProfile(from, to NodeID, p *LinkProfile) {
 	if n.links == nil {
@@ -102,24 +90,24 @@ func (l *link) flapDown(t time.Time) bool {
 }
 
 // plan computes the delivery plan for one message on this link: whether it
-// is dropped, its total delay, and whether a duplicate copy (with its own
-// delay) should be scheduled. All draws come from the scheduler RNG in a
-// fixed order so equal seeds replay identically.
-func (l *link) plan(n *Network) (drop bool, delay time.Duration, dup bool, dupDelay time.Duration) {
+// is dropped, and its delay. All draws come from the scheduler RNG in a
+// fixed order so equal seeds replay identically; on the zero profile the
+// only draw is one latency sample.
+func (l *link) plan(n *Network) (drop bool, delay time.Duration) {
 	p := l.profile
 	now := n.sched.Now()
 	rng := n.sched.Rand()
 
 	if l.flapDown(now) {
-		return true, 0, false, 0
+		return true, 0
 	}
 	if p.LossRate > 0 && rng.Float64() < p.LossRate {
-		return true, 0, false, 0
+		return true, 0
 	}
 
 	lat := p.Latency
-	if lat.Base == 0 && lat.Jitter == 0 {
-		lat = n.latency
+	if lat == (LatencyModel{}) {
+		lat = defaultLatency
 	}
 	delay = lat.sample(n.sched)
 
@@ -133,14 +121,5 @@ func (l *link) plan(n *Network) (drop bool, delay time.Duration, dup bool, dupDe
 			delay = time.Duration(float64(delay) * p.SpikeFactor)
 		}
 	}
-
-	if p.ReorderRate > 0 && p.ReorderDelay > 0 && rng.Float64() < p.ReorderRate {
-		delay += p.ReorderDelay
-	}
-
-	if p.DuplicateRate > 0 && rng.Float64() < p.DuplicateRate {
-		dup = true
-		dupDelay = lat.sample(n.sched)
-	}
-	return false, delay, dup, dupDelay
+	return false, delay
 }

@@ -34,36 +34,37 @@ func (l LatencyModel) sample(s *Scheduler) time.Duration {
 	return d
 }
 
-// Network is an in-process message-passing fabric with per-link latency,
-// random loss, and partitions. All delivery happens via the scheduler, so a
-// simulation remains fully deterministic.
+// defaultLatency is the one-way delay of a link whose profile sets no
+// latency: 20ms base, 30ms jitter — a rough WAN profile.
+var defaultLatency = LatencyModel{Base: 20 * time.Millisecond, Jitter: 30 * time.Millisecond}
+
+// Network is an in-process message-passing fabric with per-link profiles
+// (latency, loss, spikes, flapping) and partitions. All delivery happens via
+// the scheduler, so a simulation remains fully deterministic.
 type Network struct {
 	sched     *Scheduler
 	endpoints map[NodeID]Endpoint
-	latency   LatencyModel
-	// lossRate is the probability in [0,1) that a message is dropped.
-	lossRate float64
 	// partition maps a node to its partition group; nodes in different
 	// groups cannot exchange messages. Empty string means the default group.
 	partition map[NodeID]string
 	// downNodes cannot send or receive (crash faults).
 	downNodes map[NodeID]bool
-	// links holds per-directed-link degradation profiles; links without an
-	// entry use the uniform latency/lossRate defaults above.
-	links map[linkKey]*link
+	// links holds per-directed-link profiles; a link without an entry is
+	// planned by unprofiled, whose zero LinkProfile keeps no state.
+	links      map[linkKey]*link
+	unprofiled link
 	// stats
 	sent      int64
 	delivered int64
 	dropped   int64
 }
 
-// NewNetwork creates a network on a scheduler with a default latency model
-// (20ms base, 30ms jitter — a rough WAN profile).
+// NewNetwork creates a network on a scheduler. Every link starts lossless
+// at the default latency until SetLinkProfile degrades it.
 func NewNetwork(s *Scheduler) *Network {
 	return &Network{
 		sched:     s,
 		endpoints: make(map[NodeID]Endpoint),
-		latency:   LatencyModel{Base: 20 * time.Millisecond, Jitter: 30 * time.Millisecond},
 		partition: make(map[NodeID]string),
 		downNodes: make(map[NodeID]bool),
 	}
@@ -71,20 +72,6 @@ func NewNetwork(s *Scheduler) *Network {
 
 // Scheduler returns the scheduler the network delivers on.
 func (n *Network) Scheduler() *Scheduler { return n.sched }
-
-// SetLatency replaces the latency model.
-func (n *Network) SetLatency(l LatencyModel) { n.latency = l }
-
-// SetLossRate sets the uniform message-drop probability.
-func (n *Network) SetLossRate(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p >= 1 {
-		p = 0.999
-	}
-	n.lossRate = p
-}
 
 // Register attaches an endpoint under an ID. Re-registering replaces the
 // previous endpoint (used to simulate restarts).
@@ -132,33 +119,15 @@ func (n *Network) Send(from, to NodeID, msg any) {
 		n.dropped++
 		return
 	}
-	var delay time.Duration
-	if l := n.links[linkKey{from, to}]; l != nil {
-		drop, d, dup, dupDelay := l.plan(n)
-		if drop {
-			n.dropped++
-			return
-		}
-		delay = d
-		if dup {
-			// The duplicate is an extra message on the wire: count it as
-			// sent so sent == delivered + dropped + in-flight holds.
-			n.sent++
-			n.scheduleDelivery(from, to, msg, dupDelay)
-		}
-	} else {
-		if n.lossRate > 0 && n.sched.Rand().Float64() < n.lossRate {
-			n.dropped++
-			return
-		}
-		delay = n.latency.sample(n.sched)
+	l := n.links[linkKey{from, to}]
+	if l == nil {
+		l = &n.unprofiled
 	}
-	n.scheduleDelivery(from, to, msg, delay)
-}
-
-// scheduleDelivery queues one delivery attempt after delay, re-checking
-// liveness and partitions at delivery time.
-func (n *Network) scheduleDelivery(from, to NodeID, msg any, delay time.Duration) {
+	drop, delay := l.plan(n)
+	if drop {
+		n.dropped++
+		return
+	}
 	n.sched.After(delay, func() {
 		ep := n.endpoints[to]
 		if ep == nil || n.downNodes[to] {
@@ -174,15 +143,6 @@ func (n *Network) scheduleDelivery(from, to NodeID, msg any, delay time.Duration
 		n.delivered++
 		ep.Receive(from, msg)
 	})
-}
-
-// Broadcast sends msg from one node to a list of peers.
-func (n *Network) Broadcast(from NodeID, peers []NodeID, msg any) {
-	for _, p := range peers {
-		if p != from {
-			n.Send(from, p, msg)
-		}
-	}
 }
 
 // Stats returns cumulative (sent, delivered, dropped) counters.

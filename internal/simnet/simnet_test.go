@@ -124,17 +124,27 @@ func TestNetworkDelivery(t *testing.T) {
 	}
 }
 
+// TestNetworkLatencyApplied: an unprofiled link delays every message by the
+// default model, 20ms base plus up to 30ms jitter.
 func TestNetworkLatencyApplied(t *testing.T) {
 	s := NewScheduler(1)
 	n := NewNetwork(s)
-	n.SetLatency(LatencyModel{Base: 100 * time.Millisecond})
-	var deliveredAt time.Time
-	n.Register("b", endpointFunc(func(NodeID, any) { deliveredAt = s.Now() }))
-	start := s.Now()
-	n.Send("a", "b", 1)
-	s.Drain(10)
-	if deliveredAt.Sub(start) != 100*time.Millisecond {
-		t.Fatalf("delivered after %v", deliveredAt.Sub(start))
+	var delays []time.Duration
+	n.Register("b", endpointFunc(func(_ NodeID, msg any) {
+		delays = append(delays, s.Now().Sub(msg.(time.Time)))
+	}))
+	for i := 0; i < 100; i++ {
+		n.Send("a", "b", s.Now())
+		s.RunFor(time.Millisecond)
+	}
+	s.Drain(200)
+	if len(delays) != 100 {
+		t.Fatalf("delivered %d of 100 over an unprofiled link", len(delays))
+	}
+	for _, d := range delays {
+		if d < 20*time.Millisecond || d >= 50*time.Millisecond {
+			t.Fatalf("delivered after %v, outside [20ms, 50ms)", d)
+		}
 	}
 }
 
@@ -199,7 +209,6 @@ func TestNetworkPartition(t *testing.T) {
 func TestNetworkPartitionRaisedInFlight(t *testing.T) {
 	s := NewScheduler(1)
 	n := NewNetwork(s)
-	n.SetLatency(LatencyModel{Base: time.Second})
 	r := &recorder{}
 	n.Register("b", r)
 	n.Send("a", "b", 1)
@@ -214,8 +223,7 @@ func TestNetworkPartitionRaisedInFlight(t *testing.T) {
 func TestNetworkLossRate(t *testing.T) {
 	s := NewScheduler(7)
 	n := NewNetwork(s)
-	n.SetLatency(LatencyModel{})
-	n.SetLossRate(0.5)
+	n.SetLinkProfile("a", "b", &LinkProfile{LossRate: 0.5})
 	r := &recorder{}
 	n.Register("b", r)
 	const total = 1000
@@ -228,19 +236,10 @@ func TestNetworkLossRate(t *testing.T) {
 		t.Fatalf("with 50%% loss, delivered %d of %d", got, total)
 	}
 	// Loss rate outside [0,1) is clamped.
-	n.SetLossRate(-1)
-	n.SetLossRate(2)
-}
-
-func TestBroadcastSkipsSelf(t *testing.T) {
-	s := NewScheduler(1)
-	n := NewNetwork(s)
-	a, b := &recorder{}, &recorder{}
-	n.Register("a", a)
-	n.Register("b", b)
-	n.Broadcast("a", []NodeID{"a", "b"}, "x")
-	s.Drain(10)
-	if len(a.msgs) != 0 || len(b.msgs) != 1 {
-		t.Fatalf("a=%d b=%d", len(a.msgs), len(b.msgs))
+	for _, c := range []struct{ set, want float64 }{{-1, 0}, {2, 0.999}} {
+		n.SetLinkProfile("a", "b", &LinkProfile{LossRate: c.set})
+		if got := n.links[linkKey{"a", "b"}].profile.LossRate; got != c.want {
+			t.Fatalf("LossRate %v installed as %v, want %v", c.set, got, c.want)
+		}
 	}
 }

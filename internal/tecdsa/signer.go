@@ -124,7 +124,7 @@ func (c *Committee) Sign(digest []byte) (*secp256k1.Signature, error) {
 		return nil, fmt.Errorf("tecdsa: digest must be 32 bytes, got %d", len(digest))
 	}
 	order := secp256k1.N()
-	z := hashToScalar(digest)
+	z := secp256k1.HashToScalar(digest)
 	for attempt := 0; attempt < 8; attempt++ {
 		// 1. Joint random nonce k (shared, never reconstructed) and R = k·G.
 		kShares, rPoint, err := c.jointSharing()
@@ -172,7 +172,7 @@ func (c *Committee) Sign(digest []byte) (*secp256k1.Signature, error) {
 			continue
 		}
 		sig := &secp256k1.Signature{R: r, S: s}
-		normalizeLowS(sig)
+		sig.NormalizeS()
 		if !sig.Verify(digest, c.pubKey) {
 			return nil, errors.New("tecdsa: produced signature failed verification")
 		}
@@ -202,7 +202,7 @@ func (c *Committee) SignSchnorr(msg []byte) (*secp256k1.SchnorrSignature, error)
 			continue
 		}
 		negateNonce := rPoint.Y.Bit(0) == 1
-		e := schnorrChallenge(rPoint.X, pub.X, msg)
+		e := secp256k1.SchnorrChallenge(rPoint.X, pub.X, msg)
 		sigShares := make([]Share, c.n)
 		for i, p := range c.parties {
 			k := new(big.Int).Set(kShares[i].Value)
@@ -237,30 +237,4 @@ func (c *Committee) SignSchnorr(msg []byte) (*secp256k1.SchnorrSignature, error)
 func (c *Committee) KeyShareOf(i int) Share {
 	p := c.parties[i]
 	return Share{Index: p.index, Value: new(big.Int).Set(p.keyShare.Value)}
-}
-
-// --- helpers mirroring the single-signer implementations ---
-
-func hashToScalar(digest []byte) *big.Int {
-	z := new(big.Int).SetBytes(digest)
-	n := secp256k1.N()
-	excess := len(digest)*8 - n.BitLen()
-	if excess > 0 {
-		z.Rsh(z, uint(excess))
-	}
-	return z.Mod(z, n)
-}
-
-func normalizeLowS(sig *secp256k1.Signature) {
-	n := secp256k1.N()
-	half := new(big.Int).Rsh(n, 1)
-	if sig.S.Cmp(half) > 0 {
-		sig.S = new(big.Int).Sub(n, sig.S)
-	}
-}
-
-// schnorrChallenge recomputes the BIP340 challenge; it must match the
-// verifier in internal/secp256k1.
-func schnorrChallenge(rx, px *big.Int, msg []byte) *big.Int {
-	return secp256k1.SchnorrChallenge(rx, px, msg)
 }

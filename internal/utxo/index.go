@@ -58,7 +58,7 @@ type bucket struct {
 // cmpOutPoint is the canonical tie-break inside one height: txid, then vout.
 func cmpOutPoint(a, b *btc.OutPoint) int {
 	if a.TxID != b.TxID {
-		if lessHash(a.TxID, b.TxID) {
+		if a.TxID.Less(b.TxID) {
 			return -1
 		}
 		return 1

@@ -114,7 +114,7 @@ func cursorBefore(c pageCursor, u UTXO) bool {
 		return c.height > u.Height
 	}
 	if c.op.TxID != u.OutPoint.TxID {
-		return lessHash(c.op.TxID, u.OutPoint.TxID)
+		return c.op.TxID.Less(u.OutPoint.TxID)
 	}
 	return c.op.Vout < u.OutPoint.Vout
 }

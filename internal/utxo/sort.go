@@ -1,7 +1,5 @@
 package utxo
 
-import "icbtc/internal/btc"
-
 // Canonical get_utxos ordering (§III-C): height descending — newest blocks
 // first — with ties broken by txid, then vout, so every replica paginates
 // identically. This file holds the comparison helpers shared by the ordered
@@ -13,7 +11,7 @@ func utxoBefore(a, b *UTXO) bool {
 		return a.Height > b.Height
 	}
 	if a.OutPoint.TxID != b.OutPoint.TxID {
-		return lessHash(a.OutPoint.TxID, b.OutPoint.TxID)
+		return a.OutPoint.TxID.Less(b.OutPoint.TxID)
 	}
 	return a.OutPoint.Vout < b.OutPoint.Vout
 }
@@ -119,13 +117,4 @@ func siftDownUTXOs(u []UTXO, root, n int) {
 		u[root], u[child] = u[child], u[root]
 		root = child
 	}
-}
-
-func lessHash(a, b btc.Hash) bool {
-	for i := btc.HashSize - 1; i >= 0; i-- {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
