@@ -17,11 +17,11 @@ import (
 // cfg.Workers goroutines, or at Workers <= 1 interleaved on the calling
 // goroutine. Algorithm 2's state mutation (header validation against the
 // tree, attach, anchor advance, stable fold) is strictly sequential on the
-// calling goroutine either way. Only the stable folds' bucket writes trail,
-// in block order, on one more goroutine (utxo.Set.FoldSession): every payload
-// with blocks runs inside a session, a one-block payload at the tip too, and
-// the delta build, the upcoming headers and the frame publication run beside
-// the trailing index half, since none of them reads a bucket.
+// calling goroutine either way. Only each stable fold's bucket half trails,
+// in block order, on a goroutine of its own (see package utxo) until
+// something reads a bucket: the delta build, the upcoming headers and the
+// frame publication read none, so they run beside it, and the first balance,
+// page or snapshot after the payload waits for it.
 //
 // Deltas come last. A block's delta is read only while the block is above
 // the anchor, and catch-up folds most of a payload's blocks before the
@@ -95,57 +95,46 @@ func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b 
 		c.stable.OpenRemovalLog()
 		// c.pending[oldest:] holds every pending block still above the anchor.
 		oldest := 0
-		// Each fold's address-index half trails on the session's goroutine.
-		// Nothing after the folds reads a bucket: owner resolution reads the
-		// table and the removal log, and the sink only encodes the frame.
-		c.stable.FoldSession(func() {
-			// The consumer never errors, so neither does Map.
-			_ = ingest.Map(b.blocks, cfg,
-				func(_, i int) adapter.BlockWithHeader { return b.prepare(i) },
-				func(_ int, bw adapter.BlockWithHeader) error {
-					if err := c.acceptBlock(ctx, bw); err != nil {
-						stats.Rejected++
-						c.rejectedBlocks++
-						c.met.blocksRejected.Inc()
-						return nil
-					}
-					stats.Accepted++
-					c.advanceAnchor(ctx)
-					// A pending block asks the log only about removals after its
-					// own attach, so what precedes the oldest block still above
-					// the anchor can go: catch-up keeps about δ blocks' worth.
-					for oldest < len(c.pending) && !c.unstable(c.pending[oldest].node) {
-						oldest++
-					}
-					mark := c.stable.RemovalMark()
-					if oldest < len(c.pending) {
-						mark = c.pending[oldest].since
-					}
-					c.stable.TrimRemovals(mark)
+		// The consumer never errors, so neither does Map.
+		_ = ingest.Map(b.blocks, cfg,
+			func(_, i int) adapter.BlockWithHeader { return b.prepare(i) },
+			func(_ int, bw adapter.BlockWithHeader) error {
+				if err := c.acceptBlock(ctx, bw); err != nil {
+					stats.Rejected++
+					c.rejectedBlocks++
+					c.met.blocksRejected.Inc()
 					return nil
-				})
-			c.buildDeltas()
-			c.stable.CloseRemovalLog()
-			c.finishPayload(ctx, b.next)
-		})
-		return stats
+				}
+				stats.Accepted++
+				c.advanceAnchor(ctx)
+				// A pending block asks the log only about removals after its
+				// own attach, so what precedes the oldest block still above
+				// the anchor can go: catch-up keeps about δ blocks' worth.
+				for oldest < len(c.pending) && !c.unstable(c.pending[oldest].node) {
+					oldest++
+				}
+				mark := c.stable.RemovalMark()
+				if oldest < len(c.pending) {
+					mark = c.pending[oldest].since
+				}
+				c.stable.TrimRemovals(mark)
+				return nil
+			})
+		c.buildDeltas()
+		c.stable.CloseRemovalLog()
 	}
-	c.finishPayload(ctx, b.next)
-	return stats
-}
 
-// finishPayload is Algorithm 2 after the blocks: lines 16-20 append the
-// validated upcoming headers, lines 21-22 recompute the synced flag, and the
-// payload's frame goes to the sink. None of it reads a bucket.
-func (c *BitcoinCanister) finishPayload(ctx *ic.CallContext, next []btc.BlockHeader) {
-	for i := range next {
-		if err := c.acceptHeader(ctx, next[i]); err != nil {
+	// Lines 16-20: append the validated upcoming headers; lines 21-22:
+	// recompute the synced flag. Then the payload's frame goes to the sink.
+	for i := range b.next {
+		if err := c.acceptHeader(ctx, b.next[i]); err != nil {
 			c.rejectedHeaders++
 			c.met.headersRejected.Inc()
 		}
 	}
 	c.updateSynced()
 	c.flushFrame()
+	return stats
 }
 
 // ProcessPayload implements ic.PayloadProcessor: it applies Algorithm 2 to

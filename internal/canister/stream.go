@@ -104,11 +104,10 @@ type Frame struct {
 
 // SetStreamSink installs (or, with nil, removes) the frame consumer. The
 // sink is invoked synchronously at the end of every ProcessPayload that
-// accepted at least one mutation. It runs inside the payload's
-// utxo.Set.FoldSession, while the index half of the payload's folds may
-// still trail: the sink must not read the canister's stable set (no balance,
-// no get_utxos page, no snapshot). Encoding the frame and enqueuing it, as
-// the fleet's Feed does, reads none of it.
+// accepted at least one mutation, while the bucket half of the payload's
+// folds may still trail. Encoding the frame and enqueuing it, as the fleet's
+// Feed does, reads no bucket and so runs beside it; a balance, page or
+// snapshot the sink asks for waits until the index has caught up.
 func (c *BitcoinCanister) SetStreamSink(fn func(*Frame)) { c.stream = fn }
 
 // emit buffers one event for the current payload's frame. No-op without a

@@ -427,11 +427,13 @@ func Run(s Scenario, cfg Config) (Result, error) {
 // run's telemetry result: the full merged snapshot as Prometheus text, and
 // a SHA-256 digest of its canonical (statecodec) encoding.
 //
-// The digest covers EVERY metric, fleet apply-path histograms included: no
-// fleet runs goroutines of its own (frames apply on the harness goroutine via
-// CatchUp), and all durations are virtual-clock deltas — so the full
+// The digest covers EVERY metric, fleet apply-path histograms included:
+// frames apply on the harness goroutine via CatchUp, the fleet's one
+// goroutine per published frame only decodes it and is joined (Close) before
+// the snapshot, and all durations are virtual-clock deltas — so the full
 // snapshot reproduces bit for bit per seed, with no carve-out.
 func (w *World) metricsView() (string, [32]byte, error) {
+	w.Fleet.Close()
 	canSnap := w.Canister().Metrics().Snapshot()
 	adSnap := w.Adapter.Metrics().Snapshot()
 	fleetSnap := w.Fleet.Metrics().Snapshot()

@@ -194,6 +194,9 @@ type Fleet struct {
 	// serving holds the coalesce/cache layer state; a layer that is off has
 	// a nil map and skips itself.
 	serving *serving
+
+	// decodes counts the frame decodes Feed started that have not finished.
+	decodes sync.WaitGroup
 }
 
 // StreamSource is implemented by authorities that can publish the delta
@@ -213,8 +216,9 @@ type StreamSource interface {
 // payload is processed. A caller that replaces the authority instance
 // (canister upgrade, snapshot restore) must re-install the sink on the new
 // instance. Install the fleet as the subnet's query router
-// (SetQueryRouter) to serve traffic. The fleet starts no goroutines: frames
-// are applied by whoever calls ApplyPending, CatchUp or CatchUpAll.
+// (SetQueryRouter) to serve traffic. The fleet's only goroutines decode
+// published frames (see Feed); frames are applied by whoever calls
+// ApplyPending, CatchUp or CatchUpAll.
 func New(auth Authority, cfg Config) (*Fleet, error) {
 	if cfg.Replicas <= 0 {
 		return nil, fmt.Errorf("queryfleet: fleet needs at least one replica, got %d", cfg.Replicas)
@@ -244,9 +248,9 @@ func New(auth Authority, cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Close does nothing: the fleet starts no goroutines, so there is nothing to
-// stop or join.
-func (f *Fleet) Close() {}
+// Close waits for the frame decodes Feed started. The fleet has no other
+// goroutine to stop, and stays usable.
+func (f *Fleet) Close() { f.decodes.Wait() }
 
 // Replicas returns the fleet size.
 func (f *Fleet) Replicas() int { return len(f.replicas) }
@@ -267,8 +271,9 @@ func (f *Fleet) LastSeq() uint64 {
 }
 
 // Feed is the canister's stream sink: it stamps the frame with the next
-// sequence number, encodes it once, and enqueues the one wire frame on every
-// replica, which decode it once between them. Apply happens on the replicas'
+// sequence number, encodes it once, enqueues the one wire frame on every
+// replica and starts its one decode on a goroutine of its own, so the frame
+// is decoded by the time a replica reaches it. Apply happens on the replicas'
 // side (ApplyPending), so a slow replica lags instead of stalling the
 // authoritative canister.
 func (f *Fleet) Feed(frame *canister.Frame) {
@@ -304,6 +309,11 @@ func (f *Fleet) Feed(frame *canister.Frame) {
 			}
 		}
 	}
+	f.decodes.Add(1)
+	go func() {
+		defer f.decodes.Done()
+		_, _ = w.decode(f.met) // a replica that reaches it reports the error
+	}()
 	f.feedMu.Unlock()
 	f.met.frames.Inc()
 }

@@ -448,7 +448,11 @@ func TestApplyPendingConcurrentCallers(t *testing.T) {
 // once between its replicas, and every replica ends byte-identical to the
 // authority. A frame fault that hands replica 1 alone a bit-flipped
 // alternate costs one decode more: only replica 1 rejects it and resyncs,
-// and replicas 0 and 2 apply the shared clean decode.
+// and replicas 0 and 2 apply the shared clean decode. A frame every
+// replica's fault replaces by a copy is still decoded once as it is
+// published, and each copy once by its replica. A frame that a re-hydration
+// of every replica supersedes before any replica applies it is decoded once
+// all the same.
 func TestFleetDecodesEachFrameOnce(t *testing.T) {
 	const frames = 12
 	cfg := queryfleet.DefaultConfig()
@@ -458,6 +462,9 @@ func TestFleetDecodesEachFrameOnce(t *testing.T) {
 		fault   queryfleet.FrameFault
 		decodes uint64
 		resyncs uint64
+		// supersede is the frame every replica is re-hydrated past before
+		// any drains it; 0 for none.
+		supersede int
 	}{
 		{name: "shared", decodes: frames},
 		{
@@ -473,44 +480,76 @@ func TestFleetDecodesEachFrameOnce(t *testing.T) {
 			decodes: frames + 1,
 			resyncs: 1,
 		},
+		{
+			name: "replaced",
+			fault: func(replica int, seq uint64, raw []byte) [][]byte {
+				if seq != frames/2 {
+					return [][]byte{raw}
+				}
+				return [][]byte{bytes.Clone(raw)}
+			},
+			decodes: frames + uint64(cfg.Replicas),
+		},
+		{name: "superseded", decodes: frames, supersede: frames / 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, cfg, 6)
 			if tc.fault != nil {
 				r.fleet.SetFrameFault(tc.fault)
 			}
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for i := 0; i < cfg.Replicas; i++ {
-				wg.Add(1)
-				go func(replica *queryfleet.Replica) {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
+			drain := func() (stop func()) {
+				var wg sync.WaitGroup
+				done := make(chan struct{})
+				for i := 0; i < cfg.Replicas; i++ {
+					wg.Add(1)
+					go func(replica *queryfleet.Replica) {
+						defer wg.Done()
+						for {
+							select {
+							case <-done:
+								return
+							default:
+							}
+							if _, err := replica.ApplyPending(-1); err != nil {
+								t.Errorf("replica drain: %v", err)
+								return
+							}
 						}
-						if _, err := replica.ApplyPending(-1); err != nil {
-							t.Errorf("replica drain: %v", err)
-							return
-						}
-					}
-				}(r.fleet.Replica(i))
+					}(r.fleet.Replica(i))
+				}
+				return func() {
+					close(done)
+					wg.Wait()
+				}
 			}
-			for i := 0; i < frames; i++ {
+			stop := drain()
+			for i := 1; i <= frames; i++ {
+				if i == tc.supersede {
+					stop()
+				}
 				if err := r.fleet.GuardAuthority(func() error {
 					r.feedBlock()
 					return nil
 				}); err != nil {
 					t.Fatal(err)
 				}
+				if i == tc.supersede {
+					for k := 0; k < cfg.Replicas; k++ {
+						if err := r.fleet.HydrateReplica(k); err != nil {
+							t.Fatal(err)
+						}
+						if n := r.fleet.Replica(k).Pending(); n != 0 {
+							t.Fatalf("replica %d keeps %d frames past its re-hydration", k, n)
+						}
+					}
+					stop = drain()
+				}
 			}
-			close(stop)
-			wg.Wait()
+			stop()
 			if err := r.fleet.CatchUpAll(); err != nil {
 				t.Fatal(err)
 			}
+			r.fleet.Close() // joins the decodes no replica waited for
 
 			st := r.fleet.Stats()
 			decoded := r.fleet.Metrics().Counter("fleet_frames_decoded_total").Value()

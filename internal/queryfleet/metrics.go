@@ -29,7 +29,7 @@ type fleetMetrics struct {
 	coalesced *obs.Counter
 	// framesDecoded counts wire frames decoded: one per published frame,
 	// however many replicas apply it, plus one per alternate a frame fault
-	// delivered.
+	// delivered that a replica reached.
 	framesDecoded *obs.Counter
 	cacheHits     *obs.Counter
 

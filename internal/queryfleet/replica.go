@@ -76,12 +76,14 @@ type pendingFrame struct {
 	at  time.Time
 }
 
-// wireFrame is one published frame in wire form, decoded at most once for
-// the whole fleet: the first replica to reach it decodes the bytes and
-// parses its blocks, and every other replica applies that same decode.
-// Sharing is safe because applying a frame writes nothing in it (see
-// canister.DecodeFrame); what a replica must judge for itself — the embedded
-// sequence against its slot, gaps, duplicates — it judges per replica.
+// wireFrame is one published frame in wire form, decoded once for the whole
+// fleet: Feed starts the decode (bytes decoded, blocks parsed) as it
+// publishes the frame, and every replica applies that same decode, waiting
+// for it when it reaches the frame first. An alternate a frame fault
+// delivered is decoded by the first replica to reach it. Sharing is safe
+// because applying a frame writes nothing in it (see canister.DecodeFrame);
+// what a replica must judge for itself — the embedded sequence against its
+// slot, gaps, duplicates — it judges per replica.
 type wireFrame struct {
 	raw   []byte
 	once  sync.Once
@@ -151,6 +153,7 @@ func (r *Replica) Hydrate(snapshot []byte, seq uint64) error {
 			kept = append(kept, f)
 		}
 	}
+	clear(r.inbox[len(kept):]) // a dropped frame's bytes and decode go with it
 	r.inbox = kept
 	r.inboxMu.Unlock()
 	return nil
@@ -181,13 +184,13 @@ func (r *Replica) Seq() uint64 {
 func (r *Replica) TipHeight() int64 { return r.tip.Load() }
 
 // ApplyPending applies up to max queued frames (all of them when max < 0),
-// returning how many were applied. Queued frames are decoded and their
-// blocks parsed on the ingest pipeline (ingest.DefaultWorkers() wide) while
-// application stays strictly sequential under the write lock, so a lagging
-// replica catches up at pipeline speed without weakening any ordering
-// guarantee. A frame is decoded once for the fleet: a replica that reaches
-// it after another takes that decode (or waits for it) instead of decoding
-// the same bytes again.
+// returning how many were applied. A frame is decoded once for the fleet,
+// as Feed publishes it: a replica takes that decode, or waits for it, on the
+// ingest pipeline (ingest.DefaultWorkers() wide), while application stays
+// strictly sequential under the write lock, so a lagging replica catches up
+// at pipeline speed without weakening any ordering guarantee. The bucket
+// half of the frame's stable folds may still trail when the write lock is
+// released; the first query that reads a bucket waits for it.
 //
 // Every frame is integrity-checked before it touches state: the statecodec
 // checksum rejects corrupted bytes, the embedded sequence number must match
@@ -230,7 +233,11 @@ func (r *Replica) ApplyPending(max int) (int, error) {
 		}
 		batch := make([]pendingFrame, take)
 		copy(batch, r.inbox[:take])
-		r.inbox = r.inbox[take:]
+		// Shift the rest to the front, so the backing array keeps no
+		// dequeued frame reachable.
+		n := copy(r.inbox, r.inbox[take:])
+		clear(r.inbox[n:])
+		r.inbox = r.inbox[:n]
 		r.inboxMu.Unlock()
 
 		type decoded struct {

@@ -160,34 +160,33 @@ func TestApplyBlockBatchedEquivalence(t *testing.T) {
 }
 
 // foldBothWays folds blocks into two sets and holds both to the per-entry
-// ingestNaive loop: one folds inline, its bytes compared after every block;
-// the other folds them all inside one FoldSession, its stats compared block by
-// block and its bytes once the session has drained.
-func foldBothWays(t *testing.T, blocks []*btc.Block, heights []int64) (inline, session *Set) {
+// ingestNaive loop: one is read after every fold, its bytes compared block by
+// block; the other folds them all with no read in between, so its index
+// halves trail the table, its stats compared block by block and its bytes
+// once at the end.
+func foldBothWays(t *testing.T, blocks []*btc.Block, heights []int64) (stepped, trailing *Set) {
 	t.Helper()
-	inline, session, naive := New(btc.Regtest), New(btc.Regtest), New(btc.Regtest)
-	var sessionStats []IngestStats
-	session.FoldSession(func() {
-		for i, blk := range blocks {
-			sessionStats = append(sessionStats, session.ApplyBlockIngest(blk, heights[i]))
-		}
-	})
+	stepped, trailing, naive := New(btc.Regtest), New(btc.Regtest), New(btc.Regtest)
+	trailingStats := make([]IngestStats, len(blocks))
+	for i, blk := range blocks {
+		trailingStats[i] = trailing.ApplyBlockIngest(blk, heights[i])
+	}
 	for i, blk := range blocks {
 		want := ingestNaive(naive, blk, heights[i])
-		if got := inline.ApplyBlockIngest(blk, heights[i]); got != want {
+		if got := stepped.ApplyBlockIngest(blk, heights[i]); got != want {
 			t.Fatalf("block %d: stats %+v, per-entry loop %+v", i, got, want)
 		}
-		if got := sessionStats[i]; got != want {
-			t.Fatalf("block %d: stats in a session %+v, per-entry loop %+v", i, got, want)
+		if got := trailingStats[i]; got != want {
+			t.Fatalf("block %d: stats with the index trailing %+v, per-entry loop %+v", i, got, want)
 		}
-		if !bytes.Equal(encodeSet(inline), encodeSet(naive)) {
+		if !bytes.Equal(encodeSet(stepped), encodeSet(naive)) {
 			t.Fatalf("block %d: encoded set differs from the per-entry loop's", i)
 		}
 	}
-	if !bytes.Equal(encodeSet(session), encodeSet(naive)) {
-		t.Fatal("encoded set folded in a session differs from the per-entry loop's")
+	if !bytes.Equal(encodeSet(trailing), encodeSet(naive)) {
+		t.Fatal("encoded set folded with no read between blocks differs from the per-entry loop's")
 	}
-	return inline, session
+	return stepped, trailing
 }
 
 // TestApplyBlockIngestEquivalence pins the tolerant batched fold against
@@ -386,16 +385,16 @@ func foldSeeds() [][]byte {
 
 // FuzzTolerantFold is the differential net under the single-pass fold: any
 // program of blocks must leave the set and the metering stats exactly as the
-// per-entry ingestNaive loop does — folded inline, block after block, and
-// folded inside one FoldSession, once it has drained.
+// per-entry ingestNaive loop does — read after every block, and folded whole
+// with the index trailing, once the last read has settled it.
 func FuzzTolerantFold(f *testing.F) {
 	for _, seed := range foldSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blocks, heights := foldProgram(data)
-		inline, session := foldBothWays(t, blocks, heights)
-		for _, fold := range []*Set{inline, session} {
+		stepped, trailing := foldBothWays(t, blocks, heights)
+		for _, fold := range []*Set{stepped, trailing} {
 			checkIndexInvariants(t, fold)
 			for id := range fold.scripts {
 				if fold.scripts[id].pend != 0 {

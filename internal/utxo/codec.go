@@ -59,6 +59,7 @@ const (
 
 // EncodeTo appends the set's deterministic encoding to e.
 func (s *Set) EncodeTo(e *statecodec.Encoder) {
+	s.settle()
 	e.U8(uint8(s.network))
 	// Total entry count up front so decode can pre-size the outpoint table
 	// and never rehash it.

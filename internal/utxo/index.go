@@ -224,6 +224,7 @@ func (it *AddressIter) Next() (u UTXO, ok bool) {
 // AddressIter returns an iterator over an address's UTXOs from the top of
 // the canonical order.
 func (s *Set) AddressIter(addressKey string) AddressIter {
+	s.settle()
 	return s.iterOver(s.byAddress[addressKey])
 }
 
@@ -258,6 +259,7 @@ func (s *Set) iterAfter(b *bucket, c pageCursor) AddressIter {
 
 // AddressUTXOCount returns how many stable UTXOs an address holds.
 func (s *Set) AddressUTXOCount(addressKey string) int {
+	s.settle()
 	b := s.byAddress[addressKey]
 	if b == nil {
 		return 0
@@ -285,6 +287,7 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress *AddressOve
 	if limit <= 0 {
 		return nil, 0, nil, fmt.Errorf("utxo: page limit must be positive, got %d", limit)
 	}
+	s.settle()
 	b := s.byAddress[addressKey]
 	var stable AddressIter
 	ci := 0

@@ -68,6 +68,7 @@ func (o *mapOracle) forAddress(key string) []UTXO {
 // name its id, and an id on the free list is a cleared record no entry names.
 func checkIndexInvariants(t *testing.T, set *Set) {
 	t.Helper()
+	set.settle()
 	total := 0
 	refs := make([]int32, len(set.scripts))
 	for key, b := range set.byAddress {

@@ -181,6 +181,7 @@ func (ov *AddressOverlay) suppresses(op *btc.OutPoint) bool {
 // no-op), and one that is there belongs to this address: spends are
 // attributed by script and a transaction id commits to its scripts.
 func (s *Set) MergedBalance(addressKey string, ov *AddressOverlay) (total int64, count int) {
+	s.settle()
 	if b := s.byAddress[addressKey]; b != nil {
 		total, count = b.balance, b.count
 	}

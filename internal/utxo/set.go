@@ -27,10 +27,15 @@
 //     headers.
 //   - A block fold has two halves: the table half (outpoint table, script
 //     records, byte estimate, metering stats) and the index half (buckets),
-//     which the table half records and applyIndex performs. The index may
-//     trail the table only inside a FoldSession. Nothing reads it there, so
-//     a caller can go on with work that reads only the table, such as
-//     resolving owners for deltas, while the index catches up.
+//     which the table half records and applyIndex performs. The fold returns
+//     after the table half; the index half trails on a goroutine of its own,
+//     in block order, until the first bucket read. Every bucket reader
+//     settles first: Balance, MergedBalance, MergedPage, AddressIter,
+//     AddressUTXOCount, AddressCount, UTXOsForAddress and EncodeTo wait for
+//     the index halves still running. Table readers (Get, Lookup, Value,
+//     Len, ForEach) do not wait, so a caller can go on with work that reads
+//     only the table, such as resolving owners for deltas, while the index
+//     catches up.
 //   - While a removal log is open, the table half also logs every entry it
 //     spends that was in the set before the block, so a caller can still ask
 //     what the set held before a run of folds (RemovedSince).
@@ -87,9 +92,10 @@ type Set struct {
 	interned    map[string]uint32
 	// approxBytes tracks an estimate of resident memory, reported by Fig 5.
 	approxBytes int64
-	// handoff carries folds' index halves to the FoldSession goroutine; nil
-	// outside a session, where they run inline.
-	handoff chan indexWork
+	// trail holds the done channels of the last foldHandoff folds' index
+	// halves, oldest first (see flush); the last one closes once the index
+	// has caught up with the table.
+	trail []chan struct{}
 	// removed is the open removal log (OpenRemovalLog); nil when none is.
 	removed *removalLog
 }
@@ -350,10 +356,11 @@ func (m *blockMerge) pendingIndex(e *tableEntry) int32 {
 
 // flush ends the table half: it reads each touched script's key and chain
 // head, clears the chain off the script record, and hands the block's index
-// half over — queued behind earlier blocks' inside a FoldSession, run at once
-// outside one. It walks no chain and sorts nothing. A script released in the
-// block whose id was reused is listed twice: the first entry reads the new
-// script's chain and clears it, the second reads an empty one.
+// half to a goroutine that runs it once the previous block's is done. With
+// foldHandoff index halves in flight it first waits for the oldest. It walks
+// no chain and sorts nothing. A script released in the block whose id was
+// reused is listed twice: the first entry reads the new script's chain and
+// clears it, the second reads an empty one.
 func (m *blockMerge) flush() {
 	for i := range m.chains {
 		c := &m.chains[i]
@@ -361,11 +368,32 @@ func (m *blockMerge) flush() {
 		c.key, c.head = sc.key, sc.pend
 		sc.pend = 0
 	}
-	if m.s.handoff != nil {
-		m.s.handoff <- m.indexWork
-		return
+	s, w, done := m.s, m.indexWork, make(chan struct{})
+	var prev chan struct{}
+	if n := len(s.trail); n > 0 {
+		prev = s.trail[n-1]
 	}
-	m.s.applyIndex(&m.indexWork)
+	if len(s.trail) == foldHandoff {
+		<-s.trail[0]
+		s.trail = append(s.trail[:0], s.trail[1:]...)
+	}
+	s.trail = append(s.trail, done)
+	go func() {
+		defer close(done)
+		if prev != nil {
+			<-prev
+		}
+		s.applyIndex(&w)
+	}()
+}
+
+// settle waits until the index halves of every fold so far are done. Every
+// bucket reader calls it first. It writes nothing, so readers sharing a read
+// lock may settle at once.
+func (s *Set) settle() {
+	if n := len(s.trail); n > 0 {
+		<-s.trail[n-1]
+	}
 }
 
 // applyIndex is the index half of a block fold and the fold path's one writer
@@ -399,39 +427,11 @@ func (s *Set) applyIndex(w *indexWork) {
 	}
 }
 
-// foldHandoff is how many blocks' index halves a FoldSession queues before
-// the folding goroutine waits: enough to ride out a block whose index half
-// runs long (many touched addresses) without stalling the table half, few
-// enough that the queued blocks' records stay a small part of the heap.
+// foldHandoff is how many blocks' index halves may trail the table before the
+// next fold waits: enough to ride out a block whose index half runs long
+// (many touched addresses) without stalling the table half, few enough that
+// the trailing blocks' records stay a small part of the heap.
 const foldHandoff = 4
-
-// FoldSession runs fn with the address index trailing the outpoint table:
-// the index half of every fold fn makes runs on the session's goroutine, in
-// block order, through a handoff of foldHandoff blocks, and the session
-// drains before FoldSession returns, on every path out of fn. Meanwhile fn
-// may change the set only by ApplyBlockIngest, read only the
-// table (Get, Lookup, Len, ApproxBytes, ScriptInterned), never a bucket, and
-// use the removal log, which the table half writes. Whatever else fn does
-// after its folds, or hands off to code of its own, is bound by the same
-// rule, since the index half may still trail: it must not read a bucket, a
-// balance or a page of the set. Sessions do not nest.
-func (s *Set) FoldSession(fn func()) {
-	work := make(chan indexWork, foldHandoff)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for w := range work {
-			s.applyIndex(&w)
-		}
-	}()
-	s.handoff = work
-	defer func() {
-		s.handoff = nil
-		close(work)
-		<-done
-	}()
-	fn()
-}
 
 // removalLog is what folds took out of the set while the log was open: every
 // entry a fold spent that was in the set before the fold's block (its bucket
@@ -538,9 +538,9 @@ type IngestStats struct {
 // per-entry remove/add loop that ignores individual errors, and an output's
 // metering class is simply whether its script is interned when the pass
 // reaches it. Only the buckets wait: the pass records their removals and
-// inserts, and the index half applies them after it — at once, or inside a
-// FoldSession on the session's goroutine. No undo data is built; the
-// canister never rolls back below the anchor.
+// inserts, and the index half applies them on a goroutine of its own, which
+// the next bucket read waits for. No undo data is built; the canister never
+// rolls back below the anchor.
 func (s *Set) ApplyBlockIngest(block *btc.Block, height int64) IngestStats {
 	var st IngestStats
 	inputs, outputs := 0, 0
@@ -588,6 +588,7 @@ func (s *Set) ApplyBlockIngest(block *btc.Block, height int64) IngestStats {
 // bucket's running total, maintained as entries enter and leave it — O(1),
 // no bucket walk.
 func (s *Set) Balance(addressKey string) int64 {
+	s.settle()
 	b := s.byAddress[addressKey]
 	if b == nil {
 		return 0
@@ -602,6 +603,7 @@ func (s *Set) Balance(addressKey string) int64 {
 // height groups in order incrementally, so the call streams the canonical
 // order in one pass — no sort.
 func (s *Set) UTXOsForAddress(addressKey string) []UTXO {
+	s.settle()
 	b := s.byAddress[addressKey]
 	if b == nil {
 		return nil
@@ -615,7 +617,10 @@ func (s *Set) UTXOsForAddress(addressKey string) []UTXO {
 }
 
 // AddressCount returns the number of distinct address keys with UTXOs.
-func (s *Set) AddressCount() int { return len(s.byAddress) }
+func (s *Set) AddressCount() int {
+	s.settle()
+	return len(s.byAddress)
+}
 
 // ForEach visits every UTXO in unspecified order; visit returning false
 // stops the walk.

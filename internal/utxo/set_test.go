@@ -12,10 +12,12 @@ import (
 
 // A set changes by folding whole blocks. Add and Remove change it one entry at
 // a time, which is how the tests below build a set of a given shape and how
-// the per-entry references a fold is held to are written.
+// the per-entry references a fold is held to are written. Both write a bucket,
+// so both settle the trailing index halves first.
 
 // Add inserts an unspent output. Adding a duplicate outpoint is an error.
 func (s *Set) Add(op btc.OutPoint, out btc.TxOut, height int64) error {
+	s.settle()
 	e, fresh := s.table.put(&op)
 	if !fresh {
 		return fmt.Errorf("utxo: duplicate outpoint %s", op)
@@ -31,6 +33,7 @@ var ErrMissingOutput = errors.New("utxo: output not in set")
 // Remove spends an output and returns it. The stored address key is reused —
 // no script decoding.
 func (s *Set) Remove(op btc.OutPoint) (UTXO, error) {
+	s.settle()
 	e, ok := s.table.take(&op)
 	if !ok {
 		return UTXO{}, fmt.Errorf("%w: %s", ErrMissingOutput, op)
