@@ -40,16 +40,6 @@ var figures = []figure{
 		printFigure3(w)
 		return nil
 	}},
-	{"5", "Figure 5", func(w io.Writer, o opts) error {
-		cfg := experiments.DefaultFig5Config()
-		cfg.Seed = o.seed
-		res, err := experiments.RunFig5(cfg)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-		return nil
-	}},
 	{"6", "Figure 6", func(w io.Writer, o opts) error {
 		cfg := experiments.DefaultFig6Config()
 		cfg.Seed = o.seed

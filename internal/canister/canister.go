@@ -209,9 +209,6 @@ func (c *BitcoinCanister) Synced() bool { return c.synced }
 // StableUTXOCount returns |U|.
 func (c *BitcoinCanister) StableUTXOCount() int { return c.stable.Len() }
 
-// StableStorageBytes approximates the canister's UTXO storage footprint.
-func (c *BitcoinCanister) StableStorageBytes() int64 { return c.stable.ApproxBytes() }
-
 // UnstableBlockCount returns the number of blocks stored above the anchor.
 func (c *BitcoinCanister) UnstableBlockCount() int { return len(c.blocks) }
 

@@ -43,19 +43,53 @@ func FuzzStatecodecDecode(f *testing.F) {
 	f.Add(resealed(golden, rebroadcastOffset, 6)) // checksum-valid, rebroadcast window 6
 	f.Add([]byte{})
 	f.Add([]byte("icbtc/snapshot\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := canister.RestoreSnapshot(data)
-		if err != nil {
-			return // clean rejection is the expected path
-		}
-		again, err := c.Snapshot()
-		if err != nil {
-			t.Fatalf("restored canister cannot re-snapshot: %v", err)
-		}
-		if !bytes.Equal(again, data) {
-			t.Fatalf("decoder silently accepted a non-canonical snapshot: %d bytes in, %d bytes back",
-				len(data), len(again))
-		}
+	f.Fuzz(checkSnapshotRoundTrip)
+}
+
+// checkSnapshotRoundTrip is the snapshot targets' oracle: RestoreSnapshot
+// returns, and a snapshot it accepts re-snapshots to the bytes it came from.
+func checkSnapshotRoundTrip(t *testing.T, data []byte) {
+	c, err := canister.RestoreSnapshot(data)
+	if err != nil {
+		return // clean rejection is the expected path
+	}
+	again, err := c.Snapshot()
+	if err != nil {
+		t.Fatalf("restored canister cannot re-snapshot: %v", err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("decoder silently accepted a non-canonical snapshot: %d bytes in, %d bytes back",
+			len(data), len(again))
+	}
+}
+
+// snapshotMagic is snapshot.go's, spelled again for the reason frameMagic is;
+// FuzzSnapshotDecodeReframed checks it against the golden fixture.
+const snapshotMagic = "icbtc/canister-snapshot\n"
+
+// FuzzSnapshotDecodeReframed hands the snapshot decoder arbitrary payloads
+// behind a valid checksum, which FuzzStatecodecDecode, mutating sealed
+// bytes, almost never gets past the CRC to try: every section (config,
+// counters, stable headers, UTXO set, header tree, deltas, unstable blocks,
+// pending transactions) is reached. RestoreSnapshot must return rather than
+// panic, and a snapshot it accepts re-snapshots to the bytes it was
+// restored from.
+func FuzzSnapshotDecodeReframed(f *testing.F) {
+	seal := func(payload []byte) []byte {
+		e := statecodec.NewEncoder(snapshotMagic, canister.SnapshotVersion, len(payload))
+		e.Raw(payload)
+		return e.Finish()
+	}
+	payloadOf := func(sealed []byte) []byte { return sealed[len(snapshotMagic)+2 : len(sealed)-4] }
+	golden := goldenSnapshotBytes(f)
+	if !bytes.Equal(seal(payloadOf(golden)), golden) {
+		f.Fatal("resealing the golden snapshot's payload does not give the fixture back: magic or framing moved")
+	}
+	f.Add(payloadOf(golden))
+	f.Add(payloadOf(resealed(golden, reservedOffset, 1)))    // reserved byte set
+	f.Add(payloadOf(resealed(golden, rebroadcastOffset, 6))) // rebroadcast window 6
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkSnapshotRoundTrip(t, seal(payload))
 	})
 }
 

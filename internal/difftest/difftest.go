@@ -32,7 +32,6 @@ package difftest
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"time"
@@ -742,9 +741,8 @@ func (h *Harness) compareUTXOPages(addr string, minConf int64, limit int) error 
 				return err
 			}
 		}
-		ba, bb := EncodeUTXOsResult(resA), EncodeUTXOsResult(resB)
-		if !bytes.Equal(ba, bb) {
-			return fmt.Errorf("get_utxos(%s, c=%d) page %d: overlay %x != replay %x", addr, minConf, page, ba, bb)
+		if ic.ResponseDigest(resA, nil) != ic.ResponseDigest(resB, nil) {
+			return fmt.Errorf("get_utxos(%s, c=%d) page %d: overlay %+v != replay %+v", addr, minConf, page, resA, resB)
 		}
 		if resA.NextPage == nil {
 			return nil
@@ -1099,26 +1097,4 @@ func (h *Harness) checkCertification() error {
 	}
 	h.stats.FleetCertifiedHits++
 	return nil
-}
-
-// EncodeUTXOsResult serializes a get_utxos response deterministically so
-// responses can be compared byte for byte. A page carries no script:
-// checkScriptsDerivable holds the dropped bytes to the queried address.
-func EncodeUTXOsResult(res *canister.GetUTXOsResult) []byte {
-	var buf bytes.Buffer
-	w := func(v any) { _ = binary.Write(&buf, binary.BigEndian, v) }
-	buf.Write(res.TipHash[:])
-	w(res.TipHeight)
-	w(int64(res.StableCount))
-	w(int64(res.UnstableCount))
-	w(int64(len(res.NextPage)))
-	buf.Write(res.NextPage)
-	w(int64(len(res.UTXOs)))
-	for _, u := range res.UTXOs {
-		buf.Write(u.OutPoint.TxID[:])
-		w(u.OutPoint.Vout)
-		w(u.Value)
-		w(u.Height)
-	}
-	return buf.Bytes()
 }

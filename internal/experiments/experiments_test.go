@@ -118,37 +118,6 @@ func TestAddressPopulationSkew(t *testing.T) {
 	}
 }
 
-func TestFig5GrowthShape(t *testing.T) {
-	cfg := DefaultFig5Config()
-	cfg.Weeks = 30 // shorter for the unit test; the bench runs the full span
-	res, err := RunFig5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 30 {
-		t.Fatalf("rows %d", len(res.Rows))
-	}
-	// Monotone growth of both series.
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i].UTXOCount < res.Rows[i-1].UTXOCount {
-			t.Fatal("UTXO count not monotone")
-		}
-		if res.Rows[i].StorageBytes < res.Rows[i-1].StorageBytes {
-			t.Fatal("storage not monotone")
-		}
-	}
-	// Storage tracks the UTXO count linearly (the paper's two series move
-	// together).
-	if dev := res.LinearityError(); dev > 0.1 {
-		t.Fatalf("storage deviates %.1f%% from linear in UTXOs", dev*100)
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("no output")
-	}
-}
-
 func TestFig6IngestionShape(t *testing.T) {
 	cfg := DefaultFig6Config()
 	cfg.Days = 60

@@ -206,8 +206,8 @@ func (r *Fig7Result) Print(w io.Writer) {
 			continue
 		}
 		fmt.Fprintf(w, "%-8d %14.3f %14.3f %14.3f %14.3f\n", b,
-			medianDur(a.bq).Seconds(), medianDur(a.br).Seconds(),
-			medianDur(a.uq).Seconds(), medianDur(a.ur).Seconds())
+			obs.SummarizeDurations(a.bq).P50.Seconds(), obs.SummarizeDurations(a.br).P50.Seconds(),
+			obs.SummarizeDurations(a.uq).P50.Seconds(), obs.SummarizeDurations(a.ur).P50.Seconds())
 	}
 	fmt.Fprintln(w, "Figure 7 (right): median instructions [M] for replicated get_utxos")
 	fmt.Fprintf(w, "%-8s %16s %18s\n", "#UTXOs", "stable-UTXOs", "unstable-UTXOs")
@@ -217,13 +217,6 @@ func (r *Fig7Result) Print(w io.Writer) {
 			continue
 		}
 		fmt.Fprintf(w, "%-8d %16.1f %18.1f\n", b,
-			float64(medianU64(a.instr))/1e6, float64(medianU64(a.instrUnstable))/1e6)
+			float64(obs.MedianU64(a.instr))/1e6, float64(obs.MedianU64(a.instrUnstable))/1e6)
 	}
 }
-
-// medianDur and medianU64 delegate to the obs order-statistic helpers (the
-// single home of the nearest-rank rule the reports have always used). Both
-// sort the sample slice in place.
-func medianDur(d []time.Duration) time.Duration { return obs.SummarizeDurations(d).P50 }
-
-func medianU64(d []uint64) uint64 { return obs.MedianU64(d) }

@@ -1,10 +1,10 @@
-// Package experiments regenerates every figure and in-text measurement of
-// the paper's evaluation (§IV): UTXO-set and storage growth (Fig 5), block
-// ingestion cost and its insert/remove split (Fig 6), request latency and
-// instruction counts versus UTXO-set size (Fig 7), the latency and cost
-// summary numbers, plus ablations over δ and single- versus multi-block
-// responses, the read path's cost against unstable depth, and recovery
-// under adapter-link loss.
+// Package experiments regenerates the figures and in-text measurements of
+// the paper's evaluation (§IV) that the code decides: block ingestion cost
+// and its insert/remove split (Fig 6), request latency and instruction
+// counts versus UTXO-set size (Fig 7), the latency and cost summary
+// numbers, plus ablations over δ and single- versus multi-block responses,
+// the read path's cost against unstable depth, and recovery under
+// adapter-link loss.
 //
 // Experiments run against the same canister, adapter, and subnet code the
 // integration uses; the workload generators below replace the mainnet

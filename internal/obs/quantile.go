@@ -49,7 +49,7 @@ func SummarizeDurations(samples []time.Duration) DurationSummary {
 }
 
 // MedianU64 sorts samples in place and returns s[n/2] (0 when empty) — the
-// same rule fig7's medianU64 used.
+// nearest-rank rule SummarizeDurations' P50 uses.
 func MedianU64(samples []uint64) uint64 {
 	if len(samples) == 0 {
 		return 0

@@ -27,8 +27,7 @@ import (
 //     reference and every script with its memoized address key, so decoding
 //     performs no address decoding, no ScriptID hashing, and no sorting.
 //     Bucket slices are rebuilt by appending in stored (already canonical)
-//     order; running balances and the byte estimate are accumulated in the
-//     same pass.
+//     order; running balances are accumulated in the same pass.
 //
 // Snapshots carry a checksum (see statecodec), so a decoder failure means a
 // framing bug or version skew, not silent corruption. Ordering invariants
@@ -113,8 +112,8 @@ func (s *Set) EncodeTo(e *statecodec.Encoder) {
 // DecodeSet reads a set encoded by EncodeTo. Restore cost is linear in the
 // snapshot bytes: scripts are interned straight from the stored table (keys
 // included, a script's id being its stored position), bucket groups are cut
-// from the stored order, and the outpoint table, reference counts, running
-// balances, and byte estimate are rebuilt bucket by bucket as each is read.
+// from the stored order, and the outpoint table, reference counts and running
+// balances are rebuilt bucket by bucket as each is read.
 func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	network := btc.Network(d.U8())
 	total := d.CountFor(maxSnapshotEntries, setEntryBytes)
@@ -140,7 +139,7 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	// capacity-limited sub-slices, so a post-restore insert that outgrows
 	// its group reallocates that group normally.
 	arena := make([]bucketEntry, total)
-	bd := bucketDecoder{nScripts: nScripts}
+	bd := bucketDecoder{scripts: scripts}
 	decoded := 0
 	for i := 0; i < nBuckets; i++ {
 		key := d.String(maxSnapshotKeyLen)
@@ -173,7 +172,9 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 }
 
 // decodeScriptTable reads the interned-script table: each script with its
-// memoized address key, in stored order (the order entries index it by).
+// memoized address key, in stored order (the order entries index it by),
+// which must be EncodeTo's ascending script order — a table in any other
+// order would re-encode to other bytes than were accepted.
 func decodeScriptTable(d *statecodec.Decoder, n int) ([]internedScript, map[string]uint32, error) {
 	list := make([]internedScript, 0, n)
 	interned := make(map[string]uint32, n)
@@ -183,8 +184,8 @@ func decodeScriptTable(d *statecodec.Decoder, n int) ([]internedScript, map[stri
 		if d.Err() != nil {
 			return nil, nil, d.Err()
 		}
-		if _, dup := interned[string(raw)]; dup {
-			return nil, nil, fmt.Errorf("utxo: snapshot script %d duplicated", i)
+		if i > 0 && bytes.Compare(list[i-1].bytes, raw) >= 0 {
+			return nil, nil, fmt.Errorf("utxo: snapshot script %d duplicated or out of order", i)
 		}
 		interned[string(raw)] = uint32(i)
 		list = append(list, internedScript{bytes: bytes.Clone(raw), key: key})
@@ -201,12 +202,12 @@ func checkScriptsReferenced(scripts []internedScript) error {
 	return nil
 }
 
-// bucketDecoder reads bucket entries against a script table of nScripts
-// records. It is not safe for concurrent use: groups is scratch reused from
-// bucket to bucket.
+// bucketDecoder reads bucket entries against the decoded script table. It is
+// not safe for concurrent use: groups is scratch reused from bucket to
+// bucket.
 type bucketDecoder struct {
-	nScripts int
-	groups   []heightGroup
+	scripts []internedScript
+	groups  []heightGroup
 }
 
 // decode reads len(dst) stored entries into dst — the bucket's window of the
@@ -230,8 +231,13 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketE
 		e.op.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
 		e.value = int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
 		h := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+12:]))
-		if si >= uint64(bd.nScripts) {
+		if si >= uint64(len(bd.scripts)) {
 			return nil, fmt.Errorf("utxo: snapshot script index %d out of range", si)
+		}
+		// A spend finds its bucket by its script's key, so an entry filed
+		// under another key could never be removed from it.
+		if bd.scripts[si].key != key {
+			return nil, fmt.Errorf("utxo: snapshot bucket %q holds an entry whose script is keyed %q", key, bd.scripts[si].key)
 		}
 		e.script = uint32(si)
 		if j > 0 {
@@ -254,8 +260,8 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketE
 }
 
 // indexBucket installs a decoded bucket: its entries join the outpoint table,
-// with the reference counts and the byte estimate they imply. An empty
-// stored bucket is read and dropped, as the set never holds one.
+// with the reference counts they imply. An empty stored bucket is read and
+// dropped, as the set never holds one.
 func (s *Set) indexBucket(key string, b *bucket) error {
 	for gi := range b.groups {
 		g := &b.groups[gi]
@@ -297,7 +303,7 @@ type shardResult struct {
 // goroutines: a cheap scan pass records the script-table and bucket byte
 // windows, the script table and bucket shards decode concurrently, and a
 // sequential merge — running as shards complete, in deterministic shard
-// order — rebuilds the outpoint table, reference counts, and byte estimate.
+// order — rebuilds the outpoint table and reference counts.
 // The format is unchanged (same bytes DecodeSet reads) and the resulting
 // set is identical to DecodeSet's; with workers <= 1 it IS DecodeSet.
 //
@@ -420,7 +426,7 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 		results[si] = make(chan shardResult, 1)
 		go func(part []bucketSpan, out chan<- shardResult) {
 			res := shardResult{buckets: make([]*bucket, 0, len(part))}
-			bd := bucketDecoder{nScripts: nScripts}
+			bd := bucketDecoder{scripts: st.list}
 			for _, sp := range part {
 				w, err := d.Window(sp.start, sp.end)
 				if err != nil {
@@ -438,9 +444,9 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 		}(shards[si], results[si])
 	}
 
-	// Merge shards in order as they complete: the outpoint table, reference
-	// counts, and byte estimate are sequential state, so this loop is the
-	// only writer. A failed shard still drains the others before returning.
+	// Merge shards in order as they complete: the outpoint table and the
+	// reference counts are sequential state, so this loop is the only
+	// writer. A failed shard still drains the others before returning.
 	var firstErr error
 	for si := range shards {
 		res := <-results[si]

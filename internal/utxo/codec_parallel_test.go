@@ -27,7 +27,7 @@ func decodeSetParallel(t *testing.T, snap []byte, workers int) (*Set, error) {
 
 // TestDecodeSetParallelEquivalence pins the sharded decoder to the serial
 // one: identical re-encoded bytes (hence identical outpoint map, interned
-// table, ordered buckets, balances, byte estimate) at every worker count,
+// table, ordered buckets, balances) at every worker count,
 // on set shapes from empty to many-bucket.
 func TestDecodeSetParallelEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
@@ -44,7 +44,7 @@ func TestDecodeSetParallelEquivalence(t *testing.T) {
 				t.Fatalf("seed %d workers %d: parallel decode diverged from serial", seed, workers)
 			}
 			if got.Len() != serial.Len() || got.AddressCount() != serial.AddressCount() ||
-				got.InternedScripts() != serial.InternedScripts() || got.ApproxBytes() != serial.ApproxBytes() {
+				got.InternedScripts() != serial.InternedScripts() {
 				t.Fatalf("seed %d workers %d: derived counters diverged", seed, workers)
 			}
 		}

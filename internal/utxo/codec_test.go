@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"icbtc/internal/btc"
@@ -78,9 +79,6 @@ func assertSetsEqual(t *testing.T, want, got *Set) {
 	}
 	if got.InternedScripts() != want.InternedScripts() {
 		t.Fatalf("InternedScripts: got %d, want %d", got.InternedScripts(), want.InternedScripts())
-	}
-	if got.ApproxBytes() != want.ApproxBytes() {
-		t.Fatalf("ApproxBytes: got %d, want %d", got.ApproxBytes(), want.ApproxBytes())
 	}
 	if got.Network() != want.Network() {
 		t.Fatalf("Network: got %v, want %v", got.Network(), want.Network())
@@ -231,11 +229,43 @@ func TestSetDecodeRejectsDuplicateOutpoint(t *testing.T) {
 	}
 }
 
+// TestSetDecodeRejectsMisfiledScripts: EncodeTo writes the script table in
+// ascending byte order and files each entry in the bucket its script's key
+// names. A table in descending order would restore a set that re-encodes to
+// other bytes; an entry filed under another key would restore a set whose
+// spend of it looks in the wrong bucket.
+func TestSetDecodeRejectsMisfiledScripts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		snap []byte
+		want string
+	}{
+		{"descending table", twoBucketSnapshot(true, false, 1, 2), "utxo: snapshot script 1 duplicated or out of order"},
+		{"crossed buckets", twoBucketSnapshot(false, true, 1, 2), "holds an entry whose script is keyed"},
+	} {
+		for _, workers := range []int{1, 3} {
+			d, err := statecodec.NewDecoder(tc.snap, codecTestMagic, codecTestVersion)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeSetParallel(d, workers); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s, workers=%d: got %v, want %q", tc.name, workers, err, tc.want)
+			}
+		}
+	}
+}
+
 // duplicateOutpointSnapshot encodes two single-entry buckets holding the
 // same outpoint.
-func duplicateOutpointSnapshot() []byte {
+func duplicateOutpointSnapshot() []byte { return twoBucketSnapshot(false, false, 9, 9) }
+
+// twoBucketSnapshot encodes a single-entry bucket for each of two scripts,
+// the entries on txids a and b, with the script table in ascending byte
+// order or, if descending, the other way round. If crossed, each bucket's
+// entry carries the other bucket's script.
+func twoBucketSnapshot(descending, crossed bool, a, b byte) []byte {
 	scripts := [][]byte{btc.PayToPubKeyHashScript([20]byte{1}), btc.PayToPubKeyHashScript([20]byte{2})}
-	if bytes.Compare(scripts[0], scripts[1]) > 0 {
+	if (bytes.Compare(scripts[0], scripts[1]) > 0) != descending {
 		scripts[0], scripts[1] = scripts[1], scripts[0]
 	}
 	e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
@@ -251,12 +281,16 @@ func duplicateOutpointSnapshot() []byte {
 		e.String(btc.ScriptID(script, btc.Regtest))
 		e.Uvarint(1)
 		var op btc.OutPoint
-		op.TxID[0] = 9
+		op.TxID[0] = [2]byte{a, b}[i]
 		e.Raw(op.TxID[:])
 		e.U32(op.Vout)
 		e.I64(1000)
 		e.I64(10)
-		e.Uvarint(uint64(i))
+		si := i
+		if crossed {
+			si = 1 - i
+		}
+		e.Uvarint(uint64(si))
 	}
 	return e.Finish()
 }

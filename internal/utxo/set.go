@@ -26,8 +26,8 @@
 //     only in the script records, the two string-keyed maps and the group
 //     headers.
 //   - A block fold has two halves: the table half (outpoint table, script
-//     records, byte estimate, metering stats) and the index half (buckets),
-//     which the table half records and applyIndex performs. The fold returns
+//     records, metering stats) and the index half (buckets), which the
+//     table half records and applyIndex performs. The fold returns
 //     after the table half; the index half trails on a goroutine of its own,
 //     in block order, until the first bucket read. Every bucket reader
 //     settles first: Balance, MergedBalance, MergedPage, AddressIter,
@@ -90,8 +90,6 @@ type Set struct {
 	scripts     []internedScript
 	freeScripts []uint32
 	interned    map[string]uint32
-	// approxBytes tracks an estimate of resident memory, reported by Fig 5.
-	approxBytes int64
 	// trail holds the done channels of the last foldHandoff folds' index
 	// halves, oldest first (see flush); the last one closes once the index
 	// has caught up with the table.
@@ -113,19 +111,8 @@ func New(network btc.Network) *Set {
 // Len returns the number of unspent outputs.
 func (s *Set) Len() int { return s.table.n }
 
-// ApproxBytes returns an estimate of the set's resident size in bytes
-// (outpoint + entry overhead + script bytes), used by the Fig 5 experiment.
-func (s *Set) ApproxBytes() int64 { return s.approxBytes }
-
 // Network returns the network the set indexes addresses for.
 func (s *Set) Network() btc.Network { return s.network }
-
-// perUTXOOverhead approximates the per-output storage footprint of the
-// production canister (value, outpoint, address index entry, and stable-
-// memory bookkeeping): the paper's end point of 103 GiB for ~170 M UTXOs
-// works out to ~650 bytes per UTXO, most of it metadata rather than the
-// script itself.
-const perUTXOOverhead = 580
 
 // intern returns the id of the single stored copy of script, creating it
 // (one copy, one ScriptID derivation) on first sight.
@@ -173,12 +160,10 @@ func (s *Set) ScriptInterned(script []byte) bool {
 func (s *Set) InternedScripts() int { return len(s.interned) }
 
 // enter fills the entry table.put just created and counts it against its
-// script and the byte estimate; its bucket entry is the caller's to insert.
+// script; its bucket entry is the caller's to insert.
 func (s *Set) enter(e *tableEntry, value, height int64, script uint32) {
 	e.value, e.height, e.script = value, height, script
-	sc := &s.scripts[script]
-	sc.refs++
-	s.approxBytes += int64(perUTXOOverhead + len(sc.bytes))
+	s.scripts[script].refs++
 }
 
 // bucketFor returns the address's bucket, creating it when absent.
@@ -197,12 +182,10 @@ func (s *Set) utxoOf(e *tableEntry) UTXO {
 }
 
 // drop gives up what an entry taken from the table holds besides its bucket
-// entry — its byte estimate and its script reference — and returns its
-// address key, read first: the release may recycle the script's id.
+// entry — its script reference — and returns its address key, read first:
+// the release may recycle the script's id.
 func (s *Set) drop(e *tableEntry) string {
-	sc := &s.scripts[e.script]
-	s.approxBytes -= int64(perUTXOOverhead + len(sc.bytes))
-	key := sc.key
+	key := s.scripts[e.script].key
 	s.release(e.script)
 	return key
 }

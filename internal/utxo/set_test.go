@@ -139,25 +139,6 @@ func TestScriptIDRecycling(t *testing.T) {
 	assertSetsEqual(t, s, decodeSet(t, encodeSet(s)))
 }
 
-func TestApproxBytesTracksContents(t *testing.T) {
-	s := New(btc.Regtest)
-	_, script := addrKey(2)
-	if s.ApproxBytes() != 0 {
-		t.Fatal("empty set has nonzero size")
-	}
-	mustAdd(t, s, op(2, 0), 1, script, 1)
-	grown := s.ApproxBytes()
-	if grown <= 0 {
-		t.Fatal("size did not grow")
-	}
-	if _, err := s.Remove(op(2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if s.ApproxBytes() != 0 {
-		t.Fatalf("size %d after removing everything", s.ApproxBytes())
-	}
-}
-
 func TestUTXOsForAddressSorted(t *testing.T) {
 	s := New(btc.Regtest)
 	key, script := addrKey(3)
@@ -305,7 +286,7 @@ func TestQuickApplyUnapplyIsIdentity(t *testing.T) {
 			ops = append(ops, btc.OutPoint{TxID: cb.TxID(), Vout: 0})
 		}
 		snapshot := func() string {
-			out := fmt.Sprint(s.Len(), s.ApproxBytes(), s.InternedScripts())
+			out := fmt.Sprint(s.Len(), s.InternedScripts())
 			for _, key := range keys {
 				out += fmt.Sprint(s.Balance(key), s.UTXOsForAddress(key))
 			}
