@@ -1,12 +1,15 @@
-// Command bench regenerates the paper's figures and in-text measurements:
-// metered instructions and simulated latency on the virtual clock, so the
-// same flags print the same bytes on every run (testdata/figures.golden).
-// Wall-clock measurement lives in benchmark/ and nowhere else.
+// Command bench regenerates the paper's figures and in-text measurements
+// that the code decides: metered instructions and rounds counted on the
+// virtual clock, so the same flags print the same bytes on every run
+// (testdata/figures.golden). The §IV-B response times are not among them:
+// on the simulated subnet they are its latency envelope (internal/ic) read
+// back. Wall-clock measurement lives in benchmark/ and nowhere else.
 //
 // Usage:
 //
 //	bench -fig all      # every figure below, in this order (default)
 //	bench -fig <name>   # one of them; an unknown name lists the valid ones
+//	bench -seed <n>     # the simulation seed (default 7)
 package main
 
 import (
@@ -21,28 +24,22 @@ import (
 	"icbtc/internal/experiments"
 )
 
-// opts are the knobs the figures share; each figure reads the ones it has.
-type opts struct {
-	seed  int64
-	scale int
-}
-
 // figure is one -fig value. The flag help, the "all" loop, the unknown-name
 // error and the golden test all iterate the figures table.
 type figure struct {
 	name  string
 	title string
-	run   func(io.Writer, opts) error
+	run   func(w io.Writer, seed int64) error
 }
 
 var figures = []figure{
-	{"3", "Figure 3", func(w io.Writer, _ opts) error {
+	{"3", "Figure 3", func(w io.Writer, _ int64) error {
 		printFigure3(w)
 		return nil
 	}},
-	{"6", "Figure 6", func(w io.Writer, o opts) error {
+	{"6", "Figure 6", func(w io.Writer, seed int64) error {
 		cfg := experiments.DefaultFig6Config()
-		cfg.Seed = o.seed
+		cfg.Seed = seed
 		res, err := experiments.RunFig6(cfg)
 		if err != nil {
 			return err
@@ -50,39 +47,25 @@ var figures = []figure{
 		res.Print(w)
 		return nil
 	}},
-	{"7", "Figure 7", func(w io.Writer, o opts) error {
-		cfg := experiments.DefaultFig7Config()
-		cfg.Seed = o.seed
-		cfg.Scale = o.scale
-		res, err := experiments.RunFig7(cfg)
+	{"7", "Figure 7", func(w io.Writer, seed int64) error {
+		res, err := experiments.RunFig7(seed)
 		if err != nil {
 			return err
 		}
 		res.Print(w)
 		return nil
 	}},
-	{"latency", "Latency distribution (§IV-B)", func(w io.Writer, o opts) error {
-		cfg := experiments.DefaultLatencyConfig()
-		cfg.Seed = o.seed
-		cfg.Scale = o.scale
-		res, err := experiments.RunLatency(cfg)
+	{"cost", "Request cost (§IV-B)", func(w io.Writer, seed int64) error {
+		res, err := experiments.RunCost(seed)
 		if err != nil {
 			return err
 		}
 		res.Print(w)
 		return nil
 	}},
-	{"cost", "Request cost (§IV-B)", func(w io.Writer, o opts) error {
-		res, err := experiments.RunCost(o.seed)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-		return nil
-	}},
-	{"degrade", "Degradation: recovery vs adapter-link loss rate", func(w io.Writer, o opts) error {
+	{"degrade", "Degradation: recovery vs adapter-link loss rate", func(w io.Writer, seed int64) error {
 		cfg := experiments.DefaultDegradeConfig()
-		cfg.Seed = o.seed
+		cfg.Seed = seed
 		res, err := experiments.RunDegrade(cfg)
 		if err != nil {
 			return err
@@ -90,9 +73,9 @@ var figures = []figure{
 		res.Print(w)
 		return nil
 	}},
-	{"readpath", "Read path: overlay vs the replay oracle, one canister (δ=144)", func(w io.Writer, o opts) error {
+	{"readpath", "Read path: overlay vs the replay oracle, one canister (δ=144)", func(w io.Writer, seed int64) error {
 		cfg := experiments.DefaultReadPathConfig()
-		cfg.Seed = o.seed
+		cfg.Seed = seed
 		res, err := experiments.RunReadPath(cfg)
 		if err != nil {
 			return err
@@ -100,14 +83,14 @@ var figures = []figure{
 		res.Print(w)
 		return nil
 	}},
-	{"ablations", "Ablation: δ sweep", func(w io.Writer, o opts) error {
-		d, err := experiments.RunDeltaSweep(o.seed)
+	{"ablations", "Ablation: δ sweep", func(w io.Writer, seed int64) error {
+		d, err := experiments.RunDeltaSweep(seed)
 		if err != nil {
 			return err
 		}
 		d.Print(w)
 		section(w, "Ablation: Algorithm 1 sync modes")
-		s, err := experiments.RunSyncModes(o.seed)
+		s, err := experiments.RunSyncModes(seed)
 		if err != nil {
 			return err
 		}
@@ -134,9 +117,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fig := fs.String("fig", "all", "figure to regenerate: "+figureNames()+", or all")
-	var o opts
-	fs.Int64Var(&o.seed, "seed", 7, "simulation seed")
-	fs.IntVar(&o.scale, "scale", 10, "population scale divisor for Fig 7 / latency (1 = paper's full 1000 addresses)")
+	seed := fs.Int64("seed", 7, "simulation seed")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -147,7 +128,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		}
 		ran = true
 		section(stdout, f.title)
-		if err := f.run(stdout, o); err != nil {
+		if err := f.run(stdout, *seed); err != nil {
 			fmt.Fprintf(stderr, "bench: -fig %s: %v\n", f.name, err)
 			return 1
 		}

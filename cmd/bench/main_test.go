@@ -18,9 +18,9 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figures.golden")
 
 // TestFiguresGolden is the exact-equality gate on the paper's evaluation:
-// every figure is metered instructions or simulated latency on the virtual
-// clock, so at the default seed/scale the output is the same bytes on
-// every run, at any GOMAXPROCS. A diff here means a change moved a number the
+// every figure is metered instructions or rounds counted on the virtual
+// clock, so at the default seed the output is the same bytes on every run,
+// at any GOMAXPROCS. A diff here means a change moved a number the
 // paper reports — intended or not, it has to be looked at.
 func TestFiguresGolden(t *testing.T) {
 	var out bytes.Buffer
@@ -68,9 +68,11 @@ func TestFiguresGolden(t *testing.T) {
 
 // TestUnknownFigureIsAnError: a mistyped -fig used to print nothing and exit
 // 0, which reads as "that figure is empty". "5" is the deleted Figure 5,
-// whose rows were a closed form of the generator, not a measurement.
+// whose rows were a closed form of the generator, not a measurement;
+// "latency" is the deleted §IV-B latency table, whose rows were the
+// subnet's latency envelope read back.
 func TestUnknownFigureIsAnError(t *testing.T) {
-	for _, name := range []string{"nosuch", "5"} {
+	for _, name := range []string{"nosuch", "5", "latency"} {
 		var stdout, stderr bytes.Buffer
 		if code := cli([]string{"-fig", name}, &stdout, &stderr); code != 2 {
 			t.Fatalf("-fig %s: exit %d, want 2", name, code)
@@ -83,5 +85,18 @@ func TestUnknownFigureIsAnError(t *testing.T) {
 				t.Errorf("-fig %s: error does not name valid figure %q: %s", name, f.name, stderr.String())
 			}
 		}
+	}
+}
+
+// TestScaleIsNotAFlag: -scale divided the population of Figure 7 and the
+// latency table; with the latency table gone, the one value in use is the
+// population's fixed scale, so the flag is gone and naming it is an error.
+func TestScaleIsNotAFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := cli([]string{"-fig", "7", "-scale", "1"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-scale 1: exit %d, want 2", code)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-scale 1 printed to stdout: %q", stdout.String())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"icbtc/internal/btc"
-	"icbtc/internal/canister"
 	"icbtc/internal/ic"
 )
 
@@ -25,27 +24,15 @@ type CostResult struct {
 // RunCost measures the average request cost over the skewed population and
 // converts it to requests-per-dollar using the cycle price model.
 func RunCost(seed int64) (*CostResult, error) {
-	f, pop, _, err := loadPopulation(Fig7Config{Scale: 10, Seed: seed})
+	var balSum, utxoSum, n uint64
+	f, err := meterRequests(seed, func(_ bool, _ int, balanceInstr, utxosInstr uint64) {
+		balSum += balanceInstr
+		utxoSum += utxosInstr
+		n++
+	})
 	if err != nil {
 		return nil, err
 	}
-	var balSum, utxoSum uint64
-	for _, a := range pop.Addresses {
-		ctx := f.QueryCtx()
-		ctx.Kind = ic.KindUpdate
-		if _, err := f.Canister.GetBalance(ctx, canister.GetBalanceArgs{Address: a.Address}); err != nil {
-			return nil, err
-		}
-		balSum += ctx.Meter.Total()
-
-		ctx2 := f.QueryCtx()
-		ctx2.Kind = ic.KindUpdate
-		if _, err := f.Canister.GetUTXOs(ctx2, canister.GetUTXOsArgs{Address: a.Address}); err != nil {
-			return nil, err
-		}
-		utxoSum += ctx2.Meter.Total()
-	}
-	n := uint64(len(pop.Addresses))
 	res := &CostResult{
 		BalanceInstructions: balSum / n,
 		UTXOsInstructions:   utxoSum / n,

@@ -160,39 +160,14 @@ func TestFig6IngestionShape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	cfg := DefaultFig7Config()
-	cfg.Scale = 20 // ~50 addresses: fast but covers all buckets
-	res, err := RunFig7(cfg)
+	res, err := RunFig7(7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows")
 	}
-	// Query latency must grow with UTXO count: compare the small and large
-	// thirds.
-	third := len(res.Rows) / 3
-	if third > 0 {
-		var smallSum, largeSum time.Duration
-		for _, row := range res.Rows[:third] {
-			smallSum += row.UTXOsQuery
-		}
-		for _, row := range res.Rows[len(res.Rows)-third:] {
-			largeSum += row.UTXOsQuery
-		}
-		if largeSum <= smallSum {
-			t.Fatal("query latency does not grow with UTXO count")
-		}
-	}
 	for _, row := range res.Rows {
-		// Replicated calls dominated by consensus: several seconds.
-		if row.BalanceReplicated < 3*time.Second {
-			t.Fatalf("replicated balance %v implausibly fast", row.BalanceReplicated)
-		}
-		// Queries far faster than replicated calls.
-		if row.BalanceQuery >= row.BalanceReplicated {
-			t.Fatal("query not faster than replicated")
-		}
 		if row.UTXOsInstructions == 0 {
 			t.Fatal("no instructions recorded")
 		}
@@ -209,54 +184,21 @@ func TestFig7Shape(t *testing.T) {
 			}
 		}
 	}
-	if len(stableSamples) > 0 && len(unstableSamples) > 0 {
-		var sPer, uPer float64
-		for _, s := range stableSamples {
-			sPer += float64(s.UTXOsInstructions) / float64(s.UTXOCount)
-		}
-		sPer /= float64(len(stableSamples))
-		for _, u := range unstableSamples {
-			uPer += float64(u.UTXOsInstructions) / float64(u.UTXOCount)
-		}
-		uPer /= float64(len(unstableSamples))
-		if uPer >= sPer {
-			t.Fatalf("no bifurcation: unstable %.0f/UTXO vs stable %.0f/UTXO", uPer, sPer)
-		}
+	// The fixed population puts addresses of both kinds in the range.
+	if len(stableSamples) == 0 || len(unstableSamples) == 0 {
+		t.Fatalf("no comparison: %d stable and %d unstable addresses hold 100-1100 UTXOs", len(stableSamples), len(unstableSamples))
 	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("no output")
+	var sPer, uPer float64
+	for _, s := range stableSamples {
+		sPer += float64(s.UTXOsInstructions) / float64(s.UTXOCount)
 	}
-}
-
-func TestLatencyDistribution(t *testing.T) {
-	cfg := DefaultLatencyConfig()
-	cfg.Scale = 25 // ~40 addresses
-	res, err := RunLatency(cfg)
-	if err != nil {
-		t.Fatal(err)
+	sPer /= float64(len(stableSamples))
+	for _, u := range unstableSamples {
+		uPer += float64(u.UTXOsInstructions) / float64(u.UTXOCount)
 	}
-	// Paper bands with tolerance: min ≈7s → [4,11]; avg <10s → <15s;
-	// p90 ≈18s → [8,30].
-	if res.ReplicatedMin < 4*time.Second || res.ReplicatedMin > 11*time.Second {
-		t.Fatalf("replicated min %v", res.ReplicatedMin)
-	}
-	if res.ReplicatedAvg > 15*time.Second {
-		t.Fatalf("replicated avg %v", res.ReplicatedAvg)
-	}
-	if res.ReplicatedP90 < res.ReplicatedAvg || res.ReplicatedP90 > 30*time.Second {
-		t.Fatalf("replicated p90 %v (avg %v)", res.ReplicatedP90, res.ReplicatedAvg)
-	}
-	// Query medians: hundreds of milliseconds; UTXOs slower than balance.
-	if res.QueryBalanceMedian > time.Second {
-		t.Fatalf("balance median %v", res.QueryBalanceMedian)
-	}
-	if res.QueryUTXOsMedian < res.QueryBalanceMedian {
-		t.Fatalf("utxos median %v below balance median %v", res.QueryUTXOsMedian, res.QueryBalanceMedian)
-	}
-	if res.QueryUTXOsP90 > 5*time.Second {
-		t.Fatalf("utxos p90 %v", res.QueryUTXOsP90)
+	uPer /= float64(len(unstableSamples))
+	if uPer >= sPer {
+		t.Fatalf("no bifurcation: unstable %.0f/UTXO vs stable %.0f/UTXO", uPer, sPer)
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)

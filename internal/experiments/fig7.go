@@ -4,60 +4,47 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
 	"icbtc/internal/ic"
 	"icbtc/internal/obs"
-	"icbtc/internal/simnet"
 )
 
 // Fig7Row is one address's measurements.
 type Fig7Row struct {
 	UTXOCount int
-	// Latencies for the four request variants.
-	BalanceQuery, BalanceReplicated time.Duration
-	UTXOsQuery, UTXOsReplicated     time.Duration
-	// Instructions for the replicated get_utxos call (Fig 7 right).
+	// Instructions for the replicated get_utxos call.
 	UTXOsInstructions uint64
 	// Unstable marks addresses whose UTXOs live in unstable blocks (the
 	// lower branch of the bifurcation).
 	Unstable bool
 }
 
-// Fig7Result regenerates Figure 7: response time for get_balance and
-// get_utxos (replicated and non-replicated) and instructions executed for
-// replicated UTXO requests, as functions of the UTXO-set size.
+// Fig7Result regenerates Figure 7 (right): instructions executed for
+// replicated UTXO requests as a function of the UTXO-set size. The left and
+// center panels' response times would be the subnet's latency envelope
+// read back (see the package doc).
 type Fig7Result struct {
 	Rows []Fig7Row
 }
 
-// Fig7Config parameterizes the population and the measurement subnet.
-type Fig7Config struct {
-	// Scale divides the 1000-address population (scale 10 → 100 addresses,
-	// keeping the paper's skew). Latency distributions are insensitive to
-	// the population size; the default keeps the experiment fast.
-	Scale int
-	Seed  int64
-}
-
-// unstableFraction of addresses get their UTXOs in recent (unstable)
-// blocks, producing the Fig 7 (right) bifurcation.
-const unstableFraction = 0.3
-
-// DefaultFig7Config returns the laptop-scale configuration.
-func DefaultFig7Config() Fig7Config {
-	return Fig7Config{Scale: 10, Seed: 7}
-}
+const (
+	// populationScale divides the paper's 1000-address population (100
+	// addresses, keeping the paper's skew).
+	populationScale = 10
+	// unstableFraction of addresses get their UTXOs in recent (unstable)
+	// blocks, producing the Fig 7 (right) bifurcation.
+	unstableFraction = 0.3
+)
 
 // loadPopulation feeds the population into a fresh canister. Addresses
 // marked unstable receive their outputs in blocks that stay within δ of the
 // tip; everything else is pushed below the anchor.
-func loadPopulation(cfg Fig7Config) (*Feeder, *AddressPopulation, map[string]bool, error) {
+func loadPopulation(seed int64) (*Feeder, *AddressPopulation, map[string]bool, error) {
 	const delta = 6
-	f := NewFeeder(btc.Regtest, delta, cfg.Seed)
-	pop := NewAddressPopulation(btc.Regtest, cfg.Seed, cfg.Scale)
+	f := NewFeeder(btc.Regtest, delta, seed)
+	pop := NewAddressPopulation(btc.Regtest, seed, populationScale)
 
 	unstable := make(map[string]bool)
 	nUnstable := int(float64(len(pop.Addresses)) * unstableFraction)
@@ -101,68 +88,54 @@ func loadPopulation(cfg Fig7Config) (*Feeder, *AddressPopulation, map[string]boo
 	return f, pop, unstable, nil
 }
 
-// RunFig7 loads the skewed address population and measures all four
-// request variants per address on a default-configured subnet.
-func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
-	f, pop, unstableSet, err := loadPopulation(cfg)
+// meterRequests loads the population and executes get_balance and
+// get_utxos once per address through Canister.Update under a KindUpdate
+// context, the dispatch the subnet makes for a replicated call. visit gets
+// the address's UTXO count and each call's metered instructions; the loaded
+// feeder is returned for further blocks.
+func meterRequests(seed int64, visit func(unstable bool, utxos int, balanceInstr, utxosInstr uint64)) (*Feeder, error) {
+	f, pop, unstable, err := loadPopulation(seed)
 	if err != nil {
 		return nil, err
 	}
+	call := func(method string, arg any) (any, uint64, error) {
+		ctx := ic.NewCallContext(ic.KindUpdate, f.now)
+		v, err := f.Canister.Update(ctx, method, arg)
+		return v, ctx.Meter.Total(), err
+	}
+	for _, a := range pop.Addresses {
+		_, balanceInstr, err := call("get_balance", canister.GetBalanceArgs{Address: a.Address})
+		if err != nil {
+			return nil, err
+		}
+		v, utxosInstr, err := call("get_utxos", canister.GetUTXOsArgs{Address: a.Address})
+		if err != nil {
+			return nil, err
+		}
+		r := v.(*canister.GetUTXOsResult)
+		visit(unstable[a.Address], r.StableCount+r.UnstableCount, balanceInstr, utxosInstr)
+	}
+	return f, nil
+}
 
-	// Install the preloaded canister on a measurement subnet.
-	sched := simnet.NewScheduler(cfg.Seed)
-	subCfg := ic.DefaultConfig()
-	subCfg.DisableThresholdKeys = true // the subnet models certification latency as a fixed delay
-	subCfg.Seed = cfg.Seed
-	subnet, err := ic.NewSubnet(sched, subCfg)
+// RunFig7 loads the skewed address population and meters a replicated
+// get_utxos per address.
+func RunFig7(seed int64) (*Fig7Result, error) {
+	res := &Fig7Result{}
+	_, err := meterRequests(seed, func(unstable bool, utxos int, _, utxosInstr uint64) {
+		res.Rows = append(res.Rows, Fig7Row{UTXOCount: utxos, UTXOsInstructions: utxosInstr, Unstable: unstable})
+	})
 	if err != nil {
 		return nil, err
-	}
-	subnet.InstallCanister("bitcoin", f.Canister)
-	subnet.Start()
-
-	res := &Fig7Result{Rows: make([]Fig7Row, len(pop.Addresses))}
-	done := 0
-	for i, a := range pop.Addresses {
-		i, a := i, a
-		row := &res.Rows[i]
-		row.Unstable = unstableSet[a.Address]
-		subnet.Query("bitcoin", "get_balance", canister.GetBalanceArgs{Address: a.Address}, "bench", func(r ic.Result) {
-			row.BalanceQuery = r.Latency
-			done++
-		})
-		subnet.Query("bitcoin", "get_utxos", canister.GetUTXOsArgs{Address: a.Address}, "bench", func(r ic.Result) {
-			row.UTXOsQuery = r.Latency
-			if v, ok := r.Value.(*canister.GetUTXOsResult); ok && v != nil {
-				row.UTXOCount = v.StableCount + v.UnstableCount
-			}
-			done++
-		})
-		subnet.SubmitUpdate("bitcoin", "get_balance", canister.GetBalanceArgs{Address: a.Address}, "bench", func(r ic.Result) {
-			row.BalanceReplicated = r.Latency
-			done++
-		})
-		subnet.SubmitUpdate("bitcoin", "get_utxos", canister.GetUTXOsArgs{Address: a.Address}, "bench", func(r ic.Result) {
-			row.UTXOsReplicated = r.Latency
-			row.UTXOsInstructions = r.Instructions
-			done++
-		})
-	}
-	want := len(pop.Addresses) * 4
-	budget := sched.Now().Add(2 * time.Hour)
-	for done < want && sched.Now().Before(budget) {
-		sched.RunFor(time.Second)
-	}
-	if done < want {
-		return nil, fmt.Errorf("experiments: fig7 timed out with %d/%d responses", done, want)
 	}
 	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].UTXOCount < res.Rows[j].UTXOCount })
 	return res, nil
 }
 
-// bucketOf maps a UTXO count to the figure's logarithmic x-axis buckets.
+// fig7Buckets are the figure's logarithmic x-axis buckets.
 var fig7Buckets = []int{1, 2, 4, 10, 20, 40, 100, 200, 400, 1000}
 
+// bucketOf maps a UTXO count to its fig7Buckets bucket.
 func bucketOf(count int) int {
 	b := fig7Buckets[0]
 	for _, edge := range fig7Buckets {
@@ -173,13 +146,9 @@ func bucketOf(count int) int {
 	return b
 }
 
-// Print renders the three panels as bucketed medians.
+// Print renders the panel as bucketed medians.
 func (r *Fig7Result) Print(w io.Writer) {
-	type agg struct {
-		bq, br, uq, ur []time.Duration
-		instr          []uint64
-		instrUnstable  []uint64
-	}
+	type agg struct{ stable, unstable []uint64 }
 	buckets := map[int]*agg{}
 	for _, row := range r.Rows {
 		b := bucketOf(row.UTXOCount)
@@ -188,26 +157,11 @@ func (r *Fig7Result) Print(w io.Writer) {
 			a = &agg{}
 			buckets[b] = a
 		}
-		a.bq = append(a.bq, row.BalanceQuery)
-		a.br = append(a.br, row.BalanceReplicated)
-		a.uq = append(a.uq, row.UTXOsQuery)
-		a.ur = append(a.ur, row.UTXOsReplicated)
 		if row.Unstable {
-			a.instrUnstable = append(a.instrUnstable, row.UTXOsInstructions)
+			a.unstable = append(a.unstable, row.UTXOsInstructions)
 		} else {
-			a.instr = append(a.instr, row.UTXOsInstructions)
+			a.stable = append(a.stable, row.UTXOsInstructions)
 		}
-	}
-	fmt.Fprintln(w, "Figure 7 (left/center): median response time [s] by #UTXOs")
-	fmt.Fprintf(w, "%-8s %14s %14s %14s %14s\n", "#UTXOs", "bal-query", "bal-repl", "utxo-query", "utxo-repl")
-	for _, b := range fig7Buckets {
-		a := buckets[b]
-		if a == nil {
-			continue
-		}
-		fmt.Fprintf(w, "%-8d %14.3f %14.3f %14.3f %14.3f\n", b,
-			obs.SummarizeDurations(a.bq).P50.Seconds(), obs.SummarizeDurations(a.br).P50.Seconds(),
-			obs.SummarizeDurations(a.uq).P50.Seconds(), obs.SummarizeDurations(a.ur).P50.Seconds())
 	}
 	fmt.Fprintln(w, "Figure 7 (right): median instructions [M] for replicated get_utxos")
 	fmt.Fprintf(w, "%-8s %16s %18s\n", "#UTXOs", "stable-UTXOs", "unstable-UTXOs")
@@ -217,6 +171,6 @@ func (r *Fig7Result) Print(w io.Writer) {
 			continue
 		}
 		fmt.Fprintf(w, "%-8d %16.1f %18.1f\n", b,
-			float64(obs.MedianU64(a.instr))/1e6, float64(obs.MedianU64(a.instrUnstable))/1e6)
+			float64(obs.MedianU64(a.stable))/1e6, float64(obs.MedianU64(a.unstable))/1e6)
 	}
 }

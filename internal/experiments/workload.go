@@ -1,14 +1,15 @@
 // Package experiments regenerates the figures and in-text measurements of
 // the paper's evaluation (§IV) that the code decides: block ingestion cost
-// and its insert/remove split (Fig 6), request latency and instruction
-// counts versus UTXO-set size (Fig 7), the latency and cost summary
-// numbers, plus ablations over δ and single- versus multi-block responses,
-// the read path's cost against unstable depth, and recovery under
-// adapter-link loss.
+// and its insert/remove split (Fig 6), get_utxos instructions versus
+// UTXO-set size (Fig 7, right), the request cost summary, plus ablations
+// over δ and single- versus multi-block responses, the read path's cost
+// against unstable depth, and recovery under adapter-link loss. The §IV-B
+// response times are not regenerated: on the simulated subnet they are its
+// latency envelope (internal/ic) read back.
 //
-// Experiments run against the same canister, adapter, and subnet code the
-// integration uses; the workload generators below replace the mainnet
-// traffic the paper measured.
+// Experiments run against the same canister, adapter, and chaos-harness
+// code the integration uses; the workload generators below replace the
+// mainnet traffic the paper measured.
 package experiments
 
 import (

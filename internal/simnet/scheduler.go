@@ -3,10 +3,9 @@
 // a seeded RNG, and an in-process message-passing network with configurable
 // latency, loss, and partitions.
 //
-// Running on virtual time makes the latency experiments (Fig 7, the in-text
-// latency distributions) deterministic and fast: a "10 second" replicated
-// call completes in microseconds of wall-clock time while still measuring
-// 10 seconds of simulated time.
+// Running on virtual time makes every simulation deterministic and fast: a
+// "10 second" replicated call completes in microseconds of wall-clock time
+// while still taking 10 seconds of simulated time.
 package simnet
 
 import (

@@ -111,11 +111,15 @@ func TestDecodeSetParallelRejectsCorruption(t *testing.T) {
 // mutated snapshots: the fuzzer mutates the payload, which is re-framed so
 // the checksum passes and the decoders' own structural checks do the
 // judging. Both must reject, or both accept and re-encode to the same bytes.
+// A set they accept must then spend down to nothing: every outpoint it
+// lists comes out of the bucket its script's key names, with the index
+// consistent afterwards, so an entry filed under another key cannot pass.
 func FuzzDecodeSetParallelDiff(f *testing.F) {
 	f.Add(payloadOf(encodeSet(New(btc.Regtest))))
 	f.Add(payloadOf(encodeSet(buildRandomSet(3, 40))))
 	f.Add(payloadOf(encodeSet(buildRandomSet(9, 300))))
 	f.Add(payloadOf(duplicateOutpointSnapshot()))
+	f.Add(payloadOf(twoBucketSnapshot(false, true, 1, 2)))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, len(payload))
 		e.Raw(payload)
@@ -129,6 +133,23 @@ func FuzzDecodeSetParallelDiff(f *testing.F) {
 			if errSerial == nil && !bytes.Equal(encodeSet(serial), encodeSet(parallel)) {
 				t.Fatalf("workers=%d: both accept, re-encodings differ", workers)
 			}
+		}
+		if errSerial != nil {
+			return
+		}
+		var ops []btc.OutPoint
+		serial.ForEach(func(u UTXO) bool {
+			ops = append(ops, u.OutPoint)
+			return true
+		})
+		for _, op := range ops {
+			if _, err := serial.Remove(op); err != nil {
+				t.Fatalf("spending accepted entry %s: %v", op, err)
+			}
+		}
+		checkIndexInvariants(t, serial)
+		if serial.Len() != 0 || serial.AddressCount() != 0 {
+			t.Fatalf("spent every entry, yet %d entries and %d buckets remain", serial.Len(), serial.AddressCount())
 		}
 	})
 }
