@@ -85,24 +85,25 @@ func (r *Replica) SetPayloadBuilder(id CanisterID, b PayloadBuilder) {
 	r.payloadBuilders[id] = b
 }
 
-// Result is the outcome of a canister call: the response as a router would
-// return it, plus what the subnet adds on the way back to the caller. For a
+// Result is the outcome of a subnet call: the response and the instructions
+// it charged, plus what the subnet adds on the way back to the caller. For a
 // replicated call Signature certifies the digest of value and error alone,
-// and the heights and the Forwarded/Degraded marks stay zero.
+// and the heights and the Forwarded/Degraded marks stay zero; a query's
+// response is not certified.
 type Result struct {
 	RoutedQuery
 	// Latency is the end-to-end virtual time from submission to response.
 	Latency time.Duration
-	// Certified indicates the response carries a subnet threshold signature
-	// (replicated calls, and queries served by a certified read-replica
-	// fleet).
+	// Certified indicates the response carries a subnet threshold signature:
+	// a replicated call's.
 	Certified bool
 }
 
-// RoutedQuery is the outcome a QueryRouter returns for one query: the
-// response, the instructions the serving replica charged, and — when the
-// router certifies responses — the signature over the CertifiedQuery
-// envelope together with the chain position it binds.
+// RoutedQuery is the outcome of one query routed through the read-replica
+// fleet (queryfleet.Fleet.RouteQuery): the response, the instructions the
+// serving replica charged, and — when the fleet certifies responses — the
+// signature over the CertifiedQuery envelope together with the chain
+// position it binds.
 type RoutedQuery struct {
 	Value any
 	Err   error
@@ -124,9 +125,9 @@ type RoutedQuery struct {
 	Degraded bool
 }
 
-// Envelope rebuilds the CertifiedQuery a router signs for this response —
+// Envelope rebuilds the CertifiedQuery the fleet signs for this response —
 // what the fleet certifies and audits, and what a client holding the response
-// and the subnet key verifies.
+// and the subnet key verifies with Subnet.VerifyCertified.
 func (rq RoutedQuery) Envelope(method string) CertifiedQuery {
 	return CertifiedQuery{
 		Method:       method,
@@ -135,13 +136,6 @@ func (rq RoutedQuery) Envelope(method string) CertifiedQuery {
 		AnchorHeight: rq.AnchorHeight,
 		TipHeight:    rq.TipHeight,
 	}
-}
-
-// QueryRouter serves non-replicated queries for a canister in place of the
-// single-instance execution — the read-replica query fleet. Implementations
-// must be safe for concurrent use.
-type QueryRouter interface {
-	RouteQuery(method string, arg any, caller string, now time.Time) RoutedQuery
 }
 
 // Subnet is a replicated state machine hosting canisters.
@@ -158,7 +152,6 @@ type Subnet struct {
 	// order lists the installed canister IDs sorted, so a block processes
 	// payloads and runs timers in the same order on every run.
 	order     []CanisterID
-	routers   map[CanisterID]QueryRouter
 	committee *tecdsa.Committee
 
 	// checkpoints journals each canister's last image known good: the
@@ -188,7 +181,6 @@ func NewSubnet(sched *simnet.Scheduler, cfg Config) (*Subnet, error) {
 		sched:       sched,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		canisters:   make(map[CanisterID]Canister),
-		routers:     make(map[CanisterID]QueryRouter),
 		checkpoints: make(map[CanisterID][]byte),
 	}
 	seed := sha256.Sum256([]byte(fmt.Sprintf("beacon-%d", cfg.Seed)))
@@ -227,17 +219,6 @@ func (s *Subnet) InstallCanister(id CanisterID, c Canister) {
 
 // Canister returns an installed canister.
 func (s *Subnet) Canister(id CanisterID) Canister { return s.canisters[id] }
-
-// SetQueryRouter installs a read-replica query router for a canister:
-// subsequent Query calls for that canister are served by the router (the
-// fleet) instead of the single canister instance. Passing nil uninstalls.
-func (s *Subnet) SetQueryRouter(id CanisterID, r QueryRouter) {
-	if r == nil {
-		delete(s.routers, id)
-		return
-	}
-	s.routers[id] = r
-}
 
 // RecoverySource says which image RecoverUpgrade restarted a canister from.
 type RecoverySource int
@@ -541,25 +522,17 @@ func (s *Subnet) Query(canister CanisterID, method string, arg any, caller strin
 	// Request travels half the RTT, executes, then returns.
 	s.sched.After(rtt/2, func() {
 		res := Result{}
-		if router := s.routers[canister]; router != nil {
-			// Read-replica fleet: the query is served (and certified) by a
-			// snapshot-hydrated, delta-fed replica instead of the single
-			// canister instance.
-			res.RoutedQuery = router.RouteQuery(method, arg, caller, s.sched.Now())
-			res.Certified = res.Signature != nil
+		can := s.canisters[canister]
+		meter := NewMeter()
+		if can == nil {
+			res.Err = fmt.Errorf("ic: canister %s not found", canister)
+		} else if err := checkDispatch(can, method, KindQuery); err != nil {
+			res.Err = err
 		} else {
-			can := s.canisters[canister]
-			meter := NewMeter()
-			if can == nil {
-				res.Err = fmt.Errorf("ic: canister %s not found", canister)
-			} else if err := checkDispatch(can, method, KindQuery); err != nil {
-				res.Err = err
-			} else {
-				ctx := &CallContext{Meter: meter, Time: s.sched.Now(), Caller: caller, Kind: KindQuery, subnet: s}
-				res.Value, res.Err = can.Query(ctx, method, arg)
-			}
-			res.Instructions = meter.Total()
+			ctx := &CallContext{Meter: meter, Time: s.sched.Now(), Caller: caller, Kind: KindQuery, subnet: s}
+			res.Value, res.Err = can.Query(ctx, method, arg)
 		}
+		res.Instructions = meter.Total()
 		execTime := time.Duration(float64(res.Instructions) / queryRate * float64(time.Second))
 		s.sched.After(execTime+rtt/2, func() {
 			res.Latency = s.sched.Now().Sub(submitted)
@@ -568,14 +541,6 @@ func (s *Subnet) Query(canister CanisterID, method string, arg any, caller strin
 			}
 		})
 	})
-}
-
-// VerifyCertifiedQuery rebuilds the CertifiedQuery envelope of a routed
-// query response and checks its fleet certification against the subnet's
-// public key — what a client holding only the response and the subnet key
-// does.
-func (s *Subnet) VerifyCertifiedQuery(method string, res Result) bool {
-	return res.Certified && s.VerifyCertified(res.Envelope(method), nil, res.Signature)
 }
 
 // VerifyCertified checks a certified response signature against the

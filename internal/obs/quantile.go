@@ -7,9 +7,9 @@ import (
 
 // DurationSummary is an exact order-statistic summary of a duration sample
 // set. Unlike HistogramPoint.Quantile (bucketed, streaming), this is
-// computed from the full retained sample slice — the shape the experiment
-// reports need, where samples are small and exactness matters because the
-// figures are compared against pinned baselines.
+// computed from the full retained sample slice. Its one user outside this
+// package is benchmark/hist_test.go, which holds the benchmark's streaming
+// histogram to these exact order statistics; no figure reports it.
 type DurationSummary struct {
 	N    int
 	Min  time.Duration
@@ -22,10 +22,10 @@ type DurationSummary struct {
 }
 
 // SummarizeDurations sorts samples in place and returns the summary. The
-// percentile rule is the nearest-rank index formula s[n*k/100] that the
-// experiment reports have always used (P50 = s[n/2], P90 = s[n*9/10],
-// P99 = s[n*99/100], P999 = s[n*999/1000]), kept verbatim so deduplicating
-// the three hand-rolled copies onto this helper moves no reported value.
+// percentile rule is the nearest-rank index formula s[n*k/100] (P50 = s[n/2],
+// P90 = s[n*9/10], P99 = s[n*99/100], P999 = s[n*999/1000]), the rule the
+// benchmark's histogram quantiles follow (benchmark/hist_test.go checks
+// them against it).
 func SummarizeDurations(samples []time.Duration) DurationSummary {
 	n := len(samples)
 	if n == 0 {

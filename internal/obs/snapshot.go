@@ -199,7 +199,10 @@ func (s *Snapshot) Encode() []byte {
 	return e.Finish()
 }
 
-// DecodeSnapshot parses an Encode output.
+// DecodeSnapshot parses an Encode output. Names within a section, and a
+// family's children, must be strictly ascending, as Snapshot and Merge write
+// them: a repeated or misplaced name would decode to a snapshot that merges
+// into other bytes.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	d, err := statecodec.NewDecoder(data, snapshotMagic, snapshotVersion)
 	if err != nil {
@@ -208,12 +211,21 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	s := &Snapshot{}
 	for i, n := 0, d.CountFor(maxSnapshotMetrics, 9); i < n; i++ {
 		s.Counters = append(s.Counters, CounterPoint{Name: d.String(maxMetricName), Value: d.U64()})
+		if i > 0 && s.Counters[i].Name <= s.Counters[i-1].Name {
+			return nil, fmt.Errorf("obs: snapshot counter %d: name %q not after %q", i, s.Counters[i].Name, s.Counters[i-1].Name)
+		}
 	}
 	for i, n := 0, d.CountFor(maxSnapshotMetrics, 9); i < n; i++ {
 		s.Gauges = append(s.Gauges, GaugePoint{Name: d.String(maxMetricName), Value: d.I64()})
+		if i > 0 && s.Gauges[i].Name <= s.Gauges[i-1].Name {
+			return nil, fmt.Errorf("obs: snapshot gauge %d: name %q not after %q", i, s.Gauges[i].Name, s.Gauges[i-1].Name)
+		}
 	}
 	for i, n := 0, d.CountFor(maxSnapshotMetrics, 18); i < n; i++ {
 		h := HistogramPoint{Name: d.String(maxMetricName)}
+		if i > 0 && h.Name <= s.Histograms[i-1].Name {
+			return nil, fmt.Errorf("obs: snapshot histogram %d: name %q not after %q", i, h.Name, s.Histograms[i-1].Name)
+		}
 		nb := d.CountFor(maxSnapshotBuckets, 8)
 		for j := 0; j < nb; j++ {
 			h.Bounds = append(h.Bounds, d.I64())
@@ -231,8 +243,14 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	for i, n := 0, d.CountFor(maxSnapshotMetrics, 3); i < n; i++ {
 		f := FamilyPoint{Name: d.String(maxMetricName), Label: d.String(maxMetricName)}
+		if i > 0 && f.Name <= s.Families[i-1].Name {
+			return nil, fmt.Errorf("obs: snapshot family %d: name %q not after %q", i, f.Name, s.Families[i-1].Name)
+		}
 		for j, nv := 0, d.CountFor(maxSnapshotMetrics, 9); j < nv; j++ {
 			f.Values = append(f.Values, LabelValue{Value: d.String(maxMetricName), Count: d.U64()})
+			if j > 0 && f.Values[j].Value <= f.Values[j-1].Value {
+				return nil, fmt.Errorf("obs: snapshot family %s: child %q not after %q", f.Name, f.Values[j].Value, f.Values[j-1].Value)
+			}
 		}
 		s.Families = append(s.Families, f)
 		if d.Err() != nil {

@@ -20,12 +20,14 @@
 //     public key verifies it via ic.Subnet.VerifyCertified, closing the
 //     trust gap plain queries have.
 //
-// The fleet implements ic.QueryRouter, so ic.Subnet.Query routes through it
-// once installed with Subnet.SetQueryRouter. Its collaborators come in one way
-// each, after New: SetSigner, SetVerifier, and — for harnesses only — the two
-// fault seams SetFrameFault (the stream) and SetResponseFault (a served
-// response). The fleet holds no fault logic of its own; what a corrupted frame
-// or a lying replica looks like is the harness's code (internal/chaos/kit.go).
+// Clients route queries with Fleet.RouteQuery and verify a certified answer
+// with ic.Subnet.VerifyCertified over RoutedQuery.Envelope; ic.Subnet.Query
+// stays the paper's uncertified single-replica query. The fleet's
+// collaborators come in one way each, after New: SetSigner, SetVerifier,
+// and — for harnesses only — the two fault seams SetFrameFault (the stream)
+// and SetResponseFault (a served response). The fleet holds no fault logic
+// of its own; what a corrupted frame or a lying replica looks like is the
+// harness's code (internal/chaos/kit.go).
 package queryfleet
 
 import (
@@ -215,10 +217,9 @@ type StreamSource interface {
 // otherwise the caller must wire SetStreamSink(fleet.Feed) before the next
 // payload is processed. A caller that replaces the authority instance
 // (canister upgrade, snapshot restore) must re-install the sink on the new
-// instance. Install the fleet as the subnet's query router
-// (SetQueryRouter) to serve traffic. The fleet's only goroutines decode
-// published frames (see Feed); frames are applied by whoever calls
-// ApplyPending, CatchUp or CatchUpAll.
+// instance. Queries reach the fleet through RouteQuery. The fleet's only
+// goroutines decode published frames (see Feed); frames are applied by
+// whoever calls ApplyPending, CatchUp or CatchUpAll.
 func New(auth Authority, cfg Config) (*Fleet, error) {
 	if cfg.Replicas <= 0 {
 		return nil, fmt.Errorf("queryfleet: fleet needs at least one replica, got %d", cfg.Replicas)
@@ -417,7 +418,7 @@ func (f *Fleet) CatchUpAll() error {
 	return nil
 }
 
-// RouteQuery implements ic.QueryRouter: coalesce → cache → execute
+// RouteQuery serves one query: coalesce → cache → execute
 // (serving.go), each layer skipping itself when it is off. A fleet with
 // neither cache nor coalescing builds no request key and takes no serving
 // lock on the way to executeQuery.
@@ -647,8 +648,5 @@ func (f *Fleet) certify(rq ic.RoutedQuery, method string) (ic.RoutedQuery, bool)
 	return rq, true
 }
 
-// Compile-time interface checks.
-var (
-	_ ic.QueryRouter = (*Fleet)(nil)
-	_ Authority      = (*canister.BitcoinCanister)(nil)
-)
+// Compile-time interface check.
+var _ Authority = (*canister.BitcoinCanister)(nil)

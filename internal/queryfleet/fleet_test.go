@@ -202,12 +202,13 @@ func TestFleetRehydration(t *testing.T) {
 	}
 }
 
-// TestSubnetQueryRoutesThroughFleet wires the fleet into ic.Subnet.Query:
-// queries come back certified, verify via Subnet.VerifyCertified (through
-// the VerifyCertifiedQuery envelope helper), and tampering breaks them.
-func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
-	sched := simnet.NewScheduler(5)
-	subnet, sign, _, err := chaos.Committee(sched, 5)
+// TestRoutedQueryVerifiesUnderSubnetKey: a query routed through a signing
+// fleet comes back certified, bound to the canister's chain position, and a
+// client holding only the answer and the subnet key verifies it with
+// Subnet.VerifyCertified over the rebuilt envelope; a changed value, another
+// method or a changed tip height does not verify.
+func TestRoutedQueryVerifiesUnderSubnetKey(t *testing.T) {
+	subnet, sign, _, err := chaos.Committee(simnet.NewScheduler(5), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,6 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	subnet.InstallCanister("bitcoin", f.Canister)
 
 	cfg := queryfleet.DefaultConfig()
 	cfg.Replicas = 2
@@ -229,43 +229,36 @@ func TestSubnetQueryRoutesThroughFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet.SetSigner(sign)
-	subnet.SetQueryRouter("bitcoin", fleet)
 
-	var res ic.Result
-	done := false
-	subnet.Query("bitcoin", "get_balance", canister.GetBalanceArgs{Address: addr.String()}, "client", func(r ic.Result) {
-		res = r
-		done = true
-	})
-	sched.RunFor(30 * time.Second)
-	if !done {
-		t.Fatal("routed query never completed")
+	rq := fleet.RouteQuery("get_balance", canister.GetBalanceArgs{Address: addr.String()}, "client", time.Unix(1_700_000_000, 0))
+	if rq.Err != nil {
+		t.Fatal(rq.Err)
 	}
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if !res.Certified || res.Signature == nil {
+	if rq.Signature == nil {
 		t.Fatal("routed query response is not certified")
 	}
-	if res.TipHeight != f.Canister.TipHeight() || res.AnchorHeight != f.Canister.AnchorHeight() {
+	if rq.TipHeight != f.Canister.TipHeight() || rq.AnchorHeight != f.Canister.AnchorHeight() {
 		t.Fatalf("certification bound to (%d,%d), canister at (%d,%d)",
-			res.AnchorHeight, res.TipHeight, f.Canister.AnchorHeight(), f.Canister.TipHeight())
+			rq.AnchorHeight, rq.TipHeight, f.Canister.AnchorHeight(), f.Canister.TipHeight())
 	}
-	if !subnet.VerifyCertifiedQuery("get_balance", res) {
+	verifies := func(method string, rq ic.RoutedQuery) bool {
+		return subnet.VerifyCertified(rq.Envelope(method), nil, rq.Signature)
+	}
+	if !verifies("get_balance", rq) {
 		t.Fatal("certified query response did not verify")
 	}
 	// Tampering with the value, the method, or the bound heights breaks it.
-	tampered := res
-	tampered.Value = res.Value.(int64) + 1
-	if subnet.VerifyCertifiedQuery("get_balance", tampered) {
+	tampered := rq
+	tampered.Value = rq.Value.(int64) + 1
+	if verifies("get_balance", tampered) {
 		t.Fatal("tampered value verified")
 	}
-	if subnet.VerifyCertifiedQuery("get_utxos", res) {
+	if verifies("get_utxos", rq) {
 		t.Fatal("signature replayed across methods verified")
 	}
-	tampered = res
+	tampered = rq
 	tampered.TipHeight++
-	if subnet.VerifyCertifiedQuery("get_balance", tampered) {
+	if verifies("get_balance", tampered) {
 		t.Fatal("tampered tip height verified")
 	}
 }
