@@ -38,9 +38,7 @@ var figures = []figure{
 		return nil
 	}},
 	{"6", "Figure 6", func(w io.Writer, seed int64) error {
-		cfg := experiments.DefaultFig6Config()
-		cfg.Seed = seed
-		res, err := experiments.RunFig6(cfg)
+		res, err := experiments.RunFig6(seed)
 		if err != nil {
 			return err
 		}
@@ -74,27 +72,11 @@ var figures = []figure{
 		return nil
 	}},
 	{"readpath", "Read path: overlay vs the replay oracle, one canister (δ=144)", func(w io.Writer, seed int64) error {
-		cfg := experiments.DefaultReadPathConfig()
-		cfg.Seed = seed
-		res, err := experiments.RunReadPath(cfg)
+		res, err := experiments.RunReadPath(seed)
 		if err != nil {
 			return err
 		}
 		res.Print(w)
-		return nil
-	}},
-	{"ablations", "Ablation: δ sweep", func(w io.Writer, seed int64) error {
-		d, err := experiments.RunDeltaSweep(seed)
-		if err != nil {
-			return err
-		}
-		d.Print(w)
-		section(w, "Ablation: Algorithm 1 sync modes")
-		s, err := experiments.RunSyncModes(seed)
-		if err != nil {
-			return err
-		}
-		s.Print(w)
 		return nil
 	}},
 }

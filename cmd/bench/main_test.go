@@ -70,9 +70,11 @@ func TestFiguresGolden(t *testing.T) {
 // 0, which reads as "that figure is empty". "5" is the deleted Figure 5,
 // whose rows were a closed form of the generator, not a measurement;
 // "latency" is the deleted §IV-B latency table, whose rows were the
-// subnet's latency envelope read back.
+// subnet's latency envelope read back; "ablations" is the deleted δ sweep
+// and sync-mode table, whose rows were the metering constants and Algorithm
+// 1's block caps read back.
 func TestUnknownFigureIsAnError(t *testing.T) {
-	for _, name := range []string{"nosuch", "5", "latency"} {
+	for _, name := range []string{"nosuch", "5", "latency", "ablations"} {
 		var stdout, stderr bytes.Buffer
 		if code := cli([]string{"-fig", name}, &stdout, &stderr); code != 2 {
 			t.Fatalf("-fig %s: exit %d, want 2", name, code)

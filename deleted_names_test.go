@@ -177,6 +177,26 @@ var deletedNames = []deletedName{
 		probe:    `	subnet, err := ic.NewSubnet(sched, cfg)`,
 	},
 	{
+		rule: "figures measure what the code decides: no ablations, and Figure 6 and the read path take a seed",
+		reason: "the δ sweep printed CostRequestBase + CostPerIndexSeek + 53·CostPerUTXOStableIndexed + " +
+			"(δ−1)·(CostPerUTXOUnstable + CostPerDeltaLookup + CostPerDeltaEntry), 18.8 M + 0.114 M·(δ−1), " +
+			"of which the overlay's per-block term is 2 000; the sync-mode table printed maxBlocksAtHeight's " +
+			"caps, 1 and 1<<30, over a 40-block chain. -fig readpath shows cost against depth, and the " +
+			"adapter's Algorithm 1 tests hold one block per response near the tip and more during initial " +
+			"sync. The config structs of Figure 6 and the read path had fields only tests set",
+		words: []string{"RunDeltaSweep", "DeltaSweepResult", "DeltaRow", "RunSyncModes", "SyncModeResult",
+			"SyncModeRow", "Fig6Config", "DefaultFig6Config", "ReadPathConfig", "DefaultReadPathConfig"},
+		roots: []string{"cmd", "examples", "internal"},
+		probe: `	res, err := experiments.RunReadPath(experiments.DefaultReadPathConfig())`,
+	},
+	{
+		rule:     "figures measure what the code decides: the golden holds no ablations",
+		reason:   "the δ sweep and the sync-mode table read the metering constants and Algorithm 1's caps back (see the ablations row)",
+		patterns: []string{`===== Ablation`},
+		roots:    []string{"cmd/bench/testdata/figures.golden"},
+		probe:    `===== Ablation: δ sweep =====`,
+	},
+	{
 		rule: "fault models live in the harness",
 		reason: "the Bitcoin canister gets adapter responses as payloads of finalized blocks, so no lossy hop " +
 			"sits between consensus and the canister, and a crashed upgrade is the chaos harness damaging the " +

@@ -119,9 +119,7 @@ func TestAddressPopulationSkew(t *testing.T) {
 }
 
 func TestFig6IngestionShape(t *testing.T) {
-	cfg := DefaultFig6Config()
-	cfg.Days = 60
-	res, err := RunFig6(cfg)
+	res, err := RunFig6(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,53 +328,5 @@ func TestDowntimeSystemLevel(t *testing.T) {
 		if len(res.UTXOs) != 0 {
 			t.Fatalf("corrupting transaction visible at %d confirmations", c)
 		}
-	}
-}
-
-func TestDeltaSweepMonotone(t *testing.T) {
-	res, err := RunDeltaSweep(23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i].GetUTXOsInstructions <= res.Rows[i-1].GetUTXOsInstructions {
-			t.Fatalf("δ=%d cost %d not above δ=%d cost %d",
-				res.Rows[i].Delta, res.Rows[i].GetUTXOsInstructions,
-				res.Rows[i-1].Delta, res.Rows[i-1].GetUTXOsInstructions)
-		}
-		if res.Rows[i].UnstableBlocks <= res.Rows[i-1].UnstableBlocks {
-			t.Fatal("unstable suffix did not grow with δ")
-		}
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("no output")
-	}
-}
-
-func TestSyncModesAblation(t *testing.T) {
-	res, err := RunSyncModes(29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows %d", len(res.Rows))
-	}
-	single, multi := res.Rows[0], res.Rows[1]
-	if single.MaxBlocksPerResponse != 1 {
-		t.Fatalf("single-block mode returned %d blocks", single.MaxBlocksPerResponse)
-	}
-	if multi.MaxBlocksPerResponse <= 1 {
-		t.Fatal("multi-block mode never returned multiple blocks")
-	}
-	if multi.RequestRounds >= single.RequestRounds {
-		t.Fatalf("multi-block (%d rounds) not faster than single (%d rounds)",
-			multi.RequestRounds, single.RequestRounds)
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("no output")
 	}
 }

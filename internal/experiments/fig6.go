@@ -24,32 +24,22 @@ type Fig6Result struct {
 	AvgInstructions uint64
 }
 
-// Fig6Config parameterizes the ingestion workload.
-type Fig6Config struct {
-	// Days of daily block samples (the paper's window is ~180 days).
-	Days int
-	Seed int64
-}
-
-// fig6MinOps/fig6MaxOps bound the per-block input+output operation count,
-// chosen so the average lands near 21.6 B instructions; real blocks vary
-// with demand, which produces the figure's vertical spread.
+// fig6Days is the number of daily block samples: the paper's window is
+// about six months. fig6MinOps/fig6MaxOps bound the per-block input+output
+// operation count, chosen so the average lands near 21.6 B instructions;
+// real blocks vary with demand, which produces the figure's vertical spread.
 const (
+	fig6Days   = 180
 	fig6MinOps = 2400
 	fig6MaxOps = 8400
 )
 
-// DefaultFig6Config reproduces the paper's window.
-func DefaultFig6Config() Fig6Config {
-	return Fig6Config{Days: 180, Seed: 6}
-}
-
 // RunFig6 feeds six months of variable-size blocks and meters stable
 // ingestion. Every delivered block pushes an older one across the δ
 // boundary (after warm-up), so each delivery folds exactly one block.
-func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
+func RunFig6(seed int64) (*Fig6Result, error) {
 	const delta = 6
-	f := NewFeeder(btc.Regtest, delta, cfg.Seed)
+	f := NewFeeder(btc.Regtest, delta, seed)
 	script := btc.PayToPubKeyHashScript([20]byte{0x06})
 	rng := f.Builder.rng
 
@@ -92,7 +82,7 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 
 	res := &Fig6Result{}
 	var sum uint64
-	for day := 1; day <= cfg.Days; day++ {
+	for day := 1; day <= fig6Days; day++ {
 		cost, err := f.FeedBlock(specsFor())
 		if err != nil {
 			return nil, err

@@ -22,33 +22,18 @@ import (
 // considered depth shrinks with the minConfirmations filter
 // (depth = δ − c + 1 at the tip).
 
-// ReadPathConfig parameterizes the scenario.
-type ReadPathConfig struct {
-	Seed int64
-	// Delta is δ; the unstable chain is kept exactly this deep.
-	Delta int64
-	// StableBlocks funds the address population below the anchor.
-	StableBlocks int
-	// TxPerBlock is the number of transactions per unstable block.
-	TxPerBlock int
-	// SampleAddresses is how many addresses each depth point measures.
-	SampleAddresses int
-}
-
-// DefaultReadPathConfig returns the mainnet-shaped configuration (δ=144).
-func DefaultReadPathConfig() ReadPathConfig {
-	return ReadPathConfig{
-		Seed:            7,
-		Delta:           144,
-		StableBlocks:    12,
-		TxPerBlock:      12,
-		SampleAddresses: 8,
-	}
-}
-
-// readPathAddresses is the population size; selection is skewed so a few
-// hot addresses take most of the traffic (the Fig 7 population shape).
-const readPathAddresses = 24
+// The scenario's shape: δ as on mainnet (the unstable chain is kept exactly
+// this deep), the funding blocks below the anchor, the transactions per
+// unstable block, the addresses each depth point measures, and the
+// population they are drawn from. Selection is skewed so a few hot
+// addresses take most of the traffic (the Fig 7 population shape).
+const (
+	readPathDelta           = 144
+	readPathStableBlocks    = 12
+	readPathTxPerBlock      = 12
+	readPathSampleAddresses = 8
+	readPathAddresses       = 24
+)
 
 // ReadPathRow is one depth point, averaged over the sampled addresses.
 type ReadPathRow struct {
@@ -100,9 +85,9 @@ func (r *ReadPathResult) OracleDepthScaling() float64 {
 }
 
 // RunReadPath executes the scenario.
-func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
+func RunReadPath(seed int64) (*ReadPathResult, error) {
 	params := btc.ParamsForNetwork(btc.Regtest)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 
 	// Skewed population: address i is picked with weight ~ 1/(i+1).
 	type popEntry struct {
@@ -126,12 +111,12 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 	}
 
 	ccfg := canister.DefaultConfig(btc.Regtest)
-	ccfg.StabilityThreshold = cfg.Delta
+	ccfg.StabilityThreshold = readPathDelta
 	overlay := canister.New(ccfg)
 
 	// Feed the blocks, metering ingestion so the delta-build overhead can be
 	// reported.
-	builder := NewBlockBuilder(params, cfg.Seed)
+	builder := NewBlockBuilder(params, seed)
 	now := time.Unix(1_700_000_000, 0).UTC()
 	overlayIngest := ic.NewMeter()
 	feed := func(specs []TxSpec) error {
@@ -145,8 +130,8 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 	}
 
 	blockSpecs := func() []TxSpec {
-		specs := make([]TxSpec, 0, cfg.TxPerBlock)
-		for t := 0; t < cfg.TxPerBlock; t++ {
+		specs := make([]TxSpec, 0, readPathTxPerBlock)
+		for t := 0; t < readPathTxPerBlock; t++ {
 			e := pick()
 			specs = append(specs, TxSpec{
 				Inputs:  rng.Intn(2),
@@ -159,7 +144,7 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 	// Funding prefix (ends up below the anchor), then enough blocks on top
 	// that the anchor trails the tip by δ−1, the deepest unstable chain the
 	// δ-stability rule sustains with equal-work blocks.
-	for i := 0; i < cfg.StableBlocks; i++ {
+	for i := 0; i < readPathStableBlocks; i++ {
 		var specs []TxSpec
 		for _, e := range pop {
 			specs = append(specs, TxSpec{Outputs: PayN(e.script, 1, 546)})
@@ -168,13 +153,13 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 			return nil, err
 		}
 	}
-	for i := int64(0); i < cfg.Delta; i++ {
+	for i := int64(0); i < readPathDelta; i++ {
 		if err := feed(blockSpecs()); err != nil {
 			return nil, err
 		}
 	}
-	if got := overlay.TipHeight() - overlay.AnchorHeight(); got != cfg.Delta-1 {
-		return nil, fmt.Errorf("experiments: unstable depth %d, want δ-1=%d", got, cfg.Delta-1)
+	if got := overlay.TipHeight() - overlay.AnchorHeight(); got != readPathDelta-1 {
+		return nil, fmt.Errorf("experiments: unstable depth %d, want δ-1=%d", got, readPathDelta-1)
 	}
 
 	res := &ReadPathResult{
@@ -186,17 +171,13 @@ func RunReadPath(cfg ReadPathConfig) (*ReadPathResult, error) {
 	// Sample without replacement: a repeated (address, minConf) pair would
 	// land in the overlay's balance cache and no longer measure the merge.
 	perm := rng.Perm(len(pop))
-	n := cfg.SampleAddresses
-	if n > len(pop) {
-		n = len(pop)
-	}
-	sample := make([]popEntry, n)
+	sample := make([]popEntry, readPathSampleAddresses)
 	for i := range sample {
 		sample[i] = pop[perm[i]]
 	}
-	sweep := []int64{1, cfg.Delta / 4, cfg.Delta / 2, 3 * cfg.Delta / 4, cfg.Delta}
+	sweep := []int64{1, readPathDelta / 4, readPathDelta / 2, 3 * readPathDelta / 4, readPathDelta}
 	for _, minConf := range sweep {
-		row := ReadPathRow{MinConfirmations: minConf, Depth: cfg.Delta - minConf}
+		row := ReadPathRow{MinConfirmations: minConf, Depth: readPathDelta - minConf}
 		for _, e := range sample {
 			balArgs := canister.GetBalanceArgs{Address: e.address, MinConfirmations: minConf}
 			utxoArgs := canister.GetUTXOsArgs{Address: e.address, MinConfirmations: minConf}

@@ -87,11 +87,16 @@ func (r *Replica) SetPayloadBuilder(id CanisterID, b PayloadBuilder) {
 
 // Result is the outcome of a subnet call: the response and the instructions
 // it charged, plus what the subnet adds on the way back to the caller. For a
-// replicated call Signature certifies the digest of value and error alone,
-// and the heights and the Forwarded/Degraded marks stay zero; a query's
-// response is not certified.
+// replicated call Signature certifies the digest of value and error alone; a
+// query's response is not certified.
 type Result struct {
-	RoutedQuery
+	Value any
+	Err   error
+	// Instructions charged during the execution.
+	Instructions uint64
+	// Signature, when non-nil, certifies ResponseDigest(Value, Err) under
+	// the subnet key.
+	Signature []byte
 	// Latency is the end-to-end virtual time from submission to response.
 	Latency time.Duration
 	// Certified indicates the response carries a subnet threshold signature:

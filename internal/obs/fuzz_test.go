@@ -43,7 +43,8 @@ func metricsEncoding(tb testing.TB) []byte {
 // return rather than panic, and a snapshot it accepts must re-encode to the
 // bytes it was decoded from, and so must Merge of it alone: a merge sums
 // equal names and sorts, so a decoded snapshot whose names repeat or run out
-// of order would merge into other bytes.
+// of order would merge into other bytes. Every histogram it accepts must be
+// one a registry could have built.
 func FuzzMetricsSnapshotDecodeReframed(f *testing.F) {
 	seal := func(payload []byte) []byte {
 		e := statecodec.NewEncoder(snapshotMagic, snapshotVersion, len(payload))
@@ -63,11 +64,33 @@ func FuzzMetricsSnapshotDecodeReframed(f *testing.F) {
 	f.Add(payloadOf((&obs.Snapshot{Counters: []obs.CounterPoint{{Name: "calls", Value: 1}, {Name: "calls", Value: 2}}}).Encode()))
 	f.Add(payloadOf((&obs.Snapshot{Families: []obs.FamilyPoint{{Name: "calls", Label: "method",
 		Values: []obs.LabelValue{{Value: "get_utxos", Count: 1}, {Value: "get_balance", Count: 2}}}}}).Encode()))
+	// Histograms the decoder once accepted: no boundary (Quantile then read
+	// Bounds[-1]), boundaries not ascending, and a count that is not the sum
+	// of the buckets.
+	for _, h := range []obs.HistogramPoint{
+		{Name: "h", Counts: []uint64{1}, Count: 1},
+		{Name: "h", Bounds: []int64{10, 10}, Counts: []uint64{1, 0, 0}, Count: 1},
+		{Name: "h", Bounds: []int64{10}, Counts: []uint64{1, 2}, Count: 4},
+	} {
+		f.Add(payloadOf((&obs.Snapshot{Histograms: []obs.HistogramPoint{h}}).Encode()))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		data := seal(payload)
 		s, err := obs.DecodeSnapshot(data)
 		if err != nil {
 			return // clean rejection is the expected path
+		}
+		for _, h := range s.Histograms {
+			// A registry could have built it: Histogram panics on
+			// boundaries newHistogram refuses.
+			obs.NewRegistry().Histogram(h.Name, h.Bounds)
+			var total uint64
+			for _, c := range h.Counts {
+				total += c
+			}
+			if total != h.Count {
+				t.Fatalf("histogram %s: count %d, buckets hold %d", h.Name, h.Count, total)
+			}
 		}
 		if !bytes.Equal(s.Encode(), data) {
 			t.Fatalf("decoder accepted a non-canonical snapshot (%d bytes)", len(data))

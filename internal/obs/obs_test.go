@@ -169,6 +169,27 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeSnapshotRejectsBadHistograms: the decoder refuses a histogram
+// newHistogram would panic on, and one whose Count is not the sum of its
+// buckets. A zero-bound histogram with observations sent Quantile to
+// Bounds[-1].
+func TestDecodeSnapshotRejectsBadHistograms(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    HistogramPoint
+	}{
+		{"no boundary", HistogramPoint{Name: "h", Counts: []uint64{1}, Count: 1}},
+		{"boundaries not ascending", HistogramPoint{Name: "h", Bounds: []int64{10, 10}, Counts: []uint64{1, 0, 0}, Count: 1}},
+		{"count not the bucket sum", HistogramPoint{Name: "h", Bounds: []int64{10}, Counts: []uint64{1, 2}, Count: 4}},
+		{"bucket sum overflows", HistogramPoint{Name: "h", Bounds: []int64{10}, Counts: []uint64{1 << 63, 1 << 63}, Count: 0}},
+	} {
+		enc := (&Snapshot{Histograms: []HistogramPoint{tc.h}}).Encode()
+		if _, err := DecodeSnapshot(enc); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+}
+
 // TestMergeDeterminism: merging any permutation of snapshots yields
 // identical bytes, and values sum.
 func TestMergeDeterminism(t *testing.T) {
@@ -334,7 +355,11 @@ func TestConcurrentUse(t *testing.T) {
 				h.Observe(int64(j))
 				f.With(string(rune('a' + i%4))).Inc()
 				if j%100 == 0 {
-					_ = r.Snapshot()
+					// A snapshot taken mid-Observe still decodes: its
+					// count is the sum of the buckets it copied.
+					if _, err := DecodeSnapshot(r.Snapshot().Encode()); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 		}(i)

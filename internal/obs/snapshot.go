@@ -33,8 +33,8 @@ type GaugePoint struct {
 }
 
 // HistogramPoint is one histogram's snapshot: the boundaries, the per-bucket
-// counts (underflow first, overflow last — see Histogram), and the running
-// count and sum.
+// counts (underflow first, overflow last — see Histogram), their total
+// Count, and the sum.
 type HistogramPoint struct {
 	Name   string
 	Bounds []int64
@@ -84,11 +84,11 @@ func (r *Registry) Snapshot() *Snapshot {
 			Name:   h.name,
 			Bounds: append([]int64(nil), h.bounds...),
 			Counts: make([]uint64, len(h.counts)),
-			Count:  h.count.Load(),
 			Sum:    h.sum.Load(),
 		}
 		for i := range h.counts {
 			p.Counts[i] = h.counts[i].Load()
+			p.Count += p.Counts[i]
 		}
 		s.Histograms = append(s.Histograms, p)
 	}
@@ -202,7 +202,9 @@ func (s *Snapshot) Encode() []byte {
 // DecodeSnapshot parses an Encode output. Names within a section, and a
 // family's children, must be strictly ascending, as Snapshot and Merge write
 // them: a repeated or misplaced name would decode to a snapshot that merges
-// into other bytes.
+// into other bytes. A histogram must have the shape newHistogram accepts —
+// at least one boundary, strictly ascending — and a Count equal to the sum
+// of its buckets, or Quantile would read past its boundaries.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	d, err := statecodec.NewDecoder(data, snapshotMagic, snapshotVersion)
 	if err != nil {
@@ -231,14 +233,29 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			h.Bounds = append(h.Bounds, d.I64())
 		}
 		h.Counts = make([]uint64, nb+1)
+		var total uint64
+		overflow := false
 		for j := range h.Counts {
 			h.Counts[j] = d.U64()
+			total += h.Counts[j]
+			overflow = overflow || total < h.Counts[j]
 		}
 		h.Count = d.U64()
 		h.Sum = d.I64()
 		s.Histograms = append(s.Histograms, h)
 		if d.Err() != nil {
 			return nil, fmt.Errorf("obs: snapshot histogram %d: %w", i, d.Err())
+		}
+		if nb == 0 {
+			return nil, fmt.Errorf("obs: snapshot histogram %s: no bucket boundary", h.Name)
+		}
+		for j := 1; j < nb; j++ {
+			if h.Bounds[j] <= h.Bounds[j-1] {
+				return nil, fmt.Errorf("obs: snapshot histogram %s: boundary %d not above %d", h.Name, h.Bounds[j], h.Bounds[j-1])
+			}
+		}
+		if overflow || total != h.Count {
+			return nil, fmt.Errorf("obs: snapshot histogram %s: count %d, buckets hold %d", h.Name, h.Count, total)
 		}
 	}
 	for i, n := 0, d.CountFor(maxSnapshotMetrics, 3); i < n; i++ {
