@@ -324,6 +324,34 @@ var deletedNames = []deletedName{
 		roots: []string{"cmd", "examples", "internal"},
 		probe: `	subnet.SetQueryRouter("bitcoin", fleet)`,
 	},
+	{
+		rule: "a histogram's count is read off a snapshot",
+		reason: "no code outside obs's own tests called Histogram.Count: every reader takes the count from " +
+			"a Snapshot's HistogramPoint.Count, which sums the same buckets under the registry's snapshot",
+		patterns: []string{`func \(h \*Histogram\) Count\(`},
+		roots:    []string{"internal/obs"},
+		probe:    `func (h *Histogram) Count() uint64 {`,
+	},
+	{
+		rule: "only deployments choose settings: Algorithm 1's sync height",
+		reason: "every deployment, harness and figure left the multi-block sync height 0, so the adapter " +
+			"serves one block per response near the tip; it is an unexported field only Algorithm 1's tests " +
+			"in package adapter set, and its exported name returning means a test-only mode is public again",
+		words: []string{"MultiBlockSyncHeight"},
+		roots: []string{"cmd", "examples", "internal", "alloc_regression_test.go"},
+		tests: true,
+		probe: `	cfg.MultiBlockSyncHeight = 1000`,
+	},
+	{
+		rule: "the canister keeps one read memo",
+		reason: "a query's overlay, what building it metered and its balance share one memo per (address, " +
+			"confirmations), emptied on every tree mutation (readMemos); a balance-only memo beside it would " +
+			"build the overlay twice and hold two bounds",
+		words: []string{"balanceCache", "balanceKey", "BalanceCacheSize"},
+		roots: []string{"cmd", "examples", "internal"},
+		tests: true,
+		probe: `	if got := c.BalanceCacheSize(); got != len(c.balanceCache) {`,
+	},
 }
 
 // TestDeletedNamesStayDeleted runs the table: no covered file holds a row's

@@ -32,10 +32,11 @@ type Config struct {
 	Connections int
 	// AddrLowWater / AddrHighWater are t_l and t_u.
 	AddrLowWater, AddrHighWater int
-	// MultiBlockSyncHeight: below this anchor height Algorithm 1 may return
+	// multiBlockSyncHeight: below this anchor height Algorithm 1 may return
 	// many blocks per response (fast initial sync); at or above it, one
-	// block per response (the conservative tip behavior, see §IV-A).
-	MultiBlockSyncHeight int64
+	// block per response (the conservative tip behavior, see §IV-A). Every
+	// deployment leaves it 0; only Algorithm 1's tests set it.
+	multiBlockSyncHeight int64
 }
 
 const (
@@ -766,7 +767,7 @@ func (a *Adapter) pendingBlockHashes() []btc.Hash {
 // the tip — "returning only one block is preferable for security reasons"
 // (§IV-A, Lemma IV.3 depends on it).
 func (a *Adapter) maxBlocksAtHeight(anchorHeight int64) int {
-	if anchorHeight < a.cfg.MultiBlockSyncHeight {
+	if anchorHeight < a.cfg.multiBlockSyncHeight {
 		return 1 << 30
 	}
 	return 1

@@ -186,7 +186,7 @@ func TestAlgorithm1SingleBlockNearTip(t *testing.T) {
 	h.ad.Start()
 	h.run(time.Minute)
 
-	// Anchor at genesis; no blocks on hand; MultiBlockSyncHeight=0 means
+	// Anchor at genesis; no blocks on hand; multiBlockSyncHeight=0 means
 	// single-block responses.
 	req := Request{Anchor: h.params.GenesisHeader, AnchorHeight: 0}
 	resp := h.ad.HandleRequest(req)
@@ -216,7 +216,7 @@ func TestAlgorithm1SingleBlockNearTip(t *testing.T) {
 
 func TestAlgorithm1MultiBlockDuringInitialSync(t *testing.T) {
 	h := newHarness(t, 6, 4)
-	h.ad.cfg.MultiBlockSyncHeight = 1000 // anchor far below: fast sync mode
+	h.ad.cfg.multiBlockSyncHeight = 1000 // anchor far below: fast sync mode
 	if _, err := h.miner.MineChain(6, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestAlgorithm1MultiBlockDuringInitialSync(t *testing.T) {
 
 func TestAlgorithm1RespectsHaveSet(t *testing.T) {
 	h := newHarness(t, 7, 4)
-	h.ad.cfg.MultiBlockSyncHeight = 1000
+	h.ad.cfg.multiBlockSyncHeight = 1000
 	if _, err := h.miner.MineChain(4, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestAlgorithm1MaxHeadersCap(t *testing.T) {
 // returned, the third is not.
 func TestAlgorithm1SizeSoftLimit(t *testing.T) {
 	cfg := ConfigForNetwork(btc.Regtest)
-	cfg.MultiBlockSyncHeight = 1000
+	cfg.multiBlockSyncHeight = 1000
 	ad, _, _ := bareAdapter(9, cfg)
 	ad.Start()
 	forge := btcnode.NewForge(ad.params)

@@ -181,7 +181,7 @@ func (c *BitcoinCanister) GetUTXOs(ctx *ic.CallContext, args GetUTXOsArgs) (*Get
 		return nil, err
 	}
 	tip := c.consideredTip(nodes)
-	ov := c.unstableOverlayFor(ctx, args.Address, nodes)
+	ov := c.readOverlay(ctx, readKey{args.Address, args.MinConfirmations}, nodes)
 	ctx.Meter.Charge(ic.CostPerIndexSeek, "page_seek")
 	page, unstable, next, err := c.stable.MergedPage(args.Address, ov.Created(), &ov, args.Page, limit)
 	if err != nil {
@@ -216,80 +216,165 @@ func (c *BitcoinCanister) pageLimit(requested int) int {
 	return requested
 }
 
-// balanceKey identifies one memoizable get_balance computation: the merged
-// view depends only on the address, the tree state (identified by the tip
-// hash and invalidated wholesale on any tree mutation), and the
-// confirmations filter.
-type balanceKey struct {
+// readKey names one memoizable read: an address's merged view under a
+// confirmations filter. The tree state is implicit, as every tree mutation
+// empties the memo (invalidateReadCaches).
+type readKey struct {
 	address string
-	tip     btc.Hash
 	minConf int64
 }
 
-// invalidateReadCaches drops all memoized balances and fee percentiles.
-// Called on every tree mutation (new blocks or headers, anchor advance) —
-// the overlay's cache coherence rule.
+// readMemo is one read answered at the current tree state: the address's
+// sealed overlay along the considered chain, the delta lookups and entries
+// building it charged, and the balance once get_balance has summed it. kept
+// is false when the overlay did not fit the memo's entry budget: the counts
+// and the balance are still remembered, the overlay is built again.
+type readMemo struct {
+	ov               utxo.AddressOverlay
+	kept             bool
+	lookups, entries int
+	balance          int64
+	summed           bool
+}
+
+// readMemos is the per-replica read memo: at most maxBalanceCache entries,
+// and stored overlays holding at most budget delta entries between them —
+// the unstable deltas' own entry count along the current chain, counted
+// when a store first needs it. Past either bound an overlay is built and
+// served but not stored. The zero value is empty.
+type readMemos struct {
+	byKey   map[readKey]readMemo
+	entries int
+	budget  int
+	counted bool
+}
+
+// charge meters a memo hit as the build it stands for: the same categories,
+// in the same order, with the same totals.
+func (m *readMemo) charge(meter *ic.Meter) {
+	if m.lookups > 0 {
+		meter.Charge(uint64(m.lookups)*ic.CostPerDeltaLookup, "delta_lookup")
+	}
+	if m.entries > 0 {
+		meter.Charge(uint64(m.entries)*ic.CostPerDeltaEntry, "delta_apply")
+	}
+}
+
+// invalidateReadCaches drops the read memo and the fee percentiles. Called
+// on every tree mutation (new blocks or headers, anchor advance) — the
+// overlay's cache coherence rule.
 func (c *BitcoinCanister) invalidateReadCaches() {
 	c.queryMu.Lock()
-	if len(c.balanceCache) > 0 {
-		c.balanceCache = make(map[balanceKey]int64)
-	}
+	c.reads = readMemos{}
 	c.feeCache = feeCacheEntry{}
 	c.queryMu.Unlock()
 }
 
-// BalanceCacheSize returns the number of memoized balances (observability).
-func (c *BitcoinCanister) BalanceCacheSize() int {
+// ReadMemoSize returns the number of memoized reads (observability).
+func (c *BitcoinCanister) ReadMemoSize() int {
 	c.queryMu.Lock()
 	defer c.queryMu.Unlock()
-	return len(c.balanceCache)
+	return len(c.reads.byKey)
 }
 
-// GetBalance serves the get_balance convenience endpoint. Results are
-// memoized per (address, tip, minConfirmations), up to maxBalanceCache of
-// them; the cache is kept coherent by invalidation on every tree mutation.
+// readOverlay returns the overlay of a read over its considered chain nodes.
+// A query takes it from the memo when it is there, metered as its build,
+// and otherwise builds it and offers it to the memo; a replicated execution
+// builds it and leaves the memo alone. On the real IC a query cannot persist
+// canister state, but a per-replica read cache is fair game — and it keeps
+// replicated execution deterministic no matter what queries ran before it.
+func (c *BitcoinCanister) readOverlay(ctx *ic.CallContext, key readKey, nodes []*chain.Node) utxo.AddressOverlay {
+	if ctx.Kind != ic.KindQuery {
+		ov, _, _ := c.unstableOverlayFor(ctx, key.address, nodes)
+		return ov
+	}
+	c.queryMu.Lock()
+	m, ok := c.reads.byKey[key]
+	c.queryMu.Unlock()
+	if ok && m.kept {
+		m.charge(ctx.Meter)
+		return m.ov
+	}
+	ov, lookups, entries := c.unstableOverlayFor(ctx, key.address, nodes)
+	if !ok {
+		c.queryMu.Lock()
+		c.storeRead(key, readMemo{ov: ov, lookups: lookups, entries: entries})
+		c.queryMu.Unlock()
+	}
+	return ov
+}
+
+// storeRead files a fresh read unless the memo is full or already holds it
+// (a concurrent query got there first); its overlay is kept only within the
+// entry budget. The caller holds queryMu.
+func (c *BitcoinCanister) storeRead(key readKey, m readMemo) {
+	r := &c.reads
+	if _, dup := r.byKey[key]; dup || len(r.byKey) >= maxBalanceCache {
+		return
+	}
+	if !r.counted {
+		for _, node := range c.currentChain()[1:] {
+			if delta, _ := node.Aux().(*utxo.BlockDelta); delta != nil {
+				r.budget += delta.Entries()
+			}
+		}
+		r.counted = true
+	}
+	if r.entries+m.entries <= r.budget {
+		r.entries += m.entries
+		m.kept = true
+	} else {
+		m.ov = utxo.AddressOverlay{}
+	}
+	if r.byKey == nil {
+		r.byKey = make(map[readKey]readMemo)
+	}
+	r.byKey[key] = m
+}
+
+// GetBalance serves the get_balance convenience endpoint. A query's balance
+// is memoized with its overlay, per (address, minConfirmations), and a
+// repeat is charged CostBalanceCacheHit alone; the memo is kept coherent by
+// invalidation on every tree mutation.
 func (c *BitcoinCanister) GetBalance(ctx *ic.CallContext, args GetBalanceArgs) (int64, error) {
 	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
 	if err := c.checkServable(args.Network); err != nil {
 		return 0, err
 	}
-	// The cache serves non-replicated executions only: on the real IC a
-	// query cannot persist canister state, but a per-replica read cache is
-	// fair game — and it keeps replicated execution deterministic no matter
-	// what queries ran before it.
-	useCache := ctx.Kind == ic.KindQuery
-	var key balanceKey
-	if useCache {
-		key = balanceKey{address: args.Address, tip: c.tipNode().Hash, minConf: args.MinConfirmations}
+	key := readKey{args.Address, args.MinConfirmations}
+	query := ctx.Kind == ic.KindQuery
+	if query {
 		c.queryMu.Lock()
-		total, ok := c.balanceCache[key]
+		m, ok := c.reads.byKey[key]
 		c.queryMu.Unlock()
-		if ok {
+		if ok && m.summed {
 			ctx.Meter.Charge(ic.CostBalanceCacheHit, "balance_cache_hit")
-			return total, nil
+			return m.balance, nil
 		}
 	}
-	total, err := c.balanceIndexed(ctx, args.Address, args.MinConfirmations)
+	total, err := c.balanceIndexed(ctx, key)
 	if err != nil {
 		return 0, err
 	}
-	if useCache {
+	if query {
 		c.queryMu.Lock()
-		if len(c.balanceCache) < maxBalanceCache {
-			c.balanceCache[key] = total
+		if m, ok := c.reads.byKey[key]; ok {
+			m.balance, m.summed = total, true
+			c.reads.byKey[key] = m
 		}
 		c.queryMu.Unlock()
 	}
 	return total, nil
 }
 
-// maxBalanceCache bounds the memo between two tree mutations: anyone may ask
-// for the balance of any string at any confirmation count, and each distinct
-// question is an entry until the next block clears them — ten minutes of
-// flood on mainnet. The first to fill stay, as in the fleet's response cache;
-// a question past the bound is answered off the index each time. The bound is
+// maxBalanceCache bounds the read memo between two tree mutations: anyone may
+// ask about any string at any confirmation count, and each distinct question
+// is an entry until the next block clears them — ten minutes of flood on
+// mainnet. The first to fill stay, as in the fleet's response cache; a
+// question past the bound is answered off the index each time. The bound is
 // far above any population the benchmark or the figures query (1000
-// addresses) and costs a few megabytes when reached.
+// addresses) and costs a few megabytes when reached, besides the overlays,
+// which the entry budget bounds.
 const maxBalanceCache = 1 << 16
 
 // balanceIndexed computes a balance off the ordered index without
@@ -297,13 +382,13 @@ const maxBalanceCache = 1 << 16
 // value of stable outpoints the unstable chain spent, plus the surviving
 // unstable creations. Charged per merged UTXO exactly like the replay sum,
 // so both paths meter identically whenever the unstable suffix is empty.
-func (c *BitcoinCanister) balanceIndexed(ctx *ic.CallContext, address string, minConf int64) (int64, error) {
-	nodes, err := c.consideredChain(minConf)
+func (c *BitcoinCanister) balanceIndexed(ctx *ic.CallContext, key readKey) (int64, error) {
+	nodes, err := c.consideredChain(key.minConf)
 	if err != nil {
 		return 0, err
 	}
-	ov := c.unstableOverlayFor(ctx, address, nodes)
-	total, count := c.stable.MergedBalance(address, &ov)
+	ov := c.readOverlay(ctx, key, nodes)
+	total, count := c.stable.MergedBalance(key.address, &ov)
 	if count > 0 {
 		ctx.Meter.Charge(uint64(count)*ic.CostPerBalanceUTXO, "sum_balance")
 	}
@@ -327,10 +412,12 @@ func (c *BitcoinCanister) consideredTip(nodes []*chain.Node) *chain.Node {
 // stable stream. Per block the work is a delta lookup plus the handful of
 // entries touching the queried address — the linear-in-δ full-block rescans
 // of §III-C are gone; metering charges per delta lookup and entry
-// accordingly. The first pass sizes the overlay, so it is allocated once, and
-// not at all for an address the unstable suffix never touched.
-func (c *BitcoinCanister) unstableOverlayFor(ctx *ic.CallContext, address string, nodes []*chain.Node) utxo.AddressOverlay {
-	entries := 0
+// accordingly, and the lookups and entries charged are returned with the
+// overlay. The first pass sizes the overlay, so it is allocated once, and not
+// at all for an address the unstable suffix never touched. A query reads it
+// through the memo (readOverlay), so it is built once per tree state and per
+// (address, confirmations).
+func (c *BitcoinCanister) unstableOverlayFor(ctx *ic.CallContext, address string, nodes []*chain.Node) (ov utxo.AddressOverlay, lookups, entries int) {
 	for _, node := range nodes {
 		ctx.Meter.Charge(ic.CostPerDeltaLookup, "delta_lookup")
 		delta, _ := node.Aux().(*utxo.BlockDelta)
@@ -343,16 +430,16 @@ func (c *BitcoinCanister) unstableOverlayFor(ctx *ic.CallContext, address string
 		}
 	}
 	if entries == 0 {
-		return utxo.AddressOverlay{}
+		return utxo.AddressOverlay{}, len(nodes), 0
 	}
-	ov := utxo.NewAddressOverlay(entries)
+	ov = utxo.NewAddressOverlay(entries)
 	for _, node := range nodes {
 		if delta, _ := node.Aux().(*utxo.BlockDelta); delta != nil {
 			ov.Apply(delta, address)
 		}
 	}
 	ov.Seal()
-	return ov
+	return ov, len(nodes), entries
 }
 
 // SendTransaction serves send_transaction: syntax-check the bytes and queue

@@ -111,22 +111,24 @@ type BitcoinCanister struct {
 	// building and owner resolution.
 	scriptIDs *btc.ScriptIDCache
 
-	// queryMu guards the per-replica read caches (balanceCache, feeCache).
-	// On the authoritative canister everything runs on the simulation
-	// goroutine and the mutex is uncontended; on a query-fleet replica many
-	// queries execute concurrently under the replica's read lock, and the
-	// caches are the only state they mutate.
+	// queryMu guards the per-replica read caches (reads, feeCache). On the
+	// authoritative canister everything runs on the simulation goroutine and
+	// the mutex is uncontended; on a query-fleet replica many queries execute
+	// concurrently under the replica's read lock, and the caches are the only
+	// state they mutate.
 	queryMu sync.Mutex
-	// balanceCache memoizes get_balance results for the overlay read path,
-	// keyed by (address, tip, minConfirmations). Any tree mutation — a new
-	// block or header, an anchor advance, a reorg — clears it; within one
-	// tree state the merged view is immutable, so entries stay coherent.
-	// Between two mutations it holds at most maxBalanceCache entries.
-	balanceCache map[balanceKey]int64
+	// reads memoizes the overlay read path per (address, minConfirmations):
+	// the address's sealed unstable overlay, what building it metered, and
+	// its balance once asked, so the overlay is built once per tree state
+	// and per read, not per query. Any tree mutation — a new block or
+	// header, an anchor advance, a reorg — clears it; within one tree state
+	// the merged view is immutable, so entries stay coherent. Only queries
+	// read or fill it.
+	reads readMemos
 	// feeCache memoizes get_current_fee_percentiles for the overlay read
 	// path, keyed by (tip, anchor height): the percentiles are a function of
 	// the unstable suffix, which changes identity when either moves. Cleared
-	// together with the balance cache on every tree mutation.
+	// together with the read memo on every tree mutation.
 	feeCache feeCacheEntry
 
 	// stream, when set, receives one Frame per processed payload carrying
@@ -178,14 +180,13 @@ type BitcoinCanister struct {
 func New(cfg Config) *BitcoinCanister {
 	params := btc.ParamsForNetwork(cfg.Network)
 	c := &BitcoinCanister{
-		cfg:          cfg,
-		params:       params,
-		stable:       utxo.New(cfg.Network),
-		tree:         chain.NewTree(params.GenesisHeader, 0),
-		blocks:       make(map[btc.Hash]*storedBlock),
-		scriptIDs:    btc.NewScriptIDCache(cfg.Network),
-		balanceCache: make(map[balanceKey]int64),
-		met:          newCanisterMetrics(),
+		cfg:       cfg,
+		params:    params,
+		stable:    utxo.New(cfg.Network),
+		tree:      chain.NewTree(params.GenesisHeader, 0),
+		blocks:    make(map[btc.Hash]*storedBlock),
+		scriptIDs: btc.NewScriptIDCache(cfg.Network),
+		met:       newCanisterMetrics(),
 	}
 	c.stableHeaders = append(c.stableHeaders, params.GenesisHeader)
 	// A fresh canister is trivially synced (maxHeight(T) == anchor height);

@@ -82,8 +82,8 @@ func (c *BitcoinCanister) ingestBatch(ctx *ic.CallContext, cfg ingest.Config, b 
 	c.adapterHealth = b.health
 	// Anything in the payload can change the considered chain (new blocks,
 	// upcoming headers shifting the tip, an anchor advance), so drop the
-	// memoized balances and fee percentiles up front; they are cheap to
-	// rebuild from deltas.
+	// read memo (overlays and balances) and the fee percentiles up front;
+	// they are cheap to rebuild from deltas.
 	if b.blocks > 0 || len(b.next) > 0 {
 		c.invalidateReadCaches()
 	}

@@ -92,10 +92,10 @@ func (r *forgeRig) deliver(blocks ...*btc.Block) {
 
 // replayBalance asks the oracle, asserting its isolation on the way: it
 // reads the canister the overlay serves from, so the call must leave that
-// canister's snapshot bytes and balance cache untouched.
+// canister's snapshot bytes and read memo untouched.
 func (p *forgeRig) replayBalance(args GetBalanceArgs) (int64, error) {
 	p.t.Helper()
-	before, cached := snapshotOf(p.t, p.can), p.can.BalanceCacheSize()
+	before, cached := snapshotOf(p.t, p.can), p.can.ReadMemoSize()
 	total, err := ReplayBalance(p.can, p.ctx(ic.KindQuery), args)
 	if _, uerr := ReplayUTXOs(p.can, p.ctx(ic.KindQuery), GetUTXOsArgs{Address: args.Address, MinConfirmations: args.MinConfirmations}); (uerr == nil) != (err == nil) {
 		p.t.Fatalf("replay get_utxos err %v, replay get_balance err %v", uerr, err)
@@ -103,8 +103,8 @@ func (p *forgeRig) replayBalance(args GetBalanceArgs) (int64, error) {
 	if !bytes.Equal(before, snapshotOf(p.t, p.can)) {
 		p.t.Fatal("replay oracle mutated the canister it read")
 	}
-	if got := p.can.BalanceCacheSize(); got != cached {
-		p.t.Fatalf("replay oracle touched the balance cache: %d -> %d entries", cached, got)
+	if got := p.can.ReadMemoSize(); got != cached {
+		p.t.Fatalf("replay oracle touched the read memo: %d -> %d entries", cached, got)
 	}
 	return total, err
 }
@@ -243,7 +243,7 @@ func TestGetBalanceAtExactlyDeltaConfirmations(t *testing.T) {
 	}
 }
 
-// TestBalanceCacheCoherence verifies the overlay's balance cache is
+// TestBalanceCacheCoherence verifies the overlay's read memo is
 // invalidated by every tree mutation and cleared deltas on anchor advance.
 func TestBalanceCacheCoherence(t *testing.T) {
 	p := newForgeRig(t)
@@ -257,8 +257,8 @@ func TestBalanceCacheCoherence(t *testing.T) {
 	if got := p.balance(addrM, 0); got != p.params.BlockSubsidy {
 		t.Fatalf("balance %d", got)
 	}
-	if p.can.BalanceCacheSize() == 0 {
-		t.Fatal("query did not populate the balance cache")
+	if p.can.ReadMemoSize() == 0 {
+		t.Fatal("query did not populate the read memo")
 	}
 	hit := p.ctx(ic.KindQuery)
 	if _, err := p.can.GetBalance(hit, GetBalanceArgs{Address: addrM}); err != nil {
@@ -271,7 +271,7 @@ func TestBalanceCacheCoherence(t *testing.T) {
 	// A new block must invalidate and the next answer must be fresh.
 	b2 := p.mine(b1.BlockHash(), scriptM)
 	p.deliver(b2)
-	if p.can.BalanceCacheSize() != 0 {
+	if p.can.ReadMemoSize() != 0 {
 		t.Fatal("cache survived a tree mutation")
 	}
 	if got := p.balance(addrM, 0); got != 2*p.params.BlockSubsidy {
@@ -313,7 +313,7 @@ func TestBalanceCacheBounded(t *testing.T) {
 			t.Fatalf("an address nobody paid holds %d (%v)", got, err)
 		}
 	}
-	if got := p.can.BalanceCacheSize(); got != maxBalanceCache {
+	if got := p.can.ReadMemoSize(); got != maxBalanceCache {
 		t.Fatalf("%d memoized balances after %d distinct questions, bound is %d", got, maxBalanceCache+100, maxBalanceCache)
 	}
 	for minConf := int64(0); minConf <= 1; minConf++ {
@@ -321,15 +321,15 @@ func TestBalanceCacheBounded(t *testing.T) {
 			t.Fatalf("balance %d at %d confirmations past the bound", got, minConf)
 		}
 	}
-	if got := p.can.BalanceCacheSize(); got != maxBalanceCache {
+	if got := p.can.ReadMemoSize(); got != maxBalanceCache {
 		t.Fatalf("the full memo grew to %d", got)
 	}
 
 	p.deliver(p.mine(b1.BlockHash(), scriptM))
-	if p.can.BalanceCacheSize() != 0 {
+	if p.can.ReadMemoSize() != 0 {
 		t.Fatal("cache survived a tree mutation")
 	}
-	if got := p.balance(addrM, 0); got != 2*p.params.BlockSubsidy || p.can.BalanceCacheSize() != 1 {
-		t.Fatalf("balance %d, %d memoized after the flood was dropped", got, p.can.BalanceCacheSize())
+	if got := p.balance(addrM, 0); got != 2*p.params.BlockSubsidy || p.can.ReadMemoSize() != 1 {
+		t.Fatalf("balance %d, %d memoized after the flood was dropped", got, p.can.ReadMemoSize())
 	}
 }

@@ -1,6 +1,7 @@
 package canister
 
 import (
+	"bytes"
 	"sort"
 
 	"icbtc/internal/btc"
@@ -178,6 +179,7 @@ func (c *BitcoinCanister) addressViewReplay(ctx *ic.CallContext, address string,
 	}
 	tip := c.consideredTip(nodes)
 
+	owns := scriptOwner(address, c.cfg.Network)
 	view := &addressUTXOView{unstable: make(map[btc.OutPoint]bool)}
 	present := make(map[btc.OutPoint]utxo.UTXO)
 	for _, u := range c.stable.UTXOsForAddress(address) {
@@ -200,7 +202,7 @@ func (c *BitcoinCanister) addressViewReplay(ctx *ic.CallContext, address string,
 			txid := txids[ti]
 			for vout := range tx.Outputs {
 				out := tx.Outputs[vout]
-				if btc.ScriptID(out.PkScript, c.cfg.Network) != address {
+				if !owns(out.PkScript) {
 					continue
 				}
 				op := btc.OutPoint{TxID: txid, Vout: uint32(vout)}
@@ -220,4 +222,18 @@ func (c *BitcoinCanister) addressViewReplay(ctx *ic.CallContext, address string,
 	}
 	utxo.SortUTXOs(view.utxos)
 	return view, tip, nil
+}
+
+// scriptOwner returns the test "is this locking script filed under address?",
+// the question btc.ScriptID(script) == address asks. An address in its
+// canonical encoding owns exactly the script it pays to, so the test is a
+// byte comparison against that script, built once; any other key — a
+// "script:" hash or a string that is no canonical address — is tested the
+// ScriptID way.
+func scriptOwner(address string, network btc.Network) func(script []byte) bool {
+	if addr, err := btc.ParseAddress(address, network); err == nil && addr.String() == address {
+		want := btc.PayToAddrScript(addr)
+		return func(script []byte) bool { return bytes.Equal(script, want) }
+	}
+	return func(script []byte) bool { return btc.ScriptID(script, network) == address }
 }

@@ -210,12 +210,11 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 		return nil, fmt.Errorf("canister: restore: reserved config byte is %#x, want 0", reserved)
 	}
 	c := &BitcoinCanister{
-		cfg:          cfg,
-		params:       btc.ParamsForNetwork(cfg.Network),
-		blocks:       make(map[btc.Hash]*storedBlock),
-		scriptIDs:    btc.NewScriptIDCache(cfg.Network),
-		balanceCache: make(map[balanceKey]int64),
-		met:          newCanisterMetrics(),
+		cfg:       cfg,
+		params:    btc.ParamsForNetwork(cfg.Network),
+		blocks:    make(map[btc.Hash]*storedBlock),
+		scriptIDs: btc.NewScriptIDCache(cfg.Network),
+		met:       newCanisterMetrics(),
 	}
 	c.ingestedBlocks = int(d.I64())
 	c.rejectedBlocks = int(d.I64())

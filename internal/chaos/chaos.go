@@ -450,8 +450,8 @@ func (w *World) metricsView() (string, [32]byte, error) {
 }
 
 // payloadsPerRound is how many consensus payloads execute per harness round.
-// Past MultiBlockSyncHeight the adapter serves one block per payload (the
-// Algorithm 1 response cap), while the harness mines one block per round —
+// The adapter serves one block per payload (Algorithm 1's one-block cap near
+// the tip), while the harness mines one block per round —
 // recovery is only possible because consensus rounds outnumber blocks, as
 // they do on the real IC (~1 s rounds vs ~600 s blocks).
 const payloadsPerRound = 3

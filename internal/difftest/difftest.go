@@ -643,13 +643,13 @@ func (h *Harness) checkQueries() error {
 
 // checkOracleReadOnly pins the oracle's isolation: it reads the canister
 // the overlay serves from, so a replay call must leave that canister's
-// snapshot bytes and its balance cache exactly as they were.
+// snapshot bytes and its read memo exactly as they were.
 func (h *Harness) checkOracleReadOnly() error {
 	before, err := h.overlay.Snapshot()
 	if err != nil {
 		return fmt.Errorf("snapshot before replay: %w", err)
 	}
-	cached := h.overlay.BalanceCacheSize()
+	cached := h.overlay.ReadMemoSize()
 	addr := h.addrs[0].address
 	_, _ = canister.ReplayBalance(h.overlay, h.ctx(ic.KindQuery), canister.GetBalanceArgs{Address: addr})
 	_, _ = canister.ReplayUTXOs(h.overlay, h.ctx(ic.KindQuery), canister.GetUTXOsArgs{Address: addr})
@@ -660,8 +660,8 @@ func (h *Harness) checkOracleReadOnly() error {
 	if !bytes.Equal(before, after) {
 		return fmt.Errorf("replay oracle mutated the canister it read: snapshot %d -> %d bytes", len(before), len(after))
 	}
-	if got := h.overlay.BalanceCacheSize(); got != cached {
-		return fmt.Errorf("replay oracle touched the balance cache: %d -> %d entries", cached, got)
+	if got := h.overlay.ReadMemoSize(); got != cached {
+		return fmt.Errorf("replay oracle touched the read memo: %d -> %d entries", cached, got)
 	}
 	return nil
 }
@@ -708,7 +708,7 @@ func (h *Harness) compareBalance(addr string, minConf int64) error {
 	if errA == nil && a != b {
 		return fmt.Errorf("get_balance(%s, c=%d): overlay=%d replay=%d", addr, minConf, a, b)
 	}
-	// A repeated query must hit the overlay's balance cache and agree.
+	// A repeated query must hit the overlay's read memo and agree.
 	a2, err := h.overlay.GetBalance(h.ctx(ic.KindQuery), args)
 	if errA == nil && (err != nil || a2 != a) {
 		return fmt.Errorf("get_balance(%s, c=%d): cache answered %d/%v, first answer %d", addr, minConf, a2, err, a)

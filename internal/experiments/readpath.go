@@ -169,7 +169,7 @@ func RunReadPath(seed int64) (*ReadPathResult, error) {
 	// Depth sweep via the confirmations filter: at the tip, minConf = c
 	// restricts the considered chain to δ − c unstable blocks.
 	// Sample without replacement: a repeated (address, minConf) pair would
-	// land in the overlay's balance cache and no longer measure the merge.
+	// land in the canister's read memo and no longer measure the merge.
 	perm := rng.Perm(len(pop))
 	sample := make([]popEntry, readPathSampleAddresses)
 	for i := range sample {
@@ -214,7 +214,7 @@ func RunReadPath(seed int64) (*ReadPathResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 
-	// The first depth-1 repeat query lands in the overlay's balance cache.
+	// The first depth-1 repeat query finds its balance in the read memo.
 	hit := ic.NewMeter()
 	if _, err := overlay.GetBalance(&ic.CallContext{Meter: hit, Time: now, Kind: ic.KindQuery},
 		canister.GetBalanceArgs{Address: sample[0].address, MinConfirmations: 1}); err != nil {

@@ -68,8 +68,8 @@ const (
 	// delta at ingestion time — the one-time work that amortizes the
 	// per-request block scans away.
 	CostPerDeltaBuildTx = 60_000
-	// CostBalanceCacheHit prices serving get_balance from the per-address
-	// balance cache the overlay keeps coherent.
+	// CostBalanceCacheHit prices serving get_balance from the balance the
+	// canister's read memo keeps for an (address, confirmations) pair.
 	CostBalanceCacheHit = 40_000
 	// CostFeeCacheHit prices serving get_current_fee_percentiles from the
 	// per-tip cache instead of rescanning every unstable block.

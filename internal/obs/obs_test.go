@@ -10,7 +10,8 @@ import (
 
 func TestHistogramBucketEdges(t *testing.T) {
 	bounds := []int64{10, 20, 40}
-	h := newHistogram("h", bounds)
+	reg := NewRegistry()
+	h := reg.Histogram("h", bounds)
 
 	// Underflow: strictly below the first boundary.
 	h.Observe(-5)
@@ -31,8 +32,8 @@ func TestHistogramBucketEdges(t *testing.T) {
 			t.Errorf("bucket %d: got %d want %d", i, got, w)
 		}
 	}
-	if h.Count() != 9 {
-		t.Errorf("count: got %d want 9", h.Count())
+	if got := reg.Snapshot().Histograms[0].Count; got != 9 {
+		t.Errorf("count: got %d want 9", got)
 	}
 	wantSum := int64(-5 + 0 + 9 + 10 + 19 + 20 + 39 + 40 + (1 << 40))
 	if got := h.sum.Load(); got != wantSum {
@@ -312,7 +313,6 @@ func TestNilReceiversSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	_ = h.Count()
 	var f *Family
 	if f.With("x") != nil {
 		t.Fatal("nil family should return nil child")

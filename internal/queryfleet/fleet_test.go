@@ -381,6 +381,89 @@ func concurrentQueriesAndFrames(t *testing.T, cfg queryfleet.Config) (*queryflee
 	return r.fleet, st
 }
 
+// TestReplicaReadMemoRacesFrames: queries fill and read each replica's read
+// memo — an address's overlay per confirmation filter, and its balance —
+// while a drainer applies the frames that empty it. The rig pays its address
+// three coins of 700 sat in every block and spends none, so a get_utxos
+// answer must be three coins per height up to the tip it reports, and a
+// get_balance answer 2 100 sat per block its filter admits at the position
+// the response was served at, whichever tree state each query met.
+func TestReplicaReadMemoRacesFrames(t *testing.T) {
+	r := newRig(t, queryfleet.Config{Replicas: 2, MaxLagBlocks: 1 << 20, QueryConcurrency: 4}, 10)
+	addr := r.addr.String()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				minConf := int64(rng.Intn(9)) - 3 // -3..5: past 0 every value is the unfiltered view
+				if rng.Intn(2) == 0 {
+					rq := r.fleet.RouteQuery("get_utxos", canister.GetUTXOsArgs{Address: addr, MinConfirmations: minConf}, "client", r.now)
+					res, ok := rq.Value.(*canister.GetUTXOsResult)
+					if rq.Err != nil || !ok || int64(len(res.UTXOs)) != 3*res.TipHeight {
+						t.Errorf("get_utxos c=%d: %v, %d coins", minConf, rq.Err, len(res.UTXOs))
+						return
+					}
+					for _, c := range res.UTXOs {
+						if c.Value != 700 || c.Height > res.TipHeight {
+							t.Errorf("get_utxos c=%d: coin %+v at tip %d", minConf, c, res.TipHeight)
+							return
+						}
+					}
+					continue
+				}
+				rq := r.fleet.RouteQuery("get_balance", canister.GetBalanceArgs{Address: addr, MinConfirmations: minConf}, "client", r.now)
+				admitted := rq.TipHeight
+				if minConf > 0 {
+					admitted = max(rq.AnchorHeight, rq.TipHeight-minConf+1)
+				}
+				if v, ok := rq.Value.(int64); rq.Err != nil || !ok || v != 2100*admitted {
+					t.Errorf("get_balance c=%d at tip %d, anchor %d: %v (%v), want %d",
+						minConf, rq.TipHeight, rq.AnchorHeight, rq.Value, rq.Err, 2100*admitted)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := r.fleet.CatchUpAll(); err != nil {
+				t.Errorf("drainer: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if err := r.fleet.GuardAuthority(func() error {
+			r.feedBlock()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if st := r.fleet.Stats(); st.Served == 0 || st.Frames == 0 {
+		t.Fatalf("replicas served %d queries over %d frames: the test is vacuous", st.Served, st.Frames)
+	}
+}
+
 // TestApplyPendingConcurrentCallers: two goroutines drain one replica while
 // the authority keeps publishing. Dequeue order must be apply order whoever
 // dequeues, so neither may see the other's in-flight frame as a sequence gap:

@@ -26,8 +26,9 @@ import (
 //   - O(bytes) restore: every entry is written with its interned-script
 //     reference and every script with its memoized address key, so decoding
 //     performs no address decoding, no ScriptID hashing, and no sorting.
-//     Bucket slices are rebuilt by appending in stored (already canonical)
-//     order; running balances are accumulated in the same pass.
+//     Bucket groups are cut from the stored (already canonical) order, laid
+//     out in page order as they are read; running balances are accumulated
+//     in the same pass.
 //
 // Snapshots carry a checksum (see statecodec), so a decoder failure means a
 // framing bug or version skew, not silent corruption. Ordering invariants
@@ -214,9 +215,17 @@ type bucketDecoder struct {
 // shared arena — cutting a height group at every height change and verifying
 // the storage order on the way. The outpoint table is not touched (see
 // Set.indexBucket), so shard workers can decode buckets concurrently.
+//
+// The window is laid out in page order: the highest group at the lowest
+// address, each group forward, so a page walk (groups from the highest down)
+// streams forward through memory. Stored entry j lands at its mirrored place
+// len(dst)-1-j, which leaves each group backwards at its final place; a group
+// is turned round as soon as it ends, while it is still in cache. The groups
+// slice stays height-ascending, as everywhere else.
 func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketEntry) (*bucket, error) {
 	b := &bucket{count: len(dst)}
 	bd.groups = bd.groups[:0]
+	n := len(dst)
 	start, height := 0, int64(0)
 	for j := range dst {
 		// One bounds-checked read covers the entry's fixed-width fields
@@ -226,7 +235,7 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketE
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		e := &dst[j]
+		e := &dst[n-1-j]
 		copy(e.op.TxID[:], fields[:btc.HashSize])
 		e.op.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
 		e.value = int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
@@ -241,29 +250,39 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketE
 		}
 		e.script = uint32(si)
 		if j > 0 {
-			if h < height || (h == height && cmpOutPoint(&dst[j-1].op, &e.op) >= 0) {
+			// The stored entry before this one sits just above it.
+			if h < height || (h == height && cmpOutPoint(&dst[n-j].op, &e.op) >= 0) {
 				return nil, fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", key, j)
 			}
 			if h > height {
-				bd.groups = append(bd.groups, heightGroup{height: height, entries: dst[start:j:j]})
+				bd.groups = append(bd.groups, pageGroup(dst, n-j, n-start, height))
 				start = j
 			}
 		}
 		height = h
 		b.balance += e.value
 	}
-	if len(dst) > 0 {
-		bd.groups = append(bd.groups, heightGroup{height: height, entries: dst[start:len(dst):len(dst)]})
+	if n > 0 {
+		bd.groups = append(bd.groups, pageGroup(dst, 0, n-start, height))
 	}
 	b.groups = slices.Clone(bd.groups)
 	return b, nil
 }
 
+// pageGroup turns the finished group dst[lo:hi], written backwards, forward
+// and cuts it off as the group at height.
+func pageGroup(dst []bucketEntry, lo, hi int, height int64) heightGroup {
+	g := dst[lo:hi:hi]
+	slices.Reverse(g)
+	return heightGroup{height: height, entries: g}
+}
+
 // indexBucket installs a decoded bucket: its entries join the outpoint table,
-// with the reference counts they imply. An empty stored bucket is read and
-// dropped, as the set never holds one.
+// with the reference counts they imply. It walks the bucket's window front to
+// back, the highest group first, as decode laid it out. An empty stored
+// bucket is read and dropped, as the set never holds one.
 func (s *Set) indexBucket(key string, b *bucket) error {
-	for gi := range b.groups {
+	for gi := len(b.groups) - 1; gi >= 0; gi-- {
 		g := &b.groups[gi]
 		for i := range g.entries {
 			e := &g.entries[i]

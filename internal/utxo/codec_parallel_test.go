@@ -3,7 +3,9 @@ package utxo
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/statecodec"
@@ -59,6 +61,53 @@ func TestDecodeSetParallelEquivalence(t *testing.T) {
 	}
 	if got.Len() != 0 || got.AddressCount() != 0 {
 		t.Fatal("empty set decoded non-empty")
+	}
+}
+
+// TestDecodedBucketsInPageOrder: both decoders lay every bucket out in page
+// order — the highest height group at the lowest address of the bucket's
+// window, each lower group right after it, each group forward — so a page
+// walk streams forward through memory; the set still re-encodes to the
+// bytes it was decoded from and pages as the set it was encoded from.
+func TestDecodedBucketsInPageOrder(t *testing.T) {
+	src := buildRandomSet(5, 4000) // ~330 entries a bucket over 300 heights: groups of several
+	snap := encodeSet(src)
+	for _, workers := range []int{1, 2, 3} {
+		s, err := decodeSetParallel(t, snap, workers) // one worker is DecodeSet
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeSet(s), snap) {
+			t.Fatalf("workers %d: the decoded set re-encodes to other bytes", workers)
+		}
+		multi := 0
+		for key, b := range s.byAddress {
+			top := b.groups[len(b.groups)-1].entries
+			at := unsafe.Pointer(unsafe.SliceData(top))
+			for k := len(b.groups) - 1; k >= 0; k-- {
+				g := b.groups[k].entries
+				if unsafe.Pointer(unsafe.SliceData(g)) != at {
+					t.Fatalf("workers %d, bucket %s: group %d of %d is not where the group above it ends", workers, key, k, len(b.groups))
+				}
+				for i := 1; i < len(g); i++ {
+					if cmpOutPoint(&g[i-1].op, &g[i].op) >= 0 {
+						t.Fatalf("workers %d, bucket %s: group %d is not forward", workers, key, k)
+					}
+				}
+				if len(g) > 1 {
+					multi++
+				}
+				at = unsafe.Add(at, uintptr(len(g))*unsafe.Sizeof(g[0]))
+			}
+			want, _, _, _ := src.MergedPage(key, nil, nil, nil, b.count)
+			got, _, _, _ := s.MergedPage(key, nil, nil, nil, b.count)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers %d, bucket %s: the decoded set pages otherwise", workers, key)
+			}
+		}
+		if multi == 0 {
+			t.Fatal("no group holds two entries: the test is vacuous")
+		}
 	}
 }
 

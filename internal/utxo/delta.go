@@ -174,6 +174,10 @@ func (d *BlockDelta) EntriesFor(addressKey string) int {
 	return 0
 }
 
+// Entries returns how many created + spent entries the delta holds over all
+// its address keys: the sum of EntriesFor over them.
+func (d *BlockDelta) Entries() int { return len(d.created) + len(d.spent) }
+
 // OutPointTag is an outpoint hashed for the deltas' created-output indexes.
 type OutPointTag uint32
 

@@ -28,6 +28,10 @@ import (
 //     ascending) is streamed by walking the groups back to front and each
 //     group forward; a cursor is located by one search over the group heights
 //     and one inside the group.
+//   - A hydrated bucket (DecodeSet, DecodeSetParallel) lies in page order in
+//     its arena window: the highest group at the lowest address, so that walk
+//     streams forward through memory. A fold's groups are allocations of
+//     their own.
 //
 // A running count and balance make AddressUTXOCount and the stable part of
 // get_balance O(1).
@@ -210,6 +214,39 @@ func (it *AddressIter) headBefore(u *UTXO) bool {
 	return cmpOutPoint(&it.cur[0].op, &u.OutPoint) < 0
 }
 
+// fill copies the stream into page[n:] until the page is full or the stream
+// ends, dropping what ov suppresses (nil suppresses nothing), and returns how
+// much of the page is then written. It goes a group at a time: every entry
+// costs a copy and, when the overlay holds anything, a filter test; only an
+// entry past a set bit asks the overlay's index.
+func (it *AddressIter) fill(page []Coin, n int, ov *AddressOverlay) int {
+	filtered := ov != nil && len(ov.col) > 0
+	for n < len(page) {
+		if len(it.cur) == 0 {
+			k := len(it.below)
+			if k == 0 {
+				break
+			}
+			it.cur, it.height = it.below[k-1].entries, it.below[k-1].height
+			it.below = it.below[:k-1]
+		}
+		run, height := it.cur[:min(len(it.cur), len(page)-n)], it.height
+		it.cur = it.cur[len(run):]
+		for i := range run {
+			e := &run[i]
+			if filtered {
+				if w, bit := ov.filterBit(&e.op); ov.filter[w]&bit != 0 && ov.indexed(&e.op) {
+					continue
+				}
+			}
+			c := &page[n]
+			c.OutPoint, c.Value, c.Height = e.op, e.value, height
+			n++
+		}
+	}
+	return n
+}
+
 // Next returns the next UTXO in canonical order, script included.
 func (it *AddressIter) Next() (u UTXO, ok bool) {
 	if !it.settle(nil) {
@@ -318,7 +355,9 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress *AddressOve
 	}
 	page = make([]Coin, room)
 	n := 0
-	for n < len(page) {
+	// The head: while unstable creations are left, the two streams merge
+	// entry by entry.
+	for n < len(page) && ci < len(created) {
 		if !stable.settle(suppress) {
 			took := min(len(page)-n, len(created)-ci)
 			for k := range took {
@@ -327,7 +366,7 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress *AddressOve
 			n, ci, unstable = n+took, ci+took, unstable+took
 			break
 		}
-		if ci < len(created) && !stable.headBefore(&created[ci]) {
+		if !stable.headBefore(&created[ci]) {
 			page[n] = CoinOf(created[ci])
 			unstable++
 			ci++
@@ -336,6 +375,10 @@ func (s *Set) MergedPage(addressKey string, created []UTXO, suppress *AddressOve
 			stable.cur = stable.cur[1:]
 		}
 		n++
+	}
+	// The tail: the stable stream alone, copied group by group.
+	if ci >= len(created) {
+		n = stable.fill(page, n, suppress)
 	}
 	page = page[:n]
 	if ci >= len(created) && !stable.settle(suppress) {

@@ -8,8 +8,10 @@ import (
 
 // AddressOverlay is the net effect of a chain of unstable block deltas on one
 // address: what a merged read lays over the address's stable bucket. It is
-// built per query — sized, applied delta by delta in chain order, sealed —
-// and is flat like the deltas it folds:
+// built once per tree state and per (address, confirmations) — sized,
+// applied delta by delta in chain order, sealed — and then only read: the
+// canister's read memo hands one sealed overlay to every query on that
+// state, concurrently. It is flat like the deltas it folds:
 //
 //   - col holds every outpoint the chain created or spent for the address,
 //     each once, in the place of its first appearance. The stable stream
@@ -169,6 +171,11 @@ func (ov *AddressOverlay) suppresses(op *btc.OutPoint) bool {
 	if w, bit := ov.filterBit(op); ov.filter[w]&bit == 0 {
 		return false
 	}
+	return ov.indexed(op)
+}
+
+// indexed is suppresses past a set filter bit: the exact answer, off index.
+func (ov *AddressOverlay) indexed(op *btc.OutPoint) bool {
 	_, pos := ov.index.find(ov.col, op, outpointTag(deltaSeed, op))
 	return pos >= 0
 }
