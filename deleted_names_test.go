@@ -352,6 +352,50 @@ var deletedNames = []deletedName{
 		tests: true,
 		probe: `	if got := c.BalanceCacheSize(); got != len(c.balanceCache) {`,
 	},
+	{
+		rule: "the subnet runs what it is handed: no dispatch gate",
+		reason: "the canister decides which of its methods serve as queries (BitcoinCanister.Query refuses " +
+			"a mutating method before it charges an instruction, and CallContext.Call never asked the " +
+			"subnet); the subnet's method table answered true for every update and restated that rule " +
+			"for queries. Their names returning means the rule has a second home again",
+		words: []string{"MethodTable", "MethodSpec", "checkDispatch"},
+		roots: []string{"cmd", "examples", "internal"},
+		probe: `	if err := checkDispatch(can, method, KindQuery); err != nil { // MethodTable.MethodSpec`,
+	},
+	{
+		rule: "the subnet runs what it is handed: a Byzantine maker is a replaced builder",
+		reason: "a Byzantine block maker is a replica whose payload differs from the honest ones (§IV-A, " +
+			"Lemma IV.3); the tests install its payload as its builder, so a second field overriding the " +
+			"builder is a second way to set one payload",
+		words: []string{"MaliciousPayload"},
+		roots: []string{"cmd", "examples", "internal"},
+		tests: true,
+		probe: `	s.Replicas()[0].MaliciousPayload = func(CanisterID) any { return "evil" }`,
+	},
+	{
+		rule:   "the subnet runs what it is handed: a builder is a closure",
+		reason: "every payload builder is a func() any, so an interface with one adapter wrapped each closure once more",
+		words:  []string{"PayloadBuilderFunc"},
+		roots:  []string{"cmd", "examples", "internal"},
+		probe:  `	r.SetPayloadBuilder("btc", PayloadBuilderFunc(func() any { return nil }))`,
+	},
+	{
+		rule: "only deployments choose settings: τ",
+		reason: "every deployment, harness and figure ran the canister at τ = 2 and only TestSyncedFlagTau " +
+			"set another; τ is the constant syncSlack, still written to a snapshot and checked on restore",
+		words: []string{"SyncSlack"},
+		roots: []string{"cmd", "examples", "internal"},
+		tests: true,
+		probe: `	cfg.SyncSlack = tau`,
+	},
+	{
+		rule: "the canister keeps one read memo: the fee percentiles are in it",
+		reason: "the fee percentiles are one more read of a tree state (readMemos.fees), emptied with the " +
+			"rest on every tree mutation; a (tip, anchor)-keyed entry beside it was a second coherence rule",
+		words: []string{"feeCacheEntry"},
+		roots: []string{"cmd", "examples", "internal"},
+		probe: `	c.feeCache = feeCacheEntry{valid: true, tip: tip, anchor: anchor, percentiles: stored}`,
+	},
 }
 
 // TestDeletedNamesStayDeleted runs the table: no covered file holds a row's

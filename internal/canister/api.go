@@ -237,16 +237,18 @@ type readMemo struct {
 	summed           bool
 }
 
-// readMemos is the per-replica read memo: at most maxBalanceCache entries,
-// and stored overlays holding at most budget delta entries between them —
-// the unstable deltas' own entry count along the current chain, counted
-// when a store first needs it. Past either bound an overlay is built and
-// served but not stored. The zero value is empty.
+// readMemos is the per-replica read memo of one tree state: at most
+// maxBalanceCache reads, and stored overlays holding at most budget delta
+// entries between them — the unstable deltas' own entry count along the
+// current chain, counted when a store first needs it. Past either bound an
+// overlay is built and served but not stored. fees holds the fee
+// percentiles once a query has computed them. The zero value is empty.
 type readMemos struct {
 	byKey   map[readKey]readMemo
 	entries int
 	budget  int
 	counted bool
+	fees    []int64
 }
 
 // charge meters a memo hit as the build it stands for: the same categories,
@@ -260,13 +262,12 @@ func (m *readMemo) charge(meter *ic.Meter) {
 	}
 }
 
-// invalidateReadCaches drops the read memo and the fee percentiles. Called
-// on every tree mutation (new blocks or headers, anchor advance) — the
-// overlay's cache coherence rule.
+// invalidateReadCaches empties the read memo. Called on every tree mutation
+// (new blocks or headers, anchor advance) — the overlay's cache coherence
+// rule.
 func (c *BitcoinCanister) invalidateReadCaches() {
 	c.queryMu.Lock()
 	c.reads = readMemos{}
-	c.feeCache = feeCacheEntry{}
 	c.queryMu.Unlock()
 }
 
@@ -480,5 +481,4 @@ var (
 	_ ic.Canister         = (*BitcoinCanister)(nil)
 	_ ic.PayloadProcessor = (*BitcoinCanister)(nil)
 	_ ic.Snapshotter      = (*BitcoinCanister)(nil)
-	_ ic.MethodTable      = (*BitcoinCanister)(nil)
 )

@@ -37,12 +37,13 @@ type Config struct {
 	// difficulty-based δ-stable w.r.t. the anchor's work to become the new
 	// anchor (144 on mainnet ≈ one day of blocks).
 	StabilityThreshold int64
-	// SyncSlack is τ: the canister answers requests only while
-	// maxHeight(T) − maxHeight(A) ≤ τ (2 in production).
-	SyncSlack int64
 	// PageLimit is the maximum UTXOs per get_utxos page.
 	PageLimit int
 }
+
+// syncSlack is τ: the canister answers requests only while
+// maxHeight(T) − maxHeight(A) ≤ τ.
+const syncSlack = 2
 
 // txRebroadcastRounds is how many adapter request rounds an outbound
 // transaction stays in the forwarding queue.
@@ -54,7 +55,6 @@ func DefaultConfig(network btc.Network) Config {
 	cfg := Config{
 		Network:            network,
 		StabilityThreshold: 144,
-		SyncSlack:          2,
 		PageLimit:          1000,
 	}
 	if network == btc.Regtest {
@@ -111,25 +111,20 @@ type BitcoinCanister struct {
 	// building and owner resolution.
 	scriptIDs *btc.ScriptIDCache
 
-	// queryMu guards the per-replica read caches (reads, feeCache). On the
+	// queryMu guards the per-replica read memo (reads). On the
 	// authoritative canister everything runs on the simulation goroutine and
 	// the mutex is uncontended; on a query-fleet replica many queries execute
-	// concurrently under the replica's read lock, and the caches are the only
+	// concurrently under the replica's read lock, and the memo is the only
 	// state they mutate.
 	queryMu sync.Mutex
-	// reads memoizes the overlay read path per (address, minConfirmations):
-	// the address's sealed unstable overlay, what building it metered, and
-	// its balance once asked, so the overlay is built once per tree state
-	// and per read, not per query. Any tree mutation — a new block or
-	// header, an anchor advance, a reorg — clears it; within one tree state
-	// the merged view is immutable, so entries stay coherent. Only queries
-	// read or fill it.
+	// reads memoizes the read path per (address, minConfirmations): the
+	// address's sealed unstable overlay, what building it metered, and its
+	// balance once asked, so the overlay is built once per tree state and
+	// per read, not per query; and the fee percentiles once asked. Any tree
+	// mutation — a new block or header, an anchor advance, a reorg — clears
+	// it; within one tree state the merged view is immutable, so entries
+	// stay coherent. Only queries read or fill it.
 	reads readMemos
-	// feeCache memoizes get_current_fee_percentiles for the overlay read
-	// path, keyed by (tip, anchor height): the percentiles are a function of
-	// the unstable suffix, which changes identity when either moves. Cleared
-	// together with the read memo on every tree mutation.
-	feeCache feeCacheEntry
 
 	// stream, when set, receives one Frame per processed payload carrying
 	// the accepted mutations (blocks with their deltas, headers, anchor
@@ -592,7 +587,7 @@ func (c *BitcoinCanister) updateSynced() {
 		maxA = c.have[n-1].height
 	}
 	c.availableHeight = maxA
-	c.synced = maxT-maxA <= c.cfg.SyncSlack
+	c.synced = maxT-maxA <= syncSlack
 }
 
 // AvailableHeight returns the greatest height for which the canister holds

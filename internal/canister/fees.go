@@ -19,53 +19,35 @@ import (
 // FeePercentilesCount is the number of percentiles returned (0..100).
 const FeePercentilesCount = 101
 
-// feeCacheEntry memoizes one computed percentile vector. The percentiles
-// are a pure function of the unstable suffix of the current chain, which
-// changes identity exactly when the tip hash or the anchor height moves —
-// the key; every tree mutation additionally clears the entry outright
-// (invalidateReadCaches), so the key is belt and braces.
-type feeCacheEntry struct {
-	valid       bool
-	tip         btc.Hash
-	anchor      int64
-	percentiles []int64
-}
-
 // GetCurrentFeePercentiles computes the 101 fee-rate percentiles over
 // recent transactions. Transactions whose inputs cannot be resolved
 // against the canister's view (alien inputs the canister never tracked)
 // are skipped, mirroring the production canister's best-effort fee index.
 //
-// The result is memoized per (tip, anchor) for query executions and
-// invalidated on every tree change, so repeated fee quotes between blocks
-// stop rescanning every unstable block and re-resolving every input. An
-// update execution always recomputes; ReplayFeePercentiles is the reference
-// the differential harness checks both against.
+// A query's result is kept in the read memo (readMemos.fees), which every
+// tree mutation empties, so repeated fee quotes between blocks stop
+// rescanning every unstable block and re-resolving every input. An update
+// execution always recomputes; ReplayFeePercentiles is the reference the
+// differential harness checks both against.
 func (c *BitcoinCanister) GetCurrentFeePercentiles(ctx *ic.CallContext) ([]int64, error) {
 	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
 	if !c.synced {
 		return nil, ErrNotSynced
 	}
-	useCache := ctx.Kind == ic.KindQuery
-	tip := c.tipNode().Hash
-	anchor := c.tree.Root().Height
-	if useCache {
+	query := ctx.Kind == ic.KindQuery
+	if query {
 		c.queryMu.Lock()
-		e := c.feeCache
+		fees := c.reads.fees
 		c.queryMu.Unlock()
-		if e.valid && e.tip == tip && e.anchor == anchor {
+		if fees != nil {
 			ctx.Meter.Charge(ic.CostFeeCacheHit, "fee_cache_hit")
-			out := make([]int64, len(e.percentiles))
-			copy(out, e.percentiles)
-			return out, nil
+			return slices.Clone(fees), nil
 		}
 	}
 	percentiles := c.computeFeePercentiles(ctx)
-	if useCache {
-		stored := make([]int64, len(percentiles))
-		copy(stored, percentiles)
+	if query {
 		c.queryMu.Lock()
-		c.feeCache = feeCacheEntry{valid: true, tip: tip, anchor: anchor, percentiles: stored}
+		c.reads.fees = slices.Clone(percentiles)
 		c.queryMu.Unlock()
 	}
 	return percentiles, nil

@@ -41,6 +41,7 @@ func FuzzStatecodecDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add(resealed(golden, reservedOffset, 1))    // checksum-valid, reserved byte set
 	f.Add(resealed(golden, rebroadcastOffset, 6)) // checksum-valid, rebroadcast window 6
+	f.Add(resealed(golden, tauOffset, 3))         // checksum-valid, τ 3
 	f.Add([]byte{})
 	f.Add([]byte("icbtc/snapshot\n"))
 	f.Fuzz(checkSnapshotRoundTrip)
@@ -88,6 +89,7 @@ func FuzzSnapshotDecodeReframed(f *testing.F) {
 	f.Add(payloadOf(golden))
 	f.Add(payloadOf(resealed(golden, reservedOffset, 1)))    // reserved byte set
 	f.Add(payloadOf(resealed(golden, rebroadcastOffset, 6))) // rebroadcast window 6
+	f.Add(payloadOf(resealed(golden, tauOffset, 3)))         // τ 3
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkSnapshotRoundTrip(t, seal(payload))
 	})

@@ -14,10 +14,9 @@ import (
 // query path; mutating ones on the replicated path only), a typed argument
 // codec (the canonical request encoding the fleet's coalescer and
 // hot-response cache key on), and its handler.
-// Update/Query dispatch, the query-method list, the subnet's routing table
-// (ic.MethodTable), the fleet's serving layers, and the README API reference
-// all derive from this table — the stringly-typed switches it replaced could
-// (and did) drift apart.
+// Update/Query dispatch, the query-method list, the fleet's serving layers,
+// and the README API reference all derive from this table — the
+// stringly-typed switches it replaced could (and did) drift apart.
 //
 // A request's key is its canonical encoding, not a digest of it: the method
 // name, then every argument field in declaration order, a string or byte
@@ -313,17 +312,6 @@ func QueryMethodNames() []string {
 		}
 	}
 	return names
-}
-
-// MethodSpec implements ic.MethodTable: the subnet's routing layer rejects
-// calls on a dispatch path the registry does not declare, before any
-// execution resources are spent.
-func (c *BitcoinCanister) MethodSpec(method string) (ic.MethodSpec, bool) {
-	m, ok := MethodByName(method)
-	if !ok {
-		return ic.MethodSpec{}, false
-	}
-	return ic.MethodSpec{Query: m.Kind == MethodReadOnly, Update: true}, true
 }
 
 // APIReferenceMarkdown renders the registry as the README's API reference

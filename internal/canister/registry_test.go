@@ -89,28 +89,6 @@ func validArgFor(t *testing.T, method string) any {
 	}
 }
 
-// TestMethodSpecMatchesRegistry pins the ic.MethodTable implementation to
-// the registry: every method routes as its kind declares, unknown names do
-// not resolve.
-func TestMethodSpecMatchesRegistry(t *testing.T) {
-	can := New(DefaultConfig(btc.Regtest))
-	for _, m := range Methods() {
-		spec, ok := can.MethodSpec(m.Name)
-		if !ok {
-			t.Fatalf("MethodSpec(%s) not found", m.Name)
-		}
-		if !spec.Update {
-			t.Errorf("MethodSpec(%s).Update = false; every registered method is update-servable", m.Name)
-		}
-		if want := m.Kind == MethodReadOnly; spec.Query != want {
-			t.Errorf("MethodSpec(%s).Query = %v, want %v", m.Name, spec.Query, want)
-		}
-	}
-	if _, ok := can.MethodSpec("no_such_method"); ok {
-		t.Error("MethodSpec(no_such_method) resolved")
-	}
-}
-
 // TestRequestKeyProperties is the cache-key property test: equal requests
 // encode to equal keys, any differing argument field — address, network,
 // min_confirmations, page cursor, limit — or a different method name changes

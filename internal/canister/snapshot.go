@@ -81,13 +81,14 @@ func (c *BitcoinCanister) Snapshot() ([]byte, error) {
 	e := statecodec.NewEncoder(snapshotMagic, SnapshotVersion, hint)
 
 	// Configuration: a restored canister must run the identical state
-	// machine (δ, τ, page limit). The rebroadcast window after it was once
-	// a setting and is now always written as txRebroadcastRounds; the byte
-	// after that is reserved (it once selected a read path) and always
-	// written 0. Restore rejects any other stored value of either.
+	// machine (δ, τ, page limit). τ and the rebroadcast window were once
+	// settings and are now always written as syncSlack and
+	// txRebroadcastRounds; the byte after them is reserved (it once selected
+	// a read path) and always written 0. Restore rejects any other stored
+	// value of the three.
 	e.U8(uint8(c.cfg.Network))
 	e.I64(c.cfg.StabilityThreshold)
-	e.I64(c.cfg.SyncSlack)
+	e.I64(syncSlack)
 	e.I64(int64(c.cfg.PageLimit))
 	e.I64(txRebroadcastRounds)
 	e.U8(0)
@@ -198,11 +199,13 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 	cfg := Config{
 		Network:            btc.Network(d.U8()),
 		StabilityThreshold: d.I64(),
-		SyncSlack:          d.I64(),
-		PageLimit:          int(d.I64()),
 	}
-	// Ignoring another rebroadcast window or a nonzero reserved byte would
-	// accept bytes Snapshot cannot reproduce.
+	// Ignoring another τ, another rebroadcast window or a nonzero reserved
+	// byte would accept bytes Snapshot cannot reproduce.
+	if tau := d.I64(); tau != syncSlack {
+		return nil, fmt.Errorf("canister: restore: τ is %d, want %d", tau, syncSlack)
+	}
+	cfg.PageLimit = int(d.I64())
 	if rounds := d.I64(); rounds != txRebroadcastRounds {
 		return nil, fmt.Errorf("canister: restore: rebroadcast window is %d rounds, want %d", rounds, txRebroadcastRounds)
 	}

@@ -263,14 +263,14 @@ func TestSubnetUpgradeRound(t *testing.T) {
 	// its builder, so the queue drains in consensus order on every replica.
 	queue := blocks
 	for _, r := range sub.Replicas() {
-		r.SetPayloadBuilder("bitcoin", ic.PayloadBuilderFunc(func() any {
+		r.SetPayloadBuilder("bitcoin", func() any {
 			if len(queue) == 0 {
 				return nil
 			}
 			b := queue[0]
 			queue = queue[1:]
 			return adapter.Response{Blocks: []adapter.BlockWithHeader{{Block: b, Header: b.Header}}}
-		}))
+		})
 	}
 	sub.Start()
 	sched.RunFor(12 * time.Second) // roughly half the chain
@@ -355,28 +355,43 @@ func TestRestoreRejectsCorruptedSnapshot(t *testing.T) {
 // checksum-valid snapshot storing any other value is refused — it was once a
 // setting, and a restore that accepted it would re-snapshot different bytes.
 func TestRestoreRejectsRebroadcastWindow(t *testing.T) {
+	checkConfigSlot(t, "rebroadcast window", rebroadcastOffset, 5, 0, 4, 6, -5)
+}
+
+// TestRestoreRejectsForeignTau pins τ's slot the same way: the golden
+// fixture stores 2, and τ too was once a setting.
+func TestRestoreRejectsForeignTau(t *testing.T) {
+	checkConfigSlot(t, "τ", tauOffset, 2, 0, 1, 3, 8)
+}
+
+// checkConfigSlot requires the golden fixture to store want in the int64
+// config slot at offset, a resealed copy storing any of foreign to be
+// refused, and one resealed unchanged to restore.
+func checkConfigSlot(t *testing.T, name string, offset int, want int64, foreign ...int64) {
+	t.Helper()
 	golden := goldenSnapshotBytes(t)
-	if got := int64(binary.LittleEndian.Uint64(golden[rebroadcastOffset:])); got != 5 {
-		t.Fatalf("golden fixture stores a rebroadcast window of %d rounds, want 5", got)
+	if got := int64(binary.LittleEndian.Uint64(golden[offset:])); got != want {
+		t.Fatalf("golden fixture stores a %s of %d, want %d", name, got, want)
 	}
-	var window [8]byte
-	for _, rounds := range []int64{0, 4, 6, -5} {
-		binary.LittleEndian.PutUint64(window[:], uint64(rounds))
-		if _, err := canister.RestoreSnapshot(resealed(golden, rebroadcastOffset, window[:]...)); err == nil {
-			t.Fatalf("restore accepted a snapshot with a rebroadcast window of %d rounds", rounds)
+	var slot [8]byte
+	for _, v := range foreign {
+		binary.LittleEndian.PutUint64(slot[:], uint64(v))
+		if _, err := canister.RestoreSnapshot(resealed(golden, offset, slot[:]...)); err == nil {
+			t.Fatalf("restore accepted a snapshot with a %s of %d", name, v)
 		}
 	}
-	binary.LittleEndian.PutUint64(window[:], 5)
-	if _, err := canister.RestoreSnapshot(resealed(golden, rebroadcastOffset, window[:]...)); err != nil {
+	binary.LittleEndian.PutUint64(slot[:], uint64(want))
+	if _, err := canister.RestoreSnapshot(resealed(golden, offset, slot[:]...)); err != nil {
 		t.Fatalf("resealing the golden fixture unchanged broke it: %v", err)
 	}
 }
 
-// Offsets in a snapshot's config section: after magic, version, the network
-// byte and three int64 parameters come the rebroadcast window (int64) and
-// the reserved byte.
+// Offsets in a snapshot's config section: after magic and version come the
+// network byte and three int64 parameters — δ, τ, the page limit — then the
+// rebroadcast window (int64) and the reserved byte.
 const (
-	rebroadcastOffset = len("icbtc/canister-snapshot\n") + 2 + 1 + 3*8 // 0x33
+	tauOffset         = len("icbtc/canister-snapshot\n") + 2 + 1 + 8
+	rebroadcastOffset = tauOffset + 2*8 // 0x33
 	reservedOffset    = rebroadcastOffset + 8
 )
 

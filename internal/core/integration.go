@@ -121,7 +121,7 @@ func New(opts Options) (*Integration, error) {
 	for i, replica := range subnet.Replicas() {
 		ad := adapter.New(simnet.NodeID(fmt.Sprintf("adapter/%d", i)), net, params, sim.Directory, adCfg)
 		integ.Adapters = append(integ.Adapters, ad)
-		replica.SetPayloadBuilder(BitcoinCanisterID, ic.PayloadBuilderFunc(func() any {
+		replica.SetPayloadBuilder(BitcoinCanisterID, func() any {
 			can, ok := subnet.Canister(BitcoinCanisterID).(*canister.BitcoinCanister)
 			if !ok {
 				return nil
@@ -131,7 +131,7 @@ func New(opts Options) (*Integration, error) {
 				return nil
 			}
 			return resp
-		}))
+		})
 	}
 
 	key, err := secp256k1.GeneratePrivateKey(rand.New(rand.NewSource(opts.Seed + 1000)))

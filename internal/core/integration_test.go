@@ -379,6 +379,37 @@ func TestNotStartedErrors(t *testing.T) {
 	}
 }
 
+// TestSendTransactionIsNotAQuery holds the query path to the canister's own
+// rule: the subnet runs whatever call it is handed, and the Bitcoin canister
+// refuses a mutating method as a query before it charges an instruction or
+// queues the transaction. The same argument is accepted as an update.
+func TestSendTransactionIsNotAQuery(t *testing.T) {
+	in, err := New(fastOptionsNoKeys(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Start()
+	tx := &btc.Transaction{
+		Version: 2,
+		Inputs:  []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.Hash{1}}, Sequence: 0xffffffff}},
+		Outputs: []btc.TxOut{{Value: 1000, PkScript: btc.PayToAddrScript(in.MinerAddress())}},
+	}
+	args := canister.SendTransactionArgs{RawTx: tx.Bytes()}
+	res, err := in.call(BitcoinCanisterID, "send_transaction", args, false)
+	if want := `canister: no query method "send_transaction"`; err == nil || err.Error() != want {
+		t.Fatalf("query of send_transaction: err %v, want %q", err, want)
+	}
+	if res.Instructions != 0 {
+		t.Fatalf("refused query charged %d instructions", res.Instructions)
+	}
+	if n := in.Canister.PendingTransactions(); n != 0 {
+		t.Fatalf("refused query queued %d transactions", n)
+	}
+	if _, err := in.call(BitcoinCanisterID, "send_transaction", args, true); err != nil {
+		t.Fatalf("the same transaction as an update: %v", err)
+	}
+}
+
 func TestTooManyConfirmationsSurfaced(t *testing.T) {
 	in, err := New(fastOptionsNoKeys(9))
 	if err != nil {

@@ -283,26 +283,27 @@ func TestDowntimeSystemLevel(t *testing.T) {
 		fork = append(fork, blk)
 	}
 
-	// Byzantine replica 0 feeds fork blocks one per round with N = {};
-	// honest replicas reveal the real chain's remaining blocks.
+	// Byzantine replica 0, its builder replaced, feeds fork blocks one per
+	// round with N = {}; honest replicas reveal the real chain's remaining
+	// blocks.
 	forkIdx, honestIdx := 0, 5
-	subnet.Replicas()[0].MaliciousPayload = func(ic.CanisterID) any {
+	subnet.Replicas()[0].SetPayloadBuilder("bitcoin", func() any {
 		if forkIdx >= len(fork) {
 			return nil
 		}
 		blk := fork[forkIdx]
 		forkIdx++
 		return adapter.Response{Blocks: []adapter.BlockWithHeader{{Block: blk, Header: blk.Header}}}
-	}
+	})
 	for _, r := range subnet.Replicas()[1:] {
-		r.SetPayloadBuilder("bitcoin", ic.PayloadBuilderFunc(func() any {
+		r.SetPayloadBuilder("bitcoin", func() any {
 			if honestIdx >= len(honest) {
 				return nil
 			}
 			blk := honest[honestIdx]
 			honestIdx++
 			return adapter.Response{Blocks: []adapter.BlockWithHeader{{Block: blk, Header: blk.Header}}}
-		}))
+		})
 	}
 	subnet.Start()
 	sched.RunFor(60 * time.Second)

@@ -8,9 +8,10 @@
 // The consensus protocol is a structural simulation of Internet Computer
 // Consensus [Camenisch et al., PODC 2022]: per round a random beacon ranks
 // block makers; the rank-0 maker's proposal is notarized and finalized after
-// the configured delays; finalized blocks are never rolled back. Byzantine
-// replicas can, when selected as block maker, inject arbitrary payloads —
-// exactly the capability the Lemma IV.3 analysis grants the attacker.
+// the configured delays; finalized blocks are never rolled back. A Byzantine
+// replica, one whose payload builder was replaced, injects arbitrary payloads
+// when selected as block maker — exactly the capability the Lemma IV.3
+// analysis grants the attacker.
 package ic
 
 import (
@@ -114,46 +115,6 @@ type Canister interface {
 	Query(ctx *CallContext, method string, arg any) (any, error)
 }
 
-// MethodSpec declares the dispatch paths one method serves on.
-type MethodSpec struct {
-	// Query marks the method servable on the non-replicated query path.
-	Query bool
-	// Update marks the method servable on the replicated path.
-	Update bool
-}
-
-// MethodTable is implemented by canisters that expose a typed method
-// registry. The subnet consults it to reject calls on a dispatch path the
-// registry does not declare — before any execution resources are spent —
-// instead of relying on each canister's dispatch switch to agree with the
-// routing layer's expectations.
-type MethodTable interface {
-	// MethodSpec reports the dispatch spec of a method; ok is false for
-	// methods the canister does not export.
-	MethodSpec(method string) (MethodSpec, bool)
-}
-
-// checkDispatch gates one call against the canister's method registry, when
-// it has one. Unknown methods fall through so the canister reports them with
-// its own canonical error.
-func checkDispatch(can Canister, method string, kind CallKind) error {
-	mt, ok := can.(MethodTable)
-	if !ok {
-		return nil
-	}
-	spec, ok := mt.MethodSpec(method)
-	if !ok {
-		return nil
-	}
-	if kind == KindQuery && !spec.Query {
-		return fmt.Errorf("ic: method %q is not servable as a query", method)
-	}
-	if kind == KindUpdate && !spec.Update {
-		return fmt.Errorf("ic: method %q is not servable as an update", method)
-	}
-	return nil
-}
-
 // Snapshotter is implemented by canisters whose complete state can be
 // captured as one deterministic byte string (the stable-memory image the
 // real IC persists across canister upgrades). Snapshots feed two scenarios:
@@ -182,17 +143,3 @@ type PayloadProcessor interface {
 type TimerHandler interface {
 	OnTimer(ctx *CallContext)
 }
-
-// PayloadBuilder produces the payload a block maker includes for a given
-// canister. Each replica has its own builder (its own Bitcoin adapter), so
-// different block makers may deliver different payloads — the degree of
-// freedom the §IV-A analysis gives the attacker.
-type PayloadBuilder interface {
-	BuildPayload() any
-}
-
-// PayloadBuilderFunc adapts a function to PayloadBuilder.
-type PayloadBuilderFunc func() any
-
-// BuildPayload implements PayloadBuilder.
-func (f PayloadBuilderFunc) BuildPayload() any { return f() }

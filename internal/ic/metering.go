@@ -72,7 +72,7 @@ const (
 	// canister's read memo keeps for an (address, confirmations) pair.
 	CostBalanceCacheHit = 40_000
 	// CostFeeCacheHit prices serving get_current_fee_percentiles from the
-	// per-tip cache instead of rescanning every unstable block.
+	// canister's read memo instead of rescanning every unstable block.
 	CostFeeCacheHit = 60_000
 	// CostThresholdSignature prices one threshold signing round.
 	CostThresholdSignature = 26_000_000_000 / 1000 // per-canister share

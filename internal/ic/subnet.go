@@ -64,24 +64,22 @@ func DefaultConfig() Config {
 	}
 }
 
-// Replica is one subnet node. Honest replicas build payloads from their own
-// Bitcoin adapter; a Byzantine replica substitutes arbitrary payloads when it
-// is the block maker.
+// Replica is one subnet node. Each replica builds its payloads from its own
+// Bitcoin adapter, so block makers may deliver different payloads (§IV-A); a
+// Byzantine replica is one whose builder was replaced, and the subnet
+// finalizes whatever its maker built.
 type Replica struct {
 	Index int
 	ID    simnet.NodeID
 	// payloadBuilders produce per-canister payloads when this replica makes
-	// a block.
-	payloadBuilders map[CanisterID]PayloadBuilder
-	// MaliciousPayload, when set, makes the replica Byzantine: it overrides
-	// the payload for a canister when this replica is the block maker.
-	MaliciousPayload func(CanisterID) any
+	// a block; a nil payload puts none in the block.
+	payloadBuilders map[CanisterID]func() any
 	// Down marks a crashed replica; it is skipped as block maker.
 	Down bool
 }
 
 // SetPayloadBuilder installs the builder used when this replica proposes.
-func (r *Replica) SetPayloadBuilder(id CanisterID, b PayloadBuilder) {
+func (r *Replica) SetPayloadBuilder(id CanisterID, b func() any) {
 	r.payloadBuilders[id] = b
 }
 
@@ -202,7 +200,7 @@ func NewSubnet(sched *simnet.Scheduler, cfg Config) (*Subnet, error) {
 		s.replicas = append(s.replicas, &Replica{
 			Index:           i,
 			ID:              simnet.NodeID(fmt.Sprintf("ic/%d", i)),
-			payloadBuilders: make(map[CanisterID]PayloadBuilder),
+			payloadBuilders: make(map[CanisterID]func() any),
 		})
 	}
 	return s, nil
@@ -404,8 +402,7 @@ func (s *Subnet) runRound() {
 		return // all replicas down
 	}
 
-	// Assemble payloads: the block maker queries its own builders; a
-	// Byzantine maker substitutes arbitrary payloads.
+	// Assemble payloads: the block maker queries its own builders.
 	type payloadEntry struct {
 		canister CanisterID
 		payload  any
@@ -415,14 +412,10 @@ func (s *Subnet) runRound() {
 		if _, ok := s.canisters[id].(PayloadProcessor); !ok {
 			continue
 		}
-		var p any
-		if maker.MaliciousPayload != nil {
-			p = maker.MaliciousPayload(id)
-		} else if b := maker.payloadBuilders[id]; b != nil {
-			p = b.BuildPayload()
-		}
-		if p != nil {
-			payloads = append(payloads, payloadEntry{canister: id, payload: p})
+		if b := maker.payloadBuilders[id]; b != nil {
+			if p := b(); p != nil {
+				payloads = append(payloads, payloadEntry{canister: id, payload: p})
+			}
 		}
 	}
 
@@ -470,8 +463,6 @@ func (s *Subnet) executeUpdate(call *pendingCall, blockTime time.Time) {
 	res := Result{Certified: true}
 	if can == nil {
 		res.Err = fmt.Errorf("ic: canister %s not found", call.canister)
-	} else if err := checkDispatch(can, call.method, KindUpdate); err != nil {
-		res.Err = err
 	} else {
 		ctx := &CallContext{Meter: meter, Time: blockTime, Caller: call.caller, Kind: KindUpdate, subnet: s}
 		res.Value, res.Err = can.Update(ctx, call.method, call.arg)
@@ -520,7 +511,8 @@ func (s *Subnet) SubmitUpdate(canister CanisterID, method string, arg any, calle
 
 // Query executes a non-replicated call against the current state on a
 // single randomly chosen replica. The response is not certified ("cannot be
-// fully trusted", §IV-B).
+// fully trusted", §IV-B). The canister decides which of its methods serve as
+// queries.
 func (s *Subnet) Query(canister CanisterID, method string, arg any, caller string, cb func(Result)) {
 	submitted := s.sched.Now()
 	rtt := queryRTTBase + time.Duration(s.rng.Int63n(int64(queryRTTJitter)))
@@ -531,8 +523,6 @@ func (s *Subnet) Query(canister CanisterID, method string, arg any, caller strin
 		meter := NewMeter()
 		if can == nil {
 			res.Err = fmt.Errorf("ic: canister %s not found", canister)
-		} else if err := checkDispatch(can, method, KindQuery); err != nil {
-			res.Err = err
 		} else {
 			ctx := &CallContext{Meter: meter, Time: s.sched.Now(), Caller: caller, Kind: KindQuery, subnet: s}
 			res.Value, res.Err = can.Query(ctx, method, arg)

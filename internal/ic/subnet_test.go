@@ -330,10 +330,10 @@ func TestPayloadPipeline(t *testing.T) {
 	s.InstallCanister("btc", pc)
 	next := 0
 	for _, r := range s.Replicas() {
-		r.SetPayloadBuilder("btc", PayloadBuilderFunc(func() any {
+		r.SetPayloadBuilder("btc", func() any {
 			next++
 			return fmt.Sprintf("payload-%d", next)
-		}))
+		})
 	}
 	s.Start()
 	sched.RunFor(10 * time.Second)
@@ -348,10 +348,11 @@ func TestByzantineMakerInjectsPayload(t *testing.T) {
 	pc := &payloadCanister{}
 	s.InstallCanister("btc", pc)
 	for _, r := range s.Replicas() {
-		r.SetPayloadBuilder("btc", PayloadBuilderFunc(func() any { return "honest" }))
+		r.SetPayloadBuilder("btc", func() any { return "honest" })
 	}
-	// One Byzantine replica injects malicious payloads when it proposes.
-	s.Replicas()[0].MaliciousPayload = func(CanisterID) any { return "evil" }
+	// One Byzantine replica, its builder replaced, injects malicious
+	// payloads when it proposes.
+	s.Replicas()[0].SetPayloadBuilder("btc", func() any { return "evil" })
 	s.Start()
 	sched.RunFor(200 * time.Second)
 

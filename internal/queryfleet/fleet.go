@@ -496,7 +496,7 @@ func (f *Fleet) executeQuery(method string, arg any, now time.Time) (rq ic.Route
 			return f.forward(method, arg, now), 0, true
 		}
 
-		if !f.inBound(r) {
+		if !f.inBound(r.TipHeight()) {
 			return f.forward(method, arg, now), 0, true
 		}
 
@@ -530,10 +530,11 @@ func (f *Fleet) executeQuery(method string, arg any, now time.Time) (rq ic.Route
 	return f.forward(method, arg, now), 0, true
 }
 
-// inBound reports whether a replica lags the authoritative tip by no more
-// than the staleness bound.
-func (f *Fleet) inBound(r *Replica) bool {
-	return f.authTip.Load()-r.TipHeight() <= f.cfg.MaxLagBlocks
+// inBound reports whether a tip height lags the authoritative tip by no
+// more than the staleness bound: the rule for a serving replica and for the
+// tip a certified response binds.
+func (f *Fleet) inBound(tip int64) bool {
+	return f.authTip.Load()-tip <= f.cfg.MaxLagBlocks
 }
 
 // claim acquires the replica a query executes on. The round-robin pick
@@ -550,7 +551,7 @@ func (f *Fleet) claim(pick *Replica) *Replica {
 	n := len(f.replicas)
 	for k := 1; k < n; k++ {
 		r := f.replicas[(pick.index+k)%n]
-		if !r.broken.Load() && f.inBound(r) && r.tryAcquire() {
+		if !r.broken.Load() && f.inBound(r.TipHeight()) && r.tryAcquire() {
 			return r
 		}
 	}
@@ -574,7 +575,7 @@ func (f *Fleet) auditResponse(method string, rq ic.RoutedQuery) bool {
 	// Generation bound: a correctly signed envelope from a long-dead tip is
 	// a stale replay; the bound that limits replica lag also limits how old
 	// a served certification may be.
-	return f.authTip.Load()-rq.TipHeight <= f.cfg.MaxLagBlocks
+	return f.inBound(rq.TipHeight)
 }
 
 // SetVerifier replaces the certified-response audit (nil disables it). Safe
