@@ -399,6 +399,34 @@ func TestEncodeFrameAllocations(t *testing.T) {
 	}
 }
 
+// TestWireEncodingAllocations pins btc's encoders, which append to a byte
+// slice: a header hashes from an 80-byte array on the stack, and a
+// transaction or an in-memory block encodes into one buffer sized from its
+// SerializedSize. Streamed through an io.Writer into a bytes.Buffer they
+// cost 8, 16 and 24.
+func TestWireEncodingAllocations(t *testing.T) {
+	tx := &btc.Transaction{
+		Version: 2,
+		Inputs: []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.Hash{1}, Vout: 3},
+			SignatureScript: make([]byte, 107), Sequence: 0xffffffff}},
+		Outputs: []btc.TxOut{{Value: 5_000, PkScript: make([]byte, 25)}, {Value: 700, PkScript: make([]byte, 22)}},
+	}
+	block := &btc.Block{Header: btc.BlockHeader{Version: 1, Bits: 0x207fffff}, Transactions: []*btc.Transaction{tx}}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		{"BlockHeader.BlockHash", 0, func() { block.Header.BlockHash() }},
+		{"Transaction.Bytes", 1, func() { tx.Bytes() }},
+		{"Block.Bytes (in memory)", 1, func() { block.Bytes() }},
+	} {
+		if avg := testing.AllocsPerRun(100, c.run); avg > c.budget {
+			t.Errorf("%s allocates %.0f times, budget is %.0f", c.name, avg, c.budget)
+		}
+	}
+}
+
 // deepFold is the stable fold's workload at depth: blocks of 500
 // transactions x 2 outputs paying the paper's Fig 7 address population (1000
 // addresses, 211 of them holding most of the UTXOs), two of every three

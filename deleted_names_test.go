@@ -396,6 +396,39 @@ var deletedNames = []deletedName{
 		roots: []string{"cmd", "examples", "internal"},
 		probe: `	c.feeCache = feeCacheEntry{valid: true, tip: tip, anchor: anchor, percentiles: stored}`,
 	},
+	{
+		rule: "encoders append and cannot fail",
+		reason: "btc's wire encoding appends to a []byte (AppendTo, AppendVarInt, AppendVarBytes) and " +
+			"ResponseDigest hashes one buffer appendCanonical fills; every writer the old io.Writer " +
+			"forms were given was a bytes.Buffer or a hash, so their error branches never fired. Their " +
+			"names returning means a second encoder path, or an error nothing raises, is coming back",
+		words: []string{"WriteVarInt", "WriteVarBytes", "digestBuf", "writeCanonical"},
+		roots: []string{"cmd", "examples", "internal"},
+		probe: `	_ = WriteVarInt(w, n); writeCanonical(&digestBuf{}, v); WriteVarBytes(w, b)`,
+	},
+	{
+		rule:     "encoders append and cannot fail: no streaming serializer in btc",
+		reason:   "a BlockHeader, Transaction or Block encodes one way, AppendTo (see the row above)",
+		patterns: []string{regexp.QuoteMeta(`Serialize(w io.Writer)`)},
+		roots:    []string{"internal/btc"},
+		probe:    `func (t *Transaction) Serialize(w io.Writer) error {`,
+	},
+	{
+		rule: "no exported method without a caller",
+		reason: "BitcoinCanister.Anchor, ScriptIDCache.Network and Len, PrivateKey.Serialize, " +
+			"HistogramPoint.Mean, Scheduler.Pending and difftest's Harness.Stats had no caller in any " +
+			"package, tests and benchmark/ included, and no deployment set core.Options.Canister: " +
+			"core.New installs canister.DefaultConfig. Their return means code kept for a caller that " +
+			"does not exist",
+		patterns: []string{`func \([a-z]+ \*BitcoinCanister\) Anchor\(`, `func \([a-z]+ \*ScriptIDCache\) Network\(`,
+			`func \([a-z]+ \*ScriptIDCache\) Len\(`, `func \([a-z]+ \*PrivateKey\) Serialize\(`,
+			`func \([a-z]+ \*HistogramPoint\) Mean\(`, `func \([a-z]+ \*Scheduler\) Pending\(`,
+			`func \([a-z]+ \*Harness\) Stats\(`, `Canister +\*canister\.Config\b`},
+		roots: []string{"cmd", "examples", "internal"},
+		probe: `func (c *BitcoinCanister) Anchor(); func (c *ScriptIDCache) Network(); func (c *ScriptIDCache) Len(); ` +
+			`func (k *PrivateKey) Serialize(); func (p *HistogramPoint) Mean(); func (s *Scheduler) Pending(); ` +
+			`func (h *Harness) Stats(); Canister *canister.Config`,
+	},
 }
 
 // TestDeletedNamesStayDeleted runs the table: no covered file holds a row's

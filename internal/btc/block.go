@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/big"
 	"slices"
 	"sync"
@@ -24,53 +23,35 @@ type BlockHeader struct {
 	Nonce      uint32
 }
 
-// Serialize encodes the header in wire format.
-func (h *BlockHeader) Serialize(w io.Writer) error {
-	if err := writeUint32(w, h.Version); err != nil {
-		return err
-	}
-	if err := writeHash(w, h.PrevBlock); err != nil {
-		return err
-	}
-	if err := writeHash(w, h.MerkleRoot); err != nil {
-		return err
-	}
-	if err := writeUint32(w, h.Timestamp); err != nil {
-		return err
-	}
-	if err := writeUint32(w, h.Bits); err != nil {
-		return err
-	}
-	return writeUint32(w, h.Nonce)
-}
-
-// Bytes returns the 80-byte wire encoding.
-func (h *BlockHeader) Bytes() []byte {
-	var buf bytes.Buffer
-	buf.Grow(BlockHeaderSize)
-	_ = h.Serialize(&buf)
-	return buf.Bytes()
+// AppendTo appends the header's 80-byte wire encoding to b.
+func (h *BlockHeader) AppendTo(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, h.Version)
+	b = append(b, h.PrevBlock[:]...)
+	b = append(b, h.MerkleRoot[:]...)
+	b = binary.LittleEndian.AppendUint32(b, h.Timestamp)
+	b = binary.LittleEndian.AppendUint32(b, h.Bits)
+	return binary.LittleEndian.AppendUint32(b, h.Nonce)
 }
 
 // BlockHash returns H(header), the block's identifier.
 func (h *BlockHeader) BlockHash() Hash {
-	return DoubleSHA256(h.Bytes())
+	var buf [BlockHeaderSize]byte
+	return DoubleSHA256(h.AppendTo(buf[:0]))
 }
 
 // ParseBlockHeader decodes a header from exactly 80 bytes.
-func ParseBlockHeader(data []byte) (*BlockHeader, error) {
+func ParseBlockHeader(data []byte) (BlockHeader, error) {
 	if len(data) != BlockHeaderSize {
-		return nil, fmt.Errorf("btc: block header must be %d bytes, got %d", BlockHeaderSize, len(data))
+		return BlockHeader{}, fmt.Errorf("btc: block header must be %d bytes, got %d", BlockHeaderSize, len(data))
 	}
-	h := &BlockHeader{
-		Version:   binary.LittleEndian.Uint32(data[0:4]),
-		Timestamp: binary.LittleEndian.Uint32(data[68:72]),
-		Bits:      binary.LittleEndian.Uint32(data[72:76]),
-		Nonce:     binary.LittleEndian.Uint32(data[76:80]),
-	}
-	copy(h.PrevBlock[:], data[4:36])
-	copy(h.MerkleRoot[:], data[36:68])
-	return h, nil
+	return BlockHeader{
+		Version:    binary.LittleEndian.Uint32(data[0:4]),
+		PrevBlock:  Hash(data[4:36]),
+		MerkleRoot: Hash(data[36:68]),
+		Timestamp:  binary.LittleEndian.Uint32(data[68:72]),
+		Bits:       binary.LittleEndian.Uint32(data[72:76]),
+		Nonce:      binary.LittleEndian.Uint32(data[76:80]),
+	}, nil
 }
 
 // Block is a batch of transactions referencing a predecessor block.
@@ -97,8 +78,8 @@ type Block struct {
 
 	// wire is the encoding a parsed block was decoded from and wireHeader
 	// the header it carries; both are unset on a block built in memory. The
-	// parser only accepts what the serializer writes, so while Header still
-	// equals wireHeader, wire is the block's serialization.
+	// parser only accepts what AppendTo writes, so while Header still equals
+	// wireHeader, wire is the block's encoding.
 	wire       []byte
 	wireHeader BlockHeader
 }
@@ -131,32 +112,24 @@ func (b *Block) sealTxIDs(ids []Hash) {
 // BlockHash returns the hash of the block's header.
 func (b *Block) BlockHash() Hash { return b.Header.BlockHash() }
 
-// Serialize encodes the block in wire format.
-func (b *Block) Serialize(w io.Writer) error {
-	if err := b.Header.Serialize(w); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(b.Transactions))); err != nil {
-		return err
-	}
+// AppendTo appends the block's wire encoding to b.
+func (b *Block) AppendTo(buf []byte) []byte {
+	buf = b.Header.AppendTo(buf)
+	buf = AppendVarInt(buf, uint64(len(b.Transactions)))
 	for _, tx := range b.Transactions {
-		if err := tx.Serialize(w); err != nil {
-			return err
-		}
+		buf = tx.AppendTo(buf)
 	}
-	return nil
+	return buf
 }
 
 // Bytes returns the wire encoding. A parsed block whose header is unchanged
 // returns the bytes it was parsed from, shared: the caller must not modify
-// them. Any other block is serialized afresh.
+// them. Any other block is encoded afresh into a buffer of its exact size.
 func (b *Block) Bytes() []byte {
 	if b.wire != nil && b.Header == b.wireHeader {
 		return b.wire
 	}
-	var buf bytes.Buffer
-	_ = b.Serialize(&buf)
-	return buf.Bytes()
+	return b.AppendTo(make([]byte, 0, b.SerializedSize()))
 }
 
 // SerializedSize returns the byte length of the wire encoding.

@@ -31,7 +31,7 @@ func randomBlock(rng *rand.Rand, nTx int) *Block {
 func TestBlockHeaderRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	b := randomBlock(rng, 1)
-	enc := b.Header.Bytes()
+	enc := b.Header.AppendTo(nil)
 	if len(enc) != BlockHeaderSize {
 		t.Fatalf("header size %d, want %d", len(enc), BlockHeaderSize)
 	}
@@ -39,8 +39,8 @@ func TestBlockHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.BlockHash() != b.Header.BlockHash() {
-		t.Fatal("header hash changed across round trip")
+	if got != b.Header {
+		t.Fatalf("header changed across round trip: %+v, want %+v", got, b.Header)
 	}
 	if _, err := ParseBlockHeader(enc[:79]); err == nil {
 		t.Fatal("short header accepted")

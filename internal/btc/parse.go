@@ -13,9 +13,10 @@ import (
 // so the txid table costs one hash per transaction and no re-serialization.
 //
 // The varint reader enforces canonical CompactSize forms, so any input that
-// parses is byte-identical to the re-serialization of its parse, and the span
+// parses is byte-identical to the re-encoding of its parse, and the span
 // hashes equal the TxID() of the decoded transactions — the property
-// FuzzParseBlock holds the decoder to, with the serializer as its oracle.
+// FuzzParseBlock holds the decoder to, with the append encoder (AppendTo) as
+// its oracle.
 
 // cursor is a bounds-checked reader over a byte slice.
 type cursor struct {
@@ -201,8 +202,8 @@ func ParseBlockFast(data []byte) (*Block, error) {
 	if n > maxBlockTxs {
 		return nil, fmt.Errorf("btc: too many transactions: %d", n)
 	}
-	b := &Block{Header: *hdr, Transactions: make([]*Transaction, 0, min(n, maxAlloc)),
-		wire: data[:len(data):len(data)], wireHeader: *hdr} // capped: an append must not write past the block
+	b := &Block{Header: hdr, Transactions: make([]*Transaction, 0, min(n, maxAlloc)),
+		wire: data[:len(data):len(data)], wireHeader: hdr} // capped: an append must not write past the block
 	ids := make([]Hash, 0, min(n, maxAlloc))
 	for i := uint64(0); i < n; i++ {
 		tx, start, end, err := c.parseTransaction()

@@ -41,7 +41,7 @@ func randomTestBlock(rng *rand.Rand) *Block {
 }
 
 // nonCanonicalVarints returns data with the canonical varint at off re-encoded
-// in every longer CompactSize form — same value, bytes no serializer writes.
+// in every longer CompactSize form — same value, bytes no encoder writes.
 func nonCanonicalVarints(data []byte, off int) [][]byte {
 	c := &cursor{data: data, off: off}
 	v, err := c.varint()
@@ -86,8 +86,8 @@ func checkRejectsDamage(t *testing.T, what string, data []byte, varintOff int, p
 	}
 }
 
-// checkTxDecode holds ParseTransaction to its oracle, the serializer: an
-// accepted input re-serializes to the bytes it was parsed from (so its TxID is
+// checkTxDecode holds ParseTransaction to its oracle, the append encoder: an
+// accepted input re-encodes to the bytes it was parsed from (so its TxID is
 // the hash of those bytes), the result does not alias the argument, and no
 // damaged neighbour is accepted. It reports whether data was accepted.
 func checkTxDecode(t *testing.T, data []byte) bool {
@@ -164,13 +164,9 @@ func checkBlockDecode(t *testing.T, data []byte) bool {
 	return true
 }
 
-// serialized runs the serializer, never returning the bytes a block was
+// serialized runs the append encoder, never returning the bytes a block was
 // parsed from: the oracle the decoder is held to.
-func serialized(b *Block) []byte {
-	var buf bytes.Buffer
-	_ = b.Serialize(&buf)
-	return buf.Bytes()
-}
+func serialized(b *Block) []byte { return b.AppendTo(nil) }
 
 // TestParsedBlockBytes: a parsed block hands back the bytes it was parsed
 // from — the same memory, capped so an append cannot write past the block —
@@ -206,12 +202,12 @@ func TestParseBlockRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 200; iter++ {
 		if !checkBlockDecode(t, randomTestBlock(rng).Bytes()) {
-			t.Fatalf("iter %d: serializer output rejected", iter)
+			t.Fatalf("iter %d: encoder output rejected", iter)
 		}
 	}
 }
 
-// FuzzParseBlock lets the fuzzer look for an accepted input the serializer
+// FuzzParseBlock lets the fuzzer look for an accepted input the encoder
 // would not have written, or a sealed txid that is not the transaction's hash
 // — through the block decoder and, for every transaction it finds, through
 // ParseTransaction (send_transaction's and the adapter's entry point).

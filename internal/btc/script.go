@@ -1,8 +1,8 @@
 package btc
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -105,12 +105,9 @@ func SignatureHash(tx *Transaction, idx int, prevPkScript []byte) (Hash, error) 
 			cp.Inputs[i].SignatureScript = prevPkScript
 		}
 	}
-	var buf bytes.Buffer
-	if err := cp.Serialize(&buf); err != nil {
-		return Hash{}, err
-	}
-	buf.Write([]byte{SigHashAll, 0, 0, 0})
-	return DoubleSHA256(buf.Bytes()), nil
+	buf := cp.AppendTo(make([]byte, 0, cp.SerializedSize()+4))
+	buf = binary.LittleEndian.AppendUint32(buf, SigHashAll)
+	return DoubleSHA256(buf), nil
 }
 
 // SignInput produces the unlocking script for input idx of tx spending a

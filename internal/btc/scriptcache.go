@@ -25,12 +25,6 @@ func NewScriptIDCache(network Network) *ScriptIDCache {
 	return &ScriptIDCache{network: network, ids: make(map[string]string, 256)}
 }
 
-// Network returns the network the cache derives IDs for.
-func (c *ScriptIDCache) Network() Network { return c.network }
-
-// Len returns the number of memoized scripts (observability).
-func (c *ScriptIDCache) Len() int { return len(c.ids) }
-
 // ID returns ScriptID(script, network), memoized. The lookup converts the
 // script to a map key without allocating (the compiler's string(b) map-index
 // fast path); only a miss copies the script and derives the ID.

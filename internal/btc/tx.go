@@ -2,9 +2,9 @@ package btc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Satoshi amounts. One bitcoin is 1e8 satoshi.
@@ -55,51 +55,31 @@ func (t *Transaction) IsCoinbase() bool {
 		t.Inputs[0].PreviousOutPoint.Vout == 0xffffffff
 }
 
-// Serialize encodes the transaction in Bitcoin wire format (without witness
-// data; witnesses travel in the segregated area and do not affect the txid).
-func (t *Transaction) Serialize(w io.Writer) error {
-	if err := writeUint32(w, t.Version); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(t.Inputs))); err != nil {
-		return err
-	}
+// AppendTo appends the transaction's Bitcoin wire encoding to b (without
+// witness data; witnesses travel in the segregated area and do not affect
+// the txid).
+func (t *Transaction) AppendTo(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, t.Version)
+	b = AppendVarInt(b, uint64(len(t.Inputs)))
 	for i := range t.Inputs {
 		in := &t.Inputs[i]
-		if err := writeHash(w, in.PreviousOutPoint.TxID); err != nil {
-			return err
-		}
-		if err := writeUint32(w, in.PreviousOutPoint.Vout); err != nil {
-			return err
-		}
-		if err := WriteVarBytes(w, in.SignatureScript); err != nil {
-			return err
-		}
-		if err := writeUint32(w, in.Sequence); err != nil {
-			return err
-		}
+		b = append(b, in.PreviousOutPoint.TxID[:]...)
+		b = binary.LittleEndian.AppendUint32(b, in.PreviousOutPoint.Vout)
+		b = AppendVarBytes(b, in.SignatureScript)
+		b = binary.LittleEndian.AppendUint32(b, in.Sequence)
 	}
-	if err := WriteVarInt(w, uint64(len(t.Outputs))); err != nil {
-		return err
-	}
+	b = AppendVarInt(b, uint64(len(t.Outputs)))
 	for i := range t.Outputs {
 		out := &t.Outputs[i]
-		if err := writeUint64(w, uint64(out.Value)); err != nil {
-			return err
-		}
-		if err := WriteVarBytes(w, out.PkScript); err != nil {
-			return err
-		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(out.Value))
+		b = AppendVarBytes(b, out.PkScript)
 	}
-	return writeUint32(w, t.LockTime)
+	return binary.LittleEndian.AppendUint32(b, t.LockTime)
 }
 
-// Bytes returns the wire encoding.
+// Bytes returns the wire encoding, in a buffer of its exact size.
 func (t *Transaction) Bytes() []byte {
-	var buf bytes.Buffer
-	// Buffer writes cannot fail.
-	_ = t.Serialize(&buf)
-	return buf.Bytes()
+	return t.AppendTo(make([]byte, 0, t.SerializedSize()))
 }
 
 // TxID returns the transaction hash (double SHA-256 of the non-witness

@@ -3,13 +3,13 @@ package btc
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 )
 
-// This file implements the Bitcoin wire encoding primitives: little-endian
-// fixed-width integers and the variable-length integer ("CompactSize")
-// encoding used throughout the P2P protocol and in transaction/block
-// serialization. Decoding is parse.go's cursor.
+// This file implements the Bitcoin wire encoding primitives: the
+// variable-length integer ("CompactSize") encoding used throughout the P2P
+// protocol and in transaction/block serialization, appended to a byte slice
+// beside binary.LittleEndian's fixed-width appends. Decoding is parse.go's
+// cursor.
 
 // ErrTruncated is returned when a decoder runs out of input.
 var ErrTruncated = errors.New("btc: truncated input")
@@ -18,29 +18,17 @@ var ErrTruncated = errors.New("btc: truncated input")
 // against memory exhaustion from hostile length prefixes.
 const maxAlloc = 1 << 20
 
-// WriteVarInt encodes v using Bitcoin's CompactSize encoding.
-func WriteVarInt(w io.Writer, v uint64) error {
-	var buf [9]byte
+// AppendVarInt appends v in Bitcoin's CompactSize encoding.
+func AppendVarInt(b []byte, v uint64) []byte {
 	switch {
 	case v < 0xfd:
-		buf[0] = byte(v)
-		_, err := w.Write(buf[:1])
-		return err
+		return append(b, byte(v))
 	case v <= 0xffff:
-		buf[0] = 0xfd
-		binary.LittleEndian.PutUint16(buf[1:3], uint16(v))
-		_, err := w.Write(buf[:3])
-		return err
+		return binary.LittleEndian.AppendUint16(append(b, 0xfd), uint16(v))
 	case v <= 0xffffffff:
-		buf[0] = 0xfe
-		binary.LittleEndian.PutUint32(buf[1:5], uint32(v))
-		_, err := w.Write(buf[:5])
-		return err
+		return binary.LittleEndian.AppendUint32(append(b, 0xfe), uint32(v))
 	default:
-		buf[0] = 0xff
-		binary.LittleEndian.PutUint64(buf[1:9], v)
-		_, err := w.Write(buf[:9])
-		return err
+		return binary.LittleEndian.AppendUint64(append(b, 0xff), v)
 	}
 }
 
@@ -58,30 +46,7 @@ func VarIntSize(v uint64) int {
 	}
 }
 
-// WriteVarBytes writes a length-prefixed byte slice.
-func WriteVarBytes(w io.Writer, b []byte) error {
-	if err := WriteVarInt(w, uint64(len(b))); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-func writeUint32(w io.Writer, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeUint64(w io.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeHash(w io.Writer, h Hash) error {
-	_, err := w.Write(h[:])
-	return err
+// AppendVarBytes appends a length-prefixed byte slice.
+func AppendVarBytes(b, data []byte) []byte {
+	return append(AppendVarInt(b, uint64(len(data))), data...)
 }

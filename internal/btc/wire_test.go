@@ -1,7 +1,6 @@
 package btc
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -9,14 +8,11 @@ import (
 func TestVarIntRoundTrip(t *testing.T) {
 	cases := []uint64{0, 1, 0xfc, 0xfd, 0xfe, 0xffff, 0x10000, 0xffffffff, 0x100000000, 1<<64 - 1}
 	for _, v := range cases {
-		var buf bytes.Buffer
-		if err := WriteVarInt(&buf, v); err != nil {
-			t.Fatalf("write %d: %v", v, err)
+		buf := AppendVarInt(nil, v)
+		if len(buf) != VarIntSize(v) {
+			t.Errorf("v=%d: encoded %d bytes, VarIntSize says %d", v, len(buf), VarIntSize(v))
 		}
-		if buf.Len() != VarIntSize(v) {
-			t.Errorf("v=%d: encoded %d bytes, VarIntSize says %d", v, buf.Len(), VarIntSize(v))
-		}
-		got, err := (&cursor{data: buf.Bytes()}).varint()
+		got, err := (&cursor{data: buf}).varint()
 		if err != nil {
 			t.Fatalf("read %d: %v", v, err)
 		}
@@ -51,11 +47,7 @@ func TestVarIntTruncated(t *testing.T) {
 
 func TestQuickVarIntRoundTrip(t *testing.T) {
 	f := func(v uint64) bool {
-		var buf bytes.Buffer
-		if err := WriteVarInt(&buf, v); err != nil {
-			return false
-		}
-		got, err := (&cursor{data: buf.Bytes()}).varint()
+		got, err := (&cursor{data: AppendVarInt(nil, v)}).varint()
 		return err == nil && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -64,14 +56,11 @@ func TestQuickVarIntRoundTrip(t *testing.T) {
 }
 
 func TestVarBytesLimit(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteVarBytes(&buf, make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&cursor{data: buf.Bytes()}).varbytes(99); err == nil {
+	buf := AppendVarBytes(nil, make([]byte, 100))
+	if _, err := (&cursor{data: buf}).varbytes(99); err == nil {
 		t.Fatal("length above limit accepted")
 	}
-	got, err := (&cursor{data: buf.Bytes()}).varbytes(100)
+	got, err := (&cursor{data: buf}).varbytes(100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,12 +190,6 @@ func New(cfg Config) *BitcoinCanister {
 	return c
 }
 
-// Anchor returns the current anchor header β* and its height.
-func (c *BitcoinCanister) Anchor() (btc.BlockHeader, int64) {
-	root := c.tree.Root()
-	return root.Header, root.Height
-}
-
 // AnchorHeight returns h(β*).
 func (c *BitcoinCanister) AnchorHeight() int64 { return c.tree.Root().Height }
 

@@ -45,39 +45,30 @@ const (
 	maxTxWireBytes     = 1 << 22
 
 	// Minimum encoded sizes for count-vs-remaining-bytes bounds
-	// (statecodec.Decoder.CountFor): a header is 80 wire bytes; an outgoing
-	// transaction carries at least a length prefix, its txid, and rounds.
-	headerWireBytes    = 80
+	// (statecodec.Decoder.CountFor): a header is its btc.BlockHeaderSize wire
+	// bytes; an outgoing transaction carries at least a length prefix, its
+	// txid, and rounds.
 	minOutgoingTxBytes = 1 + btc.HashSize + 8
 )
 
-// encodeHeader appends a block header's 80-byte wire form field by field
-// (no intermediate buffer, so header-heavy snapshots stay allocation-lean).
+// encodeHeader writes a block header in its wire form, through a buffer on
+// the stack.
 func encodeHeader(e *statecodec.Encoder, h *btc.BlockHeader) {
-	e.U32(h.Version)
-	e.Raw(h.PrevBlock[:])
-	e.Raw(h.MerkleRoot[:])
-	e.U32(h.Timestamp)
-	e.U32(h.Bits)
-	e.U32(h.Nonce)
+	var buf [btc.BlockHeaderSize]byte
+	e.Raw(h.AppendTo(buf[:0]))
 }
 
-// decodeHeader reads a header written by encodeHeader.
+// decodeHeader reads a header written by encodeHeader. A short read sets the
+// decoder's error, and the zero header it returns then is never used.
 func decodeHeader(d *statecodec.Decoder) btc.BlockHeader {
-	var h btc.BlockHeader
-	h.Version = d.U32()
-	copy(h.PrevBlock[:], d.Raw(btc.HashSize))
-	copy(h.MerkleRoot[:], d.Raw(btc.HashSize))
-	h.Timestamp = d.U32()
-	h.Bits = d.U32()
-	h.Nonce = d.U32()
+	h, _ := btc.ParseBlockHeader(d.Raw(btc.BlockHeaderSize))
 	return h
 }
 
 // Snapshot serializes the complete canister state deterministically.
 func (c *BitcoinCanister) Snapshot() ([]byte, error) {
 	start := c.met.reg.Now()
-	hint := c.stable.Len()*60 + len(c.blocks)*(2<<10) + len(c.stableHeaders)*80 + 1024
+	hint := c.stable.Len()*60 + len(c.blocks)*(2<<10) + len(c.stableHeaders)*btc.BlockHeaderSize + 1024
 	e := statecodec.NewEncoder(snapshotMagic, SnapshotVersion, hint)
 
 	// Configuration: a restored canister must run the identical state
@@ -225,7 +216,7 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 	c.anchorHeight = d.I64()
 	c.applyErrors = int(d.I64())
 
-	nHeaders := d.CountFor(maxSnapshotHeaders, headerWireBytes)
+	nHeaders := d.CountFor(maxSnapshotHeaders, btc.BlockHeaderSize)
 	c.stableHeaders = make([]btc.BlockHeader, 0, nHeaders)
 	for i := 0; i < nHeaders; i++ {
 		c.stableHeaders = append(c.stableHeaders, decodeHeader(d))
@@ -259,7 +250,7 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 		return nil, fmt.Errorf("canister: restore: tree root is not the last stable header")
 	}
 	c.tree = chain.NewTreeWithWindow(rootHeader, rootHeight, window)
-	nNodes := d.CountFor(maxSnapshotHeaders, headerWireBytes)
+	nNodes := d.CountFor(maxSnapshotHeaders, btc.BlockHeaderSize)
 	order := make([]*chain.Node, 0, nNodes)
 	for i := 0; i < nNodes; i++ {
 		h := decodeHeader(d)
@@ -290,7 +281,7 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 	// The wire slices are collected in one scan and parsed on the pipeline
 	// (above one worker zero-copy, txid memos sealed from the spans) while
 	// this goroutine attaches them in order.
-	nBlocks := d.CountFor(maxSnapshotBlocks, headerWireBytes+1)
+	nBlocks := d.CountFor(maxSnapshotBlocks, btc.BlockHeaderSize+1)
 	c.have = make([]haveEntry, 0, nBlocks)
 	attach := func(i int, block *btc.Block, err error) error {
 		if err != nil {

@@ -149,7 +149,7 @@ func EncodeFrame(f *Frame) []byte {
 	hint := 64 // sequence, chain position and health
 	for i := range f.Events {
 		ev := &f.Events[i]
-		hint += 1 + headerWireBytes // kind, then a header or a hash
+		hint += 1 + btc.BlockHeaderSize // kind, then a header or a hash
 		if ev.Kind == EventBlockAttached {
 			hint += binary.MaxVarintLen64 + len(ev.RawBlock) + utxo.EncodedBlockDeltaSize(ev.Delta)
 		}

@@ -41,8 +41,6 @@ type Options struct {
 	// Subnet overrides the IC subnet configuration (default
 	// ic.DefaultConfig with threshold keys enabled).
 	Subnet *ic.Config
-	// Canister overrides the Bitcoin canister configuration.
-	Canister *canister.Config
 	// Seed drives all randomness (default 1); the miner's payout key is
 	// drawn from Seed+1000.
 	Seed int64
@@ -89,11 +87,7 @@ func New(opts Options) (*Integration, error) {
 		return nil, fmt.Errorf("core: building subnet: %w", err)
 	}
 
-	canCfg := canister.DefaultConfig(btc.Regtest)
-	if opts.Canister != nil {
-		canCfg = *opts.Canister
-	}
-	btcCan := canister.New(canCfg)
+	btcCan := canister.New(canister.DefaultConfig(btc.Regtest))
 	subnet.InstallCanister(BitcoinCanisterID, btcCan)
 
 	// The simulated population is far smaller than mainnet's; scale the

@@ -490,14 +490,17 @@ func TestThresholdSpendReadsEveryPage(t *testing.T) {
 	// deposits of 0.01 BTC, a 0.045 BTC payment needs coins from all three
 	// pages. A contract that read only the first page would see 0.02 BTC and
 	// refuse, or strand the rest on a sweep.
-	opts := fastOptions(12)
-	canCfg := canister.DefaultConfig(btc.Regtest)
-	canCfg.PageLimit = 2
-	opts.Canister = &canCfg
-	in, err := New(opts)
+	in, err := New(fastOptions(12))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A canister serving two UTXOs a page takes the fresh default's place
+	// before anything runs; the payload builders resolve it through the
+	// subnet each round.
+	canCfg := canister.DefaultConfig(btc.Regtest)
+	canCfg.PageLimit = 2
+	in.Canister = canister.New(canCfg)
+	in.InstallCanister(BitcoinCanisterID, in.Canister)
 	in.InstallCanister("wallet", &WalletCanister{BitcoinID: BitcoinCanisterID, Network: in.Params.Network})
 	in.Start()
 	in.RunFor(5 * time.Second)

@@ -294,9 +294,6 @@ func (h *Harness) setupFleet() {
 	h.probeHistory[0] = h.probeDigests(h.overlay)
 }
 
-// Stats returns the run counters so far.
-func (h *Harness) Stats() Stats { return h.stats }
-
 // Run executes cfg.Steps workload iterations, stopping at the first
 // divergence between the overlay and the oracle.
 func (h *Harness) Run() (Stats, error) {

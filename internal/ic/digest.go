@@ -3,7 +3,6 @@ package ic
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"io"
 	"math"
 	"reflect"
 	"sort"
@@ -12,13 +11,10 @@ import (
 // Canonical response digests. Certified responses are hashed before the
 // subnet threshold-signs them, so the digest must be a pure function of the
 // response *value*: two replicas (or two runs) holding equal state must
-// produce the identical digest. The previous implementation hashed
-// fmt.Fprintf("%#v") output, which walks Go maps in randomized iteration
-// order — any map-valued result certified to a different digest per run,
-// breaking verification across processes. The encoder below walks values
-// with reflection and serializes every container canonically: struct fields
-// in declaration order, slices in element order, and map entries sorted by
-// their encoded key bytes.
+// produce the identical digest. Go walks maps in randomized iteration order,
+// so the encoder below walks values with reflection and appends every
+// container canonically: struct fields in declaration order, slices in
+// element order, and map entries sorted by their encoded key bytes.
 
 // responseDigestDomain separates response digests from any other use of
 // SHA-256 in the system (and versions the canonical encoding itself).
@@ -29,18 +25,14 @@ const responseDigestDomain = "icbtc/response-digest/v1\n"
 // map-valued results regardless of insertion order — always produce equal
 // digests.
 func ResponseDigest(value any, err error) [32]byte {
-	h := sha256.New()
-	io.WriteString(h, responseDigestDomain)
-	writeCanonical(h, reflect.ValueOf(value))
+	b := make([]byte, 0, 512) // a balance envelope fits; a page grows it a few times
+	b = appendCanonical(append(b, responseDigestDomain...), reflect.ValueOf(value))
 	if err != nil {
-		writeTag(h, 'E')
-		writeString(h, err.Error())
+		b = appendString(append(b, 'E'), err.Error())
 	} else {
-		writeTag(h, '0')
+		b = append(b, '0')
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(b)
 }
 
 // CertifiedQuery is the envelope a read replica certifies: the response of
@@ -70,137 +62,108 @@ func ErrText(err error) string {
 	return err.Error()
 }
 
-func writeTag(w io.Writer, tag byte) { w.Write([]byte{tag}) }
+func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
-func writeU64(w io.Writer, v uint64) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	w.Write(buf[:])
+func appendString(b []byte, s string) []byte {
+	return append(appendU64(b, uint64(len(s))), s...)
 }
 
-func writeString(w io.Writer, s string) {
-	writeU64(w, uint64(len(s)))
-	io.WriteString(w, s)
-}
-
-// writeCanonical serializes v into w deterministically. Every value is
+// appendCanonical appends v's canonical encoding to b. Every value is
 // prefixed with a one-byte kind tag (and structs with their type name) so
 // distinct shapes cannot collide by concatenation.
-func writeCanonical(w io.Writer, v reflect.Value) {
+func appendCanonical(b []byte, v reflect.Value) []byte {
 	if !v.IsValid() {
-		writeTag(w, 'z') // nil interface
-		return
+		return append(b, 'z') // nil interface
 	}
 	switch v.Kind() {
 	case reflect.Bool:
-		writeTag(w, 'b')
 		if v.Bool() {
-			writeTag(w, 1)
-		} else {
-			writeTag(w, 0)
+			return append(b, 'b', 1)
 		}
+		return append(b, 'b', 0)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		writeTag(w, 'i')
-		writeU64(w, uint64(v.Int()))
+		return appendU64(append(b, 'i'), uint64(v.Int()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		writeTag(w, 'u')
-		writeU64(w, v.Uint())
+		return appendU64(append(b, 'u'), v.Uint())
 	case reflect.Float32, reflect.Float64:
-		writeTag(w, 'f')
-		writeU64(w, math.Float64bits(v.Float()))
+		return appendU64(append(b, 'f'), math.Float64bits(v.Float()))
 	case reflect.String:
-		writeTag(w, 's')
-		writeString(w, v.String())
+		return appendString(append(b, 's'), v.String())
 	case reflect.Slice:
 		if v.IsNil() {
-			writeTag(w, 'z')
-			return
+			return append(b, 'z')
 		}
-		writeSequence(w, v)
+		return appendSequence(b, v)
 	case reflect.Array:
-		writeSequence(w, v)
+		return appendSequence(b, v)
 	case reflect.Map:
 		if v.IsNil() {
-			writeTag(w, 'z')
-			return
+			return append(b, 'z')
 		}
-		writeCanonicalMap(w, v)
+		return appendCanonicalMap(b, v)
 	case reflect.Struct:
-		writeTag(w, 't')
-		writeString(w, v.Type().String())
+		t := v.Type()
+		b = appendString(append(b, 't'), t.String())
 		n := v.NumField()
-		writeU64(w, uint64(n))
+		b = appendU64(b, uint64(n))
 		for i := 0; i < n; i++ {
-			writeString(w, v.Type().Field(i).Name)
-			writeCanonical(w, v.Field(i))
+			b = appendString(b, t.Field(i).Name)
+			b = appendCanonical(b, v.Field(i))
 		}
+		return b
 	case reflect.Ptr, reflect.Interface:
 		if v.IsNil() {
-			writeTag(w, 'z')
-			return
+			return append(b, 'z')
 		}
-		writeTag(w, 'p')
-		writeCanonical(w, v.Elem())
+		return appendCanonical(append(b, 'p'), v.Elem())
 	default:
 		// Channels, funcs, unsafe pointers: identity is not value-like;
 		// hash the type name only so the digest stays total (a canister
 		// returning one of these is a bug the tests catch, not a panic).
-		writeTag(w, '?')
-		writeString(w, v.Type().String())
+		return appendString(append(b, '?'), v.Type().String())
 	}
 }
 
-// writeSequence serializes a slice or array element by element, with a fast
+// appendSequence appends a slice or array element by element, with a fast
 // path for byte slices/arrays.
-func writeSequence(w io.Writer, v reflect.Value) {
+func appendSequence(b []byte, v reflect.Value) []byte {
+	n := v.Len()
 	if v.Type().Elem().Kind() == reflect.Uint8 {
-		writeTag(w, 'y')
-		writeU64(w, uint64(v.Len()))
+		b = appendU64(append(b, 'y'), uint64(n))
 		if v.Kind() == reflect.Slice {
-			w.Write(v.Bytes())
-			return
+			return append(b, v.Bytes()...)
 		}
-		for i := 0; i < v.Len(); i++ {
-			writeTag(w, byte(v.Index(i).Uint()))
+		for i := 0; i < n; i++ {
+			b = append(b, byte(v.Index(i).Uint()))
 		}
-		return
+		return b
 	}
-	writeTag(w, 'l')
-	writeU64(w, uint64(v.Len()))
-	for i := 0; i < v.Len(); i++ {
-		writeCanonical(w, v.Index(i))
+	b = appendU64(append(b, 'l'), uint64(n))
+	for i := 0; i < n; i++ {
+		b = appendCanonical(b, v.Index(i))
 	}
+	return b
 }
 
-// writeCanonicalMap serializes map entries sorted by their encoded key
-// bytes — the step that makes map-valued results certify identically no
-// matter the iteration order of the underlying table.
-func writeCanonicalMap(w io.Writer, v reflect.Value) {
+// appendCanonicalMap appends map entries sorted by their encoded key bytes —
+// the step that makes map-valued results certify identically no matter the
+// iteration order of the underlying table.
+func appendCanonicalMap(b []byte, v reflect.Value) []byte {
 	type entry struct{ key, val []byte }
 	entries := make([]entry, 0, v.Len())
 	it := v.MapRange()
 	for it.Next() {
-		var kb, vb digestBuf
-		writeCanonical(&kb, it.Key())
-		writeCanonical(&vb, it.Value())
-		entries = append(entries, entry{key: kb.b, val: vb.b})
+		entries = append(entries, entry{
+			key: appendCanonical(nil, it.Key()),
+			val: appendCanonical(nil, it.Value()),
+		})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		return string(entries[i].key) < string(entries[j].key)
 	})
-	writeTag(w, 'm')
-	writeU64(w, uint64(len(entries)))
+	b = appendU64(append(b, 'm'), uint64(len(entries)))
 	for _, e := range entries {
-		w.Write(e.key)
-		w.Write(e.val)
+		b = append(append(b, e.key...), e.val...)
 	}
-}
-
-// digestBuf is a minimal io.Writer over a byte slice (bytes.Buffer without
-// the unused machinery).
-type digestBuf struct{ b []byte }
-
-func (d *digestBuf) Write(p []byte) (int, error) {
-	d.b = append(d.b, p...)
-	return len(p), nil
+	return b
 }

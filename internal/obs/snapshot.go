@@ -136,14 +136,6 @@ func (p *HistogramPoint) Quantile(num, den int) int64 {
 	return p.Bounds[len(p.Bounds)-1]
 }
 
-// Mean returns the average observed value (0 when empty).
-func (p *HistogramPoint) Mean() int64 {
-	if p == nil || p.Count == 0 {
-		return 0
-	}
-	return p.Sum / int64(p.Count)
-}
-
 // snapshotMagic brands (and versions) the canonical snapshot encoding.
 const snapshotMagic = "icbtc/obs-snapshot\n"
 

@@ -53,13 +53,6 @@ func (k *PrivateKey) PubKey() *PublicKey {
 	return &PublicKey{Point: ScalarBaseMult(k.D)}
 }
 
-// Serialize returns the 32-byte big-endian scalar.
-func (k *PrivateKey) Serialize() []byte {
-	out := make([]byte, 32)
-	k.D.FillBytes(out)
-	return out
-}
-
 // ParsePubKey decodes a compressed or uncompressed SEC public key.
 func ParsePubKey(data []byte) (*PublicKey, error) {
 	pt, err := ParsePoint(data)

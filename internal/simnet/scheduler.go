@@ -125,6 +125,3 @@ func (s *Scheduler) Drain(maxEvents int) int {
 	}
 	return n
 }
-
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
