@@ -429,6 +429,59 @@ var deletedNames = []deletedName{
 			`func (k *PrivateKey) Serialize(); func (p *HistogramPoint) Mean(); func (s *Scheduler) Pending(); ` +
 			`func (h *Harness) Stats(); Canister *canister.Config`,
 	},
+	{
+		rule: "each simulated fault has one switch: an adapter has one life",
+		reason: "nothing outside the adapter's own tests stopped an adapter, and the restart it modelled kept " +
+			"the header tree, blocks, address book and peer scores that a restarted process would lose; " +
+			"Start runs once and the adapter runs for the life of the simulation. Their names returning " +
+			"means a lifecycle no harness drives is coming back",
+		words:    []string{"syncGen", "StateStopped"},
+		patterns: []string{`func \([a-z]+ \*Adapter\) Stop\(`},
+		roots:    []string{"cmd", "examples", "internal"},
+		tests:    true,
+		probe:    `func (a *Adapter) Stop() { a.syncGen++; a.met.stateChanges.With(StateStopped.String()).Inc() }`,
+	},
+	{
+		rule: "each simulated fault has one switch: an adversarial peer has one behavior",
+		reason: "every scenario and test set one adversarial behavior at a time and later cleared it, so five " +
+			"toggles and a drip duration became one Behave(Behavior); only NewAdversary turns script " +
+			"validation off, so the node's switch is unexported. Their names returning means combinations " +
+			"no harness uses are coming back",
+		words: []string{"ValidateScripts", "SetServeForkOnly", "SetSilent", "SetWithholdData", "SetCorruptBlocks",
+			"SetFrozen", "SetSlowDrip"},
+		roots: []string{"cmd", "examples", "internal"},
+		tests: true,
+		probe: `	adv.SetSilent(true); adv.SetServeForkOnly(true); adv.SetWithholdData(true); adv.SetCorruptBlocks(true); ` +
+			`adv.SetFrozen(true); adv.SetSlowDrip(d); n.ValidateScripts = false`,
+	},
+	{
+		rule: "each simulated fault has one switch: a crashed node is a partition of one",
+		reason: "a node in a partition group of its own sends and receives nothing, checked at send and again " +
+			"at delivery and drawing no RNG when it drops, which is all a crash set did",
+		words: []string{"SetDown", "IsDown", "downNodes"},
+		roots: []string{"cmd", "examples", "internal"},
+		tests: true,
+		probe: `	if n.downNodes[to] || net.IsDown(id) { net.SetDown(id, true) }`,
+	},
+	{
+		rule: "the chaos scenarios are one table",
+		reason: "no package outside chaos registered a scenario, so the registry map, its init and Register " +
+			"were an extension point nothing used; the scenarios are a slice literal Lookup and Names walk, " +
+			"the shape of the bench figures and example contracts tables",
+		patterns: []string{`Register\(Scenario`},
+		roots:    []string{"cmd", "examples", "internal"},
+		tests:    true,
+		probe:    `	Register(Scenario{Name: "eclipse"})`,
+	},
+	{
+		rule: "btc carries no witness data",
+		reason: "TxIn.Witness was never set, encoded or parsed in any package, benchmark/ included, and it " +
+			"grew every parsed input from 72 to 96 bytes",
+		words: []string{"Witness"},
+		roots: []string{"cmd", "examples", "internal"},
+		tests: true,
+		probe: `	in.Witness = [][]byte{sig, pub}`,
+	},
 }
 
 // TestDeletedNamesStayDeleted runs the table: no covered file holds a row's

@@ -146,8 +146,7 @@ type Adapter struct {
 	// headersPending stamps the time of the oldest unanswered getheaders per
 	// peer; crossing requestTimeout charges the peer a timeout strike.
 	headersPending map[simnet.NodeID]time.Time
-	// peerHealth scores every peer ever interacted with; it survives
-	// Stop/Start (knowledge about the network outlives the process restart).
+	// peerHealth scores every peer ever interacted with.
 	peerHealth map[simnet.NodeID]*peerHealth
 
 	txCache map[btc.Hash]cachedTx
@@ -157,17 +156,14 @@ type Adapter struct {
 	lastResponse time.Time
 	degraded     bool
 
+	// running makes Start run once.
 	running bool
-	// syncGen invalidates scheduler ticks from superseded sync loops: every
-	// Start begins a new generation, so a tick scheduled before a
-	// Stop/Start pair cannot resurrect the old loop alongside the new one.
-	syncGen int
 	// stats
 	headersAccepted int
 	headersRejected int
 
 	// met is the adapter's obs instrumentation (operational, not part of
-	// any snapshot; survives Stop/Start like peerHealth does).
+	// any snapshot).
 	met *adapterMetrics
 }
 
@@ -193,36 +189,18 @@ func New(id simnet.NodeID, net *simnet.Network, params *btc.Params, dir *btcnode
 	return a
 }
 
-// Start launches peer discovery and the periodic header sync loop.
+// Start launches peer discovery and the periodic header sync loop. The
+// adapter then runs for the life of the simulation; a second call is a
+// no-op.
 func (a *Adapter) Start() {
 	if a.running {
 		return
 	}
 	a.running = true
-	a.syncGen++
 	a.lastResponse = a.net.Scheduler().Now()
-	a.degraded = false
 	a.met.stateChanges.With(StateSyncing.String()).Inc()
 	a.discover()
-	a.syncLoop(a.syncGen)
-}
-
-// Stop halts the sync loop (the adapter stays registered; Restart by
-// calling Start again). In-flight block requests are forgotten: their
-// replies will be discarded by the stopped Receive gate, so they must be
-// re-issued after a restart. The sync generation is bumped here as well as
-// in Start, so a tick scheduled before Stop is dead on both gates — the
-// running flag alone left a window where a stale tick could race a
-// not-yet-restarted loop's bookkeeping.
-func (a *Adapter) Stop() {
-	if a.running {
-		a.met.stateChanges.With(StateStopped.String()).Inc()
-	}
-	a.running = false
-	a.syncGen++
-	a.requestedBlocks = make(map[btc.Hash]*blockRequest)
-	a.headersPending = make(map[simnet.NodeID]time.Time)
-	a.degraded = false
+	a.syncLoop()
 }
 
 // Tree exposes the adapter's header tree.
@@ -374,14 +352,9 @@ func (a *Adapter) removeAddress(addr string) {
 // a new random connection is established, replenishing addresses if the
 // book fell below t_l. The dropped peer is excluded from this round's
 // refill whenever an alternative exists — immediately re-picking it would
-// defeat the rotation the eclipse-recovery analysis relies on. A stopped
-// adapter only records the disconnect — the torn-down process must not
-// emit discovery traffic; Start re-runs discovery and refills connections.
+// defeat the rotation the eclipse-recovery analysis relies on.
 func (a *Adapter) DropConnection(peer simnet.NodeID) {
 	delete(a.connected, peer)
-	if !a.running {
-		return
-	}
 	if len(a.addressBook) < a.cfg.AddrLowWater {
 		a.discover()
 		return
@@ -408,14 +381,9 @@ func (a *Adapter) ConnectPeer(peer simnet.NodeID) {
 
 // syncLoop periodically requests headers from all connected peers, enforces
 // the getheaders deadline, runs the stall detector, and expires stale
-// cached transactions. Ticks are gated on the adapter's running state and
-// generation: a tick that fires after Stop (or after a Stop/Start pair
-// started a newer loop) dies silently. Block-request retries run on their
-// own gen-gated timers (see scheduleRetry), not on this loop.
-func (a *Adapter) syncLoop(gen int) {
-	if !a.running || gen != a.syncGen {
-		return
-	}
+// cached transactions. Block-request retries run on their own timers (see
+// scheduleRetry), not on this loop.
+func (a *Adapter) syncLoop() {
 	now := a.net.Scheduler().Now()
 	for id, ct := range a.txCache {
 		if now.After(ct.expires) {
@@ -460,7 +428,7 @@ func (a *Adapter) syncLoop(gen int) {
 		}
 		a.net.Send(a.ID, peer, btcnode.MsgGetHeaders{Locator: locator})
 	}
-	a.net.Scheduler().After(syncInterval, func() { a.syncLoop(gen) })
+	a.net.Scheduler().After(syncInterval, a.syncLoop)
 }
 
 // locator lists hashes of the adapter's best-known headers, newest first.
@@ -483,15 +451,8 @@ func (a *Adapter) locator() []btc.Hash {
 	return loc
 }
 
-// Receive implements simnet.Endpoint. A stopped adapter (the node
-// machine's sandboxed process being torn down) ignores all network traffic:
-// without this gate the adapter kept syncing headers while Stop()ped, since
-// peers' block announcements would trigger getheaders round trips entirely
-// outside the (gated) sync loop.
+// Receive implements simnet.Endpoint.
 func (a *Adapter) Receive(from simnet.NodeID, msg any) {
-	if !a.running {
-		return
-	}
 	switch m := msg.(type) {
 	case btcnode.MsgAddr:
 		a.noteResponse(from)
@@ -706,14 +667,13 @@ func (a *Adapter) bestPeer() simnet.NodeID {
 
 // scheduleRetry arms the retry/deadline timer for one in-flight block
 // request: exponential backoff off blockRetryInterval, capped at
-// retryBackoffMax, jittered by ±retryJitter. The timer captures the sync
-// generation and the request's issue counter, so it dies silently if the
-// adapter stopped or restarted (the PR 3 stale-request fix, extended to
-// retries) or if a newer issue of the same request superseded it.
+// retryBackoffMax, jittered by ±retryJitter. The timer captures the
+// request's issue counter, so it dies silently if a newer issue of the same
+// request superseded it.
 func (a *Adapter) scheduleRetry(hash btc.Hash, req *blockRequest) {
-	gen, issue := a.syncGen, req.issue
+	issue := req.issue
 	a.net.Scheduler().After(a.retryDelay(req.attempts), func() {
-		a.retryTick(gen, hash, issue)
+		a.retryTick(hash, issue)
 	})
 }
 
@@ -732,14 +692,10 @@ func (a *Adapter) retryDelay(attempts int) time.Duration {
 	return d
 }
 
-// retryTick is the deadline/backoff timer body. A fire from a dead
-// generation (the adapter stopped, or stopped and restarted, since the
-// timer was armed) or a superseded issue is a no-op; otherwise the targeted
-// peer is charged the missed deadline and the request re-issued.
-func (a *Adapter) retryTick(gen int, hash btc.Hash, issue int) {
-	if !a.running || gen != a.syncGen {
-		return
-	}
+// retryTick is the deadline/backoff timer body. A fire for a superseded
+// issue is a no-op; otherwise the targeted peer is charged the missed
+// deadline and the request re-issued.
+func (a *Adapter) retryTick(hash btc.Hash, issue int) {
 	req := a.requestedBlocks[hash]
 	if req == nil || req.issue != issue {
 		return
@@ -777,18 +733,7 @@ func (a *Adapter) maxBlocksAtHeight(anchorHeight int64) int {
 // (β*, A, T), cache and advertise the transactions, then BFS the header
 // tree from β* collecting blocks that extend the canister's state (set B)
 // and upcoming headers the canister lacks (set N).
-//
-// A stopped adapter returns an empty response: the sandboxed process is
-// down, so it can neither serve nor fetch. This gate closes the restart
-// stall the race audit found — a request arriving between Stop and Start
-// used to mark blocks as requested (getdata sent, reply discarded by the
-// stopped Receive gate), and since Start does not clear that bookkeeping,
-// the re-request logic would never re-issue the fetch: the block stayed
-// permanently unfetchable until an unrelated inv arrived.
 func (a *Adapter) HandleRequest(req Request) Response {
-	if !a.running {
-		return Response{Health: Health{State: StateStopped}}
-	}
 	a.met.reg.Trace("adapter.request", "")
 	// Lines 1-3: cache and advertise outbound transactions.
 	for _, raw := range req.Txs {

@@ -456,211 +456,3 @@ func TestUnknownAnchorReturnsEmpty(t *testing.T) {
 		t.Fatal("response for unknown anchor not empty")
 	}
 }
-
-func TestAdapterStopAndRestart(t *testing.T) {
-	// An adapter restart (the node machine's sandboxed process being
-	// respawned) must resume syncing from its retained header tree.
-	h := newHarness(t, 14, 4)
-	if _, err := h.miner.MineChain(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.sim.SyncAll(500_000); err != nil {
-		t.Fatal(err)
-	}
-	h.ad.Start()
-	h.run(time.Minute)
-	if h.ad.Tree().MaxHeight() != 3 {
-		t.Fatalf("pre-stop height %d", h.ad.Tree().MaxHeight())
-	}
-
-	h.ad.Stop()
-	if _, err := h.miner.MineChain(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.sim.SyncAll(500_000); err != nil {
-		t.Fatal(err)
-	}
-	h.run(30 * time.Second)
-	if h.ad.Tree().MaxHeight() != 3 {
-		t.Fatal("adapter synced while stopped")
-	}
-
-	h.ad.Start()
-	h.run(time.Minute)
-	if h.ad.Tree().MaxHeight() != 6 {
-		t.Fatalf("post-restart height %d, want 6", h.ad.Tree().MaxHeight())
-	}
-}
-
-func TestStoppedAdapterIgnoresNetworkTraffic(t *testing.T) {
-	// A Stop()ped adapter must not sync — not even when peers push headers
-	// or announce blocks directly, which bypasses the (gated) sync loop.
-	h := newHarness(t, 15, 4)
-	if _, err := h.miner.MineChain(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.sim.SyncAll(500_000); err != nil {
-		t.Fatal(err)
-	}
-	h.ad.Start()
-	h.run(time.Minute)
-	if h.ad.Tree().MaxHeight() != 2 {
-		t.Fatalf("pre-stop height %d", h.ad.Tree().MaxHeight())
-	}
-	h.ad.Stop()
-
-	// Push traffic straight at the stopped adapter: an inv announcement and
-	// an unsolicited headers message for a new block.
-	blocks, err := h.miner.MineChain(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.sim.SyncAll(500_000); err != nil {
-		t.Fatal(err)
-	}
-	h.ad.Receive(h.sim.Nodes[0].ID, btcnode.MsgInvBlock{Hash: blocks[0].BlockHash()})
-	h.ad.Receive(h.sim.Nodes[0].ID, btcnode.MsgHeaders{Headers: []btc.BlockHeader{blocks[0].Header}})
-	h.run(30 * time.Second)
-	if h.ad.Tree().MaxHeight() != 2 {
-		t.Fatalf("stopped adapter accepted headers: height %d", h.ad.Tree().MaxHeight())
-	}
-
-	// A rapid Stop/Start cycle must leave exactly one live sync loop, and
-	// syncing must resume.
-	h.ad.Start()
-	h.ad.Stop()
-	h.ad.Start()
-	h.run(time.Minute)
-	if h.ad.Tree().MaxHeight() != 3 {
-		t.Fatalf("post-restart height %d, want 3", h.ad.Tree().MaxHeight())
-	}
-}
-
-func TestBlockRequestInFlightAcrossRestart(t *testing.T) {
-	// A block whose getdata was in flight when the adapter stopped (the
-	// reply is discarded by the stopped Receive gate) must be re-requested
-	// after a restart — Stop clears the in-flight bookkeeping.
-	h := newHarness(t, 16, 4)
-	blocks, err := h.miner.MineChain(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.sim.SyncAll(500_000); err != nil {
-		t.Fatal(err)
-	}
-	h.ad.Start()
-	h.run(10 * time.Second)
-	hash := blocks[0].BlockHash()
-
-	// Request the block, then stop before the reply can be processed.
-	if b := h.ad.getBlock(hash); b != nil {
-		t.Fatal("block present before any reply")
-	}
-	h.ad.Stop()
-	h.run(30 * time.Second) // replies arrive and are dropped
-	if h.ad.HasBlock(hash) {
-		t.Fatal("stopped adapter stored a block")
-	}
-
-	h.ad.Start()
-	if b := h.ad.getBlock(hash); b != nil {
-		t.Fatal("block cannot be present before the re-request round trip")
-	}
-	h.run(30 * time.Second)
-	if !h.ad.HasBlock(hash) {
-		t.Fatal("in-flight block never re-requested after restart")
-	}
-}
-
-func TestStoppedAdapterServesNoRequests(t *testing.T) {
-	// A request handled between Stop and Start used to poison the in-flight
-	// block bookkeeping: getdata went out from the "torn down" process, the
-	// reply was dropped by the stopped Receive gate, and — because Start
-	// does not clear requestedBlocks — the block was never re-requested
-	// after the restart. The canister's payload builder calls HandleRequest
-	// every round regardless of adapter state, so long runs hit this stall.
-	h := newHarness(t, 17, 4)
-	blocks, err := h.miner.MineChain(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.sim.SyncAll(500_000); err != nil {
-		t.Fatal(err)
-	}
-	h.ad.Start()
-	h.run(10 * time.Second)
-	h.ad.Stop()
-
-	// The canister keeps asking while the adapter process is down.
-	req := Request{Anchor: h.params.GenesisHeader, AnchorHeight: 0}
-	resp := h.ad.HandleRequest(req)
-	if len(resp.Blocks) != 0 || len(resp.Next) != 0 {
-		t.Fatal("stopped adapter served a response")
-	}
-	if len(h.ad.requestedBlocks) != 0 {
-		t.Fatal("stopped adapter recorded in-flight block requests")
-	}
-	h.run(10 * time.Second)
-
-	// After the restart the block must be fetched and served — with the
-	// stale in-flight entry present this never happened.
-	h.ad.Start()
-	h.ad.HandleRequest(req) // triggers the (re-)request
-	h.run(30 * time.Second)
-	hash := blocks[0].BlockHash()
-	if !h.ad.HasBlock(hash) {
-		t.Fatal("block never fetched after restart (stale in-flight state)")
-	}
-	resp = h.ad.HandleRequest(req)
-	if len(resp.Blocks) != 1 {
-		t.Fatalf("post-restart response carried %d blocks, want 1", len(resp.Blocks))
-	}
-}
-
-func TestStoppedAdapterDropConnectionStaysQuiet(t *testing.T) {
-	// DropConnection on a stopped adapter must only record the disconnect:
-	// no discovery traffic, no replacement connection, until Start.
-	h := newHarness(t, 18, 6)
-	h.ad.Start()
-	h.run(5 * time.Second)
-	peers := h.ad.ConnectedPeers()
-	if len(peers) != 3 {
-		t.Fatalf("peers %d, want 3", len(peers))
-	}
-	h.ad.Stop()
-	h.ad.DropConnection(peers[0])
-	h.run(10 * time.Second)
-	if got := len(h.ad.ConnectedPeers()); got != 2 {
-		t.Fatalf("stopped adapter reconnected: %d peers, want 2", got)
-	}
-	h.ad.Start()
-	h.run(5 * time.Second)
-	if got := len(h.ad.ConnectedPeers()); got != 3 {
-		t.Fatalf("restart did not refill connections: %d peers, want 3", got)
-	}
-}
-
-func TestRapidStopStartKeepsSingleSyncLoop(t *testing.T) {
-	// Stop now bumps the sync generation itself, so a tick scheduled before
-	// Stop is invalid on both gates; rapid Stop/Start cycles must leave
-	// exactly one live loop and steady header progress.
-	h := newHarness(t, 19, 4)
-	if _, err := h.miner.MineChain(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.sim.SyncAll(500_000); err != nil {
-		t.Fatal(err)
-	}
-	h.ad.Start()
-	for i := 0; i < 5; i++ {
-		h.ad.Stop()
-		h.ad.Start()
-	}
-	h.run(time.Minute)
-	if got := h.ad.Tree().MaxHeight(); got != 2 {
-		t.Fatalf("height %d after stop/start churn, want 2", got)
-	}
-	if h.ad.syncGen != 11 { // 6 Starts + 5 Stops each bump the generation
-		t.Fatalf("syncGen %d, want 11", h.ad.syncGen)
-	}
-}

@@ -26,7 +26,7 @@ func buildMixedNetwork(t *testing.T, seed int64, honest, adversarial int) (*simn
 	sim := btcnode.BuildHonestNetwork(net, params, honest)
 	sim.AddAdversaries(adversarial)
 	for _, adv := range sim.Adversaries {
-		adv.SetSilent(true)
+		adv.Behave(btcnode.Silent)
 	}
 	return sched, net, sim
 }

@@ -22,8 +22,6 @@ const (
 	// response for at least stallTimeout. Headers/blocks served from
 	// the adapter's tree may be arbitrarily stale.
 	StateDegraded
-	// StateStopped means the sandboxed adapter process is down.
-	StateStopped
 )
 
 func (s State) String() string {
@@ -32,8 +30,6 @@ func (s State) String() string {
 		return "syncing"
 	case StateDegraded:
 		return "degraded"
-	case StateStopped:
-		return "stopped"
 	default:
 		return "unknown"
 	}
@@ -139,9 +135,6 @@ func (a *Adapter) BlockRequestAttempts(h btc.Hash) int {
 
 // Health assembles the adapter's current self-report.
 func (a *Adapter) Health() Health {
-	if !a.running {
-		return Health{State: StateStopped}
-	}
 	st := StateSyncing
 	if a.degraded {
 		st = StateDegraded

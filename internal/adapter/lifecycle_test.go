@@ -26,57 +26,6 @@ func bareAdapter(seed int64, cfg Config, peers ...string) (*Adapter, *simnet.Sch
 	return ad, sched, dir
 }
 
-// TestRetryTimerGenGatedAcrossRestart is the regression test for the retry
-// lifecycle across Stop/Start: a retry timer armed before Stop must not fire
-// into a restarted adapter's fresh requestedBlocks map. Pre-fix (retry
-// timers without the generation gate) the stale timer collides with the
-// restarted request's identical issue counter and double-retries it,
-// charging a spurious timeout and bumping attempts.
-func TestRetryTimerGenGatedAcrossRestart(t *testing.T) {
-	// A retry falls due within blockRetryInterval ± retryJitter of its
-	// issue. Restarting halfway through the first window puts the stale
-	// timer's deadline strictly before the fresh one's earliest.
-	earliest := time.Duration(float64(blockRetryInterval) * (1 - retryJitter))
-	latest := time.Duration(float64(blockRetryInterval) * (1 + retryJitter))
-	restart := blockRetryInterval / 2
-	if restart+earliest <= latest {
-		t.Fatal("retry windows overlap: the stale timer may fire after the fresh one")
-	}
-	ad, sched, _ := bareAdapter(1, ConfigForNetwork(btc.Regtest))
-	ad.Start()
-	// A peer with no endpoint: requests vanish, replies never come.
-	ad.ConnectPeer("ghost")
-	hash := btc.DoubleSHA256([]byte("wanted-block"))
-
-	if b := ad.getBlock(hash); b != nil { // t=0: attempts=1, retry armed
-		t.Fatal("block cannot exist")
-	}
-	sched.RunFor(restart)
-
-	ad.Stop()
-	ad.Start()
-	ad.ConnectPeer("ghost")
-	if b := ad.getBlock(hash); b != nil { // fresh lifecycle, issue 1 again
-		t.Fatal("block cannot exist")
-	}
-	if got := ad.BlockRequestAttempts(hash); got != 1 {
-		t.Fatalf("fresh request attempts=%d, want 1", got)
-	}
-
-	// Past the stale window: the pre-stop timer has fired — the generation
-	// gate must have killed it. The fresh request's own retry is pending.
-	sched.RunFor(latest - restart + time.Second/2)
-	if got := ad.BlockRequestAttempts(hash); got != 1 {
-		t.Fatalf("stale retry timer fired into restarted adapter: attempts=%d, want 1", got)
-	}
-
-	// Past the fresh window: the fresh timer has fired and the retry went out.
-	sched.RunFor(restart)
-	if got := ad.BlockRequestAttempts(hash); got != 2 {
-		t.Fatalf("live retry timer dead too: attempts=%d, want 2", got)
-	}
-}
-
 // TestAddressBookBoundedUnderGossipFlood: a flood of bogus addresses can
 // churn other bogus (dead) entries but can neither grow the book past t_u
 // nor displace the addresses of live peers.
@@ -223,13 +172,6 @@ func TestStallDetectorFlipsDegraded(t *testing.T) {
 	h.run(2*syncInterval + time.Second)
 	if st := h.ad.Health().State; st != StateSyncing {
 		t.Fatalf("adapter stuck degraded after heal: %v", st)
-	}
-
-	// And a stopped adapter reports exactly that.
-	h.ad.Stop()
-	resp = h.ad.HandleRequest(Request{Anchor: h.params.GenesisHeader, AnchorHeight: 0})
-	if resp.Health.State != StateStopped {
-		t.Fatalf("stopped adapter reports %v", resp.Health.State)
 	}
 }
 

@@ -25,11 +25,11 @@ type OutPoint struct {
 func (o OutPoint) String() string { return fmt.Sprintf("%s:%d", o.TxID, o.Vout) }
 
 // TxIn spends a previous output. SignatureScript carries the unlocking data
-// (a DER signature and public key for P2PKH, empty for witness spends).
+// (a DER signature and public key for P2PKH). The simulation carries no
+// segregated witness data.
 type TxIn struct {
 	PreviousOutPoint OutPoint
 	SignatureScript  []byte
-	Witness          [][]byte
 	Sequence         uint32
 }
 
@@ -55,9 +55,8 @@ func (t *Transaction) IsCoinbase() bool {
 		t.Inputs[0].PreviousOutPoint.Vout == 0xffffffff
 }
 
-// AppendTo appends the transaction's Bitcoin wire encoding to b (without
-// witness data; witnesses travel in the segregated area and do not affect
-// the txid).
+// AppendTo appends the transaction's Bitcoin wire encoding to b, the
+// non-witness form the txid hashes.
 func (t *Transaction) AppendTo(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, t.Version)
 	b = AppendVarInt(b, uint64(len(t.Inputs)))

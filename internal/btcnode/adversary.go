@@ -15,34 +15,48 @@ import (
 // sweep that bound).
 //
 // An adversarial node behaves like a regular node toward its peers but can
-// (a) build a private fork off any block and (b) selectively serve only the
-// fork ("fork feeding") or serve nothing ("eclipse"), the behaviors used in
-// the Lemma IV.2 and IV.3 experiments.
+// (a) build a private fork off any block and (b) take on one Behavior at a
+// time, such as serving only the fork ("fork feeding") or nothing at all
+// ("eclipse"), the behaviors used in the Lemma IV.2 and IV.3 experiments.
 type Adversary struct {
 	Node  *Node
 	miner *Miner
 	// fork holds the privately mined chain, oldest first.
-	fork []*btc.Block
-	// serveForkOnly, when set, makes the node answer header/data requests
-	// exclusively from the private fork.
-	serveForkOnly bool
-	// silent, when set, makes the node ignore all requests (eclipse).
-	silent bool
-	// withholdData, when set, answers header requests normally but drops
-	// getdata: peers learn of blocks they can never download (withholding).
-	withholdData bool
-	// corruptBlocks, when set, serves blocks whose transaction list has been
-	// tampered with after sealing, so the merkle root no longer matches.
-	corruptBlocks bool
-	// frozen, when set, drops all announcements (headers/inv/blocks/addr
-	// pushes) while still answering explicit requests: the node serves an
-	// ever-staler view of the chain.
-	frozen bool
-	// slowDrip, when > 0, delays the handling of every incoming message by
-	// that much virtual time — a slowloris peer that eventually answers
-	// everything, but far too late for any request deadline.
-	slowDrip time.Duration
+	fork     []*btc.Block
+	behavior Behavior
 }
+
+// Behavior is how an adversarial node treats the messages it receives.
+type Behavior uint8
+
+const (
+	// Honest handles every message as a regular node does.
+	Honest Behavior = iota
+	// Silent ignores every message (eclipse).
+	Silent
+	// ServeForkOnly answers header and block requests exclusively from the
+	// private fork and swallows everything else.
+	ServeForkOnly
+	// WithholdData answers header requests normally but drops getdata:
+	// peers learn of blocks they can never download.
+	WithholdData
+	// CorruptBlocks serves every block requested via getdata with a junk
+	// transaction appended after the header was sealed, so the merkle root
+	// check on the receiving side must reject it.
+	CorruptBlocks
+	// Frozen drops all announcements (headers/inv/blocks/tx/addr pushes)
+	// while still answering explicit requests: the node's view of the chain
+	// freezes and it serves an ever-staler one.
+	Frozen
+	// SlowDrip is a slowloris peer: every message is handled, and therefore
+	// answered, only slowDripDelay of virtual time after it arrives. It never
+	// stops responding, but is too slow for any request deadline, which is
+	// what per-request timeouts and peer scoring must catch.
+	SlowDrip
+)
+
+// slowDripDelay is how late a SlowDrip node handles each message.
+const slowDripDelay = 30 * time.Second
 
 // NewAdversary wraps a node with adversarial behaviors. The node's script
 // validation is disabled: the attacker may include invalid transactions in
@@ -50,7 +64,7 @@ type Adversary struct {
 // conditions of transactions are satisfied", §IV-A).
 func NewAdversary(id simnet.NodeID, net *simnet.Network, params *btc.Params) *Adversary {
 	n := NewNode(id, net, params)
-	n.ValidateScripts = false
+	n.validateScripts = false
 	a := &Adversary{Node: n}
 	a.miner = NewMiner(n, btc.PayToPubKeyHashScript([20]byte{0xEE}))
 	// The adversary intercepts its node's message handling.
@@ -58,34 +72,9 @@ func NewAdversary(id simnet.NodeID, net *simnet.Network, params *btc.Params) *Ad
 	return a
 }
 
-// SetServeForkOnly toggles fork-only serving.
-func (a *Adversary) SetServeForkOnly(v bool) { a.serveForkOnly = v }
-
-// SetSilent toggles eclipse mode (no responses at all).
-func (a *Adversary) SetSilent(v bool) { a.silent = v }
-
-// SetWithholdData toggles block withholding: headers are announced and
-// served, but getdata requests are silently dropped, starving the
-// requester's block download while its header tree keeps growing.
-func (a *Adversary) SetWithholdData(v bool) { a.withholdData = v }
-
-// SetCorruptBlocks toggles invalid-block serving: every block served via
-// getdata has a junk transaction appended after the header was sealed, so
-// the merkle root check on the receiving side must reject it.
-func (a *Adversary) SetCorruptBlocks(v bool) { a.corruptBlocks = v }
-
-// SetFrozen toggles stale serving: the node stops processing announcements
-// (its view of the chain freezes) but keeps answering explicit requests
-// from that stale view.
-func (a *Adversary) SetFrozen(v bool) { a.frozen = v }
-
-// SetSlowDrip turns the node into a slowloris peer: every incoming message
-// is processed — and therefore answered — only after d of virtual time.
-// Unlike silence, the peer never stops responding entirely; it is simply too
-// slow for any deadline, which is exactly what per-request timeouts and peer
-// scoring must catch. Zero disables the delay (messages already in the drip
-// still arrive late).
-func (a *Adversary) SetSlowDrip(d time.Duration) { a.slowDrip = d }
+// Behave switches the node to behavior b. Messages already delayed by
+// SlowDrip are handled under whichever behavior holds when they fall due.
+func (a *Adversary) Behave(b Behavior) { a.behavior = b }
 
 // Fork returns the private fork blocks, oldest first.
 func (a *Adversary) Fork() []*btc.Block { return a.fork }
@@ -147,51 +136,47 @@ func corruptBlockCopy(blk *btc.Block) *btc.Block {
 
 // Receive implements simnet.Endpoint with adversarial request handling.
 func (a *Adversary) Receive(from simnet.NodeID, msg any) {
-	if a.slowDrip > 0 {
-		a.Node.net.Scheduler().After(a.slowDrip, func() { a.handle(from, msg) })
+	if a.behavior == SlowDrip {
+		a.Node.net.Scheduler().After(slowDripDelay, func() { a.handle(from, msg) })
 		return
 	}
 	a.handle(from, msg)
 }
 
-// handle applies the active adversarial behaviors to one message.
+// handle treats one message according to the node's behavior.
 func (a *Adversary) handle(from simnet.NodeID, msg any) {
-	if a.silent {
+	switch a.behavior {
+	case Silent:
 		return
-	}
-	if a.withholdData {
+	case WithholdData:
 		if _, ok := msg.(MsgGetData); ok {
 			return
 		}
-	}
-	if a.frozen {
+	case Frozen:
 		switch msg.(type) {
 		case MsgHeaders, MsgInvBlock, MsgBlock, MsgInvTx, MsgTx, MsgAddr:
 			return
 		}
-	}
-	if a.corruptBlocks {
+	case CorruptBlocks:
 		if m, ok := msg.(MsgGetData); ok {
-			var missing []btc.Hash
-			for _, h := range m.BlockHashes {
+			a.serveData(from, m, func(h btc.Hash) *btc.Block {
 				if blk := a.Node.blocks[h]; blk != nil {
-					a.Node.net.Send(a.Node.ID, from, MsgBlock{Block: corruptBlockCopy(blk)})
-				} else {
-					missing = append(missing, h)
+					return corruptBlockCopy(blk)
 				}
-			}
-			if len(missing) > 0 {
-				a.Node.net.Send(a.Node.ID, from, MsgNotFound{Hashes: missing})
-			}
+				return nil
+			})
 			return
 		}
-	}
-	if !a.serveForkOnly {
-		a.Node.Receive(from, msg)
+	case ServeForkOnly:
+		a.serveFork(from, msg)
 		return
 	}
-	// Fork-only mode: answer header and block requests from the fork,
-	// pretend to know nothing else.
+	a.Node.Receive(from, msg)
+}
+
+// serveFork answers header and block requests from the fork and pretends
+// to know nothing else.
+func (a *Adversary) serveFork(from simnet.NodeID, msg any) {
 	switch m := msg.(type) {
 	case MsgGetHeaders:
 		known := make(map[btc.Hash]bool)
@@ -210,21 +195,27 @@ func (a *Adversary) handle(from simnet.NodeID, msg any) {
 		for _, blk := range a.fork {
 			forkByHash[blk.BlockHash()] = blk
 		}
-		var missing []btc.Hash
-		for _, h := range m.BlockHashes {
-			if blk := forkByHash[h]; blk != nil {
-				a.Node.net.Send(a.Node.ID, from, MsgBlock{Block: blk})
-			} else {
-				missing = append(missing, h)
-			}
-		}
-		if len(missing) > 0 {
-			a.Node.net.Send(a.Node.ID, from, MsgNotFound{Hashes: missing})
-		}
+		a.serveData(from, m, func(h btc.Hash) *btc.Block { return forkByHash[h] })
 	case MsgGetAddr:
 		a.Node.net.Send(a.Node.ID, from, MsgAddr{Addrs: a.Node.knownAddrs})
 	default:
 		// Swallow everything else.
+	}
+}
+
+// serveData answers a getdata with the block lookup returns for each hash,
+// then one not-found for the hashes it returns nil for.
+func (a *Adversary) serveData(from simnet.NodeID, m MsgGetData, lookup func(btc.Hash) *btc.Block) {
+	var missing []btc.Hash
+	for _, h := range m.BlockHashes {
+		if blk := lookup(h); blk != nil {
+			a.Node.net.Send(a.Node.ID, from, MsgBlock{Block: blk})
+		} else {
+			missing = append(missing, h)
+		}
+	}
+	if len(missing) > 0 {
+		a.Node.net.Send(a.Node.ID, from, MsgNotFound{Hashes: missing})
 	}
 }
 

@@ -42,10 +42,11 @@ type Node struct {
 	// knownAddrs is the node's address book, served in MsgAddr replies.
 	knownAddrs []string
 
-	// ValidateScripts controls whether transaction input scripts are
+	// validateScripts controls whether transaction input scripts are
 	// verified when accepting mempool transactions. Honest nodes verify;
-	// tests can disable to inject invalid-but-mined transactions.
-	ValidateScripts bool
+	// NewAdversary turns it off, since the attacker's blocks may carry
+	// transactions whose spending conditions do not hold (§IV-A).
+	validateScripts bool
 
 	// Stats
 	blocksAccepted int
@@ -65,7 +66,7 @@ func NewNode(id simnet.NodeID, net *simnet.Network, params *btc.Params) *Node {
 		utxoView:        utxo.New(params.Network),
 		orphans:         make(map[btc.Hash][]*btc.Block),
 		peers:           make(map[simnet.NodeID]bool),
-		ValidateScripts: true,
+		validateScripts: true,
 	}
 	n.activeTip = n.tree.Root()
 	// Store a synthetic genesis block (empty) so getdata for genesis works.
@@ -525,7 +526,7 @@ func (n *Node) AcceptTx(tx *btc.Transaction) bool {
 			}
 		}
 		inValue += prev.Value
-		if n.ValidateScripts {
+		if n.validateScripts {
 			if err := btc.VerifyInput(tx, i, prev.PkScript); err != nil {
 				return false
 			}

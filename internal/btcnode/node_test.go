@@ -598,7 +598,7 @@ func TestAdversaryPrivateForkAndServing(t *testing.T) {
 	}
 
 	// Fork-only serving: a getheaders must return only fork headers.
-	adv.SetServeForkOnly(true)
+	adv.Behave(ServeForkOnly)
 	probe := &recorderEndpoint{}
 	net.Register("probe", probe)
 	net.Send("probe", adv.Node.ID, MsgGetHeaders{})
@@ -608,7 +608,7 @@ func TestAdversaryPrivateForkAndServing(t *testing.T) {
 	}
 
 	// Silent mode: no response at all.
-	adv.SetSilent(true)
+	adv.Behave(Silent)
 	probe.headers = nil
 	net.Send("probe", adv.Node.ID, MsgGetHeaders{})
 	s.Drain(10_000)

@@ -326,7 +326,7 @@ func newWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// RunScenario executes one named (registered) scenario under cfg.
+// RunScenario executes one scenario of the table, by name, under cfg.
 func RunScenario(name string, cfg Config) (Result, error) {
 	s, ok := Lookup(name)
 	if !ok {
@@ -336,7 +336,7 @@ func RunScenario(name string, cfg Config) (Result, error) {
 }
 
 // Run executes one scenario under cfg and returns its result — the entry
-// point for parameterized, unregistered scenarios built on the fly (the
+// point for parameterized scenarios built on the fly, outside the table (the
 // degradation experiments sweep loss rates this way). Any invariant
 // violation or scenario error is wrapped with the scenario name, seed, and
 // round, plus a one-line reproduction command.

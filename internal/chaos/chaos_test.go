@@ -19,17 +19,17 @@ var (
 	// chaosSeed replays one failing seed — the one-liner every chaos failure
 	// message prints.
 	chaosSeed = flag.Int64("chaos.seed", 0, "override the scenario seed (0 = default battery seed)")
-	// chaosScenario narrows TestChaosScenarios to one registered scenario —
+	// chaosScenario narrows TestChaosScenarios to one scenario of the table —
 	// the other half of the failure messages' reproduction one-liner.
-	chaosScenario = flag.String("chaos.scenario", "", "run only this registered scenario (empty = the whole battery)")
+	chaosScenario = flag.String("chaos.scenario", "", "run only this scenario (empty = the whole battery)")
 	// soakMetrics writes the final soak run's merged obs metrics dump
 	// (Prometheus text) to a file — CI uploads it as an artifact next to the
 	// failing-seed log.
 	soakMetrics = flag.String("soak.metrics", "", "path to write the soak's final metrics dump (empty = skip)")
 )
 
-// TestChaosScenarios is the short, seeded tier-1 variant: every registered
-// scenario once, fixed seed, full invariant checking, and the run must end
+// TestChaosScenarios is the short, seeded tier-1 variant: every scenario
+// once, fixed seed, full invariant checking, and the run must end
 // byte-identical to the undisturbed oracle.
 func TestChaosScenarios(t *testing.T) {
 	seed := int64(7)
@@ -38,11 +38,18 @@ func TestChaosScenarios(t *testing.T) {
 	}
 	names := Names()
 	if len(names) < 6 {
-		t.Fatalf("scenario registry holds %d scenarios, want >= 6", len(names))
+		t.Fatalf("scenario table holds %d scenarios, want >= 6", len(names))
+	}
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		if seen[name] {
+			t.Fatalf("scenario %q appears twice in the table; Lookup would only ever find the first", name)
+		}
+		seen[name] = true
 	}
 	if *chaosScenario != "" {
 		if _, ok := Lookup(*chaosScenario); !ok {
-			t.Fatalf("unknown scenario %q (registered: %v)", *chaosScenario, names)
+			t.Fatalf("unknown scenario %q (have: %v)", *chaosScenario, names)
 		}
 		names = []string{*chaosScenario}
 	}
@@ -83,18 +90,18 @@ func TestChaosDeterminism(t *testing.T) {
 		Name: "determinism-probe",
 		Step: func(w *World, round int) error {
 			switch round {
-			case injectRound:
+			case InjectRound:
 				w.DegradeAdapterLinks(&simnet.LinkProfile{LossRate: 0.25})
-			case healRound:
+			case HealRound:
 				w.DegradeAdapterLinks(nil)
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
 	}
 	crashStorm, ok := Lookup("crash-storm")
 	if !ok {
-		t.Fatal("crash-storm is not registered")
+		t.Fatal("crash-storm is not in the table")
 	}
 	short := DefaultConfig(7)
 	short.Rounds = 32

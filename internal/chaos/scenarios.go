@@ -2,9 +2,9 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"icbtc/internal/btcnode"
 	"icbtc/internal/ic"
 	"icbtc/internal/simnet"
 )
@@ -18,39 +18,39 @@ type Scenario struct {
 	Step        func(w *World, round int) error
 }
 
-var registry = map[string]Scenario{}
-
-// Register adds a scenario to the registry (panics on duplicates — the
-// registry is assembled at init time).
-func Register(s Scenario) {
-	if _, dup := registry[s.Name]; dup {
-		panic(fmt.Sprintf("chaos: duplicate scenario %q", s.Name))
-	}
-	registry[s.Name] = s
-}
-
-// Names returns all registered scenario names, sorted.
+// Names returns every scenario's name, in table order.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(scenarios))
+	for i, s := range scenarios {
+		names[i] = s.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // Lookup returns a scenario by name.
 func Lookup(name string) (Scenario, bool) {
-	s, ok := registry[name]
-	return s, ok
+	for _, s := range scenarios {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Scenario{}, false
 }
 
-// Fault schedule shape shared by the network scenarios: inject at round 5,
-// heal at round 25, leaving 35 rounds to reconverge.
+// The fault window shared by the network scenarios and experiments'
+// degrade sweep: inject at round 5, heal at round 25, leaving 35 rounds to
+// reconverge.
 const (
-	injectRound = 5
-	healRound   = 25
+	InjectRound = 5
+	HealRound   = 25
 )
+
+// behaveAll switches every adversarial node to behavior b.
+func behaveAll(w *World, b btcnode.Behavior) {
+	for _, adv := range w.Sim.Adversaries {
+		adv.Behave(b)
+	}
+}
 
 // rotateOutAdversaries drops every adversarial connection, one per call
 // site round, letting the low-water refill (which excludes the dropped
@@ -72,109 +72,91 @@ func adversaryIDs(w *World) []simnet.NodeID {
 	return ids
 }
 
-func init() {
-	Register(Scenario{
+// scenarios is the table of fault schedules, one entry per name.
+var scenarios = []Scenario{
+	{
 		Name: "eclipse",
 		Description: "adapter's whole peer set replaced by silent adversaries; " +
 			"heals by rotating peers out through DropConnection",
 		Step: func(w *World, round int) error {
 			switch {
 			case round == 0:
-				for _, adv := range w.Sim.Adversaries {
-					adv.SetSilent(true)
-				}
-			case round == injectRound:
+				behaveAll(w, btcnode.Silent)
+			case round == InjectRound:
 				w.EclipseAdapter(adversaryIDs(w))
-			case round >= healRound:
-				w.SetHealed(healRound)
+			case round >= HealRound:
+				w.SetHealed(HealRound)
 				rotateOutAdversaries(w)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "partition",
 		Description: "adapter partitioned away from the whole Bitcoin network, " +
 			"then the partition heals; in-flight block requests must be retried",
 		Step: func(w *World, round int) error {
 			switch round {
-			case injectRound:
+			case InjectRound:
 				w.Net.SetPartition(w.Adapter.ID, "dark")
-			case healRound:
+			case HealRound:
 				w.Net.HealPartitions()
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "withhold",
 		Description: "adapter eclipsed by peers that announce headers but never " +
 			"serve blocks (withholding); retry logic recovers the downloads after heal",
 		Step: func(w *World, round int) error {
 			switch {
 			case round == 0:
-				for _, adv := range w.Sim.Adversaries {
-					adv.SetWithholdData(true)
-				}
-			case round == injectRound:
+				behaveAll(w, btcnode.WithholdData)
+			case round == InjectRound:
 				w.EclipseAdapter(adversaryIDs(w))
-			case round == healRound:
-				for _, adv := range w.Sim.Adversaries {
-					adv.SetWithholdData(false)
-				}
-				w.SetHealed(healRound)
+			case round == HealRound:
+				behaveAll(w, btcnode.Honest)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "invalid-blocks",
 		Description: "adapter eclipsed by peers serving blocks whose merkle root " +
 			"does not cover their transactions; every one must be rejected",
 		Step: func(w *World, round int) error {
 			switch {
 			case round == 0:
-				for _, adv := range w.Sim.Adversaries {
-					adv.SetCorruptBlocks(true)
-				}
-			case round == injectRound:
+				behaveAll(w, btcnode.CorruptBlocks)
+			case round == InjectRound:
 				w.EclipseAdapter(adversaryIDs(w))
-			case round == healRound:
-				for _, adv := range w.Sim.Adversaries {
-					adv.SetCorruptBlocks(false)
-				}
-				w.SetHealed(healRound)
+			case round == HealRound:
+				behaveAll(w, btcnode.Honest)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "stale-peers",
 		Description: "adapter eclipsed by peers whose chain view froze at inject " +
 			"time; they keep serving an ever-staler chain until thawed",
 		Step: func(w *World, round int) error {
 			switch round {
-			case injectRound:
-				for _, adv := range w.Sim.Adversaries {
-					adv.SetFrozen(true)
-				}
+			case InjectRound:
+				behaveAll(w, btcnode.Frozen)
 				w.EclipseAdapter(adversaryIDs(w))
-			case healRound:
-				for _, adv := range w.Sim.Adversaries {
-					adv.SetFrozen(false)
-				}
-				w.SetHealed(healRound)
+			case HealRound:
+				behaveAll(w, btcnode.Honest)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "deep-reorg",
 		Description: "adversary mines a private fork branching below the δ-stable " +
 			"anchor and feeds it to the adapter; the anchor must never roll back",
@@ -198,9 +180,9 @@ func init() {
 				if err := adv.MinePrivateFork(base.Hash, length, nil); err != nil {
 					return fmt.Errorf("private fork: %w", err)
 				}
-				adv.SetServeForkOnly(true)
+				adv.Behave(btcnode.ServeForkOnly)
 				w.Adapter.ConnectPeer(adv.Node.ID)
-			case healRound:
+			case HealRound:
 				// The attack must actually have been delivered: the fork's
 				// headers reached the adapter's tree (the canister then
 				// refused to follow them — checked by anchor monotonicity
@@ -209,86 +191,80 @@ func init() {
 				if tip == nil || !w.Adapter.Tree().Contains(tip.Hash) {
 					return fmt.Errorf("adversarial fork never reached the adapter's header tree")
 				}
-				adv.SetServeForkOnly(false)
+				adv.Behave(btcnode.Honest)
 				w.Adapter.Disconnect(adv.Node.ID)
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "loss-ramp",
 		Description: "message loss on every adapter link ramps from 15% to 55% " +
 			"and back off; per-request retries with backoff keep the sync alive",
 		Step: func(w *World, round int) error {
 			switch {
-			case round >= injectRound && round < healRound:
+			case round >= InjectRound && round < HealRound:
 				// Re-install each round with the ramped rate; the profile is
 				// pure loss, so reinstallation consumes no RNG draws.
-				frac := float64(round-injectRound) / float64(healRound-1-injectRound)
+				frac := float64(round-InjectRound) / float64(HealRound-1-InjectRound)
 				w.DegradeAdapterLinks(&simnet.LinkProfile{LossRate: 0.15 + 0.40*frac})
-			case round == healRound:
+			case round == HealRound:
 				w.DegradeAdapterLinks(nil)
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "latency-spike",
 		Description: "adapter links suffer bufferbloat-style latency-spike storms " +
 			"(25x delay episodes); slow-but-honest peers must not be banned",
 		Step: func(w *World, round int) error {
 			switch round {
-			case injectRound:
+			case InjectRound:
 				w.DegradeAdapterLinks(&simnet.LinkProfile{
 					Latency:       simnet.LatencyModel{Base: 20 * time.Millisecond, Jitter: 30 * time.Millisecond},
 					SpikeRate:     0.25,
 					SpikeFactor:   25,
 					SpikeDuration: 3 * time.Second,
 				})
-			case healRound:
+			case HealRound:
 				w.DegradeAdapterLinks(nil)
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "flapping-links",
 		Description: "every adapter link flaps on a ~1.2s cycle (down ~40% in " +
 			"contiguous bursts); bursty loss must not wedge the block download",
 		Step: func(w *World, round int) error {
 			switch round {
-			case injectRound:
+			case InjectRound:
 				w.DegradeAdapterLinks(&simnet.LinkProfile{
 					FlapPeriod: 1200 * time.Millisecond,
 					FlapDown:   500 * time.Millisecond,
 				})
-			case healRound:
+			case HealRound:
 				w.DegradeAdapterLinks(nil)
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "slow-drip",
 		Description: "adapter eclipsed by slowloris peers that answer everything " +
 			"30s late; deadline strikes must ban and rotate them out unaided",
 		Step: func(w *World, round int) error {
 			switch round {
 			case 0:
-				for _, adv := range w.Sim.Adversaries {
-					adv.SetSlowDrip(30 * time.Second)
-				}
-			case injectRound:
+				behaveAll(w, btcnode.SlowDrip)
+			case InjectRound:
 				w.EclipseAdapter(adversaryIDs(w))
-			case healRound:
+			case HealRound:
 				// Self-recovery assert: unlike the eclipse scenario, nothing
 				// here rotates peers out for the adapter — the deadline→score→
 				// ban lifecycle alone must have pulled honest peers back in.
@@ -301,16 +277,13 @@ func init() {
 				if honest == 0 {
 					return fmt.Errorf("no honest peer rotated in by the heal round: peer scoring failed to evict the slow-drip peers")
 				}
-				for _, adv := range w.Sim.Adversaries {
-					adv.SetSlowDrip(0)
-				}
-				w.SetHealed(healRound)
+				behaveAll(w, btcnode.Honest)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "replica-churn",
 		Description: "replicas join mid-stream, a quarantine storm takes the whole " +
 			"fleet out, and snapshot re-hydration readmits everyone",
@@ -336,7 +309,7 @@ func init() {
 				}
 			case 22:
 				w.Fleet.Replica(w.Rng.Intn(w.Fleet.Replicas())).Quarantine()
-			case healRound:
+			case HealRound:
 				for i := 0; i < w.Fleet.Replicas(); i++ {
 					if w.Fleet.Replica(i).Broken() {
 						if err := w.Fleet.HydrateReplica(i); err != nil {
@@ -344,13 +317,12 @@ func init() {
 						}
 					}
 				}
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "crash-storm",
 		Description: "canister upgrades die mid-install — torn snapshot write, " +
 			"bit-flipped image, crash inside the restore; recovery detects every " +
@@ -389,24 +361,23 @@ func init() {
 				if src != ic.RecoveryPending {
 					return fmt.Errorf("mid-restore crash recovered from %v, want the intact pending image", src)
 				}
-			case healRound:
+			case HealRound:
 				if w.Recovering() {
 					return fmt.Errorf("wire replay has not re-reached the oracle by the heal round")
 				}
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "corrupt-stream",
 		Description: "the replica delta stream suffers seeded bit-flips, truncation, " +
 			"duplication, and drops; frame checksums and strict sequencing catch every " +
 			"one and auto-resync re-hydrates the victims",
 		Step: func(w *World, round int) error {
 			switch round {
-			case injectRound:
+			case InjectRound:
 				w.SetFrameFault(func(replica int, seq uint64, raw []byte) [][]byte {
 					// One victim per frame (rotating), faulted about a third of
 					// the time; the RNG is only drawn for the victim so the
@@ -416,7 +387,7 @@ func init() {
 					}
 					return MutateFrame(w.Rng, raw)
 				})
-			case healRound:
+			case HealRound:
 				w.SetFrameFault(nil)
 				st := w.Fleet.Stats()
 				if st.FrameCorrupt+st.FrameGaps+st.FrameDuplicates == 0 {
@@ -426,20 +397,19 @@ func init() {
 				if st.Resyncs == 0 {
 					return fmt.Errorf("corruption detected but no automatic resync happened")
 				}
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "byzantine-replica",
 		Description: "one replica tampers with certified envelopes after signing and " +
 			"another replays stale ones; the fleet's response audit ejects both while " +
 			"honest replicas keep every answer verifiable and fresh",
 		Step: func(w *World, round int) error {
 			switch round {
-			case injectRound:
+			case InjectRound:
 				w.Fleet.SetVerifier(w.verifier)
 				w.Fleet.SetResponseFault(TamperLiar(0))
 			case 12:
@@ -448,7 +418,7 @@ func init() {
 					return replay(i, method, tamper(i, method, rq))
 				})
 			}
-			if round >= injectRound && round < healRound {
+			if round >= InjectRound && round < HealRound {
 				// Clients must get verifiable, bounded-fresh answers every
 				// round no matter which replica the router tries first.
 				authTip := w.Canister().TipHeight()
@@ -467,7 +437,7 @@ func init() {
 				}
 				w.Fleet.SetSigner(nil)
 			}
-			if round == healRound {
+			if round == HealRound {
 				st := w.Fleet.Stats()
 				if st.ByzantineEjected < 2 {
 					return fmt.Errorf("audit ejected %d replicas, want both equivocators", st.ByzantineEjected)
@@ -485,13 +455,12 @@ func init() {
 						}
 					}
 				}
-				w.SetHealed(healRound)
+				w.SetHealed(HealRound)
 			}
 			return nil
 		},
-	})
-
-	Register(Scenario{
+	},
+	{
 		Name: "upgrade-storm",
 		Description: "canister snapshot-reinstall upgrades every few rounds while " +
 			"ingest and the fleet stream stay hot",
@@ -506,5 +475,5 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 }

@@ -133,13 +133,15 @@ func TestCrashedBitcoinNodesTolerated(t *testing.T) {
 	}
 	in.Start()
 	in.RunFor(5 * time.Second)
-	// Crash two non-mining nodes.
-	in.Net.SetDown(in.Bitcoin.Nodes[3].ID, true)
-	in.Net.SetDown(in.Bitcoin.Nodes[4].ID, true)
+	// Crash two non-mining nodes: each is a partition of one.
+	crashed := map[simnet.NodeID]bool{in.Bitcoin.Nodes[3].ID: true, in.Bitcoin.Nodes[4].ID: true}
+	for id := range crashed {
+		in.Net.SetPartition(id, string(id))
+	}
 	// Adapters with dead peers replace them.
 	for _, ad := range in.Adapters {
 		for _, p := range ad.ConnectedPeers() {
-			if in.Net.IsDown(p) {
+			if crashed[p] {
 				ad.DropConnection(p)
 			}
 		}

@@ -49,18 +49,12 @@ type DegradeResult struct {
 	Rows []DegradeRow
 }
 
-// The sweep uses the same fault window as the registered network scenarios:
-// inject at round 5, heal at round 25.
-const (
-	degradeInjectRound = 5
-	degradeHealRound   = 25
-)
-
 // RunDegrade runs the chaos harness Runs times per loss rate with an ad-hoc
-// scenario (built on the fly and never registered) that holds the rate on
-// every adapter link between the inject and heal rounds. All of the
-// harness's per-round invariants apply: the sweep measures recovery time of
-// a state that provably never diverged from the loss-free oracle.
+// scenario (built on the fly, not in chaos's table) that holds the rate on
+// every adapter link through chaos's fault window, from chaos.InjectRound to
+// chaos.HealRound. All of the harness's per-round invariants apply: the
+// sweep measures recovery time of a state that provably never diverged from
+// the loss-free oracle.
 func RunDegrade(cfg DegradeConfig) (*DegradeResult, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 1
@@ -70,18 +64,18 @@ func RunDegrade(cfg DegradeConfig) (*DegradeResult, error) {
 		rate := rate
 		s := chaos.Scenario{
 			Name:        fmt.Sprintf("degrade-loss-%d", int(rate*100)),
-			Description: fmt.Sprintf("%.0f%% loss on every adapter link from round %d to %d", rate*100, degradeInjectRound, degradeHealRound),
+			Description: fmt.Sprintf("%.0f%% loss on every adapter link from round %d to %d", rate*100, chaos.InjectRound, chaos.HealRound),
 			Step: func(w *chaos.World, round int) error {
 				switch round {
-				case degradeInjectRound:
+				case chaos.InjectRound:
 					if rate > 0 {
 						w.DegradeAdapterLinks(&simnet.LinkProfile{LossRate: rate})
 					}
-				case degradeHealRound:
+				case chaos.HealRound:
 					if rate > 0 {
 						w.DegradeAdapterLinks(nil)
 					}
-					w.SetHealed(degradeHealRound)
+					w.SetHealed(chaos.HealRound)
 				}
 				return nil
 			},

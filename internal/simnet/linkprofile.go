@@ -5,7 +5,7 @@ import "time"
 // LinkProfile describes the delivery behavior of one directed link. A link
 // without one behaves as the zero LinkProfile: lossless, at the default
 // latency. Profiles model *degraded* links — lossy, slow, bursty, flapping —
-// as opposed to the binary up/down faults of SetDown/SetPartition. Because a
+// as opposed to the binary up/down fault of SetPartition. Because a
 // profile is directed, asymmetric links (fast down, slow up) are expressed
 // by installing different profiles for the two directions.
 //

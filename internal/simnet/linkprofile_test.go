@@ -62,10 +62,10 @@ func TestNetworkStatsAccounting(t *testing.T) {
 			n.HealPartitions()
 		}
 		if i == 350 {
-			n.SetDown("b", true)
+			n.SetPartition("b", "b") // b crashes: a partition of one
 		}
 		if i == 400 {
-			n.SetDown("b", false)
+			n.SetPartition("b", "")
 		}
 		n.Send("a", "b", i)
 	}

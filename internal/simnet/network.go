@@ -39,16 +39,15 @@ func (l LatencyModel) sample(s *Scheduler) time.Duration {
 var defaultLatency = LatencyModel{Base: 20 * time.Millisecond, Jitter: 30 * time.Millisecond}
 
 // Network is an in-process message-passing fabric with per-link profiles
-// (latency, loss, spikes, flapping) and partitions. All delivery happens via
-// the scheduler, so a simulation remains fully deterministic.
+// (latency, loss, spikes, flapping) and partitions. A crashed node is a
+// partition of one. All delivery happens via the scheduler, so a simulation
+// remains fully deterministic.
 type Network struct {
 	sched     *Scheduler
 	endpoints map[NodeID]Endpoint
 	// partition maps a node to its partition group; nodes in different
 	// groups cannot exchange messages. Empty string means the default group.
 	partition map[NodeID]string
-	// downNodes cannot send or receive (crash faults).
-	downNodes map[NodeID]bool
 	// links holds per-directed-link profiles; a link without an entry is
 	// planned by unprofiled, whose zero LinkProfile keeps no state.
 	links      map[linkKey]*link
@@ -66,7 +65,6 @@ func NewNetwork(s *Scheduler) *Network {
 		sched:     s,
 		endpoints: make(map[NodeID]Endpoint),
 		partition: make(map[NodeID]string),
-		downNodes: make(map[NodeID]bool),
 	}
 }
 
@@ -74,25 +72,14 @@ func NewNetwork(s *Scheduler) *Network {
 func (n *Network) Scheduler() *Scheduler { return n.sched }
 
 // Register attaches an endpoint under an ID. Re-registering replaces the
-// previous endpoint (used to simulate restarts).
+// previous endpoint (an adversary takes over its node's ID this way).
 func (n *Network) Register(id NodeID, ep Endpoint) {
 	n.endpoints[id] = ep
 }
 
-// SetDown marks a node as crashed (true) or recovered (false).
-func (n *Network) SetDown(id NodeID, down bool) {
-	if down {
-		n.downNodes[id] = true
-	} else {
-		delete(n.downNodes, id)
-	}
-}
-
-// IsDown reports whether a node is crashed.
-func (n *Network) IsDown(id NodeID) bool { return n.downNodes[id] }
-
 // SetPartition assigns a node to a partition group. Nodes only communicate
-// within their group. The empty group is the default for all nodes.
+// within their group. The empty group is the default for all nodes; a group
+// of its own, such as the node's ID, crashes a node.
 func (n *Network) SetPartition(id NodeID, group string) {
 	if group == "" {
 		delete(n.partition, id)
@@ -107,14 +94,10 @@ func (n *Network) HealPartitions() {
 }
 
 // Send schedules delivery of msg from one node to another. Messages to
-// unknown, crashed, or partitioned-away nodes are silently dropped, like
-// packets on a real network.
+// unknown or partitioned-away nodes are silently dropped, like packets on a
+// real network.
 func (n *Network) Send(from, to NodeID, msg any) {
 	n.sent++
-	if n.downNodes[from] || n.downNodes[to] {
-		n.dropped++
-		return
-	}
 	if n.partition[from] != n.partition[to] {
 		n.dropped++
 		return
@@ -130,7 +113,7 @@ func (n *Network) Send(from, to NodeID, msg any) {
 	}
 	n.sched.After(delay, func() {
 		ep := n.endpoints[to]
-		if ep == nil || n.downNodes[to] {
+		if ep == nil {
 			n.dropped++
 			return
 		}

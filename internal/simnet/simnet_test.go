@@ -160,14 +160,14 @@ func TestNetworkDrops(t *testing.T) {
 
 	// Unknown destination: dropped.
 	n.Send("a", "nobody", 1)
-	// Crashed destination.
-	n.SetDown("b", true)
+	// Crashed destination: a partition of one.
+	n.SetPartition("b", "b")
 	n.Send("a", "b", 2)
-	n.SetDown("b", false)
+	n.SetPartition("b", "")
 	// Crashed sender.
-	n.SetDown("a", true)
+	n.SetPartition("a", "a")
 	n.Send("a", "b", 3)
-	n.SetDown("a", false)
+	n.SetPartition("a", "")
 	s.Drain(10)
 	if len(r.msgs) != 0 {
 		t.Fatalf("messages leaked: %v", r.msgs)
