@@ -108,6 +108,14 @@ func TestResponseDigestPinned(t *testing.T) {
 		{Version: 1, Timestamp: 1231006505, Bits: 0x207fffff, Nonce: 2},
 		{Version: 0x20000000, PrevBlock: btc.Hash{9}, MerkleRoot: btc.Hash{31: 4}, Timestamp: 1231007105, Bits: 0x207fffff, Nonce: 0xffffffff},
 	}, TipHeight: 1}
+	snap := &obs.Snapshot{
+		Counters: []obs.CounterPoint{{Name: "canister_payloads_total", Value: 7}},
+		Gauges:   []obs.GaugePoint{{Name: "canister_tip_height", Value: 11}, {Name: "neg", Value: -2}},
+		Histograms: []obs.HistogramPoint{{Name: "canister_payload_duration_ns",
+			Bounds: []int64{10, 100}, Counts: []uint64{1, 0, 2}, Count: 3, Sum: 250}},
+		Families: []obs.FamilyPoint{{Name: "canister_method_calls_total", Label: "method",
+			Values: []obs.LabelValue{{Value: "get_balance", Count: 2}}}},
+	}
 	health := &canister.HealthStatus{AdapterState: adapter.StateSyncing, AdapterHeight: 12, TipHeight: 11,
 		AnchorHeight: 5, AvailableHeight: 11, TipLag: 1, Synced: true}
 	for _, row := range []struct {
@@ -136,6 +144,9 @@ func TestResponseDigestPinned(t *testing.T) {
 		{"metrics", &canister.MetricsResult{Encoded: []byte("icbtc/obs-snapshot\n\x00\x01")},
 			"7dab06dcc92f923a5823cb41b45d59ffd2abf44f85a80d122d6bf334d7cf9624",
 			"e053f04c26660b0aa9e07b08eaf7d713fda90077a5cf18734d985fe8639407c7"},
+		{"metrics snapshot", snap,
+			"a220934e0933ab25d9c44fc607cfecd66903388a5697ecbb2c1d9db031bb9713",
+			"36109a2e2ac5906a3e170be9c27ed78c0fae95df4e5083f849b236109eb790ab"},
 		{"gauges", []obs.GaugePoint{{Name: "canister_tip_height", Value: 11}, {Name: "neg", Value: -2}},
 			"0c477a00638fc9091d68ef89efc81b25cda12e95c02f2a0482e5ffb0089e0d07",
 			"fd5ae2a1ad7347e39ae214e69c6e600808e32c177727f7091dcf54c5361069d9"},
