@@ -3,7 +3,6 @@ package adapter
 import (
 	"time"
 
-	"icbtc/internal/btc"
 	"icbtc/internal/simnet"
 )
 
@@ -123,15 +122,6 @@ func (a *Adapter) PeerBanned(id simnet.NodeID) bool {
 
 // Degraded reports whether the stall detector has fired.
 func (a *Adapter) Degraded() bool { return a.degraded }
-
-// BlockRequestAttempts returns the attempt count of an in-flight block
-// request, 0 if none is pending (test hook for the retry lifecycle).
-func (a *Adapter) BlockRequestAttempts(h btc.Hash) int {
-	if req := a.requestedBlocks[h]; req != nil {
-		return req.attempts
-	}
-	return 0
-}
 
 // Health assembles the adapter's current self-report.
 func (a *Adapter) Health() Health {

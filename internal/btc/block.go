@@ -176,53 +176,6 @@ func MerkleRootFromHashes(hashes []Hash) Hash {
 	return level[0]
 }
 
-// MerkleProof is an inclusion proof for one leaf of a Merkle tree.
-type MerkleProof struct {
-	Index    int
-	Siblings []Hash
-}
-
-// BuildMerkleProof constructs a proof that hashes[index] is included in the
-// tree rooted at MerkleRootFromHashes(hashes).
-func BuildMerkleProof(hashes []Hash, index int) (*MerkleProof, error) {
-	if index < 0 || index >= len(hashes) {
-		return nil, fmt.Errorf("btc: merkle index %d out of range [0,%d)", index, len(hashes))
-	}
-	proof := &MerkleProof{Index: index}
-	level := make([]Hash, len(hashes))
-	copy(level, hashes)
-	pos := index
-	for len(level) > 1 {
-		if len(level)%2 == 1 {
-			level = append(level, level[len(level)-1])
-		}
-		sibling := pos ^ 1
-		proof.Siblings = append(proof.Siblings, level[sibling])
-		next := make([]Hash, 0, len(level)/2)
-		for i := 0; i < len(level); i += 2 {
-			next = append(next, hashPair(level[i], level[i+1]))
-		}
-		level = next
-		pos /= 2
-	}
-	return proof, nil
-}
-
-// Verify checks the proof against a leaf hash and expected root.
-func (p *MerkleProof) Verify(leaf, root Hash) bool {
-	acc := leaf
-	pos := p.Index
-	for _, sib := range p.Siblings {
-		if pos%2 == 0 {
-			acc = hashPair(acc, sib)
-		} else {
-			acc = hashPair(sib, acc)
-		}
-		pos /= 2
-	}
-	return acc == root
-}
-
 // --- Compact-bits difficulty targets ---
 
 // CompactToBig converts the 32-bit compact ("Bits") representation to the

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -166,53 +165,6 @@ func TestMerkleRootAllocations(t *testing.T) {
 func TestMerkleRootEmpty(t *testing.T) {
 	if MerkleRootFromHashes(nil) != ZeroHash {
 		t.Fatal("empty merkle root must be zero")
-	}
-}
-
-func TestMerkleProof(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for _, n := range []int{1, 2, 3, 5, 8, 13} {
-		hashes := make([]Hash, n)
-		for i := range hashes {
-			rng.Read(hashes[i][:])
-		}
-		root := MerkleRootFromHashes(hashes)
-		for i := 0; i < n; i++ {
-			proof, err := BuildMerkleProof(hashes, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !proof.Verify(hashes[i], root) {
-				t.Fatalf("n=%d i=%d: proof did not verify", n, i)
-			}
-			// Proof must not verify a different leaf.
-			var other Hash
-			rng.Read(other[:])
-			if proof.Verify(other, root) {
-				t.Fatalf("n=%d i=%d: proof verified a random leaf", n, i)
-			}
-		}
-	}
-	if _, err := BuildMerkleProof([]Hash{{}}, 5); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-}
-
-func TestQuickMerkleProof(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%16) + 1
-		rng := rand.New(rand.NewSource(seed))
-		hashes := make([]Hash, n)
-		for i := range hashes {
-			rng.Read(hashes[i][:])
-		}
-		root := MerkleRootFromHashes(hashes)
-		i := rng.Intn(n)
-		proof, err := BuildMerkleProof(hashes, i)
-		return err == nil && proof.Verify(hashes[i], root)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

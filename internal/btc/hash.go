@@ -8,7 +8,6 @@ package btc
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 )
 
 // HashSize is the byte length of a Bitcoin hash.
@@ -62,22 +61,6 @@ func (h Hash) Less(o Hash) bool {
 		}
 	}
 	return false
-}
-
-// NewHashFromString parses a display-order hex string.
-func NewHashFromString(s string) (Hash, error) {
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return Hash{}, fmt.Errorf("btc: parsing hash: %w", err)
-	}
-	if len(raw) != HashSize {
-		return Hash{}, fmt.Errorf("btc: hash must be %d bytes, got %d", HashSize, len(raw))
-	}
-	var h Hash
-	for i := 0; i < HashSize; i++ {
-		h[i] = raw[HashSize-1-i]
-	}
-	return h, nil
 }
 
 // Hash160 computes SHA256 followed by a truncated second SHA256.

@@ -1,9 +1,6 @@
 package btc
 
-import (
-	"math/big"
-	"time"
-)
+import "time"
 
 // Params bundles the per-network consensus parameters the simulation uses.
 type Params struct {
@@ -103,9 +100,4 @@ func ParamsForNetwork(n Network) *Params {
 	default:
 		return RegtestParams()
 	}
-}
-
-// GenesisWork returns w(genesis) for the network.
-func (p *Params) GenesisWork() *big.Int {
-	return WorkForBits(p.GenesisHeader.Bits)
 }

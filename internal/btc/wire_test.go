@@ -69,26 +69,6 @@ func TestVarBytesLimit(t *testing.T) {
 	}
 }
 
-func TestHashStringRoundTrip(t *testing.T) {
-	h := DoubleSHA256([]byte("hello"))
-	parsed, err := NewHashFromString(h.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed != h {
-		t.Fatalf("round trip mismatch: %s != %s", parsed, h)
-	}
-}
-
-func TestNewHashFromStringErrors(t *testing.T) {
-	if _, err := NewHashFromString("zz"); err == nil {
-		t.Error("invalid hex accepted")
-	}
-	if _, err := NewHashFromString("abcd"); err == nil {
-		t.Error("short hash accepted")
-	}
-}
-
 func TestDoubleSHA256KnownVector(t *testing.T) {
 	// Double SHA-256 of the empty string.
 	h := DoubleSHA256(nil)

@@ -5,6 +5,7 @@ import (
 
 	"icbtc/internal/adapter"
 	"icbtc/internal/btc"
+	"icbtc/internal/obs"
 )
 
 // TestGetHealthServesWhileUnsynced: get_health must answer — and explain —
@@ -148,5 +149,56 @@ func TestHealthFramePropagation(t *testing.T) {
 	v, _ = replica.Query(r.ctx(), "get_health", nil)
 	if h := v.(*HealthStatus); h.Degraded || h.AdapterState != adapter.StateSyncing {
 		t.Fatalf("replica stuck degraded: %+v", h)
+	}
+}
+
+// TestGetMetricsStampsChainGauges: get_metrics answers with the registry's
+// snapshot, and each deterministic gauge in it is the chain state the
+// canister reports through its own accessors.
+func TestGetMetricsStampsChainGauges(t *testing.T) {
+	r := newRig(t, 43)
+	if _, err := r.miner.MineChain(10, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.feedChain()
+	v, err := r.can.Query(r.ctx(), "get_metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := v.(*obs.Snapshot)
+	if !ok {
+		t.Fatalf("get_metrics answered %T, want *obs.Snapshot", v)
+	}
+	got := map[string]int64{}
+	for _, g := range snap.Gauges {
+		got[g.Name] = g.Value
+	}
+	synced := int64(0)
+	if r.can.Synced() {
+		synced = 1
+	}
+	want := map[string]int64{
+		"canister_tip_height":       r.can.TipHeight(),
+		"canister_anchor_height":    r.can.AnchorHeight(),
+		"canister_available_height": r.can.AvailableHeight(),
+		"canister_stable_utxos":     int64(r.can.StableUTXOCount()),
+		"canister_unstable_blocks":  int64(r.can.UnstableBlockCount()),
+		"canister_synced":           synced,
+	}
+	if len(DeterministicMetricGauges) != len(want) {
+		t.Fatalf("DeterministicMetricGauges has %d names, the test checks %d", len(DeterministicMetricGauges), len(want))
+	}
+	for _, name := range DeterministicMetricGauges {
+		w, checked := want[name]
+		if !checked {
+			t.Errorf("%s: no expected value", name)
+			continue
+		}
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s = %d (present %v), canister reports %d", name, g, ok, w)
+		}
+	}
+	if r.can.TipHeight() != 10 || synced != 1 {
+		t.Fatalf("fed chain: tip %d synced %v", r.can.TipHeight(), r.can.Synced())
 	}
 }

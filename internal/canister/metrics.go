@@ -85,20 +85,13 @@ func (c *BitcoinCanister) recordDispatch(method string, meter *ic.Meter, before 
 	}
 }
 
-// MetricsResult is the get_metrics response: the canister's obs snapshot in
-// its canonical statecodec encoding (obs.DecodeSnapshot parses it). Shipping
-// the encoded form keeps the response digest — and therefore the certified
-// envelope — a pure function of the metric values.
-type MetricsResult struct {
-	Encoded []byte
-}
-
-// GetMetrics serves the get_metrics endpoint. Like get_health it skips
-// checkServable — telemetry must remain readable exactly when the canister
-// is unhealthy. Chain-position gauges are stamped from live state at serve
-// time, so two replicas at the same frame report identical values for them
-// (the subset the differential harness compares).
-func (c *BitcoinCanister) GetMetrics(ctx *ic.CallContext) (*MetricsResult, error) {
+// GetMetrics serves the get_metrics endpoint: the registry's snapshot, which
+// the response digest certifies like any other answer. Like get_health it
+// skips checkServable — telemetry must remain readable exactly when the
+// canister is unhealthy. Chain-position gauges are stamped from live state
+// at serve time, so two replicas at the same frame report identical values
+// for them (the subset the differential harness compares).
+func (c *BitcoinCanister) GetMetrics(ctx *ic.CallContext) (*obs.Snapshot, error) {
 	ctx.Meter.Charge(ic.CostRequestBase, "request_base")
 	r := c.met.reg
 	r.Gauge("canister_tip_height").Set(c.tipNode().Height)
@@ -111,7 +104,7 @@ func (c *BitcoinCanister) GetMetrics(ctx *ic.CallContext) (*MetricsResult, error
 		synced = 1
 	}
 	r.Gauge("canister_synced").Set(synced)
-	return &MetricsResult{Encoded: r.Snapshot().Encode()}, nil
+	return r.Snapshot(), nil
 }
 
 // DeterministicMetricGauges is the subset of get_metrics gauge names that

@@ -276,7 +276,7 @@ var methodTable = []*MethodDesc{
 			return c.GetHealth(ctx)
 		}),
 	nullaryMethod("get_metrics", MethodReadOnly, false,
-		"*MetricsResult",
+		"*obs.Snapshot",
 		func(c *BitcoinCanister, ctx *ic.CallContext) (any, error) {
 			return c.GetMetrics(ctx)
 		}),

@@ -841,13 +841,9 @@ func (h *Harness) probeDigests(c *canister.BitcoinCanister) []probeDigest {
 // deterministicMetricsView reduces a get_metrics response to the gauges in
 // canister.DeterministicMetricGauges, in that list's (sorted) order.
 func deterministicMetricsView(v any) any {
-	res, ok := v.(*canister.MetricsResult)
+	snap, ok := v.(*obs.Snapshot)
 	if !ok {
 		return v
-	}
-	snap, err := obs.DecodeSnapshot(res.Encoded)
-	if err != nil {
-		return fmt.Sprintf("difftest: undecodable metrics snapshot: %v", err)
 	}
 	byName := make(map[string]int64, len(snap.Gauges))
 	for _, g := range snap.Gauges {

@@ -141,9 +141,6 @@ func TestResponseDigestPinned(t *testing.T) {
 		{"health", health,
 			"00f409ece216440d524a2c57667300224b63f3a7272a39eafc2a8484b8f643c5",
 			"25de5303c298e0ea56d15dee2bf896cafa8ae0354643e7cce0cf4cd535264823"},
-		{"metrics", &canister.MetricsResult{Encoded: []byte("icbtc/obs-snapshot\n\x00\x01")},
-			"7dab06dcc92f923a5823cb41b45d59ffd2abf44f85a80d122d6bf334d7cf9624",
-			"e053f04c26660b0aa9e07b08eaf7d713fda90077a5cf18734d985fe8639407c7"},
 		{"metrics snapshot", snap,
 			"a220934e0933ab25d9c44fc607cfecd66903388a5697ecbb2c1d9db031bb9713",
 			"36109a2e2ac5906a3e170be9c27ed78c0fae95df4e5083f849b236109eb790ab"},

@@ -139,58 +139,6 @@ func TestSnapshotEncodeDeterminism(t *testing.T) {
 	}
 }
 
-func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("requests_total").Add(12)
-	r.Gauge("tip_height").Set(840_000)
-	h := r.Histogram("latency_ns", DurationBuckets)
-	h.Observe(250_000)
-	h.Observe(2_000_000)
-	h.Observe(50_000_000_000) // overflow
-	r.Family("calls_total", "method").With("get_utxos").Add(9)
-	r.Family("calls_total", "method").With("get_tip").Add(4)
-
-	s := r.Snapshot()
-	enc := s.Encode()
-	got, err := DecodeSnapshot(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !bytes.Equal(got.Encode(), enc) {
-		t.Fatal("re-encode of decoded snapshot differs")
-	}
-	if len(got.Counters) != 1 || got.Counters[0].Value != 12 {
-		t.Fatalf("counters: %+v", got.Counters)
-	}
-	if len(got.Families) != 1 || len(got.Families[0].Values) != 2 || got.Families[0].Values[0].Value != "get_tip" {
-		t.Fatalf("families: %+v", got.Families)
-	}
-	if _, err := DecodeSnapshot(enc[:len(enc)-2]); err == nil {
-		t.Fatal("truncated snapshot decoded without error")
-	}
-}
-
-// TestDecodeSnapshotRejectsBadHistograms: the decoder refuses a histogram
-// newHistogram would panic on, and one whose Count is not the sum of its
-// buckets. A zero-bound histogram with observations sent Quantile to
-// Bounds[-1].
-func TestDecodeSnapshotRejectsBadHistograms(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		h    HistogramPoint
-	}{
-		{"no boundary", HistogramPoint{Name: "h", Counts: []uint64{1}, Count: 1}},
-		{"boundaries not ascending", HistogramPoint{Name: "h", Bounds: []int64{10, 10}, Counts: []uint64{1, 0, 0}, Count: 1}},
-		{"count not the bucket sum", HistogramPoint{Name: "h", Bounds: []int64{10}, Counts: []uint64{1, 2}, Count: 4}},
-		{"bucket sum overflows", HistogramPoint{Name: "h", Bounds: []int64{10}, Counts: []uint64{1 << 63, 1 << 63}, Count: 0}},
-	} {
-		enc := (&Snapshot{Histograms: []HistogramPoint{tc.h}}).Encode()
-		if _, err := DecodeSnapshot(enc); err == nil {
-			t.Errorf("%s: decoded without error", tc.name)
-		}
-	}
-}
-
 // TestMergeDeterminism: merging any permutation of snapshots yields
 // identical bytes, and values sum.
 func TestMergeDeterminism(t *testing.T) {
@@ -270,14 +218,6 @@ func TestRegistryClockAndTracer(t *testing.T) {
 	if !events[0].At.Equal(time.Unix(100, 0)) {
 		t.Fatalf("event stamped %v, want injected clock time", events[0].At)
 	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("WriteText wrote nothing")
-	}
 }
 
 func TestTracerCapDrops(t *testing.T) {
@@ -355,10 +295,16 @@ func TestConcurrentUse(t *testing.T) {
 				h.Observe(int64(j))
 				f.With(string(rune('a' + i%4))).Inc()
 				if j%100 == 0 {
-					// A snapshot taken mid-Observe still decodes: its
+					// A snapshot taken mid-Observe is self-consistent: its
 					// count is the sum of the buckets it copied.
-					if _, err := DecodeSnapshot(r.Snapshot().Encode()); err != nil {
-						t.Error(err)
+					for _, hp := range r.Snapshot().Histograms {
+						var sum uint64
+						for _, c := range hp.Counts {
+							sum += c
+						}
+						if sum != hp.Count {
+							t.Errorf("%s: count %d, buckets hold %d", hp.Name, hp.Count, sum)
+						}
 					}
 				}
 			}

@@ -11,8 +11,8 @@ import (
 
 // Snapshot is a point-in-time copy of a registry's metrics, in sorted name
 // (and label) order. Equal metric values always produce equal snapshots,
-// and Encode renders equal snapshots as identical bytes — the property the
-// chaos determinism test and the certified get_metrics endpoint rest on.
+// and Encode renders equal snapshots as identical bytes — the property
+// chaos's MetricsDigest rests on.
 type Snapshot struct {
 	Counters   []CounterPoint
 	Gauges     []GaugePoint
@@ -142,17 +142,9 @@ const snapshotMagic = "icbtc/obs-snapshot\n"
 // snapshotVersion is the current encoding version.
 const snapshotVersion uint16 = 1
 
-// Bounds on decoded section sizes — corrupt-input guards, far above any
-// real registry.
-const (
-	maxSnapshotMetrics = 1 << 16
-	maxSnapshotBuckets = 1 << 10
-	maxMetricName      = 1 << 10
-)
-
 // Encode serializes the snapshot canonically via statecodec (versioned,
 // checksummed, no map walks): equal snapshots encode to identical bytes, so
-// the encoding is certifiable and comparable across runs.
+// chaos's MetricsDigest compares runs by hashing it.
 func (s *Snapshot) Encode() []byte {
 	e := statecodec.NewEncoder(snapshotMagic, snapshotVersion, 1024)
 	e.Uvarint(uint64(len(s.Counters)))
@@ -189,87 +181,6 @@ func (s *Snapshot) Encode() []byte {
 		}
 	}
 	return e.Finish()
-}
-
-// DecodeSnapshot parses an Encode output. Names within a section, and a
-// family's children, must be strictly ascending, as Snapshot and Merge write
-// them: a repeated or misplaced name would decode to a snapshot that merges
-// into other bytes. A histogram must have the shape newHistogram accepts —
-// at least one boundary, strictly ascending — and a Count equal to the sum
-// of its buckets, or Quantile would read past its boundaries.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	d, err := statecodec.NewDecoder(data, snapshotMagic, snapshotVersion)
-	if err != nil {
-		return nil, fmt.Errorf("obs: snapshot: %w", err)
-	}
-	s := &Snapshot{}
-	for i, n := 0, d.CountFor(maxSnapshotMetrics, 9); i < n; i++ {
-		s.Counters = append(s.Counters, CounterPoint{Name: d.String(maxMetricName), Value: d.U64()})
-		if i > 0 && s.Counters[i].Name <= s.Counters[i-1].Name {
-			return nil, fmt.Errorf("obs: snapshot counter %d: name %q not after %q", i, s.Counters[i].Name, s.Counters[i-1].Name)
-		}
-	}
-	for i, n := 0, d.CountFor(maxSnapshotMetrics, 9); i < n; i++ {
-		s.Gauges = append(s.Gauges, GaugePoint{Name: d.String(maxMetricName), Value: d.I64()})
-		if i > 0 && s.Gauges[i].Name <= s.Gauges[i-1].Name {
-			return nil, fmt.Errorf("obs: snapshot gauge %d: name %q not after %q", i, s.Gauges[i].Name, s.Gauges[i-1].Name)
-		}
-	}
-	for i, n := 0, d.CountFor(maxSnapshotMetrics, 18); i < n; i++ {
-		h := HistogramPoint{Name: d.String(maxMetricName)}
-		if i > 0 && h.Name <= s.Histograms[i-1].Name {
-			return nil, fmt.Errorf("obs: snapshot histogram %d: name %q not after %q", i, h.Name, s.Histograms[i-1].Name)
-		}
-		nb := d.CountFor(maxSnapshotBuckets, 8)
-		for j := 0; j < nb; j++ {
-			h.Bounds = append(h.Bounds, d.I64())
-		}
-		h.Counts = make([]uint64, nb+1)
-		var total uint64
-		overflow := false
-		for j := range h.Counts {
-			h.Counts[j] = d.U64()
-			total += h.Counts[j]
-			overflow = overflow || total < h.Counts[j]
-		}
-		h.Count = d.U64()
-		h.Sum = d.I64()
-		s.Histograms = append(s.Histograms, h)
-		if d.Err() != nil {
-			return nil, fmt.Errorf("obs: snapshot histogram %d: %w", i, d.Err())
-		}
-		if nb == 0 {
-			return nil, fmt.Errorf("obs: snapshot histogram %s: no bucket boundary", h.Name)
-		}
-		for j := 1; j < nb; j++ {
-			if h.Bounds[j] <= h.Bounds[j-1] {
-				return nil, fmt.Errorf("obs: snapshot histogram %s: boundary %d not above %d", h.Name, h.Bounds[j], h.Bounds[j-1])
-			}
-		}
-		if overflow || total != h.Count {
-			return nil, fmt.Errorf("obs: snapshot histogram %s: count %d, buckets hold %d", h.Name, h.Count, total)
-		}
-	}
-	for i, n := 0, d.CountFor(maxSnapshotMetrics, 3); i < n; i++ {
-		f := FamilyPoint{Name: d.String(maxMetricName), Label: d.String(maxMetricName)}
-		if i > 0 && f.Name <= s.Families[i-1].Name {
-			return nil, fmt.Errorf("obs: snapshot family %d: name %q not after %q", i, f.Name, s.Families[i-1].Name)
-		}
-		for j, nv := 0, d.CountFor(maxSnapshotMetrics, 9); j < nv; j++ {
-			f.Values = append(f.Values, LabelValue{Value: d.String(maxMetricName), Count: d.U64()})
-			if j > 0 && f.Values[j].Value <= f.Values[j-1].Value {
-				return nil, fmt.Errorf("obs: snapshot family %s: child %q not after %q", f.Name, f.Values[j].Value, f.Values[j-1].Value)
-			}
-		}
-		s.Families = append(s.Families, f)
-		if d.Err() != nil {
-			return nil, fmt.Errorf("obs: snapshot family %d: %w", i, d.Err())
-		}
-	}
-	if err := d.Close(); err != nil {
-		return nil, fmt.Errorf("obs: snapshot: %w", err)
-	}
-	return s, nil
 }
 
 // Merge combines snapshots (typically one per subsystem registry) into one:

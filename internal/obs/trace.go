@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,22 +121,4 @@ func (t *Tracer) Events() ([]Event, uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...), t.dropped
-}
-
-// WriteText renders the recorded events one per line
-// ("<unix-nanos> <name> <detail>") plus a trailing dropped-count line when
-// events were lost.
-func (t *Tracer) WriteText(w io.Writer) error {
-	events, dropped := t.Events()
-	for _, ev := range events {
-		if _, err := fmt.Fprintf(w, "%d %s %s\n", ev.At.UnixNano(), ev.Name, ev.Detail); err != nil {
-			return err
-		}
-	}
-	if dropped > 0 {
-		if _, err := fmt.Fprintf(w, "# dropped %d events (buffer cap %d)\n", dropped, t.cap); err != nil {
-			return err
-		}
-	}
-	return nil
 }

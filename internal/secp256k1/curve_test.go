@@ -224,22 +224,6 @@ func TestDERRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestCompactSignatureRoundTrip(t *testing.T) {
-	key := mustKey(t, 779)
-	digest := sha256.Sum256([]byte("compact"))
-	sig, _ := key.Sign(digest[:])
-	got, err := ParseCompactSignature(sig.SerializeCompact())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.R.Cmp(sig.R) != 0 || got.S.Cmp(sig.S) != 0 {
-		t.Fatal("compact round trip mismatch")
-	}
-	if _, err := ParseCompactSignature(make([]byte, 63)); err == nil {
-		t.Fatal("short compact signature accepted")
-	}
-}
-
 func TestSchnorrSignVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 10; i++ {
@@ -273,22 +257,6 @@ func TestSchnorrSerializationRoundTrip(t *testing.T) {
 	}
 	if got.RX.Cmp(sig.RX) != 0 || got.S.Cmp(sig.S) != 0 {
 		t.Fatal("schnorr serialization round trip mismatch")
-	}
-}
-
-func TestPrivateKeyFromBytesRange(t *testing.T) {
-	if _, err := PrivateKeyFromBytes(make([]byte, 32)); err == nil {
-		t.Fatal("zero key accepted")
-	}
-	nb := make([]byte, 32)
-	N().FillBytes(nb)
-	if _, err := PrivateKeyFromBytes(nb); err == nil {
-		t.Fatal("key == n accepted")
-	}
-	one := make([]byte, 32)
-	one[31] = 1
-	if _, err := PrivateKeyFromBytes(one); err != nil {
-		t.Fatalf("key 1 rejected: %v", err)
 	}
 }
 

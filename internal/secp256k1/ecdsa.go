@@ -39,15 +39,6 @@ func GeneratePrivateKey(r io.Reader) (*PrivateKey, error) {
 	}
 }
 
-// PrivateKeyFromBytes builds a private key from a 32-byte big-endian scalar.
-func PrivateKeyFromBytes(b []byte) (*PrivateKey, error) {
-	d := new(big.Int).SetBytes(b)
-	if d.Sign() == 0 || d.Cmp(curveN) >= 0 {
-		return nil, errors.New("secp256k1: private key scalar out of range")
-	}
-	return &PrivateKey{D: d}, nil
-}
-
 // PubKey derives the public key d*G.
 func (k *PrivateKey) PubKey() *PublicKey {
 	return &PublicKey{Point: ScalarBaseMult(k.D)}
@@ -265,23 +256,4 @@ func ParseDERSignature(data []byte) (*Signature, error) {
 		return nil, bad("trailing bytes")
 	}
 	return &Signature{R: r, S: sv}, nil
-}
-
-// SerializeCompact encodes the signature as 64 bytes (r || s).
-func (s *Signature) SerializeCompact() []byte {
-	out := make([]byte, 64)
-	s.R.FillBytes(out[:32])
-	s.S.FillBytes(out[32:])
-	return out
-}
-
-// ParseCompactSignature decodes a 64-byte r||s signature.
-func ParseCompactSignature(data []byte) (*Signature, error) {
-	if len(data) != 64 {
-		return nil, fmt.Errorf("secp256k1: compact signature must be 64 bytes, got %d", len(data))
-	}
-	return &Signature{
-		R: new(big.Int).SetBytes(data[:32]),
-		S: new(big.Int).SetBytes(data[32:]),
-	}, nil
 }
