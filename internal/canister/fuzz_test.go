@@ -13,6 +13,7 @@ import (
 	"icbtc/internal/btc"
 	"icbtc/internal/canister"
 	"icbtc/internal/experiments"
+	"icbtc/internal/ingest"
 	"icbtc/internal/statecodec"
 	"icbtc/internal/utxo"
 )
@@ -48,19 +49,41 @@ func FuzzStatecodecDecode(f *testing.F) {
 }
 
 // checkSnapshotRoundTrip is the snapshot targets' oracle: RestoreSnapshot
-// returns, and a snapshot it accepts re-snapshots to the bytes it came from.
+// and a two-worker RestoreSnapshotParallel return and agree on whether to
+// accept, and a snapshot they accept re-snapshots to the bytes it came
+// from even after the buffer it was restored from has been overwritten.
 func checkSnapshotRoundTrip(t *testing.T, data []byte) {
-	c, err := canister.RestoreSnapshot(data)
-	if err != nil {
-		return // clean rejection is the expected path
+	restores := []struct {
+		name    string
+		restore func([]byte) (*canister.BitcoinCanister, error)
+	}{
+		{"RestoreSnapshot", canister.RestoreSnapshot},
+		{"RestoreSnapshotParallel", func(in []byte) (*canister.BitcoinCanister, error) {
+			return canister.RestoreSnapshotParallel(in, ingest.Config{Workers: 2})
+		}},
 	}
-	again, err := c.Snapshot()
-	if err != nil {
-		t.Fatalf("restored canister cannot re-snapshot: %v", err)
+	var accepted []bool
+	for _, r := range restores {
+		in := bytes.Clone(data)
+		c, err := r.restore(in)
+		accepted = append(accepted, err == nil)
+		if err != nil {
+			continue // clean rejection is the expected path
+		}
+		for i := range in {
+			in[i] = 0xA5
+		}
+		again, err := c.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: restored canister cannot re-snapshot: %v", r.name, err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("%s: restored state is non-canonical or aliases its input: %d bytes in, %d bytes back",
+				r.name, len(data), len(again))
+		}
 	}
-	if !bytes.Equal(again, data) {
-		t.Fatalf("decoder silently accepted a non-canonical snapshot: %d bytes in, %d bytes back",
-			len(data), len(again))
+	if accepted[0] != accepted[1] {
+		t.Fatalf("RestoreSnapshot accepted=%v but RestoreSnapshotParallel accepted=%v", accepted[0], accepted[1])
 	}
 }
 

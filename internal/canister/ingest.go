@@ -175,6 +175,12 @@ func (c *BitcoinCanister) ProcessPayloadPipelined(ctx *ic.CallContext, payload a
 // still unstable at the end. The final state is byte-identical to parsing
 // each block and feeding it through ProcessPayload. Undecodable entries
 // count as rejected blocks.
+//
+// The blocks are parsed without a copy (ingest.PrepareWire), so each block
+// the canister keeps, with its scripts, aliases its wire slice: every slice
+// must stay immutable for as long as the canister holds that block, and a
+// batch sliced from one buffer keeps the whole buffer live until its last
+// block is released.
 func (c *BitcoinCanister) SyncWire(ctx *ic.CallContext, wire [][]byte, cfg ingest.Config) (SyncStats, error) {
 	if len(wire) == 0 {
 		return SyncStats{}, nil

@@ -443,7 +443,9 @@ func TestProcessPayloadPipelinedMatchesSerial(t *testing.T) {
 }
 
 // TestRestoreSnapshotParallel: the sharded restore must reproduce the
-// serial restore exactly — same re-snapshot bytes — at every worker count.
+// serial restore exactly — same re-snapshot bytes — at every worker count,
+// and share no memory with its input: each width restores from a private
+// copy of the snapshot that is overwritten before the re-snapshot.
 func TestRestoreSnapshotParallel(t *testing.T) {
 	r := newRig(t, 11)
 	wire, _ := chainWire(t, r, 15, 6)
@@ -462,19 +464,25 @@ func TestRestoreSnapshotParallel(t *testing.T) {
 		t.Fatal("serial restore is not byte-stable")
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		restored, err := RestoreSnapshotParallel(snap, ingest.Config{Workers: workers})
+		in := bytes.Clone(snap)
+		restored, err := RestoreSnapshotParallel(in, ingest.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		for i := range in {
+			in[i] = 0xA5
+		}
 		if !bytes.Equal(snapshotOf(t, restored), want) {
-			t.Fatalf("workers=%d: parallel restore diverged", workers)
+			t.Fatalf("workers=%d: restored state diverged or aliases its input", workers)
 		}
 	}
 }
 
 // TestFramePrepareEquivalence: applying prepared frames must produce the
 // same replica state as applying raw frames, and a corrupt frame must
-// surface the same error either way.
+// surface the same error either way. A decoded frame shares nothing with
+// its input: each prepared frame is decoded from a private copy that is
+// overwritten before the frame is applied.
 func TestFramePrepareEquivalence(t *testing.T) {
 	r := newRig(t, 13)
 	_, blocks := chainWire(t, r, 10, 4)
@@ -499,11 +507,15 @@ func TestFramePrepareEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb, err := DecodeFrame(raw)
+		in := bytes.Clone(raw)
+		fb, err := DecodeFrame(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fb.Prepare(ingest.Config{Workers: 4})
+		for j := range in {
+			in[j] = 0xA5
+		}
 		if err := plain.ApplyFrame(fa); err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +523,7 @@ func TestFramePrepareEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(snapshotOf(t, plain), snapshotOf(t, prepared)) {
-			t.Fatalf("frame %d: prepared apply diverged", i)
+			t.Fatalf("frame %d: prepared apply diverged or aliases the frame's input", i)
 		}
 	}
 	if !bytes.Equal(snapshotOf(t, plain), snapshotOf(t, authority)) {

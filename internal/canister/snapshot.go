@@ -164,7 +164,8 @@ func (c *BitcoinCanister) Snapshot() ([]byte, error) {
 // RestoreSnapshot reconstructs a canister from a snapshot produced by
 // Snapshot. The restored canister is byte-for-byte equivalent: it answers
 // every request identically to the canister the snapshot was taken from,
-// and re-snapshotting it reproduces the input bytes.
+// and re-snapshotting it reproduces the input bytes. It shares no memory
+// with data, which the caller may reuse or drop at once.
 func RestoreSnapshot(data []byte) (*BitcoinCanister, error) {
 	return restoreSnapshot(data, 1)
 }
@@ -172,11 +173,11 @@ func RestoreSnapshot(data []byte) (*BitcoinCanister, error) {
 // RestoreSnapshotParallel is RestoreSnapshot with the two decode-dominant
 // sections sharded across workers: the UTXO set's script table and address
 // buckets (utxo.DecodeSetParallel) and the unstable blocks' wire parsing
-// (zero-copy, txids hashed off the spans — which also pre-warms the memos
+// (txids hashed off the spans, which also pre-warms the memos
 // WarmQueryState would otherwise compute). Merging is deterministic; the
 // restored canister is identical to RestoreSnapshot's, including its
-// re-snapshot bytes. Replica fast-sync hydration uses this. The restored
-// blocks alias data, which must stay immutable.
+// re-snapshot bytes, and likewise shares no memory with data. Replica
+// fast-sync hydration uses this.
 func RestoreSnapshotParallel(data []byte, cfg ingest.Config) (*BitcoinCanister, error) {
 	return restoreSnapshot(data, cfg.NormalizedWorkers())
 }
@@ -279,8 +280,9 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 
 	// Unstable blocks arrive in have order; appending keeps the list sorted.
 	// The wire slices are collected in one scan and parsed on the pipeline
-	// (above one worker zero-copy, txid memos sealed from the spans) while
-	// this goroutine attaches them in order.
+	// (each into a private copy, txid memos sealed from the spans) while
+	// this goroutine attaches them in order. The copy is what keeps a few
+	// unstable blocks from pinning the whole snapshot buffer.
 	nBlocks := d.CountFor(maxSnapshotBlocks, btc.BlockHeaderSize+1)
 	c.have = make([]haveEntry, 0, nBlocks)
 	attach := func(i int, block *btc.Block, err error) error {
@@ -310,18 +312,13 @@ func restoreSnapshot(data []byte, workers int) (*BitcoinCanister, error) {
 			return nil, fmt.Errorf("canister: restore: %w", d.Err())
 		}
 	}
-	// One worker is RestoreSnapshot, whose blocks must not alias data.
-	parse := btc.ParseBlockFast
-	if workers <= 1 {
-		parse = btc.ParseBlock
-	}
 	type parsed struct {
 		block *btc.Block
 		err   error
 	}
 	if err := ingest.Map(nBlocks, ingest.Config{Workers: workers},
 		func(_, i int) parsed {
-			b, err := parse(raws[i])
+			b, err := btc.ParseBlock(raws[i])
 			return parsed{block: b, err: err}
 		},
 		func(i int, p parsed) error { return attach(i, p.block, p.err) },

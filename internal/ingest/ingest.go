@@ -69,9 +69,9 @@ func (c Config) NormalizedWorkers() int { return max(c.Workers, 1) }
 
 // instrumented wraps a run's produce and consume with obs recording on
 // registry r: ingest_produce_duration_ns is observed on worker goroutines
-// (Observe is atomic), ingest_consume_duration_ns and ingest_items_total on
-// the sequential consumer, and ingest_window_depth reports the configured
-// prefetch window.
+// (Observe is safe for concurrent use), ingest_consume_duration_ns and
+// ingest_items_total on the sequential consumer, and ingest_window_depth
+// reports the configured prefetch window.
 func instrumented[T any](r *obs.Registry, window int,
 	produce func(worker, i int) T, consume func(i int, v T) error,
 ) (func(worker, i int) T, func(i int, v T) error) {

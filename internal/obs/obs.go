@@ -20,12 +20,14 @@
 //     the schedule can never be bit-identical across runs.
 //
 // Hot-path cost: Counter.Add is one atomic add; Histogram.Observe is a
-// short binary search plus two atomic adds. TestInstrumentsAllocationFree
-// holds both to zero allocations. Every type is nil-receiver safe, so
-// optional instrumentation needs no guards.
+// short binary search plus two adds under the histogram's own lock (every
+// Observe site runs per block, payload, frame or header, never per query).
+// TestInstrumentsAllocationFree holds both to zero allocations. Every type
+// is nil-receiver safe, so optional instrumentation needs no guards.
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -233,13 +235,16 @@ func (g *Gauge) Value() int64 {
 //	counts[m]   — the overflow bucket, v >= B(m-1)
 //
 // Observe is allocation-free: a binary search over the boundaries plus
-// two atomic adds. The count is the sum of the buckets, so it holds no
-// counter of its own that a concurrent snapshot could read out of step.
+// two adds under mu. The count is the sum of the buckets, and a snapshot
+// copies the buckets and the sum under the same lock, so a point's Sum and
+// Count always come from one moment.
 type Histogram struct {
 	name   string
 	bounds []int64
-	counts []atomic.Uint64
-	sum    atomic.Int64
+
+	mu     sync.Mutex
+	counts []uint64
+	sum    int64
 }
 
 func newHistogram(name string, bounds []int64) *Histogram {
@@ -254,7 +259,7 @@ func newHistogram(name string, bounds []int64) *Histogram {
 	return &Histogram{
 		name:   name,
 		bounds: append([]int64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
+		counts: make([]uint64, len(bounds)+1),
 	}
 }
 
@@ -266,12 +271,27 @@ func (h *Histogram) Observe(v int64) {
 	// First i with v < bounds[i]: 0 is the underflow bucket, len(bounds)
 	// the overflow bucket.
 	i := sort.Search(len(h.bounds), func(i int) bool { return v < h.bounds[i] })
-	h.counts[i].Add(1)
-	h.sum.Add(v)
+	h.mu.Lock()
+	h.counts[i]++
+	h.sum += v
+	h.mu.Unlock()
 }
 
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
+
+// point copies the histogram's buckets and sum under its lock.
+func (h *Histogram) point() HistogramPoint {
+	p := HistogramPoint{Name: h.name, Bounds: slices.Clone(h.bounds)}
+	h.mu.Lock()
+	p.Counts = slices.Clone(h.counts)
+	p.Sum = h.sum
+	h.mu.Unlock()
+	for _, c := range p.Counts {
+		p.Count += c
+	}
+	return p
+}
 
 // Family is a set of counters sharing one metric name, distinguished by a
 // single label. Children are created on first use; iteration (and the

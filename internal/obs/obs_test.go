@@ -28,7 +28,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 
 	want := []uint64{3, 2, 2, 2}
 	for i, w := range want {
-		if got := h.counts[i].Load(); got != w {
+		if got := h.counts[i]; got != w {
 			t.Errorf("bucket %d: got %d want %d", i, got, w)
 		}
 	}
@@ -36,7 +36,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 		t.Errorf("count: got %d want 9", got)
 	}
 	wantSum := int64(-5 + 0 + 9 + 10 + 19 + 20 + 39 + 40 + (1 << 40))
-	if got := h.sum.Load(); got != wantSum {
+	if got := h.sum; got != wantSum {
 		t.Errorf("sum: got %d want %d", got, wantSum)
 	}
 }
@@ -317,6 +317,42 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if s.Histograms[0].Count != 8000 {
 		t.Fatalf("histogram: got %d want 8000", s.Histograms[0].Count)
+	}
+}
+
+// TestHistogramPointIsOneMoment: a snapshot taken while two goroutines
+// observe the value 1 must read each histogram's Sum and buckets from one
+// moment, so every point has Sum == Count.
+func TestHistogramPointIsOneMoment(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("ones", []int64{1, 2})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(1)
+				}
+			}
+		}()
+	}
+	torn := 0
+	for i := 0; i < 20000; i++ {
+		p := r.Snapshot().Histograms[0]
+		if p.Sum != int64(p.Count) {
+			torn++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if torn > 0 {
+		t.Fatalf("%d of 20000 snapshots read Sum != Count", torn)
 	}
 }
 

@@ -58,8 +58,9 @@ type LabelValue struct {
 }
 
 // Snapshot copies the registry's current metric values. Counters written
-// concurrently with the snapshot land in it or in the next one; consumers
-// needing a group-consistent view coordinate externally (queryfleet's
+// concurrently with the snapshot land in it or in the next one; each
+// histogram is read whole under its own lock. Consumers needing a
+// group-consistent view across metrics coordinate externally (queryfleet's
 // Stats lock does).
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{}
@@ -80,17 +81,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Gauges = append(s.Gauges, GaugePoint{Name: g.name, Value: g.Value()})
 	}
 	for _, h := range hists {
-		p := HistogramPoint{
-			Name:   h.name,
-			Bounds: append([]int64(nil), h.bounds...),
-			Counts: make([]uint64, len(h.counts)),
-			Sum:    h.sum.Load(),
-		}
-		for i := range h.counts {
-			p.Counts[i] = h.counts[i].Load()
-			p.Count += p.Counts[i]
-		}
-		s.Histograms = append(s.Histograms, p)
+		s.Histograms = append(s.Histograms, h.point())
 	}
 	for _, f := range families {
 		p := FamilyPoint{Name: f.name, Label: f.label}
