@@ -515,6 +515,17 @@ var deletedNames = []deletedName{
 		tests: true,
 		probe: `	if a.BlockRequestAttempts(h) > 0 && p.GenesisWork().Sign() > 0 {`,
 	},
+	{
+		rule: "each UTXO is stored once",
+		reason: "the outpoint table's arena holds every UTXO of the set, and a height group names its " +
+			"entries by 4-byte arena refs; the 48-byte per-bucket copy of each entry it replaced cost every " +
+			"canister and replica 44 bytes a UTXO. Its name returning means a second copy of the set is " +
+			"coming back",
+		words: []string{"bucketEntry"},
+		roots: []string{"internal/utxo"},
+		tests: true,
+		probe: `	entries []bucketEntry`,
+	},
 }
 
 // TestDeletedNamesStayDeleted runs the table: no covered file holds a row's

@@ -449,10 +449,11 @@ func FuzzStrictFold(f *testing.F) {
 }
 
 // flatten lists a bucket's entries in storage order, each with its height.
-func (b *bucket) flatten() []UTXO {
+func (b *bucket) flatten(t *outpointTable) []UTXO {
 	var out []UTXO
 	for _, g := range b.groups {
-		for _, e := range g.entries {
+		for _, ref := range g.refs {
+			e := t.at(ref)
 			out = append(out, UTXO{OutPoint: e.op, Value: e.value, Height: g.height})
 		}
 	}
@@ -467,36 +468,36 @@ func TestBucketInsertGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 300; iter++ {
 		var b bucket
+		tbl := newOutpointTable(uint64(iter), 0)
 		var want []UTXO
 		var balance int64
-		seen := make(map[btc.OutPoint]bool)
-		randEntry := func(height, value int64) bucketEntry {
+		randEntry := func(height, value int64) uint32 {
 			for {
-				e := bucketEntry{value: value}
-				rng.Read(e.op.TxID[:2]) // short txids collide on purpose: vout breaks ties
-				e.op.Vout = uint32(rng.Intn(3))
-				if !seen[e.op] {
-					seen[e.op] = true
-					want = append(want, UTXO{OutPoint: e.op, Value: value, Height: height})
+				var op btc.OutPoint
+				rng.Read(op.TxID[:2]) // short txids collide on purpose: vout breaks ties
+				op.Vout = uint32(rng.Intn(3))
+				if ref, fresh := tbl.put(&op); fresh {
+					tbl.at(ref).value, *tbl.heightAt(ref) = value, height
+					want = append(want, UTXO{OutPoint: op, Value: value, Height: height})
 					balance += value
-					return e
+					return ref
 				}
 			}
 		}
 		for i, n := 0, rng.Intn(30); i < n; i++ {
 			h := int64(rng.Intn(6))
-			b.insertGroup(h, []bucketEntry{randEntry(h, int64(i))})
+			b.insertGroup(tbl.chunks, h, []uint32{randEntry(h, int64(i))})
 		}
 		h := int64(rng.Intn(8)) // often above existing heights, sometimes inside
-		batch := make([]bucketEntry, 1+rng.Intn(20))
+		batch := make([]uint32, 1+rng.Intn(20))
 		for i := range batch {
 			batch[i] = randEntry(h, int64(100+i))
 		}
-		sortEntries(batch)
-		b.insertGroup(h, batch)
+		tbl.chunks.sortRefs(batch)
+		b.insertGroup(tbl.chunks, h, batch)
 
 		sort.Slice(want, func(i, j int) bool { return storageBefore(&want[i], &want[j]) })
-		got := b.flatten()
+		got := b.flatten(&tbl)
 		if len(got) != len(want) || b.count != len(want) || b.balance != balance {
 			t.Fatalf("iter %d: %d entries (count %d, balance %d), want %d (balance %d)",
 				iter, len(got), b.count, b.balance, len(want), balance)

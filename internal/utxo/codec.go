@@ -26,9 +26,10 @@ import (
 //   - O(bytes) restore: every entry is written with its interned-script
 //     reference and every script with its memoized address key, so decoding
 //     performs no address decoding, no ScriptID hashing, and no sorting.
-//     Bucket groups are cut from the stored (already canonical) order, laid
-//     out in page order as they are read; running balances are accumulated
-//     in the same pass.
+//     Entries are written straight into the outpoint table's arena, each
+//     bucket in page order in a window of its own, and its groups are cut
+//     as refs into that window from the stored (already canonical) order;
+//     running balances are accumulated in the same pass.
 //
 // Snapshots carry a checksum (see statecodec), so a decoder failure means a
 // framing bug or version skew, not silent corruption. Ordering invariants
@@ -98,8 +99,8 @@ func (s *Set) EncodeTo(e *statecodec.Encoder) {
 		e.Uvarint(uint64(b.count))
 		for gi := range b.groups {
 			g := &b.groups[gi]
-			for i := range g.entries {
-				u := &g.entries[i]
+			for _, ref := range g.refs {
+				u := s.table.at(ref)
 				e.Raw(u.op.TxID[:])
 				e.U32(u.op.Vout)
 				e.I64(u.value)
@@ -112,9 +113,10 @@ func (s *Set) EncodeTo(e *statecodec.Encoder) {
 
 // DecodeSet reads a set encoded by EncodeTo. Restore cost is linear in the
 // snapshot bytes: scripts are interned straight from the stored table (keys
-// included, a script's id being its stored position), bucket groups are cut
-// from the stored order, and the outpoint table, reference counts and running
-// balances are rebuilt bucket by bucket as each is read.
+// included, a script's id being its stored position), entries are written
+// into the arena and bucket groups cut from the stored order, and the
+// outpoint index, reference counts and running balances are rebuilt bucket
+// by bucket as each is read.
 func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	network := btc.Network(d.U8())
 	total := d.CountFor(maxSnapshotEntries, setEntryBytes)
@@ -126,20 +128,16 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 	}
 	// Pre-size the table and every map from the stored counts — incremental
 	// growth would re-hash the whole table log(n) times and dominate restore.
+	table, arena := newFilledTable(rand.Uint64(), total)
 	s := &Set{
 		network:   network,
-		table:     newOutpointTable(rand.Uint64(), total),
+		table:     table,
 		byAddress: make(map[string]*bucket, nScripts),
 		scripts:   scripts,
 		interned:  interned,
 	}
 
 	nBuckets := d.CountFor(maxSnapshotEntries, lengthPrefixedMin2)
-	// One arena backs every bucket's entries: a single allocation and one
-	// contiguous zeroing instead of per-group garbage. Groups take
-	// capacity-limited sub-slices, so a post-restore insert that outgrows
-	// its group reallocates that group normally.
-	arena := make([]bucketEntry, total)
 	bd := bucketDecoder{scripts: scripts}
 	decoded := 0
 	for i := 0; i < nBuckets; i++ {
@@ -154,11 +152,11 @@ func DecodeSet(d *statecodec.Decoder) (*Set, error) {
 		if decoded+n > total {
 			return nil, fmt.Errorf("utxo: snapshot bucket %q overflows declared entry count %d", key, total)
 		}
-		b, err := bd.decode(d, key, arena[decoded:decoded+n])
+		b, err := bd.decode(d, key, arena.cut(decoded, decoded+n))
 		if err != nil {
 			return nil, err
 		}
-		if err := s.indexBucket(key, b); err != nil {
+		if err := s.indexBucket(key, b, uint32(decoded)); err != nil {
 			return nil, err
 		}
 		decoded += n
@@ -211,18 +209,19 @@ type bucketDecoder struct {
 	groups  []heightGroup
 }
 
-// decode reads len(dst) stored entries into dst — the bucket's window of the
-// shared arena — cutting a height group at every height change and verifying
-// the storage order on the way. The outpoint table is not touched (see
+// decode reads the bucket's stored entries into w, its window of the table's
+// arena, cutting a height group at every height change and verifying the
+// storage order on the way. The outpoint index is not touched (see
 // Set.indexBucket), so shard workers can decode buckets concurrently.
 //
 // The window is laid out in page order: the highest group at the lowest
-// address, each group forward, so a page walk (groups from the highest down)
+// ref, each group forward, so a page walk (groups from the highest down)
 // streams forward through memory. Stored entry j lands at its mirrored place
-// len(dst)-1-j, which leaves each group backwards at its final place; a group
-// is turned round as soon as it ends, while it is still in cache. The groups
+// n-1-j, which leaves each group backwards at its final place; a group is
+// turned round as soon as it ends, while it is still in cache. The groups
 // slice stays height-ascending, as everywhere else.
-func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketEntry) (*bucket, error) {
+func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, w arenaWindow) (*bucket, error) {
+	dst := w.entries
 	b := &bucket{count: len(dst)}
 	bd.groups = bd.groups[:0]
 	n := len(dst)
@@ -255,43 +254,42 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, dst []bucketE
 				return nil, fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", key, j)
 			}
 			if h > height {
-				bd.groups = append(bd.groups, pageGroup(dst, n-j, n-start, height))
+				bd.groups = append(bd.groups, pageGroup(w, n-j, n-start, height))
 				start = j
 			}
 		}
 		height = h
 		b.balance += e.value
+		w.heights[n-1-j] = h
+		w.refs[j] = w.base + uint32(j)
 	}
 	if n > 0 {
-		bd.groups = append(bd.groups, pageGroup(dst, 0, n-start, height))
+		bd.groups = append(bd.groups, pageGroup(w, 0, n-start, height))
 	}
 	b.groups = slices.Clone(bd.groups)
 	return b, nil
 }
 
-// pageGroup turns the finished group dst[lo:hi], written backwards, forward
-// and cuts it off as the group at height.
-func pageGroup(dst []bucketEntry, lo, hi int, height int64) heightGroup {
-	g := dst[lo:hi:hi]
-	slices.Reverse(g)
-	return heightGroup{height: height, entries: g}
+// pageGroup turns the finished group w.entries[lo:hi], written backwards,
+// forward (its heights are all equal) and cuts its refs off as the group at
+// height. The cut is capacity-limited, so a post-restore insert that
+// outgrows its group reallocates that group normally.
+func pageGroup(w arenaWindow, lo, hi int, height int64) heightGroup {
+	slices.Reverse(w.entries[lo:hi])
+	return heightGroup{height: height, refs: w.refs[lo:hi:hi]}
 }
 
-// indexBucket installs a decoded bucket: its entries join the outpoint table,
-// with the reference counts they imply. It walks the bucket's window front to
-// back, the highest group first, as decode laid it out. An empty stored
-// bucket is read and dropped, as the set never holds one.
-func (s *Set) indexBucket(key string, b *bucket) error {
-	for gi := len(b.groups) - 1; gi >= 0; gi-- {
-		g := &b.groups[gi]
-		for i := range g.entries {
-			e := &g.entries[i]
-			te, fresh := s.table.put(&e.op)
-			if !fresh {
-				return fmt.Errorf("utxo: snapshot outpoint %s duplicated", e.op)
-			}
-			s.enter(te, e.value, g.height, e.script)
+// indexBucket installs a decoded bucket whose window starts at ref base: its
+// entries join the outpoint index, with the reference counts they imply. It
+// walks the window front to back, the highest group first, as decode laid it
+// out. An empty stored bucket is read and dropped, as the set never holds
+// one.
+func (s *Set) indexBucket(key string, b *bucket, base uint32) error {
+	for ref := base; ref < base+uint32(b.count); ref++ {
+		if !s.table.place(ref) {
+			return fmt.Errorf("utxo: snapshot outpoint %s duplicated", s.table.at(ref).op)
 		}
+		s.scripts[s.table.at(ref).script].refs++
 	}
 	if b.count > 0 {
 		s.byAddress[key] = b
@@ -307,12 +305,12 @@ type bucketSpan struct {
 	key        string
 	n          int
 	start, end int // entry bytes window
-	arenaOff   int // the bucket's slot in the shared entry arena
+	arenaOff   int // the bucket's first slot in the table's arena
 }
 
 // shardResult is one shard's decoded buckets (entries written into disjoint
-// arena windows, groups cut, balances accumulated, order verified), ready
-// for the sequential merge.
+// windows of the table's arena, groups cut, balances accumulated, order
+// verified), ready for the sequential merge.
 type shardResult struct {
 	buckets []*bucket
 	err     error
@@ -320,9 +318,11 @@ type shardResult struct {
 
 // DecodeSetParallel reads a set encoded by EncodeTo using up to `workers`
 // goroutines: a cheap scan pass records the script-table and bucket byte
-// windows, the script table and bucket shards decode concurrently, and a
-// sequential merge — running as shards complete, in deterministic shard
-// order — rebuilds the outpoint table and reference counts.
+// windows, the script table and bucket shards decode concurrently — each
+// shard writing its buckets' entries straight into their windows of the
+// table's arena — and a sequential merge, running as shards complete, in
+// deterministic shard order, only places index words and counts script
+// references.
 // The format is unchanged (same bytes DecodeSet reads) and the resulting
 // set is identical to DecodeSet's; with workers <= 1 it IS DecodeSet.
 //
@@ -429,16 +429,15 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 		return nil, st.err
 	}
 
+	// Shards fill disjoint windows of the arena, as in the serial decoder.
+	table, arena := newFilledTable(rand.Uint64(), total)
 	s := &Set{
 		network:   network,
-		table:     newOutpointTable(rand.Uint64(), total),
+		table:     table,
 		byAddress: make(map[string]*bucket, nScripts),
 		scripts:   st.list,
 		interned:  st.interned,
 	}
-	// One arena backs every bucket's entries, as in the serial decoder;
-	// shards fill disjoint windows.
-	arena := make([]bucketEntry, total)
 
 	results := make([]chan shardResult, len(shards))
 	for si := range shards {
@@ -452,7 +451,7 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 					res.err = err
 					break
 				}
-				b, err := bd.decode(w, sp.key, arena[sp.arenaOff:sp.arenaOff+sp.n])
+				b, err := bd.decode(w, sp.key, arena.cut(sp.arenaOff, sp.arenaOff+sp.n))
 				if err != nil {
 					res.err = err
 					break
@@ -463,7 +462,7 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 		}(shards[si], results[si])
 	}
 
-	// Merge shards in order as they complete: the outpoint table and the
+	// Merge shards in order as they complete: the outpoint index and the
 	// reference counts are sequential state, so this loop is the only
 	// writer. A failed shard still drains the others before returning.
 	var firstErr error
@@ -476,7 +475,7 @@ func DecodeSetParallel(d *statecodec.Decoder, workers int) (*Set, error) {
 			continue
 		}
 		for bi, sp := range shards[si] {
-			if firstErr = s.indexBucket(sp.key, res.buckets[bi]); firstErr != nil {
+			if firstErr = s.indexBucket(sp.key, res.buckets[bi], uint32(sp.arenaOff)); firstErr != nil {
 				break
 			}
 		}

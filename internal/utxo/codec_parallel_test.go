@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"icbtc/internal/btc"
 	"icbtc/internal/statecodec"
@@ -65,10 +64,11 @@ func TestDecodeSetParallelEquivalence(t *testing.T) {
 }
 
 // TestDecodedBucketsInPageOrder: both decoders lay every bucket out in page
-// order — the highest height group at the lowest address of the bucket's
-// window, each lower group right after it, each group forward — so a page
-// walk streams forward through memory; the set still re-encodes to the
-// bytes it was decoded from and pages as the set it was encoded from.
+// order in the table's arena — the highest height group at the bucket's
+// lowest ref, each lower group right after it, each group forward — so a
+// page walk streams forward through memory: a hydrated bucket's refs, read
+// in page order, are consecutive and ascending. The set still re-encodes to
+// the bytes it was decoded from and pages as the set it was encoded from.
 func TestDecodedBucketsInPageOrder(t *testing.T) {
 	src := buildRandomSet(5, 4000) // ~330 entries a bucket over 300 heights: groups of several
 	snap := encodeSet(src)
@@ -82,22 +82,21 @@ func TestDecodedBucketsInPageOrder(t *testing.T) {
 		}
 		multi := 0
 		for key, b := range s.byAddress {
-			top := b.groups[len(b.groups)-1].entries
-			at := unsafe.Pointer(unsafe.SliceData(top))
+			next := b.groups[len(b.groups)-1].refs[0]
 			for k := len(b.groups) - 1; k >= 0; k-- {
-				g := b.groups[k].entries
-				if unsafe.Pointer(unsafe.SliceData(g)) != at {
-					t.Fatalf("workers %d, bucket %s: group %d of %d is not where the group above it ends", workers, key, k, len(b.groups))
-				}
-				for i := 1; i < len(g); i++ {
-					if cmpOutPoint(&g[i-1].op, &g[i].op) >= 0 {
+				g := b.groups[k].refs
+				for i, ref := range g {
+					if ref != next {
+						t.Fatalf("workers %d, bucket %s: group %d of %d holds ref %d at %d, want %d", workers, key, k, len(b.groups), ref, i, next)
+					}
+					if i > 0 && cmpOutPoint(&s.table.at(g[i-1]).op, &s.table.at(ref).op) >= 0 {
 						t.Fatalf("workers %d, bucket %s: group %d is not forward", workers, key, k)
 					}
+					next++
 				}
 				if len(g) > 1 {
 					multi++
 				}
-				at = unsafe.Add(at, uintptr(len(g))*unsafe.Sizeof(g[0]))
 			}
 			want, _, _, _ := src.MergedPage(key, nil, nil, nil, b.count)
 			got, _, _, _ := s.MergedPage(key, nil, nil, nil, b.count)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -67,6 +68,46 @@ func buildRandomSet(seed int64, outputs int) *Set {
 		}
 	}
 	return s
+}
+
+// TestDecodedSetBytesPerEntry pins what a restored set weighs: the live heap
+// a serial DecodeSet leaves, per entry, on 50 000 entries over 256 addresses
+// and 100 heights (two entries a height group, as at the benchmark's tip).
+// Each entry is stored once, in the outpoint table's arena, and named by a
+// 4-byte ref in its height group: 98.4 bytes an entry here, where a second,
+// 48-byte copy of every entry in its bucket weighed 142.3.
+func TestDecodedSetBytesPerEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	src := New(btc.Regtest)
+	scripts := make([][]byte, 256)
+	for i := range scripts {
+		scripts[i] = btc.PayToPubKeyHashScript([20]byte{byte(i), 0xaa})
+	}
+	for src.Len() < 50_000 {
+		var op btc.OutPoint
+		rng.Read(op.TxID[:])
+		out := btc.TxOut{Value: 1 + rng.Int63n(1e8), PkScript: scripts[rng.Intn(len(scripts))]}
+		if err := src.Add(op, out, 1+rng.Int63n(100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := encodeSet(src)
+	src = nil
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := decodeSet(t, snap)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / float64(s.Len())
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(snap)
+	t.Logf("%.1f bytes an entry over %d entries", perEntry, s.Len())
+	const bound = 110
+	if perEntry > bound {
+		t.Fatalf("a decoded set weighs %.1f bytes an entry, bound is %d", perEntry, bound)
+	}
 }
 
 func assertSetsEqual(t *testing.T, want, got *Set) {

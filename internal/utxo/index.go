@@ -10,13 +10,14 @@ import (
 )
 
 // Ordered address index. Each address bucket is a height-ascending slice of
-// per-height groups; a group holds the bucket's UTXOs created at one height
-// in canonical txid/vout order, and a group that empties is dropped. The
-// height lives once in the group and the script is the 4-byte id of the
-// interned copy (Set.scripts), so an entry is 48 bytes and holds no pointer:
-// a group's entries are memory the collector never scans. Entries are stored
-// inline, not as references into the outpoint table's arena, so a page walk
-// reads a group front to back without a second lookup.
+// per-height groups; a group holds the refs of the bucket's UTXOs created at
+// one height, in canonical txid/vout order, and a group that empties is
+// dropped. A UTXO is stored once, as its entry in the outpoint table's arena
+// (table.go); a group names it by its 4-byte arena ref, so the groups too are
+// memory the collector never scans. A page walk reads each entry through its
+// ref — one dependent load and the entry's 48-byte column, not its height —
+// against 44 bytes a UTXO that a second, inline copy in the bucket would
+// cost every replica.
 //
 //   - A fold appends: heights ascend block over block, so a block's outputs
 //     for an address become one new group at the end of its bucket, handed
@@ -29,26 +30,25 @@ import (
 //     group forward; a cursor is located by one search over the group heights
 //     and one inside the group.
 //   - A hydrated bucket (DecodeSet, DecodeSetParallel) lies in page order in
-//     its arena window: the highest group at the lowest address, so that walk
-//     streams forward through memory. A fold's groups are allocations of
-//     their own.
+//     the arena: the highest group's entries at the lowest refs, each lower
+//     group right after, so that walk streams forward through memory. A
+//     fold's outputs take whatever slots the table hands out.
+//   - A group reads the arena from the trailing index half too (a search by
+//     outpoint, a same-height merge, a balance), while the next block's
+//     table half takes and puts entries. One rule makes that safe, the held
+//     slot: a taken slot keeps its outpoint and value until every index half
+//     that may still read it has run (Set.flush). The index half resolves
+//     refs through its own copy of the chunk list, which the table half
+//     appends to.
 //
 // A running count and balance make AddressUTXOCount and the stable part of
 // get_balance O(1).
 
-// bucketEntry is one UTXO inside a height group; script is the id of its
-// interned script (see Set.scripts).
-type bucketEntry struct {
-	op     btc.OutPoint
-	script uint32
-	value  int64
-}
-
-// heightGroup holds one bucket's entries of one height, sorted by
+// heightGroup holds the refs of one bucket's entries of one height, sorted by
 // cmpOutPoint. A stored group is never empty.
 type heightGroup struct {
-	height  int64
-	entries []bucketEntry
+	height int64
+	refs   []uint32
 }
 
 // bucket is the per-address ordered container.
@@ -70,9 +70,10 @@ func cmpOutPoint(a, b *btc.OutPoint) int {
 	return cmp.Compare(a.Vout, b.Vout)
 }
 
-func sortEntries(list []bucketEntry) {
-	if len(list) > 1 {
-		slices.SortFunc(list, func(a, b bucketEntry) int { return cmpOutPoint(&a.op, &b.op) })
+// sortRefs sorts refs by the outpoints of their entries.
+func (a arena) sortRefs(refs []uint32) {
+	if len(refs) > 1 {
+		slices.SortFunc(refs, func(x, y uint32) int { return cmpOutPoint(&a.at(x).op, &a.at(y).op) })
 	}
 }
 
@@ -96,59 +97,61 @@ func (b *bucket) findGroup(height int64) (int, bool) {
 	return lo, b.groups[lo].height == height
 }
 
-// searchEntries returns where op sits (or would be inserted) in a group. The
+// searchRefs returns where op sits (or would be inserted) in a group. The
 // loop is spelled out because a comparison closure would move every
 // caller's outpoint to the heap.
-func searchEntries(entries []bucketEntry, op *btc.OutPoint) (int, bool) {
-	lo, hi := 0, len(entries)
+func (a arena) searchRefs(refs []uint32, op *btc.OutPoint) (int, bool) {
+	lo, hi := 0, len(refs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if cmpOutPoint(&entries[mid].op, op) < 0 {
+		if cmpOutPoint(&a.at(refs[mid]).op, op) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(entries) && entries[lo].op == *op
+	return lo, lo < len(refs) && a.at(refs[lo]).op == *op
 }
 
-// insertGroup adds entries of one height, sorted by cmpOutPoint: a block's
-// outputs for this bucket, or a single restored one. Normally the height is
-// new and list becomes the group as it is (the bucket takes ownership); only
-// a height the bucket already holds needs a merge.
-func (b *bucket) insertGroup(height int64, list []bucketEntry) {
+// insertGroup adds the refs of entries of one height, sorted by cmpOutPoint:
+// a block's outputs for this bucket, or a single added one. Normally the
+// height is new and refs becomes the group as it is (the bucket takes
+// ownership); only a height the bucket already holds needs a merge. The
+// entries are read through a.
+func (b *bucket) insertGroup(a arena, height int64, refs []uint32) {
 	gi, ok := b.findGroup(height)
 	if !ok {
-		b.groups = slices.Insert(b.groups, gi, heightGroup{height: height, entries: list})
+		b.groups = slices.Insert(b.groups, gi, heightGroup{height: height, refs: refs})
 	} else {
 		g := &b.groups[gi]
-		g.entries = append(g.entries, list...)
-		sortEntries(g.entries)
+		g.refs = append(g.refs, refs...)
+		a.sortRefs(g.refs)
 	}
-	b.count += len(list)
-	for i := range list {
-		b.balance += list[i].value
+	b.count += len(refs)
+	for _, ref := range refs {
+		b.balance += a.at(ref).value
 	}
 }
 
-// remove deletes the entry with the given outpoint from the group at height,
-// reporting whether it was there.
-func (b *bucket) remove(op *btc.OutPoint, height int64) bool {
+// remove deletes ref from the group at height, reporting whether it was
+// there. It finds the ref by its entry's outpoint, read through a.
+func (b *bucket) remove(a arena, ref uint32, height int64) bool {
 	gi, ok := b.findGroup(height)
 	if !ok {
 		return false
 	}
 	g := &b.groups[gi]
-	i, ok := searchEntries(g.entries, op)
-	if !ok {
+	e := a.at(ref)
+	i, ok := a.searchRefs(g.refs, &e.op)
+	if !ok || g.refs[i] != ref {
 		return false
 	}
 	b.count--
-	b.balance -= g.entries[i].value
-	if len(g.entries) == 1 {
+	b.balance -= e.value
+	if len(g.refs) == 1 {
 		b.groups = slices.Delete(b.groups, gi, gi+1)
 	} else {
-		g.entries = slices.Delete(g.entries, i, i+1)
+		g.refs = slices.Delete(g.refs, i, i+1)
 	}
 	return true
 }
@@ -157,19 +160,22 @@ func (b *bucket) remove(op *btc.OutPoint, height int64) bool {
 // (height-descending) order: groups from the highest down, each group
 // forward. The zero value is an exhausted iterator.
 type AddressIter struct {
-	// set resolves an entry's script id.
+	// set resolves a ref and an entry's script id.
 	set *Set
 	// cur is what is left of the group being emitted, at height; below are
 	// the groups still to come, the highest last.
-	cur    []bucketEntry
+	cur    []uint32
 	height int64
 	below  []heightGroup
 }
 
+// head is the entry a successful settle left the stream on.
+func (it *AddressIter) head() *tableEntry { return it.set.table.at(it.cur[0]) }
+
 // settle moves the stream onto its next entry whose outpoint ov does not
 // suppress (nil suppresses nothing), stepping down a group whenever one is
 // used up, and reports whether there is such an entry. After true, cur[0] is
-// that entry.
+// that entry's ref.
 func (it *AddressIter) settle(ov *AddressOverlay) bool {
 	for {
 		for len(it.cur) == 0 {
@@ -177,10 +183,10 @@ func (it *AddressIter) settle(ov *AddressOverlay) bool {
 			if n == 0 {
 				return false
 			}
-			it.cur, it.height = it.below[n-1].entries, it.below[n-1].height
+			it.cur, it.height = it.below[n-1].refs, it.below[n-1].height
 			it.below = it.below[:n-1]
 		}
-		if !ov.suppresses(&it.cur[0].op) {
+		if !ov.suppresses(&it.head().op) {
 			return true
 		}
 		it.cur = it.cur[1:]
@@ -192,7 +198,7 @@ func (it *AddressIter) settle(ov *AddressOverlay) bool {
 func (it *AddressIter) remaining(limit int) int {
 	n := len(it.cur)
 	for i := len(it.below) - 1; i >= 0 && n < limit; i-- {
-		n += len(it.below[i].entries)
+		n += len(it.below[i].refs)
 	}
 	return n
 }
@@ -201,7 +207,7 @@ func (it *AddressIter) remaining(limit int) int {
 // in place: a page is written where it lies, not built entry by entry and
 // copied. A coin names no script, so the script table is not read.
 func (it *AddressIter) headInto(c *Coin) {
-	e := &it.cur[0]
+	e := it.head()
 	c.OutPoint, c.Value, c.Height = e.op, e.value, it.height
 }
 
@@ -211,29 +217,33 @@ func (it *AddressIter) headBefore(u *UTXO) bool {
 	if it.height != u.Height {
 		return it.height > u.Height
 	}
-	return cmpOutPoint(&it.cur[0].op, &u.OutPoint) < 0
+	return cmpOutPoint(&it.head().op, &u.OutPoint) < 0
 }
 
 // fill copies the stream into page[n:] until the page is full or the stream
 // ends, dropping what ov suppresses (nil suppresses nothing), and returns how
 // much of the page is then written. It goes a group at a time: every entry
-// costs a copy and, when the overlay holds anything, a filter test; only an
-// entry past a set bit asks the overlay's index.
+// costs a load through its ref, a copy and, when the overlay holds anything,
+// a filter test; only an entry past a set bit asks the overlay's index.
 func (it *AddressIter) fill(page []Coin, n int, ov *AddressOverlay) int {
+	if len(it.cur) == 0 && len(it.below) == 0 {
+		return n // the zero iterator has no set
+	}
 	filtered := ov != nil && len(ov.col) > 0
+	chunks := it.set.table.chunks
 	for n < len(page) {
 		if len(it.cur) == 0 {
 			k := len(it.below)
 			if k == 0 {
 				break
 			}
-			it.cur, it.height = it.below[k-1].entries, it.below[k-1].height
+			it.cur, it.height = it.below[k-1].refs, it.below[k-1].height
 			it.below = it.below[:k-1]
 		}
 		run, height := it.cur[:min(len(it.cur), len(page)-n)], it.height
 		it.cur = it.cur[len(run):]
-		for i := range run {
-			e := &run[i]
+		for _, ref := range run {
+			e := &chunks[ref>>chunkBits][ref&(chunkSize-1)]
 			if filtered {
 				if w, bit := ov.filterBit(&e.op); ov.filter[w]&bit != 0 && ov.indexed(&e.op) {
 					continue
@@ -252,7 +262,7 @@ func (it *AddressIter) Next() (u UTXO, ok bool) {
 	if !it.settle(nil) {
 		return UTXO{}, false
 	}
-	e := &it.cur[0]
+	e := it.head()
 	u = UTXO{OutPoint: e.op, Value: e.value, PkScript: it.set.scripts[e.script].bytes, Height: it.height}
 	it.cur = it.cur[1:]
 	return u, true
@@ -286,12 +296,12 @@ func (s *Set) iterAfter(b *bucket, c pageCursor) AddressIter {
 		// below it.
 		return AddressIter{set: s, below: b.groups[:gi]}
 	}
-	entries := b.groups[gi].entries
-	q, found := searchEntries(entries, &c.op)
+	refs := b.groups[gi].refs
+	q, found := s.table.chunks.searchRefs(refs, &c.op)
 	if found {
 		q++
 	}
-	return AddressIter{set: s, cur: entries[q:], height: c.height, below: b.groups[:gi]}
+	return AddressIter{set: s, cur: refs[q:], height: c.height, below: b.groups[:gi]}
 }
 
 // AddressUTXOCount returns how many stable UTXOs an address holds.

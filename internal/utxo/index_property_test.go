@@ -60,35 +60,70 @@ func (o *mapOracle) forAddress(key string) []UTXO {
 
 // checkIndexInvariants verifies the bucket layout itself, which the
 // observable checks cannot see: group heights strictly ascending, no group
-// left empty, entries in canonical txid/vout order, count and balance equal
-// to what the groups hold, and no bucket kept once it is drained. It then
-// holds the outpoint table and the script records to the buckets: every
-// bucket entry is in the table with the same value, height and script id and
-// nothing else is, a script's reference count is the number of entries that
-// name its id, and an id on the free list is a cleared record no entry names.
+// left empty, refs in the canonical txid/vout order of their entries, count
+// and balance equal to what the groups hold, and no bucket kept once it is
+// drained. It then holds the outpoint table and the script records to the
+// buckets: every ref names a live arena slot, indexed under its outpoint, at
+// its group's height, whose script is keyed to its bucket; no ref appears
+// twice or sits on the free chain or on a chain of held slots (the table's
+// own, or one a trailing fold keeps until it is recycled); every other slot
+// is on one of those chains; a script's reference count is the number of
+// entries that name its id, and an id on the free list is a cleared record
+// no entry names.
 func checkIndexInvariants(t *testing.T, set *Set) {
 	t.Helper()
 	set.settle()
+	tbl := &set.table
+	taken := make(map[uint32]bool)
+	chains := []uint32{tbl.free, tbl.held.head}
+	for _, f := range set.trail {
+		chains = append(chains, f.held.head)
+	}
+	for _, head := range chains {
+		for _, ref := range takenChain(t, tbl, head) {
+			if taken[ref] {
+				t.Fatalf("arena slot %d is on two chains of taken slots", ref)
+			}
+			taken[ref] = true
+		}
+	}
 	total := 0
+	seen := make(map[uint32]bool, set.Len())
 	refs := make([]int32, len(set.scripts))
 	for key, b := range set.byAddress {
 		count, balance := 0, int64(0)
 		for gi, g := range b.groups {
-			if len(g.entries) == 0 {
+			if len(g.refs) == 0 {
 				t.Fatalf("bucket %s: empty group kept at height %d", key, g.height)
 			}
 			if gi > 0 && b.groups[gi-1].height >= g.height {
 				t.Fatalf("bucket %s: group heights not ascending at %d", key, gi)
 			}
-			for i, e := range g.entries {
-				if i > 0 && cmpOutPoint(&g.entries[i-1].op, &e.op) >= 0 {
+			for i, ref := range g.refs {
+				switch {
+				case ref >= tbl.used:
+					t.Fatalf("bucket %s height %d: ref %d past the %d slots handed out", key, g.height, ref, tbl.used)
+				case seen[ref]:
+					t.Fatalf("bucket %s height %d: ref %d appears twice", key, g.height, ref)
+				case taken[ref]:
+					t.Fatalf("bucket %s height %d: ref %d is on a chain of taken slots", key, g.height, ref)
+				}
+				seen[ref] = true
+				e := tbl.at(ref)
+				if e.script == freeSlot {
+					t.Fatalf("bucket %s height %d: ref %d names a taken slot", key, g.height, ref)
+				}
+				if i > 0 && cmpOutPoint(&tbl.at(g.refs[i-1]).op, &e.op) >= 0 {
 					t.Fatalf("bucket %s height %d: entries out of order at %d", key, g.height, i)
 				}
 				if k := set.scripts[e.script].key; k != key {
 					t.Fatalf("bucket %s holds an entry of %s", key, k)
 				}
-				if te := set.table.get(&e.op); te == nil || te.bucketEntry != e || te.height != g.height {
-					t.Fatalf("bucket %s height %d: entry %+v is %+v in the table", key, g.height, e, te)
+				if h := *tbl.heightAt(ref); h != g.height {
+					t.Fatalf("bucket %s height %d: ref %d names an entry of height %d", key, g.height, ref, h)
+				}
+				if _, got := tbl.get(&e.op); got != e {
+					t.Fatalf("bucket %s height %d: entry %+v is not indexed under its outpoint", key, g.height, *e)
 				}
 				refs[e.script]++
 				count++
@@ -102,6 +137,9 @@ func checkIndexInvariants(t *testing.T, set *Set) {
 			t.Fatalf("bucket %s: count %d balance %d, groups hold %d / %d", key, b.count, b.balance, count, balance)
 		}
 		total += count
+	}
+	if len(taken)+set.Len() != int(tbl.used) {
+		t.Fatalf("%d live + %d taken arena slots, %d handed out", set.Len(), len(taken), tbl.used)
 	}
 	if total != set.Len() {
 		t.Fatalf("buckets hold %d entries, outpoint table %d", total, set.Len())
@@ -464,7 +502,7 @@ func TestBucketInsertRemoveOrder(t *testing.T) {
 		if !ok {
 			t.Fatalf("no group at height %d", u.Height)
 		}
-		groups, size := len(b.groups), len(b.groups[gi].entries)
+		groups, size := len(b.groups), len(b.groups[gi].refs)
 		if _, err := set.Remove(u.OutPoint); err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +514,7 @@ func TestBucketInsertRemoveOrder(t *testing.T) {
 			if _, still := b.findGroup(u.Height); still || len(b.groups) != groups-1 {
 				t.Fatalf("height %d: emptied group kept (%d groups, had %d)", u.Height, len(b.groups), groups)
 			}
-		} else if len(b.groups) != groups || len(b.groups[gi].entries) != size-1 {
+		} else if len(b.groups) != groups || len(b.groups[gi].refs) != size-1 {
 			t.Fatalf("height %d: removal from a group of %d left %d groups (had %d)", u.Height, size, len(b.groups), groups)
 		}
 		checkIndexInvariants(t, set)

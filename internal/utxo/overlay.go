@@ -196,7 +196,7 @@ func (s *Set) MergedBalance(addressKey string, ov *AddressOverlay) (total int64,
 		return total, count
 	}
 	for i := range ov.col {
-		if e := s.table.get(&ov.col[i].OutPoint); e != nil {
+		if _, e := s.table.get(&ov.col[i].OutPoint); e != nil {
 			total -= e.value
 			count--
 		}

@@ -44,7 +44,7 @@ func mapOverlayFor(deltas []*BlockDelta, addressKey string) mapOverlay {
 // settle is AddressIter.settle as it was: one map probe per streamed entry.
 func (o mapOverlay) settle(it *AddressIter) bool {
 	for it.settle(nil) {
-		if !o.suppress[it.cur[0].op] {
+		if !o.suppress[it.head().op] {
 			return true
 		}
 		it.cur = it.cur[1:]

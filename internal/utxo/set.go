@@ -21,10 +21,11 @@
 //   - A script id indexes Set.scripts. An id is recycled once its reference
 //     count reaches zero, so nothing may hold an id across the release of
 //     its last entry.
-//   - The table's index words, its arena chunks and every height group's
-//     entries hold no pointer: the collector skips them. Pointers remain
-//     only in the script records, the two string-keyed maps and the group
-//     headers.
+//   - Each UTXO is stored once, in the table's arena; a height group holds
+//     arena refs. The table's index words, its arena chunks and every
+//     group's refs hold no pointer: the collector skips them. Pointers
+//     remain only in the script records, the two string-keyed maps and the
+//     group headers.
 //   - A block fold has two halves: the table half (outpoint table, script
 //     records, metering stats) and the index half (buckets), which the
 //     table half records and applyIndex performs. The fold returns
@@ -32,10 +33,13 @@
 //     in block order, until the first bucket read. Every bucket reader
 //     settles first: Balance, MergedBalance, MergedPage, AddressIter,
 //     AddressUTXOCount, AddressCount, UTXOsForAddress and EncodeTo wait for
-//     the index halves still running. Table readers (Get, Lookup, Value,
-//     Len, ForEach) do not wait, so a caller can go on with work that reads
-//     only the table, such as resolving owners for deltas, while the index
-//     catches up.
+//     the index halves still running. An index half reads arena slots
+//     through its groups' refs — resolved through the chunk list as its
+//     fold's table half left it, as later table halves append chunks — so a
+//     slot a fold takes is reused only once that fold's index half has run.
+//     Table readers (Get, Lookup, Value, Len, ForEach) do not wait, so a
+//     caller can go on with work that reads only the table, such as
+//     resolving owners for deltas, while the index catches up.
 //   - While a removal log is open, the table half also logs every entry it
 //     spends that was in the set before the block, so a caller can still ask
 //     what the set held before a run of folds (RemovedSince).
@@ -51,6 +55,7 @@ package utxo
 import (
 	"bytes"
 	"math/rand/v2"
+	"slices"
 
 	"icbtc/internal/btc"
 )
@@ -90,10 +95,10 @@ type Set struct {
 	scripts     []internedScript
 	freeScripts []uint32
 	interned    map[string]uint32
-	// trail holds the done channels of the last foldHandoff folds' index
-	// halves, oldest first (see flush); the last one closes once the index
-	// has caught up with the table.
-	trail []chan struct{}
+	// trail holds the last foldHandoff folds' index halves, oldest first
+	// (see flush); the last one is done once the index has caught up with
+	// the table.
+	trail []trailingFold
 	// removed is the open removal log (OpenRemovalLog); nil when none is.
 	removed *removalLog
 }
@@ -159,10 +164,12 @@ func (s *Set) ScriptInterned(script []byte) bool {
 // interned (observability).
 func (s *Set) InternedScripts() int { return len(s.interned) }
 
-// enter fills the entry table.put just created and counts it against its
-// script; its bucket entry is the caller's to insert.
-func (s *Set) enter(e *tableEntry, value, height int64, script uint32) {
-	e.value, e.height, e.script = value, height, script
+// enter fills the entry table.put just created at ref and counts it against
+// its script; the ref is the caller's to insert into a bucket.
+func (s *Set) enter(ref uint32, value, height int64, script uint32) {
+	e := s.table.at(ref)
+	e.value, e.script = value, script
+	*s.table.heightAt(ref) = height
 	s.scripts[script].refs++
 }
 
@@ -176,32 +183,34 @@ func (s *Set) bucketFor(key string) *bucket {
 	return b
 }
 
-// utxoOf materializes a stored entry.
-func (s *Set) utxoOf(e *tableEntry) UTXO {
-	return UTXO{OutPoint: e.op, Value: e.value, PkScript: s.scripts[e.script].bytes, Height: e.height}
+// utxoOf materializes a stored entry of the given height.
+func (s *Set) utxoOf(e *tableEntry, height int64) UTXO {
+	return UTXO{OutPoint: e.op, Value: e.value, PkScript: s.scripts[e.script].bytes, Height: height}
 }
 
-// drop gives up what an entry taken from the table holds besides its bucket
-// entry — its script reference — and returns its address key, read first:
-// the release may recycle the script's id.
+// drop gives up what an entry taken from the table holds besides its place
+// in a bucket — its script reference — and returns its address key, read
+// first: the release may recycle the script's id.
 func (s *Set) drop(e *tableEntry) string {
 	key := s.scripts[e.script].key
 	s.release(e.script)
 	return key
 }
 
-// removal is a spent entry's bucket entry, named by what finds it: the
-// address key, the outpoint and the height group.
+// removal is a spent entry's place in a bucket, named by what finds it: the
+// address key, the height group and the ref. The ref's slot is held until
+// the removal has run (see flush), so its outpoint and value can still be
+// read; its height cannot, as the held chain runs through it.
 type removal struct {
 	key    string
-	op     btc.OutPoint
+	ref    uint32
 	height int64
 }
 
-// unindex deletes a spent entry from its bucket; a bucket it drains is
-// dropped, so the bucket's storage is released.
-func (s *Set) unindex(r *removal) {
-	if b := s.byAddress[r.key]; b.remove(&r.op, r.height) && b.count == 0 {
+// unindex deletes a spent entry, read through a, from its bucket; a bucket
+// it drains is dropped, so the bucket's storage is released.
+func (s *Set) unindex(a arena, r *removal) {
+	if b := s.byAddress[r.key]; b.remove(a, r.ref, r.height) && b.count == 0 {
 		delete(s.byAddress, r.key)
 	}
 }
@@ -215,7 +224,7 @@ func (s *Set) Get(op btc.OutPoint) (UTXO, bool) {
 // Value returns the value of an outpoint's UTXO: Get for a caller that
 // prices rather than lists, which reads no script.
 func (s *Set) Value(op btc.OutPoint) (int64, bool) {
-	if e := s.table.get(&op); e != nil {
+	if _, e := s.table.get(&op); e != nil {
 		return e.value, true
 	}
 	return 0, false
@@ -224,18 +233,20 @@ func (s *Set) Value(op btc.OutPoint) (int64, bool) {
 // Lookup returns the UTXO for an outpoint together with its memoized address
 // key, in one probe.
 func (s *Set) Lookup(op btc.OutPoint) (UTXO, string, bool) {
-	e := s.table.get(&op)
+	ref, e := s.table.get(&op)
 	if e == nil {
 		return UTXO{}, "", false
 	}
-	return s.utxoOf(e), s.scripts[e.script].key, true
+	return s.utxoOf(e, *s.table.heightAt(ref)), s.scripts[e.script].key, true
 }
 
 // pendingInsert is one output a block apply has entered into the outpoint
 // table (script interned and referenced, bytes counted) but not yet into its
-// address bucket.
+// address bucket: its ref, and its outpoint, by which the block's spends
+// find it and the index half sorts its group.
 type pendingInsert struct {
-	entry bucketEntry
+	op  btc.OutPoint
+	ref uint32
 	// prev is the script's previous pending insert of this block, as index+1
 	// into blockMerge.pending; 0 ends the chain.
 	prev int32
@@ -253,8 +264,11 @@ type scriptChain struct {
 
 // indexWork is a block fold's index half, everything its table half left for
 // the buckets: spends of entries already in them, then each touched script's
-// surviving pending inserts as one new height group.
+// surviving pending inserts as one new height group. arena is the table's
+// chunk list as flush left it, which resolves every ref the index half
+// names.
 type indexWork struct {
+	arena    arena
 	height   int64
 	removals []removal
 	chains   []scriptChain
@@ -285,33 +299,34 @@ func (s *Set) newBlockMerge(height int64, inputs, outputs int) blockMerge {
 }
 
 // insert enters an output under the entry table.put just created for it.
-func (m *blockMerge) insert(e *tableEntry, value int64, script uint32) {
-	m.s.enter(e, value, m.height, script)
+func (m *blockMerge) insert(ref uint32, value int64, script uint32) {
+	m.s.enter(ref, value, m.height, script)
 	sc := &m.s.scripts[script]
 	if sc.pend == 0 {
 		m.chains = append(m.chains, scriptChain{script: script})
 	}
-	m.pending = append(m.pending, pendingInsert{entry: e.bucketEntry, prev: sc.pend})
+	op := &m.s.table.at(ref).op
+	m.pending = append(m.pending, pendingInsert{op: *op, ref: ref, prev: sc.pend})
 	sc.pend = int32(len(m.pending))
 	if m.byOp != nil {
-		m.byOp[e.op] = sc.pend
+		m.byOp[*op] = sc.pend
 	}
 }
 
 // spend takes op out of the table and, wherever this block's apply has left
-// its bucket entry, out of the index: a pending insert of an earlier
-// transaction of the block is marked spent, an entry in its bucket becomes a
-// removal. It reports false when the set does not hold op.
+// its ref, out of the index: a pending insert of an earlier transaction of
+// the block is marked spent, a ref in its bucket becomes a removal. It
+// reports false when the set does not hold op.
 func (m *blockMerge) spend(op btc.OutPoint) bool {
-	e, ok := m.s.table.take(&op)
+	ref, e, height, ok := m.s.table.take(&op)
 	if !ok {
 		return false
 	}
 	key := m.s.drop(&e)
-	if i := m.pendingIndex(&e); i > 0 {
+	if i := m.pendingIndex(&op, height); i > 0 {
 		m.pending[i-1].spent = true
 	} else {
-		m.removals = append(m.removals, removal{key: key, op: op, height: e.height})
+		m.removals = append(m.removals, removal{key: key, ref: ref, height: height})
 		if l := m.s.removed; l != nil {
 			l.add(removedEntry{op: op, key: key, value: e.value})
 		}
@@ -319,31 +334,41 @@ func (m *blockMerge) spend(op btc.OutPoint) bool {
 	return true
 }
 
-// pendingIndex returns, as index+1, the pending insert a spent entry came
-// from, 0 when it came from its bucket. Only an entry of this block's height
-// can be pending, but an earlier fold at the same height may have bucketed it,
-// so membership in byOp decides.
-func (m *blockMerge) pendingIndex(e *tableEntry) int32 {
-	if e.height != m.height {
+// pendingIndex returns, as index+1, the pending insert a spent entry of op
+// and height came from, 0 when it came from its bucket. Only an entry of this
+// block's height can be pending, but an earlier fold at the same height may
+// have bucketed it, so membership in byOp decides.
+func (m *blockMerge) pendingIndex(op *btc.OutPoint, height int64) int32 {
+	if height != m.height {
 		return 0
 	}
 	if m.byOp == nil {
 		m.byOp = make(map[btc.OutPoint]int32, len(m.pending))
 		for i := range m.pending {
 			// A re-created outpoint overwrites its spent predecessor.
-			m.byOp[m.pending[i].entry.op] = int32(i + 1)
+			m.byOp[m.pending[i].op] = int32(i + 1)
 		}
 	}
-	return m.byOp[e.op]
+	return m.byOp[*op]
+}
+
+// trailingFold is one fold's index half in flight: done closes once it has
+// run, and held chains the arena slots the fold's table half took, which
+// this index half and the ones before it may still read.
+type trailingFold struct {
+	done chan struct{}
+	held slotChain
 }
 
 // flush ends the table half: it reads each touched script's key and chain
 // head, clears the chain off the script record, and hands the block's index
 // half to a goroutine that runs it once the previous block's is done. With
-// foldHandoff index halves in flight it first waits for the oldest. It walks
-// no chain and sorts nothing. A script released in the block whose id was
-// reused is listed twice: the first entry reads the new script's chain and
-// clears it, the second reads an empty one.
+// foldHandoff index halves in flight it first waits for the oldest and
+// recycles the slots that fold took: no index half still running can read
+// them, as every one that could has run. It walks no chain and sorts
+// nothing. A script released in the block whose id was reused is listed
+// twice: the first entry reads the new script's chain and clears it, the
+// second reads an empty one.
 func (m *blockMerge) flush() {
 	for i := range m.chains {
 		c := &m.chains[i]
@@ -351,16 +376,19 @@ func (m *blockMerge) flush() {
 		c.key, c.head = sc.key, sc.pend
 		sc.pend = 0
 	}
+	m.arena = m.s.table.chunks
 	s, w, done := m.s, m.indexWork, make(chan struct{})
 	var prev chan struct{}
 	if n := len(s.trail); n > 0 {
-		prev = s.trail[n-1]
+		prev = s.trail[n-1].done
 	}
 	if len(s.trail) == foldHandoff {
-		<-s.trail[0]
+		<-s.trail[0].done
+		s.table.recycle(s.trail[0].held)
 		s.trail = append(s.trail[:0], s.trail[1:]...)
 	}
-	s.trail = append(s.trail, done)
+	s.trail = append(s.trail, trailingFold{done: done, held: s.table.held})
+	s.table.held = slotChain{}
 	go func() {
 		defer close(done)
 		if prev != nil {
@@ -375,18 +403,19 @@ func (m *blockMerge) flush() {
 // lock may settle at once.
 func (s *Set) settle() {
 	if n := len(s.trail); n > 0 {
-		<-s.trail[n-1]
+		<-s.trail[n-1].done
 	}
 }
 
 // applyIndex is the index half of a block fold and the fold path's one writer
 // of buckets: it performs the removals, then merges each chain's surviving
-// inserts into its bucket as one sorted height group. It reads neither the
-// table nor the script records, so it can trail the table half on a goroutine
-// of its own.
+// inserts into its bucket as one sorted height group. It reads no script
+// record, and of the table only the outpoints and values of entries it
+// names, through w.arena — slots that are live or held — so it can trail the
+// table half on a goroutine of its own.
 func (s *Set) applyIndex(w *indexWork) {
 	for i := range w.removals {
-		s.unindex(&w.removals[i])
+		s.unindex(w.arena, &w.removals[i])
 	}
 	for _, c := range w.chains {
 		n := 0
@@ -398,15 +427,22 @@ func (s *Set) applyIndex(w *indexWork) {
 		if n == 0 {
 			continue
 		}
-		list := make([]bucketEntry, n)
+		// refs holds pending indexes, in block order, until they are sorted
+		// by outpoint and swapped for the refs they carry.
+		refs := make([]uint32, n)
 		for i := c.head; i > 0; i = w.pending[i-1].prev {
-			if p := &w.pending[i-1]; !p.spent {
+			if !w.pending[i-1].spent {
 				n--
-				list[n] = p.entry
+				refs[n] = uint32(i - 1)
 			}
 		}
-		sortEntries(list)
-		s.bucketFor(c.key).insertGroup(w.height, list)
+		if len(refs) > 1 {
+			slices.SortFunc(refs, func(a, b uint32) int { return cmpOutPoint(&w.pending[a].op, &w.pending[b].op) })
+		}
+		for k, i := range refs {
+			refs[k] = w.pending[i].ref
+		}
+		s.bucketFor(c.key).insertGroup(w.arena, w.height, refs)
 	}
 }
 
@@ -417,8 +453,8 @@ func (s *Set) applyIndex(w *indexWork) {
 const foldHandoff = 4
 
 // removalLog is what folds took out of the set while the log was open: every
-// entry a fold spent that was in the set before the fold's block (its bucket
-// entry became a removal), in the order the entries left. Outputs a block
+// entry a fold spent that was in the set before the fold's block (its place
+// in a bucket became a removal), in the order the entries left. Outputs a block
 // both created and spent never were in the set, so they are not logged.
 type removalLog struct {
 	// entries[i] was logged at mark base+i; a trim drops a prefix.
@@ -552,7 +588,7 @@ func (s *Set) ApplyBlockIngest(block *btc.Block, height int64) IngestStats {
 				st.OutputsFresh++
 			}
 			op.Vout = uint32(vout)
-			e, fresh := s.table.put(&op)
+			ref, fresh := s.table.put(&op)
 			if !fresh {
 				st.Errors++
 				continue
@@ -560,7 +596,7 @@ func (s *Set) ApplyBlockIngest(block *btc.Block, height int64) IngestStats {
 			if !interned {
 				script = s.intern(out.PkScript)
 			}
-			m.insert(e, out.Value, script)
+			m.insert(ref, out.Value, script)
 		}
 	}
 	m.flush()
@@ -608,5 +644,5 @@ func (s *Set) AddressCount() int {
 // ForEach visits every UTXO in unspecified order; visit returning false
 // stops the walk.
 func (s *Set) ForEach(visit func(UTXO) bool) {
-	s.table.each(func(e *tableEntry) bool { return visit(s.utxoOf(e)) })
+	s.table.each(func(e *tableEntry, height int64) bool { return visit(s.utxoOf(e, height)) })
 }

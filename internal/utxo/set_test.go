@@ -18,12 +18,12 @@ import (
 // Add inserts an unspent output. Adding a duplicate outpoint is an error.
 func (s *Set) Add(op btc.OutPoint, out btc.TxOut, height int64) error {
 	s.settle()
-	e, fresh := s.table.put(&op)
+	ref, fresh := s.table.put(&op)
 	if !fresh {
 		return fmt.Errorf("utxo: duplicate outpoint %s", op)
 	}
-	s.enter(e, out.Value, height, s.intern(out.PkScript))
-	s.bucketFor(s.scripts[e.script].key).insertGroup(height, []bucketEntry{e.bucketEntry})
+	s.enter(ref, out.Value, height, s.intern(out.PkScript))
+	s.bucketFor(s.scripts[s.table.at(ref).script].key).insertGroup(s.table.chunks, height, []uint32{ref})
 	return nil
 }
 
@@ -34,12 +34,15 @@ var ErrMissingOutput = errors.New("utxo: output not in set")
 // no script decoding.
 func (s *Set) Remove(op btc.OutPoint) (UTXO, error) {
 	s.settle()
-	e, ok := s.table.take(&op)
+	ref, e, height, ok := s.table.take(&op)
 	if !ok {
 		return UTXO{}, fmt.Errorf("%w: %s", ErrMissingOutput, op)
 	}
-	u := s.utxoOf(&e)
-	s.unindex(&removal{key: s.drop(&e), op: op, height: e.height})
+	u := s.utxoOf(&e, height)
+	s.unindex(s.table.chunks, &removal{key: s.drop(&e), ref: ref, height: height})
+	// The removal has run, so nothing reads the slot any more.
+	s.table.recycle(s.table.held)
+	s.table.held = slotChain{}
 	return u, nil
 }
 

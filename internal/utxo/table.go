@@ -19,31 +19,58 @@ import (
 //     reads an entry only on a tag match. Probing is linear at no more than
 //     half load, which keeps a probe run inside a cache line or two.
 //   - ref indexes the arena, which grows a chunk at a time and never moves an
-//     entry; freed slots are chained through their height field and reused
-//     last-freed first. A *tableEntry stays valid until its outpoint is taken.
+//     entry; the address buckets name entries by ref too. A taken slot is
+//     held, not freed: its outpoint and value stay as they were until the
+//     set recycles the held slots, once nothing can still read them (see
+//     Set.flush). Freed slots are chained through their heights and reused
+//     last-freed first.
+//   - The arena has two columns: the entries, 48 bytes each, and their
+//     heights. A page walk reads the entries alone (its group holds the
+//     height), and a walk over a restored bucket's entries is bound by the
+//     bytes it streams.
 //
 // One level of fat slots (the entry stored in the index) would probe as fast,
 // but a doubling — which happens inside one block's fold — would allocate,
 // clear and refill 64 bytes a slot where this one moves 8, and the empty half
-// of the table would cost 64 bytes a slot too: between two doublings a set
-// here weighs 72 to 88 bytes an entry, fat slots at the same load 128 to 256.
+// of the table would cost 64 bytes a slot too: between two doublings the
+// table weighs 72 to 88 bytes an entry, fat slots at the same load 128 to
+// 256. Each entry is stored once, here; its bucket holds a 4-byte ref.
 type outpointTable struct {
-	seed   uint64
-	index  []uint64
-	chunks []*[chunkSize]tableEntry
+	seed    uint64
+	index   []uint64
+	chunks  arena
+	heights []*[chunkSize]int64
 	// used counts arena slots ever handed out; free heads the chain of freed
-	// ones, as ref+1.
+	// ones, as ref+1; held chains the slots taken since the set last handed
+	// them on.
 	used uint32
 	free uint32
+	held slotChain
 	n    int
 }
 
-// tableEntry is one stored output: its bucket entry plus the height the
-// bucket keeps once per group.
+// tableEntry is one stored output but its height, which the arena keeps in a
+// column of its own (heightAt). script is the id of its interned script (see
+// Set.scripts).
 type tableEntry struct {
-	bucketEntry
-	height int64
+	op     btc.OutPoint
+	script uint32
+	value  int64
 }
+
+// arena is the entry column's chunks. A chunk never moves once appended, so
+// a copy of the list resolves every ref handed out before the copy was made
+// while the table goes on appending chunks: the trailing index half reads
+// the arena through such a copy (indexWork.arena).
+type arena []*[chunkSize]tableEntry
+
+func (a arena) at(ref uint32) *tableEntry {
+	return &a[ref>>chunkBits][ref&(chunkSize-1)]
+}
+
+// slotChain is a list of taken arena slots linked through their heights,
+// head and tail as ref+1, zero when empty.
+type slotChain struct{ head, tail uint32 }
 
 const (
 	chunkBits = 10
@@ -51,7 +78,8 @@ const (
 
 	minIndexSlots = 8
 
-	// freeSlot in an arena slot's script field marks the slot as free.
+	// freeSlot in an arena slot's script field marks the slot as taken:
+	// held or free.
 	freeSlot = math.MaxUint32
 )
 
@@ -69,11 +97,44 @@ func indexSlotsFor(n int) int {
 // growing its index. The seed keeps slot placement out of the hands of
 // whoever chooses the outpoints.
 func newOutpointTable(seed uint64, n int) outpointTable {
+	chunks := (n + chunkSize - 1) / chunkSize
 	return outpointTable{
-		seed:   seed,
-		index:  make([]uint64, indexSlotsFor(n)),
-		chunks: make([]*[chunkSize]tableEntry, 0, (n+chunkSize-1)/chunkSize),
+		seed:    seed,
+		index:   make([]uint64, indexSlotsFor(n)),
+		chunks:  make(arena, 0, chunks),
+		heights: make([]*[chunkSize]int64, 0, chunks),
 	}
+}
+
+// arenaWindow is a run of arena slots whose first is ref base: their
+// entries, their heights, and a column of refs a bucket's groups are cut
+// from.
+type arenaWindow struct {
+	entries []tableEntry
+	heights []int64
+	refs    []uint32
+	base    uint32
+}
+
+// cut returns the window's slots [lo, hi).
+func (w arenaWindow) cut(lo, hi int) arenaWindow {
+	return arenaWindow{w.entries[lo:hi], w.heights[lo:hi], w.refs[lo:hi], w.base + uint32(lo)}
+}
+
+// newFilledTable returns a table whose first n arena slots are handed out
+// but not indexed, and those slots as one window: a decoder writes each
+// entry, its height and its ref into the window and then indexes the slot
+// (place). Each column's chunks are cut from one allocation.
+func newFilledTable(seed uint64, n int) (outpointTable, arenaWindow) {
+	t := newOutpointTable(seed, n)
+	entries := make([]tableEntry, cap(t.chunks)*chunkSize)
+	heights := make([]int64, len(entries))
+	for lo := 0; lo < len(entries); lo += chunkSize {
+		t.chunks = append(t.chunks, (*[chunkSize]tableEntry)(entries[lo:]))
+		t.heights = append(t.heights, (*[chunkSize]int64)(heights[lo:]))
+	}
+	t.used = uint32(n)
+	return t, arenaWindow{entries: entries[:n], heights: heights[:n], refs: make([]uint32, n)}
 }
 
 // outpointTag hashes an outpoint to the high half of an index word — the
@@ -94,8 +155,11 @@ func outpointTag(seed uint64, op *btc.OutPoint) uint32 {
 
 func (t *outpointTable) tag(op *btc.OutPoint) uint32 { return outpointTag(t.seed, op) }
 
-func (t *outpointTable) at(ref uint32) *tableEntry {
-	return &t.chunks[ref>>chunkBits][ref&(chunkSize-1)]
+func (t *outpointTable) at(ref uint32) *tableEntry { return t.chunks.at(ref) }
+
+// heightAt is the height column's slot of ref.
+func (t *outpointTable) heightAt(ref uint32) *int64 {
+	return &t.heights[ref>>chunkBits][ref&(chunkSize-1)]
 }
 
 // find probes for op: the slot it occupies and its entry, or the empty slot
@@ -115,41 +179,64 @@ func (t *outpointTable) find(op *btc.OutPoint, tag uint32) (uint32, *tableEntry)
 	}
 }
 
-// get returns op's entry, nil when the table does not hold it.
-func (t *outpointTable) get(op *btc.OutPoint) *tableEntry {
-	_, e := t.find(op, t.tag(op))
-	return e
+// get returns op's ref and entry, nil when the table does not hold it.
+func (t *outpointTable) get(op *btc.OutPoint) (uint32, *tableEntry) {
+	i, e := t.find(op, t.tag(op))
+	return uint32(t.index[i]) - 1, e
 }
 
-// put returns op's entry and whether this call created it. A created entry
-// has its outpoint set and the rest for the caller to fill.
-func (t *outpointTable) put(op *btc.OutPoint) (*tableEntry, bool) {
-	if 2*(t.n+1) > len(t.index) {
-		t.grow()
-	}
+// put returns the ref of op's entry and whether this call created it. A
+// created entry has its outpoint set and the rest for the caller to fill.
+func (t *outpointTable) put(op *btc.OutPoint) (uint32, bool) {
 	tag := t.tag(op)
 	i, e := t.find(op, tag)
 	if e != nil {
-		return e, false
+		return uint32(t.index[i]) - 1, false
 	}
 	ref := t.alloc()
-	t.index[i] = uint64(tag)<<32 | uint64(ref+1)
-	t.n++
-	e = t.at(ref)
-	e.op = *op
-	return e, true
+	t.at(ref).op = *op
+	t.link(i, tag, ref)
+	return ref, true
 }
 
-// take removes op and returns the entry it had.
-func (t *outpointTable) take(op *btc.OutPoint) (tableEntry, bool) {
+// place indexes the filled arena slot ref, reporting false when the table
+// already holds its outpoint.
+func (t *outpointTable) place(ref uint32) bool {
+	op := &t.at(ref).op
+	tag := t.tag(op)
+	i, e := t.find(op, tag)
+	if e == nil {
+		t.link(i, tag, ref)
+	}
+	return e == nil
+}
+
+// link writes ref's word into the empty index slot i that ended its probe
+// run, then doubles the index if that took it past half load.
+func (t *outpointTable) link(i, tag, ref uint32) {
+	t.index[i] = uint64(tag)<<32 | uint64(ref+1)
+	t.n++
+	if 2*t.n > len(t.index) {
+		t.grow()
+	}
+}
+
+// take removes op and returns its ref, the entry it had and its height. The
+// slot joins the held chain with its outpoint and value untouched: nothing
+// reuses it before the set recycles the chain.
+func (t *outpointTable) take(op *btc.OutPoint) (uint32, tableEntry, int64, bool) {
 	i, e := t.find(op, t.tag(op))
 	if e == nil {
-		return tableEntry{}, false
+		return 0, tableEntry{}, 0, false
 	}
-	taken := *e
 	ref := uint32(t.index[i]) - 1
-	e.script, e.height = freeSlot, int64(t.free)
-	t.free = ref + 1
+	taken, h := *e, t.heightAt(ref)
+	height := *h
+	e.script, *h = freeSlot, int64(t.held.head)
+	if t.held.head == 0 {
+		t.held.tail = ref + 1
+	}
+	t.held.head = ref + 1
 	t.n--
 
 	// Backward shift: every word further along the run moves into the hole
@@ -163,7 +250,15 @@ func (t *outpointTable) take(op *btc.OutPoint) (tableEntry, bool) {
 		}
 	}
 	t.index[i] = 0
-	return taken, true
+	return ref, taken, height, true
+}
+
+// recycle puts a chain of held slots in front of the free chain.
+func (t *outpointTable) recycle(c slotChain) {
+	if c.head != 0 {
+		*t.heightAt(c.tail - 1) = int64(t.free)
+		t.free = c.head
+	}
 }
 
 // alloc hands out an arena slot: the last one freed, else the next unused,
@@ -171,7 +266,7 @@ func (t *outpointTable) take(op *btc.OutPoint) (tableEntry, bool) {
 func (t *outpointTable) alloc() uint32 {
 	if t.free != 0 {
 		ref := t.free - 1
-		t.free = uint32(t.at(ref).height)
+		t.free = uint32(*t.heightAt(ref))
 		return ref
 	}
 	ref := t.used
@@ -180,6 +275,7 @@ func (t *outpointTable) alloc() uint32 {
 	}
 	if int(ref>>chunkBits) == len(t.chunks) {
 		t.chunks = append(t.chunks, new([chunkSize]tableEntry))
+		t.heights = append(t.heights, new([chunkSize]int64))
 	}
 	t.used++
 	return ref
@@ -203,10 +299,11 @@ func (t *outpointTable) grow() {
 	t.index = index
 }
 
-// each visits every entry in arena order until visit returns false.
-func (t *outpointTable) each(visit func(*tableEntry) bool) {
+// each visits every entry and its height in arena order until visit returns
+// false.
+func (t *outpointTable) each(visit func(*tableEntry, int64) bool) {
 	for ref := uint32(0); ref < t.used; ref++ {
-		if e := t.at(ref); e.script != freeSlot && !visit(e) {
+		if e := t.at(ref); e.script != freeSlot && !visit(e, *t.heightAt(ref)) {
 			return
 		}
 	}

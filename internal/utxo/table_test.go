@@ -9,11 +9,17 @@ import (
 	"icbtc/internal/btc"
 )
 
+// modelEntry is what the model holds for an outpoint: its entry and height.
+type modelEntry struct {
+	tableEntry
+	height int64
+}
+
 // checkTable compares a table with its model — a Go map, which is what the
 // table replaced — and verifies what the model cannot see: the load bound,
 // one index word per entry, every word's tag being its entry's, and every
-// arena slot either live or on the free chain.
-func checkTable(t *testing.T, tbl *outpointTable, model map[btc.OutPoint]tableEntry) {
+// arena slot live, free or held.
+func checkTable(t *testing.T, tbl *outpointTable, model map[btc.OutPoint]modelEntry) {
 	t.Helper()
 	if tbl.n != len(model) {
 		t.Fatalf("table holds %d entries, model %d", tbl.n, len(model))
@@ -25,12 +31,12 @@ func checkTable(t *testing.T, tbl *outpointTable, model map[btc.OutPoint]tableEn
 	// backward shifts and doublings have moved since it went in.
 	for op, want := range model {
 		op := op
-		got := tbl.get(&op)
+		ref, got := tbl.get(&op)
 		if got == nil {
 			t.Fatalf("outpoint %s unreachable", op)
 		}
-		if *got != want {
-			t.Fatalf("outpoint %s holds %+v, model %+v", op, *got, want)
+		if (modelEntry{*got, *tbl.heightAt(ref)}) != want {
+			t.Fatalf("outpoint %s holds %+v at height %d, model %+v", op, *got, *tbl.heightAt(ref), want)
 		}
 	}
 	words := 0
@@ -55,9 +61,9 @@ func checkTable(t *testing.T, tbl *outpointTable, model map[btc.OutPoint]tableEn
 		t.Fatalf("%d index words for %d entries", words, tbl.n)
 	}
 	visited := 0
-	tbl.each(func(e *tableEntry) bool {
-		if _, ok := model[e.op]; !ok {
-			t.Fatalf("each visits %s, which the model does not hold", e.op)
+	tbl.each(func(e *tableEntry, height int64) bool {
+		if want, ok := model[e.op]; !ok || (modelEntry{*e, height}) != want {
+			t.Fatalf("each visits %s at height %d, which the model does not hold", e.op, height)
 		}
 		visited++
 		return true
@@ -65,18 +71,30 @@ func checkTable(t *testing.T, tbl *outpointTable, model map[btc.OutPoint]tableEn
 	if visited != tbl.n {
 		t.Fatalf("each visits %d of %d entries", visited, tbl.n)
 	}
-	free := 0
-	for ref := tbl.free; ref != 0; ref = uint32(tbl.at(ref - 1).height) {
+	free := len(takenChain(t, tbl, tbl.free))
+	held := takenChain(t, tbl, tbl.held.head)
+	if len(held) > 0 && held[len(held)-1] != tbl.held.tail-1 {
+		t.Fatalf("held chain ends at slot %d, its tail says %d", held[len(held)-1], tbl.held.tail-1)
+	}
+	if free+len(held)+tbl.n != int(tbl.used) {
+		t.Fatalf("%d live + %d free + %d held arena slots, %d handed out", tbl.n, free, len(held), tbl.used)
+	}
+}
+
+// takenChain lists the slots on the chain of taken slots that starts at head
+// (ref+1), each of which must be marked taken.
+func takenChain(t *testing.T, tbl *outpointTable, head uint32) []uint32 {
+	t.Helper()
+	var refs []uint32
+	for ref := head; ref != 0; ref = uint32(*tbl.heightAt(ref - 1)) {
 		if tbl.at(ref-1).script != freeSlot {
-			t.Fatalf("arena slot %d on the free chain is not marked free", ref-1)
+			t.Fatalf("arena slot %d on a chain of taken slots is not marked taken", ref-1)
 		}
-		if free++; free > int(tbl.used) {
-			t.Fatal("free chain loops")
+		if refs = append(refs, ref-1); len(refs) > int(tbl.used) {
+			t.Fatal("chain of taken slots loops")
 		}
 	}
-	if free+tbl.n != int(tbl.used) {
-		t.Fatalf("%d live + %d free arena slots, %d handed out", tbl.n, free, tbl.used)
-	}
+	return refs
 }
 
 // fuzzOutPoint maps two program bytes onto a small universe in which many
@@ -98,50 +116,64 @@ func tableProgram(t *testing.T, data []byte) {
 		return
 	}
 	tbl := newOutpointTable(binary.LittleEndian.Uint64(data), 0)
-	model := make(map[btc.OutPoint]tableEntry)
+	model := make(map[btc.OutPoint]modelEntry)
+	// held is what each held slot had when it was taken.
+	held := make(map[uint32]tableEntry)
 	data = data[8:]
 	for step := 0; len(data) >= 3; step, data = step+1, data[3:] {
 		op := fuzzOutPoint(data[1], data[2])
-		fill := tableEntry{
-			bucketEntry: bucketEntry{op: op, script: uint32(data[2]), value: int64(step)},
-			height:      int64(data[1]),
+		fill := modelEntry{tableEntry{op: op, script: uint32(data[2]), value: int64(step)}, int64(data[1])}
+		write := func(ref uint32) {
+			*tbl.at(ref), *tbl.heightAt(ref) = fill.tableEntry, fill.height
+			model[op] = fill
 		}
 		switch data[0] % 5 {
 		case 0: // put: creates, or finds what is there and leaves it alone
-			e, fresh := tbl.put(&op)
-			if _, held := model[op]; fresh == held {
-				t.Fatalf("step %d: put reports fresh=%v, model holds=%v", step, fresh, held)
+			ref, fresh := tbl.put(&op)
+			if _, in := model[op]; fresh == in {
+				t.Fatalf("step %d: put reports fresh=%v, model holds=%v", step, fresh, in)
 			}
-			if e.op != op {
+			if e := tbl.at(ref); e.op != op {
 				t.Fatalf("step %d: put returned the entry of %s for %s", step, e.op, op)
 			}
 			if fresh {
-				*e = fill
-				model[op] = fill
+				write(ref)
 			}
-		case 1: // overwrite through the entry put returns
-			e, _ := tbl.put(&op)
-			*e = fill
-			model[op] = fill
+		case 1: // overwrite through the ref put returns
+			ref, _ := tbl.put(&op)
+			write(ref)
 		case 2: // take
-			got, ok := tbl.take(&op)
-			want, held := model[op]
-			if ok != held || (ok && got != want) {
-				t.Fatalf("step %d: take %s = %+v, %v; model %+v, %v", step, op, got, ok, want, held)
+			ref, got, height, ok := tbl.take(&op)
+			want, in := model[op]
+			if ok != in || (ok && (modelEntry{got, height}) != want) {
+				t.Fatalf("step %d: take %s = %+v at height %d, %v; model %+v, %v", step, op, got, height, ok, want, in)
+			}
+			if ok {
+				held[ref] = got
 			}
 			delete(model, op)
 		case 3: // get
-			e := tbl.get(&op)
+			ref, e := tbl.get(&op)
 			want, held := model[op]
-			if (e != nil) != held || (held && *e != want) {
+			if (e != nil) != held || (held && (modelEntry{*e, *tbl.heightAt(ref)}) != want) {
 				t.Fatalf("step %d: get %s disagrees with the model", step, op)
 			}
-		case 4: // grow ahead of need, while a program of doublings stays small
+		case 4: // recycle the held slots; grow ahead of need, while a program of doublings stays small
+			tbl.recycle(tbl.held)
+			tbl.held = slotChain{}
+			clear(held)
 			if len(tbl.index) < 1<<12 {
 				tbl.grow()
 			}
 		}
 		checkTable(t, &tbl, model)
+		// A held slot keeps what a trailing reader may look up: nothing
+		// reuses it before it is recycled.
+		for ref, was := range held {
+			if e := tbl.at(ref); e.op != was.op || e.value != was.value {
+				t.Fatalf("step %d: held slot %d holds %s worth %d, was %s worth %d", step, ref, e.op, e.value, was.op, was.value)
+			}
+		}
 	}
 }
 
@@ -297,7 +329,7 @@ func TestCraftedCollisionsNeedTheSeed(t *testing.T) {
 	}
 	check("after insert", ops)
 	for i := 0; i < n; i += 2 {
-		if _, ok := tbl.take(&ops[i]); !ok {
+		if _, _, _, ok := tbl.take(&ops[i]); !ok {
 			t.Fatalf("outpoint %d not in the table", i)
 		}
 		ops[i/2] = ops[i+1]
@@ -306,9 +338,10 @@ func TestCraftedCollisionsNeedTheSeed(t *testing.T) {
 }
 
 // TestPointerFreeLayout pins what the table's gain rests on: the index
-// words, the arena entries and the bucket entries hold nothing the collector
-// must follow, so all three live in memory it never scans, and a bucket
-// entry stays at 48 bytes.
+// words, the arena's two columns and the groups' refs hold nothing the
+// collector must follow, so all of them live in memory it never scans; and
+// an entry, stored once, stays at 48 bytes beside its 8-byte height, the
+// bytes a page walk streams.
 func TestPointerFreeLayout(t *testing.T) {
 	var noPointers func(reflect.Type, string)
 	noPointers = func(typ reflect.Type, path string) {
@@ -327,11 +360,9 @@ func TestPointerFreeLayout(t *testing.T) {
 	var tbl outpointTable
 	noPointers(reflect.TypeOf(tbl.index).Elem(), "index word")
 	noPointers(reflect.TypeOf(tbl.chunks).Elem().Elem(), "arena chunk")
-	noPointers(reflect.TypeOf(bucketEntry{}), "bucketEntry")
-	if size := unsafe.Sizeof(bucketEntry{}); size != 48 {
-		t.Errorf("bucketEntry is %d bytes, want 48", size)
-	}
-	if size := unsafe.Sizeof(tableEntry{}); size != 56 {
-		t.Errorf("tableEntry is %d bytes, want 56", size)
+	noPointers(reflect.TypeOf(tbl.heights).Elem().Elem(), "height chunk")
+	noPointers(reflect.TypeOf(heightGroup{}.refs).Elem(), "group ref")
+	if size := unsafe.Sizeof(tableEntry{}); size != 48 {
+		t.Errorf("tableEntry is %d bytes, want 48", size)
 	}
 }

@@ -211,3 +211,87 @@ func TestTrailingIndexBehindReadLock(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
+
+// TestTrailingIndexReusesNoSlotItMayRead folds blocks at one repeated height,
+// so every block's outputs merge into one height group of one address. Each
+// transaction spends two entries of that group — one the block before
+// created, which a trailing index half may not have merged yet, and one
+// older — and then creates two outputs, which the table puts into the slots
+// it freed last if they are free. The merge sorts the group by reading its
+// entries' outpoints through their refs, and a removal finds its ref the
+// same way; a slot reused before every index half that may read it has run
+// would make either read another entry's outpoint. Each block ends with a
+// transaction paying more than half a chunk of outputs to other addresses
+// (its input is missing, which the fold tolerates), so the
+// next block's table half appends an arena chunk while this block's index
+// half still reads the arena: under -race, an index half that resolved refs
+// through the table's own chunk list would race with that append. The
+// trailing fold must end as the stepped fold and the per-entry loop do.
+func TestTrailingIndexReusesNoSlotItMayRead(t *testing.T) {
+	const height = 7
+	script := btc.PayToPubKeyHashScript([20]byte{1})
+	fillers := make([][]byte, 64)
+	for i := range fillers {
+		fillers[i] = btc.PayToPubKeyHashScript([20]byte{2, byte(i)})
+	}
+	var (
+		blocks  []*btc.Block
+		heights []int64
+		group   []btc.OutPoint // outputs to script not yet spent, oldest first
+		serial  uint32
+	)
+	for b := 0; b < 4*foldHandoff; b++ {
+		serial++
+		blk := &btc.Block{Transactions: []*btc.Transaction{{Version: 2, LockTime: serial,
+			Inputs:  []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff}}},
+			Outputs: []btc.TxOut{{Value: 50, PkScript: fillers[0]}}}}}
+		var created []btc.OutPoint
+		for k := 0; k < 3; k++ {
+			serial++
+			tx := &btc.Transaction{Version: 2, LockTime: serial}
+			if len(group) >= 2 {
+				newest, oldest := len(group)-1, len(group)/3
+				tx.Inputs = append(tx.Inputs, btc.TxIn{PreviousOutPoint: group[newest]}, btc.TxIn{PreviousOutPoint: group[oldest]})
+				group = slices.Delete(group, newest, newest+1)
+				group = slices.Delete(group, oldest, oldest+1)
+			} else {
+				tx.Inputs = append(tx.Inputs, btc.TxIn{PreviousOutPoint: btc.OutPoint{TxID: btc.Hash{0xee, byte(serial)}}})
+			}
+			for v := range 2 {
+				tx.Outputs = append(tx.Outputs, btc.TxOut{Value: int64(serial)*10 + int64(v), PkScript: script})
+			}
+			for v := range tx.Outputs {
+				created = append(created, btc.OutPoint{TxID: tx.TxID(), Vout: uint32(v)})
+			}
+			blk.Transactions = append(blk.Transactions, tx)
+		}
+		serial++
+		filler := &btc.Transaction{Version: 2, LockTime: serial,
+			Inputs: []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.Hash{0xee, byte(serial)}}}}}
+		for v := range chunkSize/2 + 8 {
+			filler.Outputs = append(filler.Outputs, btc.TxOut{Value: 50, PkScript: fillers[v%len(fillers)]})
+		}
+		blk.Transactions = append(blk.Transactions, filler)
+		// The block's outputs join the group after its spends: a transaction
+		// spends outputs of earlier blocks only.
+		group = append(group, created...)
+		blocks, heights = append(blocks, blk), append(heights, height)
+	}
+
+	stepped, trailing := foldBothWays(t, blocks, heights)
+	naive, keys := naiveFold(blocks, heights)
+	for _, s := range []*Set{stepped, trailing} {
+		checkIndexInvariants(t, s)
+		for _, key := range keys {
+			if got, want := pageWalk(t, s, key), CoinsOf(naive.UTXOsForAddress(key)); !slices.Equal(got, want) {
+				t.Fatalf("%s: pages %v, per-entry loop %v", key, got, want)
+			}
+		}
+	}
+	if n := trailing.AddressUTXOCount(naive.scripts[naive.interned[string(script)]].key); n != len(group) {
+		t.Fatalf("the group holds %d entries, want %d", n, len(group))
+	}
+	if n := len(trailing.table.chunks); n < 2*foldHandoff {
+		t.Fatalf("the arena has %d chunks: too few appends while index halves trail", n)
+	}
+}
