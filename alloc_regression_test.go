@@ -144,18 +144,21 @@ func TestOverlayReadAllocations(t *testing.T) {
 
 // TestApplyBlockIngestAllocations pins the tolerant stable fold on a deep
 // set (100k+ UTXOs, skewed buckets, a third of the inputs missing). By
-// design a fold allocates: the merge's pending list (1); the list of
-// touched scripts, doubling to its final size (about 10); per script that
-// keeps an output of the block, its sorted height group and — when the
-// bucket's group slice is full, so amortized far less than once — that
-// slice's growth; and the outpoint table's growth (an arena chunk per 1024
-// net new entries, an index doubling far less often). Each fold is settled
-// by a bucket read before the next, so the trailing index half is counted
-// whole whatever the scheduler did inside the window. Nothing per input and
-// nothing per output: 378 measured here for 347 scripts, at GOMAXPROCS 1
-// and 2 alike, where the staged fold this replaces spent 2 207 on a block of
-// this shape (five scratch maps, a regroup map, per-bucket lists grown by
-// append).
+// design a fold allocates: the merge's pending and removal lists (2); the
+// list of touched scripts, doubling to its final size (about 10); the
+// hand-off of its index half (3); copies of scripts new to the set (about
+// 2); the outpoint table's growth (an entry chunk and a height chunk per
+// 1024 net new entries, an index doubling far less often); and, for the
+// touched scripts, only amortized growth: a bucket's ref slab when the
+// block's refs outgrow it (about 10 a fold) and its group records (about
+// 8), each doubling. Each fold is settled by a bucket read before the
+// next, so the trailing index half is counted whole whatever the scheduler
+// did inside the window. Nothing per input, per output or per script: 38
+// measured here for 347 scripts, at GOMAXPROCS 1 and 2 alike, where a
+// sorted refs slice of its own per touched script cost 378 and the staged
+// fold before that 2 207 (five scratch maps, a regroup map, per-bucket lists
+// grown by append). The budget keeps the old one's headroom, about twice
+// what is measured.
 func TestApplyBlockIngestAllocations(t *testing.T) {
 	d := newDeepFold(t, 160)
 	const runs = 20
@@ -179,7 +182,7 @@ func TestApplyBlockIngestAllocations(t *testing.T) {
 		n++
 	})
 	t.Logf("%.0f allocations per fold, %.0f scripts per block", avg, perBlock)
-	if budget := 2*perBlock + 40; avg > budget {
+	if budget := perBlock/10 + 40; avg > budget {
 		t.Fatalf("fold of a 1001-output block paying %.0f scripts allocates %.0f times, budget is %.0f", perBlock, avg, budget)
 	}
 }

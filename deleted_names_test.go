@@ -526,6 +526,19 @@ var deletedNames = []deletedName{
 		tests: true,
 		probe: `	entries []bucketEntry`,
 	},
+	{
+		rule: "a bucket holds no pointers",
+		reason: "a bucket keeps its arena refs in one slab, and a height group is a 16-byte record of " +
+			"where its run lies; a group header owning a refs slice of its own cost 32 bytes, an " +
+			"allocation a group on a folded set and a slice header the collector scanned, and pageGroup " +
+			"cut such slices from a shared column that a restored bucket's first append left pinned. " +
+			"Their names returning means per-group slices are coming back",
+		words:    []string{"pageGroup"},
+		patterns: []string{`heightGroup\{[^}]*\brefs:`, `groups\[[^]]*\]\.refs\b`},
+		roots:    []string{"internal/utxo"},
+		tests:    true,
+		probe:    `	bd.groups = append(bd.groups, pageGroup(w, 0, n, h)); g := heightGroup{height: h, refs: w.refs[lo:hi:hi]}; next := b.groups[k].refs[0]`,
+	},
 }
 
 // TestDeletedNamesStayDeleted runs the table: no covered file holds a row's

@@ -451,8 +451,9 @@ func FuzzStrictFold(f *testing.F) {
 // flatten lists a bucket's entries in storage order, each with its height.
 func (b *bucket) flatten(t *outpointTable) []UTXO {
 	var out []UTXO
-	for _, g := range b.groups {
-		for _, ref := range g.refs {
+	for gi := range b.groups {
+		g := &b.groups[gi]
+		for _, ref := range b.run(g) {
 			e := t.at(ref)
 			out = append(out, UTXO{OutPoint: e.op, Value: e.value, Height: g.height})
 		}
@@ -477,7 +478,7 @@ func TestBucketInsertGroup(t *testing.T) {
 				rng.Read(op.TxID[:2]) // short txids collide on purpose: vout breaks ties
 				op.Vout = uint32(rng.Intn(3))
 				if ref, fresh := tbl.put(&op); fresh {
-					tbl.at(ref).value, *tbl.heightAt(ref) = value, height
+					tbl.at(ref).value, *tbl.heightAt(ref) = value, uint32(height)
 					want = append(want, UTXO{OutPoint: op, Value: value, Height: height})
 					balance += value
 					return ref
@@ -486,15 +487,16 @@ func TestBucketInsertGroup(t *testing.T) {
 		}
 		for i, n := 0, rng.Intn(30); i < n; i++ {
 			h := int64(rng.Intn(6))
-			b.insertGroup(tbl.chunks, h, []uint32{randEntry(h, int64(i))})
+			b.refs = append(b.refs, randEntry(h, int64(i)))
+			b.insertGroup(tbl.chunks, h, len(b.refs)-1)
 		}
 		h := int64(rng.Intn(8)) // often above existing heights, sometimes inside
-		batch := make([]uint32, 1+rng.Intn(20))
-		for i := range batch {
-			batch[i] = randEntry(h, int64(100+i))
+		lo := len(b.refs)
+		for i := range 1 + rng.Intn(20) {
+			b.refs = append(b.refs, randEntry(h, int64(100+i)))
 		}
-		tbl.chunks.sortRefs(batch)
-		b.insertGroup(tbl.chunks, h, batch)
+		tbl.chunks.sortRefs(b.refs[lo:])
+		b.insertGroup(tbl.chunks, h, lo)
 
 		sort.Slice(want, func(i, j int) bool { return storageBefore(&want[i], &want[j]) })
 		got := b.flatten(&tbl)

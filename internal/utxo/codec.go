@@ -27,9 +27,11 @@ import (
 //     reference and every script with its memoized address key, so decoding
 //     performs no address decoding, no ScriptID hashing, and no sorting.
 //     Entries are written straight into the outpoint table's arena, each
-//     bucket in page order in a window of its own, and its groups are cut
-//     as refs into that window from the stored (already canonical) order;
-//     running balances are accumulated in the same pass.
+//     bucket in page order in a window of its own; the bucket's slab names
+//     that window slot by slot, and its group records are cut from the
+//     stored (already canonical) order; running balances are accumulated in
+//     the same pass. A stored height is an int64, and one outside [0, 2^32)
+//     is refused: the arena keeps a height in 4 bytes.
 //
 // Snapshots carry a checksum (see statecodec), so a decoder failure means a
 // framing bug or version skew, not silent corruption. Ordering invariants
@@ -99,7 +101,7 @@ func (s *Set) EncodeTo(e *statecodec.Encoder) {
 		e.Uvarint(uint64(b.count))
 		for gi := range b.groups {
 			g := &b.groups[gi]
-			for _, ref := range g.refs {
+			for _, ref := range b.run(g) {
 				u := s.table.at(ref)
 				e.Raw(u.op.TxID[:])
 				e.U32(u.op.Vout)
@@ -114,7 +116,7 @@ func (s *Set) EncodeTo(e *statecodec.Encoder) {
 // DecodeSet reads a set encoded by EncodeTo. Restore cost is linear in the
 // snapshot bytes: scripts are interned straight from the stored table (keys
 // included, a script's id being its stored position), entries are written
-// into the arena and bucket groups cut from the stored order, and the
+// into the arena and bucket group records cut from the stored order, and the
 // outpoint index, reference counts and running balances are rebuilt bucket
 // by bucket as each is read.
 func DecodeSet(d *statecodec.Decoder) (*Set, error) {
@@ -211,20 +213,23 @@ type bucketDecoder struct {
 
 // decode reads the bucket's stored entries into w, its window of the table's
 // arena, cutting a height group at every height change and verifying the
-// storage order on the way. The outpoint index is not touched (see
-// Set.indexBucket), so shard workers can decode buckets concurrently.
+// storage order and the height range on the way. The outpoint index is not
+// touched (see Set.indexBucket), so shard workers can decode buckets
+// concurrently.
 //
 // The window is laid out in page order: the highest group at the lowest
 // ref, each group forward, so a page walk (groups from the highest down)
 // streams forward through memory. Stored entry j lands at its mirrored place
 // n-1-j, which leaves each group backwards at its final place; a group is
-// turned round as soon as it ends, while it is still in cache. The groups
-// slice stays height-ascending, as everywhere else.
+// turned round as soon as it ends, while it is still in cache. The bucket's
+// slab, an exact allocation of its own, names the window's slots in order,
+// so a group's run is its place in the window. The groups slice stays
+// height-ascending, as everywhere else.
 func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, w arenaWindow) (*bucket, error) {
 	dst := w.entries
-	b := &bucket{count: len(dst)}
-	bd.groups = bd.groups[:0]
 	n := len(dst)
+	b := &bucket{count: n, refs: make([]uint32, n)}
+	bd.groups = bd.groups[:0]
 	start, height := 0, int64(0)
 	for j := range dst {
 		// One bounds-checked read covers the entry's fixed-width fields
@@ -239,6 +244,9 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, w arenaWindow
 		e.op.Vout = binary.LittleEndian.Uint32(fields[btc.HashSize:])
 		e.value = int64(binary.LittleEndian.Uint64(fields[btc.HashSize+4:]))
 		h := int64(binary.LittleEndian.Uint64(fields[btc.HashSize+12:]))
+		if !heightInRange(h) {
+			return nil, fmt.Errorf("utxo: snapshot bucket %q entry %d at height %d, outside [0, 2^32)", key, j, h)
+		}
 		if si >= uint64(len(bd.scripts)) {
 			return nil, fmt.Errorf("utxo: snapshot script index %d out of range", si)
 		}
@@ -254,29 +262,28 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, w arenaWindow
 				return nil, fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", key, j)
 			}
 			if h > height {
-				bd.groups = append(bd.groups, pageGroup(w, n-j, n-start, height))
+				bd.endGroup(dst, n-j, n-start, height)
 				start = j
 			}
 		}
 		height = h
 		b.balance += e.value
-		w.heights[n-1-j] = h
-		w.refs[j] = w.base + uint32(j)
+		w.heights[n-1-j] = uint32(h)
+		b.refs[j] = w.base + uint32(j)
 	}
 	if n > 0 {
-		bd.groups = append(bd.groups, pageGroup(w, 0, n-start, height))
+		bd.endGroup(dst, 0, n-start, height)
 	}
 	b.groups = slices.Clone(bd.groups)
 	return b, nil
 }
 
-// pageGroup turns the finished group w.entries[lo:hi], written backwards,
-// forward (its heights are all equal) and cuts its refs off as the group at
-// height. The cut is capacity-limited, so a post-restore insert that
-// outgrows its group reallocates that group normally.
-func pageGroup(w arenaWindow, lo, hi int, height int64) heightGroup {
-	slices.Reverse(w.entries[lo:hi])
-	return heightGroup{height: height, refs: w.refs[lo:hi:hi]}
+// endGroup turns the finished group dst[lo:hi], written backwards, forward
+// (its heights are all equal) and records it as the run [lo, hi) of the
+// bucket's slab.
+func (bd *bucketDecoder) endGroup(dst []tableEntry, lo, hi int, height int64) {
+	slices.Reverse(dst[lo:hi])
+	bd.groups = append(bd.groups, heightGroup{height: height, lo: uint32(lo), n: uint32(hi - lo)})
 }
 
 // indexBucket installs a decoded bucket whose window starts at ref base: its

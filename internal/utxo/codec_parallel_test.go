@@ -82,9 +82,12 @@ func TestDecodedBucketsInPageOrder(t *testing.T) {
 		}
 		multi := 0
 		for key, b := range s.byAddress {
-			next := b.groups[len(b.groups)-1].refs[0]
+			if len(b.refs) != b.count || cap(b.refs) != b.count {
+				t.Fatalf("workers %d, bucket %s: a slab of %d (capacity %d) for %d entries", workers, key, len(b.refs), cap(b.refs), b.count)
+			}
+			next := b.run(&b.groups[len(b.groups)-1])[0]
 			for k := len(b.groups) - 1; k >= 0; k-- {
-				g := b.groups[k].refs
+				g := b.run(&b.groups[k])
 				for i, ref := range g {
 					if ref != next {
 						t.Fatalf("workers %d, bucket %s: group %d of %d holds ref %d at %d, want %d", workers, key, k, len(b.groups), ref, i, next)
@@ -168,6 +171,7 @@ func FuzzDecodeSetParallelDiff(f *testing.F) {
 	f.Add(payloadOf(encodeSet(buildRandomSet(9, 300))))
 	f.Add(payloadOf(duplicateOutpointSnapshot()))
 	f.Add(payloadOf(twoBucketSnapshot(false, true, 1, 2)))
+	f.Add(payloadOf(oneBucketSnapshot(7, 1<<32+7))) // a height the arena's 4-byte column would truncate
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, len(payload))
 		e.Raw(payload)

@@ -3,6 +3,7 @@ package utxo
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -70,12 +71,30 @@ func buildRandomSet(seed int64, outputs int) *Set {
 	return s
 }
 
-// TestDecodedSetBytesPerEntry pins what a restored set weighs: the live heap
-// a serial DecodeSet leaves, per entry, on 50 000 entries over 256 addresses
-// and 100 heights (two entries a height group, as at the benchmark's tip).
-// Each entry is stored once, in the outpoint table's arena, and named by a
-// 4-byte ref in its height group: 98.4 bytes an entry here, where a second,
-// 48-byte copy of every entry in its bucket weighed 142.3.
+// liveHeapPerEntry returns the heap the set build returns keeps live, per
+// entry: the live heap after a collection with the set settled and still
+// reachable, less the live heap before build ran. Whatever build dropped on
+// the way (snapshots, blocks) is not counted.
+func liveHeapPerEntry(build func() *Set) (float64, *Set) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := build()
+	s.settle()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return float64(after.HeapAlloc-before.HeapAlloc) / float64(s.Len()), s
+}
+
+// TestDecodedSetBytesPerEntry pins what a restored set weighs — a replica's
+// layout: the live heap a serial DecodeSet leaves, per entry, on 50 000
+// entries over 256 addresses and 100 heights (two entries a height group, as
+// at the benchmark's tip). Each entry is stored once, in the outpoint table's
+// arena (48 bytes and a 4-byte height), and named by a 4-byte ref in its
+// bucket's exact slab; a group is a 16-byte record. 86.8 bytes an entry here,
+// bound at that plus 5 %; with a 32-byte group header owning a refs slice
+// and an 8-byte height it weighed 98.4, and with a second, 48-byte copy of
+// every entry in its bucket 142.3.
 func TestDecodedSetBytesPerEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := New(btc.Regtest)
@@ -94,19 +113,68 @@ func TestDecodedSetBytesPerEntry(t *testing.T) {
 	snap := encodeSet(src)
 	src = nil
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	s := decodeSet(t, snap)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / float64(s.Len())
-	runtime.KeepAlive(s)
+	perEntry, s := liveHeapPerEntry(func() *Set { return decodeSet(t, snap) })
 	runtime.KeepAlive(snap)
 	t.Logf("%.1f bytes an entry over %d entries", perEntry, s.Len())
-	const bound = 110
+	const bound = 91.1
 	if perEntry > bound {
-		t.Fatalf("a decoded set weighs %.1f bytes an entry, bound is %d", perEntry, bound)
+		t.Fatalf("a decoded set weighs %.1f bytes an entry, bound is %.1f", perEntry, bound)
+	}
+}
+
+// TestFoldedSetBytesPerEntry pins what a folded set weighs — the authority's
+// layout, and the part of a replica folded since its restore: the live heap
+// left by 100 settled ApplyBlockIngest folds, each paying 500 outputs of its
+// coinbase over 256 addresses and moving 250 live entries into new outputs,
+// so that it ends at 50 000 entries, about two a height group, with every
+// bucket's slab grown by appends and holed by spends. A slab grows by
+// doubling and keeps up to as many holes as live refs before it compacts,
+// so a folded bucket weighs more than a decoded one's exact slab: 96.3
+// bytes an entry here, bound at that plus 5 %; with 32-byte group headers,
+// each owning a refs allocation, and an 8-byte height it weighed 111.6.
+func TestFoldedSetBytesPerEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	scripts := make([][]byte, 256)
+	for i := range scripts {
+		scripts[i] = btc.PayToPubKeyHashScript([20]byte{byte(i), 0xbb})
+	}
+	pay := func() btc.TxOut {
+		return btc.TxOut{Value: 1 + rng.Int63n(1e8), PkScript: scripts[rng.Intn(len(scripts))]}
+	}
+	perEntry, s := liveHeapPerEntry(func() *Set {
+		s := New(btc.Regtest)
+		var live []btc.OutPoint
+		for height := int64(1); height <= 100; height++ {
+			coinbase := &btc.Transaction{Version: 2, LockTime: uint32(height),
+				Inputs: []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff}}}}
+			for range 500 {
+				coinbase.Outputs = append(coinbase.Outputs, pay())
+			}
+			block := &btc.Block{Transactions: []*btc.Transaction{coinbase}}
+			for range min(250, len(live)) {
+				i := rng.Intn(len(live))
+				spent := live[i]
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				block.Transactions = append(block.Transactions, &btc.Transaction{Version: 2,
+					Inputs: []btc.TxIn{{PreviousOutPoint: spent}}, Outputs: []btc.TxOut{pay()}})
+			}
+			if st := s.ApplyBlockIngest(block, height); st.Errors != 0 {
+				t.Fatalf("height %d: %d errors folding a block of live inputs", height, st.Errors)
+			}
+			for ti, txid := range block.TxIDs() {
+				for vout := range block.Transactions[ti].Outputs {
+					live = append(live, btc.OutPoint{TxID: txid, Vout: uint32(vout)})
+				}
+			}
+		}
+		return s
+	})
+	t.Logf("%.1f bytes an entry over %d entries", perEntry, s.Len())
+	checkIndexInvariants(t, s)
+	const bound = 101.1
+	if perEntry > bound {
+		t.Fatalf("a folded set weighs %.1f bytes an entry, bound is %.1f", perEntry, bound)
 	}
 }
 
@@ -223,32 +291,71 @@ func TestSetDecodeUsesStoredKeys(t *testing.T) {
 // order; decode appends without sorting but verifies the order, because a
 // misordered bucket would serve wrong pages forever after.
 func TestSetDecodeRejectsMisorderedBucket(t *testing.T) {
+	d, err := statecodec.NewDecoder(oneBucketSnapshot(20, 10), codecTestMagic, codecTestVersion) // descending
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSet(d); err == nil {
+		t.Fatal("decode accepted a misordered bucket")
+	}
+}
+
+// oneBucketSnapshot encodes one bucket holding an entry at each of heights,
+// in the order given, entry i on a txid of its own.
+func oneBucketSnapshot(heights ...int64) []byte {
 	script := btc.PayToPubKeyHashScript([20]byte{4})
 	key := btc.ScriptID(script, btc.Regtest)
 	e := statecodec.NewEncoder(codecTestMagic, codecTestVersion, 0)
 	e.U8(uint8(btc.Regtest))
-	e.Uvarint(2) // total entries
+	e.Uvarint(uint64(len(heights))) // total entries
 	e.Uvarint(1)
 	e.Bytes(script)
 	e.String(key)
 	e.Uvarint(1)
 	e.String(key)
-	e.Uvarint(2)
-	for _, height := range []int64{20, 10} { // descending: violates storage order
+	e.Uvarint(uint64(len(heights)))
+	for i, height := range heights {
 		var op btc.OutPoint
-		op.TxID[0] = byte(height)
+		op.TxID[0] = byte(i + 1)
 		e.Raw(op.TxID[:])
 		e.U32(0)
 		e.I64(1000)
 		e.I64(height)
 		e.Uvarint(0)
 	}
-	d, err := statecodec.NewDecoder(e.Finish(), codecTestMagic, codecTestVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSet(d); err == nil {
-		t.Fatal("decode accepted a misordered bucket")
+	return e.Finish()
+}
+
+// TestSetDecodeRejectsHeightOutOfRange: the arena keeps a height in 4 bytes,
+// so both decoders refuse a stored height below 0 or at or above 2^32. Each
+// snapshot here is in storage order, so only the range check can refuse it;
+// a decoder that truncated the height instead would restore a set that
+// re-encodes to other bytes. The highest height the column holds decodes and
+// re-encodes exactly.
+func TestSetDecodeRejectsHeightOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		heights []int64
+		ok      bool
+	}{
+		{[]int64{-1}, false},
+		{[]int64{math.MinInt64, 7}, false},
+		{[]int64{7, 1 << 32}, false},
+		{[]int64{7, 1<<32 + 7}, false},
+		{[]int64{7, math.MaxInt64}, false},
+		{[]int64{0, 1<<32 - 1}, true},
+	} {
+		snap := oneBucketSnapshot(tc.heights...)
+		for _, workers := range []int{1, 3} {
+			s, err := decodeSetParallel(t, snap, workers)
+			switch {
+			case tc.ok && err != nil:
+				t.Fatalf("heights %v, workers %d: %v", tc.heights, workers, err)
+			case tc.ok && !bytes.Equal(encodeSet(s), snap):
+				t.Fatalf("heights %v, workers %d: the decoded set re-encodes to other bytes", tc.heights, workers)
+			case !tc.ok && (err == nil || !strings.Contains(err.Error(), "outside [0, 2^32)")):
+				t.Fatalf("heights %v, workers %d: got %v, want a height out of range", tc.heights, workers, err)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package utxo
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"icbtc/internal/btc"
 )
@@ -60,9 +62,11 @@ func (o *mapOracle) forAddress(key string) []UTXO {
 
 // checkIndexInvariants verifies the bucket layout itself, which the
 // observable checks cannot see: group heights strictly ascending, no group
-// left empty, refs in the canonical txid/vout order of their entries, count
-// and balance equal to what the groups hold, and no bucket kept once it is
-// drained. It then holds the outpoint table and the script records to the
+// left empty, every run inside its bucket's slab and overlapping no other,
+// every slab slot outside the runs a hole and the last slot none, holes no
+// more than the live refs (the compaction bound), refs in the canonical txid/vout order of their
+// entries, count and balance equal to what the groups hold, and no bucket
+// kept once it is drained. It then holds the outpoint table and the script records to the
 // buckets: every ref names a live arena slot, indexed under its outpoint, at
 // its group's height, whose script is keyed to its bucket; no ref appears
 // twice or sits on the free chain or on a chain of held slots (the table's
@@ -92,14 +96,26 @@ func checkIndexInvariants(t *testing.T, set *Set) {
 	refs := make([]int32, len(set.scripts))
 	for key, b := range set.byAddress {
 		count, balance := 0, int64(0)
-		for gi, g := range b.groups {
-			if len(g.refs) == 0 {
+		covered := make([]bool, len(b.refs))
+		for gi := range b.groups {
+			g := &b.groups[gi]
+			if g.n == 0 {
 				t.Fatalf("bucket %s: empty group kept at height %d", key, g.height)
 			}
 			if gi > 0 && b.groups[gi-1].height >= g.height {
 				t.Fatalf("bucket %s: group heights not ascending at %d", key, gi)
 			}
-			for i, ref := range g.refs {
+			if int(g.lo)+int(g.n) > len(b.refs) {
+				t.Fatalf("bucket %s height %d: run [%d, +%d) outside a slab of %d", key, g.height, g.lo, g.n, len(b.refs))
+			}
+			for i := g.lo; i < g.lo+g.n; i++ {
+				if covered[i] {
+					t.Fatalf("bucket %s height %d: slab slot %d lies in two runs", key, g.height, i)
+				}
+				covered[i] = true
+			}
+			run := b.run(g)
+			for i, ref := range run {
 				switch {
 				case ref >= tbl.used:
 					t.Fatalf("bucket %s height %d: ref %d past the %d slots handed out", key, g.height, ref, tbl.used)
@@ -113,13 +129,13 @@ func checkIndexInvariants(t *testing.T, set *Set) {
 				if e.script == freeSlot {
 					t.Fatalf("bucket %s height %d: ref %d names a taken slot", key, g.height, ref)
 				}
-				if i > 0 && cmpOutPoint(&tbl.at(g.refs[i-1]).op, &e.op) >= 0 {
+				if i > 0 && cmpOutPoint(&tbl.at(run[i-1]).op, &e.op) >= 0 {
 					t.Fatalf("bucket %s height %d: entries out of order at %d", key, g.height, i)
 				}
 				if k := set.scripts[e.script].key; k != key {
 					t.Fatalf("bucket %s holds an entry of %s", key, k)
 				}
-				if h := *tbl.heightAt(ref); h != g.height {
+				if h := int64(*tbl.heightAt(ref)); h != g.height {
 					t.Fatalf("bucket %s height %d: ref %d names an entry of height %d", key, g.height, ref, h)
 				}
 				if _, got := tbl.get(&e.op); got != e {
@@ -132,6 +148,17 @@ func checkIndexInvariants(t *testing.T, set *Set) {
 		}
 		if count == 0 {
 			t.Fatalf("bucket %s: drained bucket kept", key)
+		}
+		for i, in := range covered {
+			if !in && b.refs[i] != holeRef {
+				t.Fatalf("bucket %s: slab slot %d lies in no run but holds %d, not a hole", key, i, b.refs[i])
+			}
+		}
+		if n := len(b.refs); n > 0 && b.refs[n-1] == holeRef {
+			t.Fatalf("bucket %s: the slab ends in a hole", key)
+		}
+		if holes := len(b.refs) - count; holes > count {
+			t.Fatalf("bucket %s: %d holes beside %d live refs, past the compaction bound", key, holes, count)
 		}
 		if b.count != count || b.balance != balance {
 			t.Fatalf("bucket %s: count %d balance %d, groups hold %d / %d", key, b.count, b.balance, count, balance)
@@ -211,6 +238,48 @@ func checkResumeEverywhere(t *testing.T, set *Set, key string, want []UTXO, extr
 // cross-checks every observable — balances, canonical
 // per-address views, pagination via both Page and MergedPage, counts, and
 // cursor-resumed iteration — against the map-based oracle.
+// checkAgainstOracle holds the set to the oracle on every key — balance,
+// count, canonical view, iterator, and a page resumed from every position and
+// from each cursor in gone (positions removed entries held) — and then to the
+// layout invariants. at names the point of the run in a failure.
+func checkAgainstOracle(t *testing.T, set *Set, oracle *mapOracle, keys []string, gone []pageCursor, at string) {
+	t.Helper()
+	if set.Len() != len(oracle.utxos) {
+		t.Fatalf("%s: len %d != oracle %d", at, set.Len(), len(oracle.utxos))
+	}
+	for i, key := range keys {
+		if got, want := set.Balance(key), oracle.balance(key); got != want {
+			t.Fatalf("%s: balance[%d] %d != %d", at, i, got, want)
+		}
+		if got, want := set.AddressUTXOCount(key), len(oracle.forAddress(key)); got != want {
+			t.Fatalf("%s: count[%d] %d != %d", at, i, got, want)
+		}
+		got, want := set.UTXOsForAddress(key), oracle.forAddress(key)
+		if len(got) != len(want) {
+			t.Fatalf("%s: view[%d] len %d != %d", at, i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j].OutPoint != want[j].OutPoint || got[j].Value != want[j].Value ||
+				got[j].Height != want[j].Height || string(got[j].PkScript) != string(want[j].PkScript) {
+				t.Fatalf("%s: view[%d][%d] %+v != %+v", at, i, j, got[j], want[j])
+			}
+		}
+		// Iterator streams the same canonical sequence.
+		it := set.AddressIter(key)
+		for j := range want {
+			u, ok := it.Next()
+			if !ok || u.OutPoint != want[j].OutPoint {
+				t.Fatalf("%s: iter[%d] diverged at %d", at, i, j)
+			}
+		}
+		if _, ok := it.Next(); ok {
+			t.Fatalf("%s: iter[%d] overran", at, i)
+		}
+		checkResumeEverywhere(t, set, key, want, gone)
+	}
+	checkIndexInvariants(t, set)
+}
+
 func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1337} {
 		seed := seed
@@ -238,44 +307,6 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 			rng.Read(h[:8])
 			h[31] = byte(opCounter)
 			return btc.OutPoint{TxID: h, Vout: opCounter % 4}
-		}
-
-		check := func(step int) {
-			t.Helper()
-			if set.Len() != len(oracle.utxos) {
-				t.Fatalf("seed %d step %d: len %d != oracle %d", seed, step, set.Len(), len(oracle.utxos))
-			}
-			for i, key := range keys {
-				if got, want := set.Balance(key), oracle.balance(key); got != want {
-					t.Fatalf("seed %d step %d: balance[%d] %d != %d", seed, step, i, got, want)
-				}
-				if got, want := set.AddressUTXOCount(key), len(oracle.forAddress(key)); got != want {
-					t.Fatalf("seed %d step %d: count[%d] %d != %d", seed, step, i, got, want)
-				}
-				got, want := set.UTXOsForAddress(key), oracle.forAddress(key)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d step %d: view[%d] len %d != %d", seed, step, i, len(got), len(want))
-				}
-				for j := range got {
-					if got[j].OutPoint != want[j].OutPoint || got[j].Value != want[j].Value ||
-						got[j].Height != want[j].Height || string(got[j].PkScript) != string(want[j].PkScript) {
-						t.Fatalf("seed %d step %d: view[%d][%d] %+v != %+v", seed, step, i, j, got[j], want[j])
-					}
-				}
-				// Iterator streams the same canonical sequence.
-				it := set.AddressIter(key)
-				for j := range want {
-					u, ok := it.Next()
-					if !ok || u.OutPoint != want[j].OutPoint {
-						t.Fatalf("seed %d step %d: iter[%d] diverged at %d", seed, step, i, j)
-					}
-				}
-				if _, ok := it.Next(); ok {
-					t.Fatalf("seed %d step %d: iter[%d] overran", seed, step, i)
-				}
-				checkResumeEverywhere(t, set, key, want, gone)
-			}
-			checkIndexInvariants(t, set)
 		}
 
 		for step := 0; step < 120; step++ {
@@ -346,10 +377,160 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 				}
 			}
 			if step%10 == 0 || step == 119 {
-				check(step)
+				checkAgainstOracle(t, set, oracle, keys, gone, fmt.Sprintf("seed %d step %d", seed, step))
 			}
 		}
-		check(-1)
+		checkAgainstOracle(t, set, oracle, keys, gone, fmt.Sprintf("seed %d end", seed))
+	}
+}
+
+// TestBucketSlabHolesAndCompaction drives buckets' slabs through every path
+// that leaves or fills a hole — removals, same-height merges (single adds and
+// folds at a height already held) and compactions — in phases that grow and
+// then shrink the set, and holds it to the map oracle and the layout
+// invariants as it goes. Each add is classified from its bucket's state
+// before it: the group's run ends at the slab's end (extended in place), a
+// hole follows it (filled), or neither (the run moves to the slab's end,
+// which compacts the slab when the holes then outnumber the live refs). A
+// removal that swaps the slab is a compaction and must leave it exact. Every
+// path must come up, so the test cannot pass vacuously.
+func TestBucketSlabHolesAndCompaction(t *testing.T) {
+	paths := map[string]int{}
+	for _, seed := range []int64{1, 2, 3, 4} {
+		rng := rand.New(rand.NewSource(seed))
+		set := New(btc.Regtest)
+		oracle := newMapOracle(btc.Regtest)
+		keys, scripts := make([]string, 2), make([][]byte, 2)
+		for i := range keys {
+			keys[i], scripts[i] = addrKey(byte(0x60 + i))
+		}
+		var live []btc.OutPoint
+		var gone []pageCursor
+		serial := uint32(0)
+		takeLive := func() btc.OutPoint {
+			i := rng.Intn(len(live))
+			op := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			return op
+		}
+		for step := 0; step < 600; step++ {
+			at := fmt.Sprintf("seed %d step %d", seed, step)
+			a := rng.Intn(len(keys))
+			set.settle()
+			b := set.byAddress[keys[a]]
+			adds, removes := 6, 8 // a growing phase
+			if step/150%2 == 1 {
+				adds, removes = 2, 9 // a shrinking one
+			}
+			switch r := rng.Intn(10); {
+			case r < adds:
+				h := int64(rng.Intn(6))
+				serial++
+				op := btc.OutPoint{TxID: btc.Hash{byte(serial), byte(serial >> 8), byte(seed)}, Vout: serial % 3}
+				out := btc.TxOut{Value: int64(1 + rng.Intn(900)), PkScript: scripts[a]}
+				path, slab, holes, count := "new group", 0, 0, 0
+				var old heightGroup
+				if b != nil {
+					slab, holes, count = len(b.refs), b.holes(), b.count
+					if gi, ok := b.findGroup(h); ok {
+						old = b.groups[gi]
+						switch end := int(old.lo + old.n); {
+						case end == slab:
+							path = "extended"
+						case b.refs[end] == holeRef:
+							path = "filled"
+						case holes+int(old.n) > count+1:
+							path = "moved and compacted"
+						default:
+							path = "moved"
+						}
+					}
+				}
+				mustAdd(t, set, op, out.Value, out.PkScript, h)
+				oracle.add(op, out, h)
+				live = append(live, op)
+				b = set.byAddress[keys[a]]
+				gi, _ := b.findGroup(h)
+				g := b.groups[gi]
+				var ok bool
+				switch path {
+				case "extended", "filled":
+					ok = g.lo == old.lo && len(b.refs) == max(slab, int(old.lo+old.n)+1)
+				case "moved":
+					ok = g.lo == uint32(slab) && len(b.refs) == slab+1+int(old.n)
+				case "moved and compacted":
+					ok = len(b.refs) == b.count && cap(b.refs) == b.count
+				default:
+					ok = g.n == 1
+				}
+				if !ok {
+					t.Fatalf("%s: an add at height %d (%s) left the group at [%d, +%d) of a slab of %d, was [%d, +%d) of %d",
+						at, h, path, g.lo, g.n, len(b.refs), old.lo, old.n, slab)
+				}
+				paths[path]++
+			case r < removes && len(live) > 0:
+				op := takeLive()
+				u, key, _ := set.Lookup(op)
+				b = set.byAddress[key]
+				data := unsafe.SliceData(b.refs)
+				if _, err := set.Remove(op); err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				oracle.remove(op)
+				gone = append(gone[max(0, len(gone)-7):], pageCursor{height: u.Height, op: op})
+				if b = set.byAddress[key]; b != nil && unsafe.SliceData(b.refs) != data {
+					if len(b.refs) != b.count || cap(b.refs) != b.count {
+						t.Fatalf("%s: a compaction left a slab of %d (capacity %d) for %d refs", at, len(b.refs), cap(b.refs), b.count)
+					}
+					paths["compacted on removal"]++
+				}
+			default:
+				// A fold at a height the buckets may already hold: its spends
+				// are removals and its outputs merge into existing groups.
+				h := int64(rng.Intn(6))
+				var txs []*btc.Transaction
+				for n := 1 + rng.Intn(2); n > 0; n-- {
+					tx := &btc.Transaction{Version: 2}
+					if len(live) > 0 && rng.Intn(2) == 0 {
+						tx.Inputs = []btc.TxIn{{PreviousOutPoint: takeLive()}}
+					} else {
+						tx.Inputs = []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff},
+							SignatureScript: []byte{byte(step), byte(step >> 8), byte(seed), byte(n)}}}
+					}
+					for k := 1 + rng.Intn(3); k > 0; k-- {
+						tx.Outputs = append(tx.Outputs, btc.TxOut{Value: int64(1 + rng.Intn(900)), PkScript: scripts[rng.Intn(len(scripts))]})
+					}
+					txs = append(txs, tx)
+				}
+				block := &btc.Block{Transactions: txs}
+				if st := set.ApplyBlockIngest(block, h); st.Errors != 0 {
+					t.Fatalf("%s: %d errors folding a block of live inputs", at, st.Errors)
+				}
+				for ti, tx := range block.Transactions {
+					if !tx.IsCoinbase() {
+						oracle.remove(tx.Inputs[0].PreviousOutPoint)
+					}
+					for vout := range tx.Outputs {
+						op := btc.OutPoint{TxID: block.TxIDs()[ti], Vout: uint32(vout)}
+						oracle.add(op, tx.Outputs[vout], h)
+						live = append(live, op)
+					}
+				}
+				paths["fold"]++
+			}
+			checkIndexInvariants(t, set)
+			if step%25 == 0 {
+				checkAgainstOracle(t, set, oracle, keys, gone, at)
+			}
+		}
+		checkAgainstOracle(t, set, oracle, keys, gone, fmt.Sprintf("seed %d end", seed))
+	}
+	t.Logf("paths taken: %v", paths)
+	for _, path := range []string{"new group", "extended", "filled", "moved", "moved and compacted", "compacted on removal", "fold"} {
+		if paths[path] == 0 {
+			t.Errorf("no step took the %q path: %v", path, paths)
+		}
 	}
 }
 
@@ -502,7 +683,7 @@ func TestBucketInsertRemoveOrder(t *testing.T) {
 		if !ok {
 			t.Fatalf("no group at height %d", u.Height)
 		}
-		groups, size := len(b.groups), len(b.groups[gi].refs)
+		groups, size := len(b.groups), int(b.groups[gi].n)
 		if _, err := set.Remove(u.OutPoint); err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +695,7 @@ func TestBucketInsertRemoveOrder(t *testing.T) {
 			if _, still := b.findGroup(u.Height); still || len(b.groups) != groups-1 {
 				t.Fatalf("height %d: emptied group kept (%d groups, had %d)", u.Height, len(b.groups), groups)
 			}
-		} else if len(b.groups) != groups || len(b.groups[gi].refs) != size-1 {
+		} else if len(b.groups) != groups || int(b.groups[gi].n) != size-1 {
 			t.Fatalf("height %d: removal from a group of %d left %d groups (had %d)", u.Height, size, len(b.groups), groups)
 		}
 		checkIndexInvariants(t, set)

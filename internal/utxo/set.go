@@ -21,11 +21,14 @@
 //   - A script id indexes Set.scripts. An id is recycled once its reference
 //     count reaches zero, so nothing may hold an id across the release of
 //     its last entry.
-//   - Each UTXO is stored once, in the table's arena; a height group holds
-//     arena refs. The table's index words, its arena chunks and every
-//     group's refs hold no pointer: the collector skips them. Pointers
-//     remain only in the script records, the two string-keyed maps and the
-//     group headers.
+//   - Each UTXO is stored once, in the table's arena; a bucket holds arena
+//     refs in one slab, and a height group is a record of where its run of
+//     them lies. The table's index words, its arena chunks, every slab and
+//     every group record hold no pointer: the collector skips them. Pointers
+//     remain only in the script records, the two string-keyed maps and each
+//     bucket's two slice headers.
+//   - A height lies in [0, 2^32): the arena keeps it in 4 bytes. The fold
+//     and both decoders refuse any other.
 //   - A block fold has two halves: the table half (outpoint table, script
 //     records, metering stats) and the index half (buckets), which the
 //     table half records and applyIndex performs. The fold returns
@@ -54,6 +57,7 @@ package utxo
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 
@@ -169,7 +173,7 @@ func (s *Set) InternedScripts() int { return len(s.interned) }
 func (s *Set) enter(ref uint32, value, height int64, script uint32) {
 	e := s.table.at(ref)
 	e.value, e.script = value, script
-	*s.table.heightAt(ref) = height
+	*s.table.heightAt(ref) = uint32(height)
 	s.scripts[script].refs++
 }
 
@@ -237,7 +241,7 @@ func (s *Set) Lookup(op btc.OutPoint) (UTXO, string, bool) {
 	if e == nil {
 		return UTXO{}, "", false
 	}
-	return s.utxoOf(e, *s.table.heightAt(ref)), s.scripts[e.script].key, true
+	return s.utxoOf(e, int64(*s.table.heightAt(ref))), s.scripts[e.script].key, true
 }
 
 // pendingInsert is one output a block apply has entered into the outpoint
@@ -408,8 +412,9 @@ func (s *Set) settle() {
 }
 
 // applyIndex is the index half of a block fold and the fold path's one writer
-// of buckets: it performs the removals, then merges each chain's surviving
-// inserts into its bucket as one sorted height group. It reads no script
+// of buckets: it performs the removals, then appends each chain's surviving
+// inserts to its bucket's slab, sorts them there and files them as one
+// height group. It reads no script
 // record, and of the table only the outpoints and values of entries it
 // names, through w.arena — slots that are live or held — so it can trail the
 // table half on a goroutine of its own.
@@ -427,22 +432,25 @@ func (s *Set) applyIndex(w *indexWork) {
 		if n == 0 {
 			continue
 		}
-		// refs holds pending indexes, in block order, until they are sorted
-		// by outpoint and swapped for the refs they carry.
-		refs := make([]uint32, n)
+		// The run holds pending indexes, in block order, until they are
+		// sorted by outpoint and swapped for the refs they carry.
+		b := s.bucketFor(c.key)
+		lo := len(b.refs)
+		b.refs = slices.Grow(b.refs, n)[:lo+n]
+		run := b.refs[lo:]
 		for i := c.head; i > 0; i = w.pending[i-1].prev {
 			if !w.pending[i-1].spent {
 				n--
-				refs[n] = uint32(i - 1)
+				run[n] = uint32(i - 1)
 			}
 		}
-		if len(refs) > 1 {
-			slices.SortFunc(refs, func(a, b uint32) int { return cmpOutPoint(&w.pending[a].op, &w.pending[b].op) })
+		if len(run) > 1 {
+			slices.SortFunc(run, func(x, y uint32) int { return cmpOutPoint(&w.pending[x].op, &w.pending[y].op) })
 		}
-		for k, i := range refs {
-			refs[k] = w.pending[i].ref
+		for k, i := range run {
+			run[k] = w.pending[i].ref
 		}
-		s.bucketFor(c.key).insertGroup(w.arena, w.height, refs)
+		b.insertGroup(w.arena, w.height, lo)
 	}
 }
 
@@ -559,8 +567,13 @@ type IngestStats struct {
 // reaches it. Only the buckets wait: the pass records their removals and
 // inserts, and the index half applies them on a goroutine of its own, which
 // the next bucket read waits for. No undo data is built; the canister never
-// rolls back below the anchor.
+// rolls back below the anchor. A height outside [0, 2^32) is refused with a
+// panic before the set is touched: no chain reaches it, and the arena's
+// height column could not hold it.
 func (s *Set) ApplyBlockIngest(block *btc.Block, height int64) IngestStats {
+	if !heightInRange(height) {
+		panic(fmt.Sprintf("utxo: block height %d out of range", height))
+	}
 	var st IngestStats
 	inputs, outputs := 0, 0
 	for _, tx := range block.Transactions {

@@ -1,8 +1,10 @@
 package utxo
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,15 +17,21 @@ import (
 // the per-entry references a fold is held to are written. Both write a bucket,
 // so both settle the trailing index halves first.
 
-// Add inserts an unspent output. Adding a duplicate outpoint is an error.
+// Add inserts an unspent output. Adding a duplicate outpoint, or one at a
+// height outside [0, 2^32), is an error.
 func (s *Set) Add(op btc.OutPoint, out btc.TxOut, height int64) error {
 	s.settle()
+	if !heightInRange(height) {
+		return fmt.Errorf("utxo: height %d out of range", height)
+	}
 	ref, fresh := s.table.put(&op)
 	if !fresh {
 		return fmt.Errorf("utxo: duplicate outpoint %s", op)
 	}
 	s.enter(ref, out.Value, height, s.intern(out.PkScript))
-	s.bucketFor(s.scripts[s.table.at(ref).script].key).insertGroup(s.table.chunks, height, []uint32{ref})
+	b := s.bucketFor(s.scripts[s.table.at(ref).script].key)
+	b.refs = append(b.refs, ref)
+	b.insertGroup(s.table.chunks, height, len(b.refs)-1)
 	return nil
 }
 
@@ -44,6 +52,45 @@ func (s *Set) Remove(op btc.OutPoint) (UTXO, error) {
 	s.table.recycle(s.table.held)
 	s.table.held = slotChain{}
 	return u, nil
+}
+
+// TestAddAndFoldRefuseHeightOutOfRange: the arena keeps a height in 4 bytes,
+// so Add returns an error and a fold panics, each before touching the set,
+// at a height below 0 or at or above 2^32; the highest height the column
+// holds goes in and comes out whole.
+func TestAddAndFoldRefuseHeightOutOfRange(t *testing.T) {
+	_, script := addrKey(7)
+	block := &btc.Block{Transactions: []*btc.Transaction{{Version: 2,
+		Inputs:  []btc.TxIn{{PreviousOutPoint: btc.OutPoint{TxID: btc.ZeroHash, Vout: 0xffffffff}}},
+		Outputs: []btc.TxOut{{Value: 5, PkScript: script}}}}}
+	s := New(btc.Regtest)
+	mustAdd(t, s, op(1, 0), 9, script, 4)
+	snap := encodeSet(s)
+	for _, h := range []int64{-1, math.MinInt64, 1 << 32, math.MaxInt64} {
+		if err := s.Add(op(2, 0), btc.TxOut{Value: 1, PkScript: script}, h); err == nil {
+			t.Fatalf("Add at height %d accepted", h)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a fold at height %d went through", h)
+				}
+			}()
+			s.ApplyBlockIngest(block, h)
+		}()
+		if !bytes.Equal(encodeSet(s), snap) {
+			t.Fatalf("refusing height %d changed the set", h)
+		}
+	}
+	const top = 1<<32 - 1
+	mustAdd(t, s, op(2, 0), 1, script, top)
+	s.ApplyBlockIngest(block, top)
+	for _, o := range []btc.OutPoint{op(2, 0), {TxID: block.Transactions[0].TxID()}} {
+		if u, ok := s.Get(o); !ok || u.Height != top {
+			t.Fatalf("%s at height %d: got %+v, %v", o, int64(top), u, ok)
+		}
+	}
+	checkIndexInvariants(t, s)
 }
 
 func addrKey(seed byte) (string, []byte) {

@@ -25,21 +25,24 @@ import (
 //     Set.flush). Freed slots are chained through their heights and reused
 //     last-freed first.
 //   - The arena has two columns: the entries, 48 bytes each, and their
-//     heights. A page walk reads the entries alone (its group holds the
-//     height), and a walk over a restored bucket's entries is bound by the
-//     bytes it streams.
+//     heights, 4 bytes each (a set holds heights below 2^32; the snapshot
+//     and every API still carry an int64). A page walk reads the entries
+//     alone (its group holds the height), and a walk over a restored
+//     bucket's entries is bound by the bytes it streams. The height slot of
+//     a taken slot holds its chain link, a ref+1.
 //
 // One level of fat slots (the entry stored in the index) would probe as fast,
 // but a doubling — which happens inside one block's fold — would allocate,
 // clear and refill 64 bytes a slot where this one moves 8, and the empty half
 // of the table would cost 64 bytes a slot too: between two doublings the
-// table weighs 72 to 88 bytes an entry, fat slots at the same load 128 to
-// 256. Each entry is stored once, here; its bucket holds a 4-byte ref.
+// table weighs 68 to 84 bytes an entry (16 to 32 of index, 48 of entry, 4
+// of height), fat slots at the same load 128 to 256. Each entry is stored
+// once, here; its bucket holds a 4-byte ref.
 type outpointTable struct {
 	seed    uint64
 	index   []uint64
 	chunks  arena
-	heights []*[chunkSize]int64
+	heights []*[chunkSize]uint32
 	// used counts arena slots ever handed out; free heads the chain of freed
 	// ones, as ref+1; held chains the slots taken since the set last handed
 	// them on.
@@ -81,7 +84,15 @@ const (
 	// freeSlot in an arena slot's script field marks the slot as taken:
 	// held or free.
 	freeSlot = math.MaxUint32
+
+	// maxHeight is the highest height the arena's 4-byte column holds; the
+	// decoders, the fold and every other writer refuse a height above it or
+	// below 0.
+	maxHeight = math.MaxUint32
 )
+
+// heightInRange reports whether the height column can hold h.
+func heightInRange(h int64) bool { return h >= 0 && h <= maxHeight }
 
 // indexSlotsFor returns the index size that holds n entries at no more than
 // half load.
@@ -102,39 +113,37 @@ func newOutpointTable(seed uint64, n int) outpointTable {
 		seed:    seed,
 		index:   make([]uint64, indexSlotsFor(n)),
 		chunks:  make(arena, 0, chunks),
-		heights: make([]*[chunkSize]int64, 0, chunks),
+		heights: make([]*[chunkSize]uint32, 0, chunks),
 	}
 }
 
 // arenaWindow is a run of arena slots whose first is ref base: their
-// entries, their heights, and a column of refs a bucket's groups are cut
-// from.
+// entries and their heights.
 type arenaWindow struct {
 	entries []tableEntry
-	heights []int64
-	refs    []uint32
+	heights []uint32
 	base    uint32
 }
 
 // cut returns the window's slots [lo, hi).
 func (w arenaWindow) cut(lo, hi int) arenaWindow {
-	return arenaWindow{w.entries[lo:hi], w.heights[lo:hi], w.refs[lo:hi], w.base + uint32(lo)}
+	return arenaWindow{w.entries[lo:hi], w.heights[lo:hi], w.base + uint32(lo)}
 }
 
 // newFilledTable returns a table whose first n arena slots are handed out
 // but not indexed, and those slots as one window: a decoder writes each
-// entry, its height and its ref into the window and then indexes the slot
-// (place). Each column's chunks are cut from one allocation.
+// entry and its height into the window and then indexes the slot (place).
+// Each column's chunks are cut from one allocation.
 func newFilledTable(seed uint64, n int) (outpointTable, arenaWindow) {
 	t := newOutpointTable(seed, n)
 	entries := make([]tableEntry, cap(t.chunks)*chunkSize)
-	heights := make([]int64, len(entries))
+	heights := make([]uint32, len(entries))
 	for lo := 0; lo < len(entries); lo += chunkSize {
 		t.chunks = append(t.chunks, (*[chunkSize]tableEntry)(entries[lo:]))
-		t.heights = append(t.heights, (*[chunkSize]int64)(heights[lo:]))
+		t.heights = append(t.heights, (*[chunkSize]uint32)(heights[lo:]))
 	}
 	t.used = uint32(n)
-	return t, arenaWindow{entries: entries[:n], heights: heights[:n], refs: make([]uint32, n)}
+	return t, arenaWindow{entries: entries[:n], heights: heights[:n]}
 }
 
 // outpointTag hashes an outpoint to the high half of an index word — the
@@ -158,7 +167,7 @@ func (t *outpointTable) tag(op *btc.OutPoint) uint32 { return outpointTag(t.seed
 func (t *outpointTable) at(ref uint32) *tableEntry { return t.chunks.at(ref) }
 
 // heightAt is the height column's slot of ref.
-func (t *outpointTable) heightAt(ref uint32) *int64 {
+func (t *outpointTable) heightAt(ref uint32) *uint32 {
 	return &t.heights[ref>>chunkBits][ref&(chunkSize-1)]
 }
 
@@ -231,8 +240,8 @@ func (t *outpointTable) take(op *btc.OutPoint) (uint32, tableEntry, int64, bool)
 	}
 	ref := uint32(t.index[i]) - 1
 	taken, h := *e, t.heightAt(ref)
-	height := *h
-	e.script, *h = freeSlot, int64(t.held.head)
+	height := int64(*h)
+	e.script, *h = freeSlot, t.held.head
 	if t.held.head == 0 {
 		t.held.tail = ref + 1
 	}
@@ -256,7 +265,7 @@ func (t *outpointTable) take(op *btc.OutPoint) (uint32, tableEntry, int64, bool)
 // recycle puts a chain of held slots in front of the free chain.
 func (t *outpointTable) recycle(c slotChain) {
 	if c.head != 0 {
-		*t.heightAt(c.tail - 1) = int64(t.free)
+		*t.heightAt(c.tail - 1) = t.free
 		t.free = c.head
 	}
 }
@@ -266,7 +275,7 @@ func (t *outpointTable) recycle(c slotChain) {
 func (t *outpointTable) alloc() uint32 {
 	if t.free != 0 {
 		ref := t.free - 1
-		t.free = uint32(*t.heightAt(ref))
+		t.free = *t.heightAt(ref)
 		return ref
 	}
 	ref := t.used
@@ -275,7 +284,7 @@ func (t *outpointTable) alloc() uint32 {
 	}
 	if int(ref>>chunkBits) == len(t.chunks) {
 		t.chunks = append(t.chunks, new([chunkSize]tableEntry))
-		t.heights = append(t.heights, new([chunkSize]int64))
+		t.heights = append(t.heights, new([chunkSize]uint32))
 	}
 	t.used++
 	return ref
@@ -303,7 +312,7 @@ func (t *outpointTable) grow() {
 // false.
 func (t *outpointTable) each(visit func(*tableEntry, int64) bool) {
 	for ref := uint32(0); ref < t.used; ref++ {
-		if e := t.at(ref); e.script != freeSlot && !visit(e, *t.heightAt(ref)) {
+		if e := t.at(ref); e.script != freeSlot && !visit(e, int64(*t.heightAt(ref))) {
 			return
 		}
 	}

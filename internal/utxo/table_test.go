@@ -35,7 +35,7 @@ func checkTable(t *testing.T, tbl *outpointTable, model map[btc.OutPoint]modelEn
 		if got == nil {
 			t.Fatalf("outpoint %s unreachable", op)
 		}
-		if (modelEntry{*got, *tbl.heightAt(ref)}) != want {
+		if (modelEntry{*got, int64(*tbl.heightAt(ref))}) != want {
 			t.Fatalf("outpoint %s holds %+v at height %d, model %+v", op, *got, *tbl.heightAt(ref), want)
 		}
 	}
@@ -86,7 +86,7 @@ func checkTable(t *testing.T, tbl *outpointTable, model map[btc.OutPoint]modelEn
 func takenChain(t *testing.T, tbl *outpointTable, head uint32) []uint32 {
 	t.Helper()
 	var refs []uint32
-	for ref := head; ref != 0; ref = uint32(*tbl.heightAt(ref - 1)) {
+	for ref := head; ref != 0; ref = *tbl.heightAt(ref - 1) {
 		if tbl.at(ref-1).script != freeSlot {
 			t.Fatalf("arena slot %d on a chain of taken slots is not marked taken", ref-1)
 		}
@@ -124,7 +124,7 @@ func tableProgram(t *testing.T, data []byte) {
 		op := fuzzOutPoint(data[1], data[2])
 		fill := modelEntry{tableEntry{op: op, script: uint32(data[2]), value: int64(step)}, int64(data[1])}
 		write := func(ref uint32) {
-			*tbl.at(ref), *tbl.heightAt(ref) = fill.tableEntry, fill.height
+			*tbl.at(ref), *tbl.heightAt(ref) = fill.tableEntry, uint32(fill.height)
 			model[op] = fill
 		}
 		switch data[0] % 5 {
@@ -155,7 +155,7 @@ func tableProgram(t *testing.T, data []byte) {
 		case 3: // get
 			ref, e := tbl.get(&op)
 			want, held := model[op]
-			if (e != nil) != held || (held && (modelEntry{*e, *tbl.heightAt(ref)}) != want) {
+			if (e != nil) != held || (held && (modelEntry{*e, int64(*tbl.heightAt(ref))}) != want) {
 				t.Fatalf("step %d: get %s disagrees with the model", step, op)
 			}
 		case 4: // recycle the held slots; grow ahead of need, while a program of doublings stays small
@@ -337,11 +337,11 @@ func TestCraftedCollisionsNeedTheSeed(t *testing.T) {
 	check("after taking every other one", ops[:n/2])
 }
 
-// TestPointerFreeLayout pins what the table's gain rests on: the index
-// words, the arena's two columns and the groups' refs hold nothing the
-// collector must follow, so all of them live in memory it never scans; and
-// an entry, stored once, stays at 48 bytes beside its 8-byte height, the
-// bytes a page walk streams.
+// TestPointerFreeLayout pins what the set's weight rests on: the index
+// words, the arena's two columns, a bucket's slab and its group records hold
+// nothing the collector must follow, so all of them live in memory it never
+// scans; a group record is 16 bytes and a height 4; and an entry, stored
+// once, stays at 48 bytes, the bytes a page walk streams.
 func TestPointerFreeLayout(t *testing.T) {
 	var noPointers func(reflect.Type, string)
 	noPointers = func(typ reflect.Type, path string) {
@@ -361,8 +361,18 @@ func TestPointerFreeLayout(t *testing.T) {
 	noPointers(reflect.TypeOf(tbl.index).Elem(), "index word")
 	noPointers(reflect.TypeOf(tbl.chunks).Elem().Elem(), "arena chunk")
 	noPointers(reflect.TypeOf(tbl.heights).Elem().Elem(), "height chunk")
-	noPointers(reflect.TypeOf(heightGroup{}.refs).Elem(), "group ref")
-	if size := unsafe.Sizeof(tableEntry{}); size != 48 {
-		t.Errorf("tableEntry is %d bytes, want 48", size)
+	noPointers(reflect.TypeOf(heightGroup{}), "group record")
+	noPointers(reflect.TypeOf(bucket{}.refs).Elem(), "slab ref")
+	for _, c := range []struct {
+		what       string
+		size, want uintptr
+	}{
+		{"tableEntry", unsafe.Sizeof(tableEntry{}), 48},
+		{"a height column slot", reflect.TypeOf(tbl.heights).Elem().Elem().Elem().Size(), 4},
+		{"heightGroup", unsafe.Sizeof(heightGroup{}), 16},
+	} {
+		if c.size != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.what, c.size, c.want)
+		}
 	}
 }
