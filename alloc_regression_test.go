@@ -153,7 +153,7 @@ func TestOverlayReadAllocations(t *testing.T) {
 // block's refs outgrow it (about 10 a fold) and its group records (about
 // 8), each doubling. Each fold is settled by a bucket read before the
 // next, so the trailing index half is counted whole whatever the scheduler
-// did inside the window. Nothing per input, per output or per script: 38
+// did inside the window. Nothing per input, per output or per script: 36
 // measured here for 347 scripts, at GOMAXPROCS 1 and 2 alike, where a
 // sorted refs slice of its own per touched script cost 378 and the staged
 // fold before that 2 207 (five scratch maps, a regroup map, per-bucket lists

@@ -28,8 +28,8 @@ import (
 //     performs no address decoding, no ScriptID hashing, and no sorting.
 //     Entries are written straight into the outpoint table's arena, each
 //     bucket in page order in a window of its own; the bucket's slab names
-//     that window slot by slot, and its group records are cut from the
-//     stored (already canonical) order; running balances are accumulated in
+//     those slots in stored (already canonical) order, and its group
+//     records are cut from that order; running balances are accumulated in
 //     the same pass. A stored height is an int64, and one outside [0, 2^32)
 //     is refused: the arena keeps a height in 4 bytes.
 //
@@ -222,9 +222,9 @@ type bucketDecoder struct {
 // streams forward through memory. Stored entry j lands at its mirrored place
 // n-1-j, which leaves each group backwards at its final place; a group is
 // turned round as soon as it ends, while it is still in cache. The bucket's
-// slab, an exact allocation of its own, names the window's slots in order,
-// so a group's run is its place in the window. The groups slice stays
-// height-ascending, as everywhere else.
+// slab, an exact allocation of its own, is in storage order, as everywhere
+// else: slot j names the window slot stored entry j landed in, so a group's
+// run names its window slots in order.
 func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, w arenaWindow) (*bucket, error) {
 	dst := w.entries
 	n := len(dst)
@@ -262,28 +262,33 @@ func (bd *bucketDecoder) decode(d *statecodec.Decoder, key string, w arenaWindow
 				return nil, fmt.Errorf("utxo: snapshot bucket %q not in storage order at entry %d", key, j)
 			}
 			if h > height {
-				bd.endGroup(dst, n-j, n-start, height)
+				bd.endGroup(b, w, n-j, n-start, height)
 				start = j
 			}
 		}
 		height = h
 		b.balance += e.value
 		w.heights[n-1-j] = uint32(h)
-		b.refs[j] = w.base + uint32(j)
 	}
 	if n > 0 {
-		bd.endGroup(dst, 0, n-start, height)
+		bd.endGroup(b, w, 0, n-start, height)
 	}
 	b.groups = slices.Clone(bd.groups)
 	return b, nil
 }
 
-// endGroup turns the finished group dst[lo:hi], written backwards, forward
-// (its heights are all equal) and records it as the run [lo, hi) of the
-// bucket's slab.
-func (bd *bucketDecoder) endGroup(dst []tableEntry, lo, hi int, height int64) {
-	slices.Reverse(dst[lo:hi])
-	bd.groups = append(bd.groups, heightGroup{height: height, lo: uint32(lo), n: uint32(hi - lo)})
+// endGroup turns the finished group w.entries[lo:hi], written backwards,
+// forward (its heights are all equal) and records it. Its run is as many
+// slab slots, as far from the slab's end as the window slots are from its
+// start, and names them in order.
+func (bd *bucketDecoder) endGroup(b *bucket, w arenaWindow, lo, hi int, height int64) {
+	slices.Reverse(w.entries[lo:hi])
+	n := len(b.refs)
+	run := b.refs[n-hi : n-lo]
+	for i := range run {
+		run[i] = w.base + uint32(lo+i)
+	}
+	bd.groups = append(bd.groups, heightGroup{height: height, lo: uint32(n - hi), n: uint32(hi - lo)})
 }
 
 // indexBucket installs a decoded bucket whose window starts at ref base: its

@@ -3,7 +3,6 @@ package utxo
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -18,29 +17,33 @@ import (
 //
 // Layout. A bucket keeps all its refs in one slab, a []uint32, and a group
 // is a 16-byte record {height, lo, n}: its refs are the run slab[lo:lo+n].
-// Neither the slab nor the records hold a pointer, so the collector scans
-// of a bucket its two slice headers and nothing else, and a group costs 16
-// bytes where a header with a refs slice of its own cost 32 and an
-// allocation. A page walk reads each entry through its ref — one dependent
-// load and the entry's 48-byte column, not its height — against 44 bytes a
-// UTXO that a second, inline copy in the bucket would cost every replica.
+// The runs tile the slab in group order, so the slab is the bucket's storage
+// order (height ascending, then txid/vout) and a group's lo counts the
+// bucket's entries below its height. Neither the slab nor the records hold
+// a pointer, so the collector scans of a bucket its two slice headers and
+// nothing else, and a group costs 16 bytes where a header with a refs slice
+// of its own cost 32 and an allocation. A page walk reads each entry through
+// its ref — one dependent load and the entry's 48-byte column, not its
+// height — against 44 bytes a UTXO that a second, inline copy in the bucket
+// would cost every replica.
 //
-// Holes. A slab slot no run covers is a hole and holds holeRef. Runs lie in
-// the slab in any order and never overlap:
+// Writing:
 //
 //   - A fold appends: heights ascend block over block, so a block's outputs
 //     for an address are appended to the slab, sorted there and become one
 //     new group at the end of the bucket.
-//   - Removing one UTXO shifts only the rest of its own run and leaves a hole
-//     at the run's end (or drops the group record when it was the run's
-//     last ref); holes at the slab's end are cut off. The flat alternative,
-//     shifting the slab's tail and every later group's lo, cost about six
-//     times as much a removal on a bucket of 2 000 to 4 000 entries.
-//   - A same-height merge (a second fold at one height, a single added
-//     entry) writes the new refs into the holes after the group's run when
-//     there are enough, else moves the run behind them at the slab's end.
-//   - Once holes outnumber live refs, the bucket compacts: its runs move into
-//     a fresh slab of exactly the live refs, in page order.
+//   - Removing one UTXO deletes its ref from the slab, which shifts the
+//     slab's tail down a slot, and lowers every later group's lo by one. On
+//     the benchmark's seed-1 fixture a spend finds its bucket at 676 entries
+//     in 234 groups on average and shifts 337 refs and 102 group records,
+//     about 310 ns a removal. Leaving a hole in the run instead cost about
+//     130 ns, but with the compaction it needs it made ingest_sync about
+//     4 % faster, inside that workload's run-to-run spread, and it was
+//     dropped.
+//   - New refs at a height below the bucket's top (a second fold at one
+//     height, a single added entry) are rotated from the slab's end into
+//     place — the end of their group's run, or where their new group
+//     begins — and every later group's lo rises by their number.
 //
 // Reading:
 //
@@ -49,10 +52,9 @@ import (
 //     run forward; a cursor is located by one search over the group heights
 //     and one inside the run.
 //   - A hydrated bucket (DecodeSet, DecodeSetParallel) lies in page order in
-//     the arena and in its slab: the highest group's entries at the lowest
-//     refs and slab slots, each lower group right after, so that walk
-//     streams forward through memory. A fold's outputs take whatever arena
-//     slots the table hands out.
+//     the arena: the highest group's entries at the lowest refs, each lower
+//     group right after, so that walk streams forward through the entries.
+//     A fold's outputs take whatever arena slots the table hands out.
 //   - A group reads the arena from the trailing index half too (a search by
 //     outpoint, a same-height merge, a balance), while the next block's
 //     table half takes and puts entries. One rule makes that safe, the held
@@ -73,23 +75,24 @@ type heightGroup struct {
 
 // bucket is the per-address ordered container.
 type bucket struct {
-	// groups is sorted by height ascending; refs is the slab their runs lie
-	// in, holes included.
+	// groups is sorted by height ascending; refs is the slab their runs
+	// tile, in that order.
 	groups  []heightGroup
 	refs    []uint32
 	count   int
 	balance int64
 }
 
-// holeRef marks a slab slot no run covers. No arena ref reaches it: alloc
-// stops two short of it.
-const holeRef = math.MaxUint32
-
 // run is group g's refs.
 func (b *bucket) run(g *heightGroup) []uint32 { return b.refs[g.lo : g.lo+g.n : g.lo+g.n] }
 
-// holes counts the slab's slots no run covers.
-func (b *bucket) holes() int { return len(b.refs) - b.count }
+// shiftFrom moves the runs of groups[gi:] d slots along the slab.
+func (b *bucket) shiftFrom(gi, d int) {
+	later := b.groups[gi:]
+	for i := range later {
+		later[i].lo += uint32(d) // a negative d wraps to the same sum
+	}
+}
 
 // cmpOutPoint is the canonical tie-break inside one height: txid, then vout.
 func cmpOutPoint(a, b *btc.OutPoint) int {
@@ -147,54 +150,43 @@ func (a arena) searchRefs(refs []uint32, op *btc.OutPoint) (int, bool) {
 
 // insertGroup files the refs the caller appended to the slab from lo on:
 // entries of one height, sorted by cmpOutPoint — a block's outputs for this
-// bucket, or a single added one. Normally the height is new and the run
-// becomes a group where it lies; only a height the bucket already holds
-// needs a merge. The entries are read through a.
+// bucket, or a single added one. Normally the height is above every group's
+// and the run becomes a new group where it lies; a lower height rotates the
+// run into place, merging it into the group at that height if there is one.
+// The entries are read through a.
 func (b *bucket) insertGroup(a arena, height int64, lo int) {
 	added := b.refs[lo:]
-	b.count += len(added)
+	k := len(added)
+	b.count += k
 	for _, ref := range added {
 		b.balance += a.at(ref).value
 	}
 	gi, ok := b.findGroup(height)
-	if !ok {
-		b.groups = slices.Insert(b.groups, gi, heightGroup{height: height, lo: uint32(lo), n: uint32(len(added))})
+	if gi == len(b.groups) {
+		b.groups = append(b.groups, heightGroup{height: height, lo: uint32(lo), n: uint32(k)})
 		return
 	}
-	g := &b.groups[gi]
-	end := int(g.lo + g.n)
-	switch {
-	case end == lo:
-		// The run ends where the new refs begin.
-	case end+len(added) <= lo && allHoles(b.refs[end:end+len(added)]):
-		copy(b.refs[end:], added)
-		b.refs = b.refs[:lo]
-	default:
-		// The run moves behind the new refs, and its old place becomes holes.
-		b.refs = append(b.refs, b.run(g)...)
-		for i := range g.n {
-			b.refs[g.lo+i] = holeRef
-		}
-		g.lo = uint32(lo)
+	at := int(b.groups[gi].lo)
+	if ok {
+		at += int(b.groups[gi].n)
 	}
-	g.n += uint32(len(added))
-	a.sortRefs(b.run(g))
-	b.compact()
-}
-
-// allHoles reports whether every slot of refs is a hole.
-func allHoles(refs []uint32) bool {
-	for _, ref := range refs {
-		if ref != holeRef {
-			return false
-		}
+	// Rotate the slab's tail [at:] so the new refs come first.
+	slices.Reverse(b.refs[at:lo])
+	slices.Reverse(added)
+	slices.Reverse(b.refs[at:])
+	if ok {
+		g := &b.groups[gi]
+		g.n += uint32(k)
+		a.sortRefs(b.run(g))
+	} else {
+		b.groups = slices.Insert(b.groups, gi, heightGroup{height: height, lo: uint32(at), n: uint32(k)})
 	}
-	return true
+	b.shiftFrom(gi+1, k)
 }
 
 // remove deletes ref from the group at height, reporting whether it was
-// there. It finds the ref by its entry's outpoint, read through a. The rest
-// of the run shifts down over it, leaving a hole at the run's end.
+// there. It finds the ref by its entry's outpoint, read through a. The
+// slab's tail shifts down over it.
 func (b *bucket) remove(a arena, ref uint32, height int64) bool {
 	gi, ok := b.findGroup(height)
 	if !ok {
@@ -209,35 +201,15 @@ func (b *bucket) remove(a arena, ref uint32, height int64) bool {
 	}
 	b.count--
 	b.balance -= e.value
-	copy(run[i:], run[i+1:])
-	run[len(run)-1] = holeRef
+	at := int(g.lo) + i
+	b.refs = slices.Delete(b.refs, at, at+1)
 	if g.n--; g.n == 0 {
 		b.groups = slices.Delete(b.groups, gi, gi+1)
+	} else {
+		gi++
 	}
-	n := len(b.refs)
-	for n > 0 && b.refs[n-1] == holeRef {
-		n--
-	}
-	b.refs = b.refs[:n]
-	b.compact()
+	b.shiftFrom(gi, -1)
 	return true
-}
-
-// compact moves the runs into a fresh slab of exactly the live refs, the
-// highest group first as a decoder lays a bucket out, once holes outnumber
-// them.
-func (b *bucket) compact() {
-	if b.holes() <= b.count {
-		return
-	}
-	refs := make([]uint32, 0, b.count)
-	for gi := len(b.groups) - 1; gi >= 0; gi-- {
-		g := &b.groups[gi]
-		lo := len(refs)
-		refs = append(refs, b.run(g)...)
-		g.lo = uint32(lo)
-	}
-	b.refs = refs
 }
 
 // AddressIter streams one address's stable UTXOs in canonical

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"unsafe"
 
 	"icbtc/internal/btc"
 )
@@ -62,18 +61,16 @@ func (o *mapOracle) forAddress(key string) []UTXO {
 
 // checkIndexInvariants verifies the bucket layout itself, which the
 // observable checks cannot see: group heights strictly ascending, no group
-// left empty, every run inside its bucket's slab and overlapping no other,
-// every slab slot outside the runs a hole and the last slot none, holes no
-// more than the live refs (the compaction bound), refs in the canonical txid/vout order of their
-// entries, count and balance equal to what the groups hold, and no bucket
-// kept once it is drained. It then holds the outpoint table and the script records to the
-// buckets: every ref names a live arena slot, indexed under its outpoint, at
-// its group's height, whose script is keyed to its bucket; no ref appears
-// twice or sits on the free chain or on a chain of held slots (the table's
-// own, or one a trailing fold keeps until it is recycled); every other slot
-// is on one of those chains; a script's reference count is the number of
-// entries that name its id, and an id on the free list is a cleared record
-// no entry names.
+// left empty, the runs tiling the bucket's slab in group order, refs in the
+// canonical txid/vout order of their entries, count and balance equal to
+// what the groups hold, and no bucket kept once it is drained. It then holds
+// the outpoint table and the script records to the buckets: every ref names
+// a live arena slot, indexed under its outpoint, at its group's height, whose
+// script is keyed to its bucket; no ref appears twice or sits on the free
+// chain or on a chain of held slots (the table's own, or one a trailing fold
+// keeps until it is recycled); every other slot is on one of those chains; a
+// script's reference count is the number of entries that name its id, and an
+// id on the free list is a cleared record no entry names.
 func checkIndexInvariants(t *testing.T, set *Set) {
 	t.Helper()
 	set.settle()
@@ -96,7 +93,6 @@ func checkIndexInvariants(t *testing.T, set *Set) {
 	refs := make([]int32, len(set.scripts))
 	for key, b := range set.byAddress {
 		count, balance := 0, int64(0)
-		covered := make([]bool, len(b.refs))
 		for gi := range b.groups {
 			g := &b.groups[gi]
 			if g.n == 0 {
@@ -105,14 +101,8 @@ func checkIndexInvariants(t *testing.T, set *Set) {
 			if gi > 0 && b.groups[gi-1].height >= g.height {
 				t.Fatalf("bucket %s: group heights not ascending at %d", key, gi)
 			}
-			if int(g.lo)+int(g.n) > len(b.refs) {
-				t.Fatalf("bucket %s height %d: run [%d, +%d) outside a slab of %d", key, g.height, g.lo, g.n, len(b.refs))
-			}
-			for i := g.lo; i < g.lo+g.n; i++ {
-				if covered[i] {
-					t.Fatalf("bucket %s height %d: slab slot %d lies in two runs", key, g.height, i)
-				}
-				covered[i] = true
+			if int(g.lo) != count || int(g.lo)+int(g.n) > len(b.refs) {
+				t.Fatalf("bucket %s height %d: run [%d, +%d) of a slab of %d, want it from %d", key, g.height, g.lo, g.n, len(b.refs), count)
 			}
 			run := b.run(g)
 			for i, ref := range run {
@@ -149,16 +139,8 @@ func checkIndexInvariants(t *testing.T, set *Set) {
 		if count == 0 {
 			t.Fatalf("bucket %s: drained bucket kept", key)
 		}
-		for i, in := range covered {
-			if !in && b.refs[i] != holeRef {
-				t.Fatalf("bucket %s: slab slot %d lies in no run but holds %d, not a hole", key, i, b.refs[i])
-			}
-		}
-		if n := len(b.refs); n > 0 && b.refs[n-1] == holeRef {
-			t.Fatalf("bucket %s: the slab ends in a hole", key)
-		}
-		if holes := len(b.refs) - count; holes > count {
-			t.Fatalf("bucket %s: %d holes beside %d live refs, past the compaction bound", key, holes, count)
+		if len(b.refs) != count {
+			t.Fatalf("bucket %s: a slab of %d, its runs hold %d", key, len(b.refs), count)
 		}
 		if b.count != count || b.balance != balance {
 			t.Fatalf("bucket %s: count %d balance %d, groups hold %d / %d", key, b.count, b.balance, count, balance)
@@ -384,17 +366,16 @@ func TestOrderedIndexAgainstMapOracle(t *testing.T) {
 	}
 }
 
-// TestBucketSlabHolesAndCompaction drives buckets' slabs through every path
-// that leaves or fills a hole — removals, same-height merges (single adds and
-// folds at a height already held) and compactions — in phases that grow and
-// then shrink the set, and holds it to the map oracle and the layout
-// invariants as it goes. Each add is classified from its bucket's state
-// before it: the group's run ends at the slab's end (extended in place), a
-// hole follows it (filled), or neither (the run moves to the slab's end,
-// which compacts the slab when the holes then outnumber the live refs). A
-// removal that swaps the slab is a compaction and must leave it exact. Every
-// path must come up, so the test cannot pass vacuously.
-func TestBucketSlabHolesAndCompaction(t *testing.T) {
+// TestBucketSlabWritePaths drives buckets' slabs through every way a write
+// moves refs in them — a new group above the bucket's top (appended where it
+// lies), a new group below it and a merge into a group already held (both
+// rotated into place), removals that keep or drop their group, and
+// same-height folds — in phases that grow and then shrink the set, and holds
+// it to the map oracle and the layout invariants (the runs tile the slab) as
+// it goes. Each add is classified from its bucket's state before it and the
+// group it lands in is checked; every path must come up, so the test cannot
+// pass vacuously.
+func TestBucketSlabWritePaths(t *testing.T) {
 	paths := map[string]int{}
 	for _, seed := range []int64{1, 2, 3, 4} {
 		rng := rand.New(rand.NewSource(seed))
@@ -429,22 +410,14 @@ func TestBucketSlabHolesAndCompaction(t *testing.T) {
 				serial++
 				op := btc.OutPoint{TxID: btc.Hash{byte(serial), byte(serial >> 8), byte(seed)}, Vout: serial % 3}
 				out := btc.TxOut{Value: int64(1 + rng.Intn(900)), PkScript: scripts[a]}
-				path, slab, holes, count := "new group", 0, 0, 0
+				path, below := "new top group", 0
 				var old heightGroup
 				if b != nil {
-					slab, holes, count = len(b.refs), b.holes(), b.count
+					below = b.count
 					if gi, ok := b.findGroup(h); ok {
-						old = b.groups[gi]
-						switch end := int(old.lo + old.n); {
-						case end == slab:
-							path = "extended"
-						case b.refs[end] == holeRef:
-							path = "filled"
-						case holes+int(old.n) > count+1:
-							path = "moved and compacted"
-						default:
-							path = "moved"
-						}
+						path, old = "merged", b.groups[gi]
+					} else if gi < len(b.groups) {
+						path, below = "new inner group", int(b.groups[gi].lo)
 					}
 				}
 				mustAdd(t, set, op, out.Value, out.PkScript, h)
@@ -453,37 +426,27 @@ func TestBucketSlabHolesAndCompaction(t *testing.T) {
 				b = set.byAddress[keys[a]]
 				gi, _ := b.findGroup(h)
 				g := b.groups[gi]
-				var ok bool
-				switch path {
-				case "extended", "filled":
-					ok = g.lo == old.lo && len(b.refs) == max(slab, int(old.lo+old.n)+1)
-				case "moved":
-					ok = g.lo == uint32(slab) && len(b.refs) == slab+1+int(old.n)
-				case "moved and compacted":
-					ok = len(b.refs) == b.count && cap(b.refs) == b.count
-				default:
-					ok = g.n == 1
+				want := heightGroup{height: h, lo: uint32(below), n: 1}
+				if path == "merged" {
+					want = heightGroup{height: h, lo: old.lo, n: old.n + 1}
 				}
-				if !ok {
-					t.Fatalf("%s: an add at height %d (%s) left the group at [%d, +%d) of a slab of %d, was [%d, +%d) of %d",
-						at, h, path, g.lo, g.n, len(b.refs), old.lo, old.n, slab)
+				if g != want {
+					t.Fatalf("%s: an add at height %d (%s) left the group %+v, want %+v", at, h, path, g, want)
 				}
 				paths[path]++
 			case r < removes && len(live) > 0:
 				op := takeLive()
 				u, key, _ := set.Lookup(op)
-				b = set.byAddress[key]
-				data := unsafe.SliceData(b.refs)
+				groups := len(set.byAddress[key].groups)
 				if _, err := set.Remove(op); err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}
 				oracle.remove(op)
 				gone = append(gone[max(0, len(gone)-7):], pageCursor{height: u.Height, op: op})
-				if b = set.byAddress[key]; b != nil && unsafe.SliceData(b.refs) != data {
-					if len(b.refs) != b.count || cap(b.refs) != b.count {
-						t.Fatalf("%s: a compaction left a slab of %d (capacity %d) for %d refs", at, len(b.refs), cap(b.refs), b.count)
-					}
-					paths["compacted on removal"]++
+				if b = set.byAddress[key]; b == nil || len(b.groups) < groups {
+					paths["removal dropping its group"]++
+				} else {
+					paths["removal"]++
 				}
 			default:
 				// A fold at a height the buckets may already hold: its spends
@@ -527,7 +490,7 @@ func TestBucketSlabHolesAndCompaction(t *testing.T) {
 		checkAgainstOracle(t, set, oracle, keys, gone, fmt.Sprintf("seed %d end", seed))
 	}
 	t.Logf("paths taken: %v", paths)
-	for _, path := range []string{"new group", "extended", "filled", "moved", "moved and compacted", "compacted on removal", "fold"} {
+	for _, path := range []string{"new top group", "new inner group", "merged", "removal", "removal dropping its group", "fold"} {
 		if paths[path] == 0 {
 			t.Errorf("no step took the %q path: %v", path, paths)
 		}

@@ -22,8 +22,8 @@
 //     count reaches zero, so nothing may hold an id across the release of
 //     its last entry.
 //   - Each UTXO is stored once, in the table's arena; a bucket holds arena
-//     refs in one slab, and a height group is a record of where its run of
-//     them lies. The table's index words, its arena chunks, every slab and
+//     refs in one slab, in storage order, and a height group is a record of
+//     where its run of them lies. The table's index words, its arena chunks, every slab and
 //     every group record hold no pointer: the collector skips them. Pointers
 //     remain only in the script records, the two string-keyed maps and each
 //     bucket's two slice headers.
