@@ -6,8 +6,7 @@
 // The implementation is an honest-majority, passively-secure multi-party
 // computation over the secp256k1 scalar field:
 //
-//   - Shamir secret sharing with Feldman verifiable-secret-sharing
-//     commitments,
+//   - Shamir secret sharing,
 //   - dealerless distributed key generation (sum of random dealings),
 //   - nonce generation and inversion via the Bar-Ilan–Beaver trick
 //     (open k·a for a random blinding a, then k⁻¹ = a·(k·a)⁻¹),
@@ -137,91 +136,19 @@ func Reconstruct(shares []Share, degree int) (*big.Int, error) {
 	return secret, nil
 }
 
-// FeldmanCommitment is the public commitment to a sharing polynomial:
-// C_j = a_j·G for each coefficient. Any party can verify its share against
-// the commitment without learning the polynomial.
-type FeldmanCommitment struct {
-	Points []secp256k1.Point
-}
-
-// CommitPolynomial builds the Feldman commitment for the polynomial that
-// produced the given shares. Dealers call this at sharing time.
-func commitPolynomial(p *polynomial) FeldmanCommitment {
-	c := FeldmanCommitment{Points: make([]secp256k1.Point, len(p.coeffs))}
-	for i, a := range p.coeffs {
-		c.Points[i] = secp256k1.ScalarBaseMult(a)
-	}
-	return c
-}
-
-// ShareSecretVerifiable splits secret into n shares with reconstruction
-// threshold t+1 (a degree-t polynomial) and returns the Feldman commitment to
-// that polynomial.
-func ShareSecretVerifiable(secret *big.Int, n, t int, rng io.Reader) ([]Share, FeldmanCommitment, error) {
+// shareSecret splits secret into n shares with reconstruction threshold t+1
+// (a degree-t polynomial).
+func shareSecret(secret *big.Int, n, t int, rng io.Reader) ([]Share, error) {
 	if t < 0 || n < t+1 {
-		return nil, FeldmanCommitment{}, fmt.Errorf("tecdsa: invalid sharing parameters n=%d t=%d", n, t)
+		return nil, fmt.Errorf("tecdsa: invalid sharing parameters n=%d t=%d", n, t)
 	}
 	poly, err := newPolynomial(secret, t, rng)
 	if err != nil {
-		return nil, FeldmanCommitment{}, err
+		return nil, err
 	}
 	shares := make([]Share, n)
 	for i := 0; i < n; i++ {
 		shares[i] = Share{Index: i + 1, Value: poly.eval(int64(i + 1))}
 	}
-	return shares, commitPolynomial(poly), nil
-}
-
-// VerifyShare checks share s against a Feldman commitment:
-// s.Value·G == Σ_j C_j · s.Index^j.
-func VerifyShare(s Share, c FeldmanCommitment) bool {
-	if s.Index <= 0 || s.Value == nil || len(c.Points) == 0 {
-		return false
-	}
-	lhs := secp256k1.ScalarBaseMult(s.Value)
-	rhs := secp256k1.Point{}
-	xPow := big.NewInt(1)
-	x := big.NewInt(int64(s.Index))
-	n := secp256k1.N()
-	for _, cj := range c.Points {
-		rhs = secp256k1.Add(rhs, secp256k1.ScalarMult(cj, xPow))
-		xPow = new(big.Int).Mul(xPow, x)
-		xPow.Mod(xPow, n)
-	}
-	return lhs.Equal(rhs)
-}
-
-// PublicPoint returns the committed secret's public point C_0 = secret·G.
-func (c FeldmanCommitment) PublicPoint() secp256k1.Point {
-	if len(c.Points) == 0 {
-		return secp256k1.Point{}
-	}
-	return c.Points[0]
-}
-
-// AddCommitments adds two commitments coefficient-wise, the commitment of
-// the summed polynomials (used by the dealerless DKG).
-func AddCommitments(a, b FeldmanCommitment) FeldmanCommitment {
-	if len(a.Points) == 0 {
-		return b
-	}
-	if len(b.Points) == 0 {
-		return a
-	}
-	size := len(a.Points)
-	if len(b.Points) > size {
-		size = len(b.Points)
-	}
-	out := FeldmanCommitment{Points: make([]secp256k1.Point, size)}
-	for i := 0; i < size; i++ {
-		var pa, pb secp256k1.Point
-		if i < len(a.Points) {
-			pa = a.Points[i]
-		}
-		if i < len(b.Points) {
-			pb = b.Points[i]
-		}
-		out.Points[i] = secp256k1.Add(pa, pb)
-	}
-	return out
+	return shares, nil
 }

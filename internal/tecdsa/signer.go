@@ -61,40 +61,32 @@ func (c *Committee) T() int { return c.t }
 func (c *Committee) PublicKey() *secp256k1.PublicKey { return c.pubKey }
 
 // jointSharing has every party deal a random value; the aggregate secret is
-// the sum, and each party's aggregate share the sum of the shares dealt to it,
-// every one verified against its dealer's Feldman commitment first. Returns
-// the aggregate shares and the aggregate public point (secret·G) derived from
-// the commitments.
+// the sum, and each party's aggregate share the sum of the shares dealt to it.
+// Returns the aggregate shares and the aggregate public point, the sum of the
+// points secret·G each dealer publishes.
 func (c *Committee) jointSharing() ([]Share, secp256k1.Point, error) {
 	order := secp256k1.N()
-	sum := make([]*big.Int, c.n)
-	for i := range sum {
-		sum[i] = new(big.Int)
+	out := make([]Share, c.n)
+	for i := range out {
+		out[i] = Share{Index: i + 1, Value: new(big.Int)}
 	}
-	var sumCommit FeldmanCommitment
+	var pub secp256k1.Point
 	for dealer := 0; dealer < c.n; dealer++ {
 		secret, err := randScalar(c.rng)
 		if err != nil {
 			return nil, secp256k1.Point{}, err
 		}
-		shares, commit, err := ShareSecretVerifiable(secret, c.n, c.t, c.rng)
+		shares, err := shareSecret(secret, c.n, c.t, c.rng)
 		if err != nil {
 			return nil, secp256k1.Point{}, err
 		}
 		for i, s := range shares {
-			if !VerifyShare(s, commit) {
-				return nil, secp256k1.Point{}, fmt.Errorf("tecdsa: invalid dealing from %d", dealer)
-			}
-			sum[i].Add(sum[i], s.Value)
-			sum[i].Mod(sum[i], order)
+			out[i].Value.Add(out[i].Value, s.Value)
+			out[i].Value.Mod(out[i].Value, order)
 		}
-		sumCommit = AddCommitments(sumCommit, commit)
+		pub = secp256k1.Add(pub, secp256k1.ScalarBaseMult(secret))
 	}
-	out := make([]Share, c.n)
-	for i := range out {
-		out[i] = Share{Index: i + 1, Value: sum[i]}
-	}
-	return out, sumCommit.PublicPoint(), nil
+	return out, pub, nil
 }
 
 // openProduct has each party publish the local product of its two shares;
@@ -230,11 +222,4 @@ func (c *Committee) SignSchnorr(msg []byte) (*secp256k1.SchnorrSignature, error)
 		return sig, nil
 	}
 	return nil, errors.New("tecdsa: schnorr signing failed after retries")
-}
-
-// KeyShareOf exposes a party's key share for tests that verify no single
-// share reveals the key. It must never be used outside tests.
-func (c *Committee) KeyShareOf(i int) Share {
-	p := c.parties[i]
-	return Share{Index: p.index, Value: new(big.Int).Set(p.keyShare.Value)}
 }

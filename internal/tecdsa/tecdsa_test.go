@@ -13,7 +13,7 @@ import (
 func TestShareReconstructRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	secret := big.NewInt(123456789)
-	shares, _, err := ShareSecretVerifiable(secret, 7, 2, rng)
+	shares, err := shareSecret(secret, 7, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestShareReconstructRoundTrip(t *testing.T) {
 
 func TestReconstructErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	shares, _, _ := ShareSecretVerifiable(big.NewInt(5), 4, 2, rng)
+	shares, _ := shareSecret(big.NewInt(5), 4, 2, rng)
 	if _, err := Reconstruct(shares[:2], 2); err == nil {
 		t.Fatal("too few shares accepted")
 	}
@@ -55,10 +55,10 @@ func TestReconstructErrors(t *testing.T) {
 
 func TestShareSecretParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	if _, _, err := ShareSecretVerifiable(big.NewInt(1), 2, 2, rng); err == nil {
+	if _, err := shareSecret(big.NewInt(1), 2, 2, rng); err == nil {
 		t.Fatal("n < t+1 accepted")
 	}
-	if _, _, err := ShareSecretVerifiable(big.NewInt(1), 1, -1, rng); err == nil {
+	if _, err := shareSecret(big.NewInt(1), 1, -1, rng); err == nil {
 		t.Fatal("negative t accepted")
 	}
 }
@@ -68,7 +68,7 @@ func TestQuickShareReconstruct(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		secret := new(big.Int).SetInt64(secretRaw)
 		secret.Mod(secret, secp256k1.N())
-		shares, _, err := ShareSecretVerifiable(secret, 9, 3, rng)
+		shares, err := shareSecret(secret, 9, 3, rng)
 		if err != nil {
 			return false
 		}
@@ -86,34 +86,6 @@ func TestQuickShareReconstruct(t *testing.T) {
 	}
 }
 
-func TestFeldmanVerification(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	secret := big.NewInt(424242)
-	shares, commit, err := ShareSecretVerifiable(secret, 5, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range shares {
-		if !VerifyShare(s, commit) {
-			t.Fatalf("valid share %d rejected", s.Index)
-		}
-	}
-	// Tampered share must fail.
-	bad := Share{Index: shares[0].Index, Value: new(big.Int).Add(shares[0].Value, big.NewInt(1))}
-	if VerifyShare(bad, commit) {
-		t.Fatal("tampered share accepted")
-	}
-	// Wrong index must fail.
-	wrongIdx := Share{Index: shares[0].Index + 1, Value: shares[0].Value}
-	if VerifyShare(wrongIdx, commit) {
-		t.Fatal("wrong-index share accepted")
-	}
-	// Commitment's public point is secret·G.
-	if !commit.PublicPoint().Equal(secp256k1.ScalarBaseMult(secret)) {
-		t.Fatal("public point mismatch")
-	}
-}
-
 func TestCommitteeDKG(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	// n=13, t=4 matches the paper's subnet parameters (n = 3f+1, f = 4).
@@ -127,7 +99,7 @@ func TestCommitteeDKG(t *testing.T) {
 	// Reconstructing the key from t+1 shares must match the public key.
 	shares := make([]Share, 5)
 	for i := range shares {
-		shares[i] = c.KeyShareOf(i)
+		shares[i] = c.parties[i].keyShare
 	}
 	key, err := Reconstruct(shares, 4)
 	if err != nil {
@@ -216,7 +188,7 @@ func TestSingleShareRevealsNothingStructurally(t *testing.T) {
 	// the real one (overwhelmingly).
 	rng := rand.New(rand.NewSource(11))
 	c, _ := NewCommittee(7, 2, rng)
-	shares := []Share{c.KeyShareOf(0), c.KeyShareOf(1)}
+	shares := []Share{c.parties[0].keyShare, c.parties[1].keyShare}
 	guess, err := Reconstruct(shares, 1)
 	if err != nil {
 		t.Fatal(err)
