@@ -26,7 +26,6 @@ package chaos
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -94,14 +93,10 @@ type Result struct {
 	// SnapshotBytes is the size of the final state snapshot.
 	SnapshotBytes int
 	// MetricsText is the merged observability snapshot of the run — the
-	// canister, adapter, and fleet registries in Prometheus text form — for
-	// humans and soak artifacts.
+	// canister, adapter, and fleet registries in Prometheus text form. Same
+	// seed ⇒ same text (see World.metricsView): the telemetry extension of
+	// the harness's "same seed, same run" promise.
 	MetricsText string
-	// MetricsDigest is the SHA-256 of the canonical encoding of the
-	// deterministic subset of that snapshot (see World.metricsView for what
-	// is excluded and why). Same seed ⇒ same digest: the telemetry extension
-	// of the harness's "same seed, same run" promise.
-	MetricsDigest [32]byte
 }
 
 // World is the live stack a scenario injects faults into. Scenario steps
@@ -404,7 +399,7 @@ func Run(s Scenario, cfg Config) (Result, error) {
 		return fail(cfg.Rounds-1, fmt.Errorf("final state diverged from the oracle: %d vs %d snapshot bytes",
 			len(chaosSnap), len(oracleSnap)))
 	}
-	metricsText, metricsDigest, err := w.metricsView()
+	metricsText, err := w.metricsView()
 	if err != nil {
 		return fail(cfg.Rounds-1, err)
 	}
@@ -419,20 +414,18 @@ func Run(s Scenario, cfg Config) (Result, error) {
 		FinalHeight:     w.Sim.Nodes[0].Height(),
 		SnapshotBytes:   len(chaosSnap),
 		MetricsText:     metricsText,
-		MetricsDigest:   metricsDigest,
 	}, nil
 }
 
 // metricsView merges the world's per-subsystem obs registries into the
-// run's telemetry result: the full merged snapshot as Prometheus text, and
-// a SHA-256 digest of its canonical (statecodec) encoding.
+// run's telemetry result, the full merged snapshot as Prometheus text.
 //
-// The digest covers EVERY metric, fleet apply-path histograms included:
+// The text covers EVERY metric, fleet apply-path histograms included:
 // frames apply on the harness goroutine via CatchUp, the fleet's one
 // goroutine per published frame only decodes it and is joined (Close) before
 // the snapshot, and all durations are virtual-clock deltas — so the full
-// snapshot reproduces bit for bit per seed, with no carve-out.
-func (w *World) metricsView() (string, [32]byte, error) {
+// snapshot reproduces byte for byte per seed, with no carve-out.
+func (w *World) metricsView() (string, error) {
 	w.Fleet.Close()
 	canSnap := w.Canister().Metrics().Snapshot()
 	adSnap := w.Adapter.Metrics().Snapshot()
@@ -440,13 +433,13 @@ func (w *World) metricsView() (string, [32]byte, error) {
 
 	full, err := obs.Merge(canSnap, adSnap, fleetSnap)
 	if err != nil {
-		return "", [32]byte{}, fmt.Errorf("merge metrics: %w", err)
+		return "", fmt.Errorf("merge metrics: %w", err)
 	}
 	var text strings.Builder
 	if err := full.WriteProm(&text); err != nil {
-		return "", [32]byte{}, fmt.Errorf("render metrics: %w", err)
+		return "", fmt.Errorf("render metrics: %w", err)
 	}
-	return text.String(), sha256.Sum256(full.Encode()), nil
+	return text.String(), nil
 }
 
 // payloadsPerRound is how many consensus payloads execute per harness round.

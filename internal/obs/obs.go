@@ -5,7 +5,7 @@
 //
 // Determinism is the design constraint the usual metrics libraries don't
 // have: the chaos and differential harnesses assert on telemetry itself, so
-// two same-seed runs must produce bit-identical encoded snapshots. Three
+// two same-seed runs must produce byte-identical rendered snapshots. Three
 // rules make that hold:
 //
 //   - Every time read goes through the registry clock (SetClock). Seeded
@@ -13,8 +13,8 @@
 //     clock, so durations are virtual-time deltas — identical per seed.
 //     Unseeded drivers keep the wall-clock default.
 //   - Snapshots iterate every metric in sorted name (and label) order, and
-//     the statecodec encoding (snapshot.go) has no map walks — byte output
-//     is a pure function of the metric values.
+//     the Prometheus rendering (snapshot.go) has no map walks — its text is
+//     a pure function of the metric values.
 //   - Nothing samples goroutine-scheduling state (queue depths observed
 //     from channel lengths, and the like): a metric whose value depends on
 //     the schedule can never be bit-identical across runs.

@@ -114,9 +114,19 @@ func TestFamilySortedIterationDeterminism(t *testing.T) {
 	}
 }
 
-// TestSnapshotEncodeDeterminism: registering metrics in different orders
-// still encodes to identical bytes when the values match.
-func TestSnapshotEncodeDeterminism(t *testing.T) {
+// promText renders s in Prometheus text form.
+func promText(t *testing.T, s *Snapshot) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestSnapshotTextDeterminism: registering metrics in different orders
+// still renders identical text when the values match.
+func TestSnapshotTextDeterminism(t *testing.T) {
 	build := func(order []int) *Registry {
 		r := NewRegistry()
 		ops := []func(){
@@ -132,15 +142,15 @@ func TestSnapshotEncodeDeterminism(t *testing.T) {
 		}
 		return r
 	}
-	a := build([]int{0, 1, 2, 3, 4, 5}).Snapshot().Encode()
-	b := build([]int{5, 3, 1, 4, 2, 0}).Snapshot().Encode()
-	if !bytes.Equal(a, b) {
+	a := promText(t, build([]int{0, 1, 2, 3, 4, 5}).Snapshot())
+	b := promText(t, build([]int{5, 3, 1, 4, 2, 0}).Snapshot())
+	if a != b {
 		t.Fatal("snapshots of equal registries differ by registration order")
 	}
 }
 
 // TestMergeDeterminism: merging any permutation of snapshots yields
-// identical bytes, and values sum.
+// identical text, and values sum.
 func TestMergeDeterminism(t *testing.T) {
 	mk := func(seed int64) *Snapshot {
 		r := NewRegistry()
@@ -169,8 +179,8 @@ func TestMergeDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(m.Encode(), m1.Encode()) {
-			t.Fatalf("permutation %d: merged bytes differ", i)
+		if promText(t, m) != promText(t, m1) {
+			t.Fatalf("permutation %d: merged text differs", i)
 		}
 	}
 	// Values sum.

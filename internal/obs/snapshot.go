@@ -5,14 +5,12 @@ import (
 	"io"
 	"sort"
 	"strconv"
-
-	"icbtc/internal/statecodec"
 )
 
 // Snapshot is a point-in-time copy of a registry's metrics, in sorted name
 // (and label) order. Equal metric values always produce equal snapshots,
-// and Encode renders equal snapshots as identical bytes — the property
-// chaos's MetricsDigest rests on.
+// and WriteProm renders equal snapshots as identical text — the property
+// chaos's same-seed comparison of MetricsText rests on.
 type Snapshot struct {
 	Counters   []CounterPoint
 	Gauges     []GaugePoint
@@ -125,53 +123,6 @@ func (p *HistogramPoint) Quantile(num, den int) int64 {
 		}
 	}
 	return p.Bounds[len(p.Bounds)-1]
-}
-
-// snapshotMagic brands (and versions) the canonical snapshot encoding.
-const snapshotMagic = "icbtc/obs-snapshot\n"
-
-// snapshotVersion is the current encoding version.
-const snapshotVersion uint16 = 1
-
-// Encode serializes the snapshot canonically via statecodec (versioned,
-// checksummed, no map walks): equal snapshots encode to identical bytes, so
-// chaos's MetricsDigest compares runs by hashing it.
-func (s *Snapshot) Encode() []byte {
-	e := statecodec.NewEncoder(snapshotMagic, snapshotVersion, 1024)
-	e.Uvarint(uint64(len(s.Counters)))
-	for _, c := range s.Counters {
-		e.String(c.Name)
-		e.U64(c.Value)
-	}
-	e.Uvarint(uint64(len(s.Gauges)))
-	for _, g := range s.Gauges {
-		e.String(g.Name)
-		e.I64(g.Value)
-	}
-	e.Uvarint(uint64(len(s.Histograms)))
-	for _, h := range s.Histograms {
-		e.String(h.Name)
-		e.Uvarint(uint64(len(h.Bounds)))
-		for _, b := range h.Bounds {
-			e.I64(b)
-		}
-		for _, c := range h.Counts {
-			e.U64(c)
-		}
-		e.U64(h.Count)
-		e.I64(h.Sum)
-	}
-	e.Uvarint(uint64(len(s.Families)))
-	for _, f := range s.Families {
-		e.String(f.Name)
-		e.String(f.Label)
-		e.Uvarint(uint64(len(f.Values)))
-		for _, v := range f.Values {
-			e.String(v.Value)
-			e.U64(v.Count)
-		}
-	}
-	return e.Finish()
 }
 
 // Merge combines snapshots (typically one per subsystem registry) into one:
