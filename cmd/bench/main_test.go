@@ -25,11 +25,6 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figures.g
 func TestFiguresGolden(t *testing.T) {
 	var out bytes.Buffer
 	for _, f := range figures {
-		// ~12 s of chaos runs; experiments.TestDegradeRecovery pins two of
-		// its rates instead.
-		if f.name == "degrade" {
-			continue
-		}
 		var stderr bytes.Buffer
 		if code := cli([]string{"-fig", f.name}, &out, &stderr); code != 0 {
 			t.Fatalf("-fig %s: exit %d: %s", f.name, code, stderr.String())
