@@ -486,8 +486,8 @@ var deletedNames = []deletedName{
 		rule: "every encoding has a reader: get_metrics answers with its snapshot",
 		reason: "get_metrics returns the registry's *obs.Snapshot, which the response digest certifies like " +
 			"every other answer; the second binary encoding it was wrapped in, the decoder that read it back " +
-			"and that decoder's fuzz target guarded bytes no boundary carries. Snapshot.Encode stays for " +
-			"chaos's metrics digest. Their names returning means a codec with no reader is coming back",
+			"and that decoder's fuzz target guarded bytes no boundary carries. Their names returning means a " +
+			"codec with no reader is coming back",
 		words: []string{"MetricsResult", "DecodeSnapshot", "FuzzMetricsSnapshotDecodeReframed"},
 		roots: []string{"cmd", "examples", "internal"},
 		tests: true,
@@ -538,6 +538,42 @@ var deletedNames = []deletedName{
 		roots:    []string{"internal/utxo"},
 		tests:    true,
 		probe:    `	bd.groups = append(bd.groups, pageGroup(w, 0, n, h)); g := heightGroup{height: h, refs: w.refs[lo:hi:hi]}; next := b.groups[k].refs[0]`,
+	},
+	{
+		rule: "the committee does not check dealings it just made",
+		reason: "the committee is passively secure and runs in one process, so every Feldman commitment " +
+			"it built was checked only by the lines that had just dealt the shares, and the invalid-dealing " +
+			"error could not fire; each dealer now adds secret·G to the public point, and Sign and " +
+			"SignSchnorr still verify every signature they return. The commitments and share checks cost " +
+			"the signing path most of its scalar multiplications. Their names returning means a check " +
+			"with no adversary is coming back",
+		words: []string{"Feldman", "FeldmanCommitment", "commitPolynomial", "ShareSecretVerifiable", "VerifyShare",
+			"PublicPoint", "AddCommitments"},
+		roots: []string{"cmd", "examples", "internal"},
+		tests: true,
+		probe: `	shares, commit, err := ShareSecretVerifiable(secret, n, t, rng); ok := VerifyShare(shares[0], commit)`,
+	},
+	{
+		rule: "no exported method without a caller: committee key shares",
+		reason: "Committee.KeyShareOf said it must never be used outside tests, and only tecdsa's own " +
+			"tests called it; they read the party's share directly. A production type carries no " +
+			"test-only accessor",
+		words: []string{"KeyShareOf"},
+		roots: []string{"cmd", "examples", "internal"},
+		tests: true,
+		probe: `	share := c.KeyShareOf(0)`,
+	},
+	{
+		rule: "every encoding has a reader: chaos compares its metrics as text",
+		reason: "Snapshot.Encode's only reader was chaos's metrics digest, a hash of a second rendering of " +
+			"what MetricsText already holds metric for metric; the determinism test compares the whole " +
+			"Result, text included, and names the first line that differs, and the crash-storm pins hash " +
+			"the text. Their names returning means a codec with no reader is coming back",
+		words:    []string{"MetricsDigest", "metricsDigest"},
+		patterns: []string{`func \(s \*Snapshot\) Encode\(`, `"icbtc/obs-snapshot`},
+		roots:    []string{"cmd", "examples", "internal"},
+		tests:    true,
+		probe:    `func (s *Snapshot) Encode() []byte { e := statecodec.NewEncoder("icbtc/obs-snapshot\n", 1, 0); res.MetricsDigest }`,
 	},
 }
 

@@ -84,7 +84,7 @@ func TestUnknownContractIsAnError(t *testing.T) {
 // followed threshold-signed a second spend of the same deposit to the buyer.
 func TestEscrowSettlesOnce(t *testing.T) {
 	// A 4-replica subnet without degraded rounds: the state machine is what
-	// is under test, and the 13-replica key generation is most of a full run.
+	// is under test.
 	cfg := ic.DefaultConfig()
 	cfg.N = 4
 	cfg.DegradedRoundProb = 0
